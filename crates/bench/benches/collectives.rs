@@ -40,7 +40,7 @@ fn bench_alltoallv(c: &mut Criterion) {
                 Machine::new(p, MachineParams::unit())
                     .run(move |comm| {
                         let blocks: Vec<Vec<f64>> = (0..p).map(|d| vec![d as f64; 64]).collect();
-                        coll::alltoallv_bruck(comm, &blocks).unwrap()
+                        coll::alltoallv_bruck(comm, blocks).unwrap()
                     })
                     .unwrap()
             });

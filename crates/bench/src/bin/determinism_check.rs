@@ -1,8 +1,10 @@
-//! Prints a checksum of a fixed workload of dense kernels and sparse
-//! level-scheduled solves so CI can verify that results are **bitwise
-//! identical** under different `DENSE_THREADS` settings (the multithreaded
-//! GEMM and the sparse level-parallel executors must be throughput knobs,
-//! not semantics knobs).
+//! Prints a checksum of a fixed workload of dense kernels, sparse
+//! level-scheduled solves and distributed solves so CI can verify that
+//! results are **bitwise identical** under different `DENSE_THREADS`
+//! settings (the multithreaded GEMM and the sparse level-parallel executors
+//! must be throughput knobs, not semantics knobs) — and identical to the
+//! parent commit's, so a change that only moves data (a redistribution, a
+//! scratch arena) provably changes no bit of any result.
 //!
 //! CI runs this across a matrix of `DENSE_THREADS` (1 vs 4) **and**
 //! `SPARSE_POLICY` (`level` vs `merged` vs unset = auto) settings and diffs
@@ -25,8 +27,10 @@
 //! enabled, and asserts every result is bitwise identical: observability
 //! must never perturb the numerics.
 
-use catrsm::{SchedulePolicy, SolveRequest};
+use catrsm::{Algorithm, ItInvConfig, SchedulePolicy, SolveRequest};
 use dense::{gemm, gen, tri_invert, trsm_in_place, Diag, Matrix, Side, Triangle};
+use pgrid::{DistMatrix, Grid2D};
+use simnet::{Machine, MachineParams};
 
 /// FNV-1a over the little-endian bit patterns of every element.
 fn checksum_slice(label: &str, data: &[f64]) -> String {
@@ -42,6 +46,28 @@ fn checksum_slice(label: &str, data: &[f64]) -> String {
 
 fn checksum(label: &str, m: &Matrix) -> String {
     checksum_slice(label, m.as_slice())
+}
+
+/// Checksum of `X` from `req` solving `A·X = B` (`A` lower or upper to
+/// match the request, `B` a fixed `n×k` right-hand side) on a `q×q` grid of
+/// the simulated machine.
+fn distributed_checksum(label: &str, q: usize, n: usize, k: usize, req: SolveRequest) -> String {
+    let upper = req.opts().triangle == Triangle::Upper;
+    let run = Machine::new(q * q, MachineParams::cluster())
+        .run(move |comm| {
+            let grid = Grid2D::new(comm, q, q).expect("grid");
+            let a_global = if upper {
+                gen::well_conditioned_upper(n, 41)
+            } else {
+                gen::well_conditioned_lower(n, 41)
+            };
+            let a = DistMatrix::from_global(&grid, &a_global);
+            let b = DistMatrix::from_global(&grid, &gen::rhs(n, k, 42));
+            let sol = req.solve_distributed(&a, &b).expect("distributed solve");
+            sol.x.to_global()
+        })
+        .expect("machine run");
+    checksum(label, &run.results[0])
 }
 
 /// Sparse scheduling-policy pin from the `SPARSE_POLICY` environment
@@ -141,10 +167,6 @@ fn syncfree_tolerance_check() {
 /// the observability layer must be a pure observer that never touches
 /// floating-point data or scheduling decisions.
 fn trace_transparency_check() {
-    use catrsm::SolvePlan;
-    use pgrid::{DistMatrix, Grid2D};
-    use simnet::{Machine, MachineParams};
-
     fn workload() -> Vec<String> {
         let mut out = Vec::new();
 
@@ -172,23 +194,13 @@ fn trace_transparency_check() {
             ));
         }
 
-        let (n, k) = (64usize, 16usize);
-        let run = Machine::new(4, MachineParams::cluster())
-            .run(move |comm| {
-                let grid = Grid2D::new(comm, 2, 2).expect("grid");
-                let l_global = gen::well_conditioned_lower(n, 41);
-                let b_global = gen::rhs(n, k, 42);
-                let l = DistMatrix::from_global(&grid, &l_global);
-                let b = DistMatrix::from_global(&grid, &b_global);
-                let plan: SolvePlan = SolveRequest::lower()
-                    .plan_distributed(n, k, comm.size())
-                    .expect("distributed plan");
-                let sol = plan.execute_distributed(&l, &b).expect("distributed solve");
-                sol.x.to_global()
-            })
-            .expect("machine run");
-        let xg = run.results.into_iter().next().expect("rank 0");
-        out.push(checksum("distributed_64x16", &xg));
+        out.push(distributed_checksum(
+            "distributed_64x16",
+            2,
+            64,
+            16,
+            SolveRequest::lower(),
+        ));
         out
     }
 
@@ -308,4 +320,43 @@ fn main() {
         .unwrap()
         .x;
     println!("{}", checksum_slice("sparse_deep_dag_40000w4", &dx));
+
+    // Distributed solves on 16 ranks: every algorithm (and with it every
+    // layout change — face / slab routing, diagonal-block gathers, 3D-MM
+    // transposes, column and row fan-outs), then the op(A) permutations.
+    let (n, k) = (128, 32);
+    let it_inv = |p1, p2, n0| {
+        Algorithm::IterativeInversion(ItInvConfig {
+            p1,
+            p2,
+            n0,
+            inv_base: 8,
+        })
+    };
+    for (label, req) in [
+        ("dist_auto_128x32", SolveRequest::lower()),
+        (
+            "dist_itinv_2d_128x32",
+            SolveRequest::lower().algorithm(it_inv(4, 1, 16)),
+        ),
+        (
+            "dist_itinv_3d_128x32",
+            SolveRequest::lower().algorithm(it_inv(2, 4, 64)),
+        ),
+        (
+            "dist_recursive_128x32",
+            SolveRequest::lower().algorithm(Algorithm::Recursive { base_size: 16 }),
+        ),
+        (
+            "dist_wavefront_128x32",
+            SolveRequest::lower().algorithm(Algorithm::Wavefront),
+        ),
+        ("dist_upper_128x32", SolveRequest::upper()),
+        (
+            "dist_lower_t_unit_128x32",
+            SolveRequest::lower().transposed().unit_diagonal(),
+        ),
+    ] {
+        println!("{}", distributed_checksum(label, 4, n, k, req));
+    }
 }

@@ -6,12 +6,13 @@
 //! surface; [`solve_lower`] / [`solve_upper`] remain as thin deprecated
 //! shims so pre-existing call sites keep compiling.  The layout
 //! permutations ([`reverse_rows`], [`reverse_both`], [`transpose_dist`]) —
-//! plain keyed all-to-all remappings — live here and are shared with the
-//! staged executor.
+//! plain all-to-all remappings of the values — live here and are shared
+//! with the staged executor.
 
 use crate::it_inv_trsm::ItInvConfig;
 use crate::solve::SolveRequest;
 use crate::Result;
+use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::DistMatrix;
 
 /// Which TRSM algorithm to run.
@@ -37,7 +38,7 @@ pub enum Algorithm {
 /// The upper solve is reduced to a lower solve through the reversal
 /// permutation `J` (reversing row and column order): `J·U·J` is lower
 /// triangular, so `U·X = B ⟺ (J·U·J)·(J·X) = J·B`.  The permutations are
-/// plain layout remappings (one keyed all-to-all each), so the asymptotic
+/// plain layout remappings (one all-to-all of the values each), so the asymptotic
 /// costs are those of the underlying lower solve.
 #[deprecated(
     since = "0.1.0",
@@ -52,41 +53,38 @@ pub fn solve_upper(u: &DistMatrix, b: &DistMatrix, algorithm: Algorithm) -> Resu
 
 /// Reverse the row order of a distributed matrix (the permutation `J·A`).
 pub fn reverse_rows(a: &DistMatrix) -> Result<DistMatrix> {
-    let grid = a.grid().clone();
-    let (rows, cols) = a.dims();
-    let (pr, pc) = (grid.rows(), grid.cols());
-    let received =
-        pgrid::redist::remap_elements(a, |i, j| grid.rank_of((rows - 1 - i) % pr, j % pc), true)?;
-    let mut out = DistMatrix::zeros(&grid, rows, cols);
-    for (i, j, v) in received {
-        let ri = rows - 1 - i;
-        out.local_mut()[(ri / pr, j / pc)] = v;
-    }
-    Ok(out)
+    permute(a, true, false)
 }
 
 /// Reverse both the row and the column order of a distributed matrix
 /// (the permutation `J·A·J`).
 pub fn reverse_both(a: &DistMatrix) -> Result<DistMatrix> {
-    let grid = a.grid().clone();
-    let (rows, cols) = a.dims();
-    let (pr, pc) = (grid.rows(), grid.cols());
-    let received = pgrid::redist::remap_elements(
-        a,
-        |i, j| grid.rank_of((rows - 1 - i) % pr, (cols - 1 - j) % pc),
-        true,
-    )?;
-    let mut out = DistMatrix::zeros(&grid, rows, cols);
-    for (i, j, v) in received {
-        let ri = rows - 1 - i;
-        let rj = cols - 1 - j;
-        out.local_mut()[(ri / pr, rj / pc)] = v;
-    }
-    Ok(out)
+    permute(a, true, true)
 }
 
-/// Transpose a distributed matrix (one keyed all-to-all redistribution:
-/// element `(i, j)` moves to the owner of `(j, i)`).
+/// Move entry `(i, j)` to where the cyclic layout stores `(i', j')`, with
+/// `i' = rows − 1 − i` if `flip_rows` (else `i`) and likewise for columns.
+fn permute(a: &DistMatrix, flip_rows: bool, flip_cols: bool) -> Result<DistMatrix> {
+    let grid = a.grid();
+    let (rows, cols) = a.dims();
+    let axis = |len: usize, procs: usize, flip: bool| {
+        Axis::from_fn(len, procs, |g| {
+            let to = if flip { len - 1 - g } else { g };
+            (to % procs, to / procs)
+        })
+    };
+    let permuted = Layout::new(
+        grid.size(),
+        axis(rows, grid.rows(), flip_rows),
+        axis(cols, grid.cols(), flip_cols),
+        |x, y| Some(grid.rank_of(x, y)),
+    );
+    let local = a.redistribute_to(&permuted, Filter::All, true)?;
+    Ok(DistMatrix::from_local(grid, rows, cols, local)?)
+}
+
+/// Transpose a distributed matrix (one all-to-all redistribution: element
+/// `(i, j)` moves to the owner of `(j, i)`).
 ///
 /// This is what lets the staged API solve `Lᵀ·X = B` on a stored `L`: the
 /// transpose is a layout remapping with the cost of the redistributions the

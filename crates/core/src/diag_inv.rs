@@ -11,12 +11,12 @@
 //! Two cases, both handled here:
 //!
 //! * **fewer blocks than processors** — each block is redistributed onto its
-//!   own sub-grid (the keyed all-to-all the paper bounds "by an all-to-all")
+//!   own sub-grid (the redistribution the paper bounds "by an all-to-all")
 //!   and inverted with the distributed recursion of [`crate::tri_inv`];
 //! * **more blocks than processors** — blocks are assigned round-robin, each
 //!   processor inverts its blocks locally.
 //!
-//! Deviation recorded in DESIGN.md: the groups are formed from the processors
+//! Deviation from the paper: the groups are formed from the processors
 //! of the grid that owns `L` (the face of the 3D grid in `It-Inv-TRSM`)
 //! rather than from all `p` processors; the phase remains non-dominant, which
 //! experiment E5 verifies.
@@ -25,7 +25,7 @@ use crate::error::config_error;
 use crate::tri_inv::{tri_inv, TriInvConfig};
 use crate::Result;
 use dense::{Matrix, Triangle};
-use pgrid::redist::scatter_elements;
+use pgrid::redist::{redistribute_into, Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
 
 /// Recursion cut-off of the *local* in-place inversions — fixed at the same
@@ -77,7 +77,9 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
     let comm = grid.comm();
     let p_face = q * q;
     let nblocks = n / n0;
-    let mut l_tilde = l.clone();
+    // The local piece only: `l` may be the caller's own operand, carrying a
+    // cached transpose that L̃ has no use for.
+    let mut l_tilde = DistMatrix::from_local(grid, n, n, l.local().clone())?;
 
     if p_face == 1 {
         // Single processor: invert every block locally, in place where it
@@ -94,48 +96,41 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
         return Ok(l_tilde);
     }
 
+    let diag_blocks = Filter::DiagBlocksLower(n0);
+
     if nblocks >= p_face {
         // --- More blocks than processors: round-robin local inversions. ----
-        // Collect each block on processor (g mod p_face).
-        let mut elements = Vec::new();
-        let local = l.local();
-        for li in 0..local.rows() {
-            let gi = l.global_row(li);
-            for lj in 0..local.cols() {
-                let gj = l.global_col(lj);
-                if gj > gi || gi / n0 != gj / n0 {
-                    continue;
-                }
+        // Collect block g on processor (g mod p_face), stacked: its t-th
+        // block occupies rows `t·n0 ..` of an `n0`-column local matrix.
+        let round_robin = Layout::new(
+            p_face,
+            Axis::from_fn(n, p_face, |gi| {
                 let g = gi / n0;
-                elements.push((gi, gj, local[(li, lj)], g % p_face));
-            }
-        }
-        let received = scatter_elements(comm, n, elements, cfg.log_latency)?;
+                (g % p_face, (g / p_face) * n0 + gi % n0)
+            }),
+            Axis::from_fn(n, p_face, |gj| ((gj / n0) % p_face, gj % n0)),
+            |row_owner, col_owner| (row_owner == col_owner).then_some(row_owner),
+        );
+        let mut mine = l.redistribute_to(&round_robin, diag_blocks, cfg.log_latency)?;
 
-        // Invert the blocks this rank owns.
-        let my_rank = comm.rank();
-        let mut blocks: Vec<Matrix> = (0..nblocks).map(|_| Matrix::zeros(n0, n0)).collect();
-        for (gi, gj, v) in received {
-            let g = gi / n0;
-            debug_assert_eq!(g % p_face, my_rank);
-            blocks[g][(gi - g * n0, gj - g * n0)] = v;
-        }
-        let mut outgoing = Vec::new();
-        for g in (my_rank..nblocks).step_by(p_face) {
-            let block = &mut blocks[g];
-            let flops =
-                dense::tri_invert_in_place(Triangle::Lower, &mut block.as_view_mut(), INV_BASE)?;
+        // Invert the blocks this rank owns, where they lie.
+        for t in 0..mine.rows() / n0 {
+            let flops = dense::tri_invert_in_place(
+                Triangle::Lower,
+                &mut mine.view_mut(t * n0, 0, n0, n0),
+                INV_BASE,
+            )?;
             comm.charge_flops(flops.get());
-            for bi in 0..n0 {
-                for bj in 0..=bi {
-                    let gi = g * n0 + bi;
-                    let gj = g * n0 + bj;
-                    outgoing.push((gi, gj, blocks[g][(bi, bj)], grid.rank_of(gi % q, gj % q)));
-                }
-            }
         }
-        let incoming = scatter_elements(comm, n, outgoing, cfg.log_latency)?;
-        place_into(&mut l_tilde, &incoming, q);
+        redistribute_into(
+            comm,
+            &round_robin,
+            &mine,
+            &l.layout(),
+            l_tilde.local_mut(),
+            diag_blocks,
+            cfg.log_latency,
+        )?;
         return Ok(l_tilde);
     }
 
@@ -151,25 +146,19 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
     }
     let active = side * side;
 
-    // Route each diagonal-block element to its destination inside the block's
-    // sub-grid (cyclic layout over side × side).
-    let mut elements = Vec::new();
-    let local = l.local();
-    for li in 0..local.rows() {
-        let gi = l.global_row(li);
-        for lj in 0..local.cols() {
-            let gj = l.global_col(lj);
-            if gj > gi || gi / n0 != gj / n0 {
-                continue;
-            }
-            let g = gi / n0;
-            let bi = gi - g * n0;
-            let bj = gj - g * n0;
-            let dest = g * group_size + (bi % side) * side + (bj % side);
-            elements.push((gi, gj, local[(li, lj)], dest));
-        }
-    }
-    let received = scatter_elements(comm, n, elements, cfg.log_latency)?;
+    // Block g lives cyclically on the side × side sub-grid formed by the
+    // first `active` ranks of group g.
+    let block_axis = || {
+        Axis::from_fn(n, nblocks * side, |gi| {
+            let (g, bi) = (gi / n0, gi % n0);
+            (g * side + bi % side, bi / side)
+        })
+    };
+    let on_subgrids = Layout::new(p_face, block_axis(), block_axis(), |rc, cc| {
+        let (g, sx) = (rc / side, rc % side);
+        (cc / side == g).then_some(g * group_size + sx * side + cc % side)
+    });
+    let received = l.redistribute_to(&on_subgrids, diag_blocks, cfg.log_latency)?;
 
     // Every rank joins exactly one subgroup call so communicator bookkeeping
     // stays aligned; ranks that are not active members get `Err` and skip.
@@ -183,67 +172,42 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
     };
     let sub_comm = comm.subgroup(&members);
 
-    let mut outgoing = Vec::new();
-    if let Ok(sub) = &sub_comm {
-        let g = my_group;
-        let sub_grid = Grid2D::new(sub, side, side)?;
-        let mut block = DistMatrix::zeros(&sub_grid, n0, n0);
-        {
-            let (sx, sy) = sub_grid.my_coords();
-            for &(gi, gj, v) in &received {
-                let bi = gi - g * n0;
-                let bj = gj - g * n0;
-                debug_assert_eq!(bi % side, sx);
-                debug_assert_eq!(bj % side, sy);
-                block.local_mut()[(bi / side, bj / side)] = v;
-            }
+    let inverted = match &sub_comm {
+        Ok(sub) => {
+            let sub_grid = Grid2D::new(sub, side, side)?;
+            let mut block = DistMatrix::from_local(&sub_grid, n0, n0, received)?;
+            Some(if side == 1 {
+                let flops = dense::tri_invert_in_place(
+                    Triangle::Lower,
+                    &mut block.local_mut().as_view_mut(),
+                    INV_BASE,
+                )?;
+                comm.charge_flops(flops.get());
+                block
+            } else {
+                tri_inv(
+                    &block,
+                    &TriInvConfig {
+                        base_size: cfg.inv_base,
+                        log_latency: cfg.log_latency,
+                    },
+                )?
+            })
         }
-        let inv = if side == 1 {
-            let flops = dense::tri_invert_in_place(
-                Triangle::Lower,
-                &mut block.local_mut().as_view_mut(),
-                INV_BASE,
-            )?;
-            comm.charge_flops(flops.get());
-            block
-        } else {
-            tri_inv(
-                &block,
-                &TriInvConfig {
-                    base_size: cfg.inv_base,
-                    log_latency: cfg.log_latency,
-                },
-            )?
-        };
-        // Send the inverted block back to the cyclic owners on the face grid.
-        let inv_local = inv.local();
-        for li in 0..inv_local.rows() {
-            let bi = inv.global_row(li);
-            for lj in 0..inv_local.cols() {
-                let bj = inv.global_col(lj);
-                if bj > bi {
-                    continue;
-                }
-                let gi = g * n0 + bi;
-                let gj = g * n0 + bj;
-                outgoing.push((gi, gj, inv_local[(li, lj)], grid.rank_of(gi % q, gj % q)));
-            }
-        }
-    }
-    let incoming = scatter_elements(comm, n, outgoing, cfg.log_latency)?;
-    place_into(&mut l_tilde, &incoming, q);
+        Err(_) => None,
+    };
+    // Send the inverted blocks back to the cyclic owners on the face grid.
+    let nothing = Matrix::zeros(0, 0);
+    redistribute_into(
+        comm,
+        &on_subgrids,
+        inverted.as_ref().map_or(&nothing, DistMatrix::local),
+        &l.layout(),
+        l_tilde.local_mut(),
+        diag_blocks,
+        cfg.log_latency,
+    )?;
     Ok(l_tilde)
-}
-
-/// Overwrite the local entries of `mat` (cyclic over a `side × side` grid)
-/// with the received `(global row, global col, value)` triples.
-fn place_into(mat: &mut DistMatrix, triples: &[(usize, usize, f64)], side: usize) {
-    let (x, y) = mat.grid().my_coords();
-    for &(gi, gj, v) in triples {
-        debug_assert_eq!(gi % side, x);
-        debug_assert_eq!(gj % side, y);
-        mat.local_mut()[(gi / side, gj / side)] = v;
-    }
 }
 
 #[cfg(test)]

@@ -28,9 +28,10 @@ use crate::diag_inv::{diagonal_inverter, DiagInvConfig};
 use crate::error::{config_error, internal_error};
 use crate::Result;
 use dense::Matrix;
-use pgrid::redist::scatter_elements;
+use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D, Grid3D};
 use simnet::{coll, Communicator, CostCounters};
+use std::borrow::Cow;
 
 /// Configuration of the iterative inversion-based TRSM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,7 +157,7 @@ pub fn it_inv_trsm(
     // Setup: build the 3D grid and move L and B into its layouts.
     // ------------------------------------------------------------------
     let grid3d = Grid3D::new(comm, p1, p1, p2)?;
-    let (x, y, z) = grid3d.my_coords();
+    let z = grid3d.my_coords().2;
     let kw = k / p2; // right-hand-side slab width
     let nloc = n / p1; // rows of B/X owned per face row coordinate
     let nblocks = n / n0;
@@ -170,53 +171,30 @@ pub fn it_inv_trsm(
         Err(_) => None,
     };
 
-    // Route L onto the face (only the lower triangle).
-    let mut l_elements = Vec::new();
-    {
-        let local = l.local();
-        for li in 0..local.rows() {
-            let gi = l.global_row(li);
-            for lj in 0..local.cols() {
-                let gj = l.global_col(lj);
-                if gj > gi {
-                    continue;
-                }
-                l_elements.push((gi, gj, local[(li, lj)], grid3d.rank_of(gi % p1, gj % p1, 0)));
-            }
-        }
-    }
-    let l_received = scatter_elements(comm, n, l_elements, cfg.log_latency())?;
-    let l_face = face_grid.as_ref().map(|fg| {
-        let mut mat = DistMatrix::zeros(fg, n, n);
-        for (gi, gj, v) in l_received {
-            mat.local_mut()[(gi / p1, gj / p1)] = v;
-        }
-        mat
+    // Route L onto the face (only the lower triangle carries information).
+    // With p2 = 1 on a p1 × p1 caller grid the face *is* the caller's layout:
+    // nothing is sent or copied, and the inversion runs on `l` where it lies
+    // (its upper triangle is then the caller's, not zero; the inverter reads
+    // only the lower triangles of the diagonal blocks).
+    let face_layout = Layout::new(p, Axis::cyclic(n, p1), Axis::cyclic(n, p1), |fx, fy| {
+        Some(grid3d.rank_of(fx, fy, 0))
     });
+    let l_face: Option<Cow<'_, DistMatrix>> = if l.layout().same_placement(&face_layout) {
+        Some(Cow::Borrowed(l))
+    } else {
+        let local = l.redistribute_to(&face_layout, Filter::Lower, cfg.log_latency())?;
+        match &face_grid {
+            Some(fg) => Some(Cow::Owned(DistMatrix::from_local(fg, n, n, local)?)),
+            None => None,
+        }
+    };
 
     // Route B to the replicated layout: rows ≡ x (mod p1), slab z, all y.
-    let mut b_elements = Vec::new();
-    {
-        let local = b.local();
-        for li in 0..local.rows() {
-            let gi = b.global_row(li);
-            for lj in 0..local.cols() {
-                let gj = b.global_col(lj);
-                let x_d = gi % p1;
-                let z_d = gj / kw;
-                for y_d in 0..p1 {
-                    b_elements.push((gi, gj, local[(li, lj)], grid3d.rank_of(x_d, y_d, z_d)));
-                }
-            }
-        }
-    }
-    let b_received = scatter_elements(comm, k, b_elements, cfg.log_latency())?;
-    let mut b_rem = Matrix::zeros(nloc, kw);
-    for (gi, gj, v) in b_received {
-        debug_assert_eq!(gi % p1, x);
-        debug_assert_eq!(gj / kw, z);
-        b_rem[(gi / p1, gj - z * kw)] = v;
-    }
+    let grid3d_ref = &grid3d;
+    let slab_layout = Layout::new(p, Axis::cyclic(n, p1), Axis::slabs(k, p2), |sx, sz| {
+        (0..p1).map(move |sy| grid3d_ref.rank_of(sx, sy, sz))
+    });
+    let mut b_rem = b.redistribute_to(&slab_layout, Filter::All, cfg.log_latency())?;
 
     // Axis communicators used in every iteration.
     let x_comm = grid3d.axis_comm(0);
@@ -230,8 +208,8 @@ pub fn it_inv_trsm(
     // each inverted block to the transposed-coordinate owner so the solve
     // step's contraction index lines up (see module docs of diag_inv).
     // ------------------------------------------------------------------
-    let l_tilde_face = match (&face_grid, &l_face) {
-        (Some(_), Some(lf)) => Some(diagonal_inverter(
+    let l_tilde_face = match &l_face {
+        Some(lf) => Some(diagonal_inverter(
             lf,
             &DiagInvConfig {
                 n0,
@@ -239,41 +217,27 @@ pub fn it_inv_trsm(
                 log_latency: cfg.log_latency(),
             },
         )?),
-        _ => None,
+        None => None,
     };
 
-    // diag_t[g] = L̃(S_g, S_g) restricted to rows ≡ y, cols ≡ x (mod p1),
-    // held on the face and broadcast along z during the solve steps.
-    let diag_t_face: Option<Vec<Matrix>> = if let (Some(fg), Some(lt)) = (&face_grid, &l_tilde_face)
-    {
-        let mut outgoing = Vec::new();
-        let local = lt.local();
-        for li in 0..local.rows() {
-            let gi = lt.global_row(li);
-            for lj in 0..local.cols() {
-                let gj = lt.global_col(lj);
-                if gj > gi || gi / n0 != gj / n0 {
-                    continue;
-                }
-                // Destination face processor owns rows ≡ its y, cols ≡ its x.
-                outgoing.push((gi, gj, local[(li, lj)], fg.rank_of(gj % p1, gi % p1)));
-            }
+    // The inverted diagonal blocks, stacked: rows `g·nb_loc ..` hold
+    // L̃(S_g, S_g) restricted to rows ≡ y, cols ≡ x (mod p1).  Held on the
+    // face and broadcast along z during the solve steps.
+    let diag_t_face: Option<Matrix> = match &l_tilde_face {
+        Some(lt) => {
+            let fg = lt.grid();
+            let swapped = Layout::new(
+                fg.size(),
+                Axis::cyclic(n, p1),
+                Axis::from_fn(n, p1, |gj| (gj % p1, (gj % n0) / p1)),
+                // The face processor at (x, y) owns rows ≡ y, cols ≡ x.
+                |row_class, col_class| Some(fg.rank_of(col_class, row_class)),
+            );
+            let stacked =
+                lt.redistribute_to(&swapped, Filter::DiagBlocksLower(n0), cfg.log_latency())?;
+            Some(stacked)
         }
-        let incoming = scatter_elements(fg.comm(), n, outgoing, cfg.log_latency())?;
-        let mut per_block: Vec<Matrix> = (0..nblocks)
-            .map(|_| Matrix::zeros(nb_loc, nb_loc))
-            .collect();
-        for (gi, gj, v) in incoming {
-            let g = gi / n0;
-            let bi = gi - g * n0;
-            let bj = gj - g * n0;
-            debug_assert_eq!(bi % p1, y);
-            debug_assert_eq!(bj % p1, x);
-            per_block[g][(bi / p1, bj / p1)] = v;
-        }
-        Some(per_block)
-    } else {
-        None
+        None => None,
     };
 
     mark(comm, &mut breakdown.inversion);
@@ -289,16 +253,15 @@ pub fn it_inv_trsm(
     for i in 0..nblocks {
         // --- Solve step ------------------------------------------------
         // (a) broadcast the inverted diagonal piece along z.
-        let diag_flat = if z == 0 {
-            diag_t_face
+        let diag_flat: &[f64] = if z == 0 {
+            let stacked = diag_t_face
                 .as_ref()
-                .ok_or_else(|| internal_error("it_inv_trsm", "face rank holds no diag blocks"))?[i]
-                .as_slice()
-                .to_vec()
+                .ok_or_else(|| internal_error("it_inv_trsm", "face rank holds no diag blocks"))?;
+            &stacked.as_slice()[i * nb_loc * nb_loc..(i + 1) * nb_loc * nb_loc]
         } else {
-            Vec::new()
+            &[]
         };
-        let diag_flat = coll::bcast(&z_comm, 0, &diag_flat, nb_loc * nb_loc)?;
+        let diag_flat = coll::bcast(&z_comm, 0, diag_flat, nb_loc * nb_loc)?;
         let diag_piece = Matrix::from_vec(nb_loc, nb_loc, diag_flat)?;
 
         // (b) multiply with the current right-hand-side block, read in place.
@@ -373,28 +336,17 @@ pub fn it_inv_trsm(
     // Finalize: return X in the caller's layout.  x_result is replicated
     // over the x axis; ranks with x = 0 contribute it.
     // ------------------------------------------------------------------
-    let caller_pr = caller_grid.rows();
-    let caller_pc = caller_grid.cols();
-    let mut x_elements = Vec::new();
-    if x == 0 {
-        for r in 0..nloc {
-            let gi = y + r * p1;
-            for c in 0..kw {
-                let gj = z * kw + c;
-                x_elements.push((
-                    gi,
-                    gj,
-                    x_result[(r, c)],
-                    caller_grid.rank_of(gi % caller_pr, gj % caller_pc),
-                ));
-            }
-        }
-    }
-    let incoming = scatter_elements(comm, k, x_elements, cfg.log_latency())?;
-    let mut x_out = DistMatrix::zeros(caller_grid, n, k);
-    for (gi, gj, v) in incoming {
-        x_out.local_mut()[(gi / caller_pr, gj / caller_pc)] = v;
-    }
+    let x_layout = Layout::new(p, Axis::cyclic(n, p1), Axis::slabs(k, p2), |ry, rz| {
+        Some(grid3d.rank_of(0, ry, rz))
+    });
+    let x_out = DistMatrix::redistributed_from(
+        caller_grid,
+        (n, k),
+        &x_layout,
+        &x_result,
+        Filter::All,
+        cfg.log_latency(),
+    )?;
     mark(comm, &mut breakdown.finalize);
 
     Ok((x_out, breakdown))

@@ -24,7 +24,7 @@ use crate::planner::choose_mm_p1;
 use crate::Result;
 use dense::{Diag, Matrix, Triangle};
 use pgrid::distmat::cyclic_local_count;
-use pgrid::redist::{remap_elements, scatter_elements};
+use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
 use simnet::coll;
 
@@ -143,7 +143,7 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, cfg: &RecTrsmConfig) -> Result
 
         let l_sub = DistMatrix::from_local(&sub_grid, n, n, l_rep)?;
         // B's columns owned by this sub-grid form a k/q-column problem whose
-        // local pieces coincide with the existing ones (see DESIGN.md).
+        // local pieces coincide with the existing ones.
         let b_sub = DistMatrix::from_local(&sub_grid, n, k / q, b.local().clone())?;
         let x_sub = rec_trsm_inner(&l_sub, &b_sub, cfg)?;
         return DistMatrix::from_local(grid, n, k, x_sub.local().clone()).map_err(Into::into);
@@ -154,14 +154,9 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, cfg: &RecTrsmConfig) -> Result
     if !splittable {
         let l_full = l.try_to_global()?;
         // Give every rank complete columns: column c goes to rank c mod p.
-        let triples = remap_elements(b, |_, c| c % p, cfg.log_latency)?;
-        let my_rank = grid.comm().rank();
-        let my_cols = cyclic_local_count(k, p, my_rank);
-        let mut b_cols = Matrix::zeros(n, my_cols);
-        for (gi, gj, v) in triples {
-            debug_assert_eq!(gj % p, my_rank);
-            b_cols[(gi, gj / p)] = v;
-        }
+        let by_columns = Layout::new(p, Axis::whole(n), Axis::cyclic(k, p), |_, c| Some(c));
+        let mut b_cols = b.redistribute_to(&by_columns, Filter::All, cfg.log_latency)?;
+        let my_cols = b_cols.cols();
         if my_cols > 0 {
             // Solve in place: the gathered columns are overwritten with X.
             dense::trsm_in_place(
@@ -174,21 +169,15 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, cfg: &RecTrsmConfig) -> Result
             grid.comm()
                 .charge_flops(dense::flops::trsm_flops(n, my_cols).get());
         }
-        let x_cols = b_cols;
         // Scatter the solution back to the cyclic layout.
-        let mut elements = Vec::with_capacity(x_cols.len());
-        for lj in 0..my_cols {
-            let gj = lj * p + my_rank;
-            for gi in 0..n {
-                elements.push((gi, gj, x_cols[(gi, lj)], grid.rank_of(gi % pr, gj % pc)));
-            }
-        }
-        let incoming = scatter_elements(grid.comm(), k, elements, cfg.log_latency)?;
-        let mut x = DistMatrix::zeros(grid, n, k);
-        for (gi, gj, v) in incoming {
-            x.local_mut()[(gi / pr, gj / pc)] = v;
-        }
-        return Ok(x);
+        return Ok(DistMatrix::redistributed_from(
+            grid,
+            (n, k),
+            &by_columns,
+            &b_cols,
+            Filter::All,
+            cfg.log_latency,
+        )?);
     }
 
     // --- Recursive split of L on a square grid. ---------------------------

@@ -122,7 +122,7 @@ impl SolveRequest {
     /// right).  No backend materializes the full transpose: dense kernels
     /// pack `NB`-wide panels, the sparse executor runs on the cached
     /// O(nnz) [`SparseTri::transposed`], and the distributed path performs
-    /// one transpose redistribution (a keyed all-to-all).
+    /// one transpose redistribution (an all-to-all of the values).
     pub fn transposed(mut self) -> SolveRequest {
         self.opts.transpose = Transpose::Yes;
         self
@@ -897,7 +897,7 @@ impl Plan {
         let before = comm.counters();
         let span = obs::span_with("core", "execute", "n", self.n as u64);
 
-        // Apply op(A): the *cached* transpose if requested (one keyed
+        // Apply op(A): the *cached* transpose if requested (one
         // all-to-all on the first transposed solve of this matrix, reused
         // by every subsequent one — so the Cholesky/LU apps' repeated
         // backward substitutions redistribute once, not per solve), then

@@ -15,19 +15,20 @@
 //! the total synchronization cost is `O(log² p)` — the key property that lets
 //! the iterative TRSM avoid the `Θ(√p)`-type latency of the recursive solver.
 //!
-//! Deviation from the paper's pseudocode (documented in DESIGN.md): the two
+//! Deviation from the paper's pseudocode: the two
 //! children use the diagonal `(q/2)×(q/2)` quadrants of the parent grid (p/4
 //! processors each, p/2 in total), exactly as the paper's `dim(Π1) = dim(Π2) =
 //! (√p/2 × √p/2)` split; redistribution between parent and child grids is the
-//! keyed all-to-all the paper bounds "by an all-to-all".
+//! exchange of values the paper bounds "by an all-to-all".
 
 use crate::error::config_error;
 use crate::mm3d::{mm3d, MmConfig};
 use crate::planner::choose_mm_p1;
 use crate::Result;
 use dense::{Matrix, Triangle};
-use pgrid::redist::scatter_elements;
+use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
+use simnet::Communicator;
 
 /// Configuration of the distributed triangular inversion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,77 +114,36 @@ fn tri_inv_inner(l: &DistMatrix, cfg: &TriInvConfig) -> Result<DistMatrix> {
 
     // Send each child its diagonal block, redistributed to the child grid's
     // cyclic layout (only the lower-triangular part carries information).
-    let send_block_to_child = |block: &DistMatrix, child_base: (usize, usize)| {
-        let mut elements = Vec::new();
-        let local = block.local();
-        for li in 0..local.rows() {
-            let gi = block.global_row(li);
-            for lj in 0..local.cols() {
-                let gj = block.global_col(lj);
-                if gj > gi {
-                    continue;
-                }
-                let dest = grid.rank_of(child_base.0 + gi % qh, child_base.1 + gj % qh);
-                elements.push((gi, gj, local[(li, lj)], dest));
-            }
-        }
-        scatter_elements(comm, h, elements, cfg.log_latency)
+    let child_layout = |base: usize| {
+        Layout::new(q * q, Axis::cyclic(h, qh), Axis::cyclic(h, qh), |cx, cy| {
+            Some(grid.rank_of(base + cx, base + cy))
+        })
     };
-    let recv_a = send_block_to_child(&l11, (0, 0))?;
-    let recv_b = send_block_to_child(&l22, (qh, qh))?;
+    let (on_a, on_b) = (child_layout(0), child_layout(qh));
+    let recv_a = l11.redistribute_to(&on_a, Filter::Lower, cfg.log_latency)?;
+    let recv_b = l22.redistribute_to(&on_b, Filter::Lower, cfg.log_latency)?;
 
     // Each child inverts its block concurrently on its own grid.
-    let my_inverse_piece: Option<(Matrix, bool)> = if let Ok(sub) = &child_a_comm {
+    let invert_on = |sub: &Communicator, piece: Matrix| -> Result<Matrix> {
         let child_grid = Grid2D::new(sub, qh, qh)?;
-        let mut child_l = DistMatrix::zeros(&child_grid, h, h);
-        fill_from_triples(&mut child_l, &recv_a, qh);
-        let inv = tri_inv_inner(&child_l, cfg)?;
-        Some((inv.local().clone(), true))
+        let child_l = DistMatrix::from_local(&child_grid, h, h, piece)?;
+        Ok(tri_inv_inner(&child_l, cfg)?.local().clone())
+    };
+    let nothing = || Matrix::zeros(0, 0);
+    let (piece_a, piece_b) = if let Ok(sub) = &child_a_comm {
+        (invert_on(sub, recv_a)?, nothing())
     } else if let Ok(sub) = &child_b_comm {
-        let child_grid = Grid2D::new(sub, qh, qh)?;
-        let mut child_l = DistMatrix::zeros(&child_grid, h, h);
-        fill_from_triples(&mut child_l, &recv_b, qh);
-        let inv = tri_inv_inner(&child_l, cfg)?;
-        Some((inv.local().clone(), false))
+        (nothing(), invert_on(sub, recv_b)?)
     } else {
-        None
+        (nothing(), nothing())
     };
 
     // Redistribute both inverted diagonal blocks back to the parent grid.
-    let send_back = |piece: Option<&Matrix>, is_first: bool| {
-        let mut elements = Vec::new();
-        if let Some(local) = piece {
-            // This rank is a member of the corresponding child grid; its
-            // child-grid coordinates are its parent coordinates modulo qh.
-            let (row, col) = grid.my_coords();
-            let (cx, cy) = (row % qh, col % qh);
-            for li in 0..local.rows() {
-                let gi = li * qh + cx;
-                for lj in 0..local.cols() {
-                    let gj = lj * qh + cy;
-                    if gj > gi {
-                        continue;
-                    }
-                    let dest = grid.rank_of(gi % q, gj % q);
-                    elements.push((gi, gj, local[(li, lj)], dest));
-                }
-            }
-        }
-        let _ = is_first;
-        scatter_elements(comm, h, elements, cfg.log_latency)
+    let to_parent = |piece: &Matrix, child: &Layout| {
+        DistMatrix::redistributed_from(grid, (h, h), child, piece, Filter::Lower, cfg.log_latency)
     };
-    let (piece_a, piece_b) = match &my_inverse_piece {
-        Some((m, true)) => (Some(m), None),
-        Some((m, false)) => (None, Some(m)),
-        None => (None, None),
-    };
-    let back_a = send_back(piece_a, true)?;
-    let back_b = send_back(piece_b, false)?;
-
-    let mut inv11 = DistMatrix::zeros(grid, h, h);
-    fill_from_triples(&mut inv11, &back_a, q);
-    let mut inv22 = DistMatrix::zeros(grid, h, h);
-    fill_from_triples(&mut inv22, &back_b, q);
+    let inv11 = to_parent(&piece_a, &on_a)?;
+    let inv22 = to_parent(&piece_b, &on_b)?;
 
     // Off-diagonal block: inv21 = −inv22 · L21 · inv11, as two multiplications
     // on the full grid.
@@ -201,17 +161,6 @@ fn tri_inv_inner(l: &DistMatrix, cfg: &TriInvConfig) -> Result<DistMatrix> {
     out.set_subview(h, 0, &inv21)?;
     out.set_subview(h, h, &inv22)?;
     Ok(out)
-}
-
-/// Place `(global row, global col, value)` triples into the local piece of a
-/// matrix distributed cyclically over a `side × side` grid.
-fn fill_from_triples(mat: &mut DistMatrix, triples: &[(usize, usize, f64)], side: usize) {
-    let (x, y) = mat.grid().my_coords();
-    for &(gi, gj, v) in triples {
-        debug_assert_eq!(gi % side, x);
-        debug_assert_eq!(gj % side, y);
-        mat.local_mut()[(gi / side, gj / side)] = v;
-    }
 }
 
 #[cfg(test)]

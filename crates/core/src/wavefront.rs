@@ -12,8 +12,7 @@
 
 use crate::error::config_error;
 use crate::Result;
-use dense::Matrix;
-use pgrid::redist::{remap_elements, scatter_elements};
+use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::DistMatrix;
 use simnet::coll;
 
@@ -43,17 +42,12 @@ pub fn wavefront_trsm(l: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
     let me = comm.rank();
 
     // Redistribute to a row-cyclic 1D layout: row i lives on rank i mod p.
-    let l_rows = remap_elements(l, |i, _| i % p, true)?;
-    let b_rows = remap_elements(b, |i, _| i % p, true)?;
-    let my_rows = if me < n { (n - me).div_ceil(p) } else { 0 };
-    let mut l_local = Matrix::zeros(my_rows, n);
-    for (i, j, v) in l_rows {
-        l_local[(i / p, j)] = v;
-    }
-    let mut b_local = Matrix::zeros(my_rows, k);
-    for (i, j, v) in b_rows {
-        b_local[(i / p, j)] = v;
-    }
+    let by_rows =
+        |cols: usize| Layout::new(p, Axis::cyclic(n, p), Axis::whole(cols), |r, _| Some(r));
+    let to_rows = |m: &DistMatrix| m.redistribute_to(&by_rows(m.cols()), Filter::All, true);
+    let l_local = to_rows(l)?;
+    let mut b_local = to_rows(b)?;
+    let my_rows = l_local.rows();
 
     // Forward substitution, one row at a time.
     for i in 0..n {
@@ -97,21 +91,14 @@ pub fn wavefront_trsm(l: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
     }
 
     // Return X in the caller's layout.
-    let pr = grid.rows();
-    let pc = grid.cols();
-    let mut elements = Vec::with_capacity(my_rows * k);
-    for li in 0..my_rows {
-        let gi = li * p + me;
-        for c in 0..k {
-            elements.push((gi, c, b_local[(li, c)], grid.rank_of(gi % pr, c % pc)));
-        }
-    }
-    let incoming = scatter_elements(comm, k, elements, true)?;
-    let mut x = DistMatrix::zeros(grid, n, k);
-    for (gi, gj, v) in incoming {
-        x.local_mut()[(gi / pr, gj / pc)] = v;
-    }
-    Ok(x)
+    Ok(DistMatrix::redistributed_from(
+        grid,
+        (n, k),
+        &by_rows(k),
+        &b_local,
+        Filter::All,
+        true,
+    )?)
 }
 
 #[cfg(test)]

@@ -31,7 +31,10 @@
 //! kernel benches after changing them.
 
 use crate::matrix::{MatMut, MatRef};
-use crate::pack::{op_dims, op_strides, pack_a, pack_b, with_gemm_scratch, with_packed_a, PackedA};
+use crate::pack::{
+    a_block_len, b_block_len, op_dims, op_strides, pack_a, pack_b, with_gemm_scratch,
+    with_packed_a, PackedA,
+};
 use crate::threads;
 #[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
@@ -201,7 +204,7 @@ fn gemm_chunk_shared_a(apack: &PackedA<'_>, b: MatRef<'_>, b_trans: bool, mut c:
     let tracing = obs::enabled();
     let mut pack_ns = 0u64;
     let mut kernel_ns = 0u64;
-    with_gemm_scratch(|_, bpack| {
+    with_gemm_scratch(0, b_block_len(kdim, n), |_, bpack| {
         let mut jc = 0;
         while jc < n {
             let nc = NC.min(n - jc);
@@ -398,7 +401,8 @@ unsafe fn gemm_packed(
     let tracing = obs::enabled();
     let mut pack_ns = 0u64;
     let mut kernel_ns = 0u64;
-    with_gemm_scratch(|apack, bpack| {
+    let (a_len, b_len) = (a_block_len(m, kdim), b_block_len(kdim, n));
+    with_gemm_scratch(a_len, b_len, |apack, bpack| {
         let mut jc = 0;
         while jc < n {
             let nc = NC.min(n - jc);

@@ -15,9 +15,13 @@
 //! Ragged edges are zero-padded to full `MR`/`NR` width so the microkernel
 //! never branches on the panel interior; the write-back masks the padding.
 //!
-//! Both pack buffers live in a **thread-local arena** sized once at
-//! `MC·KC + KC·NC` doubles (≈2.3 MiB with the default tuning), so steady-state
-//! GEMM performs no heap allocation at all.
+//! Both pack buffers live in a **thread-local arena** that grows to what the
+//! largest call on that thread needed — `⌈min(MC,m)/MR⌉·MR·min(KC,k)` doubles
+//! of `A` and `min(KC,k)·⌈min(NC,n)/NR⌉·NR` of `B`, never more than
+//! `MC·KC + KC·NC` (≈2.3 MiB with the default tuning).  A thread that keeps
+//! multiplying stops allocating once it has seen its largest shape; a fresh
+//! thread — every scoped pool worker, every simulated rank — pays for the
+//! blocks it multiplies, not for the tuning maximum.
 
 use crate::matrix::MatRef;
 use crate::microkernel::{KC, MC, MR, NC, NR};
@@ -58,47 +62,71 @@ thread_local! {
     static GENERAL_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` with the thread-local `(A-pack, B-pack)` buffers.
+/// The first `len` doubles of `buf`, grown to exactly `len` if it is shorter
+/// (no amortised over-allocation: the arena should hold what a call needed,
+/// not double it).
+#[inline]
+fn grown(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if buf.len() < len {
+        buf.reserve_exact(len - buf.len());
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// Doubles one packed block of an `m×k` `A` occupies: `min(MC, m)` rows
+/// rounded up to whole `MR` panels, times `min(KC, k)`.
+#[inline]
+pub(crate) fn a_block_len(m: usize, k: usize) -> usize {
+    MC.min(m).div_ceil(MR) * MR * KC.min(k)
+}
+
+/// Doubles one packed block of a `k×n` `B` occupies: `min(KC, k)` times
+/// `min(NC, n)` columns rounded up to whole `NR` panels.
+#[inline]
+pub(crate) fn b_block_len(k: usize, n: usize) -> usize {
+    KC.min(k) * NC.min(n).div_ceil(NR) * NR
+}
+
+/// Runs `f` with the thread-local `(A-pack, B-pack)` buffers, grown to at
+/// least `a_len` / `b_len` doubles (see [`a_block_len`] / [`b_block_len`]).
 ///
 /// Falls back to fresh allocations in the (unexpected) re-entrant case so a
 /// nested GEMM can never observe a torn buffer.
-pub(crate) fn with_gemm_scratch<R>(f: impl FnOnce(&mut [f64], &mut [f64]) -> R) -> R {
+pub(crate) fn with_gemm_scratch<R>(
+    a_len: usize,
+    b_len: usize,
+    f: impl FnOnce(&mut [f64], &mut [f64]) -> R,
+) -> R {
     GEMM_SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut bufs) => {
-            if bufs.0.len() < MC * KC {
-                bufs.0.resize(MC * KC, 0.0);
-            }
-            if bufs.1.len() < KC * NC {
-                bufs.1.resize(KC * NC, 0.0);
-            }
             let (a, b) = &mut *bufs;
-            f(a, b)
+            f(grown(a, a_len), grown(b, b_len))
         }
-        Err(_) => {
-            let mut a = vec![0.0; MC * KC];
-            let mut b = vec![0.0; KC * NC];
-            f(&mut a, &mut b)
-        }
+        Err(_) => f(&mut vec![0.0; a_len], &mut vec![0.0; b_len]),
     })
 }
 
 /// All of `A`, packed: every `(MC, KC)` block in micro-panel order, at a
-/// fixed `MC·KC` stride per block so workers can index blocks without
-/// cumulative offsets.  Produced by [`with_packed_a`], shared read-only
-/// across the parallel GEMM's workers (one packed copy per `ic`/`pc` block
-/// for the whole multiply — the sequential loop nest would re-pack each `A`
-/// block once per `jc` iteration instead).
+/// fixed stride per block ([`a_block_len`] of the whole operand) so workers
+/// can index blocks without cumulative offsets.  Produced by
+/// [`with_packed_a`], shared read-only across the parallel GEMM's workers
+/// (one packed copy per `ic`/`pc` block for the whole multiply — the
+/// sequential loop nest would re-pack each `A` block once per `jc` iteration
+/// instead).
 pub(crate) struct PackedA<'b> {
     buf: &'b [f64],
     /// Number of `KC`-blocks along the inner dimension.
     nkc: usize,
+    /// Doubles between consecutive blocks.
+    stride: usize,
 }
 
 impl PackedA<'_> {
     /// The packed `(MC, KC)` block with block indices `(ic_idx, pc_idx)`.
     #[inline]
     pub(crate) fn block(&self, ic_idx: usize, pc_idx: usize) -> &[f64] {
-        &self.buf[(ic_idx * self.nkc + pc_idx) * (MC * KC)..][..MC * KC]
+        &self.buf[(ic_idx * self.nkc + pc_idx) * self.stride..][..self.stride]
     }
 }
 
@@ -127,7 +155,8 @@ pub(crate) fn with_packed_a<R>(
     let (ai, ak) = op_strides(a, trans);
     let nmc = m.div_ceil(MC);
     let nkc = kdim.div_ceil(KC);
-    let len = nmc * nkc * MC * KC;
+    let stride = a_block_len(m, kdim);
+    let len = nmc * nkc * stride;
     let pack_all = |buf: &mut [f64]| {
         let mut ic = 0;
         let mut ic_idx = 0;
@@ -137,11 +166,12 @@ pub(crate) fn with_packed_a<R>(
             let mut pc_idx = 0;
             while pc < kdim {
                 let kc = KC.min(kdim - pc);
-                let dst = &mut buf[(ic_idx * nkc + pc_idx) * (MC * KC)..][..MC * KC];
+                let dst = &mut buf[(ic_idx * nkc + pc_idx) * stride..][..stride];
                 // SAFETY: `a` is a live in-bounds view, so the conceptual
                 // `mc×kc` block at `(ic, pc)` is valid for reads at the
                 // `(ai, ak)` strides, and `dst` holds
-                // `MC·KC >= ⌈mc/MR⌉·kc·MR` elements.
+                // `a_block_len(m, kdim) >= ⌈mc/MR⌉·kc·MR` elements
+                // (`mc <= min(MC, m)`, `kc <= min(KC, kdim)`).
                 unsafe {
                     pack_a(
                         alpha,
@@ -163,23 +193,26 @@ pub(crate) fn with_packed_a<R>(
     if len > APACK_CACHE_MAX {
         let mut buf = vec![0.0; len];
         pack_all(&mut buf);
-        return f(&PackedA { buf: &buf, nkc });
+        return f(&PackedA {
+            buf: &buf,
+            nkc,
+            stride,
+        });
     }
     APACK_FULL.with(|cell| match cell.try_borrow_mut() {
         Ok(mut buf) => {
-            if buf.len() < len {
-                buf.resize(len, 0.0);
-            }
-            pack_all(&mut buf[..len]);
-            f(&PackedA {
-                buf: &buf[..len],
-                nkc,
-            })
+            let buf = grown(&mut buf, len);
+            pack_all(buf);
+            f(&PackedA { buf, nkc, stride })
         }
         Err(_) => {
             let mut buf = vec![0.0; len];
             pack_all(&mut buf);
-            f(&PackedA { buf: &buf, nkc })
+            f(&PackedA {
+                buf: &buf,
+                nkc,
+                stride,
+            })
         }
     })
 }
@@ -191,12 +224,7 @@ pub(crate) fn with_packed_a<R>(
 /// zeroes its destination first.
 pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     GENERAL_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut buf) => {
-            if buf.len() < len {
-                buf.resize(len, 0.0);
-            }
-            f(&mut buf[..len])
-        }
+        Ok(mut buf) => f(grown(&mut buf, len)),
         Err(_) => f(&mut vec![0.0; len]),
     })
 }
@@ -376,6 +404,49 @@ mod tests {
             pack_b(at.as_ptr(), rows, 1, cols, rows, &mut via_mat);
         }
         assert_eq!(direct, via_mat);
+    }
+
+    /// `(A-pack, B-pack, whole-A)` capacities of this thread's arena.
+    fn arena_capacities() -> (usize, usize, usize) {
+        let (a, b) = GEMM_SCRATCH.with(|c| {
+            let bufs = c.borrow();
+            (bufs.0.capacity(), bufs.1.capacity())
+        });
+        (a, b, APACK_FULL.with(|c| c.borrow().capacity()))
+    }
+
+    #[test]
+    fn arena_grows_to_the_call_not_to_the_tuning_maximum() {
+        use crate::gemm::gemm_with_threads;
+        use crate::matrix::Matrix;
+        let multiply = |(m, k, n): (usize, usize, usize), threads: usize| {
+            let a = Matrix::from_fn(m, k, |i, j| ((i * 7 + j) % 11) as f64 - 5.0);
+            let b = Matrix::from_fn(k, n, |i, j| ((i + j * 3) % 7) as f64 - 3.0);
+            let mut c = Matrix::zeros(m, n);
+            gemm_with_threads(1.0, &a, &b, 0.0, &mut c, threads).unwrap();
+        };
+        // A fresh thread, as every scoped pool worker and simulated rank is.
+        std::thread::spawn(move || {
+            assert_eq!(arena_capacities(), (0, 0, 0));
+            multiply((64, 64, 64), 1);
+            assert_eq!(
+                (a_block_len(64, 64), b_block_len(64, 64)),
+                (64 * 64, 64 * 64)
+            );
+            let call_sized = 64 * 64;
+            assert_eq!(arena_capacities(), (call_sized, call_sized, 0));
+            // The caller of a multithreaded product packs all of A, at the
+            // call's own block size.
+            multiply((64, 64, 64), 2);
+            assert_eq!(arena_capacities().2, call_sized);
+            // Past every blocking dimension (as a 1024³ product is, at a
+            // thirtieth of the flops) the arena stops at the tuning maximum.
+            multiply((MC + 2, KC + 4, NC + 6), 1);
+            let (a, b, _) = arena_capacities();
+            assert_eq!((a, b), (MC * KC, KC * NC));
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use crate::error::GridError;
 use crate::grid::Grid2D;
+use crate::redist::{redistribute, Filter, Layout};
 use crate::Result;
 use dense::Matrix;
 use simnet::coll;
@@ -37,7 +38,7 @@ pub struct DistMatrix {
     cols: usize,
     local: Matrix,
     /// Lazily computed transposed copy (see [`DistMatrix::transposed`]):
-    /// built by one keyed all-to-all on first use and reused for the
+    /// built by one all-to-all of the values on first use and reused for the
     /// lifetime of the matrix, so repeated `Aᵀ` applies redistribute once,
     /// not once per solve.  Invalidated by every mutating accessor.
     transpose_cache: OnceLock<Box<DistMatrix>>,
@@ -169,6 +170,47 @@ impl DistMatrix {
         &self.grid
     }
 
+    /// This matrix's cyclic layout, as [`crate::redist::redistribute`]
+    /// takes it.
+    pub fn layout(&self) -> Layout {
+        Layout::cyclic(&self.grid, self.rows, self.cols)
+    }
+
+    /// Move this matrix's entries that pass `filter` to where `dst` stores
+    /// them ([`redistribute`] from the cyclic layout, over the grid's
+    /// communicator); returns this rank's local matrix under `dst`.
+    pub fn redistribute_to(
+        &self,
+        dst: &Layout,
+        filter: Filter,
+        log_latency: bool,
+    ) -> Result<Matrix> {
+        redistribute(
+            self.grid.comm(),
+            &self.layout(),
+            &self.local,
+            dst,
+            filter,
+            log_latency,
+        )
+    }
+
+    /// The `rows × cols` matrix stored under `src` (`from` being this rank's
+    /// local matrix there), brought into the cyclic layout of `grid` — the
+    /// inverse of [`DistMatrix::redistribute_to`].
+    pub fn redistributed_from(
+        grid: &Grid2D,
+        (rows, cols): (usize, usize),
+        src: &Layout,
+        from: &Matrix,
+        filter: Filter,
+        log_latency: bool,
+    ) -> Result<Self> {
+        let cyclic = Layout::cyclic(grid, rows, cols);
+        let local = redistribute(grid.comm(), src, from, &cyclic, filter, log_latency)?;
+        DistMatrix::from_local(grid, rows, cols, local)
+    }
+
     /// This rank's local piece.
     pub fn local(&self) -> &Matrix {
         &self.local
@@ -184,7 +226,7 @@ impl DistMatrix {
         &mut self.local
     }
 
-    /// The cached transpose of this matrix, built on first use (one keyed
+    /// The cached transpose of this matrix, built on first use (one
     /// all-to-all redistribution — see [`crate::redist::transpose`]) and
     /// reused for the lifetime of the matrix: the analyze-once pattern the
     /// sparse crate's `SparseTri::transposed` applies locally, here applied

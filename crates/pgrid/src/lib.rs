@@ -12,9 +12,11 @@
 //!   construction from / collection to a replicated global matrix, aligned
 //!   sub-views (the recursive algorithms split matrices in halves), and
 //!   residual helpers,
-//! * [`redist`] — generic element remapping between arbitrary layouts using a
-//!   Bruck all-to-all-v, the primitive the paper charges as "an all-to-all"
-//!   for its layout transposes and redistributions.
+//! * [`redist`] — key-free redistribution between arbitrary layouts: both
+//!   ends derive the order of the values from the layouts alone, so one
+//!   Bruck all-to-all-v of the values is all that crosses the wire — the
+//!   primitive the paper charges as "an all-to-all" for its layout
+//!   transposes and redistributions.
 
 pub mod distmat;
 pub mod error;

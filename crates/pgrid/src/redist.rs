@@ -1,172 +1,469 @@
-//! Generic data redistribution between layouts.
+//! Key-free redistribution between layouts.
 //!
 //! The paper's algorithms change data layouts in a few places — the
 //! transposes inside the 3D matrix multiplication (Section III), the move of
 //! sub-matrices onto smaller processor grids inside the recursive inversion
-//! (Section V), and the collection of diagonal blocks onto dedicated
-//! sub-grids in the `Diagonal-Inverter` (Section VI-A).  In every case the
-//! paper bounds the cost by that of an **all-to-all**:
-//! `O(α·log p + β·(volume/p)·log p)` per processor.
+//! (Section V), the collection of diagonal blocks onto dedicated sub-grids in
+//! the `Diagonal-Inverter` (Section VI-A), and the face / slab routing of
+//! `It-Inv-TRSM` (Section VI).  In every case the paper charges one
+//! **all-to-all of the values**: `O(α·log p + β·(volume/p)·log p)` per
+//! processor.
 //!
-//! [`exchange_keyed`] is the corresponding primitive here: every rank hands
-//! in `(key, value)` pairs per destination, the pairs are routed with the
-//! Bruck all-to-all-v of `simnet::coll` (log p rounds, store-and-forward),
-//! and each rank gets back the pairs addressed to it.  Keys are typically
-//! encoded global matrix indices, so the receiver can place values without
-//! any out-of-band coordination.  The key/value encoding doubles the word
-//! count of these transfers; since they are lower-order terms in every
-//! algorithm (see DESIGN.md), the asymptotic costs are unaffected.
+//! [`redistribute`] is that primitive.  Every layout here is computable from
+//! rank arithmetic, so a [`Layout`] describes it completely on every rank:
+//! each axis of the global index space is cut into *classes* ([`Axis`]), a
+//! *piece* is a (row class, column class) pair, and each piece is stored by
+//! zero or more ranks.  Sender and receiver of a (source, destination) pair
+//! therefore agree, without exchanging a word, on which entries travel
+//! between them and in which order — global row-major — so only the values
+//! are sent: the sender gathers runs straight out of its local matrix into
+//! one buffer per destination, the receiver scatters each buffer straight
+//! into its local matrix, and no index ever crosses the wire.
+//!
+//! The buffers are routed by the same Bruck all-to-all-v of `simnet::coll`
+//! the algorithms have always used (`⌈log₂ p⌉` messages per rank, a
+//! [`simnet::coll::BRUCK_BLOCK_HEADER`]-word header per forwarded block), or
+//! by the direct pairwise exchange (`p − 1` messages, no header).  A
+//! redistribution between two layouts that place every entry identically
+//! ([`Layout::same_placement`]) — decided from the two layouts alone, so
+//! every rank decides alike — sends nothing.
 
 use crate::distmat::DistMatrix;
+use crate::error::GridError;
+use crate::grid::Grid2D;
 use crate::Result;
+use dense::Matrix;
 use simnet::{coll, Communicator};
+use std::ops::Range;
 
-/// Exchange `(key, value)` pairs between all ranks of `comm`.
+/// How one axis (rows or columns) of the global index space is cut up: every
+/// global index belongs to one *class* — the indices a holder stores together
+/// — at one position along that axis of the holder's local matrix.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Axis {
+    /// Class of each global index.
+    class: Vec<usize>,
+    /// Local position of each global index within its class's storage.
+    local: Vec<usize>,
+    /// Per class: one past the largest local position (0 for an empty class).
+    extent: Vec<usize>,
+}
+
+impl Axis {
+    /// An axis of `len` indices in `classes` classes, with
+    /// `place(g) = (class, local position)` of global index `g`.
+    ///
+    /// `place` need not be injective: two indices of a class may share a
+    /// local position (the stacked diagonal blocks of `It-Inv-TRSM` do), but
+    /// then every redistribution using the axis must carry a [`Filter`] that
+    /// passes at most one entry per local slot of each piece — nothing checks
+    /// this, and colliding entries overwrite each other in row-major order.
+    ///
+    /// Panics if `place` names a class `>= classes`.
+    pub fn from_fn(len: usize, classes: usize, place: impl Fn(usize) -> (usize, usize)) -> Axis {
+        let mut axis = Axis {
+            class: Vec::with_capacity(len),
+            local: Vec::with_capacity(len),
+            extent: vec![0; classes],
+        };
+        for g in 0..len {
+            let (class, local) = place(g);
+            assert!(
+                class < classes,
+                "index {g} placed in class {class} of {classes}"
+            );
+            axis.class.push(class);
+            axis.local.push(local);
+            axis.extent[class] = axis.extent[class].max(local + 1);
+        }
+        axis
+    }
+
+    /// Cyclic over `procs` classes: index `g` is entry `g / procs` of class
+    /// `g mod procs` — the layout every algorithm in the paper starts from.
+    pub fn cyclic(len: usize, procs: usize) -> Axis {
+        Axis::from_fn(len, procs, |g| (g % procs, g / procs))
+    }
+
+    /// `parts` contiguous slabs of `len / parts` indices each (`parts` must
+    /// divide `len`).
+    pub fn slabs(len: usize, parts: usize) -> Axis {
+        assert!(
+            parts > 0 && len.is_multiple_of(parts),
+            "{parts} slabs must divide {len} indices"
+        );
+        let width = len / parts;
+        Axis::from_fn(len, parts, |g| (g / width, g % width))
+    }
+
+    /// One class holding every index in order.
+    pub fn whole(len: usize) -> Axis {
+        Axis::from_fn(len, 1, |g| (0, g))
+    }
+
+    /// Number of global indices.
+    pub fn len(&self) -> usize {
+        self.class.len()
+    }
+
+    /// True when the axis has no indices.
+    pub fn is_empty(&self) -> bool {
+        self.class.is_empty()
+    }
+
+    /// Number of classes.
+    pub fn classes(&self) -> usize {
+        self.extent.len()
+    }
+
+    /// The global indices of `class`, ascending.
+    fn members(&self, class: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).filter(move |&g| self.class[g] == class)
+    }
+}
+
+/// Where every entry of a global `rows × cols` index space is stored: piece
+/// `(rc, cc)` — the entries whose row is in row class `rc` and whose column
+/// is in column class `cc` — sits on each of its holders as a local matrix
+/// indexed by the axes' local positions.
 ///
-/// `outgoing[d]` contains the pairs destined for local rank `d`.  The result
-/// is indexed by source rank.  Keys must be representable exactly as `f64`
-/// (i.e. `< 2^53`), which holds for any encoded matrix index in this project.
-///
-/// When `log_latency` is true (the default used by the algorithms) the
-/// exchange is routed through the Bruck all-to-all-v (`⌈log₂ p⌉` messages per
-/// rank, each word forwarded up to `⌈log₂ p⌉` times); otherwise a direct
-/// pairwise exchange is used (`p − 1` messages, no forwarding).
-pub fn exchange_keyed(
-    comm: &Communicator,
-    outgoing: &[Vec<(u64, f64)>],
-    log_latency: bool,
-) -> Result<Vec<Vec<(u64, f64)>>> {
-    debug_assert_eq!(outgoing.len(), comm.size());
-    let _span = obs::span_with("pgrid", "exchange_keyed", "ranks", comm.size() as u64);
-    let blocks: Vec<Vec<f64>> = outgoing
-        .iter()
-        .map(|pairs| {
-            let mut flat = Vec::with_capacity(pairs.len() * 2);
-            for (k, v) in pairs {
-                flat.push(*k as f64);
-                flat.push(*v);
+/// A rank holds at most one piece.  As a *destination*, every holder of a
+/// piece receives it (replication); as a *source*, the first holder listed
+/// sends it, so a replicated source names only the replica that should send.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Layout {
+    rows: Axis,
+    cols: Axis,
+    /// Ranks storing piece `(rc, cc)`, at `rc * cols.classes() + cc`.
+    holders: Vec<Vec<usize>>,
+    /// The piece each rank stores.
+    piece_of: Vec<Option<(usize, usize)>>,
+}
+
+impl Layout {
+    /// A layout over a communicator of `ranks` ranks; `holders(rc, cc)`
+    /// lists the ranks storing piece `(rc, cc)` and must be the same pure
+    /// function on every rank.
+    ///
+    /// Panics if a rank is out of range or is given two pieces.
+    pub fn new<I: IntoIterator<Item = usize>>(
+        ranks: usize,
+        rows: Axis,
+        cols: Axis,
+        holders: impl Fn(usize, usize) -> I,
+    ) -> Layout {
+        let mut piece_of = vec![None; ranks];
+        let mut table = Vec::with_capacity(rows.classes() * cols.classes());
+        for rc in 0..rows.classes() {
+            for cc in 0..cols.classes() {
+                let ranks_here: Vec<usize> = holders(rc, cc).into_iter().collect();
+                for &r in &ranks_here {
+                    assert!(r < ranks, "piece ({rc}, {cc}) held by rank {r} of {ranks}");
+                    assert!(
+                        piece_of[r].replace((rc, cc)).is_none(),
+                        "rank {r} holds two pieces"
+                    );
+                }
+                table.push(ranks_here);
             }
-            flat
-        })
-        .collect();
-    let received = if log_latency {
-        coll::alltoallv_bruck(comm, &blocks)?
-    } else {
-        coll::alltoallv_direct(comm, &blocks)?
-    };
-    Ok(received
-        .into_iter()
-        .map(|flat| {
-            flat.chunks_exact(2)
-                .map(|c| (c[0] as u64, c[1]))
-                .collect::<Vec<(u64, f64)>>()
-        })
-        .collect())
-}
-
-/// Encode a global matrix index `(i, j)` of a matrix with `cols` columns into
-/// a redistribution key.
-#[inline]
-pub fn encode_index(i: usize, j: usize, cols: usize) -> u64 {
-    (i * cols + j) as u64
-}
-
-/// Decode a redistribution key back into `(i, j)` for a matrix with `cols`
-/// columns.
-#[inline]
-pub fn decode_index(key: u64, cols: usize) -> (usize, usize) {
-    let k = key as usize;
-    (k / cols, k % cols)
-}
-
-/// Route every locally-owned element of `mat` to the rank selected by
-/// `dest_of(global_row, global_col)` (a local rank of the matrix's grid
-/// communicator) and return the received elements as `(i, j, value)` triples.
-///
-/// This is the workhorse behind the layout changes of the 3D matrix
-/// multiplication and of the diagonal-block inverter.
-pub fn remap_elements<F>(
-    mat: &DistMatrix,
-    dest_of: F,
-    log_latency: bool,
-) -> Result<Vec<(usize, usize, f64)>>
-where
-    F: Fn(usize, usize) -> usize,
-{
-    let comm = mat.grid().comm();
-    let p = comm.size();
-    let cols = mat.cols();
-    let mut outgoing: Vec<Vec<(u64, f64)>> = vec![Vec::new(); p];
-    let local = mat.local();
-    for li in 0..local.rows() {
-        let gi = mat.global_row(li);
-        for lj in 0..local.cols() {
-            let gj = mat.global_col(lj);
-            let dest = dest_of(gi, gj);
-            debug_assert!(dest < p, "dest_of returned rank {dest} >= p = {p}");
-            outgoing[dest].push((encode_index(gi, gj, cols), local[(li, lj)]));
+        }
+        Layout {
+            rows,
+            cols,
+            holders: table,
+            piece_of,
         }
     }
-    let incoming = exchange_keyed(comm, &outgoing, log_latency)?;
-    Ok(incoming
-        .into_iter()
-        .flatten()
-        .map(|(k, v)| {
-            let (i, j) = decode_index(k, cols);
-            (i, j, v)
-        })
-        .collect())
+
+    /// The cyclic layout of a `rows × cols` [`DistMatrix`] on `grid`.
+    pub fn cyclic(grid: &Grid2D, rows: usize, cols: usize) -> Layout {
+        Layout::new(
+            grid.size(),
+            Axis::cyclic(rows, grid.rows()),
+            Axis::cyclic(cols, grid.cols()),
+            |x, y| Some(grid.rank_of(x, y)),
+        )
+    }
+
+    /// Dimensions of the local matrix `rank` stores (`(0, 0)` if it holds no
+    /// piece).
+    pub fn local_dims(&self, rank: usize) -> (usize, usize) {
+        match self.piece_of[rank] {
+            Some((rc, cc)) => (self.rows.extent[rc], self.cols.extent[cc]),
+            None => (0, 0),
+        }
+    }
+
+    fn holders(&self, rc: usize, cc: usize) -> &[usize] {
+        &self.holders[rc * self.cols.classes() + cc]
+    }
+
+    /// The rank that sends piece `(rc, cc)` when this layout is the source.
+    fn sender(&self, rc: usize, cc: usize) -> Option<usize> {
+        self.holders(rc, cc).first().copied()
+    }
+
+    /// The piece `rank` sends when this layout is the source.
+    fn sending_piece(&self, rank: usize) -> Option<(usize, usize)> {
+        self.piece_of[rank].filter(|&(rc, cc)| self.sender(rc, cc) == Some(rank))
+    }
+
+    /// True when `self` and `dst` place every entry identically — same cuts,
+    /// same local positions, same single holder per piece — so that a local
+    /// matrix under `self` already *is* the local matrix under `dst` and a
+    /// redistribution between them moves nothing off-rank.  Pure layout
+    /// arithmetic: every rank reaches the same verdict.
+    pub fn same_placement(&self, dst: &Layout) -> bool {
+        self == dst && self.holders.iter().all(|h| h.len() <= 1)
+    }
 }
 
-/// Route elements described by an explicit iterator (global row, global col,
-/// value, destination local rank) and return the received `(i, j, value)`
-/// triples.  `cols` is the column count used for key encoding and must be the
-/// same on every rank.
-pub fn scatter_elements(
-    comm: &Communicator,
-    cols: usize,
-    elements: impl IntoIterator<Item = (usize, usize, f64, usize)>,
-    log_latency: bool,
-) -> Result<Vec<(usize, usize, f64)>> {
-    let p = comm.size();
-    let mut outgoing: Vec<Vec<(u64, f64)>> = vec![Vec::new(); p];
-    for (i, j, v, dest) in elements {
-        debug_assert!(dest < p);
-        outgoing[dest].push((encode_index(i, j, cols), v));
+/// Which entries of the index space a redistribution moves.  Entries outside
+/// the filter are not sent, and the destination's entries there are left as
+/// they were.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Filter {
+    /// Every entry.
+    All,
+    /// Entries on or below the diagonal (`j ≤ i`).
+    Lower,
+    /// The lower triangles of the diagonal blocks of the given size
+    /// (`j ≤ i` and `⌊i/n0⌋ = ⌊j/n0⌋`).
+    DiagBlocksLower(usize),
+}
+
+impl Filter {
+    /// The (contiguous) range of columns that pass in row `i`.
+    fn cols(self, i: usize, ncols: usize) -> Range<usize> {
+        let end = (i + 1).min(ncols);
+        match self {
+            Filter::All => 0..ncols,
+            Filter::Lower => 0..end,
+            Filter::DiagBlocksLower(n0) => (i / n0 * n0).min(end)..end,
+        }
     }
-    let incoming = exchange_keyed(comm, &outgoing, log_latency)?;
-    Ok(incoming
-        .into_iter()
-        .flatten()
-        .map(|(k, v)| {
-            let (i, j) = decode_index(k, cols);
-            (i, j, v)
-        })
-        .collect())
+}
+
+/// The columns of one piece that fall into one column class of the *other*
+/// layout: ascending global indices, and where each sits in the local matrix.
+#[derive(Default, Clone)]
+struct ColumnGroup {
+    global: Vec<usize>,
+    local: Vec<usize>,
+}
+
+impl ColumnGroup {
+    /// Local positions of the group's columns inside `range`, ascending by
+    /// global index.
+    fn within(&self, range: &Range<usize>) -> &[usize] {
+        let lo = self.global.partition_point(|&j| j < range.start);
+        let hi = self.global.partition_point(|&j| j < range.end);
+        &self.local[lo..hi]
+    }
+}
+
+/// The columns of class `class` of `mine`, grouped by their class in `other`.
+fn column_groups(mine: &Axis, class: usize, other: &Axis) -> Vec<ColumnGroup> {
+    let mut groups = vec![ColumnGroup::default(); other.classes()];
+    for j in mine.members(class) {
+        let group = &mut groups[other.class[j]];
+        group.global.push(j);
+        group.local.push(mine.local[j]);
+    }
+    groups
+}
+
+/// Gather this rank's share of `from` into one value buffer per destination,
+/// each in global row-major order of the entries it carries.
+fn pack(src: &Layout, dst: &Layout, from: &Matrix, filter: Filter, me: usize) -> Vec<Vec<f64>> {
+    let mut out = vec![Vec::new(); dst.piece_of.len()];
+    let Some((rc, cc)) = src.sending_piece(me) else {
+        return out;
+    };
+    let groups = column_groups(&src.cols, cc, &dst.cols);
+    for i in src.rows.members(rc) {
+        let row = from.row(src.rows.local[i]);
+        let range = filter.cols(i, src.cols.len());
+        for (dst_cc, group) in groups.iter().enumerate() {
+            let run = group.within(&range);
+            if run.is_empty() {
+                continue;
+            }
+            for &d in dst.holders(dst.rows.class[i], dst_cc) {
+                out[d].extend(run.iter().map(|&lj| row[lj]));
+            }
+        }
+    }
+    out
+}
+
+/// Scatter the value buffers (indexed by source rank) into this rank's
+/// `into`, walking the same global row-major order [`pack`] wrote them in.
+fn unpack(
+    src: &Layout,
+    dst: &Layout,
+    incoming: &[Vec<f64>],
+    into: &mut Matrix,
+    filter: Filter,
+    me: usize,
+) -> Result<()> {
+    let mut cursor = vec![0usize; incoming.len()];
+    if let Some((rc, cc)) = dst.piece_of[me] {
+        let groups = column_groups(&dst.cols, cc, &src.cols);
+        for i in dst.rows.members(rc) {
+            let row = into.row_mut(dst.rows.local[i]);
+            let range = filter.cols(i, dst.cols.len());
+            for (src_cc, group) in groups.iter().enumerate() {
+                let run = group.within(&range);
+                let Some(s) = src.sender(src.rows.class[i], src_cc) else {
+                    continue;
+                };
+                let start = cursor[s];
+                cursor[s] += run.len();
+                let values = incoming[s]
+                    .get(start..cursor[s])
+                    .ok_or_else(|| layouts_disagree(s, incoming[s].len(), cursor[s]))?;
+                for (&lj, &v) in run.iter().zip(values) {
+                    row[lj] = v;
+                }
+            }
+        }
+    }
+    match (0..incoming.len()).find(|&s| cursor[s] != incoming[s].len()) {
+        Some(s) => Err(layouts_disagree(s, incoming[s].len(), cursor[s])),
+        None => Ok(()),
+    }
+}
+
+fn layouts_disagree(source: usize, sent: usize, expected: usize) -> GridError {
+    GridError::BadDimensions {
+        op: "redistribute",
+        reason: format!(
+            "rank {source} sent {sent} values where the layouts call for {expected}: \
+             the ranks were not given the same layouts"
+        ),
+    }
+}
+
+/// Both layouts must span `p` ranks and index the same global space.
+fn check_layouts(p: usize, src: &Layout, dst: &Layout) -> Result<()> {
+    if src.piece_of.len() != p || dst.piece_of.len() != p {
+        return Err(GridError::GridSizeMismatch {
+            comm_size: p,
+            grid_size: src.piece_of.len().max(dst.piece_of.len()),
+        });
+    }
+    if (src.rows.len(), src.cols.len()) != (dst.rows.len(), dst.cols.len()) {
+        return Err(GridError::BadDimensions {
+            op: "redistribute",
+            reason: format!(
+                "source layout indexes {}x{}, destination {}x{}",
+                src.rows.len(),
+                src.cols.len(),
+                dst.rows.len(),
+                dst.cols.len()
+            ),
+        });
+    }
+    Ok(())
+}
+
+fn check_local(what: &str, got: (usize, usize), want: (usize, usize)) -> Result<()> {
+    if got == want {
+        return Ok(());
+    }
+    Err(GridError::BadDimensions {
+        op: "redistribute",
+        reason: format!(
+            "{what} local matrix is {}x{}, its layout stores {}x{}",
+            got.0, got.1, want.0, want.1
+        ),
+    })
+}
+
+/// Move the entries of `from` (this rank's local matrix under `src`) that
+/// pass `filter` to where `dst` stores them, writing the entries this rank
+/// receives into `into` (its local matrix under `dst`) and leaving the rest
+/// of `into` untouched.  **Collective** over `comm`; every rank must pass the
+/// same layouts, filter and routing.
+///
+/// A rank that sends nothing under `src` may pass any `from`, and a rank that
+/// holds nothing under `dst` any `into`; neither is looked at.
+///
+/// `log_latency` routes the value buffers through the Bruck all-to-all-v
+/// (`⌈log₂ p⌉` messages per rank, each word forwarded up to `⌈log₂ p⌉`
+/// times); otherwise a direct pairwise exchange is used (`p − 1` messages,
+/// no forwarding).  When the layouts have the [`Layout::same_placement`]
+/// neither runs: the filtered entries are copied locally and the call costs
+/// 0 messages and 0 words on every rank.
+pub fn redistribute_into(
+    comm: &Communicator,
+    src: &Layout,
+    from: &Matrix,
+    dst: &Layout,
+    into: &mut Matrix,
+    filter: Filter,
+    log_latency: bool,
+) -> Result<()> {
+    let _span = obs::span_with("pgrid", "redistribute", "ranks", comm.size() as u64);
+    let (p, me) = (comm.size(), comm.rank());
+    check_layouts(p, src, dst)?;
+    if src.sending_piece(me).is_some() {
+        check_local("source", from.dims(), src.local_dims(me))?;
+    }
+    if dst.piece_of[me].is_some() {
+        check_local("destination", into.dims(), dst.local_dims(me))?;
+    }
+
+    let outgoing = pack(src, dst, from, filter, me);
+    let incoming = if src.same_placement(dst) {
+        outgoing // every value is addressed to this rank
+    } else if log_latency {
+        coll::alltoallv_bruck(comm, outgoing)?
+    } else {
+        coll::alltoallv_direct(comm, outgoing)?
+    };
+    unpack(src, dst, &incoming, into, filter, me)
+}
+
+/// [`redistribute_into`] a fresh zero matrix of the destination's local
+/// shape: the entries outside `filter` are zero.
+pub fn redistribute(
+    comm: &Communicator,
+    src: &Layout,
+    from: &Matrix,
+    dst: &Layout,
+    filter: Filter,
+    log_latency: bool,
+) -> Result<Matrix> {
+    check_layouts(comm.size(), src, dst)?;
+    let (rows, cols) = dst.local_dims(comm.rank());
+    let mut into = Matrix::zeros(rows, cols);
+    redistribute_into(comm, src, from, dst, &mut into, filter, log_latency)?;
+    Ok(into)
 }
 
 /// Distributed transpose: returns `Aᵀ` distributed cyclically over the same
 /// grid as `A`.  Every element moves to the owner of its transposed position
-/// via one keyed all-to-all (the cost the paper charges for its layout
-/// transposes).
+/// via one all-to-all of the values (the cost the paper charges for its
+/// layout transposes) and arrives as the local transpose of the piece `Aᵀ`
+/// stores; a local flip finishes the job.
 pub fn transpose(mat: &DistMatrix, log_latency: bool) -> Result<DistMatrix> {
-    let grid = mat.grid().clone();
-    let pr = grid.rows();
-    let pc = grid.cols();
-    let received = remap_elements(mat, |i, j| grid.rank_of(j % pr, i % pc), log_latency)?;
-    let mut out = DistMatrix::zeros(&grid, mat.cols(), mat.rows());
-    for (i, j, v) in received {
-        // We received (i, j) of A because we own (j, i) of Aᵀ.
-        out.local_mut()[(j / pr, i / pc)] = v;
-    }
-    Ok(out)
+    let grid = mat.grid();
+    // Rank (a, b) stores Aᵀ's rows ≡ a, columns ≡ b — A's columns and rows.
+    let flipped = Layout::new(
+        grid.size(),
+        Axis::cyclic(mat.rows(), grid.cols()),
+        Axis::cyclic(mat.cols(), grid.rows()),
+        |b, a| Some(grid.rank_of(a, b)),
+    );
+    let piece = mat.redistribute_to(&flipped, Filter::All, log_latency)?;
+    DistMatrix::from_local(grid, mat.cols(), mat.rows(), piece.transpose())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::Grid2D;
-    use dense::Matrix;
     use simnet::{Machine, MachineParams};
 
     #[test]
@@ -197,120 +494,100 @@ mod tests {
     }
 
     #[test]
-    fn index_encoding_round_trips() {
-        for (i, j, cols) in [
-            (0usize, 0usize, 5usize),
-            (3, 4, 5),
-            (100, 7, 8),
-            (12345, 67, 89),
-        ] {
-            let k = encode_index(i, j, cols);
-            assert_eq!(decode_index(k, cols), (i, j));
-        }
+    fn axes_place_indices_and_size_their_classes() {
+        let cyclic = Axis::cyclic(7, 3);
+        assert_eq!(cyclic.class, [0, 1, 2, 0, 1, 2, 0]);
+        assert_eq!(cyclic.local, [0, 0, 0, 1, 1, 1, 2]);
+        assert_eq!(cyclic.extent, [3, 2, 2]);
+        let slabs = Axis::slabs(6, 3);
+        assert_eq!(slabs.class, [0, 0, 1, 1, 2, 2]);
+        assert_eq!(slabs.local, [0, 1, 0, 1, 0, 1]);
+        // No indices, but still one (empty) class per part.
+        assert_eq!(Axis::slabs(0, 4).extent, [0; 4]);
+        assert_eq!(Axis::whole(3).local, [0, 1, 2]);
+        // More classes than indices: the tail classes are empty.
+        assert_eq!(Axis::cyclic(2, 4).extent, [1, 1, 0, 0]);
     }
 
     #[test]
-    fn exchange_keyed_delivers_by_destination() {
-        for log_latency in [true, false] {
-            let out = Machine::new(4, MachineParams::unit())
-                .run(move |comm| {
-                    // Rank r sends the pair (r*10+d, r as value) to every d.
-                    let outgoing: Vec<Vec<(u64, f64)>> = (0..4)
-                        .map(|d| vec![((comm.rank() * 10 + d) as u64, comm.rank() as f64)])
-                        .collect();
-                    exchange_keyed(comm, &outgoing, log_latency).unwrap()
-                })
-                .unwrap();
-            for (rank, incoming) in out.results.into_iter().enumerate() {
-                for (src, pairs) in incoming.into_iter().enumerate() {
-                    assert_eq!(pairs.len(), 1);
-                    assert_eq!(pairs[0].0, (src * 10 + rank) as u64);
-                    assert_eq!(pairs[0].1, src as f64);
-                }
-            }
-        }
+    fn filters_keep_a_contiguous_column_range_per_row() {
+        assert_eq!(Filter::All.cols(5, 4), 0..4);
+        assert_eq!(Filter::Lower.cols(2, 8), 0..3);
+        assert_eq!(Filter::Lower.cols(9, 8), 0..8);
+        assert_eq!(Filter::DiagBlocksLower(4).cols(6, 8), 4..7);
+        assert_eq!(Filter::DiagBlocksLower(4).cols(4, 8), 4..5);
+        // A row past the last column keeps nothing of a block beyond it.
+        assert!(Filter::DiagBlocksLower(4).cols(9, 8).is_empty());
     }
 
     #[test]
-    fn remap_to_transposed_ownership() {
-        // Redistribute a matrix from cyclic ownership on a 2x2 grid to the
-        // ownership pattern of its transpose and check every element arrives
-        // exactly once at the right place.
-        let rows = 6;
-        let cols = 6;
+    #[should_panic(expected = "holds two pieces")]
+    fn a_rank_cannot_hold_two_pieces() {
+        Layout::new(2, Axis::cyclic(4, 2), Axis::whole(4), |_, _| Some(0));
+    }
+
+    #[test]
+    fn mismatched_shapes_are_typed_errors() {
         let out = Machine::new(4, MachineParams::unit())
-            .run(move |comm| {
+            .run(|comm| {
                 let grid = Grid2D::new(comm, 2, 2).unwrap();
-                let mat = DistMatrix::from_fn(&grid, rows, cols, |i, j| (i * cols + j) as f64);
-                // Destination: owner of (j, i) instead of (i, j).
-                let received = remap_elements(
-                    &mat,
-                    |i, j| {
-                        let (or, oc) = (j % 2, i % 2);
-                        grid.rank_of(or, oc)
-                    },
-                    true,
-                )
-                .unwrap();
-                // Rebuild the local piece of the transposed-ownership matrix.
-                let mut t_local = DistMatrix::zeros(&grid, cols, rows);
-                let mut count = 0usize;
-                for (i, j, v) in received {
-                    // We now own (i, j) because we own (j, i) under the
-                    // transposed pattern: place the value at (j, i).
-                    let pr = grid.rows();
-                    let pc = grid.cols();
-                    let (x, y) = grid.my_coords();
-                    assert_eq!(j % pr, x);
-                    assert_eq!(i % pc, y);
-                    t_local.local_mut()[((j - x) / pr, (i - y) / pc)] = v;
-                    count += 1;
-                }
-                (count, t_local.to_global())
+                let src = Layout::cyclic(&grid, 8, 8);
+                let from = Matrix::zeros(4, 4);
+                let wrong_space = Layout::cyclic(&grid, 8, 6);
+                let wrong_local = Matrix::zeros(3, 4);
+                let wrong_ranks =
+                    Layout::new(2, Axis::cyclic(8, 2), Axis::whole(8), |r, _| Some(r));
+                let all = Filter::All;
+                [
+                    redistribute(comm, &src, &from, &wrong_space, all, true).is_err(),
+                    redistribute(comm, &src, &wrong_local, &wrong_space, all, true).is_err(),
+                    redistribute(comm, &src, &from, &wrong_ranks, all, true).is_err(),
+                    redistribute_into(comm, &src, &from, &src, &mut Matrix::zeros(1, 1), all, true)
+                        .is_err(),
+                ]
             })
             .unwrap();
-        let expect = Matrix::from_fn(cols, rows, |i, j| (j * cols + i) as f64);
-        let mut total = 0usize;
-        for (count, t) in out.results {
-            total += count;
-            assert_eq!(t, expect);
-        }
-        assert_eq!(total, rows * cols);
+        assert!(out.results.into_iter().all(|errs| errs == [true; 4]));
     }
 
     #[test]
-    fn scatter_elements_addresses_explicit_destinations() {
-        let out = Machine::new(3, MachineParams::unit())
+    fn identical_placement_honours_the_filter_and_touches_no_wire() {
+        let out = Machine::new(4, MachineParams::unit())
             .run(|comm| {
-                // Rank 0 scatters a 3x3 diagonal to ranks by row index.
-                let elements: Vec<(usize, usize, f64, usize)> = if comm.rank() == 0 {
-                    (0..3).map(|i| (i, i, (i + 1) as f64, i)).collect()
-                } else {
-                    Vec::new()
-                };
-                scatter_elements(comm, 3, elements, false).unwrap()
+                let grid = Grid2D::new(comm, 2, 2).unwrap();
+                let a = DistMatrix::from_fn(&grid, 6, 6, |i, j| (i * 6 + j + 1) as f64);
+                // The same placement, spelled without the grid.
+                let same = Layout::new(4, Axis::cyclic(6, 2), Axis::cyclic(6, 2), |x, y| {
+                    Some(x * 2 + y)
+                });
+                assert!(a.layout().same_placement(&same));
+                let got = a.redistribute_to(&same, Filter::Lower, true).unwrap();
+                let lower = DistMatrix::from_fn(&grid, 6, 6, |i, j| {
+                    if j <= i {
+                        (i * 6 + j + 1) as f64
+                    } else {
+                        0.0
+                    }
+                });
+                got == *lower.local()
             })
             .unwrap();
-        for (rank, received) in out.results.into_iter().enumerate() {
-            assert_eq!(received.len(), 1);
-            assert_eq!(received[0], (rank, rank, (rank + 1) as f64));
-        }
+        assert!(out.results.into_iter().all(|filtered| filtered));
+        assert_eq!(out.report.total_messages(), 0);
+        assert_eq!(out.report.total_words(), 0);
     }
 
     #[test]
-    fn bruck_and_direct_remap_agree() {
-        let out = Machine::new(8, MachineParams::unit())
-            .run(|comm| {
-                let grid = Grid2D::new(comm, 2, 4).unwrap();
-                let mat = DistMatrix::from_fn(&grid, 8, 8, |i, j| (i * 8 + j) as f64);
-                let dest = |i: usize, j: usize| (i + j) % 8;
-                let mut a = remap_elements(&mat, dest, true).unwrap();
-                let mut b = remap_elements(&mat, dest, false).unwrap();
-                a.sort_by_key(|&(i, j, _)| (i, j));
-                b.sort_by_key(|&(i, j, _)| (i, j));
-                a == b
-            })
-            .unwrap();
-        assert!(out.results.into_iter().all(|v| v));
+    fn replicated_or_differently_cut_layouts_are_not_the_same_placement() {
+        let cyclic = |holders: fn(usize, usize) -> Vec<usize>| {
+            Layout::new(4, Axis::cyclic(6, 2), Axis::whole(6), holders)
+        };
+        let single = cyclic(|x, _| vec![x]);
+        assert!(single.same_placement(&single.clone()));
+        // Replicas other than the sender still have to be sent their copy.
+        let replicated = cyclic(|x, _| vec![x, x + 2]);
+        assert!(!replicated.same_placement(&replicated.clone()));
+        let slabs = Layout::new(4, Axis::slabs(6, 2), Axis::whole(6), |x, _| vec![x]);
+        assert!(!single.same_placement(&slabs));
     }
 }

@@ -167,7 +167,7 @@ pub fn gather(comm: &Communicator, root: usize, local: &[f64]) -> Result<Option<
             // whole collection to rel - d and are done.
             let dst_rel = rel - d;
             let to = (dst_rel + root) % p;
-            comm.send_raw(to, tag + step, &collection)?;
+            comm.send_raw_vec(to, tag + step, std::mem::take(&mut collection))?;
             sent = true;
         }
         d *= 2;
@@ -240,7 +240,7 @@ pub fn scatter(comm: &Communicator, root: usize, data: &[f64], block: usize) -> 
             if rel == lo {
                 let to = (mid + root) % p;
                 let upper = held.split_off(half * block);
-                comm.send_raw(to, tag + step, &upper)?;
+                comm.send_raw_vec(to, tag + step, upper)?;
             }
             hi = mid;
         } else {
@@ -352,7 +352,7 @@ pub fn reduce(
             }
         } else if !sent {
             let to = (rel - d + root) % p;
-            comm.send_raw(to, tag + step, &acc)?;
+            comm.send_raw_vec(to, tag + step, std::mem::take(&mut acc))?;
             sent = true;
         }
         d *= 2;
@@ -459,7 +459,7 @@ pub fn alltoall(comm: &Communicator, data: &[f64], block: usize) -> Result<Vec<f
                 moved.push(j);
             }
         }
-        comm.send_raw(to, tag + step, &payload)?;
+        comm.send_raw_vec(to, tag + step, payload)?;
         let received = comm.recv_raw(from, tag + step)?;
         for (idx, j) in moved.iter().enumerate() {
             slots[*j].copy_from_slice(&received[idx * block..(idx + 1) * block]);
@@ -479,9 +479,9 @@ pub fn alltoall(comm: &Communicator, data: &[f64], block: usize) -> Result<Vec<f
 
 /// Personalised all-to-all with per-destination payloads of arbitrary length,
 /// delivered directly with `p − 1` pairwise exchanges (latency `O(p)`,
-/// bandwidth optimal).  `blocks[j]` is sent to rank `j`; the result is indexed
-/// by source rank.
-pub fn alltoallv_direct(comm: &Communicator, blocks: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
+/// bandwidth optimal).  `blocks[j]` is sent to rank `j` (moved into the
+/// message, not copied); the result is indexed by source rank.
+pub fn alltoallv_direct(comm: &Communicator, mut blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> {
     let p = comm.size();
     if blocks.len() != p {
         return Err(SimError::BadCollectiveArgs {
@@ -492,15 +492,19 @@ pub fn alltoallv_direct(comm: &Communicator, blocks: &[Vec<f64>]) -> Result<Vec<
     let rank = comm.rank();
     let tag = comm.next_op_tag();
     let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
-    out[rank] = blocks[rank].clone();
+    out[rank] = std::mem::take(&mut blocks[rank]);
     for offset in 1..p {
         let to = (rank + offset) % p;
         let from = (rank + p - offset) % p;
-        comm.send_raw(to, tag + offset as u64, &blocks[to])?;
+        comm.send_raw_vec(to, tag + offset as u64, std::mem::take(&mut blocks[to]))?;
         out[from] = comm.recv_raw(from, tag + offset as u64)?;
     }
     Ok(out)
 }
+
+/// Header words [`alltoallv_bruck`] puts in front of every block it forwards
+/// (final destination, original source, length).
+pub const BRUCK_BLOCK_HEADER: usize = 3;
 
 /// Personalised all-to-all routed through a Bruck-style store-and-forward
 /// network: `⌈log₂ p⌉` rounds, each word travels at most `⌈log₂ p⌉` hops.
@@ -508,7 +512,12 @@ pub fn alltoallv_direct(comm: &Communicator, blocks: &[Vec<f64>]) -> Result<Vec<
 /// This is the schedule the paper charges for its layout transposes:
 /// `O(α·log p + β·(total volume / p)·log p)` per processor.  `blocks[j]` is
 /// sent to rank `j`; the result is indexed by source rank.
-pub fn alltoallv_bruck(comm: &Communicator, blocks: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
+///
+/// Each round's message is `[count, (dest, src, len, payload…)*]`: one count
+/// word, plus a [`BRUCK_BLOCK_HEADER`]-word header per forwarded block.  A
+/// block from `s` to `d` is forwarded once per set bit of `(d − s) mod p`;
+/// empty blocks are not forwarded at all.
+pub fn alltoallv_bruck(comm: &Communicator, blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> {
     let p = comm.size();
     if blocks.len() != p {
         return Err(SimError::BadCollectiveArgs {
@@ -517,17 +526,17 @@ pub fn alltoallv_bruck(comm: &Communicator, blocks: &[Vec<f64>]) -> Result<Vec<V
         });
     }
     if p == 1 {
-        return Ok(vec![blocks[0].clone()]);
+        return Ok(blocks);
     }
     let rank = comm.rank();
     let tag = comm.next_op_tag();
 
     // Items in flight: (final destination, original source, payload).
     let mut items: Vec<(usize, usize, Vec<f64>)> = blocks
-        .iter()
+        .into_iter()
         .enumerate()
         .filter(|(_, b)| !b.is_empty())
-        .map(|(dest, b)| (dest, rank, b.clone()))
+        .map(|(dest, b)| (dest, rank, b))
         .collect();
 
     let mut d = 1usize;
@@ -540,14 +549,16 @@ pub fn alltoallv_bruck(comm: &Communicator, blocks: &[Vec<f64>]) -> Result<Vec<V
             .into_iter()
             .partition(|(dest, _, _)| ((dest + p - rank) % p) & d != 0);
         // Serialise: [count, (dest, src, len, payload…)*].
-        let mut payload: Vec<f64> = vec![forward.len() as f64];
+        let words: usize = forward.iter().map(|(_, _, data)| data.len()).sum();
+        let mut payload = Vec::with_capacity(1 + forward.len() * BRUCK_BLOCK_HEADER + words);
+        payload.push(forward.len() as f64);
         for (dest, src, data) in &forward {
             payload.push(*dest as f64);
             payload.push(*src as f64);
             payload.push(data.len() as f64);
             payload.extend_from_slice(data);
         }
-        comm.send_raw(to, tag + step, &payload)?;
+        comm.send_raw_vec(to, tag + step, payload)?;
         let received = comm.recv_raw(from, tag + step)?;
         items = keep;
         let mut cursor = 1usize;
@@ -556,7 +567,7 @@ pub fn alltoallv_bruck(comm: &Communicator, blocks: &[Vec<f64>]) -> Result<Vec<V
             let dest = received[cursor] as usize;
             let src = received[cursor + 1] as usize;
             let len = received[cursor + 2] as usize;
-            cursor += 3;
+            cursor += BRUCK_BLOCK_HEADER;
             let data = received[cursor..cursor + len].to_vec();
             cursor += len;
             items.push((dest, src, data));
@@ -890,8 +901,8 @@ mod tests {
                         }
                     })
                     .collect();
-                let a = alltoallv_direct(comm, &blocks).unwrap();
-                let b = alltoallv_bruck(comm, &blocks).unwrap();
+                let a = alltoallv_direct(comm, blocks.clone()).unwrap();
+                let b = alltoallv_bruck(comm, blocks).unwrap();
                 (a, b)
             });
             for (rank, (a, b)) in results.into_iter().enumerate() {
@@ -913,13 +924,13 @@ mod tests {
         let p = 16;
         let (_, report) = run(p, move |comm| {
             let blocks: Vec<Vec<f64>> = (0..p).map(|d| vec![d as f64; 4]).collect();
-            alltoallv_bruck(comm, &blocks).unwrap()
+            alltoallv_bruck(comm, blocks).unwrap()
         });
         assert_eq!(report.max_messages(), 4);
 
         let (_, report_direct) = run(p, move |comm| {
             let blocks: Vec<Vec<f64>> = (0..p).map(|d| vec![d as f64; 4]).collect();
-            alltoallv_direct(comm, &blocks).unwrap()
+            alltoallv_direct(comm, blocks).unwrap()
         });
         assert_eq!(report_direct.max_messages(), (p - 1) as u64);
     }
@@ -931,7 +942,7 @@ mod tests {
             let bad_root_scatter = scatter(comm, 9, &[1.0; 4], 1).is_err();
             let bad_rs = reduce_scatter(comm, &[1.0; 5], ReduceOp::Sum).is_err();
             let bad_a2a = alltoall(comm, &[1.0; 5], 1).is_err();
-            let bad_a2av = alltoallv_direct(comm, &[vec![], vec![]]).is_err();
+            let bad_a2av = alltoallv_direct(comm, vec![vec![], vec![]]).is_err();
             bad_root_gather && bad_root_scatter && bad_rs && bad_a2a && bad_a2av
         });
         assert!(results.into_iter().all(|v| v));

@@ -234,12 +234,15 @@ impl Endpoint {
     /// final successful attempt is physically delivered.  This keeps the
     /// payload stream per match key identical to the fault-free run, which is
     /// what makes transient fault plans bit-transparent to the computation.
+    ///
+    /// The payload is taken by value and moved into the envelope: a caller
+    /// that already owns its buffer pays no copy per message.
     fn send_envelope(
         &mut self,
         world_dest: usize,
         context: u64,
         tag: u64,
-        data: &[f64],
+        data: Vec<f64>,
     ) -> Result<()> {
         if self.faults.is_none() {
             // Fast path: lossless network, zero fault overhead.
@@ -248,7 +251,7 @@ impl Endpoint {
                 src: self.world_rank,
                 context,
                 tag,
-                data: data.to_vec(),
+                data,
                 avail_time,
                 seq: 0,
             });
@@ -326,7 +329,7 @@ impl Endpoint {
             src: self.world_rank,
             context,
             tag,
-            data: data.to_vec(),
+            data,
             avail_time,
             seq,
         };
@@ -535,13 +538,7 @@ impl Communicator {
     /// The sender is charged `α + β·len(data)`; the message carries the
     /// sender's clock so the receiver's clock catches up on receipt.
     pub fn send(&self, dest: usize, tag: u64, data: &[f64]) -> Result<()> {
-        if dest >= self.size() {
-            return Err(SimError::InvalidRank {
-                rank: dest,
-                size: self.size(),
-            });
-        }
-        self.send_raw(dest, user_tag(tag), data)
+        self.send_vec(dest, tag, data.to_vec())
     }
 
     /// Receive a message with a user tag from local rank `src` (blocking).
@@ -553,6 +550,19 @@ impl Communicator {
             });
         }
         self.recv_raw(src, user_tag(tag))
+    }
+
+    /// [`Communicator::send`] for a payload the caller already owns: the
+    /// buffer is moved into the message instead of copied.  Charges, virtual
+    /// time and fault injection are exactly those of `send`.
+    pub fn send_vec(&self, dest: usize, tag: u64, data: Vec<f64>) -> Result<()> {
+        if dest >= self.size() {
+            return Err(SimError::InvalidRank {
+                rank: dest,
+                size: self.size(),
+            });
+        }
+        self.send_raw_vec(dest, user_tag(tag), data)
     }
 
     /// Combined exchange with a partner: send `data` to `partner` and receive
@@ -568,6 +578,11 @@ impl Communicator {
     /// with a typed error when a fault plan injects a permanent fault
     /// (crashed rank, exhausted retry budget) on this endpoint.
     pub(crate) fn send_raw(&self, dest: usize, tag: u64, data: &[f64]) -> Result<()> {
+        self.send_raw_vec(dest, tag, data.to_vec())
+    }
+
+    /// [`Communicator::send_raw`] moving an owned payload into the message.
+    pub(crate) fn send_raw_vec(&self, dest: usize, tag: u64, data: Vec<f64>) -> Result<()> {
         let world_dest = self.members[dest];
         self.endpoint
             .borrow_mut()

@@ -64,7 +64,9 @@
 //! [`machine::Machine::rank_workers`] (default: the dense worker pool's
 //! width), a blocked receiver always returns its compute slot before
 //! sleeping, and each rank's local GEMM/TRSM calls get a proportional share
-//! of the pool through [`dense::with_thread_budget`].  Scheduling never
+//! of the pool through [`dense::with_thread_budget`].  On Linux the rank
+//! threads of a gated run are confined to as many CPUs as the gate has
+//! slots, which keeps rank-to-rank hand-offs off idle CPUs.  Scheduling never
 //! leaks into results: all numerics depend only on rank-local state and
 //! message payloads, delivered in per-stream FIFO order regardless of thread
 //! interleaving, so runs are bitwise deterministic at every worker count.
@@ -85,6 +87,7 @@
 //! assert!(out.report.max_messages() > 0);
 //! ```
 
+mod affinity;
 pub mod coll;
 pub mod comm;
 pub mod cost;

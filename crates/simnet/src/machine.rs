@@ -1,5 +1,6 @@
 //! The simulated machine: spawns ranks, runs the SPMD program, collects costs.
 
+use crate::affinity::confine_spawns;
 use crate::comm::{Communicator, Endpoint, POISON_CONTEXT};
 use crate::cost::{CostCounters, CostReport};
 use crate::error::SimError;
@@ -23,8 +24,11 @@ use std::sync::Arc;
 /// [`Machine::with_rank_workers`]) *compute* concurrently, with blocked
 /// receivers giving their compute slot back, and each rank's local dense
 /// kernels get a proportional share of the worker pool via
-/// [`dense::with_thread_budget`].  Both knobs only affect scheduling, never
-/// results — runs are bitwise deterministic at every worker count.
+/// [`dense::with_thread_budget`].  On Linux the rank threads of a throttled
+/// run are also confined to `rank_workers` of the caller's CPUs (the one it
+/// is on first), so a hand-off between ranks never has to wake an idle CPU.
+/// All of this only affects scheduling, never results — runs are bitwise
+/// deterministic at every worker count.
 ///
 /// A machine can optionally carry a [`FaultPlan`]
 /// ([`Machine::with_fault_plan`]): every run then injects the plan's
@@ -138,6 +142,10 @@ impl Machine {
         let mut panicked: Vec<usize> = Vec::new();
 
         std::thread::scope(|scope| {
+            // A gated run computes on `workers` CPUs at a time: its rank
+            // threads are created confined to that many, so the hand-offs
+            // between ranks stay on CPUs that are awake (see `affinity`).
+            let confined = gate.is_some().then(|| confine_spawns(workers));
             let mut handles = Vec::with_capacity(p);
             for (rank, receiver) in receivers.into_iter().enumerate() {
                 let senders = Arc::clone(&senders);
@@ -200,6 +208,7 @@ impl Machine {
                 });
                 handles.push(handle);
             }
+            drop(confined);
             for (rank, handle) in handles.into_iter().enumerate() {
                 match handle.join() {
                     Ok(Ok(output)) => rank_outputs[rank] = Some(output),
@@ -539,6 +548,49 @@ mod tests {
         let activity = faulty.report.total_retries() + faulty.report.total_duplicates();
         assert!(activity > 0, "fault plan injected nothing");
         assert_eq!(faulty.report.total_timeouts(), 0);
+    }
+
+    #[test]
+    fn owned_sends_charge_and_fault_exactly_like_borrowed_ones() {
+        // The same ring, once copying each payload and once moving it in:
+        // results, every counter and the virtual clock must agree, with and
+        // without a fault plan drawing from the per-send injector stream.
+        fn ring(comm: &Communicator, owned: bool) -> Vec<f64> {
+            let (rank, p) = (comm.rank(), comm.size());
+            let mut seen = Vec::new();
+            for round in 0..4u64 {
+                let payload = vec![rank as f64, round as f64, 42.0];
+                if owned {
+                    comm.send_vec((rank + 1) % p, round, payload).unwrap();
+                } else {
+                    comm.send((rank + 1) % p, round, &payload).unwrap();
+                }
+                seen.extend(comm.recv((rank + p - 1) % p, round).unwrap());
+            }
+            seen
+        }
+        let plan = FaultPlan::new(0xfeed_beef)
+            .with_drops(0.4, 2)
+            .with_delays(0.3, 5.0)
+            .with_duplicates(0.3)
+            .with_reordering(0.3);
+        for faults in [None, Some(plan)] {
+            let run = |owned: bool| {
+                let mut m = Machine::new(5, MachineParams::unit());
+                if let Some(plan) = &faults {
+                    m = m.with_fault_plan(plan.clone());
+                }
+                m.run(move |comm| ring(comm, owned)).unwrap()
+            };
+            let (borrowed, owned) = (run(false), run(true));
+            assert_eq!(borrowed.results, owned.results);
+            assert_eq!(borrowed.report.per_rank, owned.report.per_rank);
+        }
+        let m = Machine::new(2, MachineParams::unit());
+        let out = m
+            .run(|comm| comm.send_vec(5, 0, vec![1.0]).is_err())
+            .unwrap();
+        assert_eq!(out.results, vec![true, true]);
     }
 
     #[test]
