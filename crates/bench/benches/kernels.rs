@@ -3,9 +3,8 @@
 //!
 //! The `gemm_naive_vs_packed` group is the acceptance check for the packed
 //! microkernel: at 512³ the packed path must beat the naive i-k-j triple
-//! loop by at least 2×.  Run with `cargo bench -p bench --bench kernels`;
-//! `cargo run --release -p bench --bin emit_bench_baseline` writes the same
-//! measurements to `BENCH_kernels.json` for cross-PR comparison.
+//! loop by at least 2×.  Run with `cargo bench -p bench --bench kernels`; the
+//! committed, layered ledger is `perfbench/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dense::{gemm, gemm_with_threads, gen, reference, tri_invert, trsm, Diag, Matrix, Triangle};
@@ -105,7 +104,8 @@ fn bench_sparse_solve(c: &mut Criterion) {
         let mut x = bm.clone();
         bench.iter(|| {
             x.as_mut_slice().copy_from_slice(bm.as_slice());
-            l.solve_multi_in_place(&mut x).unwrap();
+            l.solve_multi_with(&sparse::SolveOpts::new(), &mut x)
+                .unwrap();
         });
     });
     group.finish();

@@ -70,6 +70,15 @@ fn distributed_checksum(label: &str, q: usize, n: usize, k: usize, req: SolveReq
     checksum(label, &run.results[0])
 }
 
+/// `op(A)·x = b` for one right-hand-side vector through the staged API.
+fn solve_sparse_vec(req: SolveRequest, m: &sparse::SparseTri, b: &[f64]) -> Vec<f64> {
+    let mut x = b.to_vec();
+    let plan = req.plan_sparse(m, 1).expect("plan_sparse");
+    plan.execute_sparse_in_place(m, x.as_mut_slice())
+        .expect("sparse solve");
+    x
+}
+
 /// Sparse scheduling-policy pin from the `SPARSE_POLICY` environment
 /// variable: `level` / `merged` / `syncfree` pin that executor, anything
 /// else (or unset) leaves the auto heuristic in charge.
@@ -126,7 +135,7 @@ fn syncfree_tolerance_check() {
         if transposed {
             req = req.transposed();
         }
-        req.solve_sparse_vec(m, b).unwrap().x
+        solve_sparse_vec(req, m, b)
     };
     for (label, m, b, transposed) in [
         ("sparse_solve_40000x12", &sl, &sb, false),
@@ -182,12 +191,8 @@ fn trace_transparency_check() {
             SchedulePolicy::Merged,
             SchedulePolicy::SyncFree,
         ] {
-            let sx = SolveRequest::lower()
-                .threads(4)
-                .policy(policy)
-                .solve_sparse_vec(&sl, &sb)
-                .unwrap()
-                .x;
+            let req = SolveRequest::lower().threads(4).policy(policy);
+            let sx = solve_sparse_vec(req, &sl, &sb);
             out.push(checksum_slice(
                 &format!("sparse_20000_{}", policy.name()),
                 &sx,
@@ -290,16 +295,10 @@ fn main() {
     // the multi-RHS solve alike.
     let sl = sparse::gen::random_lower(40_000, 12, 31);
     let sb = sparse::gen::rhs_vec(40_000, 32);
-    let sx = with_policy(SolveRequest::lower())
-        .solve_sparse_vec(&sl, &sb)
-        .unwrap()
-        .x;
+    let sx = solve_sparse_vec(with_policy(SolveRequest::lower()), &sl, &sb);
     println!("{}", checksum_slice("sparse_solve_40000x12", &sx));
 
-    let sxt = with_policy(SolveRequest::lower().transposed())
-        .solve_sparse_vec(&sl, &sb)
-        .unwrap()
-        .x;
+    let sxt = solve_sparse_vec(with_policy(SolveRequest::lower().transposed()), &sl, &sb);
     println!("{}", checksum_slice("sparse_solve_t_40000x12", &sxt));
 
     let sbm = Matrix::from_fn(8_000, 8, |i, j| ((i * 7 + j * 3) % 17) as f64 - 8.0);
@@ -315,10 +314,7 @@ fn main() {
     // differ at all.
     let dl = sparse::gen::deep_narrow_lower(40_000, 4, 4, 35);
     let db = sparse::gen::rhs_vec(40_000, 36);
-    let dx = with_policy(SolveRequest::lower().threads(4))
-        .solve_sparse_vec(&dl, &db)
-        .unwrap()
-        .x;
+    let dx = solve_sparse_vec(with_policy(SolveRequest::lower().threads(4)), &dl, &db);
     println!("{}", checksum_slice("sparse_deep_dag_40000w4", &dx));
 
     // Distributed solves on 16 ranks: every algorithm (and with it every

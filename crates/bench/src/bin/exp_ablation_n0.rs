@@ -67,7 +67,7 @@ fn main() {
         n0 *= 2;
     }
     if let Some((n0_best, _)) = best {
-        let model = costmodel::tuning::plan(n, k, pr * pc);
+        let model = costmodel::CostModelRev::Ipdps17.plan(n, k, pr * pc);
         println!(
             "\nBest measured n0 = {n0_best}; Section VIII recommends n0 = O(min(sqrt(nk), n)) = {:.0}.",
             model.n0

@@ -19,7 +19,7 @@
 //! regime and W change between the two.
 
 use catrsm::planner;
-use costmodel::{compare, CostModelRev};
+use costmodel::CostModelRev;
 use harness::{banner, run_trsm, write_csv, TrsmAlgo, TrsmInstance};
 use simnet::MachineParams;
 
@@ -81,7 +81,7 @@ fn main() {
         banner(&format!("T1 under the {} cost model", rev.name()));
         for case in &cases {
             let p = case.pr * case.pc;
-            let plan = planner::plan_rev(rev, case.n, case.k, p);
+            let plan = planner::plan(rev, case.n, case.k, p);
             let inst = TrsmInstance {
                 n: case.n,
                 k: case.k,
@@ -106,8 +106,7 @@ fn main() {
                 "both must solve correctly"
             );
 
-            let row_model =
-                compare::conclusion_row_rev(rev, case.n as f64, case.k as f64, p as f64);
+            let row_model = rev.conclusion_row(case.n as f64, case.k as f64, p as f64);
             println!(
                 "\n{}  n={} k={} p={}  (plan: {:?})",
                 case.label, case.n, case.k, p, plan.it_inv
@@ -153,8 +152,8 @@ fn main() {
         (1.0e7, 1.0e4, 65536.0),
         (1.0e5, 1.0e7, 1024.0),
     ] {
-        let i17 = compare::conclusion_row_rev(CostModelRev::Ipdps17, n, k, p);
-        let t24 = compare::conclusion_row_rev(CostModelRev::Tang24, n, k, p);
+        let i17 = CostModelRev::Ipdps17.conclusion_row(n, k, p);
+        let t24 = CostModelRev::Tang24.conclusion_row(n, k, p);
         let moved = i17.regime != t24.regime;
         boundary_moves += usize::from(moved);
         println!(

@@ -10,7 +10,6 @@
 //! (`tang24`, after arXiv:2407.00871) — and every point where the regime
 //! boundary moves between the two is flagged in a side-by-side diff.
 
-use costmodel::tuning;
 use costmodel::{CostModelRev, Regime};
 use harness::{banner, write_csv};
 
@@ -46,7 +45,7 @@ fn main() {
             };
             let mut regimes = [Regime::OneLargeDim; 2];
             for (slot, rev) in CostModelRev::ALL.into_iter().enumerate() {
-                let plan = tuning::plan_rev(rev, n, k, p);
+                let plan = rev.plan(n, k, p);
                 regimes[slot] = plan.regime;
                 strips[slot].push(glyph(plan.regime));
                 rows.push(format!(
@@ -60,7 +59,7 @@ fn main() {
                     plan.r1
                 ));
             }
-            let plan = tuning::plan_rev(CostModelRev::Ipdps17, n, k, p);
+            let plan = CostModelRev::Ipdps17.plan(n, k, p);
             let moved = regimes[0] != regimes[1];
             println!(
                 "{:>10} {:>10.4} | {:>7} {:>7} | {:>24} | {}{}",

@@ -43,7 +43,8 @@ fn main() {
             seed: 3,
         };
         let m = run_trsm(&inst, TrsmAlgo::Recursive { base }, MachineParams::unit());
-        let model = costmodel::rec_trsm::rec_trsm_cost(n as f64, k as f64, (pr * pc) as f64);
+        let model =
+            costmodel::CostModelRev::Ipdps17.rec_trsm_cost(n as f64, k as f64, (pr * pc) as f64);
         println!(
             "{:<28} {:>4} {:>6} {:>6} | {:>8} {:>12} {:>13} | {:>9.0} {:>12.0}",
             label,

@@ -7,7 +7,7 @@
 //! simulated machine (for the sizes small enough to simulate).
 
 use catrsm::planner;
-use costmodel::tuning;
+use costmodel::CostModelRev;
 use harness::{banner, run_trsm, write_csv, TrsmAlgo, TrsmInstance};
 use simnet::MachineParams;
 
@@ -26,8 +26,8 @@ fn main() {
             (1 << 16, 1 << 12),
             (1 << 20, 1 << 10),
         ] {
-            let model = tuning::plan(n, k, p);
-            let plan = planner::plan(n, k, p);
+            let model = CostModelRev::Ipdps17.plan(n, k, p);
+            let plan = planner::plan(CostModelRev::Ipdps17, n, k, p);
             println!(
                 "{:>8} {:>8} {:>6} | {:>22} {:>8.1} {:>8.1} {:>8.0} {:>6.1} {:>6.1} | ({}, {}, {})",
                 n,
@@ -64,7 +64,7 @@ fn main() {
         "n", "k", "configuration", "S", "W", "virtual T"
     );
     for (n, k) in [(256usize, 64usize), (512, 16), (64, 1024)] {
-        let plan = planner::plan(n, k, 16);
+        let plan = planner::plan(CostModelRev::Ipdps17, n, k, 16);
         let inst = TrsmInstance {
             n,
             k,

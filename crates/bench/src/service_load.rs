@@ -72,7 +72,7 @@ pub struct LoadReport {
     pub p99_us: f64,
     /// Distinct plan-cache keys the workload presented.
     pub distinct_keys: usize,
-    /// Plan builds observed by `catrsm::plan_build_count` during the
+    /// Plan builds the service counted (`ServiceStats::plan_builds`) during the
     /// measured phase (warm-up excluded).
     pub steady_plan_builds: usize,
     /// The service's own counters at the end of the run.
@@ -154,7 +154,7 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
         svc.solve_vec(&req, &Operand::Sparse(Arc::clone(m)), &b)
             .expect("warm-up solve");
     }
-    let builds_after_warmup = catrsm::plan_build_count();
+    let builds_after_warmup = svc.stats().plan_builds;
 
     // Pre-draw the arrival schedule and workload mix so generation cost
     // stays out of the measured loop.
@@ -224,7 +224,8 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
         }
     }
     let duration_secs = start.elapsed().as_secs_f64();
-    let steady_plan_builds = catrsm::plan_build_count() - builds_after_warmup;
+    let stats = svc.stats();
+    let steady_plan_builds = (stats.plan_builds - builds_after_warmup) as usize;
 
     latencies_us.sort_by(|a, b| a.total_cmp(b));
     LoadReport {
@@ -235,7 +236,7 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
         p99_us: percentile(&latencies_us, 0.99),
         distinct_keys,
         steady_plan_builds,
-        stats: svc.stats(),
+        stats,
     }
 }
 

@@ -1,22 +1,20 @@
-//! High-level solver entry points (legacy shims) and the distributed layout
-//! permutations they are built on.
+//! The distributed algorithm selector and the layout permutations the staged
+//! executor of [`crate::solve`] is built on.
 //!
-//! The staged API of [`crate::solve`] ([`crate::SolveRequest`] →
-//! [`crate::SolvePlan`] → [`crate::Solution`]) is the primary solver
-//! surface; [`solve_lower`] / [`solve_upper`] remain as thin deprecated
-//! shims so pre-existing call sites keep compiling.  The layout
-//! permutations ([`reverse_rows`], [`reverse_both`], [`transpose_dist`]) —
-//! plain all-to-all remappings of the values — live here and are shared
-//! with the staged executor.
+//! An upper-triangular solve reduces to a lower one through the reversal
+//! permutation `J` (reversing row and column order): `J·U·J` is lower
+//! triangular, so `U·X = B ⟺ (J·U·J)·(J·X) = J·B`.  The permutations
+//! ([`reverse_rows`], [`reverse_both`], [`transpose_dist`]) are plain
+//! all-to-all remappings of the values, so the asymptotic costs are those of
+//! the underlying lower solve.
 
 use crate::it_inv_trsm::ItInvConfig;
-use crate::solve::SolveRequest;
 use crate::Result;
 use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::DistMatrix;
 
 /// Which TRSM algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Pick the iterative inversion-based algorithm with parameters from the
     /// Section VIII cost model (the paper's recommendation).
@@ -30,25 +28,6 @@ pub enum Algorithm {
     IterativeInversion(ItInvConfig),
     /// The row-fan-out baseline (Heath–Romine style).
     Wavefront,
-}
-
-/// Solve `U·X = B` for an **upper**-triangular `U`, returning `X` in the same
-/// distribution as `B`.
-///
-/// The upper solve is reduced to a lower solve through the reversal
-/// permutation `J` (reversing row and column order): `J·U·J` is lower
-/// triangular, so `U·X = B ⟺ (J·U·J)·(J·X) = J·B`.  The permutations are
-/// plain layout remappings (one all-to-all of the values each), so the asymptotic
-/// costs are those of the underlying lower solve.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SolveRequest::upper().algorithm(algorithm).solve_distributed(u, b)`"
-)]
-pub fn solve_upper(u: &DistMatrix, b: &DistMatrix, algorithm: Algorithm) -> Result<DistMatrix> {
-    Ok(SolveRequest::upper()
-        .algorithm(algorithm)
-        .solve_distributed(u, b)?
-        .x)
 }
 
 /// Reverse the row order of a distributed matrix (the permutation `J·A`).
@@ -93,26 +72,10 @@ pub fn transpose_dist(a: &DistMatrix) -> Result<DistMatrix> {
     Ok(pgrid::redist::transpose(a, true)?)
 }
 
-/// Solve `L·X = B`, returning `X` in the same distribution as `B`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SolveRequest::lower().algorithm(algorithm).solve_distributed(l, b)` \
-            (which also returns the plan's report)"
-)]
-pub fn solve_lower(l: &DistMatrix, b: &DistMatrix, algorithm: Algorithm) -> Result<DistMatrix> {
-    Ok(SolveRequest::lower()
-        .algorithm(algorithm)
-        .solve_distributed(l, b)?
-        .x)
-}
-
 #[cfg(test)]
 mod tests {
-    // The deprecated shims are exercised on purpose: pre-existing call
-    // sites must keep solving exactly as before through the staged API.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::solve::SolveRequest;
     use dense::gen;
     use pgrid::Grid2D;
     use simnet::{Machine, MachineParams};
@@ -126,8 +89,11 @@ mod tests {
                 let b_global = dense::matmul(&l_global, &x_true);
                 let l = DistMatrix::from_global(&grid, &l_global);
                 let b = DistMatrix::from_global(&grid, &b_global);
-                let x = solve_lower(&l, &b, algorithm).unwrap();
-                dense::norms::rel_diff(&x.to_global(), &x_true)
+                let sol = SolveRequest::lower()
+                    .algorithm(algorithm)
+                    .solve_distributed(&l, &b)
+                    .unwrap();
+                dense::norms::rel_diff(&sol.x.to_global(), &x_true)
             })
             .unwrap()
             .results
@@ -154,8 +120,11 @@ mod tests {
                 let b_global = dense::matmul(&u_global, &x_true);
                 let u = DistMatrix::from_global(&grid, &u_global);
                 let b = DistMatrix::from_global(&grid, &b_global);
-                let x = solve_upper(&u, &b, Algorithm::Recursive { base_size: 8 }).unwrap();
-                dense::norms::rel_diff(&x.to_global(), &x_true)
+                let sol = SolveRequest::upper()
+                    .algorithm(Algorithm::Recursive { base_size: 8 })
+                    .solve_distributed(&u, &b)
+                    .unwrap();
+                dense::norms::rel_diff(&sol.x.to_global(), &x_true)
             })
             .unwrap();
         assert!(out.results.into_iter().all(|d| d < 1e-8));

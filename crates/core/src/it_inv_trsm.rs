@@ -34,7 +34,7 @@ use simnet::{coll, Communicator, CostCounters};
 use std::borrow::Cow;
 
 /// Configuration of the iterative inversion-based TRSM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ItInvConfig {
     /// Square-face dimension of the `p1 × p1 × p2` processor grid.
     pub p1: usize,

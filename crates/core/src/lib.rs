@@ -28,8 +28,7 @@
 //! communication counters and (for the iterative algorithm) the per-phase
 //! breakdown.  The same request type drives the local dense kernels and the
 //! sparse level-scheduled executors, so one call convention covers every
-//! backend; the legacy [`api::solve_lower`] / [`api::solve_upper`] shims
-//! remain for older call sites.
+//! backend.
 //!
 //! ## Example
 //!
@@ -74,18 +73,13 @@ pub mod tri_inv;
 pub mod verify;
 pub mod wavefront;
 
-#[allow(deprecated)]
-pub use api::{solve_lower, solve_upper};
 pub use api::{transpose_dist, Algorithm};
 pub use costmodel::CostModelRev;
 pub use error::TrsmError;
 pub use it_inv_trsm::{ItInvConfig, PhaseBreakdown};
 pub use mm3d::MmConfig;
 pub use planner::Plan;
-pub use solve::{
-    plan_build_count, LevelReport, Plan as SolvePlan, PlanBackend, Solution, SolveReport,
-    SolveRequest,
-};
+pub use solve::{LevelReport, Plan as SolvePlan, PlanBackend, Solution, SolveReport, SolveRequest};
 pub use sparse::SchedulePolicy;
 
 /// Result alias used throughout the crate.

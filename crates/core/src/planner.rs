@@ -9,7 +9,7 @@
 //! actionable in code.
 
 use crate::it_inv_trsm::ItInvConfig;
-use costmodel::tuning::{self, Regime};
+use costmodel::{CostModelRev, Regime};
 
 /// A concrete, feasible execution plan for one TRSM instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,21 +90,17 @@ pub fn choose_mm_p1(n: usize, k: usize, q: usize) -> usize {
 }
 
 /// Build a feasible plan for solving `L·X = B` with `L` of dimension `n`,
-/// `k` right-hand sides and `p` processors.
+/// `k` right-hand sides and `p` processors under the cost model `model`.
 ///
-/// The caller's grid is assumed to be (close to) square; the iterative
-/// algorithm internally re-grids the processors as `p1 × p1 × p2`, so the
-/// only hard requirement is that the returned `p1² · p2 = p`.
-pub fn plan(n: usize, k: usize, p: usize) -> Plan {
-    plan_rev(costmodel::CostModelRev::Ipdps17, n, k, p)
-}
-
-/// [`plan`] under an explicit cost-model revision: the real-valued targets
-/// (regime, `p1`, `n0`) come from `tuning::plan_rev`, so a `Tang24` caller
-/// gets grids placed by the corrected bandwidth bound's regime boundaries.
-/// The integer feasibility rounding below is revision-independent.
-pub fn plan_rev(rev: costmodel::CostModelRev, n: usize, k: usize, p: usize) -> Plan {
-    let model = tuning::plan_rev(rev, n, k, p);
+/// The real-valued targets (regime, `p1`, `n0`) come from
+/// [`CostModelRev::plan`], so a `Tang24` caller gets grids placed by the
+/// corrected bandwidth bound's regime boundaries; the integer feasibility
+/// rounding below is revision-independent.  The caller's grid is assumed to
+/// be (close to) square; the iterative algorithm internally re-grids the
+/// processors as `p1 × p1 × p2`, so the only hard requirement is that the
+/// returned `p1² · p2 = p`.
+pub fn plan(model: CostModelRev, n: usize, k: usize, p: usize) -> Plan {
+    let target = model.plan(n, k, p);
 
     // p1: power of two with p1² | p, close to the model's target.
     let mut p1 = 1usize;
@@ -112,7 +108,7 @@ pub fn plan_rev(rev: costmodel::CostModelRev, n: usize, k: usize, p: usize) -> P
     let mut cand = 1usize;
     while cand * cand <= p {
         if p.is_multiple_of(cand * cand) && n.is_multiple_of(cand) {
-            let dist = ((cand as f64).ln() - model.p1.max(1.0).ln()).abs();
+            let dist = ((cand as f64).ln() - target.p1.max(1.0).ln()).abs();
             if dist < best_dist {
                 best_dist = dist;
                 p1 = cand;
@@ -141,7 +137,7 @@ pub fn plan_rev(rev: costmodel::CostModelRev, n: usize, k: usize, p: usize) -> P
     }
 
     // n0: divisor of n, multiple of p1, close to the model's target.
-    let n0 = closest_divisor(n, model.n0.round().max(1.0) as usize, p1.max(1));
+    let n0 = closest_divisor(n, target.n0.round().max(1.0) as usize, p1.max(1));
 
     // Inversion sub-grid: q = p_face·n0/n processors per diagonal block on the
     // face (see diag_inv); the concrete side length is chosen there, so the
@@ -160,7 +156,7 @@ pub fn plan_rev(rev: costmodel::CostModelRev, n: usize, k: usize, p: usize) -> P
         n,
         k,
         p,
-        regime: model.regime,
+        regime: target.regime,
         it_inv,
         rec_base,
     }
@@ -211,7 +207,7 @@ mod tests {
             (128, 4096, 64),
             (4096, 64, 16),
         ] {
-            let plan = plan(n, k, p);
+            let plan = plan(CostModelRev::Ipdps17, n, k, p);
             assert_eq!(plan.it_inv.p1 * plan.it_inv.p1 * plan.it_inv.p2, p);
             assert_eq!(n % plan.it_inv.n0, 0);
             assert_eq!(plan.it_inv.n0 % plan.it_inv.p1.max(1), 0);
@@ -222,10 +218,10 @@ mod tests {
     #[test]
     fn plan_follows_regimes() {
         // Few right-hand sides at scale → 2D-ish (p2 small).
-        let wide = plan(4096, 16, 64);
+        let wide = plan(CostModelRev::Ipdps17, 4096, 16, 64);
         assert!(wide.it_inv.p2 <= 4);
         // Many right-hand sides → 1D (p1 = 1).
-        let tall = plan(32, 8192, 64);
+        let tall = plan(CostModelRev::Ipdps17, 32, 8192, 64);
         assert_eq!(tall.it_inv.p1, 1);
         assert_eq!(tall.it_inv.p2, 64);
         assert_eq!(tall.regime, Regime::OneLargeDim);
@@ -234,10 +230,10 @@ mod tests {
     #[test]
     fn plan_n0_spans_generalisation_range() {
         // In the 1D regime the whole matrix is inverted (n0 = n).
-        let p = plan(32, 8192, 64);
+        let p = plan(CostModelRev::Ipdps17, 32, 8192, 64);
         assert_eq!(p.it_inv.n0, 32);
         // In the 2D regime only small blocks are inverted (n0 < n).
-        let p = plan(8192, 16, 16);
+        let p = plan(CostModelRev::Ipdps17, 8192, 16, 16);
         assert!(p.it_inv.n0 < 8192);
     }
 }

@@ -36,6 +36,16 @@
 //! let st = SolveRequest::lower().transposed().solve_dense(&l, &bt).unwrap();
 //! assert!(dense::norms::rel_diff(&st.x, &x_true) < 1e-8);
 //! ```
+//!
+//! Each local backend has one allocating executor (`execute_dense` /
+//! `execute_sparse`: `B` in, a [`Solution`] out, residual on request) over
+//! one in-place executor (`execute_dense_in_place` /
+//! `execute_sparse_in_place`) whose right-hand side is a [`dense::MatMut`]
+//! view — a `&mut Matrix` is its own full view, so block and sub-block
+//! solves are the same call.  On the sparse backend a `&mut [f64]` is simply
+//! the `n×1` view.  The dense backend is the one place that view is not
+//! free: its vector kernel (`trsv`) and its blocked kernel round
+//! differently, so vectors keep `execute_dense_vec_in_place`.
 
 use crate::api::{reverse_both, reverse_rows, Algorithm};
 use crate::error::config_error;
@@ -47,29 +57,11 @@ use crate::wavefront::wavefront_trsm;
 use crate::Result;
 use costmodel::{AlgorithmKind, Cost, CostModelRev, Regime};
 use dense::flops::trsm_flops;
-use dense::{Diag, FlopCount, Matrix, Side, SolveOpts, Transpose, Triangle};
+use dense::{Diag, FlopCount, MatMut, Matrix, Side, SolveOpts, Transpose, Triangle};
 use pgrid::DistMatrix;
 use simnet::CostCounters;
 use sparse::{SchedulePolicy, SparseTri};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Process-wide count of plans built (every `plan_dense` / `plan_sparse` /
-/// `plan_distributed` lowering, whether called directly or through the
-/// one-shot `solve_*` conveniences).
-///
-/// The counterpart of [`SparseTri::analysis_count`] one stage earlier in
-/// the pipeline: a plan cache (the `serve` crate) asserts steady-state
-/// behavior by snapshotting this before a traffic window and checking it
-/// stayed flat — repeat traffic must hit cached `Arc<Plan>`s, not re-plan.
-static PLAN_BUILDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of [`Plan`]s lowered by this process so far (monotone).
-/// Relaxed ordering: callers only compare snapshots taken on the same
-/// thread or across a join.
-pub fn plan_build_count() -> usize {
-    PLAN_BUILDS.load(Ordering::Relaxed)
-}
 
 // ---------------------------------------------------------------------------
 // SolveRequest
@@ -82,8 +74,12 @@ pub fn plan_build_count() -> usize {
 /// `.side(..)`, `.threads(..)`, `.algorithm(..)`, `.with_residual()`), then
 /// either lowered explicitly (`plan_dense` / `plan_sparse` /
 /// `plan_distributed`) or solved in one shot (`solve_dense` /
-/// `solve_sparse` / `solve_distributed` and the `_vec` forms).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// `solve_sparse` / `solve_distributed`).
+///
+/// The request is one value: a [`Plan`] stores the request it was lowered
+/// from, and a plan cache keys on it whole (`Eq + Hash`), so every field is
+/// part of a solve's identity by construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SolveRequest {
     opts: SolveOpts,
     threads: Option<usize>,
@@ -244,40 +240,10 @@ impl SolveRequest {
         self.opts
     }
 
-    /// The pinned sparse worker budget, if [`SolveRequest::threads`] set
-    /// one.  (Accessor for plan-cache keying: two requests lower to
-    /// interchangeable plans only when their pins agree.)
-    pub fn pinned_threads(&self) -> Option<usize> {
-        self.threads
-    }
-
-    /// The pinned sparse scheduling policy, if [`SolveRequest::policy`]
-    /// set one.
-    pub fn pinned_policy(&self) -> Option<SchedulePolicy> {
-        self.policy
-    }
-
-    /// The declared apply count, if [`SolveRequest::reuse`] set one.
-    pub fn declared_reuse(&self) -> Option<usize> {
-        self.reuse
-    }
-
-    /// The pinned distributed algorithm, if [`SolveRequest::algorithm`]
-    /// set one (`Algorithm::Auto` is stored as `None`).
-    pub fn pinned_algorithm(&self) -> Option<Algorithm> {
-        self.algorithm
-    }
-
     /// Whether [`SolveRequest::with_residual`] asked for a post-solve
     /// residual.
     pub fn wants_residual(&self) -> bool {
         self.residual
-    }
-
-    /// The cost-model revision [`SolveRequest::cost_model`] selected
-    /// (defaults to [`CostModelRev::Ipdps17`]).
-    pub fn cost_model_rev(&self) -> CostModelRev {
-        self.cost_rev
     }
 
     // -- lowering ----------------------------------------------------------
@@ -287,15 +253,10 @@ impl SolveRequest {
     /// for right solves).
     pub fn plan_dense(&self, n: usize, k: usize) -> Result<Plan> {
         let _span = obs::span_with("planner", "plan_dense", "n", n as u64);
-        PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
         Ok(Plan {
             n,
             k,
-            opts: self.opts,
-            threads: self.threads,
-            policy: self.policy,
-            reuse: self.reuse,
-            residual: self.residual,
+            request: *self,
             predicted_flops: trsm_flops(n, k),
             predicted_cost: None,
             regime: None,
@@ -315,7 +276,6 @@ impl SolveRequest {
     /// of the level schedule it will sweep.
     pub fn plan_sparse(&self, a: &SparseTri, k: usize) -> Result<Plan> {
         let _span = obs::span_with("planner", "plan_sparse", "n", a.n() as u64);
-        PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
         if self.opts.side == Side::Right {
             return Err(config_error(
                 "plan_sparse",
@@ -379,11 +339,7 @@ impl SolveRequest {
         Ok(Plan {
             n: a.n(),
             k,
-            opts: self.opts,
-            threads: self.threads,
-            policy: self.policy,
-            reuse: self.reuse,
-            residual: self.residual,
+            request: *self,
             predicted_flops: a.solve_flops(k),
             predicted_cost,
             regime: None,
@@ -410,7 +366,6 @@ impl SolveRequest {
     /// the choice is inspectable before (and after) execution.
     pub fn plan_distributed(&self, n: usize, k: usize, p: usize) -> Result<Plan> {
         let _span = obs::span_with("planner", "plan_distributed", "n", n as u64);
-        PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
         if self.opts.side == Side::Right {
             return Err(config_error(
                 "plan_distributed",
@@ -419,7 +374,7 @@ impl SolveRequest {
         }
         let (algorithm, params, kind) = match self.algorithm {
             None => {
-                let params = planner::plan_rev(self.cost_rev, n, k, p);
+                let params = planner::plan(self.cost_rev, n, k, p);
                 (
                     Algorithm::IterativeInversion(params.it_inv),
                     Some(params),
@@ -433,24 +388,14 @@ impl SolveRequest {
             Some(alg @ Algorithm::Recursive { .. }) => (alg, None, AlgorithmKind::Recursive),
             Some(alg @ Algorithm::Wavefront) => (alg, None, AlgorithmKind::Wavefront),
         };
-        let predicted =
-            costmodel::predict_trsm_cost_rev(self.cost_rev, kind, n as f64, k as f64, p as f64);
+        let predicted = self.cost_rev.trsm_cost(kind, n as f64, k as f64, p as f64);
         Ok(Plan {
             n,
             k,
-            opts: self.opts,
-            threads: self.threads,
-            policy: self.policy,
-            reuse: self.reuse,
-            residual: self.residual,
+            request: *self,
             predicted_flops: FlopCount::new(predicted.flops.round() as u64),
             predicted_cost: Some(predicted),
-            regime: Some(costmodel::classify_rev(
-                self.cost_rev,
-                n as f64,
-                k as f64,
-                p as f64,
-            )),
+            regime: Some(self.cost_rev.classify(n as f64, k as f64, p as f64)),
             backend: PlanBackend::Distributed {
                 algorithm,
                 p,
@@ -470,19 +415,9 @@ impl SolveRequest {
         self.plan_dense(a.rows(), k)?.execute_dense(a, b)
     }
 
-    /// Plan and execute a dense single-RHS solve of `op(A)·x = b`.
-    pub fn solve_dense_vec(&self, a: &Matrix, b: &[f64]) -> Result<Solution<Vec<f64>>> {
-        self.plan_dense(a.rows(), 1)?.execute_dense_vec(a, b)
-    }
-
     /// Plan and execute a sparse multi-RHS solve of `op(A)·X = B`.
     pub fn solve_sparse(&self, a: &SparseTri, b: &Matrix) -> Result<Solution<Matrix>> {
         self.plan_sparse(a, b.cols())?.execute_sparse(a, b)
-    }
-
-    /// Plan and execute a sparse single-RHS solve of `op(A)·x = b`.
-    pub fn solve_sparse_vec(&self, a: &SparseTri, b: &[f64]) -> Result<Solution<Vec<f64>>> {
-        self.plan_sparse(a, 1)?.execute_sparse_vec(a, b)
     }
 
     /// Plan and execute a distributed solve of `op(A)·X = B` on the
@@ -575,8 +510,9 @@ pub struct Plan {
     pub n: usize,
     /// Number of right-hand sides.
     pub k: usize,
-    /// The solve options (side, triangle, transpose, diagonal).
-    pub opts: SolveOpts,
+    /// The request this plan was lowered from, whole: the executors read
+    /// the solve options, pins and residual flag from here.
+    pub request: SolveRequest,
     /// Backend-specific algorithm choice and parameters.
     pub backend: PlanBackend,
     /// Predicted flop count (the `γ·F` term).
@@ -590,10 +526,6 @@ pub struct Plan {
     pub predicted_cost: Option<Cost>,
     /// The Section VIII regime (distributed plans only).
     pub regime: Option<Regime>,
-    threads: Option<usize>,
-    policy: Option<SchedulePolicy>,
-    reuse: Option<usize>,
-    residual: bool,
 }
 
 impl Plan {
@@ -622,21 +554,6 @@ impl Plan {
         }
     }
 
-    /// The sparse execution options this plan runs with.
-    fn sparse_opts(&self) -> sparse::SolveOpts {
-        let mut o = sparse::SolveOpts::new().transpose(self.opts.transpose);
-        if let Some(t) = self.threads {
-            o = o.threads(t);
-        }
-        if let Some(p) = self.policy {
-            o = o.policy(p);
-        }
-        if let Some(r) = self.reuse {
-            o = o.reuse(r);
-        }
-        o
-    }
-
     /// A plan is only valid for operands shaped like the one it was
     /// lowered against; executing it on a different matrix would silently
     /// invalidate everything the plan recorded.
@@ -659,14 +576,15 @@ impl Plan {
     /// recorded the matrix's triangle and diagonal kind, which the request
     /// was validated against at planning time.
     fn check_sparse_operand(&self, a: &SparseTri) -> Result<()> {
-        if a.n() != self.n || a.triangle() != self.opts.triangle || a.diag() != self.opts.diag {
+        let opts = self.request.opts;
+        if a.n() != self.n || a.triangle() != opts.triangle || a.diag() != opts.diag {
             return Err(config_error(
                 "plan",
                 format!(
                     "planned for an n = {} {:?} {:?} matrix, got n = {} {:?} {:?}",
                     self.n,
-                    self.opts.triangle,
-                    self.opts.diag,
+                    opts.triangle,
+                    opts.diag,
                     a.n(),
                     a.triangle(),
                     a.diag()
@@ -694,44 +612,50 @@ impl Plan {
     pub fn execute_dense(&self, a: &Matrix, b: &Matrix) -> Result<Solution<Matrix>> {
         let mut x = b.clone();
         let mut report = self.execute_dense_in_place(a, &mut x)?;
-        if self.residual {
-            report.residual = Some(dense_residual(&self.opts, a, &x, b)?);
+        if self.request.residual {
+            report.residual = Some(dense_residual(&self.request.opts, a, &x, b)?);
         }
         Ok(Solution { x, report })
     }
 
-    /// Execute this dense plan in place: `b` holds `B` on entry and `X` on
-    /// exit.  (The residual option is skipped: `B` is consumed.)
-    pub fn execute_dense_in_place(&self, a: &Matrix, b: &mut Matrix) -> Result<SolveReport> {
-        let PlanBackend::Dense { .. } = self.backend else {
-            return Err(config_error("plan", "not a dense plan"));
-        };
-        self.check_dense_operand(a)?;
-        let mark = obs::enabled().then(obs::mark);
-        let flops = {
-            let _span = obs::span_with("core", "execute", "n", self.n as u64);
-            dense::trsm_in_place_opts(&self.opts, a, b)?
-        };
-        let mut report = self.report("dense blocked substitution", flops);
-        attach_trace(&mut report, mark);
-        Ok(report)
+    /// Execute this dense plan in place with the blocked kernel: `b` — a
+    /// `&mut Matrix` or any [`MatMut`] block — holds `B` on entry and `X` on
+    /// exit, and nothing is allocated.  (The residual option is skipped:
+    /// `B` is consumed.)
+    pub fn execute_dense_in_place<'b>(
+        &self,
+        a: &Matrix,
+        b: impl Into<MatMut<'b>>,
+    ) -> Result<SolveReport> {
+        self.run_dense("dense blocked substitution", a, |opts| {
+            dense::trsm_in_place_opts(opts, a, b)
+        })
     }
 
-    /// Execute this dense plan for one right-hand-side vector.
-    pub fn execute_dense_vec(&self, a: &Matrix, b: &[f64]) -> Result<Solution<Vec<f64>>> {
-        let mut x = b.to_vec();
-        let mut report = self.execute_dense_vec_in_place(a, &mut x)?;
-        if self.residual {
-            let xm = Matrix::from_vec(x.len(), 1, x.clone())?;
-            let bm = Matrix::from_vec(b.len(), 1, b.to_vec())?;
-            report.residual = Some(dense_residual(&self.opts, a, &xm, &bm)?);
-        }
-        Ok(Solution { x, report })
-    }
-
-    /// Execute this dense plan for one right-hand side in place,
-    /// allocating nothing.
+    /// Execute this dense plan for one right-hand side in place with the
+    /// row-substitution kernel [`dense::trsv_in_place_opts`], allocating
+    /// nothing.
+    ///
+    /// This is the one place a vector is *not* just the `n×1` view of the
+    /// block executor: with a single column the blocked kernel's GEMM
+    /// updates degenerate to dot products, so vectors get their own kernel
+    /// — and the two round differently, so the choice stays with the
+    /// caller's type instead of being inferred from the shape (an `n×1`
+    /// `Matrix` keeps the bits of [`dense::trsm()`]).
     pub fn execute_dense_vec_in_place(&self, a: &Matrix, x: &mut [f64]) -> Result<SolveReport> {
+        self.run_dense("dense substitution (single RHS)", a, |opts| {
+            dense::trsv_in_place_opts(opts, a, x)
+        })
+    }
+
+    /// The part every dense execution shares: backend and operand checks,
+    /// the `execute` span, the report.
+    fn run_dense(
+        &self,
+        algorithm: &'static str,
+        a: &Matrix,
+        kernel: impl FnOnce(&SolveOpts) -> dense::Result<FlopCount>,
+    ) -> Result<SolveReport> {
         let PlanBackend::Dense { .. } = self.backend else {
             return Err(config_error("plan", "not a dense plan"));
         };
@@ -739,9 +663,9 @@ impl Plan {
         let mark = obs::enabled().then(obs::mark);
         let flops = {
             let _span = obs::span_with("core", "execute", "n", self.n as u64);
-            dense::trsv_in_place_opts(&self.opts, a, x)?
+            kernel(&self.request.opts)?
         };
-        let mut report = self.report("dense substitution (single RHS)", flops);
+        let mut report = self.report(algorithm, flops);
         attach_trace(&mut report, mark);
         Ok(report)
     }
@@ -752,25 +676,36 @@ impl Plan {
     pub fn execute_sparse(&self, a: &SparseTri, b: &Matrix) -> Result<Solution<Matrix>> {
         let mut x = b.clone();
         let mut report = self.execute_sparse_in_place(a, &mut x)?;
-        if self.residual {
-            report.residual = Some(sparse_residual(a.executor(self.opts.transpose), &x, b));
+        if self.request.residual {
+            let e = a.executor(self.request.opts.transpose);
+            report.residual = Some(sparse_residual(e, &x, b));
         }
         Ok(Solution { x, report })
     }
 
-    /// Execute this sparse plan in place: `x` holds `B` on entry and `X`
-    /// on exit.  (The residual option is skipped: `B` is consumed.)
-    pub fn execute_sparse_in_place(&self, a: &SparseTri, x: &mut Matrix) -> Result<SolveReport> {
+    /// Execute this sparse plan in place: `x` — a `&mut Matrix`, a
+    /// `&mut [f64]` (its `n×1` view) or any [`MatMut`] block — holds `B` on
+    /// entry and `X` on exit, allocating nothing beyond the (cached)
+    /// analysis.  (The residual option is skipped: `B` is consumed.)
+    ///
+    /// This is the shared-plan steady-state path: the plan and the operand
+    /// are only ever *borrowed* (callers typically hold them behind
+    /// `Arc<Plan>` / `Arc<SparseTri>`, both `Send + Sync`).
+    pub fn execute_sparse_in_place<'x>(
+        &self,
+        a: &SparseTri,
+        x: impl Into<MatMut<'x>>,
+    ) -> Result<SolveReport> {
         let PlanBackend::Sparse { .. } = self.backend else {
             return Err(config_error("plan", "not a sparse plan"));
         };
         self.check_sparse_operand(a)?;
-        let sopts = self.sparse_opts();
+        let x = x.into();
         let k = x.cols();
         let mark = obs::enabled().then(obs::mark);
         let flops = {
             let _span = obs::span_with("core", "execute", "n", self.n as u64);
-            a.solve_multi_with(&sopts, x)?
+            a.solve_multi_with(&self.request.sparse_opts(), x)?
         };
         let mut report = self.report(self.algorithm_name(), flops);
         report.levels = Some(self.level_report(a, k));
@@ -778,75 +713,10 @@ impl Plan {
         Ok(report)
     }
 
-    /// Execute this sparse plan into a caller-owned output buffer: `x` is
-    /// overwritten with a copy of `b` (reusing its allocation when the
-    /// shapes already match) and solved in place.
-    ///
-    /// This is the shared-plan steady-state path: the plan and the operand
-    /// are only ever *borrowed* (callers typically hold them behind
-    /// `Arc<Plan>` / `Arc<SparseTri>`, both `Send + Sync`), nothing is
-    /// cloned, and when `x` is a reused arena of the right shape nothing
-    /// is allocated either — the one copy is `B` into `x`.
-    pub fn execute_sparse_into(
-        &self,
-        a: &SparseTri,
-        b: &Matrix,
-        x: &mut Matrix,
-    ) -> Result<SolveReport> {
-        if x.dims() == b.dims() {
-            x.as_mut_slice().copy_from_slice(b.as_slice());
-        } else {
-            *x = b.clone();
-        }
-        self.execute_sparse_in_place(a, x)
-    }
-
-    /// Dense counterpart of [`Plan::execute_sparse_into`]: copy `b` into
-    /// the caller-owned `x` (reusing its allocation when shapes match) and
-    /// solve in place without cloning the operand.
-    pub fn execute_dense_into(
-        &self,
-        a: &Matrix,
-        b: &Matrix,
-        x: &mut Matrix,
-    ) -> Result<SolveReport> {
-        if x.dims() == b.dims() {
-            x.as_mut_slice().copy_from_slice(b.as_slice());
-        } else {
-            *x = b.clone();
-        }
-        self.execute_dense_in_place(a, x)
-    }
-
-    /// Execute this sparse plan for one right-hand-side vector.
-    pub fn execute_sparse_vec(&self, a: &SparseTri, b: &[f64]) -> Result<Solution<Vec<f64>>> {
-        let mut x = b.to_vec();
-        let mut report = self.execute_sparse_vec_in_place(a, &mut x)?;
-        if self.residual {
-            let xm = Matrix::from_vec(x.len(), 1, x.clone())?;
-            let bm = Matrix::from_vec(b.len(), 1, b.to_vec())?;
-            report.residual = Some(sparse_residual(a.executor(self.opts.transpose), &xm, &bm));
-        }
-        Ok(Solution { x, report })
-    }
-
-    /// Execute this sparse plan for one right-hand side in place,
-    /// allocating nothing beyond the (cached) analysis.
+    /// [`Plan::execute_sparse_in_place`] for one right-hand-side slice (the
+    /// name the frozen `perfbench/` package calls).
     pub fn execute_sparse_vec_in_place(&self, a: &SparseTri, x: &mut [f64]) -> Result<SolveReport> {
-        let PlanBackend::Sparse { .. } = self.backend else {
-            return Err(config_error("plan", "not a sparse plan"));
-        };
-        self.check_sparse_operand(a)?;
-        let sopts = self.sparse_opts();
-        let mark = obs::enabled().then(obs::mark);
-        let flops = {
-            let _span = obs::span_with("core", "execute", "n", self.n as u64);
-            a.solve_with(&sopts, x)?
-        };
-        let mut report = self.report(self.algorithm_name(), flops);
-        report.levels = Some(self.level_report(a, 1));
-        attach_trace(&mut report, mark);
-        Ok(report)
+        self.execute_sparse_in_place(a, x)
     }
 
     /// Measured level/barrier shape of a sparse execution: the same
@@ -854,7 +724,7 @@ impl Plan {
     /// what ran — including the barriers actually waited (one per level
     /// under the level policy, one per super-level under the merged one).
     fn level_report(&self, a: &SparseTri, k: usize) -> LevelReport {
-        let shape = a.execution_shape(&self.sparse_opts(), k);
+        let shape = a.execution_shape(&self.request.sparse_opts(), k);
         LevelReport {
             workers: shape.workers,
             policy: shape.policy,
@@ -904,18 +774,19 @@ impl Plan {
         // the *cached* implicit-unit diagonal overlay if requested (a
         // purely local copy, built once per matrix and invalidated with
         // the transpose cache by mutators).
-        let op_a = match self.opts.transpose {
+        let opts = self.request.opts;
+        let op_a = match opts.transpose {
             Transpose::No => l,
             Transpose::Yes => l.try_transposed()?,
         };
-        let solve_mat = match self.opts.diag {
+        let solve_mat = match opts.diag {
             Diag::NonUnit => op_a,
             Diag::Unit => op_a.unit_diagonal(),
         };
 
         // Solve: effective-lower directly, effective-upper via the reversal
         // permutation (J·U·J is lower triangular).
-        let (x, phases) = match self.opts.op_triangle() {
+        let (x, phases) = match opts.op_triangle() {
             Triangle::Lower => run_lower(solve_mat, b, *algorithm)?,
             Triangle::Upper => {
                 let l_rev = reverse_both(solve_mat)?;
@@ -931,7 +802,7 @@ impl Plan {
         report.comm = Some(delta);
         report.phases = phases;
         attach_trace(&mut report, mark);
-        if self.residual {
+        if self.request.residual {
             // Residual verification communicates; it runs outside the
             // measured window on the op-applied matrix.
             report.residual = Some(verify::residual(solve_mat, &x, b)?);
@@ -1058,9 +929,9 @@ impl fmt::Display for Plan {
             self.algorithm_name(),
             self.n,
             self.k,
-            self.opts.triangle,
-            self.opts.diag,
-            if self.opts.transpose == Transpose::Yes {
+            self.request.opts.triangle,
+            self.request.opts.diag,
+            if self.request.opts.transpose == Transpose::Yes {
                 ", transposed"
             } else {
                 ""
@@ -1318,6 +1189,13 @@ mod tests {
     use simnet::{Machine, MachineParams};
     use sparse::gen as sgen;
 
+    /// One right-hand-side vector through a sparse plan's in-place executor.
+    fn sparse_vec(plan: &Plan, m: &SparseTri, b: &[f64]) -> (Vec<f64>, SolveReport) {
+        let mut x = b.to_vec();
+        let report = plan.execute_sparse_in_place(m, x.as_mut_slice()).unwrap();
+        (x, report)
+    }
+
     // -- dense -------------------------------------------------------------
 
     #[test]
@@ -1370,26 +1248,44 @@ mod tests {
             l_unit[(i, i)] = 1.0;
         }
         let xt = Matrix::from_vec(n, 1, x_true.clone()).unwrap();
-        let b = dense::matmul(&l_unit, &xt).into_vec();
-        let sol = SolveRequest::lower()
-            .unit_diagonal()
-            .with_residual()
-            .solve_dense_vec(&l, &b)
-            .unwrap();
-        for (got, want) in sol.x.iter().zip(&x_true) {
+        let b = dense::matmul(&l_unit, &xt);
+        let req = SolveRequest::lower().unit_diagonal().with_residual();
+        let sol = req.solve_dense(&l, &b).unwrap();
+        for (got, want) in sol.x.as_slice().iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-10);
         }
         assert!(sol.report.residual.unwrap() < 1e-12);
+        // The vector executor is bitwise the `trsv` kernel; the n×1 view of
+        // the same data through the block executor is bitwise `trsm` (what
+        // the allocating form returned above), however the view was built.
+        let plan = req.plan_dense(n, 1).unwrap();
+        let mut want = b.as_slice().to_vec();
+        dense::trsv_in_place_opts(&req.opts(), &l, &mut want).unwrap();
+        let mut via_vec = b.as_slice().to_vec();
+        plan.execute_dense_vec_in_place(&l, &mut via_vec).unwrap();
+        assert_eq!(via_vec, want);
+        let mut of_slice = b.as_slice().to_vec();
+        plan.execute_dense_in_place(&l, of_slice.as_mut_slice())
+            .unwrap();
+        let mut of_matrix = b.clone();
+        plan.execute_dense_in_place(&l, of_matrix.as_view_mut())
+            .unwrap();
+        assert_eq!(of_slice, sol.x.as_slice());
+        assert_eq!(of_matrix, sol.x);
+        for (v, m) in via_vec.iter().zip(&of_slice) {
+            assert!((v - m).abs() < 1e-10, "the two kernels agree to rounding");
+        }
     }
 
     #[test]
     fn plan_backend_mismatch_is_rejected() {
         let plan = SolveRequest::lower().plan_dense(8, 1).unwrap();
         let m = sgen::random_lower(8, 2, 1);
-        assert!(plan.execute_sparse_vec(&m, &[1.0; 8]).is_err());
+        let mut x = [1.0; 8];
+        assert!(plan.execute_sparse_in_place(&m, &mut x[..]).is_err());
         let l = gen::well_conditioned_lower(8, 1);
         let sparse_plan = SolveRequest::lower().plan_sparse(&m, 1).unwrap();
-        assert!(sparse_plan.execute_dense_vec(&l, &[1.0; 8]).is_err());
+        assert!(sparse_plan.execute_dense_vec_in_place(&l, &mut x).is_err());
     }
 
     #[test]
@@ -1399,13 +1295,19 @@ mod tests {
         let lower = sgen::random_lower(16, 2, 1);
         let upper = sgen::random_upper(16, 2, 2);
         let plan = SolveRequest::lower().plan_sparse(&lower, 1).unwrap();
-        assert!(plan.execute_sparse_vec(&upper, &[1.0; 16]).is_err());
+        assert!(plan
+            .execute_sparse_in_place(&upper, &mut [1.0; 16][..])
+            .is_err());
         let small = sgen::random_lower(8, 2, 3);
-        assert!(plan.execute_sparse_vec(&small, &[1.0; 8]).is_err());
+        assert!(plan
+            .execute_sparse_in_place(&small, &mut [1.0; 8][..])
+            .is_err());
         // Same for dense plans.
         let dplan = SolveRequest::lower().plan_dense(16, 1).unwrap();
         let wrong = gen::well_conditioned_lower(8, 4);
-        assert!(dplan.execute_dense_vec(&wrong, &[1.0; 8]).is_err());
+        assert!(dplan
+            .execute_dense_vec_in_place(&wrong, &mut [1.0; 8])
+            .is_err());
     }
 
     #[test]
@@ -1473,17 +1375,26 @@ mod tests {
         }
         let cost = plan.predicted_cost.expect("sparse plans carry a cost");
         assert!(cost.latency > 0.0 && cost.flops > 0.0);
-        let sol = plan.execute_sparse_vec(&m, &b).unwrap();
-        let lr = sol.report.levels.unwrap();
+        let (x, report) = sparse_vec(&plan, &m, &b);
+        let lr = report.levels.unwrap();
         assert_eq!(lr.workers, workers);
         assert_eq!(lr.policy, policy);
         assert_eq!(lr.levels, levels);
         assert_eq!(lr.super_levels, super_levels);
         assert_eq!(lr.barriers, predicted_barriers);
-        assert_eq!(sol.report.flops, m.solve_flops(1));
-        // Identical to the raw executor.
-        let direct = m.solve(&b).unwrap();
-        assert_eq!(sol.x, direct);
+        assert_eq!(report.flops, m.solve_flops(1));
+        // Identical to the raw executor's slice path, and so is the n×1 view
+        // of a matrix through the same in-place executor.
+        let mut direct = b.clone();
+        m.solve_with(&sparse::SolveOpts::new().threads(4), &mut direct)
+            .unwrap();
+        assert_eq!(x, direct);
+        let mut via_view = Matrix::from_vec(n, 1, b.clone()).unwrap();
+        let view_report = plan
+            .execute_sparse_in_place(&m, via_view.as_view_mut())
+            .unwrap();
+        assert_eq!(via_view.as_slice(), direct);
+        assert_eq!(view_report.levels, report.levels);
     }
 
     #[test]
@@ -1532,12 +1443,12 @@ mod tests {
         assert!(mc.latency < lc.latency / 10.0);
         assert_eq!(mc.flops, lc.flops);
         // Executions agree bitwise and report what they ran.
-        let sl = level_plan.execute_sparse_vec(&m, &b).unwrap();
-        let sm = merged_plan.execute_sparse_vec(&m, &b).unwrap();
-        assert_eq!(sl.x, sm.x, "policies must be bitwise identical");
-        assert_eq!(sl.report.levels.unwrap().barriers, level_barriers);
-        assert_eq!(sm.report.levels.unwrap().barriers, merged_barriers);
-        assert_eq!(sm.report.algorithm, "sparse DAG-partitioned parallel sweep");
+        let (xl, rl) = sparse_vec(&level_plan, &m, &b);
+        let (xm, rm) = sparse_vec(&merged_plan, &m, &b);
+        assert_eq!(xl, xm, "policies must be bitwise identical");
+        assert_eq!(rl.levels.unwrap().barriers, level_barriers);
+        assert_eq!(rm.levels.unwrap().barriers, merged_barriers);
+        assert_eq!(rm.algorithm, "sparse DAG-partitioned parallel sweep");
         // Auto resolves to Merged here and the one-shot path matches.
         let auto = SolveRequest::lower().threads(4).plan_sparse(&m, 1).unwrap();
         let PlanBackend::Sparse {
@@ -1548,11 +1459,8 @@ mod tests {
             panic!("expected a sparse plan");
         };
         assert_eq!(auto_policy, SchedulePolicy::Merged);
-        let sa = SolveRequest::lower()
-            .threads(4)
-            .solve_sparse_vec(&m, &b)
-            .unwrap();
-        assert_eq!(sa.x, sl.x);
+        let (xa, _) = sparse_vec(&auto, &m, &b);
+        assert_eq!(xa, xl);
     }
 
     #[test]
@@ -1563,12 +1471,12 @@ mod tests {
         let sol = SolveRequest::lower()
             .transposed()
             .with_residual()
-            .solve_sparse_vec(&m, &b)
+            .solve_sparse(&m, &Matrix::from_vec(n, 1, b.clone()).unwrap())
             .unwrap();
         assert!(sol.report.residual.unwrap() < 1e-12);
         // Reference: solve the materialized transpose.
         let xt = m.transpose().solve(&b).unwrap();
-        assert_eq!(sol.x, xt);
+        assert_eq!(sol.x.as_slice(), xt);
     }
 
     #[test]
@@ -1622,24 +1530,24 @@ mod tests {
             let cost = plan.predicted_cost.expect("sparse plans carry a cost");
             assert_eq!(cost.latency, 0.0, "zero barriers price zero latency");
             assert!(cost.bandwidth > 0.0, "sync words are billed instead");
-            let sol = plan.execute_sparse_vec(&m, &b).unwrap();
-            let lr = sol.report.levels.unwrap();
+            let (x, report) = sparse_vec(&plan, &m, &b);
+            let lr = report.levels.unwrap();
             assert_eq!(lr.policy, SchedulePolicy::SyncFree);
             assert_eq!(lr.barriers, 0, "sync-free execution crosses no barrier");
             assert_eq!(lr.levels, 0);
-            assert_eq!(sol.report.algorithm, "sparse sync-free column sweep");
+            assert_eq!(report.algorithm, "sparse sync-free column sweep");
             assert_eq!(m.analysis_count(), 0, "one-shot plans never analyze");
             assert_eq!(m.merged_analysis_count(), 0);
             // The answer matches the barriered executor to rounding.
-            let reference = SolveRequest::lower()
+            let level_plan = SolveRequest::lower()
                 .threads(4)
                 .policy(SchedulePolicy::Level)
-                .solve_sparse_vec(&m, &b)
+                .plan_sparse(&m, 1)
                 .unwrap();
-            let max_diff = sol
-                .x
+            let (reference, _) = sparse_vec(&level_plan, &m, &b);
+            let max_diff = x
                 .iter()
-                .zip(&reference.x)
+                .zip(&reference)
                 .map(|(got, want)| (got - want).abs())
                 .fold(0.0_f64, f64::max);
             assert!(max_diff < 1e-12, "sync-free vs level: {max_diff}");
@@ -1671,9 +1579,9 @@ mod tests {
         let m = sgen::random_lower(300, 3, 5);
         let plan = SolveRequest::lower().threads(1).plan_sparse(&m, 1).unwrap();
         let b = sgen::rhs_vec(300, 6);
-        let sol = plan.execute_sparse_vec(&m, &b).unwrap();
-        assert_eq!(sol.report.levels.unwrap().workers, 1);
-        assert_eq!(sol.report.levels.unwrap().barriers, 0);
+        let (_, report) = sparse_vec(&plan, &m, &b);
+        assert_eq!(report.levels.unwrap().workers, 1);
+        assert_eq!(report.levels.unwrap().barriers, 0);
         assert_eq!(m.analysis_count(), 0, "sequential plans stay analysis-free");
     }
 

@@ -10,13 +10,13 @@
 //! | `4k/p ≤ n ≤ 4k√p` | standard | `(np/k)^{2/3}·log p`        | `(n²k/p)^{2/3}`| `n²k/p`  |
 //! |                   | new      | `log² p + √(n/k)·log p`     | `(n²k/p)^{2/3}`| `2n²k/p` |
 //!
-//! [`conclusion_row`] evaluates both columns for a concrete `(n, k, p)` and
+//! [`CostModelRev::conclusion_row`] evaluates both columns for a concrete `(n, k, p)` and
 //! [`latency_improvement`] returns the headline speedup factor, which reaches
 //! `Θ((n/k)^{1/6}·p^{2/3})` in the 3D regime.
 
 use crate::cost::{log2c, Cost};
 use crate::predict::CostModelRev;
-use crate::tuning::{classify_rev, Regime};
+use crate::tuning::Regime;
 
 /// One row of the Section IX table: the asymptotic cost of the standard
 /// (recursive) algorithm and of the new method for a concrete input.
@@ -36,101 +36,92 @@ pub struct ConclusionRow {
     pub new: Cost,
 }
 
-/// The "standard" column of the conclusion table (note the extra `log p`
-/// latency factor relative to `T_RT2D/3D`, which the table includes).
-pub fn standard_cost(n: f64, k: f64, p: f64) -> Cost {
-    standard_cost_rev(CostModelRev::Ipdps17, n, k, p)
-}
-
-/// [`standard_cost`] under an explicit cost-model revision.
-///
-/// `Tang24` applies the reexamination's corrected bandwidth bound for the
-/// recursive algorithm: the 2D regime's panel broadcasts move
-/// `(n² + nk·log p)/√p` words (the `n²/√p` term was dropped by the original
-/// leading-order analysis), and the 3D cuboid pays an extra `n²/p^{2/3}` of
-/// triangular-panel traffic on top of the `(n²k/p)^{2/3}` matmul volume.
-/// Latency and flop terms are unchanged; the regime is chosen by
-/// [`classify_rev`] with the revision's rebalanced boundary constant.
-pub fn standard_cost_rev(rev: CostModelRev, n: f64, k: f64, p: f64) -> Cost {
-    match classify_rev(rev, n, k, p) {
-        Regime::OneLargeDim => Cost {
-            latency: log2c(p),
-            bandwidth: n * n,
-            flops: n * n * k / p,
-        },
-        Regime::TwoLargeDims => Cost {
-            latency: p.sqrt() * log2c(p),
-            bandwidth: match rev {
-                CostModelRev::Ipdps17 => n * k / p.sqrt(),
-                CostModelRev::Tang24 => (n * n + n * k * log2c(p)) / p.sqrt(),
+impl CostModelRev {
+    /// The "standard" column of the conclusion table (note the extra `log p`
+    /// latency factor relative to `T_RT2D/3D`, which the table includes).
+    ///
+    /// `Tang24` applies the reexamination's corrected bandwidth bound for
+    /// the recursive algorithm: the 2D regime's panel broadcasts move
+    /// `(n² + nk·log p)/√p` words (the `n²/√p` term was dropped by the
+    /// original leading-order analysis), and the 3D cuboid pays an extra
+    /// `n²/p^{2/3}` of triangular-panel traffic on top of the
+    /// `(n²k/p)^{2/3}` matmul volume.  Latency and flop terms are unchanged;
+    /// the regime is chosen by [`CostModelRev::classify`] with the
+    /// revision's rebalanced boundary constant.
+    pub fn standard_cost(self, n: f64, k: f64, p: f64) -> Cost {
+        match self.classify(n, k, p) {
+            Regime::OneLargeDim => Cost {
+                latency: log2c(p),
+                bandwidth: n * n,
+                flops: n * n * k / p,
             },
-            flops: n * n * k / p,
-        },
-        Regime::ThreeLargeDims => Cost {
-            latency: (n * p / k).powf(2.0 / 3.0) * log2c(p),
-            bandwidth: match rev {
-                CostModelRev::Ipdps17 => (n * n * k / p).powf(2.0 / 3.0),
-                CostModelRev::Tang24 => (n * n * k / p).powf(2.0 / 3.0) + n * n / p.powf(2.0 / 3.0),
+            Regime::TwoLargeDims => Cost {
+                latency: p.sqrt() * log2c(p),
+                bandwidth: match self {
+                    CostModelRev::Ipdps17 => n * k / p.sqrt(),
+                    CostModelRev::Tang24 => (n * n + n * k * log2c(p)) / p.sqrt(),
+                },
+                flops: n * n * k / p,
             },
-            flops: n * n * k / p,
-        },
+            Regime::ThreeLargeDims => Cost {
+                latency: (n * p / k).powf(2.0 / 3.0) * log2c(p),
+                bandwidth: match self {
+                    CostModelRev::Ipdps17 => (n * n * k / p).powf(2.0 / 3.0),
+                    CostModelRev::Tang24 => {
+                        (n * n * k / p).powf(2.0 / 3.0) + n * n / p.powf(2.0 / 3.0)
+                    }
+                },
+                flops: n * n * k / p,
+            },
+        }
+    }
+
+    /// The "new method" column of the conclusion table.
+    ///
+    /// The reexamination's correction targets the recursive algorithm's
+    /// broadcast volume; the inversion-based method's per-regime terms are
+    /// unchanged, but the regime boundaries (and hence which formula
+    /// applies) shift with the revision's constant.
+    pub fn new_cost(self, n: f64, k: f64, p: f64) -> Cost {
+        match self.classify(n, k, p) {
+            Regime::OneLargeDim => Cost {
+                latency: log2c(p) * log2c(p),
+                bandwidth: n * n,
+                flops: n * n * k / p,
+            },
+            Regime::TwoLargeDims => Cost {
+                latency: log2c(p) * log2c(p) + (n / k).powf(0.75) / p.powf(0.125) * log2c(p),
+                bandwidth: n * k / p.sqrt(),
+                flops: n * n * k / p,
+            },
+            Regime::ThreeLargeDims => Cost {
+                latency: log2c(p) * log2c(p) + (n / k).sqrt().max(1.0) * log2c(p),
+                bandwidth: (n * n * k / p).powf(2.0 / 3.0),
+                flops: 2.0 * n * n * k / p,
+            },
+        }
+    }
+
+    /// Evaluate one conclusion-table row for `(n, k, p)`.
+    pub fn conclusion_row(self, n: f64, k: f64, p: f64) -> ConclusionRow {
+        ConclusionRow {
+            n,
+            k,
+            p,
+            regime: self.classify(n, k, p),
+            standard: self.standard_cost(n, k, p),
+            new: self.new_cost(n, k, p),
+        }
     }
 }
 
-/// The "new method" column of the conclusion table.
-pub fn new_cost(n: f64, k: f64, p: f64) -> Cost {
-    new_cost_rev(CostModelRev::Ipdps17, n, k, p)
-}
-
-/// [`new_cost`] under an explicit cost-model revision.
-///
-/// The reexamination's correction targets the recursive algorithm's
-/// broadcast volume; the inversion-based method's per-regime terms are
-/// unchanged, but the regime boundaries (and hence which formula applies)
-/// shift with the revision's constant.
-pub fn new_cost_rev(rev: CostModelRev, n: f64, k: f64, p: f64) -> Cost {
-    match classify_rev(rev, n, k, p) {
-        Regime::OneLargeDim => Cost {
-            latency: log2c(p) * log2c(p),
-            bandwidth: n * n,
-            flops: n * n * k / p,
-        },
-        Regime::TwoLargeDims => Cost {
-            latency: log2c(p) * log2c(p) + (n / k).powf(0.75) / p.powf(0.125) * log2c(p),
-            bandwidth: n * k / p.sqrt(),
-            flops: n * n * k / p,
-        },
-        Regime::ThreeLargeDims => Cost {
-            latency: log2c(p) * log2c(p) + (n / k).sqrt().max(1.0) * log2c(p),
-            bandwidth: (n * n * k / p).powf(2.0 / 3.0),
-            flops: 2.0 * n * n * k / p,
-        },
-    }
-}
-
-/// Evaluate one conclusion-table row for `(n, k, p)`.
-pub fn conclusion_row(n: f64, k: f64, p: f64) -> ConclusionRow {
-    conclusion_row_rev(CostModelRev::Ipdps17, n, k, p)
-}
-
-/// [`conclusion_row`] under an explicit cost-model revision.
-pub fn conclusion_row_rev(rev: CostModelRev, n: f64, k: f64, p: f64) -> ConclusionRow {
-    ConclusionRow {
-        n,
-        k,
-        p,
-        regime: classify_rev(rev, n, k, p),
-        standard: standard_cost_rev(rev, n, k, p),
-        new: new_cost_rev(rev, n, k, p),
-    }
-}
-
-/// The latency (synchronization) improvement factor `S_standard / S_new`.
+/// The latency (synchronization) improvement factor `S_standard / S_new`
+/// of the source paper's table.
 ///
 /// In the 3D regime this approaches the paper's headline
 /// `Θ((n/k)^{1/6}·p^{2/3})`.
 pub fn latency_improvement(n: f64, k: f64, p: f64) -> f64 {
-    let row = conclusion_row(n, k, p);
+    let row = CostModelRev::Ipdps17.conclusion_row(n, k, p);
     row.standard.latency / row.new.latency
 }
 
@@ -143,6 +134,7 @@ pub fn asymptotic_improvement_3d(n: f64, k: f64, p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use CostModelRev::{Ipdps17, Tang24};
 
     #[test]
     fn both_methods_have_equal_bandwidth_everywhere() {
@@ -151,7 +143,7 @@ mod tests {
             (4096.0, 1024.0, 64.0),
             (1.0e6, 64.0, 256.0),
         ] {
-            let row = conclusion_row(n, k, p);
+            let row = Ipdps17.conclusion_row(n, k, p);
             assert_eq!(row.standard.bandwidth, row.new.bandwidth);
         }
     }
@@ -163,7 +155,7 @@ mod tests {
             (4096.0, 1024.0, 64.0),
             (1.0e6, 64.0, 256.0),
         ] {
-            let row = conclusion_row(n, k, p);
+            let row = Ipdps17.conclusion_row(n, k, p);
             assert!(row.new.flops <= 2.0 * row.standard.flops + 1e-9);
         }
     }
@@ -171,7 +163,7 @@ mod tests {
     #[test]
     fn one_d_regime_trades_a_log_factor() {
         // In the 1D regime the new method pays log p extra latency.
-        let row = conclusion_row(16.0, 65536.0, 256.0);
+        let row = Ipdps17.conclusion_row(16.0, 65536.0, 256.0);
         assert_eq!(row.regime, Regime::OneLargeDim);
         assert!(row.new.latency > row.standard.latency);
         assert!((row.new.latency / row.standard.latency - log2c(256.0)).abs() < 1e-9);
@@ -182,12 +174,12 @@ mod tests {
         // 2D regime: the win requires n/k < p^{5/6} (otherwise the
         // (n/k)^{3/4}·log p / p^{1/8} term dominates); pick such a point.
         let (n2, k2, p2) = (524_288.0, 256.0, 65_536.0);
-        let row2 = conclusion_row(n2, k2, p2);
+        let row2 = Ipdps17.conclusion_row(n2, k2, p2);
         assert_eq!(row2.regime, Regime::TwoLargeDims);
         assert!(latency_improvement(n2, k2, p2) > 2.0);
 
         // 3D regime: the headline (n/k)^{1/6}·p^{2/3} factor is large.
-        let row3 = conclusion_row(65536.0, 8192.0, 4096.0);
+        let row3 = Ipdps17.conclusion_row(65536.0, 8192.0, 4096.0);
         assert_eq!(row3.regime, Regime::ThreeLargeDims);
         assert!(latency_improvement(65536.0, 8192.0, 4096.0) > 10.0);
     }
@@ -213,8 +205,8 @@ mod tests {
         // 2D regime: the corrected bound adds n²/√p (plus a log factor on
         // the nk/√p term), so the recursive method loses its bandwidth tie.
         let (n2, k2, p2) = (1.0e6, 64.0, 256.0);
-        let a = conclusion_row_rev(CostModelRev::Ipdps17, n2, k2, p2);
-        let b = conclusion_row_rev(CostModelRev::Tang24, n2, k2, p2);
+        let a = Ipdps17.conclusion_row(n2, k2, p2);
+        let b = Tang24.conclusion_row(n2, k2, p2);
         assert_eq!(a.regime, Regime::TwoLargeDims);
         assert_eq!(b.regime, Regime::TwoLargeDims);
         assert_eq!(a.standard.bandwidth, a.new.bandwidth);
@@ -223,8 +215,8 @@ mod tests {
 
         // 3D regime: the extra n²/p^{2/3} term breaks the tie the same way.
         let (n3, k3, p3) = (65536.0, 8192.0, 4096.0);
-        let a = conclusion_row_rev(CostModelRev::Ipdps17, n3, k3, p3);
-        let b = conclusion_row_rev(CostModelRev::Tang24, n3, k3, p3);
+        let a = Ipdps17.conclusion_row(n3, k3, p3);
+        let b = Tang24.conclusion_row(n3, k3, p3);
         assert_eq!(a.regime, Regime::ThreeLargeDims);
         assert_eq!(b.regime, Regime::ThreeLargeDims);
         assert!(b.standard.bandwidth > b.new.bandwidth);
@@ -232,20 +224,6 @@ mod tests {
         // Latency and flops are untouched by the revision.
         assert_eq!(a.standard.latency, b.standard.latency);
         assert_eq!(a.standard.flops, b.standard.flops);
-    }
-
-    #[test]
-    fn ipdps17_rev_is_byte_identical_to_the_unsuffixed_api() {
-        for (n, k, p) in [
-            (32.0, 8192.0, 512.0),
-            (4096.0, 1024.0, 64.0),
-            (1.0e6, 64.0, 256.0),
-        ] {
-            assert_eq!(
-                conclusion_row(n, k, p),
-                conclusion_row_rev(CostModelRev::Ipdps17, n, k, p)
-            );
-        }
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! integer message counts).
 //!
 //! ```
-//! use costmodel::tuning::{plan, Regime};
+//! use costmodel::{CostModelRev, Regime};
 //! // 4k/p ≤ n ≤ 4k√p  →  three large dimensions, 3D processor grid.
-//! let plan = plan(4096, 1024, 64);
+//! let plan = CostModelRev::Ipdps17.plan(4096, 1024, 64);
 //! assert_eq!(plan.regime, Regime::ThreeLargeDims);
 //! assert!(plan.p1 * plan.p1 * plan.p2 <= 64.0);
 //! ```
@@ -37,11 +37,7 @@ pub mod predict;
 pub mod rec_trsm;
 pub mod tuning;
 
-pub use compare::{conclusion_row_rev, standard_cost_rev};
 pub use cost::{Cost, Machine};
 pub use drift::{DriftReport, DriftRow};
-pub use predict::{
-    sparse_solve_cost, sparse_solve_cost_amortized, trsm_cost as predict_trsm_cost,
-    trsm_cost_rev as predict_trsm_cost_rev, AlgorithmKind, CostModelRev,
-};
-pub use tuning::{classify_rev, plan, plan_rev, Regime, TrsmPlan};
+pub use predict::{sparse_solve_cost, sparse_solve_cost_amortized, AlgorithmKind, CostModelRev};
+pub use tuning::{Regime, TrsmPlan};

@@ -6,13 +6,11 @@
 //! solve will cost before running it — the "a priori" workflow the paper
 //! advocates, and the plan-inspection pattern the re-examination of this
 //! paper's bandwidth analysis (arXiv:2407.00871) treats as first-class.
-//! [`trsm_cost`] dispatches the Section IV / VI / II-C3 leading-order
+//! [`CostModelRev::trsm_cost`] dispatches the Section IV / VI / II-C3 leading-order
 //! expressions by algorithm kind, so a plan's prediction and the
 //! experiment harness print from the same formulas.
 
-use crate::compare::standard_cost_rev;
 use crate::cost::{log2c, Cost};
-use crate::tuning::it_trsm_cost_rev;
 
 /// Which revision of the analytical cost model to evaluate.
 ///
@@ -26,10 +24,10 @@ use crate::tuning::it_trsm_cost_rev;
 /// constant rebalanced from 4 to 2 so the boundaries again equalise the
 /// neighbouring regimes' dominant terms under the corrected W.
 ///
-/// Every `_rev` function in this crate takes the revision explicitly; the
-/// original unsuffixed entry points are unchanged and equal to
-/// [`CostModelRev::Ipdps17`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The revision is the one cost-model value: every regime-dependent formula
+/// in this crate is a method on it, and callers that want the source paper's
+/// numbers say [`CostModelRev::Ipdps17`] (the default).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CostModelRev {
     /// The source paper's Section IV / VIII / IX expressions, verbatim.
     #[default]
@@ -103,21 +101,19 @@ pub fn wavefront_cost(n: f64, k: f64, p: f64) -> Cost {
     }
 }
 
-/// Predicted critical-path cost of solving `L·X = B` (`n×n`, `k`
-/// right-hand sides, `p` processors) with the given algorithm family.
-pub fn trsm_cost(kind: AlgorithmKind, n: f64, k: f64, p: f64) -> Cost {
-    trsm_cost_rev(CostModelRev::Ipdps17, kind, n, k, p)
-}
-
-/// [`trsm_cost`] under an explicit cost-model revision: `Ipdps17` evaluates
-/// the source paper's expressions verbatim, `Tang24` the corrected
-/// recursive-TRSM bandwidth bound and rebalanced regime boundaries.  The
-/// wavefront baseline has no regime structure and is identical under both.
-pub fn trsm_cost_rev(rev: CostModelRev, kind: AlgorithmKind, n: f64, k: f64, p: f64) -> Cost {
-    match kind {
-        AlgorithmKind::Recursive => standard_cost_rev(rev, n, k, p),
-        AlgorithmKind::IterativeInversion => it_trsm_cost_rev(rev, n, k, p),
-        AlgorithmKind::Wavefront => wavefront_cost(n, k, p),
+impl CostModelRev {
+    /// Predicted critical-path cost of solving `L·X = B` (`n×n`, `k`
+    /// right-hand sides, `p` processors) with the given algorithm family:
+    /// `Ipdps17` evaluates the source paper's expressions verbatim, `Tang24`
+    /// the corrected recursive-TRSM bandwidth bound and rebalanced regime
+    /// boundaries.  The wavefront baseline has no regime structure and is
+    /// identical under both.
+    pub fn trsm_cost(self, kind: AlgorithmKind, n: f64, k: f64, p: f64) -> Cost {
+        match kind {
+            AlgorithmKind::Recursive => self.standard_cost(n, k, p),
+            AlgorithmKind::IterativeInversion => self.it_trsm_cost(n, k, p),
+            AlgorithmKind::Wavefront => wavefront_cost(n, k, p),
+        }
     }
 }
 
@@ -182,22 +178,21 @@ pub fn sparse_solve_cost_amortized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::standard_cost;
-    use crate::tuning::{classify, it_trsm_cost};
+    use CostModelRev::Ipdps17;
 
     #[test]
     fn dispatch_matches_the_underlying_formulas() {
         let (n, k, p) = (4096.0, 1024.0, 64.0);
         assert_eq!(
-            trsm_cost(AlgorithmKind::Recursive, n, k, p),
-            standard_cost(n, k, p)
+            Ipdps17.trsm_cost(AlgorithmKind::Recursive, n, k, p),
+            Ipdps17.standard_cost(n, k, p)
         );
         assert_eq!(
-            trsm_cost(AlgorithmKind::IterativeInversion, n, k, p),
-            it_trsm_cost(n, k, p)
+            Ipdps17.trsm_cost(AlgorithmKind::IterativeInversion, n, k, p),
+            Ipdps17.it_trsm_cost(n, k, p)
         );
         assert_eq!(
-            trsm_cost(AlgorithmKind::Wavefront, n, k, p),
+            Ipdps17.trsm_cost(AlgorithmKind::Wavefront, n, k, p),
             wavefront_cost(n, k, p)
         );
     }
@@ -207,9 +202,9 @@ mod tests {
         // The wavefront's Θ(n·log p) synchronization must exceed both
         // communication-avoiding algorithms once n and p are large.
         let (n, k, p) = (65536.0, 1024.0, 4096.0);
-        let wf = trsm_cost(AlgorithmKind::Wavefront, n, k, p);
-        let rec = trsm_cost(AlgorithmKind::Recursive, n, k, p);
-        let it = trsm_cost(AlgorithmKind::IterativeInversion, n, k, p);
+        let wf = Ipdps17.trsm_cost(AlgorithmKind::Wavefront, n, k, p);
+        let rec = Ipdps17.trsm_cost(AlgorithmKind::Recursive, n, k, p);
+        let it = Ipdps17.trsm_cost(AlgorithmKind::IterativeInversion, n, k, p);
         assert!(wf.latency > rec.latency);
         assert!(wf.latency > it.latency);
         assert!(it.latency < rec.latency, "the paper's headline claim");
@@ -224,7 +219,7 @@ mod tests {
             AlgorithmKind::IterativeInversion,
             AlgorithmKind::Wavefront,
         ] {
-            let c = trsm_cost(kind, n, k, p);
+            let c = Ipdps17.trsm_cost(kind, n, k, p);
             assert!(
                 c.flops >= optimal && c.flops <= 2.5 * optimal,
                 "{} flops {} vs optimal {optimal}",
@@ -232,7 +227,6 @@ mod tests {
                 c.flops
             );
         }
-        let _ = classify(n, k, p);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::cost::{log2c, Cost};
 use crate::predict::CostModelRev;
-use crate::tuning::{classify_rev, Regime};
+use crate::tuning::Regime;
 
 /// Processor-grid shape `(pr, pc)` the recursive algorithm selects:
 /// `pc = max(√p, min(p, √(p·k/n)))`, `pr = p / pc`.
@@ -48,35 +48,33 @@ pub fn rec_trsm_3d(n: f64, k: f64, p: f64) -> Cost {
     }
 }
 
-/// Cost of the recursive TRSM with the regime chosen as in Section VIII
-/// (`n < 4k/p` → 1D, `n > 4k√p` → 2D, otherwise 3D), so that it can be
-/// compared term-by-term with the iterative algorithm.
-pub fn rec_trsm_cost(n: f64, k: f64, p: f64) -> Cost {
-    rec_trsm_cost_rev(CostModelRev::Ipdps17, n, k, p)
-}
-
-/// [`rec_trsm_cost`] under an explicit cost-model revision.
-///
-/// `Tang24` replaces the 2D and 3D bandwidth terms with the reexamination's
-/// corrected bounds (`(n² + nk·log p)/√p` and `(n²k/p)^{2/3} + n²/p^{2/3}`)
-/// and moves the regime boundaries via [`classify_rev`]; the 1D cost and all
-/// latency/flop terms are unchanged.
-pub fn rec_trsm_cost_rev(rev: CostModelRev, n: f64, k: f64, p: f64) -> Cost {
-    match classify_rev(rev, n, k, p) {
-        Regime::OneLargeDim => rec_trsm_1d(n, k, p),
-        Regime::TwoLargeDims => {
-            let mut c = rec_trsm_2d(n, k, p);
-            if rev == CostModelRev::Tang24 {
-                c.bandwidth = (n * n + n * k * log2c(p)) / p.sqrt();
+impl CostModelRev {
+    /// Cost of the recursive TRSM with the regime chosen as in Section VIII
+    /// (`n < c·k/p` → 1D, `n > c·k√p` → 2D, otherwise 3D), so that it can be
+    /// compared term-by-term with the iterative algorithm.
+    ///
+    /// `Tang24` replaces the 2D and 3D bandwidth terms with the
+    /// reexamination's corrected bounds (`(n² + nk·log p)/√p` and
+    /// `(n²k/p)^{2/3} + n²/p^{2/3}`) and moves the regime boundaries via
+    /// [`CostModelRev::classify`]; the 1D cost and all latency/flop terms are
+    /// unchanged.
+    pub fn rec_trsm_cost(self, n: f64, k: f64, p: f64) -> Cost {
+        match self.classify(n, k, p) {
+            Regime::OneLargeDim => rec_trsm_1d(n, k, p),
+            Regime::TwoLargeDims => {
+                let mut c = rec_trsm_2d(n, k, p);
+                if self == CostModelRev::Tang24 {
+                    c.bandwidth = (n * n + n * k * log2c(p)) / p.sqrt();
+                }
+                c
             }
-            c
-        }
-        Regime::ThreeLargeDims => {
-            let mut c = rec_trsm_3d(n, k, p);
-            if rev == CostModelRev::Tang24 {
-                c.bandwidth = (n * n * k / p).powf(2.0 / 3.0) + n * n / p.powf(2.0 / 3.0);
+            Regime::ThreeLargeDims => {
+                let mut c = rec_trsm_3d(n, k, p);
+                if self == CostModelRev::Tang24 {
+                    c.bandwidth = (n * n * k / p).powf(2.0 / 3.0) + n * n / p.powf(2.0 / 3.0);
+                }
+                c
             }
-            c
         }
     }
 }
@@ -84,6 +82,7 @@ pub fn rec_trsm_cost_rev(rev: CostModelRev, n: f64, k: f64, p: f64) -> Cost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use CostModelRev::{Ipdps17, Tang24};
 
     #[test]
     fn grid_selection_matches_paper() {
@@ -105,23 +104,27 @@ mod tests {
         let p = 64.0;
         let k = 1024.0;
         // n < 4k/p = 64 → 1D.
-        assert_eq!(rec_trsm_cost(32.0, k, p), rec_trsm_1d(32.0, k, p));
+        assert_eq!(Ipdps17.rec_trsm_cost(32.0, k, p), rec_trsm_1d(32.0, k, p));
         // n > 4k√p = 32768 → 2D.
-        assert_eq!(rec_trsm_cost(65536.0, k, p), rec_trsm_2d(65536.0, k, p));
+        assert_eq!(
+            Ipdps17.rec_trsm_cost(65536.0, k, p),
+            rec_trsm_2d(65536.0, k, p)
+        );
         // Otherwise 3D.
-        assert_eq!(rec_trsm_cost(2048.0, k, p), rec_trsm_3d(2048.0, k, p));
+        assert_eq!(
+            Ipdps17.rec_trsm_cost(2048.0, k, p),
+            rec_trsm_3d(2048.0, k, p)
+        );
     }
 
     #[test]
     fn tang24_raises_recursive_bandwidth_without_touching_latency() {
         let (n, k, p) = (65536.0, 1024.0, 64.0);
-        let a = rec_trsm_cost_rev(CostModelRev::Ipdps17, n, k, p);
-        let b = rec_trsm_cost_rev(CostModelRev::Tang24, n, k, p);
+        let a = Ipdps17.rec_trsm_cost(n, k, p);
+        let b = Tang24.rec_trsm_cost(n, k, p);
         assert!(b.bandwidth > a.bandwidth);
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.flops, b.flops);
-        // The unsuffixed function is the Ipdps17 revision.
-        assert_eq!(rec_trsm_cost(n, k, p), a);
     }
 
     #[test]
@@ -147,7 +150,7 @@ mod tests {
             (1.0e5, 10.0, 64.0),
             (4096.0, 4096.0, 512.0),
         ] {
-            assert_eq!(rec_trsm_cost(n, k, p).flops, n * n * k / p);
+            assert_eq!(Ipdps17.rec_trsm_cost(n, k, p).flops, n * n * k / p);
         }
     }
 }

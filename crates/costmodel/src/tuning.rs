@@ -37,26 +37,6 @@ impl Regime {
     }
 }
 
-/// Classify `(n, k, p)` into the Section VIII regime.
-pub fn classify(n: f64, k: f64, p: f64) -> Regime {
-    classify_rev(CostModelRev::Ipdps17, n, k, p)
-}
-
-/// [`classify`] under an explicit cost-model revision: the boundary constant
-/// is 4 in the source paper and 2 after the 2024 reexamination rebalances
-/// the boundaries under the corrected recursive-TRSM bandwidth bound, so
-/// `Tang24` widens the 1D and 2D regimes at the 3D regime's expense.
-pub fn classify_rev(rev: CostModelRev, n: f64, k: f64, p: f64) -> Regime {
-    let c = rev.regime_constant();
-    if n < c * k / p {
-        Regime::OneLargeDim
-    } else if n > c * k * p.sqrt() {
-        Regime::TwoLargeDims
-    } else {
-        Regime::ThreeLargeDims
-    }
-}
-
 /// The asymptotically optimal parameters of the iterative inversion-based
 /// TRSM for one `(n, k, p)` input (real-valued; the `catrsm` planner rounds
 /// them to feasible integer grids).
@@ -80,51 +60,6 @@ pub struct TrsmPlan {
     pub r1: f64,
     /// Depth of each inversion sub-grid (`r2 ≈ 4·r1` at the optimum).
     pub r2: f64,
-}
-
-/// Compute the Section VIII optimal parameters for `(n, k, p)`.
-pub fn plan(n: usize, k: usize, p: usize) -> TrsmPlan {
-    plan_rev(CostModelRev::Ipdps17, n, k, p)
-}
-
-/// [`plan`] under an explicit cost-model revision: the regime is chosen by
-/// [`classify_rev`] and the 3D cuboid face `p1 = (p·n/(c·k))^{1/3}` uses the
-/// revision's boundary constant `c`, so the grid stays continuous across the
-/// (shifted) regime boundaries.
-pub fn plan_rev(rev: CostModelRev, n: usize, k: usize, p: usize) -> TrsmPlan {
-    let nf = n as f64;
-    let kf = k as f64;
-    let pf = p as f64;
-    let regime = classify_rev(rev, nf, kf, pf);
-    let (p1, p2, n0) = match regime {
-        Regime::OneLargeDim => (1.0, pf, nf),
-        Regime::TwoLargeDims => {
-            let n0 = (nf * kf.powi(3) * pf.sqrt()).powf(0.25).min(nf).max(1.0);
-            (pf.sqrt(), 1.0, n0)
-        }
-        Regime::ThreeLargeDims => {
-            let c = rev.regime_constant();
-            let p1 = (pf * nf / (c * kf)).powf(1.0 / 3.0).clamp(1.0, pf.sqrt());
-            let p2 = (pf / (p1 * p1)).max(1.0);
-            let n0 = (nf * kf).sqrt().min(nf).max(1.0);
-            (p1, p2, n0)
-        }
-    };
-    // Inversion sub-grids: q = p·n0/n processors per diagonal block, split
-    // with the optimal ratio r2 = 4·r1 (Section VII-A).
-    let q = (pf * n0 / nf).max(1.0);
-    let (r1, r2) = crate::inversion::optimal_inv_grid(q);
-    TrsmPlan {
-        n: nf,
-        k: kf,
-        p: pf,
-        regime,
-        p1,
-        p2,
-        n0,
-        r1,
-        r2,
-    }
 }
 
 /// `T_IT1D(n, k, p) = O(α·(log² p + log p) + β·n² + γ·n²k/p)`.
@@ -154,36 +89,91 @@ pub fn it_trsm_3d(n: f64, k: f64, p: f64) -> Cost {
     }
 }
 
-/// Total cost of the tuned iterative algorithm, dispatched by regime.
-pub fn it_trsm_cost(n: f64, k: f64, p: f64) -> Cost {
-    it_trsm_cost_rev(CostModelRev::Ipdps17, n, k, p)
-}
+impl CostModelRev {
+    /// Classify `(n, k, p)` into the Section VIII regime.  The boundary
+    /// constant is 4 in the source paper and 2 after the 2024 reexamination
+    /// rebalances the boundaries under the corrected recursive-TRSM
+    /// bandwidth bound, so `Tang24` widens the 1D and 2D regimes at the 3D
+    /// regime's expense.
+    pub fn classify(self, n: f64, k: f64, p: f64) -> Regime {
+        let c = self.regime_constant();
+        if n < c * k / p {
+            Regime::OneLargeDim
+        } else if n > c * k * p.sqrt() {
+            Regime::TwoLargeDims
+        } else {
+            Regime::ThreeLargeDims
+        }
+    }
 
-/// [`it_trsm_cost`] under an explicit cost-model revision.  The per-regime
-/// expressions of the iterative algorithm stand under the reexamination
-/// (its correction targets the *recursive* algorithm's bandwidth); what
-/// changes is which regime an input falls into, via [`classify_rev`].
-pub fn it_trsm_cost_rev(rev: CostModelRev, n: f64, k: f64, p: f64) -> Cost {
-    match classify_rev(rev, n, k, p) {
-        Regime::OneLargeDim => it_trsm_1d(n, k, p),
-        Regime::TwoLargeDims => it_trsm_2d(n, k, p),
-        Regime::ThreeLargeDims => it_trsm_3d(n, k, p),
+    /// Compute the Section VIII optimal parameters for `(n, k, p)`: the
+    /// regime is chosen by [`CostModelRev::classify`] and the 3D cuboid face
+    /// `p1 = (p·n/(c·k))^{1/3}` uses the revision's boundary constant `c`, so
+    /// the grid stays continuous across the (shifted) regime boundaries.
+    pub fn plan(self, n: usize, k: usize, p: usize) -> TrsmPlan {
+        let nf = n as f64;
+        let kf = k as f64;
+        let pf = p as f64;
+        let regime = self.classify(nf, kf, pf);
+        let (p1, p2, n0) = match regime {
+            Regime::OneLargeDim => (1.0, pf, nf),
+            Regime::TwoLargeDims => {
+                let n0 = (nf * kf.powi(3) * pf.sqrt()).powf(0.25).min(nf).max(1.0);
+                (pf.sqrt(), 1.0, n0)
+            }
+            Regime::ThreeLargeDims => {
+                let c = self.regime_constant();
+                let p1 = (pf * nf / (c * kf)).powf(1.0 / 3.0).clamp(1.0, pf.sqrt());
+                let p2 = (pf / (p1 * p1)).max(1.0);
+                let n0 = (nf * kf).sqrt().min(nf).max(1.0);
+                (p1, p2, n0)
+            }
+        };
+        // Inversion sub-grids: q = p·n0/n processors per diagonal block, split
+        // with the optimal ratio r2 = 4·r1 (Section VII-A).
+        let q = (pf * n0 / nf).max(1.0);
+        let (r1, r2) = crate::inversion::optimal_inv_grid(q);
+        TrsmPlan {
+            n: nf,
+            k: kf,
+            p: pf,
+            regime,
+            p1,
+            p2,
+            n0,
+            r1,
+            r2,
+        }
+    }
+
+    /// Total cost of the tuned iterative algorithm, dispatched by regime.
+    /// The per-regime expressions of the iterative algorithm stand under the
+    /// reexamination (its correction targets the *recursive* algorithm's
+    /// bandwidth); what changes is which regime an input falls into, via
+    /// [`CostModelRev::classify`].
+    pub fn it_trsm_cost(self, n: f64, k: f64, p: f64) -> Cost {
+        match self.classify(n, k, p) {
+            Regime::OneLargeDim => it_trsm_1d(n, k, p),
+            Regime::TwoLargeDims => it_trsm_2d(n, k, p),
+            Regime::ThreeLargeDims => it_trsm_3d(n, k, p),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use CostModelRev::{Ipdps17, Tang24};
 
     #[test]
     fn regime_boundaries() {
         let p = 64.0;
         let k = 1024.0;
-        assert_eq!(classify(32.0, k, p), Regime::OneLargeDim); // 4k/p = 64
-        assert_eq!(classify(64.0, k, p), Regime::ThreeLargeDims);
-        assert_eq!(classify(32768.0, k, p), Regime::ThreeLargeDims); // 4k√p = 32768
-        assert_eq!(classify(40000.0, k, p), Regime::TwoLargeDims);
-        assert!(classify(32.0, k, p).name().contains("1 large"));
+        assert_eq!(Ipdps17.classify(32.0, k, p), Regime::OneLargeDim); // 4k/p = 64
+        assert_eq!(Ipdps17.classify(64.0, k, p), Regime::ThreeLargeDims);
+        assert_eq!(Ipdps17.classify(32768.0, k, p), Regime::ThreeLargeDims); // 4k√p = 32768
+        assert_eq!(Ipdps17.classify(40000.0, k, p), Regime::TwoLargeDims);
+        assert!(Ipdps17.classify(32.0, k, p).name().contains("1 large"));
     }
 
     #[test]
@@ -192,40 +182,20 @@ mod tests {
         let k = 1024.0;
         // 1D/3D boundary: 4k/p = 64 under Ipdps17, 2k/p = 32 under Tang24 —
         // n = 48 flips from 1D to 3D.
-        assert_eq!(classify(48.0, k, p), Regime::OneLargeDim);
-        assert_eq!(
-            classify_rev(CostModelRev::Tang24, 48.0, k, p),
-            Regime::ThreeLargeDims
-        );
+        assert_eq!(Ipdps17.classify(48.0, k, p), Regime::OneLargeDim);
+        assert_eq!(Tang24.classify(48.0, k, p), Regime::ThreeLargeDims);
         // 3D/2D boundary: 4k√p = 32768 vs 2k√p = 16384 — n = 20000 flips
         // from 3D to 2D.
-        assert_eq!(classify(20000.0, k, p), Regime::ThreeLargeDims);
-        assert_eq!(
-            classify_rev(CostModelRev::Tang24, 20000.0, k, p),
-            Regime::TwoLargeDims
-        );
-        // Ipdps17 is byte-identical to the unsuffixed entry points.
-        for n in [10.0, 48.0, 2048.0, 20000.0, 1.0e6] {
-            assert_eq!(
-                classify(n, k, p),
-                classify_rev(CostModelRev::Ipdps17, n, k, p)
-            );
-        }
+        assert_eq!(Ipdps17.classify(20000.0, k, p), Regime::ThreeLargeDims);
+        assert_eq!(Tang24.classify(20000.0, k, p), Regime::TwoLargeDims);
     }
 
     #[test]
-    fn plan_rev_matches_plan_under_ipdps17_and_shifts_under_tang24() {
-        for (n, k, p) in [
-            (16usize, 65536usize, 64usize),
-            (4096, 1024, 64),
-            (1 << 20, 16, 256),
-        ] {
-            assert_eq!(plan(n, k, p), plan_rev(CostModelRev::Ipdps17, n, k, p));
-        }
+    fn tang24_grows_the_3d_cuboid_face() {
         // Deep in the 3D regime under both revisions: the cuboid face grows
         // with the smaller boundary constant (p1 = (pn/(c·k))^{1/3}).
-        let a = plan_rev(CostModelRev::Ipdps17, 4096, 1024, 64);
-        let b = plan_rev(CostModelRev::Tang24, 4096, 1024, 64);
+        let a = Ipdps17.plan(4096, 1024, 64);
+        let b = Tang24.plan(4096, 1024, 64);
         assert_eq!(a.regime, Regime::ThreeLargeDims);
         assert_eq!(b.regime, Regime::ThreeLargeDims);
         assert!(b.p1 > a.p1);
@@ -233,7 +203,7 @@ mod tests {
 
     #[test]
     fn one_d_plan_inverts_everything() {
-        let plan = plan(16, 65536, 64);
+        let plan = Ipdps17.plan(16, 65536, 64);
         assert_eq!(plan.regime, Regime::OneLargeDim);
         assert_eq!(plan.p1, 1.0);
         assert_eq!(plan.p2, 64.0);
@@ -242,7 +212,7 @@ mod tests {
 
     #[test]
     fn two_d_plan_uses_square_grid() {
-        let plan = plan(1 << 20, 16, 256);
+        let plan = Ipdps17.plan(1 << 20, 16, 256);
         assert_eq!(plan.regime, Regime::TwoLargeDims);
         assert_eq!(plan.p1, 16.0);
         assert_eq!(plan.p2, 1.0);
@@ -254,7 +224,7 @@ mod tests {
 
     #[test]
     fn three_d_plan_grid_multiplies_to_p() {
-        let plan = plan(4096, 1024, 64);
+        let plan = Ipdps17.plan(4096, 1024, 64);
         assert_eq!(plan.regime, Regime::ThreeLargeDims);
         assert!((plan.p1 * plan.p1 * plan.p2 - 64.0).abs() < 1e-9);
         assert!((plan.n0 - (4096.0f64 * 1024.0).sqrt()).abs() < 1e-9);
@@ -265,7 +235,7 @@ mod tests {
 
     #[test]
     fn inversion_subgrid_size_matches_block_share() {
-        let plan = plan(16384, 4096, 256);
+        let plan = Ipdps17.plan(16384, 4096, 256);
         let q = plan.p * plan.n0 / plan.n;
         assert!((plan.r1 * plan.r1 * plan.r2 - q).abs() / q < 1e-6);
     }
@@ -274,9 +244,12 @@ mod tests {
     fn tuned_cost_dispatches_by_regime() {
         let p = 64.0;
         let k = 1024.0;
-        assert_eq!(it_trsm_cost(32.0, k, p), it_trsm_1d(32.0, k, p));
-        assert_eq!(it_trsm_cost(65536.0, k, p), it_trsm_2d(65536.0, k, p));
-        assert_eq!(it_trsm_cost(4096.0, k, p), it_trsm_3d(4096.0, k, p));
+        assert_eq!(Ipdps17.it_trsm_cost(32.0, k, p), it_trsm_1d(32.0, k, p));
+        assert_eq!(
+            Ipdps17.it_trsm_cost(65536.0, k, p),
+            it_trsm_2d(65536.0, k, p)
+        );
+        assert_eq!(Ipdps17.it_trsm_cost(4096.0, k, p), it_trsm_3d(4096.0, k, p));
     }
 
     #[test]

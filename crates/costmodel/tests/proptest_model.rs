@@ -1,7 +1,8 @@
 //! Property-based tests of the analytic cost model: invariants that must
 //! hold for any problem shape, mirroring the claims of Sections II–IX.
 
-use costmodel::{collectives, compare, inversion, itinv, mm, rec_trsm, tuning};
+use costmodel::CostModelRev::Ipdps17;
+use costmodel::{collectives, compare, inversion, itinv, mm, tuning};
 use proptest::prelude::*;
 
 fn problem() -> impl Strategy<Value = (f64, f64, f64)> {
@@ -30,7 +31,7 @@ proptest! {
     /// the MM classification and the Section VIII classification.
     #[test]
     fn regime_classification_is_consistent((n, k, p) in problem()) {
-        let r = tuning::classify(n, k, p);
+        let r = Ipdps17.classify(n, k, p);
         match r {
             tuning::Regime::OneLargeDim => prop_assert!(n < 4.0 * k / p),
             tuning::Regime::TwoLargeDims => prop_assert!(n > 4.0 * k * p.sqrt()),
@@ -52,7 +53,7 @@ proptest! {
     /// block size within [1, n].
     #[test]
     fn plan_is_structurally_valid((n, k, p) in problem()) {
-        let plan = tuning::plan(n as usize, k as usize, p as usize);
+        let plan = Ipdps17.plan(n as usize, k as usize, p as usize);
         prop_assert!(plan.p1 >= 1.0 && plan.p2 >= 1.0);
         prop_assert!((plan.p1 * plan.p1 * plan.p2 - p).abs() / p < 1e-6);
         prop_assert!(plan.n0 >= 1.0 && plan.n0 <= n + 0.5);
@@ -64,7 +65,7 @@ proptest! {
     /// the new method never does more than twice the flops.
     #[test]
     fn conclusion_table_invariants((n, k, p) in problem()) {
-        let row = compare::conclusion_row(n, k, p);
+        let row = Ipdps17.conclusion_row(n, k, p);
         prop_assert!((row.standard.bandwidth - row.new.bandwidth).abs() <= 1e-9 * row.standard.bandwidth);
         prop_assert!(row.new.flops <= 2.0 * row.standard.flops + 1e-9);
         prop_assert!(row.standard.flops >= n * n * k / p * 0.99);
@@ -79,7 +80,7 @@ proptest! {
         let mut last = 0.0;
         for p_exp in [8u32, 12, 16] {
             let p = (1u64 << p_exp) as f64;
-            if tuning::classify(n, k, p) != tuning::Regime::ThreeLargeDims {
+            if Ipdps17.classify(n, k, p) != tuning::Regime::ThreeLargeDims {
                 continue;
             }
             let imp = compare::latency_improvement(n, k, p);
@@ -91,7 +92,7 @@ proptest! {
     /// The recursive TRSM and MM flop costs are always the optimal n²k/p.
     #[test]
     fn flop_costs_are_optimal((n, k, p) in problem()) {
-        prop_assert!((rec_trsm::rec_trsm_cost(n, k, p).flops - n * n * k / p).abs() < 1e-6 * n * n * k / p);
+        prop_assert!((Ipdps17.rec_trsm_cost(n, k, p).flops - n * n * k / p).abs() < 1e-6 * n * n * k / p);
         prop_assert!((mm::fmm(n, k, p) - n * n * k / p).abs() < 1e-9);
     }
 

@@ -953,6 +953,22 @@ impl<'a> MatMut<'a> {
     }
 }
 
+/// A whole matrix is its own full-size view.
+impl<'a> From<&'a mut Matrix> for MatMut<'a> {
+    fn from(m: &'a mut Matrix) -> MatMut<'a> {
+        m.as_view_mut()
+    }
+}
+
+/// A vector is the `n×1` column view of its slice: single-RHS and block
+/// solves share one right-hand-side type.
+impl<'a> From<&'a mut [f64]> for MatMut<'a> {
+    fn from(x: &'a mut [f64]) -> MatMut<'a> {
+        let n = x.len();
+        MatMut::from_slice(x, n, 1)
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
 

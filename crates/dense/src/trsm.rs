@@ -17,7 +17,7 @@ use crate::Result;
 
 /// Which side of the unknown the triangular matrix is on: `A·X = B` (left) or
 /// `X·A = B` (right).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Side {
     /// Solve `A · X = B`.
     Left,
@@ -26,7 +26,7 @@ pub enum Side {
 }
 
 /// Whether the triangular operand is lower or upper triangular.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Triangle {
     /// Lower triangular (the paper's main case).
     Lower,
@@ -35,7 +35,7 @@ pub enum Triangle {
 }
 
 /// Whether the diagonal of the triangular operand is taken to be all ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Diag {
     /// Use the stored diagonal entries.
     NonUnit,
@@ -51,7 +51,7 @@ pub enum Diag {
 /// the blocked drivers' GEMM updates fold the panel transpose into the
 /// micro-panel packing itself ([`crate::gemm::gemm_views_at`] /
 /// [`crate::gemm::gemm_views_a_bt`]), reading `A` with swapped strides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Transpose {
     /// Solve with `A` as stored.
     #[default]
@@ -67,7 +67,7 @@ pub enum Transpose {
 /// This is the single options vocabulary shared by the dense kernels
 /// ([`trsm_opts`], [`trsv_opts`]), the sparse executors and the distributed
 /// algorithms (through `catrsm::SolveRequest`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SolveOpts {
     /// Side of the unknown the triangular operand is on.
     pub side: Side,
@@ -203,7 +203,7 @@ fn check_triangle_finite(opts: &SolveOpts, a: &Matrix) -> Result<()> {
 }
 
 /// Pre-solve health scan of a right-hand-side block.
-fn check_rhs_finite(b: &Matrix) -> Result<()> {
+fn check_rhs_finite(b: MatRef<'_>) -> Result<()> {
     for i in 0..b.rows() {
         for (j, &v) in b.row(i).iter().enumerate() {
             if !v.is_finite() {
@@ -252,14 +252,19 @@ pub fn trsm_in_place(
 
 /// Solve `op(A)·X = B` (or `X·op(A) = B`) in place, where every aspect of
 /// the solve — side, triangle, transposition, diagonal kind — comes from the
-/// [`SolveOpts`].  Overwrites `b` with the solution and returns the flop
-/// count of the substitution.
+/// [`SolveOpts`].  Overwrites `b` — a `&mut Matrix` or any [`MatMut`] view —
+/// with the solution and returns the flop count of the substitution.
 ///
 /// The transposed cases solve against `Aᵀ` **without materializing it**:
 /// the blocked drivers' GEMM updates pack transposed micro-panels straight
 /// out of `A` (no scratch copies) and the substitution base cases read `A`
 /// by rows in outer-product order.
-pub fn trsm_in_place_opts(opts: &SolveOpts, a: &Matrix, b: &mut Matrix) -> Result<FlopCount> {
+pub fn trsm_in_place_opts<'b>(
+    opts: &SolveOpts,
+    a: &Matrix,
+    b: impl Into<MatMut<'b>>,
+) -> Result<FlopCount> {
+    let b = b.into();
     if !a.is_square() {
         return Err(DenseError::NotSquare {
             op: "trsm",
@@ -289,7 +294,7 @@ pub fn trsm_in_place_opts(opts: &SolveOpts, a: &Matrix, b: &mut Matrix) -> Resul
     }
     if opts.check_finite {
         check_triangle_finite(opts, a)?;
-        check_rhs_finite(b)?;
+        check_rhs_finite(b.rb())?;
     }
     if opts.diag == Diag::NonUnit {
         for i in 0..n {
@@ -499,7 +504,7 @@ pub fn trsv_in_place(tri: Triangle, diag: Diag, a: &Matrix, x: &mut [f64]) -> Re
 // Blocked drivers: substitution on NB×NB diagonal blocks, GEMM off-diagonal.
 // ---------------------------------------------------------------------------
 
-fn solve_left_lower_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
+fn solve_left_lower_blocked(diag: Diag, a: &Matrix, mut b: MatMut<'_>) {
     let n = a.rows();
     let k = b.cols();
     let mut i0 = 0;
@@ -507,7 +512,7 @@ fn solve_left_lower_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         let i1 = (i0 + NB).min(n);
         if i0 > 0 {
             // B[i0..i1] -= L[i0..i1, 0..i0] · X[0..i0]
-            let (solved, rest) = b.as_view_mut().split_rows_at_mut(i0);
+            let (solved, rest) = b.reborrow().split_rows_at_mut(i0);
             let mut target = rest.subview_mut(0, 0, i1 - i0, k);
             gemm_views(
                 -1.0,
@@ -521,13 +526,13 @@ fn solve_left_lower_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         solve_left_lower_base(
             diag,
             a.view(i0, i0, i1 - i0, i1 - i0),
-            b.view_mut(i0, 0, i1 - i0, k),
+            b.submat_mut(i0, 0, i1 - i0, k),
         );
         i0 = i1;
     }
 }
 
-fn solve_left_upper_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
+fn solve_left_upper_blocked(diag: Diag, a: &Matrix, mut b: MatMut<'_>) {
     let n = a.rows();
     let k = b.cols();
     let mut i1 = n;
@@ -535,7 +540,7 @@ fn solve_left_upper_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         let i0 = i1.saturating_sub(NB);
         if i1 < n {
             // B[i0..i1] -= U[i0..i1, i1..n] · X[i1..n]
-            let (head, solved) = b.as_view_mut().split_rows_at_mut(i1);
+            let (head, solved) = b.reborrow().split_rows_at_mut(i1);
             let mut target = head.subview_mut(i0, 0, i1 - i0, k);
             gemm_views(
                 -1.0,
@@ -549,13 +554,13 @@ fn solve_left_upper_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         solve_left_upper_base(
             diag,
             a.view(i0, i0, i1 - i0, i1 - i0),
-            b.view_mut(i0, 0, i1 - i0, k),
+            b.submat_mut(i0, 0, i1 - i0, k),
         );
         i1 = i0;
     }
 }
 
-fn solve_right_lower_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
+fn solve_right_lower_blocked(diag: Diag, a: &Matrix, mut b: MatMut<'_>) {
     // X · L = B: columns are solved from last to first; the trailing update
     // reads already-solved columns of B while writing the current block, so
     // the two column ranges are separated with `split_cols_at_mut` and the
@@ -568,7 +573,7 @@ fn solve_right_lower_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         let j0 = j1.saturating_sub(NB);
         if j1 < n {
             // B[:, j0..j1] -= X[:, j1..n] · L[j1..n, j0..j1]
-            let (head, solved) = b.as_view_mut().split_cols_at_mut(j1);
+            let (head, solved) = b.reborrow().split_cols_at_mut(j1);
             let mut target = head.subview_mut(0, j0, m, j1 - j0);
             gemm_views(
                 -1.0,
@@ -582,13 +587,13 @@ fn solve_right_lower_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         solve_right_lower_base(
             diag,
             a.view(j0, j0, j1 - j0, j1 - j0),
-            b.view_mut(0, j0, m, j1 - j0),
+            b.submat_mut(0, j0, m, j1 - j0),
         );
         j1 = j0;
     }
 }
 
-fn solve_right_upper_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
+fn solve_right_upper_blocked(diag: Diag, a: &Matrix, mut b: MatMut<'_>) {
     // X · U = B: columns are solved first to last; same column split as the
     // lower case, mirrored.
     let n = a.rows();
@@ -598,7 +603,7 @@ fn solve_right_upper_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         let j1 = (j0 + NB).min(n);
         if j0 > 0 {
             // B[:, j0..j1] -= X[:, 0..j0] · U[0..j0, j0..j1]
-            let (solved, tail) = b.as_view_mut().split_cols_at_mut(j0);
+            let (solved, tail) = b.reborrow().split_cols_at_mut(j0);
             let mut target = tail.subview_mut(0, 0, m, j1 - j0);
             gemm_views(
                 -1.0,
@@ -612,7 +617,7 @@ fn solve_right_upper_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         solve_right_upper_base(
             diag,
             a.view(j0, j0, j1 - j0, j1 - j0),
-            b.view_mut(0, j0, m, j1 - j0),
+            b.submat_mut(0, j0, m, j1 - j0),
         );
         j0 = j1;
     }
@@ -626,7 +631,7 @@ fn solve_right_upper_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
 // diagonal blocks run outer-product substitution reading A by rows.
 // ---------------------------------------------------------------------------
 
-fn solve_left_lower_t_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
+fn solve_left_lower_t_blocked(diag: Diag, a: &Matrix, mut b: MatMut<'_>) {
     // Lᵀ·X = B: Lᵀ is upper triangular, so blocks run bottom-up; the update
     // of block [i0, i1) reads already-solved rows below it through the
     // pack-transposed panel (L[i1.., i0..i1])ᵀ.
@@ -637,7 +642,7 @@ fn solve_left_lower_t_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         let i0 = i1.saturating_sub(NB);
         if i1 < n {
             // B[i0..i1] -= (L[i1..n, i0..i1])ᵀ · X[i1..n]
-            let (head, solved) = b.as_view_mut().split_rows_at_mut(i1);
+            let (head, solved) = b.reborrow().split_rows_at_mut(i1);
             let mut target = head.subview_mut(i0, 0, i1 - i0, k);
             gemm_views_at(
                 -1.0,
@@ -651,13 +656,13 @@ fn solve_left_lower_t_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         solve_left_lower_t_base(
             diag,
             a.view(i0, i0, i1 - i0, i1 - i0),
-            b.view_mut(i0, 0, i1 - i0, k),
+            b.submat_mut(i0, 0, i1 - i0, k),
         );
         i1 = i0;
     }
 }
 
-fn solve_left_upper_t_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
+fn solve_left_upper_t_blocked(diag: Diag, a: &Matrix, mut b: MatMut<'_>) {
     // Uᵀ·X = B: Uᵀ is lower triangular, so blocks run top-down.
     let n = a.rows();
     let k = b.cols();
@@ -666,7 +671,7 @@ fn solve_left_upper_t_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         let i1 = (i0 + NB).min(n);
         if i0 > 0 {
             // B[i0..i1] -= (U[0..i0, i0..i1])ᵀ · X[0..i0]
-            let (solved, rest) = b.as_view_mut().split_rows_at_mut(i0);
+            let (solved, rest) = b.reborrow().split_rows_at_mut(i0);
             let mut target = rest.subview_mut(0, 0, i1 - i0, k);
             gemm_views_at(
                 -1.0,
@@ -680,13 +685,13 @@ fn solve_left_upper_t_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         solve_left_upper_t_base(
             diag,
             a.view(i0, i0, i1 - i0, i1 - i0),
-            b.view_mut(i0, 0, i1 - i0, k),
+            b.submat_mut(i0, 0, i1 - i0, k),
         );
         i0 = i1;
     }
 }
 
-fn solve_right_lower_t_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
+fn solve_right_lower_t_blocked(diag: Diag, a: &Matrix, mut b: MatMut<'_>) {
     // X·Lᵀ = B: Lᵀ is upper triangular on the right, so columns run first to
     // last (mirror of the right-upper case).
     let n = a.rows();
@@ -696,7 +701,7 @@ fn solve_right_lower_t_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         let j1 = (j0 + NB).min(n);
         if j0 > 0 {
             // B[:, j0..j1] -= X[:, 0..j0] · (L[j0..j1, 0..j0])ᵀ
-            let (solved, tail) = b.as_view_mut().split_cols_at_mut(j0);
+            let (solved, tail) = b.reborrow().split_cols_at_mut(j0);
             let mut target = tail.subview_mut(0, 0, m, j1 - j0);
             gemm_views_a_bt(
                 -1.0,
@@ -710,13 +715,13 @@ fn solve_right_lower_t_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         solve_right_lower_t_base(
             diag,
             a.view(j0, j0, j1 - j0, j1 - j0),
-            b.view_mut(0, j0, m, j1 - j0),
+            b.submat_mut(0, j0, m, j1 - j0),
         );
         j0 = j1;
     }
 }
 
-fn solve_right_upper_t_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
+fn solve_right_upper_t_blocked(diag: Diag, a: &Matrix, mut b: MatMut<'_>) {
     // X·Uᵀ = B: Uᵀ is lower triangular on the right, so columns run last to
     // first (mirror of the right-lower case).
     let n = a.rows();
@@ -726,7 +731,7 @@ fn solve_right_upper_t_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         let j0 = j1.saturating_sub(NB);
         if j1 < n {
             // B[:, j0..j1] -= X[:, j1..n] · (U[j0..j1, j1..n])ᵀ
-            let (head, solved) = b.as_view_mut().split_cols_at_mut(j1);
+            let (head, solved) = b.reborrow().split_cols_at_mut(j1);
             let mut target = head.subview_mut(0, j0, m, j1 - j0);
             gemm_views_a_bt(
                 -1.0,
@@ -740,7 +745,7 @@ fn solve_right_upper_t_blocked(diag: Diag, a: &Matrix, b: &mut Matrix) {
         solve_right_upper_t_base(
             diag,
             a.view(j0, j0, j1 - j0, j1 - j0),
-            b.view_mut(0, j0, m, j1 - j0),
+            b.submat_mut(0, j0, m, j1 - j0),
         );
         j1 = j0;
     }

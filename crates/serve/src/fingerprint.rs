@@ -18,7 +18,7 @@
 //! shape.
 
 use catrsm::SolveRequest;
-use dense::{Diag, Matrix, SolveOpts, Triangle};
+use dense::{Diag, Matrix, Triangle};
 use sparse::{SparseTri, SparseTriCsc};
 
 /// A 64-bit FNV-1a content hash of one solve operand.
@@ -141,98 +141,29 @@ pub fn fingerprint_sparse_csc(a: &SparseTriCsc) -> Fingerprint {
     Fingerprint(h.finish())
 }
 
-/// The plan-cache key: the operand's content fingerprint combined with
-/// every request knob that changes what a lowering produces — transpose,
-/// side, triangle/diagonal, the thread / policy / algorithm pins, and the
-/// declared reuse.  Two submissions with equal keys are interchangeable:
-/// they lower to the same plan and (for barriered policies) produce
-/// bitwise-identical answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The plan-cache key: the operand's content fingerprint (with `n` and
+/// `nnz` as a structural collision guard) and the request, whole — every
+/// field of a [`SolveRequest`] is part of the key by construction, so a knob
+/// added to the request can never be forgotten here.  Two submissions with
+/// equal keys are interchangeable: they lower to the same plan and (for
+/// barriered policies) produce bitwise-identical answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     fingerprint: Fingerprint,
-    /// Structural collision guard alongside the content hash.
     n: usize,
     nnz: usize,
-    opts: SolveOpts,
-    threads: Option<usize>,
-    policy: Option<sparse::SchedulePolicy>,
-    reuse: Option<usize>,
-    algorithm: Option<catrsm::Algorithm>,
-    cost_rev: catrsm::CostModelRev,
+    request: SolveRequest,
 }
 
 impl PlanKey {
-    /// Build the key for one `(operand fingerprint, request shape)` pair.
+    /// Build the key for one `(operand fingerprint, request)` pair.
     pub fn new(fingerprint: Fingerprint, n: usize, nnz: usize, request: &SolveRequest) -> PlanKey {
         PlanKey {
             fingerprint,
             n,
             nnz,
-            opts: request.opts(),
-            threads: request.pinned_threads(),
-            policy: request.pinned_policy(),
-            reuse: request.declared_reuse(),
-            algorithm: request.pinned_algorithm(),
-            cost_rev: request.cost_model_rev(),
+            request: *request,
         }
-    }
-
-    /// The operand fingerprint this key embeds.
-    pub fn fingerprint(&self) -> Fingerprint {
-        self.fingerprint
-    }
-
-    /// Encode the request-shape half of the key as a small integer stream
-    /// for hashing (the foreign option types don't implement `Hash`).
-    fn shape_code(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write_u64(self.n as u64);
-        h.write_u64(self.nnz as u64);
-        h.write_u64(match self.opts.side {
-            dense::Side::Left => 0,
-            dense::Side::Right => 1,
-        });
-        h.write_u64(tag(self.opts.triangle, self.opts.diag));
-        h.write_u64(match self.opts.transpose {
-            dense::Transpose::No => 0,
-            dense::Transpose::Yes => 1,
-        });
-        h.write_u64(self.opts.check_finite as u64);
-        h.write_u64(self.threads.map_or(u64::MAX, |t| t as u64));
-        h.write_u64(self.policy.map_or(u64::MAX, |p| match p {
-            sparse::SchedulePolicy::Level => 0,
-            sparse::SchedulePolicy::Merged => 1,
-            sparse::SchedulePolicy::SyncFree => 2,
-        }));
-        h.write_u64(self.reuse.map_or(u64::MAX, |r| r as u64));
-        match self.algorithm {
-            None => h.write_u64(u64::MAX),
-            Some(catrsm::Algorithm::Auto) => h.write_u64(0),
-            Some(catrsm::Algorithm::Recursive { base_size }) => {
-                h.write_u64(1);
-                h.write_u64(base_size as u64);
-            }
-            Some(catrsm::Algorithm::IterativeInversion(cfg)) => {
-                h.write_u64(2);
-                h.write_u64(cfg.p1 as u64);
-                h.write_u64(cfg.p2 as u64);
-                h.write_u64(cfg.n0 as u64);
-                h.write_u64(cfg.inv_base as u64);
-            }
-            Some(catrsm::Algorithm::Wavefront) => h.write_u64(3),
-        }
-        h.write_u64(match self.cost_rev {
-            catrsm::CostModelRev::Ipdps17 => 0,
-            catrsm::CostModelRev::Tang24 => 1,
-        });
-        h.finish()
-    }
-}
-
-impl std::hash::Hash for PlanKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.fingerprint.0);
-        state.write_u64(self.shape_code());
     }
 }
 
@@ -315,5 +246,7 @@ mod tests {
         assert_ne!(k1, k4);
         let k5 = PlanKey::new(fp, a.n(), a.nnz(), &SolveRequest::lower().reuse(100));
         assert_ne!(k1, k5);
+        let k6 = PlanKey::new(fp, a.n(), a.nnz(), &SolveRequest::lower().with_residual());
+        assert_ne!(k1, k6);
     }
 }

@@ -14,7 +14,7 @@
 //! cache hits execute against the canonical operand, whose `OnceLock`'d
 //! schedule caches are already warm, even when the client rebuilt its
 //! matrix object from scratch.  Steady state therefore performs zero
-//! plan builds ([`catrsm::plan_build_count`] stays flat) and zero
+//! plan builds ([`ServiceStats::plan_builds`] stays flat) and zero
 //! analyses ([`sparse::SparseTri::analysis_count`] stays flat).
 //!
 //! # Batching
@@ -33,7 +33,7 @@
 use crate::cache::LruCache;
 use crate::fingerprint::{fingerprint_dense, fingerprint_sparse, Fingerprint, Fnv, PlanKey};
 use catrsm::{Result, Solution, SolvePlan, SolveReport, SolveRequest, TrsmError};
-use dense::Matrix;
+use dense::{MatMut, Matrix};
 use sparse::SparseTri;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -164,6 +164,93 @@ struct CachedPlan {
     operand: Operand,
 }
 
+/// The one place the service calls plan executors.
+impl CachedPlan {
+    /// Solve for `b` into a fresh `X`, with the residual if the plan's
+    /// request asked for one.
+    fn execute(&self, b: &Matrix) -> Result<Solution<Matrix>> {
+        match &self.operand {
+            Operand::Dense(a) => self.plan.execute_dense(a, b),
+            Operand::Sparse(a) => self.plan.execute_sparse(a, b),
+        }
+    }
+
+    /// Solve one right-hand side in the caller's buffer: `rhs` holds `b` on
+    /// entry and `x` on exit (on error, `b` untouched).  Allocation-free
+    /// unless the plan's request asked for a residual: the in-place
+    /// executors consume `B`, so such a solve takes the copying path on its
+    /// `n×1` column.
+    fn execute_vec(&self, rhs: &mut Vec<f64>) -> Result<SolveReport> {
+        if !self.wants_residual() {
+            return match &self.operand {
+                Operand::Dense(a) => self.plan.execute_dense_vec_in_place(a, rhs),
+                Operand::Sparse(a) => self.plan.execute_sparse_in_place(a, rhs.as_mut_slice()),
+            };
+        }
+        let b = Matrix::from_vec(rhs.len(), 1, std::mem::take(rhs))
+            .expect("an n×1 matrix holds n values");
+        match self.execute(&b) {
+            Ok(sol) => {
+                *rhs = sol.x.into_vec();
+                Ok(sol.report)
+            }
+            Err(e) => {
+                *rhs = b.into_vec();
+                Err(e)
+            }
+        }
+    }
+
+    /// One multi-RHS sweep of the sparse operand `a` over the `w` packed
+    /// right-hand sides of `fused`.  The row kernel treats each RHS column
+    /// independently, so under the barriered policies this is bitwise
+    /// identical to `w` separate solves; under sync-free it is bitwise
+    /// reproducible per fixed worker count and within ~1e-12 of the unfused
+    /// answer (the fused `nnz·w` work product can cross the `PAR_MIN_WORK`
+    /// gate a single RHS would not).
+    fn execute_fused_sparse(
+        &self,
+        a: &SparseTri,
+        jobs: &mut [PendingJob],
+        fused: &[usize],
+        arena: &mut Vec<f64>,
+    ) {
+        let n = a.n();
+        let w = fused.len();
+        arena.clear();
+        arena.resize(n * w, 0.0);
+        for (c, &i) in fused.iter().enumerate() {
+            for (r, &v) in jobs[i].rhs.iter().enumerate() {
+                arena[r * w + c] = v;
+            }
+        }
+        let packed = MatMut::from_slice(arena, n, w);
+        match self.plan.execute_sparse_in_place(a, packed) {
+            Ok(report) => {
+                for (c, &i) in fused.iter().enumerate() {
+                    for (r, v) in jobs[i].rhs.iter_mut().enumerate() {
+                        *v = arena[r * w + c];
+                    }
+                    // Every fused job reports the batch execute it rode in
+                    // (the flop count covers the whole batch).
+                    jobs[i].result = Some(Ok(report.clone()));
+                }
+            }
+            Err(e) => {
+                for &i in fused {
+                    jobs[i].result = Some(Err(e.clone()));
+                }
+            }
+        }
+    }
+
+    /// Whether the request this plan was lowered from asked for a residual
+    /// (such jobs need their `B` preserved).
+    fn wants_residual(&self) -> bool {
+        self.plan.request.wants_residual()
+    }
+}
+
 /// Upper bound on independent plan-cache shards.  A power of two a notch
 /// above the worker counts this crate targets, so concurrent clients
 /// hashing to different keys almost never contend on the same lock.
@@ -223,10 +310,8 @@ impl ShardedPlanCache {
 struct PendingJob {
     ticket: Ticket,
     key: PlanKey,
-    plan: Arc<SolvePlan>,
-    operand: Operand,
+    entry: CachedPlan,
     rhs: Vec<f64>,
-    residual: bool,
     result: Option<std::result::Result<SolveReport, TrsmError>>,
 }
 
@@ -338,10 +423,7 @@ impl SolveService {
     ) -> Result<Solution<Matrix>> {
         self.inner.lock().expect("service state poisoned").requests += 1;
         let (_, entry) = self.lookup(request, operand, b.cols())?;
-        let out = match &entry.operand {
-            Operand::Dense(a) => entry.plan.execute_dense(a, b),
-            Operand::Sparse(a) => entry.plan.execute_sparse(a, b),
-        };
+        let out = entry.execute(b);
         if out.is_err() {
             self.inner.lock().expect("service state poisoned").errors += 1;
         }
@@ -357,14 +439,14 @@ impl SolveService {
     ) -> Result<Solution<Vec<f64>>> {
         self.inner.lock().expect("service state poisoned").requests += 1;
         let (_, entry) = self.lookup(request, operand, 1)?;
-        let out = match &entry.operand {
-            Operand::Dense(a) => entry.plan.execute_dense_vec(a, b),
-            Operand::Sparse(a) => entry.plan.execute_sparse_vec(a, b),
-        };
-        if out.is_err() {
-            self.inner.lock().expect("service state poisoned").errors += 1;
+        let mut x = b.to_vec();
+        match entry.execute_vec(&mut x) {
+            Ok(report) => Ok(Solution { x, report }),
+            Err(e) => {
+                self.inner.lock().expect("service state poisoned").errors += 1;
+                Err(e)
+            }
         }
-        out
     }
 
     /// Lower (or fetch) a distributed plan through the same LRU, keyed by
@@ -441,10 +523,8 @@ impl SolveService {
         inner.queue.push_back(PendingJob {
             ticket,
             key,
-            plan: entry.plan,
-            operand: entry.operand,
+            entry,
             rhs,
-            residual: request.wants_residual(),
             result: None,
         });
         let depth = inner.queue.len() as u64;
@@ -493,23 +573,20 @@ impl SolveService {
         let mut max_batch_width = 0u64;
         for group in &groups {
             for window in group.chunks(self.config.admission_window.max(1)) {
-                // Jobs that asked for a residual need their B preserved;
-                // they execute individually (still on the cached plan).
-                let (fused, singles): (Vec<usize>, Vec<usize>) =
-                    window.iter().partition(|&&i| !jobs[i].residual);
-                for &i in &singles {
-                    run_single(&mut jobs[i]);
-                }
-                match fused.len() {
-                    0 => {}
-                    1 => run_single(&mut jobs[fused[0]]),
-                    w => {
-                        batches += 1;
-                        fused_requests += w as u64;
-                        max_batch_width = max_batch_width.max(w as u64);
-                        obs::counter("serve", "batch_width", "requests", w as u64, "", 0);
-                        run_fused(&mut jobs, &fused, &mut arena);
+                // A group shares one key and so one request; if it asked
+                // for a residual every job needs its B preserved and runs
+                // individually (still on the cached plan).
+                let w = window.len();
+                if w == 1 || jobs[window[0]].entry.wants_residual() {
+                    for &i in window {
+                        run_single(&mut jobs[i]);
                     }
+                } else {
+                    batches += 1;
+                    fused_requests += w as u64;
+                    max_batch_width = max_batch_width.max(w as u64);
+                    obs::counter("serve", "batch_width", "requests", w as u64, "", 0);
+                    run_fused(&mut jobs, window, &mut arena);
                 }
             }
         }
@@ -573,103 +650,26 @@ impl SolveService {
     }
 }
 
-/// Execute one job on its own (single RHS, in place in the job's buffer).
-/// Residual-requesting jobs take the copying path: the in-place executes
-/// consume `B` and therefore skip the residual.
+/// Execute one job on its own (single RHS, in the job's buffer).
 fn run_single(job: &mut PendingJob) {
-    if job.residual {
-        let out = match &job.operand {
-            Operand::Dense(a) => job.plan.execute_dense_vec(a, &job.rhs),
-            Operand::Sparse(a) => job.plan.execute_sparse_vec(a, &job.rhs),
-        };
-        job.result = Some(match out {
-            Ok(sol) => {
-                job.rhs = sol.x;
-                Ok(sol.report)
-            }
-            Err(e) => Err(e),
-        });
-        return;
-    }
-    let out = match &job.operand {
-        Operand::Dense(a) => job.plan.execute_dense_vec_in_place(a, &mut job.rhs),
-        Operand::Sparse(a) => job.plan.execute_sparse_vec_in_place(a, &mut job.rhs),
-    };
-    job.result = Some(out);
+    job.result = Some(job.entry.execute_vec(&mut job.rhs));
 }
 
 /// Execute a fused group: all jobs share one plan and one canonical
 /// operand.  Sparse groups pack into the arena and run one multi-RHS
 /// sweep; dense groups run side by side on the worker pool.
 fn run_fused(jobs: &mut [PendingJob], fused: &[usize], arena: &mut Vec<f64>) {
-    let operand = jobs[fused[0]].operand.clone();
-    let plan = Arc::clone(&jobs[fused[0]].plan);
-    match operand {
-        Operand::Sparse(a) => run_fused_sparse(jobs, fused, &a, &plan, arena),
-        Operand::Dense(a) => run_fused_dense(jobs, fused, &a, &plan),
+    let entry = jobs[fused[0]].entry.clone();
+    match &entry.operand {
+        Operand::Sparse(a) => entry.execute_fused_sparse(a, jobs, fused, arena),
+        Operand::Dense(_) => run_fused_dense(jobs, fused),
     }
-}
-
-/// One `solve_multi` execute over `w` packed right-hand sides.  The row
-/// kernel treats each RHS column independently, so under the barriered
-/// policies this is bitwise identical to `w` separate solves; under
-/// sync-free it is bitwise reproducible per fixed worker count and within
-/// ~1e-12 of the unfused answer (the fused `nnz·w` work product can cross
-/// the `PAR_MIN_WORK` gate a single RHS would not).
-fn run_fused_sparse(
-    jobs: &mut [PendingJob],
-    fused: &[usize],
-    a: &SparseTri,
-    plan: &SolvePlan,
-    arena: &mut Vec<f64>,
-) {
-    let n = a.n();
-    let w = fused.len();
-    arena.clear();
-    arena.resize(n * w, 0.0);
-    for (c, &i) in fused.iter().enumerate() {
-        for (r, &v) in jobs[i].rhs.iter().enumerate() {
-            arena[r * w + c] = v;
-        }
-    }
-    let packed = std::mem::take(arena);
-    let mut x = match Matrix::from_vec(n, w, packed) {
-        Ok(m) => m,
-        Err(e) => {
-            let err: TrsmError = e.into();
-            for &i in fused {
-                jobs[i].result = Some(Err(err.clone()));
-            }
-            return;
-        }
-    };
-    let out = plan.execute_sparse_in_place(a, &mut x);
-    match out {
-        Ok(report) => {
-            for (c, &i) in fused.iter().enumerate() {
-                let slice = x.as_slice();
-                for (r, v) in jobs[i].rhs.iter_mut().enumerate() {
-                    *v = slice[r * w + c];
-                }
-                // Every fused job reports the batch execute it rode in
-                // (the flop count covers the whole batch).
-                jobs[i].result = Some(Ok(report.clone()));
-            }
-        }
-        Err(e) => {
-            for &i in fused {
-                jobs[i].result = Some(Err(e.clone()));
-            }
-        }
-    }
-    // Recover the pack buffer's allocation for the next batch.
-    *arena = x.into_vec();
 }
 
 /// Side-by-side dense execution: each job is an independent system, so
 /// the jobs split across the worker pool and every solve stays bitwise
 /// identical to running alone (no cross-job arithmetic).
-fn run_fused_dense(jobs: &mut [PendingJob], fused: &[usize], a: &Matrix, plan: &SolvePlan) {
+fn run_fused_dense(jobs: &mut [PendingJob], fused: &[usize]) {
     let workers = dense::dense_threads().min(fused.len()).max(1);
     if workers == 1 {
         for &i in fused {
@@ -696,8 +696,7 @@ fn run_fused_dense(jobs: &mut [PendingJob], fused: &[usize], a: &Matrix, plan: &
         for chunk in picked.chunks_mut(per) {
             s.spawn(move |_| {
                 for job in chunk.iter_mut() {
-                    let out = plan.execute_dense_vec_in_place(a, &mut job.rhs);
-                    job.result = Some(out);
+                    run_single(job);
                 }
             });
         }

@@ -26,6 +26,14 @@ fn service() -> SolveService {
     })
 }
 
+/// One vector through the staged API directly (no service, no cache).
+fn cold_sparse(req: &SolveRequest, m: &SparseTri, b: &[f64]) -> Vec<f64> {
+    let mut x = b.to_vec();
+    let plan = req.plan_sparse(m, 1).unwrap();
+    plan.execute_sparse_in_place(m, x.as_mut_slice()).unwrap();
+    x
+}
+
 /// Max |a-b| over two equal-length vectors.
 fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
@@ -62,7 +70,7 @@ proptest! {
         // Cold path: a fresh matrix, solved directly through the staged
         // API (no service, no cache).
         let cold_mat = sgen::random_lower(n, fill, seed);
-        let cold = req.solve_sparse_vec(&cold_mat, &b).unwrap().x;
+        let cold = cold_sparse(&req, &cold_mat, &b);
 
         // Service path: warm the cache with one build of the matrix, then
         // hit it with an independently rebuilt (content-identical) one.
@@ -131,7 +139,7 @@ proptest! {
         let mut want = Vec::new();
         for j in 0..width {
             let rhs = sgen::rhs_vec(n, seed ^ (j as u64 + 1));
-            want.push(req.solve_sparse_vec(&mat, &rhs).unwrap().x);
+            want.push(cold_sparse(&req, &mat, &rhs));
             tickets.push(
                 svc.submit(ServiceRequest {
                     request: req,
@@ -171,7 +179,7 @@ fn repeat_traffic_keeps_planning_and_analysis_flat() {
         .solve_vec(&req, &Operand::Sparse(Arc::clone(&canonical)), &b)
         .unwrap()
         .x;
-    let plans_after_warmup = catrsm::plan_build_count();
+    let plans_after_warmup = svc.stats().plan_builds;
     let analyses_after_warmup = canonical.analysis_count();
     let merged_after_warmup = canonical.merged_analysis_count();
 
@@ -202,7 +210,7 @@ fn repeat_traffic_keeps_planning_and_analysis_flat() {
     }
 
     assert_eq!(
-        catrsm::plan_build_count(),
+        svc.stats().plan_builds,
         plans_after_warmup,
         "steady state must not lower any new plans"
     );
@@ -243,10 +251,7 @@ fn eviction_under_pressure_stays_correct() {
         .map(|s| Arc::new(sgen::random_lower(n, 3, 40 + s)))
         .collect();
     let b = sgen::rhs_vec(n, 7);
-    let want: Vec<Vec<f64>> = mats
-        .iter()
-        .map(|m| req.solve_sparse_vec(m, &b).unwrap().x)
-        .collect();
+    let want: Vec<Vec<f64>> = mats.iter().map(|m| cold_sparse(&req, m, &b)).collect();
 
     for round in 0..4 {
         for (m, w) in mats.iter().zip(&want) {
@@ -330,7 +335,12 @@ fn dense_side_by_side_batching_matches_solo() {
         let rhs: Vec<f64> = sgen::rhs_vec(n, 100 + j);
         let (r, m): (&SolveRequest, &Arc<Matrix>) =
             if j % 2 == 0 { (&req, &l) } else { (&u_req, &u) };
-        want.push(r.solve_dense_vec(m, &rhs).unwrap().x);
+        let mut solo = rhs.clone();
+        r.plan_dense(n, 1)
+            .unwrap()
+            .execute_dense_vec_in_place(m, &mut solo)
+            .unwrap();
+        want.push(solo);
         svc.submit(ServiceRequest {
             request: *r,
             operand: Operand::Dense(Arc::clone(m)),
@@ -376,6 +386,29 @@ fn residual_jobs_execute_individually() {
     }
     // No fusion happened: residual jobs run alone.
     assert_eq!(svc.stats().batches, 0);
+}
+
+/// The cache key holds the whole request: a request that asks for a
+/// residual never rides a plan cached for one that did not (it would come
+/// back without its residual), nor the other way round.
+#[test]
+fn residual_request_hits_a_plan_cached_without_residual() {
+    let n = 90;
+    let plain = sparse_request(Some(SchedulePolicy::Level));
+    let mat = Operand::Sparse(Arc::new(sgen::random_lower(n, 3, 21)));
+    let b = sgen::rhs_vec(n, 200);
+    for (first, second) in [
+        (plain, plain.with_residual()),
+        (plain.with_residual(), plain),
+    ] {
+        let svc = service();
+        let one = svc.solve_vec(&first, &mat, &b).unwrap();
+        let two = svc.solve_vec(&second, &mat, &b).unwrap();
+        assert_eq!(one.x, two.x);
+        for (req, sol) in [(first, one), (second, two)] {
+            assert_eq!(sol.report.residual.is_some(), req.wants_residual());
+        }
+    }
 }
 
 /// Submitting a wrong-length RHS fails at submit time, not at flush.

@@ -6,7 +6,7 @@
 //! sample takes a few milliseconds, collects `sample_size` samples, and
 //! reports the minimum / median / maximum time per iteration.  Results are
 //! printed to stdout and appended to `target/shim-criterion.csv` so other
-//! tools (e.g. the `BENCH_kernels.json` emitter) can consume them.
+//! tools can consume them.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

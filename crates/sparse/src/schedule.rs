@@ -192,7 +192,7 @@ impl Schedule {
 /// agrees with the others to rounding (1e-12 in the test suites), not
 /// bitwise.  Callers normally leave the choice to [`SchedulePolicy::auto`]
 /// via `SolveOpts::policy(None)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulePolicy {
     /// Barrier-separated level sweeps (one barrier per dependency level).
     Level,

@@ -34,11 +34,10 @@
 //!
 //! [`SparseTri::solve_via_dense`] remains as the dense-fallback bridge:
 //! densify and call [`dense::trsv_in_place`], for patterns so dense that
-//! CSR indirection loses to the vectorized dense substitution.  The
-//! historical `solve{,_seq,_multi}{,_in_place}{,_with_threads}` surface is
-//! kept as thin shims (the `_seq`/`_with_threads` forms deprecated) over
-//! the options-driven core; `catrsm::SolveRequest` is the cross-backend
-//! front end.
+//! CSR indirection loses to the vectorized dense substitution.
+//! [`SparseTri::solve`] / [`SparseTri::solve_multi`] are the allocating
+//! default-options forms; `catrsm::SolveRequest` is the cross-backend front
+//! end.
 //!
 //! Because a row's result depends only on rows in earlier levels — which
 //! are complete before the row runs — and the per-row arithmetic is a
@@ -59,17 +58,15 @@ use crate::csr::SparseTri;
 use crate::error::SparseError;
 use crate::schedule::SchedulePolicy;
 use crate::Result;
-use dense::{dense_threads, run_region, Diag, FlopCount, Matrix, Transpose};
+use dense::{dense_threads, run_region, Diag, FlopCount, MatMut, Matrix, Transpose};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Options of one sparse triangular solve: whether the matrix is applied
 /// transposed, the worker budget, and the scheduling policy.
 ///
 /// This is the single execution vocabulary every sparse solve funnels
-/// through ([`SparseTri::solve_with`] / [`SparseTri::solve_multi_with`]);
-/// the historical `solve{,_seq,_multi}{,_in_place}{,_with_threads}`
-/// combinatorics are thin shims over it, and `catrsm::SolveRequest` lowers
-/// to it for the sparse backend.
+/// through ([`SparseTri::solve_with`] / [`SparseTri::solve_multi_with`]),
+/// and `catrsm::SolveRequest` lowers to it for the sparse backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveOpts {
     /// Apply the matrix transposed (`Aᵀ·x = b`); runs on the cached
@@ -180,7 +177,7 @@ impl ExecutionShape {
 
 /// Below this many `nnz · k` units of work a solve never goes parallel on
 /// its own: one region spawn costs tens of microseconds, which rivals the
-/// arithmetic of a small solve.  Explicit `*_with_threads` callers bypass
+/// arithmetic of a small solve.  A pinned [`SolveOpts::threads`] bypasses
 /// the gate (results are bitwise identical either way).
 pub const PAR_MIN_WORK: usize = 64 * 1024;
 
@@ -405,7 +402,7 @@ impl SparseTri {
         }
     }
 
-    /// Worker budget for the implicit (non-`_with_threads`) entry points:
+    /// Worker budget when [`SolveOpts::threads`] pins none:
     /// the `DENSE_THREADS` pool size when the solve clears [`PAR_MIN_WORK`],
     /// else 1.  The decision depends only on the matrix and `k`, never on
     /// timing, so which path runs is itself deterministic.
@@ -419,9 +416,8 @@ impl SparseTri {
 
     /// Resolves a worker budget + policy pin into the executor that will
     /// actually run.  This is the one decision procedure shared by the
-    /// executor ([`SparseTri::run_solve`]) and the planners
-    /// ([`SparseTri::execution_shape`] / [`SparseTri::planned_workers`]),
-    /// so a plan always describes exactly what executes.  Depends only on
+    /// executor ([`SparseTri::run_solve`]) and the planner
+    /// ([`SparseTri::execution_shape`]), so a plan always describes exactly what executes.  Depends only on
     /// the (cached) analysis, `budget` and the pin — never on timing.
     ///
     /// A budget of 1 never touches the schedules, keeping sequential
@@ -737,39 +733,30 @@ impl SparseTri {
         exec.resolve_shape(budget, opts.policy, opts.reuse)
     }
 
-    /// The worker count a solve with these options and `k` right-hand sides
-    /// will run with (shorthand for [`SparseTri::execution_shape`]).
-    pub fn planned_workers(&self, opts: &SolveOpts, k: usize) -> usize {
-        self.execution_shape(opts, k).workers
-    }
-
-    /// Solves `op(A)·x = b` in place under the given [`SolveOpts`]: `x`
-    /// holds `b` on entry and the solution on exit.  Returns the flop count.
-    ///
-    /// This is the single entry point every sparse solve funnels through;
-    /// with default options it is [`SparseTri::solve_in_place`], with a
-    /// pinned budget the historical `_with_threads` variants, and with
-    /// [`Transpose::Yes`] the transposed solve on the cached transpose.
+    /// Solves `op(A)·x = b` in place for one right-hand side: `x` holds `b`
+    /// on entry and the solution on exit.  Returns the flop count.  This is
+    /// [`SparseTri::solve_multi_with`] on the slice's `n×1` view.
     pub fn solve_with(&self, opts: &SolveOpts, x: &mut [f64]) -> Result<FlopCount> {
-        if x.len() != self.n() {
-            return Err(SparseError::DimensionMismatch {
-                op: "sparse solve",
-                n: self.n(),
-                rhs: (x.len(), 1),
-            });
-        }
-        let exec = self.executor(opts.transpose);
-        let threads = opts.threads.unwrap_or_else(|| exec.implicit_threads(1));
-        Ok(exec.run_solve(x.as_mut_ptr(), 1, 1, threads, opts.policy, opts.reuse))
+        self.solve_multi_with(opts, x)
     }
 
-    /// Solves `op(A)·X = B` in place for a block of right-hand sides under
-    /// the given [`SolveOpts`]; level-parallel across rows and vectorized
-    /// across the `k` columns.  `x` holds `B` on entry and `X` on exit.
-    pub fn solve_multi_with(&self, opts: &SolveOpts, x: &mut Matrix) -> Result<FlopCount> {
+    /// Solves `op(A)·X = B` in place under the given [`SolveOpts`]: `x` —
+    /// a `&mut Matrix`, a `&mut [f64]` (its `n×1` view) or any [`MatMut`]
+    /// block — holds `B` on entry and `X` on exit.  Level-parallel across
+    /// rows and vectorized across the `k` columns; returns the flop count.
+    ///
+    /// This is the single entry point every sparse solve funnels through:
+    /// a pinned budget of 1 is the sequential baseline, and
+    /// [`Transpose::Yes`] the transposed solve on the cached transpose.
+    pub fn solve_multi_with<'x>(
+        &self,
+        opts: &SolveOpts,
+        x: impl Into<MatMut<'x>>,
+    ) -> Result<FlopCount> {
+        let mut x = x.into();
         if x.rows() != self.n() {
             return Err(SparseError::DimensionMismatch {
-                op: "sparse solve_multi",
+                op: "sparse solve",
                 n: self.n(),
                 rhs: x.dims(),
             });
@@ -778,8 +765,8 @@ impl SparseTri {
         let exec = self.executor(opts.transpose);
         let threads = opts.threads.unwrap_or_else(|| exec.implicit_threads(k));
         Ok(exec.run_solve(
-            x.as_mut_slice().as_mut_ptr(),
-            k,
+            x.as_mut_ptr(),
+            x.stride(),
             k,
             threads,
             opts.policy,
@@ -787,97 +774,21 @@ impl SparseTri {
         ))
     }
 
-    /// Solves `A · x = b` for one right-hand side, level-parallel on the
-    /// `DENSE_THREADS` worker pool; returns the solution vector.
+    /// Solves `A · x = b` for one right-hand side under the default options
+    /// (level-parallel on the `DENSE_THREADS` worker pool once the solve
+    /// reaches [`PAR_MIN_WORK`] `nnz · k` units); returns the solution
+    /// vector.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         let mut x = b.to_vec();
-        self.solve_in_place(&mut x)?;
+        self.solve_with(&SolveOpts::new(), &mut x)?;
         Ok(x)
     }
 
-    /// [`SparseTri::solve`] in place: `x` holds `b` on entry and the
-    /// solution on exit.  Returns the flop count.
-    ///
-    /// Solves of at least [`PAR_MIN_WORK`] `nnz · k` units run on the
-    /// `DENSE_THREADS` worker pool; smaller ones stay on the calling thread.
-    pub fn solve_in_place(&self, x: &mut [f64]) -> Result<FlopCount> {
-        self.solve_with(&SolveOpts::new(), x)
-    }
-
-    /// [`SparseTri::solve_in_place`] with an explicit worker budget instead
-    /// of the `DENSE_THREADS` default.  Results are bitwise identical for
-    /// every value of `threads`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with(&SolveOpts::new().threads(threads), x)` \
-                or `catrsm::SolveRequest`"
-    )]
-    pub fn solve_in_place_with_threads(&self, x: &mut [f64], threads: usize) -> Result<FlopCount> {
-        self.solve_with(&SolveOpts::new().threads(threads), x)
-    }
-
-    /// Sequential baseline for [`SparseTri::solve`]: one substitution sweep
-    /// in dependency order, no analysis, no workers.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with(&SolveOpts::new().threads(1), x)` \
-                or `catrsm::SolveRequest`"
-    )]
-    pub fn solve_seq(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = b.to_vec();
-        self.solve_with(&SolveOpts::new().threads(1), &mut x)?;
-        Ok(x)
-    }
-
-    /// [`SparseTri::solve_seq`] in place; returns the flop count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with(&SolveOpts::new().threads(1), x)` \
-                or `catrsm::SolveRequest`"
-    )]
-    pub fn solve_seq_in_place(&self, x: &mut [f64]) -> Result<FlopCount> {
-        self.solve_with(&SolveOpts::new().threads(1), x)
-    }
-
-    /// Solves `A · X = B` for a block of right-hand sides (`B` is `n × k`),
-    /// level-parallel across rows and vectorized across the `k` columns.
+    /// Solves `A · X = B` for a block of right-hand sides (`B` is `n × k`)
+    /// under the default options; returns the solution block.
     pub fn solve_multi(&self, b: &Matrix) -> Result<Matrix> {
         let mut x = b.clone();
-        self.solve_multi_in_place(&mut x)?;
-        Ok(x)
-    }
-
-    /// [`SparseTri::solve_multi`] in place: `x` holds `B` on entry and `X`
-    /// on exit.  Returns the flop count.  Gated on [`PAR_MIN_WORK`] like
-    /// [`SparseTri::solve_in_place`].
-    pub fn solve_multi_in_place(&self, x: &mut Matrix) -> Result<FlopCount> {
-        self.solve_multi_with(&SolveOpts::new(), x)
-    }
-
-    /// [`SparseTri::solve_multi_in_place`] with an explicit worker budget;
-    /// bitwise identical for every value of `threads`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_multi_with(&SolveOpts::new().threads(threads), x)` \
-                or `catrsm::SolveRequest`"
-    )]
-    pub fn solve_multi_in_place_with_threads(
-        &self,
-        x: &mut Matrix,
-        threads: usize,
-    ) -> Result<FlopCount> {
-        self.solve_multi_with(&SolveOpts::new().threads(threads), x)
-    }
-
-    /// Sequential baseline for [`SparseTri::solve_multi`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_multi_with(&SolveOpts::new().threads(1), x)` \
-                or `catrsm::SolveRequest`"
-    )]
-    pub fn solve_multi_seq(&self, b: &Matrix) -> Result<Matrix> {
-        let mut x = b.clone();
-        self.solve_multi_with(&SolveOpts::new().threads(1), &mut x)?;
+        self.solve_multi_with(&SolveOpts::new(), &mut x)?;
         Ok(x)
     }
 
@@ -899,10 +810,6 @@ impl SparseTri {
 
 #[cfg(test)]
 mod tests {
-    // The historical shims are exercised on purpose: they must stay bitwise
-    // equal to the options-driven core they delegate to.
-    #![allow(deprecated)]
-
     use super::*;
     use dense::Triangle;
 
@@ -922,6 +829,14 @@ mod tests {
         SparseTri::from_triplets(n, Triangle::Lower, Diag::NonUnit, &ents).unwrap()
     }
 
+    /// `A·x = b` with the worker budget pinned.
+    fn solve_pinned(m: &SparseTri, b: &[f64], threads: usize) -> Vec<f64> {
+        let mut x = b.to_vec();
+        m.solve_with(&SolveOpts::new().threads(threads), &mut x)
+            .unwrap();
+        x
+    }
+
     #[test]
     fn identity_solve_returns_rhs() {
         let m = SparseTri::from_triplets(
@@ -933,7 +848,7 @@ mod tests {
         .unwrap();
         let b = vec![1.0, -2.0, 3.0, -4.0];
         assert_eq!(m.solve(&b).unwrap(), b);
-        assert_eq!(m.solve_seq(&b).unwrap(), b);
+        assert_eq!(solve_pinned(&m, &b, 1), b);
     }
 
     #[test]
@@ -970,7 +885,7 @@ mod tests {
         let xt = Matrix::from_vec(n, 1, x_true.clone()).unwrap();
         let b = dense::matmul(&a, &xt).into_vec();
         let mut x = b.clone();
-        let f = m.solve_in_place(&mut x).unwrap();
+        let f = m.solve_with(&SolveOpts::new(), &mut x).unwrap();
         assert_eq!(f, m.solve_flops(1));
         for (got, want) in x.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-10);
@@ -984,10 +899,9 @@ mod tests {
         let upper = lower.transpose();
         for m in [&lower, &upper] {
             let b: Vec<f64> = (0..n).map(|i| ((i * 29 + 3) % 17) as f64 - 8.0).collect();
-            let seq = m.solve_seq(&b).unwrap();
+            let seq = solve_pinned(m, &b, 1);
             for threads in [2usize, 3, 4, 7] {
-                let mut x = b.clone();
-                m.solve_in_place_with_threads(&mut x, threads).unwrap();
+                let x = solve_pinned(m, &b, threads);
                 assert_eq!(x, seq, "threads={threads} changed the result bits");
             }
         }
@@ -999,10 +913,12 @@ mod tests {
         let k = 5;
         let m = test_lower(n, 7);
         let b = Matrix::from_fn(n, k, |i, j| ((i * 5 + j * 11) % 13) as f64 - 6.0);
-        let seq = m.solve_multi_seq(&b).unwrap();
+        let mut seq = b.clone();
+        m.solve_multi_with(&SolveOpts::new().threads(1), &mut seq)
+            .unwrap();
         for threads in [2usize, 4] {
             let mut x = b.clone();
-            m.solve_multi_in_place_with_threads(&mut x, threads)
+            m.solve_multi_with(&SolveOpts::new().threads(threads), &mut x)
                 .unwrap();
             assert!(x == seq, "threads={threads} changed multi-RHS bits");
         }
@@ -1045,13 +961,12 @@ mod tests {
         assert_eq!(m.analysis_count(), 0);
         let b = vec![1.0; n];
         // Two parallel solves + a multi-RHS solve: one analysis, total.
-        let mut x1 = b.clone();
-        m.solve_in_place_with_threads(&mut x1, 4).unwrap();
+        let x1 = solve_pinned(&m, &b, 4);
         assert_eq!(m.analysis_count(), 1, "first parallel solve analyzes");
-        let mut x2 = b.clone();
-        m.solve_in_place_with_threads(&mut x2, 4).unwrap();
+        let x2 = solve_pinned(&m, &b, 4);
         let mut bm = Matrix::from_fn(n, 3, |i, j| (i + j) as f64);
-        m.solve_multi_in_place_with_threads(&mut bm, 4).unwrap();
+        m.solve_multi_with(&SolveOpts::new().threads(4), &mut bm)
+            .unwrap();
         assert_eq!(x1, x2);
         assert_eq!(
             m.analysis_count(),
@@ -1064,7 +979,7 @@ mod tests {
     fn sequential_baseline_never_analyzes() {
         let m = test_lower(200, 4);
         let b = vec![1.0; 200];
-        let _ = m.solve_seq(&b).unwrap();
+        let _ = solve_pinned(&m, &b, 1);
         assert_eq!(m.analysis_count(), 0);
     }
 
@@ -1076,7 +991,7 @@ mod tests {
             Err(SparseError::DimensionMismatch { .. })
         ));
         let mut wrong = Matrix::zeros(4, 2);
-        assert!(m.solve_multi_in_place(&mut wrong).is_err());
+        assert!(m.solve_multi_with(&SolveOpts::new(), &mut wrong).is_err());
     }
 
     #[test]
@@ -1086,7 +1001,7 @@ mod tests {
         let m2 = test_lower(3, 1);
         let mut empty = Matrix::zeros(3, 0);
         assert_eq!(
-            m2.solve_multi_in_place(&mut empty).unwrap(),
+            m2.solve_multi_with(&SolveOpts::new(), &mut empty).unwrap(),
             FlopCount::ZERO
         );
     }
@@ -1173,47 +1088,26 @@ mod tests {
     }
 
     #[test]
-    fn shims_are_bitwise_equal_to_the_opts_core() {
-        let n = 350;
-        let m = test_lower(n, 6);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 11) % 7) as f64 - 3.0).collect();
-        let flops = m.solve_flops(1);
-
-        let mut via_opts = b.clone();
-        assert_eq!(
-            m.solve_with(&SolveOpts::new(), &mut via_opts).unwrap(),
-            flops
-        );
-        assert_eq!(m.solve(&b).unwrap(), via_opts);
-        assert_eq!(m.solve_seq(&b).unwrap(), via_opts);
-        let mut x = b.clone();
-        assert_eq!(m.solve_in_place_with_threads(&mut x, 3).unwrap(), flops);
-        assert_eq!(x, via_opts);
-
-        let k = 3;
-        let bm = Matrix::from_fn(n, k, |i, j| ((i + j * 5) % 9) as f64 - 4.0);
-        let mut via_opts_m = bm.clone();
-        let fm = m
-            .solve_multi_with(&SolveOpts::new(), &mut via_opts_m)
-            .unwrap();
-        assert_eq!(fm, m.solve_flops(k));
-        assert_eq!(m.solve_multi(&bm).unwrap(), via_opts_m);
-        assert_eq!(m.solve_multi_seq(&bm).unwrap(), via_opts_m);
-    }
-
-    #[test]
-    fn planned_workers_is_deterministic_and_honest() {
+    fn execution_shape_workers_are_deterministic_and_honest() {
         let m = test_lower(600, 8);
         // Pinned budgets resolve to min(budget, widest level).
         let wide = m.schedule().max_level_width();
-        assert_eq!(m.planned_workers(&SolveOpts::new().threads(1), 1), 1);
         assert_eq!(
-            m.planned_workers(&SolveOpts::new().threads(4), 1),
+            m.execution_shape(&SolveOpts::new().threads(1), 1).workers,
+            1
+        );
+        assert_eq!(
+            m.execution_shape(&SolveOpts::new().threads(4), 1).workers,
             4usize.min(wide)
         );
         // The sequential budget never analyzes: a fresh matrix stays clean.
         let fresh = test_lower(100, 2);
-        assert_eq!(fresh.planned_workers(&SolveOpts::new().threads(1), 1), 1);
+        assert_eq!(
+            fresh
+                .execution_shape(&SolveOpts::new().threads(1), 1)
+                .workers,
+            1
+        );
         assert_eq!(fresh.analysis_count(), 0);
     }
 

@@ -9,7 +9,8 @@
 //! ```
 
 use catrsm::SolveRequest;
-use costmodel::{compare, predict, tuning, Machine as ModelMachine};
+use costmodel::CostModelRev::Ipdps17;
+use costmodel::{compare, predict, Machine as ModelMachine};
 
 fn parse_arg(idx: usize, default: usize) -> usize {
     std::env::args()
@@ -25,7 +26,7 @@ fn main() {
 
     println!("cost explorer — L·X = B with n = {n}, k = {k}, p = {p}\n");
 
-    let plan = tuning::plan(n, k, p);
+    let plan = Ipdps17.plan(n, k, p);
     println!("regime: {}", plan.regime.name());
     println!("recommended parameters (Section VIII):");
     println!(
@@ -42,7 +43,7 @@ fn main() {
         plan.r1, plan.r1, plan.r2
     );
 
-    let row = compare::conclusion_row(n as f64, k as f64, p as f64);
+    let row = Ipdps17.conclusion_row(n as f64, k as f64, p as f64);
     println!("\npredicted critical-path costs (leading order):");
     println!(
         "  {:<22} {:>14} {:>16} {:>16}",
@@ -96,7 +97,7 @@ fn main() {
     );
 
     // And the wavefront baseline the predict hook also covers, for scale.
-    let wf = predict::trsm_cost(
+    let wf = Ipdps17.trsm_cost(
         predict::AlgorithmKind::Wavefront,
         n as f64,
         k as f64,

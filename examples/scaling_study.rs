@@ -8,7 +8,7 @@
 //! cargo run --release --example scaling_study
 //! ```
 
-use catrsm::planner;
+use catrsm::{planner, CostModelRev};
 use catrsm_suite::prelude::*;
 
 fn measure(n: usize, k: usize, grid_dim: usize, algorithm: Algorithm) -> (u64, u64, f64) {
@@ -44,7 +44,7 @@ fn main() {
     );
     for grid_dim in [1usize, 2, 4] {
         let p = grid_dim * grid_dim;
-        let plan = planner::plan(n, k, p);
+        let plan = planner::plan(CostModelRev::Ipdps17, n, k, p);
         let rec = measure(n, k, grid_dim, Algorithm::Recursive { base_size: 32 });
         let new = measure(n, k, grid_dim, Algorithm::IterativeInversion(plan.it_inv));
         println!(
@@ -71,7 +71,7 @@ fn main() {
         (65536, 1 << 18, 1 << 16),
         (1 << 20, 1 << 20, 1 << 18),
     ] {
-        let row = costmodel::compare::conclusion_row(n as f64, k as f64, p as f64);
+        let row = CostModelRev::Ipdps17.conclusion_row(n as f64, k as f64, p as f64);
         println!(
             "{:>9} {:>11} {:>11} | {:>13.3e} {:>13.3e} | {:>7.1}x",
             p,

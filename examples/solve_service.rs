@@ -23,7 +23,7 @@ fn main() {
     println!("solve-service quickstart (n = {n})");
 
     // --- Immediate path: miss once, hit forever. -------------------------
-    let builds_before = catrsm::plan_build_count();
+    let builds_before = svc.stats().plan_builds;
     let cold = svc
         .solve_vec(&request, &Operand::Sparse(Arc::clone(&factor)), &b)
         .expect("cold solve");
@@ -31,7 +31,7 @@ fn main() {
         "  cold request:   planned (plan builds {} -> {}), analyzed \
          (analysis_count = {})",
         builds_before,
-        catrsm::plan_build_count(),
+        svc.stats().plan_builds,
         factor.analysis_count()
     );
 
@@ -46,7 +46,7 @@ fn main() {
         "  warm request:   cache hit, no new plan (builds still {}), the \
          rebuilt operand was never analyzed (analysis_count = {}), answer \
          bitwise identical",
-        catrsm::plan_build_count(),
+        svc.stats().plan_builds,
         rebuilt.analysis_count()
     );
 

@@ -49,7 +49,9 @@ fn main() {
     for apply in 0..applies {
         let b = gen::rhs_vec(n, apply as u64);
         x.copy_from_slice(&b);
-        let report = plan.execute_sparse_vec_in_place(&l, &mut x).expect("solve");
+        let report = plan
+            .execute_sparse_in_place(&l, x.as_mut_slice())
+            .expect("solve");
         total_flops += report.flops.get();
     }
     println!(
@@ -63,27 +65,30 @@ fn main() {
         "analysis must be reused across applies"
     );
 
+    // A vector is an n×1 right-hand side to the allocating executors.
+    let col = |b: &[f64]| Matrix::from_vec(b.len(), 1, b.to_vec()).expect("n×1");
+
     // The parallel executor is a throughput knob, not a semantics knob.
-    let b = gen::rhs_vec(n, 99);
+    let b = col(&gen::rhs_vec(n, 99));
     let seq = SolveRequest::lower()
         .threads(1)
-        .solve_sparse_vec(&l, &b)
+        .solve_sparse(&l, &b)
         .expect("sequential solve");
-    let par = request.solve_sparse_vec(&l, &b).expect("parallel solve");
+    let par = request.solve_sparse(&l, &b).expect("parallel solve");
     assert_eq!(seq.x, par.x, "4-worker solve must be bitwise identical");
     println!("  determinism:   4-worker solve bitwise identical to sequential");
 
     // Transposed applies (the `Lᵀ` half of a preconditioner) run on the
     // cached transpose: one O(nnz) transposition ever, schedule included.
-    let bt = gen::rhs_vec(n, 123);
+    let bt = col(&gen::rhs_vec(n, 123));
     let xt = SolveRequest::lower()
         .transposed()
         .threads(4)
-        .solve_sparse_vec(&l, &bt)
+        .solve_sparse(&l, &bt)
         .expect("transposed solve");
     let xt2 = SolveRequest::lower()
         .transposed()
-        .solve_sparse_vec(&l, &bt)
+        .solve_sparse(&l, &bt)
         .expect("transposed solve");
     assert_eq!(xt.x, xt2.x);
     println!(
@@ -99,12 +104,13 @@ fn main() {
     let bs = gen::rhs_vec(800, 5);
     let sol = SolveRequest::lower()
         .with_residual()
-        .solve_sparse_vec(&small, &bs)
+        .solve_sparse(&small, &col(&bs))
         .expect("sparse solve");
     let xd =
         dense::trsv(small.triangle(), small.diag(), &small.to_dense(), &bs).expect("dense solve");
     let err = sol
         .x
+        .as_slice()
         .iter()
         .zip(&xd)
         .map(|(a, b)| (a - b).abs())
@@ -143,10 +149,12 @@ fn main() {
             .policy(policy)
             .plan_sparse(&deep, 1)
             .expect("plan");
-        let sol = plan.execute_sparse_vec(&deep, &db).expect("deep solve");
-        let lr = sol.report.levels.unwrap();
-        shapes.push(lr);
-        results.push(sol.x);
+        let mut x = db.clone();
+        let report = plan
+            .execute_sparse_in_place(&deep, x.as_mut_slice())
+            .expect("deep solve");
+        shapes.push(report.levels.unwrap());
+        results.push(x);
     }
     println!(
         "  deep DAG:      n = 40000, {} levels; barriers level = {}, merged = {} \

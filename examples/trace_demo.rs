@@ -53,11 +53,14 @@ fn main() {
             .policy(policy)
             .plan_sparse(&m, 1)
             .expect("sparse plan");
-        let sol = plan.execute_sparse_vec(&m, &rhs).expect("sparse solve");
+        let mut x = rhs.clone();
+        let report = plan
+            .execute_sparse_in_place(&m, x.as_mut_slice())
+            .expect("sparse solve");
         println!("sparse {policy:?}: {plan}");
         if policy == SchedulePolicy::Level {
             sparse_drift = Some(
-                plan.drift_report(&sol.report, costmodel::Machine::unit())
+                plan.drift_report(&report, costmodel::Machine::unit())
                     .render(),
             );
         }

@@ -34,14 +34,9 @@ pub use sparse;
 ///
 /// The primary solver surface is the staged API re-exported here:
 /// [`SolveRequest`](catrsm::SolveRequest) →
-/// [`SolvePlan`](catrsm::SolvePlan) → [`Solution`](catrsm::Solution); the
-/// deprecated [`solve_lower`](catrsm::api::solve_lower) /
-/// [`solve_upper`](catrsm::api::solve_upper) shims stay importable for
-/// older code.
+/// [`SolvePlan`](catrsm::SolvePlan) → [`Solution`](catrsm::Solution).
 pub mod prelude {
     pub use catrsm::api::Algorithm;
-    #[allow(deprecated)]
-    pub use catrsm::api::{solve_lower, solve_upper};
     pub use catrsm::it_inv_trsm::{it_inv_trsm, ItInvConfig};
     pub use catrsm::rec_trsm::{rec_trsm, RecTrsmConfig};
     pub use catrsm::{LevelReport, PlanBackend, Solution, SolvePlan, SolveReport, SolveRequest};
@@ -57,7 +52,7 @@ mod tests {
     #[test]
     fn reexports_are_wired() {
         // A smoke test that the re-exported crates are usable together.
-        let plan = costmodel::plan(1024, 256, 64);
+        let plan = costmodel::CostModelRev::Ipdps17.plan(1024, 256, 64);
         assert!(plan.p1 >= 1.0);
         let m = dense::Matrix::identity(3);
         assert_eq!(m[(2, 2)], 1.0);

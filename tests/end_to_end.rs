@@ -4,8 +4,8 @@
 
 use catrsm::api::Algorithm;
 use catrsm::it_inv_trsm::{it_inv_trsm, ItInvConfig};
-use catrsm::planner;
 use catrsm::rec_trsm::{rec_trsm, RecTrsmConfig};
+use catrsm::{planner, CostModelRev};
 use catrsm_suite::prelude::*;
 use pgrid::redist;
 use simnet::coll;
@@ -69,7 +69,7 @@ fn iterative_algorithm_beats_recursive_latency_as_p_grows() {
     let mut ratios = Vec::new();
     for q in [2usize, 4] {
         let p = q * q;
-        let plan = planner::plan(n, k, p);
+        let plan = planner::plan(CostModelRev::Ipdps17, n, k, p);
         let run = |alg: Algorithm| {
             Machine::new(p, MachineParams::unit())
                 .run(move |comm| {
@@ -130,7 +130,7 @@ fn both_algorithms_move_the_same_order_of_words() {
     let k = 64;
     let q = 4;
     let p = q * q;
-    let plan = planner::plan(n, k, p);
+    let plan = planner::plan(CostModelRev::Ipdps17, n, k, p);
     let words = |alg: Algorithm| {
         Machine::new(p, MachineParams::unit())
             .run(move |comm| {
@@ -167,7 +167,7 @@ fn planner_configurations_are_always_runnable() {
         (128, 128, 4),
     ] {
         let p = q * q;
-        let plan = planner::plan(n, k, p);
+        let plan = planner::plan(CostModelRev::Ipdps17, n, k, p);
         let out = Machine::new(p, MachineParams::unit())
             .run(move |comm| {
                 let grid = Grid2D::new(comm, q, q).unwrap();
@@ -289,42 +289,4 @@ fn virtual_time_is_consistent_with_counters() {
         * report.num_ranks() as f64;
     assert!(report.virtual_time() <= counter_bound);
     assert!(report.virtual_time() > 0.0);
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_agree_with_the_staged_api() {
-    // `solve_lower` / `solve_upper` must keep compiling and keep solving
-    // exactly what the SolveRequest path solves.
-    let out = Machine::new(4, MachineParams::unit())
-        .run(|comm| {
-            let grid = Grid2D::new(comm, 2, 2).unwrap();
-            let (l_g, b_g, _) = instance(64, 16, 29);
-            let l = DistMatrix::from_global(&grid, &l_g);
-            let b = DistMatrix::from_global(&grid, &b_g);
-            let alg = Algorithm::Recursive { base_size: 16 };
-            let old = solve_lower(&l, &b, alg).unwrap();
-            let new = SolveRequest::lower()
-                .algorithm(alg)
-                .solve_distributed(&l, &b)
-                .unwrap();
-            let d = old.rel_diff(&new.x).unwrap();
-
-            let u_g = gen::well_conditioned_upper(32, 33);
-            let xu = gen::rhs(32, 8, 34);
-            let bu_g = dense::matmul(&u_g, &xu);
-            let u = DistMatrix::from_global(&grid, &u_g);
-            let bu = DistMatrix::from_global(&grid, &bu_g);
-            let old_u = solve_upper(&u, &bu, alg).unwrap();
-            let new_u = SolveRequest::upper()
-                .algorithm(alg)
-                .solve_distributed(&u, &bu)
-                .unwrap();
-            (d, old_u.rel_diff(&new_u.x).unwrap())
-        })
-        .unwrap();
-    for (d_l, d_u) in out.results {
-        assert_eq!(d_l, 0.0, "lower shim must match the staged API bitwise");
-        assert_eq!(d_u, 0.0, "upper shim must match the staged API bitwise");
-    }
 }

@@ -30,9 +30,9 @@ fn with_tracing<T>(f: impl FnOnce() -> T) -> (T, obs::TraceDump) {
     (out, dump)
 }
 
-fn sparse_fixture() -> (SparseTri, Vec<f64>) {
+fn sparse_fixture() -> (SparseTri, Matrix) {
     let m = sparse::gen::deep_narrow_lower(20_000, 4, 4, 3);
-    let b = sparse::gen::rhs_vec(m.n(), 5);
+    let b = Matrix::from_vec(m.n(), 1, sparse::gen::rhs_vec(m.n(), 5)).unwrap();
     (m, b)
 }
 
@@ -81,7 +81,7 @@ fn traced_sparse_policies_record_executor_spans() {
                 .policy(policy)
                 .plan_sparse(&m, 1)
                 .unwrap()
-                .execute_sparse_vec(&m, &b)
+                .execute_sparse(&m, &b)
                 .unwrap()
         });
         let trace = sol.report.trace.expect("traced sparse solve");
@@ -125,7 +125,7 @@ fn chrome_export_of_traced_run_validates() {
         SolveRequest::lower()
             .threads(4)
             .policy(SchedulePolicy::Merged)
-            .solve_sparse_vec(&m, &b)
+            .solve_sparse(&m, &b)
             .unwrap();
     });
     assert!(!dump.is_empty());
@@ -178,7 +178,7 @@ fn tracing_enabled_stays_in_wall_clock_envelope() {
         SolveRequest::lower()
             .threads(4)
             .policy(SchedulePolicy::Merged)
-            .solve_sparse_vec(&m, &b)
+            .solve_sparse(&m, &b)
             .unwrap()
     };
     let best_of = |runs: usize, f: &dyn Fn()| -> std::time::Duration {

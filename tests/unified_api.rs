@@ -3,8 +3,8 @@
 //!
 //! * one request with identical options yields **bitwise-identical**
 //!   solutions at every worker count (the thread pin is a throughput knob);
-//! * the measured [`FlopCount`] of the new API matches the old entry
-//!   points it replaced, on every backend;
+//! * the measured [`FlopCount`] of the staged API matches the kernels'
+//!   own entry points, on every backend;
 //! * transposed requests agree with solving the materialized transpose
 //!   through the reference kernels, on every backend.
 
@@ -16,7 +16,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Sparse: identical requests are bitwise identical across worker pins,
-    /// and the report's flops equal the old executors'.
+    /// and the report's flops equal the executor's own count.
     #[test]
     fn sparse_request_is_bitwise_deterministic_across_threads(
         n in 10usize..400,
@@ -41,13 +41,6 @@ proptest! {
                 "worker pin {} changed the solution bits", threads
             );
             prop_assert_eq!(sol.report.flops, reference.report.flops);
-        }
-        // Old shim and new API agree bitwise and in flop accounting.
-        let mut old = b.clone();
-        let old_flops = m.solve_multi_in_place(&mut old).unwrap();
-        if !transposed {
-            prop_assert!(old == reference.x);
-            prop_assert_eq!(old_flops, reference.report.flops);
         }
     }
 
@@ -86,13 +79,17 @@ proptest! {
         );
         prop_assert_eq!(solt.report.flops, dense::flops::trsm_flops(n, k));
 
-        // Single-RHS path agrees with the block path column by column.
+        // Single-RHS path: bitwise the `trsv` kernel, and it agrees with
+        // the block path column by column.
         let bv: Vec<f64> = (0..n).map(|i| ((i * 3 + 2) % 13) as f64 - 6.0).collect();
-        let sv = req.solve_dense_vec(&a, &bv).unwrap();
-        let bm = Matrix::from_vec(n, 1, bv.clone()).unwrap();
+        let mut sv = bv.clone();
+        let plan = req.plan_dense(n, 1).unwrap();
+        plan.execute_dense_vec_in_place(&a, &mut sv).unwrap();
+        prop_assert!(sv == dense::trsv(tri, diag, &a, &bv).unwrap());
+        let bm = Matrix::from_vec(n, 1, bv).unwrap();
         let sm = req.solve_dense(&a, &bm).unwrap();
-        for i in 0..n {
-            prop_assert!((sv.x[i] - sm.x[(i, 0)]).abs() < 1e-9);
+        for (v, m) in sv.iter().zip(sm.x.as_slice()) {
+            prop_assert!((v - m).abs() < 1e-9);
         }
     }
 }
