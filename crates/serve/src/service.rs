@@ -31,11 +31,14 @@
 //! allocates nothing per request.
 
 use crate::cache::LruCache;
-use crate::fingerprint::{fingerprint_dense, fingerprint_sparse, Fingerprint, Fnv, PlanKey};
+use crate::fingerprint::{
+    fingerprint_dense, fingerprint_distributed, fingerprint_sparse, Fingerprint, PlanKey,
+};
 use catrsm::{Result, Solution, SolvePlan, SolveReport, SolveRequest, TrsmError};
 use dense::{MatMut, Matrix};
 use sparse::SparseTri;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Configuration of a [`SolveService`].
@@ -266,6 +269,11 @@ const CACHE_SHARDS: usize = 8;
 /// capacity is distributed exactly across the shards (never fewer shards
 /// than one slot each: a capacity below [`CACHE_SHARDS`] gets one shard
 /// per slot), and the accounting methods aggregate across shards.
+///
+/// Lock order: a shard lock is a leaf.  Nothing else — not another shard,
+/// not the service's `inner` state — is locked while one is held, so the
+/// admission path (`lookup`, `plan_distributed`) can never deadlock against
+/// `submit`/`flush`/`stats`, which take `inner` and the shards one at a time.
 struct ShardedPlanCache {
     shards: Vec<Mutex<LruCache<PlanKey, CachedPlan>>>,
 }
@@ -324,7 +332,6 @@ struct Inner {
     next_ticket: u64,
     requests: u64,
     errors: u64,
-    plan_builds: u64,
     batches: u64,
     fused_requests: u64,
     max_batch_width: u64,
@@ -339,6 +346,13 @@ struct Inner {
 /// analyses.
 pub struct SolveService {
     cache: ShardedPlanCache,
+    /// Plans lowered so far.  `Relaxed` on both sides: the counter publishes
+    /// no data.  It is bumped while the key's shard lock is held, and
+    /// [`SolveService::stats`] loads it after `totals()` has taken every
+    /// shard lock, so the mutex's unlock → lock (release → acquire) edge puts
+    /// the build of every miss a snapshot counts before the load: a snapshot
+    /// never shows fewer builds than the misses in it that planned.
+    plan_builds: AtomicU64,
     inner: Mutex<Inner>,
     config: ServiceConfig,
 }
@@ -357,6 +371,7 @@ impl SolveService {
     pub fn new(config: ServiceConfig) -> SolveService {
         SolveService {
             cache: ShardedPlanCache::new(config.plan_cache_capacity),
+            plan_builds: AtomicU64::new(0),
             inner: Mutex::new(Inner::default()),
             config,
         }
@@ -398,10 +413,7 @@ impl SolveService {
             Operand::Dense(a) => request.plan_dense(a.rows(), k)?,
             Operand::Sparse(a) => request.plan_sparse(a, k)?,
         };
-        self.inner
-            .lock()
-            .expect("service state poisoned")
-            .plan_builds += 1;
+        self.plan_builds.fetch_add(1, Ordering::Relaxed);
         let entry = CachedPlan {
             plan: Arc::new(plan),
             operand: operand.clone(),
@@ -461,12 +473,7 @@ impl SolveService {
         k: usize,
         p: usize,
     ) -> Result<Arc<SolvePlan>> {
-        let mut h = Fnv::new();
-        h.write_u64(0xD157); // backend tag: distributed shape
-        h.write_u64(n as u64);
-        h.write_u64(k as u64);
-        h.write_u64(p as u64);
-        let key = PlanKey::new(Fingerprint(h.finish()), n, n * n, request);
+        let key = PlanKey::new(fingerprint_distributed(n, k, p), n, n * n, request);
         let mut cache = self.cache.shard(&key).lock().expect("plan cache poisoned");
         if let Some(entry) = cache.get(&key) {
             obs::counter("serve", "plan_cache_hit", "hits", 1, "", 0);
@@ -474,10 +481,7 @@ impl SolveService {
         }
         obs::counter("serve", "plan_cache_miss", "misses", 1, "", 0);
         let plan = Arc::new(request.plan_distributed(n, k, p)?);
-        self.inner
-            .lock()
-            .expect("service state poisoned")
-            .plan_builds += 1;
+        self.plan_builds.fetch_add(1, Ordering::Relaxed);
         // Distributed entries reuse the cache slot shape with a
         // zero-sized stand-in operand; they are never batch-executed.
         let stand_in = Operand::Dense(Arc::new(Matrix::zeros(0, 0)));
@@ -629,6 +633,7 @@ impl SolveService {
     /// Current accounting snapshot (cache totals aggregated over shards).
     pub fn stats(&self) -> ServiceStats {
         let (hits, misses, evictions) = self.cache.totals();
+        let plan_builds = self.plan_builds.load(Ordering::Relaxed);
         let inner = self.inner.lock().expect("service state poisoned");
         ServiceStats {
             requests: inner.requests,
@@ -636,7 +641,7 @@ impl SolveService {
             hits,
             misses,
             evictions,
-            plan_builds: inner.plan_builds,
+            plan_builds,
             batches: inner.batches,
             fused_requests: inner.fused_requests,
             max_batch_width: inner.max_batch_width,

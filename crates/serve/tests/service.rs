@@ -5,9 +5,9 @@
 //! staying correct.
 
 use catrsm::SolveRequest;
-use dense::Matrix;
+use dense::{Diag, Matrix, Triangle};
 use proptest::prelude::*;
-use serve::{Operand, ServiceConfig, ServiceRequest, SolveService};
+use serve::{fingerprint_sparse, Operand, ServiceConfig, ServiceRequest, SolveService};
 use sparse::{gen as sgen, SchedulePolicy, SparseTri};
 use std::sync::Arc;
 
@@ -40,6 +40,151 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .zip(b)
         .map(|(x, y)| (x - y).abs())
         .fold(0.0, f64::max)
+}
+
+/// Every stored entry of `m`, diagonal included, as `(row, col, value)`.
+fn triplets(m: &SparseTri) -> Vec<(usize, usize, f64)> {
+    (0..m.n())
+        .flat_map(|i| {
+            let (cols, vals) = m.row_entries(i);
+            let off_diagonal = cols.iter().zip(vals).map(move |(&j, &v)| (i, j, v));
+            off_diagonal.chain([(i, i, m.diag_value(i))])
+        })
+        .collect()
+}
+
+fn lower_from(n: usize, entries: &[(usize, usize, f64)]) -> SparseTri {
+    SparseTri::from_triplets(n, Triangle::Lower, Diag::NonUnit, entries)
+        .expect("the perturbed matrix is still a valid factor")
+}
+
+/// The fingerprint as a contract, through the public constructors: one
+/// matrix however it is assembled has one fingerprint, and every change to
+/// what a solve reads — one bit of one value, of the diagonal, of a column
+/// index, one entry moved to the next row, the sign of a zero — changes it.
+/// `pick` chooses where to perturb.
+fn assert_fingerprint_contract(n: usize, fill: usize, seed: u64, pick: usize) {
+    let base = sgen::random_lower(n, fill, seed);
+    let fp = fingerprint_sparse(&base);
+    let entries = triplets(&base);
+    assert_eq!(fingerprint_sparse(&lower_from(n, &entries)), fp);
+
+    // The same content as raw CSR with the diagonal inline: `triplets`
+    // yields row-major order with each lower row's diagonal last, so row i
+    // starts after the i diagonals before it.
+    let row_ptr: Vec<usize> = (0..=n).map(|i| base.row_ptr()[i] + i).collect();
+    let cols: Vec<usize> = entries.iter().map(|e| e.1).collect();
+    let vals: Vec<f64> = entries.iter().map(|e| e.2).collect();
+    let from_csr =
+        SparseTri::from_csr(n, Triangle::Lower, Diag::NonUnit, &row_ptr, &cols, &vals).unwrap();
+    assert_eq!(fingerprint_sparse(&from_csr), fp);
+
+    let perturbed = |at: usize, entry: (usize, usize, f64)| {
+        let mut changed = entries.clone();
+        changed[at] = entry;
+        fingerprint_sparse(&lower_from(n, &changed))
+    };
+    // Flips that keep a value finite and a pivot's magnitude: the sign bit
+    // or a mantissa bit.
+    let bit = [63, pick % 52][pick % 2];
+    let flip = |v: f64| f64::from_bits(v.to_bits() ^ (1 << bit));
+    // The first entry at or after `pick` (cyclically) that `wanted` accepts.
+    let first = |wanted: &dyn Fn(usize, usize) -> bool| {
+        (0..entries.len())
+            .map(|o| (pick + o) % entries.len())
+            .find(|&at| wanted(entries[at].0, entries[at].1))
+    };
+
+    let at = first(&|i, j| i == j).expect("every row has a diagonal entry");
+    let (i, j, d) = entries[at];
+    assert_ne!(
+        perturbed(at, (i, j, flip(d))),
+        fp,
+        "diagonal ({i},{i}) bit {bit}"
+    );
+
+    // n = 1 has no off-diagonal entries to perturb.
+    let Some(at) = first(&|i, j| i != j) else {
+        return;
+    };
+    let (i, j, v) = entries[at];
+    assert_ne!(
+        perturbed(at, (i, j, flip(v))),
+        fp,
+        "value ({i},{j}) bit {bit}"
+    );
+    assert_ne!(
+        perturbed(at, (i, j, 0.0)),
+        perturbed(at, (i, j, -0.0)),
+        "the sign of a zero at ({i},{j})"
+    );
+
+    // One bit of one column index, where that names a free column of the
+    // same row.
+    let in_row = |i: usize, j: usize| base.row_entries(i).0.contains(&j);
+    let index_flip = (0..usize::BITS)
+        .map(|b| j ^ (1 << b))
+        .find(|&other| other < i && !in_row(i, other));
+    if let Some(other) = index_flip {
+        assert_ne!(
+            perturbed(at, (i, other, v)),
+            fp,
+            "column {j} -> {other} in row {i}"
+        );
+    }
+
+    // Empty row i + 1, then move the last entry of row i down into it:
+    // `col_idx` and `values` read the same either way, and only `row_ptr`
+    // tells the two matrices apart.
+    let movable = first(&|i, j| i != j && i + 1 < n && base.row_entries(i).0.last() == Some(&j));
+    if let Some(at) = movable {
+        let (i, j, v) = entries[at];
+        let above: Vec<_> = entries
+            .iter()
+            .copied()
+            .filter(|&(r, c, _)| r != i + 1 || c == r)
+            .collect();
+        let mut below = above.clone();
+        let at = below
+            .iter()
+            .position(|&(r, c, _)| (r, c) == (i, j))
+            .expect("row i was kept whole");
+        below[at] = (i + 1, j, v);
+        let (above, below) = (lower_from(n, &above), lower_from(n, &below));
+        assert_eq!(above.col_idx(), below.col_idx());
+        assert_eq!(above.values(), below.values());
+        assert_ne!(above.row_ptr(), below.row_ptr());
+        assert_ne!(
+            fingerprint_sparse(&above),
+            fingerprint_sparse(&below),
+            "entry ({i},{j}) moved down a row"
+        );
+    }
+}
+
+/// The contract at the benchmark's scale, where the bulk lane loop does
+/// nearly all the hashing.
+#[test]
+fn fingerprint_contract_holds_on_a_large_factor() {
+    for pick in [0, 4099, 17_321] {
+        assert_fingerprint_contract(1536, 8, 5, pick);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The contract on small factors: n in 1..=40 takes the four hashed
+    /// arrays through every tail length of the lane loop.
+    #[test]
+    fn fingerprint_is_a_content_contract(
+        n in 1usize..=40,
+        fill in 1usize..5,
+        seed in 0u64..500,
+        pick in 0usize..10_000,
+    ) {
+        assert_fingerprint_contract(n, fill, seed, pick);
+    }
 }
 
 proptest! {
@@ -237,84 +382,118 @@ fn repeat_traffic_keeps_planning_and_analysis_flat() {
     assert_eq!(stats.errors, 0);
 }
 
+/// The small shape the suite uses elsewhere, and the benchmark's
+/// (`serve_hot90`: n = 4096, fill 8).  A hit runs on the *cached* operand,
+/// not the submitted one, so these tests are only as strong as the key at
+/// the sizes they present.
+const SHAPES: [(usize, usize); 2] = [(120, 3), (4096, 8)];
+
 /// LRU pressure through the service: a capacity-2 cache cycling three
 /// matrices evicts, rebuilds on re-miss, and stays correct throughout.
 #[test]
 fn eviction_under_pressure_stays_correct() {
-    let n = 120;
     let req = sparse_request(Some(SchedulePolicy::Level));
-    let svc = SolveService::new(ServiceConfig {
-        plan_cache_capacity: 2,
-        admission_window: 4,
-    });
-    let mats: Vec<Arc<SparseTri>> = (0..3)
-        .map(|s| Arc::new(sgen::random_lower(n, 3, 40 + s)))
-        .collect();
-    let b = sgen::rhs_vec(n, 7);
-    let want: Vec<Vec<f64>> = mats.iter().map(|m| cold_sparse(&req, m, &b)).collect();
+    for (n, fill) in SHAPES {
+        let svc = SolveService::new(ServiceConfig {
+            plan_cache_capacity: 2,
+            admission_window: 4,
+        });
+        let build = |s: u64| Arc::new(sgen::random_lower(n, fill, 40 + s));
+        let b = sgen::rhs_vec(n, 7);
+        let want: Vec<Vec<f64>> = (0..3).map(|s| cold_sparse(&req, &build(s), &b)).collect();
 
-    for round in 0..4 {
-        for (m, w) in mats.iter().zip(&want) {
-            let x = svc
-                .solve_vec(&req, &Operand::Sparse(Arc::clone(m)), &b)
-                .unwrap()
-                .x;
-            assert_eq!(&x, w, "round {round}: eviction must not corrupt answers");
+        for round in 0..4 {
+            for (s, w) in want.iter().enumerate() {
+                // A rebuilt object every time: whatever the cache still
+                // holds answers for it by content alone.
+                let x = svc
+                    .solve_vec(&req, &Operand::Sparse(build(s as u64)), &b)
+                    .unwrap()
+                    .x;
+                assert_eq!(
+                    &x, w,
+                    "n {n} round {round}: eviction must not corrupt answers"
+                );
+            }
         }
+        let stats = svc.stats();
+        assert!(
+            stats.evictions > 0,
+            "three keys through a capacity-2 LRU must evict"
+        );
+        assert!(svc.cached_plans() <= 2);
+        assert_eq!(stats.errors, 0);
+        // Three distinct contents were presented: each planned once, and
+        // again only after an eviction dropped it.
+        assert_eq!(stats.plan_builds, stats.misses);
+        assert_eq!(stats.hits + stats.misses, 12);
+        assert!(stats.plan_builds >= 3);
+        assert_eq!(
+            stats.plan_builds - stats.evictions,
+            svc.cached_plans() as u64
+        );
     }
-    let stats = svc.stats();
-    assert!(
-        stats.evictions > 0,
-        "three keys through a capacity-2 LRU must evict"
-    );
-    assert!(svc.cached_plans() <= 2);
-    assert_eq!(stats.errors, 0);
 }
 
 /// One service, many client threads: concurrent immediate solves share
-/// the cached plan and the canonical operand's single analysis, and all
-/// agree bitwise (barriered policy).
+/// the cached plans and each canonical operand's single analysis, and all
+/// agree bitwise with the cold path (barriered policy).
 #[test]
 fn concurrent_clients_share_one_cached_plan() {
-    let n = 400;
     let req = sparse_request(Some(SchedulePolicy::Merged));
     let svc = Arc::new(service());
-    let canonical = Arc::new(sgen::random_lower(n, 5, 77));
-    let b = sgen::rhs_vec(n, 13);
+    let build = |(n, fill): (usize, usize)| Arc::new(sgen::random_lower(n, fill, 77));
+    let canonical = SHAPES.map(build);
+    let rhs = SHAPES.map(|(n, _)| sgen::rhs_vec(n, 13));
 
-    // Warm once so every thread hits.
-    let want = svc
-        .solve_vec(&req, &Operand::Sparse(Arc::clone(&canonical)), &b)
-        .unwrap()
-        .x;
+    // Warm once per content so every thread hits.
+    let mut want = Vec::new();
+    for ((shape, a), b) in SHAPES.iter().zip(&canonical).zip(&rhs) {
+        let warm = svc
+            .solve_vec(&req, &Operand::Sparse(Arc::clone(a)), b)
+            .unwrap()
+            .x;
+        assert_eq!(warm, cold_sparse(&req, &build(*shape), b));
+        want.push(warm);
+    }
 
     let mut handles = Vec::new();
     for _ in 0..4 {
         let svc = Arc::clone(&svc);
-        let b = b.clone();
-        let fresh = Arc::new(sgen::random_lower(n, 5, 77));
+        let rhs = rhs.clone();
+        let fresh = SHAPES.map(build);
         handles.push(std::thread::spawn(move || {
             let mut xs = Vec::new();
             for _ in 0..8 {
-                xs.push(
-                    svc.solve_vec(&req, &Operand::Sparse(Arc::clone(&fresh)), &b)
-                        .unwrap()
-                        .x,
-                );
+                for (a, b) in fresh.iter().zip(&rhs) {
+                    xs.push(
+                        svc.solve_vec(&req, &Operand::Sparse(Arc::clone(a)), b)
+                            .unwrap()
+                            .x,
+                    );
+                }
             }
             xs
         }));
     }
     for h in handles {
-        for x in h.join().unwrap() {
-            assert_eq!(x, want, "every concurrent hit must be bitwise stable");
+        for (i, x) in h.join().unwrap().into_iter().enumerate() {
+            assert_eq!(
+                x,
+                want[i % 2],
+                "every concurrent hit must be bitwise stable"
+            );
         }
     }
-    assert_eq!(canonical.analysis_count(), 1);
-    assert_eq!(canonical.merged_analysis_count(), 1);
+    for a in &canonical {
+        assert_eq!(a.analysis_count(), 1);
+        assert_eq!(a.merged_analysis_count(), 1);
+    }
     let stats = svc.stats();
-    assert_eq!(stats.misses, 1);
-    assert_eq!(stats.hits, 32);
+    // Two distinct contents presented, by ten operand objects.
+    assert_eq!(stats.plan_builds, 2);
+    assert_eq!(stats.misses, 2);
+    assert_eq!(stats.hits, 64);
     assert_eq!(stats.errors, 0);
 }
 

@@ -387,6 +387,33 @@ impl SparseTriCsc {
         self.diag_vals[i]
     }
 
+    /// The `n + 1` column offsets into [`SparseTriCsc::row_idx`] /
+    /// [`SparseTriCsc::values`]: column `j` owns entries
+    /// `col_ptr[j]..col_ptr[j + 1]`.
+    #[inline]
+    pub fn col_ptr(&self) -> &[usize] {
+        &self.col_ptr
+    }
+
+    /// The row index of every stored off-diagonal entry, column by column.
+    #[inline]
+    pub fn row_idx(&self) -> &[usize] {
+        &self.row_idx
+    }
+
+    /// The value of every stored off-diagonal entry, parallel to
+    /// [`SparseTriCsc::row_idx`].
+    #[inline]
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The `n` diagonal values (all `1.0` for [`Diag::Unit`]).
+    #[inline]
+    pub fn diag_values(&self) -> &[f64] {
+        &self.diag_vals
+    }
+
     /// Densify into a [`dense::Matrix`] (diagonal ones made explicit for
     /// [`Diag::Unit`]) — the differential-test bridge.
     pub fn to_dense(&self) -> Matrix {

@@ -308,12 +308,30 @@ impl SparseTri {
         self.diag_vals[i]
     }
 
-    pub(crate) fn row_ptr(&self) -> &[usize] {
+    /// The `n + 1` row offsets into [`SparseTri::col_idx`] /
+    /// [`SparseTri::values`]: row `i` owns entries `row_ptr[i]..row_ptr[i + 1]`.
+    #[inline]
+    pub fn row_ptr(&self) -> &[usize] {
         &self.row_ptr
     }
 
-    pub(crate) fn col_idx(&self) -> &[usize] {
+    /// The column index of every stored off-diagonal entry, row by row.
+    #[inline]
+    pub fn col_idx(&self) -> &[usize] {
         &self.col_idx
+    }
+
+    /// The value of every stored off-diagonal entry, parallel to
+    /// [`SparseTri::col_idx`].
+    #[inline]
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The `n` diagonal values (all `1.0` for [`Diag::Unit`]).
+    #[inline]
+    pub fn diag_values(&self) -> &[f64] {
+        &self.diag_vals
     }
 
     /// The level-set [`Schedule`] for this matrix, computed on first use and

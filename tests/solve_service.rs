@@ -64,8 +64,10 @@ fn cached_distributed_plan_executes_bitwise_like_fresh() {
 fn distributed_plans_share_the_cache_with_local_plans() {
     // Distributed pseudo-fingerprints must not collide with dense/sparse
     // keys: fill the cache with a mix and check every entry survives.
+    // Capacity 64 is eight slots in each of the eight shards, so the three
+    // keys fit wherever their hashes happen to place them.
     let svc = SolveService::new(ServiceConfig {
-        plan_cache_capacity: 8,
+        plan_cache_capacity: 64,
         admission_window: 4,
     });
     let req = SolveRequest::lower();
