@@ -263,6 +263,7 @@ impl SolveRequest {
             backend: PlanBackend::Dense {
                 threads: dense::dense_threads(),
                 block: dense::TRSM_BLOCK,
+                inverts_blocks: dense::inverts_diagonal_blocks(k),
             },
         })
     }
@@ -455,12 +456,21 @@ impl SolveRequest {
 /// concrete parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanBackend {
-    /// Local dense blocked substitution + GEMM updates.
+    /// Local dense blocked solve: GEMM panel updates between `block`-wide
+    /// diagonal blocks, which are substituted through or — for a solve wide
+    /// enough to pay for it — inverted and applied as triangle-aware packed
+    /// products.
     Dense {
         /// `DENSE_THREADS` worker-pool size the GEMM updates may use.
         threads: usize,
-        /// Panel width of the blocked substitution.
+        /// Width `NB` of the diagonal blocks (`dense::TRSM_BLOCK`).
         block: usize,
+        /// Whether a solve `k` right-hand sides wide inverts its diagonal
+        /// blocks: `dense::inverts_diagonal_blocks(k)`, the same function
+        /// the kernel decides with.  The two kernels round differently, and
+        /// the inverted one's residual grows with the condition number of
+        /// the diagonal blocks (see `crates/dense/README.md`).
+        inverts_blocks: bool,
     },
     /// Level-scheduled / DAG-partitioned / sync-free sparse executor.
     Sparse {
@@ -528,11 +538,20 @@ pub struct Plan {
     pub regime: Option<Regime>,
 }
 
+/// The two kernels of the blocked dense solve, by name.
+fn dense_algorithm_name(inverts_blocks: bool) -> &'static str {
+    if inverts_blocks {
+        "dense blocked solve, inverted diagonal blocks"
+    } else {
+        "dense blocked substitution"
+    }
+}
+
 impl Plan {
     /// Human-readable name of the algorithm this plan executes.
     pub fn algorithm_name(&self) -> &'static str {
         match &self.backend {
-            PlanBackend::Dense { .. } => "dense blocked substitution",
+            PlanBackend::Dense { inverts_blocks, .. } => dense_algorithm_name(*inverts_blocks),
             PlanBackend::Sparse {
                 policy: SchedulePolicy::SyncFree,
                 ..
@@ -627,9 +646,15 @@ impl Plan {
         a: &Matrix,
         b: impl Into<MatMut<'b>>,
     ) -> Result<SolveReport> {
-        self.run_dense("dense blocked substitution", a, |opts| {
-            dense::trsm_in_place_opts(opts, a, b)
-        })
+        let b = b.into();
+        // Named from the block actually handed in, so the report says what
+        // ran even if the caller's `B` is not as wide as the plan's `k`.
+        let k = match self.request.opts.side {
+            Side::Left => b.cols(),
+            Side::Right => b.rows(),
+        };
+        let algorithm = dense_algorithm_name(dense::inverts_diagonal_blocks(k));
+        self.run_dense(algorithm, a, |opts| dense::trsm_in_place_opts(opts, a, b))
     }
 
     /// Execute this dense plan for one right-hand side in place with the
@@ -937,8 +962,18 @@ impl fmt::Display for Plan {
                 ""
             },
             match &self.backend {
-                PlanBackend::Dense { threads, block } =>
-                    format!(", NB = {block}, {threads} worker(s)"),
+                PlanBackend::Dense {
+                    threads,
+                    block,
+                    inverts_blocks,
+                } => format!(
+                    ", NB = {block} ({}), {threads} worker(s)",
+                    if *inverts_blocks {
+                        "k >= NB: diagonal blocks inverted"
+                    } else {
+                        "k < NB: diagonal blocks substituted"
+                    }
+                ),
                 PlanBackend::Sparse {
                     workers,
                     levels,

@@ -19,7 +19,7 @@
 use crate::error::DenseError;
 use crate::flops::{gemm_flops, FlopCount};
 use crate::matrix::{MatMut, MatRef, Matrix};
-use crate::microkernel::gemm_views_accumulate_opt;
+use crate::microkernel::{gemm_views_accumulate_opt, TriMask};
 use crate::pack::op_dims;
 use crate::threads::dense_threads;
 use crate::Result;
@@ -81,7 +81,7 @@ pub fn gemm_views(
     beta: f64,
     c: &mut MatMut<'_>,
 ) -> Result<FlopCount> {
-    gemm_views_opt(alpha, a, false, b, false, beta, c, None)
+    gemm_views_opt(alpha, a, false, b, false, beta, c, None, None)
 }
 
 /// [`gemm_views`] with an explicit worker budget.
@@ -98,7 +98,7 @@ pub fn gemm_views_with_threads(
     c: &mut MatMut<'_>,
     threads: usize,
 ) -> Result<FlopCount> {
-    gemm_views_opt(alpha, a, false, b, false, beta, c, Some(threads))
+    gemm_views_opt(alpha, a, false, b, false, beta, c, None, Some(threads))
 }
 
 /// `C ← alpha * Aᵀ * B + beta * C` on borrowed sub-blocks, with `a` the
@@ -118,7 +118,7 @@ pub fn gemm_views_at(
     beta: f64,
     c: &mut MatMut<'_>,
 ) -> Result<FlopCount> {
-    gemm_views_opt(alpha, a, true, b, false, beta, c, None)
+    gemm_views_opt(alpha, a, true, b, false, beta, c, None, None)
 }
 
 /// `C ← alpha * A * Bᵀ + beta * C` on borrowed sub-blocks, with `b` the
@@ -131,15 +131,28 @@ pub fn gemm_views_a_bt(
     beta: f64,
     c: &mut MatMut<'_>,
 ) -> Result<FlopCount> {
-    gemm_views_opt(alpha, a, false, b, true, beta, c, None)
+    gemm_views_opt(alpha, a, false, b, true, beta, c, None, None)
 }
 
-/// The options-driven core every view-level GEMM funnels through:
-/// validates the *conceptual* (`op`-applied) dimensions, applies `beta`,
-/// resolves the worker budget (`None` = the implicit [`PAR_MIN_MADDS`]
-/// gate), and dispatches to the packed accumulator.
-#[allow(clippy::too_many_arguments)] // one internal funnel, BLAS-style
-fn gemm_views_opt(
+/// `C ← alpha * op(A) * op(B) + beta * C` where one of the operands is
+/// **triangular**: `mask` names it and its triangle (see [`TriMask`]), and
+/// the packed kernel multiplies only that triangle — tiles wholly in the
+/// zero part are skipped, tiles crossing the diagonal run a shorter inner
+/// loop, and the other triangle of the stored operand is never multiplied
+/// in (it may hold unrelated data, as the in-place triangular inversion's
+/// blocks do).  `a_trans` / `b_trans` select `op(X) = Xᵀ` through the
+/// pack-transposed paths of [`gemm_views_at`] / [`gemm_views_a_bt`].
+///
+/// This is the one product behind the inverted diagonal blocks of the
+/// blocked [`crate::trsm()`], the off-diagonal block of
+/// [`crate::tri_invert_in_place`] and [`crate::trmm()`].  For finite
+/// operands and `beta = 0` the result is bitwise that of the unmasked
+/// product on operands with the other triangle zero-filled, at every worker
+/// count.  The returned [`FlopCount`] is the classical `2·m·p·n` of the full
+/// product, so cost accounting does not depend on how much was skipped.
+/// Subject to the same [`PAR_MIN_MADDS`] gate as [`gemm_views`].
+#[allow(clippy::too_many_arguments)] // BLAS-style signature
+pub fn gemm_views_masked(
     alpha: f64,
     a: MatRef<'_>,
     a_trans: bool,
@@ -147,6 +160,25 @@ fn gemm_views_opt(
     b_trans: bool,
     beta: f64,
     c: &mut MatMut<'_>,
+    mask: TriMask,
+) -> Result<FlopCount> {
+    gemm_views_opt(alpha, a, a_trans, b, b_trans, beta, c, Some(mask), None)
+}
+
+/// The options-driven core every view-level GEMM funnels through:
+/// validates the *conceptual* (`op`-applied) dimensions, applies `beta`,
+/// resolves the worker budget (`None` = the implicit [`PAR_MIN_MADDS`]
+/// gate), and dispatches to the packed accumulator.
+#[allow(clippy::too_many_arguments)] // one internal funnel, BLAS-style
+pub(crate) fn gemm_views_opt(
+    alpha: f64,
+    a: MatRef<'_>,
+    a_trans: bool,
+    b: MatRef<'_>,
+    b_trans: bool,
+    beta: f64,
+    c: &mut MatMut<'_>,
+    mask: Option<TriMask>,
     threads: Option<usize>,
 ) -> Result<FlopCount> {
     let (m, p) = op_dims(a, a_trans);
@@ -195,7 +227,7 @@ fn gemm_views_opt(
             1
         }
     });
-    gemm_views_accumulate_opt(alpha, a, a_trans, b, b_trans, c, threads);
+    gemm_views_accumulate_opt(alpha, a, a_trans, b, b_trans, c, mask, threads);
     Ok(gemm_flops(m, p, n))
 }
 

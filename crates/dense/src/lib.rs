@@ -22,7 +22,13 @@
 //! with bitwise-identical results at every worker count.  The triangular
 //! kernels ([`trsm`](fn@trsm), [`trmm`](fn@trmm), [`trinv`]) are blocked so their off-diagonal
 //! updates — where almost all of their flops are — run through that same
-//! GEMM; only small diagonal blocks use substitution loops.  [`reference`](mod@reference)
+//! GEMM, and their triangular factors through its triangle-aware form
+//! ([`gemm_views_masked`] with a [`TriMask`]: tiles in the zero half are
+//! skipped, the other triangle is never multiplied in).  A blocked
+//! [`trsm`](fn@trsm) at least [`TRSM_BLOCK`] right-hand sides wide inverts its
+//! diagonal blocks and applies them that way ([`inverts_diagonal_blocks`]),
+//! so the whole solve is microkernel work; only narrower solves and the
+//! inversion's smallest blocks use substitution loops.  [`reference`](mod@reference)
 //! keeps the original unblocked kernels as the ground truth for tests and
 //! benches.  Block-level operations avoid copies via the borrowed views
 //! [`MatRef`] / [`MatMut`] and [`gemm_views`]; [`MatMut`] is a raw pointer
@@ -71,16 +77,18 @@ pub use error::DenseError;
 pub use factor::{cholesky, lu, lu_partial_pivot, LuFactors};
 pub use flops::FlopCount;
 pub use gemm::{
-    gemm, gemm_a_bt, gemm_at_b, gemm_views, gemm_views_a_bt, gemm_views_at,
+    gemm, gemm_a_bt, gemm_at_b, gemm_views, gemm_views_a_bt, gemm_views_at, gemm_views_masked,
     gemm_views_with_threads, gemm_with_threads, matmul,
 };
 pub use matrix::{MatMut, MatRef, Matrix};
+pub use microkernel::TriMask;
 pub use threads::{dense_threads, run_region, thread_budget, with_thread_budget};
 pub use trinv::{tri_invert, tri_invert_blocked, tri_invert_in_place};
 pub use trmm::trmm;
 pub use trsm::{
-    trsm, trsm_in_place, trsm_in_place_opts, trsm_opts, trsv, trsv_in_place, trsv_in_place_opts,
-    trsv_opts, Diag, Side, SolveOpts, Transpose, Triangle, PIVOT_TOL, TRSM_BLOCK,
+    inverts_diagonal_blocks, trsm, trsm_in_place, trsm_in_place_opts, trsm_opts, trsv,
+    trsv_in_place, trsv_in_place_opts, trsv_opts, Diag, Side, SolveOpts, Transpose, Triangle,
+    PIVOT_TOL, TRSM_BLOCK,
 };
 
 /// Result alias used throughout the crate.

@@ -242,29 +242,36 @@ impl Matrix {
     /// processor grid.
     pub fn strided_block(&self, r0: usize, sr: usize, c0: usize, sc: usize) -> Matrix {
         assert!(sr > 0 && sc > 0, "strides must be positive");
-        let nr = if r0 < self.rows {
-            (self.rows - r0).div_ceil(sr)
-        } else {
-            0
-        };
-        let nc = if c0 < self.cols {
-            (self.cols - c0).div_ceil(sc)
-        } else {
-            0
-        };
-        Matrix::from_fn(nr, nc, |i, j| self[(r0 + i * sr, c0 + j * sc)])
+        let nr = self.rows.saturating_sub(r0).div_ceil(sr);
+        let nc = self.cols.saturating_sub(c0).div_ceil(sc);
+        let mut data = Vec::with_capacity(nr * nc);
+        if nc > 0 {
+            for i in (r0..self.rows).step_by(sr) {
+                data.extend(self.row(i)[c0..].iter().step_by(sc));
+            }
+        }
+        Matrix {
+            rows: nr,
+            cols: nc,
+            data,
+        }
     }
 
     /// Scatter `b` back into the strided positions `(r0 : sr, c0 : sc)`.
     /// Inverse of [`Matrix::strided_block`].
     pub fn set_strided_block(&mut self, r0: usize, sr: usize, c0: usize, sc: usize, b: &Matrix) {
         assert!(sr > 0 && sc > 0, "strides must be positive");
-        for i in 0..b.rows {
-            for j in 0..b.cols {
-                let gi = r0 + i * sr;
-                let gj = c0 + j * sc;
-                debug_assert!(gi < self.rows && gj < self.cols);
-                self[(gi, gj)] = b[(i, j)];
+        if b.is_empty() {
+            return;
+        }
+        assert!(
+            r0 + (b.rows - 1) * sr < self.rows && c0 + (b.cols - 1) * sc < self.cols,
+            "set_strided_block: block does not fit"
+        );
+        for (i, src) in b.data.chunks_exact(b.cols).enumerate() {
+            let dst = self.row_mut(r0 + i * sr)[c0..].iter_mut().step_by(sc);
+            for (d, s) in dst.zip(src) {
+                *d = *s;
             }
         }
     }

@@ -29,6 +29,18 @@
 //! `MC` must be a multiple of `MR` and `NC` a multiple of `NR` (checked at
 //! compile time below).  See `crates/dense/README.md` for how to re-run the
 //! kernel benches after changing them.
+//!
+//! ## Triangular operands
+//!
+//! Every driver takes an optional [`TriMask`] saying that `op(A)` or `op(B)`
+//! is lower/upper triangular.  The loop nest, the packed layouts and the
+//! `pc` block grid stay exactly as above; the mask only removes work: a
+//! `(block, pc)` or `(tile, pc)` pair lying wholly in the zero part is
+//! skipped (not packed, not multiplied, `C` not touched), a tile crossing
+//! the diagonal runs the microkernel over the shorter `k`-range, and the
+//! few packed entries of such a tile that fall on the wrong side of the
+//! diagonal are stored as zeros, so whatever the caller keeps in the other
+//! triangle is never multiplied in.
 
 use crate::matrix::{MatMut, MatRef};
 use crate::pack::{
@@ -36,6 +48,7 @@ use crate::pack::{
     with_packed_a, PackedA,
 };
 use crate::threads;
+use crate::trsm::Triangle;
 #[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
 
@@ -57,6 +70,121 @@ const _: () = assert!(NC.is_multiple_of(NR), "NC must be a multiple of NR");
 /// cache benefits and [`gemm_accumulate`] falls back to a simple loop.
 const PACK_THRESHOLD: usize = 32 * 32 * 32;
 
+/// Declares one operand of a product triangular, so the packed kernel
+/// multiplies only the triangle: `TriMask::a(Triangle::Lower)` says `op(A)`
+/// is lower triangular, `TriMask::b(Triangle::Upper)` that `op(B)` is upper
+/// triangular — the triangle of the operand *as multiplied*, after any
+/// transposition.  Entries outside the triangle are never multiplied in,
+/// whatever is stored there (other data, NaN).
+///
+/// For finite operands and `beta = 0` the masked product is **bitwise** the
+/// unmasked product on operands whose other triangle was explicitly filled
+/// with zeros: every term it leaves out is an exact zero added to an
+/// accumulator that is never `-0.0`.
+///
+/// Internally a mask is one inequality between an entry's *outer* index `o`
+/// (its row in `op(A)`, its column in `op(B)`) and its *inner* index `p`
+/// (the summation index): kept iff `p <= o + shift`, or iff `p >= o + shift`
+/// for a `tail` mask.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TriMask {
+    on_b: bool,
+    tail: bool,
+    shift: isize,
+}
+
+impl TriMask {
+    /// `op(A)` occupies the `tri` triangle (main diagonal included).
+    pub fn a(tri: Triangle) -> TriMask {
+        TriMask {
+            on_b: false,
+            tail: tri == Triangle::Upper,
+            shift: 0,
+        }
+    }
+
+    /// `op(B)` occupies the `tri` triangle (main diagonal included).
+    pub fn b(tri: Triangle) -> TriMask {
+        TriMask {
+            on_b: true,
+            tail: tri == Triangle::Lower,
+            shift: 0,
+        }
+    }
+
+    /// Moves the diagonal to the entries `(r, r + offset)` of the masked
+    /// operand (rows `r`, columns `r + offset`): a lower mask then keeps
+    /// `c <= r + offset`, an upper one `c >= r + offset`.
+    pub fn with_diagonal(mut self, offset: isize) -> TriMask {
+        self.shift = if self.on_b { -offset } else { offset };
+        self
+    }
+
+    /// Whether the masked operand is `op(B)` (else `op(A)`).
+    #[inline]
+    pub(crate) fn on_b(self) -> bool {
+        self.on_b
+    }
+
+    /// The inner indices `lo..hi`, clamped to `0..kdim`, outside which every
+    /// entry with an outer index in `o0..o0 + len` is masked out.
+    #[inline]
+    pub(crate) fn k_range(self, o0: usize, len: usize, kdim: usize) -> (usize, usize) {
+        let clamp = |v: isize| v.clamp(0, kdim as isize) as usize;
+        if self.tail {
+            (clamp(o0 as isize + self.shift), kdim)
+        } else {
+            (0, clamp((o0 + len) as isize + self.shift))
+        }
+    }
+
+    /// The outer indices `lo..hi`, clamped to `0..extent`, at which inner
+    /// index `p` is kept.
+    #[inline]
+    pub(crate) fn kept_outer(self, p: usize, extent: usize) -> (usize, usize) {
+        let clamp = |v: isize| v.clamp(0, extent as isize) as usize;
+        if self.tail {
+            (0, clamp(p as isize - self.shift + 1))
+        } else {
+            (clamp(p as isize - self.shift), extent)
+        }
+    }
+
+    /// Whether any entry with an outer index in `o0..o0 + len` and an inner
+    /// index in `p0..p0 + kc` is kept.
+    #[inline]
+    pub(crate) fn live(self, o0: usize, len: usize, p0: usize, kc: usize) -> bool {
+        let (lo, hi) = self.k_range(o0, len, p0 + kc);
+        lo.max(p0) < hi
+    }
+
+    /// The same mask in the coordinates of a block whose outer indices start
+    /// at `o0` and whose inner indices start at `p0`.
+    #[inline]
+    pub(crate) fn rebased(mut self, o0: usize, p0: usize) -> TriMask {
+        self.shift += o0 as isize - p0 as isize;
+        self
+    }
+
+    /// Stores zeros over the masked-out entries the macro-kernel would
+    /// otherwise read from a packed block: within each `W`-wide micro-panel
+    /// (`kc` deep, `extent` outer indices in all) the entries that fall
+    /// inside the panel's [`TriMask::k_range`] but on the wrong side of the
+    /// diagonal.  `self` must be [`TriMask::rebased`] to the block.
+    pub(crate) fn zero_masked<const W: usize>(self, extent: usize, kc: usize, dst: &mut [f64]) {
+        let panels = dst[..extent.div_ceil(W) * kc * W].chunks_exact_mut(kc * W);
+        for (q, panel) in panels.enumerate() {
+            let (lo, hi) = self.k_range(q * W, W, kc);
+            for w in 0..W {
+                let (keep_lo, keep_hi) = self.k_range(q * W + w, 1, kc);
+                for k in (lo..keep_lo).chain(keep_hi..hi) {
+                    panel[k * W + w] = 0.0;
+                }
+            }
+        }
+    }
+}
+
 /// `C += alpha · op(A) · op(B)` on borrowed views, where `a_trans` /
 /// `b_trans` select `op(X) = Xᵀ` — implemented by walking the stored
 /// operand with swapped strides during packing (see [`crate::pack`]), so a
@@ -72,8 +200,12 @@ const PACK_THRESHOLD: usize = 32 * 32 * 32;
 /// ascending, `k` ascending within each tile) depends on neither the column
 /// partitioning nor the operand storage order.
 ///
+/// `mask` declares one operand triangular (see [`TriMask`]); every path
+/// honours it, and the path taken does not depend on it.
+///
 /// Callers must pre-validate conceptual dimensions (`op(a): m×k`,
 /// `op(b): k×n`, `c: m×n`).
+#[allow(clippy::too_many_arguments)] // BLAS-style kernel signature
 pub(crate) fn gemm_views_accumulate_opt(
     alpha: f64,
     a: MatRef<'_>,
@@ -81,6 +213,7 @@ pub(crate) fn gemm_views_accumulate_opt(
     b: MatRef<'_>,
     b_trans: bool,
     c: &mut MatMut<'_>,
+    mask: Option<TriMask>,
     threads: usize,
 ) {
     let (m, kdim) = op_dims(a, a_trans);
@@ -93,11 +226,11 @@ pub(crate) fn gemm_views_accumulate_opt(
     let madds = m.saturating_mul(n).saturating_mul(kdim);
     let parallel = threads > 1 && madds >= PACK_THRESHOLD;
     if parallel && n >= 2 * NR {
-        gemm_parallel(alpha, a, a_trans, b, b_trans, c, threads);
+        gemm_parallel(alpha, a, a_trans, b, b_trans, c, mask, threads);
     } else if parallel && m >= 2 * MR {
         // Tall-skinny product: too few column panels to split, so partition
         // the `ic` (row) dimension of `A`/`C` instead.
-        gemm_parallel_rows(alpha, a, a_trans, b, b_trans, c, threads);
+        gemm_parallel_rows(alpha, a, a_trans, b, b_trans, c, mask, threads);
     } else {
         let (ai, ak) = op_strides(a, a_trans);
         let (bk, bj) = op_strides(b, b_trans);
@@ -118,6 +251,7 @@ pub(crate) fn gemm_views_accumulate_opt(
                 bj,
                 c.as_mut_ptr(),
                 c.stride(),
+                mask,
             );
         }
     }
@@ -128,7 +262,9 @@ pub(crate) fn gemm_views_accumulate_opt(
 /// column chunks on `NR`-panel boundaries via [`MatMut::split_cols_at_mut`],
 /// and runs one worker per chunk on the [`threads`] pool.  Each worker
 /// packs its own `B` panels into its thread-local scratch, so the only
-/// shared state is the immutable packed `A`.
+/// shared state is the immutable packed `A`.  A mask on `op(B)` is rebased
+/// to each worker's first column.
+#[allow(clippy::too_many_arguments)] // BLAS-style kernel signature
 fn gemm_parallel(
     alpha: f64,
     a: MatRef<'_>,
@@ -136,12 +272,13 @@ fn gemm_parallel(
     b: MatRef<'_>,
     b_trans: bool,
     c: &mut MatMut<'_>,
+    mask: Option<TriMask>,
     threads: usize,
 ) {
     let kdim = op_dims(a, a_trans).1;
     let n = op_dims(b, b_trans).1;
     let _region = obs::span_with("dense", "gemm_parallel", "threads", threads as u64);
-    with_packed_a(alpha, a, a_trans, |apack| {
+    with_packed_a(alpha, a, a_trans, mask.filter(|mk| !mk.on_b()), |apack| {
         let chunks = panel_chunks(n, NR, threads);
         let mut jobs = Vec::with_capacity(chunks.len());
         let mut rest = c.reborrow();
@@ -155,9 +292,10 @@ fn gemm_parallel(
             } else {
                 b.subview(0, j0, kdim, chunk_cols)
             };
+            let mask = mask.map(|mk| if mk.on_b() { mk.rebased(j0, 0) } else { mk });
             jobs.push(move || {
                 let _worker = obs::span_with("dense", "gemm_worker", "worker", w as u64);
-                gemm_chunk_shared_a(apack, b_chunk, b_trans, chunk)
+                gemm_chunk_shared_a(apack, b_chunk, b_trans, chunk, mask)
             });
         }
         threads::join_all(jobs);
@@ -190,7 +328,13 @@ fn panel_chunks(len: usize, panel: usize, workers: usize) -> Vec<(usize, usize)>
 /// shared pack and packing `B` panels into this worker's thread-local
 /// scratch.  The loop order matches the sequential [`gemm_packed`], which is
 /// what keeps the parallel result bitwise identical to the sequential one.
-fn gemm_chunk_shared_a(apack: &PackedA<'_>, b: MatRef<'_>, b_trans: bool, mut c: MatMut<'_>) {
+fn gemm_chunk_shared_a(
+    apack: &PackedA<'_>,
+    b: MatRef<'_>,
+    b_trans: bool,
+    mut c: MatMut<'_>,
+    mask: Option<TriMask>,
+) {
     let macro_kernel = select_macro_kernel();
     let (m, n) = c.dims();
     let kdim = op_dims(b, b_trans).0;
@@ -204,6 +348,7 @@ fn gemm_chunk_shared_a(apack: &PackedA<'_>, b: MatRef<'_>, b_trans: bool, mut c:
     let tracing = obs::enabled();
     let mut pack_ns = 0u64;
     let mut kernel_ns = 0u64;
+    let (a_mask, b_mask) = split_mask(mask);
     with_gemm_scratch(0, b_block_len(kdim, n), |_, bpack| {
         let mut jc = 0;
         while jc < n {
@@ -212,6 +357,12 @@ fn gemm_chunk_shared_a(apack: &PackedA<'_>, b: MatRef<'_>, b_trans: bool, mut c:
             let mut pc_idx = 0;
             while pc < kdim {
                 let kc = KC.min(kdim - pc);
+                if !pc_block_live(a_mask, b_mask, m, jc, nc, pc, kc) {
+                    pc += KC;
+                    pc_idx += 1;
+                    continue;
+                }
+                let b_local = b_mask.map(|mk| mk.rebased(jc, pc));
                 // SAFETY: `b` and `c` are live in-bounds views with the
                 // strides captured above; the conceptual `kc×nc` block of
                 // `op(b)` at `(pc, jc)` is valid for reads at `(bk, bj)`,
@@ -220,21 +371,24 @@ fn gemm_chunk_shared_a(apack: &PackedA<'_>, b: MatRef<'_>, b_trans: bool, mut c:
                 // chunks via `split_cols_at_mut`).
                 unsafe {
                     let t0 = if tracing { obs::now_ns() } else { 0 };
-                    pack_b(b_ptr.add(pc * bk + jc * bj), bk, bj, kc, nc, bpack);
+                    pack_b(b_ptr.add(pc * bk + jc * bj), bk, bj, kc, nc, bpack, b_local);
                     let t1 = if tracing { obs::now_ns() } else { 0 };
                     let mut ic = 0;
                     let mut ic_idx = 0;
                     while ic < m {
                         let mc = MC.min(m - ic);
-                        macro_kernel(
-                            mc,
-                            nc,
-                            kc,
-                            apack.block(ic_idx, pc_idx),
-                            bpack,
-                            c_ptr.add(ic * c_rs + jc),
-                            c_rs,
-                        );
+                        if a_mask.is_none_or(|mk| mk.live(ic, mc, pc, kc)) {
+                            macro_kernel(
+                                mc,
+                                nc,
+                                kc,
+                                apack.block(ic_idx, pc_idx),
+                                bpack,
+                                c_ptr.add(ic * c_rs + jc),
+                                c_rs,
+                                a_mask.map(|mk| mk.rebased(ic, pc)).or(b_local),
+                            );
+                        }
                         ic += MC;
                         ic_idx += 1;
                     }
@@ -265,7 +419,9 @@ fn gemm_chunk_shared_a(apack: &PackedA<'_>, b: MatRef<'_>, b_trans: bool, mut c:
 /// scratch.  Per element of `C` the accumulation order — `pc` blocks
 /// ascending, `k` ascending within each tile — does not depend on where the
 /// row partition starts, so the result stays bitwise identical to the
-/// sequential packed kernel.
+/// sequential packed kernel.  A mask on `op(A)` is rebased to each worker's
+/// first row.
+#[allow(clippy::too_many_arguments)] // BLAS-style kernel signature
 fn gemm_parallel_rows(
     alpha: f64,
     a: MatRef<'_>,
@@ -273,6 +429,7 @@ fn gemm_parallel_rows(
     b: MatRef<'_>,
     b_trans: bool,
     c: &mut MatMut<'_>,
+    mask: Option<TriMask>,
     threads: usize,
 ) {
     let (m, kdim) = op_dims(a, a_trans);
@@ -290,9 +447,10 @@ fn gemm_parallel_rows(
         } else {
             a.subview(i0, 0, chunk_rows, kdim)
         };
+        let mask = mask.map(|mk| if mk.on_b() { mk } else { mk.rebased(i0, 0) });
         jobs.push(move || {
             let _worker = obs::span_with("dense", "gemm_worker", "worker", w as u64);
-            gemm_chunk_rows(alpha, a_chunk, a_trans, b, b_trans, chunk)
+            gemm_chunk_rows(alpha, a_chunk, a_trans, b, b_trans, chunk, mask)
         });
     }
     threads::join_all(jobs);
@@ -310,6 +468,7 @@ fn gemm_chunk_rows(
     b: MatRef<'_>,
     b_trans: bool,
     mut c: MatMut<'_>,
+    mask: Option<TriMask>,
 ) {
     let (m, kdim) = op_dims(a, a_trans);
     let n = op_dims(b, b_trans).1;
@@ -333,8 +492,31 @@ fn gemm_chunk_rows(
             bj,
             c.as_mut_ptr(),
             c.stride(),
+            mask,
         );
     }
+}
+
+/// Splits a mask into `(mask on op(A), mask on op(B))`; at most one is set.
+#[inline]
+fn split_mask(mask: Option<TriMask>) -> (Option<TriMask>, Option<TriMask>) {
+    (mask.filter(|mk| !mk.on_b()), mask.filter(|mk| mk.on_b()))
+}
+
+/// Whether the `pc` block `pc..pc + kc` contributes anything to the `C`
+/// columns `jc..jc + nc`: some row of the `m`-row `op(A)`, respectively
+/// some of these columns of `op(B)`, must keep an entry there.
+#[inline]
+fn pc_block_live(
+    a_mask: Option<TriMask>,
+    b_mask: Option<TriMask>,
+    m: usize,
+    jc: usize,
+    nc: usize,
+    pc: usize,
+    kc: usize,
+) -> bool {
+    a_mask.is_none_or(|mk| mk.live(0, m, pc, kc)) && b_mask.is_none_or(|mk| mk.live(jc, nc, pc, kc))
 }
 
 /// `C[m×n] += alpha · A[m×k] · B[k×n]` on raw strided storage, choosing the
@@ -365,14 +547,15 @@ pub(crate) unsafe fn gemm_accumulate(
     bj: usize,
     c: *mut f64,
     c_rs: usize,
+    mask: Option<TriMask>,
 ) {
     if m == 0 || n == 0 || kdim == 0 || alpha == 0.0 {
         return;
     }
     if m * n * kdim < PACK_THRESHOLD {
-        gemm_small(m, n, kdim, alpha, a, ai, ak, b, bk, bj, c, c_rs);
+        gemm_small(m, n, kdim, alpha, a, ai, ak, b, bk, bj, c, c_rs, mask);
     } else {
-        gemm_packed(m, n, kdim, alpha, a, ai, ak, b, bk, bj, c, c_rs);
+        gemm_packed(m, n, kdim, alpha, a, ai, ak, b, bk, bj, c, c_rs, mask);
     }
 }
 
@@ -394,8 +577,10 @@ unsafe fn gemm_packed(
     bj: usize,
     c: *mut f64,
     c_rs: usize,
+    mask: Option<TriMask>,
 ) {
     let macro_kernel = select_macro_kernel();
+    let (a_mask, b_mask) = split_mask(mask);
     // Same pack-vs-microkernel attribution as `gemm_chunk_shared_a`: local
     // accumulators, two counter events at the end, nothing in the hot loop.
     let tracing = obs::enabled();
@@ -409,18 +594,30 @@ unsafe fn gemm_packed(
             let mut pc = 0;
             while pc < kdim {
                 let kc = KC.min(kdim - pc);
+                if !pc_block_live(a_mask, b_mask, m, jc, nc, pc, kc) {
+                    pc += KC;
+                    continue;
+                }
+                let b_local = b_mask.map(|mk| mk.rebased(jc, pc));
                 let t0 = if tracing { obs::now_ns() } else { 0 };
-                pack_b(b.add(pc * bk + jc * bj), bk, bj, kc, nc, bpack);
+                pack_b(b.add(pc * bk + jc * bj), bk, bj, kc, nc, bpack, b_local);
                 if tracing {
                     pack_ns += obs::now_ns().saturating_sub(t0);
                 }
                 let mut ic = 0;
                 while ic < m {
                     let mc = MC.min(m - ic);
+                    if a_mask.is_some_and(|mk| !mk.live(ic, mc, pc, kc)) {
+                        ic += MC;
+                        continue;
+                    }
+                    let a_local = a_mask.map(|mk| mk.rebased(ic, pc));
                     let t1 = if tracing { obs::now_ns() } else { 0 };
-                    pack_a(alpha, a.add(ic * ai + pc * ak), ai, ak, mc, kc, apack);
+                    let a_blk = a.add(ic * ai + pc * ak);
+                    pack_a(alpha, a_blk, ai, ak, mc, kc, apack, a_local);
                     let t2 = if tracing { obs::now_ns() } else { 0 };
-                    macro_kernel(mc, nc, kc, apack, bpack, c.add(ic * c_rs + jc), c_rs);
+                    let c_blk = c.add(ic * c_rs + jc);
+                    macro_kernel(mc, nc, kc, apack, bpack, c_blk, c_rs, a_local.or(b_local));
                     if tracing {
                         let t3 = obs::now_ns();
                         pack_ns += t2.saturating_sub(t1);
@@ -440,7 +637,8 @@ unsafe fn gemm_packed(
 }
 
 /// Signature shared by the macro-kernel instantiations.
-type MacroKernelFn = unsafe fn(usize, usize, usize, &[f64], &[f64], *mut f64, usize);
+type MacroKernelFn =
+    unsafe fn(usize, usize, usize, &[f64], &[f64], *mut f64, usize, Option<TriMask>);
 
 /// Picks the best macro-kernel for this CPU, once per process.
 ///
@@ -480,6 +678,7 @@ fn select_macro_kernel() -> MacroKernelFn {
 /// AVX2 and FMA (guaranteed by [`select_macro_kernel`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)] // BLAS-style kernel signature
 unsafe fn macro_kernel_avx2(
     mc: usize,
     nc: usize,
@@ -488,14 +687,19 @@ unsafe fn macro_kernel_avx2(
     bpack: &[f64],
     c: *mut f64,
     c_rs: usize,
+    mask: Option<TriMask>,
 ) {
-    macro_kernel_impl::<true>(mc, nc, kc, apack, bpack, c, c_rs);
+    match mask {
+        None => macro_kernel_impl::<true, false>(mc, nc, kc, apack, bpack, c, c_rs, mask),
+        Some(_) => macro_kernel_impl::<true, true>(mc, nc, kc, apack, bpack, c, c_rs, mask),
+    }
 }
 
 /// Portable instantiation of the macro kernel.
 ///
 /// # Safety
 /// Same contract as [`macro_kernel_impl`].
+#[allow(clippy::too_many_arguments)] // BLAS-style kernel signature
 unsafe fn macro_kernel_portable(
     mc: usize,
     nc: usize,
@@ -504,8 +708,12 @@ unsafe fn macro_kernel_portable(
     bpack: &[f64],
     c: *mut f64,
     c_rs: usize,
+    mask: Option<TriMask>,
 ) {
-    macro_kernel_impl::<false>(mc, nc, kc, apack, bpack, c, c_rs);
+    match mask {
+        None => macro_kernel_impl::<false, false>(mc, nc, kc, apack, bpack, c, c_rs, mask),
+        Some(_) => macro_kernel_impl::<false, true>(mc, nc, kc, apack, bpack, c, c_rs, mask),
+    }
 }
 
 /// Drives the microkernel over every `MR×NR` tile of one packed block pair.
@@ -514,12 +722,20 @@ unsafe fn macro_kernel_portable(
 /// a `target_feature(enable = "fma")` context, where it lowers to hardware
 /// FMA instead of a libm call.
 ///
+/// `mask` (already [`TriMask::rebased`] to this block pair) shortens each
+/// tile's `k`-range to the part its rows of `op(A)` / columns of `op(B)`
+/// keep; a tile that keeps nothing is skipped and its `C` entries are not
+/// touched.  `MASKED` must say whether `mask` is set: the dense
+/// instantiation then carries no trace of the mask, so an ordinary GEMM
+/// runs the loop it always ran.
+///
 /// # Safety
 /// `c` must be valid for reads/writes of the `mc×nc` block at row stride
 /// `c_rs`; the packed slices must hold `⌈mc/MR⌉` / `⌈nc/NR⌉` panels of depth
 /// `kc`.
 #[inline(always)]
-unsafe fn macro_kernel_impl<const FMA: bool>(
+#[allow(clippy::too_many_arguments)] // BLAS-style kernel signature
+unsafe fn macro_kernel_impl<const FMA: bool, const MASKED: bool>(
     mc: usize,
     nc: usize,
     kc: usize,
@@ -527,6 +743,7 @@ unsafe fn macro_kernel_impl<const FMA: bool>(
     bpack: &[f64],
     c: *mut f64,
     c_rs: usize,
+    mask: Option<TriMask>,
 ) {
     let mut jr = 0;
     while jr < nc {
@@ -537,7 +754,25 @@ unsafe fn macro_kernel_impl<const FMA: bool>(
             let mr = MR.min(mc - ir);
             let apanel = &apack[(ir / MR) * kc * MR..][..kc * MR];
             let ctile = c.add(ir * c_rs + jr);
-            let acc = accumulate_tile::<FMA>(kc, apanel, bpanel);
+            let acc = match mask {
+                Some(mk) if MASKED => {
+                    let (k0, k1) = if mk.on_b() {
+                        mk.k_range(jr, NR, kc)
+                    } else {
+                        mk.k_range(ir, MR, kc)
+                    };
+                    if k0 >= k1 {
+                        ir += MR;
+                        continue;
+                    }
+                    accumulate_tile::<FMA>(
+                        k1 - k0,
+                        &apanel[k0 * MR..k1 * MR],
+                        &bpanel[k0 * NR..k1 * NR],
+                    )
+                }
+                _ => accumulate_tile::<FMA>(kc, apanel, bpanel),
+            };
             if mr == MR && nr == NR {
                 for (i, row) in acc.iter().enumerate() {
                     let crow = ctile.add(i * c_rs);
@@ -602,17 +837,23 @@ unsafe fn gemm_small(
     bj: usize,
     c: *mut f64,
     c_rs: usize,
+    mask: Option<TriMask>,
 ) {
+    let (a_mask, b_mask) = split_mask(mask);
     for i in 0..m {
         let arow = a.add(i * ai);
         let crow = c.add(i * c_rs);
-        for k in 0..kdim {
+        let (k0, k1) = a_mask.map_or((0, kdim), |mk| mk.k_range(i, 1, kdim));
+        for k in k0..k1 {
             let aik = alpha * *arow.add(k * ak);
             if aik == 0.0 {
                 continue;
             }
             let brow = b.add(k * bk);
-            for j in 0..n {
+            // The kept columns of row `k` of `op(B)`: the mask's inequality
+            // read the other way round.
+            let (j0, j1) = b_mask.map_or((0, n), |mk| mk.kept_outer(k, n));
+            for j in j0..j1 {
                 *crow.add(j) += aik * *brow.add(j * bj);
             }
         }
@@ -633,7 +874,7 @@ mod tests {
         c: &mut MatMut<'_>,
         threads: usize,
     ) {
-        gemm_views_accumulate_opt(alpha, a, false, b, false, c, threads);
+        gemm_views_accumulate_opt(alpha, a, false, b, false, c, None, threads);
     }
 
     fn accumulate(
@@ -659,6 +900,7 @@ mod tests {
                 1,
                 c.as_mut_slice().as_mut_ptr(),
                 n,
+                None,
             );
         }
     }
@@ -685,6 +927,7 @@ mod tests {
                     1,
                     c_small.as_mut_slice().as_mut_ptr(),
                     n,
+                    None,
                 );
                 gemm_packed(
                     m,
@@ -699,6 +942,7 @@ mod tests {
                     1,
                     c_packed.as_mut_slice().as_mut_ptr(),
                     n,
+                    None,
                 );
             }
             assert!(
@@ -783,6 +1027,7 @@ mod tests {
                     b.as_view(),
                     false,
                     &mut c_ref.as_view_mut(),
+                    None,
                     threads,
                 );
                 let mut c_at = Matrix::zeros(m, n);
@@ -793,6 +1038,7 @@ mod tests {
                     b.as_view(),
                     false,
                     &mut c_at.as_view_mut(),
+                    None,
                     threads,
                 );
                 assert!(
@@ -807,6 +1053,7 @@ mod tests {
                     bt.as_view(),
                     true,
                     &mut c_bt.as_view_mut(),
+                    None,
                     threads,
                 );
                 assert!(
@@ -821,6 +1068,7 @@ mod tests {
                     bt.as_view(),
                     true,
                     &mut c_both.as_view_mut(),
+                    None,
                     threads,
                 );
                 assert!(
@@ -829,6 +1077,125 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `x` with every entry outside the `tri` triangle (diagonal at
+    /// `(r, r + offset)`) replaced by `fill`.
+    fn outside_filled(x: &Matrix, tri: Triangle, offset: isize, fill: f64) -> Matrix {
+        Matrix::from_fn(x.rows(), x.cols(), |r, c| {
+            let d = c as isize - r as isize - offset;
+            let kept = match tri {
+                Triangle::Lower => d <= 0,
+                Triangle::Upper => d >= 0,
+            };
+            if kept {
+                x[(r, c)]
+            } else {
+                fill
+            }
+        })
+    }
+
+    #[test]
+    fn masked_product_is_bitwise_the_product_on_zero_filled_operands() {
+        // The contract of the triangle-aware product, on every path: the
+        // small loop, the packed kernel (m and n off MR/NR multiples, m > MC,
+        // kdim > KC so whole pc blocks and whole A blocks are skipped), the
+        // column split and the row split (n < 2·NR) — for op(A) or op(B)
+        // lower or upper, stored as multiplied or pack-transposed, with the
+        // diagonal on and off the main one.  Whatever the other triangle
+        // holds — arbitrary finite values, NaN — the result equals, element
+        // for element, the unmasked product with that triangle zeroed.
+        let shapes = [
+            (5, 9, 17),
+            (31, 33, 30),
+            (MC + 37, KC + 45, 2 * NR + 29),
+            (MC + 37, KC + 45, NR + 1),
+            (2 * MR + 1, KC + 3, KC + NR + 2),
+        ];
+        for &(m, kdim, n) in &shapes {
+            let a = Matrix::from_fn(m, kdim, |i, j| ((i * 31 + j * 17) % 23) as f64 / 23.0 - 0.5);
+            let b = Matrix::from_fn(kdim, n, |i, j| ((i * 7 + j * 41) % 19) as f64 / 19.0 - 0.5);
+            for on_b in [false, true] {
+                for tri in [Triangle::Lower, Triangle::Upper] {
+                    for offset in [0isize, 5, -(KC as isize) - 2] {
+                        let mask = if on_b {
+                            TriMask::b(tri)
+                        } else {
+                            TriMask::a(tri)
+                        }
+                        .with_diagonal(offset);
+                        let zeroed = outside_filled(if on_b { &b } else { &a }, tri, offset, 0.0);
+                        let nan = outside_filled(if on_b { &b } else { &a }, tri, offset, f64::NAN);
+                        for threads in [1usize, 3] {
+                            let mut want = Matrix::zeros(m, n);
+                            let (za, zb) = if on_b { (&a, &zeroed) } else { (&zeroed, &b) };
+                            gemm_views_accumulate_opt(
+                                -1.5,
+                                za.as_view(),
+                                false,
+                                zb.as_view(),
+                                false,
+                                &mut want.as_view_mut(),
+                                None,
+                                threads,
+                            );
+                            for masked_operand in [if on_b { &b } else { &a }, &nan] {
+                                for trans in [false, true] {
+                                    // The masked operand as stored: itself, or
+                                    // its transpose read back through the pack.
+                                    let stored = if trans {
+                                        masked_operand.transpose()
+                                    } else {
+                                        masked_operand.clone()
+                                    };
+                                    let (ma, mb) = if on_b { (&a, &stored) } else { (&stored, &b) };
+                                    let mut got = Matrix::zeros(m, n);
+                                    gemm_views_accumulate_opt(
+                                        -1.5,
+                                        ma.as_view(),
+                                        trans && !on_b,
+                                        mb.as_view(),
+                                        trans && on_b,
+                                        &mut got.as_view_mut(),
+                                        Some(mask),
+                                        threads,
+                                    );
+                                    assert!(
+                                        got == want,
+                                        "masked product diverged: ({m},{kdim},{n}) on_b={on_b} \
+                                         {tri:?} offset={offset} trans={trans} threads={threads}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masked_tiles_outside_the_triangle_leave_c_untouched() {
+        // A skipped tile is not "multiplied by zero": its C entries are not
+        // read or written at all.  With op(A) strictly below a far-away
+        // diagonal nothing is kept, so a NaN-filled C survives.
+        let (m, kdim, n) = (40, 48, 40);
+        let a = Matrix::filled(m, kdim, 1.0);
+        let b = Matrix::filled(kdim, n, 1.0);
+        let mut c = Matrix::filled(m, n, f64::NAN);
+        let mask = TriMask::a(Triangle::Upper).with_diagonal(kdim as isize);
+        gemm_views_accumulate_opt(
+            1.0,
+            a.as_view(),
+            false,
+            b.as_view(),
+            false,
+            &mut c.as_view_mut(),
+            Some(mask),
+            1,
+        );
+        assert!(c.as_slice().iter().all(|v| v.is_nan()));
     }
 
     #[test]
@@ -944,6 +1311,7 @@ mod tests {
                 1,
                 c.as_mut_slice().as_mut_ptr(),
                 n,
+                None,
             );
         }
         let a_blk = big_a.block(2, 3, m, kdim);

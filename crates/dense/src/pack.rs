@@ -22,9 +22,15 @@
 //! multiplying stops allocating once it has seen its largest shape; a fresh
 //! thread — every scoped pool worker, every simulated rank — pays for the
 //! blocks it multiplies, not for the tuning maximum.
+//!
+//! The blocked triangular kernels keep their temporaries in a third
+//! thread-local, `with_scratch`: a small pool of buffers, one per nesting
+//! depth in use, so a kernel that holds scratch while calling another that
+//! takes its own (the blocked TRSM holding an inverted diagonal block across
+//! [`crate::trinv::tri_invert_in_place`]) allocates nothing in steady state.
 
 use crate::matrix::MatRef;
-use crate::microkernel::{KC, MC, MR, NC, NR};
+use crate::microkernel::{TriMask, KC, MC, MR, NC, NR};
 use std::cell::RefCell;
 
 /// Conceptual dimensions of `op(v)`: `(rows, cols)` as stored, swapped
@@ -57,9 +63,9 @@ thread_local! {
     /// Whole-`A` pack buffer for the multithreaded GEMM (every `(MC, KC)`
     /// block of `A` packed up front, shared read-only by the workers).
     static APACK_FULL: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    /// General-purpose f64 scratch for blocked kernels (e.g. the triangular
-    /// inversion's temporary product).
-    static GENERAL_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// Idle general-purpose scratch buffers for the blocked kernels, most
+    /// recently returned last (see [`with_scratch`]).
+    static SCRATCH_POOL: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The first `len` doubles of `buf`, grown to exactly `len` if it is shorter
@@ -140,7 +146,9 @@ const APACK_CACHE_MAX: usize = 2 * 1024 * 1024;
 /// Packs all of `alpha · op(a)` into the thread-local whole-`A` arena (or a
 /// fresh buffer above [`APACK_CACHE_MAX`]) and runs `f` on the result.
 /// `trans` selects `op(a) = aᵀ`: the packing then walks `a` with swapped
-/// strides, so the transposed operand is never materialized.
+/// strides, so the transposed operand is never materialized.  Under a
+/// `mask` on `op(a)`, blocks that keep nothing are left unpacked (the
+/// macro-kernel never reads them).
 ///
 /// The buffer is keyed to the calling thread, so the caller must finish with
 /// the [`PackedA`] before returning (enforced by the closure scope); workers
@@ -149,6 +157,7 @@ pub(crate) fn with_packed_a<R>(
     alpha: f64,
     a: MatRef<'_>,
     trans: bool,
+    mask: Option<TriMask>,
     f: impl FnOnce(&PackedA<'_>) -> R,
 ) -> R {
     let (m, kdim) = op_dims(a, trans);
@@ -166,6 +175,11 @@ pub(crate) fn with_packed_a<R>(
             let mut pc_idx = 0;
             while pc < kdim {
                 let kc = KC.min(kdim - pc);
+                if mask.is_some_and(|mk| !mk.live(ic, mc, pc, kc)) {
+                    pc += KC;
+                    pc_idx += 1;
+                    continue;
+                }
                 let dst = &mut buf[(ic_idx * nkc + pc_idx) * stride..][..stride];
                 // SAFETY: `a` is a live in-bounds view, so the conceptual
                 // `mc×kc` block at `(ic, pc)` is valid for reads at the
@@ -181,6 +195,7 @@ pub(crate) fn with_packed_a<R>(
                         mc,
                         kc,
                         dst,
+                        mask.map(|mk| mk.rebased(ic, pc)),
                     );
                 }
                 pc += KC;
@@ -222,11 +237,19 @@ pub(crate) fn with_packed_a<R>(
 /// The slice's contents are **unspecified** (stale data from earlier calls);
 /// callers must fully overwrite it — e.g. via a `beta = 0` GEMM, which
 /// zeroes its destination first.
+///
+/// Calls nest: the buffer is taken out of a thread-local pool for the
+/// duration of `f` and put back afterwards, so a `with_scratch` inside `f`
+/// takes the next idle buffer (a disjoint allocation) instead of a fresh
+/// `Vec`.  The pool is last-in first-out, so the same call structure meets
+/// the same buffers again, each grown to the largest request it has served.
 pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-    GENERAL_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut buf) => f(grown(&mut buf, len)),
-        Err(_) => f(&mut vec![0.0; len]),
-    })
+    let mut buf = SCRATCH_POOL
+        .with(|pool| pool.borrow_mut().pop())
+        .unwrap_or_default();
+    let out = f(grown(&mut buf, len));
+    SCRATCH_POOL.with(|pool| pool.borrow_mut().push(buf));
+    out
 }
 
 /// Packs the `mc×kc` block of `op(A)` at `a` — element `(i, k)` read from
@@ -239,9 +262,14 @@ pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R 
 /// transposed panels in scratch: the packed buffer is bit-for-bit the one a
 /// materialized transpose would have produced.
 ///
+/// A `mask` on `op(A)` ([`TriMask::rebased`] to this block) then stores
+/// zeros over the masked-out entries the macro-kernel will read
+/// ([`TriMask::zero_masked`]); the packing itself is the same.
+///
 /// # Safety
 /// `a` must be valid for reads of the `mc×kc` block at strides `(ai, ak)`,
 /// and `dst` must hold at least `⌈mc/MR⌉·kc·MR` elements.
+#[allow(clippy::too_many_arguments)] // BLAS-style kernel signature
 pub(crate) unsafe fn pack_a(
     alpha: f64,
     a: *const f64,
@@ -250,6 +278,7 @@ pub(crate) unsafe fn pack_a(
     mc: usize,
     kc: usize,
     dst: &mut [f64],
+    mask: Option<TriMask>,
 ) {
     let panels = mc.div_ceil(MR);
     debug_assert!(dst.len() >= panels * kc * MR);
@@ -276,6 +305,9 @@ pub(crate) unsafe fn pack_a(
             }
         }
     }
+    if let Some(mk) = mask {
+        mk.zero_masked::<MR>(mc, kc, dst);
+    }
 }
 
 /// Packs the `kc×nc` block of `op(B)` at `b` — element `(k, j)` read from
@@ -283,7 +315,8 @@ pub(crate) unsafe fn pack_a(
 /// the last panel.
 ///
 /// `(bk, bj) = (row stride, 1)` packs the block as stored; `(1, row
-/// stride)` packs its transpose (see [`pack_a`]).
+/// stride)` packs its transpose, and a `mask` on `op(B)` zeroes the
+/// masked-out entries the macro-kernel will read (see [`pack_a`]).
 ///
 /// # Safety
 /// `b` must be valid for reads of the `kc×nc` block at strides `(bk, bj)`,
@@ -295,6 +328,7 @@ pub(crate) unsafe fn pack_b(
     kc: usize,
     nc: usize,
     dst: &mut [f64],
+    mask: Option<TriMask>,
 ) {
     let panels = nc.div_ceil(NR);
     debug_assert!(dst.len() >= panels * kc * NR);
@@ -319,6 +353,9 @@ pub(crate) unsafe fn pack_b(
             }
         }
     }
+    if let Some(mk) = mask {
+        mk.zero_masked::<NR>(nc, kc, dst);
+    }
 }
 
 #[cfg(test)]
@@ -331,7 +368,7 @@ mod tests {
         let (mc, kc) = (5usize, 3usize);
         let a: Vec<f64> = (0..mc * kc).map(|v| v as f64).collect();
         let mut dst = vec![f64::NAN; mc.div_ceil(MR) * kc * MR];
-        unsafe { pack_a(1.0, a.as_ptr(), kc, 1, mc, kc, &mut dst) };
+        unsafe { pack_a(1.0, a.as_ptr(), kc, 1, mc, kc, &mut dst, None) };
         // Panel 0, k=1 holds column 1 of rows 0..4 contiguously.
         for i in 0..MR {
             assert_eq!(dst[MR + i], a[i * kc + 1]);
@@ -348,7 +385,7 @@ mod tests {
     fn pack_a_applies_alpha() {
         let a = [1.0, 2.0, 3.0, 4.0];
         let mut dst = vec![0.0; MR];
-        unsafe { pack_a(-2.0, a.as_ptr(), 1, 1, 4, 1, &mut dst) };
+        unsafe { pack_a(-2.0, a.as_ptr(), 1, 1, 4, 1, &mut dst, None) };
         assert_eq!(dst, vec![-2.0, -4.0, -6.0, -8.0]);
     }
 
@@ -358,7 +395,7 @@ mod tests {
         let (kc, nc) = (2usize, 10usize);
         let b: Vec<f64> = (0..kc * nc).map(|v| v as f64).collect();
         let mut dst = vec![f64::NAN; nc.div_ceil(NR) * kc * NR];
-        unsafe { pack_b(b.as_ptr(), nc, 1, kc, nc, &mut dst) };
+        unsafe { pack_b(b.as_ptr(), nc, 1, kc, nc, &mut dst, None) };
         // Panel 0, k=1 holds row 1, columns 0..8 contiguously.
         for j in 0..NR {
             assert_eq!(dst[NR + j], b[nc + j]);
@@ -391,8 +428,8 @@ mod tests {
         let mut direct = vec![f64::NAN; plen];
         let mut via_mat = vec![f64::NAN; plen];
         unsafe {
-            pack_a(1.5, a.as_ptr(), 1, cols, cols, rows, &mut direct);
-            pack_a(1.5, at.as_ptr(), rows, 1, cols, rows, &mut via_mat);
+            pack_a(1.5, a.as_ptr(), 1, cols, cols, rows, &mut direct, None);
+            pack_a(1.5, at.as_ptr(), rows, 1, cols, rows, &mut via_mat, None);
         }
         assert_eq!(direct, via_mat);
         // As the B operand: conceptual (kc, nc) = (cols, rows).
@@ -400,8 +437,8 @@ mod tests {
         let mut direct = vec![f64::NAN; plen];
         let mut via_mat = vec![f64::NAN; plen];
         unsafe {
-            pack_b(a.as_ptr(), 1, cols, cols, rows, &mut direct);
-            pack_b(at.as_ptr(), rows, 1, cols, rows, &mut via_mat);
+            pack_b(a.as_ptr(), 1, cols, cols, rows, &mut direct, None);
+            pack_b(at.as_ptr(), rows, 1, cols, rows, &mut via_mat, None);
         }
         assert_eq!(direct, via_mat);
     }
@@ -450,13 +487,31 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_reused() {
-        let ptr1 = with_scratch(64, |buf| {
-            assert_eq!(buf.len(), 64);
-            buf[0] = 7.0;
-            buf.as_ptr() as usize
-        });
-        let ptr2 = with_scratch(64, |buf| buf.as_ptr() as usize);
-        assert_eq!(ptr1, ptr2, "scratch buffer should be reused");
+    fn nested_scratch_frames_are_disjoint_and_reused() {
+        // An outer borrow held across an inner one (the blocked TRSM across
+        // `tri_invert_in_place`): two live slices that do not overlap, and
+        // the same two buffers again on the next call — no fresh `Vec`.
+        let frames = || {
+            with_scratch(64, |outer| {
+                outer.fill(1.0);
+                let inner_range = with_scratch(32, |inner| {
+                    assert_eq!(inner.len(), 32);
+                    inner.fill(2.0);
+                    inner.as_ptr_range()
+                });
+                assert_eq!(outer.len(), 64);
+                assert!(outer.iter().all(|&v| v == 1.0), "inner frame overlapped");
+                let outer_range = outer.as_ptr_range();
+                assert!(
+                    inner_range.end <= outer_range.start || outer_range.end <= inner_range.start
+                );
+                (outer_range.start as usize, inner_range.start as usize)
+            })
+        };
+        let first = frames();
+        assert_eq!(frames(), first, "scratch buffers should be reused");
+        // A smaller request is served from the grown buffer.
+        let again = with_scratch(16, |buf| buf.as_ptr() as usize);
+        assert_eq!(again, first.0);
     }
 }

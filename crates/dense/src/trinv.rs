@@ -11,29 +11,40 @@
 //! ```
 //!
 //! recurse on the two diagonal blocks, and form the off-diagonal block with
-//! two GEMMs — which therefore run on the packed microkernel and carry
-//! almost all of the flops.  Unlike the original version, the recursion
-//! works **in place** on views ([`tri_invert_in_place`]): the off-diagonal
-//! block is overwritten where it lives, with a single thread-local scratch
-//! panel for the intermediate product, instead of extracting, multiplying
-//! and re-inserting copies of every block.  [`tri_invert`] /
-//! [`tri_invert_blocked`] are the allocating wrappers; the recursion stops
-//! at `block` and finishes with direct in-place substitution.
+//! two products — which run on the packed microkernel and carry almost all
+//! of the flops.  Both have a triangular factor (`L22⁻¹` on the left of the
+//! first, `L11⁻¹` on the right of the second), so both are
+//! [`gemm_views_masked`] products: only the triangle is multiplied, which
+//! halves the arithmetic and means the other triangle of the view — which
+//! the in-place recursion never owns — is never read into a result.  The
+//! recursion works **in place** on views ([`tri_invert_in_place`]): the
+//! off-diagonal block is overwritten where it lives, with a single
+//! thread-local scratch panel for the intermediate product.
+//! [`tri_invert`] / [`tri_invert_blocked`] are the allocating wrappers; the
+//! recursion stops at `block` and finishes with direct in-place
+//! substitution.  The reported [`FlopCount`] is the classical one of the
+//! full products: the γ·F term describes the algorithm, not the skipping.
 
 use crate::error::DenseError;
 use crate::flops::{tri_inv_flops, FlopCount};
-use crate::gemm::gemm_views;
+use crate::gemm::gemm_views_masked;
 use crate::matrix::{MatMut, Matrix};
+use crate::microkernel::TriMask;
 use crate::pack::with_scratch;
 use crate::trsm::{Triangle, PIVOT_TOL};
 use crate::Result;
+
+/// Dimension at or below which the recursion stops and inverts directly:
+/// the default of [`tri_invert`], and what the blocked TRSM inverts its
+/// diagonal blocks with.
+pub(crate) const RECURSION_CUTOFF: usize = 16;
 
 /// Invert a triangular matrix, returning `(inverse, flops)`.
 ///
 /// For `Triangle::Lower` the strictly-upper part of `a` is ignored (assumed
 /// zero); symmetrically for `Triangle::Upper`.
 pub fn tri_invert(tri: Triangle, a: &Matrix) -> Result<(Matrix, FlopCount)> {
-    tri_invert_blocked(tri, a, 16)
+    tri_invert_blocked(tri, a, RECURSION_CUTOFF)
 }
 
 /// Invert a triangular matrix with a configurable recursion cut-off.
@@ -60,8 +71,9 @@ pub fn tri_invert_blocked(tri: Triangle, a: &Matrix, block: usize) -> Result<(Ma
 ///
 /// This is the zero-copy entry point the distributed algorithms use to
 /// invert diagonal blocks where they live (e.g. `catrsm`'s block-diagonal
-/// inverter).  The strictly-opposite triangle of the view is ignored and
-/// left untouched.  Returns the flop count.
+/// inverter).  The strictly-opposite triangle of the view is ignored —
+/// whatever it holds, NaN included, reaches no result — and left untouched.
+/// Returns the flop count.
 pub fn tri_invert_in_place(tri: Triangle, a: &mut MatMut<'_>, block: usize) -> Result<FlopCount> {
     let (rows, cols) = a.dims();
     if rows != cols {
@@ -108,15 +120,27 @@ fn invert_lower_in_place(l: MatMut<'_>, block: usize, flops: &mut FlopCount) -> 
     // intermediate product (both factors live in `bottom` / `top`).
     with_scratch((n - h) * h, |tmp| -> Result<()> {
         let mut t = MatMut::from_slice(tmp, n - h, h);
-        *flops += gemm_views(
+        *flops += gemm_views_masked(
             1.0,
             bottom.rb().subview(0, h, n - h, n - h),
+            false,
             bottom.rb().subview(0, 0, n - h, h),
+            false,
             0.0,
             &mut t,
+            TriMask::a(Triangle::Lower),
         )?;
         let mut l21 = bottom.submat_mut(0, 0, n - h, h);
-        *flops += gemm_views(-1.0, t.rb(), top.rb().subview(0, 0, h, h), 0.0, &mut l21)?;
+        *flops += gemm_views_masked(
+            -1.0,
+            t.rb(),
+            false,
+            top.rb().subview(0, 0, h, h),
+            false,
+            0.0,
+            &mut l21,
+            TriMask::b(Triangle::Lower),
+        )?;
         Ok(())
     })
 }
@@ -136,20 +160,26 @@ fn invert_upper_in_place(u: MatMut<'_>, block: usize, flops: &mut FlopCount) -> 
     // inv12 = -inv11 · U12 · inv22.
     with_scratch(h * (n - h), |tmp| -> Result<()> {
         let mut t = MatMut::from_slice(tmp, h, n - h);
-        *flops += gemm_views(
+        *flops += gemm_views_masked(
             1.0,
             top.rb().subview(0, 0, h, h),
+            false,
             top.rb().subview(0, h, h, n - h),
+            false,
             0.0,
             &mut t,
+            TriMask::a(Triangle::Upper),
         )?;
         let mut u12 = top.submat_mut(0, h, h, n - h);
-        *flops += gemm_views(
+        *flops += gemm_views_masked(
             -1.0,
             t.rb(),
+            false,
             bottom.rb().subview(0, h, n - h, n - h),
+            false,
             0.0,
             &mut u12,
+            TriMask::b(Triangle::Upper),
         )?;
         Ok(())
     })

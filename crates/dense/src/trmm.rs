@@ -1,22 +1,20 @@
 //! Triangular × dense matrix multiplication.
 //!
-//! `trmm` computes `C ← A · B` for triangular `A`, exploiting the triangular
-//! structure so only the nonzero half is touched.  The product is *blocked*:
-//! only the `NB×NB` diagonal blocks use the triangular loop, and all
-//! off-diagonal block products are delegated to the packed GEMM, so the bulk
-//! of the flops runs at microkernel speed.  It is used by the residual
-//! checks and by the solve phase of the iterative TRSM, where the inverted
-//! diagonal block is (lower) triangular.
+//! `trmm` computes `C ← A · B` for triangular `A` as one triangle-aware
+//! packed product ([`gemm_views_masked`]): the microkernel skips the tiles
+//! of `A` that lie wholly in the zero half and shortens the inner loop on
+//! the tiles that cross the diagonal, so only the triangle is multiplied —
+//! at microkernel speed throughout — and the other triangle of `a` is never
+//! read into the result.  It backs the residual checks and the TRSM ↔ TRMM
+//! round-trip tests.
 
 use crate::error::DenseError;
 use crate::flops::{trmm_flops, FlopCount};
-use crate::gemm::gemm_views;
-use crate::matrix::{MatMut, MatRef, Matrix};
+use crate::gemm::gemm_views_masked;
+use crate::matrix::Matrix;
+use crate::microkernel::TriMask;
 use crate::trsm::Triangle;
 use crate::Result;
-
-/// Row-panel width of the blocked product.
-const NB: usize = 64;
 
 /// Compute `A · B` where `A` is triangular, returning a fresh matrix along
 /// with the number of flops spent.
@@ -34,90 +32,19 @@ pub fn trmm(tri: Triangle, a: &Matrix, b: &Matrix) -> Result<(Matrix, FlopCount)
             rhs: b.dims(),
         });
     }
-    let n = a.rows();
-    let k = b.cols();
+    let (n, k) = (a.rows(), b.cols());
     let mut c = Matrix::zeros(n, k);
-    let mut i0 = 0;
-    while i0 < n {
-        let i1 = (i0 + NB).min(n);
-        let nb = i1 - i0;
-        match tri {
-            Triangle::Lower => {
-                // C[i0..i1] = L[i0..i1, 0..i0] · B[0..i0]  (full blocks, GEMM)
-                //           + tril(L[i0..i1, i0..i1]) · B[i0..i1]
-                if i0 > 0 {
-                    gemm_views(
-                        1.0,
-                        a.view(i0, 0, nb, i0),
-                        b.view(0, 0, i0, k),
-                        1.0,
-                        &mut c.view_mut(i0, 0, nb, k),
-                    )
-                    .expect("blocked trmm: update dims");
-                }
-                diag_block_lower(
-                    a.view(i0, i0, nb, nb),
-                    b.view(i0, 0, nb, k),
-                    c.view_mut(i0, 0, nb, k),
-                );
-            }
-            Triangle::Upper => {
-                // C[i0..i1] = U[i0..i1, i1..n] · B[i1..n]  (full blocks, GEMM)
-                //           + triu(U[i0..i1, i0..i1]) · B[i0..i1]
-                if i1 < n {
-                    gemm_views(
-                        1.0,
-                        a.view(i0, i1, nb, n - i1),
-                        b.view(i1, 0, n - i1, k),
-                        1.0,
-                        &mut c.view_mut(i0, 0, nb, k),
-                    )
-                    .expect("blocked trmm: update dims");
-                }
-                diag_block_upper(
-                    a.view(i0, i0, nb, nb),
-                    b.view(i0, 0, nb, k),
-                    c.view_mut(i0, 0, nb, k),
-                );
-            }
-        }
-        i0 = i1;
-    }
+    gemm_views_masked(
+        1.0,
+        a.as_view(),
+        false,
+        b.as_view(),
+        false,
+        0.0,
+        &mut c.as_view_mut(),
+        TriMask::a(tri),
+    )?;
     Ok((c, trmm_flops(n, k)))
-}
-
-/// `C += tril(A) · B` on an `nb`-sized diagonal block.
-fn diag_block_lower(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
-    let nb = a.rows();
-    for i in 0..nb {
-        let crow = c.row_mut(i);
-        for j in 0..=i {
-            let aij = a.at(i, j);
-            if aij == 0.0 {
-                continue;
-            }
-            for (cv, bv) in crow.iter_mut().zip(b.row(j)) {
-                *cv += aij * bv;
-            }
-        }
-    }
-}
-
-/// `C += triu(A) · B` on an `nb`-sized diagonal block.
-fn diag_block_upper(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
-    let nb = a.rows();
-    for i in 0..nb {
-        let crow = c.row_mut(i);
-        for j in i..nb {
-            let aij = a.at(i, j);
-            if aij == 0.0 {
-                continue;
-            }
-            for (cv, bv) in crow.iter_mut().zip(b.row(j)) {
-                *cv += aij * bv;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -179,6 +106,31 @@ mod tests {
                 );
                 assert_eq!(f1, f2, "flop accounting must match the reference");
             }
+        }
+    }
+
+    #[test]
+    fn other_triangle_is_never_multiplied_in() {
+        // One masked product over the whole operand: NaN in the triangle
+        // `tri` does not name reaches no entry of the result.
+        let n = 150;
+        let full = Matrix::from_fn(n, n, |i, j| ((i * 3 + j * 7) % 11) as f64 / 11.0 - 0.4);
+        let b = Matrix::from_fn(n, 9, |i, j| ((i * 13 + j) % 17) as f64 / 17.0 - 0.5);
+        for tri in [Triangle::Lower, Triangle::Upper] {
+            let kept = |i: usize, j: usize| match tri {
+                Triangle::Lower => j <= i,
+                Triangle::Upper => j >= i,
+            };
+            let zeroed = Matrix::from_fn(n, n, |i, j| if kept(i, j) { full[(i, j)] } else { 0.0 });
+            let poisoned = Matrix::from_fn(
+                n,
+                n,
+                |i, j| if kept(i, j) { full[(i, j)] } else { f64::NAN },
+            );
+            let (want, _) = trmm(tri, &zeroed, &b).unwrap();
+            let (got, _) = trmm(tri, &poisoned, &b).unwrap();
+            assert!(got == want, "{tri:?}");
+            assert!(got.max_abs_diff(&matmul(&zeroed, &b)).unwrap() < 1e-12);
         }
     }
 

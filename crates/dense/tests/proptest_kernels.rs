@@ -280,27 +280,53 @@ proptest! {
     }
 
     /// The in-place view inversion produces the same inverse (and flops) as
-    /// the allocating wrapper, and touches nothing outside its block.
+    /// the allocating wrapper, and touches nothing outside its block — nor
+    /// the view's opposite triangle, which it neither reads (random values
+    /// or NaN there change no bit of the result) nor writes.
     #[test]
     fn in_place_trinv_matches_wrapper(
-        n in 1usize..64,
+        n in 1usize..100,
         off in 0usize..16,
         block in 1usize..24,
+        upper in prop::bool::ANY,
+        nan_fill in prop::bool::ANY,
         seed in any::<u64>(),
     ) {
-        let l = gen::well_conditioned_lower(n, seed);
+        let (tri, a) = if upper {
+            (Triangle::Upper, gen::well_conditioned_upper(n, seed))
+        } else {
+            (Triangle::Lower, gen::well_conditioned_lower(n, seed))
+        };
+        let in_triangle = |i: usize, j: usize| if upper { j >= i } else { j <= i };
         let dim = n + off + 3;
-        let mut big = gen::uniform(dim, dim, seed ^ 0xabc);
-        big.set_block(off, off, &l);
-        let f_inplace =
-            tri_invert_in_place(Triangle::Lower, &mut big.view_mut(off, off, n, n), block).unwrap();
-        let (expect, f_wrapper) = tri_invert_blocked(Triangle::Lower, &l, block).unwrap();
+        let surround = gen::uniform(dim, dim, seed ^ 0xabc);
+        // The block sits inside `surround`; its opposite triangle keeps the
+        // surrounding random values, or NaN.
+        let before = Matrix::from_fn(dim, dim, |r, c| {
+            let inside = (off..off + n).contains(&r) && (off..off + n).contains(&c);
+            if inside && in_triangle(r - off, c - off) {
+                a[(r - off, c - off)]
+            } else if inside && nan_fill {
+                f64::NAN
+            } else {
+                surround[(r, c)]
+            }
+        });
+        let mut big = before.clone();
+        let f_inplace = tri_invert_in_place(tri, &mut big.view_mut(off, off, n, n), block).unwrap();
+        let (expect, f_wrapper) = tri_invert_blocked(tri, &a, block).unwrap();
         prop_assert_eq!(f_inplace, f_wrapper);
-        let got = big.block(off, off, n, n).lower_triangular_part();
-        prop_assert!(got.max_abs_diff(&expect).unwrap() < TOL);
-        // A sentinel outside the block is untouched.
-        if off > 0 {
-            prop_assert_eq!(big[(off - 1, 0)], gen::uniform(dim, dim, seed ^ 0xabc)[(off - 1, 0)]);
+        for r in 0..dim {
+            for c in 0..dim {
+                let inside = (off..off + n).contains(&r) && (off..off + n).contains(&c);
+                if inside && in_triangle(r - off, c - off) {
+                    // Same recursion, same products, same bits as on a
+                    // zero-filled block.
+                    prop_assert_eq!(big[(r, c)], expect[(r - off, c - off)]);
+                } else {
+                    prop_assert_eq!(big[(r, c)].to_bits(), before[(r, c)].to_bits());
+                }
+            }
         }
     }
 
@@ -323,4 +349,21 @@ proptest! {
         prop_assert_eq!(count, m.len());
         prop_assert_eq!(rebuilt, m);
     }
+}
+
+/// Past the last row or column a processor owns nothing: the piece is empty
+/// (with the other dimension still counted), and scattering it back is a
+/// no-op.
+#[test]
+fn strided_block_past_the_edge_is_empty() {
+    let m = gen::uniform(5, 7, 1);
+    assert_eq!(m.strided_block(5, 2, 0, 3).dims(), (0, 3));
+    assert_eq!(m.strided_block(9, 2, 1, 3).dims(), (0, 2));
+    assert_eq!(m.strided_block(1, 2, 7, 3).dims(), (2, 0));
+    assert_eq!(m.strided_block(0, 1, 12, 1).dims(), (5, 0));
+    assert_eq!(m.strided_block(5, 1, 7, 1).dims(), (0, 0));
+    let mut copy = m.clone();
+    copy.set_strided_block(9, 2, 1, 3, &m.strided_block(9, 2, 1, 3));
+    copy.set_strided_block(1, 2, 7, 3, &m.strided_block(1, 2, 7, 3));
+    assert_eq!(copy, m);
 }

@@ -94,6 +94,56 @@ proptest! {
     }
 }
 
+/// Why this plan: a dense plan says which of the blocked solve's two
+/// kernels a solve this wide runs — on both sides of `k = NB` — from the
+/// same `dense` function the kernel decides with, and the report names the
+/// kernel that ran.
+#[test]
+fn dense_plan_says_whether_diagonal_blocks_are_inverted() {
+    let nb = dense::TRSM_BLOCK;
+    let n = 2 * nb + 3;
+    let l = gen::well_conditioned_lower(n, 5);
+    let req = SolveRequest::lower();
+    for (k, inverted, name) in [
+        (nb - 1, false, "dense blocked substitution"),
+        (nb, true, "dense blocked solve, inverted diagonal blocks"),
+    ] {
+        assert_eq!(dense::inverts_diagonal_blocks(k), inverted);
+        let plan = req.plan_dense(n, k).unwrap();
+        assert!(
+            matches!(
+                plan.backend,
+                PlanBackend::Dense { block, inverts_blocks, .. }
+                    if block == nb && inverts_blocks == inverted
+            ),
+            "k = {k}: {:?}",
+            plan.backend
+        );
+        assert_eq!(plan.algorithm_name(), name);
+        let shown = plan.to_string();
+        assert!(shown.starts_with(name), "{shown}");
+        assert!(
+            shown.contains(if inverted {
+                "diagonal blocks inverted"
+            } else {
+                "diagonal blocks substituted"
+            }),
+            "{shown}"
+        );
+
+        let x_true = gen::rhs(n, k, 6);
+        let b = dense::matmul(&l, &x_true);
+        let sol = plan.execute_dense(&l, &b).unwrap();
+        assert_eq!(sol.report.algorithm, name);
+        assert!(dense::norms::rel_diff(&sol.x, &x_true) < 1e-12);
+        // The right side counts rows of B.
+        let right = req.side(Side::Right).plan_dense(n, k).unwrap();
+        assert_eq!(right.algorithm_name(), name);
+        let sol = right.execute_dense(&l, &b.transpose()).unwrap();
+        assert_eq!(sol.report.algorithm, name);
+    }
+}
+
 /// Distributed: a transposed request equals solving the explicitly
 /// transposed distributed matrix, and Auto's plan is the configuration it
 /// executes.
