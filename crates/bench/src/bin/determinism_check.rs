@@ -1,33 +1,25 @@
-//! Prints a checksum of a fixed workload of dense kernels, sparse
-//! level-scheduled solves and distributed solves so CI can verify that
-//! results are **bitwise identical** under different `DENSE_THREADS`
-//! settings (the multithreaded GEMM and the sparse level-parallel executors
-//! must be throughput knobs, not semantics knobs) — and identical to the
-//! parent commit's, so a change that only moves data (a redistribution, a
-//! scratch arena) provably changes no bit of any result.
+//! Prints a checksum of a fixed workload of dense kernels, sparse solves
+//! and distributed solves so CI can verify that results are **bitwise
+//! identical** under different `DENSE_THREADS` settings (the multithreaded
+//! GEMM and the sparse level sweep must be throughput knobs, not semantics
+//! knobs) — and identical to the parent commit's, so a change that only
+//! moves data (a redistribution, a scratch arena) provably changes no bit
+//! of any result.
 //!
-//! CI runs this across a matrix of `DENSE_THREADS` (1 vs 4) **and**
-//! `SPARSE_POLICY` (`level` vs `merged` vs unset = auto) settings and diffs
-//! the output; any divergence in a single mantissa bit changes the
-//! checksum, so the barrier-per-level and DAG-partitioned sparse executors
-//! must agree exactly.  The worker count and policy actually used are
-//! printed to stderr only, so stdout is comparable across runs.
-//!
-//! The sync-free executor (`SPARSE_POLICY=syncfree`) is bitwise
-//! reproducible only per *fixed* worker count, so CI diffs two identical
-//! sync-free runs per `DENSE_THREADS` setting against each other (not
-//! against the level baseline) and additionally runs the in-process
-//! `--syncfree-tolerance` mode, which solves the sparse workloads under
-//! both the level and sync-free policies and asserts they agree to 1e-12
-//! — plus bitwise self-consistency of two same-worker-count sync-free
-//! solves.
+//! CI runs this at `DENSE_THREADS` 1 and 4 and diffs the output; any
+//! divergence in a single mantissa bit changes the checksum.  The sparse
+//! rows run under the implicit worker budget (the pool size), so the two
+//! legs take different executors wherever the go-parallel rule lets them —
+//! `sparse_wide_levels_20000w2048` is there so that at least one row
+//! always does.  The worker count is printed to stderr only, so stdout is
+//! comparable across runs.
 //!
 //! The in-process `--trace-transparency` mode runs a representative
 //! workload with the `obs` tracing layer disabled and again with it
 //! enabled, and asserts every result is bitwise identical: observability
 //! must never perturb the numerics.
 
-use catrsm::{Algorithm, ItInvConfig, SchedulePolicy, SolveRequest};
+use catrsm::{Algorithm, ItInvConfig, SolveRequest};
 use dense::{gemm, gen, tri_invert, trsm_in_place, Diag, Matrix, Side, Triangle};
 use pgrid::{DistMatrix, Grid2D};
 use simnet::{Machine, MachineParams};
@@ -79,99 +71,19 @@ fn solve_sparse_vec(req: SolveRequest, m: &sparse::SparseTri, b: &[f64]) -> Vec<
     x
 }
 
-/// Sparse scheduling-policy pin from the `SPARSE_POLICY` environment
-/// variable: `level` / `merged` / `syncfree` pin that executor, anything
-/// else (or unset) leaves the auto heuristic in charge.
-fn sparse_policy() -> Option<SchedulePolicy> {
-    match std::env::var("SPARSE_POLICY").ok().as_deref() {
-        Some("level") => Some(SchedulePolicy::Level),
-        Some("merged") => Some(SchedulePolicy::Merged),
-        Some("syncfree") => Some(SchedulePolicy::SyncFree),
-        _ => None,
-    }
+/// A factor whose levels (10 of 2 048 rows, ~12 800 stored entries each)
+/// clear the go-parallel rule, with its right-hand side.
+fn wide_levels() -> (sparse::SparseTri, Vec<f64>) {
+    (
+        sparse::gen::deep_narrow_lower(20_000, 2048, 6, 37),
+        sparse::gen::rhs_vec(20_000, 38),
+    )
 }
 
-/// Applies the `SPARSE_POLICY` pin to a request.
-fn with_policy(req: SolveRequest) -> SolveRequest {
-    match sparse_policy() {
-        Some(p) => req.policy(p),
-        None => req,
-    }
-}
-
-/// `--syncfree-tolerance`: solve the sparse workloads under the level and
-/// sync-free policies in-process and assert they agree to 1e-12 (the
-/// FP-reduction-order caveat: sync-free is not bitwise against the
-/// barriered executors), plus bitwise self-consistency of two sync-free
-/// solves at the same worker count.
-fn syncfree_tolerance_check() {
-    const TOL: f64 = 1e-12;
-    let max_abs_diff = |a: &[f64], b: &[f64]| -> f64 {
-        assert_eq!(a.len(), b.len());
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0_f64, f64::max)
-    };
-    let check = |label: &str, level: &[f64], syncfree: &[f64], again: &[f64]| {
-        let diff = max_abs_diff(level, syncfree);
-        assert!(
-            diff < TOL,
-            "{label}: sync-free diverged from level by {diff:e} (tolerance {TOL:e})"
-        );
-        assert!(
-            syncfree == again,
-            "{label}: two same-worker-count sync-free solves must be bitwise equal"
-        );
-        println!("{label}: syncfree within {TOL:e} of level (max diff {diff:e})");
-    };
-
-    let sl = sparse::gen::random_lower(40_000, 12, 31);
-    let sb = sparse::gen::rhs_vec(40_000, 32);
-    let dl = sparse::gen::deep_narrow_lower(40_000, 4, 4, 35);
-    let db = sparse::gen::rhs_vec(40_000, 36);
-    let solve = |m: &sparse::SparseTri, b: &[f64], policy: SchedulePolicy, transposed: bool| {
-        let mut req = SolveRequest::lower().threads(4).policy(policy);
-        if transposed {
-            req = req.transposed();
-        }
-        solve_sparse_vec(req, m, b)
-    };
-    for (label, m, b, transposed) in [
-        ("sparse_solve_40000x12", &sl, &sb, false),
-        ("sparse_solve_t_40000x12", &sl, &sb, true),
-        ("sparse_deep_dag_40000w4", &dl, &db, false),
-    ] {
-        check(
-            label,
-            &solve(m, b, SchedulePolicy::Level, transposed),
-            &solve(m, b, SchedulePolicy::SyncFree, transposed),
-            &solve(m, b, SchedulePolicy::SyncFree, transposed),
-        );
-    }
-
-    let sbm = Matrix::from_fn(8_000, 8, |i, j| ((i * 7 + j * 3) % 17) as f64 - 8.0);
-    let su = sparse::gen::random_upper(8_000, 10, 33);
-    let multi = |policy: SchedulePolicy| {
-        SolveRequest::upper()
-            .threads(4)
-            .policy(policy)
-            .solve_sparse(&su, &sbm)
-            .unwrap()
-            .x
-    };
-    check(
-        "sparse_solve_multi_upper_8000x8",
-        multi(SchedulePolicy::Level).as_slice(),
-        multi(SchedulePolicy::SyncFree).as_slice(),
-        multi(SchedulePolicy::SyncFree).as_slice(),
-    );
-    eprintln!("syncfree tolerance check passed");
-}
-
-/// `--trace-transparency`: run a representative workload (dense TRSM,
-/// sparse solves under all three scheduling policies, a distributed solve
-/// on the simulated machine) once with tracing disabled and once with
+/// `--trace-transparency`: run a representative workload (dense TRSM, a
+/// sparse solve the rule keeps sequential and one it runs as a 4-worker
+/// level sweep, a distributed solve on the simulated machine) once with
+/// tracing disabled and once with
 /// tracing enabled, and assert every result is **bitwise identical** —
 /// the observability layer must be a pure observer that never touches
 /// floating-point data or scheduling decisions.
@@ -186,18 +98,12 @@ fn trace_transparency_check() {
 
         let sl = sparse::gen::random_lower(20_000, 8, 31);
         let sb = sparse::gen::rhs_vec(20_000, 32);
-        for policy in [
-            SchedulePolicy::Level,
-            SchedulePolicy::Merged,
-            SchedulePolicy::SyncFree,
-        ] {
-            let req = SolveRequest::lower().threads(4).policy(policy);
-            let sx = solve_sparse_vec(req, &sl, &sb);
-            out.push(checksum_slice(
-                &format!("sparse_20000_{}", policy.name()),
-                &sx,
-            ));
-        }
+        let req = SolveRequest::lower().threads(4);
+        let sx = solve_sparse_vec(req, &sl, &sb);
+        out.push(checksum_slice("sparse_20000_level", &sx));
+        let (wl, wb) = wide_levels();
+        let wx = solve_sparse_vec(req, &wl, &wb);
+        out.push(checksum_slice("sparse_wide_levels_20000w2048", &wx));
 
         out.push(distributed_checksum(
             "distributed_64x16",
@@ -239,19 +145,11 @@ fn trace_transparency_check() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--syncfree-tolerance") {
-        syncfree_tolerance_check();
-        return;
-    }
     if std::env::args().any(|a| a == "--trace-transparency") {
         trace_transparency_check();
         return;
     }
     eprintln!("dense worker count: {}", dense::dense_threads());
-    eprintln!(
-        "sparse policy: {}",
-        sparse_policy().map(|p| p.name()).unwrap_or("auto")
-    );
 
     // Big enough to cross the implicit parallelisation threshold
     // (PAR_MIN_MADDS = 128^3) with ragged panel edges on every dimension.
@@ -289,33 +187,35 @@ fn main() {
     let (inv, _) = tri_invert(Triangle::Lower, &l).unwrap();
     println!("{}", checksum("tri_invert_384", &inv));
 
-    // Sparse level-scheduled solves: big enough that `nnz·k` clears the
-    // implicit PAR_MIN_WORK gate, so the DENSE_THREADS=4 CI leg runs the
-    // barrier-synchronized parallel executor on the single-RHS solve and
-    // the multi-RHS solve alike.
+    // Sparse solves under the implicit worker budget: which executor the
+    // DENSE_THREADS=4 CI leg runs on each is the go-parallel rule's call,
+    // and no call may move a bit.
     let sl = sparse::gen::random_lower(40_000, 12, 31);
     let sb = sparse::gen::rhs_vec(40_000, 32);
-    let sx = solve_sparse_vec(with_policy(SolveRequest::lower()), &sl, &sb);
+    let sx = solve_sparse_vec(SolveRequest::lower(), &sl, &sb);
     println!("{}", checksum_slice("sparse_solve_40000x12", &sx));
 
-    let sxt = solve_sparse_vec(with_policy(SolveRequest::lower().transposed()), &sl, &sb);
+    let sxt = solve_sparse_vec(SolveRequest::lower().transposed(), &sl, &sb);
     println!("{}", checksum_slice("sparse_solve_t_40000x12", &sxt));
 
     let sbm = Matrix::from_fn(8_000, 8, |i, j| ((i * 7 + j * 3) % 17) as f64 - 8.0);
     let su = sparse::gen::random_upper(8_000, 10, 33);
-    let sxm = with_policy(SolveRequest::upper())
-        .solve_sparse(&su, &sbm)
-        .unwrap()
-        .x;
+    let sxm = SolveRequest::upper().solve_sparse(&su, &sbm).unwrap().x;
     println!("{}", checksum("sparse_solve_multi_upper_8000x8", &sxm));
 
-    // Deep narrow DAG: the shape where the level and merged executors
-    // differ most (10000 barriers vs ~50) — their checksums must not
-    // differ at all.
+    // Deep narrow DAG: 10 000 four-row levels, which the rule keeps
+    // sequential under any budget.
     let dl = sparse::gen::deep_narrow_lower(40_000, 4, 4, 35);
     let db = sparse::gen::rhs_vec(40_000, 36);
-    let dx = solve_sparse_vec(with_policy(SolveRequest::lower().threads(4)), &dl, &db);
+    let dx = solve_sparse_vec(SolveRequest::lower().threads(4), &dl, &db);
     println!("{}", checksum_slice("sparse_deep_dag_40000w4", &dx));
+
+    // Wide levels: the one shape here the rule runs as a level sweep
+    // whenever the pool has more than one worker, so the t1-against-t4
+    // diff always compares the two executors.
+    let (wl, wb) = wide_levels();
+    let wx = solve_sparse_vec(SolveRequest::lower(), &wl, &wb);
+    println!("{}", checksum_slice("sparse_wide_levels_20000w2048", &wx));
 
     // Distributed solves on 16 ranks: every algorithm (and with it every
     // layout change — face / slab routing, diagonal-block gathers, 3D-MM

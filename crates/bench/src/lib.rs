@@ -1,5 +1,4 @@
-//! Experiment harness shared by the `exp_*` binaries and the Criterion
-//! benches.
+//! Experiment harness shared by the `exp_*` binaries.
 //!
 //! Every experiment follows the same pattern: build a TRSM instance on the
 //! simulated machine, run one of the algorithms, collect the critical-path

@@ -80,7 +80,6 @@ pub use it_inv_trsm::{ItInvConfig, PhaseBreakdown};
 pub use mm3d::MmConfig;
 pub use planner::Plan;
 pub use solve::{LevelReport, Plan as SolvePlan, PlanBackend, Solution, SolveReport, SolveRequest};
-pub use sparse::SchedulePolicy;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, TrsmError>;

@@ -7,7 +7,8 @@
 //! the same [`SolveRequest`]: which triangle the operand occupies, whether
 //! it is applied transposed ([`Transpose`]), whether its diagonal is
 //! implicit ones ([`Diag`]), which side of the unknown it sits on
-//! ([`Side`]), and optional pins (worker budget, distributed algorithm).
+//! ([`Side`]), a sparse worker budget and an optional distributed-algorithm
+//! pin.
 //!
 //! A request **lowers** into an inspectable [`Plan`] before anything runs:
 //! the plan records the chosen algorithm and its concrete parameters (the
@@ -60,7 +61,7 @@ use dense::flops::trsm_flops;
 use dense::{Diag, FlopCount, MatMut, Matrix, Side, SolveOpts, Transpose, Triangle};
 use pgrid::DistMatrix;
 use simnet::CostCounters;
-use sparse::{SchedulePolicy, SparseTri};
+use sparse::SparseTri;
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -83,7 +84,6 @@ use std::fmt;
 pub struct SolveRequest {
     opts: SolveOpts,
     threads: Option<usize>,
-    policy: Option<SchedulePolicy>,
     reuse: Option<usize>,
     algorithm: Option<Algorithm>,
     residual: bool,
@@ -96,7 +96,6 @@ impl SolveRequest {
         SolveRequest {
             opts: SolveOpts::new(triangle),
             threads: None,
-            policy: None,
             reuse: None,
             algorithm: None,
             residual: false,
@@ -149,40 +148,23 @@ impl SolveRequest {
         self
     }
 
-    /// Pin the worker budget of the sparse executor (bypassing its
-    /// `PAR_MIN_WORK` gate).  The barriered policies stay bitwise
-    /// identical for every value; the sync-free policy is bitwise
-    /// reproducible only per *fixed* worker count.  Dense GEMM threading
-    /// remains governed by `DENSE_THREADS`.
+    /// Set the worker budget of the sparse executor: the most workers a
+    /// solve may use (default: the `DENSE_THREADS` pool size).
+    /// `sparse::level_rule` decides how many of them it gets — one, unless
+    /// the schedule's levels are heavy enough to pay for their barriers —
+    /// and the result is bitwise identical for every value.  Dense GEMM
+    /// threading remains governed by `DENSE_THREADS`.
     pub fn threads(mut self, threads: usize) -> SolveRequest {
         self.threads = Some(threads);
         self
     }
 
-    /// Pin the sparse scheduling policy ([`SchedulePolicy::Level`] —
-    /// barrier-per-level sweeps — [`SchedulePolicy::Merged`] — the
-    /// DAG-partitioned super-level executor with point-to-point readiness
-    /// — or [`SchedulePolicy::SyncFree`] — the analysis-free CSC column
-    /// sweep with zero barriers).  Without a pin, `SchedulePolicy::auto`
-    /// chooses from the cached level-shape statistics and the declared
-    /// [`SolveRequest::reuse`] at planning time; the resolved choice and
-    /// its predicted barrier count are recorded on the [`Plan`].  The two
-    /// barriered policies are bitwise identical to each other; sync-free
-    /// matches them to rounding (~1e-12), bitwise only per fixed worker
-    /// count.
-    pub fn policy(mut self, policy: SchedulePolicy) -> SolveRequest {
-        self.policy = Some(policy);
-        self
-    }
-
     /// Declare how many times this triangular factor will be applied
     /// (sparse backend only).  One analysis pays for `reuse` solves: a
-    /// one-shot solve (`reuse(1)`) steers `SchedulePolicy::auto` to the
-    /// analysis-free sync-free executor and prices the plan's cost with
-    /// the analysis term amortized over one apply, while a large reuse
-    /// keeps the barriered schedules, whose analysis amortizes away.
-    /// Without a declaration the request keeps the historical many-apply
-    /// behavior.  Ignored when [`SolveRequest::policy`] pins a policy.
+    /// one-shot solve (`reuse(1)`) stays on the sequential sweep and never
+    /// analyses the pattern, and the plan's cost carries the analysis term
+    /// amortized over the declared applies.  Without a declaration the
+    /// request is treated as applied many times.
     pub fn reuse(mut self, reuse: usize) -> SolveRequest {
         self.reuse = Some(reuse);
         self
@@ -273,8 +255,8 @@ impl SolveRequest {
     ///
     /// The request's triangle and diagonal must match the matrix (the
     /// sparse storage carries both); the plan records the worker count the
-    /// executor will actually use and — when it parallelizes — the shape
-    /// of the level schedule it will sweep.
+    /// executor will actually use and — whenever the rule consulted it —
+    /// the shape of the level schedule.
     pub fn plan_sparse(&self, a: &SparseTri, k: usize) -> Result<Plan> {
         let _span = obs::span_with("planner", "plan_sparse", "n", a.n() as u64);
         if self.opts.side == Side::Right {
@@ -308,31 +290,21 @@ impl SolveRequest {
         let nnz = a.nnz() as f64;
         let kf = k as f64;
         // The synchronization term prices the barriers this plan will
-        // actually cross — super-levels under the merged policy, levels
-        // under the pure level schedule, none under sync-free.  A declared
-        // reuse additionally amortizes the resolved policy's analysis bill
-        // (~nnz flops for the level pass, ~2·nnz for level + merge, zero
-        // for sync-free, whose per-apply handshakes bill nnz·k sync words
-        // instead) over that many applies.
+        // actually cross (one per level under the level sweep, none
+        // sequentially).  A declared reuse additionally amortizes the
+        // analysis bill (~nnz flops when the pattern was analysed) over
+        // that many applies.
+        let (barriers, workers) = (shape.barriers as f64, shape.workers as f64);
         let predicted_cost = Some(match self.reuse {
-            None => {
-                costmodel::sparse_solve_cost(nnz, kf, shape.barriers as f64, shape.workers as f64)
-            }
+            None => costmodel::sparse_solve_cost(nnz, kf, barriers, workers),
             Some(r) => {
-                let (analysis_flops, sync_words) = match shape.policy {
-                    SchedulePolicy::SyncFree => (0.0, nnz * kf),
-                    // A sequential sweep never analyzes the pattern.
-                    _ if shape.levels == 0 => (0.0, 0.0),
-                    SchedulePolicy::Level => (nnz, 0.0),
-                    SchedulePolicy::Merged => (2.0 * nnz, 0.0),
-                };
+                let analysis_flops = if shape.levels == 0 { 0.0 } else { nnz };
                 costmodel::sparse_solve_cost_amortized(
                     nnz,
                     kf,
-                    shape.barriers as f64,
-                    shape.workers as f64,
+                    barriers,
+                    workers,
                     analysis_flops,
-                    sync_words,
                     r as f64,
                 )
             }
@@ -346,9 +318,8 @@ impl SolveRequest {
             regime: None,
             backend: PlanBackend::Sparse {
                 workers: shape.workers,
-                policy: shape.policy,
                 levels: shape.levels,
-                super_levels: shape.super_levels,
+                runs: shape.runs,
                 predicted_barriers: shape.barriers,
                 max_level_width: shape.max_level_width,
                 nnz: a.nnz(),
@@ -438,9 +409,6 @@ impl SolveRequest {
         if let Some(t) = self.threads {
             o = o.threads(t);
         }
-        if let Some(p) = self.policy {
-            o = o.policy(p);
-        }
         if let Some(r) = self.reuse {
             o = o.reuse(r);
         }
@@ -472,25 +440,18 @@ pub enum PlanBackend {
         /// the diagonal blocks (see `crates/dense/README.md`).
         inverts_blocks: bool,
     },
-    /// Level-scheduled / DAG-partitioned / sync-free sparse executor.
+    /// Sparse executor: the sequential sweep or the level sweep.
     Sparse {
-        /// Workers the executor will run with (1 = sequential sweep, which
-        /// needs no analysis).
+        /// Workers the executor will run with (1 = sequential sweep).
         workers: usize,
-        /// The resolved scheduling policy (a pinned request, or
-        /// `SchedulePolicy::auto`'s choice from the level-shape
-        /// statistics and the declared reuse).
-        policy: SchedulePolicy,
-        /// Dependency levels of the schedule (0 when the solve stays
-        /// sequential or runs sync-free and the pattern is never
-        /// analyzed).
+        /// Dependency levels of the schedule (0 when the pattern was never
+        /// analysed; kept when the rule analysed it and stayed sequential).
         levels: usize,
-        /// Super-levels of the merged schedule (0 unless the merged policy
-        /// runs).
-        super_levels: usize,
+        /// Contiguous runs of the schedule (`sparse::Schedule::num_runs`):
+        /// what the go-parallel rule weighed.
+        runs: usize,
         /// Barriers the executor will cross: `levels` under the level
-        /// policy, `super_levels` under the merged one, 0 under the
-        /// sync-free column sweep.
+        /// sweep, 0 sequentially.
         predicted_barriers: usize,
         /// Rows in the widest level (the level executor's parallelism
         /// ceiling).
@@ -528,11 +489,11 @@ pub struct Plan {
     /// Predicted flop count (the `γ·F` term).
     pub predicted_flops: FlopCount,
     /// Predicted α–β–γ critical-path cost (distributed plans, and sparse
-    /// plans — whose latency term counts the barriers the resolved policy
-    /// will cross, via `costmodel::sparse_solve_cost`; with a declared
+    /// plans — whose latency term counts the barriers the plan will cross,
+    /// via `costmodel::sparse_solve_cost`; with a declared
     /// [`SolveRequest::reuse`], via
-    /// `costmodel::sparse_solve_cost_amortized`, which adds the resolved
-    /// policy's analysis bill amortized over that many applies).
+    /// `costmodel::sparse_solve_cost_amortized`, which adds the analysis
+    /// bill amortized over that many applies).
     pub predicted_cost: Option<Cost>,
     /// The Section VIII regime (distributed plans only).
     pub regime: Option<Regime>,
@@ -547,23 +508,21 @@ fn dense_algorithm_name(inverts_blocks: bool) -> &'static str {
     }
 }
 
+/// The two sparse executors, by name.
+fn sparse_algorithm_name(workers: usize) -> &'static str {
+    if workers > 1 {
+        "sparse level-scheduled parallel sweep"
+    } else {
+        "sparse sequential sweep"
+    }
+}
+
 impl Plan {
     /// Human-readable name of the algorithm this plan executes.
     pub fn algorithm_name(&self) -> &'static str {
         match &self.backend {
             PlanBackend::Dense { inverts_blocks, .. } => dense_algorithm_name(*inverts_blocks),
-            PlanBackend::Sparse {
-                policy: SchedulePolicy::SyncFree,
-                ..
-            } => "sparse sync-free column sweep",
-            PlanBackend::Sparse {
-                workers, policy, ..
-            } if *workers > 1 => match policy {
-                SchedulePolicy::Level => "sparse level-scheduled parallel sweep",
-                SchedulePolicy::Merged => "sparse DAG-partitioned parallel sweep",
-                SchedulePolicy::SyncFree => unreachable!("matched above"),
-            },
-            PlanBackend::Sparse { .. } => "sparse sequential sweep",
+            PlanBackend::Sparse { workers, .. } => sparse_algorithm_name(*workers),
             PlanBackend::Distributed { algorithm, .. } => match algorithm {
                 Algorithm::Auto => "auto",
                 Algorithm::Recursive { .. } => "recursive",
@@ -728,12 +687,19 @@ impl Plan {
         let x = x.into();
         let k = x.cols();
         let mark = obs::enabled().then(obs::mark);
-        let flops = {
+        let shape = {
             let _span = obs::span_with("core", "execute", "n", self.n as u64);
-            a.solve_multi_with(&self.request.sparse_opts(), x)?
+            a.solve_multi_shaped(&self.request.sparse_opts(), x)?
         };
-        let mut report = self.report(self.algorithm_name(), flops);
-        report.levels = Some(self.level_report(a, k));
+        // Named and reported from the shape the executor returned, so the
+        // report says what ran even if the caller's `B` is not as wide as
+        // the plan's `k`.
+        let mut report = self.report(sparse_algorithm_name(shape.workers), a.solve_flops(k));
+        report.levels = Some(LevelReport {
+            workers: shape.workers,
+            levels: shape.levels,
+            barriers: shape.barriers,
+        });
         attach_trace(&mut report, mark);
         Ok(report)
     }
@@ -742,21 +708,6 @@ impl Plan {
     /// name the frozen `perfbench/` package calls).
     pub fn execute_sparse_vec_in_place(&self, a: &SparseTri, x: &mut [f64]) -> Result<SolveReport> {
         self.execute_sparse_in_place(a, x)
-    }
-
-    /// Measured level/barrier shape of a sparse execution: the same
-    /// worker/policy decision the executor makes, so the report matches
-    /// what ran — including the barriers actually waited (one per level
-    /// under the level policy, one per super-level under the merged one).
-    fn level_report(&self, a: &SparseTri, k: usize) -> LevelReport {
-        let shape = a.execution_shape(&self.request.sparse_opts(), k);
-        LevelReport {
-            workers: shape.workers,
-            policy: shape.policy,
-            levels: shape.levels,
-            super_levels: shape.super_levels,
-            barriers: shape.barriers,
-        }
     }
 
     // -- distributed -------------------------------------------------------
@@ -977,13 +928,23 @@ impl fmt::Display for Plan {
                 PlanBackend::Sparse {
                     workers,
                     levels,
+                    runs,
                     predicted_barriers,
+                    max_level_width,
                     nnz,
                     ..
-                } => format!(
-                    ", nnz = {nnz}, {workers} worker(s), {levels} level(s), \
-                     {predicted_barriers} barrier(s)"
-                ),
+                } => {
+                    // Re-asks the rule with what the plan recorded, so the
+                    // line is the decision's own account of itself.
+                    let opts = self.request.sparse_opts();
+                    let why = sparse::level_rule(opts.budget(), *nnz, self.k, opts.reuse, || {
+                        (*runs, *max_level_width)
+                    });
+                    format!(
+                        ", nnz = {nnz}, {workers} worker(s), {levels} level(s) in {runs} \
+                         run(s), {predicted_barriers} barrier(s): {why}"
+                    )
+                }
                 PlanBackend::Distributed { algorithm, p, .. } =>
                     format!(", p = {p}, {algorithm:?}"),
             }
@@ -1010,20 +971,11 @@ pub struct Solution<X> {
 pub struct LevelReport {
     /// Workers the executor ran with.
     pub workers: usize,
-    /// The scheduling policy that ran (nominally
-    /// [`SchedulePolicy::Level`] for the sequential sweep).
-    pub policy: SchedulePolicy,
-    /// Dependency levels of the schedule (0 for the analysis-free
-    /// sequential and sync-free sweeps).
+    /// Dependency levels of the schedule (0 when the pattern was never
+    /// analysed; kept when the rule analysed it and stayed sequential).
     pub levels: usize,
-    /// Super-levels of the merged schedule (0 unless the merged policy
-    /// ran).
-    pub super_levels: usize,
     /// Barriers each worker actually waited on: one per level under the
-    /// level policy, one per *super-level* under the merged policy — the
-    /// headline the DAG-partitioned schedule moves on deep narrow DAGs —
-    /// and **zero** under the sync-free column sweep, whose workers
-    /// coordinate only through per-row atomic counters.
+    /// level sweep, none sequentially.
     pub barriers: usize,
 }
 
@@ -1376,16 +1328,17 @@ mod tests {
 
     #[test]
     fn sparse_plan_reports_levels_and_workers() {
-        let n = 50_000;
-        let m = sgen::random_lower(n, 10, 7);
+        // 25 levels of 2 048 rows, ~14 000 stored entries each: heavy
+        // enough for a budget of 4 to become 4 workers.
+        let n = 51_200;
+        let m = sgen::deep_narrow_lower(n, 2048, 6, 7);
         let b = sgen::rhs_vec(n, 8);
         let req = SolveRequest::lower().threads(4);
         let plan = req.plan_sparse(&m, 1).unwrap();
         let PlanBackend::Sparse {
             workers,
-            policy,
             levels,
-            super_levels,
+            runs,
             predicted_barriers,
             max_level_width,
             nnz,
@@ -1394,29 +1347,30 @@ mod tests {
         else {
             panic!("expected a sparse plan");
         };
-        assert!(workers > 1, "a pinned budget of 4 must parallelize");
-        assert!(levels > 0 && max_level_width > 0);
+        assert_eq!(
+            workers, 4,
+            "heavy levels turn the whole budget into workers"
+        );
+        assert_eq!((levels, runs, max_level_width), (25, 25, 2048));
+        assert_eq!(predicted_barriers, levels, "one barrier per level");
         assert_eq!(nnz, m.nnz());
         assert!(!via_transpose);
-        match policy {
-            SchedulePolicy::Level => {
-                assert_eq!(predicted_barriers, levels);
-                assert_eq!(super_levels, 0);
-            }
-            SchedulePolicy::Merged => assert_eq!(predicted_barriers, super_levels),
-            SchedulePolicy::SyncFree => {
-                panic!("an undeclared-reuse plan must keep a barriered policy")
-            }
-        }
+        assert_eq!(
+            plan.algorithm_name(),
+            "sparse level-scheduled parallel sweep"
+        );
         let cost = plan.predicted_cost.expect("sparse plans carry a cost");
         assert!(cost.latency > 0.0 && cost.flops > 0.0);
         let (x, report) = sparse_vec(&plan, &m, &b);
-        let lr = report.levels.unwrap();
-        assert_eq!(lr.workers, workers);
-        assert_eq!(lr.policy, policy);
-        assert_eq!(lr.levels, levels);
-        assert_eq!(lr.super_levels, super_levels);
-        assert_eq!(lr.barriers, predicted_barriers);
+        assert_eq!(
+            report.levels.unwrap(),
+            LevelReport {
+                workers,
+                levels,
+                barriers: predicted_barriers
+            }
+        );
+        assert_eq!(report.algorithm, plan.algorithm_name());
         assert_eq!(report.flops, m.solve_flops(1));
         // Identical to the raw executor's slice path, and so is the n×1 view
         // of a matrix through the same in-place executor.
@@ -1430,72 +1384,44 @@ mod tests {
             .unwrap();
         assert_eq!(via_view.as_slice(), direct);
         assert_eq!(view_report.levels, report.levels);
+        // And bitwise what a budget of 1 computes.
+        let seq_plan = SolveRequest::lower().threads(1).plan_sparse(&m, 1).unwrap();
+        assert_eq!(sparse_vec(&seq_plan, &m, &b).0, x);
     }
 
     #[test]
-    fn sparse_policy_pins_resolve_and_report_barrier_compression() {
-        // Deep narrow DAG: the merged plan must record >=10x fewer barriers
-        // than the level plan has levels, both executions must agree
-        // bitwise, and auto must resolve to Merged on this shape.
-        let n = 40_000;
-        let m = sgen::deep_narrow_lower(n, 4, 4, 3);
-        let b = sgen::rhs_vec(n, 8);
-        let level_plan = SolveRequest::lower()
-            .threads(4)
-            .policy(SchedulePolicy::Level)
-            .plan_sparse(&m, 1)
-            .unwrap();
-        let merged_plan = SolveRequest::lower()
-            .threads(4)
-            .policy(SchedulePolicy::Merged)
-            .plan_sparse(&m, 1)
-            .unwrap();
+    fn sparse_plans_kept_sequential_report_the_analysed_shape() {
+        // A band chains every row: 20 000 one-row levels.  The rule looks,
+        // declines, and both the plan and the measured report keep what it
+        // saw — built from the shape the executor returned, not a second
+        // resolution.
+        let m = sgen::banded_lower(20_000, 4, 19);
+        let b = sgen::rhs_vec(m.n(), 8);
+        let plan = SolveRequest::lower().threads(4).plan_sparse(&m, 1).unwrap();
         let PlanBackend::Sparse {
-            predicted_barriers: level_barriers,
+            workers,
             levels,
+            predicted_barriers,
+            max_level_width,
             ..
-        } = level_plan.backend
+        } = plan.backend
         else {
             panic!("expected a sparse plan");
         };
-        let PlanBackend::Sparse {
-            predicted_barriers: merged_barriers,
-            policy,
-            ..
-        } = merged_plan.backend
-        else {
-            panic!("expected a sparse plan");
-        };
-        assert_eq!(policy, SchedulePolicy::Merged);
-        assert_eq!(level_barriers, levels);
-        assert!(
-            merged_barriers * 10 <= level_barriers,
-            "merged plan must predict >=10x fewer barriers: {merged_barriers} vs {level_barriers}"
+        assert_eq!((workers, predicted_barriers), (1, 0));
+        assert_eq!((levels, max_level_width), (20_000, 1));
+        assert_eq!(plan.predicted_cost.unwrap().latency, 0.0);
+        let (_, report) = sparse_vec(&plan, &m, &b);
+        assert_eq!(
+            report.levels.unwrap(),
+            LevelReport {
+                workers: 1,
+                levels: 20_000,
+                barriers: 0
+            }
         );
-        // The cost model prices the synchronization term accordingly.
-        let lc = level_plan.predicted_cost.unwrap();
-        let mc = merged_plan.predicted_cost.unwrap();
-        assert!(mc.latency < lc.latency / 10.0);
-        assert_eq!(mc.flops, lc.flops);
-        // Executions agree bitwise and report what they ran.
-        let (xl, rl) = sparse_vec(&level_plan, &m, &b);
-        let (xm, rm) = sparse_vec(&merged_plan, &m, &b);
-        assert_eq!(xl, xm, "policies must be bitwise identical");
-        assert_eq!(rl.levels.unwrap().barriers, level_barriers);
-        assert_eq!(rm.levels.unwrap().barriers, merged_barriers);
-        assert_eq!(rm.algorithm, "sparse DAG-partitioned parallel sweep");
-        // Auto resolves to Merged here and the one-shot path matches.
-        let auto = SolveRequest::lower().threads(4).plan_sparse(&m, 1).unwrap();
-        let PlanBackend::Sparse {
-            policy: auto_policy,
-            ..
-        } = auto.backend
-        else {
-            panic!("expected a sparse plan");
-        };
-        assert_eq!(auto_policy, SchedulePolicy::Merged);
-        let (xa, _) = sparse_vec(&auto, &m, &b);
-        assert_eq!(xa, xl);
+        assert_eq!(report.algorithm, "sparse sequential sweep");
+        assert_eq!(m.analysis_count(), 1);
     }
 
     #[test]
@@ -1529,84 +1455,58 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_reuse_plans_syncfree_with_zero_barriers() {
-        // A declared one-shot solve must lower to the sync-free column
-        // sweep on both a random fill and a deep narrow DAG: zero levels,
-        // zero barriers in the plan *and* the measured report, no
-        // analysis ever run, and an answer matching the level-scheduled
-        // executor to rounding.
-        for m in [
-            sgen::random_lower(20_000, 8, 71),
-            sgen::deep_narrow_lower(20_000, 4, 3, 72),
-        ] {
-            let b = sgen::rhs_vec(m.n(), 73);
-            let plan = SolveRequest::lower()
-                .threads(4)
-                .reuse(1)
-                .plan_sparse(&m, 1)
-                .unwrap();
-            let PlanBackend::Sparse {
-                workers,
-                policy,
-                levels,
-                super_levels,
-                predicted_barriers,
-                ..
-            } = plan.backend
-            else {
-                panic!("expected a sparse plan");
-            };
-            assert_eq!(policy, SchedulePolicy::SyncFree);
-            assert!(workers > 1, "a pinned budget of 4 must parallelize");
-            assert_eq!(levels, 0);
-            assert_eq!(super_levels, 0);
-            assert_eq!(predicted_barriers, 0);
-            assert_eq!(plan.algorithm_name(), "sparse sync-free column sweep");
-            let cost = plan.predicted_cost.expect("sparse plans carry a cost");
-            assert_eq!(cost.latency, 0.0, "zero barriers price zero latency");
-            assert!(cost.bandwidth > 0.0, "sync words are billed instead");
-            let (x, report) = sparse_vec(&plan, &m, &b);
-            let lr = report.levels.unwrap();
-            assert_eq!(lr.policy, SchedulePolicy::SyncFree);
-            assert_eq!(lr.barriers, 0, "sync-free execution crosses no barrier");
-            assert_eq!(lr.levels, 0);
-            assert_eq!(report.algorithm, "sparse sync-free column sweep");
-            assert_eq!(m.analysis_count(), 0, "one-shot plans never analyze");
-            assert_eq!(m.merged_analysis_count(), 0);
-            // The answer matches the barriered executor to rounding.
-            let level_plan = SolveRequest::lower()
-                .threads(4)
-                .policy(SchedulePolicy::Level)
-                .plan_sparse(&m, 1)
-                .unwrap();
-            let (reference, _) = sparse_vec(&level_plan, &m, &b);
-            let max_diff = x
-                .iter()
-                .zip(&reference)
-                .map(|(got, want)| (got - want).abs())
-                .fold(0.0_f64, f64::max);
-            assert!(max_diff < 1e-12, "sync-free vs level: {max_diff}");
-        }
-        // A declared 100-apply loop amortizes the analysis and keeps the
-        // barriered merged schedule on the barrier-sensitive deep DAG.
-        let m = sgen::deep_narrow_lower(20_000, 4, 3, 72);
+    fn one_shot_reuse_plans_sequential_without_analysis() {
+        // A declared one-shot solve cannot repay an analysis, whatever the
+        // pattern would have said: sequential, never analysed, no analysis
+        // bill in the cost — and bitwise the level sweep's answer.
+        let m = sgen::deep_narrow_lower(20_000, 2048, 6, 72);
+        let b = sgen::rhs_vec(m.n(), 73);
         let plan = SolveRequest::lower()
             .threads(4)
-            .reuse(100)
+            .reuse(1)
             .plan_sparse(&m, 1)
             .unwrap();
         let PlanBackend::Sparse {
-            policy,
+            workers,
+            levels,
             predicted_barriers,
             ..
         } = plan.backend
         else {
             panic!("expected a sparse plan");
         };
-        assert_eq!(policy, SchedulePolicy::Merged);
-        assert!(predicted_barriers > 0);
+        assert_eq!((workers, levels, predicted_barriers), (1, 0, 0));
+        assert_eq!(plan.algorithm_name(), "sparse sequential sweep");
+        let cost = plan.predicted_cost.expect("sparse plans carry a cost");
+        assert_eq!(cost.latency, 0.0, "zero barriers price zero latency");
+        assert_eq!(cost.flops, 2.0 * m.nnz() as f64, "no analysis bill");
+        let (x, report) = sparse_vec(&plan, &m, &b);
+        let lr = report.levels.unwrap();
+        assert_eq!((lr.workers, lr.levels, lr.barriers), (1, 0, 0));
+        assert_eq!(m.analysis_count(), 0, "one-shot plans never analyze");
+        // A declared 100-apply loop amortizes the analysis and takes the
+        // level sweep on the same factor.
+        let plan = SolveRequest::lower()
+            .threads(4)
+            .reuse(100)
+            .plan_sparse(&m, 1)
+            .unwrap();
+        let PlanBackend::Sparse {
+            workers,
+            levels,
+            predicted_barriers,
+            ..
+        } = plan.backend
+        else {
+            panic!("expected a sparse plan");
+        };
+        assert_eq!(workers, 4);
+        assert_eq!(predicted_barriers, levels);
         let cost = plan.predicted_cost.unwrap();
-        assert!(cost.latency > 0.0, "barriered plans bill their barriers");
+        assert!(cost.latency > 0.0, "the level sweep bills its barriers");
+        let nnz = m.nnz() as f64;
+        assert_eq!(cost.flops, 2.0 * nnz / 4.0 + nnz / 100.0);
+        assert_eq!(sparse_vec(&plan, &m, &b).0, x, "bitwise identical");
     }
 
     #[test]
@@ -1869,6 +1769,37 @@ mod tests {
         let m = sgen::random_lower(64, 2, 3);
         let sp = SolveRequest::lower().plan_sparse(&m, 1).unwrap();
         assert!(sp.to_string().contains("nnz"));
+        // Why this plan, in one line, on every branch of the rule.
+        let band = sgen::banded_lower(20_000, 4, 19);
+        let wide = sgen::deep_narrow_lower(20_000, 2048, 6, 7);
+        let budget4 = SolveRequest::lower().threads(4);
+        for (plan, why) in [
+            (
+                SolveRequest::lower().threads(1).plan_sparse(&wide, 1),
+                "not analysed (budget 1)",
+            ),
+            (
+                budget4.plan_sparse(&m, 1),
+                "not analysed (nnz·k below threshold)",
+            ),
+            (
+                budget4.reuse(1).plan_sparse(&wide, 1),
+                "not analysed (reuse 1)",
+            ),
+            (
+                budget4.plan_sparse(&band, 1),
+                "20000 level(s) in 20000 run(s), 0 barrier(s): 4 stored entries per run \
+                 against a threshold of 4096: sequential",
+            ),
+            (
+                budget4.plan_sparse(&wide, 1),
+                "10 level(s) in 10 run(s), 10 barrier(s): 12771 stored entries per run \
+                 against a threshold of 4096: level sweep on 4 workers",
+            ),
+        ] {
+            let line = plan.unwrap().to_string();
+            assert!(line.contains(why), "{line:?} should say {why:?}");
+        }
         let dp = SolveRequest::lower().plan_distributed(256, 64, 16).unwrap();
         assert!(dp.to_string().contains("p = 16"));
     }

@@ -124,12 +124,10 @@ impl CostModelRev {
 /// This is the sparse analogue of [`wavefront_cost`]: the solve is a
 /// sequence of parallel sweeps separated by global synchronizations, so the
 /// latency term is **proportional to the number of barriers actually
-/// crossed** — `num_levels` under the pure level schedule, the (much
-/// smaller) super-level count under the DAG-partitioned merged schedule.
-/// Cutting barriers is exactly what moves this cost, which is why the
-/// staged planner records the per-policy barrier count on its plans and
-/// prices them through this formula.  The bandwidth term charges the `k`
-/// solution words that cross between dependent sweeps at each
+/// crossed** — one per level under the level sweep, none sequentially —
+/// which is why the staged planner records the barrier count on its plans
+/// and prices them through this formula.  The bandwidth term charges the
+/// `k` solution words that cross between dependent sweeps at each
 /// synchronization; the flop term is the solve's `2·nnz·k` arithmetic
 /// divided over the workers.
 pub fn sparse_solve_cost(nnz: f64, k: f64, barriers: f64, workers: f64) -> Cost {
@@ -142,37 +140,20 @@ pub fn sparse_solve_cost(nnz: f64, k: f64, barriers: f64, workers: f64) -> Cost 
 }
 
 /// [`sparse_solve_cost`] with the **analysis phase amortized over the
-/// declared reuse** — the per-apply cost of a policy that spends
-/// `analysis_flops` once and is then applied `reuse` times.
-///
-/// This is what lets a planner price analyze-cost-vs-reuse across the three
-/// scheduling policies: the level schedule spends ~`nnz` analysis flops
-/// (one pattern pass), the merged schedule ~`2·nnz` (level pass + merge
-/// pass), and the sync-free column sweep **zero** — so on a one-shot solve
-/// (`reuse = 1`) the sync-free policy wins on the amortized-analysis term,
-/// while a 100-apply loop shrinks that term 100× and the barriered
-/// schedules win back through their smaller per-apply synchronization.
-/// `sync_words` charges the per-apply cross-worker synchronization traffic
-/// to the bandwidth term: `barriers · k` words for the barriered policies
-/// (already what [`sparse_solve_cost`] charges), `nnz · k` for the
-/// sync-free sweep, whose per-row counter/partial-sum handshakes touch
-/// every stored entry's contribution.
+/// declared reuse** — the per-apply cost of a plan that spends
+/// `analysis_flops` once (~`nnz` for the level analysis, zero when the
+/// pattern is never analysed) and is then applied `reuse` times.
 pub fn sparse_solve_cost_amortized(
     nnz: f64,
     k: f64,
     barriers: f64,
     workers: f64,
     analysis_flops: f64,
-    sync_words: f64,
     reuse: f64,
 ) -> Cost {
-    let p = workers.max(1.0);
-    let r = reuse.max(1.0);
-    Cost {
-        latency: barriers * log2c(p),
-        bandwidth: barriers * k + sync_words,
-        flops: 2.0 * nnz * k / p + analysis_flops / r,
-    }
+    let mut cost = sparse_solve_cost(nnz, k, barriers, workers);
+    cost.flops += analysis_flops / reuse.max(1.0);
+    cost
 }
 
 #[cfg(test)]
@@ -231,58 +212,37 @@ mod tests {
 
     #[test]
     fn sparse_sync_term_scales_with_barriers_not_levels() {
-        // Same matrix, same workers: a merged schedule with 50 barriers
-        // must price strictly below the 10000-barrier level schedule, with
-        // identical flop terms.
+        // Same matrix, same workers: a 50-level schedule must price
+        // strictly below a 10000-level one, with identical flop terms.
         let (nnz, k, p) = (200_000.0, 8.0, 4.0);
-        let level = sparse_solve_cost(nnz, k, 10_000.0, p);
-        let merged = sparse_solve_cost(nnz, k, 50.0, p);
-        assert_eq!(level.flops, merged.flops);
-        assert!(merged.latency < level.latency / 100.0);
-        assert!(merged.bandwidth < level.bandwidth);
+        let deep = sparse_solve_cost(nnz, k, 10_000.0, p);
+        let shallow = sparse_solve_cost(nnz, k, 50.0, p);
+        assert_eq!(deep.flops, shallow.flops);
+        assert!(shallow.latency < deep.latency / 100.0);
+        assert!(shallow.bandwidth < deep.bandwidth);
         // More workers divide the flop term and raise the per-barrier cost.
         let wide = sparse_solve_cost(nnz, k, 50.0, 16.0);
-        assert!(wide.flops < merged.flops);
-        assert!(wide.latency > merged.latency);
+        assert!(wide.flops < shallow.flops);
+        assert!(wide.latency > shallow.latency);
     }
 
     #[test]
-    fn amortized_cost_prices_one_shot_syncfree_and_reused_merged() {
-        use crate::cost::Machine;
-        // The deep-DAG workload from the kernels bench: nnz ≈ 160k, one
-        // RHS, 4 workers; 10k level barriers, ~50 merged barriers, zero
-        // sync-free barriers.  Analysis: ~nnz flops for the level pass,
-        // ~2·nnz for level + merge, zero for sync-free; per-apply sync
-        // traffic: nnz·k words of counter/partial-sum handshakes for
-        // sync-free, already in `barriers·k` for the barriered policies.
+    fn amortized_cost_spreads_the_analysis_over_the_declared_reuse() {
         let (nnz, k, p) = (160_000.0, 1.0, 4.0);
-        let price = |barriers: f64, analysis: f64, sync_words: f64, reuse: f64| {
-            sparse_solve_cost_amortized(nnz, k, barriers, p, analysis, sync_words, reuse)
-                .time(&Machine::unit())
-        };
-        let level = price(10_000.0, nnz, 0.0, 1.0);
-        let merged = price(50.0, 2.0 * nnz, 0.0, 1.0);
-        let syncfree = price(0.0, 0.0, nnz * k, 1.0);
-        assert!(
-            syncfree < merged && syncfree < level,
-            "one-shot: sync-free must be cheapest \
-             ({syncfree} vs merged {merged} vs level {level})"
-        );
-        let level = price(10_000.0, nnz, 0.0, 100.0);
-        let merged = price(50.0, 2.0 * nnz, 0.0, 100.0);
-        let syncfree = price(0.0, 0.0, nnz * k, 100.0);
-        assert!(
-            merged < syncfree && merged < level,
-            "100-apply: merged must be cheapest \
-             ({merged} vs syncfree {syncfree} vs level {level})"
-        );
-        // With reuse 1 the amortized barriered cost reduces to the plain
-        // formula plus the full analysis bill.
         let plain = sparse_solve_cost(nnz, k, 50.0, p);
-        let amortized = sparse_solve_cost_amortized(nnz, k, 50.0, p, 2.0 * nnz, 0.0, 1.0);
-        assert_eq!(amortized.latency, plain.latency);
-        assert_eq!(amortized.bandwidth, plain.bandwidth);
-        assert_eq!(amortized.flops, plain.flops + 2.0 * nnz);
+        // With reuse 1 the amortized cost is the plain formula plus the
+        // full analysis bill; 100 applies shrink that bill 100×; a plan
+        // that never analysed pays none at any reuse.
+        let once = sparse_solve_cost_amortized(nnz, k, 50.0, p, nnz, 1.0);
+        assert_eq!(once.latency, plain.latency);
+        assert_eq!(once.bandwidth, plain.bandwidth);
+        assert_eq!(once.flops, plain.flops + nnz);
+        let often = sparse_solve_cost_amortized(nnz, k, 50.0, p, nnz, 100.0);
+        assert_eq!(often.flops, plain.flops + nnz / 100.0);
+        assert_eq!(
+            sparse_solve_cost_amortized(nnz, k, 50.0, p, 0.0, 1.0),
+            plain
+        );
     }
 
     #[test]

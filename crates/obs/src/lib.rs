@@ -19,10 +19,8 @@
 //! by [`enabled`] — a single relaxed atomic load — so the disabled path
 //! costs one predictable branch and touches no other shared state: solver
 //! results are **bitwise identical** with the instrumentation compiled in,
-//! and the two-tier determinism guarantee of the sparse executors
-//! (barriered policies bitwise at every worker count; sync-free bitwise per
-//! fixed worker count) is unchanged, because tracing never reads or writes
-//! floating-point data.
+//! and the sparse executors stay bitwise identical at every worker count,
+//! because tracing never reads or writes floating-point data.
 //!
 //! When enabled, each thread records into its own pre-allocated buffer
 //! ([`BUF_CAPACITY`] events, registered once per thread): pushes never

@@ -1,7 +1,7 @@
 //! Aggregation of a raw [`TraceDump`] into a structured
 //! [`TraceReport`]: per-span timing statistics, counter totals, and the
-//! solver-specific convenience views (barrier wait, spin retries, merged
-//! super-level row counts, sync-free slab reductions).
+//! solver-specific convenience views (barrier wait, plan-cache and batching
+//! counters).
 
 use crate::{EventKind, TraceDump};
 use std::collections::BTreeMap;
@@ -43,10 +43,8 @@ pub struct CounterStat {
 ///
 /// The convenience fields at the end pull out the solver-wide counter
 /// conventions so callers don't need to know event names:
-/// `barrier_wait_ns` / `spin_iters` from the sparse executors,
-/// `super_level_rows` from the merged executor (satellite: previously
-/// computed but dropped), `slab_reductions` from the sync-free CSC
-/// executor, and the serve crate's cache/batching conventions
+/// `barrier_wait_ns` from the sparse level sweep, and the serve crate's
+/// cache/batching conventions
 /// (`plan_cache_hit` / `plan_cache_miss` / `plan_cache_evict` /
 /// `batch_width`), so Chrome traces of a running solve service expose
 /// cache and fusion behavior per request window.
@@ -60,16 +58,6 @@ pub struct TraceReport {
     /// Total nanoseconds workers spent waiting at sense-reversing
     /// barriers (sum of `"barrier_wait_ns"` counters).
     pub barrier_wait_ns: u64,
-    /// Total spin-loop iterations in the sync-free / merged executors'
-    /// `wait_ready` (sum of `"spin_iters"` counters).
-    pub spin_iters: u64,
-    /// Rows per merged super-level, indexed by super-level (from
-    /// `"super_rows"` counters: arg = rows, arg2 = super-level index).
-    pub super_level_rows: Vec<u64>,
-    /// Per-worker count of partial-sum slab segments reduced by the
-    /// sync-free executor, indexed by worker (from `"slab_reductions"`
-    /// counters: arg = reductions, arg2 = worker).
-    pub slab_reductions: Vec<u64>,
     /// Plan-cache hits in the window (sum of the serve crate's
     /// `"plan_cache_hit"` counters).
     pub plan_cache_hits: u64,
@@ -96,9 +84,6 @@ impl TraceReport {
         let mut spans: BTreeMap<(&str, &str), SpanStat> = BTreeMap::new();
         let mut counters: BTreeMap<(&str, &str), CounterStat> = BTreeMap::new();
         let mut barrier_wait_ns = 0u64;
-        let mut spin_iters = 0u64;
-        let mut super_level_rows: Vec<u64> = Vec::new();
-        let mut slab_reductions: Vec<u64> = Vec::new();
         let mut plan_cache_hits = 0u64;
         let mut plan_cache_misses = 0u64;
         let mut plan_cache_evictions = 0u64;
@@ -144,21 +129,6 @@ impl TraceReport {
                         c.max = c.max.max(ev.arg);
                         match ev.name {
                             "barrier_wait_ns" => barrier_wait_ns += ev.arg,
-                            "spin_iters" => spin_iters += ev.arg,
-                            "super_rows" => {
-                                let idx = ev.arg2 as usize;
-                                if super_level_rows.len() <= idx {
-                                    super_level_rows.resize(idx + 1, 0);
-                                }
-                                super_level_rows[idx] += ev.arg;
-                            }
-                            "slab_reductions" => {
-                                let idx = ev.arg2 as usize;
-                                if slab_reductions.len() <= idx {
-                                    slab_reductions.resize(idx + 1, 0);
-                                }
-                                slab_reductions[idx] += ev.arg;
-                            }
                             "plan_cache_hit" => plan_cache_hits += ev.arg,
                             "plan_cache_miss" => plan_cache_misses += ev.arg,
                             "plan_cache_evict" => plan_cache_evictions += ev.arg,
@@ -174,9 +144,6 @@ impl TraceReport {
             spans: spans.into_values().collect(),
             counters: counters.into_values().collect(),
             barrier_wait_ns,
-            spin_iters,
-            super_level_rows,
-            slab_reductions,
             plan_cache_hits,
             plan_cache_misses,
             plan_cache_evictions,
@@ -265,9 +232,7 @@ mod tests {
                     ev(EventKind::Begin, "inner", 10, 0, 0),
                     ev(EventKind::End, "inner", 40, 0, 0),
                     ev(EventKind::Counter, "barrier_wait_ns", 50, 100, 0),
-                    ev(EventKind::Counter, "spin_iters", 55, 7, 0),
-                    ev(EventKind::Counter, "super_rows", 60, 42, 1),
-                    ev(EventKind::Counter, "slab_reductions", 65, 3, 2),
+                    ev(EventKind::Counter, "other", 55, 7, 0),
                     ev(EventKind::Counter, "plan_cache_hit", 70, 1, 0),
                     ev(EventKind::Counter, "plan_cache_hit", 72, 1, 0),
                     ev(EventKind::Counter, "plan_cache_miss", 74, 1, 0),
@@ -283,14 +248,11 @@ mod tests {
         assert_eq!(r.span("t", "outer").unwrap().total_ns, 100);
         assert_eq!(r.span("t", "inner").unwrap().total_ns, 30);
         assert_eq!(r.barrier_wait_ns, 100);
-        assert_eq!(r.spin_iters, 7);
-        assert_eq!(r.super_level_rows, vec![0, 42]);
-        assert_eq!(r.slab_reductions, vec![0, 0, 3]);
         assert_eq!(r.plan_cache_hits, 2);
         assert_eq!(r.plan_cache_misses, 1);
         assert_eq!(r.plan_cache_evictions, 1);
         assert_eq!(r.batch_widths, vec![4, 7]);
-        assert_eq!(r.counter("t", "spin_iters").unwrap().max, 7);
+        assert_eq!(r.counter("t", "other").unwrap().max, 7);
         assert!(r.summary().contains("outer"));
     }
 

@@ -8,9 +8,8 @@
 //! A fingerprint covers everything a solve reads: dimensions, triangle
 //! and diagonal kind, the sparsity pattern, and the exact bit patterns of
 //! the stored values (including the diagonal).  Matching fingerprints
-//! therefore produce bitwise-identical solutions under the barriered
-//! executors, which is what lets the cache substitute its canonical
-//! operand for the submitted one.
+//! therefore produce bitwise-identical solutions, which is what lets the
+//! cache substitute its canonical operand for the submitted one.
 //!
 //! # The hash
 //!
@@ -47,7 +46,7 @@
 
 use catrsm::SolveRequest;
 use dense::{Diag, Matrix, Triangle};
-use sparse::{SparseTri, SparseTriCsc};
+use sparse::SparseTri;
 
 /// A 64-bit content hash of one solve operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -193,9 +192,9 @@ pub fn fingerprint_dense(a: &Matrix, triangle: Triangle, diag: Diag) -> Fingerpr
     h.finish()
 }
 
-/// The shared body of the two compressed-sparse fingerprints: a header and
-/// the four arrays, one run each.  `ptr` carries the row (column)
-/// boundaries, so no per-row framing is needed.
+/// The body of the compressed-sparse fingerprint: a header and the four
+/// arrays, one run each.  `ptr` carries the row boundaries, so no per-row
+/// framing is needed.
 fn fingerprint_compressed(
     header: [u64; 3],
     ptr: &[usize],
@@ -226,21 +225,6 @@ pub fn fingerprint_sparse(a: &SparseTri) -> Fingerprint {
     )
 }
 
-/// Fingerprint a CSC sparse triangular operand (same coverage as
-/// [`fingerprint_sparse`], column-wise — note a CSC matrix and its CSR
-/// mirror fingerprint *differently*; the cache treats the storage format
-/// as part of the content).
-pub fn fingerprint_sparse_csc(a: &SparseTriCsc) -> Fingerprint {
-    fingerprint_compressed(
-        // Backend tag: sparse CSC.
-        [0x5C, a.n() as u64, tag(a.triangle(), a.diag())],
-        a.col_ptr(),
-        a.row_idx(),
-        a.values(),
-        a.diag_values(),
-    )
-}
-
 /// The pseudo-fingerprint of a distributed plan's shape.  A distributed
 /// plan depends only on `(n, k, p)` — there is no local operand to hash —
 /// and the tag keeps these keys out of the operand namespaces.
@@ -255,8 +239,8 @@ pub(crate) fn fingerprint_distributed(n: usize, k: usize, p: usize) -> Fingerpri
 /// `nnz` as a structural collision guard) and the request, whole — every
 /// field of a [`SolveRequest`] is part of the key by construction, so a knob
 /// added to the request can never be forgotten here.  Two submissions with
-/// equal keys are interchangeable: they lower to the same plan and (for
-/// barriered policies) produce bitwise-identical answers.
+/// equal keys are interchangeable: they lower to the same plan and
+/// produce bitwise-identical answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     fingerprint: Fingerprint,
@@ -350,16 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_and_csc_fingerprints_are_distinct_namespaces() {
-        let a = gen::random_lower(32, 3, 5);
-        let csc = sparse::SparseTriCsc::from_csr(&a);
-        assert_ne!(fingerprint_sparse(&a), fingerprint_sparse_csc(&csc));
-        // But the CSC fingerprint is itself content-stable.
-        let csc2 = sparse::SparseTriCsc::from_csr(&gen::random_lower(32, 3, 5));
-        assert_eq!(fingerprint_sparse_csc(&csc), fingerprint_sparse_csc(&csc2));
-    }
-
-    #[test]
     fn request_shape_splits_the_key() {
         use catrsm::SolveRequest;
         let a = gen::random_lower(32, 3, 5);
@@ -369,13 +343,6 @@ mod tests {
         assert_eq!(k1, k2);
         let k3 = PlanKey::new(fp, a.n(), a.nnz(), &SolveRequest::lower().threads(2));
         assert_ne!(k1, k3);
-        let k4 = PlanKey::new(
-            fp,
-            a.n(),
-            a.nnz(),
-            &SolveRequest::lower().policy(sparse::SchedulePolicy::SyncFree),
-        );
-        assert_ne!(k1, k4);
         let k5 = PlanKey::new(fp, a.n(), a.nnz(), &SolveRequest::lower().reuse(100));
         assert_ne!(k1, k5);
         let k6 = PlanKey::new(fp, a.n(), a.nnz(), &SolveRequest::lower().with_residual());
@@ -602,7 +569,6 @@ mod tests {
         let a = gen::random_lower(8, 2, 1);
         let all = [
             fingerprint_sparse(&a),
-            fingerprint_sparse_csc(&SparseTriCsc::from_csr(&a)),
             fingerprint_dense(&a.to_dense(), Triangle::Lower, Diag::NonUnit),
             fingerprint_distributed(8, 8, 8),
         ];

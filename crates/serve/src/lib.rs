@@ -9,23 +9,21 @@
 //! the amortization the staged API only *prices*:
 //!
 //! * [`fingerprint`] — 64-bit content hashes of dense triangles and
-//!   `SparseTri` / `SparseTriCsc` operands (dims, triangle/diagonal,
-//!   pattern, value bits), combined with the request shape into the
-//!   plan-cache key ([`PlanKey`]);
+//!   `SparseTri` operands (dims, triangle/diagonal, pattern, value bits),
+//!   combined with the request shape into the plan-cache key
+//!   ([`PlanKey`]);
 //! * [`cache`] — a small LRU with hit/miss/eviction accounting;
 //! * [`service`] — the [`SolveService`] itself: a fingerprint-keyed LRU
 //!   of lowered `Arc<Plan>`s with canonical-operand pinning (repeat
-//!   traffic skips `planner` lowering **and** schedule/CSC analysis), a
+//!   traffic skips `planner` lowering **and** schedule analysis), a
 //!   submission queue whose flush fuses compatible single-RHS jobs into
 //!   one multi-RHS execute per plan (sparse) or packs independent
 //!   systems side by side on the worker pool (dense), and reusable
 //!   arenas so the warm path allocates nothing per request.
 //!
 //! Determinism contract: a cache hit returns bitwise the answer the cold
-//! path would have computed for the barriered sparse policies and the
-//! dense backend; `SchedulePolicy::SyncFree` keeps its usual two-tier
-//! guarantee (bitwise per fixed worker count, ~1e-12 across).  Fusion
-//! preserves this: the sparse row kernel treats RHS columns
+//! path would have computed, on the sparse and the dense backend alike.
+//! Fusion preserves this: the sparse row kernel treats RHS columns
 //! independently, and dense batch-mates never share arithmetic.
 //!
 //! Cache and batching behavior is observable: the service emits
@@ -38,9 +36,7 @@ pub mod fingerprint;
 pub mod service;
 
 pub use cache::LruCache;
-pub use fingerprint::{
-    fingerprint_dense, fingerprint_sparse, fingerprint_sparse_csc, Fingerprint, PlanKey,
-};
+pub use fingerprint::{fingerprint_dense, fingerprint_sparse, Fingerprint, PlanKey};
 pub use service::{
     Completion, Operand, ServiceConfig, ServiceRequest, ServiceStats, SolveService, Ticket,
 };

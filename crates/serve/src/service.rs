@@ -5,8 +5,7 @@
 //! # What the service amortizes
 //!
 //! A cold solve pays three stages: the `planner` lowering, the sparse
-//! dependency analysis (level / merged schedule, or the CSC mirror), and
-//! the execute itself.  Repeat traffic — the analyze-once/apply-many
+//! dependency analysis (the level schedule), and the execute itself.  Repeat traffic — the analyze-once/apply-many
 //! regime of the sparse triangular-solve literature — should pay only the
 //! third.  The service keys an LRU of lowered [`Arc<SolvePlan>`]s by
 //! operand *content fingerprint* × request shape ([`PlanKey`]), and pins
@@ -23,9 +22,9 @@
 //! groups them by plan key and fuses each group (up to the admission
 //! window) into one multi-RHS execute: sparse groups pack their vectors
 //! into a reusable arena matrix and run one `solve_multi` sweep — the
-//! per-row elimination handles each RHS column independently, so under
-//! the barriered policies the fused answer is bitwise identical to `w`
-//! separate solves — while dense groups run side by side on the
+//! per-row elimination handles each RHS column independently, so the
+//! fused answer is bitwise identical to `w` separate solves — while dense
+//! groups run side by side on the
 //! `DENSE_THREADS` worker pool, each system solved independently.  The
 //! arenas and the job's own RHS buffer are reused, so a warm service
 //! allocates nothing per request.
@@ -206,11 +205,9 @@ impl CachedPlan {
 
     /// One multi-RHS sweep of the sparse operand `a` over the `w` packed
     /// right-hand sides of `fused`.  The row kernel treats each RHS column
-    /// independently, so under the barriered policies this is bitwise
-    /// identical to `w` separate solves; under sync-free it is bitwise
-    /// reproducible per fixed worker count and within ~1e-12 of the unfused
-    /// answer (the fused `nnz·w` work product can cross the `PAR_MIN_WORK`
-    /// gate a single RHS would not).
+    /// independently, so this is bitwise identical to `w` separate solves —
+    /// even when the fused `nnz·w` work carries the level weight over the
+    /// go-parallel threshold a single RHS stays under.
     fn execute_fused_sparse(
         &self,
         a: &SparseTri,

@@ -1,5 +1,5 @@
 //! Integration tests of the solve service: cache-hit answers must be
-//! *bitwise* the cold-path answers (barriered policies and dense), repeat
+//! *bitwise* the cold-path answers (sparse and dense), repeat
 //! traffic must stop planning and analyzing after warm-up, batch fusion
 //! must not perturb results, and the LRU must evict under pressure while
 //! staying correct.
@@ -8,15 +8,11 @@ use catrsm::SolveRequest;
 use dense::{Diag, Matrix, Triangle};
 use proptest::prelude::*;
 use serve::{fingerprint_sparse, Operand, ServiceConfig, ServiceRequest, SolveService};
-use sparse::{gen as sgen, SchedulePolicy, SparseTri};
+use sparse::{gen as sgen, SparseTri};
 use std::sync::Arc;
 
-fn sparse_request(policy: Option<SchedulePolicy>) -> SolveRequest {
-    let req = SolveRequest::lower().threads(4);
-    match policy {
-        Some(p) => req.policy(p),
-        None => req,
-    }
+fn sparse_request() -> SolveRequest {
+    SolveRequest::lower().threads(4)
 }
 
 fn service() -> SolveService {
@@ -32,14 +28,6 @@ fn cold_sparse(req: &SolveRequest, m: &SparseTri, b: &[f64]) -> Vec<f64> {
     let plan = req.plan_sparse(m, 1).unwrap();
     plan.execute_sparse_in_place(m, x.as_mut_slice()).unwrap();
     x
-}
-
-/// Max |a-b| over two equal-length vectors.
-fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
 }
 
 /// Every stored entry of `m`, diagonal included, as `(row, col, value)`.
@@ -191,25 +179,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Cache-hit solves are bitwise identical to cache-miss (cold) solves
-    /// on the sparse backend, across all three scheduling policies — the
-    /// two barriered policies exactly, sync-free within its documented
-    /// 1e-12 two-tier tolerance (it is bitwise per fixed worker count,
-    /// which the single-RHS service path preserves, but the contract we
-    /// promise is the tolerance).
+    /// on the sparse backend.
     #[test]
     fn sparse_cache_hit_matches_cold_path(
         n in 60usize..220,
         fill in 1usize..5,
         seed in 0u64..500,
-        policy_idx in 0usize..4,
     ) {
-        let policy = [
-            None,
-            Some(SchedulePolicy::Level),
-            Some(SchedulePolicy::Merged),
-            Some(SchedulePolicy::SyncFree),
-        ][policy_idx];
-        let req = sparse_request(policy);
+        let req = sparse_request();
         let b = sgen::rhs_vec(n, seed ^ 0x51);
 
         // Cold path: a fresh matrix, solved directly through the staged
@@ -231,13 +208,8 @@ proptest! {
         prop_assert_eq!(svc.stats().hits, 1);
         prop_assert_eq!(svc.stats().misses, 1);
 
-        if policy == Some(SchedulePolicy::SyncFree) {
-            prop_assert!(max_abs_diff(&hit, &cold) < 1e-12);
-            prop_assert!(max_abs_diff(&warm, &cold) < 1e-12);
-        } else {
-            prop_assert_eq!(&hit, &cold, "cache hit must be bitwise the cold answer");
-            prop_assert_eq!(&warm, &cold, "cache miss through the service must also match");
-        }
+        prop_assert_eq!(&hit, &cold, "cache hit must be bitwise the cold answer");
+        prop_assert_eq!(&warm, &cold, "cache miss through the service must also match");
     }
 
     /// Same property on the dense backend (single- and multi-RHS paths).
@@ -265,18 +237,16 @@ proptest! {
     }
 
     /// Fused batched execution returns bitwise the same answers as
-    /// solving each submission alone (barriered policies; each RHS column
-    /// is eliminated independently inside the row kernel).
+    /// solving each submission alone (each RHS column is eliminated
+    /// independently inside the row kernel).
     #[test]
     fn fused_batches_match_individual_solves(
         n in 80usize..200,
         fill in 1usize..4,
         seed in 0u64..300,
         width in 2usize..8,
-        merged in prop::bool::ANY,
     ) {
-        let policy = if merged { SchedulePolicy::Merged } else { SchedulePolicy::Level };
-        let req = sparse_request(Some(policy));
+        let req = sparse_request();
         let mat = Arc::new(sgen::random_lower(n, fill, seed));
         let svc = service();
 
@@ -313,11 +283,13 @@ proptest! {
 /// invariant of the serving layer.
 #[test]
 fn repeat_traffic_keeps_planning_and_analysis_flat() {
-    let n = 300;
-    let req = sparse_request(None);
+    // Levels of 2 048 rows clear the go-parallel rule, so the warm-up
+    // analyzes and every apply is a 4-worker level sweep.
+    let build = || Arc::new(sgen::deep_narrow_lower(20_000, 2048, 6, 11));
+    let req = sparse_request();
     let svc = service();
-    let canonical = Arc::new(sgen::random_lower(n, 4, 11));
-    let b = sgen::rhs_vec(n, 99);
+    let canonical = build();
+    let b = sgen::rhs_vec(canonical.n(), 99);
 
     // Warm-up: one miss, which plans and (lazily, at execute) analyzes.
     let warm = svc
@@ -325,14 +297,13 @@ fn repeat_traffic_keeps_planning_and_analysis_flat() {
         .unwrap()
         .x;
     let plans_after_warmup = svc.stats().plan_builds;
-    let analyses_after_warmup = canonical.analysis_count();
-    let merged_after_warmup = canonical.merged_analysis_count();
+    assert_eq!(canonical.analysis_count(), 1);
 
     // Steady state: 50 requests, every one a *fresh* matrix object with
     // the same content, through both the immediate and the batched path.
     let mut fresh_mats = Vec::new();
     for i in 0..50 {
-        let fresh = Arc::new(sgen::random_lower(n, 4, 11));
+        let fresh = build();
         let x = if i % 2 == 0 {
             svc.solve_vec(&req, &Operand::Sparse(Arc::clone(&fresh)), &b)
                 .unwrap()
@@ -361,19 +332,13 @@ fn repeat_traffic_keeps_planning_and_analysis_flat() {
     );
     assert_eq!(
         canonical.analysis_count(),
-        analyses_after_warmup,
+        1,
         "steady state must not re-run the level analysis"
-    );
-    assert_eq!(
-        canonical.merged_analysis_count(),
-        merged_after_warmup,
-        "steady state must not re-run the merge analysis"
     );
     // The rebuilt matrices were never analyzed at all: the service
     // executed every hit against the canonical operand.
     for fresh in &fresh_mats {
         assert_eq!(fresh.analysis_count(), 0);
-        assert_eq!(fresh.merged_analysis_count(), 0);
     }
     let stats = svc.stats();
     assert_eq!(stats.misses, 1);
@@ -392,7 +357,7 @@ const SHAPES: [(usize, usize); 2] = [(120, 3), (4096, 8)];
 /// matrices evicts, rebuilds on re-miss, and stays correct throughout.
 #[test]
 fn eviction_under_pressure_stays_correct() {
-    let req = sparse_request(Some(SchedulePolicy::Level));
+    let req = sparse_request();
     for (n, fill) in SHAPES {
         let svc = SolveService::new(ServiceConfig {
             plan_cache_capacity: 2,
@@ -437,31 +402,40 @@ fn eviction_under_pressure_stays_correct() {
 
 /// One service, many client threads: concurrent immediate solves share
 /// the cached plans and each canonical operand's single analysis, and all
-/// agree bitwise with the cold path (barriered policy).
+/// agree bitwise with the cold path.
 #[test]
 fn concurrent_clients_share_one_cached_plan() {
-    let req = sparse_request(Some(SchedulePolicy::Merged));
+    let req = sparse_request();
     let svc = Arc::new(service());
-    let build = |(n, fill): (usize, usize)| Arc::new(sgen::random_lower(n, fill, 77));
-    let canonical = SHAPES.map(build);
-    let rhs = SHAPES.map(|(n, _)| sgen::rhs_vec(n, 13));
+    // The benchmark's shape (analysed, kept sequential) and one whose
+    // levels clear the go-parallel rule (every hit a 4-worker sweep).
+    let build = |wide: bool| {
+        Arc::new(if wide {
+            sgen::deep_narrow_lower(20_000, 2048, 6, 77)
+        } else {
+            sgen::random_lower(4096, 8, 77)
+        })
+    };
+    let kinds = [false, true];
+    let canonical = kinds.map(build);
+    let rhs = [0, 1].map(|i| sgen::rhs_vec(canonical[i].n(), 13));
 
     // Warm once per content so every thread hits.
     let mut want = Vec::new();
-    for ((shape, a), b) in SHAPES.iter().zip(&canonical).zip(&rhs) {
+    for ((wide, a), b) in kinds.iter().zip(&canonical).zip(&rhs) {
         let warm = svc
             .solve_vec(&req, &Operand::Sparse(Arc::clone(a)), b)
-            .unwrap()
-            .x;
-        assert_eq!(warm, cold_sparse(&req, &build(*shape), b));
-        want.push(warm);
+            .unwrap();
+        assert_eq!(warm.report.levels.unwrap().workers > 1, *wide);
+        assert_eq!(warm.x, cold_sparse(&req, &build(*wide), b));
+        want.push(warm.x);
     }
 
     let mut handles = Vec::new();
     for _ in 0..4 {
         let svc = Arc::clone(&svc);
         let rhs = rhs.clone();
-        let fresh = SHAPES.map(build);
+        let fresh = kinds.map(build);
         handles.push(std::thread::spawn(move || {
             let mut xs = Vec::new();
             for _ in 0..8 {
@@ -487,7 +461,6 @@ fn concurrent_clients_share_one_cached_plan() {
     }
     for a in &canonical {
         assert_eq!(a.analysis_count(), 1);
-        assert_eq!(a.merged_analysis_count(), 1);
     }
     let stats = svc.stats();
     // Two distinct contents presented, by ten operand objects.
@@ -545,7 +518,7 @@ fn dense_side_by_side_batching_matches_solo() {
 #[test]
 fn residual_jobs_execute_individually() {
     let n = 90;
-    let req = sparse_request(Some(SchedulePolicy::Level)).with_residual();
+    let req = sparse_request().with_residual();
     let svc = service();
     let mat = Arc::new(sgen::random_lower(n, 3, 21));
     for j in 0..3 {
@@ -573,7 +546,7 @@ fn residual_jobs_execute_individually() {
 #[test]
 fn residual_request_hits_a_plan_cached_without_residual() {
     let n = 90;
-    let plain = sparse_request(Some(SchedulePolicy::Level));
+    let plain = sparse_request();
     let mat = Operand::Sparse(Arc::new(sgen::random_lower(n, 3, 21)));
     let b = sgen::rhs_vec(n, 200);
     for (first, second) in [
@@ -616,4 +589,42 @@ fn shape_mismatch_is_not_cached() {
         .solve_vec(&req, &Operand::Sparse(Arc::clone(&mat)), &b)
         .is_err());
     assert_eq!(svc.cached_plans(), 0);
+}
+
+/// Fusing can change the executor, never the bits: one right-hand side of
+/// this factor stays under the go-parallel threshold and sweeps
+/// sequentially, four fused ones carry its levels over it and run the
+/// level sweep — and every fused answer is still bitwise the solo one.
+#[test]
+fn fusion_that_crosses_the_parallel_threshold_stays_bitwise() {
+    let req = sparse_request();
+    // 8 levels of 1 024 rows, ~3 700 stored entries each.
+    let mat = Arc::new(sgen::deep_narrow_lower(8192, 1024, 3, 5));
+    let opts = sparse::SolveOpts::new().threads(4);
+    assert_eq!(mat.execution_shape(&opts, 1).workers, 1);
+    assert_eq!(mat.execution_shape(&opts, 4).workers, 4);
+
+    let svc = service();
+    let mut want = Vec::new();
+    for j in 0..4 {
+        let rhs = sgen::rhs_vec(mat.n(), 300 + j);
+        want.push(cold_sparse(&req, &mat, &rhs));
+        svc.submit(ServiceRequest {
+            request: req,
+            operand: Operand::Sparse(Arc::clone(&mat)),
+            rhs,
+        })
+        .unwrap();
+    }
+    let done = svc.flush();
+    assert_eq!(svc.stats().max_batch_width, 4);
+    for (c, w) in done.iter().zip(&want) {
+        let report = c.result.as_ref().unwrap();
+        assert_eq!(
+            report.levels.unwrap().workers,
+            4,
+            "the fused sweep ran parallel"
+        );
+        assert_eq!(&c.x, w);
+    }
 }

@@ -14,9 +14,8 @@
 //! at most once per matrix and reused across every subsequent solve, which
 //! is the access pattern of preconditioner applies inside iterative solvers.
 
-use crate::csc::SparseTriCsc;
 use crate::error::SparseError;
-use crate::schedule::{MergedSchedule, Schedule};
+use crate::schedule::Schedule;
 use crate::Result;
 // The dense crate's pivot tolerance governs the diagonal invertibility
 // check, so a diagonal this crate accepts is exactly one the
@@ -46,23 +45,14 @@ pub struct SparseTri {
     diag_vals: Vec<f64>,
     /// Lazily computed level-set schedule (see [`SparseTri::schedule`]).
     schedule: OnceLock<Schedule>,
-    /// Lazily computed DAG-partitioned super-level schedule (see
-    /// [`SparseTri::merged_schedule`]), derived from `schedule`.
-    merged: OnceLock<MergedSchedule>,
     /// How many times the analysis has actually run for this matrix —
     /// observable through [`SparseTri::analysis_count`], so tests can assert
     /// the schedule is reused rather than recomputed per solve.
     analyses: AtomicUsize,
-    /// Like `analyses`, but for the merged (super-level) analysis
-    /// ([`SparseTri::merged_analysis_count`]).
-    merged_analyses: AtomicUsize,
     /// Lazily computed transpose (see [`SparseTri::transposed`]): built once
     /// per matrix so repeated `Aᵀ·x = b` solves reuse both the transposed
     /// CSR arrays and the schedule cached on them.
     transpose_cache: OnceLock<Box<SparseTri>>,
-    /// Lazily computed CSC mirror (see [`SparseTri::csc`]): built once per
-    /// matrix so repeated sync-free solves reuse the column-major arrays.
-    csc_cache: OnceLock<Box<SparseTriCsc>>,
 }
 
 impl SparseTri {
@@ -250,11 +240,8 @@ impl SparseTri {
             values,
             diag_vals,
             schedule: OnceLock::new(),
-            merged: OnceLock::new(),
             analyses: AtomicUsize::new(0),
-            merged_analyses: AtomicUsize::new(0),
             transpose_cache: OnceLock::new(),
-            csc_cache: OnceLock::new(),
         })
     }
 
@@ -354,24 +341,6 @@ impl SparseTri {
         self.analyses.load(Ordering::Relaxed)
     }
 
-    /// The DAG-partitioned [`MergedSchedule`] for this matrix, computed on
-    /// first use (on top of the cached [`SparseTri::schedule`]) and cached
-    /// for the lifetime of the matrix — the analyze-once pattern applied to
-    /// the super-level merge, so repeated merged-policy solves share one
-    /// O(n + nnz) merge pass.
-    pub fn merged_schedule(&self) -> &MergedSchedule {
-        self.merged.get_or_init(|| {
-            self.merged_analyses.fetch_add(1, Ordering::Relaxed);
-            MergedSchedule::build(self.schedule(), self)
-        })
-    }
-
-    /// How many times the super-level merge analysis has run for this
-    /// matrix (0 until the first merged-policy solve, 1 forever after).
-    pub fn merged_analysis_count(&self) -> usize {
-        self.merged_analyses.load(Ordering::Relaxed)
-    }
-
     /// Densify into a [`dense::Matrix`] (diagonal ones made explicit for
     /// [`Diag::Unit`]).  This is the bridge the dense-fallback solve path
     /// and the differential tests use.
@@ -424,11 +393,8 @@ impl SparseTri {
             values,
             diag_vals: self.diag_vals.clone(),
             schedule: OnceLock::new(),
-            merged: OnceLock::new(),
             analyses: AtomicUsize::new(0),
-            merged_analyses: AtomicUsize::new(0),
             transpose_cache: OnceLock::new(),
-            csc_cache: OnceLock::new(),
         }
     }
 
@@ -444,25 +410,12 @@ impl SparseTri {
         self.transpose_cache
             .get_or_init(|| Box::new(self.transpose()))
     }
-
-    /// The cached CSC mirror of this matrix, built on first use (one O(nnz)
-    /// counting sort) and reused for the lifetime of the matrix.
-    ///
-    /// This is what the sync-free executor
-    /// ([`crate::SchedulePolicy::SyncFree`]) sweeps.  It is a storage
-    /// conversion, not a dependency analysis — building it does not bump
-    /// [`SparseTri::analysis_count`], and one-shot sync-free solves stay
-    /// genuinely analysis-free.
-    pub fn csc(&self) -> &SparseTriCsc {
-        self.csc_cache
-            .get_or_init(|| Box::new(SparseTriCsc::from_csr(self)))
-    }
 }
 
 impl Clone for SparseTri {
-    /// Clones the matrix *and* its cached schedules (re-analyzing an
-    /// identical pattern would be wasted work); the clone's analysis counts
-    /// start fresh.
+    /// Clones the matrix *and* its cached schedule (re-analyzing an
+    /// identical pattern would be wasted work); the clone's analysis count
+    /// starts fresh.
     fn clone(&self) -> SparseTri {
         SparseTri {
             n: self.n,
@@ -473,11 +426,8 @@ impl Clone for SparseTri {
             values: self.values.clone(),
             diag_vals: self.diag_vals.clone(),
             schedule: self.schedule.clone(),
-            merged: self.merged.clone(),
             analyses: AtomicUsize::new(0),
-            merged_analyses: AtomicUsize::new(0),
             transpose_cache: self.transpose_cache.clone(),
-            csc_cache: self.csc_cache.clone(),
         }
     }
 }
@@ -497,15 +447,12 @@ impl std::fmt::Debug for SparseTri {
 // serve crate's plan cache hands one `Arc<SparseTri>` to every request
 // that hits, and the first solve's `OnceLock::get_or_init` may race with
 // others.  That is only sound if the matrix *and every cache it embeds*
-// (level schedule, merged schedule, transpose mirror, CSC mirror) are
-// `Send + Sync`; asserted at compile time so a future cache field built on
+// (level schedule, transpose mirror) are `Send + Sync`; asserted at compile time so a future cache field built on
 // `Cell`/`Rc` fails this build rather than a downstream crate's.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SparseTri>();
     assert_send_sync::<crate::schedule::Schedule>();
-    assert_send_sync::<crate::schedule::MergedSchedule>();
-    assert_send_sync::<crate::csc::SparseTriCsc>();
 };
 
 #[cfg(test)]
@@ -637,6 +584,13 @@ mod tests {
             &[1.0, 2.0],
         );
         assert!(matches!(dup, Err(SparseError::DuplicateEntry { .. })));
+
+        // Row 0 of a lower triangle storing column 1.
+        let wrong = SparseTri::from_csr(2, Triangle::Lower, Diag::Unit, &[0, 1, 1], &[1], &[1.0]);
+        assert!(matches!(
+            wrong,
+            Err(SparseError::WrongTriangle { index: (0, 1) })
+        ));
     }
 
     #[test]
@@ -729,20 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn csc_mirror_is_cached_and_does_not_count_as_analysis() {
-        let m = small_lower();
-        let c1 = m.csc() as *const SparseTriCsc;
-        let c2 = m.csc() as *const SparseTriCsc;
-        assert_eq!(c1, c2, "CSC mirror must be built once and cached");
-        assert_eq!(m.csc().to_dense(), m.to_dense());
-        assert_eq!(
-            m.analysis_count(),
-            0,
-            "building the CSC mirror is storage conversion, not analysis"
-        );
-    }
-
-    #[test]
     fn clone_carries_the_cached_schedule() {
         let m = small_lower();
         let _ = m.schedule();
@@ -766,10 +706,12 @@ mod tests {
         use std::sync::Arc;
         // One shared matrix, four racing solver threads: the OnceLock
         // caches must hand every thread the same analysis (exactly one
-        // build even when the first uses race), and the barriered answer
-        // must be bitwise identical across threads.
-        let m = Arc::new(crate::gen::random_lower(600, 6, 9));
-        let b = crate::gen::rhs_vec(600, 10);
+        // build even when the first uses race), and the level sweep's
+        // answer must be bitwise identical across threads.  Levels of
+        // 2 048 rows clear the go-parallel rule, so each solve really
+        // runs two workers.
+        let m = Arc::new(crate::gen::deep_narrow_lower(20_000, 2048, 6, 9));
+        let b = crate::gen::rhs_vec(m.n(), 10);
         let mut handles = Vec::new();
         for _ in 0..4 {
             let m = Arc::clone(&m);
@@ -787,6 +729,10 @@ mod tests {
             m.analysis_count(),
             1,
             "four racing threads must share one schedule analysis"
+        );
+        assert_eq!(
+            m.execution_shape(&SolveOpts::new().threads(2), 1).workers,
+            2
         );
     }
 }

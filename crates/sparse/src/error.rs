@@ -34,12 +34,6 @@ pub enum SparseError {
         /// The row whose indices are out of order.
         row: usize,
     },
-    /// A column's row indices are not strictly increasing (raw CSC input
-    /// only; triplet input is sorted internally).
-    UnsortedColumn {
-        /// The column whose indices are out of order.
-        col: usize,
-    },
     /// The raw CSR arrays are inconsistent (row pointer not monotone, or its
     /// last entry disagrees with the index/value lengths).
     MalformedCsr {
@@ -94,9 +88,6 @@ impl fmt::Display for SparseError {
             SparseError::UnsortedRow { row } => {
                 write!(f, "row {row}: column indices are not strictly increasing")
             }
-            SparseError::UnsortedColumn { col } => {
-                write!(f, "column {col}: row indices are not strictly increasing")
-            }
             SparseError::MalformedCsr { reason } => write!(f, "malformed CSR input: {reason}"),
             SparseError::NonFiniteEntry { index, value } => {
                 write!(f, "non-finite entry {value} at ({}, {})", index.0, index.1)
@@ -146,7 +137,6 @@ mod tests {
             (SparseError::WrongTriangle { index: (1, 3) }, "wrong side"),
             (SparseError::DuplicateEntry { index: (2, 1) }, "duplicate"),
             (SparseError::UnsortedRow { row: 5 }, "not strictly"),
-            (SparseError::UnsortedColumn { col: 2 }, "not strictly"),
             (
                 SparseError::MalformedCsr {
                     reason: "row_ptr shrinks".to_string(),

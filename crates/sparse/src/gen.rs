@@ -7,7 +7,6 @@
 //! reproducible per `(n, parameters, seed)` tuple — the determinism CI job
 //! hashes solves of these matrices across `DENSE_THREADS` settings.
 
-use crate::csc::SparseTriCsc;
 use crate::csr::SparseTri;
 use dense::{Diag, Triangle};
 use rand::rngs::StdRng;
@@ -22,30 +21,8 @@ use rand::{Rng, SeedableRng};
 /// deeper — which is the shape level scheduling has to cope with in
 /// incomplete-factor traffic.
 pub fn random_lower(n: usize, fill: usize, seed: u64) -> SparseTri {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let scale = 1.0 / (fill.max(1) as f64).sqrt();
-    let mut ents: Vec<(usize, usize, f64)> = Vec::with_capacity(n * (fill + 1));
-    let mut cols: Vec<usize> = Vec::with_capacity(fill);
-    for i in 0..n {
-        ents.push((i, i, 1.0 + rng.gen_range(0.0..1.0)));
-        let want = fill.min(i);
-        if want == 0 {
-            continue;
-        }
-        cols.clear();
-        while cols.len() < want {
-            let j = rng.gen_range(0..i);
-            if !cols.contains(&j) {
-                cols.push(j);
-            }
-        }
-        cols.sort_unstable();
-        for &j in cols.iter() {
-            ents.push((i, j, rng.gen_range(-1.0..1.0) * scale));
-        }
-    }
-    SparseTri::from_triplets(n, Triangle::Lower, Diag::NonUnit, &ents)
-        .expect("random_lower: generated structure is valid by construction")
+    // One block spanning the whole matrix.
+    block_diagonal_lower(n, n.max(1), fill, seed)
 }
 
 /// A random well-conditioned banded lower-triangular matrix: every entry
@@ -73,13 +50,13 @@ pub fn banded_lower(n: usize, bandwidth: usize, seed: u64) -> SparseTri {
 /// previous block (band-limited dependencies, like a blocked banded
 /// factor).
 ///
-/// This is the barrier-sensitive shape the DAG-partitioned schedule is
-/// built for: with `width` small, the level schedule crosses one barrier
-/// per `width` rows — thousands of barriers on a solve whose levels hold a
-/// handful of rows each — while the merged schedule aggregates hundreds of
-/// these skinny levels per super-level.  (An unbroken band,
-/// [`banded_lower`], is the degenerate `width = 1` chain; this generator
-/// keeps `width`-way parallelism alive inside every level.)
+/// `width` dials the level weight directly, which makes this the sweep
+/// axis of the go-parallel rule ([`crate::level_rule`]): with `width`
+/// small the level schedule would cross one barrier per handful of rows
+/// and the rule keeps the solve sequential; with `width` in the thousands
+/// each level amortizes its barrier and the parallel sweep wins.  (An
+/// unbroken band, [`banded_lower`], is the degenerate `width = 1` chain;
+/// this generator keeps `width`-way parallelism alive inside every level.)
 pub fn deep_narrow_lower(n: usize, width: usize, deps: usize, seed: u64) -> SparseTri {
     let width = width.max(1);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -113,25 +90,75 @@ pub fn random_upper(n: usize, fill: usize, seed: u64) -> SparseTri {
     random_lower(n, fill, seed).transpose()
 }
 
-/// [`random_lower`] built directly in CSC form — the same matrix per
-/// `(n, fill, seed)` tuple, constructed through
-/// [`SparseTriCsc::from_triplets`] (row-major generation order, so the
-/// constructor's column-major sort is genuinely exercised).
+/// A block-diagonal lower-triangular matrix: `n / block` independent
+/// diagonal blocks, each a [`random_lower`]-style pattern confined to its
+/// own rows and columns (the last block takes the remainder).
 ///
-/// This is the sync-free executor's native test input; `to_csr()` of the
-/// result equals [`random_lower`] exactly.
-pub fn random_lower_csc(n: usize, fill: usize, seed: u64) -> SparseTriCsc {
-    let csr = random_lower(n, fill, seed);
-    let mut ents: Vec<(usize, usize, f64)> = Vec::with_capacity(csr.nnz());
+/// Independent blocks share no dependencies, so the schedule has at most
+/// `block` levels and every one of them collects rows from all the blocks:
+/// few, very wide levels — the shape of a domain-decomposed factor, and the
+/// friendliest one for a barrier-per-level sweep.
+pub fn block_diagonal_lower(n: usize, block: usize, fill: usize, seed: u64) -> SparseTri {
+    let block = block.max(1);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let scale = 1.0 / (fill.max(1) as f64).sqrt();
+    let mut ents: Vec<(usize, usize, f64)> = Vec::with_capacity(n * (fill + 1));
+    let mut cols: Vec<usize> = Vec::with_capacity(fill);
     for i in 0..n {
-        ents.push((i, i, csr.diag_value(i)));
-        let (cols, vals) = csr.row_entries(i);
-        for (&j, &v) in cols.iter().zip(vals) {
-            ents.push((i, j, v));
+        ents.push((i, i, 1.0 + rng.gen_range(0.0..1.0)));
+        let start = i - i % block;
+        let want = fill.min(i - start);
+        if want == 0 {
+            continue;
+        }
+        cols.clear();
+        while cols.len() < want {
+            let j = rng.gen_range(start..i);
+            if !cols.contains(&j) {
+                cols.push(j);
+            }
+        }
+        cols.sort_unstable();
+        for &j in cols.iter() {
+            ents.push((i, j, rng.gen_range(-1.0..1.0) * scale));
         }
     }
-    SparseTriCsc::from_triplets(n, Triangle::Lower, Diag::NonUnit, &ents)
-        .expect("random_lower_csc: generated structure is valid by construction")
+    SparseTri::from_triplets(n, Triangle::Lower, Diag::NonUnit, &ents)
+        .expect("block_diagonal_lower: generated structure is valid by construction")
+}
+
+/// A lower-triangular matrix with power-law fan-in: each row draws `deps`
+/// distinct columns below the diagonal with probability proportional to
+/// `1 / (column + 1)`.
+///
+/// A handful of leading *hub* columns feed a large share of all rows — the
+/// pattern of a factor ordered with its separators first — while the long
+/// tail still chains rows to recent ones, so the levels are irregular:
+/// skinny where the hubs resolve, wide behind them.
+pub fn power_law_lower(n: usize, deps: usize, seed: u64) -> SparseTri {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let scale = 1.0 / (deps.max(1) as f64).sqrt();
+    let mut ents: Vec<(usize, usize, f64)> = Vec::with_capacity(n * (deps + 1));
+    let mut cols: Vec<usize> = Vec::with_capacity(deps);
+    for i in 0..n {
+        ents.push((i, i, 1.0 + rng.gen_range(0.0..1.0)));
+        let want = deps.min(i);
+        cols.clear();
+        while cols.len() < want {
+            // Inverse CDF of the 1/(j+1) weights: (i+1)^u is log-uniform on
+            // [1, i+1), so its floor lands on column j with weight ~1/(j+1).
+            let draw = (i as f64 + 1.0).powf(rng.gen_range(0.0..1.0)) as usize;
+            let j = draw.clamp(1, i) - 1;
+            if !cols.contains(&j) {
+                cols.push(j);
+            }
+        }
+        for &j in cols.iter() {
+            ents.push((i, j, rng.gen_range(-1.0..1.0) * scale));
+        }
+    }
+    SparseTri::from_triplets(n, Triangle::Lower, Diag::NonUnit, &ents)
+        .expect("power_law_lower: generated structure is valid by construction")
 }
 
 /// A right-hand-side vector with `O(1)` entries, matching `dense::gen::rhs`
@@ -207,12 +234,48 @@ mod tests {
     }
 
     #[test]
-    fn random_lower_csc_matches_the_csr_generator() {
-        let csc = random_lower_csc(150, 5, 13);
-        let csr = random_lower(150, 5, 13);
-        assert_eq!(csc.to_dense(), csr.to_dense());
-        assert_eq!(csc.nnz(), csr.nnz());
-        assert_eq!(csc.to_csr().to_dense(), csr.to_dense());
+    fn block_diagonal_lower_keeps_blocks_independent() {
+        let (n, block, fill) = (1050usize, 100usize, 4usize);
+        let m = block_diagonal_lower(n, block, fill, 3);
+        for i in 0..n {
+            let (cols, _) = m.row_entries(i);
+            assert_eq!(cols.len(), fill.min(i % block), "row {i}");
+            for &j in cols {
+                assert_eq!(j / block, i / block, "row {i} dep {j} leaves its block");
+            }
+        }
+        let s = m.schedule();
+        assert!(s.num_levels() <= block, "levels are bounded by the block");
+        assert_eq!(
+            s.level_rows(0).len(),
+            n.div_ceil(block),
+            "each block's first row"
+        );
+        assert!(s.max_level_width() >= n.div_ceil(block));
+        assert_eq!(
+            m.to_dense(),
+            block_diagonal_lower(n, block, fill, 3).to_dense()
+        );
+    }
+
+    #[test]
+    fn power_law_lower_funnels_rows_through_the_hubs() {
+        let (n, deps) = (4000usize, 3usize);
+        let m = power_law_lower(n, deps, 5);
+        let mut fan_out = vec![0usize; n];
+        for i in 0..n {
+            let (cols, _) = m.row_entries(i);
+            assert_eq!(cols.len(), deps.min(i), "row {i}");
+            for &j in cols {
+                fan_out[j] += 1;
+            }
+        }
+        let hubs: usize = fan_out[..8].iter().sum();
+        let mid: usize = fan_out[n / 2..n / 2 + 8].iter().sum();
+        assert!(hubs > 50 * mid.max(1), "hubs {hubs} vs mid columns {mid}");
+        let s = m.schedule();
+        assert!(s.num_levels() < n / 10, "{} levels", s.num_levels());
+        assert_eq!(m.to_dense(), power_law_lower(n, deps, 5).to_dense());
     }
 
     #[test]

@@ -21,25 +21,18 @@
 //!   levels).  Computed once per matrix and cached
 //!   ([`SparseTri::schedule`]), because iterative-solver traffic re-applies
 //!   one pattern many times;
-//! * [`MergedSchedule`] — the DAG-partitioned companion analysis:
-//!   consecutive skinny levels merged into coarse *super-levels*
-//!   (cached via [`SparseTri::merged_schedule`]), so deep narrow DAGs pay
-//!   one barrier per super-level instead of one per level;
-//! * solve executors ([`SparseTri::solve`], [`SparseTri::solve_multi`],
-//!   the sequential baselines, and the [`SparseTri::solve_via_dense`]
-//!   fallback) on the `dense::threads` worker pool (`DENSE_THREADS`
-//!   workers): barrier-separated level sweeps under
-//!   [`SchedulePolicy::Level`], super-level sweeps with per-row
-//!   point-to-point readiness under [`SchedulePolicy::Merged`]
-//!   (auto-chosen from the level-shape statistics and the declared
-//!   [`SolveOpts::reuse`], pinnable through [`SolveOpts::policy`]) —
-//!   **bitwise identical** at every worker count and under either policy;
-//! * [`SparseTriCsc`] — validated CSC storage (the cached
-//!   [`SparseTri::csc`] mirror) and the **sync-free** executor behind
-//!   [`SchedulePolicy::SyncFree`]: an analysis-free column sweep with
-//!   per-row atomic in-degree counters, zero levels and zero barriers —
-//!   the one-shot-solve fast path, bitwise reproducible per fixed worker
-//!   count (not across worker counts; see [`csc`] for the caveat);
+//! * two solve executors behind one entry point
+//!   ([`SparseTri::solve_with`] / [`SparseTri::solve_multi_with`]; also
+//!   [`SparseTri::solve`], [`SparseTri::solve_multi`] and the
+//!   [`SparseTri::solve_via_dense`] fallback): the sequential sweep, and
+//!   barrier-separated level sweeps on the `dense::threads` worker pool —
+//!   **bitwise identical** at every worker count.  [`SolveOpts::threads`]
+//!   is a budget; [`level_rule`] gives a solve more than one worker only
+//!   when its mean run weight clears the measured
+//!   [`PAR_MIN_RUN_WEIGHT`], and skips the analysis altogether when the
+//!   budget, the work or the declared [`SolveOpts::reuse`] cannot use it
+//!   (`README.md` has the measurements, and why the merged-level and
+//!   flag-per-row executors that used to sit beside this one are gone);
 //! * [`gen`] — seeded generators for tests and benches.
 //!
 //! Every solve reports a [`dense::FlopCount`] under the dense crate's
@@ -50,32 +43,35 @@
 //!
 //! ```
 //! use sparse::{gen, SolveOpts};
-//! let l = gen::random_lower(1000, 8, 42);
-//! let b = gen::rhs_vec(1000, 7);
-//! let sched = l.schedule();                      // analyze once, O(nnz)
-//! assert!(sched.num_levels() < 1000);            // level compression
+//! let l = gen::deep_narrow_lower(20_000, 2048, 6, 42); // 10 levels × 2048 rows
+//! let b = gen::rhs_vec(20_000, 7);
+//! let opts = SolveOpts::new().threads(4);        // a budget of 4 workers
+//! assert_eq!(l.execution_shape(&opts, 1).workers, 4); // heavy levels: parallel
 //! let mut x = b.clone();
-//! l.solve_with(&SolveOpts::new().threads(4), &mut x).unwrap(); // level-parallel
+//! l.solve_with(&opts, &mut x).unwrap();
 //! let mut x1 = b.clone();
 //! l.solve_with(&SolveOpts::new().threads(1), &mut x1).unwrap();
 //! assert_eq!(x, x1);                             // bitwise identical
 //! assert_eq!(l.analysis_count(), 1);             // schedule reused, not re-run
+//! let band = gen::banded_lower(20_000, 4, 1);    // 20 000 one-row levels
+//! assert_eq!(band.execution_shape(&opts, 1).workers, 1); // stays sequential
 //! let mut xt = b.clone();
 //! l.solve_with(&SolveOpts::new().transposed(), &mut xt).unwrap(); // Lᵀ·x = b
 //! ```
 
-pub mod csc;
 pub mod csr;
 pub mod error;
 pub mod gen;
 pub mod schedule;
 pub mod solve;
 
-pub use csc::SparseTriCsc;
 pub use csr::SparseTri;
 pub use error::SparseError;
-pub use schedule::{MergedSchedule, Schedule, SchedulePolicy, ANALYZE_REUSE_MIN, SUPER_MIN_WEIGHT};
-pub use solve::{ExecutionShape, SolveOpts, PAR_MIN_WORK};
+pub use schedule::Schedule;
+pub use solve::{
+    level_rule, ExecutionShape, NotAnalysed, SolveOpts, Verdict, ANALYZE_REUSE_MIN,
+    PAR_MIN_RUN_WEIGHT,
+};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, SparseError>;

@@ -2,35 +2,23 @@
 //!
 //! Every solve funnels through **one options-driven entry point** —
 //! [`SparseTri::solve_with`] / [`SparseTri::solve_multi_with`] with a
-//! [`SolveOpts`] — which picks between four execution strategies:
+//! [`SolveOpts`] — which runs one of two executors, chosen by one rule
+//! ([`level_rule`]):
 //!
-//! * a worker budget of 1 (pinned, or implicit under [`PAR_MIN_WORK`]) runs
-//!   the sequential baseline: rows in dependency order (ascending for
+//! * the **sequential sweep**: rows in dependency order (ascending for
 //!   lower, descending for upper), no analysis needed;
-//! * a larger budget runs one of three parallel executors, chosen by
-//!   [`SchedulePolicy`] (pinned through [`SolveOpts::policy`], or
-//!   [`SchedulePolicy::auto`] from the level-shape statistics and the
-//!   declared [`SolveOpts::reuse`]):
-//!   - **`Level`** — the cached [`crate::Schedule`]'s levels run as
-//!     barrier-separated sweeps on the [`dense::run_region`] worker pool,
-//!     each level's rows split into one contiguous chunk per worker (one
-//!     barrier per level);
-//!   - **`Merged`** — the cached [`crate::MergedSchedule`]'s super-levels
-//!     run the same chunked sweep with one barrier per *super-level*, and
-//!     inside a super-level workers track readiness point-to-point: a
-//!     per-row atomic flag set (release) when the row is eliminated, each
-//!     worker spinning/yielding (acquire) only on the same-super-level
-//!     rows its own rows consume — cutting barrier counts by orders of
-//!     magnitude on deep narrow DAGs;
-//!   - **`SyncFree`** — the analysis-free column sweep of
-//!     [`crate::csc`] on the cached [`SparseTri::csc`] mirror: per-row
-//!     atomic in-degree counters and per-worker partial-sum accumulators,
-//!     **zero** levels and **zero** barriers, the right call for one-shot
-//!     solves where neither analysis would ever pay for itself;
-//! * [`dense::Transpose::Yes`] solves `Aᵀ·x = b` on the cached
-//!   [`SparseTri::transposed`] matrix (and its cached schedules), so
-//!   transposed applies — the `Lᵀ` half of an `ILU`/`IC` preconditioner —
-//!   cost one O(nnz) transposition ever, not one per solve.
+//! * the **level sweep**: the cached [`crate::Schedule`]'s levels run as
+//!   barrier-separated sweeps on the [`dense::run_region`] worker pool,
+//!   each level's rows split into one contiguous chunk per worker (one
+//!   barrier per level) — taken only when the schedule's mean run weight
+//!   clears [`PAR_MIN_RUN_WEIGHT`], because a barrier crossing, and every
+//!   jump between non-consecutive rows, has to be paid for by the rows
+//!   streamed in between.
+//!
+//! [`dense::Transpose::Yes`] solves `Aᵀ·x = b` on the cached
+//! [`SparseTri::transposed`] matrix (and its cached schedule), so
+//! transposed applies — the `Lᵀ` half of an `ILU`/`IC` preconditioner —
+//! cost one O(nnz) transposition ever, not one per solve.
 //!
 //! [`SparseTri::solve_via_dense`] remains as the dense-fallback bridge:
 //! densify and call [`dense::trsv_in_place`], for patterns so dense that
@@ -41,28 +29,23 @@
 //!
 //! Because a row's result depends only on rows in earlier levels — which
 //! are complete before the row runs — and the per-row arithmetic is a
-//! fixed-order sweep over the CSR entries, the sequential and **barriered**
-//! parallel executors (`Level`, `Merged`) are **bitwise identical** at
-//! every worker count; `DENSE_THREADS` is a throughput knob there exactly
-//! as it is for the dense GEMM.  The **sync-free** executor is bitwise
-//! reproducible only *per fixed worker count*: its per-row reductions
-//! re-associate when the worker count changes, so it agrees with the other
-//! executors to rounding (1e-12 in the test suites), not bitwise — see
-//! [`crate::csc`] for the full caveat.  Every solve reports a [`FlopCount`]
-//! under the same conventions as the dense kernels (multiply + subtract = 2
-//! flops per stored off-diagonal entry, one division per explicit
-//! diagonal), so simulated machines can charge sparse applies to the same
-//! γ·F term.
+//! fixed-order sweep over the CSR entries, the two executors are **bitwise
+//! identical** at every worker count; `DENSE_THREADS` is a throughput knob
+//! here exactly as it is for the dense GEMM.  Every solve reports a
+//! [`FlopCount`] under the same conventions as the dense kernels (a
+//! multiply and a subtract, 2 flops, per stored off-diagonal entry; one
+//! division per explicit diagonal), so simulated machines can charge sparse
+//! applies to the same γ·F term.
 
 use crate::csr::SparseTri;
 use crate::error::SparseError;
-use crate::schedule::SchedulePolicy;
 use crate::Result;
 use dense::{dense_threads, run_region, Diag, FlopCount, MatMut, Matrix, Transpose};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Options of one sparse triangular solve: whether the matrix is applied
-/// transposed, the worker budget, and the scheduling policy.
+/// transposed, the worker budget, and the declared reuse.
 ///
 /// This is the single execution vocabulary every sparse solve funnels
 /// through ([`SparseTri::solve_with`] / [`SparseTri::solve_multi_with`]),
@@ -70,30 +53,23 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveOpts {
     /// Apply the matrix transposed (`Aᵀ·x = b`); runs on the cached
-    /// [`SparseTri::transposed`] matrix and its cached schedules.
+    /// [`SparseTri::transposed`] matrix and its cached schedule.
     pub transpose: Transpose,
-    /// Worker budget: `None` applies the implicit [`PAR_MIN_WORK`] gate and
-    /// the `DENSE_THREADS` pool size; `Some(t)` pins exactly `t` workers.
-    /// Results are bitwise identical for every value under the barriered
-    /// policies (and under [`SchedulePolicy::SyncFree`], reproducible per
-    /// fixed value — see [`crate::csc`]).
+    /// Worker **budget**: the most workers the solve may use — `None` means
+    /// the `DENSE_THREADS` pool size.  [`level_rule`] decides how many of
+    /// them a solve actually gets (often one); results are bitwise
+    /// identical for every value.
     pub threads: Option<usize>,
-    /// Scheduling policy of the parallel executor: `None` lets
-    /// [`SchedulePolicy::auto`] choose from the level-shape statistics and
-    /// the declared [`SolveOpts::reuse`]; `Some(p)` pins it.
-    pub policy: Option<SchedulePolicy>,
-    /// How many times this matrix will be applied (this solve included):
-    /// the analyze-cost-vs-reuse signal [`SchedulePolicy::auto`] prices.
-    /// `None` declares nothing and is treated as "apply many times" (the
-    /// historical behavior); `Some(r)` below
-    /// [`crate::schedule::ANALYZE_REUSE_MIN`] routes the solve to the
-    /// analysis-free [`SchedulePolicy::SyncFree`] executor without ever
-    /// touching the cached schedules.  Ignored when `policy` is pinned.
+    /// How many times this matrix will be applied (this solve included).
+    /// `None` declares nothing and is treated as "apply many times";
+    /// `Some(r)` below [`ANALYZE_REUSE_MIN`] keeps the solve on the
+    /// sequential sweep without ever analysing the pattern.
     pub reuse: Option<usize>,
 }
 
 impl SolveOpts {
-    /// Default options: non-transposed, implicit worker gate, auto policy.
+    /// Default options: non-transposed, the pool-size budget, no declared
+    /// reuse.
     pub fn new() -> SolveOpts {
         SolveOpts::default()
     }
@@ -110,91 +86,212 @@ impl SolveOpts {
         self
     }
 
-    /// Pin the worker budget (bypassing the [`PAR_MIN_WORK`] gate).
+    /// Set the worker budget (an upper bound, as in `dense`; 1 forces the
+    /// sequential sweep).
     pub fn threads(mut self, threads: usize) -> SolveOpts {
         self.threads = Some(threads);
         self
     }
 
-    /// Pin the scheduling policy (bypassing [`SchedulePolicy::auto`]).
-    pub fn policy(mut self, policy: SchedulePolicy) -> SolveOpts {
-        self.policy = Some(policy);
-        self
-    }
-
     /// Declare how many times this matrix will be applied (this solve
-    /// included), letting [`SchedulePolicy::auto`] price the analysis cost
-    /// against it: one-shot solves (`reuse(1)`) go sync-free, many-apply
-    /// loops keep the analyzed schedules.
+    /// included), so a one-shot solve (`reuse(1)`) never pays for an
+    /// analysis it cannot amortize.
     pub fn reuse(mut self, reuse: usize) -> SolveOpts {
         self.reuse = Some(reuse);
         self
     }
+
+    /// The worker budget in effect: [`SolveOpts::threads`], or the
+    /// `DENSE_THREADS` pool size when unset.
+    pub fn budget(&self) -> usize {
+        self.threads.unwrap_or_else(dense_threads)
+    }
 }
 
-/// The fully resolved shape of one sparse solve — the worker count, policy
-/// and synchronization structure the executor will actually run, computed
-/// by [`SparseTri::execution_shape`] from the same decision procedure the
-/// executor uses.  This is what `catrsm`'s staged planner records on its
-/// `Plan` and reports (measured) in its `LevelReport`.
+/// The shape of one sparse solve — the worker count and synchronization
+/// structure the executor runs, resolved by [`level_rule`].
+/// [`SparseTri::execution_shape`] computes it ahead of time and
+/// [`SparseTri::solve_multi_shaped`] returns the one it ran; `catrsm`'s
+/// staged planner records the former on its `Plan` and reports the latter
+/// in its `LevelReport`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionShape {
-    /// Workers the executor runs with (1 = the analysis-free sequential
-    /// sweep).
+    /// Workers the executor runs with (1 = the sequential sweep).
     pub workers: usize,
-    /// The scheduling policy in effect (meaningful when `workers > 1`;
-    /// a sequential solve nominally reports [`SchedulePolicy::Level`]).
-    pub policy: SchedulePolicy,
-    /// Dependency levels of the schedule (0 when the solve stays
-    /// sequential or runs sync-free and the pattern is never analyzed).
+    /// Dependency levels of the schedule (0 when the pattern was never
+    /// analysed; kept when the rule analysed it and stayed sequential).
     pub levels: usize,
-    /// Super-levels of the merged schedule (0 unless the merged policy
-    /// runs).
-    pub super_levels: usize,
-    /// Barriers each worker waits on: `levels` under
-    /// [`SchedulePolicy::Level`], `super_levels` under
-    /// [`SchedulePolicy::Merged`], 0 sequentially and under
-    /// [`SchedulePolicy::SyncFree`].
+    /// Contiguous runs of the schedule ([`crate::Schedule::num_runs`] —
+    /// what the rule weighed; 0 when the pattern was never analysed).
+    pub runs: usize,
+    /// Barriers each worker waits on: `levels` under the level sweep, 0
+    /// sequentially.
     pub barriers: usize,
-    /// Rows in the widest level (the level executor's parallelism ceiling;
-    /// 0 when sequential or sync-free).
+    /// Rows in the widest level (the level sweep's parallelism ceiling; 0
+    /// when the pattern was never analysed).
     pub max_level_width: usize,
 }
 
 impl ExecutionShape {
-    /// The shape of a sequential sweep (no analysis, no barriers).
-    fn sequential() -> ExecutionShape {
+    /// The shape of a sequential sweep over a never-analysed pattern.
+    fn not_analysed() -> ExecutionShape {
         ExecutionShape {
             workers: 1,
-            policy: SchedulePolicy::Level,
             levels: 0,
-            super_levels: 0,
+            runs: 0,
             barriers: 0,
             max_level_width: 0,
         }
     }
 }
 
-/// Below this many `nnz · k` units of work a solve never goes parallel on
-/// its own: one region spawn costs tens of microseconds, which rivals the
-/// arithmetic of a small solve.  A pinned [`SolveOpts::threads`] bypasses
-/// the gate (results are bitwise identical either way).
-pub const PAR_MIN_WORK: usize = 64 * 1024;
-
-/// Shared mutable buffer pointer handed to solve workers (the solution
-/// vector in the level sweeps, the solution and partial-sum slabs in the
-/// sync-free sweep).
+/// Mean stored entries per contiguous run (`nnz · k / runs`, see
+/// [`crate::Schedule::num_runs`]) a schedule must carry for the level sweep
+/// to run — and, since no schedule's mean can exceed its total, the
+/// `nnz · k` below which a pattern is not even analysed.  A level is at
+/// least one run, so this is also a floor on the mean level weight.
 ///
-/// Plain `&mut [f64]` cannot be shared across workers; each executor's
-/// disjoint-access invariant is what makes the sharing sound (see the
-/// SAFETY comments at the use sites), so the pointer is wrapped and the
-/// invariant documented there.
-pub(crate) struct SharedPtr(pub(crate) *mut f64);
+/// Set from `exp_sparse_gate` (`cargo run --release -p bench --bin
+/// exp_sparse_gate`; table, host and commit in `crates/sparse/README.md`)
+/// on a 2-vCPU host at 2 workers.  Where levels are consecutive row ranges
+/// (runs = levels) the level sweep runs at 0.14–0.95× the sequential sweep
+/// up to 450 entries per level, breaks even somewhere between 1 800 and
+/// 3 600, and wins from 7 000 up; where they are scattered (random fills,
+/// block-diagonal and power-law patterns: 4–40 entries per run) it loses
+/// at every level weight, because walking rows in level order is already
+/// 1.3–2.9× slower than in row order on one worker.  A two-term model —
+/// ≈ 0.6 µs per barrier crossing over ≈ 3.1 ns per stored entry, both read
+/// off a 12 500-level sweep — would put break-even near 400; the
+/// end-to-end crossover is 5–9× later because a level's rows also move
+/// between the workers' caches, so the constant is the measured
+/// crossover's upper edge plus margin, not the model's.
+pub const PAR_MIN_RUN_WEIGHT: usize = 4096;
 
-// SAFETY: every executor partitions the buffer so that concurrently
-// accessed regions are disjoint per worker, with barriers or acquire/
-// release counter handshakes providing the happens-before edges for
-// cross-worker reads — documented at each use site.
+/// Minimum declared reuse for a dependency analysis to be worth running.
+///
+/// The analysis costs 0.3–1.4 sequential sweeps, median 0.7
+/// (`exp_sparse_gate`'s `analyse` column against `seq`), and a winning
+/// level sweep saves a quarter to a half of one per apply, so fewer than
+/// four applies cannot repay it.
+pub const ANALYZE_REUSE_MIN: usize = 4;
+
+/// Why [`level_rule`] left a pattern unanalysed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NotAnalysed {
+    /// The worker budget is 1.
+    Budget,
+    /// `nnz · k` is below [`PAR_MIN_RUN_WEIGHT`]: not even a one-run
+    /// schedule could clear it.
+    Work,
+    /// The declared reuse is below [`ANALYZE_REUSE_MIN`].
+    Reuse(usize),
+}
+
+/// [`level_rule`]'s decision, with what it was decided on — `Display`ed by
+/// `catrsm::Plan` as the answer to "why this plan".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Sequential sweep; the pattern is not analysed.
+    NotAnalysed(NotAnalysed),
+    /// The schedule was consulted: `run_weight` stored entries per
+    /// contiguous run against `threshold`, hence `workers` (1 = sequential
+    /// sweep).
+    Analysed {
+        /// Mean stored entries per contiguous run, `nnz · k / runs`.
+        run_weight: usize,
+        /// The [`PAR_MIN_RUN_WEIGHT`] it was compared with.
+        threshold: usize,
+        /// Workers the solve runs on.
+        workers: usize,
+    },
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Verdict::NotAnalysed(NotAnalysed::Budget) => write!(f, "not analysed (budget 1)"),
+            Verdict::NotAnalysed(NotAnalysed::Work) => {
+                write!(f, "not analysed (nnz·k below threshold)")
+            }
+            Verdict::NotAnalysed(NotAnalysed::Reuse(r)) => write!(f, "not analysed (reuse {r})"),
+            Verdict::Analysed {
+                run_weight,
+                threshold,
+                workers,
+            } => {
+                write!(
+                    f,
+                    "{run_weight} stored entries per run against a threshold of {threshold}: "
+                )?;
+                if workers > 1 {
+                    write!(f, "level sweep on {workers} workers")
+                } else {
+                    write!(f, "sequential")
+                }
+            }
+        }
+    }
+}
+
+/// **The** go-parallel rule: how many workers a solve of `k` right-hand
+/// sides with a matrix of `nnz` stored entries runs on, given a worker
+/// `budget` and the declared `reuse`.
+///
+/// The pattern is consulted — `analysed()` returns the schedule's
+/// `(contiguous runs, widest level)` and is only then called — unless the
+/// budget is 1, `nnz · k` is below [`PAR_MIN_RUN_WEIGHT`], or the declared
+/// reuse is below [`ANALYZE_REUSE_MIN`].  An analysed solve goes parallel,
+/// on `min(budget, widest level)` workers, when its mean run weight `nnz ·
+/// k / runs` reaches [`PAR_MIN_RUN_WEIGHT`].
+///
+/// [`SparseTri::execution_shape`] and the executor both decide through this
+/// function, so a plan always describes what executes; it depends only on
+/// its arguments, never on timing.
+pub fn level_rule(
+    budget: usize,
+    nnz: usize,
+    k: usize,
+    reuse: Option<usize>,
+    analysed: impl FnOnce() -> (usize, usize),
+) -> Verdict {
+    if budget <= 1 {
+        return Verdict::NotAnalysed(NotAnalysed::Budget);
+    }
+    let work = nnz.saturating_mul(k);
+    if work < PAR_MIN_RUN_WEIGHT {
+        return Verdict::NotAnalysed(NotAnalysed::Work);
+    }
+    if let Some(r) = reuse.filter(|&r| r < ANALYZE_REUSE_MIN) {
+        return Verdict::NotAnalysed(NotAnalysed::Reuse(r));
+    }
+    let (runs, widest) = analysed();
+    let run_weight = work / runs.max(1);
+    let workers = if run_weight >= PAR_MIN_RUN_WEIGHT {
+        // Workers beyond the widest level would never receive a row.
+        budget.min(widest).max(1)
+    } else {
+        1
+    };
+    Verdict::Analysed {
+        run_weight,
+        threshold: PAR_MIN_RUN_WEIGHT,
+        workers,
+    }
+}
+
+/// Shared mutable pointer to the solution block, handed to the level
+/// sweep's workers.
+///
+/// Plain `&mut [f64]` cannot be shared across workers; the level sweep's
+/// disjoint-access invariant is what makes the sharing sound (see the
+/// SAFETY comment at the use site), so the pointer is wrapped and the
+/// invariant documented there.
+struct SharedPtr(*mut f64);
+
+// SAFETY: the level sweep partitions the buffer so that concurrently
+// accessed rows are disjoint per worker, with the per-level barrier
+// providing the happens-before edges for cross-worker reads — documented at
+// the use site.
 unsafe impl Send for SharedPtr {}
 unsafe impl Sync for SharedPtr {}
 
@@ -203,7 +300,7 @@ impl SharedPtr {
     /// `Sync` wrapper as a whole instead of edition-2021 field-precise
     /// capturing the raw pointer, which is not `Sync`.
     #[inline]
-    pub(crate) fn get(&self) -> *mut f64 {
+    fn get(&self) -> *mut f64 {
         self.0
     }
 }
@@ -213,12 +310,13 @@ impl SharedPtr {
 /// `std::sync::Barrier` takes a mutex and sleeps on a condvar at every
 /// crossing — two futex syscalls plus a wake broadcast per worker per
 /// level, which *is* the sparse hot path's synchronization overhead when a
-/// schedule crosses hundreds (level policy: thousands) of barriers per
-/// solve.  Here arrival is one `fetch_add`, release is one generation-
-/// counter bump by the last arriver (no wake syscalls at all), and waiters
-/// spin briefly then yield (same policy as [`wait_ready`], so
-/// oversubscribed machines degrade to scheduler round-robin instead of
-/// burning quanta).
+/// schedule crosses hundreds of barriers per solve.  Here arrival is one
+/// `fetch_add`, release is one generation-counter bump by the last arriver
+/// (no wake syscalls at all), and waiters
+/// spin briefly then yield, so oversubscribed machines (more workers than
+/// cores) degrade to scheduler round-robin instead of burning a quantum
+/// busy-waiting for a worker that needs the CPU to make the very progress
+/// being waited on.
 ///
 /// Ordering: every arrival `fetch_add(AcqRel)`s the count, so the last
 /// arriver has acquired all earlier workers' writes when it bumps the
@@ -262,97 +360,16 @@ impl SpinBarrier {
     }
 }
 
-/// Spins (briefly) then yields until `flag` reaches `epoch`, with an
-/// acquire load so the waiter observes every write the setter published
-/// before its release store.
-///
-/// The short spin phase covers the common case — the producing worker is
-/// running on another core and finishes within nanoseconds; the yield
-/// phase keeps oversubscribed machines (more workers than cores, e.g. the
-/// 4-worker runs on this repo's 1-core bench container) from burning a
-/// scheduling quantum busy-waiting for a worker that needs the CPU to make
-/// the very progress being waited on.
-#[inline]
-pub(crate) fn wait_ready(flag: &AtomicU32, epoch: u32) {
-    let mut spins = 0u32;
-    while flag.load(Ordering::Acquire) != epoch {
-        if spins < 32 {
-            spins += 1;
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// [`wait_ready`] that counts loop iterations (spins + yields) for the
-/// tracing layer.  Only called when tracing is enabled, so the plain
-/// variant's disabled path stays untouched.
-#[inline]
-pub(crate) fn wait_ready_counted(flag: &AtomicU32, epoch: u32) -> u64 {
-    let mut iters = 0u64;
-    let mut spins = 0u32;
-    while flag.load(Ordering::Acquire) != epoch {
-        iters += 1;
-        if spins < 32 {
-            spins += 1;
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-    iters
-}
-
-/// Per-(super-)level timeline spans are emitted (by worker 0) only when the
+/// Per-level timeline spans are emitted (by worker 0) only when the
 /// schedule has at most this many levels: a 10 000-level DAG would flood
 /// the trace buffers with events nobody can render, while the per-worker
-/// aggregate counters (`barrier_wait_ns`, `spin_iters`) stay cheap at any
-/// depth.
-pub(crate) const MAX_LEVEL_SPANS: usize = 1024;
-
-thread_local! {
-    /// Readiness flags reused across merged-policy solves on this thread,
-    /// paired with the epoch of the most recent solve that used them (see
-    /// [`with_done_flags`]).
-    static DONE_FLAGS: std::cell::RefCell<(Vec<AtomicU32>, u32)> =
-        const { std::cell::RefCell::new((Vec::new(), 0)) };
-}
-
-/// Runs `f` with an `n`-row readiness-flag buffer and the epoch value that
-/// means "eliminated" for this solve.
-///
-/// The merged executor is on the plan-once/apply-many hot path, so the
-/// buffer is cached thread-locally and never re-zeroed between solves:
-/// each solve bumps the epoch, and a row counts as ready only when its
-/// flag holds the *current* epoch — stale values from earlier solves
-/// compare unequal.  The buffer is (re)zeroed only when it grows or the
-/// `u32` epoch wraps.  Falls back to a fresh allocation in the
-/// (unexpected) re-entrant case.
-fn with_done_flags<R>(n: usize, f: impl FnOnce(&[AtomicU32], u32) -> R) -> R {
-    DONE_FLAGS.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut state) => {
-            let (buf, epoch) = &mut *state;
-            *epoch = epoch.wrapping_add(1);
-            if buf.len() < n || *epoch == 0 {
-                // Fresh zeroed flags with the epoch restarted at 1, so no
-                // stale value can ever equal the current epoch.
-                *buf = (0..n).map(|_| AtomicU32::new(0)).collect();
-                *epoch = 1;
-            }
-            f(&buf[..n], *epoch)
-        }
-        Err(_) => {
-            let buf: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-            f(&buf, 1)
-        }
-    })
-}
+/// aggregate counter (`barrier_wait_ns`) stays cheap at any depth.
+const MAX_LEVEL_SPANS: usize = 1024;
 
 /// `[lo, hi)` bounds of worker `w`'s contiguous share of `len` items split
 /// across `workers` (first `len % workers` workers take one extra item).
 /// Depends only on `(len, workers, w)`, never on timing.
-pub(crate) fn chunk_bounds(len: usize, workers: usize, w: usize) -> (usize, usize) {
+fn chunk_bounds(len: usize, workers: usize, w: usize) -> (usize, usize) {
     let base = len / workers;
     let extra = len % workers;
     let lo = w * base + w.min(extra);
@@ -402,114 +419,45 @@ impl SparseTri {
         }
     }
 
-    /// Worker budget when [`SolveOpts::threads`] pins none:
-    /// the `DENSE_THREADS` pool size when the solve clears [`PAR_MIN_WORK`],
-    /// else 1.  The decision depends only on the matrix and `k`, never on
-    /// timing, so which path runs is itself deterministic.
-    fn implicit_threads(&self, k: usize) -> usize {
-        if self.nnz().saturating_mul(k) >= PAR_MIN_WORK {
-            dense_threads()
-        } else {
-            1
-        }
-    }
-
-    /// Resolves a worker budget + policy pin into the executor that will
-    /// actually run.  This is the one decision procedure shared by the
-    /// executor ([`SparseTri::run_solve`]) and the planner
-    /// ([`SparseTri::execution_shape`]), so a plan always describes exactly what executes.  Depends only on
-    /// the (cached) analysis, `budget` and the pin — never on timing.
-    ///
-    /// A budget of 1 never touches the schedules, keeping sequential
-    /// solves analysis-free — and so does any resolution to
-    /// [`SchedulePolicy::SyncFree`] (pinned, or auto-chosen from a small
-    /// declared `reuse`), which is decided *before* the analysis so
-    /// one-shot solves never pay for the level sets they skipped.
-    fn resolve_shape(
-        &self,
-        budget: usize,
-        policy: Option<SchedulePolicy>,
-        reuse: Option<usize>,
-    ) -> ExecutionShape {
-        if budget <= 1 {
-            return ExecutionShape::sequential();
-        }
-        // Sync-free fast path: both arms match what `SchedulePolicy::auto`
-        // would decide, but are checked before `self.schedule()` so the
-        // analysis never runs.  (`auto` short-circuits on small reuse
-        // before looking at the schedule, so the outcomes agree.)
-        if policy == Some(SchedulePolicy::SyncFree)
-            || (policy.is_none() && reuse.is_some_and(|r| r < crate::schedule::ANALYZE_REUSE_MIN))
-        {
-            return self.syncfree_shape(budget);
-        }
-        let sched = self.schedule();
-        let policy = policy.unwrap_or_else(|| SchedulePolicy::auto(sched, budget, reuse));
-        let workers = match policy {
-            // Workers beyond the widest level would never receive a row.
-            SchedulePolicy::Level => budget.min(sched.max_level_width()),
-            // The merged executor's ceiling is the widest *super*-level.
-            SchedulePolicy::Merged => budget.min(self.merged_schedule().max_super_width()),
-            // Unreachable through `auto` (small reuse short-circuits
-            // above), kept for totality.
-            SchedulePolicy::SyncFree => return self.syncfree_shape(budget),
-        };
-        if workers <= 1 {
-            // The width cap degraded the solve to the sequential sweep:
-            // report the nominal sequential shape (policy `Level`, no
-            // barriers), matching the `budget <= 1` path — what *runs* is
-            // the same sweep either way.
-            return ExecutionShape::sequential();
-        }
-        let (super_levels, barriers) = match policy {
-            SchedulePolicy::Level => (0, sched.num_levels()),
-            SchedulePolicy::Merged => {
-                let s = self.merged_schedule().num_super_levels();
-                (s, s)
+    /// Resolves a worker budget into the shape that will actually run,
+    /// through [`level_rule`].  A verdict that never consults the pattern
+    /// leaves the schedule untouched, so such solves stay analysis-free.
+    fn resolve_shape(&self, budget: usize, k: usize, reuse: Option<usize>) -> ExecutionShape {
+        let verdict = level_rule(budget, self.nnz(), k, reuse, || {
+            let sched = self.schedule();
+            (sched.num_runs(), sched.max_level_width())
+        });
+        match verdict {
+            Verdict::NotAnalysed(_) => ExecutionShape::not_analysed(),
+            Verdict::Analysed { workers, .. } => {
+                let sched = self.schedule();
+                ExecutionShape {
+                    workers,
+                    levels: sched.num_levels(),
+                    runs: sched.num_runs(),
+                    barriers: if workers > 1 { sched.num_levels() } else { 0 },
+                    max_level_width: sched.max_level_width(),
+                }
             }
-            SchedulePolicy::SyncFree => unreachable!("resolved above"),
-        };
-        ExecutionShape {
-            workers,
-            policy,
-            levels: sched.num_levels(),
-            super_levels,
-            barriers,
-            max_level_width: sched.max_level_width(),
-        }
-    }
-
-    /// The shape of a sync-free solve: no levels, no barriers, no analysis
-    /// — only a worker count (capped at `n`; more workers than columns
-    /// would own empty chunks).
-    fn syncfree_shape(&self, budget: usize) -> ExecutionShape {
-        ExecutionShape {
-            workers: budget.min(self.n().max(1)),
-            policy: SchedulePolicy::SyncFree,
-            levels: 0,
-            super_levels: 0,
-            barriers: 0,
-            max_level_width: 0,
         }
     }
 
     /// Runs the solve over `x` (`n` rows × `k` columns at row stride
-    /// `stride`, holding `B` on entry and `X` on exit) with the given
-    /// worker budget and policy pin.
+    /// `stride`, holding `B` on entry and `X` on exit) under the given
+    /// worker budget and declared reuse; returns the shape it ran.
     fn run_solve(
         &self,
         x: *mut f64,
         stride: usize,
         k: usize,
-        threads: usize,
-        policy: Option<SchedulePolicy>,
+        budget: usize,
         reuse: Option<usize>,
-    ) -> FlopCount {
+    ) -> ExecutionShape {
         let n = self.n();
         if n == 0 || k == 0 {
-            return FlopCount::ZERO;
+            return ExecutionShape::not_analysed();
         }
-        let shape = self.resolve_shape(threads, policy, reuse);
+        let shape = self.resolve_shape(budget, k, reuse);
         if shape.workers <= 1 {
             // Sequential sweep in dependency order; no analysis required.
             match self.triangle() {
@@ -531,13 +479,9 @@ impl SparseTri {
                 }
             }
         } else {
-            match shape.policy {
-                SchedulePolicy::Level => self.run_level_parallel(x, stride, k, shape.workers),
-                SchedulePolicy::Merged => self.run_merged_parallel(x, stride, k, shape.workers),
-                SchedulePolicy::SyncFree => self.csc().run_syncfree(x, stride, k, shape.workers),
-            }
+            self.run_level_parallel(x, stride, k, shape.workers);
         }
-        self.solve_flops(k)
+        shape
     }
 
     /// The classical level-scheduled executor: one barrier per dependency
@@ -593,121 +537,6 @@ impl SparseTri {
         });
     }
 
-    /// The DAG-partitioned executor: one barrier per *super-level*, with
-    /// point-to-point readiness inside each.
-    ///
-    /// Each super-level's rows (a contiguous range of the merged
-    /// schedule's [`crate::MergedSchedule::rows`] sweep order, which reorders
-    /// rows *within* the super-level by level then descending fan-out) are
-    /// split into one contiguous chunk per worker.  A worker sweeps its
-    /// chunk in flat order; before eliminating a row it spins/yields on
-    /// the readiness flags of the row's dependencies that live in the
-    /// *same* super-level (dependencies in earlier super-levels are
-    /// complete — the inter-super-level barrier guarantees it), and
-    /// publishes its own flag with release ordering afterwards.
-    ///
-    /// Deadlock-freedom: every dependency sits at a strictly earlier flat
-    /// position (it is in a strictly earlier level, and level remains the
-    /// sweep order's primary sort key within a super-level), each worker's
-    /// chunk is processed in ascending flat order, and a worker at flat
-    /// position `p` only ever waits on positions `< p` — so along any wait
-    /// chain the positions strictly decrease, and the earliest unfinished
-    /// row is always runnable.
-    ///
-    /// Bitwise determinism: the row → worker assignment and the per-row
-    /// arithmetic order are both timing-independent; the flags only ever
-    /// delay a worker, never reorder arithmetic.
-    fn run_merged_parallel(&self, x: *mut f64, stride: usize, k: usize, workers: usize) {
-        let merged = self.merged_schedule();
-        let rows = merged.rows();
-        let shared = SharedPtr(x);
-        let barrier = SpinBarrier::new(workers);
-        // One readiness flag per row, `== epoch` meaning eliminated; the
-        // buffer is thread-locally cached and epoch-versioned so the
-        // apply-many hot path allocates and zeroes nothing per solve.
-        // Rows of earlier super-levels never have their flags consulted,
-        // so no per-super-level reset is needed either.
-        let tracing = obs::enabled();
-        let super_spans = tracing && merged.num_super_levels() <= MAX_LEVEL_SPANS;
-        let _span = obs::span_with(
-            "sparse",
-            "merged_exec",
-            "super_levels",
-            merged.num_super_levels() as u64,
-        );
-        with_done_flags(self.n(), |done, epoch| {
-            run_region(workers, |w| {
-                // Same counter convention as the level executor, plus the
-                // point-to-point spin count; worker 0 also emits one
-                // `super_rows` counter per super-level (its row count,
-                // surfaced into `TraceReport::super_level_rows`).
-                let mut wait_ns = 0u64;
-                let mut spins = 0u64;
-                for s in 0..merged.num_super_levels() {
-                    let srange = merged.super_range(s);
-                    let srows = &rows[srange];
-                    let sspan = if super_spans && w == 0 {
-                        obs::counter(
-                            "sparse",
-                            "super_rows",
-                            "rows",
-                            srows.len() as u64,
-                            "super",
-                            s as u64,
-                        );
-                        Some(obs::span_with(
-                            "sparse",
-                            "super_level",
-                            "rows",
-                            srows.len() as u64,
-                        ))
-                    } else {
-                        None
-                    };
-                    let (lo, hi) = chunk_bounds(srows.len(), workers, w);
-                    for &i in &srows[lo..hi] {
-                        let (cols, _) = self.row_entries(i);
-                        for &j in cols {
-                            if merged.super_of(j) == s as u32 {
-                                if tracing {
-                                    spins += wait_ready_counted(&done[j], epoch);
-                                } else {
-                                    wait_ready(&done[j], epoch);
-                                }
-                            }
-                        }
-                        // SAFETY: row `i` is written by exactly this worker
-                        // (disjoint chunks of disjoint super-levels); each
-                        // dependency `j` was either finalized in an earlier
-                        // super-level (happens-before via the barrier below)
-                        // or in this one (happens-before via the acquire
-                        // load in `wait_ready` pairing with the release
-                        // store).
-                        unsafe { self.eliminate_row(shared.get(), stride, k, i) };
-                        done[i].store(epoch, Ordering::Release);
-                    }
-                    let t0 = if tracing { obs::now_ns() } else { 0 };
-                    barrier.wait();
-                    if tracing {
-                        wait_ns += obs::now_ns().saturating_sub(t0);
-                    }
-                    drop(sspan);
-                }
-                if tracing {
-                    obs::counter(
-                        "sparse",
-                        "barrier_wait_ns",
-                        "ns",
-                        wait_ns,
-                        "worker",
-                        w as u64,
-                    );
-                    obs::counter("sparse", "spin_iters", "iters", spins, "worker", w as u64);
-                }
-            });
-        });
-    }
-
     /// The matrix the executor actually sweeps: `self` for a plain solve,
     /// the cached [`SparseTri::transposed`] for a transposed one.
     #[inline]
@@ -718,19 +547,15 @@ impl SparseTri {
         }
     }
 
-    /// The fully resolved execution shape — workers, policy, levels,
-    /// super-levels, barriers — a solve with these options and `k`
-    /// right-hand sides will run with: the same decision
-    /// [`SparseTri::solve_with`] makes, so plans can be inspected before
-    /// execution and reports always match what ran.  Depends only on the
-    /// matrix, `k` and the options, never on timing.
-    ///
-    /// A budget of 1 (implicit or pinned) never touches the schedules, so
-    /// sequential solves still run analysis-free.
+    /// The execution shape — workers, levels, barriers — a solve with
+    /// these options and `k` right-hand sides will run with: the same
+    /// [`level_rule`] decision [`SparseTri::solve_with`] makes, so plans
+    /// can be inspected before execution.  Depends only on the matrix, `k`
+    /// and the options, never on timing, and analyses the pattern only
+    /// when the rule consults it.
     pub fn execution_shape(&self, opts: &SolveOpts, k: usize) -> ExecutionShape {
-        let exec = self.executor(opts.transpose);
-        let budget = opts.threads.unwrap_or_else(|| exec.implicit_threads(k));
-        exec.resolve_shape(budget, opts.policy, opts.reuse)
+        self.executor(opts.transpose)
+            .resolve_shape(opts.budget(), k, opts.reuse)
     }
 
     /// Solves `op(A)·x = b` in place for one right-hand side: `x` holds `b`
@@ -743,17 +568,55 @@ impl SparseTri {
     /// Solves `op(A)·X = B` in place under the given [`SolveOpts`]: `x` —
     /// a `&mut Matrix`, a `&mut [f64]` (its `n×1` view) or any [`MatMut`]
     /// block — holds `B` on entry and `X` on exit.  Level-parallel across
-    /// rows and vectorized across the `k` columns; returns the flop count.
-    ///
-    /// This is the single entry point every sparse solve funnels through:
-    /// a pinned budget of 1 is the sequential baseline, and
-    /// [`Transpose::Yes`] the transposed solve on the cached transpose.
+    /// rows when [`level_rule`] says so and vectorized across the `k`
+    /// columns; returns the flop count.
     pub fn solve_multi_with<'x>(
         &self,
         opts: &SolveOpts,
         x: impl Into<MatMut<'x>>,
     ) -> Result<FlopCount> {
+        let x = x.into();
+        let k = x.cols();
+        self.solve_multi_shaped(opts, x)?;
+        Ok(self.solve_flops(k))
+    }
+
+    /// [`SparseTri::solve_multi_with`], returning the [`ExecutionShape`]
+    /// that ran instead of the flop count ([`SparseTri::solve_flops`]) — the
+    /// single entry point every sparse solve funnels through, and what a
+    /// report of the execution is built from.
+    pub fn solve_multi_shaped<'x>(
+        &self,
+        opts: &SolveOpts,
+        x: impl Into<MatMut<'x>>,
+    ) -> Result<ExecutionShape> {
         let mut x = x.into();
+        self.check_rhs(&x)?;
+        Ok(self.executor(opts.transpose).run_solve(
+            x.as_mut_ptr(),
+            x.stride(),
+            x.cols(),
+            opts.budget(),
+            opts.reuse,
+        ))
+    }
+
+    /// Runs the level sweep on exactly `workers` workers, whatever
+    /// [`level_rule`] would decide — for the tests, which must exercise the
+    /// parallel sweep on matrices far too small to clear the rule, and for
+    /// `exp_sparse_gate`, which times it exactly where the rule declines
+    /// it.  Not reachable from [`SolveOpts`].
+    #[doc(hidden)]
+    pub fn level_sweep_forced<'x>(&self, workers: usize, x: impl Into<MatMut<'x>>) -> Result<()> {
+        let mut x = x.into();
+        self.check_rhs(&x)?;
+        if self.n() > 0 && x.cols() > 0 {
+            self.run_level_parallel(x.as_mut_ptr(), x.stride(), x.cols(), workers.max(1));
+        }
+        Ok(())
+    }
+
+    fn check_rhs(&self, x: &MatMut<'_>) -> Result<()> {
         if x.rows() != self.n() {
             return Err(SparseError::DimensionMismatch {
                 op: "sparse solve",
@@ -761,22 +624,11 @@ impl SparseTri {
                 rhs: x.dims(),
             });
         }
-        let k = x.cols();
-        let exec = self.executor(opts.transpose);
-        let threads = opts.threads.unwrap_or_else(|| exec.implicit_threads(k));
-        Ok(exec.run_solve(
-            x.as_mut_ptr(),
-            x.stride(),
-            k,
-            threads,
-            opts.policy,
-            opts.reuse,
-        ))
+        Ok(())
     }
 
     /// Solves `A · x = b` for one right-hand side under the default options
-    /// (level-parallel on the `DENSE_THREADS` worker pool once the solve
-    /// reaches [`PAR_MIN_WORK`] `nnz · k` units); returns the solution
+    /// (the `DENSE_THREADS` pool as the budget); returns the solution
     /// vector.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         let mut x = b.to_vec();
@@ -829,12 +681,26 @@ mod tests {
         SparseTri::from_triplets(n, Triangle::Lower, Diag::NonUnit, &ents).unwrap()
     }
 
-    /// `A·x = b` with the worker budget pinned.
-    fn solve_pinned(m: &SparseTri, b: &[f64], threads: usize) -> Vec<f64> {
+    /// `A·x = b` under a worker budget.
+    fn solve_budget(m: &SparseTri, b: &[f64], threads: usize) -> Vec<f64> {
         let mut x = b.to_vec();
         m.solve_with(&SolveOpts::new().threads(threads), &mut x)
             .unwrap();
         x
+    }
+
+    /// `A·x = b` through the level sweep on exactly `workers` workers,
+    /// whatever the rule would say about a matrix this small.
+    fn solve_forced(m: &SparseTri, b: &[f64], workers: usize) -> Vec<f64> {
+        let mut x = b.to_vec();
+        m.level_sweep_forced(workers, &mut x[..]).unwrap();
+        x
+    }
+
+    /// A factor that clears the rule: 10 levels of 2 048 rows, ~12 800
+    /// stored entries each.
+    fn wide_levels() -> SparseTri {
+        crate::gen::deep_narrow_lower(20_000, 2048, 6, 31)
     }
 
     #[test]
@@ -848,7 +714,8 @@ mod tests {
         .unwrap();
         let b = vec![1.0, -2.0, 3.0, -4.0];
         assert_eq!(m.solve(&b).unwrap(), b);
-        assert_eq!(solve_pinned(&m, &b, 1), b);
+        assert_eq!(solve_budget(&m, &b, 1), b);
+        assert_eq!(solve_forced(&m, &b, 3), b);
     }
 
     #[test]
@@ -899,10 +766,10 @@ mod tests {
         let upper = lower.transpose();
         for m in [&lower, &upper] {
             let b: Vec<f64> = (0..n).map(|i| ((i * 29 + 3) % 17) as f64 - 8.0).collect();
-            let seq = solve_pinned(m, &b, 1);
-            for threads in [2usize, 3, 4, 7] {
-                let x = solve_pinned(m, &b, threads);
-                assert_eq!(x, seq, "threads={threads} changed the result bits");
+            let seq = solve_budget(m, &b, 1);
+            for workers in [2usize, 3, 4, 7] {
+                let x = solve_forced(m, &b, workers);
+                assert_eq!(x, seq, "{workers} workers changed the result bits");
             }
         }
     }
@@ -916,11 +783,10 @@ mod tests {
         let mut seq = b.clone();
         m.solve_multi_with(&SolveOpts::new().threads(1), &mut seq)
             .unwrap();
-        for threads in [2usize, 4] {
+        for workers in [2usize, 3, 4, 7] {
             let mut x = b.clone();
-            m.solve_multi_with(&SolveOpts::new().threads(threads), &mut x)
-                .unwrap();
-            assert!(x == seq, "threads={threads} changed multi-RHS bits");
+            m.level_sweep_forced(workers, &mut x).unwrap();
+            assert!(x == seq, "{workers} workers changed multi-RHS bits");
         }
         // Column c of the block solve equals the single-RHS solve of column c.
         for c in 0..k {
@@ -956,14 +822,15 @@ mod tests {
 
     #[test]
     fn analysis_runs_once_across_repeated_solves() {
-        let n = 600;
-        let m = test_lower(n, 8);
+        let m = wide_levels();
+        let n = m.n();
         assert_eq!(m.analysis_count(), 0);
+        assert!(m.execution_shape(&SolveOpts::new().threads(4), 1).workers > 1);
         let b = vec![1.0; n];
         // Two parallel solves + a multi-RHS solve: one analysis, total.
-        let x1 = solve_pinned(&m, &b, 4);
+        let x1 = solve_budget(&m, &b, 4);
         assert_eq!(m.analysis_count(), 1, "first parallel solve analyzes");
-        let x2 = solve_pinned(&m, &b, 4);
+        let x2 = solve_budget(&m, &b, 4);
         let mut bm = Matrix::from_fn(n, 3, |i, j| (i + j) as f64);
         m.solve_multi_with(&SolveOpts::new().threads(4), &mut bm)
             .unwrap();
@@ -979,7 +846,7 @@ mod tests {
     fn sequential_baseline_never_analyzes() {
         let m = test_lower(200, 4);
         let b = vec![1.0; 200];
-        let _ = solve_pinned(&m, &b, 1);
+        let _ = solve_budget(&m, &b, 1);
         assert_eq!(m.analysis_count(), 0);
     }
 
@@ -1044,18 +911,15 @@ mod tests {
         let mut seq = b.clone();
         m.solve_with(&SolveOpts::new().transposed().threads(1), &mut seq)
             .unwrap();
-        for threads in [2usize, 4, 7] {
-            let mut x = b.clone();
-            m.solve_with(&SolveOpts::new().transposed().threads(threads), &mut x)
-                .unwrap();
-            assert_eq!(x, seq, "transposed solve changed bits at {threads} workers");
+        for workers in [2usize, 3, 4, 7] {
+            let x = solve_forced(m.transposed(), &b, workers);
+            assert_eq!(x, seq, "transposed solve changed bits at {workers} workers");
         }
         // Multi-RHS transposed agrees with per-column transposed solves.
         let k = 4;
         let bm = Matrix::from_fn(n, k, |i, j| ((i * 3 + j * 17) % 29) as f64 - 14.0);
         let mut xm = bm.clone();
-        m.solve_multi_with(&SolveOpts::new().transposed().threads(3), &mut xm)
-            .unwrap();
+        m.transposed().level_sweep_forced(3, &mut xm).unwrap();
         for c in 0..k {
             let mut xc = bm.col(c);
             m.solve_with(&SolveOpts::new().transposed().threads(1), &mut xc)
@@ -1068,9 +932,8 @@ mod tests {
 
     #[test]
     fn transpose_cache_reused_across_transposed_solves() {
-        let n = 400;
-        let m = test_lower(n, 5);
-        let b = vec![1.0; n];
+        let m = wide_levels();
+        let b = vec![1.0; m.n()];
         let mut x1 = b.clone();
         m.solve_with(&SolveOpts::new().transposed().threads(4), &mut x1)
             .unwrap();
@@ -1089,324 +952,161 @@ mod tests {
 
     #[test]
     fn execution_shape_workers_are_deterministic_and_honest() {
-        let m = test_lower(600, 8);
-        // Pinned budgets resolve to min(budget, widest level).
-        let wide = m.schedule().max_level_width();
-        assert_eq!(
-            m.execution_shape(&SolveOpts::new().threads(1), 1).workers,
-            1
-        );
-        assert_eq!(
-            m.execution_shape(&SolveOpts::new().threads(4), 1).workers,
-            4usize.min(wide)
-        );
+        // A budget is an upper bound: min(budget, widest level) workers
+        // once the rule goes parallel, one barrier per level.
+        let m = wide_levels();
+        let sched = m.schedule();
+        assert_eq!((sched.num_levels(), sched.max_level_width()), (10, 2048));
+        for budget in [2usize, 4, 7] {
+            let shape = m.execution_shape(&SolveOpts::new().threads(budget), 1);
+            assert_eq!(shape.workers, budget);
+            assert_eq!((shape.levels, shape.runs, shape.barriers), (10, 10, 10));
+            assert_eq!(shape.max_level_width, 2048);
+        }
+        // A heavy enough block of right-hand sides carries narrow levels
+        // over the threshold, and the width cap then bounds the workers.
+        let narrow = crate::gen::deep_narrow_lower(300, 3, 2, 5);
+        let heavy = m_k(&narrow, PAR_MIN_RUN_WEIGHT);
+        let shape = narrow.execution_shape(&SolveOpts::new().threads(8), heavy);
+        assert_eq!(shape.workers, 3, "capped at the widest level");
         // The sequential budget never analyzes: a fresh matrix stays clean.
-        let fresh = test_lower(100, 2);
-        assert_eq!(
-            fresh
-                .execution_shape(&SolveOpts::new().threads(1), 1)
-                .workers,
-            1
-        );
+        let fresh = wide_levels();
+        let shape = fresh.execution_shape(&SolveOpts::new().threads(1), 1);
+        assert_eq!(shape, ExecutionShape::not_analysed());
         assert_eq!(fresh.analysis_count(), 0);
     }
 
+    /// Right-hand sides needed for `m`'s mean run weight to reach `weight`.
+    fn m_k(m: &SparseTri, weight: usize) -> usize {
+        (weight * m.schedule().num_runs()).div_ceil(m.nnz())
+    }
+
     #[test]
-    fn merged_policy_is_bitwise_identical_to_level_and_sequential() {
-        // Deep narrow DAG (the merged schedule's home turf), a wide random
-        // pattern, and their transposes: every policy × worker count must
-        // agree with the sequential sweep bit for bit.
+    fn the_rule_decides_on_both_sides_of_the_constant() {
+        let budget4 = SolveOpts::new().threads(4);
+        // Below: ~10 stored entries per run on the random factor (its levels
+        // are scattered rows), 5 on the band (one row per level).  Analysed,
+        // kept sequential, and the shape says so.
         for m in [
-            crate::gen::deep_narrow_lower(8000, 4, 3, 11),
-            test_lower(2000, 8),
+            crate::gen::random_lower(8_000, 8, 7),
+            crate::gen::banded_lower(20_000, 4, 19),
+        ] {
+            let shape = m.execution_shape(&budget4, 1);
+            assert_eq!((shape.workers, shape.barriers), (1, 0));
+            assert_eq!(shape.levels, m.schedule().num_levels());
+            assert_eq!(shape.runs, m.schedule().num_runs());
+            assert_eq!(shape.max_level_width, m.schedule().max_level_width());
+            assert_eq!(m.analysis_count(), 1);
+        }
+        // A declared one-shot cannot repay an analysis: never analysed.
+        let m = wide_levels();
+        let one_shot = m.execution_shape(&budget4.reuse(1), 1);
+        assert_eq!(one_shot, ExecutionShape::not_analysed());
+        let mut x = crate::gen::rhs_vec(m.n(), 3);
+        let ran = m.solve_multi_shaped(&budget4.reuse(1), &mut x[..]).unwrap();
+        assert_eq!(ran, one_shot);
+        assert_eq!(m.analysis_count(), 0);
+        // Nor can too little work, whatever the budget.
+        let tiny = test_lower(200, 4);
+        assert_eq!(
+            tiny.execution_shape(&budget4, 1),
+            ExecutionShape::not_analysed()
+        );
+        assert_eq!(tiny.analysis_count(), 0);
+        // Above: ~12 800 stored entries per run (each level one run).
+        for opts in [budget4, budget4.reuse(ANALYZE_REUSE_MIN)] {
+            let shape = m.execution_shape(&opts, 1);
+            assert!(shape.workers > 1);
+            assert_eq!(shape.barriers, shape.levels);
+            let mut x = crate::gen::rhs_vec(m.n(), 3);
+            assert_eq!(m.solve_multi_shaped(&opts, &mut x[..]).unwrap(), shape);
+        }
+    }
+
+    #[test]
+    fn level_rule_verdicts_explain_themselves() {
+        let unreachable = || -> (usize, usize) { panic!("must not consult the pattern") };
+        let t = PAR_MIN_RUN_WEIGHT;
+        assert_eq!(
+            level_rule(1, 10 * t, 1, None, unreachable).to_string(),
+            "not analysed (budget 1)"
+        );
+        assert_eq!(
+            level_rule(4, t - 1, 1, None, unreachable).to_string(),
+            "not analysed (nnz·k below threshold)"
+        );
+        assert_eq!(
+            level_rule(4, 10 * t, 1, Some(2), unreachable).to_string(),
+            "not analysed (reuse 2)"
+        );
+        // Exactly at the threshold goes parallel; one entry short does not.
+        let analysed = |run_weight, workers| Verdict::Analysed {
+            run_weight,
+            threshold: t,
+            workers,
+        };
+        let at = level_rule(4, 10 * t, 1, None, || (10, 100));
+        assert_eq!(at, analysed(t, 4));
+        assert!(at.to_string().ends_with("level sweep on 4 workers"));
+        let below = level_rule(4, 10 * t - 10, 1, None, || (10, 100));
+        assert_eq!(below, analysed(t - 1, 1));
+        assert!(below.to_string().ends_with("sequential"), "{below}");
+        // k multiplies the weight; the widest level caps the workers.
+        assert_eq!(level_rule(4, t, 10, None, || (10, 3)), analysed(t, 3));
+    }
+
+    #[test]
+    fn ordinary_api_runs_the_level_sweep_bitwise_on_factors_that_clear_the_rule() {
+        let m = wide_levels();
+        let t = m.transpose();
+        for mat in [&m, &t] {
+            let b = crate::gen::rhs_vec(mat.n(), 41);
+            let seq = solve_budget(mat, &b, 1);
+            for budget in [2usize, 4] {
+                let opts = SolveOpts::new().threads(budget);
+                assert!(mat.execution_shape(&opts, 1).workers > 1);
+                let mut x = b.clone();
+                let ran = mat.solve_multi_shaped(&opts, &mut x[..]).unwrap();
+                assert_eq!(ran, mat.execution_shape(&opts, 1));
+                assert_eq!(x, seq, "budget {budget} changed the result bits");
+            }
+        }
+        // Transposed through the options, multi-RHS.
+        let opts = SolveOpts::new().transposed().threads(3);
+        assert!(m.execution_shape(&opts, 5).workers > 1);
+        let bm = Matrix::from_fn(m.n(), 5, |i, j| ((i * 3 + j * 17) % 29) as f64 - 14.0);
+        let mut seq = bm.clone();
+        m.solve_multi_with(&SolveOpts::new().transposed().threads(1), &mut seq)
+            .unwrap();
+        let mut x = bm.clone();
+        m.solve_multi_with(&opts, &mut x).unwrap();
+        assert!(x == seq);
+    }
+
+    #[test]
+    fn forced_sweep_handles_chains_deep_dags_and_more_workers_than_rows() {
+        // The shapes the rule never sends here: an unbroken chain (every
+        // level one row, so all but one worker idle at every barrier), a
+        // deep narrow ladder, and a matrix with fewer rows than workers.
+        for m in [
+            crate::gen::banded_lower(3_000, 4, 19),
+            crate::gen::deep_narrow_lower(8_000, 4, 3, 11),
+            test_lower(3, 2),
         ] {
             let t = m.transpose();
             for mat in [&m, &t] {
-                let n = mat.n();
-                let b: Vec<f64> = (0..n).map(|i| ((i * 17 + 3) % 29) as f64 - 14.0).collect();
-                let mut seq = b.clone();
-                mat.solve_with(&SolveOpts::new().threads(1), &mut seq)
-                    .unwrap();
-                for threads in [2usize, 3, 4, 7] {
-                    for policy in [SchedulePolicy::Level, SchedulePolicy::Merged] {
-                        let mut x = b.clone();
-                        mat.solve_with(&SolveOpts::new().threads(threads).policy(policy), &mut x)
-                            .unwrap();
-                        assert_eq!(
-                            x, seq,
-                            "{policy:?} at {threads} workers changed the result bits"
-                        );
-                    }
+                let b = crate::gen::rhs_vec(mat.n(), 23);
+                let seq = solve_budget(mat, &b, 1);
+                for workers in [1usize, 2, 3, 4, 7] {
+                    assert_eq!(solve_forced(mat, &b, workers), seq, "{workers} workers");
                 }
             }
         }
-    }
-
-    #[test]
-    fn merged_multi_rhs_is_bitwise_identical_too() {
-        let m = crate::gen::deep_narrow_lower(4000, 4, 3, 13);
-        let k = 5;
-        let b = Matrix::from_fn(m.n(), k, |i, j| ((i * 5 + j * 11) % 13) as f64 - 6.0);
-        let mut seq = b.clone();
-        m.solve_multi_with(&SolveOpts::new().threads(1), &mut seq)
-            .unwrap();
-        for threads in [2usize, 4] {
-            let mut x = b.clone();
-            m.solve_multi_with(
-                &SolveOpts::new()
-                    .threads(threads)
-                    .policy(SchedulePolicy::Merged),
-                &mut x,
-            )
-            .unwrap();
-            assert!(x == seq, "merged multi-RHS diverged at {threads} workers");
-        }
-    }
-
-    #[test]
-    fn execution_shape_reports_the_barrier_compression() {
-        let m = crate::gen::deep_narrow_lower(8000, 4, 3, 17);
-        let level = m.execution_shape(
-            &SolveOpts::new().threads(4).policy(SchedulePolicy::Level),
-            1,
-        );
-        assert_eq!(level.workers, 4);
-        assert_eq!(level.policy, SchedulePolicy::Level);
-        assert_eq!(level.levels, 2000);
-        assert_eq!(level.barriers, 2000, "one barrier per level");
-        assert_eq!(level.super_levels, 0);
-        let merged = m.execution_shape(
-            &SolveOpts::new().threads(4).policy(SchedulePolicy::Merged),
-            1,
-        );
-        assert_eq!(merged.workers, 4);
-        assert_eq!(merged.policy, SchedulePolicy::Merged);
-        assert_eq!(merged.levels, 2000);
-        assert_eq!(merged.barriers, merged.super_levels);
-        assert!(
-            merged.barriers * 10 <= level.barriers,
-            "merged must cut barriers >=10x on a deep DAG: {} vs {}",
-            merged.barriers,
-            level.barriers
-        );
-        // Auto on this shape resolves to Merged.
-        let auto = m.execution_shape(&SolveOpts::new().threads(4), 1);
-        assert_eq!(auto.policy, SchedulePolicy::Merged);
-        assert_eq!(auto.barriers, merged.barriers);
-    }
-
-    #[test]
-    fn level_policy_on_a_chain_degrades_to_sequential_but_merged_can_parallelize() {
-        // An unbroken band chains every row: the level executor's width cap
-        // forces it sequential, while a pinned merged policy still runs its
-        // (overhead-only, but correct) point-to-point sweep.
-        let m = crate::gen::banded_lower(20_000, 4, 19);
-        let level = m.execution_shape(
-            &SolveOpts::new().threads(4).policy(SchedulePolicy::Level),
-            1,
-        );
-        assert_eq!(level.workers, 1);
-        assert_eq!(level.barriers, 0);
-        let merged = m.execution_shape(
-            &SolveOpts::new().threads(4).policy(SchedulePolicy::Merged),
-            1,
-        );
-        assert!(merged.workers > 1);
-        assert!(merged.barriers * 10 <= m.schedule().num_levels());
-        // Auto keeps implicit users off the pointless parallel chain sweep.
-        let auto = m.execution_shape(&SolveOpts::new().threads(4), 1);
-        assert_eq!(auto.workers, 1);
-        // And the merged execution still matches the sequential bits.
-        let b: Vec<f64> = (0..m.n())
-            .map(|i| ((i * 3 + 1) % 23) as f64 - 11.0)
-            .collect();
-        let mut seq = b.clone();
-        m.solve_with(&SolveOpts::new().threads(1), &mut seq)
-            .unwrap();
-        let mut x = b.clone();
-        m.solve_with(
-            &SolveOpts::new().threads(4).policy(SchedulePolicy::Merged),
-            &mut x,
-        )
-        .unwrap();
-        assert_eq!(x, seq);
-    }
-
-    #[test]
-    fn merged_analysis_is_cached_across_solves() {
-        let m = crate::gen::deep_narrow_lower(4000, 4, 3, 23);
-        assert_eq!(m.merged_analysis_count(), 0);
-        let b = vec![1.0; m.n()];
-        let opts = SolveOpts::new().threads(4).policy(SchedulePolicy::Merged);
-        let mut x1 = b.clone();
-        m.solve_with(&opts, &mut x1).unwrap();
-        assert_eq!(m.merged_analysis_count(), 1);
-        let mut x2 = b.clone();
-        m.solve_with(&opts, &mut x2).unwrap();
-        assert_eq!(m.analysis_count(), 1, "level analysis runs once");
-        assert_eq!(m.merged_analysis_count(), 1, "merge analysis runs once");
-        assert_eq!(x1, x2);
-        // A level-policy solve never builds the merged analysis.
-        let fresh = crate::gen::deep_narrow_lower(4000, 4, 3, 29);
-        let mut x = vec![1.0; fresh.n()];
-        fresh
-            .solve_with(
-                &SolveOpts::new().threads(4).policy(SchedulePolicy::Level),
-                &mut x,
-            )
-            .unwrap();
-        assert_eq!(fresh.merged_analysis_count(), 0);
-    }
-
-    fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
-    }
-
-    #[test]
-    fn syncfree_policy_matches_sequential_to_tolerance() {
-        // The one-shot workloads from the acceptance criteria: a wide
-        // random pattern and a deep narrow DAG, both solved sync-free
-        // through the CSR entry points against the sequential sweep.
-        for (m, seed) in [
-            (crate::gen::random_lower(3000, 8, 47), 48u64),
-            (crate::gen::deep_narrow_lower(6000, 4, 3, 49), 50u64),
-        ] {
-            let b = crate::gen::rhs_vec(m.n(), seed);
-            let mut seq = b.clone();
-            m.solve_with(&SolveOpts::new().threads(1), &mut seq)
-                .unwrap();
-            for threads in [2usize, 4] {
-                let mut x = b.clone();
-                m.solve_with(
-                    &SolveOpts::new()
-                        .threads(threads)
-                        .policy(SchedulePolicy::SyncFree),
-                    &mut x,
-                )
-                .unwrap();
-                let diff = max_abs_diff(&x, &seq);
-                assert!(
-                    diff < 1e-12,
-                    "sync-free at {threads} workers diverged {diff:e}"
-                );
-                // Bitwise self-consistency at the same worker count.
-                let mut again = b.clone();
-                m.solve_with(
-                    &SolveOpts::new()
-                        .threads(threads)
-                        .policy(SchedulePolicy::SyncFree),
-                    &mut again,
-                )
-                .unwrap();
-                assert_eq!(x, again, "sync-free not repeatable at {threads} workers");
-            }
-        }
-    }
-
-    #[test]
-    fn syncfree_shape_reports_zero_barriers_and_skips_analysis() {
-        for m in [
-            crate::gen::random_lower(3000, 8, 51),
-            crate::gen::deep_narrow_lower(6000, 4, 3, 53),
-        ] {
-            let shape = m.execution_shape(
-                &SolveOpts::new().threads(4).policy(SchedulePolicy::SyncFree),
-                1,
-            );
-            assert_eq!(shape.policy, SchedulePolicy::SyncFree);
-            assert_eq!(shape.workers, 4);
-            assert_eq!(shape.barriers, 0, "sync-free must report zero barriers");
-            assert_eq!(shape.levels, 0);
-            assert_eq!(shape.super_levels, 0);
-            assert_eq!(shape.max_level_width, 0);
-            // Planning and running sync-free never analyzes the pattern.
-            let mut x = crate::gen::rhs_vec(m.n(), 54);
-            m.solve_with(
-                &SolveOpts::new().threads(4).policy(SchedulePolicy::SyncFree),
-                &mut x,
-            )
-            .unwrap();
-            assert_eq!(
-                m.analysis_count(),
-                0,
-                "a sync-free solve must stay analysis-free"
-            );
-            assert_eq!(m.merged_analysis_count(), 0);
-        }
-    }
-
-    #[test]
-    fn auto_prices_one_shot_against_reuse_loop() {
-        // Acceptance criterion: on the deep DAG, auto picks SyncFree for a
-        // declared one-shot solve but Merged for a 100-apply reuse loop.
-        let m = crate::gen::deep_narrow_lower(8000, 4, 3, 55);
-        let one_shot = m.execution_shape(&SolveOpts::new().threads(4).reuse(1), 1);
-        assert_eq!(one_shot.policy, SchedulePolicy::SyncFree);
-        assert_eq!(one_shot.barriers, 0);
-        assert_eq!(
-            m.analysis_count(),
-            0,
-            "planning the one-shot must not analyze"
-        );
-        let reused = m.execution_shape(&SolveOpts::new().threads(4).reuse(100), 1);
-        assert_eq!(reused.policy, SchedulePolicy::Merged);
-        assert!(reused.barriers > 0);
-        // Undeclared reuse keeps the historical auto choice (Merged here).
-        let undeclared = m.execution_shape(&SolveOpts::new().threads(4), 1);
-        assert_eq!(undeclared.policy, SchedulePolicy::Merged);
-        // And the one-shot path actually executes correctly end to end.
-        let b = crate::gen::rhs_vec(m.n(), 56);
-        let mut seq = b.clone();
-        m.solve_with(&SolveOpts::new().threads(1), &mut seq)
-            .unwrap();
-        let mut x = b.clone();
-        m.solve_with(&SolveOpts::new().threads(4).reuse(1), &mut x)
-            .unwrap();
-        assert!(max_abs_diff(&x, &seq) < 1e-12);
-    }
-
-    #[test]
-    fn syncfree_transposed_and_multi_rhs_work_through_opts() {
-        let m = test_lower(1200, 6);
-        let b: Vec<f64> = (0..1200)
-            .map(|i| ((i * 19 + 7) % 31) as f64 - 15.0)
-            .collect();
-        let mut seq = b.clone();
-        m.solve_with(&SolveOpts::new().transposed().threads(1), &mut seq)
-            .unwrap();
-        let mut x = b.clone();
-        m.solve_with(
-            &SolveOpts::new()
-                .transposed()
-                .threads(4)
-                .policy(SchedulePolicy::SyncFree),
-            &mut x,
-        )
-        .unwrap();
-        assert!(max_abs_diff(&x, &seq) < 1e-12);
-        // Multi-RHS sync-free vs the barriered multi-RHS solve.
-        let k = 3;
-        let bm = Matrix::from_fn(1200, k, |i, j| ((i * 3 + j * 7) % 17) as f64 - 8.0);
-        let mut seq_m = bm.clone();
-        m.solve_multi_with(&SolveOpts::new().threads(1), &mut seq_m)
-            .unwrap();
-        let mut xm = bm.clone();
-        m.solve_multi_with(
-            &SolveOpts::new().threads(4).policy(SchedulePolicy::SyncFree),
-            &mut xm,
-        )
-        .unwrap();
-        for c in 0..k {
-            for i in 0..1200 {
-                assert!(
-                    (xm[(i, c)] - seq_m[(i, c)]).abs() < 1e-12,
-                    "sync-free multi-RHS diverged at ({i}, {c})"
-                );
-            }
-        }
+        let m = test_lower(5, 2);
+        assert!(matches!(
+            m.level_sweep_forced(2, &mut [1.0; 4][..]),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

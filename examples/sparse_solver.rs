@@ -1,7 +1,7 @@
 //! Sparse triangular solves through the staged `SolveRequest → Plan →
 //! Solution` API: the analyze-once / solve-many pattern of preconditioner
-//! applies, plan inspection, and transposed applies on the cached
-//! transpose.
+//! applies, plan inspection (including why a plan runs sequentially or in
+//! parallel), and transposed applies on the cached transpose.
 //!
 //! ```text
 //! cargo run --release --example sparse_solver
@@ -24,7 +24,11 @@ fn main() {
     );
 
     // One request describes every apply; the plan is inspectable before
-    // the first solve runs (planning analyzes the pattern once).
+    // the first solve runs (planning analyzes the pattern once).  `threads`
+    // is a budget: the plan line says how many workers the solve gets, and
+    // why — this random fill scatters each level's rows across the matrix,
+    // so the level sweep would not stream memory and the plan stays
+    // sequential.
     let request = SolveRequest::lower().threads(4);
     let plan = request.plan_sparse(&l, 1).expect("plan");
     println!("  plan:          {plan}");
@@ -68,15 +72,15 @@ fn main() {
     // A vector is an n×1 right-hand side to the allocating executors.
     let col = |b: &[f64]| Matrix::from_vec(b.len(), 1, b.to_vec()).expect("n×1");
 
-    // The parallel executor is a throughput knob, not a semantics knob.
+    // The budget is a throughput knob, not a semantics knob.
     let b = col(&gen::rhs_vec(n, 99));
     let seq = SolveRequest::lower()
         .threads(1)
         .solve_sparse(&l, &b)
         .expect("sequential solve");
-    let par = request.solve_sparse(&l, &b).expect("parallel solve");
-    assert_eq!(seq.x, par.x, "4-worker solve must be bitwise identical");
-    println!("  determinism:   4-worker solve bitwise identical to sequential");
+    let par = request.solve_sparse(&l, &b).expect("budget-4 solve");
+    assert_eq!(seq.x, par.x, "budget-4 solve must be bitwise identical");
+    println!("  determinism:   budget-4 solve bitwise identical to budget 1");
 
     // Transposed applies (the `Lᵀ` half of a preconditioner) run on the
     // cached transpose: one O(nnz) transposition ever, schedule included.
@@ -135,35 +139,26 @@ fn main() {
     println!("  multi-RHS:     k = {k}, max diff vs dense trsm = {err_m:.3e}");
     assert!(err_m < 1e-12);
 
-    // Scheduling policy: on a deep narrow DAG (thousands of skinny levels)
-    // the DAG-partitioned merged schedule crosses one barrier per
-    // *super-level* instead of one per level.  Both policies are bitwise
-    // identical; the plan records the barrier count each implies.
-    let deep = gen::deep_narrow_lower(40_000, 4, 4, 2026);
-    let db = gen::rhs_vec(40_000, 7);
-    let mut shapes = Vec::new();
-    let mut results = Vec::new();
-    for policy in [SchedulePolicy::Level, SchedulePolicy::Merged] {
-        let plan = SolveRequest::lower()
-            .threads(4)
-            .policy(policy)
-            .plan_sparse(&deep, 1)
-            .expect("plan");
-        let mut x = db.clone();
+    // The go-parallel rule: a barrier per level only pays when the rows
+    // between two barriers carry enough work.  A deep narrow DAG (10 000
+    // four-row levels) stays sequential under any budget; the same rows in
+    // levels of 2 048 run as a 4-worker level sweep — bitwise identical to
+    // the sequential answer either way.
+    for (label, width) in [("deep DAG:     ", 4), ("wide levels:  ", 2048)] {
+        let m = gen::deep_narrow_lower(40_000, width, 4, 2026);
+        let b = gen::rhs_vec(40_000, 7);
+        let plan = request.plan_sparse(&m, 1).expect("plan");
+        println!("  {label} {plan}");
+        let mut x = b.clone();
         let report = plan
-            .execute_sparse_in_place(&deep, x.as_mut_slice())
-            .expect("deep solve");
-        shapes.push(report.levels.unwrap());
-        results.push(x);
+            .execute_sparse_in_place(&m, x.as_mut_slice())
+            .expect("solve");
+        let ran = report.levels.unwrap();
+        assert_eq!(ran.workers > 1, width == 2048);
+        assert_eq!(ran.barriers, if ran.workers > 1 { ran.levels } else { 0 });
+        let mut x1 = b.clone();
+        m.solve_with(&sparse::SolveOpts::new().threads(1), &mut x1)
+            .expect("sequential solve");
+        assert_eq!(x, x1, "the rule's choice must not move a bit");
     }
-    println!(
-        "  deep DAG:      n = 40000, {} levels; barriers level = {}, merged = {} \
-         ({}x fewer), results bitwise identical",
-        deep.schedule().num_levels(),
-        shapes[0].barriers,
-        shapes[1].barriers,
-        shapes[0].barriers / shapes[1].barriers.max(1)
-    );
-    assert_eq!(results[0], results[1], "policies must agree bitwise");
-    assert!(shapes[1].barriers * 10 <= shapes[0].barriers);
 }

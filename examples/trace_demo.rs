@@ -1,7 +1,7 @@
 //! Traced end-to-end demo: run one solve per backend with the `obs`
-//! tracing layer enabled — dense, sparse under all three scheduling
-//! policies, and distributed (Recursive and the iterative inversion-based
-//! algorithm) — then export everything as one Chrome-trace JSON file,
+//! tracing layer enabled — dense, sparse (a 4-worker level sweep), and
+//! distributed (Recursive and the iterative inversion-based algorithm) —
+//! then export everything as one Chrome-trace JSON file,
 //! validate it, and print predicted-vs-measured cost-drift tables.
 //!
 //! ```text
@@ -39,32 +39,24 @@ fn main() {
         println!("{}", trace.summary());
     }
 
-    // -- sparse backend: all three scheduling policies ----------------------
-    let m = sparse::gen::deep_narrow_lower(20_000, 4, 4, 3);
+    // -- sparse backend: one parallel level sweep ----------------------------
+    // Levels of 2 048 rows clear the go-parallel rule, so the budget of 4
+    // becomes 4 workers and the trace shows the sweep and its barriers.
+    let m = sparse::gen::deep_narrow_lower(20_000, 2048, 6, 3);
     let rhs = sparse::gen::rhs_vec(m.n(), 5);
-    let mut sparse_drift = None;
-    for policy in [
-        SchedulePolicy::Level,
-        SchedulePolicy::Merged,
-        SchedulePolicy::SyncFree,
-    ] {
-        let plan = SolveRequest::lower()
-            .threads(4)
-            .policy(policy)
-            .plan_sparse(&m, 1)
-            .expect("sparse plan");
-        let mut x = rhs.clone();
-        let report = plan
-            .execute_sparse_in_place(&m, x.as_mut_slice())
-            .expect("sparse solve");
-        println!("sparse {policy:?}: {plan}");
-        if policy == SchedulePolicy::Level {
-            sparse_drift = Some(
-                plan.drift_report(&report, costmodel::Machine::unit())
-                    .render(),
-            );
-        }
-    }
+    let plan = SolveRequest::lower()
+        .threads(4)
+        .plan_sparse(&m, 1)
+        .expect("sparse plan");
+    let mut x = rhs.clone();
+    let report = plan
+        .execute_sparse_in_place(&m, x.as_mut_slice())
+        .expect("sparse solve");
+    println!("sparse: {plan}");
+    assert_eq!(report.levels.expect("level report").workers, 4);
+    let sparse_drift = plan
+        .drift_report(&report, costmodel::Machine::unit())
+        .render();
 
     // -- distributed backend: Recursive and iterative inversion -------------
     let (dn, dk, p) = (64usize, 16usize, 4usize);
@@ -106,7 +98,7 @@ fn main() {
     println!("cost drift — iterative inversion-based TRSM (cluster constants):");
     println!("{it_drift}");
     println!("cost drift — sparse level-scheduled sweep (unit constants):");
-    println!("{}", sparse_drift.expect("sparse drift recorded"));
+    println!("{sparse_drift}");
 
     // -- export + audit -----------------------------------------------------
     let dump = obs::collect_all();
@@ -134,8 +126,7 @@ fn main() {
         "\"cat\":\"core\"",
         "\"cat\":\"dense\"",
         "\"name\":\"level_exec\"",
-        "\"name\":\"merged_exec\"",
-        "\"name\":\"syncfree_exec\"",
+        "\"name\":\"barrier_wait_ns\"",
         "\"cat\":\"simnet\"",
         "\"pid\":2",
     ] {

@@ -44,7 +44,7 @@ pub mod prelude {
     pub use pgrid::{DistMatrix, Grid2D};
     pub use serve::{Operand, ServiceConfig, ServiceRequest, SolveService};
     pub use simnet::{coll, Machine, MachineParams};
-    pub use sparse::{MergedSchedule, Schedule, SchedulePolicy, SparseTri};
+    pub use sparse::{Schedule, SparseTri};
 }
 
 #[cfg(test)]

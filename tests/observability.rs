@@ -30,8 +30,10 @@ fn with_tracing<T>(f: impl FnOnce() -> T) -> (T, obs::TraceDump) {
     (out, dump)
 }
 
+/// A factor whose levels (2 048 rows each) clear the go-parallel rule, so
+/// a budget of 4 traces a 4-worker level sweep.
 fn sparse_fixture() -> (SparseTri, Matrix) {
-    let m = sparse::gen::deep_narrow_lower(20_000, 4, 4, 3);
+    let m = sparse::gen::deep_narrow_lower(20_000, 2048, 6, 3);
     let b = Matrix::from_vec(m.n(), 1, sparse::gen::rhs_vec(m.n(), 5)).unwrap();
     (m, b)
 }
@@ -67,54 +69,32 @@ fn untraced_solve_attaches_no_report() {
 }
 
 #[test]
-fn traced_sparse_policies_record_executor_spans() {
+fn traced_sparse_solve_records_the_level_sweep() {
     let _guard = trace_lock();
     let (m, b) = sparse_fixture();
-    for (policy, span_name) in [
-        (SchedulePolicy::Level, "level_exec"),
-        (SchedulePolicy::Merged, "merged_exec"),
-        (SchedulePolicy::SyncFree, "syncfree_exec"),
-    ] {
-        let (sol, _) = with_tracing(|| {
-            SolveRequest::lower()
-                .threads(4)
-                .policy(policy)
-                .plan_sparse(&m, 1)
-                .unwrap()
-                .execute_sparse(&m, &b)
-                .unwrap()
-        });
-        let trace = sol.report.trace.expect("traced sparse solve");
-        assert!(
-            trace.span("sparse", span_name).is_some(),
-            "{policy:?} should record a {span_name} span"
-        );
-        match policy {
-            SchedulePolicy::Level | SchedulePolicy::Merged => {
-                assert!(
-                    trace.counter("sparse", "barrier_wait_ns").is_some(),
-                    "{policy:?} should record barrier wait time"
-                );
-            }
-            SchedulePolicy::SyncFree => {
-                assert!(
-                    trace.counter("sparse", "spin_iters").is_some(),
-                    "sync-free should record spin iterations"
-                );
-            }
-        }
-        if policy == SchedulePolicy::Merged {
-            assert!(
-                !trace.super_level_rows.is_empty(),
-                "merged should surface per-super-level row counts"
-            );
-            assert_eq!(
-                trace.super_level_rows.iter().sum::<u64>(),
-                m.n() as u64,
-                "super-level rows must partition the matrix"
-            );
-        }
-    }
+    let (sol, _) = with_tracing(|| {
+        SolveRequest::lower()
+            .threads(4)
+            .plan_sparse(&m, 1)
+            .unwrap()
+            .execute_sparse(&m, &b)
+            .unwrap()
+    });
+    let ran = sol.report.levels.expect("sparse solves report their shape");
+    assert_eq!((ran.workers, ran.barriers), (4, ran.levels));
+    let trace = sol.report.trace.expect("traced sparse solve");
+    let exec = trace.span("sparse", "level_exec").expect("level_exec span");
+    assert_eq!(exec.count, 1);
+    assert_eq!(
+        trace.span("sparse", "level").map(|s| s.count),
+        Some(ran.levels as u64),
+        "worker 0 records one span per level"
+    );
+    let waits = trace
+        .counter("sparse", "barrier_wait_ns")
+        .expect("barrier wait time");
+    assert_eq!(waits.count, 4, "one barrier_wait_ns counter per worker");
+    assert_eq!(trace.barrier_wait_ns, waits.total);
 }
 
 #[test]
@@ -124,7 +104,6 @@ fn chrome_export_of_traced_run_validates() {
     let ((), dump) = with_tracing(|| {
         SolveRequest::lower()
             .threads(4)
-            .policy(SchedulePolicy::Merged)
             .solve_sparse(&m, &b)
             .unwrap();
     });
@@ -177,7 +156,6 @@ fn tracing_enabled_stays_in_wall_clock_envelope() {
     let solve = || {
         SolveRequest::lower()
             .threads(4)
-            .policy(SchedulePolicy::Merged)
             .solve_sparse(&m, &b)
             .unwrap()
     };
@@ -204,7 +182,7 @@ fn tracing_enabled_stays_in_wall_clock_envelope() {
     });
     obs::set_enabled(false);
     obs::clear();
-    // Generous envelope: tracing adds per-super-level spans and per-worker
+    // Generous envelope: tracing adds per-level spans and per-worker
     // counters, not per-nonzero work, so 3x + 5ms absorbs scheduler noise
     // on shared CI runners while still catching accidental hot-loop costs.
     let limit = untraced * 3 + std::time::Duration::from_millis(5);

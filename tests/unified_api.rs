@@ -2,7 +2,7 @@
 //! API:
 //!
 //! * one request with identical options yields **bitwise-identical**
-//!   solutions at every worker count (the thread pin is a throughput knob);
+//!   solutions at every worker budget (the budget is a throughput knob);
 //! * the measured [`FlopCount`] of the staged API matches the kernels'
 //!   own entry points, on every backend;
 //! * transposed requests agree with solving the materialized transpose
@@ -15,17 +15,23 @@ use sparse::gen as sgen;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sparse: identical requests are bitwise identical across worker pins,
-    /// and the report's flops equal the executor's own count.
+    /// Sparse: identical requests are bitwise identical across worker
+    /// budgets, and the report's flops equal the executor's own count.  The
+    /// factors have levels of a thousand-odd consecutive rows, heavy enough
+    /// to clear the go-parallel rule — the budgets above 1 really run the
+    /// level sweep, as the report confirms.
     #[test]
     fn sparse_request_is_bitwise_deterministic_across_threads(
-        n in 10usize..400,
-        fill in 0usize..8,
+        width in 1024usize..2100,
+        blocks in 3usize..7,
         k in 1usize..6,
         transposed in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let m = sgen::random_lower(n, fill, seed);
+        let n = width * blocks;
+        // Seven consecutive dependencies per row leave no column of a block
+        // unused, so the transpose's levels are whole blocks too.
+        let m = sgen::deep_narrow_lower(n, width, 7, seed);
         let b = Matrix::from_fn(n, k, |i, j| ((i * 7 + j * 29 + 3) % 31) as f64 / 15.5 - 1.0);
         let base = SolveRequest::lower().transpose(if transposed {
             Transpose::Yes
@@ -36,9 +42,10 @@ proptest! {
         prop_assert_eq!(reference.report.flops, m.solve_flops(k));
         for threads in [2usize, 4, 6] {
             let sol = base.threads(threads).solve_sparse(&m, &b).unwrap();
+            prop_assert_eq!(sol.report.levels.unwrap().workers, threads);
             prop_assert!(
                 sol.x == reference.x,
-                "worker pin {} changed the solution bits", threads
+                "worker budget {} changed the solution bits", threads
             );
             prop_assert_eq!(sol.report.flops, reference.report.flops);
         }
