@@ -15,9 +15,9 @@
 //! comparable across runs.
 //!
 //! The in-process `--trace-transparency` mode runs a representative
-//! workload with the `obs` tracing layer disabled and again with it
-//! enabled, and asserts every result is bitwise identical: observability
-//! must never perturb the numerics.
+//! workload with no `obs` recorder installed and again under one, and
+//! asserts every result is bitwise identical: observability must never
+//! perturb the numerics.
 
 use catrsm::{Algorithm, ItInvConfig, SolveRequest};
 use dense::{gemm, gen, tri_invert, trsm_in_place, Diag, Matrix, Side, Triangle};
@@ -82,9 +82,9 @@ fn wide_levels() -> (sparse::SparseTri, Vec<f64>) {
 
 /// `--trace-transparency`: run a representative workload (dense TRSM, a
 /// sparse solve the rule keeps sequential and one it runs as a 4-worker
-/// level sweep, a distributed solve on the simulated machine) once with
-/// tracing disabled and once with
-/// tracing enabled, and assert every result is **bitwise identical** —
+/// level sweep, a distributed solve on the simulated machine) once
+/// untraced and once under an `obs::Recorder`, and assert every result is
+/// **bitwise identical** —
 /// the observability layer must be a pure observer that never touches
 /// floating-point data or scheduling decisions.
 fn trace_transparency_check() {
@@ -115,16 +115,11 @@ fn trace_transparency_check() {
         out
     }
 
-    obs::set_enabled(false);
-    obs::clear();
     let baseline = workload();
 
-    obs::set_enabled(true);
-    obs::clear();
-    let traced = workload();
-    let dump = obs::collect_all();
-    obs::set_enabled(false);
-    obs::clear();
+    let recorder = obs::Recorder::new();
+    let traced = recorder.record(workload);
+    let dump = recorder.dump();
 
     assert!(
         !dump.is_empty(),

@@ -16,14 +16,9 @@ fn run_inv(q: usize, n: usize, base: usize) -> (u64, u64, u64, f64) {
             let grid = Grid2D::new(comm, q, q).unwrap();
             let l_global = gen::well_conditioned_lower(n, 5);
             let l = DistMatrix::from_global(&grid, &l_global);
-            let inv = catrsm::tri_inv::tri_inv(
-                &l,
-                &catrsm::tri_inv::TriInvConfig {
-                    base_size: base,
-                    log_latency: true,
-                },
-            )
-            .unwrap();
+            let inv =
+                catrsm::tri_inv::tri_inv(&l, &catrsm::tri_inv::TriInvConfig { base_size: base })
+                    .unwrap();
             let prod = catrsm::mm3d::mm3d_auto(&inv, &l).unwrap();
             let id = DistMatrix::from_fn(&grid, n, n, |i, j| if i == j { 1.0 } else { 0.0 });
             prod.rel_diff(&id).unwrap()

@@ -18,15 +18,7 @@ fn run_mm(q: usize, p1: usize, n: usize, k: usize) -> (u64, u64, u64, f64) {
             let x_global = gen::uniform(n, k, 8);
             let a = DistMatrix::from_global(&grid, &a_global);
             let x = DistMatrix::from_global(&grid, &x_global);
-            let b = catrsm::mm3d::mm3d(
-                &a,
-                &x,
-                &catrsm::mm3d::MmConfig {
-                    p1,
-                    log_latency: true,
-                },
-            )
-            .unwrap();
+            let b = catrsm::mm3d::mm3d(&a, &x, &catrsm::mm3d::MmConfig { p1 }).unwrap();
             let expect = DistMatrix::from_global(&grid, &dense::matmul(&a_global, &x_global));
             b.rel_diff(&expect).unwrap()
         })

@@ -7,8 +7,6 @@
 //! prediction of the `costmodel` crate.  The helpers here remove the
 //! boilerplate so each binary reads like the experiment it reproduces.
 
-pub mod service_load;
-
 use catrsm::it_inv_trsm::{it_inv_trsm, ItInvConfig, PhaseBreakdown};
 use catrsm::rec_trsm::{rec_trsm, RecTrsmConfig};
 use catrsm::wavefront::wavefront_trsm;
@@ -94,15 +92,9 @@ pub fn run_trsm(inst: &TrsmInstance, algo: TrsmAlgo, params: MachineParams) -> M
             let l = DistMatrix::from_global(&grid, &l_global);
             let b = DistMatrix::from_global(&grid, &b_global);
             let x = match algo {
-                TrsmAlgo::Recursive { base } => rec_trsm(
-                    &l,
-                    &b,
-                    &RecTrsmConfig {
-                        base_size: base,
-                        log_latency: true,
-                    },
-                )
-                .expect("recursive TRSM"),
+                TrsmAlgo::Recursive { base } => {
+                    rec_trsm(&l, &b, &RecTrsmConfig { base_size: base }).expect("recursive TRSM")
+                }
                 TrsmAlgo::Iterative(cfg) => it_inv_trsm(&l, &b, &cfg).expect("iterative TRSM").0,
                 TrsmAlgo::Wavefront => wavefront_trsm(&l, &b).expect("wavefront TRSM"),
             };

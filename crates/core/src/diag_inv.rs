@@ -23,7 +23,7 @@
 
 use crate::error::config_error;
 use crate::tri_inv::{tri_inv, TriInvConfig};
-use crate::Result;
+use crate::{Result, LOG_LATENCY};
 use dense::{Matrix, Triangle};
 use pgrid::redist::{redistribute_into, Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
@@ -42,8 +42,6 @@ pub struct DiagInvConfig {
     pub n0: usize,
     /// Base-case size handed to the distributed triangular inversion.
     pub inv_base: usize,
-    /// Route redistributions through the Bruck all-to-all.
-    pub log_latency: bool,
 }
 
 /// Invert the diagonal blocks of a lower-triangular matrix distributed
@@ -111,7 +109,7 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
             Axis::from_fn(n, p_face, |gj| ((gj / n0) % p_face, gj % n0)),
             |row_owner, col_owner| (row_owner == col_owner).then_some(row_owner),
         );
-        let mut mine = l.redistribute_to(&round_robin, diag_blocks, cfg.log_latency)?;
+        let mut mine = l.redistribute_to(&round_robin, diag_blocks, LOG_LATENCY)?;
 
         // Invert the blocks this rank owns, where they lie.
         for t in 0..mine.rows() / n0 {
@@ -129,7 +127,7 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
             &l.layout(),
             l_tilde.local_mut(),
             diag_blocks,
-            cfg.log_latency,
+            LOG_LATENCY,
         )?;
         return Ok(l_tilde);
     }
@@ -158,7 +156,7 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
         let (g, sx) = (rc / side, rc % side);
         (cc / side == g).then_some(g * group_size + sx * side + cc % side)
     });
-    let received = l.redistribute_to(&on_subgrids, diag_blocks, cfg.log_latency)?;
+    let received = l.redistribute_to(&on_subgrids, diag_blocks, LOG_LATENCY)?;
 
     // Every rank joins exactly one subgroup call so communicator bookkeeping
     // stays aligned; ranks that are not active members get `Err` and skip.
@@ -189,7 +187,6 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
                     &block,
                     &TriInvConfig {
                         base_size: cfg.inv_base,
-                        log_latency: cfg.log_latency,
                     },
                 )?
             })
@@ -205,7 +202,7 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
         &l.layout(),
         l_tilde.local_mut(),
         diag_blocks,
-        cfg.log_latency,
+        LOG_LATENCY,
     )?;
     Ok(l_tilde)
 }
@@ -234,15 +231,7 @@ mod tests {
         let (results, _) = on_grid(q, move |grid| {
             let l_global = gen::well_conditioned_lower(n, 17);
             let l = DistMatrix::from_global(grid, &l_global);
-            let lt = diagonal_inverter(
-                &l,
-                &DiagInvConfig {
-                    n0,
-                    inv_base: 8,
-                    log_latency: true,
-                },
-            )
-            .unwrap();
+            let lt = diagonal_inverter(&l, &DiagInvConfig { n0, inv_base: 8 }).unwrap();
             let got = lt.to_global();
             // Expected: diagonal blocks inverted, off-diagonal unchanged.
             let mut max_err: f64 = 0.0;
@@ -304,15 +293,7 @@ mod tests {
         let (results, _) = on_grid(2, |grid| {
             let l_global = gen::well_conditioned_lower(8, 3);
             let l = DistMatrix::from_global(grid, &l_global);
-            let lt = diagonal_inverter(
-                &l,
-                &DiagInvConfig {
-                    n0: 1,
-                    inv_base: 8,
-                    log_latency: true,
-                },
-            )
-            .unwrap();
+            let lt = diagonal_inverter(&l, &DiagInvConfig { n0: 1, inv_base: 8 }).unwrap();
             let got = lt.to_global();
             (0..8)
                 .map(|i| (got[(i, i)] - 1.0 / l_global[(i, i)]).abs())
@@ -325,34 +306,10 @@ mod tests {
     fn invalid_block_sizes_rejected() {
         let (results, _) = on_grid(2, |grid| {
             let l = DistMatrix::zeros(grid, 16, 16);
-            let bad_zero = diagonal_inverter(
-                &l,
-                &DiagInvConfig {
-                    n0: 0,
-                    inv_base: 8,
-                    log_latency: true,
-                },
-            )
-            .is_err();
-            let bad_divide = diagonal_inverter(
-                &l,
-                &DiagInvConfig {
-                    n0: 5,
-                    inv_base: 8,
-                    log_latency: true,
-                },
-            )
-            .is_err();
+            let bad_zero = diagonal_inverter(&l, &DiagInvConfig { n0: 0, inv_base: 8 }).is_err();
+            let bad_divide = diagonal_inverter(&l, &DiagInvConfig { n0: 5, inv_base: 8 }).is_err();
             let rect = DistMatrix::zeros(grid, 16, 8);
-            let bad_rect = diagonal_inverter(
-                &rect,
-                &DiagInvConfig {
-                    n0: 4,
-                    inv_base: 8,
-                    log_latency: true,
-                },
-            )
-            .is_err();
+            let bad_rect = diagonal_inverter(&rect, &DiagInvConfig { n0: 4, inv_base: 8 }).is_err();
             bad_zero && bad_divide && bad_rect
         });
         assert!(results.into_iter().all(|v| v));

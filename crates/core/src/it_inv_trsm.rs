@@ -26,7 +26,7 @@
 
 use crate::diag_inv::{diagonal_inverter, DiagInvConfig};
 use crate::error::{config_error, internal_error};
-use crate::Result;
+use crate::{Result, LOG_LATENCY};
 use dense::Matrix;
 use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D, Grid3D};
@@ -44,14 +44,6 @@ pub struct ItInvConfig {
     pub n0: usize,
     /// Base-case size of the distributed triangular inversion.
     pub inv_base: usize,
-}
-
-impl ItInvConfig {
-    /// Use the Bruck all-to-all for redistributions (always true here; kept
-    /// as a method so callers can read the intent).
-    fn log_latency(&self) -> bool {
-        true
-    }
 }
 
 /// Cost counters of this rank, split by algorithm phase.
@@ -182,7 +174,7 @@ pub fn it_inv_trsm(
     let l_face: Option<Cow<'_, DistMatrix>> = if l.layout().same_placement(&face_layout) {
         Some(Cow::Borrowed(l))
     } else {
-        let local = l.redistribute_to(&face_layout, Filter::Lower, cfg.log_latency())?;
+        let local = l.redistribute_to(&face_layout, Filter::Lower, LOG_LATENCY)?;
         match &face_grid {
             Some(fg) => Some(Cow::Owned(DistMatrix::from_local(fg, n, n, local)?)),
             None => None,
@@ -194,7 +186,7 @@ pub fn it_inv_trsm(
     let slab_layout = Layout::new(p, Axis::cyclic(n, p1), Axis::slabs(k, p2), |sx, sz| {
         (0..p1).map(move |sy| grid3d_ref.rank_of(sx, sy, sz))
     });
-    let mut b_rem = b.redistribute_to(&slab_layout, Filter::All, cfg.log_latency())?;
+    let mut b_rem = b.redistribute_to(&slab_layout, Filter::All, LOG_LATENCY)?;
 
     // Axis communicators used in every iteration.
     let x_comm = grid3d.axis_comm(0);
@@ -214,7 +206,6 @@ pub fn it_inv_trsm(
             &DiagInvConfig {
                 n0,
                 inv_base: cfg.inv_base,
-                log_latency: cfg.log_latency(),
             },
         )?),
         None => None,
@@ -233,8 +224,7 @@ pub fn it_inv_trsm(
                 // The face processor at (x, y) owns rows ≡ y, cols ≡ x.
                 |row_class, col_class| Some(fg.rank_of(col_class, row_class)),
             );
-            let stacked =
-                lt.redistribute_to(&swapped, Filter::DiagBlocksLower(n0), cfg.log_latency())?;
+            let stacked = lt.redistribute_to(&swapped, Filter::DiagBlocksLower(n0), LOG_LATENCY)?;
             Some(stacked)
         }
         None => None,
@@ -345,7 +335,7 @@ pub fn it_inv_trsm(
         &x_layout,
         &x_result,
         Filter::All,
-        cfg.log_latency(),
+        LOG_LATENCY,
     )?;
     mark(comm, &mut breakdown.finalize);
 

@@ -81,5 +81,11 @@ pub use mm3d::MmConfig;
 pub use planner::Plan;
 pub use solve::{LevelReport, Plan as SolvePlan, PlanBackend, Solution, SolveReport, SolveRequest};
 
+/// Every layout change the distributed algorithms make goes through
+/// `pgrid`'s Bruck all-to-all-v route (`log p` messages per rank), the one
+/// the paper's latency terms assume.  `pgrid::redist` keeps the direct
+/// pairwise route behind the same parameter, and its own tests pin both.
+pub(crate) const LOG_LATENCY: bool = true;
+
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, TrsmError>;

@@ -21,7 +21,7 @@
 use crate::error::config_error;
 use crate::mm3d::{mm3d, MmConfig};
 use crate::planner::choose_mm_p1;
-use crate::Result;
+use crate::{Result, LOG_LATENCY};
 use dense::{Diag, Matrix, Triangle};
 use pgrid::distmat::cyclic_local_count;
 use pgrid::redist::{Axis, Filter, Layout};
@@ -34,16 +34,11 @@ pub struct RecTrsmConfig {
     /// Matrix dimension at or below which the base case (gather `L`, solve
     /// complete columns locally) is used.
     pub base_size: usize,
-    /// Route redistributions through the Bruck all-to-all (`log p` latency).
-    pub log_latency: bool,
 }
 
 impl Default for RecTrsmConfig {
     fn default() -> Self {
-        RecTrsmConfig {
-            base_size: 64,
-            log_latency: true,
-        }
+        RecTrsmConfig { base_size: 64 }
     }
 }
 
@@ -155,7 +150,7 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, cfg: &RecTrsmConfig) -> Result
         let l_full = l.try_to_global()?;
         // Give every rank complete columns: column c goes to rank c mod p.
         let by_columns = Layout::new(p, Axis::whole(n), Axis::cyclic(k, p), |_, c| Some(c));
-        let mut b_cols = b.redistribute_to(&by_columns, Filter::All, cfg.log_latency)?;
+        let mut b_cols = b.redistribute_to(&by_columns, Filter::All, LOG_LATENCY)?;
         let my_cols = b_cols.cols();
         if my_cols > 0 {
             // Solve in place: the gathered columns are overwritten with X.
@@ -176,7 +171,7 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, cfg: &RecTrsmConfig) -> Result
             &by_columns,
             &b_cols,
             Filter::All,
-            cfg.log_latency,
+            LOG_LATENCY,
         )?);
     }
 
@@ -192,7 +187,6 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, cfg: &RecTrsmConfig) -> Result
 
     let mm_cfg = MmConfig {
         p1: choose_mm_p1(h, k, pr),
-        log_latency: cfg.log_latency,
     };
     let update = mm3d(&l21, &x1, &mm_cfg)?;
     let mut b2_new = b2;
@@ -233,15 +227,7 @@ mod tests {
             let b_global = dense::matmul(&l_global, &x_true);
             let l = DistMatrix::from_global(grid, &l_global);
             let b = DistMatrix::from_global(grid, &b_global);
-            let x = rec_trsm(
-                &l,
-                &b,
-                &RecTrsmConfig {
-                    base_size: base,
-                    log_latency: true,
-                },
-            )
-            .unwrap();
+            let x = rec_trsm(&l, &b, &RecTrsmConfig { base_size: base }).unwrap();
             dense::norms::rel_diff(&x.to_global(), &x_true)
         });
         for (rank, d) in results.into_iter().enumerate() {
@@ -335,15 +321,7 @@ mod tests {
                 let b_global = gen::rhs(n, 8, 4);
                 let l = DistMatrix::from_global(grid, &l_global);
                 let b = DistMatrix::from_global(grid, &b_global);
-                rec_trsm(
-                    &l,
-                    &b,
-                    &RecTrsmConfig {
-                        base_size: base,
-                        log_latency: true,
-                    },
-                )
-                .unwrap();
+                rec_trsm(&l, &b, &RecTrsmConfig { base_size: base }).unwrap();
             });
             report.max_messages()
         };

@@ -580,7 +580,6 @@ impl Plan {
             phases: None,
             levels: None,
             residual: None,
-            trace: None,
         }
     }
 
@@ -644,14 +643,11 @@ impl Plan {
             return Err(config_error("plan", "not a dense plan"));
         };
         self.check_dense_operand(a)?;
-        let mark = obs::enabled().then(obs::mark);
         let flops = {
             let _span = obs::span_with("core", "execute", "n", self.n as u64);
             kernel(&self.request.opts)?
         };
-        let mut report = self.report(algorithm, flops);
-        attach_trace(&mut report, mark);
-        Ok(report)
+        Ok(self.report(algorithm, flops))
     }
 
     // -- sparse ------------------------------------------------------------
@@ -686,7 +682,6 @@ impl Plan {
         self.check_sparse_operand(a)?;
         let x = x.into();
         let k = x.cols();
-        let mark = obs::enabled().then(obs::mark);
         let shape = {
             let _span = obs::span_with("core", "execute", "n", self.n as u64);
             a.solve_multi_shaped(&self.request.sparse_opts(), x)?
@@ -700,7 +695,6 @@ impl Plan {
             levels: shape.levels,
             barriers: shape.barriers,
         });
-        attach_trace(&mut report, mark);
         Ok(report)
     }
 
@@ -739,7 +733,6 @@ impl Plan {
             ));
         }
         let comm = l.grid().comm();
-        let mark = obs::enabled().then(obs::mark);
         let before = comm.counters();
         let span = obs::span_with("core", "execute", "n", self.n as u64);
 
@@ -777,7 +770,6 @@ impl Plan {
         let mut report = self.report(self.algorithm_name(), FlopCount::new(delta.flops));
         report.comm = Some(delta);
         report.phases = phases;
-        attach_trace(&mut report, mark);
         if self.request.residual {
             // Residual verification communicates; it runs outside the
             // measured window on the op-applied matrix.
@@ -986,6 +978,11 @@ pub struct LevelReport {
 /// backend reports this rank's communication-counter delta and — for the
 /// iterative inversion-based algorithm — the Section VII per-phase
 /// breakdown.  The residual is attached when the request asked for it.
+///
+/// A trace is not part of the report: a caller that wants one runs the
+/// solve under [`obs::Recorder::record`] and reads the recorder
+/// (`rec.report()`), which holds that solve's spans — pool workers and
+/// simulated ranks included — and nobody else's.
 #[derive(Debug, Clone)]
 pub struct SolveReport {
     /// Name of the algorithm that ran.
@@ -1001,13 +998,6 @@ pub struct SolveReport {
     pub levels: Option<LevelReport>,
     /// Relative residual, when requested.
     pub residual: Option<f64>,
-    /// Aggregated tracing report for this execution, attached when the
-    /// [`obs`] tracing layer was enabled while the plan ran (`None`
-    /// otherwise — the disabled path records nothing and allocates
-    /// nothing).  The aggregation covers every event recorded machine-wide
-    /// during this call's window, so under the simulated machine a rank's
-    /// report may include spans recorded by concurrently executing ranks.
-    pub trace: Option<obs::TraceReport>,
 }
 
 impl SolveReport {
@@ -1050,14 +1040,6 @@ impl SolveReport {
 // Internal helpers
 // ---------------------------------------------------------------------------
 
-/// Attach the aggregated trace recorded since `mark` (no-op when tracing
-/// was off at the start of the execution).
-fn attach_trace(report: &mut SolveReport, mark: Option<obs::Mark>) {
-    if let Some(m) = mark {
-        report.trace = Some(obs::TraceReport::from_dump(&obs::collect_since(&m)));
-    }
-}
-
 /// Measured α–β–γ counts of one rank's communication-counter delta: the
 /// full-duplex message maximum, the word maximum, and the charged flops.
 fn counters_cost(c: &CostCounters) -> Cost {
@@ -1080,14 +1062,7 @@ fn run_lower(
             Ok((x, Some(phases)))
         }
         Algorithm::Recursive { base_size } => {
-            let x = rec_trsm(
-                l,
-                b,
-                &RecTrsmConfig {
-                    base_size,
-                    log_latency: true,
-                },
-            )?;
+            let x = rec_trsm(l, b, &RecTrsmConfig { base_size })?;
             Ok((x, None))
         }
         Algorithm::Wavefront => Ok((wavefront_trsm(l, b)?, None)),

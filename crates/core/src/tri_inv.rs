@@ -24,7 +24,7 @@
 use crate::error::config_error;
 use crate::mm3d::{mm3d, MmConfig};
 use crate::planner::choose_mm_p1;
-use crate::Result;
+use crate::{Result, LOG_LATENCY};
 use dense::{Matrix, Triangle};
 use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
@@ -36,16 +36,11 @@ pub struct TriInvConfig {
     /// Matrix dimension at or below which the matrix is gathered and inverted
     /// redundantly by every processor of the (sub-)grid.
     pub base_size: usize,
-    /// Route redistributions through the Bruck all-to-all (`log p` latency).
-    pub log_latency: bool,
 }
 
 impl Default for TriInvConfig {
     fn default() -> Self {
-        TriInvConfig {
-            base_size: 64,
-            log_latency: true,
-        }
+        TriInvConfig { base_size: 64 }
     }
 }
 
@@ -120,8 +115,8 @@ fn tri_inv_inner(l: &DistMatrix, cfg: &TriInvConfig) -> Result<DistMatrix> {
         })
     };
     let (on_a, on_b) = (child_layout(0), child_layout(qh));
-    let recv_a = l11.redistribute_to(&on_a, Filter::Lower, cfg.log_latency)?;
-    let recv_b = l22.redistribute_to(&on_b, Filter::Lower, cfg.log_latency)?;
+    let recv_a = l11.redistribute_to(&on_a, Filter::Lower, LOG_LATENCY)?;
+    let recv_b = l22.redistribute_to(&on_b, Filter::Lower, LOG_LATENCY)?;
 
     // Each child inverts its block concurrently on its own grid.
     let invert_on = |sub: &Communicator, piece: Matrix| -> Result<Matrix> {
@@ -140,7 +135,7 @@ fn tri_inv_inner(l: &DistMatrix, cfg: &TriInvConfig) -> Result<DistMatrix> {
 
     // Redistribute both inverted diagonal blocks back to the parent grid.
     let to_parent = |piece: &Matrix, child: &Layout| {
-        DistMatrix::redistributed_from(grid, (h, h), child, piece, Filter::Lower, cfg.log_latency)
+        DistMatrix::redistributed_from(grid, (h, h), child, piece, Filter::Lower, LOG_LATENCY)
     };
     let inv11 = to_parent(&piece_a, &on_a)?;
     let inv22 = to_parent(&piece_b, &on_b)?;
@@ -149,7 +144,6 @@ fn tri_inv_inner(l: &DistMatrix, cfg: &TriInvConfig) -> Result<DistMatrix> {
     // on the full grid.
     let mm_cfg = MmConfig {
         p1: choose_mm_p1(h, h, q),
-        log_latency: cfg.log_latency,
     };
     let t = mm3d(&inv22, &l21, &mm_cfg)?;
     let mut inv21 = mm3d(&t, &inv11, &mm_cfg)?;
@@ -186,14 +180,7 @@ mod tests {
         let (results, _) = on_grid(q, move |grid| {
             let l_global = gen::well_conditioned_lower(n, 42);
             let l = DistMatrix::from_global(grid, &l_global);
-            let inv = tri_inv(
-                &l,
-                &TriInvConfig {
-                    base_size: base,
-                    log_latency: true,
-                },
-            )
-            .unwrap();
+            let inv = tri_inv(&l, &TriInvConfig { base_size: base }).unwrap();
             let got = inv.to_global();
             let prod = dense::matmul(&l_global, &got);
             let lower_ok = got.is_lower_triangular();
@@ -266,14 +253,7 @@ mod tests {
         let (_, report) = on_grid(4, move |grid| {
             let l_global = gen::well_conditioned_lower(n, 1);
             let l = DistMatrix::from_global(grid, &l_global);
-            tri_inv(
-                &l,
-                &TriInvConfig {
-                    base_size: 16,
-                    log_latency: true,
-                },
-            )
-            .unwrap();
+            tri_inv(&l, &TriInvConfig { base_size: 16 }).unwrap();
         });
         assert!(
             report.max_messages() < 300,

@@ -8,6 +8,9 @@
 //! worker lifetime *is* the region.  That matters here because the simulated
 //! machine already provides rank-level parallelism; a persistent pool would
 //! pin threads that sit idle for most of a simulation.
+//! Both entry points start their threads through one helper, which also
+//! hands the caller's `obs::Recorder` to each worker, so a traced region
+//! lands in the trace of whoever asked for it.
 //!
 //! The worker count comes from [`dense_threads`]: the `DENSE_THREADS`
 //! environment variable when set (clamped to `1..=MAX_THREADS`), otherwise
@@ -101,14 +104,8 @@ where
         f(0);
         return;
     }
-    crossbeam::thread::scope(|s| {
-        for w in 1..workers {
-            let f = &f;
-            s.spawn(move |_| f(w));
-        }
-        f(0);
-    })
-    .expect("dense worker pool: scope failed");
+    let f = &f;
+    scoped((1..workers).map(|w| move || f(w)), || f(0));
 }
 
 /// Runs every job to completion, one worker per job, and returns when all
@@ -118,7 +115,7 @@ where
 /// workers); the rest run on scoped workers.  A single job short-circuits to
 /// a plain inline call.  A panicking job propagates to the caller after the
 /// region is joined.
-pub(crate) fn join_all<J>(jobs: Vec<J>)
+pub fn join_all<J>(jobs: Vec<J>)
 where
     J: FnOnce() + Send,
 {
@@ -130,11 +127,29 @@ where
         return;
     }
     let first = jobs.remove(0);
+    scoped(jobs.into_iter(), first);
+}
+
+/// The one place the pool starts threads: one scoped worker per job of
+/// `spawned`, `inline` on the calling thread, all joined on return.
+///
+/// The caller's trace recorder, if it has one installed, is handed to
+/// every worker, so a parallel region lands in the trace of whoever asked
+/// for it; with none installed that is one thread-local load per region.
+fn scoped<J>(spawned: impl Iterator<Item = J>, inline: impl FnOnce())
+where
+    J: FnOnce() + Send,
+{
+    let recorder = obs::current();
     crossbeam::thread::scope(|s| {
-        for job in jobs {
-            s.spawn(move |_| job());
+        for job in spawned {
+            let recorder = recorder.clone();
+            s.spawn(move |_| match recorder {
+                Some(recorder) => recorder.record(job),
+                None => job(),
+            });
         }
-        first();
+        inline();
     })
     .expect("dense worker pool: scope failed");
 }

@@ -2,35 +2,47 @@
 //!
 //! A low-overhead observability substrate for the whole workspace: every
 //! layer (planner, dense GEMM, sparse executors, the simulated machine)
-//! records **spans** and **counters** into per-thread buffers, and the
-//! results are exported three ways —
+//! records **spans** and **counters**, and whoever wants them holds a
+//! [`Recorder`] and reads the results three ways —
 //!
-//! 1. an aggregated [`TraceReport`] (attached to `catrsm::SolveReport` by
-//!    the staged executors),
+//! 1. an aggregated [`TraceReport`] ([`Recorder::report`]),
 //! 2. a Chrome trace-event JSON file ([`chrome`]) loadable in
 //!    `chrome://tracing` or [Perfetto](https://ui.perfetto.dev),
-//! 3. raw event access ([`collect_all`] / [`collect_since`]) for custom
-//!    analysis such as `costmodel`'s predicted-vs-measured drift tables.
+//! 3. raw event access ([`Recorder::dump`]) for custom analysis such as
+//!    `costmodel`'s predicted-vs-measured drift tables.
 //!
-//! ## Design: one atomic gate, per-thread buffers
+//! ## Design: a trace belongs to the solve that asked for it
 //!
-//! Tracing is **disabled by default** and enabled at runtime with
-//! [`set_enabled`].  Every instrumentation site in the workspace is guarded
-//! by [`enabled`] — a single relaxed atomic load — so the disabled path
-//! costs one predictable branch and touches no other shared state: solver
-//! results are **bitwise identical** with the instrumentation compiled in,
-//! and the sparse executors stay bitwise identical at every worker count,
-//! because tracing never reads or writes floating-point data.
+//! There is no process-wide switch.  [`Recorder::record`] installs the
+//! recorder on the **calling thread** for the duration of a closure
+//! (nestable: the previous one comes back on exit and on unwind), and
+//! every instrumentation site in the workspace is guarded by [`enabled`] —
+//! "is a recorder installed on this thread?", one const-initialised
+//! thread-local load, no atomic and no lock.  With none installed nothing
+//! else happens: solver results are **bitwise identical** with the
+//! instrumentation compiled in, and the sparse executors stay bitwise
+//! identical at every worker count, because tracing never reads or writes
+//! floating-point data.
 //!
-//! When enabled, each thread records into its own pre-allocated buffer
-//! ([`BUF_CAPACITY`] events, registered once per thread): pushes never
-//! contend with other workers and **never block** — the buffer's lock is
-//! uncontended in steady state (only a concurrent [`collect_since`] /
-//! [`clear`] can hold it, in which case the event is dropped and counted
-//! rather than waited for), and a full buffer likewise drops and counts
-//! ([`dropped_events`]) instead of allocating.  Span `End` events get a
-//! small slack reserve past the cap so a recorded `Begin` is always
-//! balanced by its `End`.
+//! The only code that starts threads on a caller's behalf hands the
+//! caller's recorder ([`current`]) to the child, which runs its body under
+//! [`Recorder::record`]: the one spawn helper in `dense::threads` (under
+//! both `run_region` and `join_all`, so the packed GEMM, the sparse level
+//! sweep and a `serve` flush) and `simnet::Machine::run` for its rank
+//! threads.  A solve therefore lands, workers and ranks included, in the
+//! recorder of whoever asked for it and in nobody else's: two threads
+//! tracing two solves at once each see only their own spans, and a thread
+//! with no recorder records nothing whatever its neighbours do.
+//!
+//! Each installation records into its own lanes (one wall lane, one sim
+//! lane on a rank thread), created on the first event and **owned by the
+//! recorder**: they are freed with it.  A lane reserves nothing before its
+//! first event and grows to at most [`BUF_CAPACITY`] events; a full lane
+//! drops and counts ([`TraceDump::dropped`]) instead of growing.  Span
+//! `End` events get a small slack past the cap and go to the lane their
+//! `Begin` went to, so a recorded `Begin` is always balanced by its `End`.
+//! A lane's lock is taken by its one writer per event and by
+//! [`Recorder::dump`]; writers never contend with each other.
 //!
 //! ## Timestamps: wall lane and virtual lane
 //!
@@ -45,18 +57,15 @@
 //! ## Quick example
 //!
 //! ```
-//! obs::set_enabled(true);
-//! {
+//! let rec = obs::Recorder::new();
+//! rec.record(|| {
 //!     let _span = obs::span("demo", "work");
 //!     obs::counter("demo", "items", "count", 3, "worker", 0);
-//! }
-//! obs::set_enabled(false);
-//! let dump = obs::collect_all();
-//! let report = obs::TraceReport::from_dump(&dump);
+//! });
+//! let report = rec.report();
 //! assert!(report.spans.iter().any(|s| s.name == "work"));
-//! let json = obs::chrome::to_chrome_json(&dump);
+//! let json = obs::chrome::to_chrome_json(&rec.dump());
 //! assert!(json.starts_with("{\"traceEvents\":["));
-//! obs::clear();
 //! ```
 
 pub mod chrome;
@@ -64,15 +73,13 @@ pub mod report;
 
 pub use report::{CounterStat, SpanStat, TraceReport};
 
-use std::cell::OnceCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::{Cell, OnceCell, RefCell};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::Instant;
 
-/// Events each thread-lane buffer can hold before further pushes are
-/// dropped (and counted in [`dropped_events`]).  Pre-allocated on the
-/// thread's first recorded event, so steady-state recording is
-/// allocation-free.
+/// Events a lane can hold before further pushes are dropped (and counted
+/// in [`TraceDump::dropped`]).  A lane allocates as it fills, never past
+/// this (plus the `End` slack).
 pub const BUF_CAPACITY: usize = 1 << 16;
 
 /// Extra slots past [`BUF_CAPACITY`] reserved for span `End` events, so a
@@ -80,37 +87,8 @@ pub const BUF_CAPACITY: usize = 1 << 16;
 /// even if the buffer filled in between.
 const END_SLACK: usize = 1024;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Is tracing currently enabled?
-///
-/// This is the gate every instrumentation site checks first: one relaxed
-/// atomic load.  When it returns `false` nothing else happens — no clock
-/// read, no buffer touch.
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn tracing on or off at runtime.
-///
-/// Enabling mid-run is safe (threads lazily register buffers on their
-/// first event); disabling quiesces recording but keeps buffered events
-/// for collection.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Enable tracing when the `CATRSM_TRACE` environment variable is set to a
-/// non-empty value other than `0`.  Returns the resulting enabled state.
-pub fn init_from_env() -> bool {
-    if let Ok(v) = std::env::var("CATRSM_TRACE") {
-        if !v.is_empty() && v != "0" {
-            set_enabled(true);
-        }
-    }
-    enabled()
-}
+/// Events a lane allocates room for on its first push.
+const FIRST_CHUNK: usize = 64;
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -165,7 +143,7 @@ pub struct Event {
     pub arg2: u64,
 }
 
-/// Which time base a thread buffer records in.
+/// Which time base a lane records in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
     /// Wall-clock nanoseconds since the process epoch.
@@ -177,95 +155,248 @@ pub enum Lane {
     },
 }
 
-struct ThreadBuf {
-    lane: Lane,
-    tid: u64,
-    events: Mutex<Vec<Event>>,
-    dropped: AtomicU64,
+#[derive(Default)]
+struct LaneState {
+    events: Vec<Event>,
+    dropped: u64,
 }
 
-impl ThreadBuf {
+/// One installation's events in one time base.  Written by the thread it
+/// was created on, read by [`Recorder::dump`].
+struct LaneBuf {
+    lane: Lane,
+    tid: u64,
+    // The one lock tracing takes per event.  It pairs the writer's pushes
+    // with `Recorder::dump`'s copy: a dump sees a prefix of the lane, and
+    // the writer only ever waits for a dump, never for another writer.
+    state: Mutex<LaneState>,
+}
+
+impl LaneBuf {
+    fn state(&self) -> MutexGuard<'_, LaneState> {
+        // Pushing cannot panic half-way, so a poisoned lane is still whole.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn push(&self, ev: Event) {
         let cap = if ev.kind == EventKind::End {
             BUF_CAPACITY + END_SLACK
         } else {
             BUF_CAPACITY
         };
-        match self.events.try_lock() {
-            Ok(mut buf) => {
-                if buf.len() < cap {
-                    buf.push(ev);
-                } else {
-                    drop(buf);
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            // A collector holds the lock: never block a worker — drop.
-            Err(_) => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+        let mut state = self.state();
+        let len = state.events.len();
+        if len >= cap {
+            state.dropped += 1;
+            return;
         }
+        if len == state.events.capacity() {
+            // Double, but never past the cap.
+            state
+                .events
+                .reserve_exact(len.max(FIRST_CHUNK).min(cap - len));
+        }
+        state.events.push(ev);
     }
 }
 
-fn registry() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadBuf>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+// ---------------------------------------------------------------------------
+// The recorder
+// ---------------------------------------------------------------------------
+
+/// A trace, held by whoever asked for it.
+///
+/// [`Recorder::record`] makes the instrumentation sites reached from a
+/// closure — on the calling thread, and on every pool worker and rank
+/// thread started on its behalf — write here; [`Recorder::dump`] and
+/// [`Recorder::report`] read what they wrote.  Cloning yields another
+/// handle to the same trace (that is what a spawn site hands its
+/// children); the lanes are freed when the last handle is dropped.
+#[derive(Clone, Default)]
+pub struct Recorder {
+    lanes: Arc<Mutex<Vec<Arc<LaneBuf>>>>,
 }
 
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+/// What [`Recorder::record`] keeps installed while its closure runs: the
+/// recorder and the lanes this installation created.
+struct Installed {
+    recorder: Recorder,
+    wall: OnceCell<Arc<LaneBuf>>,
+    sim: OnceCell<Arc<LaneBuf>>,
+}
 
-fn new_buf(lane: Lane) -> Arc<ThreadBuf> {
-    let buf = Arc::new(ThreadBuf {
-        lane,
-        tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-        events: Mutex::new(Vec::with_capacity(BUF_CAPACITY + END_SLACK)),
-        dropped: AtomicU64::new(0),
-    });
-    registry()
-        .lock()
-        .expect("obs registry poisoned")
-        .push(buf.clone());
-    buf
+impl Installed {
+    /// This installation's wall lane, created on first use.
+    fn wall(&self) -> &Arc<LaneBuf> {
+        self.wall.get_or_init(|| self.recorder.new_lane(Lane::Wall))
+    }
 }
 
 thread_local! {
-    static WALL_BUF: OnceCell<Arc<ThreadBuf>> = const { OnceCell::new() };
-    static SIM_BUF: OnceCell<Arc<ThreadBuf>> = const { OnceCell::new() };
+    /// Whether `INSTALLED` holds a recorder.  A thread-local of its own
+    /// with no destructor, so `enabled()` is a single load.
+    static RECORDING: Cell<bool> = const { Cell::new(false) };
+    /// The innermost live `record` call of this thread.
+    static INSTALLED: RefCell<Option<Installed>> = const { RefCell::new(None) };
+}
+
+/// Makes `next` this thread's installation and returns the one it replaces.
+fn install(next: Option<Installed>) -> Option<Installed> {
+    RECORDING.set(next.is_some());
+    INSTALLED.with(|i| i.replace(next))
+}
+
+/// Runs `f` on this thread's installation, if there is one.
+#[inline]
+fn with_installed<T>(f: impl FnOnce(&Installed) -> T) -> Option<T> {
+    if !enabled() {
+        return None;
+    }
+    INSTALLED.with(|i| i.borrow().as_ref().map(f))
+}
+
+impl Recorder {
+    /// An empty trace.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Runs `f` with this recorder installed on the calling thread and
+    /// returns its result.  Nestable: a recorder installed further out
+    /// sees nothing of `f` and is back in place when `f` returns or
+    /// unwinds.  Each call records into fresh lanes.
+    pub fn record<T>(&self, f: impl FnOnce() -> T) -> T {
+        struct Restore(Option<Installed>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                install(self.0.take());
+            }
+        }
+        let _restore = Restore(install(Some(Installed {
+            recorder: self.clone(),
+            wall: OnceCell::new(),
+            sim: OnceCell::new(),
+        })));
+        f()
+    }
+
+    fn lanes(&self) -> MutexGuard<'_, Vec<Arc<LaneBuf>>> {
+        // Only ever pushed to, so the list is whole even if poisoned.
+        self.lanes.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn new_lane(&self, lane: Lane) -> Arc<LaneBuf> {
+        let mut lanes = self.lanes();
+        let buf = Arc::new(LaneBuf {
+            lane,
+            tid: lanes.len() as u64 + 1,
+            state: Mutex::default(),
+        });
+        lanes.push(buf.clone());
+        buf
+    }
+
+    /// Copy out every event recorded so far (non-destructive; safe while
+    /// recording is still going on).
+    pub fn dump(&self) -> TraceDump {
+        let mut dump = TraceDump::default();
+        for buf in self.lanes().iter() {
+            let state = buf.state();
+            dump.dropped += state.dropped;
+            if !state.events.is_empty() {
+                dump.threads.push(ThreadEvents {
+                    tid: buf.tid,
+                    lane: buf.lane,
+                    events: state.events.clone(),
+                });
+            }
+        }
+        dump
+    }
+
+    /// The aggregated view of [`Recorder::dump`].
+    pub fn report(&self) -> TraceReport {
+        TraceReport::from_dump(&self.dump())
+    }
+
+    /// Test hook: weak handles on the lanes this recorder holds now, to
+    /// check that they die with it.
+    #[doc(hidden)]
+    pub fn lane_probe(&self) -> LaneProbe {
+        LaneProbe(self.lanes().iter().map(Arc::downgrade).collect())
+    }
+}
+
+/// See [`Recorder::lane_probe`].
+#[doc(hidden)]
+pub struct LaneProbe(Vec<Weak<LaneBuf>>);
+
+impl LaneProbe {
+    /// Lanes the probe was taken over.
+    pub fn lanes(&self) -> usize {
+        self.0.len()
+    }
+
+    /// How many of them are still allocated.
+    pub fn alive(&self) -> usize {
+        self.0.iter().filter(|l| l.strong_count() > 0).count()
+    }
+}
+
+/// Is a recorder installed on the calling thread?
+///
+/// This is the gate every instrumentation site checks first: one
+/// thread-local load.  When it returns `false` nothing else happens — no
+/// clock read, no buffer touch.
+#[inline(always)]
+pub fn enabled() -> bool {
+    RECORDING.get()
+}
+
+/// The recorder installed on the calling thread, if any: what a spawn site
+/// captures before it starts threads, so each child can run its body under
+/// [`Recorder::record`].
+#[inline]
+pub fn current() -> Option<Recorder> {
+    with_installed(|i| i.recorder.clone())
 }
 
 fn push_wall(ev: Event) {
-    WALL_BUF.with(|cell| cell.get_or_init(|| new_buf(Lane::Wall)).push(ev));
+    with_installed(|i| i.wall().push(ev));
 }
 
 fn push_sim(rank: usize, ev: Event) {
-    SIM_BUF.with(|cell| cell.get_or_init(|| new_buf(Lane::Sim { rank })).push(ev));
+    with_installed(|i| {
+        i.sim
+            .get_or_init(|| i.recorder.new_lane(Lane::Sim { rank }))
+            .push(ev)
+    });
 }
 
 // ---------------------------------------------------------------------------
 // Recording API
 // ---------------------------------------------------------------------------
 
-/// RAII span: records `Begin` on creation (when tracing is enabled) and
-/// the matching `End` when dropped.  Create and drop on the same thread.
+/// RAII span: records `Begin` on creation (when a recorder is installed)
+/// and the matching `End`, on the same lane, when dropped.
 #[must_use = "a span measures until it is dropped"]
 pub struct SpanGuard {
     cat: &'static str,
     name: &'static str,
-    active: bool,
+    lane: Option<Arc<LaneBuf>>,
 }
 
 impl SpanGuard {
-    /// Whether this guard recorded a `Begin` (tracing was enabled).
+    /// Whether this guard recorded a `Begin` (a recorder was installed).
     pub fn is_active(&self) -> bool {
-        self.active
+        self.lane.is_some()
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.active {
-            push_wall(Event {
+        if let Some(lane) = &self.lane {
+            lane.push(Event {
                 kind: EventKind::End,
                 cat: self.cat,
                 name: self.name,
@@ -279,8 +410,8 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Open a wall-lane span.  A no-op returning an inactive guard when
-/// tracing is disabled (one atomic load).
+/// Open a wall-lane span.  A no-op returning an inactive guard when no
+/// recorder is installed (one thread-local load).
 #[inline]
 pub fn span(cat: &'static str, name: &'static str) -> SpanGuard {
     span_with(cat, name, "", 0)
@@ -295,31 +426,24 @@ pub fn span_with(
     arg_name: &'static str,
     arg: u64,
 ) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard {
+    let lane = with_installed(|i| i.wall().clone());
+    if let Some(lane) = &lane {
+        lane.push(Event {
+            kind: EventKind::Begin,
             cat,
             name,
-            active: false,
-        };
+            ts_ns: now_ns(),
+            arg_name,
+            arg,
+            arg2_name: "",
+            arg2: 0,
+        });
     }
-    push_wall(Event {
-        kind: EventKind::Begin,
-        cat,
-        name,
-        ts_ns: now_ns(),
-        arg_name,
-        arg,
-        arg2_name: "",
-        arg2: 0,
-    });
-    SpanGuard {
-        cat,
-        name,
-        active: true,
-    }
+    SpanGuard { cat, name, lane }
 }
 
-/// Record a wall-lane instant event.  No-op when tracing is disabled.
+/// Record a wall-lane instant event.  No-op when no recorder is
+/// installed.
 #[inline]
 pub fn instant(cat: &'static str, name: &'static str, arg_name: &'static str, arg: u64) {
     if !enabled() {
@@ -338,7 +462,8 @@ pub fn instant(cat: &'static str, name: &'static str, arg_name: &'static str, ar
 }
 
 /// Record a wall-lane counter sample with up to two `(name, value)` pairs
-/// (pass `""` to omit the second).  No-op when tracing is disabled.
+/// (pass `""` to omit the second).  No-op when no recorder is
+/// installed.
 #[inline]
 pub fn counter(
     cat: &'static str,
@@ -364,8 +489,8 @@ pub fn counter(
 }
 
 /// Record a sim-lane instant event stamped with the **virtual clock** (in
-/// nanoseconds) of the given simulated rank.  No-op when tracing is
-/// disabled.  Virtual clocks only move forward, so each rank's lane stays
+/// nanoseconds) of the given simulated rank.  No-op when no recorder is
+/// installed.  Virtual clocks only move forward, so each rank's lane stays
 /// monotone.
 #[inline]
 #[allow(clippy::too_many_arguments)]
@@ -401,30 +526,32 @@ pub fn sim_instant(
 // Collection
 // ---------------------------------------------------------------------------
 
-/// One thread-lane's events, as returned by [`collect_all`] /
-/// [`collect_since`].
+/// One lane's events, as returned by [`Recorder::dump`].
 #[derive(Debug, Clone)]
 pub struct ThreadEvents {
-    /// Stable per-buffer id (one per thread per lane, in registration
-    /// order).
+    /// Per-lane id, unique within the recorder (lanes are numbered from 1
+    /// in the order they recorded their first event).
     pub tid: u64,
-    /// The buffer's time base.
+    /// The lane's time base.
     pub lane: Lane,
     /// Events in recording order (timestamps are monotone within a lane).
     pub events: Vec<Event>,
 }
 
-/// A snapshot of every thread's buffered events.
+/// A snapshot of every lane of one recorder.
 #[derive(Debug, Clone, Default)]
 pub struct TraceDump {
-    /// Per-thread event lists.
+    /// Per-lane event lists.
     pub threads: Vec<ThreadEvents>,
-    /// Events dropped so far (buffer full or collector contention).
+    /// Events dropped because their lane was full.  A non-zero value
+    /// means timelines are incomplete — aggregate counters emitted at
+    /// region end are far coarser than per-level spans and survive much
+    /// longer workloads.
     pub dropped: u64,
 }
 
 impl TraceDump {
-    /// Total number of events across all threads.
+    /// Total number of events across all lanes.
     pub fn len(&self) -> usize {
         self.threads.iter().map(|t| t.events.len()).sum()
     }
@@ -435,105 +562,14 @@ impl TraceDump {
     }
 }
 
-/// A position watermark used to collect only the events recorded after a
-/// point in time; see [`mark`] and [`collect_since`].
-#[derive(Debug, Clone)]
-pub struct Mark(Vec<(u64, usize)>);
-
-/// Snapshot the current per-buffer lengths.  [`collect_since`] with this
-/// mark returns only events recorded afterwards (including events from
-/// threads that registered after the mark).
-pub fn mark() -> Mark {
-    let reg = registry().lock().expect("obs registry poisoned");
-    Mark(
-        reg.iter()
-            .map(|b| {
-                let len = b.events.lock().map(|e| e.len()).unwrap_or(0);
-                (b.tid, len)
-            })
-            .collect(),
-    )
-}
-
-fn collect(from: Option<&Mark>) -> TraceDump {
-    let reg = registry().lock().expect("obs registry poisoned");
-    let mut dropped = 0;
-    let mut threads = Vec::new();
-    for buf in reg.iter() {
-        dropped += buf.dropped.load(Ordering::Relaxed);
-        let start = from
-            .and_then(|m| m.0.iter().find(|(tid, _)| *tid == buf.tid))
-            .map(|(_, len)| *len)
-            .unwrap_or(0);
-        let events = match buf.events.lock() {
-            Ok(e) => e.get(start..).unwrap_or(&[]).to_vec(),
-            Err(_) => Vec::new(),
-        };
-        if !events.is_empty() {
-            threads.push(ThreadEvents {
-                tid: buf.tid,
-                lane: buf.lane,
-                events,
-            });
-        }
-    }
-    TraceDump { threads, dropped }
-}
-
-/// Copy out every buffered event (non-destructive; [`clear`] resets).
-pub fn collect_all() -> TraceDump {
-    collect(None)
-}
-
-/// Copy out the events recorded since `mark` (non-destructive).  This is
-/// what the staged executors use to attach a per-solve `TraceReport`
-/// without consuming the longer timeline a caller may be accumulating for
-/// a Chrome trace export.
-pub fn collect_since(mark: &Mark) -> TraceDump {
-    collect(Some(mark))
-}
-
-/// Empty every thread buffer and reset the dropped-event count.  Buffers
-/// keep their allocation.  Call this between independent traced runs; any
-/// worker recording concurrently drops (and counts) its events instead of
-/// blocking.
-pub fn clear() {
-    let reg = registry().lock().expect("obs registry poisoned");
-    for buf in reg.iter() {
-        if let Ok(mut e) = buf.events.lock() {
-            e.clear();
-        }
-        buf.dropped.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Events dropped so far across all buffers (buffer full, or a push that
-/// raced a collector).  A non-zero value means timelines are incomplete —
-/// aggregate counters emitted at region end are far coarser than per-level
-/// spans and survive much longer workloads.
-pub fn dropped_events() -> u64 {
-    let reg = registry().lock().expect("obs registry poisoned");
-    reg.iter().map(|b| b.dropped.load(Ordering::Relaxed)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Serialize tests that mutate the global enabled flag / registry.
-    fn lock_global() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-        GUARD
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn disabled_records_nothing() {
-        let _g = lock_global();
-        clear();
-        set_enabled(false);
+        let rec = Recorder::new();
+        assert!(!enabled());
         {
             let s = span("test", "nothing");
             assert!(!s.is_active());
@@ -541,26 +577,29 @@ mod tests {
         instant("test", "nothing", "", 0);
         counter("test", "nothing", "v", 1, "", 0);
         sim_instant(0, "test", "nothing", 5, "", 0, "", 0);
-        assert!(collect_all().is_empty());
+        assert!(current().is_none());
+        assert!(rec.dump().is_empty());
     }
 
     #[test]
     fn spans_and_counters_round_trip() {
-        let _g = lock_global();
-        clear();
-        set_enabled(true);
-        {
-            let _outer = span("test", "outer");
+        let rec = Recorder::new();
+        rec.record(|| {
+            assert!(enabled());
             {
-                let _inner = span_with("test", "inner", "w", 3);
+                let _outer = span("test", "outer");
+                {
+                    let _inner = span_with("test", "inner", "w", 3);
+                }
+                counter("test", "items", "count", 7, "worker", 1);
+                instant("test", "tick", "", 0);
             }
-            counter("test", "items", "count", 7, "worker", 1);
-            instant("test", "tick", "", 0);
-        }
-        sim_instant(2, "test", "send", 1_000, "words", 64, "dst", 1);
-        set_enabled(false);
-        let dump = collect_all();
+            sim_instant(2, "test", "send", 1_000, "words", 64, "dst", 1);
+        });
+        assert!(!enabled());
+        let dump = rec.dump();
         assert_eq!(dump.len(), 7); // 2 spans x B/E + counter + instant + sim
+        assert_eq!(dump.dropped, 0);
         let wall: Vec<_> = dump
             .threads
             .iter()
@@ -577,50 +616,100 @@ mod tests {
             .collect();
         assert_eq!(sim.len(), 1);
         assert_eq!(sim[0].events[0].ts_ns, 1_000);
-        clear();
-        assert!(collect_all().is_empty());
+        assert!(Recorder::new().dump().is_empty());
     }
 
     #[test]
-    fn mark_scopes_collection() {
-        let _g = lock_global();
-        clear();
-        set_enabled(true);
-        counter("test", "before", "v", 1, "", 0);
-        let m = mark();
-        counter("test", "after", "v", 2, "", 0);
-        set_enabled(false);
-        let since = collect_since(&m);
-        assert_eq!(since.len(), 1);
-        assert_eq!(since.threads[0].events[0].name, "after");
-        let all = collect_all();
-        assert_eq!(all.len(), 2);
-        clear();
+    fn nested_recorders_scope_collection() {
+        let outer = Recorder::new();
+        let inner = Recorder::new();
+        outer.record(|| {
+            counter("test", "before", "v", 1, "", 0);
+            // A span that straddles the inner installation still closes on
+            // the outer recorder's lane.
+            let straddling = span("test", "straddle");
+            inner.record(|| {
+                counter("test", "inside", "v", 2, "", 0);
+                drop(straddling);
+            });
+            counter("test", "after", "v", 3, "", 0);
+        });
+        let names = |r: &Recorder| -> Vec<&'static str> {
+            let dump = r.dump();
+            assert_eq!(dump.threads.len(), 1);
+            dump.threads[0].events.iter().map(|e| e.name).collect()
+        };
+        assert_eq!(names(&inner), ["inside"]);
+        assert_eq!(names(&outer), ["before", "straddle", "straddle", "after"]);
+    }
+
+    #[test]
+    fn the_previous_recorder_comes_back_on_unwind() {
+        let outer = Recorder::new();
+        let inner = Recorder::new();
+        outer.record(|| {
+            let caught = std::panic::catch_unwind(|| {
+                inner.record(|| {
+                    let _span = span("test", "doomed");
+                    panic!("unwinding through an installation");
+                })
+            });
+            assert!(caught.is_err());
+            counter("test", "survivor", "v", 1, "", 0);
+        });
+        assert!(!enabled());
+        assert_eq!(inner.report().span("test", "doomed").unwrap().count, 1);
+        assert_eq!(outer.dump().len(), 1);
     }
 
     #[test]
     fn threads_get_distinct_buffers() {
-        let _g = lock_global();
-        clear();
-        set_enabled(true);
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    counter("test", "thread", "i", i, "", 0);
+        let rec = Recorder::new();
+        rec.record(|| {
+            let parent = current().expect("installed");
+            let handles: Vec<_> = (0..4)
+                .map(|i| {
+                    let parent = parent.clone();
+                    std::thread::spawn(move || {
+                        // A fresh thread has nothing installed until the
+                        // spawner's recorder is handed to it.
+                        counter("test", "lost", "i", i, "", 0);
+                        parent.record(|| counter("test", "thread", "i", i, "", 0));
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        set_enabled(false);
-        let dump = collect_all();
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+        });
+        let dump = rec.dump();
         assert_eq!(dump.len(), 4);
-        assert!(dump.threads.len() >= 4, "one buffer per thread");
+        assert_eq!(dump.threads.len(), 4, "one lane per thread");
         let mut tids: Vec<u64> = dump.threads.iter().map(|t| t.tid).collect();
         tids.sort_unstable();
-        tids.dedup();
-        assert_eq!(tids.len(), dump.threads.len());
-        clear();
+        assert_eq!(tids, [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_lane_grows_to_the_cap_and_then_counts() {
+        let rec = Recorder::new();
+        let probe = rec.record(|| {
+            let straddling = span("test", "open");
+            for i in 0..BUF_CAPACITY as u64 + 10 {
+                counter("test", "fill", "i", i, "", 0);
+            }
+            drop(straddling);
+            rec.lane_probe()
+        });
+        let dump = rec.dump();
+        assert_eq!(dump.len(), BUF_CAPACITY + 1, "the End rides the slack");
+        assert_eq!(dump.dropped, 11);
+        assert_eq!(dump.threads[0].events.last().unwrap().kind, EventKind::End);
+        let lane = rec.lanes()[0].clone();
+        assert!(lane.state().events.capacity() <= BUF_CAPACITY + END_SLACK);
+        drop(lane);
+        assert_eq!((probe.lanes(), probe.alive()), (1, 1));
+        drop(rec);
+        assert_eq!(probe.alive(), 0, "lanes are freed with their recorder");
     }
 }

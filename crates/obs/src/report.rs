@@ -38,8 +38,8 @@ pub struct CounterStat {
     pub max: u64,
 }
 
-/// Aggregated view of one trace window, attached to `SolveReport` by the
-/// staged executors when tracing is enabled.
+/// Aggregated view of one trace: what [`crate::Recorder::report`]
+/// returns.
 ///
 /// The convenience fields at the end pull out the solver-wide counter
 /// conventions so callers don't need to know event names:
@@ -71,8 +71,8 @@ pub struct TraceReport {
     /// order per thread (from `"batch_width"` counters: arg = requests
     /// fused into one execute).
     pub batch_widths: Vec<u64>,
-    /// Events dropped during the window (buffer full or collector
-    /// contention); non-zero means the timeline is incomplete.
+    /// Events dropped because their lane was full; non-zero means the
+    /// timeline is incomplete.
     pub dropped: u64,
 }
 

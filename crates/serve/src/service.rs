@@ -694,16 +694,18 @@ fn run_fused_dense(jobs: &mut [PendingJob], fused: &[usize]) {
         taken = i + 1;
     }
     let per = picked.len().div_ceil(workers);
-    crossbeam::thread::scope(|s| {
-        for chunk in picked.chunks_mut(per) {
-            s.spawn(move |_| {
-                for job in chunk.iter_mut() {
-                    run_single(job);
+    dense::threads::join_all(
+        picked
+            .chunks_mut(per)
+            .map(|chunk| {
+                move || {
+                    for job in chunk.iter_mut() {
+                        run_single(job);
+                    }
                 }
-            });
-        }
-    })
-    .expect("dense batch workers panicked");
+            })
+            .collect(),
+    );
 }
 
 #[cfg(test)]

@@ -347,6 +347,95 @@ fn repeat_traffic_keeps_planning_and_analysis_flat() {
     assert_eq!(stats.errors, 0);
 }
 
+/// A closed hot set of eight factors (n = 256) under a stream of
+/// `requests` submissions flushed every `window`: every `cold_every`-th
+/// request presents a never-seen factor instead (`None`: pure hot).
+/// Asserts the invariants that hold on any machine — the timing side of
+/// this workload is `perfbench`'s `serve_hot90`.
+fn assert_traffic_mix_invariants(requests: usize, cold_every: Option<usize>, window: usize) {
+    const HOT: usize = 8;
+    let (n, fill, seed) = (256, 4, 0x10ad_u64);
+    let req = SolveRequest::lower();
+    let svc = SolveService::new(ServiceConfig {
+        // The whole key population fits: this measures amortisation, not
+        // eviction churn.
+        plan_cache_capacity: requests + HOT,
+        admission_window: window,
+    });
+    let hot: Vec<Arc<SparseTri>> = (0..HOT)
+        .map(|i| Arc::new(sgen::random_lower(n, fill, seed ^ ((i as u64) << 8))))
+        .collect();
+    for m in &hot {
+        svc.solve_vec(
+            &req,
+            &Operand::Sparse(Arc::clone(m)),
+            &sgen::rhs_vec(n, seed),
+        )
+        .expect("warm-up solve");
+    }
+    let builds_after_warmup = svc.stats().plan_builds;
+
+    let mut cold = 0;
+    for i in 0..requests {
+        let operand = if cold_every.is_some_and(|c| i % c == c - 1) {
+            cold += 1;
+            Arc::new(sgen::random_lower(n, fill, seed + 0xF4E5 + cold as u64))
+        } else {
+            Arc::clone(&hot[i % HOT])
+        };
+        svc.submit(ServiceRequest {
+            request: req,
+            operand: Operand::Sparse(operand),
+            rhs: sgen::rhs_vec(n, seed ^ i as u64),
+        })
+        .expect("submit");
+        if svc.queue_depth() >= window || i + 1 == requests {
+            assert!(svc.flush().iter().all(|done| done.result.is_ok()));
+        }
+    }
+
+    let stats = svc.stats();
+    assert_eq!(stats.errors, 0);
+    assert!(
+        stats.max_queue_depth <= window as u64,
+        "queue outgrew the window"
+    );
+    assert!(
+        stats.plan_builds <= (HOT + cold) as u64,
+        "{} plan builds for {} distinct keys: the cache failed to amortise",
+        stats.plan_builds,
+        HOT + cold
+    );
+    assert!(stats.hits + stats.misses >= requests as u64);
+    // Steady state plans the never-seen factors and nothing else.
+    assert_eq!(stats.plan_builds - builds_after_warmup, cold as u64);
+    let target = 1.0 - cold_every.map_or(0.0, |c| 1.0 / c as f64);
+    if target >= 0.8 {
+        // Approximate by construction, but a 0.9 stream collapsing below
+        // 0.6 means the fingerprint path is broken.
+        assert!(
+            stats.hit_ratio() >= target - 0.3,
+            "hit ratio {}",
+            stats.hit_ratio()
+        );
+    }
+}
+
+#[test]
+fn hot_traffic_amortises_planning() {
+    assert_traffic_mix_invariants(2000, Some(10), 16);
+}
+
+#[test]
+fn mixed_traffic_through_a_small_window_amortises_planning() {
+    assert_traffic_mix_invariants(1000, Some(2), 4);
+}
+
+#[test]
+fn pure_hot_traffic_plans_nothing_after_warmup() {
+    assert_traffic_mix_invariants(1000, None, 16);
+}
+
 /// The small shape the suite uses elsewhere, and the benchmark's
 /// (`serve_hot90`: n = 4096, fill 8).  A hit runs on the *cached* operand,
 /// not the submitted one, so these tests are only as strong as the key at

@@ -141,6 +141,8 @@ impl Machine {
 
         let mut panicked: Vec<usize> = Vec::new();
 
+        // Rank threads record into the trace of whoever called `run`.
+        let recorder = obs::current();
         std::thread::scope(|scope| {
             // A gated run computes on `workers` CPUs at a time: its rank
             // threads are created confined to that many, so the hand-offs
@@ -151,7 +153,8 @@ impl Machine {
                 let senders = Arc::clone(&senders);
                 let fault_plan = self.faults.clone();
                 let gate = gate.clone();
-                let handle = scope.spawn(move || {
+                let recorder = recorder.clone();
+                let body = move || {
                     // Take a compute slot before running user code; the RAII
                     // permit is returned when the thread retires (or unwinds)
                     // and temporarily given back inside blocking receives.
@@ -205,6 +208,10 @@ impl Machine {
                             Err(rank)
                         }
                     }
+                };
+                let handle = scope.spawn(move || match recorder {
+                    Some(recorder) => recorder.record(body),
+                    None => body(),
                 });
                 handles.push(handle);
             }

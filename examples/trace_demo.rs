@@ -1,7 +1,7 @@
-//! Traced end-to-end demo: run one solve per backend with the `obs`
-//! tracing layer enabled — dense, sparse (a 4-worker level sweep), and
+//! Traced end-to-end demo: run one solve per backend under one
+//! `obs::Recorder` — dense, sparse (a 4-worker level sweep), and
 //! distributed (Recursive and the iterative inversion-based algorithm) —
-//! then export everything as one Chrome-trace JSON file,
+//! then export what it recorded as one Chrome-trace JSON file,
 //! validate it, and print predicted-vs-measured cost-drift tables.
 //!
 //! ```text
@@ -22,75 +22,25 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "trace.json".to_string());
-    obs::set_enabled(true);
-    obs::clear();
 
     // -- dense backend ------------------------------------------------------
+    // Operands and plan are built before recording starts, so the
+    // recorder's first report is the dense execute's alone.
     let n = 512;
     let k = 64;
     let l = gen::well_conditioned_lower(n, 7);
     let x_true = gen::rhs(n, k, 8);
     let b = dense::matmul(&l, &x_true);
     let plan = SolveRequest::lower().plan_dense(n, k).expect("dense plan");
-    let sol = plan.execute_dense(&l, &b).expect("dense solve");
-    assert!(dense::norms::rel_diff(&sol.x, &x_true) < 1e-8);
-    println!("dense: {}", plan);
-    if let Some(trace) = &sol.report.trace {
-        println!("{}", trace.summary());
-    }
 
-    // -- sparse backend: one parallel level sweep ----------------------------
-    // Levels of 2 048 rows clear the go-parallel rule, so the budget of 4
-    // becomes 4 workers and the trace shows the sweep and its barriers.
-    let m = sparse::gen::deep_narrow_lower(20_000, 2048, 6, 3);
-    let rhs = sparse::gen::rhs_vec(m.n(), 5);
-    let plan = SolveRequest::lower()
-        .threads(4)
-        .plan_sparse(&m, 1)
-        .expect("sparse plan");
-    let mut x = rhs.clone();
-    let report = plan
-        .execute_sparse_in_place(&m, x.as_mut_slice())
-        .expect("sparse solve");
-    println!("sparse: {plan}");
-    assert_eq!(report.levels.expect("level report").workers, 4);
-    let sparse_drift = plan
-        .drift_report(&report, costmodel::Machine::unit())
-        .render();
-
-    // -- distributed backend: Recursive and iterative inversion -------------
-    let (dn, dk, p) = (64usize, 16usize, 4usize);
-    let out = Machine::new(p, MachineParams::cluster())
-        .run(move |comm| {
-            let grid = Grid2D::new(comm, 2, 2).expect("grid");
-            let l_global = gen::well_conditioned_lower(dn, 21);
-            let x_true = gen::rhs(dn, dk, 22);
-            let b_global = dense::matmul(&l_global, &x_true);
-            let l = DistMatrix::from_global(&grid, &l_global);
-            let b = DistMatrix::from_global(&grid, &b_global);
-
-            let rec_plan = SolveRequest::lower()
-                .algorithm(Algorithm::Recursive { base_size: 16 })
-                .plan_distributed(dn, dk, comm.size())
-                .expect("recursive plan");
-            let rec = rec_plan.execute_distributed(&l, &b).expect("recursive");
-            assert!(dense::norms::rel_diff(&rec.x.to_global(), &x_true) < 1e-8);
-            let rec_drift = rec_plan
-                .drift_report(&rec.report, costmodel::Machine::cluster())
-                .render();
-
-            let it_plan = SolveRequest::lower()
-                .plan_distributed(dn, dk, comm.size())
-                .expect("it-inv plan");
-            let it = it_plan.execute_distributed(&l, &b).expect("it-inv");
-            assert!(dense::norms::rel_diff(&it.x.to_global(), &x_true) < 1e-8);
-            let it_drift = it_plan
-                .drift_report(&it.report, costmodel::Machine::cluster())
-                .render();
-            (rec_drift, it_drift)
-        })
-        .expect("simulated machine run");
-    let (rec_drift, it_drift) = out.results.into_iter().next().expect("rank 0");
+    let recorder = obs::Recorder::new();
+    let (sparse_drift, (rec_drift, it_drift)) = recorder.record(|| {
+        let sol = plan.execute_dense(&l, &b).expect("dense solve");
+        assert!(dense::norms::rel_diff(&sol.x, &x_true) < 1e-8);
+        println!("dense: {}", plan);
+        println!("{}", recorder.report().summary());
+        (sparse_solve(), distributed_solves())
+    });
 
     // -- cost-drift tables --------------------------------------------------
     println!("\ncost drift — recursive TRSM (cluster constants):");
@@ -101,8 +51,7 @@ fn main() {
     println!("{sparse_drift}");
 
     // -- export + audit -----------------------------------------------------
-    let dump = obs::collect_all();
-    obs::set_enabled(false);
+    let dump = recorder.dump();
     let json = obs::chrome::to_chrome_json(&dump);
     std::fs::write(&out_path, &json).expect("write trace file");
     println!(
@@ -139,4 +88,61 @@ fn main() {
         std::process::exit(1);
     }
     println!("trace audit passed");
+}
+
+/// Sparse backend: one parallel level sweep; returns its drift table.
+fn sparse_solve() -> String {
+    // Levels of 2 048 rows clear the go-parallel rule, so the budget of 4
+    // becomes 4 workers and the trace shows the sweep and its barriers.
+    let m = sparse::gen::deep_narrow_lower(20_000, 2048, 6, 3);
+    let rhs = sparse::gen::rhs_vec(m.n(), 5);
+    let plan = SolveRequest::lower()
+        .threads(4)
+        .plan_sparse(&m, 1)
+        .expect("sparse plan");
+    let mut x = rhs.clone();
+    let report = plan
+        .execute_sparse_in_place(&m, x.as_mut_slice())
+        .expect("sparse solve");
+    println!("sparse: {plan}");
+    assert_eq!(report.levels.expect("level report").workers, 4);
+    plan.drift_report(&report, costmodel::Machine::unit())
+        .render()
+}
+
+/// Distributed backend: Recursive and iterative inversion on four ranks;
+/// returns rank 0's two drift tables.
+fn distributed_solves() -> (String, String) {
+    let (dn, dk, p) = (64usize, 16usize, 4usize);
+    let out = Machine::new(p, MachineParams::cluster())
+        .run(move |comm| {
+            let grid = Grid2D::new(comm, 2, 2).expect("grid");
+            let l_global = gen::well_conditioned_lower(dn, 21);
+            let x_true = gen::rhs(dn, dk, 22);
+            let b_global = dense::matmul(&l_global, &x_true);
+            let l = DistMatrix::from_global(&grid, &l_global);
+            let b = DistMatrix::from_global(&grid, &b_global);
+
+            let rec_plan = SolveRequest::lower()
+                .algorithm(Algorithm::Recursive { base_size: 16 })
+                .plan_distributed(dn, dk, comm.size())
+                .expect("recursive plan");
+            let rec = rec_plan.execute_distributed(&l, &b).expect("recursive");
+            assert!(dense::norms::rel_diff(&rec.x.to_global(), &x_true) < 1e-8);
+            let rec_drift = rec_plan
+                .drift_report(&rec.report, costmodel::Machine::cluster())
+                .render();
+
+            let it_plan = SolveRequest::lower()
+                .plan_distributed(dn, dk, comm.size())
+                .expect("it-inv plan");
+            let it = it_plan.execute_distributed(&l, &b).expect("it-inv");
+            assert!(dense::norms::rel_diff(&it.x.to_global(), &x_true) < 1e-8);
+            let it_drift = it_plan
+                .drift_report(&it.report, costmodel::Machine::cluster())
+                .render();
+            (rec_drift, it_drift)
+        })
+        .expect("simulated machine run");
+    out.results.into_iter().next().expect("rank 0")
 }

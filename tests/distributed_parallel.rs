@@ -254,36 +254,36 @@ fn chaos_permanent_plans_fail_typed_under_parallel_ranks() {
 }
 
 /// Acceptance: a 2×2 grid recursive-TRSM solve with a 4-worker gate and
-/// the overlap timing model (a) runs rank spans on more than one wall
-/// lane, (b) hides a nonzero amount of compute under posted sends, and
+/// the overlap timing model (a) runs each of its four rank spans on a wall
+/// lane of its own, in this test's recorder and so unmistakably its own
+/// ranks, (b) hides a nonzero amount of compute under posted sends, and
 /// (c) still matches the 1-worker run bitwise.
 #[test]
 fn overlap_and_distinct_lanes_with_parallel_rank_workers() {
     let alg = Algorithm::Recursive { base_size: 16 };
     let params = MachineParams::cluster().with_overlap(true);
 
-    obs::set_enabled(true);
-    let mark = obs::mark();
-    let traced = solve_on(&Machine::new(4, params).with_rank_workers(4), alg, 77);
-    let dump = obs::collect_since(&mark);
-    obs::set_enabled(false);
+    let recorder = obs::Recorder::new();
+    let traced =
+        recorder.record(|| solve_on(&Machine::new(4, params).with_rank_workers(4), alg, 77));
+    let dump = recorder.dump();
 
-    // (a) rank spans on more than one wall lane: with 4 workers admitted,
-    // every rank thread records its own wall buffer.
-    let rank_lanes = dump
-        .threads
-        .iter()
-        .filter(|t| {
-            matches!(t.lane, obs::Lane::Wall)
-                && t.events
-                    .iter()
-                    .any(|e| e.cat == "simnet" && e.name == "rank")
-        })
-        .count();
-    assert!(
-        rank_lanes > 1,
-        "expected rank spans on >1 wall lane, got {rank_lanes}"
-    );
+    // (a) one wall lane per rank thread, each opening exactly one rank
+    // span, for ranks 0..4 — whatever the tests running beside this one
+    // are tracing.
+    let mut ranks_seen = Vec::new();
+    for lane in dump.threads.iter().filter(|t| t.lane == obs::Lane::Wall) {
+        let ranks: Vec<u64> = lane
+            .events
+            .iter()
+            .filter(|e| (e.kind, e.cat, e.name) == (obs::EventKind::Begin, "simnet", "rank"))
+            .map(|e| e.arg)
+            .collect();
+        assert!(ranks.len() <= 1, "two rank spans on one wall lane");
+        ranks_seen.extend(ranks);
+    }
+    ranks_seen.sort_unstable();
+    assert_eq!(ranks_seen, [0, 1, 2, 3], "exactly 4 rank lanes, ranks 0..4");
 
     // (b) the overlap model hid compute under at least one posted send,
     // and the hiding shows up both in the report counter and the trace.
