@@ -4,35 +4,32 @@
 //! balance at `r2 = 4·r1`.  This sweep evaluates the model's inversion
 //! bandwidth over the full range of aspect ratios (and cross-checks a few
 //! ratios on the simulator via the distributed inversion), showing that the
-//! paper's choice sits in the flat region around the optimum — the measured
+//! paper's choice sits in the flat region around the optimum — the sampled
 //! minimum is at `r2 ≈ 2·r1`, within a few percent of ratio 4 (a small
-//! discrepancy in the paper's constant, recorded in EXPERIMENTS.md).
+//! discrepancy in the paper's constant, which the closing text reports).
 
 use costmodel::inversion;
 use dense::gen;
-use harness::{banner, write_csv};
-use pgrid::{DistMatrix, Grid2D};
-use simnet::{Machine, MachineParams};
+use harness::{banner, on_grid, swf, Table};
+use pgrid::DistMatrix;
+use simnet::MachineParams;
 
-fn measure_inversion(q: usize, n: usize) -> (u64, u64) {
-    let out = Machine::new(q * q, MachineParams::unit())
-        .run(move |comm| {
-            let grid = Grid2D::new(comm, q, q).unwrap();
-            let l_global = gen::well_conditioned_lower(n, 51);
-            let l = DistMatrix::from_global(&grid, &l_global);
-            catrsm::tri_inv::tri_inv(&l, &catrsm::tri_inv::TriInvConfig::default()).unwrap();
-        })
-        .unwrap();
-    (out.report.max_messages(), out.report.max_words())
+fn measure_inversion(q: usize, n: usize) -> (u64, u64, u64) {
+    let run = on_grid(q, q, MachineParams::unit(), |grid| {
+        let l = DistMatrix::from_global(grid, &gen::well_conditioned_lower(n, 51));
+        catrsm::tri_inv::tri_inv(&l, 64).unwrap();
+        (0.0, None)
+    });
+    swf(&run.report)
 }
 
 fn main() {
     banner("A2: ablation over the inversion sub-grid aspect ratio r2/r1");
     let n = 4096.0;
     let q_total = 512.0;
-    println!("model inversion bandwidth, n = {n}, q = {q_total} processors");
-    println!("{:>8} {:>8} {:>8} | {:>14}", "ratio", "r1", "r2", "W model");
-    let mut rows = Vec::new();
+    println!("model inversion bandwidth, n = {n}, q = {q_total} processors (rows with a ratio),");
+    println!("and the simulator's S and W on square faces (rows tagged `simulated`)\n");
+    let mut table = Table::new("ratio_or_tag,r1_or_p,r2_or_n,W_model_or_S,W");
     let mut best = f64::INFINITY;
     let mut best_ratio = 0.0;
     let mut ratio: f64 = 0.25;
@@ -40,38 +37,30 @@ fn main() {
         let r1 = (q_total / ratio).powf(1.0 / 3.0);
         let r2 = q_total / (r1 * r1);
         let w = inversion::inv_bandwidth(n, r1, r2);
-        println!("{:>8.2} {:>8.2} {:>8.2} | {:>14.0}", ratio, r1, r2, w);
-        rows.push(format!("{ratio},{r1},{r2},{w}"));
+        table.row(&[&ratio, &r1, &r2, &w]);
         if w < best {
             best = w;
             best_ratio = ratio;
         }
         ratio *= 2.0;
     }
+    for (q, n) in [(2usize, 256usize), (4, 256), (4, 512)] {
+        let (s, w, _) = measure_inversion(q, n);
+        table.row(&[&"simulated", &(q * q), &n, &s, &w]);
+    }
+    table.finish("exp_ablation_grid");
+
     let (r1p, r2p) = inversion::optimal_inv_grid(q_total);
     let wp = inversion::inv_bandwidth(n, r1p, r2p);
     println!(
-        "\npaper's choice r2 = 4·r1: W = {:.0} ({:+.1}% vs. the best sampled ratio {best_ratio})",
-        wp,
+        "\npaper's choice r2 = 4·r1: W = {wp:.0} ({:+.1}% vs. the best sampled ratio {best_ratio})",
         100.0 * (wp - best) / best
     );
-
-    banner("A2b: simulator cross-check (square faces, varying processor count)");
-    println!("{:>6} {:>8} | {:>8} {:>12}", "p", "n", "S", "W");
-    for (q, n) in [(2usize, 256usize), (4, 256), (4, 512)] {
-        let (s, w) = measure_inversion(q, n);
-        println!("{:>6} {:>8} | {:>8} {:>12}", q * q, n, s, w);
-        rows.push(format!("simulated,{},{n},{s},{w}", q * q));
-    }
-    let path = write_csv(
-        "exp_ablation_grid",
-        "ratio_or_tag,r1_or_p,r2_or_n,W_model_or_S,W",
-        &rows,
-    );
-    println!("\nCSV written to {}", path.display());
     println!(
         "\nExpectation: the bandwidth curve is flat within a factor ~1.1 between\n\
          ratios 2 and 4 and degrades for extreme aspect ratios; the simulator\n\
-         numbers scale like n²/p for the square-face configuration."
+         numbers scale like n²/p for the square-face configuration.  The\n\
+         sampled minimum sits at r2 = {best_ratio}·r1, not the paper's 4·r1: a small\n\
+         discrepancy in the paper's constant that costs the few percent above."
     );
 }

@@ -8,8 +8,8 @@
 //! `n0` at a fixed problem size, showing the latency/flop trade-off the
 //! optimal `n0` of Section VIII balances.
 
-use catrsm::it_inv_trsm::ItInvConfig;
-use harness::{banner, run_trsm, write_csv, TrsmAlgo, TrsmInstance};
+use catrsm::{Algorithm, ItInvConfig, SolveRequest};
+use harness::{banner, run, swf, Table, TrsmInstance};
 use simnet::MachineParams;
 
 fn main() {
@@ -18,14 +18,17 @@ fn main() {
     let k = 64;
     let (pr, pc) = (4usize, 4usize);
     let (p1, p2) = (4usize, 1usize);
-    println!("n={n} k={k} p={} grid={p1}x{p1}x{p2}", pr * pc);
-    println!(
-        "{:>6} {:>8} | {:>8} {:>12} {:>14} {:>14}",
-        "n0", "n/n0", "S", "W", "F", "virtual T"
-    );
-    let mut rows = Vec::new();
-    let mut n0 = p1;
+    println!("n={n} k={k} p={} grid={p1}x{p1}x{p2}\n", pr * pc);
+    let mut table = Table::new("n0,blocks,S,W,F,virtual_time");
+    let inst = TrsmInstance {
+        n,
+        k,
+        pr,
+        pc,
+        seed: 41,
+    };
     let mut best: Option<(usize, f64)> = None;
+    let mut n0 = p1;
     while n0 <= n {
         if n % n0 == 0 {
             let cfg = ItInvConfig {
@@ -34,47 +37,24 @@ fn main() {
                 n0,
                 inv_base: 16,
             };
-            let inst = TrsmInstance {
-                n,
-                k,
-                pr,
-                pc,
-                seed: 41,
-            };
-            let m = run_trsm(&inst, TrsmAlgo::Iterative(cfg), MachineParams::cluster());
-            assert!(m.error < 1e-7);
-            println!(
-                "{:>6} {:>8} | {:>8} {:>12} {:>14} {:>14.5e}",
-                n0,
-                n / n0,
-                m.latency,
-                m.bandwidth,
-                m.flops,
-                m.time
-            );
-            rows.push(format!(
-                "{n0},{},{},{},{},{}",
-                n / n0,
-                m.latency,
-                m.bandwidth,
-                m.flops,
-                m.time
-            ));
-            if best.map(|(_, t)| m.time < t).unwrap_or(true) {
-                best = Some((n0, m.time));
+            let request = SolveRequest::lower().algorithm(Algorithm::IterativeInversion(cfg));
+            let m = run(&inst, request, MachineParams::cluster());
+            let ((s, w, f), time) = (swf(&m.report), m.report.virtual_time());
+            table.row(&[&n0, &(n / n0), &s, &w, &f, &time]);
+            if best.is_none_or(|(_, t)| time < t) {
+                best = Some((n0, time));
             }
         }
         n0 *= 2;
     }
+    table.finish("exp_ablation_n0");
     if let Some((n0_best, _)) = best {
         let model = costmodel::CostModelRev::Ipdps17.plan(n, k, pr * pc);
         println!(
-            "\nBest measured n0 = {n0_best}; Section VIII recommends n0 = O(min(sqrt(nk), n)) = {:.0}.",
+            "Best measured n0 = {n0_best}; Section VIII recommends n0 = O(min(sqrt(nk), n)) = {:.0}.",
             model.n0
         );
     }
-    let path = write_csv("exp_ablation_n0", "n0,blocks,S,W,F,virtual_time", &rows);
-    println!("CSV written to {}", path.display());
     println!(
         "\nExpectation (paper): latency S falls as n0 grows (fewer synchronised\n\
          iterations) while the inversion flops rise; the virtual-time optimum\n\

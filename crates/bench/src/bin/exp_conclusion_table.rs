@@ -18,131 +18,64 @@
 //! after arXiv:2407.00871) — with a closing diff of where the predicted
 //! regime and W change between the two.
 
-use catrsm::planner;
+use catrsm::{Algorithm, SolveRequest};
 use costmodel::CostModelRev;
-use harness::{banner, run_trsm, write_csv, TrsmAlgo, TrsmInstance};
+use harness::{banner, run, swf, Table, TrsmInstance};
 use simnet::MachineParams;
-
-struct Case {
-    label: &'static str,
-    n: usize,
-    k: usize,
-    pr: usize,
-    pc: usize,
-    rec_base: usize,
-}
 
 fn main() {
     banner("T1: conclusion table (paper Section IX) — standard vs new method");
     let cases = [
-        Case {
-            label: "1 large dim  (n < 4k/p)",
-            n: 32,
-            k: 2048,
-            pr: 4,
-            pc: 4,
-            rec_base: 16,
-        },
-        Case {
-            label: "3 large dims (4k/p<=n<=4k sqrt(p))",
-            n: 256,
-            k: 64,
-            pr: 4,
-            pc: 4,
-            rec_base: 32,
-        },
-        Case {
-            label: "3 large dims (4k/p<=n<=4k sqrt(p))",
-            n: 512,
-            k: 128,
-            pr: 4,
-            pc: 4,
-            rec_base: 64,
-        },
-        Case {
-            label: "2 large dims (n > 4k sqrt(p))",
-            n: 512,
-            k: 16,
-            pr: 4,
-            pc: 4,
-            rec_base: 64,
-        },
-        Case {
-            label: "2 large dims (n > 4k sqrt(p))",
-            n: 1024,
-            k: 16,
-            pr: 4,
-            pc: 4,
-            rec_base: 64,
-        },
+        // (label, n, k, rec_base), each on a 4 × 4 grid
+        ("1 large dim  (n < 4k/p)", 32usize, 2048usize, 16usize),
+        ("3 large dims (4k/p<=n<=4k sqrt(p))", 256, 64, 32),
+        ("3 large dims (4k/p<=n<=4k sqrt(p))", 512, 128, 64),
+        ("2 large dims (n > 4k sqrt(p))", 512, 16, 64),
+        ("2 large dims (n > 4k sqrt(p))", 1024, 16, 64),
     ];
-    let mut rows = Vec::new();
+    let (pr, pc) = (4, 4);
+    let p = pr * pc;
+    let mut table = Table::new(
+        "rev,regime,n,k,p,S_std,W_std,F_std,S_new,W_new,F_new,model_S_ratio,measured_S_ratio",
+    );
+    println!("plans of the new method (its S/W/F are the *_new columns below):");
     for rev in CostModelRev::ALL {
-        banner(&format!("T1 under the {} cost model", rev.name()));
-        for case in &cases {
-            let p = case.pr * case.pc;
-            let plan = planner::plan(rev, case.n, case.k, p);
+        for (label, n, k, rec_base) in cases {
             let inst = TrsmInstance {
-                n: case.n,
-                k: case.k,
-                pr: case.pr,
-                pc: case.pc,
+                n,
+                k,
+                pr,
+                pc,
                 seed: 29,
             };
-            let std = run_trsm(
-                &inst,
-                TrsmAlgo::Recursive {
-                    base: case.rec_base,
-                },
-                MachineParams::unit(),
-            );
-            let new = run_trsm(
-                &inst,
-                TrsmAlgo::Iterative(plan.it_inv),
-                MachineParams::unit(),
-            );
-            assert!(
-                std.error < 1e-7 && new.error < 1e-7,
-                "both must solve correctly"
-            );
-
-            let row_model = rev.conclusion_row(case.n as f64, case.k as f64, p as f64);
-            println!(
-                "\n{}  n={} k={} p={}  (plan: {:?})",
-                case.label, case.n, case.k, p, plan.it_inv
-            );
-            println!("  {:<10} {}", "standard", std.row());
-            println!("  {:<10} {}", "new", new.row());
-            println!(
-                "  measured ratios: S {:.2}x   W {:.2}x   F {:.2}x      model S ratio {:.2}x",
-                std.latency as f64 / new.latency as f64,
-                std.bandwidth as f64 / new.bandwidth as f64,
-                std.flops as f64 / new.flops as f64,
-                row_model.standard.latency / row_model.new.latency,
-            );
-            rows.push(format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                rev.name(),
-                case.label.replace(',', ";"),
-                case.n,
-                case.k,
-                p,
-                std.latency,
-                std.bandwidth,
-                std.flops,
-                new.latency,
-                new.bandwidth,
-                new.flops,
-                row_model.standard.latency / row_model.new.latency,
-                std.latency as f64 / new.latency as f64,
-            ));
+            // The new method is the unpinned request: the planner's choice,
+            // made under this revision of the model.
+            let planned = SolveRequest::lower().cost_model(rev);
+            let plan = planned.plan_distributed(n, k, p).expect("a grid fits");
+            println!("  {:<8} {plan}", rev.name());
+            let pinned = SolveRequest::lower().algorithm(Algorithm::Recursive {
+                base_size: rec_base,
+            });
+            let std = run(&inst, pinned, MachineParams::unit());
+            let new = run(&inst, planned, MachineParams::unit());
+            let model = rev.conclusion_row(n as f64, k as f64, p as f64);
+            let ((s_std, w_std, f_std), (s_new, w_new, f_new)) =
+                (swf(&std.report), swf(&new.report));
+            let s_model = model.standard.latency / model.new.latency;
+            let (rev, ratio) = (rev.name(), s_std as f64 / s_new as f64);
+            table.row(&[
+                &rev, &label, &n, &k, &p, &s_std, &w_std, &f_std, &s_new, &w_new, &f_new, &s_model,
+                &ratio,
+            ]);
         }
     }
+    println!();
+    table.finish("exp_conclusion_table");
 
     banner("T1b: asymptotic model at paper scale (no simulation), both revisions");
-    println!(
-        "{:>10} {:>10} {:>10} | {:>12} {:>12} {:>8} | {:>12} {:>12} {:>8} | regimes",
-        "n", "k", "p", "S std i17", "S new i17", "S ratio", "S std t24", "S new t24", "S ratio"
+    let mut paper_scale = Table::new(
+        "n,k,p,S_std_i17,S_new_i17,S_ratio_i17,S_std_t24,S_new_t24,S_ratio_t24,\
+         W_std_t24_vs_i17_%,W_new_t24_vs_i17_%,regime_i17,regime_t24",
     );
     let mut boundary_moves = 0usize;
     for (n, k, p) in [
@@ -154,46 +87,24 @@ fn main() {
     ] {
         let i17 = CostModelRev::Ipdps17.conclusion_row(n, k, p);
         let t24 = CostModelRev::Tang24.conclusion_row(n, k, p);
-        let moved = i17.regime != t24.regime;
-        boundary_moves += usize::from(moved);
-        println!(
-            "{:>10.0e} {:>10.0e} {:>10.0e} | {:>12.3e} {:>12.3e} {:>8.1} | {:>12.3e} {:>12.3e} {:>8.1} | {:?} -> {:?}{}",
-            n,
-            k,
-            p,
-            i17.standard.latency,
-            i17.new.latency,
-            i17.standard.latency / i17.new.latency,
-            t24.standard.latency,
-            t24.new.latency,
-            t24.standard.latency / t24.new.latency,
-            i17.regime,
-            t24.regime,
-            if moved { "   <-- boundary moved" } else { "" }
-        );
-        println!(
-            "{:>32}   W std {:>10.3e} -> {:>10.3e} ({:+.1}%)   W new {:>10.3e} -> {:>10.3e} ({:+.1}%)",
-            "tang24 W correction:",
-            i17.standard.bandwidth,
-            t24.standard.bandwidth,
-            100.0 * (t24.standard.bandwidth / i17.standard.bandwidth - 1.0),
-            i17.new.bandwidth,
-            t24.new.bandwidth,
-            100.0 * (t24.new.bandwidth / i17.new.bandwidth - 1.0),
-        );
+        boundary_moves += usize::from(i17.regime != t24.regime);
+        let s = [&i17, &t24].map(|r| (r.standard.latency, r.new.latency));
+        let ratios = s.map(|(std, new)| std / new);
+        let w_std = 100.0 * (t24.standard.bandwidth / i17.standard.bandwidth - 1.0);
+        let w_new = 100.0 * (t24.new.bandwidth / i17.new.bandwidth - 1.0);
+        let [was, is] = [i17.regime, t24.regime].map(|r| format!("{r:?}"));
+        paper_scale.row(&[
+            &n, &k, &p, &s[0].0, &s[0].1, &ratios[0], &s[1].0, &s[1].1, &ratios[1], &w_std, &w_new,
+            &was, &is,
+        ]);
     }
+    print!("{}", paper_scale.text());
     println!(
         "\n{boundary_moves} of 5 paper-scale points change regime under the tang24\n\
          boundary constant; within a fixed regime the corrected recursive W\n\
          bound only ever grows, so the new method's S advantage is preserved\n\
          or widened (a W drop only appears where the regime itself moves)."
     );
-    let path = write_csv(
-        "exp_conclusion_table",
-        "rev,regime,n,k,p,S_std,W_std,F_std,S_new,W_new,F_new,model_S_ratio,measured_S_ratio",
-        &rows,
-    );
-    println!("\nCSV written to {}", path.display());
     println!(
         "\nExpectation (paper): in the 2D/3D rows the new method wins on S while\n\
          matching W and F (within 2x on F); in the 1D row it pays a small extra\n\

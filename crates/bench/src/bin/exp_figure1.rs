@@ -11,7 +11,7 @@
 //! boundary moves between the two is flagged in a side-by-side diff.
 
 use costmodel::{CostModelRev, Regime};
-use harness::{banner, write_csv};
+use harness::{banner, Table};
 
 fn glyph(regime: Regime) -> char {
     match regime {
@@ -21,21 +21,13 @@ fn glyph(regime: Regime) -> char {
     }
 }
 
-fn cuboid(p1: f64, p2: f64) -> String {
-    format!("{:>5.1} x {:>5.1} x {:>6.1}", p1, p1, p2)
-}
-
 fn main() {
     banner("F1: layout selection vs. relative matrix size (paper Figure 1)");
     let k = 1 << 14;
-    let mut rows = Vec::new();
-    let mut moves = Vec::new();
+    let mut table = Table::new("rev,p,n,k,n_over_k,regime,p1,p2,n0,r1");
+    let mut moves = Table::new("p,n,ipdps17,tang24");
+    println!("k = {k}, n/k from 2^-8 to 2^8   (1 = 1D slab, 3 = 3D cuboid, 2 = 2D face)");
     for p in [64usize, 256, 4096, 65536] {
-        println!("\np = {p}   (k = {k}, n sweeps over n/k from 2^-8 to 2^8)");
-        println!(
-            "{:>10} {:>10} | {:>7} {:>7} | {:>24} | layout (ipdps17)",
-            "n", "n/k", "ipdps17", "tang24", "grid p1 x p1 x p2"
-        );
         let mut strips = [String::new(), String::new()];
         for exp in -8i32..=8 {
             let n = if exp >= 0 {
@@ -48,38 +40,19 @@ fn main() {
                 let plan = rev.plan(n, k, p);
                 regimes[slot] = plan.regime;
                 strips[slot].push(glyph(plan.regime));
-                rows.push(format!(
-                    "{},{p},{n},{k},{},{},{},{},{},{}",
-                    rev.name(),
-                    n as f64 / k as f64,
-                    glyph(plan.regime),
-                    plan.p1,
-                    plan.p2,
-                    plan.n0,
-                    plan.r1
-                ));
+                let (name, ratio, regime) = (rev.name(), n as f64 / k as f64, glyph(plan.regime));
+                table.row(&[
+                    &name, &p, &n, &k, &ratio, &regime, &plan.p1, &plan.p2, &plan.n0, &plan.r1,
+                ]);
             }
-            let plan = CostModelRev::Ipdps17.plan(n, k, p);
-            let moved = regimes[0] != regimes[1];
-            println!(
-                "{:>10} {:>10.4} | {:>7} {:>7} | {:>24} | {}{}",
-                n,
-                n as f64 / k as f64,
-                glyph(regimes[0]),
-                glyph(regimes[1]),
-                cuboid(plan.p1, plan.p2),
-                plan.regime.name(),
-                if moved { "   <-- boundary moved" } else { "" }
-            );
-            if moved {
-                moves.push((p, n, regimes[0], regimes[1]));
+            if regimes[0] != regimes[1] {
+                moves.row(&[&p, &n, &regimes[0].name(), &regimes[1].name()]);
             }
         }
         println!(
-            "  n/k from 2^-8 to 2^8, ipdps17:  [{}]   (1 = 1D slab, 3 = 3D cuboid, 2 = 2D face)",
-            strips[0]
+            "  p = {p:<6} ipdps17: [{}]   tang24: [{}]",
+            strips[0], strips[1]
         );
-        println!("  n/k from 2^-8 to 2^8, tang24:   [{}]", strips[1]);
     }
     println!(
         "\nASCII rendering of the three layouts (paper Figure 1):\n\
@@ -93,31 +66,16 @@ fn main() {
     );
 
     banner("F1b: regime-boundary moves, ipdps17 -> tang24");
-    if moves.is_empty() {
-        println!("no sweep point changed regime between the two revisions");
-    } else {
-        println!(
-            "{:>8} {:>10} | {:>10} -> {:<10}",
-            "p", "n", "ipdps17", "tang24"
-        );
-        for (p, n, from, to) in &moves {
-            println!("{p:>8} {n:>10} | {:>10} -> {:<10}", from.name(), to.name());
-        }
-        println!(
-            "{} of {} sweep points moved: tightening the boundary constant from 4\n\
-             to 2 shrinks the 3D window from [4k/p, 4k sqrt(p)] to [2k/p, 2k sqrt(p)],\n\
-             handing its edges to the 1D slab and 2D face layouts.",
-            moves.len(),
-            4 * 17
-        );
-    }
-
-    let path = write_csv(
-        "exp_figure1",
-        "rev,p,n,k,n_over_k,regime,p1,p2,n0,r1",
-        &rows,
+    print!("{}", moves.text());
+    println!(
+        "Of the {} sweep points, the ones above moved: tightening the boundary\n\
+         constant from 4 to 2 shrinks the 3D window from [4k/p, 4k sqrt(p)] to\n\
+         [2k/p, 2k sqrt(p)], handing its edges to the 1D slab and 2D face layouts.",
+        4 * 17
     );
-    println!("\nCSV written to {}", path.display());
+
+    banner("F1c: every sweep point, per revision");
+    table.finish("exp_figure1");
     println!(
         "Expectation (paper): for every p the strip reads 1…1 3…3 2…2 — the\n\
          layout moves from a 1D slab through the 3D cuboid to the 2D face as\n\

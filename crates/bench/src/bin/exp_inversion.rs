@@ -6,40 +6,24 @@
 //! the `Θ(n)`-round wavefront substitution or the `Θ(poly p)` recursive TRSM.
 
 use dense::gen;
-use harness::{banner, write_csv};
-use pgrid::{DistMatrix, Grid2D};
-use simnet::{Machine, MachineParams};
+use harness::{banner, on_grid, swf, Table};
+use pgrid::DistMatrix;
+use simnet::{CostReport, MachineParams};
 
-fn run_inv(q: usize, n: usize, base: usize) -> (u64, u64, u64, f64) {
-    let out = Machine::new(q * q, MachineParams::unit())
-        .run(move |comm| {
-            let grid = Grid2D::new(comm, q, q).unwrap();
-            let l_global = gen::well_conditioned_lower(n, 5);
-            let l = DistMatrix::from_global(&grid, &l_global);
-            let inv =
-                catrsm::tri_inv::tri_inv(&l, &catrsm::tri_inv::TriInvConfig { base_size: base })
-                    .unwrap();
-            let prod = catrsm::mm3d::mm3d_auto(&inv, &l).unwrap();
-            let id = DistMatrix::from_fn(&grid, n, n, |i, j| if i == j { 1.0 } else { 0.0 });
-            prod.rel_diff(&id).unwrap()
-        })
-        .unwrap();
-    let err = out.results.iter().copied().fold(0.0, f64::max);
-    (
-        out.report.max_messages(),
-        out.report.max_words(),
-        out.report.max_flops(),
-        err,
-    )
+fn run_inv(q: usize, n: usize, base: usize) -> CostReport {
+    on_grid(q, q, MachineParams::unit(), |grid| {
+        let l = DistMatrix::from_global(grid, &gen::well_conditioned_lower(n, 5));
+        let inv = catrsm::tri_inv::tri_inv(&l, base).unwrap();
+        let prod = catrsm::mm3d::mm3d_auto(&inv, &l).unwrap();
+        let id = DistMatrix::from_fn(grid, n, n, |i, j| if i == j { 1.0 } else { 0.0 });
+        (prod.rel_diff(&id).unwrap(), None)
+    })
+    .report
 }
 
 fn main() {
     banner("E4: recursive triangular inversion (paper Section V)");
-    println!(
-        "{:>4} {:>6} {:>6} | {:>8} {:>12} {:>14} | {:>8} {:>12} {:>14} | err",
-        "p", "n", "base", "S meas", "W meas", "F meas", "S model", "W model", "F model"
-    );
-    let mut rows = Vec::new();
+    let mut table = Table::new("p,n,base,S_measured,W_measured,F_measured,S_model,W_model,F_model");
     for (q, n, base) in [
         (2usize, 128usize, 32usize),
         (2, 256, 32),
@@ -47,54 +31,33 @@ fn main() {
         (4, 256, 16),
         (4, 512, 32),
     ] {
-        let (s, w, f, err) = run_inv(q, n, base);
+        let r = run_inv(q, n, base);
         // Model grid: the recursion effectively uses p = q² processors with a
         // square face; report the paper's formula for p1 = q, p2 = 1.
         let model = costmodel::inversion::rec_tri_inv_cost(n as f64, q as f64, 1.0);
-        println!(
-            "{:>4} {:>6} {:>6} | {:>8} {:>12} {:>14} | {:>8.0} {:>12.0} {:>14.0} | {:.1e}",
-            q * q,
-            n,
-            base,
-            s,
-            w,
-            f,
-            model.latency,
-            model.bandwidth,
-            2.0 * model.flops,
-            err
-        );
-        rows.push(format!(
-            "{},{n},{base},{s},{w},{f},{},{},{}",
-            q * q,
-            model.latency,
-            model.bandwidth,
-            2.0 * model.flops
-        ));
+        let (sm, wm, fm) = (model.latency, model.bandwidth, 2.0 * model.flops);
+        let (s, w, f) = swf(&r);
+        table.row(&[&(q * q), &n, &base, &s, &w, &f, &sm, &wm, &fm]);
     }
+    table.finish("exp_inversion");
+
     // Scaling in n at fixed p: bandwidth should grow ~n², flops ~n³, latency ~constant.
     banner("E4b: scaling with n at fixed p = 16");
-    let mut prev: Option<(u64, u64, u64)> = None;
+    let mut prev: Option<CostReport> = None;
     for n in [128usize, 256, 512] {
-        let (s, w, f, _) = run_inv(4, n, 16);
-        if let Some((ps, pw, pf)) = prev {
+        let r = run_inv(4, n, 16);
+        if let Some(p) = prev {
             println!(
                 "n {:>4} -> {:>4}: S ratio {:>5.2} (expect ~1), W ratio {:>5.2} (expect ~4), F ratio {:>5.2} (expect ~8)",
                 n / 2,
                 n,
-                s as f64 / ps as f64,
-                w as f64 / pw as f64,
-                f as f64 / pf as f64
+                r.max_messages() as f64 / p.max_messages() as f64,
+                r.max_words() as f64 / p.max_words() as f64,
+                r.max_flops() as f64 / p.max_flops() as f64
             );
         }
-        prev = Some((s, w, f));
+        prev = Some(r);
     }
-    let path = write_csv(
-        "exp_inversion",
-        "p,n,base,S_measured,W_measured,F_measured,S_model,W_model,F_model",
-        &rows,
-    );
-    println!("\nCSV written to {}", path.display());
     println!(
         "\nExpectation (paper): latency stays polylogarithmic in p and nearly flat\n\
          in n, while bandwidth grows ~n² and flops ~n³ — confirming that the\n\

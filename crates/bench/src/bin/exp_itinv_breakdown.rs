@@ -7,14 +7,15 @@
 //! never of leading order and that the solve/update phases carry the
 //! predicted `n/n0`-proportional costs.
 
-use catrsm::it_inv_trsm::ItInvConfig;
+use catrsm::{Algorithm, ItInvConfig, SolveRequest};
 use costmodel::itinv;
-use harness::{banner, run_itinv_with_phases, write_csv, TrsmInstance};
+use harness::{banner, run, swf, Table, TrsmInstance};
 use simnet::MachineParams;
 
 fn main() {
     banner("E5: It-Inv-TRSM phase breakdown (paper Section VII)");
-    let mut rows = Vec::new();
+    let mut table =
+        Table::new("n,k,p,p1,p2,n0,phase,S_measured,W_measured,F_measured,W_model,F_model");
     let cases = [
         // (n, k, pr, pc, p1, p2, n0)
         (256usize, 64usize, 2usize, 2usize, 2usize, 1usize, 32usize),
@@ -23,6 +24,7 @@ fn main() {
         (512, 128, 4, 4, 4, 1, 64),
         (128, 512, 4, 4, 1, 16, 128),
     ];
+    println!("whole solve, and the two phases the model does not price:");
     for (n, k, pr, pc, p1, p2, n0) in cases {
         let inst = TrsmInstance {
             n,
@@ -37,80 +39,35 @@ fn main() {
             n0,
             inv_base: 16,
         };
-        let (measured, phases) = run_itinv_with_phases(&inst, cfg, MachineParams::unit());
-        assert!(measured.error < 1e-7, "solution must stay correct");
+        let request = SolveRequest::lower().algorithm(Algorithm::IterativeInversion(cfg));
+        let measured = run(&inst, request, MachineParams::unit());
+        let p = pr * pc;
+        println!(
+            "  n={n} k={k} p={p} grid={p1}x{p1}x{p2} n0={n0}: {}",
+            measured.report.summary()
+        );
 
-        let inv_model = itinv::inversion_phase(n as f64, n0 as f64, p1 as f64, p2 as f64);
-        let solve_model = itinv::solve_phase(n as f64, k as f64, n0 as f64, p1 as f64, p2 as f64);
-        let upd_model = itinv::update_phase(n as f64, k as f64, n0 as f64, p1 as f64, p2 as f64);
-
-        println!(
-            "\nn={n} k={k} p={} grid={p1}x{p1}x{p2} n0={n0}   (total {})",
-            pr * pc,
-            measured.row()
-        );
-        println!(
-            "  {:<10} {:<52} | model W {:>12.0}  model F {:>14.0}",
-            "phase", "measured", 0.0, 0.0
-        );
-        println!("  {:<10} {:<52} |", "setup", phases.setup.row());
-        println!(
-            "  {:<10} {:<52} | model W {:>12.0}  model F {:>14.0}",
-            "inversion",
-            phases.inversion.row(),
-            inv_model.bandwidth,
-            2.0 * inv_model.flops
-        );
-        println!(
-            "  {:<10} {:<52} | model W {:>12.0}  model F {:>14.0}",
-            "solve",
-            phases.solve.row(),
-            solve_model.bandwidth,
-            2.0 * solve_model.flops
-        );
-        println!(
-            "  {:<10} {:<52} | model W {:>12.0}  model F {:>14.0}",
-            "update",
-            phases.update.row(),
-            upd_model.bandwidth,
-            2.0 * upd_model.flops
-        );
-        println!("  {:<10} {:<52} |", "finalize", phases.finalize.row());
-
-        rows.push(format!(
-            "{n},{k},{},{p1},{p2},{n0},inversion,{},{},{},{},{}",
-            pr * pc,
-            phases.inversion.latency,
-            phases.inversion.bandwidth,
-            phases.inversion.flops,
-            inv_model.bandwidth,
-            2.0 * inv_model.flops
-        ));
-        rows.push(format!(
-            "{n},{k},{},{p1},{p2},{n0},solve,{},{},{},{},{}",
-            pr * pc,
-            phases.solve.latency,
-            phases.solve.bandwidth,
-            phases.solve.flops,
-            solve_model.bandwidth,
-            2.0 * solve_model.flops
-        ));
-        rows.push(format!(
-            "{n},{k},{},{p1},{p2},{n0},update,{},{},{},{},{}",
-            pr * pc,
-            phases.update.latency,
-            phases.update.bandwidth,
-            phases.update.flops,
-            upd_model.bandwidth,
-            2.0 * upd_model.flops
-        ));
+        // The model prices the inversion on the r1 × r1 × r2 sub-grid each
+        // diagonal block gets, and solve/update on the p1 × p1 × p2 solve grid.
+        let (nf, kf, n0f) = (n as f64, k as f64, n0 as f64);
+        let (p1f, p2f) = (p1 as f64, p2 as f64);
+        let (r1, r2) = cfg.inversion_grid(n);
+        for (phase, report) in measured.phases.expect("It-Inv-TRSM reports its phases") {
+            let model = match phase {
+                "inversion" => itinv::inversion_phase(nf, n0f, r1, r2),
+                "solve" => itinv::solve_phase(nf, kf, n0f, p1f, p2f),
+                "update" => itinv::update_phase(nf, kf, n0f, p1f, p2f),
+                _ => {
+                    println!("    {phase:<9} {}", report.summary());
+                    continue;
+                }
+            };
+            let ((s, w, f), wm, fm) = (swf(&report), model.bandwidth, 2.0 * model.flops);
+            table.row(&[&n, &k, &p, &p1, &p2, &n0, &phase, &s, &w, &f, &wm, &fm]);
+        }
     }
-    let path = write_csv(
-        "exp_itinv_breakdown",
-        "n,k,p,p1,p2,n0,phase,S_measured,W_measured,F_measured,W_model,F_model",
-        &rows,
-    );
-    println!("\nCSV written to {}", path.display());
+    println!();
+    table.finish("exp_itinv_breakdown");
     println!(
         "\nExpectation (paper): solve and update dominate bandwidth and flops\n\
          with the W_Solve / W_Upd shapes of Section VII; the inversion phase is\n\

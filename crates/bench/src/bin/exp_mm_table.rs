@@ -6,39 +6,26 @@
 //! `T_MM = β·(n²/p1²·1_{p2} + 2nk/(p1·p2)) + γ·n²k/p + O(α log p + β nk log p / p)`.
 
 use dense::gen;
-use harness::{banner, write_csv};
-use pgrid::{DistMatrix, Grid2D};
-use simnet::{Machine, MachineParams};
+use harness::{banner, on_grid, swf, Table};
+use pgrid::DistMatrix;
+use simnet::{CostReport, MachineParams};
 
-fn run_mm(q: usize, p1: usize, n: usize, k: usize) -> (u64, u64, u64, f64) {
-    let out = Machine::new(q * q, MachineParams::unit())
-        .run(move |comm| {
-            let grid = Grid2D::new(comm, q, q).unwrap();
-            let a_global = gen::uniform(n, n, 7);
-            let x_global = gen::uniform(n, k, 8);
-            let a = DistMatrix::from_global(&grid, &a_global);
-            let x = DistMatrix::from_global(&grid, &x_global);
-            let b = catrsm::mm3d::mm3d(&a, &x, &catrsm::mm3d::MmConfig { p1 }).unwrap();
-            let expect = DistMatrix::from_global(&grid, &dense::matmul(&a_global, &x_global));
-            b.rel_diff(&expect).unwrap()
-        })
-        .unwrap();
-    let err = out.results.iter().copied().fold(0.0, f64::max);
-    (
-        out.report.max_messages(),
-        out.report.max_words(),
-        out.report.max_flops(),
-        err,
-    )
+fn run_mm(q: usize, p1: usize, n: usize, k: usize) -> CostReport {
+    on_grid(q, q, MachineParams::unit(), |grid| {
+        let a_global = gen::uniform(n, n, 7);
+        let x_global = gen::uniform(n, k, 8);
+        let a = DistMatrix::from_global(grid, &a_global);
+        let x = DistMatrix::from_global(grid, &x_global);
+        let b = catrsm::mm3d::mm3d(&a, &x, p1).unwrap();
+        let expect = DistMatrix::from_global(grid, &dense::matmul(&a_global, &x_global));
+        (b.rel_diff(&expect).unwrap(), None)
+    })
+    .report
 }
 
 fn main() {
     banner("E2: 3D matrix multiplication from a 2D layout (paper Section III)");
-    println!(
-        "{:>4} {:>4} {:>4} {:>6} {:>6} | {:>6} {:>10} {:>12} | {:>10} {:>12} | err",
-        "p", "p1", "p2", "n", "k", "S", "W meas", "F meas", "W model", "F model"
-    );
-    let mut rows = Vec::new();
+    let mut table = Table::new("p,p1,p2,n,k,S_measured,W_measured,F_measured,W_model,F_model");
     for (q, n, k) in [
         (2usize, 128usize, 64usize),
         (4, 256, 64),
@@ -50,7 +37,7 @@ fn main() {
             let s = q / p1;
             let p2 = s * s;
             if n % (p1 * p1) == 0 && k % p2 == 0 && n % q == 0 && k % q == 0 {
-                let (smeas, wmeas, fmeas, err) = run_mm(q, p1, n, k);
+                let r = run_mm(q, p1, n, k);
                 let model = costmodel::mm::mm_cost(
                     n as f64,
                     k as f64,
@@ -58,43 +45,13 @@ fn main() {
                     p1 as f64,
                     p2 as f64,
                 );
-                println!(
-                    "{:>4} {:>4} {:>4} {:>6} {:>6} | {:>6} {:>10} {:>12} | {:>10.0} {:>12.0} | {:.1e}",
-                    q * q,
-                    p1,
-                    p2,
-                    n,
-                    k,
-                    smeas,
-                    wmeas,
-                    fmeas,
-                    model.bandwidth,
-                    2.0 * model.flops,
-                    err
-                );
-                rows.push(format!(
-                    "{},{},{},{},{},{},{},{},{},{}",
-                    q * q,
-                    p1,
-                    p2,
-                    n,
-                    k,
-                    smeas,
-                    wmeas,
-                    fmeas,
-                    model.bandwidth,
-                    2.0 * model.flops
-                ));
+                let ((s, w, f), wm, fm) = (swf(&r), model.bandwidth, 2.0 * model.flops);
+                table.row(&[&(q * q), &p1, &p2, &n, &k, &s, &w, &f, &wm, &fm]);
             }
             p1 *= 2;
         }
     }
-    let path = write_csv(
-        "exp_mm_table",
-        "p,p1,p2,n,k,S_measured,W_measured,F_measured,W_model,F_model",
-        &rows,
-    );
-    println!("\nCSV written to {}", path.display());
+    table.finish("exp_mm_table");
     println!(
         "\nExpectation (paper): measured W tracks n²/p1² + 2nk/(p1·p2) (plus the\n\
          lower-order transpose term), flops are the load-balanced 2·n²k/p, and\n\

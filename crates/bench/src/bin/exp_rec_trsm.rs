@@ -6,16 +6,13 @@
 //! carries an extra `log p` factor in the 2D regime — the motivation the
 //! paper gives for the iterative reformulation).
 
-use harness::{banner, run_trsm, write_csv, TrsmAlgo, TrsmInstance};
+use catrsm::{Algorithm, SolveRequest};
+use harness::{banner, run, swf, Table, TrsmInstance};
 use simnet::MachineParams;
 
 fn main() {
     banner("E3: recursive TRSM (the paper's baseline, Section IV)");
-    println!(
-        "{:<28} {:>4} {:>6} {:>6} | {:>8} {:>12} {:>13} | {:>9} {:>12}",
-        "regime", "p", "n", "k", "S meas", "W meas", "F meas", "S model", "W model"
-    );
-    let mut rows = Vec::new();
+    let mut table = Table::new("regime,p,n,k,S_measured,W_measured,F_measured,S_model,W_model");
     let cases = [
         // (label, n, k, pr, pc, base)
         (
@@ -34,7 +31,7 @@ fn main() {
         ("2 large dims (n > 4k√p)", 512, 16, 4, 4, 64),
         ("2 large dims (n > 4k√p)", 1024, 16, 4, 4, 64),
     ];
-    for (label, n, k, pr, pc, base) in cases {
+    for (label, n, k, pr, pc, base_size) in cases {
         let inst = TrsmInstance {
             n,
             k,
@@ -42,38 +39,14 @@ fn main() {
             pc,
             seed: 3,
         };
-        let m = run_trsm(&inst, TrsmAlgo::Recursive { base }, MachineParams::unit());
+        let request = SolveRequest::lower().algorithm(Algorithm::Recursive { base_size });
+        let m = run(&inst, request, MachineParams::unit());
         let model =
             costmodel::CostModelRev::Ipdps17.rec_trsm_cost(n as f64, k as f64, (pr * pc) as f64);
-        println!(
-            "{:<28} {:>4} {:>6} {:>6} | {:>8} {:>12} {:>13} | {:>9.0} {:>12.0}",
-            label,
-            pr * pc,
-            n,
-            k,
-            m.latency,
-            m.bandwidth,
-            m.flops,
-            model.latency,
-            model.bandwidth
-        );
-        assert!(m.error < 1e-7, "solution must stay correct");
-        rows.push(format!(
-            "{label},{},{n},{k},{},{},{},{},{}",
-            pr * pc,
-            m.latency,
-            m.bandwidth,
-            m.flops,
-            model.latency,
-            model.bandwidth
-        ));
+        let ((s, w, f), sm, wm) = (swf(&m.report), model.latency, model.bandwidth);
+        table.row(&[&label, &(pr * pc), &n, &k, &s, &w, &f, &sm, &wm]);
     }
-    let path = write_csv(
-        "exp_rec_trsm",
-        "regime,p,n,k,S_measured,W_measured,F_measured,S_model,W_model",
-        &rows,
-    );
-    println!("\nCSV written to {}", path.display());
+    table.finish("exp_rec_trsm");
     println!(
         "\nExpectation (paper): latency grows with p (and with n/k in the 3D rows),\n\
          unlike the iterative algorithm of E5/T1; bandwidth tracks the model's\n\

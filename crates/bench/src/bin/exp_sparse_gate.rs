@@ -5,20 +5,18 @@
 //! `SparseTri::level_sweep_forced`, so it is timed exactly where the rule
 //! declines it) and the default plan — interleaved, so drift in the host's
 //! speed moves all three together.  `sparse::PAR_MIN_RUN_WEIGHT` is read off
-//! this table — the `ent/run` at which `f/seq` crosses 1, plus margin — and
-//! `sparse::ANALYZE_REUSE_MIN` off its `analyse` column; re-run it on a
-//! host with more cores to re-derive both.
+//! this table — the `entries_per_run` at which `forced_ms` drops below
+//! `seq_ms`, plus margin — and `sparse::ANALYZE_REUSE_MIN` off its
+//! `analyse_ms` column; re-run it on a host with more cores to re-derive
+//! both.
 //!
 //! The budget is the `DENSE_THREADS` pool: run with `DENSE_THREADS=2` on a
 //! 2-core host (oversubscribed workers only measure the scheduler).
 
 use dense::{dense_threads, Matrix};
-use harness::{banner, write_csv};
+use harness::{banner, Table};
 use sparse::{gen, Schedule, SolveOpts, SparseTri};
 use std::time::Instant;
-
-const HEADER: &str = "shape                         k levels ent/level   ent/run |  analyse   \
-                      seq ms   forced  default |  f/seq  d/seq workers";
 
 fn median(ms: &mut [f64]) -> f64 {
     ms.sort_by(f64::total_cmp);
@@ -49,8 +47,8 @@ fn main() {
             }
         }
     }
-    println!("{HEADER}");
-    let (mut rows, mut won) = (Vec::new(), Vec::new());
+    let mut table = Table::new("shape,k,levels,entries_per_level,entries_per_run,analyse_ms,seq_ms,forced_ms,default_ms,workers");
+    let mut won = Vec::new();
     let (default, seq_opts) = (SolveOpts::new(), SolveOpts::new().threads(1));
     for (name, m) in &zoo {
         for k in [1usize, 4] {
@@ -91,20 +89,14 @@ fn main() {
             let (levels, runs) = (m.schedule().num_levels(), m.schedule().num_runs());
             let (per_level, per_run) = (m.nnz() * k / levels, m.nnz() * k / runs);
             let analyse = median(&mut analyse);
-            println!(
-                "{name:<28} {k:>2} {levels:>6} {per_level:>9} {per_run:>9} | {analyse:>8.3} \
-                 {seq:>8.3} {forced:>8.3} {plan:>8.3} | {:>6.2} {:>6.2} {:>7}",
-                seq / forced,
-                seq / plan,
-                shape.workers
-            );
-            rows.push(format!(
-                "{name},{k},{levels},{per_level},{per_run},{analyse:.4},{seq:.4},{forced:.4},\
-                 {plan:.4},{}",
-                shape.workers
-            ));
+            let [t0, t1, t2, t3] = [analyse, seq, forced, plan].map(|t| format!("{t:.4}"));
+            let workers = shape.workers;
+            table.row(&[
+                name, &k, &levels, &per_level, &per_run, &t0, &t1, &t2, &t3, &workers,
+            ]);
         }
     }
+    table.finish("exp_sparse_gate");
     match won.len() {
         0 => println!("\nrule went parallel on no row (budget {budget})"),
         n => println!(
@@ -112,8 +104,4 @@ fn main() {
             median(&mut won)
         ),
     }
-    let header = "shape,k,levels,entries_per_level,entries_per_run,analyse_ms,seq_ms,forced_ms,\
-                  default_ms,workers";
-    let path = write_csv("exp_sparse_gate", header, &rows);
-    println!("CSV written to {}", path.display());
 }

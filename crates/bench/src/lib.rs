@@ -1,59 +1,78 @@
 //! Experiment harness shared by the `exp_*` binaries.
 //!
-//! Every experiment follows the same pattern: build a TRSM instance on the
-//! simulated machine, run one of the algorithms, collect the critical-path
-//! counters (`S`, `W`, `F`, virtual time) from the [`simnet::CostReport`],
-//! verify the solution, and print the measurement next to the corresponding
-//! prediction of the `costmodel` crate.  The helpers here remove the
-//! boilerplate so each binary reads like the experiment it reproduces.
+//! Every experiment follows the same pattern: build an instance on the
+//! simulated machine, run it through the staged API the repository
+//! reproduces the paper with (`SolveRequest → SolvePlan → Solution`), read the
+//! critical-path counters (`S`, `W`, `F`, virtual time) off the
+//! [`simnet::CostReport`], check the solution, and put the measurement next
+//! to the `costmodel` prediction in one [`Table`] that is both the printed
+//! text and the CSV under `results/`.
 
-use catrsm::it_inv_trsm::{it_inv_trsm, ItInvConfig, PhaseBreakdown};
-use catrsm::rec_trsm::{rec_trsm, RecTrsmConfig};
-use catrsm::wavefront::wavefront_trsm;
+use catrsm::{PhaseBreakdown, SolveRequest};
 use dense::gen;
 use pgrid::{DistMatrix, Grid2D};
-use simnet::{CostCounters, Machine, MachineParams};
+use simnet::{CostCounters, CostReport, Machine, MachineParams};
+use std::fmt::{Display, Write as _};
 use std::fs;
-use std::io::Write as _;
 use std::path::PathBuf;
 
-/// Critical-path measurement of one algorithm run on the simulated machine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Measured {
-    /// Messages along the critical path (max over ranks of max(sent, recv)).
-    pub latency: u64,
-    /// Words along the critical path.
-    pub bandwidth: u64,
-    /// Flops along the critical path.
-    pub flops: u64,
-    /// Virtual execution time under the machine parameters used.
-    pub time: f64,
-    /// Relative error of the computed solution against the known one.
+type PhaseOf = fn(&PhaseBreakdown) -> CostCounters;
+
+/// The phases of `It-Inv-TRSM`, in execution order, by name.
+const PHASES: [(&str, PhaseOf); 5] = [
+    ("setup", |p| p.setup),
+    ("inversion", |p| p.inversion),
+    ("solve", |p| p.solve),
+    ("update", |p| p.update),
+    ("finalize", |p| p.finalize),
+];
+
+/// What one run on the simulated machine measured.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// Every rank's counters for the whole run; the paper's `S`/`W`/`F`/`T`
+    /// are its `max_messages` / `max_words` / `max_flops` / `virtual_time`.
+    pub report: CostReport,
+    /// Per phase of `It-Inv-TRSM` (when that is what ran), the ranks' phase
+    /// counters as a report of their own, so a phase's critical-path maxima
+    /// read the same way as the total's.
+    pub phases: Option<[(&'static str, CostReport); 5]>,
+    /// Largest relative error any rank found in its result.
     pub error: f64,
 }
 
-impl Measured {
-    /// Render as a compact table cell group.
-    pub fn row(&self) -> String {
-        format!(
-            "S={:>9}  W={:>12}  F={:>14}  T={:>12.4e}  err={:.1e}",
-            self.latency, self.bandwidth, self.flops, self.time, self.error
-        )
+/// The one grid fixture: run `body` on every rank of a `pr × pc` grid of a
+/// fresh simulated machine.  `body` returns the rank's relative result error
+/// — an experiment whose result is wrong measures nothing, so it must stay
+/// below `1e-7` — and, if it ran `It-Inv-TRSM`, its phase breakdown.
+pub fn on_grid(
+    pr: usize,
+    pc: usize,
+    params: MachineParams,
+    body: impl Fn(&Grid2D) -> (f64, Option<PhaseBreakdown>) + Send + Sync,
+) -> Run {
+    let out = Machine::new(pr * pc, params)
+        .run(|comm| body(&Grid2D::new(comm, pr, pc).expect("grid shape")))
+        .expect("machine run");
+    let error = out.results.iter().map(|(e, _)| *e).fold(0.0, f64::max);
+    assert!(
+        error < 1e-7,
+        "wrong result on the {pr} × {pc} grid: {error}"
+    );
+    let per_rank: Option<Vec<PhaseBreakdown>> = out.results.iter().map(|(_, p)| *p).collect();
+    let phases = per_rank.map(|ranks| {
+        PHASES.map(|(name, pick)| {
+            (
+                name,
+                CostReport::new(ranks.iter().map(pick).collect(), params),
+            )
+        })
+    });
+    Run {
+        report: out.report,
+        phases,
+        error,
     }
-}
-
-/// Which TRSM algorithm an experiment runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrsmAlgo {
-    /// The recursive baseline of Section IV ("standard").
-    Recursive {
-        /// Base-case size.
-        base: usize,
-    },
-    /// The iterative inversion-based algorithm of Section VI ("new method").
-    Iterative(ItInvConfig),
-    /// The row-fan-out baseline.
-    Wavefront,
 }
 
 /// A TRSM problem instance for the experiments.
@@ -72,150 +91,141 @@ pub struct TrsmInstance {
 }
 
 impl TrsmInstance {
-    /// Total number of processors.
-    pub fn procs(&self) -> usize {
-        self.pr * self.pc
-    }
-}
-
-/// Run one TRSM algorithm on the simulated machine and return the
-/// critical-path measurement.
-pub fn run_trsm(inst: &TrsmInstance, algo: TrsmAlgo, params: MachineParams) -> Measured {
-    let TrsmInstance { n, k, pr, pc, seed } = *inst;
-    let machine = Machine::new(pr * pc, params);
-    let out = machine
-        .run(move |comm| {
-            let grid = Grid2D::new(comm, pr, pc).expect("grid shape");
+    /// Distribute this instance's `L` and `B = L·X` over the grid, hand them
+    /// to `solve`, and measure its result against the known `X`.
+    pub fn solve_with(
+        &self,
+        params: MachineParams,
+        solve: impl Fn(&DistMatrix, &DistMatrix) -> (DistMatrix, Option<PhaseBreakdown>) + Send + Sync,
+    ) -> Run {
+        let TrsmInstance { n, k, pr, pc, seed } = *self;
+        on_grid(pr, pc, params, |grid| {
             let l_global = gen::well_conditioned_lower(n, seed);
             let x_true = gen::rhs(n, k, seed ^ 0xabcd);
             let b_global = dense::matmul(&l_global, &x_true);
-            let l = DistMatrix::from_global(&grid, &l_global);
-            let b = DistMatrix::from_global(&grid, &b_global);
-            let x = match algo {
-                TrsmAlgo::Recursive { base } => {
-                    rec_trsm(&l, &b, &RecTrsmConfig { base_size: base }).expect("recursive TRSM")
-                }
-                TrsmAlgo::Iterative(cfg) => it_inv_trsm(&l, &b, &cfg).expect("iterative TRSM").0,
-                TrsmAlgo::Wavefront => wavefront_trsm(&l, &b).expect("wavefront TRSM"),
-            };
-            let x_ref = DistMatrix::from_global(&grid, &x_true);
-            x.rel_diff(&x_ref).expect("conformal")
-        })
-        .expect("machine run");
-    let error = out.results.iter().copied().fold(0.0, f64::max);
-    Measured {
-        latency: out.report.max_messages(),
-        bandwidth: out.report.max_words(),
-        flops: out.report.max_flops(),
-        time: out.report.virtual_time(),
-        error,
-    }
-}
-
-/// Run the iterative algorithm and additionally return the per-phase
-/// critical-path counters (max over ranks, per phase).
-pub fn run_itinv_with_phases(
-    inst: &TrsmInstance,
-    cfg: ItInvConfig,
-    params: MachineParams,
-) -> (Measured, PhaseSummary) {
-    let TrsmInstance { n, k, pr, pc, seed } = *inst;
-    let machine = Machine::new(pr * pc, params);
-    let out = machine
-        .run(move |comm| {
-            let grid = Grid2D::new(comm, pr, pc).expect("grid shape");
-            let l_global = gen::well_conditioned_lower(n, seed);
-            let x_true = gen::rhs(n, k, seed ^ 0xabcd);
-            let b_global = dense::matmul(&l_global, &x_true);
-            let l = DistMatrix::from_global(&grid, &l_global);
-            let b = DistMatrix::from_global(&grid, &b_global);
-            let (x, phases) = it_inv_trsm(&l, &b, &cfg).expect("iterative TRSM");
-            let x_ref = DistMatrix::from_global(&grid, &x_true);
+            let l = DistMatrix::from_global(grid, &l_global);
+            let b = DistMatrix::from_global(grid, &b_global);
+            let (x, phases) = solve(&l, &b);
+            let x_ref = DistMatrix::from_global(grid, &x_true);
             (x.rel_diff(&x_ref).expect("conformal"), phases)
         })
-        .expect("machine run");
-    let error = out.results.iter().map(|(e, _)| *e).fold(0.0, f64::max);
-    let phases: Vec<PhaseBreakdown> = out.results.iter().map(|(_, p)| *p).collect();
-    let measured = Measured {
-        latency: out.report.max_messages(),
-        bandwidth: out.report.max_words(),
-        flops: out.report.max_flops(),
-        time: out.report.virtual_time(),
-        error,
-    };
-    (measured, PhaseSummary::from_breakdowns(&phases))
-}
-
-/// Critical-path (max over ranks) counters per phase of `It-Inv-TRSM`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseSummary {
-    /// Setup redistribution.
-    pub setup: PhaseCost,
-    /// Diagonal-block inversion.
-    pub inversion: PhaseCost,
-    /// Solve steps.
-    pub solve: PhaseCost,
-    /// Update steps.
-    pub update: PhaseCost,
-    /// Final redistribution.
-    pub finalize: PhaseCost,
-}
-
-/// One phase's maxima over ranks.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseCost {
-    /// Messages.
-    pub latency: u64,
-    /// Words.
-    pub bandwidth: u64,
-    /// Flops.
-    pub flops: u64,
-}
-
-impl PhaseCost {
-    fn update_with(&mut self, c: &CostCounters) {
-        self.latency = self.latency.max(c.latency());
-        self.bandwidth = self.bandwidth.max(c.bandwidth());
-        self.flops = self.flops.max(c.flops);
-    }
-
-    /// Render as a compact table cell group.
-    pub fn row(&self) -> String {
-        format!(
-            "S={:>8}  W={:>12}  F={:>14}",
-            self.latency, self.bandwidth, self.flops
-        )
     }
 }
 
-impl PhaseSummary {
-    /// Aggregate per-rank breakdowns into per-phase critical-path maxima.
-    pub fn from_breakdowns(breakdowns: &[PhaseBreakdown]) -> Self {
-        let mut s = PhaseSummary::default();
-        for b in breakdowns {
-            s.setup.update_with(&b.setup);
-            s.inversion.update_with(&b.inversion);
-            s.solve.update_with(&b.solve);
-            s.update.update_with(&b.update);
-            s.finalize.update_with(&b.finalize);
-        }
-        s
-    }
+/// Solve `inst` as `request` describes — pinned to one of the paper's
+/// algorithms, or left to the Section VIII planner — on a machine with the
+/// given parameters.
+pub fn run(inst: &TrsmInstance, request: SolveRequest, params: MachineParams) -> Run {
+    inst.solve_with(params, |l, b| {
+        let sol = request.solve_distributed(l, b).expect("distributed solve");
+        (sol.x, sol.report.phases)
+    })
 }
 
-/// Write a CSV file under `results/` (relative to the current directory),
-/// creating the directory if needed.  Returns the path written.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
-    let dir = PathBuf::from("results");
-    let _ = fs::create_dir_all(&dir);
-    let path = dir.join(format!("{name}.csv"));
-    if let Ok(mut f) = fs::File::create(&path) {
-        let _ = writeln!(f, "{header}");
-        for row in rows {
-            let _ = writeln!(f, "{row}");
+/// The paper's critical-path counts of a report: `(S, W, F)`.
+pub fn swf(report: &CostReport) -> (u64, u64, u64) {
+    (
+        report.max_messages(),
+        report.max_words(),
+        report.max_flops(),
+    )
+}
+
+/// An experiment's result table: the columns are named once (the CSV header),
+/// every row is given once, and [`Table::finish`] prints the aligned text and
+/// writes `results/<name>.csv` from the same cells.  A table that is only
+/// shown prints its [`Table::text`].
+#[derive(Debug, Clone)]
+pub struct Table {
+    header: &'static str,
+    rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// An empty table under the comma-separated `header`.
+    pub fn new(header: &'static str) -> Table {
+        Table {
+            header,
+            rows: Vec::new(),
         }
     }
-    path
+
+    /// Append one row: each cell is the value as `{}` prints it, with a
+    /// label's commas turned into `;` so the line stays one CSV record.
+    pub fn row(&mut self, cells: &[&dyn Display]) {
+        let cells = cells.iter().map(|c| c.to_string().replace(',', ";"));
+        self.rows.push(cells.collect());
+    }
+
+    /// The CSV: the header, then one line per row.
+    pub fn csv(&self) -> String {
+        let mut out = format!("{}\n", self.header);
+        for row in &self.rows {
+            out += &(row.join(",") + "\n");
+        }
+        out
+    }
+
+    /// The text: the same cells under the same header, columns aligned
+    /// (labels to the left, numbers to the right) and long fractions
+    /// shortened to what a column can show.
+    pub fn text(&self) -> String {
+        let shown = |cell: &String| match cell.parse::<f64>() {
+            Ok(v) if cell.len() > 9 && (0.1..1e6).contains(&v.abs()) => (format!("{v:.3}"), true),
+            Ok(v) if cell.len() > 9 && v.fract() != 0.0 => (format!("{v:.4e}"), true),
+            parsed => (cell.clone(), parsed.is_ok()),
+        };
+        let mut lines: Vec<Vec<(String, bool)>> = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(shown).collect())
+            .collect();
+        // A column's name sits where its first cell does.
+        let side = |c: usize| {
+            lines
+                .first()
+                .and_then(|l| l.get(c))
+                .is_none_or(|(_, number)| *number)
+        };
+        let header = self.header.split(',').enumerate();
+        let header = header
+            .map(|(c, name)| (name.to_string(), side(c)))
+            .collect();
+        lines.insert(0, header);
+        let width = |c: usize| {
+            let cells = lines.iter().filter_map(|line| line.get(c));
+            cells
+                .map(|(cell, _)| cell.chars().count())
+                .max()
+                .unwrap_or(0)
+        };
+        let widths: Vec<usize> = (0..lines[0].len()).map(width).collect();
+        let mut out = String::new();
+        for line in &lines {
+            let mut text = String::new();
+            for ((cell, number), &w) in line.iter().zip(&widths) {
+                let _ = match number {
+                    true => write!(text, "{cell:>w$}  "),
+                    false => write!(text, "{cell:<w$}  "),
+                };
+            }
+            out += text.trim_end();
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Print the text and write the CSV to `results/<name>.csv` (relative to
+    /// the current directory, created if needed).
+    pub fn finish(self, name: &str) {
+        print!("{}", self.text());
+        let dir = PathBuf::from("results");
+        let path = dir.join(format!("{name}.csv"));
+        match fs::create_dir_all(&dir).and_then(|()| fs::write(&path, self.csv())) {
+            Ok(()) => println!("\nCSV written to {}", path.display()),
+            Err(e) => println!("\nCSV not written to {}: {e}", path.display()),
+        }
+    }
 }
 
 /// Print a section banner so the experiment output is easy to scan.
@@ -227,85 +237,126 @@ pub fn banner(title: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catrsm::{Algorithm, ItInvConfig};
 
-    #[test]
-    fn run_trsm_produces_consistent_measurements() {
-        let inst = TrsmInstance {
+    const IT_INV: ItInvConfig = ItInvConfig {
+        p1: 2,
+        p2: 1,
+        n0: 8,
+        inv_base: 8,
+    };
+
+    fn instance(seed: u64) -> TrsmInstance {
+        TrsmInstance {
             n: 32,
             k: 8,
             pr: 2,
             pc: 2,
-            seed: 1,
+            seed,
+        }
+    }
+
+    #[test]
+    fn run_trsm_produces_consistent_measurements() {
+        let inst = instance(1);
+        let pinned = |alg| {
+            run(
+                &inst,
+                SolveRequest::lower().algorithm(alg),
+                MachineParams::unit(),
+            )
         };
-        let rec = run_trsm(
-            &inst,
-            TrsmAlgo::Recursive { base: 8 },
-            MachineParams::unit(),
-        );
+        let rec = pinned(Algorithm::Recursive { base_size: 8 });
         assert!(rec.error < 1e-8);
-        assert!(rec.latency > 0 && rec.bandwidth > 0 && rec.flops > 0);
-        let it = run_trsm(
-            &inst,
-            TrsmAlgo::Iterative(ItInvConfig {
-                p1: 2,
-                p2: 1,
-                n0: 8,
-                inv_base: 8,
-            }),
-            MachineParams::unit(),
-        );
+        let r = &rec.report;
+        assert!(r.max_messages() > 0 && r.max_words() > 0 && r.max_flops() > 0);
+        assert!(rec.phases.is_none());
+        let it = pinned(Algorithm::IterativeInversion(IT_INV));
         assert!(it.error < 1e-8);
-        let wf = run_trsm(&inst, TrsmAlgo::Wavefront, MachineParams::unit());
+        let wf = pinned(Algorithm::Wavefront);
         assert!(wf.error < 1e-8);
         // The wavefront baseline must pay far more messages than either paper
         // algorithm at this size.
-        assert!(wf.latency > it.latency);
+        assert!(wf.report.max_messages() > it.report.max_messages());
+        // No pin: the planner's choice runs, and it is the iterative one.
+        let auto = run(&inst, SolveRequest::lower(), MachineParams::unit());
+        assert!(auto.error < 1e-8 && auto.phases.is_some());
     }
 
     #[test]
     fn phase_summary_aggregates() {
-        let inst = TrsmInstance {
-            n: 32,
-            k: 8,
-            pr: 2,
-            pc: 2,
-            seed: 2,
-        };
-        let (m, phases) = run_itinv_with_phases(
-            &inst,
-            ItInvConfig {
-                p1: 2,
-                p2: 1,
-                n0: 8,
-                inv_base: 8,
-            },
-            MachineParams::unit(),
-        );
+        let request = SolveRequest::lower().algorithm(Algorithm::IterativeInversion(IT_INV));
+        let m = run(&instance(2), request, MachineParams::unit());
         assert!(m.error < 1e-8);
-        assert!(phases.solve.flops > 0);
-        assert!(phases.update.flops > 0);
-        assert!(phases.inversion.flops > 0);
-        let sum = phases.setup.flops
-            + phases.inversion.flops
-            + phases.solve.flops
-            + phases.update.flops
-            + phases.finalize.flops;
+        let phases = m.phases.expect("It-Inv-TRSM reports its phases");
+        let names: Vec<&str> = phases.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["setup", "inversion", "solve", "update", "finalize"]);
+        let flops = |name: &str| {
+            let (_, report) = phases.iter().find(|(n, _)| *n == name).unwrap();
+            assert_eq!(report.num_ranks(), 4, "one counter set per rank");
+            report.max_flops()
+        };
+        assert!(flops("solve") > 0 && flops("update") > 0 && flops("inversion") > 0);
+        let sum: u64 = names.iter().map(|name| flops(name)).sum();
         assert!(
-            sum <= m.flops * 2,
+            sum <= m.report.max_flops() * 2,
             "phase sums should be comparable to the total"
         );
     }
 
     #[test]
-    fn measured_row_formats() {
-        let m = Measured {
-            latency: 1,
-            bandwidth: 2,
-            flops: 3,
-            time: 4.0,
-            error: 1e-12,
-        };
-        assert!(m.row().contains("S="));
-        assert!(PhaseCost::default().row().contains("W="));
+    fn run_measures_exactly_what_the_direct_calls_measure() {
+        use catrsm::{it_inv_trsm::it_inv_trsm, rec_trsm::rec_trsm, wavefront::wavefront_trsm};
+        type Direct = fn(&DistMatrix, &DistMatrix) -> (DistMatrix, Option<PhaseBreakdown>);
+        let cases: [(Algorithm, Direct); 3] = [
+            (Algorithm::Recursive { base_size: 8 }, |l, b| {
+                (rec_trsm(l, b, 8).unwrap(), None)
+            }),
+            (Algorithm::IterativeInversion(IT_INV), |l, b| {
+                let (x, phases) = it_inv_trsm(l, b, &IT_INV).unwrap();
+                (x, Some(phases))
+            }),
+            (Algorithm::Wavefront, |l, b| {
+                (wavefront_trsm(l, b).unwrap(), None)
+            }),
+        ];
+        let inst = instance(3);
+        for (alg, direct) in cases {
+            let params = MachineParams::cluster();
+            let staged = run(&inst, SolveRequest::lower().algorithm(alg), params);
+            let direct = inst.solve_with(params, direct);
+            assert_eq!(staged.report.per_rank, direct.report.per_rank, "{alg:?}");
+            assert_eq!(staged.error, direct.error, "{alg:?}");
+            let per_phase = |run: &Run| {
+                let phases = run.phases.clone()?;
+                Some(phases.map(|(_, report)| report.per_rank))
+            };
+            assert_eq!(per_phase(&staged), per_phase(&direct), "{alg:?}");
+        }
+    }
+
+    #[test]
+    fn table_text_and_csv_come_from_the_same_cells() {
+        let mut t = Table::new("regime,p,W_model,ratio");
+        t.row(&[
+            &"3 large dims (4k/p<=n, n<=4k sqrt(p))",
+            &16,
+            &2048.0,
+            &(1.0 / 3.0),
+        ]);
+        t.row(&[&"short", &4u64, &1.5e-7]);
+        assert_eq!(
+            t.csv(),
+            "regime,p,W_model,ratio\n\
+             3 large dims (4k/p<=n; n<=4k sqrt(p)),16,2048,0.3333333333333333\n\
+             short,4,0.00000015\n"
+        );
+        // Cell for cell the CSV's values, long fractions shortened.
+        assert_eq!(
+            t.text(),
+            "regime                                  p    W_model  ratio\n\
+             3 large dims (4k/p<=n; n<=4k sqrt(p))  16       2048  0.333\n\
+             short                                   4  1.5000e-7\n"
+        );
     }
 }

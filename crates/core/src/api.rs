@@ -10,15 +10,17 @@
 
 use crate::it_inv_trsm::ItInvConfig;
 use crate::Result;
+use costmodel::{Cost, CostModelRev};
 use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::DistMatrix;
 
-/// Which TRSM algorithm to run.
+/// Which distributed TRSM algorithm to run — the one algorithm enum of the
+/// workspace: a request pins one, a plan records the one it resolved, the
+/// cost model is asked about one.  A request that pins none gets the
+/// iterative inversion-based algorithm with the Section VIII planner's
+/// parameters (the paper's recommendation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// Pick the iterative inversion-based algorithm with parameters from the
-    /// Section VIII cost model (the paper's recommendation).
-    Auto,
     /// The recursive baseline of Section IV with an explicit base-case size.
     Recursive {
         /// Dimension below which the recursion stops.
@@ -28,6 +30,32 @@ pub enum Algorithm {
     IterativeInversion(ItInvConfig),
     /// The row-fan-out baseline (Heath–Romine style).
     Wavefront,
+}
+
+impl Algorithm {
+    /// Human-readable name used by plan displays, reports and experiment
+    /// output.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Algorithm::Recursive { .. } => "recursive",
+            Algorithm::IterativeInversion(_) => "iterative inversion-based",
+            Algorithm::Wavefront => "wavefront",
+        }
+    }
+
+    /// Predicted critical-path cost of solving `L·X = B` (`n×n`, `k`
+    /// right-hand sides, `p` processors) with this algorithm under `rev`:
+    /// the Section IV, Sections VI–VIII (tuned) and Section II-C3
+    /// leading-order expressions.  The cost model is asymptotic, so the
+    /// parameter payloads do not enter; the wavefront baseline has no
+    /// regime structure and is identical under both revisions.
+    pub fn predicted_cost(&self, rev: CostModelRev, n: f64, k: f64, p: f64) -> Cost {
+        match self {
+            Algorithm::Recursive { .. } => rev.standard_cost(n, k, p),
+            Algorithm::IterativeInversion(_) => rev.it_trsm_cost(n, k, p),
+            Algorithm::Wavefront => costmodel::predict::wavefront_cost(n, k, p),
+        }
+    }
 }
 
 /// Reverse the row order of a distributed matrix (the permutation `J·A`).
@@ -58,7 +86,7 @@ fn permute(a: &DistMatrix, flip_rows: bool, flip_cols: bool) -> Result<DistMatri
         axis(cols, grid.cols(), flip_cols),
         |x, y| Some(grid.rank_of(x, y)),
     );
-    let local = a.redistribute_to(&permuted, Filter::All, true)?;
+    let local = a.redistribute_to(&permuted, Filter::All)?;
     Ok(DistMatrix::from_local(grid, rows, cols, local)?)
 }
 
@@ -69,7 +97,7 @@ fn permute(a: &DistMatrix, flip_rows: bool, flip_cols: bool) -> Result<DistMatri
 /// transpose is a layout remapping with the cost of the redistributions the
 /// algorithms already perform, not a change to any solver kernel.
 pub fn transpose_dist(a: &DistMatrix) -> Result<DistMatrix> {
-    Ok(pgrid::redist::transpose(a, true)?)
+    Ok(pgrid::redist::transpose(a)?)
 }
 
 #[cfg(test)]
@@ -80,7 +108,15 @@ mod tests {
     use pgrid::Grid2D;
     use simnet::{Machine, MachineParams};
 
-    fn solve_with(algorithm: Algorithm, n: usize, k: usize) -> Vec<f64> {
+    /// The iterative configuration these tests pin.
+    const IT_INV: Algorithm = Algorithm::IterativeInversion(ItInvConfig {
+        p1: 2,
+        p2: 1,
+        n0: 16,
+        inv_base: 8,
+    });
+
+    fn solve_with(algorithm: Option<Algorithm>, n: usize, k: usize) -> Vec<f64> {
         Machine::new(4, MachineParams::cluster())
             .run(move |comm| {
                 let grid = Grid2D::new(comm, 2, 2).unwrap();
@@ -102,7 +138,7 @@ mod tests {
     #[test]
     fn auto_selects_a_working_configuration() {
         for (n, k) in [(64usize, 16usize), (32, 64), (128, 4)] {
-            for d in solve_with(Algorithm::Auto, n, k) {
+            for d in solve_with(None, n, k) {
                 assert!(d < 1e-8, "auto n={n} k={k}: {d}");
             }
         }
@@ -170,19 +206,40 @@ mod tests {
     }
 
     #[test]
+    fn names_are_stable() {
+        assert_eq!(Algorithm::Recursive { base_size: 16 }.name(), "recursive");
+        assert!(IT_INV.name().contains("inversion"));
+        assert_eq!(Algorithm::Wavefront.name(), "wavefront");
+    }
+
+    #[test]
+    fn dispatch_matches_the_underlying_formulas() {
+        let (n, k, p) = (4096.0, 1024.0, 64.0);
+        for rev in CostModelRev::ALL {
+            assert_eq!(
+                Algorithm::Recursive { base_size: 64 }.predicted_cost(rev, n, k, p),
+                rev.standard_cost(n, k, p)
+            );
+            assert_eq!(
+                IT_INV.predicted_cost(rev, n, k, p),
+                rev.it_trsm_cost(n, k, p)
+            );
+            assert_eq!(
+                Algorithm::Wavefront.predicted_cost(rev, n, k, p),
+                costmodel::predict::wavefront_cost(n, k, p)
+            );
+        }
+    }
+
+    #[test]
     fn all_algorithms_agree() {
         let n = 64;
         let k = 16;
         for alg in [
-            Algorithm::Auto,
-            Algorithm::Recursive { base_size: 16 },
-            Algorithm::IterativeInversion(ItInvConfig {
-                p1: 2,
-                p2: 1,
-                n0: 16,
-                inv_base: 8,
-            }),
-            Algorithm::Wavefront,
+            None,
+            Some(Algorithm::Recursive { base_size: 16 }),
+            Some(IT_INV),
+            Some(Algorithm::Wavefront),
         ] {
             for d in solve_with(alg, n, k) {
                 assert!(d < 1e-8, "{alg:?}: {d}");

@@ -26,15 +26,16 @@ pub struct FactorConfig {
     /// Dimension at or below which the matrix is gathered and factorized
     /// redundantly by every processor.
     pub base_size: usize,
-    /// Algorithm used for the triangular panel solves.
-    pub trsm: Algorithm,
+    /// Algorithm pinned for the triangular panel solves (`None` lets the
+    /// Section VIII planner choose).
+    pub trsm: Option<Algorithm>,
 }
 
 impl Default for FactorConfig {
     fn default() -> Self {
         FactorConfig {
             base_size: 64,
-            trsm: Algorithm::Recursive { base_size: 32 },
+            trsm: Some(Algorithm::Recursive { base_size: 32 }),
         }
     }
 }
@@ -81,12 +82,12 @@ fn cholesky_inner(a: &DistMatrix, cfg: &FactorConfig) -> Result<DistMatrix> {
     let l11 = cholesky_inner(&a11, cfg)?;
 
     // L21 = A21·L11⁻ᵀ, computed as L21ᵀ = L11⁻¹·A21ᵀ (a TRSM).
-    let a21t = transpose(&a21, true)?;
+    let a21t = transpose(&a21)?;
     let l21t = SolveRequest::lower()
         .algorithm(cfg.trsm)
         .solve_distributed(&l11, &a21t)?
         .x;
-    let l21 = transpose(&l21t, true)?;
+    let l21 = transpose(&l21t)?;
 
     // Trailing update A22 ← A22 − L21·L21ᵀ.
     let update = mm3d_auto(&l21, &l21t)?;
@@ -143,7 +144,7 @@ mod tests {
                     &a,
                     &FactorConfig {
                         base_size: 16,
-                        trsm: Algorithm::Recursive { base_size: 8 },
+                        trsm: Some(Algorithm::Recursive { base_size: 8 }),
                     },
                 )
                 .unwrap();
@@ -176,7 +177,7 @@ mod tests {
                 &b,
                 &FactorConfig {
                     base_size: 8,
-                    trsm: Algorithm::Recursive { base_size: 8 },
+                    trsm: Some(Algorithm::Recursive { base_size: 8 }),
                 },
             )
             .unwrap();
@@ -198,7 +199,7 @@ mod tests {
                 &a,
                 &FactorConfig {
                     base_size: 16,
-                    trsm: Algorithm::Auto,
+                    trsm: None,
                 },
             )
             .unwrap();

@@ -71,7 +71,7 @@ fn lu_inner(a: &DistMatrix, cfg: &FactorConfig) -> Result<(DistMatrix, DistMatri
     let u12 = req.solve_distributed(&l11, &a12)?.x;
 
     // L21 = A21·U11⁻¹, computed as L21ᵀ = U11⁻ᵀ·A21ᵀ (U11ᵀ is lower).
-    let a21t = transpose(&a21, true)?;
+    let a21t = transpose(&a21)?;
     // U11ᵀ is lower triangular: solve it via the transposed request on the
     // stored U11 (no second materialized transpose).
     let l21t = SolveRequest::upper()
@@ -79,7 +79,7 @@ fn lu_inner(a: &DistMatrix, cfg: &FactorConfig) -> Result<(DistMatrix, DistMatri
         .algorithm(cfg.trsm)
         .solve_distributed(&u11, &a21t)?
         .x;
-    let l21 = transpose(&l21t, true)?;
+    let l21 = transpose(&l21t)?;
 
     // Trailing update A22 ← A22 − L21·U12.
     let update = mm3d_auto(&l21, &u12)?;
@@ -142,7 +142,7 @@ mod tests {
                     &a,
                     &FactorConfig {
                         base_size: 16,
-                        trsm: Algorithm::Recursive { base_size: 8 },
+                        trsm: Some(Algorithm::Recursive { base_size: 8 }),
                     },
                 )
                 .unwrap();
@@ -177,7 +177,7 @@ mod tests {
                 &b,
                 &FactorConfig {
                     base_size: 8,
-                    trsm: Algorithm::Recursive { base_size: 8 },
+                    trsm: Some(Algorithm::Recursive { base_size: 8 }),
                 },
             )
             .unwrap();

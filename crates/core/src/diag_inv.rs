@@ -22,36 +22,28 @@
 //! experiment E5 verifies.
 
 use crate::error::config_error;
-use crate::tri_inv::{tri_inv, TriInvConfig};
-use crate::{Result, LOG_LATENCY};
+use crate::tri_inv::tri_inv;
+use crate::Result;
 use dense::{Matrix, Triangle};
 use pgrid::redist::{redistribute_into, Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
 
 /// Recursion cut-off of the *local* in-place inversions — fixed at the same
 /// base size `dense::tri_invert` has always used, so local flop accounting
-/// is independent of the configuration.  [`DiagInvConfig::inv_base`] is a
-/// different knob: it controls the base case of the *distributed* inversion
-/// used when several ranks share one diagonal block.
+/// is independent of the configuration.  [`diagonal_inverter`]'s `inv_base`
+/// is a different knob: it controls the base case of the *distributed*
+/// inversion used when several ranks share one diagonal block.
 const INV_BASE: usize = 16;
-
-/// Configuration of the block-diagonal inverter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiagInvConfig {
-    /// Diagonal block size (`n0`); must divide the matrix dimension.
-    pub n0: usize,
-    /// Base-case size handed to the distributed triangular inversion.
-    pub inv_base: usize,
-}
 
 /// Invert the diagonal blocks of a lower-triangular matrix distributed
 /// cyclically over a square grid.  Returns `L̃`: a copy of `L` whose diagonal
-/// `n0 × n0` blocks are replaced by their inverses.
-pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatrix> {
+/// `n0 × n0` blocks are replaced by their inverses.  `n0` must divide the
+/// matrix dimension; `inv_base` is the base-case size handed to the
+/// distributed triangular inversion.
+pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<DistMatrix> {
     let grid = l.grid();
     let q = grid.rows();
     let n = l.rows();
-    let n0 = cfg.n0;
 
     if grid.rows() != grid.cols() {
         return Err(config_error(
@@ -109,7 +101,7 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
             Axis::from_fn(n, p_face, |gj| ((gj / n0) % p_face, gj % n0)),
             |row_owner, col_owner| (row_owner == col_owner).then_some(row_owner),
         );
-        let mut mine = l.redistribute_to(&round_robin, diag_blocks, LOG_LATENCY)?;
+        let mut mine = l.redistribute_to(&round_robin, diag_blocks)?;
 
         // Invert the blocks this rank owns, where they lie.
         for t in 0..mine.rows() / n0 {
@@ -127,7 +119,6 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
             &l.layout(),
             l_tilde.local_mut(),
             diag_blocks,
-            LOG_LATENCY,
         )?;
         return Ok(l_tilde);
     }
@@ -156,7 +147,7 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
         let (g, sx) = (rc / side, rc % side);
         (cc / side == g).then_some(g * group_size + sx * side + cc % side)
     });
-    let received = l.redistribute_to(&on_subgrids, diag_blocks, LOG_LATENCY)?;
+    let received = l.redistribute_to(&on_subgrids, diag_blocks)?;
 
     // Every rank joins exactly one subgroup call so communicator bookkeeping
     // stays aligned; ranks that are not active members get `Err` and skip.
@@ -183,12 +174,7 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
                 comm.charge_flops(flops.get());
                 block
             } else {
-                tri_inv(
-                    &block,
-                    &TriInvConfig {
-                        base_size: cfg.inv_base,
-                    },
-                )?
+                tri_inv(&block, inv_base)?
             })
         }
         Err(_) => None,
@@ -202,7 +188,6 @@ pub fn diagonal_inverter(l: &DistMatrix, cfg: &DiagInvConfig) -> Result<DistMatr
         &l.layout(),
         l_tilde.local_mut(),
         diag_blocks,
-        LOG_LATENCY,
     )?;
     Ok(l_tilde)
 }
@@ -231,7 +216,7 @@ mod tests {
         let (results, _) = on_grid(q, move |grid| {
             let l_global = gen::well_conditioned_lower(n, 17);
             let l = DistMatrix::from_global(grid, &l_global);
-            let lt = diagonal_inverter(&l, &DiagInvConfig { n0, inv_base: 8 }).unwrap();
+            let lt = diagonal_inverter(&l, n0, 8).unwrap();
             let got = lt.to_global();
             // Expected: diagonal blocks inverted, off-diagonal unchanged.
             let mut max_err: f64 = 0.0;
@@ -293,7 +278,7 @@ mod tests {
         let (results, _) = on_grid(2, |grid| {
             let l_global = gen::well_conditioned_lower(8, 3);
             let l = DistMatrix::from_global(grid, &l_global);
-            let lt = diagonal_inverter(&l, &DiagInvConfig { n0: 1, inv_base: 8 }).unwrap();
+            let lt = diagonal_inverter(&l, 1, 8).unwrap();
             let got = lt.to_global();
             (0..8)
                 .map(|i| (got[(i, i)] - 1.0 / l_global[(i, i)]).abs())
@@ -306,10 +291,10 @@ mod tests {
     fn invalid_block_sizes_rejected() {
         let (results, _) = on_grid(2, |grid| {
             let l = DistMatrix::zeros(grid, 16, 16);
-            let bad_zero = diagonal_inverter(&l, &DiagInvConfig { n0: 0, inv_base: 8 }).is_err();
-            let bad_divide = diagonal_inverter(&l, &DiagInvConfig { n0: 5, inv_base: 8 }).is_err();
+            let bad_zero = diagonal_inverter(&l, 0, 8).is_err();
+            let bad_divide = diagonal_inverter(&l, 5, 8).is_err();
             let rect = DistMatrix::zeros(grid, 16, 8);
-            let bad_rect = diagonal_inverter(&rect, &DiagInvConfig { n0: 4, inv_base: 8 }).is_err();
+            let bad_rect = diagonal_inverter(&rect, 4, 8).is_err();
             bad_zero && bad_divide && bad_rect
         });
         assert!(results.into_iter().all(|v| v));

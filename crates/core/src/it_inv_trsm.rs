@@ -24,9 +24,9 @@
 //! latency is `O((n/n0)·log p + log² p)` instead of the recursive
 //! algorithm's polynomial-in-`p` synchronisation cost.
 
-use crate::diag_inv::{diagonal_inverter, DiagInvConfig};
+use crate::diag_inv::diagonal_inverter;
 use crate::error::{config_error, internal_error};
-use crate::{Result, LOG_LATENCY};
+use crate::Result;
 use dense::Matrix;
 use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D, Grid3D};
@@ -44,6 +44,21 @@ pub struct ItInvConfig {
     pub n0: usize,
     /// Base-case size of the distributed triangular inversion.
     pub inv_base: usize,
+}
+
+impl ItInvConfig {
+    /// The `r1 × r1 × r2` sub-grid the cost model prices each diagonal-block
+    /// inversion on (Section VII-A) — the one derivation every
+    /// measured-vs-model comparison of the inversion phase uses.  The
+    /// `q = p1²·p2·n0/n` processors per block form the largest square face
+    /// that fits, `r1 = ⌊√q⌋` (the shape [`crate::diag_inv`] builds), with
+    /// the remainder as depth, `r2 = q/r1²`; both are at least 1.
+    pub fn inversion_grid(&self, n: usize) -> (f64, f64) {
+        let (p1, p2) = (self.p1 as f64, self.p2 as f64);
+        let q = (p1 * p1 * p2 * self.n0 as f64 / n as f64).max(1.0);
+        let r1 = q.sqrt().floor().max(1.0);
+        (r1, (q / (r1 * r1)).max(1.0))
+    }
 }
 
 /// Cost counters of this rank, split by algorithm phase.
@@ -174,7 +189,7 @@ pub fn it_inv_trsm(
     let l_face: Option<Cow<'_, DistMatrix>> = if l.layout().same_placement(&face_layout) {
         Some(Cow::Borrowed(l))
     } else {
-        let local = l.redistribute_to(&face_layout, Filter::Lower, LOG_LATENCY)?;
+        let local = l.redistribute_to(&face_layout, Filter::Lower)?;
         match &face_grid {
             Some(fg) => Some(Cow::Owned(DistMatrix::from_local(fg, n, n, local)?)),
             None => None,
@@ -186,7 +201,7 @@ pub fn it_inv_trsm(
     let slab_layout = Layout::new(p, Axis::cyclic(n, p1), Axis::slabs(k, p2), |sx, sz| {
         (0..p1).map(move |sy| grid3d_ref.rank_of(sx, sy, sz))
     });
-    let mut b_rem = b.redistribute_to(&slab_layout, Filter::All, LOG_LATENCY)?;
+    let mut b_rem = b.redistribute_to(&slab_layout, Filter::All)?;
 
     // Axis communicators used in every iteration.
     let x_comm = grid3d.axis_comm(0);
@@ -201,13 +216,7 @@ pub fn it_inv_trsm(
     // step's contraction index lines up (see module docs of diag_inv).
     // ------------------------------------------------------------------
     let l_tilde_face = match &l_face {
-        Some(lf) => Some(diagonal_inverter(
-            lf,
-            &DiagInvConfig {
-                n0,
-                inv_base: cfg.inv_base,
-            },
-        )?),
+        Some(lf) => Some(diagonal_inverter(lf, n0, cfg.inv_base)?),
         None => None,
     };
 
@@ -224,7 +233,7 @@ pub fn it_inv_trsm(
                 // The face processor at (x, y) owns rows ≡ y, cols ≡ x.
                 |row_class, col_class| Some(fg.rank_of(col_class, row_class)),
             );
-            let stacked = lt.redistribute_to(&swapped, Filter::DiagBlocksLower(n0), LOG_LATENCY)?;
+            let stacked = lt.redistribute_to(&swapped, Filter::DiagBlocksLower(n0))?;
             Some(stacked)
         }
         None => None,
@@ -329,14 +338,8 @@ pub fn it_inv_trsm(
     let x_layout = Layout::new(p, Axis::cyclic(n, p1), Axis::slabs(k, p2), |ry, rz| {
         Some(grid3d.rank_of(0, ry, rz))
     });
-    let x_out = DistMatrix::redistributed_from(
-        caller_grid,
-        (n, k),
-        &x_layout,
-        &x_result,
-        Filter::All,
-        LOG_LATENCY,
-    )?;
+    let x_out =
+        DistMatrix::redistributed_from(caller_grid, (n, k), &x_layout, &x_result, Filter::All)?;
     mark(comm, &mut breakdown.finalize);
 
     Ok((x_out, breakdown))

@@ -16,14 +16,18 @@
 //! | V    | recursive distributed triangular inversion       | [`tri_inv`] |
 //! | VI-A | block-diagonal inverter                          | [`diag_inv`] |
 //! | VI   | iterative inversion-based TRSM (main contribution) | [`it_inv_trsm`] |
-//! | VIII | a-priori parameter / processor-grid selection    | [`planner`] |
+//! | VIII | a-priori parameter / processor-grid selection ([`planner::plan`] → [`ItInvConfig`]) | [`planner`] |
 //! | —    | 2D wavefront TRSM (extra sanity baseline)        | [`wavefront`] |
+//! | IX   | the one algorithm vocabulary ([`Algorithm`]: name, predicted cost) and the layout permutations | [`api`] |
+//! | —    | the staged request → plan → solution API         | [`solve`] |
 //! | I    | applications: distributed Cholesky and LU solvers | [`apps`] |
 //!
-//! The high-level entry point is the staged API of [`solve`]:
+//! The algorithms are plain functions with plain arguments
+//! (`rec_trsm(l, b, base_size)`, `mm3d(a, x, p1)`, …); the high-level entry
+//! point is the staged API of [`solve`]:
 //! a [`SolveRequest`] (triangle, [`dense::Transpose`], [`dense::Diag`],
-//! pins) lowers to an inspectable [`SolvePlan`] — the chosen algorithm plus
-//! the Section VIII cost prediction — which executes into a [`Solution`]
+//! pins) lowers to an inspectable [`SolvePlan`] — the resolved [`Algorithm`]
+//! plus the Section VIII cost prediction — which executes into a [`Solution`]
 //! whose [`SolveReport`] uniformly carries the measured flops, this rank's
 //! communication counters and (for the iterative algorithm) the per-phase
 //! breakdown.  The same request type drives the local dense kernels and the
@@ -77,15 +81,7 @@ pub use api::{transpose_dist, Algorithm};
 pub use costmodel::CostModelRev;
 pub use error::TrsmError;
 pub use it_inv_trsm::{ItInvConfig, PhaseBreakdown};
-pub use mm3d::MmConfig;
-pub use planner::Plan;
-pub use solve::{LevelReport, Plan as SolvePlan, PlanBackend, Solution, SolveReport, SolveRequest};
-
-/// Every layout change the distributed algorithms make goes through
-/// `pgrid`'s Bruck all-to-all-v route (`log p` messages per rank), the one
-/// the paper's latency terms assume.  `pgrid::redist` keeps the direct
-/// pairwise route behind the same parameter, and its own tests pin both.
-pub(crate) const LOG_LATENCY: bool = true;
+pub use solve::{LevelReport, PlanBackend, Solution, SolvePlan, SolveReport, SolveRequest};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, TrsmError>;

@@ -24,37 +24,24 @@
 //! `T_MM = β·(n²/p1²·1_{p2} + 2nk/(p1p2)) + γ·n²k/p + O(α·log p + β·nk·log p/p)`.
 
 use crate::error::config_error;
-use crate::{Result, LOG_LATENCY};
+use crate::Result;
 use dense::Matrix;
 use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::DistMatrix;
 use simnet::coll;
-
-/// Configuration of one 3D multiplication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MmConfig {
-    /// Square-face dimension of the logical `p1 × p1 × p2` grid
-    /// (`p1` must divide the 2D grid dimension `q`; `p2 = (q/p1)²`).
-    pub p1: usize,
-}
-
-impl MmConfig {
-    /// A 2D configuration (`p1 = q`, `p2 = 1`): no replication of `A`.
-    pub fn two_dimensional(q: usize) -> Self {
-        MmConfig { p1: q }
-    }
-}
 
 /// Multiply `A (n×n) · X (n×k)` on the grid both operands are distributed
 /// over, using the automatically chosen (cost-optimal feasible) `p1`.
 pub fn mm3d_auto(a: &DistMatrix, x: &DistMatrix) -> Result<DistMatrix> {
     let q = a.grid().rows();
     let p1 = crate::planner::choose_mm_p1(a.rows(), x.cols(), q);
-    mm3d(a, x, &MmConfig { p1 })
+    mm3d(a, x, p1)
 }
 
-/// Multiply `A (n×n) · X (n×k)` with an explicit [`MmConfig`].
-pub fn mm3d(a: &DistMatrix, x: &DistMatrix, cfg: &MmConfig) -> Result<DistMatrix> {
+/// Multiply `A (n×n) · X (n×k)` on a logical `p1 × p1 × p2` grid: `p1`, the
+/// square-face dimension, must divide the 2D grid dimension `q`, and
+/// `p2 = (q/p1)²` (`p1 = q` is the 2D case, with no replication of `A`).
+pub fn mm3d(a: &DistMatrix, x: &DistMatrix, p1: usize) -> Result<DistMatrix> {
     let grid = a.grid();
     let q = grid.rows();
     let n = a.rows();
@@ -99,7 +86,6 @@ pub fn mm3d(a: &DistMatrix, x: &DistMatrix, cfg: &MmConfig) -> Result<DistMatrix
         return DistMatrix::from_local(grid, n, k, c).map_err(Into::into);
     }
 
-    let p1 = cfg.p1;
     if p1 == 0 || !q.is_multiple_of(p1) {
         return Err(config_error(
             "mm3d",
@@ -175,7 +161,7 @@ pub fn mm3d(a: &DistMatrix, x: &DistMatrix, cfg: &MmConfig) -> Result<DistMatrix
     };
     // Row gr goes to j = gr mod p1, i = (gr / p1) mod p1.
     let contrib_layout = strided_layout(|low, high| (high, low));
-    let x_contrib = x.redistribute_to(&contrib_layout, Filter::All, LOG_LATENCY)?;
+    let x_contrib = x.redistribute_to(&contrib_layout, Filter::All)?;
     debug_assert_eq!(x_contrib.dims(), (contrib_rows, kw));
 
     // ---- Step 3: allgather X(j : p1 : n, slab_l) within the p1-group. ----
@@ -227,7 +213,6 @@ pub fn mm3d(a: &DistMatrix, x: &DistMatrix, cfg: &MmConfig) -> Result<DistMatrix
         &strided_layout(|low, high| (low, high)),
         &my_chunk,
         Filter::All,
-        LOG_LATENCY,
     )?)
 }
 
@@ -258,7 +243,7 @@ mod tests {
             let x_global = gen::uniform(n, k, 22);
             let a = DistMatrix::from_global(grid, &a_global);
             let x = DistMatrix::from_global(grid, &x_global);
-            let b = mm3d(&a, &x, &MmConfig { p1 }).unwrap();
+            let b = mm3d(&a, &x, p1).unwrap();
             let expect = dense::matmul(&a_global, &x_global);
             let got = b.to_global();
             dense::norms::rel_diff(&got, &expect)
@@ -315,17 +300,17 @@ mod tests {
         let (results, _) = on_grid(2, |grid| {
             let a = DistMatrix::zeros(grid, 16, 16);
             let x = DistMatrix::zeros(grid, 16, 8);
-            let bad_p1 = mm3d(&a, &x, &MmConfig { p1: 3 }).is_err();
+            let bad_p1 = mm3d(&a, &x, 3).is_err();
             let rect_a = DistMatrix::zeros(grid, 16, 12);
-            let bad_square = mm3d(&rect_a, &x, &MmConfig { p1: 2 }).is_err();
+            let bad_square = mm3d(&rect_a, &x, 2).is_err();
             let mismatched = {
                 let y = DistMatrix::zeros(grid, 12, 8);
-                mm3d(&a, &y, &MmConfig { p1: 2 }).is_err()
+                mm3d(&a, &y, 2).is_err()
             };
             let bad_divisibility = {
                 let a2 = DistMatrix::zeros(grid, 18, 18);
                 let x2 = DistMatrix::zeros(grid, 18, 8);
-                mm3d(&a2, &x2, &MmConfig { p1: 2 }).is_err()
+                mm3d(&a2, &x2, 2).is_err()
             };
             bad_p1 && bad_square && mismatched && bad_divisibility
         });
@@ -343,7 +328,7 @@ mod tests {
         let (_, report) = on_grid(q, move |grid| {
             let a = DistMatrix::from_fn(grid, n, n, |i, j| ((i * 7 + j) % 13) as f64);
             let x = DistMatrix::from_fn(grid, n, k, |i, j| ((i + j * 3) % 7) as f64);
-            mm3d(&a, &x, &MmConfig { p1 }).unwrap();
+            mm3d(&a, &x, p1).unwrap();
         });
         let p2 = (q / p1) * (q / p1);
         let main = (n * n / (p1 * p1) + 2 * n * k / (p1 * p2)) as f64;

@@ -8,25 +8,10 @@
 //! determination of block sizes and processor grids" claim of the paper
 //! actionable in code.
 
+use crate::error::config_error;
 use crate::it_inv_trsm::ItInvConfig;
-use costmodel::{CostModelRev, Regime};
-
-/// A concrete, feasible execution plan for one TRSM instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Plan {
-    /// Matrix dimension.
-    pub n: usize,
-    /// Number of right-hand sides.
-    pub k: usize,
-    /// Number of processors.
-    pub p: usize,
-    /// The regime the cost model assigned.
-    pub regime: Regime,
-    /// Configuration of the iterative inversion-based algorithm.
-    pub it_inv: ItInvConfig,
-    /// Block size below which the recursive algorithm stops recursing.
-    pub rec_base: usize,
-}
+use crate::Result;
+use costmodel::CostModelRev;
 
 /// Largest power of two `≤ limit` that divides `value`.
 pub fn largest_pow2_divisor_at_most(value: usize, limit: usize) -> usize {
@@ -60,28 +45,22 @@ pub fn closest_divisor(value: usize, target: usize, multiple_of: usize) -> usize
     best
 }
 
-/// Choose the square-face dimension `p1` for the 3D matrix multiplication on
-/// a `q × q` grid (so `p = q²`, `p1 | q`) multiplying an `n×n` matrix by an
-/// `n×k` matrix.  `p1` must satisfy `p1² | n` and `(q/p1)² | k` for the
-/// implementation's exact block exchanges; among the feasible powers of two
-/// the one closest to the cost-optimal `(n·p/k)^{1/3}` is selected.
-pub fn choose_mm_p1(n: usize, k: usize, q: usize) -> usize {
-    let p = q * q;
-    let (target, _) = costmodel::mm::mm_grid_for(n as f64, k as f64, p as f64);
-    let mut best = 1usize;
+/// The power of two `≤ limit` satisfying `feasible` that is closest to
+/// `target` (log distance, ties to the smaller), if any is feasible.
+fn closest_feasible_pow2(
+    limit: usize,
+    target: f64,
+    feasible: impl Fn(usize) -> bool,
+) -> Option<usize> {
+    let mut best = None;
     let mut best_dist = f64::INFINITY;
     let mut cand = 1usize;
-    while cand <= q {
-        let s = q / cand;
-        let feasible = q.is_multiple_of(cand)
-            && n.is_multiple_of(cand * cand)
-            && k.is_multiple_of(s * s)
-            && k.is_multiple_of(q);
-        if feasible {
+    while cand <= limit {
+        if feasible(cand) {
             let dist = ((cand as f64).ln() - target.ln()).abs();
             if dist < best_dist {
                 best_dist = dist;
-                best = cand;
+                best = Some(cand);
             }
         }
         cand *= 2;
@@ -89,77 +68,61 @@ pub fn choose_mm_p1(n: usize, k: usize, q: usize) -> usize {
     best
 }
 
-/// Build a feasible plan for solving `L·X = B` with `L` of dimension `n`,
-/// `k` right-hand sides and `p` processors under the cost model `model`.
+/// Choose the square-face dimension `p1` for the 3D matrix multiplication on
+/// a `q × q` grid (so `p = q²`, `p1 | q`) multiplying an `n×n` matrix by an
+/// `n×k` matrix.  `p1` must satisfy `p1² | n` and `(q/p1)² | k` for the
+/// implementation's exact block exchanges; among the feasible powers of two
+/// the one closest to the cost-optimal `(n·p/k)^{1/3}` is selected.
+pub fn choose_mm_p1(n: usize, k: usize, q: usize) -> usize {
+    let (target, _) = costmodel::mm::mm_grid_for(n as f64, k as f64, (q * q) as f64);
+    closest_feasible_pow2(q, target, |p1| {
+        let s = q / p1;
+        q.is_multiple_of(p1)
+            && n.is_multiple_of(p1 * p1)
+            && k.is_multiple_of(s * s)
+            && k.is_multiple_of(q)
+    })
+    .unwrap_or(1)
+}
+
+/// The feasible `It-Inv-TRSM` configuration for solving `L·X = B` with `L`
+/// of dimension `n`, `k` right-hand sides and `p` processors under the cost
+/// model `model`, or a configuration error when `(n, k, p)` admits none.
 ///
-/// The real-valued targets (regime, `p1`, `n0`) come from
-/// [`CostModelRev::plan`], so a `Tang24` caller gets grids placed by the
-/// corrected bandwidth bound's regime boundaries; the integer feasibility
-/// rounding below is revision-independent.  The caller's grid is assumed to
-/// be (close to) square; the iterative algorithm internally re-grids the
-/// processors as `p1 × p1 × p2`, so the only hard requirement is that the
-/// returned `p1² · p2 = p`.
-pub fn plan(model: CostModelRev, n: usize, k: usize, p: usize) -> Plan {
+/// The real-valued targets (`p1`, `n0`) come from [`CostModelRev::plan`], so
+/// a `Tang24` caller gets grids placed by the corrected bandwidth bound's
+/// regime boundaries; the integer feasibility rounding below is
+/// revision-independent.  The caller's grid is assumed to be (close to)
+/// square; the iterative algorithm internally re-grids the processors as
+/// `p1 × p1 × p2`.
+pub fn plan(model: CostModelRev, n: usize, k: usize, p: usize) -> Result<ItInvConfig> {
     let target = model.plan(n, k, p);
 
-    // p1: power of two with p1² | p, close to the model's target.
-    let mut p1 = 1usize;
-    let mut best_dist = f64::INFINITY;
-    let mut cand = 1usize;
-    while cand * cand <= p {
-        if p.is_multiple_of(cand * cand) && n.is_multiple_of(cand) {
-            let dist = ((cand as f64).ln() - target.p1.max(1.0).ln()).abs();
-            if dist < best_dist {
-                best_dist = dist;
-                p1 = cand;
-            }
-        }
-        cand *= 2;
-    }
-    let mut p2 = p / (p1 * p1);
-    // k must be divisible by p2 (the right-hand side is split into p2 slabs).
-    while p2 > 1 && !k.is_multiple_of(p2) {
-        // Fall back to a flatter grid: fold excess depth into idle replication
-        // by halving p2 and doubling nothing (the implementation requires
-        // p1²·p2 = p exactly, so instead shrink p1 if possible).
-        if p1 > 1 && p.is_multiple_of((p1 / 2) * (p1 / 2)) {
-            p1 /= 2;
-            p2 = p / (p1 * p1);
-        } else {
-            break;
-        }
-    }
-    if !k.is_multiple_of(p2) || p1 * p1 * p2 != p {
-        // Last resort: 1D layout (always feasible when k % p == 0, otherwise
-        // the caller should pad; we still return a structurally valid plan).
-        p1 = 1;
-        p2 = p;
-    }
+    // p1: among the powers of two whose cuboid p1 × p1 × p/p1² the algorithm
+    // accepts — p1² | p, p1 | n, and k splits into p2 = p/p1² slabs — the
+    // one closest to the model's target.
+    let p1 = closest_feasible_pow2(p.isqrt(), target.p1.max(1.0), |p1| {
+        p.is_multiple_of(p1 * p1) && n.is_multiple_of(p1) && k.is_multiple_of(p / (p1 * p1))
+    })
+    .ok_or_else(|| {
+        config_error(
+            "planner",
+            format!(
+                "no p1 × p1 × p2 grid fits n = {n}, k = {k} on p = {p} processors \
+                 (needs a power of two p1 with p1² | p, p1 | n and (p/p1²) | k)"
+            ),
+        )
+    })?;
 
     // n0: divisor of n, multiple of p1, close to the model's target.
-    let n0 = closest_divisor(n, target.n0.round().max(1.0) as usize, p1.max(1));
+    let n0 = closest_divisor(n, target.n0.round().max(1.0) as usize, p1);
 
-    // Inversion sub-grid: q = p_face·n0/n processors per diagonal block on the
-    // face (see diag_inv); the concrete side length is chosen there, so the
-    // plan records the model's recommendation for reporting purposes only.
-    let it_inv = ItInvConfig {
+    Ok(ItInvConfig {
         p1,
-        p2,
+        p2: p / (p1 * p1),
         n0,
         inv_base: 64,
-    };
-
-    // Recursive baseline: stop recursing around the paper's base-case size.
-    let rec_base = closest_divisor(n, (n / (p.max(2)).isqrt().max(2)).max(8), 1);
-
-    Plan {
-        n,
-        k,
-        p,
-        regime: target.regime,
-        it_inv,
-        rec_base,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -207,33 +170,32 @@ mod tests {
             (128, 4096, 64),
             (4096, 64, 16),
         ] {
-            let plan = plan(CostModelRev::Ipdps17, n, k, p);
-            assert_eq!(plan.it_inv.p1 * plan.it_inv.p1 * plan.it_inv.p2, p);
-            assert_eq!(n % plan.it_inv.n0, 0);
-            assert_eq!(plan.it_inv.n0 % plan.it_inv.p1.max(1), 0);
-            assert_eq!(n % plan.it_inv.p1.max(1), 0);
+            let cfg = plan(CostModelRev::Ipdps17, n, k, p).unwrap();
+            assert_eq!(cfg.p1 * cfg.p1 * cfg.p2, p);
+            assert_eq!(n % cfg.n0, 0);
+            assert_eq!(cfg.n0 % cfg.p1, 0);
+            assert_eq!(n % cfg.p1, 0);
+            assert_eq!(k % cfg.p2, 0);
         }
     }
 
     #[test]
     fn plan_follows_regimes() {
         // Few right-hand sides at scale → 2D-ish (p2 small).
-        let wide = plan(CostModelRev::Ipdps17, 4096, 16, 64);
-        assert!(wide.it_inv.p2 <= 4);
+        let wide = plan(CostModelRev::Ipdps17, 4096, 16, 64).unwrap();
+        assert!(wide.p2 <= 4);
         // Many right-hand sides → 1D (p1 = 1).
-        let tall = plan(CostModelRev::Ipdps17, 32, 8192, 64);
-        assert_eq!(tall.it_inv.p1, 1);
-        assert_eq!(tall.it_inv.p2, 64);
-        assert_eq!(tall.regime, Regime::OneLargeDim);
+        let tall = plan(CostModelRev::Ipdps17, 32, 8192, 64).unwrap();
+        assert_eq!((tall.p1, tall.p2), (1, 64));
     }
 
     #[test]
     fn plan_n0_spans_generalisation_range() {
         // In the 1D regime the whole matrix is inverted (n0 = n).
-        let p = plan(CostModelRev::Ipdps17, 32, 8192, 64);
-        assert_eq!(p.it_inv.n0, 32);
+        let cfg = plan(CostModelRev::Ipdps17, 32, 8192, 64).unwrap();
+        assert_eq!(cfg.n0, 32);
         // In the 2D regime only small blocks are inverted (n0 < n).
-        let p = plan(CostModelRev::Ipdps17, 8192, 16, 16);
-        assert!(p.it_inv.n0 < 8192);
+        let cfg = plan(CostModelRev::Ipdps17, 8192, 16, 16).unwrap();
+        assert!(cfg.n0 < 8192);
     }
 }

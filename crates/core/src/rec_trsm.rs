@@ -19,33 +19,21 @@
 //! and there are `n / n0` sequentialised levels on the critical path.
 
 use crate::error::config_error;
-use crate::mm3d::{mm3d, MmConfig};
+use crate::mm3d::mm3d;
 use crate::planner::choose_mm_p1;
-use crate::{Result, LOG_LATENCY};
+use crate::Result;
 use dense::{Diag, Matrix, Triangle};
 use pgrid::distmat::cyclic_local_count;
 use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
 use simnet::coll;
 
-/// Configuration of the recursive TRSM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecTrsmConfig {
-    /// Matrix dimension at or below which the base case (gather `L`, solve
-    /// complete columns locally) is used.
-    pub base_size: usize,
-}
-
-impl Default for RecTrsmConfig {
-    fn default() -> Self {
-        RecTrsmConfig { base_size: 64 }
-    }
-}
-
 /// Solve `L·X = B` with the recursive algorithm.  `L` (`n×n`, lower
 /// triangular) and `B` (`n×k`) must be distributed cyclically over the same
-/// `pr × pc` grid with `pr ≤ pc` and `pr | pc`.
-pub fn rec_trsm(l: &DistMatrix, b: &DistMatrix, cfg: &RecTrsmConfig) -> Result<DistMatrix> {
+/// `pr × pc` grid with `pr ≤ pc` and `pr | pc`.  At or below dimension
+/// `base_size` the base case (gather `L`, solve complete columns locally) is
+/// used.
+pub fn rec_trsm(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
     let grid = l.grid();
     let (pr, pc) = (grid.rows(), grid.cols());
     let n = l.rows();
@@ -87,10 +75,10 @@ pub fn rec_trsm(l: &DistMatrix, b: &DistMatrix, cfg: &RecTrsmConfig) -> Result<D
             format!("n = {n} must be divisible by pr = {pr} and pc = {pc}, and k = {k} by pc"),
         ));
     }
-    rec_trsm_inner(l, b, cfg)
+    rec_trsm_inner(l, b, base_size)
 }
 
-fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, cfg: &RecTrsmConfig) -> Result<DistMatrix> {
+fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
     let grid = l.grid();
     let (pr, pc) = (grid.rows(), grid.cols());
     let n = l.rows();
@@ -140,17 +128,17 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, cfg: &RecTrsmConfig) -> Result
         // B's columns owned by this sub-grid form a k/q-column problem whose
         // local pieces coincide with the existing ones.
         let b_sub = DistMatrix::from_local(&sub_grid, n, k / q, b.local().clone())?;
-        let x_sub = rec_trsm_inner(&l_sub, &b_sub, cfg)?;
+        let x_sub = rec_trsm_inner(&l_sub, &b_sub, base_size)?;
         return DistMatrix::from_local(grid, n, k, x_sub.local().clone()).map_err(Into::into);
     }
 
     // --- Base case. -------------------------------------------------------
-    let splittable = p > 1 && n.is_multiple_of(2 * pr) && n / 2 >= pr && n > cfg.base_size;
+    let splittable = p > 1 && n.is_multiple_of(2 * pr) && n / 2 >= pr && n > base_size;
     if !splittable {
         let l_full = l.try_to_global()?;
         // Give every rank complete columns: column c goes to rank c mod p.
         let by_columns = Layout::new(p, Axis::whole(n), Axis::cyclic(k, p), |_, c| Some(c));
-        let mut b_cols = b.redistribute_to(&by_columns, Filter::All, LOG_LATENCY)?;
+        let mut b_cols = b.redistribute_to(&by_columns, Filter::All)?;
         let my_cols = b_cols.cols();
         if my_cols > 0 {
             // Solve in place: the gathered columns are overwritten with X.
@@ -171,7 +159,6 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, cfg: &RecTrsmConfig) -> Result
             &by_columns,
             &b_cols,
             Filter::All,
-            LOG_LATENCY,
         )?);
     }
 
@@ -183,16 +170,13 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, cfg: &RecTrsmConfig) -> Result
     let b1 = b.subview(0, h, 0, k)?;
     let b2 = b.subview(h, h, 0, k)?;
 
-    let x1 = rec_trsm_inner(&l11, &b1, cfg)?;
+    let x1 = rec_trsm_inner(&l11, &b1, base_size)?;
 
-    let mm_cfg = MmConfig {
-        p1: choose_mm_p1(h, k, pr),
-    };
-    let update = mm3d(&l21, &x1, &mm_cfg)?;
+    let update = mm3d(&l21, &x1, choose_mm_p1(h, k, pr))?;
     let mut b2_new = b2;
     b2_new.sub_assign(&update)?;
 
-    let x2 = rec_trsm_inner(&l22, &b2_new, cfg)?;
+    let x2 = rec_trsm_inner(&l22, &b2_new, base_size)?;
 
     let mut x = DistMatrix::zeros(grid, n, k);
     x.set_subview(0, 0, &x1)?;
@@ -227,7 +211,7 @@ mod tests {
             let b_global = dense::matmul(&l_global, &x_true);
             let l = DistMatrix::from_global(grid, &l_global);
             let b = DistMatrix::from_global(grid, &b_global);
-            let x = rec_trsm(&l, &b, &RecTrsmConfig { base_size: base }).unwrap();
+            let x = rec_trsm(&l, &b, base).unwrap();
             dense::norms::rel_diff(&x.to_global(), &x_true)
         });
         for (rank, d) in results.into_iter().enumerate() {
@@ -283,15 +267,15 @@ mod tests {
             let l = DistMatrix::zeros(grid, 16, 16);
             let b = DistMatrix::zeros(grid, 16, 8);
             let rect_l = DistMatrix::zeros(grid, 16, 12);
-            let bad_l = rec_trsm(&rect_l, &b, &RecTrsmConfig::default()).is_err();
+            let bad_l = rec_trsm(&rect_l, &b, 64).is_err();
             let wrong_rows = {
                 let b_bad = DistMatrix::zeros(grid, 12, 8);
-                rec_trsm(&l, &b_bad, &RecTrsmConfig::default()).is_err()
+                rec_trsm(&l, &b_bad, 64).is_err()
             };
             let bad_divisibility = {
                 let l_odd = DistMatrix::zeros(grid, 18, 18);
                 let b_odd = DistMatrix::zeros(grid, 18, 8);
-                rec_trsm(&l_odd, &b_odd, &RecTrsmConfig::default()).is_err()
+                rec_trsm(&l_odd, &b_odd, 64).is_err()
             };
             bad_l && wrong_rows && bad_divisibility
         });
@@ -305,7 +289,7 @@ mod tests {
                 let grid = Grid2D::new(comm, 4, 2).unwrap();
                 let l = DistMatrix::zeros(&grid, 16, 16);
                 let b = DistMatrix::zeros(&grid, 16, 8);
-                rec_trsm(&l, &b, &RecTrsmConfig::default()).is_err()
+                rec_trsm(&l, &b, 64).is_err()
             })
             .unwrap();
         assert!(out.results.into_iter().all(|v| v));
@@ -321,7 +305,7 @@ mod tests {
                 let b_global = gen::rhs(n, 8, 4);
                 let l = DistMatrix::from_global(grid, &l_global);
                 let b = DistMatrix::from_global(grid, &b_global);
-                rec_trsm(&l, &b, &RecTrsmConfig { base_size: base }).unwrap();
+                rec_trsm(&l, &b, base).unwrap();
             });
             report.max_messages()
         };

@@ -1,0 +1,344 @@
+//! The request: what to solve, and its lowering to a [`SolvePlan`].
+
+use super::plan::{PlanBackend, SolvePlan};
+use super::report::Solution;
+use crate::api::Algorithm;
+use crate::error::config_error;
+use crate::planner;
+use crate::Result;
+use costmodel::CostModelRev;
+use dense::flops::trsm_flops;
+use dense::{Diag, FlopCount, Matrix, Side, SolveOpts, Transpose, Triangle};
+use pgrid::DistMatrix;
+use sparse::SparseTri;
+
+/// A backend-independent description of one triangular solve.
+///
+/// Built with the fluent constructors ([`SolveRequest::lower`] /
+/// [`SolveRequest::upper`] plus `.transposed()`, `.unit_diagonal()`,
+/// `.side(..)`, `.threads(..)`, `.algorithm(..)`, `.with_residual()`), then
+/// either lowered explicitly (`plan_dense` / `plan_sparse` /
+/// `plan_distributed`) or solved in one shot (`solve_dense` /
+/// `solve_sparse` / `solve_distributed`).
+///
+/// The request is one value: a [`SolvePlan`] stores the request it was lowered
+/// from, and a plan cache keys on it whole (`Eq + Hash`), so every field is
+/// part of a solve's identity by construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SolveRequest {
+    pub(super) opts: SolveOpts,
+    threads: Option<usize>,
+    reuse: Option<usize>,
+    algorithm: Option<Algorithm>,
+    pub(super) residual: bool,
+    cost_rev: CostModelRev,
+}
+
+impl SolveRequest {
+    /// A request for `op(A)·X = B` with `A` occupying the given triangle.
+    pub fn new(triangle: Triangle) -> SolveRequest {
+        SolveRequest {
+            opts: SolveOpts::new(triangle),
+            threads: None,
+            reuse: None,
+            algorithm: None,
+            residual: false,
+            cost_rev: CostModelRev::default(),
+        }
+    }
+
+    /// `A·X = B` with lower-triangular `A` (the paper's main case).
+    pub fn lower() -> SolveRequest {
+        SolveRequest::new(Triangle::Lower)
+    }
+
+    /// `A·X = B` with upper-triangular `A`.
+    pub fn upper() -> SolveRequest {
+        SolveRequest::new(Triangle::Upper)
+    }
+
+    /// Apply the operand transposed: solve `Aᵀ·X = B` (`X·Aᵀ = B` on the
+    /// right).  No backend materializes the full transpose: dense kernels
+    /// pack `NB`-wide panels, the sparse executor runs on the cached
+    /// O(nnz) [`SparseTri::transposed`], and the distributed path performs
+    /// one transpose redistribution (an all-to-all of the values).
+    pub fn transposed(mut self) -> SolveRequest {
+        self.opts.transpose = Transpose::Yes;
+        self
+    }
+
+    /// Set the transpose flag explicitly.
+    pub fn transpose(mut self, transpose: Transpose) -> SolveRequest {
+        self.opts.transpose = transpose;
+        self
+    }
+
+    /// Treat the diagonal as implicit ones.
+    pub fn unit_diagonal(mut self) -> SolveRequest {
+        self.opts.diag = Diag::Unit;
+        self
+    }
+
+    /// Set the diagonal kind explicitly.
+    pub fn diag(mut self, diag: Diag) -> SolveRequest {
+        self.opts.diag = diag;
+        self
+    }
+
+    /// Put the triangular operand on the given side (dense backend only;
+    /// sparse and distributed solves are left-sided).
+    pub fn side(mut self, side: Side) -> SolveRequest {
+        self.opts.side = side;
+        self
+    }
+
+    /// Set the worker budget of the sparse executor: the most workers a
+    /// solve may use (default: the `DENSE_THREADS` pool size).
+    /// `sparse::level_rule` decides how many of them it gets — one, unless
+    /// the schedule's levels are heavy enough to pay for their barriers —
+    /// and the result is bitwise identical for every value.  Dense GEMM
+    /// threading remains governed by `DENSE_THREADS`.
+    pub fn threads(mut self, threads: usize) -> SolveRequest {
+        self.threads = Some(threads);
+        self
+    }
+
+    /// Declare how many times this triangular factor will be applied
+    /// (sparse backend only).  One analysis pays for `reuse` solves: a
+    /// one-shot solve (`reuse(1)`) stays on the sequential sweep and never
+    /// analyses the pattern, and the plan's cost carries the analysis term
+    /// amortized over the declared applies.  Without a declaration the
+    /// request is treated as applied many times.
+    pub fn reuse(mut self, reuse: usize) -> SolveRequest {
+        self.reuse = Some(reuse);
+        self
+    }
+
+    /// Pin the distributed algorithm.  `None` (or not calling this at all)
+    /// lets the Section VIII planner choose.
+    pub fn algorithm(mut self, algorithm: impl Into<Option<Algorithm>>) -> SolveRequest {
+        self.algorithm = algorithm.into();
+        self
+    }
+
+    /// Select the cost-model revision the distributed planner prices and
+    /// classifies with: [`CostModelRev::Ipdps17`] (the default — the
+    /// paper's original leading-order bounds) or [`CostModelRev::Tang24`]
+    /// (the reexamination's corrected recursive bandwidth terms, which
+    /// move the regime boundaries and hence where an unpinned request places
+    /// the processor grid).  Dense and sparse lowering ignore it.
+    pub fn cost_model(mut self, rev: CostModelRev) -> SolveRequest {
+        self.cost_rev = rev;
+        self
+    }
+
+    /// Run a pre-solve numerical-health scan on the dense backends: NaN or
+    /// infinite entries in the operand triangle or the right-hand side are
+    /// rejected with `DenseError::NonFiniteEntry` before any arithmetic
+    /// runs.  (Sparse operands are validated unconditionally at
+    /// construction, so the flag is a no-op there; distributed solves
+    /// replicate their inputs from already-validated local data.)
+    pub fn validate_finite(mut self) -> SolveRequest {
+        self.opts.check_finite = true;
+        self
+    }
+
+    /// Set the dense NaN/Inf pre-scan flag explicitly.
+    pub fn check_finite(mut self, on: bool) -> SolveRequest {
+        self.opts.check_finite = on;
+        self
+    }
+
+    /// Also compute the relative residual
+    /// `‖op(A)·X − B‖_F / (‖A‖_F·‖X‖_F + ‖B‖_F)` after the solve and
+    /// attach it to the report (skipped by the `_in_place` executors,
+    /// which consume `B`).
+    pub fn with_residual(mut self) -> SolveRequest {
+        self.residual = true;
+        self
+    }
+
+    /// The dense-kernel option record this request describes.
+    pub fn opts(&self) -> SolveOpts {
+        self.opts
+    }
+
+    /// Whether [`SolveRequest::with_residual`] asked for a post-solve
+    /// residual.
+    pub fn wants_residual(&self) -> bool {
+        self.residual
+    }
+
+    // -- lowering ----------------------------------------------------------
+
+    /// Lower to a dense-backend plan for an `n×n` operand and `k`
+    /// right-hand sides (`k` counts columns of `B` for left solves, rows
+    /// for right solves).
+    pub fn plan_dense(&self, n: usize, k: usize) -> Result<SolvePlan> {
+        let _span = obs::span_with("planner", "plan_dense", "n", n as u64);
+        Ok(SolvePlan {
+            n,
+            k,
+            request: *self,
+            predicted_flops: trsm_flops(n, k),
+            predicted_cost: None,
+            regime: None,
+            backend: PlanBackend::Dense {
+                threads: dense::dense_threads(),
+                block: dense::TRSM_BLOCK,
+                inverts_blocks: dense::inverts_diagonal_blocks(k),
+            },
+        })
+    }
+
+    /// Lower to a sparse-backend plan for the given matrix and `k`
+    /// right-hand sides.
+    ///
+    /// The request's triangle and diagonal must match the matrix (the
+    /// sparse storage carries both); the plan records the worker count the
+    /// executor will actually use and — whenever the rule consulted it —
+    /// the shape of the level schedule.
+    pub fn plan_sparse(&self, a: &SparseTri, k: usize) -> Result<SolvePlan> {
+        let _span = obs::span_with("planner", "plan_sparse", "n", a.n() as u64);
+        if self.opts.side == Side::Right {
+            return Err(config_error(
+                "plan_sparse",
+                "sparse solves are left-sided (op(A)·X = B)",
+            ));
+        }
+        if a.triangle() != self.opts.triangle {
+            return Err(config_error(
+                "plan_sparse",
+                format!(
+                    "request says {:?} but the matrix stores {:?}",
+                    self.opts.triangle,
+                    a.triangle()
+                ),
+            ));
+        }
+        if a.diag() != self.opts.diag {
+            return Err(config_error(
+                "plan_sparse",
+                format!(
+                    "request says {:?} but the matrix was built {:?}",
+                    self.opts.diag,
+                    a.diag()
+                ),
+            ));
+        }
+        let sopts = self.sparse_opts();
+        let shape = a.execution_shape(&sopts, k);
+        let nnz = a.nnz() as f64;
+        let kf = k as f64;
+        // The synchronization term prices the barriers this plan will
+        // actually cross (one per level under the level sweep, none
+        // sequentially).  A declared reuse additionally amortizes the
+        // analysis bill (~nnz flops when the pattern was analysed) over
+        // that many applies.
+        let (barriers, workers) = (shape.barriers as f64, shape.workers as f64);
+        let predicted_cost = Some(match self.reuse {
+            None => costmodel::sparse_solve_cost(nnz, kf, barriers, workers),
+            Some(r) => {
+                let analysis_flops = if shape.levels == 0 { 0.0 } else { nnz };
+                costmodel::sparse_solve_cost_amortized(
+                    nnz,
+                    kf,
+                    barriers,
+                    workers,
+                    analysis_flops,
+                    r as f64,
+                )
+            }
+        });
+        Ok(SolvePlan {
+            n: a.n(),
+            k,
+            request: *self,
+            predicted_flops: a.solve_flops(k),
+            predicted_cost,
+            regime: None,
+            backend: PlanBackend::Sparse {
+                workers: shape.workers,
+                levels: shape.levels,
+                runs: shape.runs,
+                predicted_barriers: shape.barriers,
+                max_level_width: shape.max_level_width,
+                nnz: a.nnz(),
+                via_transpose: sopts.transpose == Transpose::Yes,
+            },
+        })
+    }
+
+    /// Lower to a distributed-backend plan for an `n×n` operand, `k`
+    /// right-hand sides and `p` simulated processors.
+    ///
+    /// With no algorithm pin this is where the choice is made: the Section
+    /// VIII cost model classifies `(n, k, p)` into its regime and the
+    /// [`crate::planner`] turns the real-valued optimum into a feasible
+    /// `p1 × p1 × p2` grid and block size — recorded on the plan as the
+    /// resolved [`Algorithm`], so the choice is inspectable before (and
+    /// after) execution.  A shape no grid fits is an error here, not at
+    /// execution.
+    pub fn plan_distributed(&self, n: usize, k: usize, p: usize) -> Result<SolvePlan> {
+        let _span = obs::span_with("planner", "plan_distributed", "n", n as u64);
+        if self.opts.side == Side::Right {
+            return Err(config_error(
+                "plan_distributed",
+                "distributed solves are left-sided (op(A)·X = B)",
+            ));
+        }
+        let algorithm = match self.algorithm {
+            Some(pinned) => pinned,
+            None => Algorithm::IterativeInversion(planner::plan(self.cost_rev, n, k, p)?),
+        };
+        let predicted = algorithm.predicted_cost(self.cost_rev, n as f64, k as f64, p as f64);
+        Ok(SolvePlan {
+            n,
+            k,
+            request: *self,
+            predicted_flops: FlopCount::new(predicted.flops.round() as u64),
+            predicted_cost: Some(predicted),
+            regime: Some(self.cost_rev.classify(n as f64, k as f64, p as f64)),
+            backend: PlanBackend::Distributed { algorithm, p },
+        })
+    }
+
+    // -- one-shot conveniences --------------------------------------------
+
+    /// Plan and execute a dense solve of `op(A)·X = B` (or `X·op(A) = B`).
+    pub fn solve_dense(&self, a: &Matrix, b: &Matrix) -> Result<Solution<Matrix>> {
+        let k = match self.opts.side {
+            Side::Left => b.cols(),
+            Side::Right => b.rows(),
+        };
+        self.plan_dense(a.rows(), k)?.execute_dense(a, b)
+    }
+
+    /// Plan and execute a sparse multi-RHS solve of `op(A)·X = B`.
+    pub fn solve_sparse(&self, a: &SparseTri, b: &Matrix) -> Result<Solution<Matrix>> {
+        self.plan_sparse(a, b.cols())?.execute_sparse(a, b)
+    }
+
+    /// Plan and execute a distributed solve of `op(A)·X = B` on the
+    /// simulated machine `l` and `b` live on.
+    pub fn solve_distributed(
+        &self,
+        l: &DistMatrix,
+        b: &DistMatrix,
+    ) -> Result<Solution<DistMatrix>> {
+        self.plan_distributed(l.rows(), b.cols(), l.grid().comm().size())?
+            .execute_distributed(l, b)
+    }
+
+    /// The sparse execution options this request lowers to.
+    pub(super) fn sparse_opts(&self) -> sparse::SolveOpts {
+        let mut o = sparse::SolveOpts::new().transpose(self.opts.transpose);
+        if let Some(t) = self.threads {
+            o = o.threads(t);
+        }
+        if let Some(r) = self.reuse {
+            o = o.reuse(r);
+        }
+        o
+    }
+}

@@ -1,0 +1,633 @@
+use super::*;
+use crate::api::Algorithm;
+use crate::it_inv_trsm::ItInvConfig;
+use dense::flops::trsm_flops;
+use dense::gen;
+use dense::{Diag, Matrix, Side, Triangle};
+use pgrid::DistMatrix;
+use pgrid::Grid2D;
+use simnet::{Machine, MachineParams};
+use sparse::gen as sgen;
+use sparse::SparseTri;
+
+/// One right-hand-side vector through a sparse plan's in-place executor.
+fn sparse_vec(plan: &SolvePlan, m: &SparseTri, b: &[f64]) -> (Vec<f64>, SolveReport) {
+    let mut x = b.to_vec();
+    let report = plan.execute_sparse_in_place(m, x.as_mut_slice()).unwrap();
+    (x, report)
+}
+
+// -- dense -------------------------------------------------------------
+
+#[test]
+fn dense_plan_and_execution_round_trip() {
+    let n = 130;
+    let k = 7;
+    let l = gen::well_conditioned_lower(n, 1);
+    let x_true = gen::rhs(n, k, 2);
+    let b = dense::matmul(&l, &x_true);
+    let req = SolveRequest::lower().with_residual();
+    let plan = req.plan_dense(n, k).unwrap();
+    assert!(matches!(plan.backend, PlanBackend::Dense { .. }));
+    assert_eq!(plan.predicted_flops, trsm_flops(n, k));
+    let sol = plan.execute_dense(&l, &b).unwrap();
+    assert!(dense::norms::rel_diff(&sol.x, &x_true) < 1e-9);
+    assert_eq!(sol.report.flops, trsm_flops(n, k));
+    assert!(sol.report.residual.unwrap() < 1e-12);
+    assert!(sol.report.comm.is_none());
+    // Old entry point and new API agree bitwise.
+    let old = dense::trsm(Triangle::Lower, Diag::NonUnit, &l, &b).unwrap();
+    assert_eq!(old, sol.x);
+}
+
+#[test]
+fn dense_transposed_request_solves_lt() {
+    let n = 90;
+    let k = 5;
+    let l = gen::well_conditioned_lower(n, 3);
+    let x_true = gen::rhs(n, k, 4);
+    let b = dense::gemm::matmul(&l.transpose(), &x_true);
+    let sol = SolveRequest::lower()
+        .transposed()
+        .with_residual()
+        .solve_dense(&l, &b)
+        .unwrap();
+    assert!(dense::norms::rel_diff(&sol.x, &x_true) < 1e-8);
+    assert!(sol.report.residual.unwrap() < 1e-12);
+}
+
+#[test]
+fn dense_vec_and_unit_diagonal() {
+    let n = 64;
+    let mut l = gen::well_conditioned_lower(n, 5);
+    for i in 0..n {
+        l[(i, i)] = 123.0; // must be ignored under Diag::Unit
+    }
+    let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).cos()).collect();
+    let mut l_unit = l.clone();
+    for i in 0..n {
+        l_unit[(i, i)] = 1.0;
+    }
+    let xt = Matrix::from_vec(n, 1, x_true.clone()).unwrap();
+    let b = dense::matmul(&l_unit, &xt);
+    let req = SolveRequest::lower().unit_diagonal().with_residual();
+    let sol = req.solve_dense(&l, &b).unwrap();
+    for (got, want) in sol.x.as_slice().iter().zip(&x_true) {
+        assert!((got - want).abs() < 1e-10);
+    }
+    assert!(sol.report.residual.unwrap() < 1e-12);
+    // The vector executor is bitwise the `trsv` kernel; the n×1 view of
+    // the same data through the block executor is bitwise `trsm` (what
+    // the allocating form returned above), however the view was built.
+    let plan = req.plan_dense(n, 1).unwrap();
+    let mut want = b.as_slice().to_vec();
+    dense::trsv_in_place_opts(&req.opts(), &l, &mut want).unwrap();
+    let mut via_vec = b.as_slice().to_vec();
+    plan.execute_dense_vec_in_place(&l, &mut via_vec).unwrap();
+    assert_eq!(via_vec, want);
+    let mut of_slice = b.as_slice().to_vec();
+    plan.execute_dense_in_place(&l, of_slice.as_mut_slice())
+        .unwrap();
+    let mut of_matrix = b.clone();
+    plan.execute_dense_in_place(&l, of_matrix.as_view_mut())
+        .unwrap();
+    assert_eq!(of_slice, sol.x.as_slice());
+    assert_eq!(of_matrix, sol.x);
+    for (v, m) in via_vec.iter().zip(&of_slice) {
+        assert!((v - m).abs() < 1e-10, "the two kernels agree to rounding");
+    }
+}
+
+#[test]
+fn plan_backend_mismatch_is_rejected() {
+    let plan = SolveRequest::lower().plan_dense(8, 1).unwrap();
+    let m = sgen::random_lower(8, 2, 1);
+    let mut x = [1.0; 8];
+    assert!(plan.execute_sparse_in_place(&m, &mut x[..]).is_err());
+    let l = gen::well_conditioned_lower(8, 1);
+    let sparse_plan = SolveRequest::lower().plan_sparse(&m, 1).unwrap();
+    assert!(sparse_plan.execute_dense_vec_in_place(&l, &mut x).is_err());
+}
+
+#[test]
+fn plan_rejects_operands_it_was_not_lowered_for() {
+    // A sparse plan validated against a lower matrix must not silently
+    // execute against an upper (or differently sized) one.
+    let lower = sgen::random_lower(16, 2, 1);
+    let upper = sgen::random_upper(16, 2, 2);
+    let plan = SolveRequest::lower().plan_sparse(&lower, 1).unwrap();
+    assert!(plan
+        .execute_sparse_in_place(&upper, &mut [1.0; 16][..])
+        .is_err());
+    let small = sgen::random_lower(8, 2, 3);
+    assert!(plan
+        .execute_sparse_in_place(&small, &mut [1.0; 8][..])
+        .is_err());
+    // Same for dense plans.
+    let dplan = SolveRequest::lower().plan_dense(16, 1).unwrap();
+    let wrong = gen::well_conditioned_lower(8, 4);
+    assert!(dplan
+        .execute_dense_vec_in_place(&wrong, &mut [1.0; 8])
+        .is_err());
+}
+
+#[test]
+fn dense_residual_ignores_the_opposite_triangle() {
+    // A combined-workspace operand (garbage in the triangle the solver
+    // never reads) must still report a tiny residual for a correct
+    // solve.
+    let n = 40;
+    let l = gen::well_conditioned_lower(n, 9);
+    let x_true = gen::rhs(n, 3, 10);
+    let b = dense::matmul(&l, &x_true);
+    let mut workspace = l.clone();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            workspace[(i, j)] = 1e6; // "U" half of an LU workspace
+        }
+    }
+    let sol = SolveRequest::lower()
+        .with_residual()
+        .solve_dense(&workspace, &b)
+        .unwrap();
+    assert!(dense::norms::rel_diff(&sol.x, &x_true) < 1e-9);
+    assert!(
+        sol.report.residual.unwrap() < 1e-12,
+        "residual must measure the effective triangular operand, got {}",
+        sol.report.residual.unwrap()
+    );
+}
+
+// -- sparse ------------------------------------------------------------
+
+#[test]
+fn sparse_plan_reports_levels_and_workers() {
+    // 25 levels of 2 048 rows, ~14 000 stored entries each: heavy
+    // enough for a budget of 4 to become 4 workers.
+    let n = 51_200;
+    let m = sgen::deep_narrow_lower(n, 2048, 6, 7);
+    let b = sgen::rhs_vec(n, 8);
+    let req = SolveRequest::lower().threads(4);
+    let plan = req.plan_sparse(&m, 1).unwrap();
+    let PlanBackend::Sparse {
+        workers,
+        levels,
+        runs,
+        predicted_barriers,
+        max_level_width,
+        nnz,
+        via_transpose,
+    } = plan.backend
+    else {
+        panic!("expected a sparse plan");
+    };
+    assert_eq!(
+        workers, 4,
+        "heavy levels turn the whole budget into workers"
+    );
+    assert_eq!((levels, runs, max_level_width), (25, 25, 2048));
+    assert_eq!(predicted_barriers, levels, "one barrier per level");
+    assert_eq!(nnz, m.nnz());
+    assert!(!via_transpose);
+    assert_eq!(
+        plan.algorithm_name(),
+        "sparse level-scheduled parallel sweep"
+    );
+    let cost = plan.predicted_cost.expect("sparse plans carry a cost");
+    assert!(cost.latency > 0.0 && cost.flops > 0.0);
+    let (x, report) = sparse_vec(&plan, &m, &b);
+    assert_eq!(
+        report.levels.unwrap(),
+        LevelReport {
+            workers,
+            levels,
+            barriers: predicted_barriers
+        }
+    );
+    assert_eq!(report.algorithm, plan.algorithm_name());
+    assert_eq!(report.flops, m.solve_flops(1));
+    // Identical to the raw executor's slice path, and so is the n×1 view
+    // of a matrix through the same in-place executor.
+    let mut direct = b.clone();
+    m.solve_with(&sparse::SolveOpts::new().threads(4), &mut direct)
+        .unwrap();
+    assert_eq!(x, direct);
+    let mut via_view = Matrix::from_vec(n, 1, b.clone()).unwrap();
+    let view_report = plan
+        .execute_sparse_in_place(&m, via_view.as_view_mut())
+        .unwrap();
+    assert_eq!(via_view.as_slice(), direct);
+    assert_eq!(view_report.levels, report.levels);
+    // And bitwise what a budget of 1 computes.
+    let seq_plan = SolveRequest::lower().threads(1).plan_sparse(&m, 1).unwrap();
+    assert_eq!(sparse_vec(&seq_plan, &m, &b).0, x);
+}
+
+#[test]
+fn sparse_plans_kept_sequential_report_the_analysed_shape() {
+    // A band chains every row: 20 000 one-row levels.  The rule looks,
+    // declines, and both the plan and the measured report keep what it
+    // saw — built from the shape the executor returned, not a second
+    // resolution.
+    let m = sgen::banded_lower(20_000, 4, 19);
+    let b = sgen::rhs_vec(m.n(), 8);
+    let plan = SolveRequest::lower().threads(4).plan_sparse(&m, 1).unwrap();
+    let PlanBackend::Sparse {
+        workers,
+        levels,
+        predicted_barriers,
+        max_level_width,
+        ..
+    } = plan.backend
+    else {
+        panic!("expected a sparse plan");
+    };
+    assert_eq!((workers, predicted_barriers), (1, 0));
+    assert_eq!((levels, max_level_width), (20_000, 1));
+    assert_eq!(plan.predicted_cost.unwrap().latency, 0.0);
+    let (_, report) = sparse_vec(&plan, &m, &b);
+    assert_eq!(
+        report.levels.unwrap(),
+        LevelReport {
+            workers: 1,
+            levels: 20_000,
+            barriers: 0
+        }
+    );
+    assert_eq!(report.algorithm, "sparse sequential sweep");
+    assert_eq!(m.analysis_count(), 1);
+}
+
+#[test]
+fn sparse_transposed_and_residual() {
+    let n = 400;
+    let m = sgen::random_lower(n, 6, 11);
+    let b = sgen::rhs_vec(n, 12);
+    let sol = SolveRequest::lower()
+        .transposed()
+        .with_residual()
+        .solve_sparse(&m, &Matrix::from_vec(n, 1, b.clone()).unwrap())
+        .unwrap();
+    assert!(sol.report.residual.unwrap() < 1e-12);
+    // Reference: solve the materialized transpose.
+    let xt = m.transpose().solve(&b).unwrap();
+    assert_eq!(sol.x.as_slice(), xt);
+}
+
+#[test]
+fn sparse_request_validates_against_matrix() {
+    let m = sgen::random_lower(32, 3, 1);
+    assert!(SolveRequest::upper().plan_sparse(&m, 1).is_err());
+    assert!(SolveRequest::lower()
+        .unit_diagonal()
+        .plan_sparse(&m, 1)
+        .is_err());
+    assert!(SolveRequest::lower()
+        .side(Side::Right)
+        .plan_sparse(&m, 1)
+        .is_err());
+}
+
+#[test]
+fn one_shot_reuse_plans_sequential_without_analysis() {
+    // A declared one-shot solve cannot repay an analysis, whatever the
+    // pattern would have said: sequential, never analysed, no analysis
+    // bill in the cost — and bitwise the level sweep's answer.
+    let m = sgen::deep_narrow_lower(20_000, 2048, 6, 72);
+    let b = sgen::rhs_vec(m.n(), 73);
+    let plan = SolveRequest::lower()
+        .threads(4)
+        .reuse(1)
+        .plan_sparse(&m, 1)
+        .unwrap();
+    let PlanBackend::Sparse {
+        workers,
+        levels,
+        predicted_barriers,
+        ..
+    } = plan.backend
+    else {
+        panic!("expected a sparse plan");
+    };
+    assert_eq!((workers, levels, predicted_barriers), (1, 0, 0));
+    assert_eq!(plan.algorithm_name(), "sparse sequential sweep");
+    let cost = plan.predicted_cost.expect("sparse plans carry a cost");
+    assert_eq!(cost.latency, 0.0, "zero barriers price zero latency");
+    assert_eq!(cost.flops, 2.0 * m.nnz() as f64, "no analysis bill");
+    let (x, report) = sparse_vec(&plan, &m, &b);
+    let lr = report.levels.unwrap();
+    assert_eq!((lr.workers, lr.levels, lr.barriers), (1, 0, 0));
+    assert_eq!(m.analysis_count(), 0, "one-shot plans never analyze");
+    // A declared 100-apply loop amortizes the analysis and takes the
+    // level sweep on the same factor.
+    let plan = SolveRequest::lower()
+        .threads(4)
+        .reuse(100)
+        .plan_sparse(&m, 1)
+        .unwrap();
+    let PlanBackend::Sparse {
+        workers,
+        levels,
+        predicted_barriers,
+        ..
+    } = plan.backend
+    else {
+        panic!("expected a sparse plan");
+    };
+    assert_eq!(workers, 4);
+    assert_eq!(predicted_barriers, levels);
+    let cost = plan.predicted_cost.unwrap();
+    assert!(cost.latency > 0.0, "the level sweep bills its barriers");
+    let nnz = m.nnz() as f64;
+    assert_eq!(cost.flops, 2.0 * nnz / 4.0 + nnz / 100.0);
+    assert_eq!(sparse_vec(&plan, &m, &b).0, x, "bitwise identical");
+}
+
+#[test]
+fn sparse_sequential_plan_never_analyzes() {
+    let m = sgen::random_lower(300, 3, 5);
+    let plan = SolveRequest::lower().threads(1).plan_sparse(&m, 1).unwrap();
+    let b = sgen::rhs_vec(300, 6);
+    let (_, report) = sparse_vec(&plan, &m, &b);
+    assert_eq!(report.levels.unwrap().workers, 1);
+    assert_eq!(report.levels.unwrap().barriers, 0);
+    assert_eq!(m.analysis_count(), 0, "sequential plans stay analysis-free");
+}
+
+// -- distributed -------------------------------------------------------
+
+fn dist_instance(grid: &Grid2D, n: usize, k: usize, seed: u64) -> (DistMatrix, DistMatrix, Matrix) {
+    let l_global = gen::well_conditioned_lower(n, seed);
+    let x_true = gen::rhs(n, k, seed + 1);
+    let b_global = dense::matmul(&l_global, &x_true);
+    (
+        DistMatrix::from_global(grid, &l_global),
+        DistMatrix::from_global(grid, &b_global),
+        x_true,
+    )
+}
+
+#[test]
+fn distributed_auto_plan_is_inspectable_and_executes() {
+    let n = 64;
+    let k = 16;
+    let out = Machine::new(4, MachineParams::cluster())
+        .run(move |comm| {
+            let grid = Grid2D::new(comm, 2, 2).unwrap();
+            let (l, b, x_true) = dist_instance(&grid, n, k, 21);
+            let req = SolveRequest::lower().with_residual();
+            let plan = req.plan_distributed(n, k, comm.size()).unwrap();
+            // No pin: resolved to the planner's iterative configuration.
+            let PlanBackend::Distributed {
+                algorithm: Algorithm::IterativeInversion(cfg),
+                ..
+            } = plan.backend
+            else {
+                panic!("expected an iterative distributed plan");
+            };
+            assert_eq!(cfg.p1 * cfg.p1 * cfg.p2, 4);
+            assert!(plan.predicted_cost.is_some());
+            assert!(plan.regime.is_some());
+            let sol = plan.execute_distributed(&l, &b).unwrap();
+            let err = dense::norms::rel_diff(&sol.x.to_global(), &x_true);
+            let phases = sol.report.phases.expect("it_inv attaches phases");
+            let comm_delta = sol.report.comm.expect("distributed attaches counters");
+            (
+                err,
+                sol.report.residual.unwrap(),
+                phases.total().flops,
+                comm_delta.flops,
+                sol.report.flops.get(),
+            )
+        })
+        .unwrap();
+    for (err, residual, phase_flops, comm_flops, report_flops) in out.results {
+        assert!(err < 1e-8, "{err}");
+        assert!(residual < 1e-10);
+        assert_eq!(comm_flops, report_flops);
+        assert!(phase_flops > 0 && phase_flops <= report_flops);
+    }
+}
+
+#[test]
+fn every_distributed_algorithm_feeds_the_same_report() {
+    let n = 64;
+    let k = 16;
+    for alg in [
+        Algorithm::Recursive { base_size: 16 },
+        Algorithm::IterativeInversion(ItInvConfig {
+            p1: 2,
+            p2: 1,
+            n0: 16,
+            inv_base: 8,
+        }),
+        Algorithm::Wavefront,
+    ] {
+        let out = Machine::new(4, MachineParams::unit())
+            .run(move |comm| {
+                let grid = Grid2D::new(comm, 2, 2).unwrap();
+                let (l, b, x_true) = dist_instance(&grid, n, k, 31);
+                let sol = SolveRequest::lower()
+                    .algorithm(alg)
+                    .solve_distributed(&l, &b)
+                    .unwrap();
+                let err = dense::norms::rel_diff(&sol.x.to_global(), &x_true);
+                (
+                    err,
+                    sol.report.comm.is_some(),
+                    sol.report.flops.get(),
+                    sol.report.phases.is_some(),
+                )
+            })
+            .unwrap();
+        let expect_phases = matches!(alg, Algorithm::IterativeInversion(_));
+        for (err, has_comm, flops, has_phases) in out.results {
+            assert!(err < 1e-8, "{alg:?}: {err}");
+            assert!(has_comm, "{alg:?} must report its cost counters");
+            assert_eq!(has_phases, expect_phases);
+            let _ = flops;
+        }
+    }
+}
+
+#[test]
+fn distributed_transposed_and_upper_requests() {
+    let n = 32;
+    let k = 8;
+    let out = Machine::new(4, MachineParams::unit())
+        .run(move |comm| {
+            let grid = Grid2D::new(comm, 2, 2).unwrap();
+            // Lᵀ·X = B via the transposed request on the stored L.
+            let l_global = gen::well_conditioned_lower(n, 41);
+            let x_true = gen::rhs(n, k, 42);
+            let bt_global = dense::gemm::matmul(&l_global.transpose(), &x_true);
+            let l = DistMatrix::from_global(&grid, &l_global);
+            let bt = DistMatrix::from_global(&grid, &bt_global);
+            let sol_t = SolveRequest::lower()
+                .transposed()
+                .algorithm(Algorithm::Recursive { base_size: 8 })
+                .with_residual()
+                .solve_distributed(&l, &bt)
+                .unwrap();
+            let err_t = dense::norms::rel_diff(&sol_t.x.to_global(), &x_true);
+
+            // U·X = B with an upper request.
+            let u_global = gen::well_conditioned_upper(n, 43);
+            let xu_true = gen::rhs(n, k, 44);
+            let bu_global = dense::matmul(&u_global, &xu_true);
+            let u = DistMatrix::from_global(&grid, &u_global);
+            let bu = DistMatrix::from_global(&grid, &bu_global);
+            let sol_u = SolveRequest::upper()
+                .algorithm(Algorithm::Recursive { base_size: 8 })
+                .solve_distributed(&u, &bu)
+                .unwrap();
+            let err_u = dense::norms::rel_diff(&sol_u.x.to_global(), &xu_true);
+            (err_t, sol_t.report.residual.unwrap(), err_u)
+        })
+        .unwrap();
+    for (err_t, res_t, err_u) in out.results {
+        assert!(err_t < 1e-8, "transposed distributed solve: {err_t}");
+        assert!(res_t < 1e-10);
+        assert!(err_u < 1e-8, "upper distributed solve: {err_u}");
+    }
+}
+
+#[test]
+fn repeated_transposed_solves_redistribute_once() {
+    // The transpose all-to-all must run on the first transposed solve
+    // only; later solves reuse the cached DistMatrix::transposed — the
+    // repeated-backward-substitution pattern of the Cholesky/LU apps.
+    let n = 32;
+    let k = 8;
+    let out = Machine::new(4, MachineParams::cluster())
+        .run(move |comm| {
+            let grid = Grid2D::new(comm, 2, 2).unwrap();
+            let l_global = gen::well_conditioned_lower(n, 61);
+            let x_true = gen::rhs(n, k, 62);
+            let bt_global = dense::gemm::matmul(&l_global.transpose(), &x_true);
+            let l = DistMatrix::from_global(&grid, &l_global);
+            let bt = DistMatrix::from_global(&grid, &bt_global);
+            let req = SolveRequest::lower()
+                .transposed()
+                .algorithm(Algorithm::Recursive { base_size: 8 });
+            let s1 = req.solve_distributed(&l, &bt).unwrap();
+            let count_after_first = l.transpose_count();
+            let s2 = req.solve_distributed(&l, &bt).unwrap();
+            let err = dense::norms::rel_diff(&s2.x.to_global(), &x_true);
+            (
+                err,
+                count_after_first,
+                l.transpose_count(),
+                s1.report.comm.unwrap().words_sent,
+                s2.report.comm.unwrap().words_sent,
+                s1.x.to_global() == s2.x.to_global(),
+            )
+        })
+        .unwrap();
+    for (err, first, second, words1, words2, same) in out.results {
+        assert!(err < 1e-8, "{err}");
+        assert_eq!(first, 1, "first transposed solve runs the all-to-all");
+        assert_eq!(second, 1, "second solve must reuse the cached transpose");
+        assert!(
+            words2 <= words1,
+            "cached transpose must not re-communicate: {words2} vs {words1}"
+        );
+        assert!(same);
+    }
+}
+
+#[test]
+fn distributed_unit_diagonal_ignores_stored_diagonal() {
+    let n = 32;
+    let k = 8;
+    let out = Machine::new(4, MachineParams::unit())
+        .run(move |comm| {
+            let grid = Grid2D::new(comm, 2, 2).unwrap();
+            let mut l_global = gen::well_conditioned_lower(n, 51);
+            for i in 0..n {
+                l_global[(i, i)] = 1.0;
+            }
+            let x_true = gen::rhs(n, k, 52);
+            let b_global = dense::matmul(&l_global, &x_true);
+            // Store garbage on the diagonal; Diag::Unit must ignore it.
+            let mut l_garbage = l_global.clone();
+            for i in 0..n {
+                l_garbage[(i, i)] = 1e6;
+            }
+            let l = DistMatrix::from_global(&grid, &l_garbage);
+            let b = DistMatrix::from_global(&grid, &b_global);
+            let request = SolveRequest::lower()
+                .unit_diagonal()
+                .algorithm(Algorithm::Wavefront);
+            let sol = request.solve_distributed(&l, &b).unwrap();
+            // Repeated unit-diagonal solves reuse the cached overlay:
+            // it is built exactly once per DistMatrix, not per solve.
+            let sol2 = request.solve_distributed(&l, &b).unwrap();
+            (
+                dense::norms::rel_diff(&sol.x.to_global(), &x_true),
+                sol.x.rel_diff(&sol2.x).unwrap(),
+                l.unit_overlay_count(),
+            )
+        })
+        .unwrap();
+    for (err, repeat_diff, overlays) in out.results {
+        assert!(err < 1e-8, "{err}");
+        assert_eq!(repeat_diff, 0.0, "repeated solves must be bitwise equal");
+        assert_eq!(
+            overlays, 1,
+            "unit overlay must be built once, not per solve"
+        );
+    }
+}
+
+#[test]
+fn right_side_requests_are_rejected_off_the_dense_backend() {
+    assert!(SolveRequest::lower()
+        .side(Side::Right)
+        .plan_distributed(32, 8, 4)
+        .is_err());
+}
+
+#[test]
+fn plan_display_is_informative() {
+    let plan = SolveRequest::lower().plan_dense(128, 8).unwrap();
+    let s = plan.to_string();
+    assert!(s.contains("dense"));
+    assert!(s.contains("128"));
+    let m = sgen::random_lower(64, 2, 3);
+    let sp = SolveRequest::lower().plan_sparse(&m, 1).unwrap();
+    assert!(sp.to_string().contains("nnz"));
+    // Why this plan, in one line, on every branch of the rule.
+    let band = sgen::banded_lower(20_000, 4, 19);
+    let wide = sgen::deep_narrow_lower(20_000, 2048, 6, 7);
+    let budget4 = SolveRequest::lower().threads(4);
+    for (plan, why) in [
+        (
+            SolveRequest::lower().threads(1).plan_sparse(&wide, 1),
+            "not analysed (budget 1)",
+        ),
+        (
+            budget4.plan_sparse(&m, 1),
+            "not analysed (nnz·k below threshold)",
+        ),
+        (
+            budget4.reuse(1).plan_sparse(&wide, 1),
+            "not analysed (reuse 1)",
+        ),
+        (
+            budget4.plan_sparse(&band, 1),
+            "20000 level(s) in 20000 run(s), 0 barrier(s): 4 stored entries per run \
+             against a threshold of 4096: sequential",
+        ),
+        (
+            budget4.plan_sparse(&wide, 1),
+            "10 level(s) in 10 run(s), 10 barrier(s): 12771 stored entries per run \
+             against a threshold of 4096: level sweep on 4 workers",
+        ),
+    ] {
+        let line = plan.unwrap().to_string();
+        assert!(line.contains(why), "{line:?} should say {why:?}");
+    }
+    let dp = SolveRequest::lower().plan_distributed(256, 64, 16).unwrap();
+    assert!(dp.to_string().contains("p = 16"));
+}

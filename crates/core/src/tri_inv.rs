@@ -22,31 +22,19 @@
 //! exchange of values the paper bounds "by an all-to-all".
 
 use crate::error::config_error;
-use crate::mm3d::{mm3d, MmConfig};
+use crate::mm3d::mm3d;
 use crate::planner::choose_mm_p1;
-use crate::{Result, LOG_LATENCY};
+use crate::Result;
 use dense::{Matrix, Triangle};
 use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
 use simnet::Communicator;
 
-/// Configuration of the distributed triangular inversion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TriInvConfig {
-    /// Matrix dimension at or below which the matrix is gathered and inverted
-    /// redundantly by every processor of the (sub-)grid.
-    pub base_size: usize,
-}
-
-impl Default for TriInvConfig {
-    fn default() -> Self {
-        TriInvConfig { base_size: 64 }
-    }
-}
-
 /// Invert a lower-triangular matrix distributed cyclically over a square
-/// processor grid.  Returns the inverse in the same distribution.
-pub fn tri_inv(l: &DistMatrix, cfg: &TriInvConfig) -> Result<DistMatrix> {
+/// processor grid.  Returns the inverse in the same distribution.  At or
+/// below dimension `base_size` the matrix is gathered and inverted
+/// redundantly by every processor of the (sub-)grid.
+pub fn tri_inv(l: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
     let grid = l.grid();
     if grid.rows() != grid.cols() {
         return Err(config_error(
@@ -60,10 +48,10 @@ pub fn tri_inv(l: &DistMatrix, cfg: &TriInvConfig) -> Result<DistMatrix> {
             format!("matrix must be square, got {}x{}", l.rows(), l.cols()),
         ));
     }
-    tri_inv_inner(l, cfg)
+    tri_inv_inner(l, base_size)
 }
 
-fn tri_inv_inner(l: &DistMatrix, cfg: &TriInvConfig) -> Result<DistMatrix> {
+fn tri_inv_inner(l: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
     let grid = l.grid();
     let q = grid.rows();
     let n = l.rows();
@@ -71,7 +59,7 @@ fn tri_inv_inner(l: &DistMatrix, cfg: &TriInvConfig) -> Result<DistMatrix> {
     // Base case: gather the whole matrix and invert it redundantly on every
     // processor of this (sub-)grid, as the paper's pseudocode does once the
     // grid is one-dimensional.
-    let splittable = q >= 2 && q.is_multiple_of(2) && n.is_multiple_of(2 * q) && n > cfg.base_size;
+    let splittable = q >= 2 && q.is_multiple_of(2) && n.is_multiple_of(2 * q) && n > base_size;
     if !splittable {
         // Keep only the lower triangle so the returned inverse has a clean
         // zero upper part regardless of what the storage held there (the
@@ -115,14 +103,14 @@ fn tri_inv_inner(l: &DistMatrix, cfg: &TriInvConfig) -> Result<DistMatrix> {
         })
     };
     let (on_a, on_b) = (child_layout(0), child_layout(qh));
-    let recv_a = l11.redistribute_to(&on_a, Filter::Lower, LOG_LATENCY)?;
-    let recv_b = l22.redistribute_to(&on_b, Filter::Lower, LOG_LATENCY)?;
+    let recv_a = l11.redistribute_to(&on_a, Filter::Lower)?;
+    let recv_b = l22.redistribute_to(&on_b, Filter::Lower)?;
 
     // Each child inverts its block concurrently on its own grid.
     let invert_on = |sub: &Communicator, piece: Matrix| -> Result<Matrix> {
         let child_grid = Grid2D::new(sub, qh, qh)?;
         let child_l = DistMatrix::from_local(&child_grid, h, h, piece)?;
-        Ok(tri_inv_inner(&child_l, cfg)?.local().clone())
+        Ok(tri_inv_inner(&child_l, base_size)?.local().clone())
     };
     let nothing = || Matrix::zeros(0, 0);
     let (piece_a, piece_b) = if let Ok(sub) = &child_a_comm {
@@ -135,18 +123,16 @@ fn tri_inv_inner(l: &DistMatrix, cfg: &TriInvConfig) -> Result<DistMatrix> {
 
     // Redistribute both inverted diagonal blocks back to the parent grid.
     let to_parent = |piece: &Matrix, child: &Layout| {
-        DistMatrix::redistributed_from(grid, (h, h), child, piece, Filter::Lower, LOG_LATENCY)
+        DistMatrix::redistributed_from(grid, (h, h), child, piece, Filter::Lower)
     };
     let inv11 = to_parent(&piece_a, &on_a)?;
     let inv22 = to_parent(&piece_b, &on_b)?;
 
     // Off-diagonal block: inv21 = −inv22 · L21 · inv11, as two multiplications
     // on the full grid.
-    let mm_cfg = MmConfig {
-        p1: choose_mm_p1(h, h, q),
-    };
-    let t = mm3d(&inv22, &l21, &mm_cfg)?;
-    let mut inv21 = mm3d(&t, &inv11, &mm_cfg)?;
+    let p1 = choose_mm_p1(h, h, q);
+    let t = mm3d(&inv22, &l21, p1)?;
+    let mut inv21 = mm3d(&t, &inv11, p1)?;
     inv21.local_mut().scale_in_place(-1.0);
 
     // Assemble the inverse.
@@ -180,7 +166,7 @@ mod tests {
         let (results, _) = on_grid(q, move |grid| {
             let l_global = gen::well_conditioned_lower(n, 42);
             let l = DistMatrix::from_global(grid, &l_global);
-            let inv = tri_inv(&l, &TriInvConfig { base_size: base }).unwrap();
+            let inv = tri_inv(&l, base).unwrap();
             let got = inv.to_global();
             let prod = dense::matmul(&l_global, &got);
             let lower_ok = got.is_lower_triangular();
@@ -227,7 +213,7 @@ mod tests {
     fn rejects_rectangular_inputs() {
         let (results, _) = on_grid(2, |grid| {
             let rect = DistMatrix::zeros(grid, 8, 12);
-            tri_inv(&rect, &TriInvConfig::default()).is_err()
+            tri_inv(&rect, 64).is_err()
         });
         assert!(results.into_iter().all(|v| v));
     }
@@ -238,7 +224,7 @@ mod tests {
             .run(|comm| {
                 let grid = Grid2D::new(comm, 1, 2).unwrap();
                 let l = DistMatrix::zeros(&grid, 8, 8);
-                tri_inv(&l, &TriInvConfig::default()).is_err()
+                tri_inv(&l, 64).is_err()
             })
             .unwrap();
         assert!(out.results.into_iter().all(|v| v));
@@ -253,7 +239,7 @@ mod tests {
         let (_, report) = on_grid(4, move |grid| {
             let l_global = gen::well_conditioned_lower(n, 1);
             let l = DistMatrix::from_global(grid, &l_global);
-            tri_inv(&l, &TriInvConfig { base_size: 16 }).unwrap();
+            tri_inv(&l, 16).unwrap();
         });
         assert!(
             report.max_messages() < 300,

@@ -44,7 +44,7 @@ pub fn wavefront_trsm(l: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
     // Redistribute to a row-cyclic 1D layout: row i lives on rank i mod p.
     let by_rows =
         |cols: usize| Layout::new(p, Axis::cyclic(n, p), Axis::whole(cols), |r, _| Some(r));
-    let to_rows = |m: &DistMatrix| m.redistribute_to(&by_rows(m.cols()), Filter::All, true);
+    let to_rows = |m: &DistMatrix| m.redistribute_to(&by_rows(m.cols()), Filter::All);
     let l_local = to_rows(l)?;
     let mut b_local = to_rows(b)?;
     let my_rows = l_local.rows();
@@ -97,7 +97,6 @@ pub fn wavefront_trsm(l: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
         &by_rows(k),
         &b_local,
         Filter::All,
-        true,
     )?)
 }
 

@@ -14,6 +14,11 @@
 //! 2. the parameter planner in `catrsm` can pick processor grids and block
 //!    sizes **a priori**, which is one of the paper's stated contributions.
 //!
+//! Which formula prices which algorithm is not this crate's business: the
+//! workspace's one algorithm enum is `catrsm::Algorithm`, whose
+//! `predicted_cost` picks among [`CostModelRev::standard_cost`],
+//! [`CostModelRev::it_trsm_cost`] and [`predict::wavefront_cost`].
+//!
 //! The crate is dependency-free and purely numeric: costs are returned as
 //! [`Cost`] records with fractional counts (leading-order expressions, not
 //! integer message counts).
@@ -39,5 +44,5 @@ pub mod tuning;
 
 pub use cost::{Cost, Machine};
 pub use drift::{DriftReport, DriftRow};
-pub use predict::{sparse_solve_cost, sparse_solve_cost_amortized, AlgorithmKind, CostModelRev};
+pub use predict::{sparse_solve_cost, sparse_solve_cost_amortized, CostModelRev};
 pub use tuning::{Regime, TrsmPlan};

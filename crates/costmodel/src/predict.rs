@@ -1,14 +1,16 @@
 //! Prediction hook for the staged solver API (`catrsm::SolveRequest` →
-//! `Plan` → `Solution`).
+//! `SolvePlan` → `Solution`).
 //!
 //! When a request is lowered to a plan, the plan carries the *predicted*
 //! α–β–γ cost of the algorithm it chose, so callers can inspect what a
 //! solve will cost before running it — the "a priori" workflow the paper
 //! advocates, and the plan-inspection pattern the re-examination of this
 //! paper's bandwidth analysis (arXiv:2407.00871) treats as first-class.
-//! [`CostModelRev::trsm_cost`] dispatches the Section IV / VI / II-C3 leading-order
-//! expressions by algorithm kind, so a plan's prediction and the
-//! experiment harness print from the same formulas.
+//! The Section IV / VI / II-C3 leading-order expressions are
+//! [`CostModelRev::standard_cost`], [`CostModelRev::it_trsm_cost`] and
+//! [`wavefront_cost`]; `catrsm::Algorithm::predicted_cost` picks among them,
+//! so a plan's prediction and the experiment harness print from the same
+//! formulas.
 
 use crate::cost::{log2c, Cost};
 
@@ -60,33 +62,6 @@ impl CostModelRev {
     }
 }
 
-/// Which distributed TRSM algorithm a cost prediction refers to.
-///
-/// The mirror of `catrsm::api::Algorithm` without the concrete parameter
-/// payloads: the cost model is asymptotic, so only the algorithm family
-/// matters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlgorithmKind {
-    /// The recursive baseline of Section IV.
-    Recursive,
-    /// The iterative inversion-based algorithm of Sections VI–VII (costed
-    /// with the tuned Section VIII parameters).
-    IterativeInversion,
-    /// The row-fan-out substitution baseline (Heath–Romine, Section II-C3).
-    Wavefront,
-}
-
-impl AlgorithmKind {
-    /// Human-readable name used by plan displays and experiment output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AlgorithmKind::Recursive => "recursive",
-            AlgorithmKind::IterativeInversion => "iterative inversion-based",
-            AlgorithmKind::Wavefront => "wavefront",
-        }
-    }
-}
-
 /// Leading-order cost of the row-fan-out (wavefront) substitution: `n`
 /// broadcast rounds of a `k`-word row over `p` processors.
 ///
@@ -98,22 +73,6 @@ pub fn wavefront_cost(n: f64, k: f64, p: f64) -> Cost {
         latency: n * log2c(p),
         bandwidth: n * k,
         flops: n * n * k / p + n * k,
-    }
-}
-
-impl CostModelRev {
-    /// Predicted critical-path cost of solving `L·X = B` (`n×n`, `k`
-    /// right-hand sides, `p` processors) with the given algorithm family:
-    /// `Ipdps17` evaluates the source paper's expressions verbatim, `Tang24`
-    /// the corrected recursive-TRSM bandwidth bound and rebalanced regime
-    /// boundaries.  The wavefront baseline has no regime structure and is
-    /// identical under both.
-    pub fn trsm_cost(self, kind: AlgorithmKind, n: f64, k: f64, p: f64) -> Cost {
-        match kind {
-            AlgorithmKind::Recursive => self.standard_cost(n, k, p),
-            AlgorithmKind::IterativeInversion => self.it_trsm_cost(n, k, p),
-            AlgorithmKind::Wavefront => wavefront_cost(n, k, p),
-        }
     }
 }
 
@@ -162,30 +121,13 @@ mod tests {
     use CostModelRev::Ipdps17;
 
     #[test]
-    fn dispatch_matches_the_underlying_formulas() {
-        let (n, k, p) = (4096.0, 1024.0, 64.0);
-        assert_eq!(
-            Ipdps17.trsm_cost(AlgorithmKind::Recursive, n, k, p),
-            Ipdps17.standard_cost(n, k, p)
-        );
-        assert_eq!(
-            Ipdps17.trsm_cost(AlgorithmKind::IterativeInversion, n, k, p),
-            Ipdps17.it_trsm_cost(n, k, p)
-        );
-        assert_eq!(
-            Ipdps17.trsm_cost(AlgorithmKind::Wavefront, n, k, p),
-            wavefront_cost(n, k, p)
-        );
-    }
-
-    #[test]
     fn wavefront_latency_dominates_at_scale() {
         // The wavefront's Θ(n·log p) synchronization must exceed both
         // communication-avoiding algorithms once n and p are large.
         let (n, k, p) = (65536.0, 1024.0, 4096.0);
-        let wf = Ipdps17.trsm_cost(AlgorithmKind::Wavefront, n, k, p);
-        let rec = Ipdps17.trsm_cost(AlgorithmKind::Recursive, n, k, p);
-        let it = Ipdps17.trsm_cost(AlgorithmKind::IterativeInversion, n, k, p);
+        let wf = wavefront_cost(n, k, p);
+        let rec = Ipdps17.standard_cost(n, k, p);
+        let it = Ipdps17.it_trsm_cost(n, k, p);
         assert!(wf.latency > rec.latency);
         assert!(wf.latency > it.latency);
         assert!(it.latency < rec.latency, "the paper's headline claim");
@@ -195,16 +137,14 @@ mod tests {
     fn all_kinds_do_the_optimal_flops_to_leading_order() {
         let (n, k, p) = (8192.0, 512.0, 256.0);
         let optimal = n * n * k / p;
-        for kind in [
-            AlgorithmKind::Recursive,
-            AlgorithmKind::IterativeInversion,
-            AlgorithmKind::Wavefront,
+        for (name, c) in [
+            ("recursive", Ipdps17.standard_cost(n, k, p)),
+            ("iterative", Ipdps17.it_trsm_cost(n, k, p)),
+            ("wavefront", wavefront_cost(n, k, p)),
         ] {
-            let c = Ipdps17.trsm_cost(kind, n, k, p);
             assert!(
                 c.flops >= optimal && c.flops <= 2.5 * optimal,
-                "{} flops {} vs optimal {optimal}",
-                kind.name(),
+                "{name} flops {} vs optimal {optimal}",
                 c.flops
             );
         }
@@ -243,14 +183,5 @@ mod tests {
             sparse_solve_cost_amortized(nnz, k, 50.0, p, 0.0, 1.0),
             plain
         );
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(AlgorithmKind::Recursive.name(), "recursive");
-        assert!(AlgorithmKind::IterativeInversion
-            .name()
-            .contains("inversion"));
-        assert_eq!(AlgorithmKind::Wavefront.name(), "wavefront");
     }
 }

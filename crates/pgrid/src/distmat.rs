@@ -179,20 +179,8 @@ impl DistMatrix {
     /// Move this matrix's entries that pass `filter` to where `dst` stores
     /// them ([`redistribute`] from the cyclic layout, over the grid's
     /// communicator); returns this rank's local matrix under `dst`.
-    pub fn redistribute_to(
-        &self,
-        dst: &Layout,
-        filter: Filter,
-        log_latency: bool,
-    ) -> Result<Matrix> {
-        redistribute(
-            self.grid.comm(),
-            &self.layout(),
-            &self.local,
-            dst,
-            filter,
-            log_latency,
-        )
+    pub fn redistribute_to(&self, dst: &Layout, filter: Filter) -> Result<Matrix> {
+        redistribute(self.grid.comm(), &self.layout(), &self.local, dst, filter)
     }
 
     /// The `rows × cols` matrix stored under `src` (`from` being this rank's
@@ -204,10 +192,9 @@ impl DistMatrix {
         src: &Layout,
         from: &Matrix,
         filter: Filter,
-        log_latency: bool,
     ) -> Result<Self> {
         let cyclic = Layout::cyclic(grid, rows, cols);
-        let local = redistribute(grid.comm(), src, from, &cyclic, filter, log_latency)?;
+        let local = redistribute(grid.comm(), src, from, &cyclic, filter)?;
         DistMatrix::from_local(grid, rows, cols, local)
     }
 
@@ -256,7 +243,7 @@ impl DistMatrix {
         let _span = obs::span_with("pgrid", "transpose_redist", "rows", self.rows as u64);
         // The endpoint is per-rank single-threaded, so compute-then-set
         // cannot race; a concurrent set is impossible here.
-        let t = Box::new(crate::redist::transpose(self, true)?);
+        let t = Box::new(crate::redist::transpose(self)?);
         self.transposes.fetch_add(1, Ordering::Relaxed);
         let _ = self.transpose_cache.set(t);
         Ok(self

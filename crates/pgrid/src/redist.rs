@@ -22,8 +22,7 @@
 //!
 //! The buffers are routed by the same Bruck all-to-all-v of `simnet::coll`
 //! the algorithms have always used (`⌈log₂ p⌉` messages per rank, a
-//! [`simnet::coll::BRUCK_BLOCK_HEADER`]-word header per forwarded block), or
-//! by the direct pairwise exchange (`p − 1` messages, no header).  A
+//! [`simnet::coll::BRUCK_BLOCK_HEADER`]-word header per forwarded block).  A
 //! redistribution between two layouts that place every entry identically
 //! ([`Layout::same_placement`]) — decided from the two layouts alone, so
 //! every rank decides alike — sends nothing.
@@ -390,12 +389,11 @@ fn check_local(what: &str, got: (usize, usize), want: (usize, usize)) -> Result<
 /// A rank that sends nothing under `src` may pass any `from`, and a rank that
 /// holds nothing under `dst` any `into`; neither is looked at.
 ///
-/// `log_latency` routes the value buffers through the Bruck all-to-all-v
-/// (`⌈log₂ p⌉` messages per rank, each word forwarded up to `⌈log₂ p⌉`
-/// times); otherwise a direct pairwise exchange is used (`p − 1` messages,
-/// no forwarding).  When the layouts have the [`Layout::same_placement`]
-/// neither runs: the filtered entries are copied locally and the call costs
-/// 0 messages and 0 words on every rank.
+/// The value buffers travel through the Bruck all-to-all-v (`⌈log₂ p⌉`
+/// messages per rank, each word forwarded up to `⌈log₂ p⌉` times) — the
+/// route the paper's latency terms assume.  When the layouts have the
+/// [`Layout::same_placement`] nothing is sent: the filtered entries are
+/// copied locally and the call costs 0 messages and 0 words on every rank.
 pub fn redistribute_into(
     comm: &Communicator,
     src: &Layout,
@@ -403,7 +401,6 @@ pub fn redistribute_into(
     dst: &Layout,
     into: &mut Matrix,
     filter: Filter,
-    log_latency: bool,
 ) -> Result<()> {
     let _span = obs::span_with("pgrid", "redistribute", "ranks", comm.size() as u64);
     let (p, me) = (comm.size(), comm.rank());
@@ -418,10 +415,8 @@ pub fn redistribute_into(
     let outgoing = pack(src, dst, from, filter, me);
     let incoming = if src.same_placement(dst) {
         outgoing // every value is addressed to this rank
-    } else if log_latency {
-        coll::alltoallv_bruck(comm, outgoing)?
     } else {
-        coll::alltoallv_direct(comm, outgoing)?
+        coll::alltoallv_bruck(comm, outgoing)?
     };
     unpack(src, dst, &incoming, into, filter, me)
 }
@@ -434,12 +429,11 @@ pub fn redistribute(
     from: &Matrix,
     dst: &Layout,
     filter: Filter,
-    log_latency: bool,
 ) -> Result<Matrix> {
     check_layouts(comm.size(), src, dst)?;
     let (rows, cols) = dst.local_dims(comm.rank());
     let mut into = Matrix::zeros(rows, cols);
-    redistribute_into(comm, src, from, dst, &mut into, filter, log_latency)?;
+    redistribute_into(comm, src, from, dst, &mut into, filter)?;
     Ok(into)
 }
 
@@ -448,7 +442,7 @@ pub fn redistribute(
 /// via one all-to-all of the values (the cost the paper charges for its
 /// layout transposes) and arrives as the local transpose of the piece `Aᵀ`
 /// stores; a local flip finishes the job.
-pub fn transpose(mat: &DistMatrix, log_latency: bool) -> Result<DistMatrix> {
+pub fn transpose(mat: &DistMatrix) -> Result<DistMatrix> {
     let grid = mat.grid();
     // Rank (a, b) stores Aᵀ's rows ≡ a, columns ≡ b — A's columns and rows.
     let flipped = Layout::new(
@@ -457,7 +451,7 @@ pub fn transpose(mat: &DistMatrix, log_latency: bool) -> Result<DistMatrix> {
         Axis::cyclic(mat.cols(), grid.rows()),
         |b, a| Some(grid.rank_of(a, b)),
     );
-    let piece = mat.redistribute_to(&flipped, Filter::All, log_latency)?;
+    let piece = mat.redistribute_to(&flipped, Filter::All)?;
     DistMatrix::from_local(grid, mat.cols(), mat.rows(), piece.transpose())
 }
 
@@ -472,7 +466,7 @@ mod tests {
             .run(|comm| {
                 let grid = Grid2D::new(comm, 2, 3).unwrap();
                 let a = DistMatrix::from_fn(&grid, 8, 10, |i, j| (i * 10 + j) as f64);
-                let at = transpose(&a, true).unwrap();
+                let at = transpose(&a).unwrap();
                 let expect = a.to_global().transpose();
                 dense::norms::rel_diff(&at.to_global(), &expect)
             })
@@ -486,7 +480,7 @@ mod tests {
             .run(|comm| {
                 let grid = Grid2D::new(comm, 2, 2).unwrap();
                 let a = DistMatrix::from_fn(&grid, 6, 6, |i, j| (i * 7 + j * 3) as f64);
-                let att = transpose(&transpose(&a, false).unwrap(), false).unwrap();
+                let att = transpose(&transpose(&a).unwrap()).unwrap();
                 att.rel_diff(&a).unwrap()
             })
             .unwrap();
@@ -539,10 +533,10 @@ mod tests {
                     Layout::new(2, Axis::cyclic(8, 2), Axis::whole(8), |r, _| Some(r));
                 let all = Filter::All;
                 [
-                    redistribute(comm, &src, &from, &wrong_space, all, true).is_err(),
-                    redistribute(comm, &src, &wrong_local, &wrong_space, all, true).is_err(),
-                    redistribute(comm, &src, &from, &wrong_ranks, all, true).is_err(),
-                    redistribute_into(comm, &src, &from, &src, &mut Matrix::zeros(1, 1), all, true)
+                    redistribute(comm, &src, &from, &wrong_space, all).is_err(),
+                    redistribute(comm, &src, &wrong_local, &wrong_space, all).is_err(),
+                    redistribute(comm, &src, &from, &wrong_ranks, all).is_err(),
+                    redistribute_into(comm, &src, &from, &src, &mut Matrix::zeros(1, 1), all)
                         .is_err(),
                 ]
             })
@@ -561,7 +555,7 @@ mod tests {
                     Some(x * 2 + y)
                 });
                 assert!(a.layout().same_placement(&same));
-                let got = a.redistribute_to(&same, Filter::Lower, true).unwrap();
+                let got = a.redistribute_to(&same, Filter::Lower).unwrap();
                 let lower = DistMatrix::from_fn(&grid, 6, 6, |i, j| {
                     if j <= i {
                         (i * 6 + j + 1) as f64

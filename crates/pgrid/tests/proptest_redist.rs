@@ -1,8 +1,8 @@
 //! Property tests of the key-free redistribution: for random shapes, cuts,
 //! holders (rectangular grids, replicated destinations, source pieces nobody
-//! sends), filters and both routings, every rank must end up with exactly
-//! what "gather to the global matrix, re-slice" gives — and the words put on
-//! the wire must be the values moved plus the documented per-block header.
+//! sends) and filters, every rank must end up with exactly what "gather to the
+//! global matrix, re-slice" gives — and the words put on the wire must be the
+//! values moved plus the documented per-block header.
 
 use dense::Matrix;
 use pgrid::redist::{redistribute, redistribute_into, Axis, Filter, Layout};
@@ -216,7 +216,7 @@ impl Case {
 
     /// Run the redistribution on `p` ranks; returns each rank's `into`, and
     /// the machine's cost report.
-    fn run(&self, log_latency: bool) -> (Vec<Matrix>, simnet::CostReport) {
+    fn run(&self) -> (Vec<Matrix>, simnet::CostReport) {
         let (src, dst) = (
             self.src.layout(self.p, self.m, self.n),
             self.dst.layout(self.p, self.m, self.n),
@@ -235,8 +235,7 @@ impl Case {
                 };
                 let (lr, lc) = dst.local_dims(me);
                 let mut into = Matrix::filled(lr, lc, UNTOUCHED);
-                redistribute_into(comm, &src, &from, &dst, &mut into, self.filter, log_latency)
-                    .unwrap();
+                redistribute_into(comm, &src, &from, &dst, &mut into, self.filter).unwrap();
                 into
             })
             .unwrap();
@@ -255,8 +254,8 @@ fn filter_from(selector: usize, n0: usize) -> Filter {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Element for element, both routings deliver what the reference
-    /// re-slicing of the global matrix gives, and leave the rest alone.
+    /// Element for element, the redistribution delivers what the reference
+    /// re-slicing of the global matrix gives, and leaves the rest alone.
     #[test]
     fn matches_gather_and_reslice(
         seed in any::<u64>(),
@@ -276,10 +275,7 @@ proptest! {
             filter: filter_from(selector, n0),
         };
         let expected = case.expected(&case.dst.layout(p, m, n));
-        for log_latency in [true, false] {
-            let (got, _) = case.run(log_latency);
-            prop_assert_eq!(&got, &expected, "log_latency = {}", log_latency);
-        }
+        prop_assert_eq!(&case.run().0, &expected);
     }
 
     /// Between two rectangular grids over the same ranks — what the
@@ -303,17 +299,13 @@ proptest! {
             filter: filter_from(selector, n0),
         };
         let expected = case.expected(&case.dst.layout(6, m, n));
-        for log_latency in [true, false] {
-            let (got, _) = case.run(log_latency);
-            prop_assert_eq!(&got, &expected);
-        }
+        prop_assert_eq!(&case.run().0, &expected);
     }
 
-    /// The wire carries the values that change rank and nothing else: exactly
-    /// them under direct routing; under Bruck, each block once per set bit of
-    /// its hop distance, plus one count word per round and one header per
-    /// forwarded block.  A redistribution onto the layout the data is
-    /// already in costs nothing at all.
+    /// The wire carries the values that change rank and nothing else: each
+    /// block once per set bit of its hop distance, plus one count word per
+    /// round and one header per forwarded block.  A redistribution onto the
+    /// layout the data is already in costs nothing at all.
     #[test]
     fn words_on_the_wire_are_values_plus_headers(
         seed in any::<u64>(),
@@ -336,20 +328,14 @@ proptest! {
             .map(|(s, d)| moved[s][d])
             .sum();
 
-        let (_, direct) = case.run(false);
-        let (_, bruck) = case.run(true);
+        let (_, bruck) = case.run();
         if same || p == 1 {
             prop_assert_eq!(off_rank, 0);
-            for report in [&direct, &bruck] {
-                for rank in &report.per_rank {
-                    prop_assert_eq!((rank.msgs_sent, rank.words_sent), (0, 0));
-                    prop_assert_eq!((rank.msgs_recv, rank.words_recv), (0, 0));
-                }
+            for rank in &bruck.per_rank {
+                prop_assert_eq!((rank.msgs_sent, rank.words_sent), (0, 0));
+                prop_assert_eq!((rank.msgs_recv, rank.words_recv), (0, 0));
             }
         } else {
-            prop_assert_eq!(direct.total_words() as usize, off_rank);
-            prop_assert_eq!(direct.total_messages() as usize, p * (p - 1));
-
             let rounds = p.next_power_of_two().trailing_zeros() as usize;
             let mut words = p * rounds; // one count word per message
             for (s, row) in moved.iter().enumerate() {
@@ -384,7 +370,7 @@ fn provably_identical_placement_is_seen_by_every_rank_and_sends_nothing() {
                 });
                 let (lr, lc) = src.local_dims(comm.rank());
                 let from = Matrix::filled(lr, lc, comm.rank() as f64);
-                let got = redistribute(comm, &src, &from, &face, Filter::Lower, true).unwrap();
+                let got = redistribute(comm, &src, &from, &face, Filter::Lower).unwrap();
                 (src.same_placement(&face), got)
             })
             .unwrap()

@@ -14,7 +14,7 @@
 //!   ([`PlanKey`]);
 //! * [`cache`] — a small LRU with hit/miss/eviction accounting;
 //! * [`service`] — the [`SolveService`] itself: a fingerprint-keyed LRU
-//!   of lowered `Arc<Plan>`s with canonical-operand pinning (repeat
+//!   of lowered `Arc<SolvePlan>`s with canonical-operand pinning (repeat
 //!   traffic skips `planner` lowering **and** schedule analysis), a
 //!   submission queue whose flush fuses compatible single-RHS jobs into
 //!   one multi-RHS execute per plan (sparse) or packs independent

@@ -1,6 +1,6 @@
 //! The long-lived [`SolveService`]: a fingerprint-keyed plan cache plus a
 //! batched execution engine in front of the staged
-//! `SolveRequest → Plan → Solution` API.
+//! `SolveRequest → SolvePlan → Solution` API.
 //!
 //! # What the service amortizes
 //!

@@ -112,7 +112,7 @@ impl SolveOpts {
 /// structure the executor runs, resolved by [`level_rule`].
 /// [`SparseTri::execution_shape`] computes it ahead of time and
 /// [`SparseTri::solve_multi_shaped`] returns the one it ran; `catrsm`'s
-/// staged planner records the former on its `Plan` and reports the latter
+/// staged planner records the former on its `SolvePlan` and reports the latter
 /// in its `LevelReport`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionShape {
@@ -188,7 +188,7 @@ pub enum NotAnalysed {
 }
 
 /// [`level_rule`]'s decision, with what it was decided on — `Display`ed by
-/// `catrsm::Plan` as the answer to "why this plan".
+/// `catrsm::SolvePlan` as the answer to "why this plan".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Sequential sweep; the pattern is not analysed.

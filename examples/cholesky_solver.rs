@@ -17,7 +17,7 @@ fn main() {
 
     let cfg = FactorConfig {
         base_size: 32,
-        trsm: Algorithm::Recursive { base_size: 16 },
+        trsm: Some(Algorithm::Recursive { base_size: 16 }),
     };
 
     let output = machine

@@ -8,9 +8,9 @@
 //! cargo run --release --example cost_explorer -- 1048576 4096 16384
 //! ```
 
-use catrsm::SolveRequest;
+use catrsm::{Algorithm, SolveRequest};
 use costmodel::CostModelRev::Ipdps17;
-use costmodel::{compare, predict, Machine as ModelMachine};
+use costmodel::{compare, Machine as ModelMachine};
 
 fn parse_arg(idx: usize, default: usize) -> usize {
     std::env::args()
@@ -84,25 +84,23 @@ fn main() {
     );
 
     // The same numbers through the staged API: a plan carries its predicted
-    // cost, so the "a priori" workflow is one `plan_distributed` away.
-    let plan = SolveRequest::lower()
-        .plan_distributed(n, k, p)
-        .expect("plan");
+    // cost, so the "a priori" workflow is one `plan_distributed` away — and a
+    // shape no integer grid fits is refused there, before anything runs.
     println!("\nstaged API: SolveRequest::lower().plan_distributed({n}, {k}, {p})");
-    println!("  {plan}");
-    let predicted = plan.predicted_cost.expect("distributed plans predict");
-    println!(
-        "  predicted S/W/F: {:.3e} / {:.3e} / {:.3e}",
-        predicted.latency, predicted.bandwidth, predicted.flops
-    );
+    match SolveRequest::lower().plan_distributed(n, k, p) {
+        Ok(plan) => {
+            println!("  {plan}");
+            let predicted = plan.predicted_cost.expect("distributed plans predict");
+            println!(
+                "  predicted S/W/F: {:.3e} / {:.3e} / {:.3e}",
+                predicted.latency, predicted.bandwidth, predicted.flops
+            );
+        }
+        Err(e) => println!("  {e}"),
+    }
 
-    // And the wavefront baseline the predict hook also covers, for scale.
-    let wf = Ipdps17.trsm_cost(
-        predict::AlgorithmKind::Wavefront,
-        n as f64,
-        k as f64,
-        p as f64,
-    );
+    // And the wavefront baseline, priced by the same `Algorithm`, for scale.
+    let wf = Algorithm::Wavefront.predicted_cost(Ipdps17, n as f64, k as f64, p as f64);
     println!(
         "  wavefront baseline would pay S = {:.3e} messages (Θ(n·log p))",
         wf.latency

@@ -1,5 +1,5 @@
 //! Quickstart: describe a triangular solve once with the staged
-//! `SolveRequest → Plan → Solution` API, inspect the plan the cost model
+//! `SolveRequest → SolvePlan → Solution` API, inspect the plan the cost model
 //! chose, execute it on a simulated distributed-memory machine, and read
 //! the uniform report.
 //!
@@ -22,22 +22,22 @@ fn main() {
     let request = SolveRequest::lower().with_residual();
 
     // Stage 2 — the plan: inspectable *before* anything runs.  With no
-    // algorithm pin, the Section VIII cost model resolves `Auto` here.
+    // algorithm pin, the Section VIII cost model makes the choice here.
     let plan = request.plan_distributed(n, k, p).expect("plan");
     println!("communication-avoiding TRSM quickstart");
     println!("  problem:        n = {n}, k = {k}, p = {p}");
     println!("  plan:           {plan}");
     if let PlanBackend::Distributed {
-        params: Some(params),
+        algorithm: Algorithm::IterativeInversion(cfg),
         ..
-    } = &plan.backend
+    } = plan.backend
     {
         println!(
             "  planner grid:   p1 × p1 × p2 = {} × {} × {}, n0 = {} ({:?})",
-            params.it_inv.p1,
-            params.it_inv.p1,
-            params.it_inv.p2,
-            params.it_inv.n0,
+            cfg.p1,
+            cfg.p1,
+            cfg.p2,
+            cfg.n0,
             plan.regime.expect("distributed plans carry a regime"),
         );
     }

@@ -8,10 +8,12 @@
 //! cargo run --release --example scaling_study
 //! ```
 
-use catrsm::{planner, CostModelRev};
+use catrsm::CostModelRev;
 use catrsm_suite::prelude::*;
 
-fn measure(n: usize, k: usize, grid_dim: usize, algorithm: Algorithm) -> (u64, u64, f64) {
+/// `(S, W, T)` of one solve; `None` is the unpinned request — the iterative
+/// algorithm with the Section VIII planner's parameters.
+fn measure(n: usize, k: usize, grid_dim: usize, algorithm: Option<Algorithm>) -> (u64, u64, f64) {
     let request = SolveRequest::lower().algorithm(algorithm);
     let out = Machine::new(grid_dim * grid_dim, MachineParams::cluster())
         .run(move |comm| {
@@ -44,9 +46,8 @@ fn main() {
     );
     for grid_dim in [1usize, 2, 4] {
         let p = grid_dim * grid_dim;
-        let plan = planner::plan(CostModelRev::Ipdps17, n, k, p);
-        let rec = measure(n, k, grid_dim, Algorithm::Recursive { base_size: 32 });
-        let new = measure(n, k, grid_dim, Algorithm::IterativeInversion(plan.it_inv));
+        let rec = measure(n, k, grid_dim, Some(Algorithm::Recursive { base_size: 32 }));
+        let new = measure(n, k, grid_dim, None);
         println!(
             "{:>5} | S={:>6} W={:>9} T={:>8.2e} | S={:>6} W={:>9} T={:>8.2e} | {:>5.2}x",
             p,

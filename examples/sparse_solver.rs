@@ -1,4 +1,4 @@
-//! Sparse triangular solves through the staged `SolveRequest → Plan →
+//! Sparse triangular solves through the staged `SolveRequest → SolvePlan →
 //! Solution` API: the analyze-once / solve-many pattern of preconditioner
 //! applies, plan inspection (including why a plan runs sequentially or in
 //! parallel), and transposed applies on the cached transpose.

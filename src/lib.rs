@@ -38,7 +38,7 @@ pub use sparse;
 pub mod prelude {
     pub use catrsm::api::Algorithm;
     pub use catrsm::it_inv_trsm::{it_inv_trsm, ItInvConfig};
-    pub use catrsm::rec_trsm::{rec_trsm, RecTrsmConfig};
+    pub use catrsm::rec_trsm::rec_trsm;
     pub use catrsm::{LevelReport, PlanBackend, Solution, SolvePlan, SolveReport, SolveRequest};
     pub use dense::{gen, Diag, Matrix, Side, Transpose, Triangle};
     pub use pgrid::{DistMatrix, Grid2D};

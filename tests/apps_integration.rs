@@ -9,8 +9,8 @@ use catrsm_suite::prelude::*;
 
 #[test]
 fn spd_system_solved_with_iterative_trsm_panels() {
-    // Use the paper's iterative TRSM (Algorithm::Auto) inside the Cholesky
-    // panel solves and verify the final linear-system solution.
+    // Use the paper's iterative TRSM (no pin: the planner's choice) inside
+    // the Cholesky panel solves and verify the final linear-system solution.
     let out = Machine::new(4, MachineParams::cluster())
         .run(|comm| {
             let grid = Grid2D::new(comm, 2, 2).unwrap();
@@ -23,7 +23,7 @@ fn spd_system_solved_with_iterative_trsm_panels() {
             let b = DistMatrix::from_global(&grid, &b_global);
             let cfg = FactorConfig {
                 base_size: 16,
-                trsm: Algorithm::Auto,
+                trsm: None,
             };
             let x = cholesky_solve(&a, &b, &cfg).unwrap();
             let x_ref = DistMatrix::from_global(&grid, &x_true);
@@ -47,7 +47,7 @@ fn general_system_solved_with_lu_and_trsm() {
             let b = DistMatrix::from_global(&grid, &b_global);
             let cfg = FactorConfig {
                 base_size: 16,
-                trsm: Algorithm::Recursive { base_size: 8 },
+                trsm: Some(Algorithm::Recursive { base_size: 8 }),
             };
             let x = lu_solve(&a, &b, &cfg).unwrap();
             let x_ref = DistMatrix::from_global(&grid, &x_true);
@@ -94,7 +94,7 @@ fn factorization_solvers_work_on_a_larger_grid() {
             let b = DistMatrix::from_global(&grid, &b_global);
             let cfg = FactorConfig {
                 base_size: 24,
-                trsm: Algorithm::Wavefront,
+                trsm: Some(Algorithm::Wavefront),
             };
             let x = cholesky_solve(&a, &b, &cfg).unwrap();
             let x_ref = DistMatrix::from_global(&grid, &x_true);

@@ -3,8 +3,8 @@
 //! experiments and examples use it.
 
 use catrsm::api::Algorithm;
-use catrsm::it_inv_trsm::{it_inv_trsm, ItInvConfig};
-use catrsm::rec_trsm::{rec_trsm, RecTrsmConfig};
+use catrsm::it_inv_trsm::ItInvConfig;
+use catrsm::rec_trsm::rec_trsm;
 use catrsm::{planner, CostModelRev};
 use catrsm_suite::prelude::*;
 use pgrid::redist;
@@ -32,15 +32,15 @@ fn all_trsm_algorithms_agree_with_the_sequential_solution() {
 
             let mut errors = Vec::new();
             for algorithm in [
-                Algorithm::Auto,
-                Algorithm::Recursive { base_size: 16 },
-                Algorithm::IterativeInversion(ItInvConfig {
+                None,
+                Some(Algorithm::Recursive { base_size: 16 }),
+                Some(Algorithm::IterativeInversion(ItInvConfig {
                     p1: 2,
                     p2: 4,
                     n0: 32,
                     inv_base: 16,
-                }),
-                Algorithm::Wavefront,
+                })),
+                Some(Algorithm::Wavefront),
             ] {
                 let sol = SolveRequest::lower()
                     .algorithm(algorithm)
@@ -69,7 +69,7 @@ fn iterative_algorithm_beats_recursive_latency_as_p_grows() {
     let mut ratios = Vec::new();
     for q in [2usize, 4] {
         let p = q * q;
-        let plan = planner::plan(CostModelRev::Ipdps17, n, k, p);
+        let plan = planner::plan(CostModelRev::Ipdps17, n, k, p).unwrap();
         let run = |alg: Algorithm| {
             Machine::new(p, MachineParams::unit())
                 .run(move |comm| {
@@ -94,7 +94,7 @@ fn iterative_algorithm_beats_recursive_latency_as_p_grows() {
         let three_d = ItInvConfig {
             p1: q / 2,
             p2: 4,
-            ..plan.it_inv
+            ..plan
         };
         let rec = run(Algorithm::Recursive { base_size: 32 });
         let itr = run(Algorithm::IterativeInversion(three_d));
@@ -104,12 +104,11 @@ fn iterative_algorithm_beats_recursive_latency_as_p_grows() {
         );
         ratios.push(rec as f64 / itr as f64);
 
-        let planned = run(Algorithm::IterativeInversion(plan.it_inv));
+        let planned = run(Algorithm::IterativeInversion(plan));
         assert!(
             planned <= itr,
-            "the planner's plan {:?} must not need more messages than {three_d:?} \
-             (p = {p}: {planned} vs {itr})",
-            plan.it_inv
+            "the planner's plan {plan:?} must not need more messages than {three_d:?} \
+             (p = {p}: {planned} vs {itr})"
         );
         if p == 4 {
             // The 2D plan's identity face route saves one Bruck all-to-all
@@ -130,7 +129,7 @@ fn both_algorithms_move_the_same_order_of_words() {
     let k = 64;
     let q = 4;
     let p = q * q;
-    let plan = planner::plan(CostModelRev::Ipdps17, n, k, p);
+    let plan = planner::plan(CostModelRev::Ipdps17, n, k, p).unwrap();
     let words = |alg: Algorithm| {
         Machine::new(p, MachineParams::unit())
             .run(move |comm| {
@@ -148,7 +147,7 @@ fn both_algorithms_move_the_same_order_of_words() {
             .max_words()
     };
     let rec = words(Algorithm::Recursive { base_size: 32 }) as f64;
-    let itr = words(Algorithm::IterativeInversion(plan.it_inv)) as f64;
+    let itr = words(Algorithm::IterativeInversion(plan)) as f64;
     let ratio = itr / rec;
     assert!(
         (0.25..4.0).contains(&ratio),
@@ -158,31 +157,68 @@ fn both_algorithms_move_the_same_order_of_words() {
 
 #[test]
 fn planner_configurations_are_always_runnable() {
-    // Whatever the planner returns for a feasible (n, k, p) must execute and
-    // produce a correct solution.
-    for (n, k, q) in [
+    // Whatever an unpinned request plans for (n, k, p) must execute and
+    // produce a correct solution; a shape no grid fits is refused when it is
+    // planned, never by the executor.
+    let mut shapes = vec![
         (64usize, 16usize, 2usize),
         (64, 256, 2),
         (256, 16, 4),
         (128, 128, 4),
-    ] {
+    ];
+    for n in [16, 60, 63, 64, 96, 128] {
+        for k in [2, 6, 16, 18, 34, 50, 100] {
+            shapes.extend([(n, k, 2), (n, k, 4)]);
+        }
+    }
+    let mut refused = 0;
+    for (n, k, q) in shapes {
         let p = q * q;
-        let plan = planner::plan(CostModelRev::Ipdps17, n, k, p);
+        let Ok(plan) = SolveRequest::lower().plan_distributed(n, k, p) else {
+            refused += 1;
+            continue;
+        };
+        // On 16 ranks the model wants a deep grid for these, and used to get
+        // p2 = 16 whatever k was.  Only p2 = 1 divides four of the k's: the
+        // 4 × 4 × 1 face; 4 divides 100, so the nearer 2 × 2 × 4 fits there.
+        let pinned = [
+            ((64, 18), (4, 1)),
+            ((64, 100), (2, 4)),
+            ((16, 6), (4, 1)),
+            ((64, 34), (4, 1)),
+            ((128, 50), (4, 1)),
+        ];
+        if let Some((_, grid)) = pinned.iter().find(|(shape, _)| p == 16 && *shape == (n, k)) {
+            let PlanBackend::Distributed {
+                algorithm: Algorithm::IterativeInversion(cfg),
+                ..
+            } = plan.backend
+            else {
+                panic!("an unpinned request plans the iterative algorithm");
+            };
+            assert_eq!((cfg.p1, cfg.p2), *grid, "n={n} k={k}");
+        }
         let out = Machine::new(p, MachineParams::unit())
             .run(move |comm| {
                 let grid = Grid2D::new(comm, q, q).unwrap();
                 let (l_g, b_g, x_g) = instance(n, k, 11);
                 let l = DistMatrix::from_global(&grid, &l_g);
                 let b = DistMatrix::from_global(&grid, &b_g);
-                let (x, _) = it_inv_trsm(&l, &b, &plan.it_inv).unwrap();
+                let sol = plan.execute_distributed(&l, &b).unwrap();
                 let x_ref = DistMatrix::from_global(&grid, &x_g);
-                x.rel_diff(&x_ref).unwrap()
+                sol.x.rel_diff(&x_ref).unwrap()
             })
             .unwrap();
         for err in out.results {
             assert!(err < 1e-8, "n={n} k={k} p={p}: {err}");
         }
     }
+    // n = 63 pins p1 = 1, and p2 = 16 does not divide 6.
+    assert!(SolveRequest::lower().plan_distributed(63, 6, 16).is_err());
+    assert!(
+        refused > 0 && refused < 40,
+        "{refused} of 88 shapes refused"
+    );
 }
 
 #[test]
@@ -193,7 +229,7 @@ fn distributed_residual_checks_work_end_to_end() {
             let (l_g, b_g, _) = instance(64, 16, 13);
             let l = DistMatrix::from_global(&grid, &l_g);
             let b = DistMatrix::from_global(&grid, &b_g);
-            let x = rec_trsm(&l, &b, &RecTrsmConfig::default()).unwrap();
+            let x = rec_trsm(&l, &b, 64).unwrap();
             catrsm::verify::residual(&l, &x, &b).unwrap()
         })
         .unwrap();
@@ -259,8 +295,7 @@ fn redistribution_round_trips_between_grids() {
             let a = DistMatrix::from_fn(&tall, 12, 8, |i, j| (i * 8 + j) as f64);
             let regrid = |m: &DistMatrix, to: &Grid2D| {
                 let all = redist::Filter::All;
-                DistMatrix::redistributed_from(to, (12, 8), &m.layout(), m.local(), all, true)
-                    .unwrap()
+                DistMatrix::redistributed_from(to, (12, 8), &m.layout(), m.local(), all).unwrap()
             };
             // To the square grid, and back to the tall grid.
             let on_square = regrid(&a, &square);

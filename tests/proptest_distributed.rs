@@ -3,7 +3,7 @@
 //! solutions that agree with the sequential kernels.
 
 use catrsm::it_inv_trsm::{it_inv_trsm, ItInvConfig};
-use catrsm::rec_trsm::{rec_trsm, RecTrsmConfig};
+use catrsm::rec_trsm::rec_trsm;
 use catrsm_suite::prelude::*;
 use proptest::prelude::*;
 
@@ -73,7 +73,7 @@ proptest! {
                 let b_g = gen::rhs(n, k, seed + 1);
                 let l = DistMatrix::from_global(&grid, &l_g);
                 let b = DistMatrix::from_global(&grid, &b_g);
-                let x_rec = rec_trsm(&l, &b, &RecTrsmConfig { base_size: 16 }).unwrap();
+                let x_rec = rec_trsm(&l, &b, 16).unwrap();
                 let cfg = ItInvConfig { p1: 2, p2: 1, n0: n / 2, inv_base: 8 };
                 let (x_it, _) = it_inv_trsm(&l, &b, &cfg).unwrap();
                 x_rec.rel_diff(&x_it).unwrap()

@@ -72,7 +72,7 @@ fn distributed_plans_share_the_cache_with_local_plans() {
     });
     let req = SolveRequest::lower();
     svc.plan_distributed(&req, 64, 16, 4).unwrap();
-    svc.plan_distributed(&req, 64, 16, 9).unwrap();
+    svc.plan_distributed(&req, 64, 16, 16).unwrap();
 
     let m = Arc::new(sparse::gen::random_lower(64, 3, 5));
     let b = sparse::gen::rhs_vec(64, 6);
@@ -82,7 +82,7 @@ fn distributed_plans_share_the_cache_with_local_plans() {
     assert_eq!(svc.cached_plans(), 3);
     // Re-requesting each is a hit, not a collision-miss.
     svc.plan_distributed(&req, 64, 16, 4).unwrap();
-    svc.plan_distributed(&req, 64, 16, 9).unwrap();
+    svc.plan_distributed(&req, 64, 16, 16).unwrap();
     svc.solve_vec(&req, &Operand::Sparse(m), &b).unwrap();
     let stats = svc.stats();
     assert_eq!(stats.misses, 3);

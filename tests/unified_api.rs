@@ -1,4 +1,4 @@
-//! Cross-backend properties of the staged `SolveRequest → Plan → Solution`
+//! Cross-backend properties of the staged `SolveRequest → SolvePlan → Solution`
 //! API:
 //!
 //! * one request with identical options yields **bitwise-identical**
@@ -152,8 +152,8 @@ fn dense_plan_says_whether_diagonal_blocks_are_inverted() {
 }
 
 /// Distributed: a transposed request equals solving the explicitly
-/// transposed distributed matrix, and Auto's plan is the configuration it
-/// executes.
+/// transposed distributed matrix, and an unpinned request's plan is the
+/// configuration it executes.
 #[test]
 fn distributed_transposed_request_matches_materialized_transpose() {
     let n = 32;
@@ -211,8 +211,8 @@ fn auto_plan_is_the_configuration_that_executes() {
             let PlanBackend::Distributed { algorithm, .. } = &plan.backend else {
                 panic!("expected a distributed plan");
             };
-            // Pinning the request to the algorithm Auto chose must execute
-            // the identical solve.
+            // Pinning the request to the algorithm the planner chose must
+            // execute the identical solve.
             let auto = plan.execute_distributed(&l, &b).unwrap();
             let pinned = SolveRequest::lower()
                 .algorithm(*algorithm)
@@ -226,8 +226,14 @@ fn auto_plan_is_the_configuration_that_executes() {
         })
         .unwrap();
     for (vs_pinned, vs_true, has_phases) in out.results {
-        assert_eq!(vs_pinned, 0.0, "Auto must execute exactly its plan");
+        assert_eq!(
+            vs_pinned, 0.0,
+            "the unpinned request must execute exactly its plan"
+        );
         assert!(vs_true < 1e-8);
-        assert!(has_phases, "Auto resolves to it_inv, which reports phases");
+        assert!(
+            has_phases,
+            "no pin resolves to it_inv, which reports phases"
+        );
     }
 }
