@@ -8,7 +8,6 @@
 //! predicted `n/n0`-proportional costs.
 
 use catrsm::{Algorithm, ItInvConfig, SolveRequest};
-use costmodel::itinv;
 use harness::{banner, run, swf, Table, TrsmInstance};
 use simnet::MachineParams;
 
@@ -49,18 +48,11 @@ fn main() {
 
         // The model prices the inversion on the r1 × r1 × r2 sub-grid each
         // diagonal block gets, and solve/update on the p1 × p1 × p2 solve grid.
-        let (nf, kf, n0f) = (n as f64, k as f64, n0 as f64);
-        let (p1f, p2f) = (p1 as f64, p2 as f64);
-        let (r1, r2) = cfg.inversion_grid(n);
-        for (phase, report) in measured.phases.expect("It-Inv-TRSM reports its phases") {
-            let model = match phase {
-                "inversion" => itinv::inversion_phase(nf, n0f, r1, r2),
-                "solve" => itinv::solve_phase(nf, kf, n0f, p1f, p2f),
-                "update" => itinv::update_phase(nf, kf, n0f, p1f, p2f),
-                _ => {
-                    println!("    {phase:<9} {}", report.summary());
-                    continue;
-                }
+        let phases = measured.phases.expect("It-Inv-TRSM reports its phases");
+        for ((phase, report), (_, model)) in phases.into_iter().zip(cfg.phase_model(n, k).named()) {
+            let Some(model) = model else {
+                println!("    {phase:<9} {}", report.summary());
+                continue;
             };
             let ((s, w, f), wm, fm) = (swf(&report), model.bandwidth, 2.0 * model.flops);
             table.row(&[&n, &k, &p, &p1, &p2, &n0, &phase, &s, &w, &f, &wm, &fm]);

@@ -11,21 +11,10 @@
 use catrsm::{PhaseBreakdown, SolveRequest};
 use dense::gen;
 use pgrid::{DistMatrix, Grid2D};
-use simnet::{CostCounters, CostReport, Machine, MachineParams};
+use simnet::{CostReport, Machine, MachineParams};
 use std::fmt::{Display, Write as _};
 use std::fs;
 use std::path::PathBuf;
-
-type PhaseOf = fn(&PhaseBreakdown) -> CostCounters;
-
-/// The phases of `It-Inv-TRSM`, in execution order, by name.
-const PHASES: [(&str, PhaseOf); 5] = [
-    ("setup", |p| p.setup),
-    ("inversion", |p| p.inversion),
-    ("solve", |p| p.solve),
-    ("update", |p| p.update),
-    ("finalize", |p| p.finalize),
-];
 
 /// What one run on the simulated machine measured.
 #[derive(Debug, Clone)]
@@ -33,9 +22,10 @@ pub struct Run {
     /// Every rank's counters for the whole run; the paper's `S`/`W`/`F`/`T`
     /// are its `max_messages` / `max_words` / `max_flops` / `virtual_time`.
     pub report: CostReport,
-    /// Per phase of `It-Inv-TRSM` (when that is what ran), the ranks' phase
-    /// counters as a report of their own, so a phase's critical-path maxima
-    /// read the same way as the total's.
+    /// Per phase of `It-Inv-TRSM` (when that is what ran, named and ordered
+    /// as [`PhaseBreakdown::named`] does), the ranks' phase counters as a
+    /// report of their own, so a phase's critical-path maxima read the same
+    /// way as the total's.
     pub phases: Option<[(&'static str, CostReport); 5]>,
     /// Largest relative error any rank found in its result.
     pub error: f64,
@@ -59,13 +49,15 @@ pub fn on_grid(
         error < 1e-7,
         "wrong result on the {pr} × {pc} grid: {error}"
     );
-    let per_rank: Option<Vec<PhaseBreakdown>> = out.results.iter().map(|(_, p)| *p).collect();
+    let per_rank: Option<Vec<_>> = out
+        .results
+        .iter()
+        .map(|(_, p)| p.map(|p| p.named()))
+        .collect();
     let phases = per_rank.map(|ranks| {
-        PHASES.map(|(name, pick)| {
-            (
-                name,
-                CostReport::new(ranks.iter().map(pick).collect(), params),
-            )
+        std::array::from_fn(|i| {
+            let per_rank = ranks.iter().map(|phases| phases[i].1).collect();
+            (ranks[0][i].0, CostReport::new(per_rank, params))
         })
     });
     Run {

@@ -44,16 +44,21 @@ impl Algorithm {
     }
 
     /// Predicted critical-path cost of solving `L·X = B` (`n×n`, `k`
-    /// right-hand sides, `p` processors) with this algorithm under `rev`:
-    /// the Section IV, Sections VI–VIII (tuned) and Section II-C3
-    /// leading-order expressions.  The cost model is asymptotic, so the
-    /// parameter payloads do not enter; the wavefront baseline has no
-    /// regime structure and is identical under both revisions.
-    pub fn predicted_cost(&self, rev: CostModelRev, n: f64, k: f64, p: f64) -> Cost {
+    /// right-hand sides, `p` processors) with this algorithm.
+    ///
+    /// The iterative algorithm quotes the Section VII phase model at its own
+    /// configuration ([`ItInvConfig::predicted_cost`]): `n0` and the grid
+    /// enter with their constants, and `rev` acts only through the
+    /// configuration the planner chose under it.  The recursive baseline
+    /// quotes the Section IV leading-order expression under `rev`; the
+    /// wavefront baseline (Section II-C3) has no regime structure and is
+    /// identical under both revisions.
+    pub fn predicted_cost(&self, rev: CostModelRev, n: usize, k: usize, p: usize) -> Cost {
+        let (nf, kf, pf) = (n as f64, k as f64, p as f64);
         match self {
-            Algorithm::Recursive { .. } => rev.standard_cost(n, k, p),
-            Algorithm::IterativeInversion(_) => rev.it_trsm_cost(n, k, p),
-            Algorithm::Wavefront => costmodel::predict::wavefront_cost(n, k, p),
+            Algorithm::Recursive { .. } => rev.standard_cost(nf, kf, pf),
+            Algorithm::IterativeInversion(cfg) => cfg.predicted_cost(n, k),
+            Algorithm::Wavefront => costmodel::predict::wavefront_cost(nf, kf, pf),
         }
     }
 }
@@ -214,19 +219,31 @@ mod tests {
 
     #[test]
     fn dispatch_matches_the_underlying_formulas() {
-        let (n, k, p) = (4096.0, 1024.0, 64.0);
+        let (n, k, p) = (4096, 1024, 64);
+        let (nf, kf, pf) = (n as f64, k as f64, p as f64);
+        let it_inv = ItInvConfig {
+            p1: 4,
+            p2: 4,
+            n0: 512,
+            inv_base: 64,
+        };
+        let (r1, r2) = it_inv.inversion_grid(n);
         for rev in CostModelRev::ALL {
             assert_eq!(
                 Algorithm::Recursive { base_size: 64 }.predicted_cost(rev, n, k, p),
-                rev.standard_cost(n, k, p)
+                rev.standard_cost(nf, kf, pf)
             );
+            // The iterative algorithm is priced at its configuration, the
+            // same under both revisions.
             assert_eq!(
-                IT_INV.predicted_cost(rev, n, k, p),
-                rev.it_trsm_cost(n, k, p)
+                Algorithm::IterativeInversion(it_inv).predicted_cost(rev, n, k, p),
+                costmodel::itinv::inversion_phase(nf, 512.0, r1, r2)
+                    + costmodel::itinv::solve_phase(nf, kf, 512.0, 4.0, 4.0)
+                    + costmodel::itinv::update_phase(nf, kf, 512.0, 4.0, 4.0)
             );
             assert_eq!(
                 Algorithm::Wavefront.predicted_cost(rev, n, k, p),
-                costmodel::predict::wavefront_cost(n, k, p)
+                costmodel::predict::wavefront_cost(nf, kf, pf)
             );
         }
     }

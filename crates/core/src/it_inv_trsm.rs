@@ -27,6 +27,7 @@
 use crate::diag_inv::diagonal_inverter;
 use crate::error::{config_error, internal_error};
 use crate::Result;
+use costmodel::{itinv, Cost};
 use dense::Matrix;
 use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D, Grid3D};
@@ -59,27 +60,104 @@ impl ItInvConfig {
         let r1 = q.sqrt().floor().max(1.0);
         (r1, (q / (r1 * r1)).max(1.0))
     }
+
+    /// Whether this configuration can solve an `n×n` system with `k`
+    /// right-hand sides on `p` processors: the grid must use every
+    /// processor, the blocks must tile `L` and its face layout, and the
+    /// right-hand side must split into `p2` slabs.  Planning and execution
+    /// both ask here, so the model is only ever evaluated where
+    /// `n/n0` counts whole blocks.
+    pub fn check(&self, n: usize, k: usize, p: usize) -> Result<()> {
+        let (p1, p2, n0) = (self.p1, self.p2, self.n0);
+        if p1 == 0 || p2 == 0 || p1 * p1 * p2 != p {
+            return Err(config_error(
+                "it_inv_trsm",
+                format!(
+                    "p1²·p2 = {} must equal the communicator size {p}",
+                    p1 * p1 * p2
+                ),
+            ));
+        }
+        if n0 == 0 || !n.is_multiple_of(n0) || n0 % p1 != 0 || !n.is_multiple_of(p1) {
+            return Err(config_error(
+                "it_inv_trsm",
+                format!("need n0 | n, p1 | n0 and p1 | n (n = {n}, n0 = {n0}, p1 = {p1})"),
+            ));
+        }
+        if !k.is_multiple_of(p2) {
+            return Err(config_error(
+                "it_inv_trsm",
+                format!("k = {k} must be divisible by p2 = {p2}"),
+            ));
+        }
+        Ok(())
+    }
+
+    /// What Section VII predicts for each phase of an `n×n`, `k`-column
+    /// solve under this configuration: the `costmodel::itinv` formulas at
+    /// this `n0` and `p1 × p1 × p2`, the inversion on
+    /// [`ItInvConfig::inversion_grid`].  The two layout changes are `None`:
+    /// the model does not price them, and everything that quotes it counts
+    /// them as zero.
+    pub fn phase_model(&self, n: usize, k: usize) -> PhaseBreakdown<Option<Cost>> {
+        let (nf, kf, n0) = (n as f64, k as f64, self.n0 as f64);
+        let (p1, p2) = (self.p1 as f64, self.p2 as f64);
+        let (r1, r2) = self.inversion_grid(n);
+        PhaseBreakdown {
+            setup: None,
+            inversion: Some(itinv::inversion_phase(nf, n0, r1, r2)),
+            solve: Some(itinv::solve_phase(nf, kf, n0, p1, p2)),
+            update: Some(itinv::update_phase(nf, kf, n0, p1, p2)),
+            finalize: None,
+        }
+    }
+
+    /// The predicted critical-path cost of the whole solve: the sum of
+    /// [`ItInvConfig::phase_model`] in execution order — the same sum, over
+    /// the same values, as the TOTAL line of the plan's drift report.
+    pub fn predicted_cost(&self, n: usize, k: usize) -> Cost {
+        let phases = self.phase_model(n, k).named().into_iter();
+        phases.map(|(_, cost)| cost.unwrap_or_default()).sum()
+    }
 }
 
-/// Cost counters of this rank, split by algorithm phase.
+/// One value per phase of `It-Inv-TRSM`.
 ///
-/// Collect the breakdowns of all ranks (the machine returns one result per
-/// rank) and take per-field maxima to obtain the critical-path phase costs
-/// that experiment E5 compares against Section VII of the paper.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseBreakdown {
+/// The default instantiation is what a rank measures: its cost counters,
+/// split by phase.  Collect the breakdowns of all ranks (the machine returns
+/// one result per rank) and take per-field maxima to obtain the
+/// critical-path phase costs that experiment E5 compares against Section VII
+/// of the paper — whose predictions are the same record over model costs
+/// ([`ItInvConfig::phase_model`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseBreakdown<T = CostCounters> {
     /// Initial redistribution of `L` and `B` onto the 3D grid.
-    pub setup: CostCounters,
+    pub setup: T,
     /// Block-diagonal inversion (Section VII-A).
-    pub inversion: CostCounters,
+    pub inversion: T,
     /// Solve steps: diagonal-block broadcasts, multiplications, X reductions
     /// (Section VII-B).
-    pub solve: CostCounters,
+    pub solve: T,
     /// Update steps: panel broadcasts, multiplications, lazy reductions
     /// (Section VII-C).
-    pub update: CostCounters,
+    pub update: T,
     /// Final redistribution of `X` back to the caller's layout.
-    pub finalize: CostCounters,
+    pub finalize: T,
+}
+
+impl<T> PhaseBreakdown<T> {
+    /// The phases in execution order, each under its name — the one table
+    /// of phase names: drift rows, experiment tables and the harness's
+    /// per-phase reports all read theirs from here.
+    pub fn named(self) -> [(&'static str, T); 5] {
+        [
+            ("setup", self.setup),
+            ("inversion", self.inversion),
+            ("solve", self.solve),
+            ("update", self.update),
+            ("finalize", self.finalize),
+        ]
+    }
 }
 
 impl PhaseBreakdown {
@@ -129,27 +207,7 @@ pub fn it_inv_trsm(
             "L and B must be distributed over the same grid",
         ));
     }
-    if p1 == 0 || p2 == 0 || p1 * p1 * p2 != p {
-        return Err(config_error(
-            "it_inv_trsm",
-            format!(
-                "p1²·p2 = {} must equal the communicator size {p}",
-                p1 * p1 * p2
-            ),
-        ));
-    }
-    if n0 == 0 || !n.is_multiple_of(n0) || n0 % p1 != 0 || !n.is_multiple_of(p1) {
-        return Err(config_error(
-            "it_inv_trsm",
-            format!("need n0 | n, p1 | n0 and p1 | n (n = {n}, n0 = {n0}, p1 = {p1})"),
-        ));
-    }
-    if !k.is_multiple_of(p2) {
-        return Err(config_error(
-            "it_inv_trsm",
-            format!("k = {k} must be divisible by p2 = {p2}"),
-        ));
-    }
+    cfg.check(n, k, p)?;
 
     let mut breakdown = PhaseBreakdown::default();
     let mut last = comm.counters();

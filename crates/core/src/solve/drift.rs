@@ -3,23 +3,29 @@
 use super::plan::{PlanBackend, SolvePlan};
 use super::report::SolveReport;
 use crate::api::Algorithm;
-use costmodel::Cost;
+use costmodel::{Cost, DriftRow};
 use simnet::CostCounters;
 
 impl SolvePlan {
     /// Line up this plan's *predicted* α–β–γ cost against what `report`
     /// measured, priced on `machine`.
     ///
-    /// Every backend contributes a total row.  Distributed reports measure
-    /// messages, words and flops from this rank's communication-counter
-    /// delta, with the virtual-clock advance attached as the measured time
-    /// — so predicted and measured times are in the same model seconds
-    /// whenever `machine` matches the simulated `MachineParams`.  Sparse
-    /// reports measure the barriers actually crossed and each worker's
-    /// flop share; dense reports measure flops only.  Iterative
-    /// inversion-based solves additionally contribute one row per Section
-    /// VII phase (inversion / solve / update), with the per-phase formulas
-    /// of `costmodel::itinv` on the predicted side.
+    /// The rows partition the solve, so the TOTAL line is the solve and its
+    /// predicted side is the plan's `predicted_cost`.  An iterative
+    /// inversion-based solve contributes one row per phase of
+    /// [`crate::PhaseBreakdown`], with [`crate::ItInvConfig::phase_model`] on
+    /// the predicted side (zero for the two layout changes, which the model
+    /// does not price); the permutations an upper-triangular or transposed
+    /// request wraps around the lower solve lie outside every phase and
+    /// outside the table.  Every other plan is one row.
+    ///
+    /// Distributed rows measure messages, words and flops from this rank's
+    /// communication-counter delta, with the virtual-clock advance attached
+    /// as the measured time — so predicted and measured times are in the
+    /// same model seconds whenever `machine` matches the simulated
+    /// `MachineParams`.  Sparse reports measure the barriers actually
+    /// crossed and each worker's flop share; dense reports measure flops
+    /// only.
     pub fn drift_report(
         &self,
         report: &SolveReport,
@@ -33,7 +39,7 @@ impl SolvePlan {
         });
         match &self.backend {
             PlanBackend::Dense { .. } => {
-                out.push(costmodel::DriftRow::new(
+                out.push(DriftRow::new(
                     self.algorithm_name(),
                     predicted,
                     Cost::new(0.0, 0.0, report.flops.get() as f64),
@@ -49,58 +55,34 @@ impl SolvePlan {
                     barriers * self.k as f64,
                     report.flops.get() as f64 / w,
                 );
-                out.push(costmodel::DriftRow::new(
-                    self.algorithm_name(),
-                    predicted,
-                    measured,
-                ));
+                out.push(DriftRow::new(self.algorithm_name(), predicted, measured));
             }
-            PlanBackend::Distributed { algorithm, .. } => {
-                let mut row = costmodel::DriftRow::new(
-                    self.algorithm_name(),
-                    predicted,
-                    report.comm.as_ref().map_or(Cost::ZERO, counters_cost),
-                );
-                if let Some(c) = report.comm {
-                    row = row.with_seconds(c.time);
-                }
-                out.push(row);
-                if let (Algorithm::IterativeInversion(cfg), Some(ph)) = (algorithm, &report.phases)
-                {
-                    let (n, k) = (self.n as f64, self.k as f64);
-                    let (p1, p2, n0) = (cfg.p1 as f64, cfg.p2 as f64, cfg.n0 as f64);
-                    let (r1, r2) = cfg.inversion_grid(self.n);
-                    for (name, pred, meas) in [
-                        (
-                            "itinv: inversion",
-                            costmodel::itinv::inversion_phase(n, n0, r1, r2),
-                            &ph.inversion,
-                        ),
-                        (
-                            "itinv: solve",
-                            costmodel::itinv::solve_phase(n, k, n0, p1, p2),
-                            &ph.solve,
-                        ),
-                        (
-                            "itinv: update",
-                            costmodel::itinv::update_phase(n, k, n0, p1, p2),
-                            &ph.update,
-                        ),
-                    ] {
-                        out.push(
-                            costmodel::DriftRow::new(name, pred, counters_cost(meas))
-                                .with_seconds(meas.time),
-                        );
+            PlanBackend::Distributed { algorithm, .. } => match (algorithm, &report.phases) {
+                (Algorithm::IterativeInversion(cfg), Some(measured)) => {
+                    let model = cfg.phase_model(self.n, self.k).named();
+                    for ((name, model), (_, measured)) in model.into_iter().zip(measured.named()) {
+                        out.push(counters_row(
+                            format!("itinv: {name}"),
+                            model.unwrap_or_default(),
+                            &measured,
+                        ));
                     }
                 }
-            }
+                _ => out.push(counters_row(
+                    self.algorithm_name(),
+                    predicted,
+                    &report.comm.unwrap_or_default(),
+                )),
+            },
         }
         out
     }
 }
 
-/// Measured α–β–γ counts of one rank's communication-counter delta: the
-/// full-duplex message maximum, the word maximum, and the charged flops.
-fn counters_cost(c: &CostCounters) -> Cost {
-    Cost::new(c.latency() as f64, c.bandwidth() as f64, c.flops as f64)
+/// A row measured by one rank's communication-counter delta: the full-duplex
+/// message maximum, the word maximum and the charged flops, with the
+/// virtual-clock advance as the measured time.
+fn counters_row(name: impl Into<String>, predicted: Cost, c: &CostCounters) -> DriftRow {
+    let measured = Cost::new(c.latency() as f64, c.bandwidth() as f64, c.flops as f64);
+    DriftRow::new(name, predicted, measured).with_seconds(c.time)
 }

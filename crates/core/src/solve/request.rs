@@ -277,8 +277,11 @@ impl SolveRequest {
     /// [`crate::planner`] turns the real-valued optimum into a feasible
     /// `p1 × p1 × p2` grid and block size — recorded on the plan as the
     /// resolved [`Algorithm`], so the choice is inspectable before (and
-    /// after) execution.  A shape no grid fits is an error here, not at
-    /// execution.
+    /// after) execution.  A shape no grid fits, or a pinned iterative
+    /// configuration that does not fit the shape, is an error here, not at
+    /// execution.  The plan's prediction is
+    /// [`Algorithm::predicted_cost`]: for the iterative algorithm, the
+    /// Section VII phase model at the resolved configuration.
     pub fn plan_distributed(&self, n: usize, k: usize, p: usize) -> Result<SolvePlan> {
         let _span = obs::span_with("planner", "plan_distributed", "n", n as u64);
         if self.opts.side == Side::Right {
@@ -291,7 +294,10 @@ impl SolveRequest {
             Some(pinned) => pinned,
             None => Algorithm::IterativeInversion(planner::plan(self.cost_rev, n, k, p)?),
         };
-        let predicted = algorithm.predicted_cost(self.cost_rev, n as f64, k as f64, p as f64);
+        if let Algorithm::IterativeInversion(cfg) = &algorithm {
+            cfg.check(n, k, p)?;
+        }
+        let predicted = algorithm.predicted_cost(self.cost_rev, n, k, p);
         Ok(SolvePlan {
             n,
             k,

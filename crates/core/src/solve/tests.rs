@@ -451,6 +451,146 @@ fn every_distributed_algorithm_feeds_the_same_report() {
 }
 
 #[test]
+fn an_it_inv_drift_table_is_its_phase_rows_and_its_total_is_the_plan() {
+    let (n, k) = (64, 16);
+    let pinned = Algorithm::IterativeInversion(ItInvConfig {
+        p1: 2,
+        p2: 1,
+        n0: 16,
+        inv_base: 8,
+    });
+    for algorithm in [None, Some(pinned)] {
+        let out = Machine::new(4, MachineParams::cluster())
+            .run(move |comm| {
+                let grid = Grid2D::new(comm, 2, 2).unwrap();
+                let (l, b, _) = dist_instance(&grid, n, k, 41);
+                let request = SolveRequest::lower().algorithm(algorithm);
+                let plan = request.plan_distributed(n, k, comm.size()).unwrap();
+                let sol = plan.execute_distributed(&l, &b).unwrap();
+                let drift = plan.drift_report(&sol.report, costmodel::Machine::cluster());
+                (plan, sol.report, drift)
+            })
+            .unwrap();
+        for (plan, report, drift) in out.results {
+            let names: Vec<&str> = drift.rows.iter().map(|r| r.phase.as_str()).collect();
+            assert_eq!(
+                names,
+                [
+                    "itinv: setup",
+                    "itinv: inversion",
+                    "itinv: solve",
+                    "itinv: update",
+                    "itinv: finalize"
+                ]
+            );
+            // The model prices no layout change.
+            assert_eq!(drift.rows[0].predicted, costmodel::Cost::ZERO);
+            assert_eq!(drift.rows[4].predicted, costmodel::Cost::ZERO);
+            // TOTAL is the plan's prediction, bit for bit, and the solve's
+            // measurement: no row contains another.
+            let predicted = plan.predicted_cost.unwrap();
+            assert_eq!(drift.total_predicted(), predicted);
+            assert_eq!(plan.predicted_flops.get(), predicted.flops.round() as u64);
+            assert_eq!(drift.total_measured().flops, report.flops.get() as f64);
+        }
+    }
+}
+
+#[test]
+fn an_it_inv_prediction_follows_the_configuration() {
+    let predicted = |rev, cfg: Option<ItInvConfig>, n, k, p| {
+        let request = SolveRequest::lower()
+            .cost_model(rev)
+            .algorithm(cfg.map(Algorithm::IterativeInversion));
+        let plan = request.plan_distributed(n, k, p).unwrap();
+        let PlanBackend::Distributed {
+            algorithm: Algorithm::IterativeInversion(resolved),
+            ..
+        } = plan.backend
+        else {
+            panic!("expected an iterative distributed plan");
+        };
+        (resolved, plan.predicted_cost.unwrap())
+    };
+    use costmodel::CostModelRev::{Ipdps17, Tang24};
+
+    // Pins that differ only in n0, and only in the grid, predict differently.
+    let base = ItInvConfig {
+        p1: 4,
+        p2: 1,
+        n0: 32,
+        inv_base: 16,
+    };
+    let (_, at_base) = predicted(Ipdps17, Some(base), 512, 64, 16);
+    let coarser = ItInvConfig { n0: 128, ..base };
+    let deeper = ItInvConfig {
+        p1: 2,
+        p2: 4,
+        ..base
+    };
+    let (_, at_coarser) = predicted(Ipdps17, Some(coarser), 512, 64, 16);
+    let (_, at_deeper) = predicted(Ipdps17, Some(deeper), 512, 64, 16);
+    assert_ne!(at_base, at_coarser);
+    assert_ne!(at_base, at_deeper);
+    // Fewer, larger blocks: fewer synchronised iterations.
+    assert!(at_coarser.latency < at_base.latency);
+
+    // The revision acts through the configuration the planner chooses under
+    // it, and through nothing else.
+    let (cfg_i17, cost_i17) = predicted(Ipdps17, None, 512, 512, 64);
+    let (cfg_t24, cost_t24) = predicted(Tang24, None, 512, 512, 64);
+    assert_eq!((cfg_i17.p1, cfg_i17.p2), (2, 16));
+    assert_eq!((cfg_t24.p1, cfg_t24.p2), (4, 4));
+    assert_ne!(cost_i17, cost_t24);
+    assert_eq!(predicted(Ipdps17, Some(cfg_t24), 512, 512, 64).1, cost_t24);
+    assert_eq!(predicted(Tang24, Some(cfg_i17), 512, 512, 64).1, cost_i17);
+}
+
+#[test]
+fn a_pinned_configuration_that_does_not_fit_is_refused_at_planning() {
+    let pin = |p1, p2, n0| {
+        SolveRequest::lower().algorithm(Algorithm::IterativeInversion(ItInvConfig {
+            p1,
+            p2,
+            n0,
+            inv_base: 8,
+        }))
+    };
+    assert!(pin(2, 1, 8).plan_distributed(32, 8, 4).is_ok());
+    // No blocks, blocks that do not tile L, a grid that is not the machine,
+    // a right-hand side that does not split into p2 slabs.
+    assert!(pin(2, 1, 0).plan_distributed(32, 8, 4).is_err());
+    assert!(pin(2, 1, 5).plan_distributed(32, 8, 4).is_err());
+    assert!(pin(2, 2, 8).plan_distributed(32, 8, 4).is_err());
+    assert!(pin(1, 4, 8).plan_distributed(32, 6, 4).is_err());
+}
+
+#[test]
+fn the_model_machines_are_the_simulated_presets() {
+    // `drift_report(&report, Machine::cluster())` prices a run on the machine
+    // it ran on only while the two crates' presets carry the same constants.
+    for (name, model, simulated) in [
+        ("unit", costmodel::Machine::unit(), MachineParams::unit()),
+        (
+            "cluster",
+            costmodel::Machine::cluster(),
+            MachineParams::cluster(),
+        ),
+        (
+            "supercomputer",
+            costmodel::Machine::supercomputer(),
+            MachineParams::supercomputer(),
+        ),
+    ] {
+        assert_eq!(
+            (model.alpha, model.beta, model.gamma),
+            (simulated.alpha, simulated.beta, simulated.gamma),
+            "{name}"
+        );
+    }
+}
+
+#[test]
 fn distributed_transposed_and_upper_requests() {
     let n = 32;
     let k = 8;

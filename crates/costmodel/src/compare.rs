@@ -10,6 +10,15 @@
 //! | `4k/p ≤ n ≤ 4k√p` | standard | `(np/k)^{2/3}·log p`        | `(n²k/p)^{2/3}`| `n²k/p`  |
 //! |                   | new      | `log² p + √(n/k)·log p`     | `(n²k/p)^{2/3}`| `2n²k/p` |
 //!
+//! The "new" rows are the repository's one regime-level statement of the
+//! iterative algorithm's cost.  Section VIII prints the same totals
+//! (`T_IT1D`, `T_IT2D`, `T_IT3D`) and differs from this table in two cells,
+//! noted here instead of transcribed a second time: its 1D latency is
+//! `log² p + log p` (the table drops the lower-order `log p`), and its 3D
+//! flops are `n²k/p` (the table's `2n²k/p` keeps the inversion's share).  What
+//! a *plan* quotes is neither: it is the Section VII phase model at the
+//! configuration the plan resolved ([`crate::itinv`]), constants included.
+//!
 //! [`CostModelRev::conclusion_row`] evaluates both columns for a concrete `(n, k, p)` and
 //! [`latency_improvement`] returns the headline speedup factor, which reaches
 //! `Θ((n/k)^{1/6}·p^{2/3})` in the 3D regime.

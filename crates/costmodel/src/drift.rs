@@ -80,17 +80,18 @@ impl DriftRow {
     /// Returns [`f64::INFINITY`] when the prediction is zero but the
     /// measurement is not.
     pub fn drift(&self, machine: &Machine) -> f64 {
-        let p = self.predicted_time(machine);
-        let m = self.measured_time(machine);
-        if p == 0.0 {
-            if m == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            m / p
-        }
+        ratio(self.measured_time(machine), self.predicted_time(machine))
+    }
+}
+
+/// `measured / predicted`, with `0/0 = 1` and `x/0 = ∞`.
+fn ratio(measured: f64, predicted: f64) -> f64 {
+    if predicted != 0.0 {
+        measured / predicted
+    } else if measured == 0.0 {
+        1.0
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -117,53 +118,49 @@ impl DriftReport {
         self.rows.push(row);
     }
 
-    /// Sum of the predicted costs over all phases.
+    /// Sum of the predicted costs over all rows.
     pub fn total_predicted(&self) -> Cost {
         self.rows.iter().map(|r| r.predicted).sum()
     }
 
-    /// Sum of the measured costs over all phases.
+    /// Sum of the measured costs over all rows.
     pub fn total_measured(&self) -> Cost {
         self.rows.iter().map(|r| r.measured).sum()
     }
 
+    /// Sums of the rows' predicted and measured times on the report's
+    /// machine.
+    fn total_times(&self) -> (f64, f64) {
+        let m = &self.machine;
+        self.rows
+            .iter()
+            .fold((0.0, 0.0), |(predicted, measured), r| {
+                (
+                    predicted + r.predicted_time(m),
+                    measured + r.measured_time(m),
+                )
+            })
+    }
+
     /// Overall drift ratio `measured / predicted` of the total time.
     pub fn total_drift(&self) -> f64 {
-        let p: f64 = self
-            .rows
-            .iter()
-            .map(|r| r.predicted_time(&self.machine))
-            .sum();
-        let m: f64 = self
-            .rows
-            .iter()
-            .map(|r| r.measured_time(&self.machine))
-            .sum();
-        if p == 0.0 {
-            if m == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            m / p
-        }
+        let (predicted, measured) = self.total_times();
+        ratio(measured, predicted)
     }
 
     /// Render the report as an aligned plain-text table: one line per phase
     /// with predicted and measured `S`/`W`/`F`, both times, and the drift
-    /// ratio, followed by a totals line.
+    /// ratio, followed by a totals line.  The rows partition the solve — no
+    /// row contains another — so the totals line is the solve.
     pub fn render(&self) -> String {
-        let mut out = String::new();
         let width = self
             .rows
             .iter()
             .map(|r| r.phase.len())
             .chain(std::iter::once("TOTAL".len()))
             .max()
-            .unwrap_or(5)
-            .max(5);
-        out.push_str(&format!(
+            .unwrap_or(5);
+        let mut out = format!(
             "{:<width$}  {:>9} {:>9}  {:>9} {:>9}  {:>9} {:>9}  {:>10} {:>10}  {:>6}\n",
             "phase",
             "S pred",
@@ -175,47 +172,32 @@ impl DriftReport {
             "t pred",
             "t meas",
             "drift",
-        ));
-        for r in &self.rows {
+        );
+        let mut line = |name: &str, p: Cost, m: Cost, (tp, tm): (f64, f64)| {
             out.push_str(&format!(
-                "{:<width$}  {:>9.2e} {:>9.2e}  {:>9.2e} {:>9.2e}  {:>9.2e} {:>9.2e}  {:>10.3e} {:>10.3e}  {:>6.2}\n",
-                r.phase,
-                r.predicted.latency,
-                r.measured.latency,
-                r.predicted.bandwidth,
-                r.measured.bandwidth,
-                r.predicted.flops,
-                r.measured.flops,
+                "{name:<width$}  {:>9.2e} {:>9.2e}  {:>9.2e} {:>9.2e}  {:>9.2e} {:>9.2e}  {tp:>10.3e} {tm:>10.3e}  {:>6.2}\n",
+                p.latency,
+                m.latency,
+                p.bandwidth,
+                m.bandwidth,
+                p.flops,
+                m.flops,
+                ratio(tm, tp),
+            ));
+        };
+        for r in &self.rows {
+            let times = (
                 r.predicted_time(&self.machine),
                 r.measured_time(&self.machine),
-                r.drift(&self.machine),
-            ));
+            );
+            line(&r.phase, r.predicted, r.measured, times);
         }
-        let tp = self.total_predicted();
-        let tm = self.total_measured();
-        let tp_time: f64 = self
-            .rows
-            .iter()
-            .map(|r| r.predicted_time(&self.machine))
-            .sum();
-        let tm_time: f64 = self
-            .rows
-            .iter()
-            .map(|r| r.measured_time(&self.machine))
-            .sum();
-        out.push_str(&format!(
-            "{:<width$}  {:>9.2e} {:>9.2e}  {:>9.2e} {:>9.2e}  {:>9.2e} {:>9.2e}  {:>10.3e} {:>10.3e}  {:>6.2}\n",
+        line(
             "TOTAL",
-            tp.latency,
-            tm.latency,
-            tp.bandwidth,
-            tm.bandwidth,
-            tp.flops,
-            tm.flops,
-            tp_time,
-            tm_time,
-            self.total_drift(),
-        ));
+            self.total_predicted(),
+            self.total_measured(),
+            self.total_times(),
+        );
         out
     }
 }

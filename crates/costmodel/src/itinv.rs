@@ -1,7 +1,8 @@
 //! Cost of the iterative inversion-based TRSM (Sections VI–VII of the paper).
 //!
 //! The algorithm has three phases whose costs Section VII derives separately
-//! and sums:
+//! and sums (`catrsm::ItInvConfig::predicted_cost` does the summing, for the
+//! configuration a plan resolved — the one total the repository quotes):
 //!
 //! * **inversion** — invert the `n/n0` diagonal blocks of size `n0` on
 //!   disjoint `r1 × r1 × r2` sub-grids (`r1²·r2 = p·n0/n`),
@@ -79,11 +80,6 @@ pub fn update_phase(n: f64, k: f64, n0: f64, p1: f64, p2: f64) -> Cost {
     }
 }
 
-/// Total cost of `It-Inv-TRSM` for explicit parameters (Section VII-D).
-pub fn it_inv_trsm_cost(n: f64, k: f64, n0: f64, p1: f64, p2: f64, r1: f64, r2: f64) -> Cost {
-    inversion_phase(n, n0, r1, r2) + solve_phase(n, k, n0, p1, p2) + update_phase(n, k, n0, p1, p2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,7 +129,9 @@ mod tests {
         // F_total ≈ n²k/p + n·n0²/p (paper Section VII-D).
         let (n, k, n0, p1, p2) = (4096.0, 1024.0, 512.0, 4.0, 4.0);
         let p = p1 * p1 * p2;
-        let c = it_inv_trsm_cost(n, k, n0, p1, p2, 4.0, 4.0);
+        let c = inversion_phase(n, n0, 4.0, 4.0)
+            + solve_phase(n, k, n0, p1, p2)
+            + update_phase(n, k, n0, p1, p2);
         let expect = n * n * k / p;
         assert!(c.flops > 0.5 * expect);
         assert!(c.flops < 2.5 * expect);

@@ -16,8 +16,13 @@
 //!
 //! Which formula prices which algorithm is not this crate's business: the
 //! workspace's one algorithm enum is `catrsm::Algorithm`, whose
-//! `predicted_cost` picks among [`CostModelRev::standard_cost`],
-//! [`CostModelRev::it_trsm_cost`] and [`predict::wavefront_cost`].
+//! `predicted_cost` quotes [`CostModelRev::standard_cost`] for the recursive
+//! baseline, [`predict::wavefront_cost`] for the wavefront, and for the
+//! iterative algorithm the sum of the [`itinv`] phases at the configuration
+//! (`n0`, `p1 × p1 × p2`, inversion sub-grid) the plan resolved.  The
+//! iterative algorithm is written down once per level: per phase with its
+//! constants in [`itinv`] (what plans, drift reports and experiment E5
+//! quote), per regime in the Section IX table ([`CostModelRev::new_cost`]).
 //!
 //! The crate is dependency-free and purely numeric: costs are returned as
 //! [`Cost`] records with fractional counts (leading-order expressions, not

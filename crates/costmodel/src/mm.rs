@@ -42,11 +42,6 @@ pub fn wmm(n: f64, k: f64, p: f64) -> f64 {
     }
 }
 
-/// The asymptotic latency cost `S_MM(p) = O(log p)` of matrix multiplication.
-pub fn smm(p: f64) -> f64 {
-    log2c(p)
-}
-
 /// The flop cost `F_MM(n, k, p) = n²k / p`.
 pub fn fmm(n: f64, k: f64, p: f64) -> f64 {
     n * n * k / p
@@ -146,6 +141,5 @@ mod tests {
     #[test]
     fn flops_are_load_balanced() {
         assert_eq!(fmm(1000.0, 100.0, 10.0), 1000.0 * 1000.0 * 100.0 / 10.0);
-        assert_eq!(smm(32.0), 5.0);
     }
 }

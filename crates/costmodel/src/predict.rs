@@ -6,11 +6,12 @@
 //! solve will cost before running it — the "a priori" workflow the paper
 //! advocates, and the plan-inspection pattern the re-examination of this
 //! paper's bandwidth analysis (arXiv:2407.00871) treats as first-class.
-//! The Section IV / VI / II-C3 leading-order expressions are
-//! [`CostModelRev::standard_cost`], [`CostModelRev::it_trsm_cost`] and
-//! [`wavefront_cost`]; `catrsm::Algorithm::predicted_cost` picks among them,
-//! so a plan's prediction and the experiment harness print from the same
-//! formulas.
+//! `catrsm::Algorithm::predicted_cost` is the dispatch: a recursive plan
+//! quotes the Section IV leading-order [`CostModelRev::standard_cost`], a
+//! wavefront plan [`wavefront_cost`] (Section II-C3), and an iterative plan
+//! the sum of the Section VII phases of [`crate::itinv`] at its own `n0` and
+//! `p1 × p1 × p2` — the same functions the drift report and the experiment
+//! harness print per phase, so a plan's total is the sum of its own rows.
 
 use crate::cost::{log2c, Cost};
 
@@ -127,7 +128,7 @@ mod tests {
         let (n, k, p) = (65536.0, 1024.0, 4096.0);
         let wf = wavefront_cost(n, k, p);
         let rec = Ipdps17.standard_cost(n, k, p);
-        let it = Ipdps17.it_trsm_cost(n, k, p);
+        let it = Ipdps17.new_cost(n, k, p);
         assert!(wf.latency > rec.latency);
         assert!(wf.latency > it.latency);
         assert!(it.latency < rec.latency, "the paper's headline claim");
@@ -139,7 +140,7 @@ mod tests {
         let optimal = n * n * k / p;
         for (name, c) in [
             ("recursive", Ipdps17.standard_cost(n, k, p)),
-            ("iterative", Ipdps17.it_trsm_cost(n, k, p)),
+            ("iterative", Ipdps17.new_cost(n, k, p)),
             ("wavefront", wavefront_cost(n, k, p)),
         ] {
             assert!(

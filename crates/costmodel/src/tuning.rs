@@ -1,5 +1,4 @@
-//! Optimal parameter selection (Section VIII of the paper) and the total
-//! costs `T_IT1D`, `T_IT2D`, `T_IT3D` of the tuned iterative algorithm.
+//! Optimal parameter selection (Section VIII of the paper).
 //!
 //! The paper's Figure 1 shows the three processor-grid layouts — 1D, 2D and
 //! 3D cuboids — selected by the relative sizes of the triangular matrix
@@ -12,7 +11,6 @@
 //! * otherwise    → **3D**: a `p1 × p1 × p2` cuboid with
 //!   `p1 = (p·n/(4k))^{1/3}`, `n0 = Θ(min(√(nk), n))`.
 
-use crate::cost::{log2c, Cost};
 use crate::predict::CostModelRev;
 
 /// The layout regime of Section VIII / Figure 1.
@@ -60,33 +58,6 @@ pub struct TrsmPlan {
     pub r1: f64,
     /// Depth of each inversion sub-grid (`r2 ≈ 4·r1` at the optimum).
     pub r2: f64,
-}
-
-/// `T_IT1D(n, k, p) = O(α·(log² p + log p) + β·n² + γ·n²k/p)`.
-pub fn it_trsm_1d(n: f64, k: f64, p: f64) -> Cost {
-    Cost {
-        latency: log2c(p) * log2c(p) + log2c(p),
-        bandwidth: n * n,
-        flops: n * n * k / p,
-    }
-}
-
-/// `T_IT2D(n, k, p) = O(α·(log² p + (n/k)^{3/4}·log p / p^{1/8}) + β·nk/√p + γ·n²k/p)`.
-pub fn it_trsm_2d(n: f64, k: f64, p: f64) -> Cost {
-    Cost {
-        latency: log2c(p) * log2c(p) + (n / k).powf(0.75) / p.powf(0.125) * log2c(p),
-        bandwidth: n * k / p.sqrt(),
-        flops: n * n * k / p,
-    }
-}
-
-/// `T_IT3D(n, k, p) = O(α·(log² p + max(√(n/k), 1)·log p) + β·(n²k/p)^{2/3} + γ·n²k/p)`.
-pub fn it_trsm_3d(n: f64, k: f64, p: f64) -> Cost {
-    Cost {
-        latency: log2c(p) * log2c(p) + (n / k).sqrt().max(1.0) * log2c(p),
-        bandwidth: (n * n * k / p).powf(2.0 / 3.0),
-        flops: n * n * k / p,
-    }
 }
 
 impl CostModelRev {
@@ -143,19 +114,6 @@ impl CostModelRev {
             n0,
             r1,
             r2,
-        }
-    }
-
-    /// Total cost of the tuned iterative algorithm, dispatched by regime.
-    /// The per-regime expressions of the iterative algorithm stand under the
-    /// reexamination (its correction targets the *recursive* algorithm's
-    /// bandwidth); what changes is which regime an input falls into, via
-    /// [`CostModelRev::classify`].
-    pub fn it_trsm_cost(self, n: f64, k: f64, p: f64) -> Cost {
-        match self.classify(n, k, p) {
-            Regime::OneLargeDim => it_trsm_1d(n, k, p),
-            Regime::TwoLargeDims => it_trsm_2d(n, k, p),
-            Regime::ThreeLargeDims => it_trsm_3d(n, k, p),
         }
     }
 }
@@ -241,22 +199,11 @@ mod tests {
     }
 
     #[test]
-    fn tuned_cost_dispatches_by_regime() {
-        let p = 64.0;
-        let k = 1024.0;
-        assert_eq!(Ipdps17.it_trsm_cost(32.0, k, p), it_trsm_1d(32.0, k, p));
-        assert_eq!(
-            Ipdps17.it_trsm_cost(65536.0, k, p),
-            it_trsm_2d(65536.0, k, p)
-        );
-        assert_eq!(Ipdps17.it_trsm_cost(4096.0, k, p), it_trsm_3d(4096.0, k, p));
-    }
-
-    #[test]
     fn bandwidth_matches_matrix_multiplication_lower_bound() {
         // In the 3D regime the tuned algorithm reaches the MM bandwidth.
         let (n, k, p) = (8192.0, 2048.0, 512.0);
-        let c = it_trsm_3d(n, k, p);
+        assert_eq!(Ipdps17.classify(n, k, p), Regime::ThreeLargeDims);
+        let c = Ipdps17.new_cost(n, k, p);
         assert!((c.bandwidth - crate::mm::wmm(n, k, p)).abs() / c.bandwidth < 1e-9);
     }
 }

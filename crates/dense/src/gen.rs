@@ -36,20 +36,6 @@ pub fn well_conditioned_upper(n: usize, seed: u64) -> Matrix {
     well_conditioned_lower(n, seed).transpose()
 }
 
-/// A random unit lower-triangular matrix (ones on the diagonal).
-pub fn unit_lower(n: usize, seed: u64) -> Matrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Matrix::from_fn(n, n, |i, j| {
-        if j < i {
-            rng.gen_range(-1.0..1.0) / (n as f64).sqrt()
-        } else if j == i {
-            1.0
-        } else {
-            0.0
-        }
-    })
-}
-
 /// A random symmetric positive-definite matrix (`M·Mᵀ + n·I`).
 pub fn spd(n: usize, seed: u64) -> Matrix {
     let m = uniform(n, n, seed);
@@ -100,15 +86,6 @@ mod tests {
     #[test]
     fn upper_generator_is_upper_triangular() {
         assert!(well_conditioned_upper(12, 5).is_upper_triangular());
-    }
-
-    #[test]
-    fn unit_lower_has_unit_diagonal() {
-        let l = unit_lower(16, 4);
-        assert!(l.is_lower_triangular());
-        for i in 0..16 {
-            assert_eq!(l[(i, i)], 1.0);
-        }
     }
 
     #[test]

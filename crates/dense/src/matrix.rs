@@ -224,17 +224,6 @@ impl Matrix {
         }
     }
 
-    /// Add `b` into the contiguous block starting at `(r0, c0)`.
-    pub fn add_block(&mut self, r0: usize, c0: usize, b: &Matrix) {
-        debug_assert!(r0 + b.rows <= self.rows && c0 + b.cols <= self.cols);
-        for i in 0..b.rows {
-            let dst_start = (r0 + i) * self.cols + c0;
-            for j in 0..b.cols {
-                self.data[dst_start + j] += b[(i, j)];
-            }
-        }
-    }
-
     /// Extract the strided sub-matrix `A(r0 : sr : rows, c0 : sc : cols)` in the
     /// paper's colon notation, i.e. rows `r0, r0+sr, r0+2sr, …` and columns
     /// `c0, c0+sc, …`.  This is the piece of a matrix a processor with grid
@@ -634,11 +623,6 @@ impl<'a> MatRef<'a> {
         // SAFETY: `(r0, c0)` is an in-bounds element (both blocks
         // non-empty) and the sub-block stays inside `self`'s block.
         unsafe { MatRef::from_raw_parts(self.ptr.add(r0 * self.stride + c0), nr, nc, self.stride) }
-    }
-
-    /// Copy the viewed block into a freshly allocated [`Matrix`].
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_fn(self.rows, self.cols, |i, j| self.at(i, j))
     }
 }
 
@@ -1103,17 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn add_block_accumulates() {
-        let mut m = Matrix::filled(4, 4, 1.0);
-        let b = Matrix::filled(2, 2, 2.0);
-        m.add_block(1, 1, &b);
-        assert_eq!(m[(1, 1)], 3.0);
-        assert_eq!(m[(2, 2)], 3.0);
-        assert_eq!(m[(0, 0)], 1.0);
-        assert_eq!(m[(3, 3)], 1.0);
-    }
-
-    #[test]
     fn strided_block_matches_cyclic_ownership() {
         // 6x6 matrix, 2x3 processor grid, processor (1, 2) owns rows 1,3,5 and cols 2,5.
         let m = Matrix::from_fn(6, 6, |i, j| (i * 6 + j) as f64);
@@ -1309,7 +1282,6 @@ mod tests {
             row_i[0] = row_j[0] + 100.0;
         }
         assert_eq!(v.rb().at(2, 0), orig[(1, 0)] + 100.0);
-        assert_eq!(v.rb().to_matrix().dims(), (3, 3));
         assert_eq!(m[(3, 0)], orig[(1, 0)] + 100.0);
     }
 

@@ -164,16 +164,6 @@ impl TraceReport {
             .find(|c| c.cat == cat && c.name == name)
     }
 
-    /// Total measured nanoseconds for a span name summed across
-    /// categories; `0` if never recorded.
-    pub fn span_total_ns(&self, name: &str) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.total_ns)
-            .sum()
-    }
-
     /// Render a compact human-readable table of the top spans and
     /// counters, for logging and examples.
     pub fn summary(&self) -> String {

@@ -318,11 +318,6 @@ impl DistMatrix {
         lj * self.grid.cols() + self.grid.my_col()
     }
 
-    /// Grid coordinates of the owner of global entry `(i, j)`.
-    pub fn owner_of(&self, i: usize, j: usize) -> (usize, usize) {
-        (i % self.grid.rows(), j % self.grid.cols())
-    }
-
     /// Collect the full matrix on every rank (allgather of all local pieces).
     ///
     /// Panics if the underlying collective fails; library code paths under
@@ -552,7 +547,7 @@ mod tests {
                 for lj in 0..dist.local().cols() {
                     let gi = dist.global_row(li);
                     let gj = dist.global_col(lj);
-                    assert_eq!(dist.owner_of(gi, gj), (x, y));
+                    assert_eq!((gi % 2, gj % 3), (x, y), "cyclic ownership");
                     assert_eq!(dist.local()[(li, lj)], (gi * 8 + gj) as f64);
                 }
             }

@@ -195,23 +195,6 @@ impl Grid3D {
             .collect();
         self.comm.subgroup(&members).expect("axis membership")
     }
-
-    /// Sub-communicator of the 2D plane obtained by fixing `axis` to this
-    /// rank's coordinate on that axis.  Members are ordered with the lower
-    /// remaining axis varying slowest.
-    pub fn plane_comm(&self, fixed_axis: usize) -> Communicator {
-        assert!(fixed_axis < 3, "axis must be 0, 1 or 2");
-        let my = self.my_coords();
-        let my_arr = [my.0, my.1, my.2];
-        let members: Vec<usize> = (0..self.comm.size())
-            .filter(|&r| {
-                let c = self.coords_of(r);
-                let c_arr = [c.0, c.1, c.2];
-                c_arr[fixed_axis] == my_arr[fixed_axis]
-            })
-            .collect();
-        self.comm.subgroup(&members).expect("plane membership")
-    }
 }
 
 #[cfg(test)]
@@ -302,12 +285,11 @@ mod tests {
                 let a0 = g.axis_comm(0).size();
                 let a1 = g.axis_comm(1).size();
                 let a2 = g.axis_comm(2).size();
-                let plane = g.plane_comm(2).size();
-                (a0, a1, a2, plane)
+                (a0, a1, a2)
             })
             .unwrap();
         for r in out.results {
-            assert_eq!(r, (2, 2, 3, 4));
+            assert_eq!(r, (2, 2, 3));
         }
     }
 

@@ -374,11 +374,6 @@ impl SolveService {
         }
     }
 
-    /// A service with the default configuration.
-    pub fn with_defaults() -> SolveService {
-        SolveService::new(ServiceConfig::default())
-    }
-
     /// The configuration this service runs with.
     pub fn config(&self) -> ServiceConfig {
         self.config
@@ -613,18 +608,6 @@ impl SolveService {
                 result: j.result.expect("every drained job was executed"),
             })
             .collect()
-    }
-
-    /// Submit one job and flush immediately: the single-job convenience
-    /// for callers that don't batch.
-    pub fn submit_and_flush(&self, sreq: ServiceRequest) -> Result<Completion> {
-        let ticket = self.submit(sreq)?;
-        let mut done = self.flush();
-        let pos = done
-            .iter()
-            .position(|c| c.ticket == ticket)
-            .expect("flush returns every queued job");
-        Ok(done.swap_remove(pos))
     }
 
     /// Current accounting snapshot (cache totals aggregated over shards).

@@ -180,20 +180,6 @@ impl CostReport {
         self.per_rank.iter().map(|c| c.overlap).sum()
     }
 
-    /// Largest per-rank overlap saving (virtual seconds).
-    pub fn max_overlap(&self) -> f64 {
-        self.per_rank.iter().map(|c| c.overlap).fold(0.0, f64::max)
-    }
-
-    /// The model time implied by the critical-path counters,
-    /// `α·max S + β·max W + γ·max F`.  This is an upper bound proxy; the
-    /// measured [`CostReport::virtual_time`] tracks the actual dependency
-    /// chain and is never larger than `p` times this value.
-    pub fn counter_time(&self) -> f64 {
-        self.params
-            .time(self.max_messages(), self.max_words(), self.max_flops())
-    }
-
     /// One-line summary used by the experiment binaries.
     pub fn summary(&self) -> String {
         format!(
@@ -289,7 +275,6 @@ mod tests {
         assert_eq!(report.total_messages(), 5);
         assert_eq!(report.total_words(), 50);
         assert_eq!(report.total_flops(), 55);
-        assert_eq!(report.counter_time(), (4 + 40 + 50) as f64);
         assert!(report.to_string().contains("2 ranks"));
         assert!(report.summary().contains("p="));
     }
@@ -311,7 +296,6 @@ mod tests {
         assert_eq!(b.merge(&a).since(&a).overlap, 2.0);
         let report = CostReport::new(vec![a, b], MachineParams::unit());
         assert_eq!(report.total_overlap(), 3.5);
-        assert_eq!(report.max_overlap(), 2.0);
     }
 
     #[test]

@@ -288,11 +288,6 @@ impl FaultInjector {
             crash: false,
         }
     }
-
-    /// Number of send operations drawn so far.
-    pub fn sends_drawn(&self) -> u64 {
-        self.sends
-    }
 }
 
 /// Mutable per-endpoint fault state (lives inside the endpoint of a rank when

@@ -90,18 +90,6 @@ impl MachineParams {
         }
     }
 
-    /// A machine where only bandwidth is charged (α = γ = 0).
-    pub fn bandwidth_only() -> Self {
-        MachineParams {
-            alpha: 0.0,
-            beta: 1.0,
-            gamma: 0.0,
-            retry_timeout: 8.0,
-            max_retries: Self::DEFAULT_MAX_RETRIES,
-            overlap: false,
-        }
-    }
-
     /// Custom α–β–γ parameters with the default retry budget.
     pub fn new(alpha: f64, beta: f64, gamma: f64) -> Self {
         MachineParams {
@@ -164,8 +152,6 @@ mod tests {
     fn latency_only_ignores_words_and_flops() {
         let l = MachineParams::latency_only();
         assert_eq!(l.time(5, 1000, 1000), 5.0);
-        let b = MachineParams::bandwidth_only();
-        assert_eq!(b.time(5, 1000, 1000), 1000.0);
     }
 
     #[test]

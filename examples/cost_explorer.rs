@@ -83,9 +83,11 @@ fn main() {
         4.0 * k as f64 * (p as f64).sqrt()
     );
 
-    // The same numbers through the staged API: a plan carries its predicted
-    // cost, so the "a priori" workflow is one `plan_distributed` away — and a
-    // shape no integer grid fits is refused there, before anything runs.
+    // The staged API: a plan carries its predicted cost, so the "a priori"
+    // workflow is one `plan_distributed` away — and a shape no integer grid
+    // fits is refused there, before anything runs.  Where the table above is
+    // the regime's leading order, the plan quotes the Section VII phase model
+    // at the integer grid and block size it resolved, constants included.
     println!("\nstaged API: SolveRequest::lower().plan_distributed({n}, {k}, {p})");
     match SolveRequest::lower().plan_distributed(n, k, p) {
         Ok(plan) => {
@@ -100,7 +102,7 @@ fn main() {
     }
 
     // And the wavefront baseline, priced by the same `Algorithm`, for scale.
-    let wf = Algorithm::Wavefront.predicted_cost(Ipdps17, n as f64, k as f64, p as f64);
+    let wf = Algorithm::Wavefront.predicted_cost(Ipdps17, n, k, p);
     println!(
         "  wavefront baseline would pay S = {:.3e} messages (Θ(n·log p))",
         wf.latency
