@@ -20,7 +20,7 @@
 //! perturb the numerics.
 
 use catrsm::{Algorithm, ItInvConfig, SolveRequest};
-use dense::{gemm, gen, tri_invert, trsm_in_place, Diag, Matrix, Side, Triangle};
+use dense::{gemm, gen, tri_invert, trsm_in_place_opts, Matrix, Side, SolveOpts, Triangle};
 use pgrid::{DistMatrix, Grid2D};
 use simnet::{Machine, MachineParams};
 
@@ -156,7 +156,7 @@ fn main() {
 
     let l = gen::well_conditioned_lower(384, 21);
     let rhs = gen::rhs(384, 96, 22);
-    // Through the staged API (bitwise identical to the old dense::trsm
+    // Through the staged API (bitwise identical to the dense::trsm_opts
     // entry point it wraps).
     let x = SolveRequest::lower().solve_dense(&l, &rhs).unwrap().x;
     println!("{}", checksum("trsm_left_lower_384x96", &x));
@@ -169,10 +169,8 @@ fn main() {
     println!("{}", checksum("trsm_left_lower_t_384x96", &xt));
 
     let mut xr = gen::rhs(96, 384, 23);
-    trsm_in_place(
-        Side::Right,
-        Triangle::Upper,
-        Diag::NonUnit,
+    trsm_in_place_opts(
+        &SolveOpts::upper().side(Side::Right),
         &l.transpose(),
         &mut xr,
     )

@@ -28,18 +28,13 @@ use dense::{Matrix, Triangle};
 use pgrid::redist::{redistribute_into, Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
 
-/// Recursion cut-off of the *local* in-place inversions — fixed at the same
-/// base size `dense::tri_invert` has always used, so local flop accounting
-/// is independent of the configuration.  [`diagonal_inverter`]'s `inv_base`
-/// is a different knob: it controls the base case of the *distributed*
-/// inversion used when several ranks share one diagonal block.
-const INV_BASE: usize = 16;
-
 /// Invert the diagonal blocks of a lower-triangular matrix distributed
 /// cyclically over a square grid.  Returns `L̃`: a copy of `L` whose diagonal
 /// `n0 × n0` blocks are replaced by their inverses.  `n0` must divide the
 /// matrix dimension; `inv_base` is the base-case size handed to the
-/// distributed triangular inversion.
+/// distributed triangular inversion used when several ranks share one
+/// diagonal block (local inversions recurse to `dense`'s own cut-off, so
+/// their flop accounting is independent of the configuration).
 pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<DistMatrix> {
     let grid = l.grid();
     let q = grid.rows();
@@ -79,7 +74,6 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<D
             let flops = dense::tri_invert_in_place(
                 Triangle::Lower,
                 &mut local.view_mut(g * n0, g * n0, n0, n0),
-                INV_BASE,
             )?;
             comm.charge_flops(flops.get());
         }
@@ -105,11 +99,8 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<D
 
         // Invert the blocks this rank owns, where they lie.
         for t in 0..mine.rows() / n0 {
-            let flops = dense::tri_invert_in_place(
-                Triangle::Lower,
-                &mut mine.view_mut(t * n0, 0, n0, n0),
-                INV_BASE,
-            )?;
+            let flops =
+                dense::tri_invert_in_place(Triangle::Lower, &mut mine.view_mut(t * n0, 0, n0, n0))?;
             comm.charge_flops(flops.get());
         }
         redistribute_into(
@@ -169,7 +160,6 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<D
                 let flops = dense::tri_invert_in_place(
                     Triangle::Lower,
                     &mut block.local_mut().as_view_mut(),
-                    INV_BASE,
                 )?;
                 comm.charge_flops(flops.get());
                 block

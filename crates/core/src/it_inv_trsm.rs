@@ -326,9 +326,12 @@ pub fn it_inv_trsm(
         let flops = dense::gemm_views(
             1.0,
             diag_piece.as_view(),
+            false,
             b_rem.view(i * nb_loc, 0, nb_loc, kw),
+            false,
             0.0,
             &mut x_part.as_view_mut(),
+            None,
         )?;
         comm.charge_flops(flops.get());
 
@@ -365,9 +368,12 @@ pub fn it_inv_trsm(
             let flops = dense::gemm_views(
                 1.0,
                 panel.as_view(),
+                false,
                 x_block.as_view(),
+                false,
                 1.0,
                 &mut b_update_acc.view_mut((i + 1) * nb_loc, 0, panel_rows, kw),
+                None,
             )?;
             comm.charge_flops(flops.get());
 

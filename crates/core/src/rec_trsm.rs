@@ -22,7 +22,7 @@ use crate::error::config_error;
 use crate::mm3d::mm3d;
 use crate::planner::choose_mm_p1;
 use crate::Result;
-use dense::{Diag, Matrix, Triangle};
+use dense::Matrix;
 use pgrid::distmat::cyclic_local_count;
 use pgrid::redist::{Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
@@ -142,13 +142,7 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Di
         let my_cols = b_cols.cols();
         if my_cols > 0 {
             // Solve in place: the gathered columns are overwritten with X.
-            dense::trsm_in_place(
-                dense::Side::Left,
-                Triangle::Lower,
-                Diag::NonUnit,
-                &l_full,
-                &mut b_cols,
-            )?;
+            dense::trsm_in_place_opts(&dense::SolveOpts::lower(), &l_full, &mut b_cols)?;
             grid.comm()
                 .charge_flops(dense::flops::trsm_flops(n, my_cols).get());
         }

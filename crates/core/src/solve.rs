@@ -1,9 +1,9 @@
 //! The staged, backend-uniform solver API: **request → plan → solution**.
 //!
-//! Every triangular solve in the workspace — a local dense
-//! [`trsm`](fn@dense::trsm), a level-scheduled sparse apply (`sparse`), or
-//! a distributed
-//! solve on the simulated machine (`catrsm`'s algorithms) — is described by
+//! Every triangular solve in the workspace — a local dense solve
+//! ([`dense::trsm_in_place_opts`]), a level-scheduled sparse apply
+//! (`sparse`), or a distributed solve on the simulated machine (`catrsm`'s
+//! algorithms) — is described by
 //! the same [`SolveRequest`]: which triangle the operand occupies, whether
 //! it is applied transposed ([`Transpose`]), whether its diagonal is
 //! implicit ones ([`Diag`]), which side of the unknown it sits on
@@ -43,10 +43,11 @@
 //! one in-place executor (`execute_dense_in_place` /
 //! `execute_sparse_in_place`) whose right-hand side is a [`dense::MatMut`]
 //! view — a `&mut Matrix` is its own full view, so block and sub-block
-//! solves are the same call.  On the sparse backend a `&mut [f64]` is simply
-//! the `n×1` view.  The dense backend is the one place that view is not
-//! free: its vector kernel (`trsv`) and its blocked kernel round
-//! differently, so vectors keep `execute_dense_vec_in_place`.
+//! solves are the same call, and a `&mut [f64]` is simply the `n×1` view.
+//! One right-hand side is a shape, not a second API: the dense solve picks
+//! its kernel from the width of `B` ([`dense::solve_kernel`]), so an `n×1`
+//! `Matrix` and a slice run the same row substitution and return the same
+//! bits.
 
 mod drift;
 mod execute_dense;

@@ -4,7 +4,7 @@ use super::plan::{dense_algorithm_name, PlanBackend, SolvePlan};
 use super::report::{Solution, SolveReport};
 use crate::error::config_error;
 use crate::Result;
-use dense::{Diag, FlopCount, MatMut, Matrix, Side, SolveOpts, Transpose, Triangle};
+use dense::{Diag, MatMut, Matrix, Side, SolveOpts, Transpose, Triangle};
 
 impl SolvePlan {
     /// Execute this dense plan, returning the solution and report.
@@ -17,15 +17,19 @@ impl SolvePlan {
         Ok(Solution { x, report })
     }
 
-    /// Execute this dense plan in place with the blocked kernel: `b` — a
-    /// `&mut Matrix` or any [`MatMut`] block — holds `B` on entry and `X` on
-    /// exit, and nothing is allocated.  (The residual option is skipped:
-    /// `B` is consumed.)
+    /// Execute this dense plan in place: `b` — a `&mut Matrix`, a
+    /// `&mut [f64]` (one right-hand side) or any [`MatMut`] block — holds
+    /// `B` on entry and `X` on exit, and nothing is allocated.  (The
+    /// residual option is skipped: `B` is consumed.)
     pub fn execute_dense_in_place<'b>(
         &self,
         a: &Matrix,
         b: impl Into<MatMut<'b>>,
     ) -> Result<SolveReport> {
+        let PlanBackend::Dense { .. } = self.backend else {
+            return Err(config_error("plan", "not a dense plan"));
+        };
+        self.check_dense_operand(a)?;
         let b = b.into();
         // Named from the block actually handed in, so the report says what
         // ran even if the caller's `B` is not as wide as the plan's `k`.
@@ -33,43 +37,11 @@ impl SolvePlan {
             Side::Left => b.cols(),
             Side::Right => b.rows(),
         };
-        let algorithm = dense_algorithm_name(dense::inverts_diagonal_blocks(k));
-        self.run_dense(algorithm, a, |opts| dense::trsm_in_place_opts(opts, a, b))
-    }
-
-    /// Execute this dense plan for one right-hand side in place with the
-    /// row-substitution kernel [`dense::trsv_in_place_opts`], allocating
-    /// nothing.
-    ///
-    /// This is the one place a vector is *not* just the `n×1` view of the
-    /// block executor: with a single column the blocked kernel's GEMM
-    /// updates degenerate to dot products, so vectors get their own kernel
-    /// — and the two round differently, so the choice stays with the
-    /// caller's type instead of being inferred from the shape (an `n×1`
-    /// `Matrix` keeps the bits of [`dense::trsm()`]).
-    pub fn execute_dense_vec_in_place(&self, a: &Matrix, x: &mut [f64]) -> Result<SolveReport> {
-        self.run_dense("dense substitution (single RHS)", a, |opts| {
-            dense::trsv_in_place_opts(opts, a, x)
-        })
-    }
-
-    /// The part every dense execution shares: backend and operand checks,
-    /// the `execute` span, the report.
-    fn run_dense(
-        &self,
-        algorithm: &'static str,
-        a: &Matrix,
-        kernel: impl FnOnce(&SolveOpts) -> dense::Result<FlopCount>,
-    ) -> Result<SolveReport> {
-        let PlanBackend::Dense { .. } = self.backend else {
-            return Err(config_error("plan", "not a dense plan"));
-        };
-        self.check_dense_operand(a)?;
         let flops = {
             let _span = obs::span_with("core", "execute", "n", self.n as u64);
-            kernel(&self.request.opts)?
+            dense::trsm_in_place_opts(&self.request.opts, a, b)?
         };
-        Ok(self.report(algorithm, flops))
+        Ok(self.report(dense_algorithm_name(dense::solve_kernel(k)), flops))
     }
 }
 
@@ -91,11 +63,12 @@ fn dense_residual(opts: &SolveOpts, a: &Matrix, x: &Matrix, b: &Matrix) -> Resul
     }
     let a_eff = &a_eff_storage;
     let mut p = Matrix::zeros(b.rows(), b.cols());
-    match (opts.side, opts.transpose) {
-        (Side::Left, Transpose::No) => dense::gemm(1.0, a_eff, x, 0.0, &mut p)?,
-        (Side::Left, Transpose::Yes) => dense::gemm_at_b(1.0, a_eff, x, 0.0, &mut p)?,
-        (Side::Right, Transpose::No) => dense::gemm(1.0, x, a_eff, 0.0, &mut p)?,
-        (Side::Right, Transpose::Yes) => dense::gemm_a_bt(1.0, x, a_eff, 0.0, &mut p)?,
+    let trans = opts.transpose == Transpose::Yes;
+    let (a_op, x_op) = (a_eff.as_view(), x.as_view());
+    let mut p_op = p.as_view_mut();
+    match opts.side {
+        Side::Left => dense::gemm_views(1.0, a_op, trans, x_op, false, 0.0, &mut p_op, None)?,
+        Side::Right => dense::gemm_views(1.0, x_op, false, a_op, trans, 0.0, &mut p_op, None)?,
     };
     let diff_sq: f64 = p
         .as_slice()

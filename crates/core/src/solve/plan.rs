@@ -6,7 +6,7 @@ use crate::api::Algorithm;
 use crate::error::config_error;
 use crate::Result;
 use costmodel::{Cost, Regime};
-use dense::{FlopCount, Matrix, Transpose};
+use dense::{FlopCount, Matrix, SolveKernel, Transpose};
 use sparse::SparseTri;
 use std::fmt;
 
@@ -14,21 +14,21 @@ use std::fmt;
 /// concrete parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanBackend {
-    /// Local dense blocked solve: GEMM panel updates between `block`-wide
-    /// diagonal blocks, which are substituted through or — for a solve wide
-    /// enough to pay for it — inverted and applied as triangle-aware packed
-    /// products.
+    /// Local dense solve: row substitution for one right-hand side, else
+    /// GEMM panel updates between `block`-wide diagonal blocks, which are
+    /// substituted through or — for a solve wide enough to pay for it —
+    /// inverted and applied as triangle-aware packed products.
     Dense {
         /// `DENSE_THREADS` worker-pool size the GEMM updates may use.
         threads: usize,
         /// Width `NB` of the diagonal blocks (`dense::TRSM_BLOCK`).
         block: usize,
-        /// Whether a solve `k` right-hand sides wide inverts its diagonal
-        /// blocks: `dense::inverts_diagonal_blocks(k)`, the same function
-        /// the kernel decides with.  The two kernels round differently, and
-        /// the inverted one's residual grows with the condition number of
-        /// the diagonal blocks (see `crates/dense/README.md`).
-        inverts_blocks: bool,
+        /// The kernel a solve `k` right-hand sides wide runs:
+        /// `dense::solve_kernel(k)`, the same function the solve decides
+        /// with.  The kernels round differently, and the inverted one's
+        /// residual grows with the condition number of the diagonal blocks
+        /// (see `crates/dense/README.md`).
+        kernel: SolveKernel,
     },
     /// Sparse executor: the sequential sweep or the level sweep.
     Sparse {
@@ -88,12 +88,12 @@ pub struct SolvePlan {
     pub regime: Option<Regime>,
 }
 
-/// The two kernels of the blocked dense solve, by name.
-pub(super) fn dense_algorithm_name(inverts_blocks: bool) -> &'static str {
-    if inverts_blocks {
-        "dense blocked solve, inverted diagonal blocks"
-    } else {
-        "dense blocked substitution"
+/// The three kernels of the dense solve, by name.
+pub(super) fn dense_algorithm_name(kernel: SolveKernel) -> &'static str {
+    match kernel {
+        SolveKernel::RowSubstitution => "dense substitution (single RHS)",
+        SolveKernel::BlockedSubstitution => "dense blocked substitution",
+        SolveKernel::InvertedBlocks => "dense blocked solve, inverted diagonal blocks",
     }
 }
 
@@ -110,7 +110,7 @@ impl SolvePlan {
     /// Human-readable name of the algorithm this plan executes.
     pub fn algorithm_name(&self) -> &'static str {
         match &self.backend {
-            PlanBackend::Dense { inverts_blocks, .. } => dense_algorithm_name(*inverts_blocks),
+            PlanBackend::Dense { kernel, .. } => dense_algorithm_name(*kernel),
             PlanBackend::Sparse { workers, .. } => sparse_algorithm_name(*workers),
             PlanBackend::Distributed { algorithm, .. } => algorithm.name(),
         }
@@ -187,13 +187,13 @@ impl fmt::Display for SolvePlan {
                 PlanBackend::Dense {
                     threads,
                     block,
-                    inverts_blocks,
+                    kernel,
                 } => format!(
                     ", NB = {block} ({}), {threads} worker(s)",
-                    if *inverts_blocks {
-                        "k >= NB: diagonal blocks inverted"
-                    } else {
-                        "k < NB: diagonal blocks substituted"
+                    match kernel {
+                        SolveKernel::RowSubstitution => "k = 1: rows substituted, no blocking",
+                        SolveKernel::BlockedSubstitution => "k < NB: diagonal blocks substituted",
+                        SolveKernel::InvertedBlocks => "k >= NB: diagonal blocks inverted",
                     }
                 ),
                 PlanBackend::Sparse {

@@ -186,7 +186,7 @@ impl SolveRequest {
             backend: PlanBackend::Dense {
                 threads: dense::dense_threads(),
                 block: dense::TRSM_BLOCK,
-                inverts_blocks: dense::inverts_diagonal_blocks(k),
+                kernel: dense::solve_kernel(k),
             },
         })
     }

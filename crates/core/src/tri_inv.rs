@@ -65,7 +65,7 @@ fn tri_inv_inner(l: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
         // zero upper part regardless of what the storage held there (the
         // recursive path below drops those entries too).
         let mut full = l.try_to_global()?.lower_triangular_part();
-        let flops = dense::tri_invert_in_place(Triangle::Lower, &mut full.as_view_mut(), 16)?;
+        let flops = dense::tri_invert_in_place(Triangle::Lower, &mut full.as_view_mut())?;
         grid.comm().charge_flops(flops.get());
         return Ok(DistMatrix::from_global(grid, &full));
     }

@@ -1,20 +1,18 @@
 //! General matrix–matrix multiplication kernels.
 //!
-//! The workhorse is [`gemm`], `C ← α · A · B + β · C`, which routes every
-//! non-trivial product through the packed-panel microkernel of
-//! [`crate::microkernel`] (pack `A` into `MR`-row column panels and `B` into
-//! `NR`-column row panels at an `(MC, KC, NC)` tiling, then drive an `MR×NR`
-//! register tile over the packed buffers).  Products above
-//! [`PAR_MIN_MADDS`] multiply–adds additionally split their column panels
-//! across the [`crate::threads`] worker pool (governed by `DENSE_THREADS`),
-//! with bitwise-identical results at every worker count.  [`gemm_views`] is
-//! the same operation on borrowed sub-blocks, which is what the blocked
-//! triangular kernels and the `catrsm` algorithms use to update blocks in
-//! place without cloning them; [`gemm_with_threads`] /
-//! [`gemm_views_with_threads`] take an explicit worker budget (benches and
-//! determinism tests use them to pin the partitioning).  Convenience
-//! wrappers [`matmul`], [`gemm_at_b`] and [`gemm_a_bt`] cover the transposed
-//! variants the distributed algorithms need.
+//! The workhorse is [`gemm_views`], `C ← α · op(A) · op(B) + β · C` on
+//! borrowed sub-blocks, which routes every non-trivial product through the
+//! packed-panel microkernel of [`crate::microkernel`] (pack `A` into
+//! `MR`-row column panels and `B` into `NR`-column row panels at an
+//! `(MC, KC, NC)` tiling, then drive an `MR×NR` register tile over the
+//! packed buffers).  Transposes are folded into the packing, and an
+//! optional [`TriMask`] multiplies a triangular operand's triangle only.
+//! Products above [`PAR_MIN_MADDS`] multiply–adds additionally split their
+//! column panels across the [`crate::threads`] worker pool (governed by
+//! `DENSE_THREADS`), with bitwise-identical results at every worker count.
+//! [`gemm`] / [`matmul`] are the whole-matrix forms, and
+//! [`gemm_with_threads`] takes an explicit worker budget (benches and
+//! determinism tests use it to pin the partitioning).
 
 use crate::error::DenseError;
 use crate::flops::{gemm_flops, FlopCount};
@@ -42,12 +40,26 @@ pub const BUDGET_MIN_MADDS: usize = 32 * 32 * 32;
 /// flops performed so callers can charge them to the simulated machine.
 /// Large products run on the worker pool (see [`crate::threads`]).
 pub fn gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) -> Result<FlopCount> {
-    gemm_views(alpha, a.as_view(), b.as_view(), beta, &mut c.as_view_mut())
+    gemm_views(
+        alpha,
+        a.as_view(),
+        false,
+        b.as_view(),
+        false,
+        beta,
+        &mut c.as_view_mut(),
+        None,
+    )
 }
 
 /// [`gemm`] with an explicit worker budget instead of the `DENSE_THREADS`
 /// default.  `threads == 1` is the deterministic sequential path; any value
 /// produces bitwise-identical results.
+///
+/// Unlike the implicit path this does not apply the [`PAR_MIN_MADDS`] gate:
+/// the caller asked for `threads` workers and gets them whenever the product
+/// is large enough to take the packed path at all (tiny products still run
+/// the sequential small-product loop — identically for every `threads`).
 pub fn gemm_with_threads(
     alpha: f64,
     a: &Matrix,
@@ -56,103 +68,47 @@ pub fn gemm_with_threads(
     c: &mut Matrix,
     threads: usize,
 ) -> Result<FlopCount> {
-    gemm_views_with_threads(
+    gemm_views_on(
         alpha,
         a.as_view(),
+        false,
         b.as_view(),
+        false,
         beta,
         &mut c.as_view_mut(),
-        threads,
+        None,
+        Some(threads),
     )
 }
 
-/// `C ← alpha * A * B + beta * C` on borrowed sub-blocks.
+/// `C ← alpha * op(A) * op(B) + beta * C` on borrowed sub-blocks.
 ///
-/// This is the block-update primitive behind the blocked triangular kernels:
-/// the operands may be [`Matrix::view`]s of larger matrices, so callers
-/// update sub-blocks in place instead of extracting, multiplying, and
-/// re-inserting copies.  Borrow rules guarantee `c` cannot overlap `a` or
-/// `b`.  Products of at least [`PAR_MIN_MADDS`] multiply–adds use the worker
+/// This is the block-update primitive behind the blocked triangular kernels
+/// and the `catrsm` algorithms: the operands may be [`Matrix::view`]s of
+/// larger matrices, so callers update sub-blocks in place instead of
+/// extracting, multiplying, and re-inserting copies.  Borrow rules guarantee
+/// `c` cannot overlap `a` or `b`.
+///
+/// * `a_trans` / `b_trans` select `op(X) = Xᵀ` with `X` the **stored**
+///   operand.  The transpose is folded into the packing itself — `Xᵀ`'s
+///   micro-panels are read straight out of `X` with swapped strides — so no
+///   transposed panel is ever materialized, and the result is **bitwise**
+///   that of multiplying a materialized transpose, at every worker count.
+/// * `mask` names a **triangular** operand and its triangle (see
+///   [`TriMask`]): the packed kernel multiplies only that triangle — tiles
+///   wholly in the zero part are skipped, tiles crossing the diagonal run a
+///   shorter inner loop, and the other triangle of the stored operand is
+///   never multiplied in (it may hold unrelated data, as the in-place
+///   triangular inversion's blocks do).  For finite operands and `beta = 0`
+///   the result is bitwise that of the unmasked product on operands with the
+///   other triangle zero-filled, at every worker count.
+///
+/// The returned [`FlopCount`] is the classical `2·m·p·n` of the full
+/// product, so cost accounting does not depend on how much a mask skipped.
+/// Products of at least [`PAR_MIN_MADDS`] multiply–adds use the worker
 /// pool; smaller ones stay on the calling thread.
-pub fn gemm_views(
-    alpha: f64,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    beta: f64,
-    c: &mut MatMut<'_>,
-) -> Result<FlopCount> {
-    gemm_views_opt(alpha, a, false, b, false, beta, c, None, None)
-}
-
-/// [`gemm_views`] with an explicit worker budget.
-///
-/// Unlike the implicit path this does not apply the [`PAR_MIN_MADDS`] gate:
-/// the caller asked for `threads` workers and gets them whenever the product
-/// is large enough to take the packed path at all (tiny products still run
-/// the sequential small-product loop — identically for every `threads`).
-pub fn gemm_views_with_threads(
-    alpha: f64,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    beta: f64,
-    c: &mut MatMut<'_>,
-    threads: usize,
-) -> Result<FlopCount> {
-    gemm_views_opt(alpha, a, false, b, false, beta, c, None, Some(threads))
-}
-
-/// `C ← alpha * Aᵀ * B + beta * C` on borrowed sub-blocks, with `a` the
-/// **stored** (un-transposed, `p×m`) operand.
-///
-/// The transpose is folded into the packing itself — `Aᵀ`'s micro-panels
-/// are read straight out of `a` with swapped strides by the pack layer —
-/// so no transposed panel is ever materialized,
-/// in scratch or elsewhere.  This is the update primitive of the blocked
-/// `op(A) = Aᵀ` TRSM drivers.  Results are **bitwise identical** to running
-/// [`gemm_views`] on an explicitly materialized transpose, at every worker
-/// count.  Subject to the same [`PAR_MIN_MADDS`] gate as [`gemm_views`].
-pub fn gemm_views_at(
-    alpha: f64,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    beta: f64,
-    c: &mut MatMut<'_>,
-) -> Result<FlopCount> {
-    gemm_views_opt(alpha, a, true, b, false, beta, c, None, None)
-}
-
-/// `C ← alpha * A * Bᵀ + beta * C` on borrowed sub-blocks, with `b` the
-/// **stored** (un-transposed, `n×p`) operand — the mirror of
-/// [`gemm_views_at`] for right-side transposed updates.
-pub fn gemm_views_a_bt(
-    alpha: f64,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    beta: f64,
-    c: &mut MatMut<'_>,
-) -> Result<FlopCount> {
-    gemm_views_opt(alpha, a, false, b, true, beta, c, None, None)
-}
-
-/// `C ← alpha * op(A) * op(B) + beta * C` where one of the operands is
-/// **triangular**: `mask` names it and its triangle (see [`TriMask`]), and
-/// the packed kernel multiplies only that triangle — tiles wholly in the
-/// zero part are skipped, tiles crossing the diagonal run a shorter inner
-/// loop, and the other triangle of the stored operand is never multiplied
-/// in (it may hold unrelated data, as the in-place triangular inversion's
-/// blocks do).  `a_trans` / `b_trans` select `op(X) = Xᵀ` through the
-/// pack-transposed paths of [`gemm_views_at`] / [`gemm_views_a_bt`].
-///
-/// This is the one product behind the inverted diagonal blocks of the
-/// blocked [`crate::trsm()`], the off-diagonal block of
-/// [`crate::tri_invert_in_place`] and [`crate::trmm()`].  For finite
-/// operands and `beta = 0` the result is bitwise that of the unmasked
-/// product on operands with the other triangle zero-filled, at every worker
-/// count.  The returned [`FlopCount`] is the classical `2·m·p·n` of the full
-/// product, so cost accounting does not depend on how much was skipped.
-/// Subject to the same [`PAR_MIN_MADDS`] gate as [`gemm_views`].
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
-pub fn gemm_views_masked(
+pub fn gemm_views(
     alpha: f64,
     a: MatRef<'_>,
     a_trans: bool,
@@ -160,17 +116,17 @@ pub fn gemm_views_masked(
     b_trans: bool,
     beta: f64,
     c: &mut MatMut<'_>,
-    mask: TriMask,
+    mask: Option<TriMask>,
 ) -> Result<FlopCount> {
-    gemm_views_opt(alpha, a, a_trans, b, b_trans, beta, c, Some(mask), None)
+    gemm_views_on(alpha, a, a_trans, b, b_trans, beta, c, mask, None)
 }
 
-/// The options-driven core every view-level GEMM funnels through:
-/// validates the *conceptual* (`op`-applied) dimensions, applies `beta`,
-/// resolves the worker budget (`None` = the implicit [`PAR_MIN_MADDS`]
-/// gate), and dispatches to the packed accumulator.
+/// [`gemm_views`] on an explicit worker budget (`None` = the implicit
+/// [`PAR_MIN_MADDS`] gate): validates the *conceptual* (`op`-applied)
+/// dimensions, applies `beta`, resolves the budget, and dispatches to the
+/// packed accumulator.
 #[allow(clippy::too_many_arguments)] // one internal funnel, BLAS-style
-pub(crate) fn gemm_views_opt(
+fn gemm_views_on(
     alpha: f64,
     a: MatRef<'_>,
     a_trans: bool,
@@ -241,61 +197,40 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// `C ← alpha * Aᵀ * B + beta * C` (A is `p×m`, B is `p×n`, C is `m×n`).
-///
-/// The transpose is folded into the packing ([`gemm_views_at`]); no `Aᵀ`
-/// is materialized, and the result is bitwise identical to multiplying a
-/// materialized transpose.
-pub fn gemm_at_b(
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c: &mut Matrix,
-) -> Result<FlopCount> {
-    gemm_views_at(alpha, a.as_view(), b.as_view(), beta, &mut c.as_view_mut())
-}
-
-/// `C ← alpha * A * Bᵀ + beta * C` (A is `m×p`, B is `n×p`, C is `m×n`).
-///
-/// Like [`gemm_at_b`], the transpose lives in the packing
-/// ([`gemm_views_a_bt`]): no `Bᵀ` is materialized.
-pub fn gemm_a_bt(
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c: &mut Matrix,
-) -> Result<FlopCount> {
-    gemm_views_a_bt(alpha, a.as_view(), b.as_view(), beta, &mut c.as_view_mut())
-}
-
-/// Reference (non-blocked) triple-loop multiplication used by the tests to
-/// validate the packed kernel.
-pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul_reference: inner dims must agree"
-    );
-    let (m, p) = a.dims();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0;
-            for k in 0..p {
-                acc += a[(i, k)] * b[(k, j)];
-            }
-            c[(i, j)] = acc;
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::gemm_naive_ikj;
+
+    /// [`gemm_views`] on whole matrices.
+    fn op_product(
+        alpha: f64,
+        a: &Matrix,
+        a_trans: bool,
+        b: &Matrix,
+        b_trans: bool,
+        beta: f64,
+        c: &mut Matrix,
+    ) -> Result<FlopCount> {
+        let (a, b) = (a.as_view(), b.as_view());
+        gemm_views(
+            alpha,
+            a,
+            a_trans,
+            b,
+            b_trans,
+            beta,
+            &mut c.as_view_mut(),
+            None,
+        )
+    }
+
+    /// `A · B` by the naive i-k-j reference loop.
+    fn naive(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut c = Matrix::zeros(a.rows(), b.cols());
+        gemm_naive_ikj(1.0, a, b, 0.0, &mut c);
+        c
+    }
 
     fn near(a: &Matrix, b: &Matrix, tol: f64) -> bool {
         a.max_abs_diff(b).map(|d| d < tol).unwrap_or(false)
@@ -323,7 +258,7 @@ mod tests {
         let a = Matrix::from_fn(70, 130, |i, j| ((i * 31 + j * 17) % 23) as f64 / 23.0 - 0.5);
         let b = Matrix::from_fn(130, 50, |i, j| ((i * 7 + j * 41) % 19) as f64 / 19.0 - 0.5);
         let c1 = matmul(&a, &b);
-        let c2 = matmul_reference(&a, &b);
+        let c2 = naive(&a, &b);
         assert!(near(&c1, &c2, 1e-10));
     }
 
@@ -336,7 +271,7 @@ mod tests {
         });
         let b = Matrix::from_fn(300, 137, |i, j| ((i * 7 + j * 41) % 19) as f64 / 19.0 - 0.5);
         let c1 = matmul(&a, &b);
-        let c2 = matmul_reference(&a, &b);
+        let c2 = naive(&a, &b);
         assert!(near(&c1, &c2, 1e-9));
     }
 
@@ -349,9 +284,12 @@ mod tests {
         let f = gemm_views(
             2.0,
             big_a.view(0, 3, 3, 4),
+            false,
             big_b.view(2, 4, 4, 3),
+            false,
             1.0,
             &mut c.view_mut(2, 1, 3, 3),
+            None,
         )
         .unwrap();
         assert_eq!(f, gemm_flops(3, 4, 3));
@@ -367,17 +305,10 @@ mod tests {
         let a = Matrix::zeros(3, 4);
         let b = Matrix::zeros(5, 2);
         let mut c = Matrix::zeros(3, 2);
-        assert!(gemm_views(1.0, a.as_view(), b.as_view(), 0.0, &mut c.as_view_mut()).is_err());
+        assert!(op_product(1.0, &a, false, &b, false, 0.0, &mut c).is_err());
         let b_ok = Matrix::zeros(4, 2);
         let mut c_bad = Matrix::zeros(2, 2);
-        assert!(gemm_views(
-            1.0,
-            a.as_view(),
-            b_ok.as_view(),
-            0.0,
-            &mut c_bad.as_view_mut()
-        )
-        .is_err());
+        assert!(op_product(1.0, &a, false, &b_ok, false, 0.0, &mut c_bad).is_err());
     }
 
     #[test]
@@ -444,22 +375,20 @@ mod tests {
             let b = Matrix::from_fn(k, n, |i, j| ((i * 5 + j * 29) % 13) as f64 / 13.0 - 0.6);
             let mut c1 = Matrix::from_fn(m, n, |i, j| (i + j) as f64 * 0.01);
             let mut c2 = c1.clone();
-            let f1 =
-                gemm_views_at(-1.5, a.as_view(), b.as_view(), 1.0, &mut c1.as_view_mut()).unwrap();
+            let f1 = op_product(-1.5, &a, true, &b, false, 1.0, &mut c1).unwrap();
             let at = a.transpose();
-            let f2 =
-                gemm_views(-1.5, at.as_view(), b.as_view(), 1.0, &mut c2.as_view_mut()).unwrap();
+            let f2 = op_product(-1.5, &at, false, &b, false, 1.0, &mut c2).unwrap();
             assert_eq!(f1, f2);
-            assert!(c1 == c2, "gemm_views_at diverged at ({m},{k},{n})");
+            assert!(c1 == c2, "op(A) = Aᵀ diverged at ({m},{k},{n})");
 
             let x = Matrix::from_fn(m, k, |i, j| ((i * 3 + j * 11) % 19) as f64 / 19.0 - 0.5);
             let p = Matrix::from_fn(n, k, |i, j| ((i * 23 + j * 3) % 11) as f64 / 11.0 - 0.5);
             let mut d1 = Matrix::from_fn(m, n, |i, j| (2 * i + j) as f64 * 0.02);
             let mut d2 = d1.clone();
-            gemm_views_a_bt(2.0, x.as_view(), p.as_view(), 0.5, &mut d1.as_view_mut()).unwrap();
+            op_product(2.0, &x, false, &p, true, 0.5, &mut d1).unwrap();
             let pt = p.transpose();
-            gemm_views(2.0, x.as_view(), pt.as_view(), 0.5, &mut d2.as_view_mut()).unwrap();
-            assert!(d1 == d2, "gemm_views_a_bt diverged at ({m},{k},{n})");
+            op_product(2.0, &x, false, &pt, false, 0.5, &mut d2).unwrap();
+            assert!(d1 == d2, "op(B) = Bᵀ diverged at ({m},{k},{n})");
         }
     }
 
@@ -469,18 +398,11 @@ mod tests {
         let a = Matrix::zeros(4, 3);
         let b = Matrix::zeros(3, 2);
         let mut c = Matrix::zeros(3, 2);
-        assert!(gemm_views_at(1.0, a.as_view(), b.as_view(), 0.0, &mut c.as_view_mut()).is_err());
+        assert!(op_product(1.0, &a, true, &b, false, 0.0, &mut c).is_err());
         // And the output must match the conceptual (m, n).
         let b_ok = Matrix::zeros(4, 2);
         let mut c_bad = Matrix::zeros(4, 2);
-        assert!(gemm_views_at(
-            1.0,
-            a.as_view(),
-            b_ok.as_view(),
-            0.0,
-            &mut c_bad.as_view_mut()
-        )
-        .is_err());
+        assert!(op_product(1.0, &a, true, &b_ok, false, 0.0, &mut c_bad).is_err());
     }
 
     #[test]
@@ -489,13 +411,13 @@ mod tests {
         let b = Matrix::from_fn(4, 3, |i, j| (i + 2 * j) as f64 / 7.0);
         // Aᵀ B : (6x4)(4x3) = 6x3
         let mut c = Matrix::zeros(6, 3);
-        gemm_at_b(1.0, &a, &b, 0.0, &mut c).unwrap();
+        op_product(1.0, &a, true, &b, false, 0.0, &mut c).unwrap();
         assert!(near(&c, &matmul(&a.transpose(), &b), 1e-12));
 
         let b2 = Matrix::from_fn(5, 6, |i, j| (i * j) as f64 / 3.0);
         // A B2ᵀ : (4x6)(6x5) = 4x5
         let mut c2 = Matrix::zeros(4, 5);
-        gemm_a_bt(1.0, &a, &b2, 0.0, &mut c2).unwrap();
+        op_product(1.0, &a, false, &b2, true, 0.0, &mut c2).unwrap();
         assert!(near(&c2, &matmul(&a, &b2.transpose()), 1e-12));
     }
 

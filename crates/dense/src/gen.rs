@@ -65,7 +65,7 @@ pub fn rhs(n: usize, k: usize, seed: u64) -> Matrix {
 mod tests {
     use super::*;
     use crate::norms;
-    use crate::trsm::{trsm, Diag, Triangle};
+    use crate::trsm::{trsm_opts, SolveOpts};
 
     #[test]
     fn generators_are_deterministic() {
@@ -112,7 +112,7 @@ mod tests {
         let l = well_conditioned_lower(n, 77);
         let x_true = rhs(n, 4, 5);
         let b = crate::gemm::matmul(&l, &x_true);
-        let x = trsm(Triangle::Lower, Diag::NonUnit, &l, &b).unwrap();
+        let x = trsm_opts(&SolveOpts::lower(), &l, &b).unwrap();
         assert!(norms::rel_diff(&x, &x_true) < 1e-10);
     }
 }

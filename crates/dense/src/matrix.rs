@@ -357,36 +357,6 @@ impl Matrix {
         true
     }
 
-    /// Horizontally concatenate `[self | other]`.
-    pub fn hcat(&self, other: &Matrix) -> Result<Matrix> {
-        if self.rows != other.rows {
-            return Err(DenseError::DimensionMismatch {
-                op: "hcat",
-                lhs: self.dims(),
-                rhs: other.dims(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        out.set_block(0, 0, self);
-        out.set_block(0, self.cols, other);
-        Ok(out)
-    }
-
-    /// Vertically concatenate `[self; other]`.
-    pub fn vcat(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.cols {
-            return Err(DenseError::DimensionMismatch {
-                op: "vcat",
-                lhs: self.dims(),
-                rhs: other.dims(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows + other.rows, self.cols);
-        out.set_block(0, 0, self);
-        out.set_block(self.rows, 0, other);
-        Ok(out)
-    }
-
     /// Maximum absolute difference to `other`; `None` on dimension mismatch.
     pub fn max_abs_diff(&self, other: &Matrix) -> Option<f64> {
         if self.dims() != other.dims() {
@@ -791,6 +761,20 @@ impl<'a> MatMut<'a> {
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(i * self.stride), self.cols) }
     }
 
+    /// The viewed elements as one slice, when they are contiguous in memory
+    /// (at most one row, or rows exactly `stride` apart).
+    pub(crate) fn as_contiguous_mut(&mut self) -> Option<&mut [f64]> {
+        if self.rows > 1 && self.cols != self.stride {
+            return None;
+        }
+        // SAFETY: element `(i, j)` lives at `ptr + i·stride + j`; with one
+        // row or `cols == stride` the elements are exactly the
+        // `rows·cols` consecutive ones from `ptr` (none for an empty view,
+        // whose dangling `ptr` a zero-length slice never reads), and
+        // `&mut self` makes the borrow unique.
+        Some(unsafe { std::slice::from_raw_parts_mut(self.ptr, self.rows * self.cols) })
+    }
+
     /// Pointer to element `(0, 0)`.
     #[inline]
     pub fn as_mut_ptr(&mut self) -> *mut f64 {
@@ -1164,21 +1148,6 @@ mod tests {
             full.upper_triangular_part(),
             Matrix::from_fn(3, 3, |i, j| if j >= i { 1.0 } else { 0.0 })
         );
-    }
-
-    #[test]
-    fn concatenation() {
-        let a = Matrix::filled(2, 2, 1.0);
-        let b = Matrix::filled(2, 3, 2.0);
-        let h = a.hcat(&b).unwrap();
-        assert_eq!(h.dims(), (2, 5));
-        assert_eq!(h[(0, 4)], 2.0);
-        let c = Matrix::filled(3, 2, 4.0);
-        let v = a.vcat(&c).unwrap();
-        assert_eq!(v.dims(), (5, 2));
-        assert_eq!(v[(4, 0)], 4.0);
-        assert!(a.hcat(&c).is_err());
-        assert!(a.vcat(&b).is_err());
     }
 
     #[test]

@@ -48,7 +48,8 @@ pub fn gemm_naive_ikj(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Mat
 
 /// Unblocked in-place triangular solve by plain forward/backward
 /// substitution (the seed's `trsm_in_place`).  Assumes the caller has
-/// validated dimensions and pivots, as [`crate::trsm::trsm_in_place`] does.
+/// validated dimensions and pivots, as [`crate::trsm::trsm_in_place_opts`]
+/// does.
 pub fn trsm_unblocked(
     side: Side,
     tri: Triangle,

@@ -13,45 +13,38 @@
 //! recurse on the two diagonal blocks, and form the off-diagonal block with
 //! two products — which run on the packed microkernel and carry almost all
 //! of the flops.  Both have a triangular factor (`L22⁻¹` on the left of the
-//! first, `L11⁻¹` on the right of the second), so both are
-//! [`gemm_views_masked`] products: only the triangle is multiplied, which
-//! halves the arithmetic and means the other triangle of the view — which
-//! the in-place recursion never owns — is never read into a result.  The
+//! first, `L11⁻¹` on the right of the second), so both are masked
+//! [`gemm_views`] products: only the triangle is multiplied, which halves
+//! the arithmetic and means the other triangle of the view — which the
+//! in-place recursion never owns — is never read into a result.  The
 //! recursion works **in place** on views ([`tri_invert_in_place`]): the
 //! off-diagonal block is overwritten where it lives, with a single
-//! thread-local scratch panel for the intermediate product.
-//! [`tri_invert`] / [`tri_invert_blocked`] are the allocating wrappers; the
-//! recursion stops at `block` and finishes with direct in-place
-//! substitution.  The reported [`FlopCount`] is the classical one of the
-//! full products: the γ·F term describes the algorithm, not the skipping.
+//! thread-local scratch panel for the intermediate product.  [`tri_invert`]
+//! is the allocating wrapper.  The recursion stops at [`RECURSION_CUTOFF`]
+//! and finishes with direct in-place substitution.  The reported
+//! [`FlopCount`] is the classical one of the full products: the γ·F term
+//! describes the algorithm, not the skipping.
 
 use crate::error::DenseError;
 use crate::flops::{tri_inv_flops, FlopCount};
-use crate::gemm::gemm_views_masked;
+use crate::gemm::gemm_views;
 use crate::matrix::{MatMut, Matrix};
 use crate::microkernel::TriMask;
 use crate::pack::with_scratch;
 use crate::trsm::{Triangle, PIVOT_TOL};
 use crate::Result;
 
-/// Dimension at or below which the recursion stops and inverts directly:
-/// the default of [`tri_invert`], and what the blocked TRSM inverts its
-/// diagonal blocks with.
-pub(crate) const RECURSION_CUTOFF: usize = 16;
+/// Dimension at or below which the recursion stops and inverts directly —
+/// the one cut-off of every inversion in the workspace (the blocked TRSM's
+/// diagonal blocks and `catrsm`'s local inversions alike), so local flop
+/// accounting never depends on the caller.
+pub const RECURSION_CUTOFF: usize = 16;
 
 /// Invert a triangular matrix, returning `(inverse, flops)`.
 ///
 /// For `Triangle::Lower` the strictly-upper part of `a` is ignored (assumed
 /// zero); symmetrically for `Triangle::Upper`.
 pub fn tri_invert(tri: Triangle, a: &Matrix) -> Result<(Matrix, FlopCount)> {
-    tri_invert_blocked(tri, a, RECURSION_CUTOFF)
-}
-
-/// Invert a triangular matrix with a configurable recursion cut-off.
-///
-/// `block` is the dimension at or below which the direct (column-by-column
-/// substitution) inversion is used instead of recursing further.
-pub fn tri_invert_blocked(tri: Triangle, a: &Matrix, block: usize) -> Result<(Matrix, FlopCount)> {
     if !a.is_square() {
         return Err(DenseError::NotSquare {
             op: "tri_invert",
@@ -63,7 +56,7 @@ pub fn tri_invert_blocked(tri: Triangle, a: &Matrix, block: usize) -> Result<(Ma
         Triangle::Upper => a.upper_triangular_part(),
     };
     let n = out.rows();
-    let flops = tri_invert_in_place(tri, &mut out.view_mut(0, 0, n, n), block)?;
+    let flops = tri_invert_in_place(tri, &mut out.view_mut(0, 0, n, n))?;
     Ok((out, flops))
 }
 
@@ -74,18 +67,12 @@ pub fn tri_invert_blocked(tri: Triangle, a: &Matrix, block: usize) -> Result<(Ma
 /// inverter).  The strictly-opposite triangle of the view is ignored —
 /// whatever it holds, NaN included, reaches no result — and left untouched.
 /// Returns the flop count.
-pub fn tri_invert_in_place(tri: Triangle, a: &mut MatMut<'_>, block: usize) -> Result<FlopCount> {
+pub fn tri_invert_in_place(tri: Triangle, a: &mut MatMut<'_>) -> Result<FlopCount> {
     let (rows, cols) = a.dims();
     if rows != cols {
         return Err(DenseError::NotSquare {
             op: "tri_invert",
             dims: (rows, cols),
-        });
-    }
-    if block == 0 {
-        return Err(DenseError::InvalidParameter {
-            name: "block",
-            reason: "recursion cut-off must be at least 1".to_string(),
         });
     }
     for i in 0..rows {
@@ -98,29 +85,29 @@ pub fn tri_invert_in_place(tri: Triangle, a: &mut MatMut<'_>, block: usize) -> R
     }
     let mut flops = FlopCount::ZERO;
     match tri {
-        Triangle::Lower => invert_lower_in_place(a.reborrow(), block, &mut flops)?,
-        Triangle::Upper => invert_upper_in_place(a.reborrow(), block, &mut flops)?,
+        Triangle::Lower => invert_lower_in_place(a.reborrow(), &mut flops)?,
+        Triangle::Upper => invert_upper_in_place(a.reborrow(), &mut flops)?,
     }
     Ok(flops)
 }
 
-fn invert_lower_in_place(l: MatMut<'_>, block: usize, flops: &mut FlopCount) -> Result<()> {
+fn invert_lower_in_place(l: MatMut<'_>, flops: &mut FlopCount) -> Result<()> {
     let n = l.rows();
-    if n <= block {
+    if n <= RECURSION_CUTOFF {
         invert_lower_base(l);
         *flops += tri_inv_flops(n);
         return Ok(());
     }
     let h = n / 2;
     let (mut top, mut bottom) = l.split_rows_at_mut(h);
-    invert_lower_in_place(top.submat_mut(0, 0, h, h), block, flops)?;
-    invert_lower_in_place(bottom.submat_mut(0, h, n - h, n - h), block, flops)?;
+    invert_lower_in_place(top.submat_mut(0, 0, h, h), flops)?;
+    invert_lower_in_place(bottom.submat_mut(0, h, n - h, n - h), flops)?;
 
     // inv21 = -inv22 · L21 · inv11, with one scratch panel for the
     // intermediate product (both factors live in `bottom` / `top`).
     with_scratch((n - h) * h, |tmp| -> Result<()> {
         let mut t = MatMut::from_slice(tmp, n - h, h);
-        *flops += gemm_views_masked(
+        *flops += gemm_views(
             1.0,
             bottom.rb().subview(0, h, n - h, n - h),
             false,
@@ -128,10 +115,10 @@ fn invert_lower_in_place(l: MatMut<'_>, block: usize, flops: &mut FlopCount) -> 
             false,
             0.0,
             &mut t,
-            TriMask::a(Triangle::Lower),
+            Some(TriMask::a(Triangle::Lower)),
         )?;
         let mut l21 = bottom.submat_mut(0, 0, n - h, h);
-        *flops += gemm_views_masked(
+        *flops += gemm_views(
             -1.0,
             t.rb(),
             false,
@@ -139,28 +126,28 @@ fn invert_lower_in_place(l: MatMut<'_>, block: usize, flops: &mut FlopCount) -> 
             false,
             0.0,
             &mut l21,
-            TriMask::b(Triangle::Lower),
+            Some(TriMask::b(Triangle::Lower)),
         )?;
         Ok(())
     })
 }
 
-fn invert_upper_in_place(u: MatMut<'_>, block: usize, flops: &mut FlopCount) -> Result<()> {
+fn invert_upper_in_place(u: MatMut<'_>, flops: &mut FlopCount) -> Result<()> {
     let n = u.rows();
-    if n <= block {
+    if n <= RECURSION_CUTOFF {
         invert_upper_base(u);
         *flops += tri_inv_flops(n);
         return Ok(());
     }
     let h = n / 2;
     let (mut top, mut bottom) = u.split_rows_at_mut(h);
-    invert_upper_in_place(top.submat_mut(0, 0, h, h), block, flops)?;
-    invert_upper_in_place(bottom.submat_mut(0, h, n - h, n - h), block, flops)?;
+    invert_upper_in_place(top.submat_mut(0, 0, h, h), flops)?;
+    invert_upper_in_place(bottom.submat_mut(0, h, n - h, n - h), flops)?;
 
     // inv12 = -inv11 · U12 · inv22.
     with_scratch(h * (n - h), |tmp| -> Result<()> {
         let mut t = MatMut::from_slice(tmp, h, n - h);
-        *flops += gemm_views_masked(
+        *flops += gemm_views(
             1.0,
             top.rb().subview(0, 0, h, h),
             false,
@@ -168,10 +155,10 @@ fn invert_upper_in_place(u: MatMut<'_>, block: usize, flops: &mut FlopCount) -> 
             false,
             0.0,
             &mut t,
-            TriMask::a(Triangle::Upper),
+            Some(TriMask::a(Triangle::Upper)),
         )?;
         let mut u12 = top.submat_mut(0, h, h, n - h);
-        *flops += gemm_views_masked(
+        *flops += gemm_views(
             -1.0,
             t.rb(),
             false,
@@ -179,7 +166,7 @@ fn invert_upper_in_place(u: MatMut<'_>, block: usize, flops: &mut FlopCount) -> 
             false,
             0.0,
             &mut u12,
-            TriMask::b(Triangle::Upper),
+            Some(TriMask::b(Triangle::Upper)),
         )?;
         Ok(())
     })
@@ -255,16 +242,17 @@ mod tests {
     #[test]
     fn direct_inverse_small() {
         let l = lower(6, 1);
-        let (inv, _) = tri_invert_blocked(Triangle::Lower, &l, 8).unwrap();
+        let (inv, _) = tri_invert(Triangle::Lower, &l).unwrap();
         check_inverse(&l, &inv, 1e-12);
         assert!(inv.is_lower_triangular());
     }
 
     #[test]
     fn base_case_matches_reference_direct_inversion() {
-        for n in [1usize, 2, 5, 11, 16] {
+        // At or below the cut-off the whole inversion is one base case.
+        for n in [1usize, 2, 5, 11, RECURSION_CUTOFF] {
             let l = lower(n, n as u64);
-            let (fast, f1) = tri_invert_blocked(Triangle::Lower, &l, n).unwrap();
+            let (fast, f1) = tri_invert(Triangle::Lower, &l).unwrap();
             let (slow, f2) = reference::invert_lower_direct(&l);
             assert!(fast.max_abs_diff(&slow).unwrap() < 1e-10, "n={n}");
             assert_eq!(f1, f2, "flop accounting must match the reference");
@@ -316,9 +304,9 @@ mod tests {
         let mut big = Matrix::from_fn(40, 40, |i, j| (i * 40 + j) as f64);
         let l = lower(n, 4);
         big.set_block(8, 8, &l);
-        let flops = tri_invert_in_place(Triangle::Lower, &mut big.view_mut(8, 8, n, n), 8).unwrap();
+        let flops = tri_invert_in_place(Triangle::Lower, &mut big.view_mut(8, 8, n, n)).unwrap();
         assert!(flops.get() > 0);
-        let (expect, _) = tri_invert_blocked(Triangle::Lower, &l, 8).unwrap();
+        let (expect, _) = tri_invert(Triangle::Lower, &l).unwrap();
         // The block itself: lower triangle holds the inverse, upper triangle
         // of the *view* is untouched garbage from `big`.
         let got = big.block(8, 8, n, n).lower_triangular_part();
@@ -331,12 +319,12 @@ mod tests {
 
     #[test]
     fn block_size_does_not_change_result() {
+        // Recursing down to the cut-off agrees with inverting the whole
+        // matrix directly, as one block.
         let l = lower(48, 11);
-        let (a, _) = tri_invert_blocked(Triangle::Lower, &l, 1).unwrap();
-        let (b, _) = tri_invert_blocked(Triangle::Lower, &l, 48).unwrap();
-        let (c, _) = tri_invert_blocked(Triangle::Lower, &l, 7).unwrap();
-        assert!(a.max_abs_diff(&b).unwrap() < 1e-9);
-        assert!(a.max_abs_diff(&c).unwrap() < 1e-9);
+        let (recursive, _) = tri_invert(Triangle::Lower, &l).unwrap();
+        let (direct, _) = reference::invert_lower_direct(&l);
+        assert!(recursive.max_abs_diff(&direct).unwrap() < 1e-9);
     }
 
     #[test]
@@ -360,12 +348,6 @@ mod tests {
     fn rectangular_rejected() {
         let m = Matrix::zeros(3, 4);
         assert!(tri_invert(Triangle::Lower, &m).is_err());
-    }
-
-    #[test]
-    fn zero_block_parameter_rejected() {
-        let l = lower(4, 0);
-        assert!(tri_invert_blocked(Triangle::Lower, &l, 0).is_err());
     }
 
     #[test]

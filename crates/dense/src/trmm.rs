@@ -1,7 +1,7 @@
 //! Triangular × dense matrix multiplication.
 //!
 //! `trmm` computes `C ← A · B` for triangular `A` as one triangle-aware
-//! packed product ([`gemm_views_masked`]): the microkernel skips the tiles
+//! packed product (a masked [`gemm_views`]): the microkernel skips the tiles
 //! of `A` that lie wholly in the zero half and shortens the inner loop on
 //! the tiles that cross the diagonal, so only the triangle is multiplied —
 //! at microkernel speed throughout — and the other triangle of `a` is never
@@ -10,7 +10,7 @@
 
 use crate::error::DenseError;
 use crate::flops::{trmm_flops, FlopCount};
-use crate::gemm::gemm_views_masked;
+use crate::gemm::gemm_views;
 use crate::matrix::Matrix;
 use crate::microkernel::TriMask;
 use crate::trsm::Triangle;
@@ -34,7 +34,7 @@ pub fn trmm(tri: Triangle, a: &Matrix, b: &Matrix) -> Result<(Matrix, FlopCount)
     }
     let (n, k) = (a.rows(), b.cols());
     let mut c = Matrix::zeros(n, k);
-    gemm_views_masked(
+    gemm_views(
         1.0,
         a.as_view(),
         false,
@@ -42,7 +42,7 @@ pub fn trmm(tri: Triangle, a: &Matrix, b: &Matrix) -> Result<(Matrix, FlopCount)
         false,
         0.0,
         &mut c.as_view_mut(),
-        TriMask::a(tri),
+        Some(TriMask::a(tri)),
     )?;
     Ok((c, trmm_flops(n, k)))
 }

@@ -1,26 +1,29 @@
 //! Local triangular solves.
 //!
-//! [`trsm`] solves `L · X = B` (or the upper/right/unit variants) for a dense
-//! block of right-hand sides.  The solve is *blocked*: the triangular matrix
-//! is processed in `NB`-wide panels and all off-diagonal work is delegated
-//! to the packed GEMM ([`crate::gemm::gemm_views`] / the microkernel), so
-//! the O(n²k) update — which is where almost all the flops are — runs at
-//! GEMM speed.  What is left is the `NB×NB` diagonal blocks, and there the
-//! kernel does what the paper does between processors (Section VI): for a
-//! solve at least `NB` wide ([`inverts_diagonal_blocks`]) each block is
-//! inverted once and applied as a triangle-aware packed product, so the
-//! whole solve is microkernel work; narrower solves substitute through the
-//! blocks, which is the faster side there.  This is the base-case kernel of
-//! both the recursive TRSM of Section IV and the iterative inversion-based
-//! TRSM of Section VI of the paper.
+//! [`trsm_in_place_opts`] (and its copying form [`trsm_opts`]) solves
+//! `op(A) · X = B` (or `X · op(A) = B`) for any number `k` of right-hand
+//! sides, and picks one of three kernels from `k` alone ([`solve_kernel`]).
+//! One right-hand side runs a row substitution straight through `A`: a
+//! blocked solve's GEMM updates would be dot products.  Wider solves are
+//! *blocked*: the triangular matrix is processed in `NB`-wide panels and
+//! all off-diagonal work is delegated to the packed GEMM
+//! ([`crate::gemm::gemm_views`] / the microkernel), so the O(n²k) update —
+//! which is where almost all the flops are — runs at GEMM speed.  What is
+//! left is the `NB×NB` diagonal blocks, and there the kernel does what the
+//! paper does between processors (Section VI): for a solve at least `NB`
+//! wide each block is inverted once and applied as a triangle-aware packed
+//! product, so the whole solve is microkernel work; narrower solves
+//! substitute through the blocks, which is the faster side there.  This is
+//! the base-case kernel of both the recursive TRSM of Section IV and the
+//! iterative inversion-based TRSM of Section VI of the paper.
 
 use crate::error::DenseError;
 use crate::flops::{trsm_flops, FlopCount};
-use crate::gemm::{gemm_views_masked, gemm_views_opt};
+use crate::gemm::gemm_views;
 use crate::matrix::{MatMut, MatRef, Matrix};
 use crate::microkernel::TriMask;
 use crate::pack::with_scratch;
-use crate::trinv::{tri_invert_in_place, RECURSION_CUTOFF};
+use crate::trinv::tri_invert_in_place;
 use crate::Result;
 
 /// Which side of the unknown the triangular matrix is on: `A·X = B` (left) or
@@ -55,11 +58,11 @@ pub enum Diag {
 /// (`op(A) = A` or `op(A) = Aᵀ`).
 ///
 /// Transposed solves never materialize `Aᵀ` — not even panel-sized pieces:
-/// the substitution base cases read `A` by rows in outer-product order, and
+/// the substitution kernels read `A` by rows in outer-product order, and
 /// the blocked driver's GEMM updates (and its inverted diagonal blocks,
 /// `inv(Aᵀ) = inv(A)ᵀ`) fold the transpose into the micro-panel packing
-/// itself ([`crate::gemm::gemm_views_at`] /
-/// [`crate::gemm::gemm_views_a_bt`]), reading `A` with swapped strides.
+/// itself ([`crate::gemm::gemm_views`]' `a_trans` / `b_trans`), reading `A`
+/// with swapped strides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Transpose {
     /// Solve with `A` as stored.
@@ -73,8 +76,8 @@ pub enum Transpose {
 /// which triangle it occupies, whether it is applied transposed, and whether
 /// its diagonal is implicit ones.
 ///
-/// This is the single options vocabulary shared by the dense kernels
-/// ([`trsm_opts`], [`trsv_opts`]), the sparse executors and the distributed
+/// This is the single options vocabulary shared by the dense solve
+/// ([`trsm_in_place_opts`]), the sparse executors and the distributed
 /// algorithms (through `catrsm::SolveRequest`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SolveOpts {
@@ -174,34 +177,56 @@ pub const PIVOT_TOL: f64 = 1e-300;
 
 /// Panel width `NB` of the blocked solve: everything between the `NB×NB`
 /// diagonal blocks is GEMM, and the blocks themselves are substituted
-/// through or — for solves at least this wide, see
-/// [`inverts_diagonal_blocks`] — inverted and applied as a product.  Public
-/// so solver plans can report the blocking they will execute with.
+/// through or — for solves at least this wide, see [`solve_kernel`] —
+/// inverted and applied as a product.  Public so solver plans can report
+/// the blocking they will execute with.
 pub const TRSM_BLOCK: usize = 64;
 
 /// Internal alias for the panel width.
 const NB: usize = TRSM_BLOCK;
 
-/// Whether a blocked solve with `k` right-hand sides (columns of `B` on the
-/// left, rows on the right) inverts its `NB×NB` diagonal blocks and applies
-/// them as triangle-aware packed products, instead of substituting through
-/// them.  This is the only place the rule lives: [`trsm_in_place_opts`]
-/// executes it and `catrsm`'s dense plans report it.
+/// The three kernels of a dense triangular solve; [`solve_kernel`] picks
+/// one from the solve's width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SolveKernel {
+    /// One right-hand side: row substitution straight through `A`.
+    RowSubstitution,
+    /// `NB×NB` diagonal blocks substituted through, GEMM updates between.
+    BlockedSubstitution,
+    /// `NB×NB` diagonal blocks inverted and applied as triangle-aware packed
+    /// products, GEMM updates between.
+    InvertedBlocks,
+}
+
+/// The kernel a solve with `k` right-hand sides (columns of `B` on the
+/// left, rows on the right) runs.  This is the only place the rule lives:
+/// [`trsm_in_place_opts`] executes it and `catrsm`'s dense plans report it.
 ///
-/// It is the paper's a-priori block-size-versus-`k` choice (Section VI) one
-/// level down.  Inverting a block costs `NB³/3` flops on top of the `NB²·k`
-/// the block's solve costs either way, and buys running those `NB²·k` at the
-/// microkernel's rate instead of row-AXPY substitution's (about a third of
-/// it); that pays once the inversion is at most a third of the solve,
-/// `NB³/3 <= NB²·k/3`, i.e. `k >= NB` — which is where the measured
-/// crossover sits (`crates/dense/README.md` has the sweep).  Nothing else
-/// enters: not `n`, not the side, no option, no environment variable.
+/// * `k = 1`: row substitution.  With one column a blocked solve's GEMM
+///   updates degenerate to dot products, so there is nothing to block for.
+/// * `k >= NB`: inverted diagonal blocks — the paper's a-priori
+///   block-size-versus-`k` choice (Section VI) one level down.  Inverting a
+///   block costs `NB³/3` flops on top of the `NB²·k` the block's solve costs
+///   either way, and buys running those `NB²·k` at the microkernel's rate
+///   instead of row-AXPY substitution's (about a third of it); that pays
+///   once the inversion is at most a third of the solve,
+///   `NB³/3 <= NB²·k/3`, i.e. `k >= NB` — which is where the measured
+///   crossover sits (`crates/dense/README.md` has the sweep).
+/// * otherwise blocked substitution.
 ///
-/// The two kernels round differently, and the inverted one is forward- but
-/// not backward-stable in the *blocks'* condition numbers (never the whole
-/// matrix's); `crates/dense/tests/trsm_contracts.rs` pins both statements.
-pub const fn inverts_diagonal_blocks(k: usize) -> bool {
-    NB * NB * NB / 3 <= NB * NB * k / 3
+/// Nothing else enters: not `n`, not the side, no option, no environment
+/// variable.  The kernels round differently, and the inverted one is
+/// forward- but not backward-stable in the *blocks'* condition numbers
+/// (never the whole matrix's); `crates/dense/tests/trsm_contracts.rs` pins
+/// both statements.
+pub const fn solve_kernel(k: usize) -> SolveKernel {
+    if k == 1 {
+        SolveKernel::RowSubstitution
+    } else if NB * NB * NB / 3 <= NB * NB * k / 3 {
+        SolveKernel::InvertedBlocks
+    } else {
+        SolveKernel::BlockedSubstitution
+    }
 }
 
 /// Pre-solve health scan of the entries a solve will actually read: the
@@ -251,52 +276,28 @@ fn check_rhs_finite(b: MatRef<'_>) -> Result<()> {
     Ok(())
 }
 
-/// Solve `A · X = B` where `A` is triangular, returning `X` as a new matrix.
-///
-/// * `tri` selects lower or upper triangular `A`.
-/// * `diag` selects whether the diagonal is implicit ones.
-/// * `a` must be square `n×n`, `b` must be `n×k`.
-pub fn trsm(tri: Triangle, diag: Diag, a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    trsm_opts(&SolveOpts::new(tri).diag(diag), a, b)
-}
-
 /// Solve a triangular system described by a [`SolveOpts`], returning the
-/// solution as a new matrix.
+/// solution as a new matrix: [`trsm_in_place_opts`] on a copy of `b`.
 pub fn trsm_opts(opts: &SolveOpts, a: &Matrix, b: &Matrix) -> Result<Matrix> {
     let mut x = b.clone();
     trsm_in_place_opts(opts, a, &mut x)?;
     Ok(x)
 }
 
-/// Solve a triangular system in place, overwriting `b` with the solution.
-///
-/// Supports both `A·X = B` (`Side::Left`) and `X·A = B` (`Side::Right`).
-/// Returns the flop count of the substitution.  Shorthand for
-/// [`trsm_in_place_opts`] with `Transpose::No`.
-pub fn trsm_in_place(
-    side: Side,
-    tri: Triangle,
-    diag: Diag,
-    a: &Matrix,
-    b: &mut Matrix,
-) -> Result<FlopCount> {
-    trsm_in_place_opts(&SolveOpts::new(tri).side(side).diag(diag), a, b)
-}
-
 /// Solve `op(A)·X = B` (or `X·op(A) = B`) in place, where every aspect of
 /// the solve — side, triangle, transposition, diagonal kind — comes from the
-/// [`SolveOpts`].  Overwrites `b` — a `&mut Matrix` or any [`MatMut`] view —
-/// with the solution and returns the flop count of the substitution.
+/// [`SolveOpts`].  Overwrites `b` — a `&mut Matrix`, a `&mut [f64]` (one
+/// right-hand side) or any [`MatMut`] view — with the solution and returns
+/// the flop count of the substitution.
 ///
-/// The transposed cases solve against `Aᵀ` **without materializing it**:
-/// the blocked driver's GEMM updates pack transposed micro-panels straight
-/// out of `A` (no scratch copies) and the substitution base cases read `A`
-/// by rows in outer-product order.
-///
-/// Solves with at least [`TRSM_BLOCK`] right-hand sides invert their
-/// diagonal blocks ([`inverts_diagonal_blocks`]); either way only the
-/// declared triangle of `a` is read (nor its diagonal under
-/// [`Diag::Unit`]).
+/// The kernel is [`solve_kernel`]'s answer for the width of `b`: row
+/// substitution for one right-hand side, blocked substitution below
+/// [`TRSM_BLOCK`], inverted diagonal blocks from there on.  Whichever runs,
+/// only the declared triangle of `a` is read (nor its diagonal under
+/// [`Diag::Unit`]), and the transposed cases solve against `Aᵀ` **without
+/// materializing it**: the blocked driver's GEMM updates pack transposed
+/// micro-panels straight out of `A` (no scratch copies) and the
+/// substitution kernels read `A` by rows in outer-product order.
 pub fn trsm_in_place_opts<'b>(
     opts: &SolveOpts,
     a: &Matrix,
@@ -349,93 +350,81 @@ pub fn trsm_in_place_opts<'b>(
         Side::Left => b.cols(),
         Side::Right => b.rows(),
     };
-    solve_blocked(opts, a, b, inverts_diagonal_blocks(k))?;
+    match solve_kernel(k) {
+        SolveKernel::RowSubstitution => solve_single_rhs(opts, a, b),
+        SolveKernel::BlockedSubstitution => solve_blocked(opts, a, b, false)?,
+        SolveKernel::InvertedBlocks => solve_blocked(opts, a, b, true)?,
+    }
     Ok(trsm_flops(n, k))
 }
 
-/// Triangular solve with a single right-hand side vector: `A · x = b`.
-pub fn trsv(tri: Triangle, diag: Diag, a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    let mut x = b.to_vec();
-    trsv_in_place(tri, diag, a, &mut x)?;
-    Ok(x)
-}
+// ---------------------------------------------------------------------------
+// One right-hand side: row substitution, no blocking.
+// ---------------------------------------------------------------------------
 
-/// Single-RHS triangular solve described by a [`SolveOpts`]: `op(A)·x = b`.
-///
-/// The side must be [`Side::Left`] (a single right-hand side has no
-/// meaningful right-side form distinct from the transposed left solve).
-pub fn trsv_opts(opts: &SolveOpts, a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    let mut x = b.to_vec();
-    trsv_in_place_opts(opts, a, &mut x)?;
-    Ok(x)
-}
-
-/// [`trsv_opts`] in place: `x` holds `b` on entry and the solution of
-/// `op(A)·x = b` on exit, allocating nothing.
-pub fn trsv_in_place_opts(opts: &SolveOpts, a: &Matrix, x: &mut [f64]) -> Result<FlopCount> {
-    if opts.side == Side::Right {
-        return Err(DenseError::DimensionMismatch {
-            op: "trsv (right side unsupported)",
-            lhs: a.dims(),
-            rhs: (x.len(), 1),
-        });
-    }
-    if opts.check_finite {
-        if !a.is_square() {
-            return Err(DenseError::NotSquare {
-                op: "trsv",
-                dims: a.dims(),
-            });
+/// [`SolveKernel::RowSubstitution`]: `b` is an `n×1` column on the left, a
+/// `1×n` row on the right — where `x·op(A) = b` is `op(A)ᵀ·xᵀ = bᵀ`, the
+/// left solve with the transpose flipped.  A column strided out of a wider
+/// block is solved in thread-local scratch.
+fn solve_single_rhs(opts: &SolveOpts, a: &Matrix, mut b: MatMut<'_>) {
+    let transposed = (opts.transpose == Transpose::Yes) != (opts.side == Side::Right);
+    let solve = |x: &mut [f64]| {
+        if transposed {
+            substitute_rows_transposed(opts.triangle, opts.diag, a, x);
+        } else {
+            substitute_rows(opts.triangle, opts.diag, a, x);
         }
-        check_triangle_finite(opts, a)?;
-        for (i, &v) in x.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(DenseError::NonFiniteEntry {
-                    operand: "rhs",
-                    index: (i, 0),
-                    value: v,
-                });
+    };
+    if let Some(x) = b.as_contiguous_mut() {
+        return solve(x);
+    }
+    with_scratch(b.rows(), |x| {
+        for (i, v) in x.iter_mut().enumerate() {
+            *v = b.at(i, 0);
+        }
+        solve(x);
+        for (i, v) in x.iter().enumerate() {
+            *b.at_mut(i, 0) = *v;
+        }
+    });
+}
+
+// The row kernels are `#[inline(never)]`: `solve_single_rhs` calls each
+// from two places, and one copy of each loop is enough.
+
+/// `A·x = b` in place: dot-product substitution over `A`'s rows.
+#[inline(never)]
+fn substitute_rows(tri: Triangle, diag: Diag, a: &Matrix, x: &mut [f64]) {
+    let n = a.rows();
+    match tri {
+        Triangle::Lower => {
+            for i in 0..n {
+                let row = a.row(i);
+                let mut v = x[i];
+                for (aij, xj) in row[..i].iter().zip(x[..i].iter()) {
+                    v -= aij * xj;
+                }
+                x[i] = if diag == Diag::NonUnit { v / row[i] } else { v };
             }
         }
-    }
-    match opts.transpose {
-        Transpose::No => trsv_in_place(opts.triangle, opts.diag, a, x),
-        Transpose::Yes => trsv_in_place_transposed(opts.triangle, opts.diag, a, x),
+        Triangle::Upper => {
+            for i in (0..n).rev() {
+                let row = a.row(i);
+                let mut v = x[i];
+                for (aij, xj) in row[(i + 1)..].iter().zip(x[(i + 1)..].iter()) {
+                    v -= aij * xj;
+                }
+                x[i] = if diag == Diag::NonUnit { v / row[i] } else { v };
+            }
+        }
     }
 }
 
 /// `Aᵀ·x = b` in place without materializing `Aᵀ`: outer-product
 /// substitution reading `A` by rows (contiguous in the row-major layout).
-fn trsv_in_place_transposed(
-    tri: Triangle,
-    diag: Diag,
-    a: &Matrix,
-    x: &mut [f64],
-) -> Result<FlopCount> {
-    if !a.is_square() {
-        return Err(DenseError::NotSquare {
-            op: "trsv",
-            dims: a.dims(),
-        });
-    }
+#[inline(never)]
+fn substitute_rows_transposed(tri: Triangle, diag: Diag, a: &Matrix, x: &mut [f64]) {
     let n = a.rows();
-    if x.len() != n {
-        return Err(DenseError::DimensionMismatch {
-            op: "trsv",
-            lhs: a.dims(),
-            rhs: (x.len(), 1),
-        });
-    }
-    if diag == Diag::NonUnit {
-        for i in 0..n {
-            if a[(i, i)].abs() < PIVOT_TOL {
-                return Err(DenseError::SingularPivot {
-                    index: i,
-                    value: a[(i, i)],
-                });
-            }
-        }
-    }
     match tri {
         // Lᵀ·x = b: Σ_i L[i,j]·x[i] = b[j]; sweep i downward, scatter row i.
         Triangle::Lower => {
@@ -464,66 +453,6 @@ fn trsv_in_place_transposed(
             }
         }
     }
-    Ok(trsm_flops(n, 1))
-}
-
-/// Single-RHS triangular solve in place: overwrites `x` (holding `b` on
-/// entry) with the solution of `A · x = b`, allocating nothing.
-///
-/// With one right-hand side the blocked [`trsm_in_place`] machinery buys
-/// nothing — the GEMM updates degenerate to dot products — so this runs a
-/// plain substitution over `A`'s rows.  It is the kernel behind [`trsv`] and
-/// the dense-fallback path of the `sparse` crate's triangular solver, both
-/// of which sit on hot iterative-solver loops where a per-call `Matrix`
-/// allocation would dominate.
-pub fn trsv_in_place(tri: Triangle, diag: Diag, a: &Matrix, x: &mut [f64]) -> Result<FlopCount> {
-    if !a.is_square() {
-        return Err(DenseError::NotSquare {
-            op: "trsv",
-            dims: a.dims(),
-        });
-    }
-    let n = a.rows();
-    if x.len() != n {
-        return Err(DenseError::DimensionMismatch {
-            op: "trsv",
-            lhs: a.dims(),
-            rhs: (x.len(), 1),
-        });
-    }
-    if diag == Diag::NonUnit {
-        for i in 0..n {
-            if a[(i, i)].abs() < PIVOT_TOL {
-                return Err(DenseError::SingularPivot {
-                    index: i,
-                    value: a[(i, i)],
-                });
-            }
-        }
-    }
-    match tri {
-        Triangle::Lower => {
-            for i in 0..n {
-                let row = a.row(i);
-                let mut v = x[i];
-                for (aij, xj) in row[..i].iter().zip(x[..i].iter()) {
-                    v -= aij * xj;
-                }
-                x[i] = if diag == Diag::NonUnit { v / row[i] } else { v };
-            }
-        }
-        Triangle::Upper => {
-            for i in (0..n).rev() {
-                let row = a.row(i);
-                let mut v = x[i];
-                for (aij, xj) in row[(i + 1)..].iter().zip(x[(i + 1)..].iter()) {
-                    v -= aij * xj;
-                }
-                x[i] = if diag == Diag::NonUnit { v / row[i] } else { v };
-            }
-        }
-    }
-    Ok(trsm_flops(n, 1))
 }
 
 // ---------------------------------------------------------------------------
@@ -531,7 +460,8 @@ pub fn trsv_in_place(tri: Triangle, diag: Diag, a: &Matrix, x: &mut [f64]) -> Re
 // are either substituted through or inverted and applied as a product.
 // ---------------------------------------------------------------------------
 
-/// All eight side / triangle / transpose variants of the blocked solve.
+/// All eight side / triangle / transpose variants of the blocked solve
+/// ([`SolveKernel::BlockedSubstitution`] / [`SolveKernel::InvertedBlocks`]).
 ///
 /// The diagonal blocks are visited in dependency order — top-down (or
 /// left-to-right) when the first block of `op(A)` depends on no other,
@@ -540,7 +470,7 @@ pub fn trsv_in_place(tri: Triangle, diag: Diag, a: &Matrix, x: &mut [f64]) -> Re
 /// (`B[:, i0..i1] -= X[:, solved] · op(A)[solved, i0..i1]` on the right),
 /// one GEMM on disjoint views of `b`.  A transposed panel of `op(A) = Aᵀ`
 /// is read out of `a` by the pack-transposed GEMM, never materialized.
-/// `invert` is [`inverts_diagonal_blocks`]' answer for this call.
+/// `invert` says which of [`solve_kernel`]'s two blocked kernels runs.
 fn solve_blocked(opts: &SolveOpts, a: &Matrix, mut b: MatMut<'_>, invert: bool) -> Result<()> {
     let n = a.rows();
     let left = opts.side == Side::Left;
@@ -577,7 +507,7 @@ fn solve_blocked(opts: &SolveOpts, a: &Matrix, mut b: MatMut<'_>, invert: bool) 
             };
             if left {
                 let mut target = unsolved.subview_mut(at, 0, nb, k);
-                gemm_views_opt(
+                gemm_views(
                     -1.0,
                     panel,
                     trans,
@@ -585,12 +515,11 @@ fn solve_blocked(opts: &SolveOpts, a: &Matrix, mut b: MatMut<'_>, invert: bool) 
                     false,
                     1.0,
                     &mut target,
-                    None,
                     None,
                 )
             } else {
                 let mut target = unsolved.subview_mut(0, at, k, nb);
-                gemm_views_opt(
+                gemm_views(
                     -1.0,
                     x_solved.rb(),
                     false,
@@ -598,7 +527,6 @@ fn solve_blocked(opts: &SolveOpts, a: &Matrix, mut b: MatMut<'_>, invert: bool) 
                     trans,
                     1.0,
                     &mut target,
-                    None,
                     None,
                 )
             }
@@ -644,13 +572,13 @@ fn apply_inverted_block(opts: &SolveOpts, block: MatRef<'_>, mut x: MatMut<'_>) 
             };
         }
         let mut inv = MatMut::from_slice(inv, nb, nb);
-        tri_invert_in_place(opts.triangle, &mut inv, RECURSION_CUTOFF)?;
+        tri_invert_in_place(opts.triangle, &mut inv)?;
         let mut rhs = MatMut::from_slice(rhs, rows, cols);
         rhs.copy_from(x.rb());
         let trans = opts.transpose == Transpose::Yes;
         let tri = opts.op_triangle();
         match opts.side {
-            Side::Left => gemm_views_masked(
+            Side::Left => gemm_views(
                 1.0,
                 inv.rb(),
                 trans,
@@ -658,9 +586,9 @@ fn apply_inverted_block(opts: &SolveOpts, block: MatRef<'_>, mut x: MatMut<'_>) 
                 false,
                 0.0,
                 &mut x,
-                TriMask::a(tri),
+                Some(TriMask::a(tri)),
             ),
-            Side::Right => gemm_views_masked(
+            Side::Right => gemm_views(
                 1.0,
                 rhs.rb(),
                 false,
@@ -668,7 +596,7 @@ fn apply_inverted_block(opts: &SolveOpts, block: MatRef<'_>, mut x: MatMut<'_>) 
                 trans,
                 0.0,
                 &mut x,
-                TriMask::b(tri),
+                Some(TriMask::b(tri)),
             ),
         }?;
         Ok(())
@@ -896,6 +824,11 @@ mod tests {
         a.max_abs_diff(b).map(|d| d < tol).unwrap_or(false)
     }
 
+    /// `SolveOpts` for the untransposed `side` / `tri` / `diag` solve.
+    fn opts(side: Side, tri: Triangle, diag: Diag) -> SolveOpts {
+        SolveOpts::new(tri).side(side).diag(diag)
+    }
+
     #[test]
     fn left_lower_solves() {
         let n = 24;
@@ -903,7 +836,7 @@ mod tests {
         let l = lower(n);
         let x_true = Matrix::from_fn(n, k, |i, j| ((i + j) % 7) as f64 - 3.0);
         let b = matmul(&l, &x_true);
-        let x = trsm(Triangle::Lower, Diag::NonUnit, &l, &b).unwrap();
+        let x = trsm_opts(&SolveOpts::lower(), &l, &b).unwrap();
         assert!(near(&x, &x_true, 1e-9));
     }
 
@@ -914,7 +847,7 @@ mod tests {
         let u = lower(n).transpose();
         let x_true = Matrix::from_fn(n, k, |i, j| (i as f64 - j as f64) / 10.0);
         let b = matmul(&u, &x_true);
-        let x = trsm(Triangle::Upper, Diag::NonUnit, &u, &b).unwrap();
+        let x = trsm_opts(&SolveOpts::upper(), &u, &b).unwrap();
         assert!(near(&x, &x_true, 1e-9));
     }
 
@@ -925,8 +858,7 @@ mod tests {
         let l = lower(n);
         let x_true = Matrix::from_fn(m, n, |i, j| ((i * 3 + j) % 5) as f64 / 5.0);
         let b = matmul(&x_true, &l);
-        let mut x = b.clone();
-        trsm_in_place(Side::Right, Triangle::Lower, Diag::NonUnit, &l, &mut x).unwrap();
+        let x = trsm_opts(&SolveOpts::lower().side(Side::Right), &l, &b).unwrap();
         assert!(near(&x, &x_true, 1e-9));
     }
 
@@ -937,8 +869,7 @@ mod tests {
         let u = lower(n).transpose();
         let x_true = Matrix::from_fn(m, n, |i, j| ((i * 3 + j) % 5) as f64 / 5.0 - 0.3);
         let b = matmul(&x_true, &u);
-        let mut x = b.clone();
-        trsm_in_place(Side::Right, Triangle::Upper, Diag::NonUnit, &u, &mut x).unwrap();
+        let x = trsm_opts(&SolveOpts::upper().side(Side::Right), &u, &b).unwrap();
         assert!(near(&x, &x_true, 1e-9));
     }
 
@@ -960,7 +891,7 @@ mod tests {
                     ];
                     for (side, tri, a, b) in cases {
                         let mut fast = b.clone();
-                        let f1 = trsm_in_place(side, tri, diag, a, &mut fast).unwrap();
+                        let f1 = trsm_in_place_opts(&opts(side, tri, diag), a, &mut fast).unwrap();
                         let mut slow = b.clone();
                         let f2 = reference::trsm_unblocked(side, tri, diag, a, &mut slow);
                         assert!(
@@ -992,15 +923,19 @@ mod tests {
                         (Side::Right, Triangle::Lower, &l, &b_right),
                         (Side::Right, Triangle::Upper, &u, &b_right),
                     ] {
-                        let opts = SolveOpts::new(tri).side(side).diag(diag).transposed();
+                        let opts_t = opts(side, tri, diag).transposed();
                         let mut fast = b.clone();
-                        let f1 = trsm_in_place_opts(&opts, a, &mut fast).unwrap();
+                        let f1 = trsm_in_place_opts(&opts_t, a, &mut fast).unwrap();
                         // Reference: solve against the materialized transpose
                         // with the opposite triangle.
                         let at = a.transpose();
                         let mut slow = b.clone();
-                        let f2 =
-                            trsm_in_place(side, opts.op_triangle(), diag, &at, &mut slow).unwrap();
+                        let f2 = trsm_in_place_opts(
+                            &opts(side, opts_t.op_triangle(), diag),
+                            &at,
+                            &mut slow,
+                        )
+                        .unwrap();
                         assert!(
                             near(&fast, &slow, 1e-8),
                             "transpose mismatch at n={n} k={k} {side:?} {tri:?} {diag:?}"
@@ -1013,23 +948,69 @@ mod tests {
     }
 
     #[test]
-    fn transposed_trsv_matches_transposed_trsm() {
+    fn single_rhs_matches_reference_every_variant() {
+        // One right-hand side runs the row kernel — however it is handed in:
+        // a slice, an n×1 matrix, or a column strided out of a wider block
+        // (solved through scratch) give the same bits.
+        for &n in &[1usize, 2, 9, 40, 70] {
+            let l = lower(n);
+            let u = l.transpose();
+            let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
+            let column = Matrix::from_vec(n, 1, b.clone()).unwrap();
+            for diag in [Diag::NonUnit, Diag::Unit] {
+                for (tri, a) in [(Triangle::Lower, &l), (Triangle::Upper, &u)] {
+                    for transpose in [Transpose::No, Transpose::Yes] {
+                        let o = opts(Side::Left, tri, diag).transpose(transpose);
+                        let mut x = b.clone();
+                        let f = trsm_in_place_opts(&o, a, x.as_mut_slice()).unwrap();
+                        assert_eq!(f, trsm_flops(n, 1));
+                        assert_eq!(trsm_opts(&o, a, &column).unwrap().as_slice(), x);
+                        let mut wide =
+                            Matrix::from_fn(n, 3, |i, j| if j == 1 { b[i] } else { 7.0 });
+                        trsm_in_place_opts(&o, a, wide.view_mut(0, 1, n, 1)).unwrap();
+                        assert_eq!(wide.col(1), x, "strided column, n={n} {o:?}");
+                        assert!(wide.col(0).iter().chain(&wide.col(2)).all(|&v| v == 7.0));
+
+                        let op_a = match transpose {
+                            Transpose::No => a.clone(),
+                            Transpose::Yes => a.transpose(),
+                        };
+                        let mut want = column.clone();
+                        reference::trsm_unblocked(
+                            Side::Left,
+                            o.op_triangle(),
+                            diag,
+                            &op_a,
+                            &mut want,
+                        );
+                        for (got, want) in x.iter().zip(want.as_slice()) {
+                            assert!((got - want).abs() < 1e-9, "n={n} {o:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_single_rhs_matches_materialized_transpose() {
         for &n in &[1usize, 5, 40, 70] {
             let l = lower(n);
             let u = l.transpose();
             let b: Vec<f64> = (0..n).map(|i| ((i * 5) % 7) as f64 - 3.0).collect();
-            let rhs = Matrix::from_vec(n, 1, b.clone()).unwrap();
             for diag in [Diag::NonUnit, Diag::Unit] {
                 for (tri, a) in [(Triangle::Lower, &l), (Triangle::Upper, &u)] {
-                    let opts = SolveOpts::new(tri).diag(diag).transposed();
+                    let o = opts(Side::Left, tri, diag).transposed();
                     let mut x = b.clone();
-                    let f = trsv_in_place_opts(&opts, a, &mut x).unwrap();
-                    assert_eq!(f, trsm_flops(n, 1));
-                    let xm = trsm_opts(&opts, a, &rhs).unwrap();
-                    for (got, want) in x.iter().zip(xm.as_slice()) {
+                    trsm_in_place_opts(&o, a, x.as_mut_slice()).unwrap();
+                    let mut xt = b.clone();
+                    let at = a.transpose();
+                    trsm_in_place_opts(&opts(Side::Left, o.op_triangle(), diag), &at, &mut xt[..])
+                        .unwrap();
+                    for (got, want) in x.iter().zip(&xt) {
                         assert!(
                             (got - want).abs() < 1e-9,
-                            "trsv transposed diverged at n={n} {tri:?} {diag:?}"
+                            "transposed single RHS diverged at n={n} {tri:?} {diag:?}"
                         );
                     }
                 }
@@ -1058,19 +1039,32 @@ mod tests {
     }
 
     #[test]
-    fn trsv_opts_rejects_right_side() {
-        let l = lower(3);
-        let mut x = vec![1.0; 3];
-        let opts = SolveOpts::lower().side(Side::Right);
-        assert!(trsv_in_place_opts(&opts, &l, &mut x).is_err());
+    fn single_row_right_side_is_the_flipped_left_solve() {
+        // x·op(A) = b with one row is op(A)ᵀ·xᵀ = bᵀ: the same row kernel,
+        // the same bits as the left solve with the transpose flipped.
+        let n = 70;
+        let l = lower(n);
+        let b: Vec<f64> = (0..n).map(|i| ((i * 3) % 7) as f64 - 2.0).collect();
+        for transpose in [Transpose::No, Transpose::Yes] {
+            let right = SolveOpts::lower().side(Side::Right).transpose(transpose);
+            let mut x = Matrix::from_vec(1, n, b.clone()).unwrap();
+            trsm_in_place_opts(&right, &l, &mut x).unwrap();
+            let flipped = match transpose {
+                Transpose::No => Transpose::Yes,
+                Transpose::Yes => Transpose::No,
+            };
+            let mut want = b.clone();
+            trsm_in_place_opts(&SolveOpts::lower().transpose(flipped), &l, &mut want[..]).unwrap();
+            assert_eq!(x.as_slice(), want);
+        }
     }
 
     #[test]
     fn unit_diagonal_ignores_stored_diagonal() {
-        // On both sides of the `k >= NB` rule: substitution and the
-        // inverted diagonal blocks alike take the diagonal as ones, whatever
-        // is stored there — NaN included.
-        for (n, k) in [(10, 2), (NB + 9, NB + 3)] {
+        // On every side of the rule: row substitution, blocked substitution
+        // and the inverted diagonal blocks alike take the diagonal as ones,
+        // whatever is stored there — NaN included.
+        for (n, k) in [(10, 1), (10, 2), (NB + 9, NB + 3)] {
             let mut l_unit = lower(n);
             for i in 0..n {
                 l_unit[(i, i)] = 1.0;
@@ -1082,61 +1076,38 @@ mod tests {
                 for i in 0..n {
                     l_garbage[(i, i)] = garbage;
                 }
-                let x = trsm(Triangle::Lower, Diag::Unit, &l_garbage, &b).unwrap();
+                let x = trsm_opts(&SolveOpts::lower().unit_diagonal(), &l_garbage, &b).unwrap();
                 assert!(near(&x, &x_true, 1e-9), "n={n} k={k} diagonal={garbage}");
             }
         }
     }
 
     #[test]
-    fn trsv_single_rhs() {
+    fn single_rhs_solves() {
         let n = 9;
         let l = lower(n);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64) * 0.25 - 1.0).collect();
         let xt = Matrix::from_vec(n, 1, x_true.clone()).unwrap();
-        let b = matmul(&l, &xt).into_vec();
-        let x = trsv(Triangle::Lower, Diag::NonUnit, &l, &b).unwrap();
+        let mut x = matmul(&l, &xt).into_vec();
+        trsm_in_place_opts(&SolveOpts::lower(), &l, x.as_mut_slice()).unwrap();
         for (a, b) in x.iter().zip(x_true.iter()) {
             assert!((a - b).abs() < 1e-9);
         }
     }
 
     #[test]
-    fn trsv_in_place_matches_trsm_every_variant() {
-        for &n in &[1usize, 2, 9, 40] {
-            let l = lower(n);
-            let u = l.transpose();
-            let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
-            let rhs = Matrix::from_vec(n, 1, b.clone()).unwrap();
-            for diag in [Diag::NonUnit, Diag::Unit] {
-                for (tri, a) in [(Triangle::Lower, &l), (Triangle::Upper, &u)] {
-                    let mut x = b.clone();
-                    let f = trsv_in_place(tri, diag, a, &mut x).unwrap();
-                    assert_eq!(f, trsm_flops(n, 1));
-                    let xm = trsm(tri, diag, a, &rhs).unwrap();
-                    for (got, want) in x.iter().zip(xm.as_slice()) {
-                        assert!(
-                            (got - want).abs() < 1e-9,
-                            "trsv_in_place diverged at n={n} {tri:?} {diag:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn trsv_in_place_rejects_bad_inputs() {
+    fn single_rhs_rejects_bad_inputs() {
         let l = lower(4);
+        let o = SolveOpts::lower();
         let mut short = vec![1.0; 3];
-        assert!(trsv_in_place(Triangle::Lower, Diag::NonUnit, &l, &mut short).is_err());
+        assert!(trsm_in_place_opts(&o, &l, short.as_mut_slice()).is_err());
         let rect = Matrix::zeros(3, 4);
         let mut x = vec![1.0; 3];
-        assert!(trsv_in_place(Triangle::Lower, Diag::NonUnit, &rect, &mut x).is_err());
+        assert!(trsm_in_place_opts(&o, &rect, x.as_mut_slice()).is_err());
         let mut sing = l.clone();
         sing[(2, 2)] = 0.0;
         let mut x4 = vec![1.0; 4];
-        match trsv_in_place(Triangle::Lower, Diag::NonUnit, &sing, &mut x4) {
+        match trsm_in_place_opts(&o, &sing, x4.as_mut_slice()) {
             Err(DenseError::SingularPivot { index, .. }) => assert_eq!(index, 2),
             other => panic!("expected SingularPivot, got {other:?}"),
         }
@@ -1147,7 +1118,7 @@ mod tests {
         let mut l = lower(5);
         l[(3, 3)] = 0.0;
         let b = Matrix::filled(5, 2, 1.0);
-        match trsm(Triangle::Lower, Diag::NonUnit, &l, &b) {
+        match trsm_opts(&SolveOpts::lower(), &l, &b) {
             Err(DenseError::SingularPivot { index, .. }) => assert_eq!(index, 3),
             other => panic!("expected SingularPivot, got {other:?}"),
         }
@@ -1157,11 +1128,11 @@ mod tests {
     fn dimension_checks() {
         let l = lower(4);
         let b = Matrix::zeros(5, 2);
-        assert!(trsm(Triangle::Lower, Diag::NonUnit, &l, &b).is_err());
+        assert!(trsm_opts(&SolveOpts::lower(), &l, &b).is_err());
         let rect = Matrix::zeros(3, 4);
-        assert!(trsm(Triangle::Lower, Diag::NonUnit, &rect, &b).is_err());
+        assert!(trsm_opts(&SolveOpts::lower(), &rect, &b).is_err());
         let mut r = Matrix::zeros(2, 5);
-        assert!(trsm_in_place(Side::Right, Triangle::Lower, Diag::NonUnit, &l, &mut r).is_err());
+        assert!(trsm_in_place_opts(&SolveOpts::lower().side(Side::Right), &l, &mut r).is_err());
     }
 
     #[test]
@@ -1170,7 +1141,7 @@ mod tests {
         l[(4, 2)] = f64::NAN;
         let b = Matrix::filled(6, 2, 1.0);
         // Off by default: the solve runs (and propagates the NaN).
-        assert!(trsm(Triangle::Lower, Diag::NonUnit, &l, &b).is_ok());
+        assert!(trsm_opts(&SolveOpts::lower(), &l, &b).is_ok());
         match trsm_opts(&SolveOpts::lower().validate_finite(), &l, &b) {
             Err(DenseError::NonFiniteEntry { operand, index, .. }) => {
                 assert_eq!(operand, "matrix");
@@ -1210,7 +1181,7 @@ mod tests {
         // Garbage strictly above the diagonal of a lower solve is never
         // read: not by the scan, not by substitution (k < NB), not by the
         // inverted diagonal blocks (k >= NB) — the solution stays finite.
-        for (n, k) in [(6, 2), (NB + 6, NB)] {
+        for (n, k) in [(6, 1), (6, 2), (NB + 6, NB)] {
             let mut l = lower(n);
             l[(1, 4)] = f64::NAN;
             l[(n - 2, n - 1)] = f64::NAN;
@@ -1222,10 +1193,11 @@ mod tests {
 
     #[test]
     fn finite_scan_covers_trsv() {
+        // The scan guards a one-right-hand-side solve like any other.
         let mut l = lower(5);
         l[(2, 0)] = f64::NEG_INFINITY;
-        let x = vec![1.0; 5];
-        match trsv_opts(&SolveOpts::lower().validate_finite(), &l, &x) {
+        let mut x = vec![1.0; 5];
+        match trsm_in_place_opts(&SolveOpts::lower().validate_finite(), &l, x.as_mut_slice()) {
             Err(DenseError::NonFiniteEntry { operand, index, .. }) => {
                 assert_eq!(operand, "matrix");
                 assert_eq!(index, (2, 0));
@@ -1235,7 +1207,11 @@ mod tests {
         let good = lower(5);
         let mut bad_rhs = vec![1.0; 5];
         bad_rhs[3] = f64::NAN;
-        match trsv_opts(&SolveOpts::lower().validate_finite(), &good, &bad_rhs) {
+        match trsm_in_place_opts(
+            &SolveOpts::lower().validate_finite(),
+            &good,
+            bad_rhs.as_mut_slice(),
+        ) {
             Err(DenseError::NonFiniteEntry { operand, index, .. }) => {
                 assert_eq!(operand, "rhs");
                 assert_eq!(index, (3, 0));
@@ -1248,7 +1224,7 @@ mod tests {
     fn flop_count_matches_formula() {
         let l = lower(8);
         let mut b = Matrix::filled(8, 3, 1.0);
-        let f = trsm_in_place(Side::Left, Triangle::Lower, Diag::NonUnit, &l, &mut b).unwrap();
+        let f = trsm_in_place_opts(&SolveOpts::lower(), &l, &mut b).unwrap();
         assert_eq!(f, trsm_flops(8, 3));
     }
 
@@ -1256,7 +1232,7 @@ mod tests {
     fn solving_identity_returns_rhs() {
         let id = Matrix::identity(6);
         let b = Matrix::from_fn(6, 4, |i, j| (i * 4 + j) as f64);
-        let x = trsm(Triangle::Lower, Diag::NonUnit, &id, &b).unwrap();
+        let x = trsm_opts(&SolveOpts::lower(), &id, &b).unwrap();
         assert_eq!(x, b);
     }
 
@@ -1267,7 +1243,7 @@ mod tests {
         let l = crate::gen::well_conditioned_lower(n, 5);
         let x_true = crate::gen::rhs(n, k, 6);
         let b = matmul(&l, &x_true);
-        let x = trsm(Triangle::Lower, Diag::NonUnit, &l, &b).unwrap();
+        let x = trsm_opts(&SolveOpts::lower(), &l, &b).unwrap();
         assert!(crate::norms::rel_diff(&x, &x_true) < 1e-9);
     }
 }

@@ -5,9 +5,10 @@
 //! trips, triangular inversion correctness, and factorization reconstruction
 //! — on randomly sized and randomly filled matrices.
 
+use dense::trinv::RECURSION_CUTOFF;
 use dense::{
-    gemm, gen, matmul, norms, reference, tri_invert, tri_invert_blocked, tri_invert_in_place, trmm,
-    trsm, trsm_in_place, Diag, Matrix, Side, Triangle,
+    gemm, gemm_views, gen, matmul, norms, reference, tri_invert, tri_invert_in_place, trmm,
+    trsm_in_place_opts, trsm_opts, Diag, Matrix, Side, SolveOpts, Triangle,
 };
 use proptest::prelude::*;
 
@@ -95,7 +96,7 @@ proptest! {
         let n = l.rows();
         let x_true = gen::rhs(n, k, seed);
         let (b, _) = trmm(Triangle::Lower, &l, &x_true).unwrap();
-        let x = trsm(Triangle::Lower, Diag::NonUnit, &l, &b).unwrap();
+        let x = trsm_opts(&SolveOpts::lower(), &l, &b).unwrap();
         prop_assert!(norms::rel_diff(&x, &x_true) < TOL);
     }
 
@@ -119,7 +120,7 @@ proptest! {
     ) {
         let n = l.rows();
         let b = gen::rhs(n, k, seed);
-        let x_sub = trsm(Triangle::Lower, Diag::NonUnit, &l, &b).unwrap();
+        let x_sub = trsm_opts(&SolveOpts::lower(), &l, &b).unwrap();
         let (inv, _) = tri_invert(Triangle::Lower, &l).unwrap();
         let x_inv = matmul(&inv, &b);
         prop_assert!(norms::rel_diff(&x_inv, &x_sub) < 1e-6);
@@ -180,8 +181,9 @@ proptest! {
         prop_assert_eq!(f_fast, f_ref);
     }
 
-    /// The transposed GEMM variants agree with the naive reference applied
-    /// to explicitly transposed operands.
+    /// The transposed products (`op(X) = Xᵀ` read out of the stored `X`)
+    /// agree with the naive reference applied to explicitly transposed
+    /// operands.
     #[test]
     fn transposed_gemm_variants_match_naive_reference(
         (m, k, n) in (1usize..48, 1usize..48, 1usize..48),
@@ -192,7 +194,8 @@ proptest! {
         let a = gen::uniform(k, m, s1);
         let b = gen::uniform(k, n, s2);
         let mut c_fast = Matrix::zeros(m, n);
-        dense::gemm_at_b(alpha, &a, &b, 0.0, &mut c_fast).unwrap();
+        gemm_views(alpha, a.as_view(), true, b.as_view(), false, 0.0, &mut c_fast.as_view_mut(), None)
+            .unwrap();
         let mut c_ref = Matrix::zeros(m, n);
         reference::gemm_naive_ikj(alpha, &a.transpose(), &b, 0.0, &mut c_ref);
         prop_assert!(c_fast.max_abs_diff(&c_ref).unwrap() < TOL);
@@ -201,7 +204,8 @@ proptest! {
         let a2 = gen::uniform(m, k, s1 ^ 1);
         let b2 = gen::uniform(n, k, s2 ^ 1);
         let mut c_fast2 = Matrix::zeros(m, n);
-        dense::gemm_a_bt(alpha, &a2, &b2, 0.0, &mut c_fast2).unwrap();
+        gemm_views(alpha, a2.as_view(), false, b2.as_view(), true, 0.0, &mut c_fast2.as_view_mut(), None)
+            .unwrap();
         let mut c_ref2 = Matrix::zeros(m, n);
         reference::gemm_naive_ikj(alpha, &a2, &b2.transpose(), 0.0, &mut c_ref2);
         prop_assert!(c_fast2.max_abs_diff(&c_ref2).unwrap() < TOL);
@@ -231,7 +235,8 @@ proptest! {
             Side::Right => gen::rhs(k, n, seed ^ 0xf00d),
         };
         let mut fast = b.clone();
-        let f_fast = trsm_in_place(side, tri, diag, &a, &mut fast).unwrap();
+        let opts = SolveOpts::new(tri).side(side).diag(diag);
+        let f_fast = trsm_in_place_opts(&opts, &a, &mut fast).unwrap();
         let mut slow = b.clone();
         let f_slow = reference::trsm_unblocked(side, tri, diag, &a, &mut slow);
         prop_assert!(fast.max_abs_diff(&slow).unwrap() < 1e-6);
@@ -259,24 +264,25 @@ proptest! {
         prop_assert_eq!(f_fast, f_slow);
     }
 
-    /// The recursive/blocked triangular inversion agrees with the direct
-    /// column-by-column reference for any recursion cut-off, and the direct
-    /// base case carries the reference's flop formula.
+    /// The recursive triangular inversion agrees with the direct
+    /// column-by-column reference, and the direct base case carries the
+    /// reference's flop formula.
     #[test]
     fn blocked_trinv_matches_direct_reference(
         n in 1usize..100,
-        block in 1usize..32,
         seed in any::<u64>(),
     ) {
         let l = gen::well_conditioned_lower(n, seed);
-        let (fast, _) = tri_invert_blocked(Triangle::Lower, &l, block).unwrap();
-        let (slow, f_slow) = reference::invert_lower_direct(&l);
+        let (fast, _) = tri_invert(Triangle::Lower, &l).unwrap();
+        let (slow, _) = reference::invert_lower_direct(&l);
         prop_assert!(norms::rel_diff(&fast, &slow) < 1e-6);
         prop_assert!(fast.is_lower_triangular());
-        // With the cut-off at n the whole inversion is one direct base case
-        // and must report exactly the reference flop count.
-        let (_, f_direct) = tri_invert_blocked(Triangle::Lower, &l, n).unwrap();
-        prop_assert_eq!(f_direct, f_slow);
+        // A leading block no larger than the cut-off is one direct base
+        // case and must report exactly the reference flop count.
+        let m = n.min(RECURSION_CUTOFF);
+        let head = l.block(0, 0, m, m);
+        let (_, f_direct) = tri_invert(Triangle::Lower, &head).unwrap();
+        prop_assert_eq!(f_direct, reference::invert_lower_direct(&head).1);
     }
 
     /// The in-place view inversion produces the same inverse (and flops) as
@@ -287,7 +293,6 @@ proptest! {
     fn in_place_trinv_matches_wrapper(
         n in 1usize..100,
         off in 0usize..16,
-        block in 1usize..24,
         upper in prop::bool::ANY,
         nan_fill in prop::bool::ANY,
         seed in any::<u64>(),
@@ -313,8 +318,8 @@ proptest! {
             }
         });
         let mut big = before.clone();
-        let f_inplace = tri_invert_in_place(tri, &mut big.view_mut(off, off, n, n), block).unwrap();
-        let (expect, f_wrapper) = tri_invert_blocked(tri, &a, block).unwrap();
+        let f_inplace = tri_invert_in_place(tri, &mut big.view_mut(off, off, n, n)).unwrap();
+        let (expect, f_wrapper) = tri_invert(tri, &a).unwrap();
         prop_assert_eq!(f_inplace, f_wrapper);
         for r in 0..dim {
             for c in 0..dim {

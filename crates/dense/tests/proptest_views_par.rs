@@ -10,7 +10,7 @@
 //!   kernel for every worker count (and numerically agrees with the naive
 //!   `dense::reference` loop).
 
-use dense::{gemm_views_with_threads, gemm_with_threads, gen, norms, reference, Matrix};
+use dense::{gemm_views, gemm_with_threads, gen, norms, reference, with_thread_budget, Matrix};
 use proptest::prelude::*;
 
 proptest! {
@@ -154,10 +154,12 @@ proptest! {
     }
 
     /// Same bitwise guarantee on view-level GEMM over interior blocks, so
-    /// the chunk partitioning is also exercised at `stride != cols`.
+    /// the chunk partitioning is also exercised at `stride != cols`.  The
+    /// worker budget is a thread-local one, whose gate (`32³`
+    /// multiply–adds) every shape here clears.
     #[test]
     fn parallel_gemm_views_matches_sequential_bit_for_bit(
-        (m, k, n) in (16usize..48, 16usize..48, 16usize..64),
+        (m, k, n) in (32usize..48, 32usize..48, 32usize..64),
         (ro, co) in (0usize..8, 0usize..8),
         threads in 2usize..6,
         s1 in any::<u64>(), s2 in any::<u64>(),
@@ -166,24 +168,21 @@ proptest! {
         let big_b = gen::uniform(k + ro + 2, n + co + 2, s2);
         let mut c_seq = Matrix::zeros(m + 3, n + 3);
         let mut c_par = c_seq.clone();
-        gemm_views_with_threads(
-            1.0,
-            big_a.view(ro, co, m, k),
-            big_b.view(ro, co, k, n),
-            0.0,
-            &mut c_seq.view_mut(1, 2, m, n),
-            1,
-        )
-        .unwrap();
-        gemm_views_with_threads(
-            1.0,
-            big_a.view(ro, co, m, k),
-            big_b.view(ro, co, k, n),
-            0.0,
-            &mut c_par.view_mut(1, 2, m, n),
-            threads,
-        )
-        .unwrap();
+        for (c, budget) in [(&mut c_seq, 1), (&mut c_par, threads)] {
+            with_thread_budget(budget, || {
+                gemm_views(
+                    1.0,
+                    big_a.view(ro, co, m, k),
+                    false,
+                    big_b.view(ro, co, k, n),
+                    false,
+                    0.0,
+                    &mut c.view_mut(1, 2, m, n),
+                    None,
+                )
+            })
+            .unwrap();
+        }
         prop_assert!(c_seq == c_par);
         // The halo around the target block is untouched by every worker.
         prop_assert_eq!(c_par[(0, 0)], 0.0);
@@ -199,12 +198,12 @@ proptest! {
         k in 1usize..24,
         seed in any::<u64>(),
     ) {
-        use dense::{trsm, Diag, Triangle};
+        use dense::{trsm_opts, SolveOpts};
         let l = gen::well_conditioned_lower(n, seed);
         let b = gen::rhs(n, k, seed ^ 0x5eed);
-        let x1 = trsm(Triangle::Lower, Diag::NonUnit, &l, &b).unwrap();
-        let x2 = trsm(Triangle::Lower, Diag::NonUnit, &l, &b).unwrap();
+        let x1 = trsm_opts(&SolveOpts::lower(), &l, &b).unwrap();
+        let x2 = trsm_opts(&SolveOpts::lower(), &l, &b).unwrap();
         prop_assert!(x1 == x2, "repeated solves must be deterministic");
-        prop_assert!(norms::rel_diff(&x1, &trsm(Triangle::Lower, Diag::NonUnit, &l, &b).unwrap()) == 0.0);
+        prop_assert!(norms::rel_diff(&x1, &trsm_opts(&SolveOpts::lower(), &l, &b).unwrap()) == 0.0);
     }
 }

@@ -1,23 +1,27 @@
-//! The blocked TRSM's two kernels as contracts: which one runs
-//! ([`inverts_diagonal_blocks`]), that both agree with plain substitution on
-//! every variant and every worker budget, that neither reads anything the
-//! options say it must not, and the paper's stability statement for the
-//! inverted one — forward-stable in the condition number of the *diagonal
-//! blocks*, whatever the conditioning of the rest of the factor.
+//! The dense solve's three kernels as contracts: which one runs
+//! ([`solve_kernel`]), that all agree with plain substitution on every
+//! variant and every worker budget, that none reads anything the options
+//! say it must not, and the paper's stability statement for the inverted
+//! one — forward-stable in the condition number of the *diagonal blocks*,
+//! whatever the conditioning of the rest of the factor.
 
 use dense::{
-    gen, inverts_diagonal_blocks, matmul, norms, reference, tri_invert, trsm_in_place_opts,
-    with_thread_budget, Diag, Matrix, Side, SolveOpts, Transpose, Triangle, TRSM_BLOCK,
+    gen, matmul, norms, reference, solve_kernel, tri_invert, trsm_in_place_opts,
+    with_thread_budget, Diag, Matrix, Side, SolveKernel, SolveOpts, Transpose, Triangle,
+    TRSM_BLOCK,
 };
 
 const NB: usize = TRSM_BLOCK;
 
 #[test]
 fn the_rule_is_k_at_least_nb() {
-    assert!(!inverts_diagonal_blocks(0));
-    assert!(!inverts_diagonal_blocks(NB - 1));
-    assert!(inverts_diagonal_blocks(NB));
-    assert!(inverts_diagonal_blocks(10 * NB));
+    assert_eq!(solve_kernel(1), SolveKernel::RowSubstitution);
+    for k in [0, 2, NB - 1] {
+        assert_eq!(solve_kernel(k), SolveKernel::BlockedSubstitution, "k = {k}");
+    }
+    for k in [NB, 10 * NB] {
+        assert_eq!(solve_kernel(k), SolveKernel::InvertedBlocks, "k = {k}");
+    }
 }
 
 /// `a` with NaN everywhere the solve described by `opts` must not look: the
@@ -103,7 +107,7 @@ fn residual(l: &Matrix, x: &Matrix, b: &Matrix) -> f64 {
 /// Both kernels on the same input: the blocked solve (which inverts, `k`
 /// being at least `NB`) and plain substitution.
 fn inverted_and_substituted(l: &Matrix, b: &Matrix) -> (Matrix, Matrix) {
-    assert!(inverts_diagonal_blocks(b.cols()));
+    assert_eq!(solve_kernel(b.cols()), SolveKernel::InvertedBlocks);
     let mut inverted = b.clone();
     trsm_in_place_opts(&SolveOpts::lower(), l, &mut inverted).unwrap();
     let mut substituted = b.clone();

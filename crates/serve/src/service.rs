@@ -24,10 +24,11 @@
 //! into a reusable arena matrix and run one `solve_multi` sweep — the
 //! per-row elimination handles each RHS column independently, so the
 //! fused answer is bitwise identical to `w` separate solves — while dense
-//! groups run side by side on the
-//! `DENSE_THREADS` worker pool, each system solved independently.  The
-//! arenas and the job's own RHS buffer are reused, so a warm service
-//! allocates nothing per request.
+//! groups run side by side on the `DENSE_THREADS` worker pool, each system
+//! solved independently: the dense solve picks its kernel from the shape
+//! (`dense::solve_kernel`), so `w` fused columns would not round like `w`
+//! single right-hand sides.  The arenas and the job's own RHS buffer are
+//! reused, so a warm service allocates nothing per request.
 
 use crate::cache::LruCache;
 use crate::fingerprint::{
@@ -181,12 +182,13 @@ impl CachedPlan {
     /// entry and `x` on exit (on error, `b` untouched).  Allocation-free
     /// unless the plan's request asked for a residual: the in-place
     /// executors consume `B`, so such a solve takes the copying path on its
-    /// `n×1` column.
+    /// `n×1` column — the same kernel, so the same bits.
     fn execute_vec(&self, rhs: &mut Vec<f64>) -> Result<SolveReport> {
         if !self.wants_residual() {
+            let x = rhs.as_mut_slice();
             return match &self.operand {
-                Operand::Dense(a) => self.plan.execute_dense_vec_in_place(a, rhs),
-                Operand::Sparse(a) => self.plan.execute_sparse_in_place(a, rhs.as_mut_slice()),
+                Operand::Dense(a) => self.plan.execute_dense_in_place(a, x),
+                Operand::Sparse(a) => self.plan.execute_sparse_in_place(a, x),
             };
         }
         let b = Matrix::from_vec(rhs.len(), 1, std::mem::take(rhs))

@@ -579,7 +579,7 @@ fn dense_side_by_side_batching_matches_solo() {
         let mut solo = rhs.clone();
         r.plan_dense(n, 1)
             .unwrap()
-            .execute_dense_vec_in_place(m, &mut solo)
+            .execute_dense_in_place(m, solo.as_mut_slice())
             .unwrap();
         want.push(solo);
         svc.submit(ServiceRequest {

@@ -18,8 +18,8 @@ use crate::error::SparseError;
 use crate::schedule::Schedule;
 use crate::Result;
 // The dense crate's pivot tolerance governs the diagonal invertibility
-// check, so a diagonal this crate accepts is exactly one the
-// `solve_via_dense` fallback accepts too.
+// check, so a diagonal this crate accepts is exactly one the dense solve of
+// the densified matrix accepts too.
 use dense::PIVOT_TOL;
 use dense::{Diag, Matrix, Triangle};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -23,10 +23,9 @@
 //!   one pattern many times;
 //! * two solve executors behind one entry point
 //!   ([`SparseTri::solve_with`] / [`SparseTri::solve_multi_with`]; also
-//!   [`SparseTri::solve`], [`SparseTri::solve_multi`] and the
-//!   [`SparseTri::solve_via_dense`] fallback): the sequential sweep, and
-//!   barrier-separated level sweeps on the `dense::threads` worker pool —
-//!   **bitwise identical** at every worker count.  [`SolveOpts::threads`]
+//!   [`SparseTri::solve`] and [`SparseTri::solve_multi`]): the sequential
+//!   sweep, and barrier-separated level sweeps on the `dense::threads`
+//!   worker pool — **bitwise identical** at every worker count.  [`SolveOpts::threads`]
 //!   is a budget; [`level_rule`] gives a solve more than one worker only
 //!   when its mean run weight clears the measured
 //!   [`PAR_MIN_RUN_WEIGHT`], and skips the analysis altogether when the

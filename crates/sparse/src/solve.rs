@@ -20,9 +20,6 @@
 //! transposed applies — the `Lᵀ` half of an `ILU`/`IC` preconditioner —
 //! cost one O(nnz) transposition ever, not one per solve.
 //!
-//! [`SparseTri::solve_via_dense`] remains as the dense-fallback bridge:
-//! densify and call [`dense::trsv_in_place`], for patterns so dense that
-//! CSR indirection loses to the vectorized dense substitution.
 //! [`SparseTri::solve`] / [`SparseTri::solve_multi`] are the allocating
 //! default-options forms; `catrsm::SolveRequest` is the cross-backend front
 //! end.
@@ -643,21 +640,6 @@ impl SparseTri {
         self.solve_multi_with(&SolveOpts::new(), &mut x)?;
         Ok(x)
     }
-
-    /// Dense-fallback solve: densify ([`SparseTri::to_dense`]) and run the
-    /// no-allocation dense substitution [`dense::trsv_in_place`].
-    ///
-    /// For patterns with most entries present the CSR indirection buys
-    /// nothing over the dense row sweep; this bridge is also what the
-    /// differential tests solve against.  Note the dense kernel accumulates
-    /// over *all* columns (zeros included), so results agree with the sparse
-    /// executors numerically, not bitwise.
-    pub fn solve_via_dense(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = b.to_vec();
-        let a = self.to_dense();
-        dense::trsv_in_place(self.triangle(), self.diag(), &a, &mut x)?;
-        Ok(x)
-    }
 }
 
 #[cfg(test)]
@@ -799,12 +781,16 @@ mod tests {
     }
 
     #[test]
-    fn solve_via_dense_matches_sparse_numerically() {
+    fn densified_solve_matches_sparse_numerically() {
+        // The dense solve accumulates over *all* columns (zeros included),
+        // so it agrees with the sparse executors numerically, not bitwise.
         let n = 200;
         let m = test_lower(n, 5);
         let b: Vec<f64> = (0..n).map(|i| ((i * 3) % 11) as f64 * 0.25 - 1.0).collect();
         let xs = m.solve(&b).unwrap();
-        let xd = m.solve_via_dense(&b).unwrap();
+        let mut xd = b.clone();
+        dense::trsm_in_place_opts(&dense::SolveOpts::lower(), &m.to_dense(), xd.as_mut_slice())
+            .unwrap();
         for (s, d) in xs.iter().zip(&xd) {
             assert!((s - d).abs() < 1e-12);
         }
@@ -887,12 +873,12 @@ mod tests {
         // …vs the dense transposed kernel on the densified matrix.
         let a = m.to_dense();
         let mut xd = b.clone();
-        dense::trsv_in_place_opts(
+        dense::trsm_in_place_opts(
             &dense::SolveOpts::new(m.triangle())
                 .diag(m.diag())
                 .transposed(),
             &a,
-            &mut xd,
+            xd.as_mut_slice(),
         )
         .unwrap();
         for (s, d) in xs.iter().zip(&xd) {

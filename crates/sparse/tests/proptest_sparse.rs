@@ -4,7 +4,7 @@
 //!
 //! * **differential vs dense** — on a densified copy of a random sparse
 //!   pattern, `sparse::solve` / `solve_multi` must agree with
-//!   `dense::trsv` / `dense::trsm` to 1e-12 (the generators keep the
+//!   the dense solve (`dense::trsm_opts`) to 1e-12 (the generators keep the
 //!   systems well conditioned, so the two summation orders cannot drift);
 //! * **bitwise determinism** — the level sweep must equal the sequential
 //!   sweep *bit for bit* at every worker count, for lower and upper
@@ -74,6 +74,21 @@ fn deep_dag(kind: u32, n: usize, width: usize, deps: usize, seed: u64) -> Sparse
     }
 }
 
+/// The dense solve of `m`'s densified pattern: `dense::trsm_opts` with the
+/// triangle and diagonal `m` was built with, `transpose` applied.
+fn dense_solve(m: &SparseTri, transpose: dense::Transpose, b: &Matrix) -> Matrix {
+    let opts = dense::SolveOpts::new(m.triangle())
+        .diag(m.diag())
+        .transpose(transpose);
+    dense::trsm_opts(&opts, &m.to_dense(), b).unwrap()
+}
+
+/// [`dense_solve`] for one right-hand side.
+fn dense_solve_vec(m: &SparseTri, transpose: dense::Transpose, b: &[f64]) -> Vec<f64> {
+    let b = Matrix::from_vec(b.len(), 1, b.to_vec()).unwrap();
+    dense_solve(m, transpose, &b).into_vec()
+}
+
 /// Max |a - b| over two equal-length vectors.
 fn vec_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
@@ -85,9 +100,10 @@ fn vec_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `sparse::solve` agrees with `dense::trsv` on the densified matrix.
+    /// `sparse::solve` agrees with the dense single-RHS solve on the
+    /// densified matrix.
     #[test]
-    fn solve_matches_dense_trsv_on_densified_pattern(
+    fn solve_matches_dense_single_rhs_on_densified_pattern(
         n in 1usize..220,
         fill in 0usize..9,
         upper in any::<bool>(),
@@ -100,14 +116,14 @@ proptest! {
         };
         let b = gen::rhs_vec(n, seed ^ 0xb);
         let xs = m.solve(&b).unwrap();
-        let xd = dense::trsv(m.triangle(), m.diag(), &m.to_dense(), &b).unwrap();
+        let xd = dense_solve_vec(&m, dense::Transpose::No, &b);
         prop_assert!(
             vec_abs_diff(&xs, &xd) < 1e-12,
-            "sparse vs dense trsv diverged beyond 1e-12"
+            "sparse vs dense single-RHS solve diverged beyond 1e-12"
         );
     }
 
-    /// `sparse::solve_multi` agrees with `dense::trsm` on the densified
+    /// `sparse::solve_multi` agrees with the dense solve on the densified
     /// matrix.
     #[test]
     fn solve_multi_matches_dense_trsm_on_densified_pattern(
@@ -126,7 +142,7 @@ proptest! {
             (((i * 31 + j * 17 + seed as usize) % 23) as f64) / 11.5 - 1.0
         });
         let xs = m.solve_multi(&b).unwrap();
-        let xd = dense::trsm(m.triangle(), m.diag(), &m.to_dense(), &b).unwrap();
+        let xd = dense_solve(&m, dense::Transpose::No, &b);
         prop_assert!(
             xs.max_abs_diff(&xd).unwrap() < 1e-12,
             "sparse vs dense trsm diverged beyond 1e-12"
@@ -219,9 +235,10 @@ proptest! {
         }
     }
 
-    /// The dense-fallback path agrees with the sparse executors, and the
-    /// banded generator's fully sequential schedule still solves correctly
-    /// under the level sweep (all but one worker idle at every barrier).
+    /// The dense solve of the densified band agrees with the sparse
+    /// executors, and the banded generator's fully sequential schedule still
+    /// solves correctly under the level sweep (all but one worker idle at
+    /// every barrier).
     #[test]
     fn banded_and_dense_fallback_agree(
         n in 1usize..200,
@@ -231,7 +248,7 @@ proptest! {
         let m = gen::banded_lower(n, bw, seed);
         let b = gen::rhs_vec(n, seed ^ 0xf00d);
         let xs = m.solve(&b).unwrap();
-        let xd = m.solve_via_dense(&b).unwrap();
+        let xd = dense_solve_vec(&m, dense::Transpose::No, &b);
         prop_assert!(vec_abs_diff(&xs, &xd) < 1e-12);
         prop_assert!(forced(&m, &b, 4) == xs);
     }
@@ -256,9 +273,7 @@ proptest! {
         let mut xs = b.clone();
         m.solve_with(&SolveOpts::new().transposed(), &mut xs).unwrap();
         // Dense reference: op(A) = Aᵀ through the dense options path.
-        let opts = dense::SolveOpts::new(m.triangle()).diag(m.diag()).transposed();
-        let mut xd = b.clone();
-        dense::trsv_in_place_opts(&opts, &m.to_dense(), &mut xd).unwrap();
+        let xd = dense_solve_vec(&m, dense::Transpose::Yes, &b);
         prop_assert!(
             vec_abs_diff(&xs, &xd) < 1e-12,
             "sparse vs dense transposed solve diverged beyond 1e-12"
@@ -290,8 +305,7 @@ proptest! {
         });
         let mut xs = b.clone();
         m.solve_multi_with(&SolveOpts::new().transposed(), &mut xs).unwrap();
-        let opts = dense::SolveOpts::new(m.triangle()).diag(m.diag()).transposed();
-        let xd = dense::trsm_opts(&opts, &m.to_dense(), &b).unwrap();
+        let xd = dense_solve(&m, dense::Transpose::Yes, &b);
         prop_assert!(
             xs.max_abs_diff(&xd).unwrap() < 1e-12,
             "sparse vs dense transposed trsm diverged beyond 1e-12"
@@ -343,7 +357,7 @@ proptest! {
     }
 
     /// Level-sweep solves of deep DAGs agree with the dense kernels on the
-    /// densified pattern to 1e-12 (trsv single-RHS, trsm blocked-RHS).
+    /// densified pattern to 1e-12 (single and blocked RHS).
     #[test]
     fn level_sweep_matches_dense_on_deep_dags(
         kind in 0u32..3,
@@ -355,17 +369,16 @@ proptest! {
     ) {
         let m = deep_dag(kind, blocks * width, width, deps, seed);
         let n = m.n();
-        let d = m.to_dense();
         let b = gen::rhs_vec(n, seed ^ 0xfeed);
-        let xd = dense::trsv(m.triangle(), m.diag(), &d, &b).unwrap();
+        let xd = dense_solve_vec(&m, dense::Transpose::No, &b);
         prop_assert!(
             vec_abs_diff(&forced(&m, &b, 4), &xd) < 1e-12,
-            "level sweep vs dense trsv diverged beyond 1e-12"
+            "level sweep vs dense single-RHS solve diverged beyond 1e-12"
         );
         let bm = Matrix::from_fn(n, k, |i, j| {
             (((i * 31 + j * 17 + seed as usize) % 23) as f64) / 11.5 - 1.0
         });
-        let xdm = dense::trsm(m.triangle(), m.diag(), &d, &bm).unwrap();
+        let xdm = dense_solve(&m, dense::Transpose::No, &bm);
         prop_assert!(
             forced_multi(&m, &bm, 4).max_abs_diff(&xdm).unwrap() < 1e-12,
             "level sweep vs dense trsm diverged beyond 1e-12"

@@ -110,15 +110,10 @@ fn main() {
         .with_residual()
         .solve_sparse(&small, &col(&bs))
         .expect("sparse solve");
-    let xd =
-        dense::trsv(small.triangle(), small.diag(), &small.to_dense(), &bs).expect("dense solve");
-    let err = sol
-        .x
-        .as_slice()
-        .iter()
-        .zip(&xd)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
+    let small_dense = small.to_dense();
+    let dense_opts = dense::SolveOpts::new(small.triangle()).diag(small.diag());
+    let xd = dense::trsm_opts(&dense_opts, &small_dense, &col(&bs)).expect("dense solve");
+    let err = sol.x.max_abs_diff(&xd).unwrap();
     println!(
         "  vs dense:      max |x_sparse - x_dense| = {err:.3e}, reported \
          residual {:.3e} (n = 800)",
@@ -133,8 +128,7 @@ fn main() {
     let xm = SolveRequest::lower()
         .solve_sparse(&small, &bm)
         .expect("multi-RHS solve");
-    let xm_dense =
-        dense::trsm(small.triangle(), small.diag(), &small.to_dense(), &bm).expect("dense trsm");
+    let xm_dense = dense::trsm_opts(&dense_opts, &small_dense, &bm).expect("dense trsm");
     let err_m = xm.x.max_abs_diff(&xm_dense).unwrap();
     println!("  multi-RHS:     k = {k}, max diff vs dense trsm = {err_m:.3e}");
     assert!(err_m < 1e-12);

@@ -6,11 +6,16 @@
 //! * the measured [`FlopCount`] of the staged API matches the kernels'
 //!   own entry points, on every backend;
 //! * transposed requests agree with solving the materialized transpose
-//!   through the reference kernels, on every backend.
+//!   through the reference kernels, on every backend;
+//! * a dense solve's kernel is the shape's, not the entry point's: the plan
+//!   and the report name the same one, and one right-hand side returns the
+//!   same bits however it is handed in.
 
 use catrsm_suite::prelude::*;
+use dense::SolveKernel;
 use proptest::prelude::*;
 use sparse::gen as sgen;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -51,9 +56,9 @@ proptest! {
         }
     }
 
-    /// Dense: the request path is bitwise identical to the old `trsm` /
-    /// `trsv` entry points with matching flops, for every triangle/diag,
-    /// and transposed requests match the materialized transpose.
+    /// Dense: the request path is bitwise identical to the dense kernel's
+    /// own entry point with matching flops, for every triangle/diag, and
+    /// transposed requests match the materialized transpose.
     #[test]
     fn dense_request_matches_old_entry_points(
         n in 1usize..150,
@@ -72,82 +77,177 @@ proptest! {
         let b = Matrix::from_fn(n, k, |i, j| ((i * 11 + j * 5 + 1) % 17) as f64 - 8.0);
         let req = SolveRequest::new(tri).diag(diag);
         let sol = req.solve_dense(&a, &b).unwrap();
-        let old = dense::trsm(tri, diag, &a, &b).unwrap();
-        prop_assert!(sol.x == old, "new API diverged from trsm bitwise");
+        let direct = dense::trsm_opts(&req.opts(), &a, &b).unwrap();
+        prop_assert!(sol.x == direct, "the request path diverged from trsm_opts bitwise");
         prop_assert_eq!(sol.report.flops, dense::flops::trsm_flops(n, k));
 
         // Transposed request vs reference solve on the materialized Aᵀ.
         let solt = req.transposed().solve_dense(&a, &b).unwrap();
         let op_tri = if upper { Triangle::Lower } else { Triangle::Upper };
-        let reference = dense::trsm(op_tri, diag, &a.transpose(), &b).unwrap();
+        let reference = dense::trsm_opts(
+            &dense::SolveOpts::new(op_tri).diag(diag),
+            &a.transpose(),
+            &b,
+        )
+        .unwrap();
         prop_assert!(
             solt.x.max_abs_diff(&reference).unwrap() < 1e-8,
             "transposed dense request diverged from the materialized transpose"
         );
         prop_assert_eq!(solt.report.flops, dense::flops::trsm_flops(n, k));
 
-        // Single-RHS path: bitwise the `trsv` kernel, and it agrees with
-        // the block path column by column.
+        // Single-RHS path: a slice is the n×1 view — the same kernel, the
+        // same bits as an n×1 matrix.
         let bv: Vec<f64> = (0..n).map(|i| ((i * 3 + 2) % 13) as f64 - 6.0).collect();
         let mut sv = bv.clone();
         let plan = req.plan_dense(n, 1).unwrap();
-        plan.execute_dense_vec_in_place(&a, &mut sv).unwrap();
-        prop_assert!(sv == dense::trsv(tri, diag, &a, &bv).unwrap());
+        plan.execute_dense_in_place(&a, sv.as_mut_slice()).unwrap();
         let bm = Matrix::from_vec(n, 1, bv).unwrap();
         let sm = req.solve_dense(&a, &bm).unwrap();
-        for (v, m) in sv.iter().zip(sm.x.as_slice()) {
-            prop_assert!((v - m).abs() < 1e-9);
-        }
+        prop_assert!(sv == sm.x.as_slice(), "slice and n×1 matrix diverged");
     }
 }
 
-/// Why this plan: a dense plan says which of the blocked solve's two
-/// kernels a solve this wide runs — on both sides of `k = NB` — from the
-/// same `dense` function the kernel decides with, and the report names the
-/// kernel that ran.
+/// Why this plan: a dense plan says which of the solve's three kernels a
+/// solve this wide runs — row substitution for one right-hand side, and the
+/// blocked kernels on both sides of `k = NB` — from the same `dense`
+/// function the solve decides with.
 #[test]
 fn dense_plan_says_whether_diagonal_blocks_are_inverted() {
     let nb = dense::TRSM_BLOCK;
     let n = 2 * nb + 3;
-    let l = gen::well_conditioned_lower(n, 5);
-    let req = SolveRequest::lower();
-    for (k, inverted, name) in [
-        (nb - 1, false, "dense blocked substitution"),
-        (nb, true, "dense blocked solve, inverted diagonal blocks"),
+    for (k, kernel, why) in [
+        (1, SolveKernel::RowSubstitution, "k = 1: rows substituted"),
+        (
+            nb - 1,
+            SolveKernel::BlockedSubstitution,
+            "k < NB: diagonal blocks substituted",
+        ),
+        (
+            nb,
+            SolveKernel::InvertedBlocks,
+            "k >= NB: diagonal blocks inverted",
+        ),
     ] {
-        assert_eq!(dense::inverts_diagonal_blocks(k), inverted);
-        let plan = req.plan_dense(n, k).unwrap();
-        assert!(
-            matches!(
-                plan.backend,
-                PlanBackend::Dense { block, inverts_blocks, .. }
-                    if block == nb && inverts_blocks == inverted
-            ),
-            "k = {k}: {:?}",
-            plan.backend
-        );
-        assert_eq!(plan.algorithm_name(), name);
-        let shown = plan.to_string();
-        assert!(shown.starts_with(name), "{shown}");
-        assert!(
-            shown.contains(if inverted {
-                "diagonal blocks inverted"
-            } else {
-                "diagonal blocks substituted"
-            }),
-            "{shown}"
-        );
-
-        let x_true = gen::rhs(n, k, 6);
-        let b = dense::matmul(&l, &x_true);
-        let sol = plan.execute_dense(&l, &b).unwrap();
-        assert_eq!(sol.report.algorithm, name);
-        assert!(dense::norms::rel_diff(&sol.x, &x_true) < 1e-12);
+        assert_eq!(dense::solve_kernel(k), kernel);
         // The right side counts rows of B.
-        let right = req.side(Side::Right).plan_dense(n, k).unwrap();
-        assert_eq!(right.algorithm_name(), name);
-        let sol = right.execute_dense(&l, &b.transpose()).unwrap();
-        assert_eq!(sol.report.algorithm, name);
+        for side in [Side::Left, Side::Right] {
+            let plan = SolveRequest::lower().side(side).plan_dense(n, k).unwrap();
+            assert!(
+                matches!(
+                    plan.backend,
+                    PlanBackend::Dense { block, kernel: planned, .. }
+                        if block == nb && planned == kernel
+                ),
+                "k = {k}, {side:?}: {:?}",
+                plan.backend
+            );
+            let shown = plan.to_string();
+            assert!(shown.starts_with(plan.algorithm_name()), "{shown}");
+            assert!(shown.contains(why), "{shown}");
+        }
+    }
+}
+
+/// The plan names the kernel the report says ran, on every dense execute
+/// path — the plan's executors, the one-shot solve and the service's — for
+/// one right-hand side and on both sides of `k = NB`.
+#[test]
+fn plan_and_report_name_the_same_dense_kernel() {
+    let nb = dense::TRSM_BLOCK;
+    let n = nb + 9;
+    let l = Arc::new(gen::well_conditioned_lower(n, 81));
+    let svc = SolveService::new(ServiceConfig::default());
+    let mut names = Vec::new();
+    for k in [1, nb - 1, nb] {
+        for side in [Side::Left, Side::Right] {
+            let req = SolveRequest::lower().side(side);
+            let b = match side {
+                Side::Left => gen::rhs(n, k, 82),
+                Side::Right => gen::rhs(k, n, 82),
+            };
+            let plan = req.plan_dense(n, k).unwrap();
+            let name = plan.algorithm_name();
+            let what = format!("k = {k}, {side:?}");
+            let mut reports = vec![
+                plan.execute_dense(&l, &b).unwrap().report,
+                plan.execute_dense_in_place(&l, &mut b.clone()).unwrap(),
+                req.solve_dense(&l, &b).unwrap().report,
+                req.with_residual().solve_dense(&l, &b).unwrap().report,
+                svc.solve(&req, &Operand::Dense(Arc::clone(&l)), &b)
+                    .unwrap()
+                    .report,
+            ];
+            if (k, side) == (1, Side::Left) {
+                let v = b.as_slice();
+                reports.push(
+                    plan.execute_dense_in_place(&l, &mut v.to_vec()[..])
+                        .unwrap(),
+                );
+                for r in [req, req.with_residual()] {
+                    let operand = Operand::Dense(Arc::clone(&l));
+                    reports.push(svc.solve_vec(&r, &operand, v).unwrap().report);
+                    svc.submit(ServiceRequest {
+                        request: r,
+                        operand,
+                        rhs: v.to_vec(),
+                    })
+                    .unwrap();
+                    reports.push(svc.flush().remove(0).result.unwrap());
+                }
+            }
+            for report in reports {
+                assert_eq!(report.algorithm, name, "{what}");
+            }
+            names.push(name);
+        }
+    }
+    names.dedup();
+    assert_eq!(names.len(), 3, "three kernels, three names: {names:?}");
+}
+
+/// One right-hand side has one answer: a one-column solve returns the same
+/// bits through every entry point — a plain `n×1` matrix, a slice in place,
+/// and the service's matrix and vector paths, with and without a residual.
+#[test]
+fn one_right_hand_side_gets_one_answer() {
+    let svc = SolveService::new(ServiceConfig::default());
+    for n in [40, 64, 200] {
+        let l = gen::well_conditioned_lower(n, n as u64);
+        let b: Vec<f64> = (0..n)
+            .map(|i| ((i * 7 + 3) % 11) as f64 / 5.5 - 1.0)
+            .collect();
+        let column = Matrix::from_vec(n, 1, b.clone()).unwrap();
+        for (tri, a) in [
+            (Triangle::Lower, l.clone()),
+            (Triangle::Upper, l.transpose()),
+        ] {
+            let operand = Operand::Dense(Arc::new(a.clone()));
+            for transpose in [Transpose::No, Transpose::Yes] {
+                for diag in [Diag::NonUnit, Diag::Unit] {
+                    let req = SolveRequest::new(tri).transpose(transpose).diag(diag);
+                    let what = format!("n = {n}, {:?}", req.opts());
+                    let x = req.solve_dense(&a, &column).unwrap().x.into_vec();
+                    let mut in_place = b.clone();
+                    req.plan_dense(n, 1)
+                        .unwrap()
+                        .execute_dense_in_place(&a, in_place.as_mut_slice())
+                        .unwrap();
+                    let served = svc.solve(&req, &operand, &column).unwrap().x.into_vec();
+                    let vec = svc.solve_vec(&req, &operand, &b).unwrap().x;
+                    let vec_residual = svc.solve_vec(&req.with_residual(), &operand, &b).unwrap();
+                    assert!(vec_residual.report.residual.unwrap() < 1e-12, "{what}");
+                    for (path, got) in [
+                        ("execute_dense_in_place", &in_place),
+                        ("SolveService::solve", &served),
+                        ("SolveService::solve_vec", &vec),
+                        ("solve_vec with residual", &vec_residual.x),
+                    ] {
+                        assert!(*got == x, "{what}: {path} diverged from solve_dense");
+                    }
+                }
+            }
+        }
     }
 }
 
