@@ -64,7 +64,10 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<D
     let nblocks = n / n0;
     // The local piece only: `l` may be the caller's own operand, carrying a
     // cached transpose that L̃ has no use for.
-    let mut l_tilde = DistMatrix::from_local(grid, n, n, l.local().clone())?;
+    let (rows, cols) = l.local().dims();
+    let buf = comm.take_buffer(rows * cols);
+    let copy = l.local().block_into(0, 0, rows, cols, buf);
+    let mut l_tilde = DistMatrix::from_local(grid, n, n, copy)?;
 
     if p_face == 1 {
         // Single processor: invert every block locally, in place where it
@@ -111,6 +114,7 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<D
             l_tilde.local_mut(),
             diag_blocks,
         )?;
+        comm.give_buffer(mine.into_vec());
         return Ok(l_tilde);
     }
 

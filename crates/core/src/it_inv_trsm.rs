@@ -23,14 +23,18 @@
 //! the `W_Inv`, `W_Solve` and `W_Upd` expressions of Section VII, and the
 //! latency is `O((n/n0)·log p + log² p)` instead of the recursive
 //! algorithm's polynomial-in-`p` synchronisation cost.
+//!
+//! Every block, panel and accumulator the solve works in is a buffer from
+//! the machine's pool and goes back to it once used, so a repeated solve
+//! reuses resident memory instead of allocating it again.
 
 use crate::diag_inv::diagonal_inverter;
 use crate::error::{config_error, internal_error};
 use crate::Result;
 use costmodel::{itinv, Cost};
-use dense::Matrix;
+use dense::{MatRef, Matrix};
 use pgrid::redist::{Axis, Filter, Layout};
-use pgrid::{DistMatrix, Grid2D, Grid3D};
+use pgrid::{pooled_zeros, DistMatrix, Grid2D, Grid3D};
 use simnet::{coll, Communicator, CostCounters};
 use std::borrow::Cow;
 
@@ -277,6 +281,8 @@ pub fn it_inv_trsm(
         Some(lf) => Some(diagonal_inverter(lf, n0, cfg.inv_base)?),
         None => None,
     };
+    // L is not read again: a moved copy goes back to the pool now.
+    drop(l_face);
 
     // The inverted diagonal blocks, stacked: rows `g·nb_loc ..` hold
     // L̃(S_g, S_g) restricted to rows ≡ y, cols ≡ x (mod p1).  Held on the
@@ -296,6 +302,8 @@ pub fn it_inv_trsm(
         }
         None => None,
     };
+    // L̃'s panels feed the update steps; a single block has none.
+    let l_tilde_face = l_tilde_face.filter(|_| nblocks > 1);
 
     mark(comm, &mut breakdown.inversion);
 
@@ -303,9 +311,11 @@ pub fn it_inv_trsm(
     // Main loop over diagonal blocks.
     // ------------------------------------------------------------------
     // X rows ≡ y (mod p1) of this rank's slab, filled block by block.
-    let mut x_result = Matrix::zeros(nloc, kw);
-    // Locally accumulated trailing updates (rows ≡ x, slab z).
-    let mut b_update_acc = Matrix::zeros(nloc, kw);
+    let mut x_result = pooled_zeros(comm, nloc, kw);
+    // Locally accumulated trailing updates (rows ≡ x, slab z) of block rows
+    // 1.. (block row 0 is never updated): block row i + 1 is stored at row
+    // i·nb_loc.
+    let mut b_update_acc = pooled_zeros(comm, nloc - nb_loc, kw);
 
     for i in 0..nblocks {
         // --- Solve step ------------------------------------------------
@@ -321,8 +331,8 @@ pub fn it_inv_trsm(
         let diag_flat = coll::bcast(&z_comm, 0, diag_flat, nb_loc * nb_loc)?;
         let diag_piece = Matrix::from_vec(nb_loc, nb_loc, diag_flat)?;
 
-        // (b) multiply with the current right-hand-side block, read in place.
-        let mut x_part = Matrix::zeros(nb_loc, kw);
+        // (b) multiply with the current right-hand-side block, read in
+        //     place, into this block's rows of X.
         let flops = dense::gemm_views(
             1.0,
             diag_piece.as_view(),
@@ -330,19 +340,29 @@ pub fn it_inv_trsm(
             b_rem.view(i * nb_loc, 0, nb_loc, kw),
             false,
             0.0,
-            &mut x_part.as_view_mut(),
+            &mut x_result.view_mut(i * nb_loc, 0, nb_loc, kw),
             None,
         )?;
         comm.charge_flops(flops.get());
+        comm.give_buffer(diag_piece.into_vec());
+        if i + 1 == nblocks {
+            // B's last block is read: its storage can serve the reduction.
+            comm.give_buffer(std::mem::replace(&mut b_rem, Matrix::zeros(0, 0)).into_vec());
+        }
 
-        // (c) sum the partial products over the x axis.
-        let x_block = if p1 == 1 {
-            x_part
-        } else {
-            let reduced = coll::allreduce(&x_comm, x_part.as_slice(), coll::ReduceOp::Sum)?;
-            Matrix::from_vec(nb_loc, kw, reduced)?
-        };
-        x_result.set_block(i * nb_loc, 0, &x_block);
+        // (c) sum the partial products over the x axis.  X is `kw` wide, so
+        //     the block's rows are contiguous.
+        let x_rows = i * nb_loc * kw..(i + 1) * nb_loc * kw;
+        if p1 > 1 {
+            let reduced = coll::allreduce(
+                &x_comm,
+                &x_result.as_slice()[x_rows.clone()],
+                coll::ReduceOp::Sum,
+            )?;
+            x_result.as_mut_slice()[x_rows.clone()].copy_from_slice(&reduced);
+            comm.give_buffer(reduced);
+        }
+        let x_block = x_result.view(i * nb_loc, 0, nb_loc, kw);
 
         mark(comm, &mut breakdown.solve);
 
@@ -350,18 +370,20 @@ pub fn it_inv_trsm(
         if i + 1 < nblocks {
             // (d) broadcast the trailing panel L̃(T_{i+1}, S_i) along z.
             let panel_rows = nloc - (i + 1) * nb_loc;
-            let panel_flat = if z == 0 {
+            let mut panel_flat = Vec::new();
+            if z == 0 {
                 let lf = l_tilde_face
                     .as_ref()
                     .ok_or_else(|| internal_error("it_inv_trsm", "face rank holds no L̃"))?;
-                lf.local()
-                    .block((i + 1) * nb_loc, i * nb_loc, panel_rows, nb_loc)
-                    .into_vec()
-            } else {
-                Vec::new()
-            };
-            let panel_flat = coll::bcast(&z_comm, 0, &panel_flat, panel_rows * nb_loc)?;
-            let panel = Matrix::from_vec(panel_rows, nb_loc, panel_flat)?;
+                let buf = comm.take_buffer(panel_rows * nb_loc);
+                panel_flat = lf
+                    .local()
+                    .block_into((i + 1) * nb_loc, i * nb_loc, panel_rows, nb_loc, buf)
+                    .into_vec();
+            }
+            let panel_bcast = coll::bcast(&z_comm, 0, &panel_flat, panel_rows * nb_loc)?;
+            comm.give_buffer(panel_flat);
+            let panel = Matrix::from_vec(panel_rows, nb_loc, panel_bcast)?;
 
             // (e) accumulate the trailing update directly into the
             //     accumulator block (β = 1), with no intermediate matrix.
@@ -369,31 +391,38 @@ pub fn it_inv_trsm(
                 1.0,
                 panel.as_view(),
                 false,
-                x_block.as_view(),
+                x_block,
                 false,
                 1.0,
-                &mut b_update_acc.view_mut((i + 1) * nb_loc, 0, panel_rows, kw),
+                &mut b_update_acc.view_mut(i * nb_loc, 0, panel_rows, kw),
                 None,
             )?;
             comm.charge_flops(flops.get());
+            comm.give_buffer(panel.into_vec());
 
             // (f) lazily reduce only the next block row over the y axis and
-            //     subtract it from the remaining right-hand side.
-            let next = b_update_acc.block((i + 1) * nb_loc, 0, nb_loc, kw);
-            let next_sum = if p1 == 1 {
-                next
+            //     subtract it from the remaining right-hand side.  The
+            //     accumulator is `kw` wide too, and holds block row i + 1 at
+            //     row i·nb_loc: the same words as X's block i.
+            let next = &b_update_acc.as_slice()[x_rows];
+            let mut b_next = b_rem.view_mut((i + 1) * nb_loc, 0, nb_loc, kw);
+            if p1 == 1 {
+                b_next.axpy(-1.0, MatRef::from_slice(next, nb_loc, kw));
             } else {
-                let reduced = coll::allreduce(&y_comm, next.as_slice(), coll::ReduceOp::Sum)?;
-                Matrix::from_vec(nb_loc, kw, reduced)?
-            };
-            b_rem
-                .view_mut((i + 1) * nb_loc, 0, nb_loc, kw)
-                .axpy(-1.0, next_sum.as_view());
+                let reduced = coll::allreduce(&y_comm, next, coll::ReduceOp::Sum)?;
+                b_next.axpy(-1.0, MatRef::from_slice(&reduced, nb_loc, kw));
+                comm.give_buffer(reduced);
+            }
             comm.charge_flops((nb_loc * kw) as u64);
 
             mark(comm, &mut breakdown.update);
         }
     }
+    // What the loop read goes back to the pool before X moves.
+    for used in std::iter::once(b_update_acc).chain(diag_t_face) {
+        comm.give_buffer(used.into_vec());
+    }
+    drop(l_tilde_face);
 
     // ------------------------------------------------------------------
     // Finalize: return X in the caller's layout.  x_result is replicated
@@ -404,6 +433,7 @@ pub fn it_inv_trsm(
     });
     let x_out =
         DistMatrix::redistributed_from(caller_grid, (n, k), &x_layout, &x_result, Filter::All)?;
+    comm.give_buffer(x_result.into_vec());
     mark(comm, &mut breakdown.finalize);
 
     Ok((x_out, breakdown))

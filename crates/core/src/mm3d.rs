@@ -22,13 +22,17 @@
 //!
 //! The measured per-processor costs therefore reproduce the paper's
 //! `T_MM = β·(n²/p1²·1_{p2} + 2nk/(p1p2)) + γ·n²k/p + O(α·log p + β·nk·log p/p)`.
+//!
+//! The gathered blocks, the partial product and the reduce buffer are
+//! buffers from the machine's pool and go back to it once used.
 
 use crate::error::config_error;
 use crate::Result;
-use dense::Matrix;
+use dense::{MatRef, Matrix};
 use pgrid::redist::{Axis, Filter, Layout};
-use pgrid::DistMatrix;
+use pgrid::{pooled_zeros, DistMatrix};
 use simnet::coll;
+use std::borrow::Cow;
 
 /// Multiply `A (n×n) · X (n×k)` on the grid both operands are distributed
 /// over, using the automatically chosen (cost-optimal feasible) `p1`.
@@ -125,23 +129,18 @@ pub fn mm3d(a: &DistMatrix, x: &DistMatrix, p1: usize) -> Result<DistMatrix> {
 
     // ---- Step 1: allgather the strided block A(i : p1 : n, j : p1 : n). ----
     let a_blk = if p2 == 1 {
-        a.local().clone()
+        Cow::Borrowed(a.local())
     } else {
         let group = grid.subgroup_where(|r, c| r % p1 == i && c % p1 == j)?;
         let gathered = coll::allgather(&group, a.local().as_slice())?;
         let piece_len = (n / q) * (n / q);
-        let mut blk = Matrix::zeros(nb, nb);
+        let mut blk = pooled_zeros(comm, nb, nb);
         for m in 0..p2 {
-            let ui = m / s;
-            let uj = m % s;
-            let piece = Matrix::from_vec(
-                n / q,
-                n / q,
-                gathered[m * piece_len..(m + 1) * piece_len].to_vec(),
-            )?;
-            blk.set_strided_block(ui, s, uj, s, &piece);
+            let piece = &gathered[m * piece_len..(m + 1) * piece_len];
+            blk.set_strided_block(m / s, s, m % s, s, MatRef::from_slice(piece, n / q, n / q));
         }
-        blk
+        comm.give_buffer(gathered);
+        Cow::Owned(blk)
     };
 
     // ---- Step 2: transpose X to the pre-allgather layout. ----
@@ -170,50 +169,56 @@ pub fn mm3d(a: &DistMatrix, x: &DistMatrix, p1: usize) -> Result<DistMatrix> {
     } else {
         let group = grid.subgroup_where(|r, c| c == gy && r / p1 == li)?;
         let gathered = coll::allgather(&group, x_contrib.as_slice())?;
+        comm.give_buffer(x_contrib.into_vec());
+        let mut blk = pooled_zeros(comm, nb, kw);
         let piece_len = contrib_rows * kw;
-        let mut blk = Matrix::zeros(nb, kw);
         for m in 0..p1 {
-            let piece = Matrix::from_vec(
-                contrib_rows,
-                kw,
-                gathered[m * piece_len..(m + 1) * piece_len].to_vec(),
-            )?;
-            blk.set_strided_block(m, p1, 0, 1, &piece);
+            let piece = &gathered[m * piece_len..(m + 1) * piece_len];
+            blk.set_strided_block(m, p1, 0, 1, MatRef::from_slice(piece, contrib_rows, kw));
         }
+        comm.give_buffer(gathered);
         blk
     };
 
     // ---- Step 4: local multiplication of the gathered blocks. ----
-    let mut c_part = Matrix::zeros(nb, kw);
+    let mut c_part = pooled_zeros(comm, nb, kw);
     let flops = dense::gemm(1.0, &a_blk, &x_blk, 0.0, &mut c_part)?;
     comm.charge_flops(flops.get());
+    comm.give_buffer(x_blk.into_vec());
+    if let Cow::Owned(blk) = a_blk {
+        comm.give_buffer(blk.into_vec());
+    }
 
     // ---- Step 5: reduce-scatter the partial results within the p1-group. ----
     let my_chunk = if p1 == 1 {
         c_part
     } else {
         // Reorder rows so member j' owns the contiguous chunk of rows rb ≡ j'.
-        let mut buffer = Vec::with_capacity(nb * kw);
+        let mut buffer = comm.take_buffer(nb * kw);
         for owner in 0..p1 {
             for t in 0..contrib_rows {
                 buffer.extend_from_slice(c_part.row(owner + t * p1));
             }
         }
+        comm.give_buffer(c_part.into_vec());
         let group = grid.subgroup_where(|r, c| r == gx && c / p1 == lj)?;
         let reduced = coll::reduce_scatter(&group, &buffer, coll::ReduceOp::Sum)?;
+        comm.give_buffer(buffer);
         Matrix::from_vec(contrib_rows, kw, reduced)?
     };
 
     // ---- Step 6: transpose the result back to the cyclic layout of B. ----
     // My chunk holds B rows a = i + p1·(j + t·p1) for t in 0..contrib_rows
     // (or all of rows ≡ i when p1 = 1), columns of slab l.
-    Ok(DistMatrix::redistributed_from(
+    let b = DistMatrix::redistributed_from(
         grid,
         (n, k),
         &strided_layout(|low, high| (low, high)),
         &my_chunk,
         Filter::All,
-    )?)
+    )?;
+    comm.give_buffer(my_chunk.into_vec());
+    Ok(b)
 }
 
 #[cfg(test)]

@@ -109,7 +109,7 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Di
                     continue;
                 }
                 let block = Matrix::from_vec(lr, src_cols, piece)?;
-                rep.set_strided_block(0, 1, m, q, &block);
+                rep.set_strided_block(0, 1, m, q, block.as_view());
             }
             rep
         };
@@ -129,7 +129,7 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Di
         // local pieces coincide with the existing ones.
         let b_sub = DistMatrix::from_local(&sub_grid, n, k / q, b.local().clone())?;
         let x_sub = rec_trsm_inner(&l_sub, &b_sub, base_size)?;
-        return DistMatrix::from_local(grid, n, k, x_sub.local().clone()).map_err(Into::into);
+        return DistMatrix::from_local(grid, n, k, x_sub.into_local()).map_err(Into::into);
     }
 
     // --- Base case. -------------------------------------------------------

@@ -64,10 +64,15 @@ fn tri_inv_inner(l: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
         // Keep only the lower triangle so the returned inverse has a clean
         // zero upper part regardless of what the storage held there (the
         // recursive path below drops those entries too).
-        let mut full = l.try_to_global()?.lower_triangular_part();
+        let mut full = l.try_to_global()?;
+        for i in 0..n {
+            full.row_mut(i)[i + 1..].fill(0.0);
+        }
         let flops = dense::tri_invert_in_place(Triangle::Lower, &mut full.as_view_mut())?;
         grid.comm().charge_flops(flops.get());
-        return Ok(DistMatrix::from_global(grid, &full));
+        let inverse = DistMatrix::from_global(grid, &full);
+        grid.comm().give_buffer(full.into_vec());
+        return Ok(inverse);
     }
 
     let h = n / 2;
@@ -105,12 +110,14 @@ fn tri_inv_inner(l: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
     let (on_a, on_b) = (child_layout(0), child_layout(qh));
     let recv_a = l11.redistribute_to(&on_a, Filter::Lower)?;
     let recv_b = l22.redistribute_to(&on_b, Filter::Lower)?;
+    // The halves are copies: back to the pool before the children recurse.
+    drop((l11, l22));
 
     // Each child inverts its block concurrently on its own grid.
     let invert_on = |sub: &Communicator, piece: Matrix| -> Result<Matrix> {
         let child_grid = Grid2D::new(sub, qh, qh)?;
         let child_l = DistMatrix::from_local(&child_grid, h, h, piece)?;
-        Ok(tri_inv_inner(&child_l, base_size)?.local().clone())
+        Ok(tri_inv_inner(&child_l, base_size)?.into_local())
     };
     let nothing = || Matrix::zeros(0, 0);
     let (piece_a, piece_b) = if let Ok(sub) = &child_a_comm {
@@ -127,6 +134,8 @@ fn tri_inv_inner(l: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
     };
     let inv11 = to_parent(&piece_a, &on_a)?;
     let inv22 = to_parent(&piece_b, &on_b)?;
+    comm.give_buffer(piece_a.into_vec());
+    comm.give_buffer(piece_b.into_vec());
 
     // Off-diagonal block: inv21 = −inv22 · L21 · inv11, as two multiplications
     // on the full grid.

@@ -206,13 +206,29 @@ impl Matrix {
 
     /// Extract the contiguous block `A[r0 .. r0+nr, c0 .. c0+nc]`.
     pub fn block(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> Matrix {
+        self.block_into(r0, c0, nr, nc, Vec::with_capacity(nr * nc))
+    }
+
+    /// [`Matrix::block`], stored in `buf` (cleared first) instead of fresh
+    /// memory: a caller that recycles buffers passes one in.
+    pub fn block_into(
+        &self,
+        r0: usize,
+        c0: usize,
+        nr: usize,
+        nc: usize,
+        mut buf: Vec<f64>,
+    ) -> Matrix {
         debug_assert!(r0 + nr <= self.rows && c0 + nc <= self.cols);
-        let mut out = Matrix::zeros(nr, nc);
-        for i in 0..nr {
-            let src = &self.data[(r0 + i) * self.cols + c0..(r0 + i) * self.cols + c0 + nc];
-            out.row_mut(i).copy_from_slice(src);
+        buf.clear();
+        for i in r0..r0 + nr {
+            buf.extend_from_slice(&self.row(i)[c0..c0 + nc]);
         }
-        out
+        Matrix {
+            rows: nr,
+            cols: nc,
+            data: buf,
+        }
     }
 
     /// Overwrite the contiguous block starting at `(r0, c0)` with `b`.
@@ -233,33 +249,50 @@ impl Matrix {
         assert!(sr > 0 && sc > 0, "strides must be positive");
         let nr = self.rows.saturating_sub(r0).div_ceil(sr);
         let nc = self.cols.saturating_sub(c0).div_ceil(sc);
-        let mut data = Vec::with_capacity(nr * nc);
+        self.strided_block_into(r0, sr, c0, sc, Vec::with_capacity(nr * nc))
+    }
+
+    /// [`Matrix::strided_block`], stored in `buf` (cleared first) instead of
+    /// fresh memory: a caller that recycles buffers passes one in.
+    pub fn strided_block_into(
+        &self,
+        r0: usize,
+        sr: usize,
+        c0: usize,
+        sc: usize,
+        mut buf: Vec<f64>,
+    ) -> Matrix {
+        assert!(sr > 0 && sc > 0, "strides must be positive");
+        let nr = self.rows.saturating_sub(r0).div_ceil(sr);
+        let nc = self.cols.saturating_sub(c0).div_ceil(sc);
+        buf.clear();
         if nc > 0 {
             for i in (r0..self.rows).step_by(sr) {
-                data.extend(self.row(i)[c0..].iter().step_by(sc));
+                buf.extend(self.row(i)[c0..].iter().step_by(sc));
             }
         }
         Matrix {
             rows: nr,
             cols: nc,
-            data,
+            data: buf,
         }
     }
 
     /// Scatter `b` back into the strided positions `(r0 : sr, c0 : sc)`.
     /// Inverse of [`Matrix::strided_block`].
-    pub fn set_strided_block(&mut self, r0: usize, sr: usize, c0: usize, sc: usize, b: &Matrix) {
+    pub fn set_strided_block(&mut self, r0: usize, sr: usize, c0: usize, sc: usize, b: MatRef<'_>) {
         assert!(sr > 0 && sc > 0, "strides must be positive");
-        if b.is_empty() {
+        let (rows, cols) = b.dims();
+        if rows == 0 || cols == 0 {
             return;
         }
         assert!(
-            r0 + (b.rows - 1) * sr < self.rows && c0 + (b.cols - 1) * sc < self.cols,
+            r0 + (rows - 1) * sr < self.rows && c0 + (cols - 1) * sc < self.cols,
             "set_strided_block: block does not fit"
         );
-        for (i, src) in b.data.chunks_exact(b.cols).enumerate() {
+        for i in 0..rows {
             let dst = self.row_mut(r0 + i * sr)[c0..].iter_mut().step_by(sc);
-            for (d, s) in dst.zip(src) {
+            for (d, s) in dst.zip(b.row(i)) {
                 *d = *s;
             }
         }
@@ -1088,10 +1121,21 @@ mod tests {
         for r0 in 0..2 {
             for c0 in 0..4 {
                 let b = m.strided_block(r0, 2, c0, 4);
-                rebuilt.set_strided_block(r0, 2, c0, 4, &b);
+                rebuilt.set_strided_block(r0, 2, c0, 4, b.as_view());
             }
         }
         assert_eq!(rebuilt, m);
+    }
+
+    #[test]
+    fn extracting_into_a_used_buffer_ignores_its_contents() {
+        let m = Matrix::from_fn(7, 5, |i, j| (i * 5 + j) as f64 - 3.5);
+        let used = || vec![f64::NAN; 40];
+        assert_eq!(m.block_into(2, 1, 4, 3, used()), m.block(2, 1, 4, 3));
+        assert_eq!(
+            m.strided_block_into(1, 3, 0, 2, used()),
+            m.strided_block(1, 3, 0, 2)
+        );
     }
 
     #[test]

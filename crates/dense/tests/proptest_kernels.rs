@@ -348,7 +348,7 @@ proptest! {
             for c0 in 0..pc.min(m.cols()) {
                 let b = m.strided_block(r0, pr, c0, pc);
                 count += b.len();
-                rebuilt.set_strided_block(r0, pr, c0, pc, &b);
+                rebuilt.set_strided_block(r0, pr, c0, pc, b.as_view());
             }
         }
         prop_assert_eq!(count, m.len());
@@ -368,7 +368,7 @@ fn strided_block_past_the_edge_is_empty() {
     assert_eq!(m.strided_block(0, 1, 12, 1).dims(), (5, 0));
     assert_eq!(m.strided_block(5, 1, 7, 1).dims(), (0, 0));
     let mut copy = m.clone();
-    copy.set_strided_block(9, 2, 1, 3, &m.strided_block(9, 2, 1, 3));
-    copy.set_strided_block(1, 2, 7, 3, &m.strided_block(1, 2, 7, 3));
+    copy.set_strided_block(9, 2, 1, 3, m.strided_block(9, 2, 1, 3).as_view());
+    copy.set_strided_block(1, 2, 7, 3, m.strided_block(1, 2, 7, 3).as_view());
     assert_eq!(copy, m);
 }

@@ -11,6 +11,11 @@
 //! grid dimension) is again cyclically distributed over the *same* grid, and
 //! its local storage is a contiguous block of the local matrix, so
 //! [`DistMatrix::subview`] needs no communication.
+//!
+//! A `DistMatrix` stores its local piece in a buffer from the machine's pool
+//! wherever it builds one itself, and hands the piece back to the pool when
+//! it is dropped, so the matrices a distributed solve creates and discards
+//! reuse resident memory, within one run and across runs.
 
 use crate::error::GridError;
 use crate::grid::Grid2D;
@@ -32,6 +37,9 @@ pub fn cyclic_local_count(global: usize, procs: usize, coord: usize) -> usize {
 }
 
 /// A dense matrix distributed cyclically over a [`Grid2D`].
+///
+/// Dropping it gives its local storage back to the machine's buffer pool
+/// ([`simnet::Communicator::give_buffer`]).
 pub struct DistMatrix {
     grid: Grid2D,
     rows: usize,
@@ -83,6 +91,13 @@ impl Clone for DistMatrix {
     }
 }
 
+impl Drop for DistMatrix {
+    fn drop(&mut self) {
+        let local = std::mem::replace(&mut self.local, Matrix::zeros(0, 0));
+        self.grid.comm().give_buffer(local.into_vec());
+    }
+}
+
 impl DistMatrix {
     /// Internal constructor: wraps a local piece with fresh caches.
     fn wrap(grid: Grid2D, rows: usize, cols: usize, local: Matrix) -> DistMatrix {
@@ -102,7 +117,8 @@ impl DistMatrix {
     pub fn zeros(grid: &Grid2D, rows: usize, cols: usize) -> Self {
         let lr = cyclic_local_count(rows, grid.rows(), grid.my_row());
         let lc = cyclic_local_count(cols, grid.cols(), grid.my_col());
-        DistMatrix::wrap(grid.clone(), rows, cols, Matrix::zeros(lr, lc))
+        let local = crate::pooled_zeros(grid.comm(), lr, lc);
+        DistMatrix::wrap(grid.clone(), rows, cols, local)
     }
 
     /// Create a distributed matrix from a generating function of the global
@@ -126,8 +142,11 @@ impl DistMatrix {
     /// piece locally (no communication).  All ranks must pass the same matrix.
     pub fn from_global(grid: &Grid2D, global: &Matrix) -> Self {
         let (x, y) = grid.my_coords();
-        let local = global.strided_block(x, grid.rows(), y, grid.cols());
-        DistMatrix::wrap(grid.clone(), global.rows(), global.cols(), local)
+        let (pr, pc) = (grid.rows(), grid.cols());
+        let (rows, cols) = global.dims();
+        let len = cyclic_local_count(rows, pr, x) * cyclic_local_count(cols, pc, y);
+        let local = global.strided_block_into(x, pr, y, pc, grid.comm().take_buffer(len));
+        DistMatrix::wrap(grid.clone(), rows, cols, local)
     }
 
     /// Wrap an existing local piece (must already have the correct local
@@ -201,6 +220,12 @@ impl DistMatrix {
     /// This rank's local piece.
     pub fn local(&self) -> &Matrix {
         &self.local
+    }
+
+    /// This rank's local piece, taken out of the matrix (which then gives
+    /// nothing back to the pool when dropped).
+    pub fn into_local(mut self) -> Matrix {
+        std::mem::replace(&mut self.local, Matrix::zeros(0, 0))
     }
 
     /// Mutable access to this rank's local piece.
@@ -330,8 +355,9 @@ impl DistMatrix {
     /// errors (fault-injected timeouts, rank failures) as typed errors.
     pub fn try_to_global(&self) -> Result<Matrix> {
         let _span = obs::span_with("pgrid", "to_global", "rows", self.rows as u64);
-        let pieces = coll::allgatherv(self.grid.comm(), self.local.as_slice())?;
-        let mut out = Matrix::zeros(self.rows, self.cols);
+        let comm = self.grid.comm();
+        let pieces = coll::allgatherv(comm, self.local.as_slice())?;
+        let mut out = crate::pooled_zeros(comm, self.rows, self.cols);
         for (rank, piece) in pieces.into_iter().enumerate() {
             let (x, y) = self.grid.coords_of(rank);
             let lr = cyclic_local_count(self.rows, self.grid.rows(), x);
@@ -343,7 +369,8 @@ impl DistMatrix {
                 op: "to_global",
                 reason: e.to_string(),
             })?;
-            out.set_strided_block(x, self.grid.rows(), y, self.grid.cols(), &block);
+            out.set_strided_block(x, self.grid.rows(), y, self.grid.cols(), block.as_view());
+            comm.give_buffer(block.into_vec());
         }
         Ok(out)
     }
@@ -385,7 +412,8 @@ impl DistMatrix {
         let lc0 = c0 / pc;
         let lr = cyclic_local_count(nr, pr, x);
         let lc = cyclic_local_count(nc, pc, y);
-        let local = self.local.block(lr0, lc0, lr, lc);
+        let buf = self.grid.comm().take_buffer(lr * lc);
+        let local = self.local.block_into(lr0, lc0, lr, lc, buf);
         Ok(DistMatrix::wrap(self.grid.clone(), nr, nc, local))
     }
 

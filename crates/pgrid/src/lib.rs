@@ -17,6 +17,11 @@
 //!   Bruck all-to-all-v of the values is all that crosses the wire — the
 //!   primitive the paper charges as "an all-to-all" for its layout
 //!   transposes and redistributions.
+//!
+//! Redistribution buffers and the local matrices they produce are stored in
+//! buffers from the machine's pool ([`simnet::Communicator::take_buffer`]);
+//! a caller done with a transient local matrix hands its storage back with
+//! `comm.give_buffer(matrix.into_vec())`.
 
 pub mod distmat;
 pub mod error;
@@ -27,5 +32,16 @@ pub use distmat::DistMatrix;
 pub use error::GridError;
 pub use grid::{Grid2D, Grid3D};
 
+use dense::Matrix;
+use simnet::Communicator;
+
 /// Result alias for grid operations.
 pub type Result<T> = std::result::Result<T, GridError>;
+
+/// A `rows × cols` zero matrix stored in a buffer from `comm`'s machine
+/// pool.
+pub fn pooled_zeros(comm: &Communicator, rows: usize, cols: usize) -> Matrix {
+    let mut buf = comm.take_buffer(rows * cols);
+    buf.resize(rows * cols, 0.0);
+    Matrix::from_vec(rows, cols, buf).expect("the buffer holds rows × cols values")
+}

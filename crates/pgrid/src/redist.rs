@@ -26,6 +26,12 @@
 //! redistribution between two layouts that place every entry identically
 //! ([`Layout::same_placement`]) — decided from the two layouts alone, so
 //! every rank decides alike — sends nothing.
+//!
+//! Every buffer a redistribution makes comes from the machine's pool: the
+//! per-destination buffers are sized exactly (one counting walk over the
+//! runs, then one filling walk), the buffers received go back once
+//! unpacked, and [`redistribute`]'s destination matrix is pooled storage a
+//! caller done with it may give back.
 
 use crate::distmat::DistMatrix;
 use crate::error::GridError;
@@ -272,27 +278,46 @@ fn column_groups(mine: &Axis, class: usize, other: &Axis) -> Vec<ColumnGroup> {
     groups
 }
 
+/// What [`pack`] does with one run of a row it sends: `f(destination, local
+/// row, local columns)`.
+type RunSink<'a> = dyn FnMut(usize, &[f64], &[usize]) + 'a;
+
 /// Gather this rank's share of `from` into one value buffer per destination,
 /// each in global row-major order of the entries it carries.
-fn pack(src: &Layout, dst: &Layout, from: &Matrix, filter: Filter, me: usize) -> Vec<Vec<f64>> {
+fn pack(
+    comm: &Communicator,
+    src: &Layout,
+    dst: &Layout,
+    from: &Matrix,
+    filter: Filter,
+) -> Vec<Vec<f64>> {
     let mut out = vec![Vec::new(); dst.piece_of.len()];
-    let Some((rc, cc)) = src.sending_piece(me) else {
+    let Some((rc, cc)) = src.sending_piece(comm.rank()) else {
         return out;
     };
     let groups = column_groups(&src.cols, cc, &dst.cols);
-    for i in src.rows.members(rc) {
-        let row = from.row(src.rows.local[i]);
-        let range = filter.cols(i, src.cols.len());
-        for (dst_cc, group) in groups.iter().enumerate() {
-            let run = group.within(&range);
-            if run.is_empty() {
-                continue;
-            }
-            for &d in dst.holders(dst.rows.class[i], dst_cc) {
-                out[d].extend(run.iter().map(|&lj| row[lj]));
+    // Every run this rank sends, in the order the buffers carry them.
+    let for_each_run = |f: &mut RunSink| {
+        for i in src.rows.members(rc) {
+            let row = from.row(src.rows.local[i]);
+            let range = filter.cols(i, src.cols.len());
+            for (dst_cc, group) in groups.iter().enumerate() {
+                let run = group.within(&range);
+                if run.is_empty() {
+                    continue;
+                }
+                for &d in dst.holders(dst.rows.class[i], dst_cc) {
+                    f(d, row, run);
+                }
             }
         }
+    };
+    let mut counts = vec![0usize; out.len()];
+    for_each_run(&mut |d, _, run| counts[d] += run.len());
+    for (buf, &count) in out.iter_mut().zip(&counts) {
+        *buf = comm.take_buffer(count);
     }
+    for_each_run(&mut |d, row, run| out[d].extend(run.iter().map(|&lj| row[lj])));
     out
 }
 
@@ -412,17 +437,21 @@ pub fn redistribute_into(
         check_local("destination", into.dims(), dst.local_dims(me))?;
     }
 
-    let outgoing = pack(src, dst, from, filter, me);
+    let outgoing = pack(comm, src, dst, from, filter);
     let incoming = if src.same_placement(dst) {
         outgoing // every value is addressed to this rank
     } else {
         coll::alltoallv_bruck(comm, outgoing)?
     };
-    unpack(src, dst, &incoming, into, filter, me)
+    let unpacked = unpack(src, dst, &incoming, into, filter, me);
+    for buf in incoming {
+        comm.give_buffer(buf);
+    }
+    unpacked
 }
 
-/// [`redistribute_into`] a fresh zero matrix of the destination's local
-/// shape: the entries outside `filter` are zero.
+/// [`redistribute_into`] a zero matrix of the destination's local shape,
+/// stored in a pooled buffer: the entries outside `filter` are zero.
 pub fn redistribute(
     comm: &Communicator,
     src: &Layout,
@@ -432,7 +461,7 @@ pub fn redistribute(
 ) -> Result<Matrix> {
     check_layouts(comm.size(), src, dst)?;
     let (rows, cols) = dst.local_dims(comm.rank());
-    let mut into = Matrix::zeros(rows, cols);
+    let mut into = crate::pooled_zeros(comm, rows, cols);
     redistribute_into(comm, src, from, dst, &mut into, filter)?;
     Ok(into)
 }

@@ -18,10 +18,18 @@
 //! for power-of-two communicator sizes and divisible vector lengths, which is
 //! what the paper assumes; other sizes fall back to correct but slightly more
 //! expensive schedules).
+//!
+//! Every message a collective receives goes back to the machine's pool once
+//! its values are copied or folded out ([`Communicator::give_buffer`]).  The
+//! collectives a distributed solve runs (the allgathers, scatter, the
+//! reductions, bcast and `alltoallv_bruck`) also build their buffers and
+//! results from the pool ([`Communicator::take_buffer`]); a caller done with
+//! such a result may give it back.
 
 use crate::comm::Communicator;
 use crate::error::SimError;
 use crate::Result;
+use std::ops::Range;
 
 /// Reduction operator applied element-wise by the reducing collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,13 +52,16 @@ impl ReduceOp {
         }
     }
 
-    /// Combine `incoming` into `acc`, charging one flop per element to `comm`.
-    fn fold_into(self, comm: &Communicator, acc: &mut [f64], incoming: &[f64]) {
-        debug_assert_eq!(acc.len(), incoming.len());
-        for (a, b) in acc.iter_mut().zip(incoming.iter()) {
-            *a = self.apply(*a, *b);
+    /// Fold this rank's values into a received message,
+    /// `theirs[i] = mine[i] ∘ theirs[i]`, charging one flop per element to
+    /// `comm`.  The operand order is fixed, so the result is the one folding
+    /// the message into `mine` would give, stored in the message's buffer.
+    fn fold(self, comm: &Communicator, mine: &[f64], theirs: &mut [f64]) {
+        debug_assert_eq!(mine.len(), theirs.len());
+        for (a, b) in mine.iter().zip(theirs.iter_mut()) {
+            *b = self.apply(*a, *b);
         }
-        comm.charge_flops(acc.len() as u64);
+        comm.charge_flops(mine.len() as u64);
     }
 }
 
@@ -83,33 +94,49 @@ pub fn allgather(comm: &Communicator, local: &[f64]) -> Result<Vec<f64>> {
     let p = comm.size();
     let rank = comm.rank();
     let blk = local.len();
+    let mut out = comm.take_buffer(p * blk);
     if p == 1 {
-        return Ok(local.to_vec());
+        out.extend_from_slice(local);
+        return Ok(out);
     }
     let tag = comm.next_op_tag();
 
-    // `collection` holds blocks (rank, rank+1, …) mod p, contiguously.
-    let mut collection: Vec<f64> = local.to_vec();
+    // Every block is written where the result keeps it: after each round
+    // this rank holds blocks rank, rank+1, …, rank+cnt−1 (mod p) in place.
+    out.resize(p * blk, 0.0);
+    out[rank * blk..(rank + 1) * blk].copy_from_slice(local);
     let mut cnt = 1usize;
     let mut step = 0u64;
     while cnt < p {
         let need = cnt.min(p - cnt);
         let to = (rank + p - cnt) % p;
         let from = (rank + cnt) % p;
-        comm.send_raw(to, tag + step, &collection[..need * blk])?;
+        let mut payload = comm.take_buffer(need * blk);
+        for run in cyclic_runs(rank, need, blk, p) {
+            payload.extend_from_slice(&out[run]);
+        }
+        comm.send_raw_vec(to, tag + step, payload)?;
+        // `from` sent its first `need` blocks: from, from+1, … (mod p).
         let received = comm.recv_raw(from, tag + step)?;
-        collection.extend_from_slice(&received);
+        let mut rest = &received[..];
+        for run in cyclic_runs(from, need, blk, p) {
+            let (head, tail) = rest.split_at(run.len());
+            out[run].copy_from_slice(head);
+            rest = tail;
+        }
+        comm.give_buffer(received);
         cnt += need;
         step += 1;
     }
-
-    // Un-rotate: position j of the collection is global block (rank + j) % p.
-    let mut out = vec![0.0; p * blk];
-    for j in 0..p {
-        let global = (rank + j) % p;
-        out[global * blk..(global + 1) * blk].copy_from_slice(&collection[j * blk..(j + 1) * blk]);
-    }
     Ok(out)
+}
+
+/// Where blocks `first, first+1, …, first+count−1` (mod `p`) of `p`
+/// consecutive `blk`-word blocks lie: at most two contiguous word ranges,
+/// in block order.
+fn cyclic_runs(first: usize, count: usize, blk: usize, p: usize) -> [Range<usize>; 2] {
+    let head = count.min(p - first);
+    [first * blk..(first + head) * blk, 0..(count - head) * blk]
 }
 
 /// Allgather of variable-sized blocks; returns one vector per rank.
@@ -117,15 +144,24 @@ pub fn allgatherv(comm: &Communicator, local: &[f64]) -> Result<Vec<Vec<f64>>> {
     let p = comm.size();
     // First share the lengths with a fixed-size allgather, then pad to the
     // maximum length so the Bruck exchange stays block-regular.
-    let lens = allgather(comm, &[local.len() as f64])?;
-    let lens: Vec<usize> = lens.iter().map(|&v| v as usize).collect();
+    let shared = allgather(comm, &[local.len() as f64])?;
+    let lens: Vec<usize> = shared.iter().map(|&v| v as usize).collect();
+    comm.give_buffer(shared);
     let max_len = lens.iter().copied().max().unwrap_or(0);
-    let mut padded = local.to_vec();
+    let mut padded = comm.take_buffer(max_len);
+    padded.extend_from_slice(local);
     padded.resize(max_len, 0.0);
     let flat = allgather(comm, &padded)?;
-    Ok((0..p)
-        .map(|r| flat[r * max_len..r * max_len + lens[r]].to_vec())
-        .collect())
+    comm.give_buffer(padded);
+    let out = (0..p)
+        .map(|r| {
+            let mut piece = comm.take_buffer(lens[r]);
+            piece.extend_from_slice(&flat[r * max_len..r * max_len + lens[r]]);
+            piece
+        })
+        .collect();
+    comm.give_buffer(flat);
+    Ok(out)
 }
 
 /// Binomial-tree gather of equal-sized blocks to `root`.
@@ -147,9 +183,9 @@ pub fn gather(comm: &Communicator, root: usize, local: &[f64]) -> Result<Option<
     let tag = comm.next_op_tag();
     let rel = (comm.rank() + p - root) % p;
 
-    // `collection` holds relative blocks [rel, rel + cnt).
+    // `collection` holds relative blocks rel, rel + 1, …: those of this
+    // rank's subtree that have reported so far.
     let mut collection: Vec<f64> = local.to_vec();
-    let mut cnt = 1usize;
     let mut d = 1usize;
     let mut step = 0u64;
     let mut sent = false;
@@ -160,7 +196,7 @@ pub fn gather(comm: &Communicator, root: usize, local: &[f64]) -> Result<Option<
                 let from = (src_rel + root) % p;
                 let received = comm.recv_raw(from, tag + step)?;
                 collection.extend_from_slice(&received);
-                cnt += received.len() / blk.max(1);
+                comm.give_buffer(received);
             }
         } else if !sent {
             // Relative ranks with the low bit of `rel / d` set send their
@@ -173,7 +209,6 @@ pub fn gather(comm: &Communicator, root: usize, local: &[f64]) -> Result<Option<
         d *= 2;
         step += 1;
     }
-    let _ = cnt;
 
     if comm.rank() == root {
         // Root's collection is in relative order; translate to absolute ranks.
@@ -211,26 +246,20 @@ pub fn scatter(comm: &Communicator, root: usize, data: &[f64], block: usize) -> 
         });
     }
     if p == 1 {
-        return Ok(data.to_vec());
+        let mut mine = comm.take_buffer(block);
+        mine.extend_from_slice(data);
+        return Ok(mine);
     }
     let tag = comm.next_op_tag();
     let rel = (comm.rank() + p - root) % p;
 
     // Walk the binomial recursion over relative rank ranges [lo, hi), where
-    // `lo` currently holds the data for the whole range.
+    // `lo` currently holds the data for the whole range: the root reads it
+    // from `data` (relative block j is rank (j + root) mod p's), every other
+    // rank from `held`, the blocks [lo, hi) it was sent.
     let mut lo = 0usize;
     let mut hi = p;
-    // Root starts with all blocks ordered by relative rank.
-    let mut held: Vec<f64> = if comm.rank() == root {
-        let mut v = vec![0.0; p * block];
-        for j in 0..p {
-            let abs = (j + root) % p;
-            v[j * block..(j + 1) * block].copy_from_slice(&data[abs * block..(abs + 1) * block]);
-        }
-        v
-    } else {
-        Vec::new()
-    };
+    let mut held = Vec::new();
     let mut step = 0u64;
     while hi - lo > 1 {
         let half = (hi - lo).div_ceil(2);
@@ -239,8 +268,16 @@ pub fn scatter(comm: &Communicator, root: usize, data: &[f64], block: usize) -> 
             // I am in the lower half; if I am `lo`, send the upper half away.
             if rel == lo {
                 let to = (mid + root) % p;
-                let upper = held.split_off(half * block);
-                comm.send_raw_vec(to, tag + step, upper)?;
+                if rel == 0 {
+                    let mut upper = comm.take_buffer((hi - mid) * block);
+                    for run in cyclic_runs(to, hi - mid, block, p) {
+                        upper.extend_from_slice(&data[run]);
+                    }
+                    comm.send_raw_vec(to, tag + step, upper)?;
+                } else {
+                    comm.send_raw(to, tag + step, &held[half * block..])?;
+                    held.truncate(half * block);
+                }
             }
             hi = mid;
         } else {
@@ -254,6 +291,10 @@ pub fn scatter(comm: &Communicator, root: usize, data: &[f64], block: usize) -> 
         step += 1;
     }
     debug_assert_eq!(lo, rel);
+    if rel == 0 {
+        held = comm.take_buffer(block);
+        held.extend_from_slice(&data[root * block..(root + 1) * block]);
+    }
     held.truncate(block);
     Ok(held)
 }
@@ -274,20 +315,24 @@ pub fn reduce_scatter(comm: &Communicator, data: &[f64], op: ReduceOp) -> Result
     }
     let block = data.len() / p;
     if p == 1 {
-        return Ok(data.to_vec());
+        let mut mine = comm.take_buffer(block);
+        mine.extend_from_slice(data);
+        return Ok(mine);
     }
     if !p.is_power_of_two() {
         // Fallback: binomial reduce to rank 0, then binomial scatter.
-        let reduced = reduce(comm, 0, data, op)?;
-        let root_buf = reduced.unwrap_or_default();
-        return scatter(comm, 0, &root_buf, block);
+        let root_buf = reduce(comm, 0, data, op)?.unwrap_or_default();
+        let mine = scatter(comm, 0, &root_buf, block)?;
+        comm.give_buffer(root_buf);
+        return Ok(mine);
     }
 
     let tag = comm.next_op_tag();
     let rank = comm.rank();
-    // `current` always holds the partially reduced data for the block range
-    // [range_lo, range_hi) that this rank is still responsible for.
-    let mut current: Vec<f64> = data.to_vec();
+    // Before the first round `data` holds every block; after each round the
+    // message just received holds the partially reduced blocks
+    // [range_lo, range_hi) this rank is still responsible for.
+    let mut held: Option<Vec<f64>> = None;
     let mut range_lo = 0usize;
     let mut range_hi = p;
     let mut d = p / 2;
@@ -301,13 +346,17 @@ pub fn reduce_scatter(comm: &Communicator, data: &[f64], op: ReduceOp) -> Result
         } else {
             (mid, range_hi, range_lo, mid)
         };
-        let send_slice = &current[(send_lo - range_lo) * block..(send_hi - range_lo) * block];
-        comm.send_raw(partner, tag + step, send_slice)?;
-        let received = comm.recv_raw(partner, tag + step)?;
-        let mut kept: Vec<f64> =
-            current[(keep_lo - range_lo) * block..(keep_hi - range_lo) * block].to_vec();
-        op.fold_into(comm, &mut kept, &received);
-        current = kept;
+        let (current, base) = match &held {
+            Some(h) => (&h[..], range_lo),
+            None => (data, 0),
+        };
+        let blocks = |lo: usize, hi: usize| (lo - base) * block..(hi - base) * block;
+        comm.send_raw(partner, tag + step, &current[blocks(send_lo, send_hi)])?;
+        let mut received = comm.recv_raw(partner, tag + step)?;
+        op.fold(comm, &current[blocks(keep_lo, keep_hi)], &mut received);
+        if let Some(spent) = held.replace(received) {
+            comm.give_buffer(spent);
+        }
         range_lo = keep_lo;
         range_hi = keep_hi;
         d /= 2;
@@ -315,7 +364,7 @@ pub fn reduce_scatter(comm: &Communicator, data: &[f64], op: ReduceOp) -> Result
     }
     debug_assert_eq!(range_hi - range_lo, 1);
     debug_assert_eq!(range_lo, rank);
-    Ok(current)
+    Ok(held.expect("p ≥ 2 runs at least one round"))
 }
 
 /// Binomial-tree reduction to `root`: returns `Some(reduced vector)` on the
@@ -333,12 +382,13 @@ pub fn reduce(
             size: p,
         });
     }
+    let mut acc = comm.take_buffer(data.len());
+    acc.extend_from_slice(data);
     if p == 1 {
-        return Ok(Some(data.to_vec()));
+        return Ok(Some(acc));
     }
     let tag = comm.next_op_tag();
     let rel = (comm.rank() + p - root) % p;
-    let mut acc = data.to_vec();
     let mut d = 1usize;
     let mut step = 0u64;
     let mut sent = false;
@@ -347,8 +397,9 @@ pub fn reduce(
             let src_rel = rel + d;
             if src_rel < p {
                 let from = (src_rel + root) % p;
-                let received = comm.recv_raw(from, tag + step)?;
-                op.fold_into(comm, &mut acc, &received);
+                let mut received = comm.recv_raw(from, tag + step)?;
+                op.fold(comm, &acc, &mut received);
+                comm.give_buffer(std::mem::replace(&mut acc, received));
             }
         } else if !sent {
             let to = (rel - d + root) % p;
@@ -370,15 +421,26 @@ pub fn reduce(
 /// divisible by `p`.
 pub fn allreduce(comm: &Communicator, data: &[f64], op: ReduceOp) -> Result<Vec<f64>> {
     let p = comm.size();
-    if p == 1 {
-        return Ok(data.to_vec());
-    }
     let len = data.len();
+    if p == 1 {
+        let mut full = comm.take_buffer(len);
+        full.extend_from_slice(data);
+        return Ok(full);
+    }
     let block = len.div_ceil(p);
-    let mut padded = data.to_vec();
-    padded.resize(block * p, identity_of(op));
-    let mine = reduce_scatter(comm, &padded, op)?;
+    let mut padded = Vec::new();
+    let input = if len == block * p {
+        data
+    } else {
+        padded = comm.take_buffer(block * p);
+        padded.extend_from_slice(data);
+        padded.resize(block * p, identity_of(op));
+        &padded
+    };
+    let mine = reduce_scatter(comm, input, op)?;
+    comm.give_buffer(padded);
     let mut full = allgather(comm, &mine)?;
+    comm.give_buffer(mine);
     full.truncate(len);
     Ok(full)
 }
@@ -401,18 +463,24 @@ pub fn bcast(comm: &Communicator, root: usize, data: &[f64], len: usize) -> Resu
         });
     }
     if p == 1 {
-        return Ok(data.to_vec());
+        let mut full = comm.take_buffer(len);
+        full.extend_from_slice(data);
+        return Ok(full);
     }
     let block = len.div_ceil(p);
-    let padded_root: Vec<f64> = if comm.rank() == root {
-        let mut v = data.to_vec();
-        v.resize(block * p, 0.0);
-        v
+    let mut padded = Vec::new();
+    let input = if comm.rank() != root || len == block * p {
+        data
     } else {
-        Vec::new()
+        padded = comm.take_buffer(block * p);
+        padded.extend_from_slice(data);
+        padded.resize(block * p, 0.0);
+        &padded
     };
-    let mine = scatter(comm, root, &padded_root, block)?;
+    let mine = scatter(comm, root, input, block)?;
+    comm.give_buffer(padded);
     let mut full = allgather(comm, &mine)?;
+    comm.give_buffer(mine);
     full.truncate(len);
     Ok(full)
 }
@@ -464,6 +532,7 @@ pub fn alltoall(comm: &Communicator, data: &[f64], block: usize) -> Result<Vec<f
         for (idx, j) in moved.iter().enumerate() {
             slots[*j].copy_from_slice(&received[idx * block..(idx + 1) * block]);
         }
+        comm.give_buffer(received);
         d *= 2;
         step += 1;
     }
@@ -531,13 +600,28 @@ pub fn alltoallv_bruck(comm: &Communicator, blocks: Vec<Vec<f64>>) -> Result<Vec
     let rank = comm.rank();
     let tag = comm.next_op_tag();
 
-    // Items in flight: (final destination, original source, payload).
-    let mut items: Vec<(usize, usize, Vec<f64>)> = blocks
-        .into_iter()
+    // Items in flight name their words in place: the caller's blocks come
+    // first, then each round's received message, and a buffer goes back to
+    // the pool as soon as no item still points into it.
+    let mut bufs = blocks;
+    let mut live: Vec<usize> = bufs.iter().map(|b| usize::from(!b.is_empty())).collect();
+    let mut items: Vec<BruckItem> = bufs
+        .iter()
         .enumerate()
         .filter(|(_, b)| !b.is_empty())
-        .map(|(dest, b)| (dest, rank, b))
+        .map(|(dest, b)| BruckItem {
+            dest,
+            src: rank,
+            buf: dest,
+            words: 0..b.len(),
+        })
         .collect();
+    let release = |bufs: &mut Vec<Vec<f64>>, live: &mut [usize], buf: usize| {
+        live[buf] -= 1;
+        if live[buf] == 0 {
+            comm.give_buffer(std::mem::take(&mut bufs[buf]));
+        }
+    };
 
     let mut d = 1usize;
     let mut step = 0u64;
@@ -547,20 +631,22 @@ pub fn alltoallv_bruck(comm: &Communicator, blocks: Vec<Vec<f64>>) -> Result<Vec
         // Forward every item whose remaining hop distance has bit `d` set.
         let (forward, keep): (Vec<_>, Vec<_>) = items
             .into_iter()
-            .partition(|(dest, _, _)| ((dest + p - rank) % p) & d != 0);
+            .partition(|item| ((item.dest + p - rank) % p) & d != 0);
         // Serialise: [count, (dest, src, len, payload…)*].
-        let words: usize = forward.iter().map(|(_, _, data)| data.len()).sum();
-        let mut payload = Vec::with_capacity(1 + forward.len() * BRUCK_BLOCK_HEADER + words);
+        let words: usize = forward.iter().map(|item| item.words.len()).sum();
+        let mut payload = comm.take_buffer(1 + forward.len() * BRUCK_BLOCK_HEADER + words);
         payload.push(forward.len() as f64);
-        for (dest, src, data) in &forward {
-            payload.push(*dest as f64);
-            payload.push(*src as f64);
-            payload.push(data.len() as f64);
-            payload.extend_from_slice(data);
+        for item in forward {
+            payload.push(item.dest as f64);
+            payload.push(item.src as f64);
+            payload.push(item.words.len() as f64);
+            payload.extend_from_slice(&bufs[item.buf][item.words]);
+            release(&mut bufs, &mut live, item.buf);
         }
         comm.send_raw_vec(to, tag + step, payload)?;
         let received = comm.recv_raw(from, tag + step)?;
         items = keep;
+        let buf = bufs.len();
         let mut cursor = 1usize;
         let count = received.first().copied().unwrap_or(0.0) as usize;
         for _ in 0..count {
@@ -568,20 +654,53 @@ pub fn alltoallv_bruck(comm: &Communicator, blocks: Vec<Vec<f64>>) -> Result<Vec
             let src = received[cursor + 1] as usize;
             let len = received[cursor + 2] as usize;
             cursor += BRUCK_BLOCK_HEADER;
-            let data = received[cursor..cursor + len].to_vec();
+            items.push(BruckItem {
+                dest,
+                src,
+                buf,
+                words: cursor..cursor + len,
+            });
             cursor += len;
-            items.push((dest, src, data));
+        }
+        bufs.push(received);
+        live.push(count);
+        if count == 0 {
+            comm.give_buffer(std::mem::take(&mut bufs[buf]));
         }
         d *= 2;
         step += 1;
     }
 
+    // Every item has arrived: an item that is a whole buffer is handed over
+    // as it is, any other is copied out of the message that carried it.
     let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
-    for (dest, src, data) in items {
-        debug_assert_eq!(dest, rank, "item should have arrived at its destination");
-        out[src] = data;
+    for item in items {
+        debug_assert_eq!(
+            item.dest, rank,
+            "item should have arrived at its destination"
+        );
+        let whole = live[item.buf] == 1 && item.words == (0..bufs[item.buf].len());
+        out[item.src] = if whole {
+            live[item.buf] = 0;
+            std::mem::take(&mut bufs[item.buf])
+        } else {
+            let mut data = comm.take_buffer(item.words.len());
+            data.extend_from_slice(&bufs[item.buf][item.words]);
+            release(&mut bufs, &mut live, item.buf);
+            data
+        };
     }
     Ok(out)
+}
+
+/// A block in flight in [`alltoallv_bruck`]: its final destination, its
+/// original source, and where its words lie — a range of one of the
+/// collective's buffers.
+struct BruckItem {
+    dest: usize,
+    src: usize,
+    buf: usize,
+    words: Range<usize>,
 }
 
 fn identity_of(op: ReduceOp) -> f64 {

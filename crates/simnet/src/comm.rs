@@ -17,6 +17,7 @@ use crate::fault::FaultState;
 use crate::gate::RankGate;
 use crate::message::{Envelope, MatchKey};
 use crate::params::MachineParams;
+use crate::pool::BufferPool;
 use crate::Result;
 use crossbeam::channel::{Receiver, Sender};
 use std::cell::RefCell;
@@ -68,6 +69,8 @@ pub(crate) struct Endpoint {
     /// when rank execution is unbounded).  A rank releases its slot while
     /// blocked in a receive and takes it back before resuming computation.
     pub gate: Option<Arc<RankGate>>,
+    /// The machine's buffer pool, shared by every rank.
+    pub pool: Arc<BufferPool>,
 }
 
 impl Endpoint {
@@ -450,6 +453,7 @@ impl Endpoint {
                 None => false,
             };
             if duplicate {
+                self.pool.give(env.data);
                 continue;
             }
             self.pending
@@ -536,33 +540,58 @@ impl Communicator {
     /// Send `data` to local rank `dest` with a user tag.
     ///
     /// The sender is charged `α + β·len(data)`; the message carries the
-    /// sender's clock so the receiver's clock catches up on receipt.
+    /// sender's clock so the receiver's clock catches up on receipt.  The
+    /// payload is copied into a buffer from the machine's pool
+    /// ([`Communicator::take_buffer`]); the receiver may hand it back with
+    /// [`Communicator::give_buffer`] once it is done with it.
     pub fn send(&self, dest: usize, tag: u64, data: &[f64]) -> Result<()> {
-        self.send_vec(dest, tag, data.to_vec())
+        self.check_rank(dest)?;
+        self.send_raw(dest, user_tag(tag), data)
     }
 
     /// Receive a message with a user tag from local rank `src` (blocking).
     pub fn recv(&self, src: usize, tag: u64) -> Result<Vec<f64>> {
-        if src >= self.size() {
-            return Err(SimError::InvalidRank {
-                rank: src,
-                size: self.size(),
-            });
-        }
+        self.check_rank(src)?;
         self.recv_raw(src, user_tag(tag))
     }
 
     /// [`Communicator::send`] for a payload the caller already owns: the
-    /// buffer is moved into the message instead of copied.  Charges, virtual
-    /// time and fault injection are exactly those of `send`.
+    /// buffer is moved into the message, not copied, and no pooled buffer
+    /// is taken.  Charges, virtual time and fault injection are exactly
+    /// those of `send`.
     pub fn send_vec(&self, dest: usize, tag: u64, data: Vec<f64>) -> Result<()> {
-        if dest >= self.size() {
+        self.check_rank(dest)?;
+        self.send_raw_vec(dest, user_tag(tag), data)
+    }
+
+    fn check_rank(&self, rank: usize) -> Result<()> {
+        if rank >= self.size() {
             return Err(SimError::InvalidRank {
-                rank: dest,
+                rank,
                 size: self.size(),
             });
         }
-        self.send_raw_vec(dest, user_tag(tag), data)
+        Ok(())
+    }
+
+    /// An empty buffer with capacity for at least `len` values, from the
+    /// machine's buffer pool: a recycled one if the pool holds one no more
+    /// than twice that size, otherwise a fresh allocation.  It is always
+    /// empty, so nothing a previous user wrote can be read from it.
+    pub fn take_buffer(&self, len: usize) -> Vec<f64> {
+        self.endpoint.borrow().pool.take(len)
+    }
+
+    /// Hand a buffer this rank no longer needs to the machine's pool, for a
+    /// later [`Communicator::take_buffer`] on any rank, in this run or the
+    /// next.  Any `Vec<f64>` may be given back; the pool frees it instead if
+    /// it never handed out a buffer of that capacity, or already holds as
+    /// many of them as were ever out at once.  Never panics, so `Drop`
+    /// implementations may call it.
+    pub fn give_buffer(&self, buf: Vec<f64>) {
+        if let Ok(endpoint) = self.endpoint.try_borrow() {
+            endpoint.pool.give(buf);
+        }
     }
 
     /// Combined exchange with a partner: send `data` to `partner` and receive
@@ -572,16 +601,20 @@ impl Communicator {
         self.recv(partner, tag)
     }
 
-    /// Internal send used by the collectives (separate tag namespace).
+    /// Internal send used by the collectives (separate tag namespace); like
+    /// [`Communicator::send`] it copies `data` into a pooled buffer.
     ///
     /// The channel is unbounded, so a send never blocks; it can still fail
     /// with a typed error when a fault plan injects a permanent fault
     /// (crashed rank, exhausted retry budget) on this endpoint.
     pub(crate) fn send_raw(&self, dest: usize, tag: u64, data: &[f64]) -> Result<()> {
-        self.send_raw_vec(dest, tag, data.to_vec())
+        let mut buf = self.take_buffer(data.len());
+        buf.extend_from_slice(data);
+        self.send_raw_vec(dest, tag, buf)
     }
 
-    /// [`Communicator::send_raw`] moving an owned payload into the message.
+    /// [`Communicator::send_raw`] moving an owned payload into the message,
+    /// like [`Communicator::send_vec`].
     pub(crate) fn send_raw_vec(&self, dest: usize, tag: u64, data: Vec<f64>) -> Result<()> {
         let world_dest = self.members[dest];
         self.endpoint

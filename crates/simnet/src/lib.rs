@@ -33,6 +33,10 @@
 //!   attached via [`machine::Machine::with_fault_plan`] can drop, delay,
 //!   duplicate and reorder messages and stall or crash ranks, with every
 //!   fault drawn from a per-rank PRNG so runs are exactly reproducible.
+//! * the machine's buffer pool — [`Communicator::take_buffer`] /
+//!   [`Communicator::give_buffer`] recycle payloads and temporaries across
+//!   ranks and runs ([`machine::Machine::pool_stats`]); a buffer is always
+//!   handed out empty, so recycling never changes a result.
 //!
 //! ## Timing model
 //!
@@ -97,6 +101,7 @@ mod gate;
 pub mod machine;
 pub mod message;
 pub mod params;
+mod pool;
 
 pub use comm::Communicator;
 pub use cost::{CostCounters, CostReport};
@@ -104,6 +109,7 @@ pub use error::SimError;
 pub use fault::{CrashPoint, FaultInjector, FaultPlan, SendFaults};
 pub use machine::{Machine, RunOutput};
 pub use params::MachineParams;
+pub use pool::PoolStats;
 
 /// Result alias for simulator operations.
 pub type Result<T> = std::result::Result<T, SimError>;

@@ -8,6 +8,7 @@ use crate::fault::{FaultInjector, FaultPlan, FaultState};
 use crate::gate::RankGate;
 use crate::message::Envelope;
 use crate::params::MachineParams;
+use crate::pool::{BufferPool, PoolStats};
 use crate::Result;
 use crossbeam::channel::unbounded;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -33,12 +34,21 @@ use std::sync::Arc;
 /// A machine can optionally carry a [`FaultPlan`]
 /// ([`Machine::with_fault_plan`]): every run then injects the plan's
 /// deterministic fault schedule into the transport.
+///
+/// A machine owns one buffer pool, shared by all its ranks and by its
+/// clones, that outlives each run: message payloads, collective temporaries
+/// and whatever else ranks hand back through
+/// [`Communicator::give_buffer`] are reused by later takes, in this run or
+/// the next, instead of being freed with the rank thread and faulted in
+/// again ([`Machine::pool_stats`]; the retention rule is in the crate
+/// README).
 #[derive(Debug, Clone)]
 pub struct Machine {
     procs: usize,
     params: MachineParams,
     faults: Option<FaultPlan>,
     rank_workers: Option<usize>,
+    pool: Arc<BufferPool>,
 }
 
 /// The outcome of a machine run: one result per rank plus the cost report.
@@ -58,6 +68,7 @@ impl Machine {
             params,
             faults: None,
             rank_workers: None,
+            pool: Arc::default(),
         }
     }
 
@@ -98,6 +109,12 @@ impl Machine {
     /// The machine parameters.
     pub fn params(&self) -> MachineParams {
         self.params
+    }
+
+    /// What the buffer pool has done since the machine was created: takes
+    /// served from it, takes that allocated, and the words it holds now.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.stats()
     }
 
     /// Run an SPMD closure on every processor and collect results and costs.
@@ -177,6 +194,7 @@ impl Machine {
                             .map(|plan| FaultState::new(FaultInjector::new(plan, rank))),
                         inflight_until: 0.0,
                         gate: gate.clone(),
+                        pool: Arc::clone(&self.pool),
                     };
                     let comm = Communicator::world(endpoint);
                     let result = catch_unwind(AssertUnwindSafe(|| {
@@ -224,6 +242,7 @@ impl Machine {
                 }
             }
         });
+        self.pool.end_run();
 
         if let Some(&rank) = panicked.first() {
             return Err(SimError::RankPanicked { rank });

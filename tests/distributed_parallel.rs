@@ -14,12 +14,16 @@
 //! * **overlap + trace acceptance** — with `MachineParams::with_overlap`
 //!   a recursive-TRSM solve hides compute under posted sends (a nonzero
 //!   overlap counter), rank spans land on distinct wall lanes in the obs
-//!   trace, and the answer still matches the single-worker run bitwise.
+//!   trace, and the answer still matches the single-worker run bitwise;
+//! * **warm runs** — a machine's buffer pool outlives its runs, and a run
+//!   served from recycled buffers returns the bits, per-rank counters and
+//!   virtual time of a run on a fresh machine, also after a run in which a
+//!   rank panicked and under a transient fault plan.
 
 use catrsm::{Algorithm, ItInvConfig, TrsmError};
 use catrsm_suite::obs;
 use catrsm_suite::prelude::*;
-use simnet::{FaultPlan, SimError};
+use simnet::{Communicator, FaultPlan, RunOutput, SimError};
 
 const N: usize = 32;
 const K: usize = 8;
@@ -77,38 +81,30 @@ fn rank_worker_count_is_bitwise_invisible_for_every_algorithm() {
     for alg in algorithms() {
         let base = Machine::new(4, params)
             .with_rank_workers(1)
-            .run(run_one(alg))
+            .run(solve_bits(alg, 2, N, K))
             .expect("serial-gate run");
         for workers in [2usize, 4] {
             let out = Machine::new(4, params)
                 .with_rank_workers(workers)
-                .run(run_one(alg))
+                .run(solve_bits(alg, 2, N, K))
                 .expect("parallel-gate run");
-            assert_eq!(
-                base.results, out.results,
-                "{alg:?}: solution bits changed at {workers} rank workers"
-            );
-            assert_eq!(
-                base.report.per_rank, out.report.per_rank,
-                "{alg:?}: per-rank counters changed at {workers} rank workers"
-            );
-            assert_eq!(
-                base.report.virtual_time(),
-                out.report.virtual_time(),
-                "{alg:?}: virtual time changed at {workers} rank workers"
-            );
+            assert_same_run(&format!("{alg:?} at {workers} rank workers"), &base, &out);
         }
     }
 }
 
-/// One solve closure for the determinism matrix (returns the global
-/// solution's bit pattern).
-fn run_one(alg: Algorithm) -> impl Fn(&simnet::Communicator) -> Vec<u64> + Send + Sync + Clone {
+/// One `n × n`, `k`-column solve on a `q × q` grid: the bits of the global
+/// solution.
+fn solve_bits(
+    alg: Algorithm,
+    q: usize,
+    n: usize,
+    k: usize,
+) -> impl Fn(&Communicator) -> Vec<u64> + Send + Sync {
     move |comm| {
-        let grid = Grid2D::new(comm, 2, 2).unwrap();
-        let l_g = gen::well_conditioned_lower(N, 17);
-        let x_g = gen::rhs(N, K, 18);
-        let b_g = dense::matmul(&l_g, &x_g);
+        let grid = Grid2D::new(comm, q, q).unwrap();
+        let l_g = gen::well_conditioned_lower(n, 17);
+        let b_g = dense::matmul(&l_g, &gen::rhs(n, k, 18));
         let l = DistMatrix::from_global(&grid, &l_g);
         let b = DistMatrix::from_global(&grid, &b_g);
         let sol = SolveRequest::lower()
@@ -122,6 +118,21 @@ fn run_one(alg: Algorithm) -> impl Fn(&simnet::Communicator) -> Vec<u64> + Send 
             .map(|v| v.to_bits())
             .collect()
     }
+}
+
+/// Two runs agree in every solution bit, every per-rank counter and the
+/// virtual finish time.
+fn assert_same_run(what: &str, a: &RunOutput<Vec<u64>>, b: &RunOutput<Vec<u64>>) {
+    assert_eq!(a.results, b.results, "{what}: solution bits differ");
+    assert_eq!(
+        a.report.per_rank, b.report.per_rank,
+        "{what}: per-rank counters differ"
+    );
+    assert_eq!(
+        a.report.virtual_time(),
+        b.report.virtual_time(),
+        "{what}: virtual time differs"
+    );
 }
 
 /// Eight transient fault plans — every class plus combinations — for the
@@ -315,4 +326,103 @@ fn overlap_and_distinct_lanes_with_parallel_rank_workers() {
             "rank {rank}: worker count changed overlap-mode bits"
         );
     }
+}
+
+/// The 16-rank cases a warm run must reproduce: It-Inv on the benchmark's
+/// two grid shapes (the `dist_cube` 2×2×4 cuboid with one block and with
+/// four, and the `dist_few_rhs` 4×4 face) at small n, and the two baselines.
+fn warm_cases() -> Vec<(Algorithm, usize, usize)> {
+    let it_inv = |p1, p2, n0| {
+        Algorithm::IterativeInversion(ItInvConfig {
+            p1,
+            p2,
+            n0,
+            inv_base: 8,
+        })
+    };
+    vec![
+        (it_inv(2, 4, 64), 64, 64),
+        (it_inv(2, 4, 16), 64, 16),
+        (it_inv(4, 1, 32), 128, 8),
+        (Algorithm::Recursive { base_size: 16 }, 64, 16),
+        (Algorithm::Wavefront, 32, 8),
+    ]
+}
+
+/// Satellite: a run served from the buffers an earlier run gave back is
+/// bit-transparent.  The second solve on one machine takes recycled
+/// buffers; it must match a solve on a fresh machine in every bit, every
+/// per-rank counter and the virtual finish time.
+#[test]
+fn a_warm_run_reuses_buffers_and_matches_a_fresh_machine_bitwise() {
+    let params = MachineParams::cluster();
+    for (alg, n, k) in warm_cases() {
+        let fresh = Machine::new(16, params)
+            .run(solve_bits(alg, 4, n, k))
+            .unwrap();
+        let warm = Machine::new(16, params);
+        let cold = warm.run(solve_bits(alg, 4, n, k)).unwrap();
+        let before = warm.pool_stats();
+        let again = warm.run(solve_bits(alg, 4, n, k)).unwrap();
+        let after = warm.pool_stats();
+        assert!(
+            after.reused > before.reused,
+            "{alg:?}: the second run took nothing from the pool"
+        );
+        assert_same_run(&format!("{alg:?} cold"), &fresh, &cold);
+        assert_same_run(&format!("{alg:?} warm"), &fresh, &again);
+    }
+}
+
+/// Satellite: a rank that panics mid-run leaves the pool usable — the
+/// buffers the aborted ranks held are simply not returned — and the next
+/// run on the same machine returns a fresh machine's bits.
+#[test]
+fn a_clean_run_after_a_panicked_run_matches_a_fresh_machine() {
+    let params = MachineParams::cluster();
+    let (alg, n, k) = warm_cases()[1];
+    let fresh = Machine::new(16, params)
+        .run(solve_bits(alg, 4, n, k))
+        .unwrap();
+    let machine = Machine::new(16, params);
+    let solve = solve_bits(alg, 4, n, k);
+    let crashed = machine.run(|comm| {
+        solve(comm);
+        if comm.rank() == 5 {
+            panic!("rank 5 fails between two collectives");
+        }
+        // Every other rank is blocked here, holding pooled buffers, when
+        // the poison message aborts it.
+        coll::allreduce(comm, &[comm.rank() as f64; 64], coll::ReduceOp::Sum).unwrap();
+    });
+    assert!(matches!(crashed, Err(SimError::RankPanicked { .. })));
+    let clean = machine.run(solve_bits(alg, 4, n, k)).unwrap();
+    assert_same_run("after a panicked run", &fresh, &clean);
+}
+
+/// Satellite: a transient fault plan run twice on one machine stays
+/// bit-transparent — duplicates discarded at the receiver go back to the
+/// pool like any consumed payload, and nothing recycled leaks into a
+/// result.
+#[test]
+fn a_transient_plan_run_twice_on_one_machine_stays_bit_transparent() {
+    let params = MachineParams::unit();
+    let plan = FaultPlan::new(0xC4A0)
+        .with_drops(0.3, 2)
+        .with_duplicates(0.3)
+        .with_reordering(0.3);
+    assert!(plan.is_transient(&params));
+    let (alg, n, k) = warm_cases()[1];
+    let clean = Machine::new(16, params)
+        .run(solve_bits(alg, 4, n, k))
+        .unwrap();
+    let faulty = Machine::new(16, params).with_fault_plan(plan);
+    let first = faulty.run(solve_bits(alg, 4, n, k)).unwrap();
+    let second = faulty.run(solve_bits(alg, 4, n, k)).unwrap();
+    assert!(
+        first.report.total_retries() + first.report.total_duplicates() > 0,
+        "the plan injected nothing"
+    );
+    assert_eq!(clean.results, first.results, "first faulty run");
+    assert_same_run("second faulty run", &first, &second);
 }
