@@ -4,9 +4,10 @@
 //! An upper-triangular solve reduces to a lower one through the reversal
 //! permutation `J` (reversing row and column order): `J·U·J` is lower
 //! triangular, so `U·X = B ⟺ (J·U·J)·(J·X) = J·B`.  The permutations
-//! ([`reverse_rows`], [`reverse_both`], [`transpose_dist`]) are plain
-//! all-to-all remappings of the values, so the asymptotic costs are those of
-//! the underlying lower solve.
+//! ([`reverse_rows`], [`reverse_both`]) and the transpose a transposed
+//! request reads (`DistMatrix::try_transposed`) are plain all-to-all
+//! remappings of the values, so the asymptotic costs are those of the
+//! underlying lower solve.
 
 use crate::it_inv_trsm::ItInvConfig;
 use crate::Result;
@@ -95,16 +96,6 @@ fn permute(a: &DistMatrix, flip_rows: bool, flip_cols: bool) -> Result<DistMatri
     Ok(DistMatrix::from_local(grid, rows, cols, local)?)
 }
 
-/// Transpose a distributed matrix (one all-to-all redistribution: element
-/// `(i, j)` moves to the owner of `(j, i)`).
-///
-/// This is what lets the staged API solve `Lᵀ·X = B` on a stored `L`: the
-/// transpose is a layout remapping with the cost of the redistributions the
-/// algorithms already perform, not a change to any solver kernel.
-pub fn transpose_dist(a: &DistMatrix) -> Result<DistMatrix> {
-    Ok(pgrid::redist::transpose(a)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,25 +179,6 @@ mod tests {
             assert_eq!(rb, 0.0);
             // Row 0 of the row-reversed matrix is the old last row.
             assert_eq!(first, (9 * 6) as f64);
-        }
-    }
-
-    #[test]
-    fn transpose_dist_is_an_involution_and_matches_local_transpose() {
-        let out = Machine::new(4, MachineParams::unit())
-            .run(|comm| {
-                let grid = Grid2D::new(comm, 2, 2).unwrap();
-                let a = DistMatrix::from_fn(&grid, 10, 6, |i, j| (i * 6 + j) as f64);
-                let t = transpose_dist(&a).unwrap();
-                let tt = transpose_dist(&t).unwrap();
-                let t_ok = t.to_global() == a.to_global().transpose();
-                let round_trip = tt.rel_diff(&a).unwrap();
-                (t_ok, round_trip)
-            })
-            .unwrap();
-        for (t_ok, round_trip) in out.results {
-            assert!(t_ok, "distributed transpose must equal the local one");
-            assert_eq!(round_trip, 0.0);
         }
     }
 

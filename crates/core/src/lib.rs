@@ -77,7 +77,7 @@ pub mod tri_inv;
 pub mod verify;
 pub mod wavefront;
 
-pub use api::{transpose_dist, Algorithm};
+pub use api::Algorithm;
 pub use costmodel::CostModelRev;
 pub use error::TrsmError;
 pub use it_inv_trsm::{ItInvConfig, PhaseBreakdown};

@@ -13,19 +13,6 @@ use crate::it_inv_trsm::ItInvConfig;
 use crate::Result;
 use costmodel::CostModelRev;
 
-/// Largest power of two `≤ limit` that divides `value`.
-pub fn largest_pow2_divisor_at_most(value: usize, limit: usize) -> usize {
-    let mut best = 1;
-    let mut candidate = 1;
-    while candidate <= limit {
-        if value.is_multiple_of(candidate) {
-            best = candidate;
-        }
-        candidate *= 2;
-    }
-    best
-}
-
 /// The divisor of `value` that is closest to `target` (ties broken downward)
 /// among divisors that are multiples of `multiple_of`.
 pub fn closest_divisor(value: usize, target: usize, multiple_of: usize) -> usize {
@@ -128,14 +115,6 @@ pub fn plan(model: CostModelRev, n: usize, k: usize, p: usize) -> Result<ItInvCo
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pow2_divisor_helper() {
-        assert_eq!(largest_pow2_divisor_at_most(64, 16), 16);
-        assert_eq!(largest_pow2_divisor_at_most(48, 64), 16);
-        assert_eq!(largest_pow2_divisor_at_most(7, 8), 1);
-        assert_eq!(largest_pow2_divisor_at_most(96, 8), 8);
-    }
 
     #[test]
     fn closest_divisor_helper() {

@@ -57,39 +57,3 @@ pub struct SolveReport {
     /// Relative residual, when requested.
     pub residual: Option<f64>,
 }
-
-impl SolveReport {
-    /// Message retransmissions this rank performed during a distributed
-    /// solve under an active fault plan (0 otherwise).
-    pub fn retries(&self) -> u64 {
-        self.comm.map_or(0, |c| c.retries)
-    }
-
-    /// Injected message drops this rank's sends absorbed (each one costs a
-    /// retry; 0 without a fault plan).
-    pub fn dropped(&self) -> u64 {
-        self.comm.map_or(0, |c| c.dropped)
-    }
-
-    /// Duplicate deliveries this rank injected (suppressed by receive-side
-    /// dedup; 0 without a fault plan).
-    pub fn duplicates(&self) -> u64 {
-        self.comm.map_or(0, |c| c.duplicates)
-    }
-
-    /// Sends that exhausted the retry budget on this rank — each one also
-    /// surfaced as a [`simnet::SimError::Timeout`] through the solve's
-    /// `Result` (0 on a successful solve).
-    pub fn timeouts(&self) -> u64 {
-        self.comm.map_or(0, |c| c.timeouts)
-    }
-
-    /// Virtual seconds of local compute this rank performed *under* a
-    /// posted send during a distributed solve — the communication the
-    /// machine's overlap model hid.  Nonzero only when the machine ran
-    /// with [`simnet::MachineParams::with_overlap`]; always 0 under the
-    /// default blocking-send timing.
-    pub fn overlap_seconds(&self) -> f64 {
-        self.comm.as_ref().map_or(0.0, |c| c.overlap)
-    }
-}

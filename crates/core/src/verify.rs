@@ -37,13 +37,6 @@ pub fn residual(l: &DistMatrix, x: &DistMatrix, b: &DistMatrix) -> Result<f64> {
     })
 }
 
-/// Relative Frobenius error between a distributed matrix and a replicated
-/// reference matrix that every rank holds (used by tests and examples).
-pub fn error_vs_reference(x: &DistMatrix, reference: &dense::Matrix) -> f64 {
-    let reference_dist = DistMatrix::from_global(x.grid(), reference);
-    x.rel_diff(&reference_dist).unwrap_or(f64::INFINITY)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,24 +65,6 @@ mod tests {
         for (good, bad) in out.results {
             assert!(good < 1e-12);
             assert!(bad > 1e-3);
-        }
-    }
-
-    #[test]
-    fn error_vs_reference_detects_differences() {
-        let out = Machine::new(4, MachineParams::unit())
-            .run(|comm| {
-                let grid = Grid2D::new(comm, 2, 2).unwrap();
-                let a_global = gen::uniform(8, 8, 1);
-                let a = DistMatrix::from_global(&grid, &a_global);
-                let same = error_vs_reference(&a, &a_global);
-                let different = error_vs_reference(&a, &dense::Matrix::zeros(8, 8));
-                (same, different)
-            })
-            .unwrap();
-        for (same, different) in out.results {
-            assert_eq!(same, 0.0);
-            assert!(different > 0.1);
         }
     }
 }

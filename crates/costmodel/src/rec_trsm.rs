@@ -10,14 +10,6 @@ use crate::cost::{log2c, Cost};
 use crate::predict::CostModelRev;
 use crate::tuning::Regime;
 
-/// Processor-grid shape `(pr, pc)` the recursive algorithm selects:
-/// `pc = max(√p, min(p, √(p·k/n)))`, `pr = p / pc`.
-pub fn rec_grid(n: f64, k: f64, p: f64) -> (f64, f64) {
-    let pc = p.sqrt().max((p * k / n).sqrt().min(p));
-    let pr = p / pc;
-    (pr, pc)
-}
-
 /// `T_RT1D(n, k, p) = O(α·log p + β·n² + γ·n²k/p)` — one large dimension
 /// (`n < k/p`).
 pub fn rec_trsm_1d(n: f64, k: f64, p: f64) -> Cost {
@@ -83,21 +75,6 @@ impl CostModelRev {
 mod tests {
     use super::*;
     use CostModelRev::{Ipdps17, Tang24};
-
-    #[test]
-    fn grid_selection_matches_paper() {
-        // n >= k: square grid.
-        let (pr, pc) = rec_grid(4096.0, 1024.0, 64.0);
-        assert_eq!((pr, pc), (8.0, 8.0));
-        // n << k: wide rectangular grid pc = p (as long as p < k/n).
-        let (pr, pc) = rec_grid(16.0, 65536.0, 16.0);
-        assert_eq!(pr, 1.0);
-        assert_eq!(pc, 16.0);
-        // In between: pc = sqrt(p k / n).
-        let (pr, pc) = rec_grid(1024.0, 4096.0, 64.0);
-        assert!((pc - (64.0f64 * 4.0).sqrt()).abs() < 1e-9);
-        assert!((pr * pc - 64.0).abs() < 1e-9);
-    }
 
     #[test]
     fn regime_dispatch() {

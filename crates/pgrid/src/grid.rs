@@ -35,18 +35,6 @@ impl Grid2D {
         })
     }
 
-    /// A square `q × q` grid over a communicator of size `q²`.
-    pub fn square(comm: &Communicator) -> Result<Self> {
-        let q = (comm.size() as f64).sqrt().round() as usize;
-        if q * q != comm.size() {
-            return Err(GridError::GridSizeMismatch {
-                comm_size: comm.size(),
-                grid_size: q * q,
-            });
-        }
-        Grid2D::new(comm, q, q)
-    }
-
     /// The underlying communicator (all `rows × cols` processors).
     pub fn comm(&self) -> &Communicator {
         &self.comm
@@ -208,8 +196,7 @@ mod tests {
             .run(|comm| {
                 let bad = Grid2D::new(comm, 2, 2).is_err();
                 let good = Grid2D::new(comm, 2, 3).is_ok();
-                let square_bad = Grid2D::square(comm).is_err();
-                bad && good && square_bad
+                bad && good
             })
             .unwrap();
         assert!(out.results.into_iter().all(|v| v));

@@ -4,9 +4,9 @@
 //! rank's SPMD closure receives the *world* communicator; sub-communicators
 //! (rows/columns/fibers of processor grids, the recursive halves of the
 //! triangular inversion, the diagonal-block groups of the iterative TRSM) are
-//! created with [`Communicator::subgroup`] / [`Communicator::split_by`]
-//! without any communication — membership must be computable from rank
-//! arithmetic alone, which is the case for every algorithm in the paper.
+//! created with [`Communicator::subgroup`] without any communication —
+//! membership must be computable from rank arithmetic alone, which is the
+//! case for every algorithm in the paper.
 //!
 //! All communicators created on one rank share that rank's *endpoint*: the
 //! incoming message queue, the virtual clock and the cost counters.
@@ -60,11 +60,6 @@ pub(crate) struct Endpoint {
     /// plan, in which case every fault-handling branch below is skipped and
     /// the transport is exactly the zero-overhead lossless network.
     pub faults: Option<FaultState>,
-    /// Completion horizon of overlapped (in-flight) sends.  Only advanced
-    /// when [`MachineParams::overlap`] is on; the rank's clock catches up to
-    /// it at finalization, so a posted transfer is never lost from the
-    /// virtual time even if no computation follows it.
-    pub inflight_until: f64,
     /// Compute-concurrency gate shared by all ranks of the machine (`None`
     /// when rank execution is unbounded).  A rank releases its slot while
     /// blocked in a receive and takes it back before resuming computation.
@@ -82,20 +77,7 @@ impl Endpoint {
     fn charge_send(&mut self, words: usize) -> f64 {
         self.counters.msgs_sent += 1;
         self.counters.words_sent += words as u64;
-        let transfer = self.params.alpha + self.params.beta * words as f64;
-        let avail = if self.params.overlap {
-            // Overlap mode: the transfer occupies the single outgoing link in
-            // the background, after any earlier in-flight send.  The sender's
-            // own clock does not advance — subsequent local flops hide under
-            // the transfer (`charge_flops` accounts the saving) and the clock
-            // catches up to the in-flight horizon at finalization.
-            let avail = self.clock.max(self.inflight_until) + transfer;
-            self.inflight_until = avail;
-            avail
-        } else {
-            self.clock += transfer;
-            self.clock
-        };
+        self.clock += self.params.alpha + self.params.beta * words as f64;
         self.counters.time = self.clock;
         if obs::enabled() {
             obs::sim_instant(
@@ -109,7 +91,7 @@ impl Endpoint {
                 0,
             );
         }
-        avail
+        self.clock
     }
 
     fn charge_recv(&mut self, words: usize, avail_time: f64) {
@@ -135,40 +117,8 @@ impl Endpoint {
 
     fn charge_flops(&mut self, flops: u64) {
         self.counters.flops += flops;
-        let start = self.clock;
         self.clock += self.params.gamma * flops as f64;
-        if self.params.overlap && self.inflight_until > start {
-            // This computation ran while a posted send was still on the
-            // wire: the hidden portion is the saving of charging
-            // `max(comm, comp)` instead of `comm + comp` for the phase.
-            let hidden = self.clock.min(self.inflight_until) - start;
-            if hidden > 0.0 {
-                self.counters.overlap += hidden;
-                if obs::enabled() {
-                    obs::sim_instant(
-                        self.world_rank,
-                        "simnet",
-                        "overlap",
-                        self.clock_ns(),
-                        "hidden_ns",
-                        (hidden * 1e9) as u64,
-                        "",
-                        0,
-                    );
-                }
-            }
-        }
         self.counters.time = self.clock;
-    }
-
-    /// Catch the clock up to the in-flight send horizon: a rank cannot
-    /// retire (or observe a phase boundary as complete) before its last
-    /// posted transfer has left the wire.
-    fn drain_inflight(&mut self) {
-        if self.inflight_until > self.clock {
-            self.clock = self.inflight_until;
-            self.counters.time = self.clock;
-        }
     }
 
     /// The sticky failure of this endpoint, if a permanent fault already hit.
@@ -512,11 +462,6 @@ impl Communicator {
         self.endpoint.borrow().world_rank
     }
 
-    /// The world rank of local rank `r` in this communicator.
-    pub fn world_rank_of(&self, r: usize) -> usize {
-        self.members[r]
-    }
-
     /// The machine parameters in effect.
     pub fn params(&self) -> MachineParams {
         self.endpoint.borrow().params
@@ -555,15 +500,6 @@ impl Communicator {
         self.recv_raw(src, user_tag(tag))
     }
 
-    /// [`Communicator::send`] for a payload the caller already owns: the
-    /// buffer is moved into the message, not copied, and no pooled buffer
-    /// is taken.  Charges, virtual time and fault injection are exactly
-    /// those of `send`.
-    pub fn send_vec(&self, dest: usize, tag: u64, data: Vec<f64>) -> Result<()> {
-        self.check_rank(dest)?;
-        self.send_raw_vec(dest, user_tag(tag), data)
-    }
-
     fn check_rank(&self, rank: usize) -> Result<()> {
         if rank >= self.size() {
             return Err(SimError::InvalidRank {
@@ -594,13 +530,6 @@ impl Communicator {
         }
     }
 
-    /// Combined exchange with a partner: send `data` to `partner` and receive
-    /// that partner's message with the same tag.
-    pub fn sendrecv(&self, partner: usize, tag: u64, data: &[f64]) -> Result<Vec<f64>> {
-        self.send(partner, tag, data)?;
-        self.recv(partner, tag)
-    }
-
     /// Internal send used by the collectives (separate tag namespace); like
     /// [`Communicator::send`] it copies `data` into a pooled buffer.
     ///
@@ -613,8 +542,8 @@ impl Communicator {
         self.send_raw_vec(dest, tag, buf)
     }
 
-    /// [`Communicator::send_raw`] moving an owned payload into the message,
-    /// like [`Communicator::send_vec`].
+    /// [`Communicator::send_raw`] moving an owned payload into the message:
+    /// no copy, no pooled buffer, the same charges and fault draws.
     pub(crate) fn send_raw_vec(&self, dest: usize, tag: u64, data: Vec<f64>) -> Result<()> {
         let world_dest = self.members[dest];
         self.endpoint
@@ -638,12 +567,9 @@ impl Communicator {
     }
 
     /// Flush transport-internal state at the end of a rank's run: releases a
-    /// reorder-held envelope so its receiver is never starved, and catches
-    /// the clock up to any still-in-flight overlapped send.
+    /// reorder-held envelope so its receiver is never starved.
     pub(crate) fn finalize(&self) {
-        let mut ep = self.endpoint.borrow_mut();
-        ep.flush_held();
-        ep.drain_inflight();
+        self.endpoint.borrow_mut().flush_held();
     }
 
     /// Allocate a fresh base tag for a collective operation on this
@@ -657,12 +583,24 @@ impl Communicator {
 
     /// Create a sub-communicator from an explicit member list (local ranks of
     /// this communicator, identical on every caller).  Returns
-    /// `Err(SimError::NotInGroup)` if this rank is not in the list.
+    /// `Err(SimError::InvalidRank)` for a member outside `0..size()`,
+    /// `Err(SimError::BadCollectiveArgs)` for a repeated member — on every
+    /// caller alike, members or not — and `Err(SimError::NotInGroup)` if
+    /// this rank is not in a valid list.
     ///
     /// No communication is performed and no cost is charged; membership must
     /// be derivable from rank arithmetic (true for all grids in the paper).
     pub fn subgroup(&self, members: &[usize]) -> Result<Communicator> {
         let op = self.next_op_tag();
+        for (i, &m) in members.iter().enumerate() {
+            self.check_rank(m)?;
+            if members[..i].contains(&m) {
+                return Err(SimError::BadCollectiveArgs {
+                    op: "subgroup",
+                    reason: format!("rank {m} is listed twice"),
+                });
+            }
+        }
         let my_index = match members.iter().position(|&m| m == self.my_index) {
             Some(i) => i,
             None => return Err(SimError::NotInGroup),
@@ -676,39 +614,6 @@ impl Communicator {
             context,
             op_counter: Rc::new(RefCell::new(0)),
         })
-    }
-
-    /// Split the communicator by a color function evaluated on every local
-    /// rank (the function must be identical on every caller).  Returns the
-    /// sub-communicator containing this rank; local ranks keep their relative
-    /// order.
-    pub fn split_by<F: Fn(usize) -> usize>(&self, color_of: F) -> Result<Communicator> {
-        let my_color = color_of(self.my_index);
-        let members: Vec<usize> = (0..self.size())
-            .filter(|&r| color_of(r) == my_color)
-            .collect();
-        // Keep op counters aligned across siblings: subgroup() bumps it once.
-        self.subgroup(&members)
-    }
-
-    /// Duplicate the communicator with a fresh context (useful to isolate the
-    /// traffic of concurrent algorithm phases).
-    pub fn duplicate(&self) -> Communicator {
-        let op = self.next_op_tag();
-        let context = derive_context(self.context, op, &self.members);
-        Communicator {
-            endpoint: Rc::clone(&self.endpoint),
-            members: Arc::clone(&self.members),
-            my_index: self.my_index,
-            context,
-            op_counter: Rc::new(RefCell::new(0)),
-        }
-    }
-
-    /// Translate a world rank into a local rank of this communicator, if the
-    /// rank is a member.
-    pub fn local_rank_of_world(&self, world_rank: usize) -> Option<usize> {
-        self.members.iter().position(|&m| m == world_rank)
     }
 }
 

@@ -27,10 +27,6 @@ pub struct CostCounters {
     pub timeouts: u64,
     /// Final value of the rank's virtual clock (seconds in model time).
     pub time: f64,
-    /// Virtual seconds of computation hidden under in-flight communication
-    /// (non-zero only when [`crate::MachineParams::overlap`] is on): the
-    /// total saving of charging `max(comm, comp)` instead of `comm + comp`.
-    pub overlap: f64,
 }
 
 impl CostCounters {
@@ -60,7 +56,6 @@ impl CostCounters {
             duplicates: self.duplicates + other.duplicates,
             timeouts: self.timeouts + other.timeouts,
             time: self.time.max(other.time),
-            overlap: self.overlap + other.overlap,
         }
     }
 
@@ -89,7 +84,6 @@ impl CostCounters {
             duplicates: self.duplicates - earlier.duplicates,
             timeouts: self.timeouts - earlier.timeouts,
             time: self.time - earlier.time,
-            overlap: self.overlap - earlier.overlap,
         }
     }
 }
@@ -171,13 +165,6 @@ impl CostReport {
     /// Total sends that exhausted the retry budget over all ranks.
     pub fn total_timeouts(&self) -> u64 {
         self.per_rank.iter().map(|c| c.timeouts).sum()
-    }
-
-    /// Total virtual seconds of computation hidden under in-flight
-    /// communication, over all ranks (non-zero only when
-    /// [`MachineParams::overlap`] is on).
-    pub fn total_overlap(&self) -> f64 {
-        self.per_rank.iter().map(|c| c.overlap).sum()
     }
 
     /// One-line summary used by the experiment binaries.
@@ -277,25 +264,6 @@ mod tests {
         assert_eq!(report.total_flops(), 55);
         assert!(report.to_string().contains("2 ranks"));
         assert!(report.summary().contains("p="));
-    }
-
-    #[test]
-    fn overlap_adds_in_merge_and_subtracts_in_since() {
-        let a = CostCounters {
-            overlap: 1.5,
-            time: 4.0,
-            ..CostCounters::default()
-        };
-        let b = CostCounters {
-            overlap: 2.0,
-            time: 3.0,
-            ..CostCounters::default()
-        };
-        assert_eq!(a.merge(&b).overlap, 3.5);
-        assert_eq!(a.accumulate(&b).overlap, 3.5);
-        assert_eq!(b.merge(&a).since(&a).overlap, 2.0);
-        let report = CostReport::new(vec![a, b], MachineParams::unit());
-        assert_eq!(report.total_overlap(), 3.5);
     }
 
     #[test]

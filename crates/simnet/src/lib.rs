@@ -21,8 +21,8 @@
 //!
 //! * [`machine::Machine`] — spawns the ranks, runs the SPMD closure, collects
 //!   per-rank cost counters into a [`cost::CostReport`].
-//! * [`comm::Communicator`] — point-to-point `send`/`recv`, communicator
-//!   splitting, and the virtual-clock bookkeeping.
+//! * [`comm::Communicator`] — point-to-point `send`/`recv`,
+//!   sub-communicators (`subgroup`), and the virtual-clock bookkeeping.
 //! * [`coll`] — the collective operations of Section II-C1 of the paper
 //!   (allgather, gather, scatter, reduce-scatter, reduce, allreduce,
 //!   broadcast, all-to-all, all-to-all-v, barrier), implemented with the
@@ -48,14 +48,6 @@
 //!   paid by the sender, so a balanced pairwise exchange costs `α + β·n`
 //!   per round, matching the collective cost formulas in the paper.
 //! * `charge_flops(f)` charges `γ·f`.
-//!
-//! With [`params::MachineParams::overlap`] enabled, a posted send instead
-//! advances an in-flight horizon in the background: subsequent local flops
-//! hide under the transfer (the rank pays `max(comm, comp)` per such phase
-//! rather than `comm + comp`), the hidden time is surfaced in
-//! [`cost::CostCounters::overlap`], and the clock catches up to the horizon
-//! at rank finalization.  The default (`overlap: false`) keeps the strict
-//! sequential charging above.
 //!
 //! Message and word counters are kept for both directions; reported `S` and
 //! `W` are the per-rank maximum of sent and received, maximised over ranks,

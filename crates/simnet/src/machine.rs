@@ -96,11 +96,6 @@ impl Machine {
             .max(1)
     }
 
-    /// The fault plan attached to this machine, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Number of processors.
     pub fn procs(&self) -> usize {
         self.procs
@@ -192,7 +187,6 @@ impl Machine {
                         faults: fault_plan
                             .as_ref()
                             .map(|plan| FaultState::new(FaultInjector::new(plan, rank))),
-                        inflight_until: 0.0,
                         gate: gate.clone(),
                         pool: Arc::clone(&self.pool),
                     };
@@ -318,7 +312,11 @@ mod tests {
 
     #[test]
     fn flops_are_charged_to_clock() {
-        let m = Machine::new(2, MachineParams::new(0.0, 0.0, 2.0));
+        let params = MachineParams {
+            gamma: 2.0,
+            ..MachineParams::unit()
+        };
+        let m = Machine::new(2, params);
         let out = m
             .run(|comm| {
                 comm.charge_flops(10);
@@ -351,66 +349,22 @@ mod tests {
     }
 
     #[test]
-    fn overlap_hides_flops_under_a_posted_send() {
-        // Rank 0 posts a 9-word send (α + β·9 = 10 time units) and then does
-        // 6 flops.  Without overlap the clock reads 10 + 6 = 16; with
-        // overlap the flops hide entirely under the transfer, so the final
-        // clock is max(10, 6) = 10 and the saving (6) lands in `overlap`.
-        let program = |comm: &Communicator| {
-            if comm.rank() == 0 {
-                comm.send(1, 0, &[0.0; 9]).unwrap();
-                comm.charge_flops(6);
-            } else {
-                let _ = comm.recv(0, 0).unwrap();
-            }
-        };
-        let plain = Machine::new(2, MachineParams::unit()).run(program).unwrap();
-        assert!((plain.report.per_rank[0].time - 16.0).abs() < 1e-12);
-        assert_eq!(plain.report.per_rank[0].overlap, 0.0);
-
-        let params = MachineParams::unit().with_overlap(true);
-        let overlapped = Machine::new(2, params).run(program).unwrap();
-        assert!((overlapped.report.per_rank[0].time - 10.0).abs() < 1e-12);
-        assert!((overlapped.report.per_rank[0].overlap - 6.0).abs() < 1e-12);
-        // The receiver still sees the message at the transfer's completion.
-        assert!((overlapped.report.per_rank[1].time - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_drains_inflight_sends_at_finalize() {
-        // A rank that posts a send and immediately retires must still pay
-        // the transfer: its final clock is the in-flight horizon.
-        let params = MachineParams::unit().with_overlap(true);
-        let out = Machine::new(2, params)
+    fn a_send_then_flops_charges_comm_plus_comp() {
+        // Rank 0 sends 9 words (α + β·9 = 10) and then charges 6 flops: the
+        // flops start when the send's charge ends, so its clock reads
+        // 10 + 6.  The receiver's clock catches up to the send's 10.
+        let out = Machine::new(2, MachineParams::unit())
             .run(|comm| {
                 if comm.rank() == 0 {
-                    comm.send(1, 0, &[0.0; 4]).unwrap();
+                    comm.send(1, 0, &[0.0; 9]).unwrap();
+                    comm.charge_flops(6);
                 } else {
-                    let _ = comm.recv(0, 0).unwrap();
+                    comm.recv(0, 0).unwrap();
                 }
+                comm.clock()
             })
             .unwrap();
-        assert!((out.report.per_rank[0].time - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_serializes_back_to_back_sends_on_the_link() {
-        // Two posted sends share one outgoing link: the second transfer
-        // starts when the first completes, so the horizon is 2·(α + β·4).
-        let params = MachineParams::unit().with_overlap(true);
-        let out = Machine::new(2, params)
-            .run(|comm| {
-                if comm.rank() == 0 {
-                    comm.send(1, 0, &[0.0; 4]).unwrap();
-                    comm.send(1, 1, &[0.0; 4]).unwrap();
-                } else {
-                    let _ = comm.recv(0, 0).unwrap();
-                    let _ = comm.recv(0, 1).unwrap();
-                }
-            })
-            .unwrap();
-        assert!((out.report.per_rank[0].time - 10.0).abs() < 1e-12);
-        assert!((out.report.per_rank[1].time - 10.0).abs() < 1e-12);
+        assert_eq!(out.results, vec![16.0, 10.0]);
     }
 
     #[test]
@@ -468,20 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn sendrecv_exchanges_symmetrically() {
-        let m = Machine::new(2, MachineParams::unit());
-        let out = m
-            .run(|comm| {
-                let partner = 1 - comm.rank();
-                let data = vec![comm.rank() as f64 + 10.0; 3];
-                let got = comm.sendrecv(partner, 7, &data).unwrap();
-                got[0]
-            })
-            .unwrap();
-        assert_eq!(out.results, vec![11.0, 10.0]);
-    }
-
-    #[test]
     fn out_of_range_ranks_are_rejected() {
         let m = Machine::new(2, MachineParams::unit());
         let out = m
@@ -520,11 +460,12 @@ mod tests {
         let out = m
             .run(|comm| {
                 // Two pairs: {0,1} and {2,3}; each pair exchanges its ranks.
-                let sub = comm.split_by(|r| r / 2).unwrap();
+                let pair = comm.rank() / 2 * 2;
+                let sub = comm.subgroup(&[pair, pair + 1]).unwrap();
                 assert_eq!(sub.size(), 2);
                 let partner = 1 - sub.rank();
-                let got = sub.sendrecv(partner, 0, &[comm.rank() as f64]).unwrap();
-                got[0] as usize
+                sub.send(partner, 0, &[comm.rank() as f64]).unwrap();
+                sub.recv(partner, 0).unwrap()[0] as usize
             })
             .unwrap();
         assert_eq!(out.results, vec![1, 0, 3, 2]);
@@ -574,49 +515,6 @@ mod tests {
         let activity = faulty.report.total_retries() + faulty.report.total_duplicates();
         assert!(activity > 0, "fault plan injected nothing");
         assert_eq!(faulty.report.total_timeouts(), 0);
-    }
-
-    #[test]
-    fn owned_sends_charge_and_fault_exactly_like_borrowed_ones() {
-        // The same ring, once copying each payload and once moving it in:
-        // results, every counter and the virtual clock must agree, with and
-        // without a fault plan drawing from the per-send injector stream.
-        fn ring(comm: &Communicator, owned: bool) -> Vec<f64> {
-            let (rank, p) = (comm.rank(), comm.size());
-            let mut seen = Vec::new();
-            for round in 0..4u64 {
-                let payload = vec![rank as f64, round as f64, 42.0];
-                if owned {
-                    comm.send_vec((rank + 1) % p, round, payload).unwrap();
-                } else {
-                    comm.send((rank + 1) % p, round, &payload).unwrap();
-                }
-                seen.extend(comm.recv((rank + p - 1) % p, round).unwrap());
-            }
-            seen
-        }
-        let plan = FaultPlan::new(0xfeed_beef)
-            .with_drops(0.4, 2)
-            .with_delays(0.3, 5.0)
-            .with_duplicates(0.3)
-            .with_reordering(0.3);
-        for faults in [None, Some(plan)] {
-            let run = |owned: bool| {
-                let mut m = Machine::new(5, MachineParams::unit());
-                if let Some(plan) = &faults {
-                    m = m.with_fault_plan(plan.clone());
-                }
-                m.run(move |comm| ring(comm, owned)).unwrap()
-            };
-            let (borrowed, owned) = (run(false), run(true));
-            assert_eq!(borrowed.results, owned.results);
-            assert_eq!(borrowed.report.per_rank, owned.report.per_rank);
-        }
-        let m = Machine::new(2, MachineParams::unit());
-        let out = m
-            .run(|comm| comm.send_vec(5, 0, vec![1.0]).is_err())
-            .unwrap();
-        assert_eq!(out.results, vec![true, true]);
     }
 
     #[test]
@@ -727,18 +625,42 @@ mod tests {
         let m = Machine::new(4, MachineParams::unit());
         let out = m
             .run(|comm| {
-                let sub = comm.subgroup(&[1, 3]);
-                match sub {
-                    Ok(s) => {
-                        assert_eq!(s.world_rank_of(0), 1);
-                        assert_eq!(s.world_rank_of(1), 3);
-                        assert_eq!(s.local_rank_of_world(3), Some(1));
-                        s.rank() as i64
-                    }
-                    Err(_) => -1,
-                }
+                // Local rank r of the subgroup is world rank members[r]: each
+                // member tells its partner its world rank.
+                let Ok(s) = comm.subgroup(&[1, 3]) else {
+                    return None;
+                };
+                assert_eq!(s.world_rank(), comm.rank());
+                let partner = 1 - s.rank();
+                s.send(partner, 0, &[comm.rank() as f64]).unwrap();
+                let partner_world = s.recv(partner, 0).unwrap()[0] as usize;
+                Some((s.rank(), partner_world))
             })
             .unwrap();
-        assert_eq!(out.results, vec![-1, 0, -1, 1]);
+        assert_eq!(out.results, vec![None, Some((0, 3)), None, Some((1, 1))]);
+    }
+
+    #[test]
+    fn subgroup_rejects_out_of_range_and_repeated_members_on_every_rank() {
+        let out = Machine::new(4, MachineParams::unit())
+            .run(|comm| {
+                let out_of_range = comm.subgroup(&[0, 7]).err();
+                let repeated = comm.subgroup(&[0, 0, 1]).err();
+                // Both calls used up one operation on every rank alike, so
+                // a later subgroup still lines up.
+                let all = comm.subgroup(&[0, 1, 2, 3]).unwrap();
+                let sum = crate::coll::allreduce(&all, &[1.0], crate::coll::ReduceOp::Sum);
+                (out_of_range, repeated, sum.unwrap()[0])
+            })
+            .unwrap();
+        let expected = (
+            Some(SimError::InvalidRank { rank: 7, size: 4 }),
+            Some(SimError::BadCollectiveArgs {
+                op: "subgroup",
+                reason: "rank 0 is listed twice".into(),
+            }),
+            4.0,
+        );
+        assert_eq!(out.results, vec![expected; 4]);
     }
 }

@@ -25,14 +25,6 @@ pub struct MachineParams {
     /// Maximum number of resends before a dropped message surfaces as
     /// [`crate::SimError::Timeout`].
     pub max_retries: u32,
-    /// When `true`, a posted send occupies the network *in the background*:
-    /// its `α + β·w` transfer time advances an in-flight horizon instead of
-    /// the sender's clock, and subsequent local computation hides under it —
-    /// the rank is charged `max(comm, comp)` instead of `comm + comp` for
-    /// such phases.  Hidden time is surfaced in
-    /// [`crate::CostCounters::overlap`].  Defaults to `false`, which keeps
-    /// the strict sequential charging of the paper's α–β–γ model.
-    pub overlap: bool,
 }
 
 impl MachineParams {
@@ -47,7 +39,6 @@ impl MachineParams {
             gamma: 1.0,
             retry_timeout: 8.0,
             max_retries: Self::DEFAULT_MAX_RETRIES,
-            overlap: false,
         }
     }
 
@@ -60,7 +51,6 @@ impl MachineParams {
             gamma: 1.0e-10,
             retry_timeout: 8.0e-6,
             max_retries: Self::DEFAULT_MAX_RETRIES,
-            overlap: false,
         }
     }
 
@@ -73,32 +63,6 @@ impl MachineParams {
             gamma: 2.0e-11,
             retry_timeout: 8.0e-6,
             max_retries: Self::DEFAULT_MAX_RETRIES,
-            overlap: false,
-        }
-    }
-
-    /// A machine where only latency is charged (β = γ = 0): isolates the
-    /// synchronization cost `S` in measured virtual time.
-    pub fn latency_only() -> Self {
-        MachineParams {
-            alpha: 1.0,
-            beta: 0.0,
-            gamma: 0.0,
-            retry_timeout: 8.0,
-            max_retries: Self::DEFAULT_MAX_RETRIES,
-            overlap: false,
-        }
-    }
-
-    /// Custom α–β–γ parameters with the default retry budget.
-    pub fn new(alpha: f64, beta: f64, gamma: f64) -> Self {
-        MachineParams {
-            alpha,
-            beta,
-            gamma,
-            retry_timeout: 1.0,
-            max_retries: Self::DEFAULT_MAX_RETRIES,
-            overlap: false,
         }
     }
 
@@ -107,19 +71,6 @@ impl MachineParams {
         self.retry_timeout = retry_timeout;
         self.max_retries = max_retries;
         self
-    }
-
-    /// Enable (or disable) communication/computation overlap: posted sends
-    /// run in the background and local flops hide under them, charging
-    /// `max(comm, comp)` per overlappable phase instead of `comm + comp`.
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
-    /// Execution time of `(s, w, f)` counts under these parameters.
-    pub fn time(&self, s: u64, w: u64, f: u64) -> f64 {
-        self.alpha * s as f64 + self.beta * w as f64 + self.gamma * f as f64
     }
 }
 
@@ -144,32 +95,14 @@ mod tests {
 
     #[test]
     fn unit_time_is_sum() {
+        // T = α·S + β·W + γ·F reads S + W + F.
         let u = MachineParams::unit();
-        assert_eq!(u.time(1, 2, 3), 6.0);
-    }
-
-    #[test]
-    fn latency_only_ignores_words_and_flops() {
-        let l = MachineParams::latency_only();
-        assert_eq!(l.time(5, 1000, 1000), 5.0);
+        assert_eq!((u.alpha, u.beta, u.gamma), (1.0, 1.0, 1.0));
     }
 
     #[test]
     fn default_is_cluster() {
         assert_eq!(MachineParams::default(), MachineParams::cluster());
-    }
-
-    #[test]
-    fn overlap_defaults_off_and_is_overridable() {
-        assert!(!MachineParams::unit().overlap);
-        assert!(!MachineParams::cluster().overlap);
-        assert!(MachineParams::unit().with_overlap(true).overlap);
-        assert!(
-            !MachineParams::unit()
-                .with_overlap(true)
-                .with_overlap(false)
-                .overlap
-        );
     }
 
     #[test]

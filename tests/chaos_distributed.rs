@@ -16,7 +16,7 @@
 use catrsm::{Algorithm, ItInvConfig, TrsmError};
 use catrsm_suite::prelude::*;
 use proptest::prelude::*;
-use simnet::{FaultPlan, SimError};
+use simnet::{CostCounters, FaultPlan, SimError};
 
 const N: usize = 32;
 const K: usize = 8;
@@ -46,13 +46,13 @@ fn algorithms() -> Vec<Algorithm> {
 }
 
 /// Run one distributed solve per rank and return, per rank, the collected
-/// global solution plus the report's fault counters.
-#[allow(clippy::type_complexity)]
+/// global solution plus the report's communication counters (fault
+/// counters included).
 fn solve_on(
     machine: &Machine,
     alg: Algorithm,
     seed: u64,
-) -> Vec<Result<(Matrix, u64, u64, u64, u64), String>> {
+) -> Vec<Result<(Matrix, CostCounters), String>> {
     machine
         .run(move |comm| {
             let grid = Grid2D::new(comm, 2, 2).unwrap();
@@ -64,15 +64,7 @@ fn solve_on(
             SolveRequest::lower()
                 .algorithm(alg)
                 .solve_distributed(&l, &b)
-                .map(|sol| {
-                    (
-                        sol.x.to_global(),
-                        sol.report.retries(),
-                        sol.report.dropped(),
-                        sol.report.duplicates(),
-                        sol.report.timeouts(),
-                    )
-                })
+                .map(|sol| (sol.x.to_global(), sol.report.comm.expect("counters")))
                 .map_err(|e| e.to_string())
         })
         .expect("machine-level run must not fail: rank errors are typed")
@@ -122,7 +114,10 @@ fn transient_plans_are_bit_transparent_for_every_algorithm() {
                     c.0, f.0,
                     "{alg:?}/{name} rank {rank}: solution not bit-identical"
                 );
-                assert_eq!(f.4, 0, "{alg:?}/{name}: transient run logged a timeout");
+                assert_eq!(
+                    f.1.timeouts, 0,
+                    "{alg:?}/{name}: transient run logged a timeout"
+                );
             }
         }
     }
@@ -142,10 +137,10 @@ fn transient_recovery_work_reaches_the_solve_report() {
         );
         let (mut retries, mut dropped, mut dups) = (0u64, 0u64, 0u64);
         for res in &out {
-            let (_, r, d, u, _) = res.as_ref().expect("transient plan must solve");
-            retries += r;
-            dropped += d;
-            dups += u;
+            let (_, c) = res.as_ref().expect("transient plan must solve");
+            retries += c.retries;
+            dropped += c.dropped;
+            dups += c.duplicates;
         }
         assert!(
             retries > 0 && dropped > 0,

@@ -1,7 +1,7 @@
 //! Parallel rank execution: the `Machine::with_rank_workers` compute gate
 //! must be a pure throughput knob.
 //!
-//! Three claims, matching the execution-model section of the simnet README:
+//! Four claims, matching the execution-model section of the simnet README:
 //!
 //! * **determinism matrix** — every distributed algorithm returns
 //!   bitwise-identical solutions and identical per-rank α–β–γ counters at
@@ -11,10 +11,9 @@
 //!   contract when ranks execute concurrently under a bounded gate:
 //!   transient plans stay bit-transparent, permanent plans fail typed on
 //!   every affected rank, and nothing ever hangs;
-//! * **overlap + trace acceptance** — with `MachineParams::with_overlap`
-//!   a recursive-TRSM solve hides compute under posted sends (a nonzero
-//!   overlap counter), rank spans land on distinct wall lanes in the obs
-//!   trace, and the answer still matches the single-worker run bitwise;
+//! * **trace acceptance** — the rank spans of a recursive-TRSM solve under
+//!   a 4-worker gate land on distinct wall lanes in the obs trace, and the
+//!   answer still matches the single-worker run bitwise;
 //! * **warm runs** — a machine's buffer pool outlives its runs, and a run
 //!   served from recycled buffers returns the bits, per-rank counters and
 //!   virtual time of a run on a fresh machine, also after a run in which a
@@ -51,9 +50,9 @@ fn algorithms() -> Vec<Algorithm> {
     ]
 }
 
-/// One distributed solve per rank: the collected global solution plus this
-/// rank's measured overlap, or the typed error rendered to a string.
-fn solve_on(machine: &Machine, alg: Algorithm, seed: u64) -> Vec<Result<(Matrix, f64), String>> {
+/// One distributed solve per rank: the collected global solution, or the
+/// typed error rendered to a string.
+fn solve_on(machine: &Machine, alg: Algorithm, seed: u64) -> Vec<Result<Matrix, String>> {
     machine
         .run(move |comm| {
             let grid = Grid2D::new(comm, 2, 2).unwrap();
@@ -65,7 +64,7 @@ fn solve_on(machine: &Machine, alg: Algorithm, seed: u64) -> Vec<Result<(Matrix,
             SolveRequest::lower()
                 .algorithm(alg)
                 .solve_distributed(&l, &b)
-                .map(|sol| (sol.x.to_global(), sol.report.overlap_seconds()))
+                .map(|sol| sol.x.to_global())
                 .map_err(|e| e.to_string())
         })
         .expect("machine-level run must not fail: rank errors are typed")
@@ -187,7 +186,7 @@ fn chaos_transient_plans_stay_bit_transparent_under_parallel_ranks() {
                     .as_ref()
                     .unwrap_or_else(|e| panic!("{alg:?}/{name} rank {rank} failed: {e}"));
                 assert_eq!(
-                    c.0, f.0,
+                    c, f,
                     "{alg:?}/{name} rank {rank}: solution not bit-identical under parallel ranks"
                 );
             }
@@ -264,15 +263,14 @@ fn chaos_permanent_plans_fail_typed_under_parallel_ranks() {
     }
 }
 
-/// Acceptance: a 2×2 grid recursive-TRSM solve with a 4-worker gate and
-/// the overlap timing model (a) runs each of its four rank spans on a wall
-/// lane of its own, in this test's recorder and so unmistakably its own
-/// ranks, (b) hides a nonzero amount of compute under posted sends, and
-/// (c) still matches the 1-worker run bitwise.
+/// Acceptance: a 2×2 grid recursive-TRSM solve with a 4-worker gate (a)
+/// runs each of its four rank spans on a wall lane of its own, in this
+/// test's recorder and so unmistakably its own ranks, and (b) still matches
+/// the 1-worker run bitwise.
 #[test]
-fn overlap_and_distinct_lanes_with_parallel_rank_workers() {
+fn distinct_lanes_with_parallel_rank_workers() {
     let alg = Algorithm::Recursive { base_size: 16 };
-    let params = MachineParams::cluster().with_overlap(true);
+    let params = MachineParams::cluster();
 
     let recorder = obs::Recorder::new();
     let traced =
@@ -296,34 +294,13 @@ fn overlap_and_distinct_lanes_with_parallel_rank_workers() {
     ranks_seen.sort_unstable();
     assert_eq!(ranks_seen, [0, 1, 2, 3], "exactly 4 rank lanes, ranks 0..4");
 
-    // (b) the overlap model hid compute under at least one posted send,
-    // and the hiding shows up both in the report counter and the trace.
-    let total_overlap: f64 = traced
-        .iter()
-        .map(|r| r.as_ref().expect("traced solve").1)
-        .sum();
-    assert!(
-        total_overlap > 0.0,
-        "recursive TRSM under overlap params must hide some compute"
-    );
-    let overlap_instants = dump
-        .threads
-        .iter()
-        .flat_map(|t| &t.events)
-        .filter(|e| e.cat == "simnet" && e.name == "overlap")
-        .count();
-    assert!(
-        overlap_instants > 0,
-        "overlap instants missing from the sim lanes"
-    );
-
-    // (c) bitwise identical to the single-worker run on the same machine.
+    // (b) bitwise identical to the single-worker run on the same machine.
     let serial = solve_on(&Machine::new(4, params).with_rank_workers(1), alg, 77);
     for (rank, (a, b)) in traced.iter().zip(serial.iter()).enumerate() {
         assert_eq!(
-            a.as_ref().expect("traced").0,
-            b.as_ref().expect("serial").0,
-            "rank {rank}: worker count changed overlap-mode bits"
+            a.as_ref().expect("traced"),
+            b.as_ref().expect("serial"),
+            "rank {rank}: worker count changed the bits"
         );
     }
 }

@@ -275,7 +275,7 @@ fn distributed_transposed_request_matches_materialized_transpose() {
                 .solve_distributed(&l, &bt)
                 .unwrap();
             // …vs an upper request on the materialized transpose.
-            let lt = catrsm::transpose_dist(&l).unwrap();
+            let lt = pgrid::redist::transpose(&l).unwrap();
             let reference = SolveRequest::upper()
                 .algorithm(alg)
                 .solve_distributed(&lt, &bt)
