@@ -35,11 +35,6 @@ impl Cost {
         }
     }
 
-    /// A pure-latency cost.
-    pub fn latency_only(latency: f64) -> Self {
-        Cost::new(latency, 0.0, 0.0)
-    }
-
     /// Scale every component by `factor` (e.g. the number of iterations of a
     /// loop that incurs this cost).
     pub fn scaled(self, factor: f64) -> Cost {
@@ -155,7 +150,6 @@ mod tests {
         assert_eq!(a.scaled(3.0), Cost::new(3.0, 30.0, 300.0));
         let total: Cost = vec![a, b].into_iter().sum();
         assert_eq!(total, s);
-        assert_eq!(Cost::latency_only(4.0).bandwidth, 0.0);
         assert_eq!(Cost::ZERO + a, a);
     }
 

@@ -142,12 +142,6 @@ impl DriftReport {
             })
     }
 
-    /// Overall drift ratio `measured / predicted` of the total time.
-    pub fn total_drift(&self) -> f64 {
-        let (predicted, measured) = self.total_times();
-        ratio(measured, predicted)
-    }
-
     /// Render the report as an aligned plain-text table: one line per phase
     /// with predicted and measured `S`/`W`/`F`, both times, and the drift
     /// ratio, followed by a totals line.  The rows partition the solve — no
@@ -245,7 +239,6 @@ mod tests {
         ));
         assert_eq!(rep.total_predicted(), Cost::new(1.0, 10.0, 0.0));
         assert_eq!(rep.total_measured(), Cost::new(1.0, 20.0, 0.0));
-        assert!((rep.total_drift() - 21.0 / 11.0).abs() < 1e-12);
         let table = rep.render();
         assert!(table.contains("alpha"));
         assert!(table.contains("beta"));

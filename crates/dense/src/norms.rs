@@ -12,13 +12,6 @@ pub fn max_norm(a: &Matrix) -> f64 {
     a.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max)
 }
 
-/// Infinity norm (maximum absolute row sum).
-pub fn inf_norm(a: &Matrix) -> f64 {
-    (0..a.rows())
-        .map(|i| a.row(i).iter().map(|v| v.abs()).sum::<f64>())
-        .fold(0.0, f64::max)
-}
-
 /// One norm (maximum absolute column sum).
 pub fn one_norm(a: &Matrix) -> f64 {
     (0..a.cols())
@@ -37,18 +30,6 @@ pub fn rel_diff(a: &Matrix, b: &Matrix) -> f64 {
     frobenius(&diff) / frobenius(b).max(1.0)
 }
 
-/// Relative residual of a triangular solve: `‖L·X − B‖_F / (‖L‖_F ‖X‖_F + ‖B‖_F)`.
-pub fn trsm_residual(l: &Matrix, x: &Matrix, b: &Matrix) -> f64 {
-    let lx = crate::gemm::matmul(l, x);
-    let num = frobenius(&lx.sub(b).expect("dims"));
-    let den = frobenius(l) * frobenius(x) + frobenius(b);
-    if den == 0.0 {
-        num
-    } else {
-        num / den
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,7 +44,6 @@ mod tests {
     fn max_and_inf_and_one_norms() {
         let a = Matrix::from_row_major(2, 3, &[1.0, -2.0, 3.0, -4.0, 5.0, -6.0]).unwrap();
         assert_eq!(max_norm(&a), 6.0);
-        assert_eq!(inf_norm(&a), 15.0);
         assert_eq!(one_norm(&a), 9.0);
     }
 
@@ -76,22 +56,9 @@ mod tests {
     }
 
     #[test]
-    fn trsm_residual_zero_for_exact_solution() {
-        let l = Matrix::from_row_major(2, 2, &[2.0, 0.0, 1.0, 3.0]).unwrap();
-        let x = Matrix::from_row_major(2, 1, &[1.0, 2.0]).unwrap();
-        let b = crate::gemm::matmul(&l, &x);
-        assert!(trsm_residual(&l, &x, &b) < 1e-16);
-        // Perturbed solution has a visible residual.
-        let mut x2 = x.clone();
-        x2[(0, 0)] += 0.5;
-        assert!(trsm_residual(&l, &x2, &b) > 1e-3);
-    }
-
-    #[test]
     fn norms_of_empty_matrix() {
         let e = Matrix::zeros(0, 0);
         assert_eq!(frobenius(&e), 0.0);
         assert_eq!(max_norm(&e), 0.0);
-        assert_eq!(inf_norm(&e), 0.0);
     }
 }

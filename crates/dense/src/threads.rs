@@ -2,7 +2,7 @@
 //!
 //! The pool is deliberately small: a parallel region is a `Vec` of
 //! independent jobs, one per worker, executed by `join_all`.  Workers are
-//! **scoped** (spawned through the crossbeam shim's `thread::scope`), so jobs
+//! **scoped** (spawned through `std::thread::scope`), so jobs
 //! may borrow the caller's stack — packed panels, matrix views — with no
 //! `'static` bounds, no job queue, and no idle threads between regions:
 //! worker lifetime *is* the region.  That matters here because the simulated
@@ -141,17 +141,16 @@ where
     J: FnOnce() + Send,
 {
     let recorder = obs::current();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for job in spawned {
             let recorder = recorder.clone();
-            s.spawn(move |_| match recorder {
+            s.spawn(move || match recorder {
                 Some(recorder) => recorder.record(job),
                 None => job(),
             });
         }
         inline();
-    })
-    .expect("dense worker pool: scope failed");
+    });
 }
 
 #[cfg(test)]

@@ -19,10 +19,10 @@ use crate::message::{Envelope, MatchKey};
 use crate::params::MachineParams;
 use crate::pool::BufferPool;
 use crate::Result;
-use crossbeam::channel::{Receiver, Sender};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 /// Context id reserved for the poison message broadcast when a rank panics.

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] describes *which* faults a run should experience: message
 //! drops (recovered by the transport's timeout/resend protocol), in-flight
 //! delays, duplicated deliveries, reordered deliveries, rank stalls and rank
-//! crashes.  Every fault is drawn from a seeded [`SplitMix64`] PRNG that is
+//! crashes.  Every fault is drawn from a seeded [`SplitMix64`] stream that is
 //! derived from `(plan.seed, world_rank)` and advanced once per send
 //! operation, so the fault schedule of a rank depends only on the plan and on
 //! that rank's own operation order — never on thread interleaving.  Running
@@ -26,41 +26,12 @@
 use crate::error::SimError;
 use crate::message::Envelope;
 use crate::params::MachineParams;
+use dense::gen::SplitMix64;
 use std::collections::HashSet;
 
-/// A splittable, tiny, high-quality PRNG (Steele et al.'s SplitMix64).
-///
-/// Used instead of an external `rand` dependency; the fault subsystem needs
-/// nothing more than a reproducible uniform stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Create a generator from a seed.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform integer in `[1, max]` (`max ≥ 1`).
-    fn next_in_1_to(&mut self, max: u32) -> u32 {
-        1 + (self.next_u64() % max as u64) as u32
-    }
+/// Uniform integer in `[1, max]`; a `max` of 0 counts as 1.
+fn next_in_1_to(rng: &mut SplitMix64, max: u32) -> u32 {
+    1 + rng.below(max.max(1) as u64) as u32
 }
 
 /// A rank crash scheduled by a [`FaultPlan`].
@@ -131,10 +102,11 @@ impl FaultPlan {
         self
     }
 
-    /// Enable in-flight delays of up to `max_delay` virtual seconds.
+    /// Enable in-flight delays of up to `max_delay` virtual seconds (a
+    /// negative maximum counts as 0).
     pub fn with_delays(mut self, prob: f64, max_delay: f64) -> Self {
         self.delay_prob = prob;
-        self.max_delay = max_delay;
+        self.max_delay = max_delay.max(0.0);
         self
     }
 
@@ -151,10 +123,11 @@ impl FaultPlan {
         self
     }
 
-    /// Enable sender stalls of up to `max_stall` virtual seconds.
+    /// Enable sender stalls of up to `max_stall` virtual seconds (a negative
+    /// maximum counts as 0, so a stall never runs the clock backwards).
     pub fn with_stalls(mut self, prob: f64, max_stall: f64) -> Self {
         self.stall_prob = prob;
-        self.max_stall = max_stall;
+        self.max_stall = max_stall.max(0.0);
         self
     }
 
@@ -261,7 +234,7 @@ impl FaultInjector {
         }
         let drop_roll = self.rng.next_f64();
         let drops = if drop_roll < self.plan.drop_prob {
-            self.rng.next_in_1_to(self.plan.max_drops_per_msg)
+            next_in_1_to(&mut self.rng, self.plan.max_drops_per_msg)
         } else {
             0
         };
@@ -399,6 +372,17 @@ mod tests {
             .with_reordering(1.0)
             .with_stalls(1.0, 4.0)
             .is_transient(&params));
+    }
+
+    #[test]
+    fn a_zero_drop_maximum_draws_one_drop() {
+        let mut plan = FaultPlan::new(8).with_drops(1.0, 1);
+        plan.max_drops_per_msg = 0;
+        assert!(plan.is_transient(&MachineParams::unit()));
+        let mut inj = FaultInjector::new(&plan, 0);
+        for _ in 0..10 {
+            assert_eq!(inj.next_send().drops, 1);
+        }
     }
 
     #[test]

@@ -10,9 +10,8 @@ use crate::message::Envelope;
 use crate::params::MachineParams;
 use crate::pool::{BufferPool, PoolStats};
 use crate::Result;
-use crossbeam::channel::unbounded;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// A simulated machine with `p` processors and α–β–γ parameters.
 ///
@@ -139,7 +138,7 @@ impl Machine {
         let mut senders = Vec::with_capacity(p);
         let mut receivers = Vec::with_capacity(p);
         for _ in 0..p {
-            let (tx, rx) = unbounded::<Envelope>();
+            let (tx, rx) = mpsc::channel::<Envelope>();
             senders.push(tx);
             receivers.push(rx);
         }
@@ -608,6 +607,43 @@ mod tests {
         }
         assert!(saw_timeout, "no rank hit the retry budget");
         assert!(out.report.total_timeouts() > 0);
+    }
+
+    #[test]
+    fn negative_fault_maxima_never_run_time_backwards() {
+        // Every send stalls and is delayed by a draw scaled by a negative
+        // maximum.  Rank 0 computes first, so rank 1's clock trails it and
+        // only the message can move rank 1's clock forward.
+        let plan = FaultPlan::new(3)
+            .with_stalls(1.0, -5.0)
+            .with_delays(1.0, -5.0);
+        let out = Machine::new(2, MachineParams::unit())
+            .with_fault_plan(plan)
+            .run(|comm| {
+                if comm.rank() == 0 {
+                    comm.charge_flops(100);
+                }
+                (0..4u64)
+                    .map(|round| {
+                        let before = comm.clock();
+                        if comm.rank() == 0 {
+                            comm.send(1, round, &[1.0]).unwrap();
+                        } else {
+                            comm.recv(0, round).unwrap();
+                        }
+                        (before, comm.clock())
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .unwrap();
+        let (sends, recvs) = (&out.results[0], &out.results[1]);
+        for (round, (&(before, sent), &(_, received))) in sends.iter().zip(recvs).enumerate() {
+            assert!(sent >= before, "round {round}: a send ran the clock back");
+            assert!(
+                received >= sent,
+                "round {round}: received at {received}, before the send ended at {sent}"
+            );
+        }
     }
 
     #[test]

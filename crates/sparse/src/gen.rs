@@ -8,9 +8,8 @@
 //! hashes solves of these matrices across `DENSE_THREADS` settings.
 
 use crate::csr::SparseTri;
+use dense::gen::SplitMix64;
 use dense::{Diag, Triangle};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A random well-conditioned lower-triangular matrix with about
 /// `fill` off-diagonal entries per row (capped by the row index) and a
@@ -32,13 +31,13 @@ pub fn random_lower(n: usize, fill: usize, seed: u64) -> SparseTri {
 /// schedule is fully sequential — the worst case for level scheduling and
 /// the pattern where the dense-fallback path wins.
 pub fn banded_lower(n: usize, bandwidth: usize, seed: u64) -> SparseTri {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let scale = 1.0 / (bandwidth.max(1) as f64).sqrt();
     let mut ents: Vec<(usize, usize, f64)> = Vec::with_capacity(n * (bandwidth + 1));
     for i in 0..n {
-        ents.push((i, i, 1.0 + rng.gen_range(0.0..1.0)));
+        ents.push((i, i, 1.0 + rng.uniform(0.0, 1.0)));
         for j in i.saturating_sub(bandwidth)..i {
-            ents.push((i, j, rng.gen_range(-1.0..1.0) * scale));
+            ents.push((i, j, rng.uniform(-1.0, 1.0) * scale));
         }
     }
     SparseTri::from_triplets(n, Triangle::Lower, Diag::NonUnit, &ents)
@@ -59,11 +58,11 @@ pub fn banded_lower(n: usize, bandwidth: usize, seed: u64) -> SparseTri {
 /// this generator keeps `width`-way parallelism alive inside every level.)
 pub fn deep_narrow_lower(n: usize, width: usize, deps: usize, seed: u64) -> SparseTri {
     let width = width.max(1);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let scale = 1.0 / (deps.max(1) as f64).sqrt();
     let mut ents: Vec<(usize, usize, f64)> = Vec::with_capacity(n * (deps + 1));
     for i in 0..n {
-        ents.push((i, i, 1.0 + rng.gen_range(0.0..1.0)));
+        ents.push((i, i, 1.0 + rng.uniform(0.0, 1.0)));
         let block = i / width;
         if block == 0 {
             continue;
@@ -77,7 +76,7 @@ pub fn deep_narrow_lower(n: usize, width: usize, deps: usize, seed: u64) -> Spar
         let start = (i * 7 + 3) % prev_len;
         for t in 0..want {
             let j = prev + (start + t) % prev_len;
-            ents.push((i, j, rng.gen_range(-1.0..1.0) * scale));
+            ents.push((i, j, rng.uniform(-1.0, 1.0) * scale));
         }
     }
     SparseTri::from_triplets(n, Triangle::Lower, Diag::NonUnit, &ents)
@@ -100,12 +99,12 @@ pub fn random_upper(n: usize, fill: usize, seed: u64) -> SparseTri {
 /// friendliest one for a barrier-per-level sweep.
 pub fn block_diagonal_lower(n: usize, block: usize, fill: usize, seed: u64) -> SparseTri {
     let block = block.max(1);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let scale = 1.0 / (fill.max(1) as f64).sqrt();
     let mut ents: Vec<(usize, usize, f64)> = Vec::with_capacity(n * (fill + 1));
     let mut cols: Vec<usize> = Vec::with_capacity(fill);
     for i in 0..n {
-        ents.push((i, i, 1.0 + rng.gen_range(0.0..1.0)));
+        ents.push((i, i, 1.0 + rng.uniform(0.0, 1.0)));
         let start = i - i % block;
         let want = fill.min(i - start);
         if want == 0 {
@@ -113,14 +112,14 @@ pub fn block_diagonal_lower(n: usize, block: usize, fill: usize, seed: u64) -> S
         }
         cols.clear();
         while cols.len() < want {
-            let j = rng.gen_range(start..i);
+            let j = start + rng.below((i - start) as u64) as usize;
             if !cols.contains(&j) {
                 cols.push(j);
             }
         }
         cols.sort_unstable();
         for &j in cols.iter() {
-            ents.push((i, j, rng.gen_range(-1.0..1.0) * scale));
+            ents.push((i, j, rng.uniform(-1.0, 1.0) * scale));
         }
     }
     SparseTri::from_triplets(n, Triangle::Lower, Diag::NonUnit, &ents)
@@ -136,25 +135,25 @@ pub fn block_diagonal_lower(n: usize, block: usize, fill: usize, seed: u64) -> S
 /// tail still chains rows to recent ones, so the levels are irregular:
 /// skinny where the hubs resolve, wide behind them.
 pub fn power_law_lower(n: usize, deps: usize, seed: u64) -> SparseTri {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let scale = 1.0 / (deps.max(1) as f64).sqrt();
     let mut ents: Vec<(usize, usize, f64)> = Vec::with_capacity(n * (deps + 1));
     let mut cols: Vec<usize> = Vec::with_capacity(deps);
     for i in 0..n {
-        ents.push((i, i, 1.0 + rng.gen_range(0.0..1.0)));
+        ents.push((i, i, 1.0 + rng.uniform(0.0, 1.0)));
         let want = deps.min(i);
         cols.clear();
         while cols.len() < want {
             // Inverse CDF of the 1/(j+1) weights: (i+1)^u is log-uniform on
             // [1, i+1), so its floor lands on column j with weight ~1/(j+1).
-            let draw = (i as f64 + 1.0).powf(rng.gen_range(0.0..1.0)) as usize;
+            let draw = (i as f64 + 1.0).powf(rng.uniform(0.0, 1.0)) as usize;
             let j = draw.clamp(1, i) - 1;
             if !cols.contains(&j) {
                 cols.push(j);
             }
         }
         for &j in cols.iter() {
-            ents.push((i, j, rng.gen_range(-1.0..1.0) * scale));
+            ents.push((i, j, rng.uniform(-1.0, 1.0) * scale));
         }
     }
     SparseTri::from_triplets(n, Triangle::Lower, Diag::NonUnit, &ents)
@@ -164,8 +163,8 @@ pub fn power_law_lower(n: usize, deps: usize, seed: u64) -> SparseTri {
 /// A right-hand-side vector with `O(1)` entries, matching `dense::gen::rhs`
 /// seeding conventions.
 pub fn rhs_vec(n: usize, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    let mut rng = SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15);
+    (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect()
 }
 
 #[cfg(test)]
