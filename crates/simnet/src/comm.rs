@@ -13,7 +13,7 @@
 
 use crate::cost::CostCounters;
 use crate::error::SimError;
-use crate::fault::FaultState;
+use crate::fault::{FaultInjector, SendFaults};
 use crate::gate::RankGate;
 use crate::message::{Envelope, MatchKey};
 use crate::params::MachineParams;
@@ -25,14 +25,12 @@ use std::rc::Rc;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-/// Context id reserved for the poison message broadcast when a rank panics.
-pub(crate) const POISON_CONTEXT: u64 = u64::MAX;
-
-/// Context id reserved for failure notifications: when a rank hits a
-/// permanent fault (crash, exhausted retry budget) it broadcasts one envelope
-/// with this context so every other rank unblocks with a typed error instead
-/// of hanging.  The payload carries the root failed rank.
-pub(crate) const FAIL_CONTEXT: u64 = u64::MAX - 1;
+/// Context id reserved for failure notifications: when a rank fails — a
+/// permanent fault (crash, exhausted retry budget) or a panic — it
+/// broadcasts one envelope with this context so every other rank unblocks
+/// with a typed error instead of hanging.  The payload carries the root
+/// failed rank.
+pub(crate) const FAIL_CONTEXT: u64 = u64::MAX;
 
 /// Context id of the world communicator.
 const WORLD_CONTEXT: u64 = 1;
@@ -56,10 +54,13 @@ pub(crate) struct Endpoint {
     pub clock: f64,
     /// Cost counters.
     pub counters: CostCounters,
-    /// Fault-injection state; `None` when the machine runs without a fault
-    /// plan, in which case every fault-handling branch below is skipped and
-    /// the transport is exactly the zero-overhead lossless network.
-    pub faults: Option<FaultState>,
+    /// This rank's fault source; `None` when the machine runs without a
+    /// fault plan, in which case every send draws [`SendFaults::none`].
+    pub injector: Option<FaultInjector>,
+    /// The first failure this rank hit or was told of (sticky): every later
+    /// send or receive returns it.  It is set exactly when the rank
+    /// broadcasts its failure notification.
+    pub failure: Option<SimError>,
     /// Compute-concurrency gate shared by all ranks of the machine (`None`
     /// when rank execution is unbounded).  A rank releases its slot while
     /// blocked in a receive and takes it back before resuming computation.
@@ -121,64 +122,35 @@ impl Endpoint {
         self.counters.time = self.clock;
     }
 
-    /// The sticky failure of this endpoint, if a permanent fault already hit.
-    fn sticky_failure(&self) -> Option<SimError> {
-        self.faults.as_ref().and_then(|fs| fs.failure.clone())
-    }
-
-    /// Record a permanent failure: remember it (first failure wins), notify
-    /// every other rank exactly once so nobody waits on us forever, and
-    /// return the sticky error.
+    /// Record a failure and return the sticky error.  The first failure
+    /// wins: it is stored and broadcast to every other rank as a
+    /// [`FAIL_CONTEXT`] envelope naming its root rank, so nobody waits on
+    /// this rank forever.  A later failure changes nothing and sends nothing.
     fn fail(&mut self, err: SimError) -> SimError {
-        let world_rank = self.world_rank;
-        let clock = self.clock;
-        let Some(fs) = self.faults.as_mut() else {
-            return err;
-        };
-        if fs.failure.is_none() {
-            fs.failure = Some(err);
+        if let Some(sticky) = &self.failure {
+            return sticky.clone();
         }
-        let sticky = fs.failure.clone().expect("failure just stored");
-        let need_notify = !fs.notified;
-        fs.notified = true;
-        // A failing endpoint's held (reordered) envelope is discarded: the
-        // rank is out of the computation and its peers get the notification.
-        fs.held = None;
-        let root = match &sticky {
-            SimError::RankFailure { rank } => *rank,
-            _ => world_rank,
+        let root = match err {
+            SimError::RankFailure { rank } => rank,
+            _ => self.world_rank,
         };
-        if need_notify {
-            for (dest, tx) in self.senders.iter().enumerate() {
-                if dest != world_rank {
-                    let _ = tx.send(Envelope {
-                        src: world_rank,
-                        context: FAIL_CONTEXT,
-                        tag: 0,
-                        data: vec![root as f64],
-                        avail_time: clock,
-                        seq: 0,
-                    });
-                }
+        for (dest, tx) in self.senders.iter().enumerate() {
+            if dest != self.world_rank {
+                let _ = tx.send(Envelope {
+                    src: self.world_rank,
+                    context: FAIL_CONTEXT,
+                    tag: 0,
+                    data: vec![root as f64],
+                    avail_time: self.clock,
+                });
             }
         }
-        sticky
+        self.failure = Some(err.clone());
+        err
     }
 
-    /// Release an envelope held back by a reorder fault, if any.  Called
-    /// before blocking receives and at rank finalization, so a held message
-    /// can never participate in a deadlock.
-    fn flush_held(&mut self) {
-        let held = match self.faults.as_mut() {
-            Some(fs) => fs.held.take(),
-            None => None,
-        };
-        if let Some((dest, env)) = held {
-            let _ = self.senders[dest].send(env);
-        }
-    }
-
-    /// Transmit one envelope, injecting faults when a plan is active.
+    /// Transmit one envelope, charging the faults this rank's injector draws
+    /// for it (none without a fault plan).
     ///
     /// All fault outcomes are decided *here, at send time*, by this rank's
     /// deterministic injector: a dropped message never leaves a receiver
@@ -197,28 +169,13 @@ impl Endpoint {
         tag: u64,
         data: Vec<f64>,
     ) -> Result<()> {
-        if self.faults.is_none() {
-            // Fast path: lossless network, zero fault overhead.
-            let avail_time = self.charge_send(data.len());
-            let _ = self.senders[world_dest].send(Envelope {
-                src: self.world_rank,
-                context,
-                tag,
-                data,
-                avail_time,
-                seq: 0,
-            });
-            return Ok(());
+        if let Some(err) = &self.failure {
+            return Err(err.clone());
         }
-        if let Some(err) = self.sticky_failure() {
-            return Err(err);
-        }
-        let sf = self
-            .faults
-            .as_mut()
-            .expect("fault state present")
-            .injector
-            .next_send();
+        let sf = match self.injector.as_mut() {
+            Some(injector) => injector.next_send(),
+            None => SendFaults::none(),
+        };
         if sf.crash {
             let rank = self.world_rank;
             return Err(self.fail(SimError::RankFailure { rank }));
@@ -235,7 +192,6 @@ impl Endpoint {
         for attempt in 0..lost {
             self.counters.msgs_sent += 1;
             self.counters.words_sent += words as u64;
-            self.counters.dropped += 1;
             self.counters.retries += 1;
             let backoff = self.params.retry_timeout * (1u64 << attempt.min(30)) as f64;
             self.clock += self.params.alpha + self.params.beta * words as f64 + backoff;
@@ -273,75 +229,36 @@ impl Endpoint {
             }));
         }
         let avail_time = self.charge_send(words) + sf.delay;
-        let seq = {
-            let fs = self.faults.as_mut().expect("fault state present");
-            fs.next_seq += 1;
-            fs.next_seq
-        };
-        let env = Envelope {
+        let _ = self.senders[world_dest].send(Envelope {
             src: self.world_rank,
             context,
             tag,
             data,
             avail_time,
-            seq,
-        };
-        // Reorder bookkeeping.  A held envelope for the *same* match stream
-        // (destination, context, tag) is always released first so per-key
-        // FIFO order — which the receive matching relies on — is preserved;
-        // reordering therefore only shuffles arrival order across streams,
-        // exactly like a real network.
-        let held_prev = self
-            .faults
-            .as_mut()
-            .expect("fault state present")
-            .held
-            .take();
-        let same_stream = held_prev
-            .as_ref()
-            .is_some_and(|(d, h)| *d == world_dest && h.context == context && h.tag == tag);
-        let deliver = |ep: &Endpoint, dest: usize, env: Envelope| {
-            let _ = ep.senders[dest].send(env);
-        };
-        if same_stream {
-            let (hd, he) = held_prev.expect("held envelope present");
-            deliver(self, hd, he);
-            if sf.reorder {
-                self.faults.as_mut().expect("fault state present").held = Some((world_dest, env));
-            } else {
-                // A duplicated delivery is a network artifact: it costs the
-                // sender no model time and is suppressed by seq-number dedup
-                // on receipt.  It is *counted* here, at injection time, so
-                // the counter is independent of thread-drain interleaving.
-                if sf.duplicate {
-                    self.counters.duplicates += 1;
-                    deliver(self, world_dest, env.clone());
-                }
-                deliver(self, world_dest, env);
-            }
-        } else if sf.reorder && held_prev.is_none() {
-            self.faults.as_mut().expect("fault state present").held = Some((world_dest, env));
-        } else {
-            if sf.duplicate {
-                self.counters.duplicates += 1;
-                deliver(self, world_dest, env.clone());
-            }
-            deliver(self, world_dest, env);
-            if let Some((hd, he)) = held_prev {
-                deliver(self, hd, he);
-            }
-        }
+        });
         Ok(())
     }
 
     /// Block until a message matching `key` is available and return it.
+    ///
+    /// Forward progress rests on three facts:
+    /// * sends never block, because the channels are unbounded, so a rank
+    ///   that owes this one a message can always post it;
+    /// * a blocked receiver hands its gate permit back before it sleeps, so
+    ///   a gated machine always has a rank that can compute;
+    /// * a failure — a crash, an exhausted retry budget, a panic
+    ///   ([`Communicator::fail_on_panic`]) — is broadcast to every rank once,
+    ///   before the failing rank retires, and it is sticky: every later send
+    ///   or wait of a failed rank returns the error at once.
+    ///
+    /// So in a program whose every receive has a matching send, every wait
+    /// ends with its message or a [`FAIL_CONTEXT`] envelope: the awaited
+    /// sender either reaches its send or fails, and a failure reaches this
+    /// rank's channel.
     fn wait_for(&mut self, key: MatchKey) -> Result<(Vec<f64>, f64)> {
-        if let Some(err) = self.sticky_failure() {
-            return Err(err);
+        if let Some(err) = &self.failure {
+            return Err(err.clone());
         }
-        // Never enter a blocking wait with a reordered envelope still held:
-        // its receiver might be upstream of the message we are waiting for.
-        self.flush_held();
         loop {
             if let Some(queue) = self.pending.get_mut(&key) {
                 if let Some(msg) = queue.pop_front() {
@@ -349,12 +266,6 @@ impl Endpoint {
                         self.pending.remove(&key);
                     }
                     return Ok(msg);
-                }
-            }
-            if let Some(fs) = &self.faults {
-                if fs.failed_ranks.contains(&key.src) {
-                    let rank = key.src;
-                    return Err(self.fail(SimError::RankFailure { rank }));
                 }
             }
             // Fast path: a message is already queued — no need to touch the
@@ -378,33 +289,13 @@ impl Endpoint {
                     }
                 }
             };
-            if env.context == POISON_CONTEXT {
-                panic!(
-                    "simnet: rank {} aborted because rank {} panicked",
-                    self.world_rank, env.src
-                );
-            }
             if env.context == FAIL_CONTEXT {
-                // A peer failed permanently.  The collective in progress can
-                // no longer complete machine-wide, so abort this wait with
-                // the root cause (and cascade our own notification so ranks
-                // waiting on *us* unblock too).
+                // A peer failed.  The collective in progress can no longer
+                // complete machine-wide, so abort this wait with the root
+                // cause (and broadcast our own notification so ranks waiting
+                // on *us* unblock too).
                 let root = env.data.first().map(|&v| v as usize).unwrap_or(env.src);
-                if let Some(fs) = self.faults.as_mut() {
-                    fs.failed_ranks.insert(env.src);
-                    fs.failed_ranks.insert(root);
-                }
                 return Err(self.fail(SimError::RankFailure { rank: root }));
-            }
-            // Receive-side dedup: suppress redelivery of an already-seen
-            // (sender, sequence number) pair.
-            let duplicate = match self.faults.as_mut() {
-                Some(fs) => env.seq != 0 && !fs.seen.insert((env.src, env.seq)),
-                None => false,
-            };
-            if duplicate {
-                self.pool.give(env.data);
-                continue;
             }
             self.pending
                 .entry(env.key())
@@ -566,10 +457,14 @@ impl Communicator {
         Ok(data)
     }
 
-    /// Flush transport-internal state at the end of a rank's run: releases a
-    /// reorder-held envelope so its receiver is never starved.
-    pub(crate) fn finalize(&self) {
-        self.endpoint.borrow_mut().flush_held();
+    /// Report this rank's panic as a failure of this rank: peers blocked on
+    /// it get `SimError::RankFailure` from their receive instead of waiting
+    /// forever.  A rank that already failed has broadcast its failure and
+    /// sends nothing more.
+    pub(crate) fn fail_on_panic(&self) {
+        let mut endpoint = self.endpoint.borrow_mut();
+        let rank = endpoint.world_rank;
+        endpoint.fail(SimError::RankFailure { rank });
     }
 
     /// Allocate a fresh base tag for a collective operation on this
@@ -645,8 +540,8 @@ fn derive_context(parent: u64, op: u64, world_members: &[usize]) -> u64 {
     for &m in world_members {
         mix(m as u64);
     }
-    // Avoid colliding with the reserved world/poison/failure contexts.
-    if h == POISON_CONTEXT || h == FAIL_CONTEXT || h == WORLD_CONTEXT {
+    // Avoid colliding with the reserved world/failure contexts.
+    if h == FAIL_CONTEXT || h == WORLD_CONTEXT {
         h ^= 0x5555_5555_5555_5555;
     }
     h
@@ -665,7 +560,7 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, d);
-        assert_ne!(a, POISON_CONTEXT);
+        assert_ne!(a, FAIL_CONTEXT);
     }
 
     #[test]

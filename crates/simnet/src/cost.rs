@@ -16,13 +16,9 @@ pub struct CostCounters {
     pub words_recv: u64,
     /// Floating-point operations charged.
     pub flops: u64,
-    /// Resend attempts made by the transport after injected message drops.
+    /// Resend attempts made by the transport after injected message drops,
+    /// one per dropped attempt.
     pub retries: u64,
-    /// Injected message drops absorbed by the retry protocol.
-    pub dropped: u64,
-    /// Injected duplicate deliveries (counted at the sending endpoint when
-    /// the duplicate is injected; suppressed by receive-side dedup).
-    pub duplicates: u64,
     /// Sends that exhausted the retry budget and surfaced as timeouts.
     pub timeouts: u64,
     /// Final value of the rank's virtual clock (seconds in model time).
@@ -52,8 +48,6 @@ impl CostCounters {
             words_recv: self.words_recv + other.words_recv,
             flops: self.flops + other.flops,
             retries: self.retries + other.retries,
-            dropped: self.dropped + other.dropped,
-            duplicates: self.duplicates + other.duplicates,
             timeouts: self.timeouts + other.timeouts,
             time: self.time.max(other.time),
         }
@@ -80,8 +74,6 @@ impl CostCounters {
             words_recv: self.words_recv - earlier.words_recv,
             flops: self.flops - earlier.flops,
             retries: self.retries - earlier.retries,
-            dropped: self.dropped - earlier.dropped,
-            duplicates: self.duplicates - earlier.duplicates,
             timeouts: self.timeouts - earlier.timeouts,
             time: self.time - earlier.time,
         }
@@ -155,11 +147,6 @@ impl CostReport {
     /// plan that injects drops).
     pub fn total_retries(&self) -> u64 {
         self.per_rank.iter().map(|c| c.retries).sum()
-    }
-
-    /// Total suppressed duplicate deliveries over all ranks.
-    pub fn total_duplicates(&self) -> u64 {
-        self.per_rank.iter().map(|c| c.duplicates).sum()
     }
 
     /// Total sends that exhausted the retry budget over all ranks.
@@ -279,24 +266,18 @@ mod tests {
     fn fault_counters_merge_accumulate_and_subtract() {
         let a = CostCounters {
             retries: 2,
-            dropped: 2,
-            duplicates: 1,
             timeouts: 0,
             time: 1.0,
             ..CostCounters::default()
         };
         let b = CostCounters {
             retries: 3,
-            dropped: 4,
-            duplicates: 0,
             timeouts: 1,
             time: 2.0,
             ..CostCounters::default()
         };
         let m = a.merge(&b);
         assert_eq!(m.retries, 5);
-        assert_eq!(m.dropped, 6);
-        assert_eq!(m.duplicates, 1);
         assert_eq!(m.timeouts, 1);
         assert_eq!(m.time, 2.0);
         let acc = a.accumulate(&b);
@@ -307,7 +288,6 @@ mod tests {
         assert_eq!(d.timeouts, 1);
         let report = CostReport::new(vec![a, b], MachineParams::unit());
         assert_eq!(report.total_retries(), 5);
-        assert_eq!(report.total_duplicates(), 1);
         assert_eq!(report.total_timeouts(), 1);
     }
 }

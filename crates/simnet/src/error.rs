@@ -40,9 +40,9 @@ pub enum SimError {
         /// Number of transmission attempts made before giving up.
         attempts: u32,
     },
-    /// A rank failed permanently (crashed under a fault plan, or stopped
-    /// participating after its own permanent fault) and the operation could
-    /// not complete.
+    /// A rank failed permanently (crashed under a fault plan, panicked, or
+    /// stopped participating after its own permanent fault) and the
+    /// operation could not complete.
     RankFailure {
         /// World rank of the failed processor (the root cause, propagated
         /// through failure notifications).

@@ -2,32 +2,30 @@
 //!
 //! A [`FaultPlan`] describes *which* faults a run should experience: message
 //! drops (recovered by the transport's timeout/resend protocol), in-flight
-//! delays, duplicated deliveries, reordered deliveries, rank stalls and rank
-//! crashes.  Every fault is drawn from a seeded [`SplitMix64`] stream that is
-//! derived from `(plan.seed, world_rank)` and advanced once per send
-//! operation, so the fault schedule of a rank depends only on the plan and on
-//! that rank's own operation order — never on thread interleaving.  Running
-//! the same program twice under the same plan therefore injects *exactly* the
-//! same faults.
+//! delays, rank stalls and rank crashes.  Each is a charge in the α–β–γ
+//! model — resent attempts, a later availability time, idle time on the
+//! sender — or the end of a rank.  Every fault is drawn from a seeded
+//! [`SplitMix64`] stream that is derived from `(plan.seed, world_rank)` and
+//! advanced once per send operation, so the fault schedule of a rank depends
+//! only on the plan and on that rank's own operation order — never on thread
+//! interleaving.  Running the same program twice under the same plan
+//! therefore injects *exactly* the same faults.
 //!
 //! Faults split into two classes:
 //!
-//! * **transient** faults (drops within the retry budget, delays, duplicates,
-//!   reorders, stalls) are absorbed by the transport layer in
-//!   [`crate::comm`]: they cost virtual time and bump the fault counters, but
-//!   every payload is still delivered exactly once, in order per match key —
-//!   so any program, collectives included, computes bit-identical results;
+//! * **transient** faults (drops within the retry budget, delays, stalls)
+//!   are absorbed by the transport layer in [`crate::comm`]: they cost
+//!   virtual time and bump the fault counters, but every payload is still
+//!   delivered exactly once, in order per match key — so any program,
+//!   collectives included, computes bit-identical results;
 //! * **permanent** faults (a crashed rank, a retry budget exhausted) surface
 //!   as [`crate::SimError::RankFailure`] / [`crate::SimError::Timeout`] from
 //!   the communication call and make the failing endpoint broadcast a failure
 //!   notification, so every other rank unblocks with a typed error instead of
 //!   hanging.
 
-use crate::error::SimError;
-use crate::message::Envelope;
 use crate::params::MachineParams;
 use dense::gen::SplitMix64;
-use std::collections::HashSet;
 
 /// Uniform integer in `[1, max]`; a `max` of 0 counts as 1.
 fn next_in_1_to(rng: &mut SplitMix64, max: u32) -> u32 {
@@ -64,11 +62,6 @@ pub struct FaultPlan {
     pub delay_prob: f64,
     /// Maximum in-flight delay (virtual seconds), drawn uniformly.
     pub max_delay: f64,
-    /// Probability that a delivered message is duplicated on the wire.
-    pub dup_prob: f64,
-    /// Probability that a message is held back and overtaken by the sender's
-    /// next message to a different destination/stream.
-    pub reorder_prob: f64,
     /// Probability that the sender stalls before a send operation.
     pub stall_prob: f64,
     /// Maximum stall duration (virtual seconds), drawn uniformly.
@@ -86,8 +79,6 @@ impl FaultPlan {
             max_drops_per_msg: 1,
             delay_prob: 0.0,
             max_delay: 0.0,
-            dup_prob: 0.0,
-            reorder_prob: 0.0,
             stall_prob: 0.0,
             max_stall: 0.0,
             crashes: Vec::new(),
@@ -107,19 +98,6 @@ impl FaultPlan {
     pub fn with_delays(mut self, prob: f64, max_delay: f64) -> Self {
         self.delay_prob = prob;
         self.max_delay = max_delay.max(0.0);
-        self
-    }
-
-    /// Enable duplicated deliveries.
-    pub fn with_duplicates(mut self, prob: f64) -> Self {
-        self.dup_prob = prob;
-        self
-    }
-
-    /// Enable message reordering (a message may be overtaken by the sender's
-    /// next message to a different stream).
-    pub fn with_reordering(mut self, prob: f64) -> Self {
-        self.reorder_prob = prob;
         self
     }
 
@@ -157,10 +135,6 @@ pub struct SendFaults {
     pub drops: u32,
     /// Extra in-flight delay added to the message's availability time.
     pub delay: f64,
-    /// Whether the message is duplicated on the wire.
-    pub duplicate: bool,
-    /// Whether the message is held back to be overtaken by the next send.
-    pub reorder: bool,
     /// Stall charged to the sender before the operation.
     pub stall: f64,
     /// Whether the rank crashes at this operation instead of sending.
@@ -173,8 +147,6 @@ impl SendFaults {
         SendFaults {
             drops: 0,
             delay: 0.0,
-            duplicate: false,
-            reorder: false,
             stall: 0.0,
             crash: false,
         }
@@ -244,8 +216,6 @@ impl FaultInjector {
         } else {
             0.0
         };
-        let duplicate = self.rng.next_f64() < self.plan.dup_prob;
-        let reorder = self.rng.next_f64() < self.plan.reorder_prob;
         let stall_roll = self.rng.next_f64();
         let stall = if stall_roll < self.plan.stall_prob {
             self.rng.next_f64() * self.plan.max_stall
@@ -255,44 +225,8 @@ impl FaultInjector {
         SendFaults {
             drops,
             delay,
-            duplicate,
-            reorder,
             stall,
             crash: false,
-        }
-    }
-}
-
-/// Mutable per-endpoint fault state (lives inside the endpoint of a rank when
-/// the machine runs under a fault plan).
-pub(crate) struct FaultState {
-    /// The deterministic fault source for this rank.
-    pub injector: FaultInjector,
-    /// Next sequence number to stamp on an outgoing envelope (1-based;
-    /// `seq = 0` is reserved for control messages).
-    pub next_seq: u64,
-    /// `(source world rank, seq)` pairs already accepted — receive-side dedup.
-    pub seen: HashSet<(usize, u64)>,
-    /// An envelope held back by a reorder fault, with its destination.
-    pub held: Option<(usize, Envelope)>,
-    /// Ranks known (from failure notifications) to have failed permanently.
-    pub failed_ranks: HashSet<usize>,
-    /// First permanent failure observed by this endpoint (sticky).
-    pub failure: Option<SimError>,
-    /// Whether this endpoint has already broadcast its failure notification.
-    pub notified: bool,
-}
-
-impl FaultState {
-    pub(crate) fn new(injector: FaultInjector) -> Self {
-        FaultState {
-            injector,
-            next_seq: 0,
-            seen: HashSet::new(),
-            held: None,
-            failed_ranks: HashSet::new(),
-            failure: None,
-            notified: false,
         }
     }
 }
@@ -322,8 +256,6 @@ mod tests {
         let plan = FaultPlan::new(1234)
             .with_drops(0.3, 2)
             .with_delays(0.2, 5.0)
-            .with_duplicates(0.1)
-            .with_reordering(0.1)
             .with_stalls(0.05, 3.0);
         for rank in 0..4 {
             let mut a = FaultInjector::new(&plan, rank);
@@ -368,8 +300,6 @@ mod tests {
         assert!(!FaultPlan::new(1).with_crash(0, 5).is_transient(&params));
         assert!(FaultPlan::new(1)
             .with_delays(1.0, 10.0)
-            .with_duplicates(1.0)
-            .with_reordering(1.0)
             .with_stalls(1.0, 4.0)
             .is_transient(&params));
     }
@@ -390,8 +320,6 @@ mod tests {
         let plan = FaultPlan::new(2024)
             .with_drops(0.5, 2)
             .with_delays(0.5, 1.0)
-            .with_duplicates(0.5)
-            .with_reordering(0.5)
             .with_stalls(0.5, 1.0);
         let mut inj = FaultInjector::new(&plan, 0);
         let mut saw = SendFaults::none();
@@ -399,14 +327,10 @@ mod tests {
             let f = inj.next_send();
             saw.drops += f.drops;
             saw.delay += f.delay;
-            saw.duplicate |= f.duplicate;
-            saw.reorder |= f.reorder;
             saw.stall += f.stall;
         }
         assert!(saw.drops > 0);
         assert!(saw.delay > 0.0);
-        assert!(saw.duplicate);
-        assert!(saw.reorder);
         assert!(saw.stall > 0.0);
     }
 }

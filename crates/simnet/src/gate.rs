@@ -13,9 +13,10 @@
 //! every permit count (asserted by the distributed determinism matrix in
 //! `tests/proptest_distributed.rs` and the CI `distributed-parallel` job).
 //!
-//! Deadlock freedom: sends never block (unbounded channels), and a blocked
-//! receiver always gives its permit back before sleeping, so at least one
-//! runnable rank can always make progress.
+//! Deadlock freedom: a blocked receiver always gives its permit back before
+//! sleeping, so at least one runnable rank can always make progress.  The
+//! whole forward-progress argument, failures included, is stated beside
+//! `Endpoint::wait_for` in `comm.rs`.
 
 use std::sync::{Condvar, Mutex};
 

@@ -30,9 +30,11 @@
 //! * [`params::MachineParams`] — the α, β, γ constants plus the retry budget
 //!   used by the fault-injection transport.
 //! * [`fault`] — deterministic, seeded fault injection: a [`fault::FaultPlan`]
-//!   attached via [`machine::Machine::with_fault_plan`] can drop, delay,
-//!   duplicate and reorder messages and stall or crash ranks, with every
-//!   fault drawn from a per-rank PRNG so runs are exactly reproducible.
+//!   attached via [`machine::Machine::with_fault_plan`] can drop and delay
+//!   messages and stall or crash ranks, with every fault drawn from a
+//!   per-rank PRNG so runs are exactly reproducible.  Every message that is
+//!   sent is delivered exactly once; a rank that fails (or panics) tells
+//!   every other rank, whose receives then return a typed error.
 //! * the machine's buffer pool — [`Communicator::take_buffer`] /
 //!   [`Communicator::give_buffer`] recycle payloads and temporaries across
 //!   ranks and runs ([`machine::Machine::pool_stats`]); a buffer is always

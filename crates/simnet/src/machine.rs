@@ -1,17 +1,17 @@
 //! The simulated machine: spawns ranks, runs the SPMD program, collects costs.
 
 use crate::affinity::confine_spawns;
-use crate::comm::{Communicator, Endpoint, POISON_CONTEXT};
+use crate::comm::{Communicator, Endpoint};
 use crate::cost::{CostCounters, CostReport};
 use crate::error::SimError;
-use crate::fault::{FaultInjector, FaultPlan, FaultState};
+use crate::fault::{FaultInjector, FaultPlan};
 use crate::gate::RankGate;
 use crate::message::Envelope;
 use crate::params::MachineParams;
 use crate::pool::{BufferPool, PoolStats};
 use crate::Result;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 
 /// A simulated machine with `p` processors and α–β–γ parameters.
 ///
@@ -114,8 +114,10 @@ impl Machine {
     /// Run an SPMD closure on every processor and collect results and costs.
     ///
     /// The closure receives this rank's world [`Communicator`].  If any rank
-    /// panics, the run is aborted (a poison message wakes up ranks blocked in
-    /// `recv`) and an [`SimError::RankPanicked`] is returned.
+    /// panics, it counts as a failure of that rank — its peers' receives
+    /// return [`SimError::RankFailure`] instead of blocking forever — and the
+    /// run returns [`SimError::RankPanicked`] naming the first rank that
+    /// panicked.
     pub fn run<T, F>(&self, f: F) -> Result<RunOutput<T>>
     where
         T: Send,
@@ -145,16 +147,14 @@ impl Machine {
         let senders = Arc::new(senders);
 
         let f = &f;
-        let mut rank_outputs: Vec<Option<(T, CostCounters)>> = Vec::with_capacity(p);
-        for _ in 0..p {
-            rank_outputs.push(None);
-        }
-
-        let mut panicked: Vec<usize> = Vec::new();
+        // The first rank to panic: it is recorded before the rank broadcasts
+        // its failure, and a rank that panics because of that failure can
+        // only do so after receiving the broadcast.
+        let first_panic = &OnceLock::new();
 
         // Rank threads record into the trace of whoever called `run`.
         let recorder = obs::current();
-        std::thread::scope(|scope| {
+        let outputs: Vec<Option<(T, CostCounters)>> = std::thread::scope(|scope| {
             // A gated run computes on `workers` CPUs at a time: its rank
             // threads are created confined to that many, so the hand-offs
             // between ranks stay on CPUs that are awake (see `affinity`).
@@ -183,9 +183,10 @@ impl Machine {
                         params,
                         clock: 0.0,
                         counters: CostCounters::default(),
-                        faults: fault_plan
+                        injector: fault_plan
                             .as_ref()
-                            .map(|plan| FaultState::new(FaultInjector::new(plan, rank))),
+                            .map(|plan| FaultInjector::new(plan, rank)),
+                        failure: None,
                         gate: gate.clone(),
                         pool: Arc::clone(&self.pool),
                     };
@@ -194,29 +195,11 @@ impl Machine {
                         dense::with_thread_budget(share, || f(&comm))
                     }));
                     match result {
-                        Ok(value) => {
-                            // Release any reorder-held envelope before the
-                            // rank retires, so its receiver is not starved.
-                            comm.finalize();
-                            let counters = comm.counters();
-                            Ok((value, counters))
-                        }
+                        Ok(value) => Some((value, comm.counters())),
                         Err(_) => {
-                            // Wake up every other rank that might be blocked
-                            // waiting for a message from us (or anyone).
-                            for (dest, tx) in senders.iter().enumerate() {
-                                if dest != rank {
-                                    let _ = tx.send(Envelope {
-                                        src: rank,
-                                        context: POISON_CONTEXT,
-                                        tag: 0,
-                                        data: Vec::new(),
-                                        avail_time: 0.0,
-                                        seq: 0,
-                                    });
-                                }
-                            }
-                            Err(rank)
+                            let _ = first_panic.set(rank);
+                            comm.fail_on_panic();
+                            None
                         }
                     }
                 };
@@ -227,31 +210,23 @@ impl Machine {
                 handles.push(handle);
             }
             drop(confined);
-            for (rank, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(Ok(output)) => rank_outputs[rank] = Some(output),
-                    Ok(Err(panicked_rank)) => panicked.push(panicked_rank),
-                    Err(_) => panicked.push(rank),
-                }
-            }
+            handles
+                .into_iter()
+                .map(|handle| handle.join().ok().flatten())
+                .collect()
         });
         self.pool.end_run();
 
-        if let Some(&rank) = panicked.first() {
+        // A rank thread that died outside `catch_unwind` recorded nothing;
+        // it is reported by index.
+        let panicked = first_panic
+            .get()
+            .copied()
+            .or_else(|| outputs.iter().position(Option::is_none));
+        if let Some(rank) = panicked {
             return Err(SimError::RankPanicked { rank });
         }
-
-        let mut results = Vec::with_capacity(p);
-        let mut counters = Vec::with_capacity(p);
-        for (rank, output) in rank_outputs.into_iter().enumerate() {
-            // Unreachable unless a join failed without being recorded above;
-            // surface it as a structured error rather than panicking.
-            let Some((value, c)) = output else {
-                return Err(SimError::RankPanicked { rank });
-            };
-            results.push(value);
-            counters.push(c);
-        }
+        let (results, counters) = outputs.into_iter().flatten().unzip();
         Ok(RunOutput {
             results,
             report: CostReport::new(counters, params),
@@ -392,32 +367,45 @@ mod tests {
         assert_eq!(m.with_rank_workers(0).rank_workers(), 1);
     }
 
+    /// Rank 2 panics while ranks 0, 1 and 3 wait for a message from it.
+    /// The run names rank 2, and every blocked peer's receive returned
+    /// rank 2's failure instead of hanging or panicking in turn.
+    fn assert_panic_of_rank_2_reported(m: Machine) {
+        let peers = std::sync::Mutex::new(Vec::new());
+        let res: Result<RunOutput<()>> = m.run(|comm| {
+            if comm.rank() == 2 {
+                panic!("boom");
+            }
+            let got = comm.recv(2, 0);
+            peers.lock().unwrap().push((comm.rank(), got.err()));
+        });
+        assert!(
+            matches!(res, Err(SimError::RankPanicked { rank: 2 })),
+            "{res:?}"
+        );
+        let mut peers = peers.into_inner().unwrap();
+        peers.sort_by_key(|&(rank, _)| rank);
+        let failure = Some(SimError::RankFailure { rank: 2 });
+        assert_eq!(
+            peers,
+            [(0, failure.clone()), (1, failure.clone()), (3, failure)]
+        );
+    }
+
     #[test]
     fn panic_under_a_rank_gate_still_unblocks_everyone() {
         // One compute slot for four ranks: the panicking rank must return
         // its permit during unwind or the others would never be scheduled.
-        let m = Machine::new(4, MachineParams::unit()).with_rank_workers(1);
-        let res: Result<RunOutput<()>> = m.run(|comm| {
-            if comm.rank() == 2 {
-                panic!("boom");
-            }
-            let _ = comm.recv(2, 0);
-        });
-        assert!(matches!(res, Err(SimError::RankPanicked { .. })));
+        assert_panic_of_rank_2_reported(
+            Machine::new(4, MachineParams::unit()).with_rank_workers(1),
+        );
     }
 
     #[test]
     fn panic_in_one_rank_is_reported_not_hung() {
-        let m = Machine::new(4, MachineParams::unit());
-        let res: Result<RunOutput<()>> = m.run(|comm| {
-            if comm.rank() == 2 {
-                panic!("boom");
-            }
-            // Other ranks block waiting for rank 2 and must be woken by the
-            // poison message instead of hanging forever.
-            let _ = comm.recv(2, 0);
-        });
-        assert!(matches!(res, Err(SimError::RankPanicked { .. })));
+        assert_panic_of_rank_2_reported(
+            Machine::new(4, MachineParams::unit()).with_rank_workers(4),
+        );
     }
 
     #[test]
@@ -501,8 +489,6 @@ mod tests {
         let plan = FaultPlan::new(0xfeed_beef)
             .with_drops(0.4, 2)
             .with_delays(0.3, 5.0)
-            .with_duplicates(0.3)
-            .with_reordering(0.3)
             .with_stalls(0.2, 3.0);
         assert!(plan.is_transient(&MachineParams::unit()));
         let faulty = Machine::new(p, MachineParams::unit())
@@ -510,9 +496,11 @@ mod tests {
             .run(ring_program)
             .unwrap();
         assert_eq!(clean.results, faulty.results);
-        // Something actually happened: drops were retried or dups suppressed.
-        let activity = faulty.report.total_retries() + faulty.report.total_duplicates();
-        assert!(activity > 0, "fault plan injected nothing");
+        // Something actually happened: drops were retried.
+        assert!(
+            faulty.report.total_retries() > 0,
+            "fault plan injected nothing"
+        );
         assert_eq!(faulty.report.total_timeouts(), 0);
     }
 
@@ -521,8 +509,7 @@ mod tests {
         let p = 5;
         let plan = FaultPlan::new(0x5eed)
             .with_drops(0.5, 2)
-            .with_duplicates(0.4)
-            .with_reordering(0.4);
+            .with_delays(0.4, 2.0);
         let runs: Vec<_> = (0..3)
             .map(|_| {
                 Machine::new(p, MachineParams::unit())
@@ -533,12 +520,7 @@ mod tests {
             .collect();
         for r in &runs[1..] {
             assert_eq!(r.results, runs[0].results);
-            for (a, b) in r.report.per_rank.iter().zip(runs[0].report.per_rank.iter()) {
-                assert_eq!(a.retries, b.retries);
-                assert_eq!(a.dropped, b.dropped);
-                assert_eq!(a.duplicates, b.duplicates);
-                assert_eq!(a.time, b.time);
-            }
+            assert_eq!(r.report.per_rank, runs[0].report.per_rank);
         }
     }
 
@@ -652,7 +634,6 @@ mod tests {
             .run(ring_program)
             .unwrap();
         assert_eq!(out.report.total_retries(), 0);
-        assert_eq!(out.report.total_duplicates(), 0);
         assert_eq!(out.report.total_timeouts(), 0);
     }
 

@@ -20,10 +20,6 @@ pub struct Envelope {
     pub data: Vec<f64>,
     /// Sender virtual time at which the message is fully transferred.
     pub avail_time: f64,
-    /// Per-sender monotone sequence number used for receive-side duplicate
-    /// suppression under fault injection.  `0` is reserved for control
-    /// messages and for runs without a fault plan (where no dedup happens).
-    pub seq: u64,
 }
 
 /// Key used to match incoming envelopes against `recv` calls.
@@ -60,7 +56,6 @@ mod tests {
             tag: 11,
             data: vec![1.0, 2.0],
             avail_time: 0.5,
-            seq: 0,
         };
         let k = e.key();
         assert_eq!(

@@ -3,10 +3,10 @@
 //! Two claims are exercised here, matching the fault taxonomy of
 //! `simnet::FaultPlan`:
 //!
-//! * **transient** plans (drops within the retry budget, delays, duplicates,
-//!   reorders, stalls) are *bit-transparent*: every algorithm returns exactly
-//!   the solution of the fault-free run, while the `SolveReport` records the
-//!   recovery work (retries, drops absorbed, duplicates discarded);
+//! * **transient** plans (drops within the retry budget, delays, stalls) are
+//!   *bit-transparent*: every algorithm returns exactly the solution of the
+//!   fault-free run, while the `SolveReport` records the recovery work (the
+//!   retries that absorbed the drops);
 //! * **permanent** plans (rank crashes, retry budgets exhausted) surface as
 //!   typed `TrsmError`s on every rank within bounded virtual time — never a
 //!   hang, never a panic.
@@ -76,21 +76,13 @@ fn solve_on(
 fn transient_plans() -> Vec<(&'static str, FaultPlan)> {
     vec![
         ("drops", FaultPlan::new(0xD0D0).with_drops(0.3, 2)),
-        ("duplicates", FaultPlan::new(0xD1D1).with_duplicates(0.3)),
-        (
-            "reorder+delay",
-            FaultPlan::new(0xD2D2)
-                .with_reordering(0.25)
-                .with_delays(0.25, 3.0),
-        ),
+        ("delays", FaultPlan::new(0xD2D2).with_delays(0.25, 3.0)),
         ("stalls", FaultPlan::new(0xD3D3).with_stalls(0.2, 2.0)),
         ("heavy-drops", FaultPlan::new(0xD4D4).with_drops(0.6, 3)),
         (
             "everything",
             FaultPlan::new(0xD5D5)
                 .with_drops(0.25, 2)
-                .with_duplicates(0.2)
-                .with_reordering(0.2)
                 .with_delays(0.2, 2.0)
                 .with_stalls(0.1, 1.0),
         ),
@@ -126,27 +118,21 @@ fn transient_plans_are_bit_transparent_for_every_algorithm() {
 #[test]
 fn transient_recovery_work_reaches_the_solve_report() {
     let params = MachineParams::unit();
-    let plan = FaultPlan::new(0xBEEF)
-        .with_drops(0.4, 2)
-        .with_duplicates(0.4);
+    let plan = FaultPlan::new(0xBEEF).with_drops(0.4, 2);
     for alg in algorithms() {
         let out = solve_on(
             &Machine::new(4, params).with_fault_plan(plan.clone()),
             alg,
             13,
         );
-        let (mut retries, mut dropped, mut dups) = (0u64, 0u64, 0u64);
-        for res in &out {
-            let (_, c) = res.as_ref().expect("transient plan must solve");
-            retries += c.retries;
-            dropped += c.dropped;
-            dups += c.duplicates;
-        }
+        let retries: u64 = out
+            .iter()
+            .map(|res| res.as_ref().expect("transient plan must solve").1.retries)
+            .sum();
         assert!(
-            retries > 0 && dropped > 0,
-            "{alg:?}: drop recovery invisible in SolveReport (retries={retries}, dropped={dropped})"
+            retries > 0,
+            "{alg:?}: drop recovery invisible in SolveReport"
         );
-        assert!(dups > 0, "{alg:?}: duplicates invisible in SolveReport");
     }
 }
 
@@ -254,7 +240,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Satellite: fault-plan determinism.  The same seed produces the same
-    /// fault schedule, the same per-rank retry/drop/duplicate counters, the
+    /// fault schedule, the same per-rank retry and timeout counters, the
     /// same virtual finish time and the same (bit-identical) solution, run
     /// after run.
     #[test]
@@ -262,8 +248,7 @@ proptest! {
         let params = MachineParams::unit();
         let plan = FaultPlan::new(seed)
             .with_drops(0.3, 2)
-            .with_duplicates(0.25)
-            .with_reordering(0.2)
+            .with_delays(0.25, 2.0)
             .with_stalls(0.1, 1.5);
         prop_assert!(plan.is_transient(&params));
         let alg = Algorithm::Recursive { base_size: 16 };

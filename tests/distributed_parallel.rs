@@ -134,29 +134,19 @@ fn assert_same_run(what: &str, a: &RunOutput<Vec<u64>>, b: &RunOutput<Vec<u64>>)
     );
 }
 
-/// Eight transient fault plans — every class plus combinations — for the
-/// parallel-rank chaos sweep (the two permanent plans below complete the
-/// ten-plan suite).
+/// Five transient fault plans — every class plus heavy drops and all at
+/// once — for the parallel-rank chaos sweep (the two permanent plans below
+/// complete the seven-plan suite).
 fn transient_plans() -> Vec<(&'static str, FaultPlan)> {
     vec![
         ("drops", FaultPlan::new(0xA0A0).with_drops(0.3, 2)),
-        ("duplicates", FaultPlan::new(0xA1A1).with_duplicates(0.3)),
-        ("reorder", FaultPlan::new(0xA2A2).with_reordering(0.25)),
         ("delays", FaultPlan::new(0xA3A3).with_delays(0.4, 2.0)),
         ("stalls", FaultPlan::new(0xA4A4).with_stalls(0.2, 2.0)),
         ("heavy-drops", FaultPlan::new(0xA5A5).with_drops(0.6, 3)),
         (
-            "dup+reorder",
-            FaultPlan::new(0xA6A6)
-                .with_duplicates(0.25)
-                .with_reordering(0.25),
-        ),
-        (
             "everything",
             FaultPlan::new(0xA7A7)
                 .with_drops(0.25, 2)
-                .with_duplicates(0.2)
-                .with_reordering(0.2)
                 .with_delays(0.2, 2.0)
                 .with_stalls(0.1, 1.0),
         ),
@@ -201,7 +191,7 @@ fn chaos_transient_plans_stay_bit_transparent_under_parallel_ranks() {
 #[test]
 fn chaos_permanent_plans_fail_typed_under_parallel_ranks() {
     for alg in algorithms() {
-        // Plan 9/10: rank 1 crashes after its third send.
+        // Plan 6/7: rank 1 crashes after its third send.
         let params = MachineParams::unit();
         let crash = FaultPlan::new(0xBAD1).with_crash(1, 3);
         assert!(!crash.is_transient(&params));
@@ -239,7 +229,7 @@ fn chaos_permanent_plans_fail_typed_under_parallel_ranks() {
             out.report.virtual_time()
         );
 
-        // Plan 10/10: every transfer exhausts a one-retry budget.
+        // Plan 7/7: every transfer exhausts a one-retry budget.
         let params = MachineParams::unit().with_retry(1.0e-3, 1);
         let exhaust = FaultPlan::new(0xBAD2).with_drops(1.0, 5);
         assert!(!exhaust.is_transient(&params));
@@ -369,25 +359,27 @@ fn a_clean_run_after_a_panicked_run_matches_a_fresh_machine() {
             panic!("rank 5 fails between two collectives");
         }
         // Every other rank is blocked here, holding pooled buffers, when
-        // the poison message aborts it.
+        // rank 5's failure notification reaches it; the unwrap then panics
+        // it in turn, but the run still names rank 5.
         coll::allreduce(comm, &[comm.rank() as f64; 64], coll::ReduceOp::Sum).unwrap();
     });
-    assert!(matches!(crashed, Err(SimError::RankPanicked { .. })));
+    assert!(
+        matches!(crashed, Err(SimError::RankPanicked { rank: 5 })),
+        "{crashed:?}"
+    );
     let clean = machine.run(solve_bits(alg, 4, n, k)).unwrap();
     assert_same_run("after a panicked run", &fresh, &clean);
 }
 
 /// Satellite: a transient fault plan run twice on one machine stays
-/// bit-transparent — duplicates discarded at the receiver go back to the
-/// pool like any consumed payload, and nothing recycled leaks into a
-/// result.
+/// bit-transparent — resent and delayed payloads go back to the pool like
+/// any consumed payload, and nothing recycled leaks into a result.
 #[test]
 fn a_transient_plan_run_twice_on_one_machine_stays_bit_transparent() {
     let params = MachineParams::unit();
     let plan = FaultPlan::new(0xC4A0)
         .with_drops(0.3, 2)
-        .with_duplicates(0.3)
-        .with_reordering(0.3);
+        .with_delays(0.3, 2.0);
     assert!(plan.is_transient(&params));
     let (alg, n, k) = warm_cases()[1];
     let clean = Machine::new(16, params)
@@ -397,7 +389,7 @@ fn a_transient_plan_run_twice_on_one_machine_stays_bit_transparent() {
     let first = faulty.run(solve_bits(alg, 4, n, k)).unwrap();
     let second = faulty.run(solve_bits(alg, 4, n, k)).unwrap();
     assert!(
-        first.report.total_retries() + first.report.total_duplicates() > 0,
+        first.report.total_retries() > 0,
         "the plan injected nothing"
     );
     assert_eq!(clean.results, first.results, "first faulty run");
