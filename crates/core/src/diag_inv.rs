@@ -2,40 +2,76 @@
 //!
 //! Before the iterative solve starts, the `n/n0` diagonal blocks
 //! `L(S_g, S_g)` of size `n0 × n0` are inverted, each by a *distinct* group
-//! of processors working concurrently.  The result `L̃` equals `L` except
-//! that every diagonal block is replaced by its inverse; the off-diagonal
-//! panels are untouched.  Replacing the small, latency-bound triangular
-//! solves with multiplications by these explicit inverses is what removes the
-//! `Θ(n/n0)` synchronisation bottleneck from the solve phase.
+//! of processors working concurrently.  Replacing the small, latency-bound
+//! triangular solves with multiplications by these explicit inverses is what
+//! removes the `Θ(n/n0)` synchronisation bottleneck from the solve phase.
 //!
 //! Two cases, both handled here:
 //!
 //! * **fewer blocks than processors** — each block is redistributed onto its
 //!   own sub-grid (the redistribution the paper bounds "by an all-to-all")
 //!   and inverted with the distributed recursion of [`crate::tri_inv`];
-//! * **more blocks than processors** — blocks are assigned round-robin, each
-//!   processor inverts its blocks locally.
+//! * **at least as many blocks as processors** — blocks are assigned
+//!   round-robin, each processor inverts its blocks locally (a single
+//!   processor simply owns them all).
 //!
-//! Deviation from the paper: the groups are formed from the processors
-//! of the grid that owns `L` (the face of the 3D grid in `It-Inv-TRSM`)
-//! rather than from all `p` processors; the phase remains non-dominant, which
-//! experiment E5 verifies.
+//! The inverses come back *stacked* ([`stacked_layout`]): the cyclic owners
+//! of `L`'s diagonal blocks on the `q × q` grid receive them, each row
+//! keeping only the columns of its own diagonal block, so a rank holds
+//! `n/q × n0/q` words instead of a copy of its piece of `L`.
+//!
+//! Deviations from the paper:
+//!
+//! * the groups are formed from the processors of the grid that owns `L`
+//!   (the face of the 3D grid in `It-Inv-TRSM`) rather than from all `p`
+//!   processors; the phase remains non-dominant, which experiment E5
+//!   verifies;
+//! * the paper's `L̃` — `L` with every diagonal block replaced by its
+//!   inverse — is never materialised.  Off the diagonal blocks `L̃` *is*
+//!   `L`, so `It-Inv-TRSM` reads its panels from `L` and its inverted blocks
+//!   from the stacked output.  The messages are the paper's: the same
+//!   entries travel between the same ranks, in the same order, as writing
+//!   the inverses back into `L̃` would send.
 
 use crate::error::config_error;
 use crate::tri_inv::tri_inv;
 use crate::Result;
 use dense::{Matrix, Triangle};
-use pgrid::redist::{redistribute_into, Axis, Filter, Layout};
+use pgrid::redist::{redistribute, Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
 
+/// The columns of every row's own diagonal block of size `n0`, cut over `q`
+/// classes: column `j` is entry `(j mod n0) / q` of class `j mod q`.  Not
+/// injective across blocks, so only a `Filter::DiagBlocksLower(n0)`
+/// redistribution may use it; `q` must divide `n0`.
+pub(crate) fn block_columns(n: usize, n0: usize, q: usize) -> Axis {
+    Axis::from_fn(n, q, |gj| (gj % q, (gj % n0) / q))
+}
+
+/// The layout [`diagonal_inverter`] returns its output in, on the square
+/// `q × q` `grid`: the rank at `(x, y)` holds the rows `≡ x` and, of each,
+/// the columns `≡ y (mod q)` of the row's own `n0 × n0` diagonal block —
+/// the cyclic owners of those entries, an `n/q × n0/q` piece.  Local row
+/// `i / q` holds global row `i`, local column `(j mod n0) / q` column `j`.
+pub fn stacked_layout(grid: &Grid2D, n: usize, n0: usize) -> Layout {
+    let q = grid.rows();
+    Layout::new(
+        grid.size(),
+        Axis::cyclic(n, q),
+        block_columns(n, n0, q),
+        |x, y| Some(grid.rank_of(x, y)),
+    )
+}
+
 /// Invert the diagonal blocks of a lower-triangular matrix distributed
-/// cyclically over a square grid.  Returns `L̃`: a copy of `L` whose diagonal
-/// `n0 × n0` blocks are replaced by their inverses.  `n0` must divide the
-/// matrix dimension; `inv_base` is the base-case size handed to the
-/// distributed triangular inversion used when several ranks share one
-/// diagonal block (local inversions recurse to `dense`'s own cut-off, so
-/// their flop accounting is independent of the configuration).
-pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<DistMatrix> {
+/// cyclically over a square `q × q` grid.  Returns this rank's piece of the
+/// inverses under [`stacked_layout`]`(grid, n, n0)`, zero above each block's
+/// diagonal; `L` itself is read, never copied.  `n0` must divide the matrix
+/// dimension and be a multiple of `q`; `inv_base` is the base-case size
+/// handed to the distributed triangular inversion used when several ranks
+/// share one diagonal block (local inversions recurse to `dense`'s own
+/// cut-off, so their flop accounting is independent of the configuration).
+pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<Matrix> {
     let grid = l.grid();
     let q = grid.rows();
     let n = l.rows();
@@ -52,43 +88,25 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<D
             format!("matrix must be square, got {}x{}", l.rows(), l.cols()),
         ));
     }
-    if n0 == 0 || !n.is_multiple_of(n0) {
+    if n0 == 0 || !n.is_multiple_of(n0) || !n0.is_multiple_of(q) {
         return Err(config_error(
             "diagonal_inverter",
-            format!("block size n0 = {n0} must divide n = {n}"),
+            format!("block size n0 = {n0} must divide n = {n} and be a multiple of q = {q}"),
         ));
     }
 
     let comm = grid.comm();
     let p_face = q * q;
     let nblocks = n / n0;
-    // The local piece only: `l` may be the caller's own operand, carrying a
-    // cached transpose that L̃ has no use for.
-    let (rows, cols) = l.local().dims();
-    let buf = comm.take_buffer(rows * cols);
-    let copy = l.local().block_into(0, 0, rows, cols, buf);
-    let mut l_tilde = DistMatrix::from_local(grid, n, n, copy)?;
-
-    if p_face == 1 {
-        // Single processor: invert every block locally, in place where it
-        // lives — no extraction, inversion copy, or re-insertion.
-        let local = l_tilde.local_mut();
-        for g in 0..nblocks {
-            let flops = dense::tri_invert_in_place(
-                Triangle::Lower,
-                &mut local.view_mut(g * n0, g * n0, n0, n0),
-            )?;
-            comm.charge_flops(flops.get());
-        }
-        return Ok(l_tilde);
-    }
-
+    let stacked = stacked_layout(grid, n, n0);
     let diag_blocks = Filter::DiagBlocksLower(n0);
 
     if nblocks >= p_face {
-        // --- More blocks than processors: round-robin local inversions. ----
-        // Collect block g on processor (g mod p_face), stacked: its t-th
-        // block occupies rows `t·n0 ..` of an `n0`-column local matrix.
+        // --- At least as many blocks as processors: round-robin local
+        //     inversions.  Collect block g on processor (g mod p_face),
+        //     stacked: its t-th block occupies rows `t·n0 ..` of an
+        //     `n0`-column local matrix.  On one processor this is the stacked
+        //     layout itself, and nothing is sent.
         let round_robin = Layout::new(
             p_face,
             Axis::from_fn(n, p_face, |gi| {
@@ -106,16 +124,9 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<D
                 dense::tri_invert_in_place(Triangle::Lower, &mut mine.view_mut(t * n0, 0, n0, n0))?;
             comm.charge_flops(flops.get());
         }
-        redistribute_into(
-            comm,
-            &round_robin,
-            &mine,
-            &l.layout(),
-            l_tilde.local_mut(),
-            diag_blocks,
-        )?;
+        let inverses = redistribute(comm, &round_robin, &mine, &stacked, diag_blocks)?;
         comm.give_buffer(mine.into_vec());
-        return Ok(l_tilde);
+        return Ok(inverses);
     }
 
     // --- Fewer blocks than processors: one sub-grid per block. -------------
@@ -123,9 +134,6 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<D
     // Largest power-of-two square that fits in the group.
     let mut side = 1usize;
     while 4 * side * side <= group_size {
-        side *= 2;
-    }
-    if side * side * 2 <= group_size && (side * 2) * (side * 2) <= group_size {
         side *= 2;
     }
     let active = side * side;
@@ -173,17 +181,16 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<D
         }
         Err(_) => None,
     };
-    // Send the inverted blocks back to the cyclic owners on the face grid.
+    // Send the inverted blocks back to their cyclic owners on the face grid.
     let nothing = Matrix::zeros(0, 0);
-    redistribute_into(
+    let inverses = redistribute(
         comm,
         &on_subgrids,
         inverted.as_ref().map_or(&nothing, DistMatrix::local),
-        &l.layout(),
-        l_tilde.local_mut(),
+        &stacked,
         diag_blocks,
     )?;
-    Ok(l_tilde)
+    Ok(inverses)
 }
 
 #[cfg(test)]
@@ -205,39 +212,42 @@ mod tests {
         (out.results, out.report)
     }
 
-    /// Check that L̃ has inverted diagonal blocks and untouched panels.
+    /// Check that every rank's stacked piece holds its entries of the
+    /// inverted diagonal blocks, and zeros above their diagonals.
     fn check(q: usize, n: usize, n0: usize) {
         let (results, _) = on_grid(q, move |grid| {
             let l_global = gen::well_conditioned_lower(n, 17);
             let l = DistMatrix::from_global(grid, &l_global);
-            let lt = diagonal_inverter(&l, n0, 8).unwrap();
-            let got = lt.to_global();
-            // Expected: diagonal blocks inverted, off-diagonal unchanged.
-            let mut max_err: f64 = 0.0;
-            for g in 0..n / n0 {
-                let blk = l_global.block(g * n0, g * n0, n0, n0);
-                let (inv, _) = dense::tri_invert(Triangle::Lower, &blk).unwrap();
-                let got_blk = got.block(g * n0, g * n0, n0, n0);
-                max_err = max_err.max(inv.max_abs_diff(&got_blk).unwrap());
-            }
-            // Off-diagonal panels must be bit-identical to L.
-            let mut panels_equal = true;
-            for i in 0..n {
-                for j in 0..=i {
-                    if i / n0 != j / n0 && got[(i, j)] != l_global[(i, j)] {
-                        panels_equal = false;
+            let got = diagonal_inverter(&l, n0, 8).unwrap();
+            assert_eq!(got.dims(), (n / q, n0 / q));
+            let inverses: Vec<Matrix> = (0..n / n0)
+                .map(|g| {
+                    let blk = l_global.block(g * n0, g * n0, n0, n0);
+                    dense::tri_invert(Triangle::Lower, &blk).unwrap().0
+                })
+                .collect();
+            let (x, y) = grid.my_coords();
+            let (mut max_err, mut upper_zero) = (0.0f64, true);
+            for li in 0..n / q {
+                for lj in 0..n0 / q {
+                    // Global row i, column bj of row i's own block.
+                    let (i, bj) = (li * q + x, lj * q + y);
+                    let (g, bi) = (i / n0, i % n0);
+                    if bj <= bi {
+                        max_err = max_err.max((got[(li, lj)] - inverses[g][(bi, bj)]).abs());
+                    } else {
+                        upper_zero &= got[(li, lj)] == 0.0;
                     }
                 }
             }
-            (max_err, panels_equal, got.is_lower_triangular())
+            (max_err, upper_zero)
         });
-        for (err, panels_equal, lower) in results {
+        for (err, upper_zero) in results {
             assert!(
                 err < 1e-8,
                 "q={q} n={n} n0={n0}: diagonal block error {err}"
             );
-            assert!(panels_equal, "off-diagonal panels must be untouched");
-            assert!(lower, "L̃ must stay lower triangular");
+            assert!(upper_zero, "entries above a block's diagonal must be zero");
         }
     }
 
@@ -269,13 +279,12 @@ mod tests {
 
     #[test]
     fn block_size_one_degenerates_to_reciprocals() {
-        let (results, _) = on_grid(2, |grid| {
+        let (results, _) = on_grid(1, |grid| {
             let l_global = gen::well_conditioned_lower(8, 3);
             let l = DistMatrix::from_global(grid, &l_global);
-            let lt = diagonal_inverter(&l, 1, 8).unwrap();
-            let got = lt.to_global();
+            let got = diagonal_inverter(&l, 1, 8).unwrap();
             (0..8)
-                .map(|i| (got[(i, i)] - 1.0 / l_global[(i, i)]).abs())
+                .map(|i| (got[(i, 0)] - 1.0 / l_global[(i, i)]).abs())
                 .fold(0.0, f64::max)
         });
         assert!(results.into_iter().all(|e| e < 1e-12));
@@ -287,9 +296,14 @@ mod tests {
             let l = DistMatrix::zeros(grid, 16, 16);
             let bad_zero = diagonal_inverter(&l, 0, 8).is_err();
             let bad_divide = diagonal_inverter(&l, 5, 8).is_err();
+            // n0 = 1 divides n but is not a multiple of q = 2.
+            let bad_multiple = matches!(
+                diagonal_inverter(&l, 1, 8),
+                Err(crate::TrsmError::InvalidConfig { .. })
+            );
             let rect = DistMatrix::zeros(grid, 16, 8);
             let bad_rect = diagonal_inverter(&rect, 4, 8).is_err();
-            bad_zero && bad_divide && bad_rect
+            bad_zero && bad_divide && bad_multiple && bad_rect
         });
         assert!(results.into_iter().all(|v| v));
     }

@@ -19,6 +19,15 @@
 //! 5. **allreduce along `y`** only the next block row `S_{i+1}` of the update
 //!    buffer (lazy reduction) and subtract it from the right-hand side.
 //!
+//! The paper iterates over `L̃`, which is `L` with its diagonal blocks
+//! inverted; here `L̃` is never materialised.  The inverter returns only the
+//! inverted blocks, stacked `n/p1 × n0/p1` per face rank
+//! ([`crate::diag_inv::stacked_layout`]), and one redistribution hands each
+//! face rank its transposed-coordinate pieces for step 1; the panels of step
+//! 3 lie off the diagonal blocks, where `L̃` *is* `L`, and are read from the
+//! face's `L`.  The messages are the paper's: the same entries cross the
+//! same pairs of ranks as routing `L̃`'s diagonal blocks would.
+//!
 //! The measured per-phase costs (returned in [`PhaseBreakdown`]) reproduce
 //! the `W_Inv`, `W_Solve` and `W_Upd` expressions of Section VII, and the
 //! latency is `O((n/n0)·log p + log² p)` instead of the recursive
@@ -28,12 +37,12 @@
 //! the machine's pool and goes back to it once used, so a repeated solve
 //! reuses resident memory instead of allocating it again.
 
-use crate::diag_inv::diagonal_inverter;
+use crate::diag_inv::{block_columns, diagonal_inverter, stacked_layout};
 use crate::error::{config_error, internal_error};
 use crate::Result;
 use costmodel::{itinv, Cost};
 use dense::{MatRef, Matrix};
-use pgrid::redist::{Axis, Filter, Layout};
+use pgrid::redist::{redistribute, Axis, Filter, Layout};
 use pgrid::{pooled_zeros, DistMatrix, Grid2D, Grid3D};
 use simnet::{coll, Communicator, CostCounters};
 use std::borrow::Cow;
@@ -275,35 +284,38 @@ pub fn it_inv_trsm(
     // ------------------------------------------------------------------
     // Inversion phase: invert the diagonal blocks on the face, then move
     // each inverted block to the transposed-coordinate owner so the solve
-    // step's contraction index lines up (see module docs of diag_inv).
+    // step's contraction index lines up.
     // ------------------------------------------------------------------
-    let l_tilde_face = match &l_face {
-        Some(lf) => Some(diagonal_inverter(lf, n0, cfg.inv_base)?),
-        None => None,
-    };
-    // L is not read again: a moved copy goes back to the pool now.
-    drop(l_face);
-
     // The inverted diagonal blocks, stacked: rows `g·nb_loc ..` hold
-    // L̃(S_g, S_g) restricted to rows ≡ y, cols ≡ x (mod p1).  Held on the
+    // L(S_g, S_g)⁻¹ restricted to rows ≡ y, cols ≡ x (mod p1).  Held on the
     // face and broadcast along z during the solve steps.
-    let diag_t_face: Option<Matrix> = match &l_tilde_face {
-        Some(lt) => {
-            let fg = lt.grid();
+    let diag_t_face: Option<Matrix> = match &l_face {
+        Some(lf) => {
+            let fg = lf.grid();
+            let inverses = diagonal_inverter(lf, n0, cfg.inv_base)?;
             let swapped = Layout::new(
                 fg.size(),
                 Axis::cyclic(n, p1),
-                Axis::from_fn(n, p1, |gj| (gj % p1, (gj % n0) / p1)),
+                block_columns(n, n0, p1),
                 // The face processor at (x, y) owns rows ≡ y, cols ≡ x.
                 |row_class, col_class| Some(fg.rank_of(col_class, row_class)),
             );
-            let stacked = lt.redistribute_to(&swapped, Filter::DiagBlocksLower(n0))?;
-            Some(stacked)
+            let stacked = stacked_layout(fg, n, n0);
+            let moved = redistribute(
+                fg.comm(),
+                &stacked,
+                &inverses,
+                &swapped,
+                Filter::DiagBlocksLower(n0),
+            )?;
+            comm.give_buffer(inverses.into_vec());
+            Some(moved)
         }
         None => None,
     };
-    // L̃'s panels feed the update steps; a single block has none.
-    let l_tilde_face = l_tilde_face.filter(|_| nblocks > 1);
+    // L's panels below the diagonal blocks feed the update steps; a single
+    // block has none, and a moved copy of L goes back to the pool now.
+    let l_face = l_face.filter(|_| nblocks > 1);
 
     mark(comm, &mut breakdown.inversion);
 
@@ -368,13 +380,13 @@ pub fn it_inv_trsm(
 
         // --- Update step -------------------------------------------------
         if i + 1 < nblocks {
-            // (d) broadcast the trailing panel L̃(T_{i+1}, S_i) along z.
+            // (d) broadcast the trailing panel L(T_{i+1}, S_i) along z.
             let panel_rows = nloc - (i + 1) * nb_loc;
             let mut panel_flat = Vec::new();
             if z == 0 {
-                let lf = l_tilde_face
+                let lf = l_face
                     .as_ref()
-                    .ok_or_else(|| internal_error("it_inv_trsm", "face rank holds no L̃"))?;
+                    .ok_or_else(|| internal_error("it_inv_trsm", "face rank holds no L"))?;
                 let buf = comm.take_buffer(panel_rows * nb_loc);
                 panel_flat = lf
                     .local()
@@ -422,7 +434,7 @@ pub fn it_inv_trsm(
     for used in std::iter::once(b_update_acc).chain(diag_t_face) {
         comm.give_buffer(used.into_vec());
     }
-    drop(l_tilde_face);
+    drop(l_face);
 
     // ------------------------------------------------------------------
     // Finalize: return X in the caller's layout.  x_result is replicated

@@ -27,6 +27,14 @@
 //! ([`Layout::same_placement`]) — decided from the two layouts alone, so
 //! every rank decides alike — sends nothing.
 //!
+//! Both ends walk their piece's rows in ascending global order, and every
+//! [`Filter`] passes one contiguous column range per row that never moves
+//! left as the row grows (`All` is fixed, `Lower` only widens to the right,
+//! `DiagBlocksLower` jumps right at each block).  So the columns of a piece
+//! that share a class of the other layout are found by a cursor pair per
+//! class that only advances: a walk costs the entries it moves plus one
+//! step per row and class, with no search.
+//!
 //! Every buffer a redistribution makes comes from the machine's pool: the
 //! per-destination buffers are sized exactly (one counting walk over the
 //! runs, then one filling walk), the buffers received go back once
@@ -238,7 +246,9 @@ pub enum Filter {
 }
 
 impl Filter {
-    /// The (contiguous) range of columns that pass in row `i`.
+    /// The (contiguous) range of columns that pass in row `i`.  Monotone in
+    /// the row: for `i < i'`, neither end of row `i'`'s range is left of row
+    /// `i`'s — the invariant [`pack`] and [`unpack`] walk by.
     fn cols(self, i: usize, ncols: usize) -> Range<usize> {
         let end = (i + 1).min(ncols);
         match self {
@@ -250,20 +260,36 @@ impl Filter {
 }
 
 /// The columns of one piece that fall into one column class of the *other*
-/// layout: ascending global indices, and where each sits in the local matrix.
+/// layout: ascending global indices, where each sits in the local matrix,
+/// and the cursor pair of the row walk in progress.
 #[derive(Default, Clone)]
 struct ColumnGroup {
     global: Vec<usize>,
     local: Vec<usize>,
+    /// `global[lo..hi]` are the group's columns inside the last range asked.
+    lo: usize,
+    hi: usize,
 }
 
 impl ColumnGroup {
     /// Local positions of the group's columns inside `range`, ascending by
-    /// global index.
-    fn within(&self, range: &Range<usize>) -> &[usize] {
-        let lo = self.global.partition_point(|&j| j < range.start);
-        let hi = self.global.partition_point(|&j| j < range.end);
-        &self.local[lo..hi]
+    /// global index.  Both ends of `range` must be at least those of the
+    /// previous call since [`ColumnGroup::rewind`]: the cursors only advance.
+    fn within(&mut self, range: &Range<usize>) -> &[usize] {
+        let len = self.global.len();
+        while self.lo < len && self.global[self.lo] < range.start {
+            self.lo += 1;
+        }
+        self.hi = self.hi.max(self.lo);
+        while self.hi < len && self.global[self.hi] < range.end {
+            self.hi += 1;
+        }
+        &self.local[self.lo..self.hi]
+    }
+
+    /// Start a new row walk.
+    fn rewind(&mut self) {
+        (self.lo, self.hi) = (0, 0);
     }
 }
 
@@ -295,13 +321,16 @@ fn pack(
     let Some((rc, cc)) = src.sending_piece(comm.rank()) else {
         return out;
     };
-    let groups = column_groups(&src.cols, cc, &dst.cols);
-    // Every run this rank sends, in the order the buffers carry them.
-    let for_each_run = |f: &mut RunSink| {
+    let mut groups = column_groups(&src.cols, cc, &dst.cols);
+    // Every run this rank sends, in the order the buffers carry them.  Rows
+    // go in ascending global order and a filter's column range never moves
+    // left as the row grows, so each group's cursors only advance.
+    let mut for_each_run = |f: &mut RunSink| {
+        groups.iter_mut().for_each(ColumnGroup::rewind);
         for i in src.rows.members(rc) {
             let row = from.row(src.rows.local[i]);
             let range = filter.cols(i, src.cols.len());
-            for (dst_cc, group) in groups.iter().enumerate() {
+            for (dst_cc, group) in groups.iter_mut().enumerate() {
                 let run = group.within(&range);
                 if run.is_empty() {
                     continue;
@@ -333,11 +362,12 @@ fn unpack(
 ) -> Result<()> {
     let mut cursor = vec![0usize; incoming.len()];
     if let Some((rc, cc)) = dst.piece_of[me] {
-        let groups = column_groups(&dst.cols, cc, &src.cols);
+        // The walk of `pack`: ascending rows, cursors that only advance.
+        let mut groups = column_groups(&dst.cols, cc, &src.cols);
         for i in dst.rows.members(rc) {
             let row = into.row_mut(dst.rows.local[i]);
             let range = filter.cols(i, dst.cols.len());
-            for (src_cc, group) in groups.iter().enumerate() {
+            for (src_cc, group) in groups.iter_mut().enumerate() {
                 let run = group.within(&range);
                 let Some(s) = src.sender(src.rows.class[i], src_cc) else {
                     continue;
@@ -369,8 +399,15 @@ fn layouts_disagree(source: usize, sent: usize, expected: usize) -> GridError {
     }
 }
 
-/// Both layouts must span `p` ranks and index the same global space.
-fn check_layouts(p: usize, src: &Layout, dst: &Layout) -> Result<()> {
+/// Both layouts must span `p` ranks and index the same global space, and
+/// diagonal blocks must have a size.
+fn check_args(p: usize, src: &Layout, dst: &Layout, filter: Filter) -> Result<()> {
+    if filter == Filter::DiagBlocksLower(0) {
+        return Err(GridError::BadDimensions {
+            op: "redistribute",
+            reason: "diagonal blocks of size 0".into(),
+        });
+    }
     if src.piece_of.len() != p || dst.piece_of.len() != p {
         return Err(GridError::GridSizeMismatch {
             comm_size: p,
@@ -409,7 +446,8 @@ fn check_local(what: &str, got: (usize, usize), want: (usize, usize)) -> Result<
 /// pass `filter` to where `dst` stores them, writing the entries this rank
 /// receives into `into` (its local matrix under `dst`) and leaving the rest
 /// of `into` untouched.  **Collective** over `comm`; every rank must pass the
-/// same layouts, filter and routing.
+/// same layouts, filter and routing.  `Filter::DiagBlocksLower(0)` is a
+/// typed error on every rank.
 ///
 /// A rank that sends nothing under `src` may pass any `from`, and a rank that
 /// holds nothing under `dst` any `into`; neither is looked at.
@@ -429,7 +467,7 @@ pub fn redistribute_into(
 ) -> Result<()> {
     let _span = obs::span_with("pgrid", "redistribute", "ranks", comm.size() as u64);
     let (p, me) = (comm.size(), comm.rank());
-    check_layouts(p, src, dst)?;
+    check_args(p, src, dst, filter)?;
     if src.sending_piece(me).is_some() {
         check_local("source", from.dims(), src.local_dims(me))?;
     }
@@ -459,7 +497,7 @@ pub fn redistribute(
     dst: &Layout,
     filter: Filter,
 ) -> Result<Matrix> {
-    check_layouts(comm.size(), src, dst)?;
+    check_args(comm.size(), src, dst, filter)?;
     let (rows, cols) = dst.local_dims(comm.rank());
     let mut into = crate::pooled_zeros(comm, rows, cols);
     redistribute_into(comm, src, from, dst, &mut into, filter)?;
@@ -541,6 +579,14 @@ mod tests {
         assert_eq!(Filter::DiagBlocksLower(4).cols(4, 8), 4..5);
         // A row past the last column keeps nothing of a block beyond it.
         assert!(Filter::DiagBlocksLower(4).cols(9, 8).is_empty());
+        // Neither end moves left as the row grows: the walk's cursors only
+        // advance.
+        for filter in [Filter::All, Filter::Lower, Filter::DiagBlocksLower(3)] {
+            for i in 1..12 {
+                let (above, here) = (filter.cols(i - 1, 8), filter.cols(i, 8));
+                assert!(above.start <= here.start && above.end <= here.end);
+            }
+        }
     }
 
     #[test]
@@ -561,16 +607,21 @@ mod tests {
                 let wrong_ranks =
                     Layout::new(2, Axis::cyclic(8, 2), Axis::whole(8), |r, _| Some(r));
                 let all = Filter::All;
+                let no_blocks = Filter::DiagBlocksLower(0);
+                let dst = Layout::new(4, Axis::cyclic(8, 4), Axis::whole(8), |r, _| Some(r));
                 [
                     redistribute(comm, &src, &from, &wrong_space, all).is_err(),
                     redistribute(comm, &src, &wrong_local, &wrong_space, all).is_err(),
                     redistribute(comm, &src, &from, &wrong_ranks, all).is_err(),
                     redistribute_into(comm, &src, &from, &src, &mut Matrix::zeros(1, 1), all)
                         .is_err(),
+                    redistribute(comm, &src, &from, &dst, no_blocks).is_err(),
+                    redistribute_into(comm, &src, &from, &src, &mut Matrix::zeros(4, 4), no_blocks)
+                        .is_err(),
                 ]
             })
             .unwrap();
-        assert!(out.results.into_iter().all(|errs| errs == [true; 4]));
+        assert!(out.results.into_iter().all(|errs| errs == [true; 6]));
     }
 
     #[test]

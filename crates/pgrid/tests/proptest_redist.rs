@@ -1,8 +1,9 @@
 //! Property tests of the key-free redistribution: for random shapes, cuts,
 //! holders (rectangular grids, replicated destinations, source pieces nobody
-//! sends) and filters, every rank must end up with exactly what "gather to the
-//! global matrix, re-slice" gives — and the words put on the wire must be the
-//! values moved plus the documented per-block header.
+//! sends), filters and the non-injective stacked column cut of the diagonal
+//! blocks, every rank must end up with exactly what "gather to the global
+//! matrix, re-slice" gives — and the words put on the wire must be the values
+//! moved plus the documented per-block header.
 
 use dense::Matrix;
 use pgrid::redist::{redistribute, redistribute_into, Axis, Filter, Layout};
@@ -33,21 +34,38 @@ enum Cut {
     Cyclic(usize),
     ReversedCyclic(usize),
     Slabs(usize),
+    /// Column `g` of its diagonal block of size `block` in class `g mod c`,
+    /// at `(g mod block) / c` (`c` divides `block`): the stacked layout of
+    /// the diagonal inverter.  Not injective, so only a column cut under
+    /// `Filter::DiagBlocksLower(block)`.
+    Stacked {
+        c: usize,
+        block: usize,
+    },
 }
 
 impl Cut {
-    fn random(rng: &mut Lcg) -> Cut {
-        let classes = 1 + rng.below(4);
-        match rng.below(3) {
-            0 => Cut::Cyclic(classes),
-            1 => Cut::ReversedCyclic(classes),
+    /// Up to 8 classes; `stack` names the diagonal block size a column cut
+    /// may be stacked by.
+    fn random(rng: &mut Lcg, stack: Option<usize>) -> Cut {
+        let classes = 1 + rng.below(8);
+        match (rng.below(4), stack) {
+            (0, _) => Cut::Cyclic(classes),
+            (1, _) => Cut::ReversedCyclic(classes),
+            (2, Some(block)) => {
+                let divisors: Vec<usize> = (1..=block.min(8))
+                    .filter(|c| block.is_multiple_of(*c))
+                    .collect();
+                let c = divisors[rng.below(divisors.len())];
+                Cut::Stacked { c, block }
+            }
             _ => Cut::Slabs(classes),
         }
     }
 
     fn classes(self) -> usize {
         match self {
-            Cut::Cyclic(c) | Cut::ReversedCyclic(c) | Cut::Slabs(c) => c,
+            Cut::Cyclic(c) | Cut::ReversedCyclic(c) | Cut::Slabs(c) | Cut::Stacked { c, .. } => c,
         }
     }
 
@@ -60,6 +78,7 @@ impl Cut {
                 let width = len.div_ceil(c).max(1);
                 (g / width, g % width)
             }
+            Cut::Stacked { c, block } => (g % c, (g % block) / c),
         }
     }
 
@@ -78,10 +97,15 @@ struct Spec {
 }
 
 impl Spec {
-    /// Random cuts; each piece gets 0, 1 or (when `replicate`) 2 of the
+    /// Random cuts, the columns possibly stacked when `filter` keeps only
+    /// diagonal blocks; each piece gets 0, 1 or (when `replicate`) 2 of the
     /// ranks not yet holding anything, so some pieces end up unheld.
-    fn random(rng: &mut Lcg, p: usize, replicate: bool) -> Spec {
-        let (rows, cols) = (Cut::random(rng), Cut::random(rng));
+    fn random(rng: &mut Lcg, p: usize, replicate: bool, filter: Filter) -> Spec {
+        let stack = match filter {
+            Filter::DiagBlocksLower(block) => Some(block),
+            _ => None,
+        };
+        let (rows, cols) = (Cut::random(rng, None), Cut::random(rng, stack));
         let mut free: Vec<usize> = (0..p).collect();
         for i in (1..p).rev() {
             free.swap(i, rng.below(i + 1));
@@ -147,13 +171,14 @@ struct Case {
 }
 
 impl Case {
-    /// What `rank` stores under `spec`, filled by `value(i, j)`, entries no
-    /// index maps to set to `hole`.
+    /// What `rank` stores under `spec` of the entries that pass the filter
+    /// (a stacked slot holds several entries, of which the filter passes
+    /// one), every other slot set to `hole`.
     fn local(&self, spec: &Spec, layout: &Layout, rank: usize, hole: f64) -> Matrix {
         let (lr, lc) = layout.local_dims(rank);
         let mut local = Matrix::filled(lr, lc, hole);
         for i in 0..self.m {
-            for j in 0..self.n {
+            for j in (0..self.n).filter(|&j| passes(self.filter, i, j)) {
                 let ((rc, li), (cc, lj)) = (spec.rows.place(self.m, i), spec.cols.place(self.n, j));
                 if spec.holders(rc, cc).contains(&rank) {
                     local[(li, lj)] = entry(i, j);
@@ -228,7 +253,8 @@ impl Case {
                 let sends = (0..self.src.holders.len())
                     .any(|piece| self.src.holders[piece].first() == Some(&me));
                 let from = if sends {
-                    self.local(&self.src, &src, me, 0.0)
+                    // Slots the filter keeps out hold NaN: never read either.
+                    self.local(&self.src, &src, me, f64::NAN)
                 } else {
                     let (lr, lc) = src.local_dims(me);
                     Matrix::filled(lr, lc, f64::NAN)
@@ -260,19 +286,20 @@ proptest! {
     fn matches_gather_and_reslice(
         seed in any::<u64>(),
         p in 1usize..9,
-        m in 0usize..14,
-        n in 0usize..14,
+        m in 0usize..41,
+        n in 0usize..41,
         selector in 0usize..3,
-        n0 in 1usize..6,
+        n0 in 1usize..9,
     ) {
         let mut rng = Lcg(seed);
+        let filter = filter_from(selector, n0);
         let case = Case {
             p,
             m,
             n,
-            src: Spec::random(&mut rng, p, false),
-            dst: Spec::random(&mut rng, p, true),
-            filter: filter_from(selector, n0),
+            src: Spec::random(&mut rng, p, false, filter),
+            dst: Spec::random(&mut rng, p, true, filter),
+            filter,
         };
         let expected = case.expected(&case.dst.layout(p, m, n));
         prop_assert_eq!(&case.run().0, &expected);
@@ -310,15 +337,20 @@ proptest! {
     fn words_on_the_wire_are_values_plus_headers(
         seed in any::<u64>(),
         p in 1usize..9,
-        m in 0usize..14,
-        n in 0usize..14,
+        m in 0usize..41,
+        n in 0usize..41,
         selector in 0usize..3,
         onto_itself in 0usize..4,
     ) {
         let mut rng = Lcg(seed);
-        let src = Spec::random(&mut rng, p, false);
-        let dst = if onto_itself == 0 { src.clone() } else { Spec::random(&mut rng, p, true) };
-        let case = Case { p, m, n, src, dst, filter: filter_from(selector, 3) };
+        let filter = filter_from(selector, 4);
+        let src = Spec::random(&mut rng, p, false, filter);
+        let dst = if onto_itself == 0 {
+            src.clone()
+        } else {
+            Spec::random(&mut rng, p, true, filter)
+        };
+        let case = Case { p, m, n, src, dst, filter };
         let same = case.src.layout(p, m, n).same_placement(&case.dst.layout(p, m, n));
         prop_assert!(same || onto_itself != 0);
         let moved = case.traffic();

@@ -7,6 +7,12 @@
 //! simulated network moved: a transient buffer is recycled, not allocated
 //! and faulted in again.
 //!
+//! A memory leg follows: the benchmark's `dist_few_rhs` op (n = 1024,
+//! k = 16, It-Inv on a 4×4×1 grid, sixteen 64×64 diagonal blocks), once
+//! warm, leaves the pool retaining fewer than `2·n²` words — the operand's
+//! pieces and the solve's small buffers, but no second copy of `L` for the
+//! diagonal inverter to write its inverses into.
+//!
 //! This file is its own test binary with a single test because the counting
 //! allocator is process-wide and ranks are threads: any other test running
 //! beside it would be counted too.
@@ -56,50 +62,68 @@ static GLOBAL: Counting = Counting;
 
 const N: usize = 192;
 const RANKS: usize = 16;
+const GRID: usize = 4;
+
+/// What one op hands back: every rank's grid coordinates and block of `X`.
+type RankBlocks = simnet::RunOutput<((usize, usize), Matrix)>;
+
+/// One op on `machine`: distribute `l` and `b` from replicated globals over
+/// the 4×4 grid, plan, execute.  Returns the run, the allocations made
+/// during it and the bytes they asked for.
+fn op(machine: &Machine, l: &Matrix, b: &Matrix) -> (RankBlocks, u64, u64) {
+    let before = (ALLOCS.load(Relaxed), BYTES.load(Relaxed));
+    let out = machine
+        .run(|comm| {
+            let grid = Grid2D::new(comm, GRID, GRID).unwrap();
+            let dl = DistMatrix::from_global(&grid, l);
+            let db = DistMatrix::from_global(&grid, b);
+            let plan = SolveRequest::lower()
+                .plan_distributed(dl.rows(), db.cols(), comm.size())
+                .unwrap();
+            let sol = plan.execute_distributed(&dl, &db).unwrap();
+            (grid.my_coords(), sol.x.local().clone())
+        })
+        .unwrap();
+    let allocs = ALLOCS.load(Relaxed) - before.0;
+    let bytes = BYTES.load(Relaxed) - before.1;
+    (out, allocs, bytes)
+}
+
+/// Every rank's block of `X` matches `x_true`'s.
+fn assert_solved(out: &RankBlocks, x_true: &Matrix) {
+    for ((x, y), local) in &out.results {
+        let err = dense::norms::rel_diff(local, &x_true.strided_block(*x, GRID, *y, GRID));
+        assert!(err < 1e-10, "rank ({x}, {y}): relative error {err}");
+    }
+}
+
+/// The plan of an `n × n`, `k`-column solve on [`RANKS`] ranks, which must
+/// be It-Inv on a `p1 × p1 × p2` grid.
+fn it_inv_grid(n: usize, k: usize) -> (usize, usize) {
+    let plan = SolveRequest::lower().plan_distributed(n, k, RANKS).unwrap();
+    let PlanBackend::Distributed {
+        algorithm: Algorithm::IterativeInversion(cfg),
+        ..
+    } = plan.backend
+    else {
+        panic!("n = {n}, k = {k} on {RANKS} ranks should plan It-Inv, got {plan}");
+    };
+    (cfg.p1, cfg.p2)
+}
 
 #[test]
 fn a_warm_dist_cube_op_allocates_at_most_twice_the_bytes_it_moves() {
     let l = gen::well_conditioned_lower(N, 1);
     let x_true = gen::rhs(N, N, 2);
     let b = dense::matmul(&l, &x_true);
-    let plan = SolveRequest::lower().plan_distributed(N, N, RANKS).unwrap();
-    let PlanBackend::Distributed {
-        algorithm: Algorithm::IterativeInversion(cfg),
-        ..
-    } = plan.backend
-    else {
-        panic!("n = k = {N} on {RANKS} ranks should plan It-Inv, got {plan}");
-    };
-    assert_eq!((cfg.p1, cfg.p2), (2, 4), "the dist_cube grid shape");
+    assert_eq!(it_inv_grid(N, N), (2, 4), "the dist_cube grid shape");
 
     let machine = Machine::new(RANKS, MachineParams::supercomputer()).with_rank_workers(1);
-    let op = || {
-        let before = (ALLOCS.load(Relaxed), BYTES.load(Relaxed));
-        let out = machine
-            .run(|comm| {
-                let grid = Grid2D::new(comm, 4, 4).unwrap();
-                let dl = DistMatrix::from_global(&grid, &l);
-                let db = DistMatrix::from_global(&grid, &b);
-                let plan = SolveRequest::lower()
-                    .plan_distributed(dl.rows(), db.cols(), comm.size())
-                    .unwrap();
-                let sol = plan.execute_distributed(&dl, &db).unwrap();
-                (grid.my_coords(), sol.x.local().clone())
-            })
-            .unwrap();
-        let allocs = ALLOCS.load(Relaxed) - before.0;
-        let bytes = BYTES.load(Relaxed) - before.1;
-        (out, allocs, bytes)
-    };
-
     for _ in 0..2 {
-        op();
+        op(&machine, &l, &b);
     }
-    let (out, allocs, bytes) = op();
-    for ((x, y), local) in &out.results {
-        let err = dense::norms::rel_diff(local, &x_true.strided_block(*x, 4, *y, 4));
-        assert!(err < 1e-10, "rank ({x}, {y}): relative error {err}");
-    }
+    let (out, allocs, bytes) = op(&machine, &l, &b);
+    assert_solved(&out, &x_true);
     let moved = out.report.total_words() * 8;
     let stats = machine.pool_stats();
     println!(
@@ -110,5 +134,32 @@ fn a_warm_dist_cube_op_allocates_at_most_twice_the_bytes_it_moves() {
     assert!(
         bytes <= 2 * moved,
         "a warm op allocated {bytes} bytes, more than twice the {moved} bytes it moved"
+    );
+
+    // The memory leg runs here, after the budget and never beside it: the
+    // counting allocator sees every thread of the process.
+    a_warm_few_rhs_pool_holds_no_second_copy_of_l();
+}
+
+/// A warm `dist_few_rhs` op leaves fewer than `2·n²` words in the pool.
+fn a_warm_few_rhs_pool_holds_no_second_copy_of_l() {
+    let (n, k) = (1024, 16);
+    assert_eq!(it_inv_grid(n, k), (GRID, 1), "the dist_few_rhs grid shape");
+    let l = gen::well_conditioned_lower(n, 3);
+    let x_true = gen::rhs(n, k, 4);
+    let b = dense::matmul(&l, &x_true);
+    let machine = Machine::new(RANKS, MachineParams::supercomputer()).with_rank_workers(1);
+    op(&machine, &l, &b);
+    let (out, _, _) = op(&machine, &l, &b);
+    assert_solved(&out, &x_true);
+    let retained = machine.pool_stats().retained_words;
+    println!(
+        "warm few-RHS op: pool retains {retained} words ({:.2}·n²)",
+        retained as f64 / (n * n) as f64
+    );
+    assert!(
+        retained < 2 * n * n,
+        "a warm few-RHS op left {retained} words in the pool, not under 2·n² = {}",
+        2 * n * n
     );
 }
