@@ -13,23 +13,57 @@
 //! | reduce / allreduce | `2α·log p + 2β·n + γ·n` (reduce-scatter + (all)gather) |
 //! | broadcast       | `2α·log p + 2β·n` (scatter + allgather)           |
 //!
-//! The implementations below realise those schedules on a [`Communicator`]
-//! so the *measured* message/word counters reproduce the formulas (exactly
-//! for power-of-two communicator sizes and divisible vector lengths, which is
-//! what the paper assumes; other sizes fall back to correct but slightly more
-//! expensive schedules).
+//! Each collective is charged the rounds of its schedule — a Bruck
+//! allgather, a recursive-halving reduce-scatter, binomial scatter, gather
+//! and reduce trees, a dissemination barrier, a Bruck or pairwise
+//! all-to-all(-v) — so the *measured* message/word counters reproduce the
+//! formulas (exactly for power-of-two communicator sizes and divisible
+//! vector lengths, which is what the paper assumes; other sizes fall back to
+//! correct but slightly more expensive schedules).
 //!
-//! Every message a collective receives goes back to the machine's pool once
-//! its values are copied or folded out ([`Communicator::give_buffer`]).  The
-//! collectives a distributed solve runs (the allgathers, scatter, the
-//! reductions, bcast and `alltoallv_bruck`) also build their buffers and
-//! results from the pool ([`Communicator::take_buffer`]); a caller done with
-//! such a result may give it back.
+//! **One meeting per call.**  The host does not perform those rounds as
+//! messages between rank threads.  The members of a call meet once, on the
+//! run's board (`Communicator::meet`):
+//!
+//! 1. *Deposit.*  Each member leaves its entry clock, its input and the
+//!    fault draws of the sends the schedule gives it, drawn from its own
+//!    injector in schedule order — the draws a message-passing schedule
+//!    would have made.
+//! 2. *Close.*  The last member to deposit wakes the others, one uncharged
+//!    envelope each; a member waits for its wake in the ordinary blocking
+//!    receive, so the rank gate and the failure cascade apply unchanged.
+//! 3. *Replay.*  Each member replays the schedule's rounds over every
+//!    member's deposited clock and fault draws, charging them with the
+//!    point-to-point charge code, and applies its own outcome: counters,
+//!    virtual clock and sim-lane events are those the messages would have
+//!    produced, bit for bit.
+//! 4. *Collect.*  Each member builds its own result from the deposits,
+//!    folding a reduction in its schedule's tree and operand order, so the
+//!    result bits are the messages' too.  The allreduce's result is the
+//!    same on every member: the closer folds it once, before the wakes, and
+//!    the others copy it.
+//!
+//! A member parks at most once per call, where the messages parked it up to
+//! once per round.  Every argument is checked on the closed board, so a
+//! call that one member gets wrong fails with the same error on every
+//! member instead of leaving the others waiting.  A member that fails
+//! before it deposits — a crash or an exhausted retry budget among its
+//! draws — fails the call for every member through the failure cascade.
+//!
+//! Results are built from the machine's pool
+//! ([`Communicator::take_buffer`]); a caller done with one may give it back.
+//! The all-to-all-v calls hand each destination the very blocks its sources
+//! passed in, without a copy.
 
+use crate::board::{Closed, Closing, Deposit};
 use crate::comm::Communicator;
+use crate::cost::CostCounters;
 use crate::error::SimError;
+use crate::fault::SendFaults;
+use crate::params::MachineParams;
 use crate::Result;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Reduction operator applied element-wise by the reducing collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,36 +86,19 @@ impl ReduceOp {
         }
     }
 
-    /// Fold this rank's values into a received message,
-    /// `theirs[i] = mine[i] ∘ theirs[i]`, charging one flop per element to
-    /// `comm`.  The operand order is fixed, so the result is the one folding
-    /// the message into `mine` would give, stored in the message's buffer.
-    fn fold(self, comm: &Communicator, mine: &[f64], theirs: &mut [f64]) {
-        debug_assert_eq!(mine.len(), theirs.len());
-        for (a, b) in mine.iter().zip(theirs.iter_mut()) {
-            *b = self.apply(*a, *b);
+    /// `mine[i] = mine[i] ∘ theirs[i]`: the holder's partial first, the
+    /// partial it receives second, as in every fold of the schedules.
+    fn fold(self, mine: &mut [f64], theirs: &[f64]) {
+        for (a, b) in mine.iter_mut().zip(theirs) {
+            *a = self.apply(*a, *b);
         }
-        comm.charge_flops(mine.len() as u64);
     }
 }
 
 /// Dissemination barrier: `⌈log₂ p⌉` zero-payload exchanges.
 pub fn barrier(comm: &Communicator) -> Result<()> {
-    let p = comm.size();
-    if p <= 1 {
-        return Ok(());
-    }
-    let tag = comm.next_op_tag();
-    let mut d = 1;
-    let mut step = 0;
-    while d < p {
-        let to = (comm.rank() + d) % p;
-        let from = (comm.rank() + p - d) % p;
-        comm.send_raw(to, tag + step, &[])?;
-        comm.recv_raw(from, tag + step)?;
-        d *= 2;
-        step += 1;
-    }
+    let phases = [Phase::Dissemination];
+    Call::meet(comm, &phases, Deposit::default())?.charge(comm, &phases);
     Ok(())
 }
 
@@ -91,77 +108,39 @@ pub fn barrier(comm: &Communicator) -> Result<()> {
 /// contributions in rank order (identical on every rank).  All contributions
 /// must have the same length.
 pub fn allgather(comm: &Communicator, local: &[f64]) -> Result<Vec<f64>> {
-    let p = comm.size();
-    let rank = comm.rank();
-    let blk = local.len();
-    let mut out = comm.take_buffer(p * blk);
-    if p == 1 {
-        out.extend_from_slice(local);
-        return Ok(out);
-    }
-    let tag = comm.next_op_tag();
-
-    // Every block is written where the result keeps it: after each round
-    // this rank holds blocks rank, rank+1, …, rank+cnt−1 (mod p) in place.
-    out.resize(p * blk, 0.0);
-    out[rank * blk..(rank + 1) * blk].copy_from_slice(local);
-    let mut cnt = 1usize;
-    let mut step = 0u64;
-    while cnt < p {
-        let need = cnt.min(p - cnt);
-        let to = (rank + p - cnt) % p;
-        let from = (rank + cnt) % p;
-        let mut payload = comm.take_buffer(need * blk);
-        for run in cyclic_runs(rank, need, blk, p) {
-            payload.extend_from_slice(&out[run]);
-        }
-        comm.send_raw_vec(to, tag + step, payload)?;
-        // `from` sent its first `need` blocks: from, from+1, … (mod p).
-        let received = comm.recv_raw(from, tag + step)?;
-        let mut rest = &received[..];
-        for run in cyclic_runs(from, need, blk, p) {
-            let (head, tail) = rest.split_at(run.len());
-            out[run].copy_from_slice(head);
-            rest = tail;
-        }
-        comm.give_buffer(received);
-        cnt += need;
-        step += 1;
+    let phases = [Phase::Allgather { blk: local.len() }];
+    let call = Call::meet(comm, &phases, deposit(comm, local, [0, 0]))?;
+    let blk = call.same_len("allgather")?;
+    call.charge(comm, &phases);
+    let mut out = comm.take_buffer(comm.size() * blk);
+    for d in call.deposits() {
+        out.extend_from_slice(&d.data);
     }
     Ok(out)
 }
 
-/// Where blocks `first, first+1, …, first+count−1` (mod `p`) of `p`
-/// consecutive `blk`-word blocks lie: at most two contiguous word ranges,
-/// in block order.
-fn cyclic_runs(first: usize, count: usize, blk: usize, p: usize) -> [Range<usize>; 2] {
-    let head = count.min(p - first);
-    [first * blk..(first + head) * blk, 0..(count - head) * blk]
-}
-
-/// Allgather of variable-sized blocks; returns one vector per rank.
+/// Allgather of variable-sized blocks; returns one vector per rank.  Charged
+/// as a fixed-size allgather of the lengths followed by a Bruck allgather of
+/// every contribution padded to the longest.
 pub fn allgatherv(comm: &Communicator, local: &[f64]) -> Result<Vec<Vec<f64>>> {
-    let p = comm.size();
-    // First share the lengths with a fixed-size allgather, then pad to the
-    // maximum length so the Bruck exchange stays block-regular.
-    let shared = allgather(comm, &[local.len() as f64])?;
-    let lens: Vec<usize> = shared.iter().map(|&v| v as usize).collect();
-    comm.give_buffer(shared);
-    let max_len = lens.iter().copied().max().unwrap_or(0);
-    let mut padded = comm.take_buffer(max_len);
-    padded.extend_from_slice(local);
-    padded.resize(max_len, 0.0);
-    let flat = allgather(comm, &padded)?;
-    comm.give_buffer(padded);
-    let out = (0..p)
-        .map(|r| {
-            let mut piece = comm.take_buffer(lens[r]);
-            piece.extend_from_slice(&flat[r * max_len..r * max_len + lens[r]]);
+    let schedule = |longest| {
+        [
+            Phase::Allgather { blk: 1 },
+            Phase::Allgather { blk: longest },
+        ]
+    };
+    let call = Call::meet(comm, &schedule(local.len()), deposit(comm, local, [0, 0]))?;
+    let longest = call.deposits().iter().map(|d| d.data.len()).max();
+    call.charge(comm, &schedule(longest.unwrap_or(0)));
+    Ok(call
+        .deposits()
+        .iter()
+        .map(|d| {
+            let mut piece = comm.take_buffer(d.data.len());
+            piece.extend_from_slice(&d.data);
             piece
         })
-        .collect();
-    comm.give_buffer(flat);
-    Ok(out)
+        .collect())
 }
 
 /// Binomial-tree gather of equal-sized blocks to `root`.
@@ -170,57 +149,23 @@ pub fn allgatherv(comm: &Communicator, local: &[f64]) -> Result<Vec<Vec<f64>>> {
 /// elsewhere.
 pub fn gather(comm: &Communicator, root: usize, local: &[f64]) -> Result<Option<Vec<f64>>> {
     let p = comm.size();
-    if root >= p {
-        return Err(SimError::InvalidRank {
-            rank: root,
-            size: p,
-        });
+    let schedule = [Phase::Gather {
+        root,
+        blk: local.len(),
+    }];
+    let phases = if root < p { &schedule[..] } else { &[] };
+    let call = Call::meet(comm, phases, deposit(comm, local, [root, 0]))?;
+    call.same_root("gather", root)?;
+    let blk = call.same_len("gather")?;
+    call.charge(comm, phases);
+    if comm.rank() != root {
+        return Ok(None);
     }
-    let blk = local.len();
-    if p == 1 {
-        return Ok(Some(local.to_vec()));
+    let mut out = comm.take_buffer(p * blk);
+    for d in call.deposits() {
+        out.extend_from_slice(&d.data);
     }
-    let tag = comm.next_op_tag();
-    let rel = (comm.rank() + p - root) % p;
-
-    // `collection` holds relative blocks rel, rel + 1, …: those of this
-    // rank's subtree that have reported so far.
-    let mut collection: Vec<f64> = local.to_vec();
-    let mut d = 1usize;
-    let mut step = 0u64;
-    let mut sent = false;
-    while d < p {
-        if rel.is_multiple_of(2 * d) {
-            let src_rel = rel + d;
-            if src_rel < p {
-                let from = (src_rel + root) % p;
-                let received = comm.recv_raw(from, tag + step)?;
-                collection.extend_from_slice(&received);
-                comm.give_buffer(received);
-            }
-        } else if !sent {
-            // Relative ranks with the low bit of `rel / d` set send their
-            // whole collection to rel - d and are done.
-            let dst_rel = rel - d;
-            let to = (dst_rel + root) % p;
-            comm.send_raw_vec(to, tag + step, std::mem::take(&mut collection))?;
-            sent = true;
-        }
-        d *= 2;
-        step += 1;
-    }
-
-    if comm.rank() == root {
-        // Root's collection is in relative order; translate to absolute ranks.
-        let mut out = vec![0.0; p * blk];
-        for j in 0..p {
-            let abs = (j + root) % p;
-            out[abs * blk..(abs + 1) * blk].copy_from_slice(&collection[j * blk..(j + 1) * blk]);
-        }
-        Ok(Some(out))
-    } else {
-        Ok(None)
-    }
+    Ok(Some(out))
 }
 
 /// Binomial-tree scatter of equal-sized blocks from `root`.
@@ -229,74 +174,17 @@ pub fn gather(comm: &Communicator, root: usize, local: &[f64]) -> Result<Option<
 /// order; elsewhere `data` is ignored.  Every rank returns its own block.
 pub fn scatter(comm: &Communicator, root: usize, data: &[f64], block: usize) -> Result<Vec<f64>> {
     let p = comm.size();
-    if root >= p {
-        return Err(SimError::InvalidRank {
-            rank: root,
-            size: p,
-        });
-    }
-    if comm.rank() == root && data.len() != p * block {
-        return Err(SimError::BadCollectiveArgs {
-            op: "scatter",
-            reason: format!(
-                "root buffer has {} words, expected {}",
-                data.len(),
-                p * block
-            ),
-        });
-    }
-    if p == 1 {
-        let mut mine = comm.take_buffer(block);
-        mine.extend_from_slice(data);
-        return Ok(mine);
-    }
-    let tag = comm.next_op_tag();
-    let rel = (comm.rank() + p - root) % p;
-
-    // Walk the binomial recursion over relative rank ranges [lo, hi), where
-    // `lo` currently holds the data for the whole range: the root reads it
-    // from `data` (relative block j is rank (j + root) mod p's), every other
-    // rank from `held`, the blocks [lo, hi) it was sent.
-    let mut lo = 0usize;
-    let mut hi = p;
-    let mut held = Vec::new();
-    let mut step = 0u64;
-    while hi - lo > 1 {
-        let half = (hi - lo).div_ceil(2);
-        let mid = lo + half;
-        if rel < mid {
-            // I am in the lower half; if I am `lo`, send the upper half away.
-            if rel == lo {
-                let to = (mid + root) % p;
-                if rel == 0 {
-                    let mut upper = comm.take_buffer((hi - mid) * block);
-                    for run in cyclic_runs(to, hi - mid, block, p) {
-                        upper.extend_from_slice(&data[run]);
-                    }
-                    comm.send_raw_vec(to, tag + step, upper)?;
-                } else {
-                    comm.send_raw(to, tag + step, &held[half * block..])?;
-                    held.truncate(half * block);
-                }
-            }
-            hi = mid;
-        } else {
-            // I am in the upper half; if I am `mid`, receive the upper half.
-            if rel == mid {
-                let from = (lo + root) % p;
-                held = comm.recv_raw(from, tag + step)?;
-            }
-            lo = mid;
-        }
-        step += 1;
-    }
-    debug_assert_eq!(lo, rel);
-    if rel == 0 {
-        held = comm.take_buffer(block);
-        held.extend_from_slice(&data[root * block..(root + 1) * block]);
-    }
-    held.truncate(block);
-    Ok(held)
+    let schedule = [Phase::Scatter { root, blk: block }];
+    let phases = if root < p { &schedule[..] } else { &[] };
+    let mine = if comm.rank() == root { data } else { &[] };
+    let call = Call::meet(comm, phases, deposit(comm, mine, [root, block]))?;
+    call.same_root("scatter", root)?;
+    let held = call.root_words("scatter", root, p * block)?;
+    call.charge(comm, phases);
+    let me = comm.rank();
+    let mut out = comm.take_buffer(block);
+    out.extend_from_slice(&held[me * block..(me + 1) * block]);
+    Ok(out)
 }
 
 /// Recursive-halving reduce-scatter.
@@ -307,64 +195,38 @@ pub fn scatter(comm: &Communicator, root: usize, data: &[f64], block: usize) -> 
 /// reduce-then-scatter fallback is used.
 pub fn reduce_scatter(comm: &Communicator, data: &[f64], op: ReduceOp) -> Result<Vec<f64>> {
     let p = comm.size();
-    if !data.len().is_multiple_of(p) {
-        return Err(SimError::BadCollectiveArgs {
-            op: "reduce_scatter",
-            reason: format!("buffer length {} not divisible by p = {}", data.len(), p),
-        });
+    let blk = data.len() / p;
+    let halving = [Phase::Halving { blk }];
+    let fallback = [
+        Phase::Reduce {
+            root: 0,
+            len: data.len(),
+        },
+        Phase::Scatter { root: 0, blk },
+    ];
+    let phases = if p.is_power_of_two() {
+        &halving[..]
+    } else {
+        &fallback[..]
+    };
+    let call = Call::meet(comm, phases, deposit(comm, data, [0, 0]))?;
+    let len = call.same_len("reduce_scatter")?;
+    if !len.is_multiple_of(p) {
+        return Err(bad(
+            "reduce_scatter",
+            format!("buffer length {len} not divisible by p = {p}"),
+        ));
     }
-    let block = data.len() / p;
-    if p == 1 {
-        let mut mine = comm.take_buffer(block);
-        mine.extend_from_slice(data);
-        return Ok(mine);
+    call.charge(comm, phases);
+    let me = comm.rank();
+    let mut out = zeros(comm, blk);
+    let mut tree = Tree::new(comm, op, call.deposits(), blk);
+    if p.is_power_of_two() {
+        tree.halving(me * blk..(me + 1) * blk, me, &mut out);
+    } else {
+        tree.binomial(me * blk..(me + 1) * blk, 0, &mut out);
     }
-    if !p.is_power_of_two() {
-        // Fallback: binomial reduce to rank 0, then binomial scatter.
-        let root_buf = reduce(comm, 0, data, op)?.unwrap_or_default();
-        let mine = scatter(comm, 0, &root_buf, block)?;
-        comm.give_buffer(root_buf);
-        return Ok(mine);
-    }
-
-    let tag = comm.next_op_tag();
-    let rank = comm.rank();
-    // Before the first round `data` holds every block; after each round the
-    // message just received holds the partially reduced blocks
-    // [range_lo, range_hi) this rank is still responsible for.
-    let mut held: Option<Vec<f64>> = None;
-    let mut range_lo = 0usize;
-    let mut range_hi = p;
-    let mut d = p / 2;
-    let mut step = 0u64;
-    while d >= 1 {
-        let partner = rank ^ d;
-        let mid = range_lo + (range_hi - range_lo) / 2;
-        // Which half do I keep?  The half containing my own rank.
-        let (keep_lo, keep_hi, send_lo, send_hi) = if rank < partner {
-            (range_lo, mid, mid, range_hi)
-        } else {
-            (mid, range_hi, range_lo, mid)
-        };
-        let (current, base) = match &held {
-            Some(h) => (&h[..], range_lo),
-            None => (data, 0),
-        };
-        let blocks = |lo: usize, hi: usize| (lo - base) * block..(hi - base) * block;
-        comm.send_raw(partner, tag + step, &current[blocks(send_lo, send_hi)])?;
-        let mut received = comm.recv_raw(partner, tag + step)?;
-        op.fold(comm, &current[blocks(keep_lo, keep_hi)], &mut received);
-        if let Some(spent) = held.replace(received) {
-            comm.give_buffer(spent);
-        }
-        range_lo = keep_lo;
-        range_hi = keep_hi;
-        d /= 2;
-        step += 1;
-    }
-    debug_assert_eq!(range_hi - range_lo, 1);
-    debug_assert_eq!(range_lo, rank);
-    Ok(held.expect("p ≥ 2 runs at least one round"))
+    Ok(out)
 }
 
 /// Binomial-tree reduction to `root`: returns `Some(reduced vector)` on the
@@ -376,44 +238,21 @@ pub fn reduce(
     op: ReduceOp,
 ) -> Result<Option<Vec<f64>>> {
     let p = comm.size();
-    if root >= p {
-        return Err(SimError::InvalidRank {
-            rank: root,
-            size: p,
-        });
+    let schedule = [Phase::Reduce {
+        root,
+        len: data.len(),
+    }];
+    let phases = if root < p { &schedule[..] } else { &[] };
+    let call = Call::meet(comm, phases, deposit(comm, data, [root, 0]))?;
+    call.same_root("reduce", root)?;
+    let len = call.same_len("reduce")?;
+    call.charge(comm, phases);
+    if comm.rank() != root {
+        return Ok(None);
     }
-    let mut acc = comm.take_buffer(data.len());
-    acc.extend_from_slice(data);
-    if p == 1 {
-        return Ok(Some(acc));
-    }
-    let tag = comm.next_op_tag();
-    let rel = (comm.rank() + p - root) % p;
-    let mut d = 1usize;
-    let mut step = 0u64;
-    let mut sent = false;
-    while d < p {
-        if rel.is_multiple_of(2 * d) {
-            let src_rel = rel + d;
-            if src_rel < p {
-                let from = (src_rel + root) % p;
-                let mut received = comm.recv_raw(from, tag + step)?;
-                op.fold(comm, &acc, &mut received);
-                comm.give_buffer(std::mem::replace(&mut acc, received));
-            }
-        } else if !sent {
-            let to = (rel - d + root) % p;
-            comm.send_raw_vec(to, tag + step, std::mem::take(&mut acc))?;
-            sent = true;
-        }
-        d *= 2;
-        step += 1;
-    }
-    if comm.rank() == root {
-        Ok(Some(acc))
-    } else {
-        Ok(None)
-    }
+    let mut out = zeros(comm, len);
+    Tree::new(comm, op, call.deposits(), len).binomial(0..len, root, &mut out);
+    Ok(Some(out))
 }
 
 /// Allreduce implemented as reduce-scatter followed by allgather
@@ -422,27 +261,45 @@ pub fn reduce(
 pub fn allreduce(comm: &Communicator, data: &[f64], op: ReduceOp) -> Result<Vec<f64>> {
     let p = comm.size();
     let len = data.len();
-    if p == 1 {
-        let mut full = comm.take_buffer(len);
-        full.extend_from_slice(data);
-        return Ok(full);
-    }
-    let block = len.div_ceil(p);
-    let mut padded = Vec::new();
-    let input = if len == block * p {
-        data
+    let blk = len.div_ceil(p);
+    let halving = [Phase::Halving { blk }, Phase::Allgather { blk }];
+    let fallback = [
+        Phase::Reduce {
+            root: 0,
+            len: blk * p,
+        },
+        Phase::Scatter { root: 0, blk },
+        Phase::Allgather { blk },
+    ];
+    let phases = if p.is_power_of_two() {
+        &halving[..]
     } else {
-        padded = comm.take_buffer(block * p);
-        padded.extend_from_slice(data);
-        padded.resize(block * p, identity_of(op));
-        &padded
+        &fallback[..]
     };
-    let mine = reduce_scatter(comm, input, op)?;
-    comm.give_buffer(padded);
-    let mut full = allgather(comm, &mine)?;
-    comm.give_buffer(mine);
-    full.truncate(len);
-    Ok(full)
+    // The closer folds once for every member.  Every block is the one its
+    // owner reduced; the padding of the last block is never looked at.
+    // Unequal lengths fold nothing and fail below, on every member.
+    let fold = |inputs: &[Deposit]| {
+        if inputs.iter().any(|d| d.data.len() != len) {
+            return Vec::new();
+        }
+        let mut out = zeros(comm, len);
+        if p.is_power_of_two() {
+            let mut tree = Tree::new(comm, op, inputs, blk);
+            for (b, piece) in out.chunks_mut(blk.max(1)).enumerate() {
+                tree.halving(b * blk..b * blk + piece.len(), b, piece);
+            }
+        } else {
+            Tree::new(comm, op, inputs, len).binomial(0..len, 0, &mut out);
+        }
+        out
+    };
+    let call = Call::meet_sharing(comm, phases, deposit(comm, data, [0, 0]), fold)?;
+    call.same_len("allreduce")?;
+    call.charge(comm, phases);
+    let mut out = comm.take_buffer(len);
+    out.extend_from_slice(call.shared());
+    Ok(out)
 }
 
 /// Broadcast implemented as scatter followed by allgather
@@ -450,39 +307,17 @@ pub fn allreduce(comm: &Communicator, data: &[f64], op: ReduceOp) -> Result<Vec<
 /// must pass the same `len`.
 pub fn bcast(comm: &Communicator, root: usize, data: &[f64], len: usize) -> Result<Vec<f64>> {
     let p = comm.size();
-    if root >= p {
-        return Err(SimError::InvalidRank {
-            rank: root,
-            size: p,
-        });
-    }
-    if comm.rank() == root && data.len() != len {
-        return Err(SimError::BadCollectiveArgs {
-            op: "bcast",
-            reason: format!("root buffer has {} words, expected {}", data.len(), len),
-        });
-    }
-    if p == 1 {
-        let mut full = comm.take_buffer(len);
-        full.extend_from_slice(data);
-        return Ok(full);
-    }
-    let block = len.div_ceil(p);
-    let mut padded = Vec::new();
-    let input = if comm.rank() != root || len == block * p {
-        data
-    } else {
-        padded = comm.take_buffer(block * p);
-        padded.extend_from_slice(data);
-        padded.resize(block * p, 0.0);
-        &padded
-    };
-    let mine = scatter(comm, root, input, block)?;
-    comm.give_buffer(padded);
-    let mut full = allgather(comm, &mine)?;
-    comm.give_buffer(mine);
-    full.truncate(len);
-    Ok(full)
+    let blk = len.div_ceil(p);
+    let schedule = [Phase::Scatter { root, blk }, Phase::Allgather { blk }];
+    let phases = if root < p { &schedule[..] } else { &[] };
+    let mine = if comm.rank() == root { data } else { &[] };
+    let call = Call::meet(comm, phases, deposit(comm, mine, [root, len]))?;
+    call.same_root("bcast", root)?;
+    let held = call.root_words("bcast", root, len)?;
+    call.charge(comm, phases);
+    let mut out = comm.take_buffer(len);
+    out.extend_from_slice(held);
+    Ok(out)
 }
 
 /// Bruck all-to-all of equal-sized blocks.
@@ -492,223 +327,621 @@ pub fn bcast(comm: &Communicator, root: usize, data: &[f64], len: usize) -> Resu
 /// Cost `α·⌈log p⌉ + β·(n/2)·⌈log p⌉` with `n = p·block`.
 pub fn alltoall(comm: &Communicator, data: &[f64], block: usize) -> Result<Vec<f64>> {
     let p = comm.size();
-    if data.len() != p * block {
-        return Err(SimError::BadCollectiveArgs {
-            op: "alltoall",
-            reason: format!("buffer has {} words, expected {}", data.len(), p * block),
-        });
+    let phases = [Phase::Alltoall { blk: block }];
+    let call = Call::meet(comm, &phases, deposit(comm, data, [block, 0]))?;
+    call.same_args("alltoall")?;
+    if let Some(d) = call.deposits().iter().find(|d| d.data.len() != p * block) {
+        let reason = format!("buffer has {} words, expected {}", d.data.len(), p * block);
+        return Err(bad("alltoall", reason));
     }
-    if p == 1 {
-        return Ok(data.to_vec());
-    }
-    let rank = comm.rank();
-    let tag = comm.next_op_tag();
-
-    // Phase 1: local rotation so slot j holds the block destined to (rank+j)%p.
-    let mut slots: Vec<Vec<f64>> = (0..p)
-        .map(|j| {
-            let dest = (rank + j) % p;
-            data[dest * block..(dest + 1) * block].to_vec()
-        })
-        .collect();
-
-    // Phase 2: log p exchange rounds.
-    let mut d = 1usize;
-    let mut step = 0u64;
-    while d < p {
-        let to = (rank + d) % p;
-        let from = (rank + p - d) % p;
-        // Collect the slots whose index has bit `d` set.
-        let mut payload = Vec::new();
-        let mut moved = Vec::new();
-        for (j, slot) in slots.iter().enumerate() {
-            if j & d != 0 {
-                payload.extend_from_slice(slot);
-                moved.push(j);
-            }
-        }
-        comm.send_raw_vec(to, tag + step, payload)?;
-        let received = comm.recv_raw(from, tag + step)?;
-        for (idx, j) in moved.iter().enumerate() {
-            slots[*j].copy_from_slice(&received[idx * block..(idx + 1) * block]);
-        }
-        comm.give_buffer(received);
-        d *= 2;
-        step += 1;
-    }
-
-    // Phase 3: slot j now holds the block that rank (rank - j + p) % p sent to me.
-    let mut out = vec![0.0; p * block];
-    for (j, slot) in slots.iter().enumerate() {
-        let src = (rank + p - j) % p;
-        out[src * block..(src + 1) * block].copy_from_slice(slot);
+    call.charge(comm, &phases);
+    let mine = comm.rank() * block..(comm.rank() + 1) * block;
+    let mut out = comm.take_buffer(p * block);
+    for d in call.deposits() {
+        out.extend_from_slice(&d.data[mine.clone()]);
     }
     Ok(out)
 }
 
 /// Personalised all-to-all with per-destination payloads of arbitrary length,
-/// delivered directly with `p − 1` pairwise exchanges (latency `O(p)`,
-/// bandwidth optimal).  `blocks[j]` is sent to rank `j` (moved into the
-/// message, not copied); the result is indexed by source rank.
-pub fn alltoallv_direct(comm: &Communicator, mut blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> {
-    let p = comm.size();
-    if blocks.len() != p {
-        return Err(SimError::BadCollectiveArgs {
-            op: "alltoallv_direct",
-            reason: format!("expected {} destination blocks, got {}", p, blocks.len()),
-        });
-    }
-    let rank = comm.rank();
-    let tag = comm.next_op_tag();
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
-    out[rank] = std::mem::take(&mut blocks[rank]);
-    for offset in 1..p {
-        let to = (rank + offset) % p;
-        let from = (rank + p - offset) % p;
-        comm.send_raw_vec(to, tag + offset as u64, std::mem::take(&mut blocks[to]))?;
-        out[from] = comm.recv_raw(from, tag + offset as u64)?;
-    }
-    Ok(out)
+/// charged as `p − 1` direct pairwise exchanges (latency `O(p)`, bandwidth
+/// optimal).  `blocks[j]` goes to rank `j` (moved, not copied); the result
+/// is indexed by source rank.
+pub fn alltoallv_direct(comm: &Communicator, blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> {
+    alltoallv(comm, blocks, Phase::Pairwise, "alltoallv_direct")
 }
 
 /// Header words [`alltoallv_bruck`] puts in front of every block it forwards
 /// (final destination, original source, length).
 pub const BRUCK_BLOCK_HEADER: usize = 3;
 
-/// Personalised all-to-all routed through a Bruck-style store-and-forward
+/// Personalised all-to-all charged as a Bruck-style store-and-forward
 /// network: `⌈log₂ p⌉` rounds, each word travels at most `⌈log₂ p⌉` hops.
 ///
 /// This is the schedule the paper charges for its layout transposes:
-/// `O(α·log p + β·(total volume / p)·log p)` per processor.  `blocks[j]` is
-/// sent to rank `j`; the result is indexed by source rank.
+/// `O(α·log p + β·(total volume / p)·log p)` per processor.  `blocks[j]` goes
+/// to rank `j` (moved, not copied); the result is indexed by source rank.
 ///
 /// Each round's message is `[count, (dest, src, len, payload…)*]`: one count
 /// word, plus a [`BRUCK_BLOCK_HEADER`]-word header per forwarded block.  A
 /// block from `s` to `d` is forwarded once per set bit of `(d − s) mod p`;
 /// empty blocks are not forwarded at all.
 pub fn alltoallv_bruck(comm: &Communicator, blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> {
-    let p = comm.size();
-    if blocks.len() != p {
-        return Err(SimError::BadCollectiveArgs {
-            op: "alltoallv_bruck",
-            reason: format!("expected {} destination blocks, got {}", p, blocks.len()),
-        });
-    }
-    if p == 1 {
-        return Ok(blocks);
-    }
-    let rank = comm.rank();
-    let tag = comm.next_op_tag();
+    alltoallv(comm, blocks, Phase::BruckV, "alltoallv_bruck")
+}
 
-    // Items in flight name their words in place: the caller's blocks come
-    // first, then each round's received message, and a buffer goes back to
-    // the pool as soon as no item still points into it.
-    let mut bufs = blocks;
-    let mut live: Vec<usize> = bufs.iter().map(|b| usize::from(!b.is_empty())).collect();
-    let mut items: Vec<BruckItem> = bufs
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| !b.is_empty())
-        .map(|(dest, b)| BruckItem {
-            dest,
-            src: rank,
-            buf: dest,
-            words: 0..b.len(),
-        })
-        .collect();
-    let release = |bufs: &mut Vec<Vec<f64>>, live: &mut [usize], buf: usize| {
-        live[buf] -= 1;
-        if live[buf] == 0 {
-            comm.give_buffer(std::mem::take(&mut bufs[buf]));
-        }
+/// An all-to-all-v charged as `phase`: the blocks travel by regrouping on
+/// the board, and a member's block to itself never leaves it.
+fn alltoallv(
+    comm: &Communicator,
+    mut blocks: Vec<Vec<f64>>,
+    phase: Phase,
+    op: &'static str,
+) -> Result<Vec<Vec<f64>>> {
+    let (p, me) = (comm.size(), comm.rank());
+    let count = blocks.len();
+    let own = if count == p {
+        std::mem::take(&mut blocks[me])
+    } else {
+        Vec::new()
     };
-
-    let mut d = 1usize;
-    let mut step = 0u64;
-    while d < p {
-        let to = (rank + d) % p;
-        let from = (rank + p - d) % p;
-        // Forward every item whose remaining hop distance has bit `d` set.
-        let (forward, keep): (Vec<_>, Vec<_>) = items
-            .into_iter()
-            .partition(|item| ((item.dest + p - rank) % p) & d != 0);
-        // Serialise: [count, (dest, src, len, payload…)*].
-        let words: usize = forward.iter().map(|item| item.words.len()).sum();
-        let mut payload = comm.take_buffer(1 + forward.len() * BRUCK_BLOCK_HEADER + words);
-        payload.push(forward.len() as f64);
-        for item in forward {
-            payload.push(item.dest as f64);
-            payload.push(item.src as f64);
-            payload.push(item.words.len() as f64);
-            payload.extend_from_slice(&bufs[item.buf][item.words]);
-            release(&mut bufs, &mut live, item.buf);
-        }
-        comm.send_raw_vec(to, tag + step, payload)?;
-        let received = comm.recv_raw(from, tag + step)?;
-        items = keep;
-        let buf = bufs.len();
-        let mut cursor = 1usize;
-        let count = received.first().copied().unwrap_or(0.0) as usize;
-        for _ in 0..count {
-            let dest = received[cursor] as usize;
-            let src = received[cursor + 1] as usize;
-            let len = received[cursor + 2] as usize;
-            cursor += BRUCK_BLOCK_HEADER;
-            items.push(BruckItem {
-                dest,
-                src,
-                buf,
-                words: cursor..cursor + len,
-            });
-            cursor += len;
-        }
-        bufs.push(received);
-        live.push(count);
-        if count == 0 {
-            comm.give_buffer(std::mem::take(&mut bufs[buf]));
-        }
-        d *= 2;
-        step += 1;
+    let contribution = Deposit {
+        blocks,
+        args: [count, 0],
+        ..Deposit::default()
+    };
+    let mut call = Call::meet(comm, &[phase], contribution)?;
+    if let Some(d) = call.deposits().iter().find(|d| d.args[0] != p) {
+        let reason = format!("expected {p} destination blocks, got {}", d.args[0]);
+        return Err(bad(op, reason));
     }
-
-    // Every item has arrived: an item that is a whole buffer is handed over
-    // as it is, any other is copied out of the message that carried it.
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
-    for item in items {
-        debug_assert_eq!(
-            item.dest, rank,
-            "item should have arrived at its destination"
-        );
-        let whole = live[item.buf] == 1 && item.words == (0..bufs[item.buf].len());
-        out[item.src] = if whole {
-            live[item.buf] = 0;
-            std::mem::take(&mut bufs[item.buf])
-        } else {
-            let mut data = comm.take_buffer(item.words.len());
-            data.extend_from_slice(&bufs[item.buf][item.words]);
-            release(&mut bufs, &mut live, item.buf);
-            data
-        };
-    }
+    call.charge(comm, &[phase]);
+    let mut out = std::mem::take(&mut call.column);
+    out[me] = own;
     Ok(out)
 }
 
-/// A block in flight in [`alltoallv_bruck`]: its final destination, its
-/// original source, and where its words lie — a range of one of the
-/// collective's buffers.
-struct BruckItem {
-    dest: usize,
-    src: usize,
-    buf: usize,
-    words: Range<usize>,
+// ---------------------------------------------------------------------------
+// The modelled schedules
+// ---------------------------------------------------------------------------
+
+/// One stage of a collective's modelled schedule.  A call is a short list
+/// of phases (a broadcast is a scatter then an allgather); each runs
+/// [`Phase::rounds`] rounds, and in each round a member sends at most one
+/// message and then receives at most one ([`Phase::step`]).
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// Dissemination barrier: in round `t`, send to `r + 2ᵗ`, receive from
+    /// `r − 2ᵗ`, no words.
+    Dissemination,
+    /// Bruck allgather of `blk`-word blocks: in round `t`, send the
+    /// `min(2ᵗ, p − 2ᵗ)` blocks held so far to `r − 2ᵗ`, receive as many
+    /// from `r + 2ᵗ`.
+    Allgather { blk: usize },
+    /// Binomial gather of `blk`-word blocks to `root`: in round `t`, a
+    /// member whose relative rank has lowest set bit `2ᵗ` sends what its
+    /// subtree collected to `rel − 2ᵗ`.
+    Gather { root: usize, blk: usize },
+    /// Binomial scatter of `blk`-word blocks from `root`: the member at the
+    /// bottom of each relative range sends the upper half of the range's
+    /// blocks (rounded down) to the half's first member.
+    Scatter { root: usize, blk: usize },
+    /// Recursive-halving reduce-scatter of `blk`-word blocks (`p` a power of
+    /// two): in round `t`, exchange half of the blocks still held with
+    /// `r ⊕ p/2ᵗ⁺¹` and fold the received half.
+    Halving { blk: usize },
+    /// Binomial reduction of `len` words to `root`: the gather's tree, every
+    /// message `len` words, folded on receipt.
+    Reduce { root: usize, len: usize },
+    /// Bruck all-to-all of `blk`-word blocks: in round `t`, send the blocks
+    /// whose slot has bit `2ᵗ` set to `r + 2ᵗ`.
+    Alltoall { blk: usize },
+    /// Pairwise all-to-all-v: in round `t`, send to `r + t + 1` and receive
+    /// from `r − t − 1`; sizes from the closer's table.
+    Pairwise,
+    /// Bruck all-to-all-v: the all-to-all's rounds, each message a count
+    /// word plus a header and the words of every forwarded block; sizes
+    /// from the closer's table.
+    BruckV,
 }
 
-fn identity_of(op: ReduceOp) -> f64 {
-    match op {
-        ReduceOp::Sum => 0.0,
-        ReduceOp::Max => f64::NEG_INFINITY,
-        ReduceOp::Min => f64::INFINITY,
+/// What one member does in one round: send to `to`, then receive from
+/// `from` (local ranks).
+#[derive(Debug, Default)]
+struct Step {
+    to: Option<usize>,
+    from: Option<usize>,
+}
+
+impl Phase {
+    fn rounds(self, p: usize) -> usize {
+        match self {
+            Phase::Pairwise => p - 1,
+            _ => levels(p),
+        }
     }
+
+    /// Member `me`'s step in `round`.  Only the logarithmic phases shift by
+    /// `round`: the pairwise one runs `p − 1` rounds.
+    fn step(self, p: usize, me: usize, round: usize) -> Step {
+        match self {
+            Phase::Dissemination | Phase::Alltoall { .. } | Phase::BruckV => Step {
+                to: Some((me + (1 << round)) % p),
+                from: Some((me + p - (1 << round)) % p),
+            },
+            Phase::Allgather { .. } => Step {
+                to: Some((me + p - (1 << round)) % p),
+                from: Some((me + (1 << round)) % p),
+            },
+            Phase::Pairwise => Step {
+                to: Some((me + round + 1) % p),
+                from: Some((me + p - round - 1) % p),
+            },
+            Phase::Halving { .. } => {
+                let partner = me ^ (p >> (round + 1));
+                Step {
+                    to: Some(partner),
+                    from: Some(partner),
+                }
+            }
+            Phase::Gather { root, .. } | Phase::Reduce { root, .. } => {
+                let d = 1 << round;
+                let rel = (me + p - root) % p;
+                let abs = |rel: usize| (rel + root) % p;
+                match rel & (2 * d - 1) {
+                    0 => Step {
+                        to: None,
+                        from: (rel + d < p).then(|| abs(rel + d)),
+                    },
+                    low if low == d => Step {
+                        to: Some(abs(rel - d)),
+                        from: None,
+                    },
+                    _ => Step::default(),
+                }
+            }
+            Phase::Scatter { root, .. } => {
+                let rel = (me + p - root) % p;
+                match scatter_split(p, rel, round) {
+                    Some((lo, mid, _)) if rel == lo => Step {
+                        to: Some((mid + root) % p),
+                        from: None,
+                    },
+                    Some((lo, mid, _)) if rel == mid => Step {
+                        to: None,
+                        from: Some((lo + root) % p),
+                    },
+                    _ => Step::default(),
+                }
+            }
+        }
+    }
+
+    /// Words of the message `sender` sends in `round`.  `table` is the
+    /// closer's table for the all-to-all-v phases (a missing entry reads 0).
+    fn words(self, p: usize, sender: usize, round: usize, table: &[usize]) -> usize {
+        match self {
+            Phase::Dissemination => 0,
+            Phase::Allgather { blk } => (1 << round).min(p - (1 << round)) * blk,
+            Phase::Gather { root, blk } => {
+                let rel = (sender + p - root) % p;
+                ((rel + (1 << round)).min(p) - rel) * blk
+            }
+            Phase::Scatter { root, blk } => {
+                let rel = (sender + p - root) % p;
+                scatter_split(p, rel, round).map_or(0, |(_, mid, hi)| (hi - mid) * blk)
+            }
+            Phase::Halving { blk } => (p >> (round + 1)) * blk,
+            Phase::Reduce { len, .. } => len,
+            Phase::Alltoall { blk } => (0..p).filter(|j| j & (1 << round) != 0).count() * blk,
+            Phase::Pairwise | Phase::BruckV => table
+                .get(sender * self.rounds(p) + round)
+                .copied()
+                .unwrap_or(0),
+        }
+    }
+
+    /// Whether a receive is folded into the receiver's partial, one flop a
+    /// word.
+    fn folds(self) -> bool {
+        matches!(self, Phase::Halving { .. } | Phase::Reduce { .. })
+    }
+}
+
+/// The binomial scatter's split in `round` of the relative range holding
+/// relative member `rel`: `(lo, mid, hi)`, the range `[lo, hi)` whose member
+/// `lo` sends blocks `[mid, hi)` to member `mid`, or `None` once `rel`'s
+/// range is down to itself.
+fn scatter_split(p: usize, rel: usize, round: usize) -> Option<(usize, usize, usize)> {
+    let (mut lo, mut hi) = (0, p);
+    for _ in 0..round {
+        if hi - lo <= 1 {
+            return None;
+        }
+        let mid = lo + (hi - lo).div_ceil(2);
+        if rel < mid {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    (hi - lo > 1).then(|| (lo, lo + (hi - lo).div_ceil(2), hi))
+}
+
+// ---------------------------------------------------------------------------
+// The engine: meet, tabulate, replay, fold
+// ---------------------------------------------------------------------------
+
+/// One member's view of a closed call.
+struct Call {
+    closed: Arc<Closed>,
+    /// The blocks addressed to this member, by source (all-to-all-v only).
+    column: Vec<Vec<f64>>,
+}
+
+impl Call {
+    /// Meet the other members at a call modelled as `phases`, bringing
+    /// `deposit`.  This member draws faults for the sends `phases` give it;
+    /// if it closes the call, it tabulates what `phases` need.
+    fn meet(comm: &Communicator, phases: &[Phase], deposit: Deposit) -> Result<Call> {
+        Call::meet_sharing(comm, phases, deposit, |_| Vec::new())
+    }
+
+    /// [`Call::meet`], where the closer also computes `share` of the
+    /// deposits once, for every member to read as [`Call::shared`].
+    fn meet_sharing(
+        comm: &Communicator,
+        phases: &[Phase],
+        deposit: Deposit,
+        share: impl FnOnce(&[Deposit]) -> Vec<f64>,
+    ) -> Result<Call> {
+        let (p, me) = (comm.size(), comm.rank());
+        let sends = phases.iter().flat_map(move |&phase| {
+            (0..phase.rounds(p)).filter_map(move |round| {
+                let to = phase.step(p, me, round).to?;
+                Some((to, phase.words(p, me, round, &[])))
+            })
+        });
+        let (closed, column) = comm.meet(sends, deposit, |deposits| {
+            let shared = share(deposits);
+            Closing {
+                shared,
+                ..tabulate(phases, deposits)
+            }
+        })?;
+        Ok(Call { closed, column })
+    }
+
+    fn deposits(&self) -> &[Deposit] {
+        &self.closed.deposits
+    }
+
+    fn shared(&self) -> &[f64] {
+        &self.closed.shared
+    }
+
+    /// Charge this member the rounds of `phases`, replayed over every
+    /// member's deposit.
+    fn charge(&self, comm: &Communicator, phases: &[Phase]) {
+        let charges = replay(
+            phases,
+            &self.closed,
+            &comm.params(),
+            comm.rank(),
+            comm.world_rank(),
+        );
+        comm.apply_charges(&charges);
+    }
+
+    /// The scalar arguments, if every member passed the same.
+    fn same_args(&self, op: &'static str) -> Result<[usize; 2]> {
+        let first = self.deposits()[0].args;
+        match self.deposits().iter().position(|d| d.args != first) {
+            None => Ok(first),
+            Some(r) => {
+                let theirs = self.deposits()[r].args;
+                let reason = format!("rank {r} passed arguments {theirs:?}, rank 0 {first:?}");
+                Err(bad(op, reason))
+            }
+        }
+    }
+
+    /// Check that every member passed the same arguments, naming the same
+    /// `root`, and that `root` is a member.
+    fn same_root(&self, op: &'static str, root: usize) -> Result<()> {
+        self.same_args(op)?;
+        let size = self.deposits().len();
+        if root >= size {
+            return Err(SimError::InvalidRank { rank: root, size });
+        }
+        Ok(())
+    }
+
+    /// The length of the members' words, if every member brought as many.
+    fn same_len(&self, op: &'static str) -> Result<usize> {
+        let first = self.deposits()[0].data.len();
+        match self.deposits().iter().position(|d| d.data.len() != first) {
+            None => Ok(first),
+            Some(r) => {
+                let theirs = self.deposits()[r].data.len();
+                let reason = format!("rank {r} contributes {theirs} words, rank 0 {first}");
+                Err(bad(op, reason))
+            }
+        }
+    }
+
+    /// The root's words, if it brought `expected` of them.
+    fn root_words(&self, op: &'static str, root: usize, expected: usize) -> Result<&[f64]> {
+        let held = &self.deposits()[root].data;
+        if held.len() != expected {
+            let reason = format!("root buffer has {} words, expected {expected}", held.len());
+            return Err(bad(op, reason));
+        }
+        Ok(held)
+    }
+}
+
+fn bad(op: &'static str, reason: String) -> SimError {
+    SimError::BadCollectiveArgs { op, reason }
+}
+
+/// A deposit of a pooled copy of `data`, with the call's scalar arguments.
+fn deposit(comm: &Communicator, data: &[f64], args: [usize; 2]) -> Deposit {
+    let mut copy = comm.take_buffer(data.len());
+    copy.extend_from_slice(data);
+    Deposit {
+        data: copy,
+        args,
+        ..Deposit::default()
+    }
+}
+
+/// A pooled buffer of `n` zeros.
+fn zeros(comm: &Communicator, n: usize) -> Vec<f64> {
+    let mut out = comm.take_buffer(n);
+    out.resize(n, 0.0);
+    out
+}
+
+/// The closer's work for an all-to-all-v: the words of every modelled
+/// message, `words[sender · rounds + round]`, and the blocks regrouped by
+/// destination.  Nothing for the other calls, or for blocks the board will
+/// reject.
+fn tabulate(phases: &[Phase], deposits: &mut [Deposit]) -> Closing {
+    let p = deposits.len();
+    let Some(&phase) = phases
+        .iter()
+        .find(|phase| matches!(phase, Phase::Pairwise | Phase::BruckV))
+    else {
+        return Closing::default();
+    };
+    if deposits.iter().any(|d| d.blocks.len() != p) {
+        return Closing::default();
+    }
+    let rounds = phase.rounds(p);
+    let len = |src: usize, dest: usize| deposits[src].blocks[dest].len();
+    let mut words = vec![0; p * rounds];
+    if let Phase::Pairwise = phase {
+        for src in 0..p {
+            for round in 0..rounds {
+                words[src * rounds + round] = len(src, (src + round + 1) % p);
+            }
+        }
+    } else {
+        // Each round's message has its count word; a non-empty block rides
+        // in it once per set bit of its distance, from the member it has
+        // reached by then.
+        words.fill(1);
+        for src in 0..p {
+            for dest in 0..p {
+                let n = len(src, dest);
+                if n == 0 {
+                    continue;
+                }
+                let dist = (dest + p - src) % p;
+                for round in 0..rounds {
+                    let d = 1 << round;
+                    if dist & d != 0 {
+                        let holder = (src + (dist & (d - 1))) % p;
+                        words[holder * rounds + round] += BRUCK_BLOCK_HEADER + n;
+                    }
+                }
+            }
+        }
+    }
+    let columns = (0..p)
+        .map(|dest| {
+            deposits
+                .iter_mut()
+                .map(|d| std::mem::take(&mut d.blocks[dest]))
+                .collect()
+        })
+        .collect();
+    Closing {
+        words,
+        columns,
+        ..Closing::default()
+    }
+}
+
+/// Replay `phases` over every member's deposited clock and fault draws, and
+/// return member `me`'s charges: the counts of its modelled sends, receives
+/// and folds, and the clock they leave it at.  Its sim-lane events are
+/// recorded on world rank `lane`'s lane.
+fn replay(
+    phases: &[Phase],
+    closed: &Closed,
+    params: &MachineParams,
+    me: usize,
+    lane: usize,
+) -> CostCounters {
+    /// One member's side of the replay.
+    struct Member {
+        meter: CostCounters,
+        drawn: usize,
+        /// When its message of the current round becomes available.
+        avail: f64,
+    }
+    let p = closed.deposits.len();
+    let mut members: Vec<Member> = closed
+        .deposits
+        .iter()
+        .map(|d| Member {
+            meter: CostCounters {
+                time: d.clock,
+                ..CostCounters::default()
+            },
+            drawn: 0,
+            avail: 0.0,
+        })
+        .collect();
+    let lane_of = |h: usize| (h == me).then_some(lane);
+    for &phase in phases {
+        for round in 0..phase.rounds(p) {
+            // A round's sends depend only on earlier rounds, so every one of
+            // them leaves before any of its receives completes.
+            for (h, member) in members.iter_mut().enumerate() {
+                if phase.step(p, h, round).to.is_none() {
+                    continue;
+                }
+                let faults = closed.deposits[h].faults.get(member.drawn);
+                member.drawn += 1;
+                let words = phase.words(p, h, round, &closed.words);
+                let faults = faults.copied().unwrap_or_else(SendFaults::none);
+                member.avail = member
+                    .meter
+                    .charge_send(params, words, faults, lane_of(h))
+                    .expect("a member whose draws fail never deposits");
+            }
+            for h in 0..p {
+                let Some(from) = phase.step(p, h, round).from else {
+                    continue;
+                };
+                let words = phase.words(p, from, round, &closed.words);
+                let avail = members[from].avail;
+                let meter = &mut members[h].meter;
+                meter.charge_recv(words, avail, lane_of(h));
+                if phase.folds() {
+                    meter.charge_flops(params, words as u64);
+                }
+            }
+        }
+    }
+    members[me].meter
+}
+
+/// The fold trees of the reducing schedules, evaluated over the members'
+/// deposited words in the schedules' operand order: each partial a member
+/// would have held is its own partial `∘` the one it would have received.
+struct Tree<'a> {
+    comm: &'a Communicator,
+    op: ReduceOp,
+    inputs: &'a [Deposit],
+    /// Room for one partial per tree level.
+    scratch: Vec<f64>,
+}
+
+impl<'a> Tree<'a> {
+    /// Trees over the members' deposits `inputs`, for ranges of at most `n`
+    /// words.
+    fn new(comm: &'a Communicator, op: ReduceOp, inputs: &'a [Deposit], n: usize) -> Self {
+        let room = levels(inputs.len()) * n;
+        let mut scratch = comm.take_buffer(room);
+        scratch.resize(room, 0.0);
+        Tree {
+            comm,
+            op,
+            inputs,
+            scratch,
+        }
+    }
+
+    /// `out` = block `b`'s reduction over `range` as recursive halving
+    /// leaves it on member `b`.
+    fn halving(&mut self, range: Range<usize>, b: usize, out: &mut [f64]) {
+        let t = levels(self.inputs.len());
+        halving(self.op, self.inputs, range, b, t, out, &mut self.scratch);
+    }
+
+    /// `out` = the reduction over `range` as the binomial tree leaves it on
+    /// `root`.
+    fn binomial(&mut self, range: Range<usize>, root: usize, out: &mut [f64]) {
+        let t = levels(self.inputs.len());
+        binomial(
+            self.op,
+            self.inputs,
+            range,
+            root,
+            0,
+            t,
+            out,
+            &mut self.scratch,
+        );
+    }
+}
+
+impl Drop for Tree<'_> {
+    fn drop(&mut self) {
+        self.comm.give_buffer(std::mem::take(&mut self.scratch));
+    }
+}
+
+/// `⌈log₂ p⌉`: the rounds of the logarithmic schedules.
+fn levels(p: usize) -> usize {
+    p.next_power_of_two().trailing_zeros() as usize
+}
+
+/// `out = T(r, t)` over `range`: the partial of member `r` after `t` rounds
+/// of recursive halving, `T(r, t) = T(r, t−1) ∘ T(r ⊕ p/2ᵗ, t−1)` with
+/// `T(r, 0)` its own words.
+fn halving(
+    op: ReduceOp,
+    inputs: &[Deposit],
+    range: Range<usize>,
+    r: usize,
+    t: usize,
+    out: &mut [f64],
+    scratch: &mut [f64],
+) {
+    if t == 0 {
+        out.copy_from_slice(&inputs[r].data[range]);
+        return;
+    }
+    let partner = r ^ (inputs.len() >> t);
+    let (theirs, deeper) = scratch.split_at_mut(out.len());
+    halving(op, inputs, range.clone(), r, t - 1, out, deeper);
+    halving(op, inputs, range, partner, t - 1, theirs, deeper);
+    op.fold(out, theirs);
+}
+
+/// `out = R(rel, t)` over `range`: the partial of relative member `rel`
+/// after `t` rounds of the binomial reduction to `root`,
+/// `R(rel, t) = R(rel, t−1) ∘ R(rel + 2ᵗ⁻¹, t−1)` when that member exists,
+/// with `R(rel, 0)` its own words.
+#[allow(clippy::too_many_arguments)]
+fn binomial(
+    op: ReduceOp,
+    inputs: &[Deposit],
+    range: Range<usize>,
+    root: usize,
+    rel: usize,
+    t: usize,
+    out: &mut [f64],
+    scratch: &mut [f64],
+) {
+    let p = inputs.len();
+    if t == 0 {
+        out.copy_from_slice(&inputs[(rel + root) % p].data[range]);
+        return;
+    }
+    let child = rel + (1 << (t - 1));
+    if child >= p {
+        return binomial(op, inputs, range, root, rel, t - 1, out, scratch);
+    }
+    let (theirs, deeper) = scratch.split_at_mut(out.len());
+    binomial(op, inputs, range.clone(), root, rel, t - 1, out, deeper);
+    binomial(op, inputs, range, root, child, t - 1, theirs, deeper);
+    op.fold(out, theirs);
 }
 
 #[cfg(test)]
@@ -1055,6 +1288,23 @@ mod tests {
     }
 
     #[test]
+    fn alltoallv_direct_runs_more_rounds_than_a_word_has_bits() {
+        let p = 70;
+        let (results, report) = run(p, move |comm| {
+            let rank = comm.rank();
+            let blocks = (0..p).map(|dest| vec![(rank * p + dest) as f64]).collect();
+            alltoallv_direct(comm, blocks).unwrap()
+        });
+        for (rank, got) in results.into_iter().enumerate() {
+            let expected: Vec<Vec<f64>> = (0..p).map(|src| vec![(src * p + rank) as f64]).collect();
+            assert_eq!(got, expected, "rank {rank}");
+        }
+        for counters in &report.per_rank {
+            assert_eq!(counters.msgs_sent, (p - 1) as u64);
+        }
+    }
+
+    #[test]
     fn collectives_validate_arguments() {
         let (results, _) = run(4, |comm| {
             let bad_root_gather = gather(comm, 9, &[1.0]).is_err();
@@ -1065,6 +1315,155 @@ mod tests {
             bad_root_gather && bad_root_scatter && bad_rs && bad_a2a && bad_a2av
         });
         assert!(results.into_iter().all(|v| v));
+    }
+
+    /// Run `f` on `p` ranks under a wall-clock watchdog: a run still going
+    /// after 20 s fails the test instead of hanging it.
+    fn run_watched<T: Send + 'static>(
+        p: usize,
+        f: impl Fn(&Communicator) -> T + Send + Sync + 'static,
+    ) -> Vec<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let out = Machine::new(p, MachineParams::unit()).run(f);
+            let _ = tx.send(out.map(|out| out.results));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(20))
+            .expect("the run hung")
+            .expect("no rank panicked")
+    }
+
+    /// Every member's error from `call`, then an allreduce showing that the
+    /// members' calls still line up after it.
+    fn error_then_allreduce(
+        comm: &Communicator,
+        call: impl Fn(&Communicator) -> Result<()>,
+    ) -> (Option<SimError>, f64) {
+        let err = call(comm).err();
+        (err, allreduce(comm, &[1.0], ReduceOp::Sum).unwrap()[0])
+    }
+
+    fn bad_args(op: &'static str, reason: &str) -> Option<SimError> {
+        Some(SimError::BadCollectiveArgs {
+            op,
+            reason: reason.into(),
+        })
+    }
+
+    #[test]
+    fn bcast_with_a_short_root_buffer_fails_alike_on_every_member() {
+        let results = run_watched(4, |comm| {
+            error_then_allreduce(comm, |comm| {
+                let data = if comm.rank() == 1 {
+                    vec![1.0; 3]
+                } else {
+                    Vec::new()
+                };
+                bcast(comm, 1, &data, 8).map(drop)
+            })
+        });
+        let expected = (
+            bad_args("bcast", "root buffer has 3 words, expected 8"),
+            4.0,
+        );
+        assert_eq!(results, vec![expected; 4]);
+    }
+
+    #[test]
+    fn scatter_with_a_short_root_buffer_fails_alike_on_every_member() {
+        let results = run_watched(4, |comm| {
+            error_then_allreduce(comm, |comm| {
+                let data = if comm.rank() == 2 {
+                    vec![1.0; 5]
+                } else {
+                    Vec::new()
+                };
+                scatter(comm, 2, &data, 2).map(drop)
+            })
+        });
+        let expected = (
+            bad_args("scatter", "root buffer has 5 words, expected 8"),
+            4.0,
+        );
+        assert_eq!(results, vec![expected; 4]);
+    }
+
+    #[test]
+    fn allgather_of_unequal_contributions_fails_alike_on_every_member() {
+        let results = run_watched(4, |comm| {
+            error_then_allreduce(comm, |comm| {
+                allgather(comm, &vec![1.0; comm.rank() + 1]).map(drop)
+            })
+        });
+        let expected = (
+            bad_args("allgather", "rank 1 contributes 2 words, rank 0 1"),
+            4.0,
+        );
+        assert_eq!(results, vec![expected; 4]);
+    }
+
+    #[test]
+    fn allreduce_of_unequal_contributions_fails_alike_on_every_member() {
+        let results = run_watched(4, |comm| {
+            error_then_allreduce(comm, |comm| {
+                let mine = vec![1.0; 4 + comm.rank() / 3];
+                allreduce(comm, &mine, ReduceOp::Sum).map(drop)
+            })
+        });
+        let expected = (
+            bad_args("allreduce", "rank 3 contributes 5 words, rank 0 4"),
+            4.0,
+        );
+        assert_eq!(results, vec![expected; 4]);
+    }
+
+    /// A program made only of collectives, on the world and on two halves:
+    /// how many calls each rank made.
+    fn only_collectives(comm: &Communicator) -> usize {
+        let rank = comm.rank();
+        let parity: Vec<usize> = (rank % 2..comm.size()).step_by(2).collect();
+        let half = comm.subgroup(&parity).unwrap();
+        let mut calls = 0;
+        for round in 0..3 {
+            let mine = [rank as f64, round as f64];
+            allreduce(comm, &mine, ReduceOp::Sum).unwrap();
+            bcast(&half, 1, &mine, 2).unwrap();
+            allgatherv(&half, &mine[..rank % 2 + 1]).unwrap();
+            let blocks = (0..comm.size()).map(|d| vec![d as f64; d % 3]).collect();
+            alltoallv_bruck(comm, blocks).unwrap();
+            reduce_scatter(&half, &[1.0; 8], ReduceOp::Max).unwrap();
+            barrier(comm).unwrap();
+            calls += 6;
+        }
+        calls
+    }
+
+    #[test]
+    fn a_member_parks_at_most_once_per_collective_call() {
+        for workers in [1, 4] {
+            let recorder = obs::Recorder::new();
+            let machine = Machine::new(8, MachineParams::unit()).with_rank_workers(workers);
+            let calls = recorder.record(|| machine.run(only_collectives).unwrap().results);
+            let dump = recorder.dump();
+            let mut parks = vec![None; calls.len()];
+            for lane in dump.threads.iter().filter(|t| t.lane == obs::Lane::Wall) {
+                let named = |name| lane.events.iter().filter(move |e| e.name == name);
+                if let Some(rank) = named("rank").next() {
+                    parks[rank.arg as usize] = Some(named("park").count());
+                }
+            }
+            for (rank, (parks, calls)) in parks.iter().zip(&calls).enumerate() {
+                let parks = parks.expect("every rank records its lane");
+                assert!(
+                    parks <= *calls,
+                    "w = {workers}: rank {rank} parked {parks} times in {calls} calls"
+                );
+            }
+            if workers == 1 {
+                let total: usize = parks.iter().flatten().sum();
+                assert!(total > 0, "one worker and no rank ever parked");
+            }
+        }
     }
 
     #[test]

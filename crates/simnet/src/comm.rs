@@ -9,9 +9,17 @@
 //! case for every algorithm in the paper.
 //!
 //! All communicators created on one rank share that rank's *endpoint*: the
-//! incoming message queue, the virtual clock and the cost counters.
+//! incoming message queue, the cost counters (whose `time` is the rank's
+//! virtual clock) and the fault source.
+//!
+//! A collective call does not pass its modelled messages over the channels:
+//! its members meet once on the run's board (`Communicator::meet`, the
+//! `board` module) and replay the rounds (`coll`).  The channels carry the
+//! user's point-to-point messages, the closer's wake-ups and failure
+//! notifications.
 
-use crate::cost::CostCounters;
+use crate::board::{Board, Closed, Closing, Deposit};
+use crate::cost::{CostCounters, SendFailure};
 use crate::error::SimError;
 use crate::fault::{FaultInjector, SendFaults};
 use crate::gate::RankGate;
@@ -35,6 +43,11 @@ pub(crate) const FAIL_CONTEXT: u64 = u64::MAX;
 /// Context id of the world communicator.
 const WORLD_CONTEXT: u64 = 1;
 
+/// Source of the envelope with which the closer of a collective call wakes
+/// each other member: no world rank, so a wake never matches a
+/// point-to-point receive.
+const WAKE_SRC: usize = usize::MAX;
+
 /// Per-rank communication endpoint: everything that is shared between all
 /// communicators of one simulated processor.
 pub(crate) struct Endpoint {
@@ -50,9 +63,8 @@ pub(crate) struct Endpoint {
     pub pending: HashMap<MatchKey, VecDeque<(Vec<f64>, f64)>>,
     /// α–β–γ parameters.
     pub params: MachineParams,
-    /// Virtual clock (seconds of model time).
-    pub clock: f64,
-    /// Cost counters.
+    /// Cost counters; `counters.time` is the rank's virtual clock (seconds
+    /// of model time).
     pub counters: CostCounters,
     /// This rank's fault source; `None` when the machine runs without a
     /// fault plan, in which case every send draws [`SendFaults::none`].
@@ -67,61 +79,11 @@ pub(crate) struct Endpoint {
     pub gate: Option<Arc<RankGate>>,
     /// The machine's buffer pool, shared by every rank.
     pub pool: Arc<BufferPool>,
+    /// The run's board, where collective calls meet.
+    pub board: Arc<Board>,
 }
 
 impl Endpoint {
-    /// Virtual clock in integer nanoseconds, for sim-lane trace events.
-    fn clock_ns(&self) -> u64 {
-        (self.clock * 1e9) as u64
-    }
-
-    fn charge_send(&mut self, words: usize) -> f64 {
-        self.counters.msgs_sent += 1;
-        self.counters.words_sent += words as u64;
-        self.clock += self.params.alpha + self.params.beta * words as f64;
-        self.counters.time = self.clock;
-        if obs::enabled() {
-            obs::sim_instant(
-                self.world_rank,
-                "simnet",
-                "send",
-                self.clock_ns(),
-                "words",
-                words as u64,
-                "",
-                0,
-            );
-        }
-        self.clock
-    }
-
-    fn charge_recv(&mut self, words: usize, avail_time: f64) {
-        self.counters.msgs_recv += 1;
-        self.counters.words_recv += words as u64;
-        if avail_time > self.clock {
-            self.clock = avail_time;
-        }
-        self.counters.time = self.clock;
-        if obs::enabled() {
-            obs::sim_instant(
-                self.world_rank,
-                "simnet",
-                "recv",
-                self.clock_ns(),
-                "words",
-                words as u64,
-                "",
-                0,
-            );
-        }
-    }
-
-    fn charge_flops(&mut self, flops: u64) {
-        self.counters.flops += flops;
-        self.clock += self.params.gamma * flops as f64;
-        self.counters.time = self.clock;
-    }
-
     /// Record a failure and return the sticky error.  The first failure
     /// wins: it is stored and broadcast to every other rank as a
     /// [`FAIL_CONTEXT`] envelope naming its root rank, so nobody waits on
@@ -141,7 +103,7 @@ impl Endpoint {
                     context: FAIL_CONTEXT,
                     tag: 0,
                     data: vec![root as f64],
-                    avail_time: self.clock,
+                    avail_time: self.counters.time,
                 });
             }
         }
@@ -172,78 +134,50 @@ impl Endpoint {
         if let Some(err) = &self.failure {
             return Err(err.clone());
         }
-        let sf = match self.injector.as_mut() {
-            Some(injector) => injector.next_send(),
-            None => SendFaults::none(),
-        };
-        if sf.crash {
-            let rank = self.world_rank;
-            return Err(self.fail(SimError::RankFailure { rank }));
-        }
-        if sf.stall > 0.0 {
-            self.clock += sf.stall;
-            self.counters.time = self.clock;
-        }
-        // Timeout/resend protocol for injected drops: attempt k is charged
-        // α + β·n plus a backoff wait of retry_timeout · 2ᵏ before resending.
-        let words = data.len();
-        let max_retries = self.params.max_retries;
-        let lost = sf.drops.min(max_retries + 1);
-        for attempt in 0..lost {
-            self.counters.msgs_sent += 1;
-            self.counters.words_sent += words as u64;
-            self.counters.retries += 1;
-            let backoff = self.params.retry_timeout * (1u64 << attempt.min(30)) as f64;
-            self.clock += self.params.alpha + self.params.beta * words as f64 + backoff;
-            self.counters.time = self.clock;
-            if obs::enabled() {
-                obs::sim_instant(
-                    self.world_rank,
-                    "simnet",
-                    "retry",
-                    self.clock_ns(),
-                    "attempt",
-                    attempt as u64 + 1,
-                    "words",
-                    words as u64,
-                );
-                obs::sim_instant(
-                    self.world_rank,
-                    "simnet",
-                    "backoff",
-                    self.clock_ns(),
-                    "backoff_ns",
-                    (backoff * 1e9) as u64,
-                    "",
-                    0,
-                );
+        let faults = self
+            .injector
+            .as_mut()
+            .map_or_else(SendFaults::none, FaultInjector::next_send);
+        let lane = Some(self.world_rank);
+        match self
+            .counters
+            .charge_send(&self.params, data.len(), faults, lane)
+        {
+            Ok(avail_time) => {
+                let _ = self.senders[world_dest].send(Envelope {
+                    src: self.world_rank,
+                    context,
+                    tag,
+                    data,
+                    avail_time,
+                });
+                Ok(())
             }
+            Err(failure) => Err(self.fail_send(failure, world_dest)),
         }
-        if sf.drops > max_retries {
-            self.counters.timeouts += 1;
-            let (src, dest) = (self.world_rank, world_dest);
-            return Err(self.fail(SimError::Timeout {
+    }
+
+    /// Fail this rank for a send to `world_dest` that could not be
+    /// delivered.
+    fn fail_send(&mut self, failure: SendFailure, world_dest: usize) -> SimError {
+        let src = self.world_rank;
+        self.fail(match failure {
+            SendFailure::Crash => SimError::RankFailure { rank: src },
+            SendFailure::Timeout { attempts } => SimError::Timeout {
                 src,
-                dest,
-                attempts: lost,
-            }));
-        }
-        let avail_time = self.charge_send(words) + sf.delay;
-        let _ = self.senders[world_dest].send(Envelope {
-            src: self.world_rank,
-            context,
-            tag,
-            data,
-            avail_time,
-        });
-        Ok(())
+                dest: world_dest,
+                attempts,
+            },
+        })
     }
 
     /// Block until a message matching `key` is available and return it.
     ///
     /// Forward progress rests on three facts:
     /// * sends never block, because the channels are unbounded, so a rank
-    ///   that owes this one a message can always post it;
+    ///   that owes this one a message can always post it — and the wake-up
+    ///   with which the last member of a collective call releases the
+    ///   others is such a send;
     /// * a blocked receiver hands its gate permit back before it sleeps, so
     ///   a gated machine always has a rank that can compute;
     /// * a failure — a crash, an exhausted retry budget, a panic
@@ -254,7 +188,20 @@ impl Endpoint {
     /// So in a program whose every receive has a matching send, every wait
     /// ends with its message or a [`FAIL_CONTEXT`] envelope: the awaited
     /// sender either reaches its send or fails, and a failure reaches this
-    /// rank's channel.
+    /// rank's channel.  A member waiting at a collective call awaits the
+    /// closer's wake: every member either deposits — and the last deposit
+    /// sends the wakes — or fails before depositing, which is broadcast.
+    ///
+    /// That makes every collective call a full rendezvous of its members:
+    /// none returns, not even a gather leaf or a scatter root, before all
+    /// have deposited.  The argument covers a program only if no member's
+    /// arrival at a call waits on a point-to-point message from another
+    /// member that has not reached the call yet; a member that sends after
+    /// its `gather` to a root that receives before its own `gather` waits
+    /// forever.
+    ///
+    /// When tracing, each time the wait parks the thread it records a wall
+    /// instant `simnet`/`park`: the rank-to-rank hand-offs of a run.
     fn wait_for(&mut self, key: MatchKey) -> Result<(Vec<f64>, f64)> {
         if let Some(err) = &self.failure {
             return Err(err.clone());
@@ -276,6 +223,9 @@ impl Endpoint {
             let env = match self.receiver.try_recv() {
                 Ok(env) => env,
                 Err(_) => {
+                    if obs::enabled() {
+                        obs::instant("simnet", "park", "rank", self.world_rank as u64);
+                    }
                     if let Some(gate) = &self.gate {
                         gate.release();
                     }
@@ -360,7 +310,7 @@ impl Communicator {
 
     /// Current virtual clock of this rank.
     pub fn clock(&self) -> f64 {
-        self.endpoint.borrow().clock
+        self.endpoint.borrow().counters.time
     }
 
     /// Snapshot of this rank's cost counters.
@@ -370,7 +320,8 @@ impl Communicator {
 
     /// Charge `flops` floating-point operations to this rank.
     pub fn charge_flops(&self, flops: u64) {
-        self.endpoint.borrow_mut().charge_flops(flops);
+        let ep = &mut *self.endpoint.borrow_mut();
+        ep.counters.charge_flops(&ep.params, flops);
     }
 
     /// Send `data` to local rank `dest` with a user tag.
@@ -380,15 +331,37 @@ impl Communicator {
     /// payload is copied into a buffer from the machine's pool
     /// ([`Communicator::take_buffer`]); the receiver may hand it back with
     /// [`Communicator::give_buffer`] once it is done with it.
+    ///
+    /// The channel is unbounded, so a send never blocks; it can still fail
+    /// with a typed error when a fault plan injects a permanent fault
+    /// (crashed rank, exhausted retry budget) on this endpoint.
     pub fn send(&self, dest: usize, tag: u64, data: &[f64]) -> Result<()> {
         self.check_rank(dest)?;
-        self.send_raw(dest, user_tag(tag), data)
+        let mut buf = self.take_buffer(data.len());
+        buf.extend_from_slice(data);
+        self.endpoint.borrow_mut().send_envelope(
+            self.members[dest],
+            self.context,
+            user_tag(tag),
+            buf,
+        )
     }
 
     /// Receive a message with a user tag from local rank `src` (blocking).
+    /// Fails with a typed error when a permanent fault makes the expected
+    /// message impossible.
     pub fn recv(&self, src: usize, tag: u64) -> Result<Vec<f64>> {
         self.check_rank(src)?;
-        self.recv_raw(src, user_tag(tag))
+        let key = MatchKey {
+            src: self.members[src],
+            context: self.context,
+            tag: user_tag(tag),
+        };
+        let ep = &mut *self.endpoint.borrow_mut();
+        let (data, avail) = ep.wait_for(key)?;
+        ep.counters
+            .charge_recv(data.len(), avail, Some(ep.world_rank));
+        Ok(data)
     }
 
     fn check_rank(&self, rank: usize) -> Result<()> {
@@ -421,42 +394,6 @@ impl Communicator {
         }
     }
 
-    /// Internal send used by the collectives (separate tag namespace); like
-    /// [`Communicator::send`] it copies `data` into a pooled buffer.
-    ///
-    /// The channel is unbounded, so a send never blocks; it can still fail
-    /// with a typed error when a fault plan injects a permanent fault
-    /// (crashed rank, exhausted retry budget) on this endpoint.
-    pub(crate) fn send_raw(&self, dest: usize, tag: u64, data: &[f64]) -> Result<()> {
-        let mut buf = self.take_buffer(data.len());
-        buf.extend_from_slice(data);
-        self.send_raw_vec(dest, tag, buf)
-    }
-
-    /// [`Communicator::send_raw`] moving an owned payload into the message:
-    /// no copy, no pooled buffer, the same charges and fault draws.
-    pub(crate) fn send_raw_vec(&self, dest: usize, tag: u64, data: Vec<f64>) -> Result<()> {
-        let world_dest = self.members[dest];
-        self.endpoint
-            .borrow_mut()
-            .send_envelope(world_dest, self.context, tag, data)
-    }
-
-    /// Internal receive used by the collectives.  Fails with a typed error
-    /// when a permanent fault makes the expected message impossible.
-    pub(crate) fn recv_raw(&self, src: usize, tag: u64) -> Result<Vec<f64>> {
-        let world_src = self.members[src];
-        let key = MatchKey {
-            src: world_src,
-            context: self.context,
-            tag,
-        };
-        let mut ep = self.endpoint.borrow_mut();
-        let (data, avail) = ep.wait_for(key)?;
-        ep.charge_recv(data.len(), avail);
-        Ok(data)
-    }
-
     /// Report this rank's panic as a failure of this rank: peers blocked on
     /// it get `SimError::RankFailure` from their receive instead of waiting
     /// forever.  A rank that already failed has broadcast its failure and
@@ -467,13 +404,98 @@ impl Communicator {
         endpoint.fail(SimError::RankFailure { rank });
     }
 
-    /// Allocate a fresh base tag for a collective operation on this
-    /// communicator.  Each collective call gets a disjoint tag range so that
-    /// back-to-back collectives cannot confuse each other's messages.
-    pub(crate) fn next_op_tag(&self) -> u64 {
+    /// Allocate a fresh tag for a collective or split operation on this
+    /// communicator: every member numbers its calls alike, so the tag names
+    /// one call, and back-to-back calls cannot be confused.
+    fn next_op_tag(&self) -> u64 {
         let mut c = self.op_counter.borrow_mut();
         *c += 1;
         *c * COLLECTIVE_TAG_STRIDE
+    }
+
+    /// Meet the other members of this communicator at one collective call.
+    ///
+    /// This member draws its faults for `sends` — the `(local destination,
+    /// words)` of the sends the call's modelled schedule gives it, in
+    /// schedule order — and deposits them with its clock and `deposit`'s
+    /// input on the run's board.  If that deposit is the last, this member
+    /// closes the call — `close` tabulates what the call needs from all the
+    /// deposits — and wakes every other member with one uncharged envelope;
+    /// otherwise it waits for its wake in [`Endpoint::wait_for`].  It then
+    /// collects the closed call and its column of blocks.
+    ///
+    /// A member whose draws hold a permanent fault never deposits: it
+    /// charges the failed send as a point-to-point send would, fails and
+    /// returns the error, and the failure notification ends the wait of
+    /// every member that did deposit.
+    pub(crate) fn meet(
+        &self,
+        sends: impl Iterator<Item = (usize, usize)>,
+        mut deposit: Deposit,
+        close: impl FnOnce(&mut [Deposit]) -> Closing,
+    ) -> Result<(Arc<Closed>, Vec<Vec<f64>>)> {
+        let tag = self.next_op_tag();
+        let key = (self.context, tag);
+        let (p, me) = (self.size(), self.my_index);
+        let board = {
+            let ep = &mut *self.endpoint.borrow_mut();
+            if let Some(err) = &ep.failure {
+                return Err(err.clone());
+            }
+            if let Some(injector) = ep.injector.as_mut() {
+                for (dest, words) in sends {
+                    let faults = injector.next_send();
+                    if faults.crash || faults.drops > ep.params.max_retries {
+                        let lane = Some(ep.world_rank);
+                        let failure = ep
+                            .counters
+                            .charge_send(&ep.params, words, faults, lane)
+                            .expect_err("a permanent fault fails the send");
+                        return Err(ep.fail_send(failure, self.members[dest]));
+                    }
+                    deposit.faults.push(faults);
+                }
+            }
+            deposit.clock = ep.counters.time;
+            Arc::clone(&ep.board)
+        };
+        match board.deposit(key, p, me, deposit) {
+            Some(mut deposits) => {
+                let closing = close(&mut deposits);
+                let ep = self.endpoint.borrow();
+                board.close(key, deposits, closing, Arc::clone(&ep.pool));
+                for (i, &world) in self.members.iter().enumerate() {
+                    if i != me {
+                        let _ = ep.senders[world].send(Envelope {
+                            src: WAKE_SRC,
+                            context: self.context,
+                            tag,
+                            data: Vec::new(),
+                            avail_time: 0.0,
+                        });
+                    }
+                }
+            }
+            None => {
+                let wake = MatchKey {
+                    src: WAKE_SRC,
+                    context: self.context,
+                    tag,
+                };
+                self.endpoint.borrow_mut().wait_for(wake)?;
+            }
+        }
+        Ok(board.collect(key, p, me))
+    }
+
+    /// Add a collective call's charges to this rank's counters: `charges`
+    /// holds the counts of the call and the clock it ends at.
+    pub(crate) fn apply_charges(&self, charges: &CostCounters) {
+        let counters = &mut self.endpoint.borrow_mut().counters;
+        *counters = CostCounters {
+            time: charges.time,
+            ..counters.merge(charges)
+        };
     }
 
     /// Create a sub-communicator from an explicit member list (local ranks of
@@ -513,9 +535,9 @@ impl Communicator {
 }
 
 /// Tag-space layout: user tags live in the upper half of the tag space so
-/// they can never collide with collective-internal tags.
+/// they can never collide with the tags that name collective calls.
 const USER_TAG_BASE: u64 = 1 << 63;
-/// Each collective call owns a contiguous block of this many tags.
+/// Collective calls are numbered in steps of this many tags.
 const COLLECTIVE_TAG_STRIDE: u64 = 1 << 20;
 
 fn user_tag(tag: u64) -> u64 {

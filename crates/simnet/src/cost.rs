@@ -1,5 +1,13 @@
-//! Per-rank cost counters and machine-wide cost reports.
+//! Per-rank cost counters, the charges that advance them, and machine-wide
+//! cost reports.
+//!
+//! A point-to-point send or receive and every round a collective replays
+//! are charged by the same three functions (`CostCounters::charge_send`,
+//! `charge_recv` and `charge_flops`), so a
+//! collective's counters, clock and sim-lane events are exactly those of
+//! the messages it models.
 
+use crate::fault::SendFaults;
 use crate::params::MachineParams;
 use std::fmt;
 
@@ -78,6 +86,105 @@ impl CostCounters {
             time: self.time - earlier.time,
         }
     }
+
+    /// Charge one send of `words` under the faults drawn for it, and return
+    /// the time the delivered message becomes available to its receiver.
+    ///
+    /// A stall idles the sender first.  A message dropped `d` times is
+    /// charged `d` failed attempts, each `α + β·words` plus the backoff
+    /// `retry_timeout · 2ᵏ` before resend `k`, and then the delivered
+    /// attempt `α + β·words`; the receiver sees it `delay` later.  A drop
+    /// chain longer than the retry budget charges its failed attempts and
+    /// one timeout and returns [`SendFailure::Timeout`]; a crash charges
+    /// nothing.  Events go to `lane`'s sim lane, if given and tracing.
+    pub(crate) fn charge_send(
+        &mut self,
+        params: &MachineParams,
+        words: usize,
+        faults: SendFaults,
+        lane: Option<usize>,
+    ) -> Result<f64, SendFailure> {
+        if faults.crash {
+            return Err(SendFailure::Crash);
+        }
+        if faults.stall > 0.0 {
+            self.time += faults.stall;
+        }
+        let lost = faults.drops.min(params.max_retries + 1);
+        for attempt in 0..lost {
+            self.msgs_sent += 1;
+            self.words_sent += words as u64;
+            self.retries += 1;
+            let backoff = params.retry_timeout * (1u64 << attempt.min(30)) as f64;
+            self.time += params.alpha + params.beta * words as f64 + backoff;
+            self.event(lane, "retry", "attempt", attempt as u64 + 1, "words", words);
+            self.event(lane, "backoff", "backoff_ns", (backoff * 1e9) as u64, "", 0);
+        }
+        if faults.drops > params.max_retries {
+            self.timeouts += 1;
+            return Err(SendFailure::Timeout { attempts: lost });
+        }
+        self.msgs_sent += 1;
+        self.words_sent += words as u64;
+        self.time += params.alpha + params.beta * words as f64;
+        self.event(lane, "send", "words", words as u64, "", 0);
+        Ok(self.time + faults.delay)
+    }
+
+    /// Charge the receipt of a message of `words` that became available at
+    /// `avail_time`: the clock catches up to it, since the sender already
+    /// paid for the transfer.
+    pub(crate) fn charge_recv(&mut self, words: usize, avail_time: f64, lane: Option<usize>) {
+        self.msgs_recv += 1;
+        self.words_recv += words as u64;
+        if avail_time > self.time {
+            self.time = avail_time;
+        }
+        self.event(lane, "recv", "words", words as u64, "", 0);
+    }
+
+    /// Charge `flops` floating-point operations, `γ` each.
+    pub(crate) fn charge_flops(&mut self, params: &MachineParams, flops: u64) {
+        self.flops += flops;
+        self.time += params.gamma * flops as f64;
+    }
+
+    /// One sim-lane instant at the current clock, on `lane`'s lane.
+    fn event(
+        &self,
+        lane: Option<usize>,
+        name: &'static str,
+        arg_name: &'static str,
+        arg: u64,
+        arg2_name: &'static str,
+        arg2: usize,
+    ) {
+        if let Some(rank) = lane.filter(|_| obs::enabled()) {
+            let t_ns = (self.time * 1e9) as u64;
+            obs::sim_instant(
+                rank,
+                "simnet",
+                name,
+                t_ns,
+                arg_name,
+                arg,
+                arg2_name,
+                arg2 as u64,
+            );
+        }
+    }
+}
+
+/// Why a send could not be delivered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SendFailure {
+    /// The sender crashed instead of sending.
+    Crash,
+    /// Every attempt the retry budget allows was dropped.
+    Timeout {
+        /// Attempts made before giving up.
+        attempts: u32,
+    },
 }
 
 /// Aggregated cost report for a whole machine run.

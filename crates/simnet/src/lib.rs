@@ -25,8 +25,10 @@
 //!   sub-communicators (`subgroup`), and the virtual-clock bookkeeping.
 //! * [`coll`] — the collective operations of Section II-C1 of the paper
 //!   (allgather, gather, scatter, reduce-scatter, reduce, allreduce,
-//!   broadcast, all-to-all, all-to-all-v, barrier), implemented with the
-//!   butterfly / binomial / Bruck schedules whose costs the paper quotes.
+//!   broadcast, all-to-all, all-to-all-v, barrier), charged the rounds of
+//!   the butterfly / binomial / Bruck schedules whose costs the paper
+//!   quotes.  The members of a call meet once on the run's board and
+//!   replay those rounds, instead of passing a message per round.
 //! * [`params::MachineParams`] — the α, β, γ constants plus the retry budget
 //!   used by the fault-injection transport.
 //! * [`fault`] — deterministic, seeded fault injection: a [`fault::FaultPlan`]
@@ -44,7 +46,8 @@
 //!
 //! * `send(dst, data)` charges the sender `α + β·|data|` and stamps the
 //!   message with the sender's clock after the charge (its "availability
-//!   time").
+//!   time").  A collective charges every round of its schedule the same
+//!   way, as if each round were such a message.
 //! * `recv(src)` advances the receiver's clock to
 //!   `max(receiver clock, availability time)` — the transfer time was already
 //!   paid by the sender, so a balanced pairwise exchange costs `α + β·n`
@@ -86,6 +89,7 @@
 //! ```
 
 mod affinity;
+mod board;
 pub mod coll;
 pub mod comm;
 pub mod cost;

@@ -1,6 +1,7 @@
 //! The simulated machine: spawns ranks, runs the SPMD program, collects costs.
 
 use crate::affinity::confine_spawns;
+use crate::board::Board;
 use crate::comm::{Communicator, Endpoint};
 use crate::cost::{CostCounters, CostReport};
 use crate::error::SimError;
@@ -145,6 +146,8 @@ impl Machine {
             receivers.push(rx);
         }
         let senders = Arc::new(senders);
+        // Where this run's collective calls meet.
+        let board = Arc::new(Board::default());
 
         let f = &f;
         // The first rank to panic: it is recorded before the rank broadcasts
@@ -164,6 +167,7 @@ impl Machine {
                 let senders = Arc::clone(&senders);
                 let fault_plan = self.faults.clone();
                 let gate = gate.clone();
+                let board = Arc::clone(&board);
                 let recorder = recorder.clone();
                 let body = move || {
                     // Take a compute slot before running user code; the RAII
@@ -181,7 +185,6 @@ impl Machine {
                         receiver,
                         pending: Default::default(),
                         params,
-                        clock: 0.0,
                         counters: CostCounters::default(),
                         injector: fault_plan
                             .as_ref()
@@ -189,6 +192,7 @@ impl Machine {
                         failure: None,
                         gate: gate.clone(),
                         pool: Arc::clone(&self.pool),
+                        board,
                     };
                     let comm = Communicator::world(endpoint);
                     let result = catch_unwind(AssertUnwindSafe(|| {
