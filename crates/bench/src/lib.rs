@@ -1,12 +1,33 @@
-//! Experiment harness shared by the `exp_*` binaries.
+//! The reproduction's oracle: every experiment table and the checksum rows,
+//! one registry of named entries.
+//!
+//! [`ENTRIES`] names each output the repository commits as evidence: the
+//! paper's experiment tables (Sections II–IX measured on the simulated
+//! machine next to the `costmodel` prediction, both model revisions where
+//! they differ) and the [`checksums`] of a fixed workload of dense, sparse
+//! and distributed solves.  An entry's output is its golden file's exact
+//! bytes: `crates/bench/golden/NAME.csv` for a table,
+//! `determinism.<class>.txt` (keyed by [`dense::kernel_class`]) for the
+//! checksums.  `crates/bench/tests/golden.rs` regenerates every entry in
+//! process and compares it with its file byte for byte; the `exp` binary
+//! prints an entry by name (`exp NAME`), which is the one way to rewrite a
+//! golden file:
+//!
+//! ```text
+//! cargo run --release -p bench --bin exp -- NAME > crates/bench/golden/NAME.csv
+//! ```
 //!
 //! Every experiment follows the same pattern: build an instance on the
-//! simulated machine, run it through the staged API the repository
-//! reproduces the paper with (`SolveRequest → SolvePlan → Solution`), read the
-//! critical-path counters (`S`, `W`, `F`, virtual time) off the
-//! [`simnet::CostReport`], check the solution, and put the measurement next
-//! to the `costmodel` prediction in one [`Table`] that is both the printed
-//! text and the CSV under `results/`.
+//! simulated machine through the one grid fixture ([`on_grid`]), run it
+//! through the staged API the repository reproduces the paper with
+//! (`SolveRequest → SolvePlan → Solution`), read the critical-path counters
+//! (`S`, `W`, `F`, virtual time) off the [`simnet::CostReport`], check the
+//! solution, and put the measurement next to the model in one [`Table`].
+
+mod checksums;
+mod tables;
+
+pub use checksums::checksums;
 
 use catrsm::{PhaseBreakdown, SolveRequest};
 use dense::gen;
@@ -15,6 +36,36 @@ use simnet::{CostReport, Machine, MachineParams};
 use std::fmt::{Display, Write as _};
 use std::fs;
 use std::path::PathBuf;
+
+/// A registry entry: its name and what it prints, which is its golden file.
+pub type Entry = (&'static str, fn() -> String);
+
+/// Every entry of the registry.
+pub const ENTRIES: [Entry; 15] = [
+    ("collectives", || tables::collectives().csv()),
+    ("mm_table", || tables::mm_table().csv()),
+    ("rec_trsm", || tables::rec_trsm().csv()),
+    ("inversion", || tables::inversion().csv()),
+    ("inversion_scaling", || tables::inversion_scaling().csv()),
+    ("itinv_breakdown", || tables::itinv_breakdown().csv()),
+    ("tuning", || tables::tuning().csv()),
+    ("tuning_simulated", || tables::tuning_simulated().csv()),
+    ("conclusion_table", || tables::conclusion_table().csv()),
+    ("conclusion_paper_scale", || {
+        tables::conclusion_paper_scale().csv()
+    }),
+    ("figure1", || tables::figure1().csv()),
+    ("figure1_moves", || tables::figure1_moves().csv()),
+    ("ablation_n0", || tables::ablation_n0().csv()),
+    ("ablation_grid", || tables::ablation_grid().csv()),
+    ("determinism", || checksums(dense::dense_threads())),
+];
+
+/// The output of the entry called `name`, if there is one.
+pub fn entry(name: &str) -> Option<String> {
+    let (_, print) = ENTRIES.iter().find(|(entry, _)| *entry == name)?;
+    Some(print())
+}
 
 /// What one run on the simulated machine measured.
 #[derive(Debug, Clone)]
@@ -32,18 +83,29 @@ pub struct Run {
 }
 
 /// The one grid fixture: run `body` on every rank of a `pr × pc` grid of a
-/// fresh simulated machine.  `body` returns the rank's relative result error
-/// — an experiment whose result is wrong measures nothing, so it must stay
-/// below `1e-7` — and, if it ran `It-Inv-TRSM`, its phase breakdown.
-pub fn on_grid(
+/// fresh simulated machine and return what each rank returned, in rank
+/// order, with the run's counters.
+pub fn on_grid<T: Send>(
+    pr: usize,
+    pc: usize,
+    params: MachineParams,
+    body: impl Fn(&Grid2D) -> T + Send + Sync,
+) -> simnet::RunOutput<T> {
+    Machine::new(pr * pc, params)
+        .run(|comm| body(&Grid2D::new(comm, pr, pc).expect("grid shape")))
+        .expect("machine run")
+}
+
+/// [`on_grid`] for a measurement: `body` returns the rank's relative result
+/// error — an experiment whose result is wrong measures nothing, so it must
+/// stay below `1e-7` — and, if it ran `It-Inv-TRSM`, its phase breakdown.
+pub fn measure(
     pr: usize,
     pc: usize,
     params: MachineParams,
     body: impl Fn(&Grid2D) -> (f64, Option<PhaseBreakdown>) + Send + Sync,
 ) -> Run {
-    let out = Machine::new(pr * pc, params)
-        .run(|comm| body(&Grid2D::new(comm, pr, pc).expect("grid shape")))
-        .expect("machine run");
+    let out = on_grid(pr, pc, params, body);
     let error = out.results.iter().map(|(e, _)| *e).fold(0.0, f64::max);
     assert!(
         error < 1e-7,
@@ -91,7 +153,7 @@ impl TrsmInstance {
         solve: impl Fn(&DistMatrix, &DistMatrix) -> (DistMatrix, Option<PhaseBreakdown>) + Send + Sync,
     ) -> Run {
         let TrsmInstance { n, k, pr, pc, seed } = *self;
-        on_grid(pr, pc, params, |grid| {
+        measure(pr, pc, params, |grid| {
             let l_global = gen::well_conditioned_lower(n, seed);
             let x_true = gen::rhs(n, k, seed ^ 0xabcd);
             let b_global = dense::matmul(&l_global, &x_true);
@@ -124,9 +186,8 @@ pub fn swf(report: &CostReport) -> (u64, u64, u64) {
 }
 
 /// An experiment's result table: the columns are named once (the CSV header),
-/// every row is given once, and [`Table::finish`] prints the aligned text and
-/// writes `results/<name>.csv` from the same cells.  A table that is only
-/// shown prints its [`Table::text`].
+/// every row is given once, and the CSV and the aligned text are made from
+/// the same cells.
 #[derive(Debug, Clone)]
 pub struct Table {
     header: &'static str,

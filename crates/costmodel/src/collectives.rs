@@ -3,7 +3,7 @@
 //! All formulas take the message size `n` in words and the number of
 //! processors `p`, and return the leading-order [`Cost`].  They correspond
 //! one-to-one to the implementations in `simnet::coll`, which the
-//! `exp_collectives` experiment verifies.
+//! `collectives` experiment table (`exp collectives`) verifies.
 
 use crate::cost::{indicator, log2c, Cost};
 

@@ -39,8 +39,8 @@ pub fn rec_tri_inv_cost(n: f64, p1: f64, p2: f64) -> Cost {
 ///
 /// Note: the unconstrained minimiser of the leading-order bandwidth
 /// expression [`inv_bandwidth`] is the slightly flatter ratio `r2 = 2·r1`;
-/// the paper's choice is within a few percent of it (the `exp_ablation_grid`
-/// experiment plots the whole curve).  We follow the paper.  Both values are
+/// the paper's choice is within a few percent of it (the `ablation_grid`
+/// experiment table samples the whole curve).  We follow the paper.  Both values are
 /// clamped to at least 1.
 pub fn optimal_inv_grid(q: f64) -> (f64, f64) {
     let r1 = (q / 4.0).powf(1.0 / 3.0).max(1.0);
@@ -49,7 +49,8 @@ pub fn optimal_inv_grid(q: f64) -> (f64, f64) {
 }
 
 /// Bandwidth cost of the inversion as a function of the grid split, used by
-/// the `exp_ablation_grid` experiment to show that `r2 = 4·r1` is optimal.
+/// the `ablation_grid` experiment table to show how close `r2 = 4·r1` is to
+/// optimal.
 pub fn inv_bandwidth(n: f64, r1: f64, r2: f64) -> f64 {
     nu() * (n * n / (8.0 * r1 * r1) + n * n / (2.0 * r1 * r2))
 }

@@ -87,7 +87,7 @@ pub use factor::{cholesky, lu, lu_partial_pivot, LuFactors};
 pub use flops::FlopCount;
 pub use gemm::{gemm, gemm_views, gemm_with_threads, matmul};
 pub use matrix::{MatMut, MatRef, Matrix};
-pub use microkernel::TriMask;
+pub use microkernel::{kernel_class, TriMask};
 pub use threads::{dense_threads, run_region, thread_budget, with_thread_budget};
 pub use trinv::{tri_invert, tri_invert_in_place};
 pub use trmm::trmm;

@@ -650,24 +650,37 @@ type MacroKernelFn =
 /// available — CI uses this to keep the scalar dispatch branch exercised on
 /// AVX2 runners.
 fn select_macro_kernel() -> MacroKernelFn {
+    selected_macro_kernel().0
+}
+
+/// The class of the macro kernel [`select_macro_kernel`] chose for this
+/// process: `"avx2_fma"` or `"portable"`.  The two round differently (a
+/// fused multiply-add rounds once), so results that pass through the packed
+/// product are bitwise reproducible within a class, not across classes.
+pub fn kernel_class() -> &'static str {
+    selected_macro_kernel().1
+}
+
+/// The macro kernel and its class name, chosen once per process.
+fn selected_macro_kernel() -> (MacroKernelFn, &'static str) {
     #[cfg(target_arch = "x86_64")]
     {
-        static KERNEL: OnceLock<MacroKernelFn> = OnceLock::new();
+        static KERNEL: OnceLock<(MacroKernelFn, &'static str)> = OnceLock::new();
         *KERNEL.get_or_init(|| {
             let forced_scalar = std::env::var("DENSE_FORCE_SCALAR")
                 .map(|v| !v.is_empty() && v != "0")
                 .unwrap_or(false);
             if !forced_scalar && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
             {
-                macro_kernel_avx2
+                (macro_kernel_avx2, "avx2_fma")
             } else {
-                macro_kernel_portable
+                (macro_kernel_portable, "portable")
             }
         })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        macro_kernel_portable
+        (macro_kernel_portable, "portable")
     }
 }
 
