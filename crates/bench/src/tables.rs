@@ -75,11 +75,12 @@ const COLLECTIVES: [(&str, Collective, ClosedForm); 7] = [
 /// message and word counts with the closed-form costs the paper quotes
 /// (butterfly / Bruck schedules), on power-of-two processor counts and
 /// divisible message sizes, which is exactly the setting of the paper's
-/// formulas.  Expected: measured W matches the formulas exactly on most
-/// rows (ratio 1); measured S equals the model's log-p round counts, and
-/// composed collectives pay 2·log p.
+/// formulas.  `W_ratio` is measured W over the model's: `(p−1)/p` on every
+/// row but the all-to-all's, which is exactly 1, because the closed forms
+/// round the schedules' `(p−1)/p·n` words up to `n`.  Measured S equals the
+/// model's log-p round counts; composed collectives pay 2·log p.
 pub fn collectives() -> Table {
-    let mut table = Table::new("collective,p,words,S_measured,W_measured,S_model,W_model");
+    let mut table = Table::new("collective,p,words,S_measured,W_measured,S_model,W_model,W_ratio");
     for (which, collective, predicted) in COLLECTIVES {
         for p in [4usize, 16, 64] {
             for words in [1024usize, 16384] {
@@ -88,7 +89,9 @@ pub fn collectives() -> Table {
                     .unwrap();
                 let (s, w, _) = swf(&out.report);
                 let cost = predicted(words as f64, p as f64);
-                table.row(&[&which, &p, &words, &s, &w, &cost.latency, &cost.bandwidth]);
+                let (sm, wm) = (cost.latency, cost.bandwidth);
+                let ratio = w as f64 / wm.max(1.0);
+                table.row(&[&which, &p, &words, &s, &w, &sm, &wm, &ratio]);
             }
         }
     }
@@ -243,7 +246,10 @@ pub fn inversion_scaling() -> Table {
 /// Every phase's critical-path counters next to `W_Inv`, `W_Solve`,
 /// `W_Upd` and their flop counterparts.  The model prices the inversion on
 /// the `r1 × r1 × r2` sub-grid each diagonal block gets, and solve and
-/// update on the `p1 × p1 × p2` solve grid.  Expected: solve and update
+/// update on the `p1 × p1 × p2` solve grid; it does not price the setup
+/// and finalize layout changes (their model cells are empty), and the
+/// `total` row's model is the plan's predicted cost, the sum of the priced
+/// phases.  Expected: solve and update
 /// dominate bandwidth and flops with the Section VII shapes; the inversion
 /// phase is never of leading order; latency per phase is proportional to
 /// `n/n0` (solve, update) or polylogarithmic (inversion).
@@ -276,9 +282,15 @@ pub fn itinv_breakdown() -> Table {
         let measured = run(&inst, request, MachineParams::unit());
         let p = pr * pc;
         let phases = measured.phases.expect("It-Inv-TRSM reports its phases");
-        for ((phase, report), (_, model)) in phases.into_iter().zip(cfg.phase_model(n, k).named()) {
-            let Some(model) = model else { continue };
-            let ((s, w, f), wm, fm) = (swf(&report), model.bandwidth, 2.0 * model.flops);
+        let models = cfg.phase_model(n, k).named().map(|(_, model)| model);
+        let models = models.into_iter().chain([Some(cfg.predicted_cost(n, k))]);
+        let rows = phases.into_iter().chain([("total", measured.report)]);
+        for ((phase, report), model) in rows.zip(models) {
+            let (s, w, f) = swf(&report);
+            let [wm, fm] = match model {
+                Some(m) => [m.bandwidth, 2.0 * m.flops].map(|v| v.to_string()),
+                None => [String::new(), String::new()],
+            };
             table.row(&[&n, &k, &p, &p1, &p2, &n0, &phase, &s, &w, &f, &wm, &fm]);
         }
     }
@@ -365,7 +377,7 @@ pub fn tuning_simulated() -> Table {
 /// reexamined bandwidth bound (`tang24`, after arXiv:2407.00871).
 ///
 /// The new method is the unpinned request: the planner's choice under that
-/// revision.  The paper's claims to check:
+/// revision, which `plan_new` names.  The paper's claims to check:
 ///
 /// * both algorithms move the same order of words (W) and do the same order
 ///   of flops (F, at most 2× for the new method in the 3D regime);
@@ -384,7 +396,8 @@ pub fn conclusion_table() -> Table {
     let (pr, pc) = (4, 4);
     let p = pr * pc;
     let mut table = Table::new(
-        "rev,regime,n,k,p,S_std,W_std,F_std,S_new,W_new,F_new,model_S_ratio,measured_S_ratio",
+        "rev,regime,n,k,p,S_std,W_std,F_std,S_new,W_new,F_new,model_S_ratio,measured_S_ratio,\
+         plan_new",
     );
     for rev in CostModelRev::ALL {
         for (label, n, k, rec_base) in cases {
@@ -405,10 +418,12 @@ pub fn conclusion_table() -> Table {
             let ((s_std, w_std, f_std), (s_new, w_new, f_new)) =
                 (swf(&std.report), swf(&new.report));
             let s_model = model.standard.latency / model.new.latency;
+            let cfg = planner::plan(rev, n, k, p).expect("a grid fits");
+            let plan = format!("p1={} p2={} n0={}", cfg.p1, cfg.p2, cfg.n0);
             let (rev, ratio) = (rev.name(), s_std as f64 / s_new as f64);
             table.row(&[
                 &rev, &label, &n, &k, &p, &s_std, &w_std, &f_std, &s_new, &w_new, &f_new, &s_model,
-                &ratio,
+                &ratio, &plan,
             ]);
         }
     }
@@ -417,15 +432,15 @@ pub fn conclusion_table() -> Table {
 
 /// T1b — the asymptotic model at paper scale (no simulation), both
 /// revisions: S of the standard and new methods and their ratio, how much
-/// `tang24` moves each method's W against `ipdps17`, and each revision's
-/// regime.  Within a fixed regime the corrected recursive W bound only ever
+/// `tang24` moves each method's W against `ipdps17`, each revision's
+/// regime and whether it moved.  Within a fixed regime the corrected recursive W bound only ever
 /// grows, so the new method's S advantage is preserved or widened (a W drop
 /// only appears where the regime itself moves).  Expected: the S ratio
 /// grows like `(n/k)^(1/6)·p^(2/3)`.
 pub fn conclusion_paper_scale() -> Table {
     let mut table = Table::new(
         "n,k,p,S_std_i17,S_new_i17,S_ratio_i17,S_std_t24,S_new_t24,S_ratio_t24,\
-         W_std_t24_vs_i17_%,W_new_t24_vs_i17_%,regime_i17,regime_t24",
+         W_std_t24_vs_i17_%,W_new_t24_vs_i17_%,regime_i17,regime_t24,regime_moved",
     );
     for (n, k, p) in [
         (1.0e6, 1.0e6, 1024.0),
@@ -440,10 +455,11 @@ pub fn conclusion_paper_scale() -> Table {
         let ratios = s.map(|(std, new)| std / new);
         let w_std = 100.0 * (t24.standard.bandwidth / i17.standard.bandwidth - 1.0);
         let w_new = 100.0 * (t24.new.bandwidth / i17.new.bandwidth - 1.0);
+        let moved = i17.regime != t24.regime;
         let [was, is] = [i17.regime, t24.regime].map(|r| format!("{r:?}"));
         table.row(&[
             &n, &k, &p, &s[0].0, &s[0].1, &ratios[0], &s[1].0, &s[1].1, &ratios[1], &w_std, &w_new,
-            &was, &is,
+            &was, &is, &moved,
         ]);
     }
     table
@@ -516,13 +532,16 @@ pub fn figure1_moves() -> Table {
 /// inverted (maximum parallelism in the solve, maximum inversion flops),
 /// with small `n0` it degenerates towards a blocked substitution (many
 /// synchronised iterations).  S/W/F and virtual time at every feasible
-/// `n0` for `n = 512`, `k = 64` on a `4 × 4 × 1` grid.  Expected: S falls
-/// as n0 grows while the inversion flops rise; the virtual-time optimum
-/// sits at an intermediate n0, consistent with the Section VIII choice.
+/// `n0` for `n = 512`, `k = 64` on a `4 × 4 × 1` grid; `fastest` marks the
+/// least virtual time and `n0_model` is Section VIII's recommendation,
+/// `O(min(√(nk), n))`.  Expected: S falls as n0 grows while the inversion
+/// flops rise; the virtual-time optimum sits at an intermediate n0,
+/// consistent with the Section VIII choice.
 pub fn ablation_n0() -> Table {
     let (n, k, pr, pc) = (512, 64, 4usize, 4usize);
     let (p1, p2) = (4usize, 1usize);
-    let mut table = Table::new("n0,blocks,S,W,F,virtual_time");
+    let n0_model = CostModelRev::Ipdps17.plan(n, k, pr * pc).n0;
+    let mut table = Table::new("n0,blocks,S,W,F,virtual_time,fastest,n0_model");
     let inst = TrsmInstance {
         n,
         k,
@@ -530,9 +549,10 @@ pub fn ablation_n0() -> Table {
         pc,
         seed: 41,
     };
-    let mut n0 = p1;
-    while n0 <= n {
-        if n % n0 == 0 {
+    let feasible = (0..).map(|e| p1 << e).take_while(|&n0| n0 <= n);
+    let runs: Vec<_> = feasible
+        .filter(|n0| n % n0 == 0)
+        .map(|n0| {
             let cfg = ItInvConfig {
                 p1,
                 p2,
@@ -540,11 +560,17 @@ pub fn ablation_n0() -> Table {
                 inv_base: 16,
             };
             let request = SolveRequest::lower().algorithm(Algorithm::IterativeInversion(cfg));
-            let m = run(&inst, request, MachineParams::cluster());
-            let ((s, w, f), time) = (swf(&m.report), m.report.virtual_time());
-            table.row(&[&n0, &(n / n0), &s, &w, &f, &time]);
-        }
-        n0 *= 2;
+            (n0, run(&inst, request, MachineParams::cluster()).report)
+        })
+        .collect();
+    let fastest = runs
+        .iter()
+        .map(|(_, r)| r.virtual_time())
+        .fold(f64::INFINITY, f64::min);
+    for (n0, report) in runs {
+        let ((s, w, f), time) = (swf(&report), report.virtual_time());
+        let is_fastest = time == fastest;
+        table.row(&[&n0, &(n / n0), &s, &w, &f, &time, &is_fastest, &n0_model]);
     }
     table
 }
@@ -556,7 +582,9 @@ pub fn ablation_n0() -> Table {
 /// model's inversion bandwidth at `n = 4096` on `q = 512` processors over
 /// the full range of aspect ratios; the rows tagged `simulated` measure S
 /// and W of the distributed inversion on square faces, which scale like
-/// `n²/p`.  Expected: the curve is flat within a factor ~1.1 between ratios
+/// `n²/p`.  The row tagged `paper r2=4r1` is the model at the paper's
+/// choice (`inversion::optimal_inv_grid`).  Expected: the curve is flat
+/// within a factor ~1.1 between ratios
 /// 2 and 4 and degrades for extreme aspect ratios.  The sampled minimum
 /// sits at `r2 = 2·r1`, not the paper's `4·r1`: a small discrepancy in the
 /// paper's constant that costs a few percent.
@@ -572,6 +600,9 @@ pub fn ablation_grid() -> Table {
         table.row(&[&ratio, &r1, &r2, &w]);
         ratio *= 2.0;
     }
+    let (r1, r2) = inv_model::optimal_inv_grid(q_total);
+    let w = inv_model::inv_bandwidth(n, r1, r2);
+    table.row(&[&"paper r2=4r1", &r1, &r2, &w]);
     for (q, n) in [(2usize, 256usize), (4, 256), (4, 512)] {
         let run = measure(q, q, MachineParams::unit(), |grid| {
             let l = DistMatrix::from_global(grid, &gen::well_conditioned_lower(n, 51));
