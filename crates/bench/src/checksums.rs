@@ -31,7 +31,7 @@ fn checksum(label: &str, data: &[f64]) -> String {
 /// request, `B` a fixed `n×k` right-hand side) on a `q×q` grid.
 fn distributed(q: usize, n: usize, k: usize, req: SolveRequest) -> Matrix {
     let upper = req.opts().triangle == Triangle::Upper;
-    let mut out = on_grid(q, q, MachineParams::cluster(), |grid| {
+    let mut ranks = on_grid(q, q, MachineParams::cluster(), |grid| {
         let a_global = if upper {
             gen::well_conditioned_upper(n, 41)
         } else {
@@ -42,7 +42,7 @@ fn distributed(q: usize, n: usize, k: usize, req: SolveRequest) -> Matrix {
         let sol = req.solve_distributed(&a, &b).expect("distributed solve");
         sol.x.to_global()
     });
-    out.results.swap_remove(0)
+    ranks.swap_remove(0)
 }
 
 /// `op(A)·x = b` for one right-hand-side vector through the staged API.

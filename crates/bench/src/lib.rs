@@ -20,9 +20,10 @@
 //! Every experiment follows the same pattern: build an instance on the
 //! simulated machine through the one grid fixture ([`on_grid`]), run it
 //! through the staged API the repository reproduces the paper with
-//! (`SolveRequest → SolvePlan → Solution`), read the critical-path counters
-//! (`S`, `W`, `F`, virtual time) off the [`simnet::CostReport`], check the
-//! solution, and put the measurement next to the model in one [`Table`].
+//! (`SolveRequest → SolvePlan → Solution`), count what the measured call
+//! alone charges ([`window`]), check the result after the window has
+//! closed, and put the critical-path counters (`S`, `W`, `F`, virtual time)
+//! next to the model in one [`Table`].
 
 mod checksums;
 mod tables;
@@ -32,7 +33,7 @@ pub use checksums::checksums;
 use catrsm::{PhaseBreakdown, SolveRequest};
 use dense::gen;
 use pgrid::{DistMatrix, Grid2D};
-use simnet::{CostReport, Machine, MachineParams};
+use simnet::{CostCounters, CostReport, Machine, MachineParams};
 use std::fmt::{Display, Write as _};
 use std::fs;
 use std::path::PathBuf;
@@ -67,11 +68,12 @@ pub fn entry(name: &str) -> Option<String> {
     Some(print())
 }
 
-/// What one run on the simulated machine measured.
+/// What one measured call on the simulated machine charged.
 #[derive(Debug, Clone)]
 pub struct Run {
-    /// Every rank's counters for the whole run; the paper's `S`/`W`/`F`/`T`
-    /// are its `max_messages` / `max_words` / `max_flops` / `virtual_time`.
+    /// Every rank's counters for the measured call alone; the paper's
+    /// `S`/`W`/`F`/`T` are its `max_messages` / `max_words` / `max_flops` /
+    /// `virtual_time`.
     pub report: CostReport,
     /// Per phase of `It-Inv-TRSM` (when that is what ran, named and ordered
     /// as [`PhaseBreakdown::named`] does), the ranks' phase counters as a
@@ -84,46 +86,65 @@ pub struct Run {
 
 /// The one grid fixture: run `body` on every rank of a `pr × pc` grid of a
 /// fresh simulated machine and return what each rank returned, in rank
-/// order, with the run's counters.
+/// order.
 pub fn on_grid<T: Send>(
     pr: usize,
     pc: usize,
     params: MachineParams,
     body: impl Fn(&Grid2D) -> T + Send + Sync,
-) -> simnet::RunOutput<T> {
+) -> Vec<T> {
     Machine::new(pr * pc, params)
         .run(|comm| body(&Grid2D::new(comm, pr, pc).expect("grid shape")))
         .expect("machine run")
+        .results
 }
 
-/// [`on_grid`] for a measurement: `body` returns the rank's relative result
-/// error — an experiment whose result is wrong measures nothing, so it must
-/// stay below `1e-7` — and, if it ran `It-Inv-TRSM`, its phase breakdown.
+/// Run `call` on this rank and return its result with the counters it
+/// charged: the measured window, opened and closed around the call alone,
+/// as `execute_distributed` measures a solve.
+pub fn window<T>(grid: &Grid2D, call: impl FnOnce() -> T) -> (T, CostCounters) {
+    let comm = grid.comm();
+    let before = comm.counters();
+    let out = call();
+    (out, comm.counters().since(&before))
+}
+
+/// One rank's part of a measurement.
+#[derive(Debug, Clone, Copy)]
+pub struct Measured {
+    /// What the measured call charged on this rank (its [`window`]).
+    pub counters: CostCounters,
+    /// The call's phase breakdown, if it ran `It-Inv-TRSM`.
+    pub phases: Option<PhaseBreakdown>,
+    /// The relative error of the call's result, checked outside the window.
+    pub error: f64,
+}
+
+/// [`on_grid`] for a measurement: each rank's `body` measures one call and
+/// checks its result.  An experiment whose result is wrong measures
+/// nothing, so the error must stay below `1e-7` on every rank.
 pub fn measure(
     pr: usize,
     pc: usize,
     params: MachineParams,
-    body: impl Fn(&Grid2D) -> (f64, Option<PhaseBreakdown>) + Send + Sync,
+    body: impl Fn(&Grid2D) -> Measured + Send + Sync,
 ) -> Run {
-    let out = on_grid(pr, pc, params, body);
-    let error = out.results.iter().map(|(e, _)| *e).fold(0.0, f64::max);
+    let ranks = on_grid(pr, pc, params, body);
+    let error = ranks.iter().map(|m| m.error).fold(0.0, f64::max);
     assert!(
         error < 1e-7,
         "wrong result on the {pr} × {pc} grid: {error}"
     );
-    let per_rank: Option<Vec<_>> = out
-        .results
-        .iter()
-        .map(|(_, p)| p.map(|p| p.named()))
-        .collect();
+    let per_rank: Option<Vec<_>> = ranks.iter().map(|m| m.phases.map(|p| p.named())).collect();
     let phases = per_rank.map(|ranks| {
         std::array::from_fn(|i| {
             let per_rank = ranks.iter().map(|phases| phases[i].1).collect();
             (ranks[0][i].0, CostReport::new(per_rank, params))
         })
     });
+    let counters = ranks.iter().map(|m| m.counters).collect();
     Run {
-        report: out.report,
+        report: CostReport::new(counters, params),
         phases,
         error,
     }
@@ -145,8 +166,8 @@ pub struct TrsmInstance {
 }
 
 impl TrsmInstance {
-    /// Distribute this instance's `L` and `B = L·X` over the grid, hand them
-    /// to `solve`, and measure its result against the known `X`.
+    /// Distribute this instance's `L` and `B = L·X` over the grid, measure
+    /// `solve` on them, and check its result against the known `X`.
     pub fn solve_with(
         &self,
         params: MachineParams,
@@ -159,16 +180,23 @@ impl TrsmInstance {
             let b_global = dense::matmul(&l_global, &x_true);
             let l = DistMatrix::from_global(grid, &l_global);
             let b = DistMatrix::from_global(grid, &b_global);
-            let (x, phases) = solve(&l, &b);
+            let ((x, phases), counters) = window(grid, || solve(&l, &b));
             let x_ref = DistMatrix::from_global(grid, &x_true);
-            (x.rel_diff(&x_ref).expect("conformal"), phases)
+            let error = x.rel_diff(&x_ref).expect("conformal");
+            Measured {
+                counters,
+                phases,
+                error,
+            }
         })
     }
 }
 
 /// Solve `inst` as `request` describes — pinned to one of the paper's
 /// algorithms, or left to the Section VIII planner — on a machine with the
-/// given parameters.
+/// given parameters.  The report is the solve's own window, which is what
+/// `execute_distributed` reports as `sol.report.comm`; the result check
+/// stays outside it.
 pub fn run(inst: &TrsmInstance, request: SolveRequest, params: MachineParams) -> Run {
     inst.solve_with(params, |l, b| {
         let sol = request.solve_distributed(l, b).expect("distributed solve");
@@ -385,6 +413,21 @@ mod tests {
                 Some(phases.map(|(_, report)| report.per_rank))
             };
             assert_eq!(per_phase(&staged), per_phase(&direct), "{alg:?}");
+        }
+    }
+
+    #[test]
+    fn the_window_is_what_execute_distributed_measures() {
+        let inst = instance(4);
+        let windows = on_grid(2, 2, MachineParams::cluster(), |grid| {
+            let l = gen::well_conditioned_lower(inst.n, inst.seed);
+            let l = DistMatrix::from_global(grid, &l);
+            let b = DistMatrix::from_global(grid, &gen::rhs(inst.n, inst.k, 5));
+            let (sol, window) = window(grid, || SolveRequest::lower().solve_distributed(&l, &b));
+            (sol.unwrap().report.comm, window)
+        });
+        for (solve, window) in windows {
+            assert_eq!(solve, Some(window));
         }
     }
 

@@ -4,7 +4,7 @@
 //! evaluates the cost model alone, and returns its [`Table`]; the registry
 //! in the crate root names them.
 
-use crate::{measure, run, swf, Table, TrsmInstance};
+use crate::{measure, run, swf, window, Measured, Table, TrsmInstance};
 use catrsm::{planner, Algorithm, ItInvConfig, SolveRequest};
 use costmodel::{collectives as model, inversion as inv_model, Cost, CostModelRev, Regime};
 use dense::gen;
@@ -125,10 +125,15 @@ pub fn mm_table() -> Table {
                     let x_global = gen::uniform(n, k, 8);
                     let a = DistMatrix::from_global(grid, &a_global);
                     let x = DistMatrix::from_global(grid, &x_global);
-                    let b = catrsm::mm3d::mm3d(&a, &x, p1).unwrap();
+                    let (b, counters) = window(grid, || catrsm::mm3d::mm3d(&a, &x, p1).unwrap());
                     let expect =
                         DistMatrix::from_global(grid, &dense::matmul(&a_global, &x_global));
-                    (b.rel_diff(&expect).unwrap(), None)
+                    let error = b.rel_diff(&expect).unwrap();
+                    Measured {
+                        counters,
+                        phases: None,
+                        error,
+                    }
                 })
                 .report;
                 let (nf, kf, qf) = (n as f64, k as f64, q as f64);
@@ -183,14 +188,20 @@ pub fn rec_trsm() -> Table {
 }
 
 /// The distributed recursive inversion of an `n × n` lower triangle on a
-/// `q × q` grid with leaves of `base`, its inverse checked by one 3D product.
+/// `q × q` grid with leaves of `base`: what it charges, and — outside the
+/// window — its inverse checked by one 3D product.
 fn inversion_run(q: usize, n: usize, base: usize) -> CostReport {
     measure(q, q, MachineParams::unit(), |grid| {
         let l = DistMatrix::from_global(grid, &gen::well_conditioned_lower(n, 5));
-        let inv = catrsm::tri_inv::tri_inv(&l, base).unwrap();
+        let (inv, counters) = window(grid, || catrsm::tri_inv::tri_inv(&l, base).unwrap());
         let prod = catrsm::mm3d::mm3d_auto(&inv, &l).unwrap();
         let id = DistMatrix::from_fn(grid, n, n, |i, j| if i == j { 1.0 } else { 0.0 });
-        (prod.rel_diff(&id).unwrap(), None)
+        let error = prod.rel_diff(&id).unwrap();
+        Measured {
+            counters,
+            phases: None,
+            error,
+        }
     })
     .report
 }
@@ -604,12 +615,7 @@ pub fn ablation_grid() -> Table {
     let w = inv_model::inv_bandwidth(n, r1, r2);
     table.row(&[&"paper r2=4r1", &r1, &r2, &w]);
     for (q, n) in [(2usize, 256usize), (4, 256), (4, 512)] {
-        let run = measure(q, q, MachineParams::unit(), |grid| {
-            let l = DistMatrix::from_global(grid, &gen::well_conditioned_lower(n, 51));
-            catrsm::tri_inv::tri_inv(&l, 64).unwrap();
-            (0.0, None)
-        });
-        let (s, w, _) = swf(&run.report);
+        let (s, w, _) = swf(&inversion_run(q, n, 64));
         table.row(&[&"simulated", &(q * q), &n, &s, &w]);
     }
     table
