@@ -260,10 +260,10 @@ pub fn inversion_scaling() -> Table {
 /// update on the `p1 × p1 × p2` solve grid; it does not price the setup
 /// and finalize layout changes (their model cells are empty), and the
 /// `total` row's model is the plan's predicted cost, the sum of the priced
-/// phases.  Expected: solve and update
-/// dominate bandwidth and flops with the Section VII shapes; the inversion
-/// phase is never of leading order; latency per phase is proportional to
-/// `n/n0` (solve, update) or polylogarithmic (inversion).
+/// phases.  Expected: solve and update dominate bandwidth and flops with
+/// the Section VII shapes; the inversion phase is never of leading order;
+/// latency per phase is proportional to `n/n0` (solve, update) or
+/// polylogarithmic (inversion).
 pub fn itinv_breakdown() -> Table {
     let mut table =
         Table::new("n,k,p,p1,p2,n0,phase,S_measured,W_measured,F_measured,W_model,F_model");
@@ -444,10 +444,10 @@ pub fn conclusion_table() -> Table {
 /// T1b — the asymptotic model at paper scale (no simulation), both
 /// revisions: S of the standard and new methods and their ratio, how much
 /// `tang24` moves each method's W against `ipdps17`, each revision's
-/// regime and whether it moved.  Within a fixed regime the corrected recursive W bound only ever
-/// grows, so the new method's S advantage is preserved or widened (a W drop
-/// only appears where the regime itself moves).  Expected: the S ratio
-/// grows like `(n/k)^(1/6)·p^(2/3)`.
+/// regime and whether it moved.  Within a fixed regime the corrected
+/// recursive W bound only ever grows, so the new method's S advantage is
+/// preserved or widened (a W drop only appears where the regime itself
+/// moves).  Expected: the S ratio grows like `(n/k)^(1/6)·p^(2/3)`.
 pub fn conclusion_paper_scale() -> Table {
     let mut table = Table::new(
         "n,k,p,S_std_i17,S_new_i17,S_ratio_i17,S_std_t24,S_new_t24,S_ratio_t24,\
@@ -595,10 +595,10 @@ pub fn ablation_n0() -> Table {
 /// and W of the distributed inversion on square faces, which scale like
 /// `n²/p`.  The row tagged `paper r2=4r1` is the model at the paper's
 /// choice (`inversion::optimal_inv_grid`).  Expected: the curve is flat
-/// within a factor ~1.1 between ratios
-/// 2 and 4 and degrades for extreme aspect ratios.  The sampled minimum
-/// sits at `r2 = 2·r1`, not the paper's `4·r1`: a small discrepancy in the
-/// paper's constant that costs a few percent.
+/// within a factor ~1.1 between ratios 2 and 4 and degrades for extreme
+/// aspect ratios.  The sampled minimum sits at `r2 = 2·r1`, not the
+/// paper's `4·r1`: a small discrepancy in the paper's constant that costs
+/// a few percent.
 pub fn ablation_grid() -> Table {
     let n = 4096.0;
     let q_total = 512.0;

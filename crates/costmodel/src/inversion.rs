@@ -40,8 +40,8 @@ pub fn rec_tri_inv_cost(n: f64, p1: f64, p2: f64) -> Cost {
 /// Note: the unconstrained minimiser of the leading-order bandwidth
 /// expression [`inv_bandwidth`] is the slightly flatter ratio `r2 = 2·r1`;
 /// the paper's choice is within a few percent of it (the `ablation_grid`
-/// experiment table samples the whole curve).  We follow the paper.  Both values are
-/// clamped to at least 1.
+/// experiment table samples the whole curve).  We follow the paper.  Both
+/// values are clamped to at least 1.
 pub fn optimal_inv_grid(q: f64) -> (f64, f64) {
     let r1 = (q / 4.0).powf(1.0 / 3.0).max(1.0);
     let r2 = (q / (r1 * r1)).max(1.0);

@@ -640,47 +640,54 @@ unsafe fn gemm_packed(
 type MacroKernelFn =
     unsafe fn(usize, usize, usize, &[f64], &[f64], *mut f64, usize, Option<TriMask>);
 
-/// Picks the best macro-kernel for this CPU, once per process.
+/// Picks the macro-kernel of this process's [`kernel_class`], once per
+/// process.
 ///
 /// On x86-64 with AVX2+FMA the kernel is compiled with those features
 /// enabled (and uses `mul_add`, which lowers to `vfmadd`); everywhere else
-/// the portable mul-then-add version is used.  Setting the
-/// `DENSE_FORCE_SCALAR` environment variable (to anything but `0` or the
-/// empty string) forces the portable kernel even when AVX2+FMA are
-/// available — CI uses this to keep the scalar dispatch branch exercised on
-/// AVX2 runners.
+/// the portable mul-then-add version is used.
 fn select_macro_kernel() -> MacroKernelFn {
-    selected_macro_kernel().0
-}
-
-/// The class of the macro kernel [`select_macro_kernel`] chose for this
-/// process: `"avx2_fma"` or `"portable"`.  The two round differently (a
-/// fused multiply-add rounds once), so results that pass through the packed
-/// product are bitwise reproducible within a class, not across classes.
-pub fn kernel_class() -> &'static str {
-    selected_macro_kernel().1
-}
-
-/// The macro kernel and its class name, chosen once per process.
-fn selected_macro_kernel() -> (MacroKernelFn, &'static str) {
     #[cfg(target_arch = "x86_64")]
     {
-        static KERNEL: OnceLock<(MacroKernelFn, &'static str)> = OnceLock::new();
-        *KERNEL.get_or_init(|| {
+        static KERNEL: OnceLock<MacroKernelFn> = OnceLock::new();
+        *KERNEL.get_or_init(|| match kernel_class() {
+            "avx2_fma" => macro_kernel_avx2,
+            _ => macro_kernel_portable,
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        macro_kernel_portable
+    }
+}
+
+/// The class of macro kernel the packed product runs in this process,
+/// chosen once: `"avx2_fma"` on x86-64 with AVX2 and FMA, else
+/// `"portable"`.  Setting the `DENSE_FORCE_SCALAR` environment variable (to
+/// anything but `0` or the empty string) forces `"portable"` even where
+/// AVX2+FMA are available — CI uses this to keep the scalar dispatch branch
+/// exercised on AVX2 runners.  The two classes round differently (a fused
+/// multiply-add rounds once), so results that pass through the packed
+/// product are bitwise reproducible within a class, not across classes.
+pub fn kernel_class() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static CLASS: OnceLock<&str> = OnceLock::new();
+        CLASS.get_or_init(|| {
             let forced_scalar = std::env::var("DENSE_FORCE_SCALAR")
                 .map(|v| !v.is_empty() && v != "0")
                 .unwrap_or(false);
             if !forced_scalar && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
             {
-                (macro_kernel_avx2, "avx2_fma")
+                "avx2_fma"
             } else {
-                (macro_kernel_portable, "portable")
+                "portable"
             }
         })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        (macro_kernel_portable, "portable")
+        "portable"
     }
 }
 
