@@ -81,10 +81,12 @@ fn permute(a: &DistMatrix, flip_rows: bool, flip_cols: bool) -> Result<DistMatri
     let grid = a.grid();
     let (rows, cols) = a.dims();
     let axis = |len: usize, procs: usize, flip: bool| {
-        Axis::from_fn(len, procs, |g| {
-            let to = if flip { len - 1 - g } else { g };
-            (to % procs, to / procs)
-        })
+        let cyclic = Axis::cyclic(len, procs);
+        if flip {
+            cyclic.reversed()
+        } else {
+            cyclic
+        }
     };
     let permuted = Layout::new(
         grid.size(),

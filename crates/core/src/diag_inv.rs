@@ -41,11 +41,12 @@ use pgrid::redist::{redistribute, Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
 
 /// The columns of every row's own diagonal block of size `n0`, cut over `q`
-/// classes: column `j` is entry `(j mod n0) / q` of class `j mod q`.  Not
-/// injective across blocks, so only a `Filter::DiagBlocksLower(n0)`
-/// redistribution may use it; `q` must divide `n0`.
+/// classes: column `j` is entry `(j mod n0) / q` of class `j mod q` — blocks
+/// of `n0` in one block class, stacked, offsets over `q`.  Not injective
+/// across blocks, so only a `Filter::DiagBlocksLower(n0)` redistribution may
+/// use it; `q` must divide `n0`.
 pub(crate) fn block_columns(n: usize, n0: usize, q: usize) -> Axis {
-    Axis::from_fn(n, q, |gj| (gj % q, (gj % n0) / q))
+    Axis::new(n, n0, 1, q).stacked()
 }
 
 /// The layout [`diagonal_inverter`] returns its output in, on the square
@@ -109,11 +110,8 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<M
         //     layout itself, and nothing is sent.
         let round_robin = Layout::new(
             p_face,
-            Axis::from_fn(n, p_face, |gi| {
-                let g = gi / n0;
-                (g % p_face, (g / p_face) * n0 + gi % n0)
-            }),
-            Axis::from_fn(n, p_face, |gj| ((gj / n0) % p_face, gj % n0)),
+            Axis::new(n, n0, p_face, 1),
+            Axis::new(n, n0, p_face, 1).stacked(),
             |row_owner, col_owner| (row_owner == col_owner).then_some(row_owner),
         );
         let mut mine = l.redistribute_to(&round_robin, diag_blocks)?;
@@ -139,14 +137,10 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<M
     let active = side * side;
 
     // Block g lives cyclically on the side × side sub-grid formed by the
-    // first `active` ranks of group g.
-    let block_axis = || {
-        Axis::from_fn(n, nblocks * side, |gi| {
-            let (g, bi) = (gi / n0, gi % n0);
-            (g * side + bi % side, bi / side)
-        })
-    };
-    let on_subgrids = Layout::new(p_face, block_axis(), block_axis(), |rc, cc| {
+    // first `active` ranks of group g: its row at offset o is entry
+    // `o / side` of class `g·side + o mod side`.
+    let block_axis = Axis::new(n, n0, nblocks, side);
+    let on_subgrids = Layout::new(p_face, block_axis, block_axis, |rc, cc| {
         let (g, sx) = (rc / side, rc % side);
         (cc / side == g).then_some(g * group_size + sx * side + cc % side)
     });

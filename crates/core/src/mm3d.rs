@@ -150,7 +150,7 @@ pub fn mm3d(a: &DistMatrix, x: &DistMatrix, p1: usize) -> Result<DistMatrix> {
     let strided_layout = |face_of: fn(usize, usize) -> (usize, usize)| {
         Layout::new(
             q * q,
-            Axis::from_fn(n, p1 * p1, |gr| (gr % (p1 * p1), gr / (p1 * p1))),
+            Axis::cyclic(n, p1 * p1),
             Axis::slabs(k, p2),
             |row_class, slab| {
                 let (i_d, j_d) = face_of(row_class % p1, row_class / p1);

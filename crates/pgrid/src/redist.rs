@@ -11,14 +11,14 @@
 //!
 //! [`redistribute`] is that primitive.  Every layout here is computable from
 //! rank arithmetic, so a [`Layout`] describes it completely on every rank:
-//! each axis of the global index space is cut into *classes* ([`Axis`]), a
-//! *piece* is a (row class, column class) pair, and each piece is stored by
-//! zero or more ranks.  Sender and receiver of a (source, destination) pair
-//! therefore agree, without exchanging a word, on which entries travel
-//! between them and in which order — global row-major — so only the values
-//! are sent: the sender gathers runs straight out of its local matrix into
-//! one buffer per destination, the receiver scatters each buffer straight
-//! into its local matrix, and no index ever crosses the wire.
+//! each axis of the global index space is cut into *classes* ([`Axis`], a
+//! closed form), a *piece* is a (row class, column class) pair, and each
+//! piece is stored by zero or more ranks.  Sender and receiver of a (source,
+//! destination) pair therefore agree, without exchanging a word, on which
+//! entries travel between them and in which order — global row-major — so
+//! only the values are sent: the sender gathers runs straight out of its
+//! local matrix into one buffer per destination, the receiver scatters each
+//! buffer straight into its local matrix, and no index ever crosses the wire.
 //!
 //! The buffers are routed by the same Bruck all-to-all-v of `simnet::coll`
 //! the algorithms have always used (`⌈log₂ p⌉` messages per rank, a
@@ -27,19 +27,26 @@
 //! ([`Layout::same_placement`]) — decided from the two layouts alone, so
 //! every rank decides alike — sends nothing.
 //!
-//! Both ends walk their piece's rows in ascending global order, and every
-//! [`Filter`] passes one contiguous column range per row that never moves
-//! left as the row grows (`All` is fixed, `Lower` only widens to the right,
-//! `DiagBlocksLower` jumps right at each block).  So the columns of a piece
-//! that share a class of the other layout are found by a cursor pair per
-//! class that only advances: a walk costs the entries it moves plus one
-//! step per row and class, with no search.
+//! **Arithmetic runs.**  Each end first cuts its piece's rows and its
+//! columns into *runs*: indices that share one class of the other layout
+//! and whose global indices and local positions both step evenly.  One pass
+//! over the piece's own rows and columns finds them, placing each in the
+//! other layout by the axes' arithmetic.  A row class and a column class of
+//! the other layout make one of its pieces, so the entries a rank exchanges
+//! with one peer are one (row runs, column runs) pair, walked rows
+//! ascending.  Every [`Filter`] passes one contiguous column range per row,
+//! so the part of a column run that a row moves is a sub-range found by at
+//! most two divisions, and it is copied once: a slice when the local
+//! positions are consecutive, a strided gather or scatter otherwise.  A walk
+//! costs the values it moves plus a few integer operations per row and run,
+//! with no search and no per-entry bookkeeping.
 //!
-//! Every buffer a redistribution makes comes from the machine's pool: the
-//! per-destination buffers are sized exactly (one counting walk over the
-//! runs, then one filling walk), the buffers received go back once
-//! unpacked, and [`redistribute`]'s destination matrix is pooled storage a
-//! caller done with it may give back.
+//! Every buffer a redistribution makes comes from the machine's pool: a
+//! destination's buffer is sized exactly before a value is copied (under
+//! `Filter::All` the product of the pair's run lengths, under the
+//! triangular filters their clipped lengths summed row by row), the buffers
+//! received go back once unpacked, and [`redistribute`]'s destination
+//! matrix is pooled storage a caller done with it may give back.
 
 use crate::distmat::DistMatrix;
 use crate::error::GridError;
@@ -51,51 +58,99 @@ use std::ops::Range;
 
 /// How one axis (rows or columns) of the global index space is cut up: every
 /// global index belongs to one *class* — the indices a holder stores together
-/// — at one position along that axis of the holder's local matrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// — at one *local position* along that axis of the holder's local matrix.
+///
+/// Every cut is one closed form in four integers and two flags.  Index `g`
+/// of `len` — taken as `len − 1 − g` when the axis is [reversed] — lies in
+/// block `b = g / B` at offset `o = g mod B`.  Blocks are dealt round-robin
+/// over `P` block classes, and each block's offsets round-robin over `S`
+/// stride classes (`S` divides `B`, unless no block class holds two
+/// blocks):
+///
+/// * class `(b mod P)·S + o mod S`, one of `P·S`;
+/// * local position `o / S + (b / P)·(B / S)`, or just `o / S` when the axis
+///   is [stacked]: every block of a class then reuses the same local
+///   positions.
+///
+/// Cyclic is `B = S = 1`; slabs are `B` = the slab width and `P` = the
+/// parts; one class holding every index is `B = P = S = 1`.  Nothing is
+/// tabulated: an `Axis` is a small `Copy` value and every question asked of
+/// it is a few integer operations.
+///
+/// A stacked axis is not injective: two indices of a class share a local
+/// position.  Every redistribution using one must carry a [`Filter`] that
+/// passes at most one entry per local slot of each piece (the stacked
+/// diagonal blocks of `It-Inv-TRSM` under `Filter::DiagBlocksLower`) —
+/// nothing checks this, and colliding entries overwrite each other in
+/// row-major order.
+///
+/// [reversed]: Axis::reversed
+/// [stacked]: Axis::stacked
+#[derive(Debug, Clone, Copy)]
 pub struct Axis {
-    /// Class of each global index.
-    class: Vec<usize>,
-    /// Local position of each global index within its class's storage.
-    local: Vec<usize>,
-    /// Per class: one past the largest local position (0 for an empty class).
-    extent: Vec<usize>,
+    len: usize,
+    /// `B`: indices per block.
+    block: usize,
+    /// `P`: block classes.
+    procs: usize,
+    /// `S`: stride classes within a block.
+    stride: usize,
+    stacked: bool,
+    reversed: bool,
+}
+
+/// `(a / d, a mod d)`, without dividing when `d` is 1 — the block, class
+/// count or stride of most axes.
+fn div_rem(a: usize, d: usize) -> (usize, usize) {
+    if d == 1 {
+        (a, 0)
+    } else {
+        (a / d, a % d)
+    }
+}
+
+/// What one digit of an index decides in [`Axis::digits`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Class,
+    Local,
+    /// Nothing: the block number of a stacked axis.
+    Ignored,
+    /// The offset in a block that the stride does not divide: class
+    /// `o mod S` and local position `o / S` at once.
+    Offset(usize),
 }
 
 impl Axis {
-    /// An axis of `len` indices in `classes` classes, with
-    /// `place(g) = (class, local position)` of global index `g`.
+    /// `len` indices in blocks of `block`, dealt round-robin over `procs`
+    /// block classes, each block's offsets dealt over `stride` classes: the
+    /// general form above, with `procs · stride` classes.
     ///
-    /// `place` need not be injective: two indices of a class may share a
-    /// local position (the stacked diagonal blocks of `It-Inv-TRSM` do), but
-    /// then every redistribution using the axis must carry a [`Filter`] that
-    /// passes at most one entry per local slot of each piece — nothing checks
-    /// this, and colliding entries overwrite each other in row-major order.
-    ///
-    /// Panics if `place` names a class `>= classes`.
-    pub fn from_fn(len: usize, classes: usize, place: impl Fn(usize) -> (usize, usize)) -> Axis {
-        let mut axis = Axis {
-            class: Vec::with_capacity(len),
-            local: Vec::with_capacity(len),
-            extent: vec![0; classes],
-        };
-        for g in 0..len {
-            let (class, local) = place(g);
-            assert!(
-                class < classes,
-                "index {g} placed in class {class} of {classes}"
-            );
-            axis.class.push(class);
-            axis.local.push(local);
-            axis.extent[class] = axis.extent[class].max(local + 1);
+    /// Panics unless `block`, `procs` and `stride` are positive and `stride`
+    /// divides `block` or the `len` indices fill at most `procs` blocks.
+    pub fn new(len: usize, block: usize, procs: usize, stride: usize) -> Axis {
+        assert!(
+            block > 0 && procs > 0 && stride > 0,
+            "an axis needs a positive block ({block}), class count ({procs}) and stride ({stride})"
+        );
+        assert!(
+            block.is_multiple_of(stride) || len <= procs * block,
+            "a stride of {stride} must divide blocks of {block} dealt twice over {procs} classes"
+        );
+        Axis {
+            len,
+            block,
+            procs,
+            stride,
+            stacked: false,
+            reversed: false,
         }
-        axis
     }
 
     /// Cyclic over `procs` classes: index `g` is entry `g / procs` of class
     /// `g mod procs` — the layout every algorithm in the paper starts from.
     pub fn cyclic(len: usize, procs: usize) -> Axis {
-        Axis::from_fn(len, procs, |g| (g % procs, g / procs))
+        Axis::new(len, 1, procs, 1)
     }
 
     /// `parts` contiguous slabs of `len / parts` indices each (`parts` must
@@ -105,33 +160,186 @@ impl Axis {
             parts > 0 && len.is_multiple_of(parts),
             "{parts} slabs must divide {len} indices"
         );
-        let width = len / parts;
-        Axis::from_fn(len, parts, |g| (g / width, g % width))
+        Axis::new(len, (len / parts).max(1), parts, 1)
     }
 
     /// One class holding every index in order.
     pub fn whole(len: usize) -> Axis {
-        Axis::from_fn(len, 1, |g| (0, g))
+        Axis::cyclic(len, 1)
+    }
+
+    /// This cut with every block of a class at the same local positions
+    /// `o / S`.  Panics on a reversed axis.
+    pub fn stacked(self) -> Axis {
+        assert!(!self.reversed, "a reversed axis cannot be stacked");
+        Axis {
+            stacked: true,
+            ..self
+        }
+    }
+
+    /// This cut of the reversed index `len − 1 − g`; reversing twice gives
+    /// the cut back.  Panics on a stacked axis.
+    pub fn reversed(self) -> Axis {
+        assert!(!self.stacked, "a stacked axis cannot be reversed");
+        Axis {
+            reversed: !self.reversed,
+            ..self
+        }
     }
 
     /// Number of global indices.
     pub fn len(&self) -> usize {
-        self.class.len()
+        self.len
     }
 
     /// True when the axis has no indices.
     pub fn is_empty(&self) -> bool {
-        self.class.is_empty()
+        self.len == 0
     }
 
     /// Number of classes.
     pub fn classes(&self) -> usize {
-        self.extent.len()
+        self.procs * self.stride
     }
 
-    /// The global indices of `class`, ascending.
-    fn members(&self, class: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len()).filter(move |&g| self.class[g] == class)
+    /// `(class, local position)` of global index `g`.
+    fn place(&self, g: usize) -> (usize, usize) {
+        let g = if self.reversed { self.len - 1 - g } else { g };
+        let (b, o) = div_rem(g, self.block);
+        let (u, pc) = div_rem(b, self.procs);
+        let (m, sc) = div_rem(o, self.stride);
+        let stack = if self.stacked {
+            0
+        } else {
+            u * self.per_block()
+        };
+        (pc * self.stride + sc, m + stack)
+    }
+
+    /// `B / S`: the local positions one block gives a class (rounded up: a
+    /// stride that does not divide the block deals each class one block).
+    fn per_block(&self) -> usize {
+        self.block.div_ceil(self.stride)
+    }
+
+    /// How many blocks hold indices of `class`, and how many of its indices
+    /// the last of them holds (every other one is full).
+    fn blocks_of(&self, class: usize) -> (usize, usize) {
+        let (pc, sc) = (class / self.stride, class % self.stride);
+        let blocks = self.len.div_ceil(self.block);
+        if pc >= blocks {
+            return (0, 0);
+        }
+        let mine = (blocks - 1 - pc) / self.procs + 1;
+        let last = pc + (mine - 1) * self.procs;
+        let last_len = (self.len - last * self.block).min(self.block);
+        let in_last = if sc < last_len {
+            (last_len - 1 - sc) / self.stride + 1
+        } else {
+            0
+        };
+        (mine, in_last)
+    }
+
+    /// One past the largest local position of `class` (0 for an empty
+    /// class).
+    fn extent(&self, class: usize) -> usize {
+        match self.blocks_of(class) {
+            (0, _) => 0,
+            (1, in_last) => in_last,
+            // A stacked class's first block is full.
+            _ if self.stacked => self.per_block(),
+            (blocks, in_last) => (blocks - 1) * self.per_block() + in_last,
+        }
+    }
+
+    /// The indices of `class` and their local positions, ascending by index.
+    fn members(self, class: usize) -> impl Iterator<Item = (usize, usize)> {
+        let (blocks, in_last) = self.blocks_of(class);
+        let per_block = self.per_block();
+        let count = blocks.saturating_sub(1) * per_block + in_last;
+        let (pc, sc) = (class / self.stride, class % self.stride);
+        (0..count).map(move |t| {
+            // Slot t is entry m of the class's u-th block; on a reversed
+            // axis the slots run backwards so the indices still ascend.
+            let t = if self.reversed { count - 1 - t } else { t };
+            let (u, m) = div_rem(t, per_block);
+            let g = (pc + u * self.procs) * self.block + sc + m * self.stride;
+            let local = m + if self.stacked { 0 } else { u * per_block };
+            (if self.reversed { self.len - 1 - g } else { g }, local)
+        })
+    }
+
+    /// True when `self` and `other` place every index identically: the same
+    /// length, the same number of classes and the same `(class, local
+    /// position)` for every index, whichever constructor built either.
+    fn same_placement(&self, other: &Axis) -> bool {
+        self.len == other.len
+            && self.classes() == other.classes()
+            && self.digits() == other.digits()
+    }
+
+    /// The placement in canonical form, decided without visiting an index.
+    /// The forward index is the mixed-radix number with digits `o mod S`,
+    /// `o / S`, `b mod P` and `b / P`, least significant first; the first
+    /// and third make up the class, the second and fourth the local position
+    /// (the fourth decides nothing on a stacked axis).  Digits that are 0 on
+    /// every index are dropped, the highest one that varies is cut to the
+    /// values it takes, and neighbours with the same role merge into one.
+    /// Two axes of one length place every index alike exactly when these
+    /// agree.  Reversing moves index 0 off `(0, 0)` once there are two
+    /// indices, so a reversed axis never matches a forward one.  Once a
+    /// second block begins, an offset the stride does not divide stays one
+    /// digit, kept even at radix 1: it spaces the block classes `S` apart.
+    fn digits(&self) -> ([(usize, Role); 4], bool) {
+        let top = if self.stacked {
+            Role::Ignored
+        } else {
+            Role::Local
+        };
+        let raw = if self.block.is_multiple_of(self.stride) || self.len <= self.block {
+            [
+                (self.stride, Role::Class),
+                (self.per_block(), Role::Local),
+                (self.procs, Role::Class),
+                (usize::MAX, top),
+            ]
+        } else {
+            [
+                (self.block, Role::Offset(self.stride)),
+                (self.procs, Role::Class),
+                (usize::MAX, top),
+                (1, Role::Local),
+            ]
+        };
+        let mut digits = [(1, Role::Local); 4];
+        let mut kept = 0;
+        // The product of the radices below the digit, and where the last
+        // kept digit begins.
+        let (mut below, mut base) = (1, 1);
+        for (radix, role) in raw {
+            if self.len <= below {
+                break;
+            }
+            let radix = radix.min(self.len.div_ceil(below));
+            if radix == 1 && !matches!(role, Role::Offset(_)) {
+                continue;
+            }
+            match kept {
+                1.. if digits[kept - 1].1 == role => digits[kept - 1].0 *= radix,
+                _ => {
+                    digits[kept] = (radix, role);
+                    kept += 1;
+                    base = below;
+                }
+            }
+            below *= radix;
+        }
+        if kept > 0 {
+            digits[kept - 1].0 = digits[kept - 1].0.min(self.len.div_ceil(base));
+        }
+        (digits, self.reversed && self.len > 1)
     }
 }
 
@@ -143,14 +351,16 @@ impl Axis {
 /// A rank holds at most one piece.  As a *destination*, every holder of a
 /// piece receives it (replication); as a *source*, the first holder listed
 /// sends it, so a replicated source names only the replica that should send.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Layout {
+    /// Ranks of the communicator the layout spans.
+    ranks: usize,
     rows: Axis,
     cols: Axis,
-    /// Ranks storing piece `(rc, cc)`, at `rc * cols.classes() + cc`.
-    holders: Vec<Vec<usize>>,
-    /// The piece each rank stores.
-    piece_of: Vec<Option<(usize, usize)>>,
+    /// Every piece's holders, piece after piece: piece `x = rc ·
+    /// cols.classes() + cc` is held by `holders[starts[x]..starts[x + 1]]`.
+    holders: Vec<usize>,
+    starts: Vec<usize>,
 }
 
 impl Layout {
@@ -165,26 +375,26 @@ impl Layout {
         cols: Axis,
         holders: impl Fn(usize, usize) -> I,
     ) -> Layout {
-        let mut piece_of = vec![None; ranks];
-        let mut table = Vec::with_capacity(rows.classes() * cols.classes());
+        let pieces = rows.classes() * cols.classes();
+        let mut flat = Vec::with_capacity(pieces.min(ranks));
+        let mut starts = Vec::with_capacity(pieces + 1);
+        starts.push(0);
         for rc in 0..rows.classes() {
             for cc in 0..cols.classes() {
-                let ranks_here: Vec<usize> = holders(rc, cc).into_iter().collect();
-                for &r in &ranks_here {
+                for r in holders(rc, cc) {
                     assert!(r < ranks, "piece ({rc}, {cc}) held by rank {r} of {ranks}");
-                    assert!(
-                        piece_of[r].replace((rc, cc)).is_none(),
-                        "rank {r} holds two pieces"
-                    );
+                    assert!(!flat.contains(&r), "rank {r} holds two pieces");
+                    flat.push(r);
                 }
-                table.push(ranks_here);
+                starts.push(flat.len());
             }
         }
         Layout {
+            ranks,
             rows,
             cols,
-            holders: table,
-            piece_of,
+            holders: flat,
+            starts,
         }
     }
 
@@ -201,14 +411,22 @@ impl Layout {
     /// Dimensions of the local matrix `rank` stores (`(0, 0)` if it holds no
     /// piece).
     pub fn local_dims(&self, rank: usize) -> (usize, usize) {
-        match self.piece_of[rank] {
-            Some((rc, cc)) => (self.rows.extent[rc], self.cols.extent[cc]),
+        match self.piece_of(rank) {
+            Some((rc, cc)) => (self.rows.extent(rc), self.cols.extent(cc)),
             None => (0, 0),
         }
     }
 
+    /// The piece `rank` stores.
+    fn piece_of(&self, rank: usize) -> Option<(usize, usize)> {
+        let at = self.holders.iter().position(|&r| r == rank)?;
+        let x = self.starts.partition_point(|&start| start <= at) - 1;
+        Some((x / self.cols.classes(), x % self.cols.classes()))
+    }
+
     fn holders(&self, rc: usize, cc: usize) -> &[usize] {
-        &self.holders[rc * self.cols.classes() + cc]
+        let x = rc * self.cols.classes() + cc;
+        &self.holders[self.starts[x]..self.starts[x + 1]]
     }
 
     /// The rank that sends piece `(rc, cc)` when this layout is the source.
@@ -218,16 +436,25 @@ impl Layout {
 
     /// The piece `rank` sends when this layout is the source.
     fn sending_piece(&self, rank: usize) -> Option<(usize, usize)> {
-        self.piece_of[rank].filter(|&(rc, cc)| self.sender(rc, cc) == Some(rank))
+        self.piece_of(rank)
+            .filter(|&(rc, cc)| self.sender(rc, cc) == Some(rank))
     }
 
     /// True when `self` and `dst` place every entry identically — same cuts,
     /// same local positions, same single holder per piece — so that a local
     /// matrix under `self` already *is* the local matrix under `dst` and a
-    /// redistribution between them moves nothing off-rank.  Pure layout
-    /// arithmetic: every rank reaches the same verdict.
+    /// redistribution between them moves nothing off-rank.  The axes are
+    /// compared as placements, not as the constructors that built them
+    /// (`Axis::cyclic(n, 1)`, `Axis::whole(n)` and `Axis::slabs(n, 1)` are
+    /// one placement).  Pure layout arithmetic: every rank reaches the same
+    /// verdict.
     pub fn same_placement(&self, dst: &Layout) -> bool {
-        self == dst && self.holders.iter().all(|h| h.len() <= 1)
+        self.rows.same_placement(&dst.rows)
+            && self.cols.same_placement(&dst.cols)
+            && self.ranks == dst.ranks
+            && self.starts == dst.starts
+            && self.holders == dst.holders
+            && self.starts.windows(2).all(|w| w[1] - w[0] <= 1)
     }
 }
 
@@ -248,7 +475,7 @@ pub enum Filter {
 impl Filter {
     /// The (contiguous) range of columns that pass in row `i`.  Monotone in
     /// the row: for `i < i'`, neither end of row `i'`'s range is left of row
-    /// `i`'s — the invariant [`pack`] and [`unpack`] walk by.
+    /// `i`'s — the invariant the runs' walk skips by.
     fn cols(self, i: usize, ncols: usize) -> Range<usize> {
         let end = (i + 1).min(ncols);
         match self {
@@ -259,54 +486,185 @@ impl Filter {
     }
 }
 
-/// The columns of one piece that fall into one column class of the *other*
-/// layout: ascending global indices, where each sits in the local matrix,
-/// and the cursor pair of the row walk in progress.
-#[derive(Default, Clone)]
-struct ColumnGroup {
-    global: Vec<usize>,
-    local: Vec<usize>,
-    /// `global[lo..hi]` are the group's columns inside the last range asked.
-    lo: usize,
-    hi: usize,
+/// Indices of one piece, along one axis, that share class `other` of the
+/// other layout and step evenly: global index `first + step·t` sits at local
+/// position `local + local_step·t`, for `t < count`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    other: usize,
+    first: usize,
+    step: usize,
+    count: usize,
+    local: usize,
+    local_step: isize,
 }
 
-impl ColumnGroup {
-    /// Local positions of the group's columns inside `range`, ascending by
-    /// global index.  Both ends of `range` must be at least those of the
-    /// previous call since [`ColumnGroup::rewind`]: the cursors only advance.
-    fn within(&mut self, range: &Range<usize>) -> &[usize] {
-        let len = self.global.len();
-        while self.lo < len && self.global[self.lo] < range.start {
-            self.lo += 1;
+impl Run {
+    /// Take index `g` at local position `local` as the run's next index, if
+    /// it continues both progressions.
+    fn extend(&mut self, g: usize, local: usize) -> bool {
+        let (dg, dl) = (g - self.first, local as isize - self.local as isize);
+        if self.count == 1 {
+            (self.step, self.local_step) = (dg, dl);
+        } else if dg != self.step * self.count || dl != self.local_step * self.count as isize {
+            return false;
         }
-        self.hi = self.hi.max(self.lo);
-        while self.hi < len && self.global[self.hi] < range.end {
-            self.hi += 1;
+        self.count += 1;
+        true
+    }
+
+    fn last(&self) -> usize {
+        self.first + self.step * (self.count - 1)
+    }
+
+    /// The `t` of the run's indices inside `range`.
+    fn clip(&self, range: &Range<usize>) -> Range<usize> {
+        if range.start > self.last() || range.end <= self.first {
+            return 0..0;
         }
-        &self.local[self.lo..self.hi]
+        let reach = |g: usize| (g - self.first).div_ceil(self.step);
+        let t0 = if range.start <= self.first {
+            0
+        } else {
+            reach(range.start)
+        };
+        let t1 = if range.end > self.last() {
+            self.count
+        } else {
+            reach(range.end)
+        };
+        t0..t1
     }
 
-    /// Start a new row walk.
-    fn rewind(&mut self) {
-        (self.lo, self.hi) = (0, 0);
+    fn position(&self, t: usize) -> usize {
+        self.local.wrapping_add_signed(self.local_step * t as isize)
+    }
+
+    /// Append the values of columns `ts` of `row` to `out`.
+    fn gather(&self, row: &[f64], ts: Range<usize>, out: &mut Vec<f64>) {
+        if self.local_step == 1 {
+            out.extend_from_slice(&row[self.position(ts.start)..self.position(ts.end)]);
+        } else {
+            out.extend(ts.map(|t| row[self.position(t)]));
+        }
+    }
+
+    /// Write `values` to columns `ts` of `row`.
+    fn scatter(&self, row: &mut [f64], ts: Range<usize>, values: &[f64]) {
+        if self.local_step == 1 {
+            row[self.position(ts.start)..self.position(ts.end)].copy_from_slice(values);
+        } else {
+            for (t, &v) in ts.zip(values) {
+                row[self.position(t)] = v;
+            }
+        }
     }
 }
 
-/// The columns of class `class` of `mine`, grouped by their class in `other`.
-fn column_groups(mine: &Axis, class: usize, other: &Axis) -> Vec<ColumnGroup> {
-    let mut groups = vec![ColumnGroup::default(); other.classes()];
-    for j in mine.members(class) {
-        let group = &mut groups[other.class[j]];
-        group.global.push(j);
-        group.local.push(mine.local[j]);
+/// Append the indices of class `class` of `mine`, cut into runs by their
+/// class in `other`, to `runs`: grouped by that class, each group's runs
+/// ascending and never interleaved.
+fn cut(mine: &Axis, class: usize, other: &Axis, runs: &mut Vec<Run>) {
+    let start = runs.len();
+    for (g, local) in mine.members(class) {
+        let oc = other.place(g).0;
+        // Only the latest run of a class may grow; the classes a piece's
+        // indices cycle through are few, so it is a few runs back.
+        let open = runs[start..].iter_mut().rev().find(|run| run.other == oc);
+        if open.is_some_and(|run| run.extend(g, local)) {
+            continue;
+        }
+        runs.push(Run {
+            other: oc,
+            first: g,
+            step: 1,
+            count: 1,
+            local,
+            local_step: 1,
+        });
     }
-    groups
+    runs[start..].sort_unstable_by_key(|run| (run.other, run.first));
 }
 
-/// What [`pack`] does with one run of a row it sends: `f(destination, local
-/// row, local columns)`.
-type RunSink<'a> = dyn FnMut(usize, &[f64], &[usize]) + 'a;
+/// The runs of one class of the other layout each, in turn.
+fn groups(runs: &[Run]) -> impl Iterator<Item = &[Run]> {
+    runs.chunk_by(|a, b| a.other == b.other)
+}
+
+/// A piece cut into runs along both axes by the classes of the other
+/// layout.  One (row group, column group) pair is one piece of the other
+/// layout: the entries this rank exchanges with that piece's holders.
+struct Cuts {
+    /// The row runs, then the column runs from `cols_at`.
+    runs: Vec<Run>,
+    cols_at: usize,
+    ncols: usize,
+    filter: Filter,
+}
+
+impl Cuts {
+    fn new(mine: &Layout, piece: (usize, usize), other: &Layout, filter: Filter) -> Cuts {
+        let mut runs = Vec::new();
+        cut(&mine.rows, piece.0, &other.rows, &mut runs);
+        let cols_at = runs.len();
+        cut(&mine.cols, piece.1, &other.cols, &mut runs);
+        Cuts {
+            runs,
+            cols_at,
+            ncols: mine.cols.len(),
+            filter,
+        }
+    }
+
+    /// Every piece of the other layout this piece shares entries with, as
+    /// `(row runs, column runs)` of one class each.
+    fn pairs(&self) -> impl Iterator<Item = (&[Run], &[Run])> {
+        let (rows, cols) = self.runs.split_at(self.cols_at);
+        groups(rows).flat_map(move |rows| groups(cols).map(move |cols| (rows, cols)))
+    }
+
+    /// True when this piece shares entries with piece `(rc, cc)` of the
+    /// other layout.
+    fn meets(&self, (rc, cc): (usize, usize)) -> bool {
+        let (rows, cols) = self.runs.split_at(self.cols_at);
+        rows.iter().any(|run| run.other == rc) && cols.iter().any(|run| run.other == cc)
+    }
+
+    /// How many entries pass the filter in `rows × cols`.
+    fn count(&self, rows: &[Run], cols: &[Run]) -> usize {
+        if self.filter == Filter::All {
+            let total = |runs: &[Run]| runs.iter().map(|run| run.count).sum::<usize>();
+            return total(rows) * total(cols);
+        }
+        let mut count = 0;
+        self.for_each(rows, cols, |_, _, ts| count += ts.len());
+        count
+    }
+
+    /// `f(local row, column run, its columns in the row)` for every part of
+    /// `rows × cols` the filter passes, in global row-major order.
+    fn for_each(&self, rows: &[Run], cols: &[Run], mut f: impl FnMut(usize, &Run, Range<usize>)) {
+        // The rows ascend, and a filter's range never moves left as the row
+        // grows: a column run left of one row's range is left of every later
+        // row's, and the walk starts past it.
+        let mut left = 0;
+        for row_run in rows {
+            for t in 0..row_run.count {
+                let i = row_run.first + row_run.step * t;
+                let range = self.filter.cols(i, self.ncols);
+                while cols.get(left).is_some_and(|run| run.last() < range.start) {
+                    left += 1;
+                }
+                for run in cols[left..].iter().take_while(|run| run.first < range.end) {
+                    let ts = run.clip(&range);
+                    if !ts.is_empty() {
+                        f(row_run.position(t), run, ts);
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// Gather this rank's share of `from` into one value buffer per destination,
 /// each in global row-major order of the entries it carries.
@@ -317,36 +675,31 @@ fn pack(
     from: &Matrix,
     filter: Filter,
 ) -> Vec<Vec<f64>> {
-    let mut out = vec![Vec::new(); dst.piece_of.len()];
-    let Some((rc, cc)) = src.sending_piece(comm.rank()) else {
+    let mut out = vec![Vec::new(); dst.ranks];
+    let Some(piece) = src.sending_piece(comm.rank()) else {
         return out;
     };
-    let mut groups = column_groups(&src.cols, cc, &dst.cols);
-    // Every run this rank sends, in the order the buffers carry them.  Rows
-    // go in ascending global order and a filter's column range never moves
-    // left as the row grows, so each group's cursors only advance.
-    let mut for_each_run = |f: &mut RunSink| {
-        groups.iter_mut().for_each(ColumnGroup::rewind);
-        for i in src.rows.members(rc) {
-            let row = from.row(src.rows.local[i]);
-            let range = filter.cols(i, src.cols.len());
-            for (dst_cc, group) in groups.iter_mut().enumerate() {
-                let run = group.within(&range);
-                if run.is_empty() {
-                    continue;
-                }
-                for &d in dst.holders(dst.rows.class[i], dst_cc) {
-                    f(d, row, run);
-                }
-            }
+    let cuts = Cuts::new(src, piece, dst, filter);
+    for (rows, cols) in cuts.pairs() {
+        // A rank holds one piece, so each destination is filled here only.
+        let holders = dst.holders(rows[0].other, cols[0].other);
+        let count = if holders.is_empty() {
+            0
+        } else {
+            cuts.count(rows, cols)
+        };
+        if count == 0 {
+            continue;
         }
-    };
-    let mut counts = vec![0usize; out.len()];
-    for_each_run(&mut |d, _, run| counts[d] += run.len());
-    for (buf, &count) in out.iter_mut().zip(&counts) {
-        *buf = comm.take_buffer(count);
+        for &d in holders {
+            out[d] = comm.take_buffer(count);
+        }
+        cuts.for_each(rows, cols, |li, run, ts| {
+            for &d in holders {
+                run.gather(from.row(li), ts.clone(), &mut out[d]);
+            }
+        });
     }
-    for_each_run(&mut |d, row, run| out[d].extend(run.iter().map(|&lj| row[lj])));
     out
 }
 
@@ -360,31 +713,36 @@ fn unpack(
     filter: Filter,
     me: usize,
 ) -> Result<()> {
-    let mut cursor = vec![0usize; incoming.len()];
-    if let Some((rc, cc)) = dst.piece_of[me] {
-        // The walk of `pack`: ascending rows, cursors that only advance.
-        let mut groups = column_groups(&dst.cols, cc, &src.cols);
-        for i in dst.rows.members(rc) {
-            let row = into.row_mut(dst.rows.local[i]);
-            let range = filter.cols(i, dst.cols.len());
-            for (src_cc, group) in groups.iter_mut().enumerate() {
-                let run = group.within(&range);
-                let Some(s) = src.sender(src.rows.class[i], src_cc) else {
-                    continue;
-                };
-                let start = cursor[s];
-                cursor[s] += run.len();
-                let values = incoming[s]
-                    .get(start..cursor[s])
-                    .ok_or_else(|| layouts_disagree(s, incoming[s].len(), cursor[s]))?;
-                for (&lj, &v) in run.iter().zip(values) {
-                    row[lj] = v;
+    let cuts = dst
+        .piece_of(me)
+        .map(|piece| Cuts::new(dst, piece, src, filter));
+    if let Some(cuts) = &cuts {
+        for (rows, cols) in cuts.pairs() {
+            // A rank sends one piece, so each source is read here only.
+            let Some(s) = src.sender(rows[0].other, cols[0].other) else {
+                continue;
+            };
+            let values = &incoming[s];
+            let mut read = 0;
+            cuts.for_each(rows, cols, |li, run, ts| {
+                let at = read..read + ts.len();
+                read = at.end;
+                if let Some(values) = values.get(at) {
+                    run.scatter(into.row_mut(li), ts, values);
                 }
+            });
+            if read != values.len() {
+                return Err(layouts_disagree(s, values.len(), read));
             }
         }
     }
-    match (0..incoming.len()).find(|&s| cursor[s] != incoming[s].len()) {
-        Some(s) => Err(layouts_disagree(s, incoming[s].len(), cursor[s])),
+    // Every other rank must have sent nothing.
+    let read = |s: usize| {
+        let piece = src.sending_piece(s);
+        piece.is_some_and(|piece| cuts.as_ref().is_some_and(|cuts| cuts.meets(piece)))
+    };
+    match (0..incoming.len()).find(|&s| !incoming[s].is_empty() && !read(s)) {
+        Some(s) => Err(layouts_disagree(s, incoming[s].len(), 0)),
         None => Ok(()),
     }
 }
@@ -408,10 +766,10 @@ fn check_args(p: usize, src: &Layout, dst: &Layout, filter: Filter) -> Result<()
             reason: "diagonal blocks of size 0".into(),
         });
     }
-    if src.piece_of.len() != p || dst.piece_of.len() != p {
+    if src.ranks != p || dst.ranks != p {
         return Err(GridError::GridSizeMismatch {
             comm_size: p,
-            grid_size: src.piece_of.len().max(dst.piece_of.len()),
+            grid_size: src.ranks.max(dst.ranks),
         });
     }
     if (src.rows.len(), src.cols.len()) != (dst.rows.len(), dst.cols.len()) {
@@ -471,7 +829,7 @@ pub fn redistribute_into(
     if src.sending_piece(me).is_some() {
         check_local("source", from.dims(), src.local_dims(me))?;
     }
-    if dst.piece_of[me].is_some() {
+    if dst.piece_of(me).is_some() {
         check_local("destination", into.dims(), dst.local_dims(me))?;
     }
 
@@ -554,20 +912,137 @@ mod tests {
         assert!(out.results.into_iter().all(|d| d == 0.0));
     }
 
+    fn places(axis: Axis) -> Vec<(usize, usize)> {
+        (0..axis.len()).map(|g| axis.place(g)).collect()
+    }
+
+    fn extents(axis: Axis) -> Vec<usize> {
+        (0..axis.classes()).map(|c| axis.extent(c)).collect()
+    }
+
     #[test]
     fn axes_place_indices_and_size_their_classes() {
         let cyclic = Axis::cyclic(7, 3);
-        assert_eq!(cyclic.class, [0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(cyclic.local, [0, 0, 0, 1, 1, 1, 2]);
-        assert_eq!(cyclic.extent, [3, 2, 2]);
+        let expect = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2)];
+        assert_eq!(places(cyclic), expect);
+        assert_eq!(extents(cyclic), [3, 2, 2]);
         let slabs = Axis::slabs(6, 3);
-        assert_eq!(slabs.class, [0, 0, 1, 1, 2, 2]);
-        assert_eq!(slabs.local, [0, 1, 0, 1, 0, 1]);
+        assert_eq!(
+            places(slabs),
+            [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+        );
         // No indices, but still one (empty) class per part.
-        assert_eq!(Axis::slabs(0, 4).extent, [0; 4]);
-        assert_eq!(Axis::whole(3).local, [0, 1, 2]);
+        assert_eq!(extents(Axis::slabs(0, 4)), [0; 4]);
+        assert_eq!(places(Axis::whole(3)), [(0, 0), (0, 1), (0, 2)]);
         // More classes than indices: the tail classes are empty.
-        assert_eq!(Axis::cyclic(2, 4).extent, [1, 1, 0, 0]);
+        assert_eq!(extents(Axis::cyclic(2, 4)), [1, 1, 0, 0]);
+        // Reversed: index g sits where the forward cut puts len − 1 − g.
+        assert_eq!(
+            places(Axis::cyclic(5, 2).reversed()),
+            [(0, 2), (1, 1), (0, 1), (1, 0), (0, 0)]
+        );
+        // Blocks of 4 dealt over 2 classes, offsets over 2: the last block
+        // (index 8) is short, so class 1 ends a slot early.
+        let blocks = Axis::new(9, 4, 2, 2);
+        let expect = [
+            (0, 0),
+            (1, 0),
+            (0, 1),
+            (1, 1),
+            (2, 0),
+            (3, 0),
+            (2, 1),
+            (3, 1),
+            (0, 2),
+        ];
+        assert_eq!(places(blocks), expect);
+        assert_eq!(extents(blocks), [3, 2, 2, 2]);
+        // Stacked: every block of a class at the same local positions.
+        let stacked = Axis::new(10, 4, 1, 2).stacked();
+        assert_eq!(
+            places(stacked)[4..],
+            [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0), (1, 0)]
+        );
+        assert_eq!(extents(stacked), [2, 2]);
+        assert_eq!(extents(Axis::new(3, 4, 2, 2).stacked()), [2, 1, 0, 0]);
+    }
+
+    #[test]
+    fn members_ascend_with_their_places() {
+        let axes = [
+            Axis::cyclic(11, 3),
+            Axis::cyclic(11, 3).reversed(),
+            Axis::new(11, 4, 2, 2),
+            Axis::new(11, 4, 2, 2).reversed(),
+            Axis::new(11, 4, 2, 1).stacked(),
+            Axis::new(11, 6, 1, 3).stacked(),
+            Axis::slabs(12, 4),
+        ];
+        for axis in axes {
+            for class in 0..axis.classes() {
+                let expect: Vec<(usize, usize)> = (0..axis.len())
+                    .filter(|&g| axis.place(g).0 == class)
+                    .map(|g| (g, axis.place(g).1))
+                    .collect();
+                let got: Vec<(usize, usize)> = axis.members(class).collect();
+                assert_eq!(got, expect, "{axis:?}, class {class}");
+                let extent = expect.iter().map(|&(_, l)| l + 1).max().unwrap_or(0);
+                assert_eq!(axis.extent(class), extent, "{axis:?}, class {class}");
+            }
+        }
+    }
+
+    #[test]
+    fn runs_cover_a_class_in_order_and_clip_to_a_range() {
+        // Columns ≡ 1 (mod 3) of 20, grouped by their slab of 5.
+        let mut runs = Vec::new();
+        cut(&Axis::cyclic(20, 3), 1, &Axis::slabs(20, 4), &mut runs);
+        let cover: Vec<(usize, Vec<usize>)> = runs
+            .iter()
+            .map(|r| {
+                (
+                    r.other,
+                    (0..r.count).map(|t| r.first + r.step * t).collect(),
+                )
+            })
+            .collect();
+        let expect = [
+            (0, vec![1, 4]),
+            (1, vec![7]),
+            (2, vec![10, 13]),
+            (3, vec![16, 19]),
+        ];
+        assert_eq!(cover, expect);
+        // Local positions step with the cyclic cut: 10 is entry 3.
+        assert_eq!((runs[2].local, runs[2].local_step), (3, 1));
+        let run = runs[2];
+        assert_eq!(run.clip(&(0..20)), 0..2);
+        assert_eq!(run.clip(&(11..20)), 1..2);
+        assert!(run.clip(&(0..10)).is_empty());
+        assert!(run.clip(&(14..20)).is_empty());
+    }
+
+    #[test]
+    fn placements_compare_by_where_they_put_indices() {
+        let n = 9;
+        let one = [
+            Axis::cyclic(n, 1),
+            Axis::whole(n),
+            Axis::slabs(n, 1),
+            Axis::new(n, 3, 1, 1),
+        ];
+        for a in one {
+            for b in one {
+                assert!(a.same_placement(&b), "{a:?} vs {b:?}");
+            }
+        }
+        // Blocks of one stride class: cyclic over the block classes.
+        assert!(Axis::new(n, 2, 3, 2).same_placement(&Axis::cyclic(n, 6)));
+        assert!(!Axis::cyclic(n, 3).same_placement(&Axis::slabs(n, 3)));
+        assert!(!Axis::cyclic(n, 3).same_placement(&Axis::cyclic(n, 3).reversed()));
+        assert!(!Axis::cyclic(n, 3).same_placement(&Axis::cyclic(n, 4)));
+        // A single index reversed is itself.
+        assert!(Axis::cyclic(1, 3).same_placement(&Axis::cyclic(1, 3).reversed()));
     }
 
     #[test]
@@ -579,8 +1054,8 @@ mod tests {
         assert_eq!(Filter::DiagBlocksLower(4).cols(4, 8), 4..5);
         // A row past the last column keeps nothing of a block beyond it.
         assert!(Filter::DiagBlocksLower(4).cols(9, 8).is_empty());
-        // Neither end moves left as the row grows: the walk's cursors only
-        // advance.
+        // Neither end moves left as the row grows: the walk never returns
+        // to a column run it has left behind.
         for filter in [Filter::All, Filter::Lower, Filter::DiagBlocksLower(3)] {
             for i in 1..12 {
                 let (above, here) = (filter.cols(i - 1, 8), filter.cols(i, 8));
@@ -663,5 +1138,8 @@ mod tests {
         assert!(!replicated.same_placement(&replicated.clone()));
         let slabs = Layout::new(4, Axis::slabs(6, 2), Axis::whole(6), |x, _| vec![x]);
         assert!(!single.same_placement(&slabs));
+        // The same pieces, held by other ranks.
+        let moved = cyclic(|x, _| vec![x + 1]);
+        assert!(!single.same_placement(&moved));
     }
 }

@@ -1,9 +1,12 @@
-//! Property tests of the key-free redistribution: for random shapes, cuts,
-//! holders (rectangular grids, replicated destinations, source pieces nobody
-//! sends), filters and the non-injective stacked column cut of the diagonal
-//! blocks, every rank must end up with exactly what "gather to the global
-//! matrix, re-slice" gives — and the words put on the wire must be the values
-//! moved plus the documented per-block header.
+//! Property tests of the key-free redistribution: for random shapes, cuts
+//! (every closed form the library builds: cyclic, reversed, slabs, the
+//! inverter's round-robin block rows, the sub-grid blocks and the
+//! non-injective stacked block columns), holders (rectangular grids,
+//! replicated destinations, source pieces nobody sends) and filters, every
+//! rank must end up with exactly what "gather to the global matrix,
+//! re-slice" gives — and the words put on the wire must be the values moved
+//! plus the documented per-block header.  `Layout::same_placement` is held
+//! to a per-index comparison of the same cuts.
 
 use dense::Matrix;
 use pgrid::redist::{redistribute, redistribute_into, Axis, Filter, Layout};
@@ -33,7 +36,21 @@ impl Lcg {
 enum Cut {
     Cyclic(usize),
     ReversedCyclic(usize),
+    /// `c` slabs of `⌈len / c⌉`, the last one short (or empty).
     Slabs(usize),
+    /// Blocks of `block` dealt round-robin over `c` classes, each class's
+    /// blocks one after the other: the inverter's block rows.
+    RoundRobin {
+        c: usize,
+        block: usize,
+    },
+    /// `blocks` blocks of `⌈len / blocks⌉`, each cut cyclically over its own
+    /// `side` classes: the sub-grid route of the inverter (`side` need not
+    /// divide the block).
+    SubGrid {
+        blocks: usize,
+        side: usize,
+    },
     /// Column `g` of its diagonal block of size `block` in class `g mod c`,
     /// at `(g mod block) / c` (`c` divides `block`): the stacked layout of
     /// the diagonal inverter.  Not injective, so only a column cut under
@@ -42,30 +59,52 @@ enum Cut {
         c: usize,
         block: usize,
     },
+    /// Blocks of `block` dealt round-robin over `c` classes, every block of
+    /// a class at the same local positions: the inverter's block columns.
+    /// Not injective either.
+    RoundRobinStacked {
+        c: usize,
+        block: usize,
+    },
 }
 
 impl Cut {
-    /// Up to 8 classes; `stack` names the diagonal block size a column cut
+    /// Up to 12 classes; `stack` names the diagonal block size a column cut
     /// may be stacked by.
     fn random(rng: &mut Lcg, stack: Option<usize>) -> Cut {
         let classes = 1 + rng.below(8);
-        match (rng.below(4), stack) {
+        match (rng.below(6), stack) {
             (0, _) => Cut::Cyclic(classes),
             (1, _) => Cut::ReversedCyclic(classes),
-            (2, Some(block)) => {
+            (2, Some(block)) if rng.below(2) == 0 => {
                 let divisors: Vec<usize> = (1..=block.min(8))
                     .filter(|c| block.is_multiple_of(*c))
                     .collect();
                 let c = divisors[rng.below(divisors.len())];
                 Cut::Stacked { c, block }
             }
+            (2, Some(block)) => Cut::RoundRobinStacked { c: classes, block },
+            (3, _) => Cut::RoundRobin {
+                c: classes,
+                block: 1 + rng.below(5),
+            },
+            (4, _) => Cut::SubGrid {
+                blocks: 1 + rng.below(4),
+                side: 1 + rng.below(3),
+            },
             _ => Cut::Slabs(classes),
         }
     }
 
     fn classes(self) -> usize {
         match self {
-            Cut::Cyclic(c) | Cut::ReversedCyclic(c) | Cut::Slabs(c) | Cut::Stacked { c, .. } => c,
+            Cut::Cyclic(c)
+            | Cut::ReversedCyclic(c)
+            | Cut::Slabs(c)
+            | Cut::RoundRobin { c, .. }
+            | Cut::Stacked { c, .. }
+            | Cut::RoundRobinStacked { c, .. } => c,
+            Cut::SubGrid { blocks, side } => blocks * side,
         }
     }
 
@@ -78,12 +117,33 @@ impl Cut {
                 let width = len.div_ceil(c).max(1);
                 (g / width, g % width)
             }
+            Cut::RoundRobin { c, block } => {
+                let b = g / block;
+                (b % c, b / c * block + g % block)
+            }
+            Cut::SubGrid { blocks, side } => {
+                let block = len.div_ceil(blocks).max(1);
+                let (b, o) = (g / block, g % block);
+                (b * side + o % side, o / side)
+            }
             Cut::Stacked { c, block } => (g % c, (g % block) / c),
+            Cut::RoundRobinStacked { c, block } => (g / block % c, g % block),
         }
     }
 
+    /// The same cut through the library's constructors.
     fn axis(self, len: usize) -> Axis {
-        Axis::from_fn(len, self.classes(), |g| self.place(len, g))
+        match self {
+            Cut::Cyclic(c) => Axis::cyclic(len, c),
+            Cut::ReversedCyclic(c) => Axis::cyclic(len, c).reversed(),
+            Cut::Slabs(c) => Axis::new(len, len.div_ceil(c).max(1), c, 1),
+            Cut::RoundRobin { c, block } => Axis::new(len, block, c, 1),
+            Cut::SubGrid { blocks, side } => {
+                Axis::new(len, len.div_ceil(blocks).max(1), blocks, side)
+            }
+            Cut::Stacked { c, block } => Axis::new(len, block, 1, c).stacked(),
+            Cut::RoundRobinStacked { c, block } => Axis::new(len, block, c, 1).stacked(),
+        }
     }
 }
 
@@ -421,4 +481,77 @@ fn provably_identical_placement_is_seen_by_every_rank_and_sends_nothing() {
     let other = run((2, 8));
     assert!(other.results.iter().all(|(verdict, _)| !verdict));
     assert!(other.report.total_words() > 0);
+}
+
+/// `Layout::same_placement` is the per-index comparison: for every pair of
+/// cuts on small shapes, two layouts are one placement exactly when the cuts
+/// have as many classes and put every index in the same class at the same
+/// local position — `cyclic(n, 1)`, `whole(n)` and `slabs(n, 1)` among them,
+/// whichever constructor built the axis — and the pieces have the same
+/// single holders, as on It-Inv's face route.
+#[test]
+fn same_placement_is_the_per_index_comparison() {
+    for len in 0..=12usize {
+        let mut cuts = vec![(Axis::whole(len), Cut::Cyclic(1))];
+        for parts in (1..=4).filter(|&parts| len.is_multiple_of(parts)) {
+            cuts.push((Axis::slabs(len, parts), Cut::Slabs(parts)));
+        }
+        for c in 1..=4 {
+            cuts.extend(
+                [Cut::Cyclic(c), Cut::ReversedCyclic(c), Cut::Slabs(c)]
+                    .map(|cut| (cut.axis(len), cut)),
+            );
+            for block in 1..=4 {
+                let mut more = vec![
+                    Cut::RoundRobin { c, block },
+                    Cut::RoundRobinStacked { c, block },
+                    Cut::SubGrid {
+                        blocks: c,
+                        side: block,
+                    },
+                ];
+                if block.is_multiple_of(c) {
+                    more.push(Cut::Stacked { c, block });
+                }
+                cuts.extend(more.into_iter().map(|cut| (cut.axis(len), cut)));
+            }
+        }
+        for (a, cut_a) in &cuts {
+            assert_eq!(a.classes(), cut_a.classes(), "{cut_a:?}");
+            for (b, cut_b) in &cuts {
+                let per_index = cut_a.classes() == cut_b.classes()
+                    && (0..len).all(|g| cut_a.place(len, g) == cut_b.place(len, g));
+                let ranks = cut_a.classes().max(cut_b.classes());
+                let as_rows =
+                    |axis: Axis| Layout::new(ranks, axis, Axis::whole(3), |rc, _| Some(rc));
+                let as_cols =
+                    |axis: Axis| Layout::new(ranks, Axis::whole(3), axis, |_, cc| Some(cc));
+                let what = format!("{cut_a:?} vs {cut_b:?} over {len}");
+                assert_eq!(
+                    as_rows(*a).same_placement(&as_rows(*b)),
+                    per_index,
+                    "rows: {what}"
+                );
+                assert_eq!(
+                    as_cols(*a).same_placement(&as_cols(*b)),
+                    per_index,
+                    "columns: {what}"
+                );
+            }
+        }
+    }
+    // It-Inv's face route: the caller's q × q cyclic layout against the face
+    // of a q × q × p2 grid, whose rank (x, y, 0) is (x·q + y)·p2 — the same
+    // holders, so the same placement, only at p2 = 1.
+    let (q, n) = (3, 7);
+    for p2 in 1..=3 {
+        let p = q * q * p2;
+        let caller = Layout::new(p, Axis::cyclic(n, q), Axis::cyclic(n, q), |x, y| {
+            Some(x * q + y)
+        });
+        let face = Layout::new(p, Axis::cyclic(n, q), Axis::cyclic(n, q), |x, y| {
+            Some((x * q + y) * p2)
+        });
+        assert_eq!(caller.same_placement(&face), p2 == 1, "p2 = {p2}");
+    }
 }

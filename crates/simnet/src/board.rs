@@ -59,6 +59,23 @@ pub(crate) struct Closed {
     pool: Arc<BufferPool>,
 }
 
+impl Closed {
+    /// The call closed over `deposits`, with the message sizes and the
+    /// shared result of `closing` (its columns stay with the caller).
+    pub(crate) fn new(
+        deposits: Vec<Deposit>,
+        closing: &mut Closing,
+        pool: Arc<BufferPool>,
+    ) -> Closed {
+        Closed {
+            deposits,
+            words: std::mem::take(&mut closing.words),
+            shared: std::mem::take(&mut closing.shared),
+            pool,
+        }
+    }
+}
+
 impl Drop for Closed {
     fn drop(&mut self) {
         let shared = std::mem::take(&mut self.shared);
@@ -148,15 +165,10 @@ impl Board {
         &self,
         key: (u64, u64),
         deposits: Vec<Deposit>,
-        closing: Closing,
+        mut closing: Closing,
         pool: Arc<BufferPool>,
     ) {
-        let closed = Arc::new(Closed {
-            deposits,
-            words: closing.words,
-            shared: closing.shared,
-            pool,
-        });
+        let closed = Arc::new(Closed::new(deposits, &mut closing, pool));
         let mut slots = self.slots();
         let slot = slots.get_mut(&key).expect("a call is closed once");
         slot.closed = Some(closed);

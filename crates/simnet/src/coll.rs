@@ -44,7 +44,9 @@
 //!    the others copy it.
 //!
 //! A member parks at most once per call, where the messages parked it up to
-//! once per round.  Every argument is checked on the closed board, so a
+//! once per round; a member alone in its communicator never parks nor
+//! touches the board, and its schedule, with no rounds, charges nothing.
+//! Every argument is checked on the closed board, so a
 //! call that one member gets wrong fails with the same error on every
 //! member instead of leaving the others waiting.  A member that fails
 //! before it deposits — a crash or an exhausted retry budget among its
@@ -621,8 +623,12 @@ impl Call {
     }
 
     /// Charge this member the rounds of `phases`, replayed over every
-    /// member's deposit.
+    /// member's deposit.  A schedule without rounds (every schedule on one
+    /// member) charges nothing and leaves the clock where it was.
     fn charge(&self, comm: &Communicator, phases: &[Phase]) {
+        if phases.iter().all(|phase| phase.rounds(comm.size()) == 0) {
+            return;
+        }
         let charges = replay(
             phases,
             &self.closed,
@@ -1464,6 +1470,58 @@ mod tests {
                 assert!(total > 0, "one worker and no rank ever parked");
             }
         }
+    }
+
+    #[test]
+    fn every_collective_on_one_member_returns_its_input_and_charges_nothing() {
+        let (results, report) = run(3, |comm| {
+            let solo = comm.subgroup(&[comm.rank()]).unwrap();
+            // Something to charge first, so "nothing" is not the zero clock.
+            comm.charge_flops(1000);
+            let before = comm.counters();
+            let mine = [comm.rank() as f64, 2.5, -1.0];
+            let sum = ReduceOp::Sum;
+            barrier(&solo).unwrap();
+            let got = [
+                allgather(&solo, &mine).unwrap(),
+                allgatherv(&solo, &mine).unwrap().concat(),
+                gather(&solo, 0, &mine).unwrap().unwrap(),
+                scatter(&solo, 0, &mine, 3).unwrap(),
+                reduce_scatter(&solo, &mine, sum).unwrap(),
+                reduce(&solo, 0, &mine, ReduceOp::Max).unwrap().unwrap(),
+                allreduce(&solo, &mine, sum).unwrap(),
+                bcast(&solo, 0, &mine, 3).unwrap(),
+                alltoall(&solo, &mine, 3).unwrap(),
+                alltoallv_direct(&solo, vec![mine.to_vec()])
+                    .unwrap()
+                    .concat(),
+                alltoallv_bruck(&solo, vec![mine.to_vec()])
+                    .unwrap()
+                    .concat(),
+            ];
+            let charged = comm.counters() != before;
+            // Bad arguments are still the typed errors.
+            let errors = [
+                gather(&solo, 1, &mine).err(),
+                bcast(&solo, 0, &mine[..2], 3).err(),
+            ];
+            (got, mine, charged, errors)
+        });
+        for (got, mine, charged, errors) in results {
+            for result in got {
+                assert_eq!(result, mine);
+            }
+            assert!(
+                !charged,
+                "a one-member call moved the counters or the clock"
+            );
+            let expected = [
+                Some(SimError::InvalidRank { rank: 1, size: 1 }),
+                bad_args("bcast", "root buffer has 2 words, expected 3"),
+            ];
+            assert_eq!(errors, expected);
+        }
+        assert_eq!((report.total_messages(), report.total_words()), (0, 0));
     }
 
     #[test]

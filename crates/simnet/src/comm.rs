@@ -422,7 +422,9 @@ impl Communicator {
     /// closes the call — `close` tabulates what the call needs from all the
     /// deposits — and wakes every other member with one uncharged envelope;
     /// otherwise it waits for its wake in [`Endpoint::wait_for`].  It then
-    /// collects the closed call and its column of blocks.
+    /// collects the closed call and its column of blocks.  A member alone in
+    /// its communicator meets nobody: it closes the call where it deposits,
+    /// off the board.
     ///
     /// A member whose draws hold a permanent fault never deposits: it
     /// charges the failed send as a point-to-point send would, fails and
@@ -459,6 +461,13 @@ impl Communicator {
             deposit.clock = ep.counters.time;
             Arc::clone(&ep.board)
         };
+        if p == 1 {
+            let mut deposits = vec![deposit];
+            let mut closing = close(&mut deposits);
+            let column = closing.columns.pop().unwrap_or_default();
+            let pool = Arc::clone(&self.endpoint.borrow().pool);
+            return Ok((Arc::new(Closed::new(deposits, &mut closing, pool)), column));
+        }
         match board.deposit(key, p, me, deposit) {
             Some(mut deposits) => {
                 let closing = close(&mut deposits);

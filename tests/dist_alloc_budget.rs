@@ -7,11 +7,14 @@
 //! simulated network moved: a transient buffer is recycled, not allocated
 //! and faulted in again.
 //!
-//! A memory leg follows: the benchmark's `dist_few_rhs` op (n = 1024,
+//! A few-RHS leg follows: the benchmark's `dist_few_rhs` op (n = 1024,
 //! k = 16, It-Inv on a 4×4×1 grid, sixteen 64×64 diagonal blocks), once
-//! warm, leaves the pool retaining fewer than `2·n²` words — the operand's
-//! pieces and the solve's small buffers, but no second copy of `L` for the
-//! diagonal inverter to write its inverses into.
+//! warm, makes at most [`FEW_RHS_ALLOCS`] allocations — layouts are closed
+//! forms, redistributions copy runs, and a collective on a one-member
+//! communicator never meets on the board — and leaves the pool retaining
+//! fewer than `2·n²` words: the operand's pieces and the solve's small
+//! buffers, but no second copy of `L` for the diagonal inverter to write
+//! its inverses into.
 //!
 //! This file is its own test binary with a single test because the counting
 //! allocator is process-wide and ranks are threads: any other test running
@@ -63,6 +66,10 @@ static GLOBAL: Counting = Counting;
 const N: usize = 192;
 const RANKS: usize = 16;
 const GRID: usize = 4;
+
+/// Allocations a warm `dist_few_rhs` op may make, over all 16 ranks and the
+/// machine run around them.
+const FEW_RHS_ALLOCS: u64 = 4_000;
 
 /// What one op hands back: every rank's grid coordinates and block of `X`.
 type RankBlocks = simnet::RunOutput<((usize, usize), Matrix)>;
@@ -136,13 +143,14 @@ fn a_warm_dist_cube_op_allocates_at_most_twice_the_bytes_it_moves() {
         "a warm op allocated {bytes} bytes, more than twice the {moved} bytes it moved"
     );
 
-    // The memory leg runs here, after the budget and never beside it: the
+    // The few-RHS leg runs here, after the budget and never beside it: the
     // counting allocator sees every thread of the process.
-    a_warm_few_rhs_pool_holds_no_second_copy_of_l();
+    a_warm_few_rhs_op_allocates_little_and_holds_no_second_copy_of_l();
 }
 
-/// A warm `dist_few_rhs` op leaves fewer than `2·n²` words in the pool.
-fn a_warm_few_rhs_pool_holds_no_second_copy_of_l() {
+/// A warm `dist_few_rhs` op makes at most [`FEW_RHS_ALLOCS`] allocations and
+/// leaves fewer than `2·n²` words in the pool.
+fn a_warm_few_rhs_op_allocates_little_and_holds_no_second_copy_of_l() {
     let (n, k) = (1024, 16);
     assert_eq!(it_inv_grid(n, k), (GRID, 1), "the dist_few_rhs grid shape");
     let l = gen::well_conditioned_lower(n, 3);
@@ -150,12 +158,16 @@ fn a_warm_few_rhs_pool_holds_no_second_copy_of_l() {
     let b = dense::matmul(&l, &x_true);
     let machine = Machine::new(RANKS, MachineParams::supercomputer()).with_rank_workers(1);
     op(&machine, &l, &b);
-    let (out, _, _) = op(&machine, &l, &b);
+    let (out, allocs, _) = op(&machine, &l, &b);
     assert_solved(&out, &x_true);
     let retained = machine.pool_stats().retained_words;
     println!(
-        "warm few-RHS op: pool retains {retained} words ({:.2}·n²)",
+        "warm few-RHS op: {allocs} allocations; pool retains {retained} words ({:.2}·n²)",
         retained as f64 / (n * n) as f64
+    );
+    assert!(
+        allocs <= FEW_RHS_ALLOCS,
+        "a warm few-RHS op made {allocs} allocations, more than {FEW_RHS_ALLOCS}"
     );
     assert!(
         retained < 2 * n * n,
