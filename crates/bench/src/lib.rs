@@ -42,7 +42,7 @@ use std::path::PathBuf;
 pub type Entry = (&'static str, fn() -> String);
 
 /// Every entry of the registry.
-pub const ENTRIES: [Entry; 15] = [
+pub const ENTRIES: [Entry; 16] = [
     ("collectives", || tables::collectives().csv()),
     ("mm_table", || tables::mm_table().csv()),
     ("rec_trsm", || tables::rec_trsm().csv()),
@@ -59,6 +59,7 @@ pub const ENTRIES: [Entry; 15] = [
     ("figure1_moves", || tables::figure1_moves().csv()),
     ("ablation_n0", || tables::ablation_n0().csv()),
     ("ablation_grid", || tables::ablation_grid().csv()),
+    ("op_costs", || tables::op_costs().csv()),
     ("determinism", || checksums(dense::dense_threads())),
 ];
 

@@ -7,7 +7,7 @@
 use crate::{measure, run, swf, window, Measured, Table, TrsmInstance};
 use catrsm::{planner, Algorithm, ItInvConfig, SolveRequest};
 use costmodel::{collectives as model, inversion as inv_model, Cost, CostModelRev, Regime};
-use dense::gen;
+use dense::{gen, Transpose, Triangle};
 use pgrid::DistMatrix;
 use simnet::coll::{self, ReduceOp::Sum};
 use simnet::{Communicator, CostReport, Machine, MachineParams};
@@ -617,6 +617,81 @@ pub fn ablation_grid() -> Table {
     for (q, n) in [(2usize, 256usize), (4, 256), (4, 512)] {
         let (s, w, _) = swf(&inversion_run(q, n, 64));
         table.row(&[&"simulated", &(q * q), &n, &s, &w]);
+    }
+    table
+}
+
+/// O1 — what `op(A)` costs: one solve of each triangle and transpose by
+/// each algorithm, `n = 128`, `k = 32` on a `4 × 4` grid of the `cluster`
+/// machine, each on a fresh operand.  `setup` and `finalize` are
+/// `It-Inv-TRSM`'s two layout-change phases (empty for the baselines).
+/// The paper solves every system as a lower one — `U` is `J·L·J` and `Lᵀ`
+/// swaps the index axes — so an upper or transposed solve should cost what
+/// the lower one does, up to the algorithm's entry and exit layout changes.
+pub fn op_costs() -> Table {
+    let mut table = Table::new("algorithm,op,S,W,F,setup_S,setup_W,finalize_S,finalize_W");
+    let (n, k) = (128, 32);
+    let algorithms = [
+        ("itinv planned", None),
+        (
+            "recursive base 16",
+            Some(Algorithm::Recursive { base_size: 16 }),
+        ),
+        ("wavefront", Some(Algorithm::Wavefront)),
+    ];
+    let ops = [
+        ("lower", SolveRequest::lower()),
+        ("upper", SolveRequest::upper()),
+        ("lower_t", SolveRequest::lower().transposed()),
+        ("upper_t", SolveRequest::upper().transposed()),
+    ];
+    for (name, algorithm) in algorithms {
+        for (op, request) in ops {
+            let request = request.algorithm(algorithm);
+            let opts = request.opts();
+            let m = measure(4, 4, MachineParams::cluster(), |grid| {
+                let a = match opts.triangle {
+                    Triangle::Lower => gen::well_conditioned_lower(n, 13),
+                    Triangle::Upper => gen::well_conditioned_upper(n, 13),
+                };
+                let x_true = gen::rhs(n, k, 14);
+                let b = match opts.transpose {
+                    Transpose::No => dense::matmul(&a, &x_true),
+                    Transpose::Yes => dense::matmul(&a.transpose(), &x_true),
+                };
+                let (a, b) = (
+                    DistMatrix::from_global(grid, &a),
+                    DistMatrix::from_global(grid, &b),
+                );
+                let (sol, counters) = window(grid, || request.solve_distributed(&a, &b).unwrap());
+                let x_ref = DistMatrix::from_global(grid, &x_true);
+                Measured {
+                    counters,
+                    phases: sol.report.phases,
+                    error: sol.x.rel_diff(&x_ref).unwrap(),
+                }
+            });
+            let (s, w, f) = swf(&m.report);
+            // Setup and finalize: the first and the last phase.
+            let [setup_s, setup_w, finalize_s, finalize_w] = match &m.phases {
+                Some(phases) => {
+                    let ((ss, sw, _), (fs, fw, _)) = (swf(&phases[0].1), swf(&phases[4].1));
+                    [ss, sw, fs, fw].map(|v| v.to_string())
+                }
+                None => Default::default(),
+            };
+            table.row(&[
+                &name,
+                &op,
+                &s,
+                &w,
+                &f,
+                &setup_s,
+                &setup_w,
+                &finalize_s,
+                &finalize_w,
+            ]);
+        }
     }
     table
 }

@@ -77,6 +77,7 @@ tables!(
     figure1_moves,
     ablation_n0,
     ablation_grid,
+    op_costs,
 );
 
 #[test]
