@@ -112,7 +112,7 @@ fn rows(budget: usize) -> String {
 
     // Distributed solves on 16 ranks: every algorithm (and with it every
     // layout change — face / slab routing, diagonal-block gathers, 3D-MM
-    // transposes, column and row fan-outs), then the op(A) permutations.
+    // transposes, column and row fan-outs), then op(A) as relabellings.
     let it_inv = |p1, p2, n0| {
         Algorithm::IterativeInversion(ItInvConfig {
             p1,

@@ -1,19 +1,14 @@
-//! The distributed algorithm selector and the layout permutations the staged
-//! executor of [`crate::solve`] is built on.
+//! The distributed algorithm selector.
 //!
-//! An upper-triangular solve reduces to a lower one through the reversal
-//! permutation `J` (reversing row and column order): `J·U·J` is lower
-//! triangular, so `U·X = B ⟺ (J·U·J)·(J·X) = J·B`.  The permutations
-//! ([`reverse_rows`], [`reverse_both`]) and the transpose a transposed
-//! request reads (`DistMatrix::try_transposed`) are plain all-to-all
-//! remappings of the values, so the asymptotic costs are those of the
-//! underlying lower solve.
+//! Every algorithm solves a lower-triangular system.  An upper one reduces
+//! to it through the reversal permutation `J` (reversing row and column
+//! order): `J·U·J` is lower triangular, so `U·X = B ⟺ (J·U·J)·(J·X) = J·B`,
+//! and a transposed one swaps the index axes.  Both are relabellings of the
+//! stored layout (`DistMatrix::reversed`, `DistMatrix::transpose`) that move
+//! no word, so the costs are those of the underlying lower solve.
 
 use crate::it_inv_trsm::ItInvConfig;
-use crate::Result;
 use costmodel::{Cost, CostModelRev};
-use pgrid::redist::{Axis, Filter, Layout};
-use pgrid::DistMatrix;
 
 /// Which distributed TRSM algorithm to run — the one algorithm enum of the
 /// workspace: a request pins one, a plan records the one it resolved, the
@@ -64,46 +59,12 @@ impl Algorithm {
     }
 }
 
-/// Reverse the row order of a distributed matrix (the permutation `J·A`).
-pub fn reverse_rows(a: &DistMatrix) -> Result<DistMatrix> {
-    permute(a, true, false)
-}
-
-/// Reverse both the row and the column order of a distributed matrix
-/// (the permutation `J·A·J`).
-pub fn reverse_both(a: &DistMatrix) -> Result<DistMatrix> {
-    permute(a, true, true)
-}
-
-/// Move entry `(i, j)` to where the cyclic layout stores `(i', j')`, with
-/// `i' = rows − 1 − i` if `flip_rows` (else `i`) and likewise for columns.
-fn permute(a: &DistMatrix, flip_rows: bool, flip_cols: bool) -> Result<DistMatrix> {
-    let grid = a.grid();
-    let (rows, cols) = a.dims();
-    let axis = |len: usize, procs: usize, flip: bool| {
-        let cyclic = Axis::cyclic(len, procs);
-        if flip {
-            cyclic.reversed()
-        } else {
-            cyclic
-        }
-    };
-    let permuted = Layout::new(
-        grid.size(),
-        axis(rows, grid.rows(), flip_rows),
-        axis(cols, grid.cols(), flip_cols),
-        |x, y| Some(grid.rank_of(x, y)),
-    );
-    let local = a.redistribute_to(&permuted, Filter::All)?;
-    Ok(DistMatrix::from_local(grid, rows, cols, local)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solve::SolveRequest;
     use dense::gen;
-    use pgrid::Grid2D;
+    use pgrid::{DistMatrix, Grid2D};
     use simnet::{Machine, MachineParams};
 
     /// The iterative configuration these tests pin.
@@ -170,9 +131,9 @@ mod tests {
             .run(|comm| {
                 let grid = Grid2D::new(comm, 2, 2).unwrap();
                 let a = DistMatrix::from_fn(&grid, 10, 6, |i, j| (i * 6 + j) as f64);
-                let rr = reverse_rows(&reverse_rows(&a).unwrap()).unwrap();
-                let rb = reverse_both(&reverse_both(&a).unwrap()).unwrap();
-                let first = reverse_rows(&a).unwrap().to_global()[(0, 0)];
+                let rr = a.clone().reversed_rows().reversed_rows();
+                let rb = a.clone().reversed().reversed();
+                let first = a.clone().reversed_rows().to_global()[(0, 0)];
                 (rr.rel_diff(&a).unwrap(), rb.rel_diff(&a).unwrap(), first)
             })
             .unwrap();

@@ -111,8 +111,8 @@ pub fn cholesky_solve(a: &DistMatrix, b: &DistMatrix, cfg: &FactorConfig) -> Res
     let req = SolveRequest::lower().algorithm(cfg.trsm);
     let y = req.solve_distributed(&l, b)?.x;
     // Backward solve Lᵀ·X = Y straight off the stored factor: the staged
-    // API's transposed request performs the one transpose redistribution
-    // internally.
+    // API's transposed request relabels L (its local pieces transposed, no
+    // word moved), and the algorithm pays only its entry layout change.
     Ok(req.transposed().solve_distributed(&l, &y)?.x)
 }
 

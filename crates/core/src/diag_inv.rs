@@ -36,7 +36,7 @@
 use crate::error::config_error;
 use crate::tri_inv::tri_inv;
 use crate::Result;
-use dense::{Matrix, Triangle};
+use dense::{Diag, Matrix, Triangle};
 use pgrid::redist::{redistribute, Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
 
@@ -64,14 +64,15 @@ pub fn stacked_layout(grid: &Grid2D, n: usize, n0: usize) -> Layout {
     )
 }
 
-/// Invert the diagonal blocks of a lower-triangular matrix distributed
-/// cyclically over a square `q × q` grid.  Returns this rank's piece of the
+/// Invert the diagonal blocks of a lower-triangular matrix distributed over
+/// a square `q × q` grid, in any layout.  Returns this rank's piece of the
 /// inverses under [`stacked_layout`]`(grid, n, n0)`, zero above each block's
-/// diagonal; `L` itself is read, never copied.  `n0` must divide the matrix
-/// dimension and be a multiple of `q`; `inv_base` is the base-case size
-/// handed to the distributed triangular inversion used when several ranks
-/// share one diagonal block (local inversions recurse to `dense`'s own
-/// cut-off, so their flop accounting is independent of the configuration).
+/// diagonal; `L` itself is read, never copied, and the blocks' copies read
+/// its diagonal kind.  `n0` must divide the matrix dimension and be a
+/// multiple of `q`; `inv_base` is the base-case size handed to the
+/// distributed triangular inversion used when several ranks share one
+/// diagonal block (local inversions recurse to `dense`'s own cut-off, so
+/// their flop accounting is independent of the configuration).
 pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<Matrix> {
     let grid = l.grid();
     let q = grid.rows();
@@ -97,6 +98,7 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<M
     }
 
     let comm = grid.comm();
+    let unit = l.diag() == Diag::Unit;
     let p_face = q * q;
     let nblocks = n / n0;
     let stacked = stacked_layout(grid, n, n0);
@@ -118,6 +120,9 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<M
 
         // Invert the blocks this rank owns, where they lie.
         for t in 0..mine.rows() / n0 {
+            if unit {
+                (0..n0).for_each(|o| mine[(t * n0 + o, o)] = 1.0);
+            }
             let flops =
                 dense::tri_invert_in_place(Triangle::Lower, &mut mine.view_mut(t * n0, 0, n0, n0))?;
             comm.charge_flops(flops.get());
@@ -163,6 +168,9 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<M
             let sub_grid = Grid2D::new(sub, side, side)?;
             let mut block = DistMatrix::from_local(&sub_grid, n0, n0, received)?;
             Some(if side == 1 {
+                if unit {
+                    (0..n0).for_each(|o| block.local_mut()[(o, o)] = 1.0);
+                }
                 let flops = dense::tri_invert_in_place(
                     Triangle::Lower,
                     &mut block.local_mut().as_view_mut(),
@@ -170,7 +178,7 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<M
                 comm.charge_flops(flops.get());
                 block
             } else {
-                tri_inv(&block, inv_base)?
+                tri_inv(&block.with_diag(l.diag()), inv_base)?
             })
         }
         Err(_) => None,

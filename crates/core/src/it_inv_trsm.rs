@@ -154,7 +154,7 @@ pub struct PhaseBreakdown<T = CostCounters> {
     /// Update steps: panel broadcasts, multiplications, lazy reductions
     /// (Section VII-C).
     pub update: T,
-    /// Final redistribution of `X` back to the caller's layout.
+    /// Final redistribution of `X` into `B`'s layout.
     pub finalize: T,
 }
 
@@ -187,9 +187,11 @@ impl PhaseBreakdown {
 /// Solve `L·X = B` with the iterative inversion-based algorithm.
 ///
 /// `L` (`n×n` lower triangular) and `B` (`n×k`) must be distributed over the
-/// same 2D grid, whose communicator must have exactly `p1²·p2` ranks.  The
-/// solution is returned in the same layout as `B`, together with this rank's
-/// per-phase cost counters.
+/// same 2D grid, whose communicator must have exactly `p1²·p2` ranks, in any
+/// layouts: the setup phase moves them into the face and slab layouts, and
+/// the diagonal-block inverter reads `L`'s diagonal kind.  The solution is
+/// returned in `B`'s layout, together with this rank's per-phase cost
+/// counters.
 pub fn it_inv_trsm(
     l: &DistMatrix,
     b: &DistMatrix,
@@ -250,10 +252,10 @@ pub fn it_inv_trsm(
     };
 
     // Route L onto the face (only the lower triangle carries information).
-    // With p2 = 1 on a p1 × p1 caller grid the face *is* the caller's layout:
-    // nothing is sent or copied, and the inversion runs on `l` where it lies
-    // (its upper triangle is then the caller's, not zero; the inverter reads
-    // only the lower triangles of the diagonal blocks).
+    // With p2 = 1 and L cyclic on a p1 × p1 caller grid the face *is* L's
+    // layout: nothing is sent or copied, and the inversion runs on `l` where
+    // it lies (its upper triangle is then the caller's, not zero; the
+    // inverter reads only the lower triangles of the diagonal blocks).
     let face_layout = Layout::new(p, Axis::cyclic(n, p1), Axis::cyclic(n, p1), |fx, fy| {
         Some(grid3d.rank_of(fx, fy, 0))
     });
@@ -262,7 +264,10 @@ pub fn it_inv_trsm(
     } else {
         let local = l.redistribute_to(&face_layout, Filter::Lower)?;
         match &face_grid {
-            Some(fg) => Some(Cow::Owned(DistMatrix::from_local(fg, n, n, local)?)),
+            Some(fg) => {
+                let face = DistMatrix::from_local(fg, n, n, local)?;
+                Some(Cow::Owned(face.with_diag(l.diag())))
+            }
             None => None,
         }
     };
@@ -437,14 +442,14 @@ pub fn it_inv_trsm(
     drop(l_face);
 
     // ------------------------------------------------------------------
-    // Finalize: return X in the caller's layout.  x_result is replicated
-    // over the x axis; ranks with x = 0 contribute it.
+    // Finalize: return X in B's layout.  x_result is replicated over the x
+    // axis; ranks with x = 0 contribute it.
     // ------------------------------------------------------------------
     let x_layout = Layout::new(p, Axis::cyclic(n, p1), Axis::slabs(k, p2), |ry, rz| {
         Some(grid3d.rank_of(0, ry, rz))
     });
-    let x_out =
-        DistMatrix::redistributed_from(caller_grid, (n, k), &x_layout, &x_result, Filter::All)?;
+    let x_local = redistribute(comm, &x_layout, &x_result, b.layout(), Filter::All)?;
+    let x_out = DistMatrix::from_layout(caller_grid, b.layout().clone(), x_local)?;
     comm.give_buffer(x_result.into_vec());
     mark(comm, &mut breakdown.finalize);
 

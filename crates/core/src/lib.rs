@@ -18,7 +18,7 @@
 //! | VI   | iterative inversion-based TRSM (main contribution) | [`it_inv_trsm`] |
 //! | VIII | a-priori parameter / processor-grid selection ([`planner::plan`] → [`ItInvConfig`]) | [`planner`] |
 //! | —    | 2D wavefront TRSM (extra sanity baseline)        | [`wavefront`] |
-//! | IX   | the one algorithm vocabulary ([`Algorithm`]: name, predicted cost) and the layout permutations | [`api`] |
+//! | IX   | the one algorithm vocabulary ([`Algorithm`]: name, predicted cost) | [`api`] |
 //! | —    | the staged request → plan → solution API         | [`solve`] |
 //! | I    | applications: distributed Cholesky and LU solvers | [`apps`] |
 //!

@@ -29,7 +29,7 @@
 use crate::error::config_error;
 use crate::Result;
 use dense::{MatRef, Matrix};
-use pgrid::redist::{Axis, Filter, Layout};
+use pgrid::redist::{redistribute, Axis, Filter, Layout};
 use pgrid::{pooled_zeros, DistMatrix};
 use simnet::coll;
 use std::borrow::Cow;
@@ -75,10 +75,10 @@ pub fn mm3d(a: &DistMatrix, x: &DistMatrix, p1: usize) -> Result<DistMatrix> {
             ),
         ));
     }
-    if x.grid().rows() != q || x.grid().cols() != q {
+    if x.grid().rows() != q || x.grid().cols() != q || !a.is_cyclic() || !x.is_cyclic() {
         return Err(config_error(
             "mm3d",
-            "A and X must be distributed over the same grid",
+            "A and X must be distributed cyclically over the same grid",
         ));
     }
 
@@ -210,15 +210,11 @@ pub fn mm3d(a: &DistMatrix, x: &DistMatrix, p1: usize) -> Result<DistMatrix> {
     // ---- Step 6: transpose the result back to the cyclic layout of B. ----
     // My chunk holds B rows a = i + p1·(j + t·p1) for t in 0..contrib_rows
     // (or all of rows ≡ i when p1 = 1), columns of slab l.
-    let b = DistMatrix::redistributed_from(
-        grid,
-        (n, k),
-        &strided_layout(|low, high| (low, high)),
-        &my_chunk,
-        Filter::All,
-    )?;
+    let chunks = strided_layout(|low, high| (low, high));
+    let cyclic = Layout::cyclic(grid, n, k);
+    let b = redistribute(comm, &chunks, &my_chunk, &cyclic, Filter::All)?;
     comm.give_buffer(my_chunk.into_vec());
-    Ok(b)
+    Ok(DistMatrix::from_layout(grid, cyclic, b)?)
 }
 
 #[cfg(test)]

@@ -24,15 +24,18 @@ use crate::planner::choose_mm_p1;
 use crate::Result;
 use dense::Matrix;
 use pgrid::distmat::cyclic_local_count;
-use pgrid::redist::{Axis, Filter, Layout};
+use pgrid::redist::{redistribute, Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
 use simnet::coll;
+use std::borrow::Cow;
 
 /// Solve `L·X = B` with the recursive algorithm.  `L` (`n×n`, lower
-/// triangular) and `B` (`n×k`) must be distributed cyclically over the same
-/// `pr × pc` grid with `pr ≤ pc` and `pr | pc`.  At or below dimension
-/// `base_size` the base case (gather `L`, solve complete columns locally) is
-/// used.
+/// triangular) and `B` (`n×k`) must be distributed over the same `pr × pc`
+/// grid with `pr ≤ pc` and `pr | pc`.  The recursion runs in the grid's
+/// cyclic layout: an operand stored otherwise is moved into it first (of
+/// `L`, only the lower triangle), and `X` is returned in `B`'s layout.  At or
+/// below dimension `base_size` the base case (gather `L`, with ones on its
+/// diagonal under `Diag::Unit`, and solve complete columns locally) is used.
 pub fn rec_trsm(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
     let grid = l.grid();
     let (pr, pc) = (grid.rows(), grid.cols());
@@ -75,7 +78,12 @@ pub fn rec_trsm(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Dist
             format!("n = {n} must be divisible by pr = {pr} and pc = {pc}, and k = {k} by pc"),
         ));
     }
-    rec_trsm_inner(l, b, base_size)
+    let (l_cyclic, b_cyclic) = (l.cyclic(Filter::Lower)?, b.cyclic(Filter::All)?);
+    let x = rec_trsm_inner(&l_cyclic, &b_cyclic, base_size)?;
+    match b_cyclic {
+        Cow::Borrowed(_) => Ok(x),
+        Cow::Owned(_) => Ok(x.to_layout(b.layout(), Filter::All)?),
+    }
 }
 
 fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
@@ -124,7 +132,7 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Di
         let sub_comm = grid.comm().subgroup(&sub_members)?;
         let sub_grid = Grid2D::new(&sub_comm, pr, pr)?;
 
-        let l_sub = DistMatrix::from_local(&sub_grid, n, n, l_rep)?;
+        let l_sub = DistMatrix::from_local(&sub_grid, n, n, l_rep)?.with_diag(l.diag());
         // B's columns owned by this sub-grid form a k/q-column problem whose
         // local pieces coincide with the existing ones.
         let b_sub = DistMatrix::from_local(&sub_grid, n, k / q, b.local().clone())?;
@@ -147,13 +155,9 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Di
                 .charge_flops(dense::flops::trsm_flops(n, my_cols).get());
         }
         // Scatter the solution back to the cyclic layout.
-        return Ok(DistMatrix::redistributed_from(
-            grid,
-            (n, k),
-            &by_columns,
-            &b_cols,
-            Filter::All,
-        )?);
+        let cyclic = Layout::cyclic(grid, n, k);
+        let x = redistribute(grid.comm(), &by_columns, &b_cols, &cyclic, Filter::All)?;
+        return Ok(DistMatrix::from_layout(grid, cyclic, x)?);
     }
 
     // --- Recursive split of L on a square grid. ---------------------------

@@ -15,9 +15,10 @@ impl SolvePlan {
     /// inversion-based solve contributes one row per phase of
     /// [`crate::PhaseBreakdown`], with [`crate::ItInvConfig::phase_model`] on
     /// the predicted side (zero for the two layout changes, which the model
-    /// does not price); the permutations an upper-triangular or transposed
-    /// request wraps around the lower solve lie outside every phase and
-    /// outside the table.  Every other plan is one row.
+    /// does not price).  An upper-triangular or transposed request is a
+    /// relabelling of the lower solve that moves no word, so the phases
+    /// cover the whole solve for every triangle and transpose.  Every other
+    /// plan is one row.
     ///
     /// Distributed rows measure messages, words and flops from this rank's
     /// communication-counter delta, with the virtual-clock advance attached

@@ -2,15 +2,16 @@
 
 use super::plan::{PlanBackend, SolvePlan};
 use super::report::Solution;
-use crate::api::{reverse_both, reverse_rows, Algorithm};
+use crate::api::Algorithm;
 use crate::error::config_error;
 use crate::it_inv_trsm::{it_inv_trsm, PhaseBreakdown};
 use crate::rec_trsm::rec_trsm;
 use crate::verify;
 use crate::wavefront::wavefront_trsm;
 use crate::Result;
-use dense::{Diag, FlopCount, Transpose, Triangle};
+use dense::{FlopCount, Transpose, Triangle};
 use pgrid::DistMatrix;
+use std::borrow::Cow;
 
 impl SolvePlan {
     /// Execute this distributed plan on the simulated machine `l` and `b`
@@ -19,58 +20,51 @@ impl SolvePlan {
     /// The report carries this rank's communication-counter delta for the
     /// whole solve, the per-phase breakdown when the iterative
     /// inversion-based algorithm ran, and the measured flops — every
-    /// algorithm feeds the same report shape.
+    /// algorithm feeds the same report shape.  A plan runs only on the
+    /// operand shape, right-hand-side count and machine size it was planned
+    /// for.
     pub fn execute_distributed(
         &self,
         l: &DistMatrix,
         b: &DistMatrix,
     ) -> Result<Solution<DistMatrix>> {
-        let PlanBackend::Distributed { algorithm, .. } = &self.backend else {
+        let PlanBackend::Distributed { algorithm, p } = &self.backend else {
             return Err(config_error("plan", "not a distributed plan"));
         };
-        if l.rows() != self.n || l.cols() != self.n {
+        let comm = l.grid().comm();
+        let got = (l.rows(), l.cols(), b.cols(), comm.size());
+        if got != (self.n, self.n, self.k, *p) {
             return Err(config_error(
                 "plan",
                 format!(
-                    "planned for an {0}×{0} operand, got {1}×{2}",
-                    self.n,
-                    l.rows(),
-                    l.cols()
+                    "planned for an {0}×{0} operand, {1} right-hand sides and {2} ranks, \
+                     got {3}×{4}, {5} and {6}",
+                    self.n, self.k, p, got.0, got.1, got.2, got.3
                 ),
             ));
         }
-        let comm = l.grid().comm();
         let before = comm.counters();
         let span = obs::span_with("core", "execute", "n", self.n as u64);
 
-        // Apply op(A): the *cached* transpose if requested (one
-        // all-to-all on the first transposed solve of this matrix, reused
-        // by every subsequent one — so the Cholesky/LU apps' repeated
-        // backward substitutions redistribute once, not per solve), then
-        // the *cached* implicit-unit diagonal overlay if requested (a
-        // purely local copy, built once per matrix and invalidated with
-        // the transpose cache by mutators).
+        // Every algorithm solves a lower system, and op(A) is a relabelling
+        // of the stored data, not a move: `Aᵀ` swaps the layout's axes (the
+        // local piece is transposed in place of a message), and an upper
+        // `U·X = B` is solved as `(J·U·J)·(J·X) = J·B` by reversing them.
+        // The diagonal kind rides on the operand for the kernels that copy
+        // the diagonal.
         let opts = self.request.opts;
-        let op_a = match opts.transpose {
-            Transpose::No => l,
-            Transpose::Yes => l.try_transposed()?,
+        let upper = opts.op_triangle() == Triangle::Upper;
+        let lower_op = |a: DistMatrix| (if upper { a.reversed() } else { a }).with_diag(opts.diag);
+        let l_op = match opts.transpose {
+            Transpose::Yes => Cow::Owned(lower_op(l.transpose())),
+            Transpose::No if upper || l.diag() != opts.diag => Cow::Owned(lower_op(l.clone())),
+            Transpose::No => Cow::Borrowed(l),
         };
-        let solve_mat = match opts.diag {
-            Diag::NonUnit => op_a,
-            Diag::Unit => op_a.unit_diagonal(),
+        let b_op = match upper {
+            true => Cow::Owned(b.clone().reversed_rows()),
+            false => Cow::Borrowed(b),
         };
-
-        // Solve: effective-lower directly, effective-upper via the reversal
-        // permutation (J·U·J is lower triangular).
-        let (x, phases) = match opts.op_triangle() {
-            Triangle::Lower => run_lower(solve_mat, b, *algorithm)?,
-            Triangle::Upper => {
-                let l_rev = reverse_both(solve_mat)?;
-                let b_rev = reverse_rows(b)?;
-                let (x_rev, phases) = run_lower(&l_rev, &b_rev, *algorithm)?;
-                (reverse_rows(&x_rev)?, phases)
-            }
-        };
+        let (x, phases) = run_lower(&l_op, &b_op, *algorithm)?;
         drop(span);
         let delta = comm.counters().since(&before);
 
@@ -79,9 +73,13 @@ impl SolvePlan {
         report.phases = phases;
         if self.request.residual {
             // Residual verification communicates; it runs outside the
-            // measured window on the op-applied matrix.
-            report.residual = Some(verify::residual(solve_mat, &x, b)?);
+            // measured window on the lower system the algorithm solved.
+            report.residual = Some(verify::residual(&l_op, &x, &b_op)?);
         }
+        let x = match upper {
+            true => x.reversed_rows(),
+            false => x,
+        };
         Ok(Solution { x, report })
     }
 }

@@ -60,8 +60,8 @@ impl SolveRequest {
     /// Apply the operand transposed: solve `Aᵀ·X = B` (`X·Aᵀ = B` on the
     /// right).  No backend materializes the full transpose: dense kernels
     /// pack `NB`-wide panels, the sparse executor runs on the cached
-    /// O(nnz) [`SparseTri::transposed`], and the distributed path performs
-    /// one transpose redistribution (an all-to-all of the values).
+    /// O(nnz) [`SparseTri::transposed`], and the distributed path relabels
+    /// the operand's layout (`DistMatrix::transpose`), moving no word.
     pub fn transposed(mut self) -> SolveRequest {
         self.opts.transpose = Transpose::Yes;
         self

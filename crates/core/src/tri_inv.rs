@@ -26,14 +26,15 @@ use crate::mm3d::mm3d;
 use crate::planner::choose_mm_p1;
 use crate::Result;
 use dense::{Matrix, Triangle};
-use pgrid::redist::{Axis, Filter, Layout};
+use pgrid::redist::{redistribute, Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
 use simnet::Communicator;
 
 /// Invert a lower-triangular matrix distributed cyclically over a square
 /// processor grid.  Returns the inverse in the same distribution.  At or
-/// below dimension `base_size` the matrix is gathered and inverted
-/// redundantly by every processor of the (sub-)grid.
+/// below dimension `base_size` the matrix is gathered — with ones on its
+/// diagonal under `Diag::Unit` — and inverted redundantly by every processor
+/// of the (sub-)grid.
 pub fn tri_inv(l: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
     let grid = l.grid();
     if grid.rows() != grid.cols() {
@@ -116,7 +117,7 @@ fn tri_inv_inner(l: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
     // Each child inverts its block concurrently on its own grid.
     let invert_on = |sub: &Communicator, piece: Matrix| -> Result<Matrix> {
         let child_grid = Grid2D::new(sub, qh, qh)?;
-        let child_l = DistMatrix::from_local(&child_grid, h, h, piece)?;
+        let child_l = DistMatrix::from_local(&child_grid, h, h, piece)?.with_diag(l.diag());
         Ok(tri_inv_inner(&child_l, base_size)?.into_local())
     };
     let nothing = || Matrix::zeros(0, 0);
@@ -130,7 +131,9 @@ fn tri_inv_inner(l: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
 
     // Redistribute both inverted diagonal blocks back to the parent grid.
     let to_parent = |piece: &Matrix, child: &Layout| {
-        DistMatrix::redistributed_from(grid, (h, h), child, piece, Filter::Lower)
+        let parent = Layout::cyclic(grid, h, h);
+        let local = redistribute(comm, child, piece, &parent, Filter::Lower)?;
+        DistMatrix::from_layout(grid, parent, local)
     };
     let inv11 = to_parent(&piece_a, &on_a)?;
     let inv22 = to_parent(&piece_b, &on_b)?;

@@ -7,13 +7,26 @@
 
 use crate::mm3d::mm3d_auto;
 use crate::Result;
+use dense::Diag;
+use pgrid::redist::Filter;
 use pgrid::DistMatrix;
 use simnet::coll;
 
 /// Relative residual of a candidate solution `X` for `L·X = B`, identical on
-/// every rank.
+/// every rank.  Operands stored in any other layout than the cyclic one are
+/// moved into it first (of `L`, only the lower triangle), and a
+/// [`Diag::Unit`] `L` counts with ones on its diagonal.
 pub fn residual(l: &DistMatrix, x: &DistMatrix, b: &DistMatrix) -> Result<f64> {
-    let lx = mm3d_auto(l, x)?;
+    let mut l = l.cyclic(Filter::Lower)?;
+    if l.diag() == Diag::Unit {
+        let l = l.to_mut();
+        let diagonal: Vec<_> = l.layout().diagonal(l.grid().comm().rank()).collect();
+        for at in diagonal {
+            l.local_mut()[at] = 1.0;
+        }
+    }
+    let (x, b) = (x.cyclic(Filter::All)?, b.cyclic(Filter::All)?);
+    let lx = mm3d_auto(&l, &x)?;
     let comm = l.grid().comm();
     let mut diff_sq = 0.0;
     let mut b_sq = 0.0;

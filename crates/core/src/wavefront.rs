@@ -12,15 +12,17 @@
 
 use crate::error::config_error;
 use crate::Result;
-use pgrid::redist::{Axis, Filter, Layout};
+use dense::Diag;
+use pgrid::redist::{redistribute, Axis, Filter, Layout};
 use pgrid::DistMatrix;
 use simnet::coll;
 
 /// Solve `L·X = B` by row fan-out substitution.
 ///
 /// `L` (`n×n` lower triangular) and `B` (`n×k`) may be distributed over any
-/// 2D grid; they are redistributed internally to a 1D row-cyclic layout over
-/// all `p` processors and the solution is returned in the caller's layout.
+/// 2D grid in any layout; they are redistributed internally to a 1D
+/// row-cyclic layout over all `p` processors, and the solution is returned
+/// in `B`'s layout.  The pivots read `L`'s diagonal kind.
 pub fn wavefront_trsm(l: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
     let grid = l.grid();
     let comm = grid.comm();
@@ -54,7 +56,10 @@ pub fn wavefront_trsm(l: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
         let owner = i % p;
         let xi = if owner == me {
             let li = i / p;
-            let pivot = l_local[(li, i)];
+            let pivot = match l.diag() {
+                Diag::Unit => 1.0,
+                Diag::NonUnit => l_local[(li, i)],
+            };
             if pivot.abs() < 1e-300 {
                 return Err(dense::DenseError::SingularPivot {
                     index: i,
@@ -90,14 +95,9 @@ pub fn wavefront_trsm(l: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
         comm.charge_flops(2 * ((my_rows * k) as u64));
     }
 
-    // Return X in the caller's layout.
-    Ok(DistMatrix::redistributed_from(
-        grid,
-        (n, k),
-        &by_rows(k),
-        &b_local,
-        Filter::All,
-    )?)
+    // Return X in B's layout.
+    let x = redistribute(comm, &by_rows(k), &b_local, b.layout(), Filter::All)?;
+    Ok(DistMatrix::from_layout(grid, b.layout().clone(), x)?)
 }
 
 #[cfg(test)]

@@ -1,10 +1,20 @@
-//! Matrices distributed cyclically over a 2D processor grid.
+//! Matrices distributed over a 2D processor grid, each under its own
+//! [`Layout`].
 //!
 //! Processor `(x, y)` of a `pr × pc` grid owns the entries
-//! `A(x : pr : m, y : pc : n)` — the cyclic layout every algorithm in the
-//! paper starts from.  The local piece is stored densely as a
-//! [`dense::Matrix`]; global row `i` maps to local row `i / pr` on the owner
-//! row `i mod pr` (and likewise for columns).
+//! `A(x : pr : m, y : pc : n)` of the *cyclic* layout every algorithm in the
+//! paper starts from, and every constructor here builds that layout.  The
+//! local piece is stored densely as a [`dense::Matrix`]; global row `i` maps
+//! to local row `i / pr` on the owner row `i mod pr` (and likewise for
+//! columns).
+//!
+//! A `DistMatrix` is (grid, layout, local piece, diagonal kind), so the
+//! operations the paper treats as free are relabellings, not copies: `J·A`
+//! and `J·A·J` reverse the layout's axes ([`DistMatrix::reversed_rows`],
+//! [`DistMatrix::reversed`]), `Aᵀ` swaps them and transposes the local piece
+//! ([`DistMatrix::transpose`]), and a unit diagonal is a flag
+//! ([`DistMatrix::with_diag`]) that the kernels copying the diagonal read.
+//! None of them moves a word; [`DistMatrix::to_layout`] is the one move.
 //!
 //! Cyclic layouts have the property the recursive algorithms exploit: any
 //! aligned sub-range of global indices (offset and length divisible by the
@@ -21,10 +31,9 @@ use crate::error::GridError;
 use crate::grid::Grid2D;
 use crate::redist::{redistribute, Filter, Layout};
 use crate::Result;
-use dense::Matrix;
+use dense::{Diag, Matrix};
 use simnet::coll;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::borrow::Cow;
 
 /// Number of global indices owned by grid coordinate `coord` out of `procs`
 /// for a dimension of `global` indices distributed cyclically.
@@ -36,59 +45,16 @@ pub fn cyclic_local_count(global: usize, procs: usize, coord: usize) -> usize {
     }
 }
 
-/// A dense matrix distributed cyclically over a [`Grid2D`].
+/// A dense matrix distributed over a [`Grid2D`] under a [`Layout`].
 ///
 /// Dropping it gives its local storage back to the machine's buffer pool
 /// ([`simnet::Communicator::give_buffer`]).
+#[derive(Clone)]
 pub struct DistMatrix {
     grid: Grid2D,
-    rows: usize,
-    cols: usize,
+    layout: Layout,
     local: Matrix,
-    /// Lazily computed transposed copy (see [`DistMatrix::transposed`]):
-    /// built by one all-to-all of the values on first use and reused for the
-    /// lifetime of the matrix, so repeated `Aᵀ` applies redistribute once,
-    /// not once per solve.  Invalidated by every mutating accessor.
-    transpose_cache: OnceLock<Box<DistMatrix>>,
-    /// How many transpose redistributions this matrix has actually run —
-    /// observable through [`DistMatrix::transpose_count`], so tests can
-    /// assert the cache is reused rather than re-communicated per solve.
-    transposes: AtomicUsize,
-    /// Lazily computed copy with the diagonal overwritten by ones (see
-    /// [`DistMatrix::unit_diagonal`]): built locally on first use so
-    /// repeated unit-diagonal solves against the same operand do not copy
-    /// the whole local piece per solve.  Invalidated alongside the
-    /// transpose cache by every mutating accessor.
-    unit_diag_cache: OnceLock<Box<DistMatrix>>,
-    /// How many unit-diagonal overlays were actually materialised —
-    /// observable through [`DistMatrix::unit_overlay_count`].
-    unit_overlays: AtomicUsize,
-}
-
-impl Clone for DistMatrix {
-    /// Clones the matrix *and* its cached transpose (re-running the
-    /// all-to-all for an identical matrix would be wasted communication);
-    /// the clone's transpose count starts fresh.
-    fn clone(&self) -> DistMatrix {
-        let transpose_cache = OnceLock::new();
-        if let Some(t) = self.transpose_cache.get() {
-            let _ = transpose_cache.set(t.clone());
-        }
-        let unit_diag_cache = OnceLock::new();
-        if let Some(u) = self.unit_diag_cache.get() {
-            let _ = unit_diag_cache.set(u.clone());
-        }
-        DistMatrix {
-            grid: self.grid.clone(),
-            rows: self.rows,
-            cols: self.cols,
-            local: self.local.clone(),
-            transpose_cache,
-            transposes: AtomicUsize::new(0),
-            unit_diag_cache,
-            unit_overlays: AtomicUsize::new(0),
-        }
-    }
+    diag: Diag,
 }
 
 impl Drop for DistMatrix {
@@ -99,17 +65,12 @@ impl Drop for DistMatrix {
 }
 
 impl DistMatrix {
-    /// Internal constructor: wraps a local piece with fresh caches.
-    fn wrap(grid: Grid2D, rows: usize, cols: usize, local: Matrix) -> DistMatrix {
+    fn cyclic_on(grid: &Grid2D, rows: usize, cols: usize, local: Matrix) -> DistMatrix {
         DistMatrix {
-            grid,
-            rows,
-            cols,
+            grid: grid.clone(),
+            layout: Layout::cyclic(grid, rows, cols),
             local,
-            transpose_cache: OnceLock::new(),
-            transposes: AtomicUsize::new(0),
-            unit_diag_cache: OnceLock::new(),
-            unit_overlays: AtomicUsize::new(0),
+            diag: Diag::NonUnit,
         }
     }
 
@@ -118,7 +79,7 @@ impl DistMatrix {
         let lr = cyclic_local_count(rows, grid.rows(), grid.my_row());
         let lc = cyclic_local_count(cols, grid.cols(), grid.my_col());
         let local = crate::pooled_zeros(grid.comm(), lr, lc);
-        DistMatrix::wrap(grid.clone(), rows, cols, local)
+        DistMatrix::cyclic_on(grid, rows, cols, local)
     }
 
     /// Create a distributed matrix from a generating function of the global
@@ -135,7 +96,7 @@ impl DistMatrix {
         let lr = cyclic_local_count(rows, pr, x);
         let lc = cyclic_local_count(cols, pc, y);
         let local = Matrix::from_fn(lr, lc, |li, lj| f(li * pr + x, lj * pc + y));
-        DistMatrix::wrap(grid.clone(), rows, cols, local)
+        DistMatrix::cyclic_on(grid, rows, cols, local)
     }
 
     /// Distribute a replicated global matrix: every rank extracts its cyclic
@@ -146,42 +107,53 @@ impl DistMatrix {
         let (rows, cols) = global.dims();
         let len = cyclic_local_count(rows, pr, x) * cyclic_local_count(cols, pc, y);
         let local = global.strided_block_into(x, pr, y, pc, grid.comm().take_buffer(len));
-        DistMatrix::wrap(grid.clone(), rows, cols, local)
+        DistMatrix::cyclic_on(grid, rows, cols, local)
     }
 
-    /// Wrap an existing local piece (must already have the correct local
-    /// dimensions for this rank).
+    /// Wrap an existing local piece of the cyclic layout (must already have
+    /// the correct local dimensions for this rank).
     pub fn from_local(grid: &Grid2D, rows: usize, cols: usize, local: Matrix) -> Result<Self> {
-        let lr = cyclic_local_count(rows, grid.rows(), grid.my_row());
-        let lc = cyclic_local_count(cols, grid.cols(), grid.my_col());
-        if local.dims() != (lr, lc) {
+        DistMatrix::from_layout(grid, Layout::cyclic(grid, rows, cols), local)
+    }
+
+    /// Wrap `local`, this rank's piece under `layout` (a layout over the
+    /// grid's communicator), which must have the dimensions the layout gives
+    /// this rank.
+    pub fn from_layout(grid: &Grid2D, layout: Layout, local: Matrix) -> Result<Self> {
+        let want = layout.local_dims(grid.comm().rank());
+        if local.dims() != want {
             return Err(GridError::BadDimensions {
-                op: "DistMatrix::from_local",
+                op: "DistMatrix::from_layout",
                 reason: format!(
                     "local piece is {}x{}, expected {}x{}",
                     local.rows(),
                     local.cols(),
-                    lr,
-                    lc
+                    want.0,
+                    want.1
                 ),
             });
         }
-        Ok(DistMatrix::wrap(grid.clone(), rows, cols, local))
+        Ok(DistMatrix {
+            grid: grid.clone(),
+            layout,
+            local,
+            diag: Diag::NonUnit,
+        })
     }
 
     /// Global number of rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.layout.dims().0
     }
 
     /// Global number of columns.
     pub fn cols(&self) -> usize {
-        self.cols
+        self.layout.dims().1
     }
 
     /// Global `(rows, cols)`.
     pub fn dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        self.layout.dims()
     }
 
     /// The grid the matrix is distributed over.
@@ -189,32 +161,90 @@ impl DistMatrix {
         &self.grid
     }
 
-    /// This matrix's cyclic layout, as [`crate::redist::redistribute`]
+    /// Where every entry is stored, as [`crate::redist::redistribute`]
     /// takes it.
-    pub fn layout(&self) -> Layout {
-        Layout::cyclic(&self.grid, self.rows, self.cols)
+    pub fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
+    /// Whether the stored diagonal is the matrix's ([`Diag::NonUnit`], the
+    /// default) or stands for implicit ones ([`Diag::Unit`]).
+    pub fn diag(&self) -> Diag {
+        self.diag
+    }
+
+    /// This matrix with its diagonal read as `diag`: a flag, no entry
+    /// changes.  Under [`Diag::Unit`] the matrix's value has ones on the
+    /// diagonal whatever is stored there; [`DistMatrix::to_global`] writes
+    /// them, and so does every kernel that copies the diagonal.
+    pub fn with_diag(mut self, diag: Diag) -> DistMatrix {
+        self.diag = diag;
+        self
+    }
+
+    /// True when the matrix is stored in the cyclic layout of its grid.
+    pub fn is_cyclic(&self) -> bool {
+        let (rows, cols) = self.dims();
+        self.layout
+            .same_placement(&Layout::cyclic(&self.grid, rows, cols))
+    }
+
+    /// `J·A`, the rows in reverse order: the same local piece under the
+    /// layout with the row axis reversed.  No word moves.
+    pub fn reversed_rows(mut self) -> DistMatrix {
+        self.layout = self.layout.reversed_rows();
+        self
+    }
+
+    /// `J·A·J`, rows and columns in reverse order — lower triangular when
+    /// `A` is upper: the same local piece under the layout with both axes
+    /// reversed.  No word moves.
+    pub fn reversed(mut self) -> DistMatrix {
+        self.layout = self.layout.reversed();
+        self
+    }
+
+    /// `Aᵀ`: the local piece transposed into a pooled buffer, under the
+    /// layout with the axes swapped, so the holder of `(i, j)` in `A` holds
+    /// `(j, i)` in `Aᵀ`.  No word moves.
+    pub fn transpose(&self) -> DistMatrix {
+        let (lr, lc) = self.local.dims();
+        let mut buf = self.grid.comm().take_buffer(lr * lc);
+        for j in 0..lc {
+            buf.extend((0..lr).map(|i| self.local[(i, j)]));
+        }
+        DistMatrix {
+            grid: self.grid.clone(),
+            layout: self.layout.transposed(),
+            local: Matrix::from_vec(lc, lr, buf).expect("lc × lr values"),
+            diag: self.diag,
+        }
     }
 
     /// Move this matrix's entries that pass `filter` to where `dst` stores
-    /// them ([`redistribute`] from the cyclic layout, over the grid's
+    /// them ([`redistribute`] from this matrix's layout, over the grid's
     /// communicator); returns this rank's local matrix under `dst`.
     pub fn redistribute_to(&self, dst: &Layout, filter: Filter) -> Result<Matrix> {
-        redistribute(self.grid.comm(), &self.layout(), &self.local, dst, filter)
+        redistribute(self.grid.comm(), &self.layout, &self.local, dst, filter)
     }
 
-    /// The `rows × cols` matrix stored under `src` (`from` being this rank's
-    /// local matrix there), brought into the cyclic layout of `grid` — the
-    /// inverse of [`DistMatrix::redistribute_to`].
-    pub fn redistributed_from(
-        grid: &Grid2D,
-        (rows, cols): (usize, usize),
-        src: &Layout,
-        from: &Matrix,
-        filter: Filter,
-    ) -> Result<Self> {
-        let cyclic = Layout::cyclic(grid, rows, cols);
-        let local = redistribute(grid.comm(), src, from, &cyclic, filter)?;
-        DistMatrix::from_local(grid, rows, cols, local)
+    /// This matrix moved into `dst` (a layout over the grid's
+    /// communicator): the entries that pass `filter` travel, the rest are
+    /// zero, and the diagonal kind comes along.
+    pub fn to_layout(&self, dst: &Layout, filter: Filter) -> Result<DistMatrix> {
+        let local = self.redistribute_to(dst, filter)?;
+        Ok(DistMatrix::from_layout(&self.grid, dst.clone(), local)?.with_diag(self.diag))
+    }
+
+    /// This matrix in the cyclic layout of its grid: itself when it is
+    /// stored so already, else [`DistMatrix::to_layout`] with `filter`.
+    pub fn cyclic(&self, filter: Filter) -> Result<Cow<'_, DistMatrix>> {
+        if self.is_cyclic() {
+            return Ok(Cow::Borrowed(self));
+        }
+        let (rows, cols) = self.dims();
+        let cyclic = Layout::cyclic(&self.grid, rows, cols);
+        Ok(Cow::Owned(self.to_layout(&cyclic, filter)?))
     }
 
     /// This rank's local piece.
@@ -229,118 +259,8 @@ impl DistMatrix {
     }
 
     /// Mutable access to this rank's local piece.
-    ///
-    /// Invalidates the cached transpose (see [`DistMatrix::transposed`]):
-    /// a stale `Aᵀ` after an in-place edit would be a silent correctness
-    /// bug, so every mutating accessor drops it.
     pub fn local_mut(&mut self) -> &mut Matrix {
-        self.invalidate_transpose();
         &mut self.local
-    }
-
-    /// The cached transpose of this matrix, built on first use (one
-    /// all-to-all redistribution — see [`crate::redist::transpose`]) and
-    /// reused for the lifetime of the matrix: the analyze-once pattern the
-    /// sparse crate's `SparseTri::transposed` applies locally, here applied
-    /// to communication.  Repeated `Aᵀ·X = B` solves — the backward
-    /// substitution of every Cholesky/LU application — redistribute once,
-    /// not once per solve.
-    ///
-    /// Like every redistribution this is a **collective**: all ranks must
-    /// reach their first `transposed()` call on the same matrix together
-    /// (guaranteed under the SPMD usage the simulated machine enforces).
-    /// Mutating accessors ([`DistMatrix::local_mut`],
-    /// [`DistMatrix::set_subview`], the arithmetic updates) invalidate the
-    /// cache.
-    pub fn transposed(&self) -> &DistMatrix {
-        self.try_transposed()
-            .expect("transpose redistribution failed")
-    }
-
-    /// Fallible form of [`DistMatrix::transposed`]: returns the cached
-    /// transpose, running (and caching) the redistribution on first use, and
-    /// propagates transport errors (fault-injected timeouts, rank failures)
-    /// instead of panicking.  Library code paths use this form.
-    pub fn try_transposed(&self) -> Result<&DistMatrix> {
-        if let Some(t) = self.transpose_cache.get() {
-            return Ok(t);
-        }
-        let _span = obs::span_with("pgrid", "transpose_redist", "rows", self.rows as u64);
-        // The endpoint is per-rank single-threaded, so compute-then-set
-        // cannot race; a concurrent set is impossible here.
-        let t = Box::new(crate::redist::transpose(self)?);
-        self.transposes.fetch_add(1, Ordering::Relaxed);
-        let _ = self.transpose_cache.set(t);
-        Ok(self
-            .transpose_cache
-            .get()
-            .expect("cache populated on the line above"))
-    }
-
-    /// How many transpose redistributions this matrix has run (0 before the
-    /// first [`DistMatrix::transposed`] call, and 1 until the next
-    /// invalidating mutation).
-    pub fn transpose_count(&self) -> usize {
-        self.transposes.load(Ordering::Relaxed)
-    }
-
-    /// A copy of this matrix whose diagonal entries are overwritten with 1
-    /// (the operand actually factored when `Diag::Unit` solves treat the
-    /// stored diagonal as implicit).  Built **locally** — no communication —
-    /// on first use and cached for the lifetime of the matrix, so repeated
-    /// unit-diagonal solves stop copying the operand once per solve.
-    /// Mutating accessors invalidate the cache together with the transpose.
-    pub fn unit_diagonal(&self) -> &DistMatrix {
-        if let Some(u) = self.unit_diag_cache.get() {
-            return u;
-        }
-        let _span = obs::span_with("pgrid", "unit_overlay", "rows", self.rows as u64);
-        let mut local = self.local.clone();
-        let pr = self.grid.rows();
-        let pc = self.grid.cols();
-        let (x, y) = self.grid.my_coords();
-        for li in 0..local.rows() {
-            let gi = li * pr + x;
-            for lj in 0..local.cols() {
-                if gi == lj * pc + y {
-                    local[(li, lj)] = 1.0;
-                }
-            }
-        }
-        self.unit_overlays.fetch_add(1, Ordering::Relaxed);
-        let _ = self.unit_diag_cache.set(Box::new(DistMatrix::wrap(
-            self.grid.clone(),
-            self.rows,
-            self.cols,
-            local,
-        )));
-        self.unit_diag_cache
-            .get()
-            .expect("cache populated on the line above")
-    }
-
-    /// How many unit-diagonal overlays this matrix has materialised (0 before
-    /// the first [`DistMatrix::unit_diagonal`] call, and 1 until the next
-    /// invalidating mutation).
-    pub fn unit_overlay_count(&self) -> usize {
-        self.unit_overlays.load(Ordering::Relaxed)
-    }
-
-    /// Drops the cached transpose and unit-diagonal overlay (called by every
-    /// mutating accessor).
-    fn invalidate_transpose(&mut self) {
-        self.transpose_cache = OnceLock::new();
-        self.unit_diag_cache = OnceLock::new();
-    }
-
-    /// Global row index of local row `li` on this rank.
-    pub fn global_row(&self, li: usize) -> usize {
-        li * self.grid.rows() + self.grid.my_row()
-    }
-
-    /// Global column index of local column `lj` on this rank.
-    pub fn global_col(&self, lj: usize) -> usize {
-        lj * self.grid.cols() + self.grid.my_col()
     }
 
     /// Collect the full matrix on every rank (allgather of all local pieces).
@@ -352,49 +272,67 @@ impl DistMatrix {
     }
 
     /// Fallible form of [`DistMatrix::to_global`]: propagates transport
-    /// errors (fault-injected timeouts, rank failures) as typed errors.
+    /// errors (fault-injected timeouts, rank failures) as typed errors.  A
+    /// [`Diag::Unit`] matrix comes back with ones on its diagonal.
     pub fn try_to_global(&self) -> Result<Matrix> {
-        let _span = obs::span_with("pgrid", "to_global", "rows", self.rows as u64);
+        let (rows, cols) = self.dims();
+        let _span = obs::span_with("pgrid", "to_global", "rows", rows as u64);
         let comm = self.grid.comm();
         let pieces = coll::allgatherv(comm, self.local.as_slice())?;
-        let mut out = crate::pooled_zeros(comm, self.rows, self.cols);
+        let mut out = crate::pooled_zeros(comm, rows, cols);
         for (rank, piece) in pieces.into_iter().enumerate() {
-            let (x, y) = self.grid.coords_of(rank);
-            let lr = cyclic_local_count(self.rows, self.grid.rows(), x);
-            let lc = cyclic_local_count(self.cols, self.grid.cols(), y);
-            if lr == 0 || lc == 0 {
-                continue;
+            let (lr, lc) = self.layout.local_dims(rank);
+            if piece.len() != lr * lc {
+                return Err(GridError::BadDimensions {
+                    op: "to_global",
+                    reason: format!("rank {rank} holds {} values, not {lr}x{lc}", piece.len()),
+                });
             }
-            let block = Matrix::from_vec(lr, lc, piece).map_err(|e| GridError::BadDimensions {
-                op: "to_global",
-                reason: e.to_string(),
-            })?;
-            out.set_strided_block(x, self.grid.rows(), y, self.grid.cols(), block.as_view());
-            comm.give_buffer(block.into_vec());
+            self.layout.write_piece(rank, &piece, &mut out);
+            comm.give_buffer(piece);
+        }
+        if self.diag == Diag::Unit {
+            for i in 0..rows.min(cols) {
+                out[(i, i)] = 1.0;
+            }
         }
         Ok(out)
     }
 
-    /// Extract the aligned sub-matrix `A[r0 .. r0+nr, c0 .. c0+nc]` as a new
-    /// distributed matrix on the same grid, without communication.
+    /// The cyclic layout's typed error for a matrix stored otherwise.
+    fn check_cyclic(&self, op: &'static str) -> Result<()> {
+        match self.is_cyclic() {
+            true => Ok(()),
+            false => Err(GridError::BadDimensions {
+                op,
+                reason: "the matrix is not in its grid's cyclic layout".into(),
+            }),
+        }
+    }
+
+    /// Extract the aligned sub-matrix `A[r0 .. r0+nr, c0 .. c0+nc]` of a
+    /// cyclic matrix as a new distributed matrix on the same grid, without
+    /// communication.  A diagonal block (`r0 = c0`) keeps the diagonal kind.
     ///
     /// Alignment requirement (satisfied by the paper's recursive splits):
     /// `r0`, `nr` must be divisible by the number of grid rows, and `c0`, `nc`
     /// by the number of grid columns (or reach exactly to the matrix edge).
     pub fn subview(&self, r0: usize, nr: usize, c0: usize, nc: usize) -> Result<DistMatrix> {
+        self.check_cyclic("subview")?;
         let pr = self.grid.rows();
         let pc = self.grid.cols();
-        if r0 + nr > self.rows || c0 + nc > self.cols {
+        let (rows, cols) = self.dims();
+        if r0 + nr > rows || c0 + nc > cols {
             return Err(GridError::BadDimensions {
                 op: "subview",
                 reason: format!(
                     "requested rows {r0}+{nr}, cols {c0}+{nc} exceed {}x{}",
-                    self.rows, self.cols
+                    rows, cols
                 ),
             });
         }
-        let row_aligned = r0.is_multiple_of(pr) && (nr.is_multiple_of(pr) || r0 + nr == self.rows);
-        let col_aligned = c0.is_multiple_of(pc) && (nc.is_multiple_of(pc) || c0 + nc == self.cols);
+        let row_aligned = r0.is_multiple_of(pr) && (nr.is_multiple_of(pr) || r0 + nr == rows);
+        let col_aligned = c0.is_multiple_of(pc) && (nc.is_multiple_of(pc) || c0 + nc == cols);
         if !row_aligned || !col_aligned {
             return Err(GridError::BadDimensions {
                 op: "subview",
@@ -414,12 +352,16 @@ impl DistMatrix {
         let lc = cyclic_local_count(nc, pc, y);
         let buf = self.grid.comm().take_buffer(lr * lc);
         let local = self.local.block_into(lr0, lc0, lr, lc, buf);
-        Ok(DistMatrix::wrap(self.grid.clone(), nr, nc, local))
+        let diag = if r0 == c0 { self.diag } else { Diag::NonUnit };
+        Ok(DistMatrix::cyclic_on(&self.grid, nr, nc, local).with_diag(diag))
     }
 
     /// Overwrite the aligned sub-matrix starting at `(r0, c0)` with `sub`
-    /// (same alignment rules as [`DistMatrix::subview`], no communication).
+    /// (same alignment rules as [`DistMatrix::subview`], both cyclic, no
+    /// communication).
     pub fn set_subview(&mut self, r0: usize, c0: usize, sub: &DistMatrix) -> Result<()> {
+        self.check_cyclic("set_subview")?;
+        sub.check_cyclic("set_subview")?;
         let pr = self.grid.rows();
         let pc = self.grid.cols();
         let (nr, nc) = sub.dims();
@@ -429,21 +371,19 @@ impl DistMatrix {
                 reason: format!("offset ({r0}, {c0}) is not aligned to the {pr}x{pc} grid"),
             });
         }
-        if r0 + nr > self.rows || c0 + nc > self.cols {
+        if r0 + nr > self.rows() || c0 + nc > self.cols() {
             return Err(GridError::BadDimensions {
                 op: "set_subview",
                 reason: "sub-matrix does not fit".to_string(),
             });
         }
-        self.invalidate_transpose();
         self.local.set_block(r0 / pr, c0 / pc, sub.local());
         Ok(())
     }
 
-    /// In-place `self ← self - other` (same grid, same dimensions).
+    /// In-place `self ← self - other` (same grid, dimensions and layout).
     pub fn sub_assign(&mut self, other: &DistMatrix) -> Result<()> {
         self.check_conformal(other, "sub_assign")?;
-        self.invalidate_transpose();
         self.local
             .axpy(-1.0, &other.local)
             .map_err(|e| GridError::BadDimensions {
@@ -452,10 +392,9 @@ impl DistMatrix {
             })
     }
 
-    /// In-place `self ← self + other` (same grid, same dimensions).
+    /// In-place `self ← self + other` (same grid, dimensions and layout).
     pub fn add_assign(&mut self, other: &DistMatrix) -> Result<()> {
         self.check_conformal(other, "add_assign")?;
-        self.invalidate_transpose();
         self.local
             .axpy(1.0, &other.local)
             .map_err(|e| GridError::BadDimensions {
@@ -465,7 +404,8 @@ impl DistMatrix {
     }
 
     /// Distributed relative Frobenius difference `‖A − B‖_F / max(‖B‖_F, 1)`
-    /// computed with one allreduce (identical result on every rank).
+    /// of the stored entries, computed with one allreduce (identical result
+    /// on every rank).
     pub fn rel_diff(&self, other: &DistMatrix) -> Result<f64> {
         self.check_conformal(other, "rel_diff")?;
         let mut diff_sq = 0.0;
@@ -490,7 +430,10 @@ impl DistMatrix {
                 reason: format!("{:?} vs {:?}", self.dims(), other.dims()),
             });
         }
-        if self.grid.rows() != other.grid.rows() || self.grid.cols() != other.grid.cols() {
+        if self.grid.rows() != other.grid.rows()
+            || self.grid.cols() != other.grid.cols()
+            || !self.layout.same_placement(&other.layout)
+        {
             return Err(GridError::GridMismatch { op });
         }
         Ok(())
@@ -570,12 +513,10 @@ mod tests {
         let results = with_grid(6, 2, 3, |grid| {
             let dist = DistMatrix::from_global(grid, &test_matrix(7, 8));
             let (x, y) = grid.my_coords();
-            // Check every local entry maps back to the right global entry.
+            // Every local entry is the global entry of the cyclic owner.
             for li in 0..dist.local().rows() {
                 for lj in 0..dist.local().cols() {
-                    let gi = dist.global_row(li);
-                    let gj = dist.global_col(lj);
-                    assert_eq!((gi % 2, gj % 3), (x, y), "cyclic ownership");
+                    let (gi, gj) = (li * 2 + x, lj * 3 + y);
                     assert_eq!(dist.local()[(li, lj)], (gi * 8 + gj) as f64);
                 }
             }
@@ -622,7 +563,8 @@ mod tests {
             let bad_len = dist.subview(0, 3, 0, 2).is_err();
             let too_big = dist.subview(0, 10, 0, 2).is_err();
             let ok_edge = dist.subview(0, 8, 4, 4).is_ok();
-            bad_offset && bad_len && too_big && ok_edge
+            let relabelled = dist.reversed().subview(0, 4, 0, 4).is_err();
+            bad_offset && bad_len && too_big && ok_edge && relabelled
         });
         assert!(results.into_iter().all(|v| v));
     }
@@ -662,59 +604,52 @@ mod tests {
         }
     }
 
+    /// `J·A`, `J·A·J`, `Aᵀ` and the unit flag are relabellings: each reads
+    /// back as the matrix it names and charges nothing.
     #[test]
-    fn transposed_is_cached_reused_and_invalidated() {
-        let results = with_grid(4, 2, 2, |grid| {
-            let a = DistMatrix::from_fn(grid, 6, 4, |i, j| (i * 4 + j) as f64);
-            // First use runs the redistribution; the second reuses it.
-            let t1 = a.transposed() as *const DistMatrix;
-            let correct = a.transposed().to_global() == a.to_global().transpose();
-            let t2 = a.transposed() as *const DistMatrix;
-            let cached = t1 == t2 && a.transpose_count() == 1;
-            // A clone carries the cache without re-communicating.
-            let c = a.clone();
-            let clone_cached =
-                c.transposed().to_global() == a.to_global().transpose() && c.transpose_count() == 0;
-            // Mutation invalidates: the transpose is rebuilt, not stale.
-            let mut m = a.clone();
-            let gi = m.global_row(0);
-            let gj = m.global_col(0);
-            m.local_mut()[(0, 0)] = 99.0;
-            let fresh = m.transposed().to_global()[(gj, gi)] == 99.0;
-            correct && cached && clone_cached && fresh
-        });
-        assert!(results.into_iter().all(|v| v));
+    fn relabels_name_their_matrix_and_move_nothing() {
+        let (rows, cols) = (7, 5);
+        let a = Matrix::from_fn(rows, cols, |i, j| (i * cols + j + 2) as f64);
+        let a2 = a.clone();
+        let out = Machine::new(6, MachineParams::unit())
+            .run(move |comm| {
+                let grid = Grid2D::new(comm, 2, 3).unwrap();
+                let dist = DistMatrix::from_global(&grid, &a2);
+                let before = comm.counters();
+                let relabelled = [
+                    dist.clone().reversed_rows(),
+                    dist.clone().reversed(),
+                    dist.transpose(),
+                    dist.clone().with_diag(Diag::Unit),
+                ];
+                let moved = comm.counters().since(&before);
+                (relabelled.map(|m| m.to_global()), moved)
+            })
+            .unwrap();
+        let j_a = Matrix::from_fn(rows, cols, |i, j| a[(rows - 1 - i, j)]);
+        let j_a_j = Matrix::from_fn(rows, cols, |i, j| a[(rows - 1 - i, cols - 1 - j)]);
+        let unit = Matrix::from_fn(rows, cols, |i, j| if i == j { 1.0 } else { a[(i, j)] });
+        for ([rows_rev, both_rev, at, with_ones], moved) in out.results {
+            assert_eq!(rows_rev, j_a);
+            assert_eq!(both_rev, j_a_j);
+            assert_eq!(at, a.transpose());
+            assert_eq!(with_ones, unit);
+            assert_eq!(moved, simnet::CostCounters::default());
+        }
     }
 
+    /// Reversing twice, or transposing twice, gives the stored bits back
+    /// in the original layout.
     #[test]
-    fn unit_diagonal_is_cached_reused_and_invalidated() {
+    fn relabelling_twice_is_the_identity() {
         let results = with_grid(4, 2, 2, |grid| {
-            let a = DistMatrix::from_fn(grid, 6, 6, |i, j| (i * 6 + j + 2) as f64);
-            // First use materialises the overlay; the second reuses it.
-            let u1 = a.unit_diagonal() as *const DistMatrix;
-            let g = a.unit_diagonal().to_global();
-            let mut correct = true;
-            for i in 0..6 {
-                for j in 0..6 {
-                    let expect = if i == j { 1.0 } else { (i * 6 + j + 2) as f64 };
-                    correct &= g[(i, j)] == expect;
-                }
-            }
-            let u2 = a.unit_diagonal() as *const DistMatrix;
-            let cached = u1 == u2 && a.unit_overlay_count() == 1;
-            // A clone carries the cache without recomputing.
-            let c = a.clone();
-            let clone_cached = c.unit_diagonal().to_global() == g && c.unit_overlay_count() == 0;
-            // Mutation invalidates: off-diagonal edits show through.
-            let mut m = a.clone();
-            let gi = m.global_row(0);
-            let gj = m.global_col(0);
-            m.local_mut()[(0, 0)] = 99.0;
-            let refreshed =
-                m.unit_diagonal().to_global()[(gi, gj)] == if gi == gj { 1.0 } else { 99.0 };
-            correct && cached && clone_cached && refreshed
+            let a = DistMatrix::from_fn(grid, 10, 6, |i, j| (i * 6 + j) as f64 / 7.0);
+            let rows = a.clone().reversed_rows().reversed_rows();
+            let both = a.clone().reversed().reversed();
+            let tt = a.transpose().transpose();
+            [rows, both, tt].map(|m| m.is_cyclic() && m.local() == a.local())
         });
-        assert!(results.into_iter().all(|v| v));
+        assert!(results.into_iter().all(|ok| ok == [true; 3]));
     }
 
     #[test]
@@ -722,7 +657,8 @@ mod tests {
         let results = with_grid(4, 2, 2, |grid| {
             let a = DistMatrix::zeros(grid, 6, 6);
             let b = DistMatrix::zeros(grid, 4, 6);
-            a.rel_diff(&b).is_err()
+            let relabelled = a.clone().reversed();
+            a.rel_diff(&b).is_err() && a.rel_diff(&relabelled).is_err()
         });
         assert!(results.into_iter().all(|v| v));
     }

@@ -8,10 +8,11 @@
 //!
 //! * [`Grid2D`] and [`Grid3D`] — Cartesian views over a [`simnet::Communicator`]
 //!   with cheap (communication-free) row / column / fiber sub-communicators,
-//! * [`DistMatrix`] — a matrix distributed cyclically over a [`Grid2D`], with
-//!   construction from / collection to a replicated global matrix, aligned
-//!   sub-views (the recursive algorithms split matrices in halves), and
-//!   residual helpers,
+//! * [`DistMatrix`] — a matrix distributed over a [`Grid2D`] under a layout
+//!   (cyclic when built), with construction from / collection to a
+//!   replicated global matrix, aligned sub-views (the recursive algorithms
+//!   split matrices in halves), the relabellings `J·A`, `J·A·J` and `Aᵀ`
+//!   that move no word, and residual helpers,
 //! * [`redist`] — key-free redistribution between arbitrary layouts: both
 //!   ends derive the order of the values from the layouts alone, so one
 //!   Bruck all-to-all-v of the values is all that crosses the wire — the

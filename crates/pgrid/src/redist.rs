@@ -408,6 +408,67 @@ impl Layout {
         )
     }
 
+    /// The global `(rows, cols)` the layout indexes.
+    pub fn dims(&self) -> (usize, usize) {
+        (self.rows.len(), self.cols.len())
+    }
+
+    /// This layout with the row axis reversed: `(i, j)` is stored where
+    /// `self` stores `(rows − 1 − i, j)`.
+    pub fn reversed_rows(&self) -> Layout {
+        Layout {
+            rows: self.rows.reversed(),
+            ..self.clone()
+        }
+    }
+
+    /// This layout with both axes reversed: `(i, j)` is stored where `self`
+    /// stores `(rows − 1 − i, cols − 1 − j)`.
+    pub fn reversed(&self) -> Layout {
+        Layout {
+            rows: self.rows.reversed(),
+            cols: self.cols.reversed(),
+            ..self.clone()
+        }
+    }
+
+    /// The transposed index space: `(j, i)` is stored by the holders of
+    /// `(i, j)` under `self`, at the transposed local position.
+    pub fn transposed(&self) -> Layout {
+        Layout::new(self.ranks, self.cols, self.rows, |rc, cc| {
+            self.holders(cc, rc).iter().copied()
+        })
+    }
+
+    /// Write `piece`, the row-major local matrix `rank` stores, into the
+    /// entries of `global` it holds.
+    pub(crate) fn write_piece(&self, rank: usize, piece: &[f64], global: &mut Matrix) {
+        let Some((rc, cc)) = self.piece_of(rank) else {
+            return;
+        };
+        let width = self.cols.extent(cc);
+        let cols: Vec<(usize, usize)> = self.cols.members(cc).collect();
+        for (i, li) in self.rows.members(rc) {
+            let (src, dst) = (&piece[li * width..], global.row_mut(i));
+            for &(j, lj) in &cols {
+                dst[j] = src[lj];
+            }
+        }
+    }
+
+    /// The local positions of the diagonal entries `(i, i)` that `rank`
+    /// stores.
+    pub fn diagonal(&self, rank: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let pieces = self.piece_of(rank).into_iter();
+        pieces.flat_map(move |(rc, cc)| {
+            let rows = self.rows.members(rc).filter(|&(i, _)| i < self.cols.len());
+            rows.filter_map(move |(i, li)| {
+                let (class, lj) = self.cols.place(i);
+                (class == cc).then_some((li, lj))
+            })
+        })
+    }
+
     /// Dimensions of the local matrix `rank` stores (`(0, 0)` if it holds no
     /// piece).
     pub fn local_dims(&self, rank: usize) -> (usize, usize) {
@@ -863,21 +924,13 @@ pub fn redistribute(
 }
 
 /// Distributed transpose: returns `Aᵀ` distributed cyclically over the same
-/// grid as `A`.  Every element moves to the owner of its transposed position
-/// via one all-to-all of the values (the cost the paper charges for its
-/// layout transposes) and arrives as the local transpose of the piece `Aᵀ`
-/// stores; a local flip finishes the job.
+/// grid as `A` — the relabelling [`DistMatrix::transpose`] (a local flip),
+/// then every element moves to the cyclic owner of its transposed position
+/// via one all-to-all of the values, the cost the paper charges for its
+/// layout transposes.
 pub fn transpose(mat: &DistMatrix) -> Result<DistMatrix> {
-    let grid = mat.grid();
-    // Rank (a, b) stores Aᵀ's rows ≡ a, columns ≡ b — A's columns and rows.
-    let flipped = Layout::new(
-        grid.size(),
-        Axis::cyclic(mat.rows(), grid.cols()),
-        Axis::cyclic(mat.cols(), grid.rows()),
-        |b, a| Some(grid.rank_of(a, b)),
-    );
-    let piece = mat.redistribute_to(&flipped, Filter::All)?;
-    DistMatrix::from_local(grid, mat.cols(), mat.rows(), piece.transpose())
+    let cyclic = Layout::cyclic(mat.grid(), mat.cols(), mat.rows());
+    mat.transpose().to_layout(&cyclic, Filter::All)
 }
 
 #[cfg(test)]
@@ -1061,6 +1114,33 @@ mod tests {
                 let (above, here) = (filter.cols(i - 1, 8), filter.cols(i, 8));
                 assert!(above.start <= here.start && above.end <= here.end);
             }
+        }
+    }
+
+    #[test]
+    fn every_diagonal_entry_has_one_slot_under_every_relabelling() {
+        let cyclic = Layout::new(6, Axis::cyclic(7, 2), Axis::cyclic(5, 3), |x, y| {
+            Some(x * 3 + y)
+        });
+        let relabelled = [
+            cyclic.reversed_rows(),
+            cyclic.reversed(),
+            cyclic.transposed(),
+        ];
+        for layout in relabelled.into_iter().chain([cyclic]) {
+            let (rows, cols) = layout.dims();
+            let mut found = Vec::new();
+            for rank in 0..6 {
+                let (rc, cc) = layout.piece_of(rank).unwrap();
+                for (li, lj) in layout.diagonal(rank) {
+                    let i = (0..rows).find(|&i| layout.rows.place(i) == (rc, li));
+                    let i = i.expect("a row of the piece");
+                    assert_eq!(layout.cols.place(i), (cc, lj), "{layout:?}");
+                    found.push(i);
+                }
+            }
+            found.sort_unstable();
+            assert_eq!(found, (0..rows.min(cols)).collect::<Vec<_>>(), "{layout:?}");
         }
     }
 

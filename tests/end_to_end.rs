@@ -294,8 +294,9 @@ fn redistribution_round_trips_between_grids() {
             let square = Grid2D::new(comm, 2, 2).unwrap();
             let a = DistMatrix::from_fn(&tall, 12, 8, |i, j| (i * 8 + j) as f64);
             let regrid = |m: &DistMatrix, to: &Grid2D| {
-                let all = redist::Filter::All;
-                DistMatrix::redistributed_from(to, (12, 8), &m.layout(), m.local(), all).unwrap()
+                let cyclic = redist::Layout::cyclic(to, 12, 8);
+                let local = m.redistribute_to(&cyclic, redist::Filter::All).unwrap();
+                DistMatrix::from_local(to, 12, 8, local).unwrap()
             };
             // To the square grid, and back to the tall grid.
             let on_square = regrid(&a, &square);
