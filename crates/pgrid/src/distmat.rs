@@ -638,20 +638,6 @@ mod tests {
         }
     }
 
-    /// Reversing twice, or transposing twice, gives the stored bits back
-    /// in the original layout.
-    #[test]
-    fn relabelling_twice_is_the_identity() {
-        let results = with_grid(4, 2, 2, |grid| {
-            let a = DistMatrix::from_fn(grid, 10, 6, |i, j| (i * 6 + j) as f64 / 7.0);
-            let rows = a.clone().reversed_rows().reversed_rows();
-            let both = a.clone().reversed().reversed();
-            let tt = a.transpose().transpose();
-            [rows, both, tt].map(|m| m.is_cyclic() && m.local() == a.local())
-        });
-        assert!(results.into_iter().all(|ok| ok == [true; 3]));
-    }
-
     #[test]
     fn conformality_is_checked() {
         let results = with_grid(4, 2, 2, |grid| {
