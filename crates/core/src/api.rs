@@ -8,7 +8,7 @@
 //! no word, so the costs are those of the underlying lower solve.
 
 use crate::it_inv_trsm::ItInvConfig;
-use costmodel::{Cost, CostModelRev};
+use costmodel::Cost;
 
 /// Which distributed TRSM algorithm to run — the one algorithm enum of the
 /// workspace: a request pins one, a plan records the one it resolved, the
@@ -44,17 +44,26 @@ impl Algorithm {
     ///
     /// The iterative algorithm quotes the Section VII phase model at its own
     /// configuration ([`ItInvConfig::predicted_cost`]): `n0` and the grid
-    /// enter with their constants, and `rev` acts only through the
-    /// configuration the planner chose under it.  The recursive baseline
-    /// quotes the Section IV leading-order expression under `rev`; the
-    /// wavefront baseline (Section II-C3) has no regime structure and is
-    /// identical under both revisions.
-    pub fn predicted_cost(&self, rev: CostModelRev, n: usize, k: usize, p: usize) -> Cost {
-        let (nf, kf, pf) = (n as f64, k as f64, p as f64);
+    /// enter with their constants.  The recursive baseline quotes the walk
+    /// of the recursion it runs at its base size
+    /// ([`crate::rec_trsm::predicted_cost`]) on the `pr × pc` grid
+    /// (`pr ≤ pc`, `pr | pc`) closest to square, `√p × √p` for a square `p`.
+    /// The wavefront baseline (Section II-C3) quotes its closed form.  No
+    /// arm reads the cost-model revision: it reaches a plan only through
+    /// the configuration the planner chose under it.
+    pub fn predicted_cost(&self, n: usize, k: usize, p: usize) -> Cost {
         match self {
-            Algorithm::Recursive { .. } => rev.standard_cost(nf, kf, pf),
+            Algorithm::Recursive { base_size } => {
+                let pr = (1..=p.isqrt())
+                    .rev()
+                    .find(|pr| p.is_multiple_of(pr * pr))
+                    .unwrap_or(1);
+                crate::rec_trsm::predicted_cost(n, k, pr, p / pr, *base_size)
+            }
             Algorithm::IterativeInversion(cfg) => cfg.predicted_cost(n, k),
-            Algorithm::Wavefront => costmodel::predict::wavefront_cost(nf, kf, pf),
+            Algorithm::Wavefront => {
+                costmodel::predict::wavefront_cost(n as f64, k as f64, p as f64)
+            }
         }
     }
 }
@@ -166,24 +175,24 @@ mod tests {
             inv_base: 64,
         };
         let (r1, r2) = it_inv.inversion_grid(n);
-        for rev in CostModelRev::ALL {
+        // The recursive baseline on the grid closest to square: 8 × 8 for
+        // p = 64, 2 × 4 for p = 8.
+        for (p, pr) in [(64, 8), (8, 2)] {
             assert_eq!(
-                Algorithm::Recursive { base_size: 64 }.predicted_cost(rev, n, k, p),
-                rev.standard_cost(nf, kf, pf)
-            );
-            // The iterative algorithm is priced at its configuration, the
-            // same under both revisions.
-            assert_eq!(
-                Algorithm::IterativeInversion(it_inv).predicted_cost(rev, n, k, p),
-                costmodel::itinv::inversion_phase(nf, 512.0, r1, r2)
-                    + costmodel::itinv::solve_phase(nf, kf, 512.0, 4.0, 4.0)
-                    + costmodel::itinv::update_phase(nf, kf, 512.0, 4.0, 4.0)
-            );
-            assert_eq!(
-                Algorithm::Wavefront.predicted_cost(rev, n, k, p),
-                costmodel::predict::wavefront_cost(nf, kf, pf)
+                Algorithm::Recursive { base_size: 64 }.predicted_cost(n, k, p),
+                crate::rec_trsm::predicted_cost(n, k, pr, p / pr, 64)
             );
         }
+        assert_eq!(
+            Algorithm::IterativeInversion(it_inv).predicted_cost(n, k, p),
+            costmodel::itinv::inversion_phase(nf, 512.0, r1, r2)
+                + costmodel::itinv::solve_phase(nf, kf, 512.0, 4.0, 4.0)
+                + costmodel::itinv::update_phase(nf, kf, 512.0, 4.0, 4.0)
+        );
+        assert_eq!(
+            Algorithm::Wavefront.predicted_cost(n, k, p),
+            costmodel::predict::wavefront_cost(nf, kf, pf)
+        );
     }
 
     #[test]

@@ -17,11 +17,15 @@
 //! The recursion over `L` is what gives this algorithm its `Θ(poly(p))`
 //! synchronization cost: every level performs at least one full collective,
 //! and there are `n / n0` sequentialised levels on the critical path.
+//! [`predicted_cost`] walks the same recursion, piece by piece, and prices
+//! it with the cost model's collective and multiplication formulas.
 
 use crate::error::config_error;
 use crate::mm3d::mm3d;
 use crate::planner::choose_mm_p1;
 use crate::Result;
+use costmodel::cost::{indicator, log2c};
+use costmodel::{collectives, mm, Cost};
 use dense::Matrix;
 use pgrid::distmat::cyclic_local_count;
 use pgrid::redist::{redistribute, Axis, Filter, Layout};
@@ -141,8 +145,7 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Di
     }
 
     // --- Base case. -------------------------------------------------------
-    let splittable = p > 1 && n.is_multiple_of(2 * pr) && n / 2 >= pr && n > base_size;
-    if !splittable {
+    if !halves(n, pr, base_size) {
         let l_full = l.try_to_global()?;
         // Give every rank complete columns: column c goes to rank c mod p.
         let by_columns = Layout::new(p, Axis::whole(n), Axis::cyclic(k, p), |_, c| Some(c));
@@ -180,6 +183,53 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Di
     x.set_subview(0, 0, &x1)?;
     x.set_subview(h, 0, &x2)?;
     Ok(x)
+}
+
+/// Whether the recursion halves an `n × n` triangle on a square `pr × pr`
+/// grid instead of solving it as a base case: the one split decision the
+/// executor and [`predicted_cost`] share.
+fn halves(n: usize, pr: usize, base_size: usize) -> bool {
+    pr > 1 && n.is_multiple_of(2 * pr) && n / 2 >= pr && n > base_size
+}
+
+/// The critical-path cost [`rec_trsm`] charges for an `n × n` triangle, `k`
+/// right-hand sides and `base_size` on a `pr × pc` grid (`pr ≤ pc`,
+/// `pr | pc`), from operands already in the grid's cyclic layout: the
+/// recursion the executor runs, walked with its split decisions.
+///
+/// * column split (`pc > pr`): the allgatherv replicating `L` over the
+///   `q = pc/pr` ranks of a row and column residue, then the square problem
+///   with `k/q` right-hand sides;
+/// * base case: the allgatherv gathering `L` everywhere, and the two Bruck
+///   moves of `B` to complete columns and back;
+/// * halving: both halves, and one `mm3d` update at the `p1` the executor
+///   picks, priced by [`mm::mm_cost`].
+///
+/// S is exact on power-of-two grids.  W is exact but for the updates, where
+/// `mm_cost` reads 0.8–1.35× what `mm3d` moves.  Flops count
+/// multiply-adds, as every `costmodel` formula does.
+pub fn predicted_cost(n: usize, k: usize, pr: usize, pc: usize, base_size: usize) -> Cost {
+    let (nf, kf) = (n as f64, k as f64);
+    if pc > pr {
+        let q = pc / pr;
+        let replicate = collectives::allgatherv(nf * nf / (pr * pc) as f64, q as f64);
+        return replicate + predicted_cost(n, k / q, pr, pr, base_size);
+    }
+    let (prf, p) = (pr as f64, (pr * pr) as f64);
+    if !halves(n, pr, base_size) {
+        // A rank's block for column partner u (offset pr·u) takes popcount(u)
+        // hops, each behind a header; every round adds a count word.
+        let hops: u32 = (1..pr).map(usize::count_ones).sum();
+        let block = coll::BRUCK_BLOCK_HEADER as f64 + nf * kf / (prf * p);
+        let rounds = log2c(p) * indicator(p);
+        let bruck = Cost::new(rounds, rounds + f64::from(hops) * block, 0.0);
+        let solve = Cost::new(0.0, 0.0, nf * nf * kf / (2.0 * p));
+        return collectives::allgatherv(nf * nf / p, p) + bruck.scaled(2.0) + solve;
+    }
+    let h = n / 2;
+    let p1 = choose_mm_p1(h, k, pr);
+    let update = mm::mm_cost(h as f64, kf, p, p1 as f64, ((pr / p1) * (pr / p1)) as f64);
+    predicted_cost(h, k, pr, pr, base_size).scaled(2.0) + update
 }
 
 #[cfg(test)]
@@ -291,6 +341,28 @@ mod tests {
             })
             .unwrap();
         assert!(out.results.into_iter().all(|v| v));
+    }
+
+    #[test]
+    fn the_walk_prices_the_column_split() {
+        // (pr, pc, n, k, base, W tolerance).  1 × 16 replicates L over all
+        // sixteen ranks and solves on 1 × 1 sub-grids: S 8, W 975, both
+        // exact.  2 × 8 adds two base cases and one update on each 2 × 2
+        // sub-grid: S 26, W 40 240, where the update's mm_cost is inexact.
+        for (pr, pc, n, k, base, tol) in [(1, 16, 32, 2048, 16, 0.0), (2, 8, 256, 64, 128, 0.2)] {
+            let (_, report) = on_grid(pr, pc, move |grid| {
+                let l = DistMatrix::from_global(grid, &gen::well_conditioned_lower(n, 3));
+                let b = DistMatrix::from_global(grid, &gen::rhs(n, k, 4));
+                rec_trsm(&l, &b, base).unwrap();
+            });
+            let model = predicted_cost(n, k, pr, pc, base);
+            assert_eq!(report.max_messages() as f64, model.latency, "{pr}x{pc}: S");
+            let ratio = report.max_words() as f64 / model.bandwidth;
+            assert!(
+                (ratio - 1.0).abs() <= tol,
+                "{pr}x{pc}: W is {ratio}× the walk's"
+            );
+        }
     }
 
     #[test]

@@ -281,7 +281,8 @@ impl SolveRequest {
     /// configuration that does not fit the shape, is an error here, not at
     /// execution.  The plan's prediction is
     /// [`Algorithm::predicted_cost`]: for the iterative algorithm, the
-    /// Section VII phase model at the resolved configuration.
+    /// Section VII phase model at the resolved configuration; for the
+    /// recursive one, the walk of its recursion at the pinned base size.
     pub fn plan_distributed(&self, n: usize, k: usize, p: usize) -> Result<SolvePlan> {
         let _span = obs::span_with("planner", "plan_distributed", "n", n as u64);
         if self.opts.side == Side::Right {
@@ -297,7 +298,7 @@ impl SolveRequest {
         if let Algorithm::IterativeInversion(cfg) = &algorithm {
             cfg.check(n, k, p)?;
         }
-        let predicted = algorithm.predicted_cost(self.cost_rev, n, k, p);
+        let predicted = algorithm.predicted_cost(n, k, p);
         Ok(SolvePlan {
             n,
             k,

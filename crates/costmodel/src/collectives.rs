@@ -12,6 +12,14 @@ pub fn allgather(n: f64, p: f64) -> Cost {
     Cost::new(log2c(p), n * indicator(p), 0.0)
 }
 
+/// `T_allgatherv(m, p) = 2α·log p + β·(p−1)·(m+1)`: the variable-size
+/// allgather as `simnet::coll::allgatherv` runs it, an allgather of the
+/// lengths and then one of every block padded to the longest, `m` words.
+/// Exact for power-of-two `p`, and free for `p = 1`.
+pub fn allgatherv(m: f64, p: f64) -> Cost {
+    Cost::new(2.0 * log2c(p) * indicator(p), (p - 1.0) * (m + 1.0), 0.0)
+}
+
 /// `T_scatter(n, p) = α·log p + β·n·1_p`.
 pub fn scatter(n: f64, p: f64) -> Cost {
     Cost::new(log2c(p), n * indicator(p), 0.0)
@@ -55,6 +63,7 @@ mod tests {
     fn single_processor_moves_no_data() {
         for f in [
             allgather,
+            allgatherv,
             scatter,
             gather,
             reduce_scatter,

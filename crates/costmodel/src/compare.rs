@@ -46,8 +46,10 @@ pub struct ConclusionRow {
 }
 
 impl CostModelRev {
-    /// The "standard" column of the conclusion table (note the extra `log p`
-    /// latency factor relative to `T_RT2D/3D`, which the table includes).
+    /// The "standard" column of the conclusion table: the recursive
+    /// baseline's one leading-order statement.  What a recursive *plan*
+    /// quotes is the walk of the recursion it runs, constants included
+    /// (`catrsm::rec_trsm::predicted_cost`).
     ///
     /// `Tang24` applies the reexamination's corrected bandwidth bound for
     /// the recursive algorithm: the 2D regime's panel broadcasts move

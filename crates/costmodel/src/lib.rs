@@ -2,12 +2,12 @@
 //!
 //! Every section of Wicky, Solomonik & Hoefler (IPDPS 2017) derives
 //! closed-form costs in the α–β–γ model: the collectives of Section II-C1,
-//! the 3D matrix multiplication of Section III, the recursive TRSM of
-//! Section IV, the recursive triangular inversion of Section V, the iterative
-//! inversion-based TRSM of Sections VI–VII, the optimal parameters of
-//! Section VIII and the comparison table of Section IX.
+//! the 3D matrix multiplication of Section III, the recursive triangular
+//! inversion of Section V, the iterative inversion-based TRSM of Sections
+//! VI–VII, the optimal parameters of Section VIII and the comparison table
+//! of Section IX.
 //!
-//! This crate implements all of those formulas as plain functions so that
+//! This crate implements those formulas as plain functions so that
 //!
 //! 1. the experiment harness can print *predicted* S/W/F next to the values
 //!    *measured* on the simulated machine (`simnet`), and
@@ -16,13 +16,15 @@
 //!
 //! Which formula prices which algorithm is not this crate's business: the
 //! workspace's one algorithm enum is `catrsm::Algorithm`, whose
-//! `predicted_cost` quotes [`CostModelRev::standard_cost`] for the recursive
-//! baseline, [`predict::wavefront_cost`] for the wavefront, and for the
-//! iterative algorithm the sum of the [`itinv`] phases at the configuration
-//! (`n0`, `p1 × p1 × p2`, inversion sub-grid) the plan resolved.  The
-//! iterative algorithm is written down once per level: per phase with its
-//! constants in [`itinv`] (what plans, drift reports and experiment E5
-//! quote), per regime in the Section IX table ([`CostModelRev::new_cost`]).
+//! `predicted_cost` walks the recursion the recursive baseline runs
+//! (`catrsm::rec_trsm::predicted_cost`, a sum of [`collectives`] and
+//! [`mm::mm_cost`] terms), quotes [`predict::wavefront_cost`] for the
+//! wavefront, and for the iterative algorithm the sum of the [`itinv`]
+//! phases at the configuration (`n0`, `p1 × p1 × p2`, inversion sub-grid)
+//! the plan resolved.  Both communication-avoiding algorithms are also
+//! written down once at leading order, per regime, in the Section IX table
+//! ([`CostModelRev::standard_cost`], [`CostModelRev::new_cost`]), the one
+//! place the cost-model revision changes a formula.
 //!
 //! The crate is dependency-free and purely numeric: costs are returned as
 //! [`Cost`] records with fractional counts (leading-order expressions, not
@@ -44,7 +46,6 @@ pub mod inversion;
 pub mod itinv;
 pub mod mm;
 pub mod predict;
-pub mod rec_trsm;
 pub mod tuning;
 
 pub use cost::{Cost, Machine};

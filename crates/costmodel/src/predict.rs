@@ -7,11 +7,15 @@
 //! advocates, and the plan-inspection pattern the re-examination of this
 //! paper's bandwidth analysis (arXiv:2407.00871) treats as first-class.
 //! `catrsm::Algorithm::predicted_cost` is the dispatch: a recursive plan
-//! quotes the Section IV leading-order [`CostModelRev::standard_cost`], a
-//! wavefront plan [`wavefront_cost`] (Section II-C3), and an iterative plan
-//! the sum of the Section VII phases of [`crate::itinv`] at its own `n0` and
-//! `p1 × p1 × p2` — the same functions the drift report and the experiment
-//! harness print per phase, so a plan's total is the sum of its own rows.
+//! quotes the walk of the recursion it runs at its base size
+//! (`catrsm::rec_trsm::predicted_cost`, built from [`crate::collectives`]
+//! and [`crate::mm::mm_cost`]), a wavefront plan [`wavefront_cost`]
+//! (Section II-C3), and an iterative plan the sum of the Section VII phases
+//! of [`crate::itinv`] at its own `n0` and `p1 × p1 × p2` — the same
+//! functions the drift report and the experiment harness print per phase,
+//! so a plan's total is the sum of its own rows.  None of them reads the
+//! revision: [`CostModelRev`] reaches a plan only through the It-Inv
+//! configuration the planner chose under it.
 
 use crate::cost::{log2c, Cost};
 
@@ -32,7 +36,7 @@ use crate::cost::{log2c, Cost};
 /// numbers say [`CostModelRev::Ipdps17`] (the default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CostModelRev {
-    /// The source paper's Section IV / VIII / IX expressions, verbatim.
+    /// The source paper's Section VIII / IX expressions, verbatim.
     #[default]
     Ipdps17,
     /// The corrected recursive-TRSM bandwidth bound and rebalanced regime

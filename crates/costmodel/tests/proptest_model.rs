@@ -1,7 +1,7 @@
 //! Property-based tests of the analytic cost model: invariants that must
 //! hold for any problem shape, mirroring the claims of Sections II–IX.
 
-use costmodel::CostModelRev::Ipdps17;
+use costmodel::CostModelRev::{Ipdps17, Tang24};
 use costmodel::{collectives, compare, inversion, itinv, mm, tuning};
 use proptest::prelude::*;
 
@@ -27,8 +27,8 @@ proptest! {
         }
     }
 
-    /// The three regimes partition the parameter space consistently between
-    /// the MM classification and the Section VIII classification.
+    /// The three regimes partition the parameter space at the Section VIII
+    /// boundaries.
     #[test]
     fn regime_classification_is_consistent((n, k, p) in problem()) {
         let r = Ipdps17.classify(n, k, p);
@@ -38,14 +38,6 @@ proptest! {
             tuning::Regime::ThreeLargeDims => {
                 prop_assert!(n >= 4.0 * k / p && n <= 4.0 * k * p.sqrt());
             }
-        }
-        // The MM regime boundaries (without the factor 4) are consistent in
-        // ordering: a 2D TRSM regime implies the MM is not 1D, and vice versa.
-        if r == tuning::Regime::TwoLargeDims {
-            prop_assert!(mm::mm_regime(n, k, p) != mm::MmRegime::OneLargeDim);
-        }
-        if r == tuning::Regime::OneLargeDim {
-            prop_assert!(mm::mm_regime(n, k, p) != mm::MmRegime::TwoLargeDims);
         }
     }
 
@@ -92,8 +84,10 @@ proptest! {
     /// The recursive TRSM and MM flop costs are always the optimal n²k/p.
     #[test]
     fn flop_costs_are_optimal((n, k, p) in problem()) {
-        prop_assert!((Ipdps17.rec_trsm_cost(n, k, p).flops - n * n * k / p).abs() < 1e-6 * n * n * k / p);
-        prop_assert!((mm::fmm(n, k, p) - n * n * k / p).abs() < 1e-9);
+        let (p1, p2) = mm::mm_grid_for(n, k, p);
+        prop_assert!((Ipdps17.standard_cost(n, k, p).flops - n * n * k / p).abs() < 1e-6 * n * n * k / p);
+        prop_assert!((Tang24.standard_cost(n, k, p).flops - n * n * k / p).abs() < 1e-6 * n * n * k / p);
+        prop_assert!((mm::mm_cost(n, k, p, p1, p2).flops - n * n * k / p).abs() < 1e-9 * n * n * k / p);
     }
 
     /// Inversion cost decreases when processors are added (strong scaling in

@@ -102,7 +102,7 @@ fn main() {
     }
 
     // And the wavefront baseline, priced by the same `Algorithm`, for scale.
-    let wf = Algorithm::Wavefront.predicted_cost(Ipdps17, n, k, p);
+    let wf = Algorithm::Wavefront.predicted_cost(n, k, p);
     println!(
         "  wavefront baseline would pay S = {:.3e} messages (Θ(n·log p))",
         wf.latency
