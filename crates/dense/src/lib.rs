@@ -88,7 +88,9 @@ pub use flops::FlopCount;
 pub use gemm::{gemm, gemm_views, gemm_with_threads, matmul};
 pub use matrix::{MatMut, MatRef, Matrix};
 pub use microkernel::{kernel_class, TriMask};
-pub use threads::{dense_threads, run_region, thread_budget, with_thread_budget};
+pub use threads::{
+    dense_threads, replace_thread_budget, run_region, thread_budget, with_thread_budget,
+};
 pub use trinv::{tri_invert, tri_invert_in_place};
 pub use trmm::trmm;
 pub use trsm::{

@@ -51,6 +51,17 @@ pub fn with_thread_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
     result
 }
 
+/// Replaces the calling thread's worker-budget override with `budget` and
+/// returns the one it replaces, unclamped.
+///
+/// This is for a scheduler that runs several tasks on one thread — the
+/// simulated machine's rank workers — and must give each task back the
+/// budget it had when it was switched out.  Everyone else wants
+/// [`with_thread_budget`], which restores the previous budget itself.
+pub fn replace_thread_budget(budget: Option<usize>) -> Option<usize> {
+    THREAD_BUDGET.replace(budget)
+}
+
 /// The calling thread's worker-budget override, if one is in effect.
 pub fn thread_budget() -> Option<usize> {
     THREAD_BUDGET.get()

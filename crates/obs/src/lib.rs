@@ -24,18 +24,22 @@
 //! identical at every worker count, because tracing never reads or writes
 //! floating-point data.
 //!
-//! The only code that starts threads on a caller's behalf hands the
-//! caller's recorder ([`current`]) to the child, which runs its body under
+//! Code that runs work for a caller elsewhere hands the caller's recorder
+//! ([`current`]) to that work, which runs its body under
 //! [`Recorder::record`]: the one spawn helper in `dense::threads` (under
 //! both `run_region` and `join_all`, so the packed GEMM, the sparse level
-//! sweep and a `serve` flush) and `simnet::Machine::run` for its rank
-//! threads.  A solve therefore lands, workers and ranks included, in the
+//! sweep and a `serve` flush) for its threads, and `simnet::Machine::run`
+//! for each simulated rank.  The ranks are fibers that share a few worker
+//! threads, so a rank worker also keeps each rank's [`Installation`] while
+//! the rank is switched out and swaps it back in ([`swap_installation`])
+//! when the rank resumes: every rank records as if it had a thread of its
+//! own.  A solve therefore lands, workers and ranks included, in the
 //! recorder of whoever asked for it and in nobody else's: two threads
 //! tracing two solves at once each see only their own spans, and a thread
 //! with no recorder records nothing whatever its neighbours do.
 //!
-//! Each installation records into its own lanes (one wall lane, one sim
-//! lane on a rank thread), created on the first event and **owned by the
+//! Each installation records into its own lanes (one wall lane, and one
+//! sim lane for a simulated rank), created on the first event and **owned by the
 //! recorder**: they are freed with it.  A lane reserves nothing before its
 //! first event and grows to at most [`BUF_CAPACITY`] events; a full lane
 //! drops and counts ([`TraceDump::dropped`]) instead of growing.  Span
@@ -244,6 +248,28 @@ thread_local! {
 fn install(next: Option<Installed>) -> Option<Installed> {
     RECORDING.set(next.is_some());
     INSTALLED.with(|i| i.replace(next))
+}
+
+/// A thread's installation, detached from the thread.
+///
+/// A scheduler that runs several tasks on one thread — `simnet`'s rank
+/// workers, each running many simulated ranks — keeps one per task and
+/// swaps it in with [`swap_installation`] whenever the task resumes, so
+/// each task records on its own lanes as if it had a thread of its own.
+/// The default is "no recorder installed".
+#[derive(Default)]
+pub struct Installation(Option<Installed>);
+
+/// Makes `next` the calling thread's installation and returns the one it
+/// replaces.  Swapping the returned value back in restores the thread
+/// exactly; a recorder installed by [`Recorder::record`] inside a task
+/// stays with that task's installation.
+#[inline]
+pub fn swap_installation(next: Installation) -> Installation {
+    if next.0.is_none() && !enabled() {
+        return next;
+    }
+    Installation(install(next.0))
 }
 
 /// Runs `f` on this thread's installation, if there is one.

@@ -22,7 +22,7 @@
 //! correct but slightly more expensive schedules).
 //!
 //! **One meeting per call.**  The host does not perform those rounds as
-//! messages between rank threads.  The members of a call meet once, on the
+//! messages between ranks.  The members of a call meet once, on the
 //! run's board (`Communicator::meet`):
 //!
 //! 1. *Deposit.*  Each member leaves its entry clock, its input and the
@@ -31,7 +31,8 @@
 //!    would have made.
 //! 2. *Close.*  The last member to deposit wakes the others, one uncharged
 //!    envelope each; a member waits for its wake in the ordinary blocking
-//!    receive, so the rank gate and the failure cascade apply unchanged.
+//!    receive, so the hand-off to another rank, the failure cascade and
+//!    deadlock detection apply unchanged.
 //! 3. *Replay.*  Each member replays the schedule's rounds over every
 //!    member's deposited clock and fault draws, charging them with the
 //!    point-to-point charge code, and applies its own outcome: counters,

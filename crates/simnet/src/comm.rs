@@ -8,37 +8,30 @@
 //! membership must be computable from rank arithmetic alone, which is the
 //! case for every algorithm in the paper.
 //!
-//! All communicators created on one rank share that rank's *endpoint*: the
-//! incoming message queue, the cost counters (whose `time` is the rank's
-//! virtual clock) and the fault source.
+//! All communicators created on one rank share that rank's *endpoint*: its
+//! place in the run's scheduler (its inbox), the cost counters (whose
+//! `time` is the rank's virtual clock) and the fault source.
 //!
-//! A collective call does not pass its modelled messages over the channels:
-//! its members meet once on the run's board (`Communicator::meet`, the
-//! `board` module) and replay the rounds (`coll`).  The channels carry the
-//! user's point-to-point messages, the closer's wake-ups and failure
-//! notifications.
+//! A rank is a fiber on one of the machine's rank workers (the `sched`
+//! module): a receive whose message has not arrived suspends the rank and
+//! its worker runs another.  A collective call does not pass its modelled
+//! messages through the inboxes: its members meet once on the run's board
+//! (`Communicator::meet`, the `board` module) and replay the rounds
+//! (`coll`).  The inboxes carry the user's point-to-point messages and the
+//! closer's wake-ups; failure notifications are posted beside them.
 
 use crate::board::{Board, Closed, Closing, Deposit};
 use crate::cost::{CostCounters, SendFailure};
 use crate::error::SimError;
 use crate::fault::{FaultInjector, SendFaults};
-use crate::gate::RankGate;
 use crate::message::{Envelope, MatchKey};
 use crate::params::MachineParams;
 use crate::pool::BufferPool;
+use crate::sched::{Interrupt, Sched};
 use crate::Result;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-
-/// Context id reserved for failure notifications: when a rank fails — a
-/// permanent fault (crash, exhausted retry budget) or a panic — it
-/// broadcasts one envelope with this context so every other rank unblocks
-/// with a typed error instead of hanging.  The payload carries the root
-/// failed rank.
-pub(crate) const FAIL_CONTEXT: u64 = u64::MAX;
 
 /// Context id of the world communicator.
 const WORLD_CONTEXT: u64 = 1;
@@ -55,12 +48,8 @@ pub(crate) struct Endpoint {
     pub world_rank: usize,
     /// Total number of ranks in the machine.
     pub world_size: usize,
-    /// Channel senders to every rank (indexed by world rank).
-    pub senders: Arc<Vec<Sender<Envelope>>>,
-    /// This rank's receiving channel.
-    pub receiver: Receiver<Envelope>,
-    /// Messages that arrived but have not been matched by a `recv` yet.
-    pub pending: HashMap<MatchKey, VecDeque<(Vec<f64>, f64)>>,
+    /// The run's scheduler: every rank's inbox, and this rank's fiber.
+    pub sched: Arc<Sched>,
     /// α–β–γ parameters.
     pub params: MachineParams,
     /// Cost counters; `counters.time` is the rank's virtual clock (seconds
@@ -71,12 +60,8 @@ pub(crate) struct Endpoint {
     pub injector: Option<FaultInjector>,
     /// The first failure this rank hit or was told of (sticky): every later
     /// send or receive returns it.  It is set exactly when the rank
-    /// broadcasts its failure notification.
+    /// broadcasts its failure notification, or when the run deadlocks.
     pub failure: Option<SimError>,
-    /// Compute-concurrency gate shared by all ranks of the machine (`None`
-    /// when rank execution is unbounded).  A rank releases its slot while
-    /// blocked in a receive and takes it back before resuming computation.
-    pub gate: Option<Arc<RankGate>>,
     /// The machine's buffer pool, shared by every rank.
     pub pool: Arc<BufferPool>,
     /// The run's board, where collective calls meet.
@@ -85,9 +70,9 @@ pub(crate) struct Endpoint {
 
 impl Endpoint {
     /// Record a failure and return the sticky error.  The first failure
-    /// wins: it is stored and broadcast to every other rank as a
-    /// [`FAIL_CONTEXT`] envelope naming its root rank, so nobody waits on
-    /// this rank forever.  A later failure changes nothing and sends nothing.
+    /// wins: it is stored and every other rank is told of it, naming its
+    /// root rank, so nobody waits on this rank forever.  A later failure
+    /// changes nothing and tells nobody.
     fn fail(&mut self, err: SimError) -> SimError {
         if let Some(sticky) = &self.failure {
             return sticky.clone();
@@ -96,16 +81,8 @@ impl Endpoint {
             SimError::RankFailure { rank } => rank,
             _ => self.world_rank,
         };
-        for (dest, tx) in self.senders.iter().enumerate() {
-            if dest != self.world_rank {
-                let _ = tx.send(Envelope {
-                    src: self.world_rank,
-                    context: FAIL_CONTEXT,
-                    tag: 0,
-                    data: vec![root as f64],
-                    avail_time: self.counters.time,
-                });
-            }
+        for dest in (0..self.world_size).filter(|&d| d != self.world_rank) {
+            self.sched.post_failure(dest, root);
         }
         self.failure = Some(err.clone());
         err
@@ -144,13 +121,17 @@ impl Endpoint {
             .charge_send(&self.params, data.len(), faults, lane)
         {
             Ok(avail_time) => {
-                let _ = self.senders[world_dest].send(Envelope {
-                    src: self.world_rank,
-                    context,
-                    tag,
-                    data,
-                    avail_time,
-                });
+                let src = self.world_rank;
+                self.sched.post(
+                    world_dest,
+                    Envelope {
+                        src,
+                        context,
+                        tag,
+                        data,
+                        avail_time,
+                    },
+                );
                 Ok(())
             }
             Err(failure) => Err(self.fail_send(failure, world_dest)),
@@ -171,86 +152,64 @@ impl Endpoint {
         })
     }
 
-    /// Block until a message matching `key` is available and return it.
+    /// Wait until a message matching `key` is in this rank's inbox and take
+    /// it.  A rank whose message has not arrived suspends, and its worker
+    /// runs another ready rank (`sched`).
     ///
-    /// Forward progress rests on three facts:
-    /// * sends never block, because the channels are unbounded, so a rank
-    ///   that owes this one a message can always post it — and the wake-up
-    ///   with which the last member of a collective call releases the
-    ///   others is such a send;
-    /// * a blocked receiver hands its gate permit back before it sleeps, so
-    ///   a gated machine always has a rank that can compute;
+    /// Forward progress rests on four facts:
+    /// * sends never block — an inbox is unbounded — so a rank that owes
+    ///   this one a message can always post it, and the wake-up with which
+    ///   the last member of a collective call releases the others is such a
+    ///   post;
+    /// * a waiting rank yields its worker, so a worker always runs a ready
+    ///   rank if it has one, and a post to a waiting rank makes it ready;
     /// * a failure — a crash, an exhausted retry budget, a panic
-    ///   ([`Communicator::fail_on_panic`]) — is broadcast to every rank once,
+    ///   ([`Communicator::fail_on_panic`]) — is told to every rank once,
     ///   before the failing rank retires, and it is sticky: every later send
-    ///   or wait of a failed rank returns the error at once.
+    ///   or wait of a failed rank returns the error at once;
+    /// * when no rank is ready or running and some wait, nothing can wake
+    ///   them: the scheduler declares a deadlock, and every waiting rank's
+    ///   wait returns [`SimError::Deadlock`] naming them, stickily too.
     ///
-    /// So in a program whose every receive has a matching send, every wait
-    /// ends with its message or a [`FAIL_CONTEXT`] envelope: the awaited
-    /// sender either reaches its send or fails, and a failure reaches this
-    /// rank's channel.  A member waiting at a collective call awaits the
-    /// closer's wake: every member either deposits — and the last deposit
-    /// sends the wakes — or fails before depositing, which is broadcast.
+    /// So every wait ends.  In a program whose every receive has a matching
+    /// send, it ends with its message or a failure: the awaited sender
+    /// either reaches its send or fails, and a failure reaches this rank's
+    /// inbox.  A member waiting at a collective call awaits the closer's
+    /// wake: every member either deposits — and the last deposit sends the
+    /// wakes — or fails before depositing, which is told to everyone.
     ///
     /// That makes every collective call a full rendezvous of its members:
     /// none returns, not even a gather leaf or a scatter root, before all
-    /// have deposited.  The argument covers a program only if no member's
-    /// arrival at a call waits on a point-to-point message from another
-    /// member that has not reached the call yet; a member that sends after
-    /// its `gather` to a root that receives before its own `gather` waits
-    /// forever.
+    /// have deposited.  A program in which a member's arrival at a call
+    /// waits on a point-to-point message from another member that has not
+    /// reached the call yet — a member that sends after its `gather` to a
+    /// root that receives before its own `gather` — deadlocks, and the run
+    /// returns [`SimError::Deadlock`].
     ///
-    /// When tracing, each time the wait parks the thread it records a wall
-    /// instant `simnet`/`park`: the rank-to-rank hand-offs of a run.
+    /// A rank that would wait while unwinding a panic fails instead: a
+    /// fiber must not be switched out mid-unwind, with its worker's panic
+    /// count raised.  When tracing, each suspension records a wall instant
+    /// `simnet`/`park`: the rank-to-rank hand-offs of a run.
     fn wait_for(&mut self, key: MatchKey) -> Result<(Vec<f64>, f64)> {
         if let Some(err) = &self.failure {
             return Err(err.clone());
         }
-        loop {
-            if let Some(queue) = self.pending.get_mut(&key) {
-                if let Some(msg) = queue.pop_front() {
-                    if queue.is_empty() {
-                        self.pending.remove(&key);
-                    }
-                    return Ok(msg);
-                }
+        match self.sched.wait(self.world_rank, key) {
+            Ok(msg) => Ok(msg),
+            // A peer failed: this wait can no longer complete, so it ends
+            // with the root cause, and this rank tells everyone in turn so
+            // that ranks waiting on *it* end too.
+            Err(Interrupt::Failed { root }) => Err(self.fail(SimError::RankFailure { rank: root })),
+            Err(Interrupt::Unwinding) => {
+                let rank = self.world_rank;
+                Err(self.fail(SimError::RankFailure { rank }))
             }
-            // Fast path: a message is already queued — no need to touch the
-            // compute gate.  Otherwise give the compute slot back while
-            // blocked so another rank can run, and take it back before
-            // resuming (the released window contains no panic point, so the
-            // thread-level RAII permit stays balanced).
-            let env = match self.receiver.try_recv() {
-                Ok(env) => env,
-                Err(_) => {
-                    if obs::enabled() {
-                        obs::instant("simnet", "park", "rank", self.world_rank as u64);
-                    }
-                    if let Some(gate) = &self.gate {
-                        gate.release();
-                    }
-                    let received = self.receiver.recv();
-                    if let Some(gate) = &self.gate {
-                        gate.acquire();
-                    }
-                    match received {
-                        Ok(env) => env,
-                        Err(_) => return Err(SimError::ChannelClosed),
-                    }
-                }
-            };
-            if env.context == FAIL_CONTEXT {
-                // A peer failed.  The collective in progress can no longer
-                // complete machine-wide, so abort this wait with the root
-                // cause (and broadcast our own notification so ranks waiting
-                // on *us* unblock too).
-                let root = env.data.first().map(|&v| v as usize).unwrap_or(env.src);
-                return Err(self.fail(SimError::RankFailure { rank: root }));
+            // Every waiting rank was told at once; nobody is left to tell.
+            Err(Interrupt::Deadlock(ranks)) => {
+                let err = SimError::Deadlock { ranks };
+                self.failure = Some(err.clone());
+                Err(err)
             }
-            self.pending
-                .entry(env.key())
-                .or_default()
-                .push_back((env.data, env.avail_time));
         }
     }
 }
@@ -332,9 +291,9 @@ impl Communicator {
     /// ([`Communicator::take_buffer`]); the receiver may hand it back with
     /// [`Communicator::give_buffer`] once it is done with it.
     ///
-    /// The channel is unbounded, so a send never blocks; it can still fail
-    /// with a typed error when a fault plan injects a permanent fault
-    /// (crashed rank, exhausted retry budget) on this endpoint.
+    /// The receiver's inbox is unbounded, so a send never blocks; it can
+    /// still fail with a typed error when a fault plan injects a permanent
+    /// fault (crashed rank, exhausted retry budget) on this endpoint.
     pub fn send(&self, dest: usize, tag: u64, data: &[f64]) -> Result<()> {
         self.check_rank(dest)?;
         let mut buf = self.take_buffer(data.len());
@@ -475,13 +434,16 @@ impl Communicator {
                 board.close(key, deposits, closing, Arc::clone(&ep.pool));
                 for (i, &world) in self.members.iter().enumerate() {
                     if i != me {
-                        let _ = ep.senders[world].send(Envelope {
-                            src: WAKE_SRC,
-                            context: self.context,
-                            tag,
-                            data: Vec::new(),
-                            avail_time: 0.0,
-                        });
+                        ep.sched.post(
+                            world,
+                            Envelope {
+                                src: WAKE_SRC,
+                                context: self.context,
+                                tag,
+                                data: Vec::new(),
+                                avail_time: 0.0,
+                            },
+                        );
                     }
                 }
             }
@@ -571,8 +533,8 @@ fn derive_context(parent: u64, op: u64, world_members: &[usize]) -> u64 {
     for &m in world_members {
         mix(m as u64);
     }
-    // Avoid colliding with the reserved world/failure contexts.
-    if h == FAIL_CONTEXT || h == WORLD_CONTEXT {
+    // Avoid colliding with the world's context.
+    if h == WORLD_CONTEXT {
         h ^= 0x5555_5555_5555_5555;
     }
     h
@@ -591,7 +553,7 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, d);
-        assert_ne!(a, FAIL_CONTEXT);
+        assert_ne!(a, WORLD_CONTEXT);
     }
 
     #[test]

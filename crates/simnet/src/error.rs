@@ -48,9 +48,13 @@ pub enum SimError {
         /// through failure notifications).
         rank: usize,
     },
-    /// The underlying message channel closed while a rank was waiting —
-    /// the machine is shutting down.
-    ChannelClosed,
+    /// Every unfinished rank waited for a message that no rank could send
+    /// any more: the program deadlocked.  Each waiting rank's wait returned
+    /// this error, and so did the run.
+    Deadlock {
+        /// World ranks that were waiting, in ascending order.
+        ranks: Vec<usize>,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -76,9 +80,10 @@ impl fmt::Display for SimError {
             SimError::RankFailure { rank } => {
                 write!(f, "rank {rank} failed permanently during execution")
             }
-            SimError::ChannelClosed => {
-                write!(f, "message channel closed while waiting for a message")
-            }
+            SimError::Deadlock { ranks } => write!(
+                f,
+                "deadlock: ranks {ranks:?} wait for messages no rank can send"
+            ),
         }
     }
 }
@@ -112,6 +117,7 @@ mod tests {
         assert!(SimError::RankFailure { rank: 4 }
             .to_string()
             .contains("failed permanently"));
-        assert!(SimError::ChannelClosed.to_string().contains("closed"));
+        let e = SimError::Deadlock { ranks: vec![0, 3] };
+        assert!(e.to_string().contains("deadlock: ranks [0, 3]"));
     }
 }

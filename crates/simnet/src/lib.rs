@@ -11,15 +11,15 @@
 //!
 //! where `S` is the number of messages, `W` the number of words and `F` the
 //! number of flops on the critical path.  `simnet` executes an SPMD program
-//! on `p` simulated processors (one OS thread each), moves **real data**
-//! between them over channels, and simultaneously advances a **virtual clock**
+//! on `p` simulated processors (one fiber each), moves **real data**
+//! between them through per-rank inboxes, and simultaneously advances a **virtual clock**
 //! per processor using exactly this model, so that every algorithm built on
 //! top can be both *verified for correctness* and *measured for S, W, F and
 //! T* — which is what the paper's evaluation reports.
 //!
 //! The crate provides:
 //!
-//! * [`machine::Machine`] — spawns the ranks, runs the SPMD closure, collects
+//! * [`machine::Machine`] — runs the SPMD closure on every rank, collects
 //!   per-rank cost counters into a [`cost::CostReport`].
 //! * [`comm::Communicator`] — point-to-point `send`/`recv`,
 //!   sub-communicators (`subgroup`), and the virtual-clock bookkeeping.
@@ -60,17 +60,23 @@
 //!
 //! ## Execution model
 //!
-//! Ranks are real OS threads, but the host rarely has a core per simulated
-//! processor: a counting gate bounds how many ranks *compute* at once to
-//! [`machine::Machine::rank_workers`] (default: the dense worker pool's
-//! width), a blocked receiver always returns its compute slot before
-//! sleeping, and each rank's local GEMM/TRSM calls get a proportional share
-//! of the pool through [`dense::with_thread_budget`].  On Linux the rank
-//! threads of a gated run are confined to as many CPUs as the gate has
-//! slots, which keeps rank-to-rank hand-offs off idle CPUs.  Scheduling never
-//! leaks into results: all numerics depend only on rank-local state and
-//! message payloads, delivered in per-stream FIFO order regardless of thread
-//! interleaving, so runs are bitwise deterministic at every worker count.
+//! Ranks are fibers — coroutines with a 2 MiB stack each — on
+//! [`machine::Machine::rank_workers`] host threads (default: the dense
+//! worker pool's width), so at most that many *compute* at once however
+//! many ranks a run has.  A rank that waits for a message that has not
+//! arrived switches its worker to another ready rank in user space: no
+//! kernel call, and no thread per rank, so a run at the paper's 1 024
+//! processors needs no more threads than a run at 16.  Each rank's local
+//! GEMM/TRSM calls get a proportional share of the pool through
+//! [`dense::with_thread_budget`].  Scheduling never leaks into results: all
+//! numerics depend only on rank-local state and message payloads, delivered
+//! in per-stream FIFO order whatever the schedule, so runs are bitwise
+//! deterministic at every worker count.  A program whose ranks all end up
+//! waiting on each other fails with [`SimError::Deadlock`] instead of
+//! hanging.
+//!
+//! The stack switch is written per architecture: `simnet` builds on x86_64
+//! and aarch64, Linux and macOS, and fails to compile elsewhere.
 //!
 //! ## Example
 //!
@@ -88,18 +94,18 @@
 //! assert!(out.report.max_messages() > 0);
 //! ```
 
-mod affinity;
 mod board;
 pub mod coll;
 pub mod comm;
 pub mod cost;
 pub mod error;
 pub mod fault;
-mod gate;
+mod fiber;
 pub mod machine;
 pub mod message;
 pub mod params;
 mod pool;
+mod sched;
 
 pub use comm::Communicator;
 pub use cost::{CostCounters, CostReport};

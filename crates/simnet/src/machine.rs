@@ -1,47 +1,46 @@
-//! The simulated machine: spawns ranks, runs the SPMD program, collects costs.
+//! The simulated machine: runs the SPMD program on its ranks, collects costs.
 
-use crate::affinity::confine_spawns;
 use crate::board::Board;
 use crate::comm::{Communicator, Endpoint};
 use crate::cost::{CostCounters, CostReport};
 use crate::error::SimError;
 use crate::fault::{FaultInjector, FaultPlan};
-use crate::gate::RankGate;
-use crate::message::Envelope;
+use crate::fiber::StackPool;
 use crate::params::MachineParams;
 use crate::pool::{BufferPool, PoolStats};
+use crate::sched::Sched;
 use crate::Result;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A simulated machine with `p` processors and α–β–γ parameters.
 ///
-/// [`Machine::run`] executes one SPMD closure on every processor (each on its
-/// own OS thread), moving real data between them, and returns both the
-/// per-rank results and the aggregated [`CostReport`].
+/// [`Machine::run`] executes one SPMD closure on every processor, moving
+/// real data between them, and returns both the per-rank results and the
+/// aggregated [`CostReport`].
 ///
-/// Rank execution is throttled to the host's real cores: at most
-/// `rank_workers` ranks (default [`dense::dense_threads`], override with
-/// [`Machine::with_rank_workers`]) *compute* concurrently, with blocked
-/// receivers giving their compute slot back, and each rank's local dense
+/// Each rank runs as a fiber — a coroutine with a stack of its own — on one
+/// of `rank_workers` host threads (default [`dense::dense_threads`],
+/// override with [`Machine::with_rank_workers`]): rank `r` on worker
+/// `r mod rank_workers`, the calling thread being worker 0.  A rank that
+/// waits for a message that has not arrived switches its worker to another
+/// ready rank in user space, so at most `rank_workers` ranks compute at
+/// once and a hand-off costs no kernel call.  Each rank's local dense
 /// kernels get a proportional share of the worker pool via
-/// [`dense::with_thread_budget`].  On Linux the rank threads of a throttled
-/// run are also confined to `rank_workers` of the caller's CPUs (the one it
-/// is on first), so a hand-off between ranks never has to wake an idle CPU.
-/// All of this only affects scheduling, never results — runs are bitwise
-/// deterministic at every worker count.
+/// [`dense::with_thread_budget`].  All of this only affects scheduling,
+/// never results — runs are bitwise deterministic at every worker count.
 ///
 /// A machine can optionally carry a [`FaultPlan`]
 /// ([`Machine::with_fault_plan`]): every run then injects the plan's
 /// deterministic fault schedule into the transport.
 ///
-/// A machine owns one buffer pool, shared by all its ranks and by its
-/// clones, that outlives each run: message payloads, collective temporaries
-/// and whatever else ranks hand back through
+/// A machine owns one buffer pool and one pool of rank stacks, shared by
+/// its clones, that outlive each run: message payloads, collective
+/// temporaries and whatever else ranks hand back through
 /// [`Communicator::give_buffer`] are reused by later takes, in this run or
-/// the next, instead of being freed with the rank thread and faulted in
-/// again ([`Machine::pool_stats`]; the retention rule is in the crate
-/// README).
+/// the next, instead of being freed and faulted in again
+/// ([`Machine::pool_stats`]; the retention rule is in the crate README),
+/// and a warm run maps no stack.
 #[derive(Debug, Clone)]
 pub struct Machine {
     procs: usize,
@@ -49,6 +48,7 @@ pub struct Machine {
     faults: Option<FaultPlan>,
     rank_workers: Option<usize>,
     pool: Arc<BufferPool>,
+    stacks: Arc<StackPool>,
 }
 
 /// The outcome of a machine run: one result per rank plus the cost report.
@@ -69,6 +69,7 @@ impl Machine {
             faults: None,
             rank_workers: None,
             pool: Arc::default(),
+            stacks: Arc::default(),
         }
     }
 
@@ -79,11 +80,14 @@ impl Machine {
         self
     }
 
-    /// Override how many ranks may *compute* concurrently (the default is
-    /// [`dense::dense_threads`], i.e. the dense worker pool's width).  This
-    /// is a scheduling knob only: results are bitwise identical at every
-    /// value, so tests can compare `with_rank_workers(1)` against
-    /// `with_rank_workers(4)` in one process regardless of `DENSE_THREADS`.
+    /// Override how many host threads run the ranks, and so how many ranks
+    /// may *compute* concurrently (the default is [`dense::dense_threads`],
+    /// i.e. the dense worker pool's width; a run never uses more workers
+    /// than it has ranks).  At one worker a run uses only the calling
+    /// thread.  This is a scheduling knob only: results are bitwise
+    /// identical at every value, so tests can compare `with_rank_workers(1)`
+    /// against `with_rank_workers(4)` in one process regardless of
+    /// `DENSE_THREADS`.
     pub fn with_rank_workers(mut self, workers: usize) -> Self {
         self.rank_workers = Some(workers.max(1));
         self
@@ -116,9 +120,11 @@ impl Machine {
     ///
     /// The closure receives this rank's world [`Communicator`].  If any rank
     /// panics, it counts as a failure of that rank — its peers' receives
-    /// return [`SimError::RankFailure`] instead of blocking forever — and the
+    /// return [`SimError::RankFailure`] instead of waiting forever — and the
     /// run returns [`SimError::RankPanicked`] naming the first rank that
-    /// panicked.
+    /// panicked.  If every unfinished rank waits for a message no rank can
+    /// send, their waits return [`SimError::Deadlock`] and so does the run,
+    /// naming the ranks that waited.
     pub fn run<T, F>(&self, f: F) -> Result<RunOutput<T>>
     where
         T: Send,
@@ -130,107 +136,82 @@ impl Machine {
         let p = self.procs;
         let params = self.params;
 
-        // Rank scheduling: bound concurrently-computing ranks to the worker
-        // pool's width (no gate needed when every rank fits), and give each
-        // rank's local dense kernels a proportional share of the pool.
+        // Give each rank's local dense kernels a proportional share of the
+        // worker pool.
         let workers = self.rank_workers();
-        let gate = (workers < p).then(|| Arc::new(RankGate::new(workers)));
         let share = (workers / p.min(workers)).max(1);
-
-        // Build the all-to-all channel fabric.
-        let mut senders = Vec::with_capacity(p);
-        let mut receivers = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = mpsc::channel::<Envelope>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let senders = Arc::new(senders);
+        let sched = Arc::new(Sched::new(p, workers));
         // Where this run's collective calls meet.
         let board = Arc::new(Board::default());
 
-        let f = &f;
         // The first rank to panic: it is recorded before the rank broadcasts
         // its failure, and a rank that panics because of that failure can
         // only do so after receiving the broadcast.
-        let first_panic = &OnceLock::new();
+        let first_panic = OnceLock::new();
+        let outputs: Vec<Mutex<Option<(T, CostCounters)>>> =
+            (0..p).map(|_| Mutex::new(None)).collect();
 
-        // Rank threads record into the trace of whoever called `run`.
+        // Ranks record into the trace of whoever called `run`.
         let recorder = obs::current();
-        let outputs: Vec<Option<(T, CostCounters)>> = std::thread::scope(|scope| {
-            // A gated run computes on `workers` CPUs at a time: its rank
-            // threads are created confined to that many, so the hand-offs
-            // between ranks stay on CPUs that are awake (see `affinity`).
-            let confined = gate.is_some().then(|| confine_spawns(workers));
-            let mut handles = Vec::with_capacity(p);
-            for (rank, receiver) in receivers.into_iter().enumerate() {
-                let senders = Arc::clone(&senders);
-                let fault_plan = self.faults.clone();
-                let gate = gate.clone();
-                let board = Arc::clone(&board);
-                let recorder = recorder.clone();
-                let body = move || {
-                    // Take a compute slot before running user code; the RAII
-                    // permit is returned when the thread retires (or unwinds)
-                    // and temporarily given back inside blocking receives.
-                    let _permit = gate.as_ref().map(|g| g.acquire_permit());
-                    // One span per rank thread: each rank records on its own
-                    // wall lane, so the trace shows which ranks actually ran
-                    // concurrently.
-                    let _span = obs::span_with("simnet", "rank", "rank", rank as u64);
-                    let endpoint = Endpoint {
-                        world_rank: rank,
-                        world_size: p,
-                        senders: Arc::clone(&senders),
-                        receiver,
-                        pending: Default::default(),
-                        params,
-                        counters: CostCounters::default(),
-                        injector: fault_plan
-                            .as_ref()
-                            .map(|plan| FaultInjector::new(plan, rank)),
-                        failure: None,
-                        gate: gate.clone(),
-                        pool: Arc::clone(&self.pool),
-                        board,
-                    };
-                    let comm = Communicator::world(endpoint);
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        dense::with_thread_budget(share, || f(&comm))
-                    }));
-                    match result {
-                        Ok(value) => Some((value, comm.counters())),
-                        Err(_) => {
-                            let _ = first_panic.set(rank);
-                            comm.fail_on_panic();
-                            None
-                        }
-                    }
+        let rank_body = |rank: usize| {
+            let body = || {
+                // One span per rank: each rank records on its own wall
+                // lane, so the trace shows which ranks actually ran
+                // concurrently.
+                let _span = obs::span_with("simnet", "rank", "rank", rank as u64);
+                let endpoint = Endpoint {
+                    world_rank: rank,
+                    world_size: p,
+                    sched: Arc::clone(&sched),
+                    params,
+                    counters: CostCounters::default(),
+                    injector: self
+                        .faults
+                        .as_ref()
+                        .map(|plan| FaultInjector::new(plan, rank)),
+                    failure: None,
+                    pool: Arc::clone(&self.pool),
+                    board: Arc::clone(&board),
                 };
-                let handle = scope.spawn(move || match recorder {
-                    Some(recorder) => recorder.record(body),
-                    None => body(),
-                });
-                handles.push(handle);
+                let comm = Communicator::world(endpoint);
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    dense::with_thread_budget(share, || f(&comm))
+                }));
+                match result {
+                    Ok(value) => {
+                        let out = Some((value, comm.counters()));
+                        *outputs[rank].lock().unwrap_or_else(PoisonError::into_inner) = out;
+                    }
+                    Err(_) => {
+                        let _ = first_panic.set(rank);
+                        comm.fail_on_panic();
+                    }
+                }
+            };
+            match &recorder {
+                Some(recorder) => recorder.record(body),
+                None => body(),
             }
-            drop(confined);
-            handles
-                .into_iter()
-                .map(|handle| handle.join().ok().flatten())
-                .collect()
-        });
+        };
+        sched.run(&self.stacks, &rank_body);
         self.pool.end_run();
 
-        // A rank thread that died outside `catch_unwind` recorded nothing;
-        // it is reported by index.
-        let panicked = first_panic
-            .get()
-            .copied()
-            .or_else(|| outputs.iter().position(Option::is_none));
-        if let Some(rank) = panicked {
+        if let Some(ranks) = sched.deadlock() {
+            return Err(SimError::Deadlock {
+                ranks: ranks.to_vec(),
+            });
+        }
+        if let Some(&rank) = first_panic.get() {
             return Err(SimError::RankPanicked { rank });
         }
-        let (results, counters) = outputs.into_iter().flatten().unzip();
+        let (results, counters) = outputs
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("a rank that did not panic returned")
+            })
+            .unzip();
         Ok(RunOutput {
             results,
             report: CostReport::new(counters, params),
@@ -397,12 +378,120 @@ mod tests {
     }
 
     #[test]
-    fn panic_under_a_rank_gate_still_unblocks_everyone() {
-        // One compute slot for four ranks: the panicking rank must return
-        // its permit during unwind or the others would never be scheduled.
-        assert_panic_of_rank_2_reported(
-            Machine::new(4, MachineParams::unit()).with_rank_workers(1),
-        );
+    fn a_panic_mid_collective_unblocks_every_rank_on_its_worker() {
+        use crate::coll::{allreduce, barrier, ReduceOp};
+        // One worker runs all four ranks; at two, rank 2 shares its worker
+        // with rank 0.  The panicking rank must hand its worker on after it
+        // unwinds, and its failure must end the waits of the ranks that
+        // already sit in the collective it never joins.
+        for workers in [1, 2] {
+            let m = Machine::new(4, MachineParams::unit()).with_rank_workers(workers);
+            assert_panic_of_rank_2_reported(m.clone());
+            let peers = std::sync::Mutex::new(Vec::new());
+            let res = m.run(|comm| {
+                barrier(comm).unwrap();
+                if comm.rank() == 2 {
+                    panic!("between two collectives");
+                }
+                let got = allreduce(comm, &[1.0], ReduceOp::Sum);
+                peers.lock().unwrap().push((comm.rank(), got.err()));
+            });
+            assert!(
+                matches!(res, Err(SimError::RankPanicked { rank: 2 })),
+                "{res:?}"
+            );
+            let mut peers = peers.into_inner().unwrap();
+            peers.sort_by_key(|&(rank, _)| rank);
+            let failure = Some(SimError::RankFailure { rank: 2 });
+            assert_eq!(
+                peers,
+                [(0, failure.clone()), (1, failure.clone()), (3, failure)],
+                "{workers} rank workers"
+            );
+        }
+    }
+
+    /// The crate README's mis-ordered program: rank 1 calls `gather` and
+    /// then sends to the root, while the root receives before its own
+    /// `gather`.  Nothing can end either wait.
+    #[test]
+    fn a_deadlocked_program_fails_instead_of_hanging() {
+        use crate::coll::gather;
+        for workers in [1, 4] {
+            let errors = std::sync::Mutex::new(Vec::new());
+            let res = Machine::new(4, MachineParams::unit())
+                .with_rank_workers(workers)
+                .run(|comm| {
+                    let first = if comm.rank() == 0 {
+                        comm.recv(1, 0).err()
+                    } else {
+                        gather(comm, 0, &[1.0]).err()
+                    };
+                    // The error is sticky: the program's next step fails
+                    // at once instead of waiting again.
+                    let second = if comm.rank() == 1 {
+                        comm.send(0, 0, &[1.0]).err()
+                    } else {
+                        gather(comm, 0, &[1.0]).err()
+                    };
+                    errors.lock().unwrap().push((comm.rank(), first, second));
+                });
+            let deadlock = SimError::Deadlock {
+                ranks: vec![0, 1, 2, 3],
+            };
+            assert_eq!(res.err(), Some(deadlock.clone()), "{workers} rank workers");
+            let mut errors = errors.into_inner().unwrap();
+            errors.sort_by_key(|&(rank, ..)| rank);
+            let both = (Some(deadlock.clone()), Some(deadlock));
+            for (rank, first, second) in errors {
+                assert_eq!((first, second), both.clone(), "rank {rank}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_gets_a_threads_stack() {
+        /// Recurse through `depth` frames of 64 KiB each, and meet the other
+        /// ranks at the deepest one.
+        fn down(comm: &Communicator, depth: usize) -> u64 {
+            let frame = std::hint::black_box([depth as u8; 64 << 10]);
+            if depth == 0 {
+                crate::coll::barrier(comm).unwrap();
+                return 0;
+            }
+            down(comm, depth - 1) + std::hint::black_box(frame[7]) as u64
+        }
+        for workers in [1, 4] {
+            // 20 frames: 1.25 MiB of stack on every rank, and a hand-off
+            // between ranks at the deepest point.
+            let out = Machine::new(4, MachineParams::unit())
+                .with_rank_workers(workers)
+                .run(|comm| down(comm, 20))
+                .unwrap();
+            assert_eq!(out.results, vec![(1..=20).sum::<u64>(); 4]);
+        }
+    }
+
+    #[test]
+    fn the_papers_processor_counts_run_on_one_worker() {
+        use crate::coll::{allreduce, ReduceOp};
+        let p = 1024;
+        let out = Machine::new(p, MachineParams::unit())
+            .with_rank_workers(1)
+            .run(|comm| {
+                let me = comm.rank() as f64;
+                let world = allreduce(comm, &[me], ReduceOp::Sum).unwrap()[0];
+                let first = comm.rank() / 4 * 4;
+                let four = comm.subgroup(&[first, first + 1, first + 2, first + 3]);
+                let group = allreduce(&four.unwrap(), &[me], ReduceOp::Sum).unwrap()[0];
+                (world, group)
+            })
+            .unwrap();
+        for (rank, &(world, group)) in out.results.iter().enumerate() {
+            let first = (rank / 4 * 4) as f64;
+            assert_eq!(world, (p * (p - 1) / 2) as f64);
+            assert_eq!(group, 4.0 * first + 6.0, "rank {rank}");
+        }
     }
 
     #[test]

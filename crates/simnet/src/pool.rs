@@ -1,11 +1,11 @@
 //! The machine's buffer pool: payloads and collective temporaries recycled
 //! across ranks and across runs.
 //!
-//! A rank thread lives for one [`Machine::run`](crate::Machine::run), so a
-//! buffer it frees is handed back to the allocator, which returns the pages
-//! to the kernel, and the next run faults them in again.  The pool outlives
-//! the runs: buffers given back during a run are handed out again, in this
-//! run or the next, while their pages are still resident.
+//! A rank lives for one [`Machine::run`](crate::Machine::run), and so
+//! would every buffer it allocated: freed when the run ends, a large one's
+//! pages go back to the kernel, and the next run faults them in again.  The
+//! pool outlives the runs: buffers given back during a run are handed out
+//! again, in this run or the next, while their pages are still resident.
 //!
 //! A buffer is always handed out *empty* (length 0, capacity at least the
 //! request), so no value ever travels from one use to the next: what a

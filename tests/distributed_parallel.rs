@@ -1,4 +1,5 @@
-//! Parallel rank execution: the `Machine::with_rank_workers` compute gate
+//! Parallel rank execution: the number of rank workers
+//! (`Machine::with_rank_workers`, the host threads a run's ranks share)
 //! must be a pure throughput knob.
 //!
 //! Four claims, matching the execution-model section of the simnet README:
@@ -8,11 +9,11 @@
 //!   every rank-worker count (the CI `distributed-parallel` job re-runs
 //!   this binary under `DENSE_THREADS=1` and `=4` on top);
 //! * **chaos under parallel ranks** — the full fault taxonomy keeps its
-//!   contract when ranks execute concurrently under a bounded gate:
+//!   contract when ranks execute concurrently on several workers:
 //!   transient plans stay bit-transparent, permanent plans fail typed on
 //!   every affected rank, and nothing ever hangs;
 //! * **trace acceptance** — the rank spans of a recursive-TRSM solve under
-//!   a 4-worker gate land on distinct wall lanes in the obs trace, and the
+//!   4 rank workers land on distinct wall lanes in the obs trace, and the
 //!   answer still matches the single-worker run bitwise;
 //! * **warm runs** — a machine's buffer pool outlives its runs, and a run
 //!   served from recycled buffers returns the bits, per-rank counters and
@@ -81,12 +82,12 @@ fn rank_worker_count_is_bitwise_invisible_for_every_algorithm() {
         let base = Machine::new(4, params)
             .with_rank_workers(1)
             .run(solve_bits(alg, 2, N, K))
-            .expect("serial-gate run");
+            .expect("one-worker run");
         for workers in [2usize, 4] {
             let out = Machine::new(4, params)
                 .with_rank_workers(workers)
                 .run(solve_bits(alg, 2, N, K))
-                .expect("parallel-gate run");
+                .expect("several-worker run");
             assert_same_run(&format!("{alg:?} at {workers} rank workers"), &base, &out);
         }
     }
@@ -153,8 +154,8 @@ fn transient_plans() -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-/// Satellite: transient chaos under parallel ranks.  A faulty run with a
-/// 4-worker gate must reproduce the fault-free single-worker run bit for
+/// Satellite: transient chaos under parallel ranks.  A faulty run on 4
+/// rank workers must reproduce the fault-free single-worker run bit for
 /// bit, for every algorithm and every transient plan.
 #[test]
 fn chaos_transient_plans_stay_bit_transparent_under_parallel_ranks() {
@@ -186,8 +187,8 @@ fn chaos_transient_plans_stay_bit_transparent_under_parallel_ranks() {
 
 /// Satellite: permanent chaos under parallel ranks.  A crashed rank and an
 /// exhausted retry budget must fail typed on every affected rank — the
-/// compute gate (permits released around blocking receives and on panic)
-/// must never convert a failure cascade into a hang.
+/// scheduler (a waiting rank yields its worker, a failure wakes every
+/// waiting rank) must never convert a failure cascade into a hang.
 #[test]
 fn chaos_permanent_plans_fail_typed_under_parallel_ranks() {
     for alg in algorithms() {
@@ -253,7 +254,7 @@ fn chaos_permanent_plans_fail_typed_under_parallel_ranks() {
     }
 }
 
-/// Acceptance: a 2×2 grid recursive-TRSM solve with a 4-worker gate (a)
+/// Acceptance: a 2×2 grid recursive-TRSM solve on 4 rank workers (a)
 /// runs each of its four rank spans on a wall lane of its own, in this
 /// test's recorder and so unmistakably its own ranks, and (b) still matches
 /// the 1-worker run bitwise.
@@ -267,7 +268,7 @@ fn distinct_lanes_with_parallel_rank_workers() {
         recorder.record(|| solve_on(&Machine::new(4, params).with_rank_workers(4), alg, 77));
     let dump = recorder.dump();
 
-    // (a) one wall lane per rank thread, each opening exactly one rank
+    // (a) one wall lane per rank, each opening exactly one rank
     // span, for ranks 0..4 — whatever the tests running beside this one
     // are tracing.
     let mut ranks_seen = Vec::new();

@@ -169,7 +169,8 @@ fn recorders_free_their_lanes() {
         });
         assert!(!recorder.dump().is_empty());
         let probe = recorder.lane_probe();
-        // One wall lane and one sim lane per rank thread.
+        // One wall lane and one sim lane per rank, though the 16 ranks
+        // share as few as one worker thread.
         assert_eq!((probe.lanes(), probe.alive()), (32, 32));
         drop(recorder);
         leaked += probe.alive();
