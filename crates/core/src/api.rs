@@ -44,26 +44,25 @@ impl Algorithm {
     ///
     /// The iterative algorithm quotes the Section VII phase model at its own
     /// configuration ([`ItInvConfig::predicted_cost`]): `n0` and the grid
-    /// enter with their constants.  The recursive baseline quotes the walk
-    /// of the recursion it runs at its base size
-    /// ([`crate::rec_trsm::predicted_cost`]) on the `pr × pc` grid
-    /// (`pr ≤ pc`, `pr | pc`) closest to square, `√p × √p` for a square `p`.
-    /// The wavefront baseline (Section II-C3) quotes its closed form.  No
-    /// arm reads the cost-model revision: it reaches a plan only through
-    /// the configuration the planner chose under it.
+    /// enter with their constants.  Both baselines quote the walk of what
+    /// they run, from operands stored cyclically on the `pr × pc` grid
+    /// (`pr ≤ pc`, `pr | pc`) closest to square, `√p × √p` for a square `p`:
+    /// the recursive one the recursion at its base size
+    /// ([`crate::rec_trsm::predicted_cost`]), the wavefront its layout moves
+    /// and broadcasts ([`crate::wavefront::predicted_cost`]).  No arm reads
+    /// the cost-model revision: it reaches a plan only through the
+    /// configuration the planner chose under it.
     pub fn predicted_cost(&self, n: usize, k: usize, p: usize) -> Cost {
+        let pr = (1..=p.isqrt())
+            .rev()
+            .find(|pr| p.is_multiple_of(pr * pr))
+            .unwrap_or(1);
         match self {
             Algorithm::Recursive { base_size } => {
-                let pr = (1..=p.isqrt())
-                    .rev()
-                    .find(|pr| p.is_multiple_of(pr * pr))
-                    .unwrap_or(1);
                 crate::rec_trsm::predicted_cost(n, k, pr, p / pr, *base_size)
             }
             Algorithm::IterativeInversion(cfg) => cfg.predicted_cost(n, k),
-            Algorithm::Wavefront => {
-                costmodel::predict::wavefront_cost(n as f64, k as f64, p as f64)
-            }
+            Algorithm::Wavefront => crate::wavefront::predicted_cost(n, k, pr, p / pr),
         }
     }
 }
@@ -167,7 +166,7 @@ mod tests {
     #[test]
     fn dispatch_matches_the_underlying_formulas() {
         let (n, k, p) = (4096, 1024, 64);
-        let (nf, kf, pf) = (n as f64, k as f64, p as f64);
+        let (nf, kf) = (n as f64, k as f64);
         let it_inv = ItInvConfig {
             p1: 4,
             p2: 4,
@@ -175,12 +174,16 @@ mod tests {
             inv_base: 64,
         };
         let (r1, r2) = it_inv.inversion_grid(n);
-        // The recursive baseline on the grid closest to square: 8 × 8 for
-        // p = 64, 2 × 4 for p = 8.
+        // Both baselines on the grid closest to square: 8 × 8 for p = 64,
+        // 2 × 4 for p = 8.
         for (p, pr) in [(64, 8), (8, 2)] {
             assert_eq!(
                 Algorithm::Recursive { base_size: 64 }.predicted_cost(n, k, p),
                 crate::rec_trsm::predicted_cost(n, k, pr, p / pr, 64)
+            );
+            assert_eq!(
+                Algorithm::Wavefront.predicted_cost(n, k, p),
+                crate::wavefront::predicted_cost(n, k, pr, p / pr)
             );
         }
         assert_eq!(
@@ -188,10 +191,6 @@ mod tests {
             costmodel::itinv::inversion_phase(nf, 512.0, r1, r2)
                 + costmodel::itinv::solve_phase(nf, kf, 512.0, 4.0, 4.0)
                 + costmodel::itinv::update_phase(nf, kf, 512.0, 4.0, 4.0)
-        );
-        assert_eq!(
-            Algorithm::Wavefront.predicted_cost(n, k, p),
-            costmodel::predict::wavefront_cost(nf, kf, pf)
         );
     }
 

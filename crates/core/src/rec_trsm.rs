@@ -24,13 +24,12 @@ use crate::error::config_error;
 use crate::mm3d::mm3d;
 use crate::planner::choose_mm_p1;
 use crate::Result;
-use costmodel::cost::{indicator, log2c};
 use costmodel::{collectives, mm, Cost};
 use dense::Matrix;
 use pgrid::distmat::cyclic_local_count;
 use pgrid::redist::{redistribute, Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
-use simnet::coll;
+use simnet::{coll, CostCounters};
 use std::borrow::Cow;
 
 /// Solve `L·X = B` with the recursive algorithm.  `L` (`n×n`, lower
@@ -201,7 +200,7 @@ fn halves(n: usize, pr: usize, base_size: usize) -> bool {
 ///   `q = pc/pr` ranks of a row and column residue, then the square problem
 ///   with `k/q` right-hand sides;
 /// * base case: the allgatherv gathering `L` everywhere, and the two Bruck
-///   moves of `B` to complete columns and back;
+///   moves of `B` to complete columns and back ([`coll::bruck_counts`]);
 /// * halving: both halves, and one `mm3d` update at the `p1` the executor
 ///   picks, priced by [`mm::mm_cost`].
 ///
@@ -215,21 +214,32 @@ pub fn predicted_cost(n: usize, k: usize, pr: usize, pc: usize, base_size: usize
         let replicate = collectives::allgatherv(nf * nf / (pr * pc) as f64, q as f64);
         return replicate + predicted_cost(n, k / q, pr, pr, base_size);
     }
-    let (prf, p) = (pr as f64, (pr * pr) as f64);
+    let (p, pf) = (pr * pr, (pr * pr) as f64);
     if !halves(n, pr, base_size) {
-        // A rank's block for column partner u (offset pr·u) takes popcount(u)
-        // hops, each behind a header; every round adds a count word.
-        let hops: u32 = (1..pr).map(usize::count_ones).sum();
-        let block = coll::BRUCK_BLOCK_HEADER as f64 + nf * kf / (prf * p);
-        let rounds = log2c(p) * indicator(p);
-        let bruck = Cost::new(rounds, rounds + f64::from(hops) * block, 0.0);
-        let solve = Cost::new(0.0, 0.0, nf * nf * kf / (2.0 * p));
-        return collectives::allgatherv(nf * nf / p, p) + bruck.scaled(2.0) + solve;
+        // B moves to complete columns (column c on rank c mod p) and back;
+        // rank (x, y) holds the cyclic rows x and columns y.
+        let block = |x: usize, d: usize| cyclic_local_count(n, pr, x) * cyclic_local_count(k, p, d);
+        let there = coll::bruck_counts(p, |s| {
+            (s % pr..p).step_by(pr).map(move |d| (d, block(s / pr, d)))
+        });
+        let back = coll::bruck_counts(p, |d| (0..pr).map(move |x| (x * pr + d % pr, block(x, d))));
+        let moves = critical_path(there.iter().zip(&back).map(|(a, b)| a.merge(b)));
+        let solve = Cost::new(0.0, 0.0, nf * nf * kf / (2.0 * pf));
+        return collectives::allgatherv(nf * nf / pf, pf) + moves + solve;
     }
     let h = n / 2;
     let p1 = choose_mm_p1(h, k, pr);
-    let update = mm::mm_cost(h as f64, kf, p, p1 as f64, ((pr / p1) * (pr / p1)) as f64);
+    let update = mm::mm_cost(h as f64, kf, pf, p1 as f64, ((pr / p1) * (pr / p1)) as f64);
     predicted_cost(h, k, pr, pr, base_size).scaled(2.0) + update
+}
+
+/// The critical path of per-rank counts: the most messages, words and
+/// flops any one rank is charged.
+pub(crate) fn critical_path(ranks: impl IntoIterator<Item = CostCounters>) -> Cost {
+    ranks.into_iter().fold(Cost::ZERO, |c, r| {
+        let (s, w, f) = (r.latency() as f64, r.bandwidth() as f64, r.flops as f64);
+        Cost::new(c.latency.max(s), c.bandwidth.max(w), c.flops.max(f))
+    })
 }
 
 #[cfg(test)]

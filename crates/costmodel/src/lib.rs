@@ -16,12 +16,13 @@
 //!
 //! Which formula prices which algorithm is not this crate's business: the
 //! workspace's one algorithm enum is `catrsm::Algorithm`, whose
-//! `predicted_cost` walks the recursion the recursive baseline runs
+//! `predicted_cost` walks what each baseline runs — the recursion
 //! (`catrsm::rec_trsm::predicted_cost`, a sum of [`collectives`] and
-//! [`mm::mm_cost`] terms), quotes [`predict::wavefront_cost`] for the
-//! wavefront, and for the iterative algorithm the sum of the [`itinv`]
-//! phases at the configuration (`n0`, `p1 × p1 × p2`, inversion sub-grid)
-//! the plan resolved.  Both communication-avoiding algorithms are also
+//! [`mm::mm_cost`] terms) and the wavefront's layout moves and broadcasts
+//! (`catrsm::wavefront::predicted_cost`, priced on simnet's own schedules)
+//! — and for the iterative algorithm sums the [`itinv`] phases at the
+//! configuration (`n0`, `p1 × p1 × p2`, inversion sub-grid) the plan
+//! resolved.  Both communication-avoiding algorithms are also
 //! written down once at leading order, per regime, in the Section IX table
 //! ([`CostModelRev::standard_cost`], [`CostModelRev::new_cost`]), the one
 //! place the cost-model revision changes a formula.

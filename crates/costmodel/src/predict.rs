@@ -9,12 +9,13 @@
 //! `catrsm::Algorithm::predicted_cost` is the dispatch: a recursive plan
 //! quotes the walk of the recursion it runs at its base size
 //! (`catrsm::rec_trsm::predicted_cost`, built from [`crate::collectives`]
-//! and [`crate::mm::mm_cost`]), a wavefront plan [`wavefront_cost`]
-//! (Section II-C3), and an iterative plan the sum of the Section VII phases
-//! of [`crate::itinv`] at its own `n0` and `p1 × p1 × p2` — the same
-//! functions the drift report and the experiment harness print per phase,
-//! so a plan's total is the sum of its own rows.  None of them reads the
-//! revision: [`CostModelRev`] reaches a plan only through the It-Inv
+//! and [`crate::mm::mm_cost`]), a wavefront plan the walk of its layout
+//! moves and broadcasts (`catrsm::wavefront::predicted_cost`, priced on
+//! simnet's own schedules), and an iterative plan the sum of the Section
+//! VII phases of [`crate::itinv`] at its own `n0` and `p1 × p1 × p2` — the
+//! same functions the drift report and the experiment harness print per
+//! phase, so a plan's total is the sum of its own rows.  None of them reads
+//! the revision: [`CostModelRev`] reaches a plan only through the It-Inv
 //! configuration the planner chose under it.
 
 use crate::cost::{log2c, Cost};
@@ -67,26 +68,12 @@ impl CostModelRev {
     }
 }
 
-/// Leading-order cost of the row-fan-out (wavefront) substitution: `n`
-/// broadcast rounds of a `k`-word row over `p` processors.
-///
-/// `S = n·log p`, `W = n·k` along the critical path, and the optimal
-/// `n²k/p` flops — the `Θ(n)` synchronization behaviour both of the
-/// paper's algorithms improve on.
-pub fn wavefront_cost(n: f64, k: f64, p: f64) -> Cost {
-    Cost {
-        latency: n * log2c(p),
-        bandwidth: n * k,
-        flops: n * n * k / p + n * k,
-    }
-}
-
 /// Predicted cost of a level-scheduled sparse triangular solve with `nnz`
 /// stored entries, `k` right-hand sides, `workers` workers, and `barriers`
 /// synchronization points.
 ///
-/// This is the sparse analogue of [`wavefront_cost`]: the solve is a
-/// sequence of parallel sweeps separated by global synchronizations, so the
+/// The solve is a sequence of parallel sweeps separated by global
+/// synchronizations, as the distributed wavefront's broadcasts are, so the
 /// latency term is **proportional to the number of barriers actually
 /// crossed** — one per level under the level sweep, none sequentially —
 /// which is why the staged planner records the barrier count on its plans
@@ -123,37 +110,6 @@ pub fn sparse_solve_cost_amortized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use CostModelRev::Ipdps17;
-
-    #[test]
-    fn wavefront_latency_dominates_at_scale() {
-        // The wavefront's Θ(n·log p) synchronization must exceed both
-        // communication-avoiding algorithms once n and p are large.
-        let (n, k, p) = (65536.0, 1024.0, 4096.0);
-        let wf = wavefront_cost(n, k, p);
-        let rec = Ipdps17.standard_cost(n, k, p);
-        let it = Ipdps17.new_cost(n, k, p);
-        assert!(wf.latency > rec.latency);
-        assert!(wf.latency > it.latency);
-        assert!(it.latency < rec.latency, "the paper's headline claim");
-    }
-
-    #[test]
-    fn all_kinds_do_the_optimal_flops_to_leading_order() {
-        let (n, k, p) = (8192.0, 512.0, 256.0);
-        let optimal = n * n * k / p;
-        for (name, c) in [
-            ("recursive", Ipdps17.standard_cost(n, k, p)),
-            ("iterative", Ipdps17.new_cost(n, k, p)),
-            ("wavefront", wavefront_cost(n, k, p)),
-        ] {
-            assert!(
-                c.flops >= optimal && c.flops <= 2.5 * optimal,
-                "{name} flops {} vs optimal {optimal}",
-                c.flops
-            );
-        }
-    }
 
     #[test]
     fn sparse_sync_term_scales_with_barriers_not_levels() {

@@ -310,8 +310,7 @@ pub fn allreduce(comm: &Communicator, data: &[f64], op: ReduceOp) -> Result<Vec<
 /// must pass the same `len`.
 pub fn bcast(comm: &Communicator, root: usize, data: &[f64], len: usize) -> Result<Vec<f64>> {
     let p = comm.size();
-    let blk = len.div_ceil(p);
-    let schedule = [Phase::Scatter { root, blk }, Phase::Allgather { blk }];
+    let schedule = bcast_phases(p, root, len);
     let phases = if root < p { &schedule[..] } else { &[] };
     let mine = if comm.rank() == root { data } else { &[] };
     let call = Call::meet(comm, phases, deposit(comm, mine, [root, len]))?;
@@ -321,6 +320,20 @@ pub fn bcast(comm: &Communicator, root: usize, data: &[f64], len: usize) -> Resu
     let mut out = comm.take_buffer(len);
     out.extend_from_slice(held);
     Ok(out)
+}
+
+/// A [`bcast`]'s schedule: a scatter of `⌈len/p⌉`-word blocks, then their
+/// allgather.
+fn bcast_phases(p: usize, root: usize, len: usize) -> [Phase; 2] {
+    let blk = len.div_ceil(p);
+    [Phase::Scatter { root, blk }, Phase::Allgather { blk }]
+}
+
+/// The messages and words member `me` of `p` sends and receives in a
+/// [`bcast`] of `len` words from `root < p`, as the call charges them.
+/// Member `me` from root `t` is charged what `(me − t) mod p` is from 0.
+pub fn bcast_counts(p: usize, root: usize, len: usize, me: usize) -> CostCounters {
+    counts(&bcast_phases(p, root, len), p, me, &[])
 }
 
 /// Bruck all-to-all of equal-sized blocks.
@@ -371,6 +384,19 @@ pub const BRUCK_BLOCK_HEADER: usize = 3;
 /// empty blocks are not forwarded at all.
 pub fn alltoallv_bruck(comm: &Communicator, blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> {
     alltoallv(comm, blocks, Phase::BruckV, "alltoallv_bruck")
+}
+
+/// The messages and words each of `p` members sends and receives in an
+/// [`alltoallv_bruck`] of the `(dest, words)` blocks `blocks(src)`, as the
+/// call charges them, in `O((p + Σ blocks)·log p)`.
+pub fn bruck_counts<I: IntoIterator<Item = (usize, usize)>>(
+    p: usize,
+    blocks: impl Fn(usize) -> I,
+) -> Vec<CostCounters> {
+    let table = bruck_words(p, blocks);
+    (0..p)
+        .map(|me| counts(&[Phase::BruckV], p, me, &table))
+        .collect()
 }
 
 /// An all-to-all-v charged as `phase`: the blocks travel by regrouping on
@@ -520,6 +546,19 @@ impl Phase {
         }
     }
 
+    /// Member `me`'s send in `round`, `(to, words)`; `table` as for
+    /// [`Phase::words`].
+    fn send(self, p: usize, me: usize, round: usize, table: &[usize]) -> Option<(usize, usize)> {
+        let to = self.step(p, me, round).to?;
+        Some((to, self.words(p, me, round, table)))
+    }
+
+    /// Member `me`'s receive in `round`, `(from, words)`.
+    fn recv(self, p: usize, me: usize, round: usize, table: &[usize]) -> Option<(usize, usize)> {
+        let from = self.step(p, me, round).from?;
+        Some((from, self.words(p, from, round, table)))
+    }
+
     /// Words of the message `sender` sends in `round`.  `table` is the
     /// closer's table for the all-to-all-v phases (a missing entry reads 0).
     fn words(self, p: usize, sender: usize, round: usize, table: &[usize]) -> usize {
@@ -600,10 +639,7 @@ impl Call {
     ) -> Result<Call> {
         let (p, me) = (comm.size(), comm.rank());
         let sends = phases.iter().flat_map(move |&phase| {
-            (0..phase.rounds(p)).filter_map(move |round| {
-                let to = phase.step(p, me, round).to?;
-                Some((to, phase.words(p, me, round, &[])))
-            })
+            (0..phase.rounds(p)).filter_map(move |round| phase.send(p, me, round, &[]))
         });
         let (closed, column) = comm.meet(sends, deposit, |deposits| {
             let shared = share(deposits);
@@ -725,37 +761,15 @@ fn tabulate(phases: &[Phase], deposits: &mut [Deposit]) -> Closing {
     if deposits.iter().any(|d| d.blocks.len() != p) {
         return Closing::default();
     }
-    let rounds = phase.rounds(p);
     let len = |src: usize, dest: usize| deposits[src].blocks[dest].len();
-    let mut words = vec![0; p * rounds];
-    if let Phase::Pairwise = phase {
-        for src in 0..p {
-            for round in 0..rounds {
-                words[src * rounds + round] = len(src, (src + round + 1) % p);
-            }
-        }
+    let words = if let Phase::Pairwise = phase {
+        // Round t of member src carries its block for src + t + 1.
+        let rounds = phase.rounds(p);
+        let word = |x: usize| len(x / rounds, (x / rounds + x % rounds + 1) % p);
+        (0..p * rounds).map(word).collect()
     } else {
-        // Each round's message has its count word; a non-empty block rides
-        // in it once per set bit of its distance, from the member it has
-        // reached by then.
-        words.fill(1);
-        for src in 0..p {
-            for dest in 0..p {
-                let n = len(src, dest);
-                if n == 0 {
-                    continue;
-                }
-                let dist = (dest + p - src) % p;
-                for round in 0..rounds {
-                    let d = 1 << round;
-                    if dist & d != 0 {
-                        let holder = (src + (dist & (d - 1))) % p;
-                        words[holder * rounds + round] += BRUCK_BLOCK_HEADER + n;
-                    }
-                }
-            }
-        }
-    }
+        bruck_words(p, |src| (0..p).map(move |dest| (dest, len(src, dest))))
+    };
     let columns = (0..p)
         .map(|dest| {
             deposits
@@ -769,6 +783,51 @@ fn tabulate(phases: &[Phase], deposits: &mut [Deposit]) -> Closing {
         columns,
         ..Closing::default()
     }
+}
+
+/// The words of every message of a Bruck all-to-all-v over `p` members,
+/// `words[sender · rounds + round]`, where member `src` sends the
+/// `(dest, words)` blocks `blocks(src)`.  Each round's message has its count
+/// word; a non-empty block rides in it once per set bit of its distance,
+/// from the member it has reached by then.
+fn bruck_words<I: IntoIterator<Item = (usize, usize)>>(
+    p: usize,
+    blocks: impl Fn(usize) -> I,
+) -> Vec<usize> {
+    let rounds = levels(p);
+    let mut words = vec![1; p * rounds];
+    // `dist` and every holder's offset from `src` are below `p`.
+    let wrap = |r: usize| if r >= p { r - p } else { r };
+    for src in 0..p {
+        for (dest, n) in blocks(src) {
+            let dist = wrap(dest + p - src);
+            let mut hops = if n > 0 { dist } else { 0 };
+            while hops != 0 {
+                let d = hops & hops.wrapping_neg();
+                let holder = wrap(src + (dist & (d - 1)));
+                words[holder * rounds + d.trailing_zeros() as usize] += BRUCK_BLOCK_HEADER + n;
+                hops ^= d;
+            }
+        }
+    }
+    words
+}
+
+/// The messages and words member `me` sends and receives under `phases`:
+/// the rounds [`replay`] charges, without their clocks.
+fn counts(phases: &[Phase], p: usize, me: usize, table: &[usize]) -> CostCounters {
+    let mut c = CostCounters::default();
+    for &phase in phases {
+        for round in 0..phase.rounds(p) {
+            if let Some((_, words)) = phase.send(p, me, round, table) {
+                (c.msgs_sent, c.words_sent) = (c.msgs_sent + 1, c.words_sent + words as u64);
+            }
+            if let Some((_, words)) = phase.recv(p, me, round, table) {
+                (c.msgs_recv, c.words_recv) = (c.msgs_recv + 1, c.words_recv + words as u64);
+            }
+        }
+    }
+    c
 }
 
 /// Replay `phases` over every member's deposited clock and fault draws, and
@@ -808,12 +867,11 @@ fn replay(
             // A round's sends depend only on earlier rounds, so every one of
             // them leaves before any of its receives completes.
             for (h, member) in members.iter_mut().enumerate() {
-                if phase.step(p, h, round).to.is_none() {
+                let Some((_, words)) = phase.send(p, h, round, &closed.words) else {
                     continue;
-                }
+                };
                 let faults = closed.deposits[h].faults.get(member.drawn);
                 member.drawn += 1;
-                let words = phase.words(p, h, round, &closed.words);
                 let faults = faults.copied().unwrap_or_else(SendFaults::none);
                 member.avail = member
                     .meter
@@ -821,10 +879,9 @@ fn replay(
                     .expect("a member whose draws fail never deposits");
             }
             for h in 0..p {
-                let Some(from) = phase.step(p, h, round).from else {
+                let Some((from, words)) = phase.recv(p, h, round, &closed.words) else {
                     continue;
                 };
-                let words = phase.words(p, from, round, &closed.words);
                 let avail = members[from].avail;
                 let meter = &mut members[h].meter;
                 meter.charge_recv(words, avail, lane_of(h));
@@ -1211,6 +1268,45 @@ mod tests {
         // scatter + allgather: 2 log p messages, 2 n (p-1)/p words.
         assert_eq!(report.max_messages(), 6);
         assert_eq!(report.max_words() as usize, 2 * n * (p - 1) / p);
+    }
+
+    /// The messages and words a rank is charged, sent and received.
+    fn traffic(c: &CostCounters) -> [u64; 4] {
+        [c.msgs_sent, c.msgs_recv, c.words_sent, c.words_recv]
+    }
+
+    #[test]
+    fn the_pure_counts_are_what_the_calls_charge() {
+        // Ragged blocks, some empty, on sizes with and without a power of two.
+        for p in [3usize, 5, 6, 8] {
+            let sizes = move |src: usize| (0..p).map(move |dest| (dest, (src * 7 + dest * 3) % 5));
+            let (_, report) = run(p, move |comm| {
+                let blocks = sizes(comm.rank()).map(|(_, n)| vec![1.0; n]).collect();
+                alltoallv_bruck(comm, blocks).unwrap();
+            });
+            let counts = bruck_counts(p, sizes);
+            for (rank, measured) in report.per_rank.iter().enumerate() {
+                assert_eq!(
+                    traffic(measured),
+                    traffic(&counts[rank]),
+                    "p={p} rank={rank}"
+                );
+            }
+            for root in 0..p {
+                let (_, report) = run(p, move |comm| {
+                    let data = vec![1.0; if comm.rank() == root { 13 } else { 0 }];
+                    bcast(comm, root, &data, 13).unwrap();
+                });
+                for (rank, measured) in report.per_rank.iter().enumerate() {
+                    let counts = bcast_counts(p, root, 13, rank);
+                    let what = format!("p={p} root={root} rank={rank}");
+                    assert_eq!(traffic(measured), traffic(&counts), "{what}");
+                    // Moving the root moves the schedule with it.
+                    let rotated = bcast_counts(p, 0, 13, (rank + p - root) % p);
+                    assert_eq!(counts, rotated, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -101,10 +101,11 @@ fn main() {
         Err(e) => println!("  {e}"),
     }
 
-    // And the wavefront baseline, priced by the same `Algorithm`, for scale.
+    // And the wavefront baseline, priced by the same `Algorithm` — the
+    // walk of its layout moves and one broadcast per row — for scale.
     let wf = Algorithm::Wavefront.predicted_cost(n, k, p);
     println!(
-        "  wavefront baseline would pay S = {:.3e} messages (Θ(n·log p))",
+        "  wavefront baseline would pay S = {:.3e} messages (a broadcast per row)",
         wf.latency
     );
 }

@@ -19,6 +19,9 @@
 //!   size (item 9(a)): its S is the measured message count exactly, and its
 //!   W is within 20 % (the walk's one inexact term is the `mm3d` update's
 //!   `costmodel::mm::mm_cost`).
+//! - A wavefront plan quotes the walk of its layout moves and broadcasts,
+//!   priced on simnet's own schedules (item 9(a)): its S and W are the
+//!   measured counts exactly.
 
 use catrsm::{Algorithm, CostModelRev, SolveRequest};
 use costmodel::Cost;
@@ -102,30 +105,43 @@ fn the_band_holds_across_processor_counts() {
     }
 }
 
-/// A pinned recursive plan on E3's eight rows (`exp rec_trsm`) and
-/// `op_costs`' lower row: the quote's S is the measured message count, and
-/// its W is within 20 % of the measured words.
+/// A pinned baseline plan quotes the walk of what it runs.  Recursive, on
+/// E3's eight rows (`exp rec_trsm`) and `op_costs`' lower row: the quote's
+/// S is the measured message count, and its W is within 20 % of the
+/// measured words.  Wavefront, on `op_costs`' lower row, three more shapes
+/// and one rank: S and W are the measured counts exactly.
 #[test]
-fn a_recursive_plan_quotes_the_messages_it_sends() {
-    // (n, k, grid side, base) — measured S, W beside each.
+fn a_baseline_plan_quotes_the_messages_it_sends() {
+    let recursive = |base_size| Algorithm::Recursive { base_size };
+    let within = Some((0.8, 1.2));
+    // (algorithm, n, k, grid side, W band or exact) — measured S, W beside
+    // each.
     let cases = [
-        (32, 2048, 2, 16), // 22, 33 398
-        (32, 4096, 4, 16), // 44, 33 782
-        (256, 64, 2, 32),  // 106, 36 113
-        (256, 64, 4, 32),  // 212, 26 482
-        (512, 128, 4, 64), // 212, 103 282
-        (512, 16, 2, 64),  // 106, 40 685
-        (512, 16, 4, 64),  // 212, 41 896
-        (1024, 16, 4, 64), // 436, 90 016
-        (128, 32, 4, 16),  // 212, 7 282
+        (recursive(16), 32, 2048, 2, within),     // 22, 33 398
+        (recursive(16), 32, 4096, 4, within),     // 44, 33 782
+        (recursive(32), 256, 64, 2, within),      // 106, 36 113
+        (recursive(32), 256, 64, 4, within),      // 212, 26 482
+        (recursive(64), 512, 128, 4, within),     // 212, 103 282
+        (recursive(64), 512, 16, 2, within),      // 106, 40 685
+        (recursive(64), 512, 16, 4, within),      // 212, 41 896
+        (recursive(64), 1024, 16, 4, within),     // 436, 90 016
+        (recursive(16), 128, 32, 4, within),      // 212, 7 282
+        (Algorithm::Wavefront, 128, 32, 4, None), // 644, 7 680
+        (Algorithm::Wavefront, 64, 16, 2, None),  // 182, 2 462
+        (Algorithm::Wavefront, 256, 8, 4, None),  // 1 276, 12 360
+        (Algorithm::Wavefront, 256, 64, 8, None), // 1 806, 23 886
+        (Algorithm::Wavefront, 64, 16, 1, None),  // 0, 0
     ];
-    for (n, k, grid, base_size) in cases {
-        let request = SolveRequest::lower().algorithm(Algorithm::Recursive { base_size });
+    for (algorithm, n, k, grid, band) in cases {
+        let request = SolveRequest::lower().algorithm(algorithm);
         let (predicted, report) = plan_and_measure(request, n, k, grid);
-        let what = format!("n={n} k={k} p={} base {base_size}", grid * grid);
+        let what = format!("{algorithm:?} n={n} k={k} p={}", grid * grid);
         assert_eq!(report.max_messages() as f64, predicted.latency, "{what}: S");
-        let words = report.max_words() as f64 / predicted.bandwidth;
-        assert_within(&format!("{what}: W"), words, (0.8, 1.2));
+        let words = report.max_words() as f64;
+        match band {
+            Some(band) => assert_within(&format!("{what}: W"), words / predicted.bandwidth, band),
+            None => assert_eq!(words, predicted.bandwidth, "{what}: W"),
+        }
     }
 }
 
