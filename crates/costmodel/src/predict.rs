@@ -110,6 +110,24 @@ pub fn sparse_solve_cost_amortized(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use CostModelRev::Ipdps17;
+
+    #[test]
+    fn all_kinds_do_the_optimal_flops_to_leading_order() {
+        // The wavefront's flops come from its walk and are not bounded here.
+        let (n, k, p) = (8192.0, 512.0, 256.0);
+        let optimal = n * n * k / p;
+        for (name, c) in [
+            ("recursive", Ipdps17.standard_cost(n, k, p)),
+            ("iterative", Ipdps17.new_cost(n, k, p)),
+        ] {
+            assert!(
+                c.flops >= optimal && c.flops <= 2.5 * optimal,
+                "{name} flops {} vs optimal {optimal}",
+                c.flops
+            );
+        }
+    }
 
     #[test]
     fn sparse_sync_term_scales_with_barriers_not_levels() {
