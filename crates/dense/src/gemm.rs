@@ -7,9 +7,10 @@
 //! `(MC, KC, NC)` tiling, then drive an `MR×NR` register tile over the
 //! packed buffers).  Transposes are folded into the packing, and an
 //! optional [`TriMask`] multiplies a triangular operand's triangle only.
-//! Products above [`PAR_MIN_MADDS`] multiply–adds additionally split their
-//! column panels across the [`crate::threads`] worker pool (governed by
-//! `DENSE_THREADS`), with bitwise-identical results at every worker count.
+//! Products above [`PAR_MIN_MADDS`] multiply–adds additionally run the
+//! packed kernel on one chunk of `C` per worker of the [`crate::threads`]
+//! pool (governed by `DENSE_THREADS`), with bitwise-identical results at
+//! every worker count.
 //! [`gemm`] / [`matmul`] are the whole-matrix forms, and
 //! [`gemm_with_threads`] takes an explicit worker budget (benches and
 //! determinism tests use it to pin the partitioning).

@@ -23,9 +23,9 @@
 //! paths all funnel through one packed-panel GEMM: [`pack`] copies `(MC, KC)`
 //! blocks of `A` and `(KC, NC)` blocks of `B` into thread-local micro-panel
 //! buffers, and [`microkernel`] drives an `MR×NR` register tile over them.
-//! Large products additionally split their column panels across the
-//! [`threads`] worker pool (`DENSE_THREADS` workers, scoped per GEMM call)
-//! with bitwise-identical results at every worker count.  The triangular
+//! Large products additionally run that same GEMM on one chunk of `C` per
+//! worker of the [`threads`] pool (`DENSE_THREADS` workers, scoped per GEMM
+//! call), with bitwise-identical results at every worker count.  The triangular
 //! kernels are blocked so their off-diagonal updates — where almost all of
 //! their flops are — run through that same GEMM, and their triangular
 //! factors through its triangle-aware form ([`gemm_views`] with a

@@ -44,8 +44,7 @@
 
 use crate::matrix::{MatMut, MatRef};
 use crate::pack::{
-    a_block_len, b_block_len, op_dims, op_strides, pack_a, pack_b, with_gemm_scratch,
-    with_packed_a, PackedA,
+    a_block_len, b_block_len, op_dims, op_strides, op_subview, pack_a, pack_b, with_gemm_scratch,
 };
 use crate::threads;
 use crate::trsm::Triangle;
@@ -191,14 +190,14 @@ impl TriMask {
 /// transposed operand is never materialized, in scratch or anywhere else.
 ///
 /// `threads` is the worker budget: with more than one worker (and a product
-/// big enough to be packed, with enough column panels to split) the
-/// multithreaded driver partitions `C` by columns across the pool; otherwise
-/// the sequential kernel runs on the calling thread.  All paths produce
-/// **bitwise-identical** results — to each other *and* to the same product
-/// on materialized transposes: the packed buffers hold identical values
-/// either way, and the per-element accumulation order (`pc` blocks
-/// ascending, `k` ascending within each tile) depends on neither the column
-/// partitioning nor the operand storage order.
+/// big enough to be packed, with enough panels of `C` to split) the
+/// multithreaded driver runs the sequential packed kernel on one chunk of
+/// `C` per worker; otherwise the sequential kernel runs on the calling
+/// thread.  All paths produce **bitwise-identical** results — to each other
+/// *and* to the same product on materialized transposes: the packed buffers
+/// hold identical values either way, and the per-element accumulation order
+/// (`pc` blocks ascending, `k` ascending within each tile) depends on
+/// neither the partitioning of `C` nor the operand storage order.
 ///
 /// `mask` declares one operand triangular (see [`TriMask`]); every path
 /// honours it, and the path taken does not depend on it.
@@ -224,46 +223,22 @@ pub(crate) fn gemm_views_accumulate_opt(
         return;
     }
     let madds = m.saturating_mul(n).saturating_mul(kdim);
-    let parallel = threads > 1 && madds >= PACK_THRESHOLD;
-    if parallel && n >= 2 * NR {
+    if threads > 1 && madds >= PACK_THRESHOLD && (n >= 2 * NR || m >= 2 * MR) {
         gemm_parallel(alpha, a, a_trans, b, b_trans, c, mask, threads);
-    } else if parallel && m >= 2 * MR {
-        // Tall-skinny product: too few column panels to split, so partition
-        // the `ic` (row) dimension of `A`/`C` instead.
-        gemm_parallel_rows(alpha, a, a_trans, b, b_trans, c, mask, threads);
     } else {
-        let (ai, ak) = op_strides(a, a_trans);
-        let (bk, bj) = op_strides(b, b_trans);
-        // SAFETY: the views describe in-bounds blocks of live allocations
-        // with the dimensions checked above, and `c` is a mutable borrow so
-        // it cannot alias `a` or `b`.
-        unsafe {
-            gemm_accumulate(
-                m,
-                n,
-                kdim,
-                alpha,
-                a.as_ptr(),
-                ai,
-                ak,
-                b.as_ptr(),
-                bk,
-                bj,
-                c.as_mut_ptr(),
-                c.stride(),
-                mask,
-            );
-        }
+        gemm_on_views(gemm_accumulate, alpha, a, a_trans, b, b_trans, c, mask);
     }
 }
 
-/// The multithreaded packed driver: packs all of `op(A)` once (shared
-/// read-only by every worker), splits `C` and `op(B)` into per-worker
-/// column chunks on `NR`-panel boundaries via [`MatMut::split_cols_at_mut`],
-/// and runs one worker per chunk on the [`threads`] pool.  Each worker
-/// packs its own `B` panels into its thread-local scratch, so the only
-/// shared state is the immutable packed `A`.  A mask on `op(B)` is rebased
-/// to each worker's first column.
+/// The multithreaded driver: the sequential [`gemm_packed`] run on one
+/// chunk of `C` per worker on the [`threads`] pool.  `C` is split on `NR`
+/// column panels via [`MatMut::split_cols_at_mut`], or — a tall-skinny
+/// product with fewer than two column panels — on `MR` row panels via
+/// [`MatMut::split_rows_at_mut`]; each worker multiplies the matching
+/// columns of `op(B)` (or rows of `op(A)`) and packs into its own
+/// thread-local arena.  Per element of `C` the accumulation order does not
+/// depend on where a chunk starts, so the result is bitwise the sequential
+/// one.  A mask on the split operand is rebased to each chunk's start.
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel signature
 fn gemm_parallel(
     alpha: f64,
@@ -275,38 +250,51 @@ fn gemm_parallel(
     mask: Option<TriMask>,
     threads: usize,
 ) {
-    let kdim = op_dims(a, a_trans).1;
+    let (m, kdim) = op_dims(a, a_trans);
     let n = op_dims(b, b_trans).1;
+    let by_cols = n >= 2 * NR;
     let _region = obs::span_with("dense", "gemm_parallel", "threads", threads as u64);
-    with_packed_a(alpha, a, a_trans, mask.filter(|mk| !mk.on_b()), |apack| {
-        let chunks = panel_chunks(n, NR, threads);
-        let mut jobs = Vec::with_capacity(chunks.len());
-        let mut rest = c.reborrow();
-        for (w, (j0, chunk_cols)) in chunks.into_iter().enumerate() {
-            let (chunk, tail) = rest.split_cols_at_mut(chunk_cols);
-            rest = tail;
-            // Columns `j0 ..` of `op(B)` are rows `j0 ..` of a transposed
-            // stored `b`.
-            let b_chunk = if b_trans {
-                b.subview(j0, 0, chunk_cols, kdim)
+    let chunks = if by_cols {
+        panel_chunks(n, NR, threads)
+    } else {
+        panel_chunks(m, MR, threads)
+    };
+    let mut jobs = Vec::with_capacity(chunks.len());
+    let mut rest = c.reborrow();
+    for (w, (start, len)) in chunks.into_iter().enumerate() {
+        let (mut chunk, tail) = if by_cols {
+            rest.split_cols_at_mut(len)
+        } else {
+            rest.split_rows_at_mut(len)
+        };
+        rest = tail;
+        let (a, b) = if by_cols {
+            (a, op_subview(b, b_trans, 0, start, kdim, len))
+        } else {
+            (op_subview(a, a_trans, start, 0, len, kdim), b)
+        };
+        let mask = mask.map(|mk| {
+            if mk.on_b() == by_cols {
+                mk.rebased(start, 0)
             } else {
-                b.subview(0, j0, kdim, chunk_cols)
-            };
-            let mask = mask.map(|mk| if mk.on_b() { mk.rebased(j0, 0) } else { mk });
-            jobs.push(move || {
-                let _worker = obs::span_with("dense", "gemm_worker", "worker", w as u64);
-                gemm_chunk_shared_a(apack, b_chunk, b_trans, chunk, mask)
-            });
-        }
-        threads::join_all(jobs);
-    });
+                mk
+            }
+        });
+        jobs.push(move || {
+            let _worker = obs::span_with("dense", "gemm_worker", "worker", w as u64);
+            // Always the packed kernel, never `gemm_small`: a chunk below
+            // the pack threshold must not round differently from the whole
+            // product, which was packed.
+            gemm_on_views(gemm_packed, alpha, a, a_trans, b, b_trans, &mut chunk, mask)
+        });
+    }
+    threads::join_all(jobs);
 }
 
 /// Splits `len` items grouped into `panel`-sized units across at most
 /// `workers` contiguous chunks, returning each chunk's `(start, len)`.  The
 /// first `panels % workers` chunks take one extra panel; only the last chunk
-/// may end on a ragged (partial) panel.  Shared by both parallel GEMM
-/// drivers so the column and row partitionings cannot drift apart.
+/// may end on a ragged (partial) panel.
 fn panel_chunks(len: usize, panel: usize, workers: usize) -> Vec<(usize, usize)> {
     let panels = len.div_ceil(panel);
     let workers = workers.min(panels);
@@ -323,106 +311,28 @@ fn panel_chunks(len: usize, panel: usize, workers: usize) -> Vec<(usize, usize)>
     chunks
 }
 
-/// One worker's share of the multithreaded GEMM: the full `(jc, pc, ic)`
-/// loop nest over a column chunk of `op(B)`/`C`, reading `A` blocks from the
-/// shared pack and packing `B` panels into this worker's thread-local
-/// scratch.  The loop order matches the sequential [`gemm_packed`], which is
-/// what keeps the parallel result bitwise identical to the sequential one.
-fn gemm_chunk_shared_a(
-    apack: &PackedA<'_>,
-    b: MatRef<'_>,
-    b_trans: bool,
-    mut c: MatMut<'_>,
-    mask: Option<TriMask>,
-) {
-    let macro_kernel = select_macro_kernel();
-    let (m, n) = c.dims();
-    let kdim = op_dims(b, b_trans).0;
-    let c_rs = c.stride();
-    let c_ptr = c.as_mut_ptr();
-    let (bk, bj) = op_strides(b, b_trans);
-    let b_ptr = b.as_ptr();
-    // Pack-vs-microkernel attribution: accumulated locally and emitted as
-    // two counters at chunk end, so the hot loop records no events.  When
-    // tracing is off the only residue is a branch on a local bool.
-    let tracing = obs::enabled();
-    let mut pack_ns = 0u64;
-    let mut kernel_ns = 0u64;
-    let (a_mask, b_mask) = split_mask(mask);
-    with_gemm_scratch(0, b_block_len(kdim, n), |_, bpack| {
-        let mut jc = 0;
-        while jc < n {
-            let nc = NC.min(n - jc);
-            let mut pc = 0;
-            let mut pc_idx = 0;
-            while pc < kdim {
-                let kc = KC.min(kdim - pc);
-                if !pc_block_live(a_mask, b_mask, m, jc, nc, pc, kc) {
-                    pc += KC;
-                    pc_idx += 1;
-                    continue;
-                }
-                let b_local = b_mask.map(|mk| mk.rebased(jc, pc));
-                // SAFETY: `b` and `c` are live in-bounds views with the
-                // strides captured above; the conceptual `kc×nc` block of
-                // `op(b)` at `(pc, jc)` is valid for reads at `(bk, bj)`,
-                // the `mc×nc` blocks of `c` are valid for writes, and `c`
-                // is exclusively owned by this worker (disjoint column
-                // chunks via `split_cols_at_mut`).
-                unsafe {
-                    let t0 = if tracing { obs::now_ns() } else { 0 };
-                    pack_b(b_ptr.add(pc * bk + jc * bj), bk, bj, kc, nc, bpack, b_local);
-                    let t1 = if tracing { obs::now_ns() } else { 0 };
-                    let mut ic = 0;
-                    let mut ic_idx = 0;
-                    while ic < m {
-                        let mc = MC.min(m - ic);
-                        if a_mask.is_none_or(|mk| mk.live(ic, mc, pc, kc)) {
-                            macro_kernel(
-                                mc,
-                                nc,
-                                kc,
-                                apack.block(ic_idx, pc_idx),
-                                bpack,
-                                c_ptr.add(ic * c_rs + jc),
-                                c_rs,
-                                a_mask.map(|mk| mk.rebased(ic, pc)).or(b_local),
-                            );
-                        }
-                        ic += MC;
-                        ic_idx += 1;
-                    }
-                    if tracing {
-                        let t2 = obs::now_ns();
-                        pack_ns += t1.saturating_sub(t0);
-                        kernel_ns += t2.saturating_sub(t1);
-                    }
-                }
-                pc += KC;
-                pc_idx += 1;
-            }
-            jc += NC;
-        }
-    });
-    if tracing {
-        obs::counter("dense", "pack_ns", "ns", pack_ns, "", 0);
-        obs::counter("dense", "kernel_ns", "ns", kernel_ns, "", 0);
-    }
-}
+/// Signature shared by [`gemm_accumulate`] and [`gemm_packed`].
+type GemmFn = unsafe fn(
+    usize,
+    usize,
+    usize,
+    f64,
+    *const f64,
+    usize,
+    usize,
+    *const f64,
+    usize,
+    usize,
+    *mut f64,
+    usize,
+    Option<TriMask>,
+);
 
-/// The row-partitioned multithreaded driver for tall-skinny products
-/// (`n < 2·NR`, so the column split of [`gemm_parallel`] has nothing to
-/// divide): `C` and `A` are split into per-worker row chunks on `MR`-panel
-/// boundaries via [`MatMut::split_rows_at_mut`], and each worker runs the
-/// full sequential packed loop nest ([`gemm_packed`]) over its chunk,
-/// packing its own `A` rows and (small) `B` panels into thread-local
-/// scratch.  Per element of `C` the accumulation order — `pc` blocks
-/// ascending, `k` ascending within each tile — does not depend on where the
-/// row partition starts, so the result stays bitwise identical to the
-/// sequential packed kernel.  A mask on `op(A)` is rebased to each worker's
-/// first row.
+/// `kernel` ([`gemm_accumulate`] or [`gemm_packed`]) on borrowed views:
+/// `C += alpha · op(A) · op(B)`, dimensions as validated by the caller.
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel signature
-fn gemm_parallel_rows(
+fn gemm_on_views(
+    kernel: GemmFn,
     alpha: f64,
     a: MatRef<'_>,
     a_trans: bool,
@@ -430,56 +340,17 @@ fn gemm_parallel_rows(
     b_trans: bool,
     c: &mut MatMut<'_>,
     mask: Option<TriMask>,
-    threads: usize,
-) {
-    let (m, kdim) = op_dims(a, a_trans);
-    let _region = obs::span_with("dense", "gemm_parallel_rows", "threads", threads as u64);
-    let chunks = panel_chunks(m, MR, threads);
-    let mut jobs = Vec::with_capacity(chunks.len());
-    let mut rest = c.reborrow();
-    for (w, (i0, chunk_rows)) in chunks.into_iter().enumerate() {
-        let (chunk, tail) = rest.split_rows_at_mut(chunk_rows);
-        rest = tail;
-        // Rows `i0 ..` of `op(A)` are columns `i0 ..` of a transposed
-        // stored `a`.
-        let a_chunk = if a_trans {
-            a.subview(0, i0, kdim, chunk_rows)
-        } else {
-            a.subview(i0, 0, chunk_rows, kdim)
-        };
-        let mask = mask.map(|mk| if mk.on_b() { mk } else { mk.rebased(i0, 0) });
-        jobs.push(move || {
-            let _worker = obs::span_with("dense", "gemm_worker", "worker", w as u64);
-            gemm_chunk_rows(alpha, a_chunk, a_trans, b, b_trans, chunk, mask)
-        });
-    }
-    threads::join_all(jobs);
-}
-
-/// One worker's share of the row-partitioned GEMM: the sequential packed
-/// driver over this worker's row chunk.  Always the packed path (never
-/// [`gemm_small`]) so a chunk falling under the pack threshold cannot
-/// diverge bitwise from the sequential whole-matrix run, which took the
-/// packed path to begin with.
-fn gemm_chunk_rows(
-    alpha: f64,
-    a: MatRef<'_>,
-    a_trans: bool,
-    b: MatRef<'_>,
-    b_trans: bool,
-    mut c: MatMut<'_>,
-    mask: Option<TriMask>,
 ) {
     let (m, kdim) = op_dims(a, a_trans);
     let n = op_dims(b, b_trans).1;
     let (ai, ak) = op_strides(a, a_trans);
     let (bk, bj) = op_strides(b, b_trans);
-    // SAFETY: the views describe live in-bounds blocks with the strides they
-    // report; `c` is this worker's exclusively-owned row chunk (disjoint via
-    // `split_rows_at_mut`), so the written region cannot overlap the blocks
-    // read through `a` and `b`.
+    // SAFETY: the views describe in-bounds blocks of live allocations with
+    // the dimensions the caller checked, and `c` is a mutable borrow — the
+    // caller's own, or a worker's disjoint chunk of it — so it cannot alias
+    // `a` or `b`.
     unsafe {
-        gemm_packed(
+        kernel(
             m,
             n,
             kdim,
@@ -581,8 +452,9 @@ unsafe fn gemm_packed(
 ) {
     let macro_kernel = select_macro_kernel();
     let (a_mask, b_mask) = split_mask(mask);
-    // Same pack-vs-microkernel attribution as `gemm_chunk_shared_a`: local
-    // accumulators, two counter events at the end, nothing in the hot loop.
+    // Pack-vs-microkernel attribution: local accumulators, two counter
+    // events at the end, nothing in the hot loop.  When tracing is off the
+    // only residue is a branch on a local bool.
     let tracing = obs::enabled();
     let mut pack_ns = 0u64;
     let mut kernel_ns = 0u64;

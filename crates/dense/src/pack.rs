@@ -21,9 +21,11 @@
 //! `MC·KC + KC·NC` (≈2.3 MiB with the default tuning).  A thread that keeps
 //! multiplying stops allocating once it has seen its largest shape; a fresh
 //! thread — every scoped pool worker, every simulated rank — pays for the
-//! blocks it multiplies, not for the tuning maximum.
+//! blocks it multiplies, not for the tuning maximum.  A worker of the
+//! multithreaded product is such a thread: it packs the blocks of its own
+//! chunk of `C` into its own arena, and nothing is packed once and shared.
 //!
-//! The blocked triangular kernels keep their temporaries in a third
+//! The blocked triangular kernels keep their temporaries in a second
 //! thread-local, `with_scratch`: a small pool of buffers, one per nesting
 //! depth in use, so a kernel that holds scratch while calling another that
 //! takes its own (the blocked TRSM holding an inverted diagonal block across
@@ -45,6 +47,24 @@ pub(crate) fn op_dims(v: MatRef<'_>, trans: bool) -> (usize, usize) {
     }
 }
 
+/// The `nr×nc` block of `op(v)` at `(r0, c0)`: a block of `v` itself, read
+/// with the same `trans`.
+#[inline]
+pub(crate) fn op_subview(
+    v: MatRef<'_>,
+    trans: bool,
+    r0: usize,
+    c0: usize,
+    nr: usize,
+    nc: usize,
+) -> MatRef<'_> {
+    if trans {
+        v.subview(c0, r0, nc, nr)
+    } else {
+        v.subview(r0, c0, nr, nc)
+    }
+}
+
 /// `(outer, inner)` element strides of `op(v)`: `(stride, 1)` as stored,
 /// `(1, stride)` transposed — so `op(v)[i, j]` sits at
 /// `ptr + i·outer + j·inner` either way.
@@ -60,9 +80,6 @@ pub(crate) fn op_strides(v: MatRef<'_>, trans: bool) -> (usize, usize) {
 thread_local! {
     /// `(A-pack, B-pack)` buffers, grown on first use and reused thereafter.
     static GEMM_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    /// Whole-`A` pack buffer for the multithreaded GEMM (every `(MC, KC)`
-    /// block of `A` packed up front, shared read-only by the workers).
-    static APACK_FULL: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     /// Idle general-purpose scratch buffers for the blocked kernels, most
     /// recently returned last (see [`with_scratch`]).
     static SCRATCH_POOL: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
@@ -110,125 +127,6 @@ pub(crate) fn with_gemm_scratch<R>(
             f(grown(a, a_len), grown(b, b_len))
         }
         Err(_) => f(&mut vec![0.0; a_len], &mut vec![0.0; b_len]),
-    })
-}
-
-/// All of `A`, packed: every `(MC, KC)` block in micro-panel order, at a
-/// fixed stride per block ([`a_block_len`] of the whole operand) so workers
-/// can index blocks without cumulative offsets.  Produced by
-/// [`with_packed_a`], shared read-only across the parallel GEMM's workers
-/// (one packed copy per `ic`/`pc` block for the whole multiply — the
-/// sequential loop nest would re-pack each `A` block once per `jc` iteration
-/// instead).
-pub(crate) struct PackedA<'b> {
-    buf: &'b [f64],
-    /// Number of `KC`-blocks along the inner dimension.
-    nkc: usize,
-    /// Doubles between consecutive blocks.
-    stride: usize,
-}
-
-impl PackedA<'_> {
-    /// The packed `(MC, KC)` block with block indices `(ic_idx, pc_idx)`.
-    #[inline]
-    pub(crate) fn block(&self, ic_idx: usize, pc_idx: usize) -> &[f64] {
-        &self.buf[(ic_idx * self.nkc + pc_idx) * self.stride..][..self.stride]
-    }
-}
-
-/// Largest whole-`A` pack kept cached in the thread-local arena, in doubles
-/// (16 MiB ≈ a 1448² `A`).  Bigger packs use a fresh allocation per call so
-/// one huge GEMM cannot pin a matrix-sized buffer to the calling thread for
-/// the rest of the process — the allocation is amortized over an O(m·n·k)
-/// multiply anyway.
-const APACK_CACHE_MAX: usize = 2 * 1024 * 1024;
-
-/// Packs all of `alpha · op(a)` into the thread-local whole-`A` arena (or a
-/// fresh buffer above [`APACK_CACHE_MAX`]) and runs `f` on the result.
-/// `trans` selects `op(a) = aᵀ`: the packing then walks `a` with swapped
-/// strides, so the transposed operand is never materialized.  Under a
-/// `mask` on `op(a)`, blocks that keep nothing are left unpacked (the
-/// macro-kernel never reads them).
-///
-/// The buffer is keyed to the calling thread, so the caller must finish with
-/// the [`PackedA`] before returning (enforced by the closure scope); workers
-/// reading it concurrently is fine — it is immutable inside `f`.
-pub(crate) fn with_packed_a<R>(
-    alpha: f64,
-    a: MatRef<'_>,
-    trans: bool,
-    mask: Option<TriMask>,
-    f: impl FnOnce(&PackedA<'_>) -> R,
-) -> R {
-    let (m, kdim) = op_dims(a, trans);
-    let (ai, ak) = op_strides(a, trans);
-    let nmc = m.div_ceil(MC);
-    let nkc = kdim.div_ceil(KC);
-    let stride = a_block_len(m, kdim);
-    let len = nmc * nkc * stride;
-    let pack_all = |buf: &mut [f64]| {
-        let mut ic = 0;
-        let mut ic_idx = 0;
-        while ic < m {
-            let mc = MC.min(m - ic);
-            let mut pc = 0;
-            let mut pc_idx = 0;
-            while pc < kdim {
-                let kc = KC.min(kdim - pc);
-                if mask.is_some_and(|mk| !mk.live(ic, mc, pc, kc)) {
-                    pc += KC;
-                    pc_idx += 1;
-                    continue;
-                }
-                let dst = &mut buf[(ic_idx * nkc + pc_idx) * stride..][..stride];
-                // SAFETY: `a` is a live in-bounds view, so the conceptual
-                // `mc×kc` block at `(ic, pc)` is valid for reads at the
-                // `(ai, ak)` strides, and `dst` holds
-                // `a_block_len(m, kdim) >= ⌈mc/MR⌉·kc·MR` elements
-                // (`mc <= min(MC, m)`, `kc <= min(KC, kdim)`).
-                unsafe {
-                    pack_a(
-                        alpha,
-                        a.as_ptr().add(ic * ai + pc * ak),
-                        ai,
-                        ak,
-                        mc,
-                        kc,
-                        dst,
-                        mask.map(|mk| mk.rebased(ic, pc)),
-                    );
-                }
-                pc += KC;
-                pc_idx += 1;
-            }
-            ic += MC;
-            ic_idx += 1;
-        }
-    };
-    if len > APACK_CACHE_MAX {
-        let mut buf = vec![0.0; len];
-        pack_all(&mut buf);
-        return f(&PackedA {
-            buf: &buf,
-            nkc,
-            stride,
-        });
-    }
-    APACK_FULL.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut buf) => {
-            let buf = grown(&mut buf, len);
-            pack_all(buf);
-            f(&PackedA { buf, nkc, stride })
-        }
-        Err(_) => {
-            let mut buf = vec![0.0; len];
-            pack_all(&mut buf);
-            f(&PackedA {
-                buf: &buf,
-                nkc,
-                stride,
-            })
-        }
     })
 }
 
@@ -443,13 +341,12 @@ mod tests {
         assert_eq!(direct, via_mat);
     }
 
-    /// `(A-pack, B-pack, whole-A)` capacities of this thread's arena.
-    fn arena_capacities() -> (usize, usize, usize) {
-        let (a, b) = GEMM_SCRATCH.with(|c| {
+    /// `(A-pack, B-pack)` capacities of this thread's arena.
+    fn arena_capacities() -> (usize, usize) {
+        GEMM_SCRATCH.with(|c| {
             let bufs = c.borrow();
             (bufs.0.capacity(), bufs.1.capacity())
-        });
-        (a, b, APACK_FULL.with(|c| c.borrow().capacity()))
+        })
     }
 
     #[test]
@@ -464,23 +361,21 @@ mod tests {
         };
         // A fresh thread, as every scoped pool worker and simulated rank is.
         std::thread::spawn(move || {
-            assert_eq!(arena_capacities(), (0, 0, 0));
-            multiply((64, 64, 64), 1);
-            assert_eq!(
-                (a_block_len(64, 64), b_block_len(64, 64)),
-                (64 * 64, 64 * 64)
-            );
-            let call_sized = 64 * 64;
-            assert_eq!(arena_capacities(), (call_sized, call_sized, 0));
-            // The caller of a multithreaded product packs all of A, at the
-            // call's own block size.
+            assert_eq!(arena_capacities(), (0, 0));
+            // The caller of a 2-worker product is one of the workers: it
+            // packs its own chunk of columns, at that chunk's block sizes.
             multiply((64, 64, 64), 2);
-            assert_eq!(arena_capacities().2, call_sized);
+            assert_eq!(
+                (a_block_len(64, 64), b_block_len(64, 32)),
+                (64 * 64, 64 * 32)
+            );
+            assert_eq!(arena_capacities(), (64 * 64, 64 * 32));
+            multiply((64, 64, 64), 1);
+            assert_eq!(arena_capacities(), (64 * 64, 64 * 64));
             // Past every blocking dimension (as a 1024³ product is, at a
             // thirtieth of the flops) the arena stops at the tuning maximum.
             multiply((MC + 2, KC + 4, NC + 6), 1);
-            let (a, b, _) = arena_capacities();
-            assert_eq!((a, b), (MC * KC, KC * NC));
+            assert_eq!(arena_capacities(), (MC * KC, KC * NC));
         })
         .join()
         .unwrap();

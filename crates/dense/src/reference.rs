@@ -63,15 +63,15 @@ pub fn trsm_unblocked(
         Side::Right => b.rows(),
     };
     match (side, tri) {
-        (Side::Left, Triangle::Lower) => solve_left_lower(diag, a, b),
-        (Side::Left, Triangle::Upper) => solve_left_upper(diag, a, b),
-        (Side::Right, Triangle::Lower) => solve_right_lower(diag, a, b),
-        (Side::Right, Triangle::Upper) => solve_right_upper(diag, a, b),
+        (Side::Left, Triangle::Lower) => left_lower(diag, a, b),
+        (Side::Left, Triangle::Upper) => left_upper(diag, a, b),
+        (Side::Right, Triangle::Lower) => right_lower(diag, a, b),
+        (Side::Right, Triangle::Upper) => right_upper(diag, a, b),
     }
     trsm_flops(n, k)
 }
 
-fn solve_left_lower(diag: Diag, a: &Matrix, b: &mut Matrix) {
+fn left_lower(diag: Diag, a: &Matrix, b: &mut Matrix) {
     let n = a.rows();
     let k = b.cols();
     for i in 0..n {
@@ -96,7 +96,7 @@ fn solve_left_lower(diag: Diag, a: &Matrix, b: &mut Matrix) {
     }
 }
 
-fn solve_left_upper(diag: Diag, a: &Matrix, b: &mut Matrix) {
+fn left_upper(diag: Diag, a: &Matrix, b: &mut Matrix) {
     let n = a.rows();
     let k = b.cols();
     for i in (0..n).rev() {
@@ -119,7 +119,7 @@ fn solve_left_upper(diag: Diag, a: &Matrix, b: &mut Matrix) {
     }
 }
 
-fn solve_right_lower(diag: Diag, a: &Matrix, b: &mut Matrix) {
+fn right_lower(diag: Diag, a: &Matrix, b: &mut Matrix) {
     let n = a.rows();
     let m = b.rows();
     for j in (0..n).rev() {
@@ -142,7 +142,7 @@ fn solve_right_lower(diag: Diag, a: &Matrix, b: &mut Matrix) {
     }
 }
 
-fn solve_right_upper(diag: Diag, a: &Matrix, b: &mut Matrix) {
+fn right_upper(diag: Diag, a: &Matrix, b: &mut Matrix) {
     let n = a.rows();
     let m = b.rows();
     for j in 0..n {

@@ -17,7 +17,7 @@
 //! the machine's available parallelism.  With one worker, `join_all` runs
 //! the single job inline on the caller's thread — a deterministic fallback
 //! with no thread machinery at all.  Kernels built on the pool (the packed
-//! GEMM's column partitioning) produce bitwise-identical results for every
+//! GEMM's split of `C`) produce bitwise-identical results for every
 //! worker count; `DENSE_THREADS` is a throughput knob, not a semantics knob.
 
 use std::cell::Cell;
@@ -99,8 +99,8 @@ pub fn dense_threads() -> usize {
 /// short job per worker, every worker runs the *same* closure for the whole
 /// region and coordinates through whatever synchronization the closure
 /// captures (the `sparse` crate's level-scheduled solver drives one
-/// [`std::sync::Barrier`] wait per dependency level this way, amortizing the
-/// spawn cost over the entire solve).  Worker 0 runs on the calling thread;
+/// `sparse::solve::SpinBarrier` wait per dependency level this way,
+/// amortizing the spawn cost over the entire solve).  Worker 0 runs on the calling thread;
 /// with `workers <= 1` the closure runs inline with no thread machinery.
 ///
 /// A panicking worker propagates to the caller after the region is joined —

@@ -363,18 +363,10 @@ pub fn trsm_in_place_opts<'b>(
 // ---------------------------------------------------------------------------
 
 /// [`SolveKernel::RowSubstitution`]: `b` is an `n×1` column on the left, a
-/// `1×n` row on the right — where `x·op(A) = b` is `op(A)ᵀ·xᵀ = bᵀ`, the
-/// left solve with the transpose flipped.  A column strided out of a wider
-/// block is solved in thread-local scratch.
+/// `1×n` row on the right.  A column strided out of a wider block is solved
+/// in thread-local scratch.
 fn solve_single_rhs(opts: &SolveOpts, a: &Matrix, mut b: MatMut<'_>) {
-    let transposed = (opts.transpose == Transpose::Yes) != (opts.side == Side::Right);
-    let solve = |x: &mut [f64]| {
-        if transposed {
-            substitute_rows_transposed(opts.triangle, opts.diag, a, x);
-        } else {
-            substitute_rows(opts.triangle, opts.diag, a, x);
-        }
-    };
+    let solve = |x: &mut [f64]| row_kernel(opts)(opts.triangle, opts.diag, a.as_view(), x);
     if let Some(x) = b.as_contiguous_mut() {
         return solve(x);
     }
@@ -389,12 +381,24 @@ fn solve_single_rhs(opts: &SolveOpts, a: &Matrix, mut b: MatMut<'_>) {
     });
 }
 
-// The row kernels are `#[inline(never)]`: `solve_single_rhs` calls each
-// from two places, and one copy of each loop is enough.
+/// The row kernel that solves one right-hand side of `opts` in place.  On
+/// the right, `x·op(A) = b` is `op(A)ᵀ·xᵀ = bᵀ`: the left solve with the
+/// transpose flipped.
+fn row_kernel(opts: &SolveOpts) -> fn(Triangle, Diag, MatRef<'_>, &mut [f64]) {
+    if (opts.transpose == Transpose::Yes) != (opts.side == Side::Right) {
+        substitute_rows_transposed
+    } else {
+        substitute_rows
+    }
+}
+
+// The row kernels are `#[inline(never)]`: they are called from the
+// single-right-hand-side solve and from every right-side diagonal block, and
+// one copy of each loop is enough.
 
 /// `A·x = b` in place: dot-product substitution over `A`'s rows.
 #[inline(never)]
-fn substitute_rows(tri: Triangle, diag: Diag, a: &Matrix, x: &mut [f64]) {
+fn substitute_rows(tri: Triangle, diag: Diag, a: MatRef<'_>, x: &mut [f64]) {
     let n = a.rows();
     match tri {
         Triangle::Lower => {
@@ -423,7 +427,7 @@ fn substitute_rows(tri: Triangle, diag: Diag, a: &Matrix, x: &mut [f64]) {
 /// `Aᵀ·x = b` in place without materializing `Aᵀ`: outer-product
 /// substitution reading `A` by rows (contiguous in the row-major layout).
 #[inline(never)]
-fn substitute_rows_transposed(tri: Triangle, diag: Diag, a: &Matrix, x: &mut [f64]) {
+fn substitute_rows_transposed(tri: Triangle, diag: Diag, a: MatRef<'_>, x: &mut [f64]) {
     let n = a.rows();
     match tri {
         // Lᵀ·x = b: Σ_i L[i,j]·x[i] = b[j]; sweep i downward, scatter row i.
@@ -603,28 +607,30 @@ fn apply_inverted_block(opts: &SolveOpts, block: MatRef<'_>, mut x: MatMut<'_>) 
     })
 }
 
-/// Substitution through one diagonal block.
-fn substitute_block(opts: &SolveOpts, a: MatRef<'_>, b: MatMut<'_>) {
+/// Substitution through one diagonal block: on the left the row-pair
+/// kernels below, on the right the row kernel on each row of `b`.
+fn substitute_block(opts: &SolveOpts, a: MatRef<'_>, mut b: MatMut<'_>) {
     let diag = opts.diag;
     match (opts.side, opts.triangle, opts.transpose) {
         (Side::Left, Triangle::Lower, Transpose::No) => solve_left_lower_base(diag, a, b),
         (Side::Left, Triangle::Upper, Transpose::No) => solve_left_upper_base(diag, a, b),
-        (Side::Right, Triangle::Lower, Transpose::No) => solve_right_lower_base(diag, a, b),
-        (Side::Right, Triangle::Upper, Transpose::No) => solve_right_upper_base(diag, a, b),
         (Side::Left, Triangle::Lower, Transpose::Yes) => solve_left_lower_t_base(diag, a, b),
         (Side::Left, Triangle::Upper, Transpose::Yes) => solve_left_upper_t_base(diag, a, b),
-        (Side::Right, Triangle::Lower, Transpose::Yes) => solve_right_lower_t_base(diag, a, b),
-        (Side::Right, Triangle::Upper, Transpose::Yes) => solve_right_upper_t_base(diag, a, b),
+        (Side::Right, ..) => {
+            let solve = row_kernel(opts);
+            for r in 0..b.rows() {
+                solve(opts.triangle, diag, a, b.row_mut(r));
+            }
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Substitution kernels for one NB×NB diagonal block.
+// Left-side substitution kernels for one NB×NB diagonal block.
 //
-// `#[inline(never)]`: each has a single call site, so LLVM would fold all
-// eight loops into `solve_blocked`, and the resulting function ran the k = 4
-// solve at half speed (4.3 → 8.5 µs at n = 64); standing alone they run as
-// they did inside the eight drivers this file used to have.
+// `#[inline(never)]`: each has a single call site, so LLVM would fold the
+// loops into `solve_blocked`, and a `solve_blocked` holding them ran the
+// k = 4 solve at half speed (4.3 → 8.5 µs at n = 64).
 // ---------------------------------------------------------------------------
 
 #[inline(never)]
@@ -669,48 +675,6 @@ fn solve_left_upper_base(diag: Diag, a: MatRef<'_>, mut b: MatMut<'_>) {
             for v in b.row_mut(i) {
                 *v *= inv;
             }
-        }
-    }
-}
-
-#[inline(never)]
-fn solve_right_lower_base(diag: Diag, a: MatRef<'_>, mut b: MatMut<'_>) {
-    // Per row r: solve x · L = b over the block, columns last to first.
-    let n = a.rows();
-    let m = b.rows();
-    for r in 0..m {
-        let row = b.row_mut(r);
-        for j in (0..n).rev() {
-            let mut v = row[j];
-            for (rv, i) in row[(j + 1)..n].iter().zip((j + 1)..n) {
-                v -= rv * a.at(i, j);
-            }
-            row[j] = if diag == Diag::NonUnit {
-                v / a.at(j, j)
-            } else {
-                v
-            };
-        }
-    }
-}
-
-#[inline(never)]
-fn solve_right_upper_base(diag: Diag, a: MatRef<'_>, mut b: MatMut<'_>) {
-    // Per row r: solve x · U = b over the block, columns first to last.
-    let n = a.rows();
-    let m = b.rows();
-    for r in 0..m {
-        let row = b.row_mut(r);
-        for j in 0..n {
-            let mut v = row[j];
-            for (rv, i) in row[..j].iter().zip(0..j) {
-                v -= rv * a.at(i, j);
-            }
-            row[j] = if diag == Diag::NonUnit {
-                v / a.at(j, j)
-            } else {
-                v
-            };
         }
     }
 }
@@ -760,44 +724,6 @@ fn solve_left_upper_t_base(diag: Diag, a: MatRef<'_>, mut b: MatMut<'_>) {
             for (rj, ri) in row_j.iter_mut().zip(row_i) {
                 *rj -= aij * ri;
             }
-        }
-    }
-}
-
-#[inline(never)]
-fn solve_right_lower_t_base(diag: Diag, a: MatRef<'_>, mut b: MatMut<'_>) {
-    // Per row r: x·Lᵀ = b over the block ⟺ Σ_i x[i]·L[j,i] = b[j];
-    // columns first to last, reading row j of L contiguously.
-    let n = a.rows();
-    let m = b.rows();
-    for r in 0..m {
-        let row = b.row_mut(r);
-        for j in 0..n {
-            let aj = a.row(j);
-            let mut v = row[j];
-            for (rv, av) in row[..j].iter().zip(&aj[..j]) {
-                v -= rv * av;
-            }
-            row[j] = if diag == Diag::NonUnit { v / aj[j] } else { v };
-        }
-    }
-}
-
-#[inline(never)]
-fn solve_right_upper_t_base(diag: Diag, a: MatRef<'_>, mut b: MatMut<'_>) {
-    // Per row r: x·Uᵀ = b over the block ⟺ Σ_i x[i]·U[j,i] = b[j];
-    // columns last to first, reading row j of U contiguously.
-    let n = a.rows();
-    let m = b.rows();
-    for r in 0..m {
-        let row = b.row_mut(r);
-        for j in (0..n).rev() {
-            let aj = a.row(j);
-            let mut v = row[j];
-            for (rv, av) in row[(j + 1)..n].iter().zip(&aj[(j + 1)..n]) {
-                v -= rv * av;
-            }
-            row[j] = if diag == Diag::NonUnit { v / aj[j] } else { v };
         }
     }
 }

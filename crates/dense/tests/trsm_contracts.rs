@@ -91,6 +91,17 @@ fn every_variant_matches_substitution_on_both_sides_of_the_rule() {
                             assert!(err < 1e-10, "{what}: off by {err:e}");
                             // The worker budget is a throughput knob only.
                             assert!(x1 == solve(4), "{what}: budgets 1 and 4 differ");
+                            // Within one diagonal block a right-side solve is
+                            // the row kernel on each row: every row's bits are
+                            // that row's, solved alone.
+                            if side == Side::Right && n <= NB && k < NB {
+                                for r in 0..k {
+                                    let mut row = Matrix::from_row_major(1, n, b.row(r)).unwrap();
+                                    trsm_in_place_opts(&opts, &a_poisoned, &mut row)
+                                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                                    assert!(x1.row(r) == row.row(0), "{what}: row {r} alone");
+                                }
+                            }
                         }
                     }
                 }
