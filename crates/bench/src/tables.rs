@@ -126,7 +126,8 @@ pub fn mm_table() -> Table {
                     let x_global = gen::uniform(n, k, 8);
                     let a = DistMatrix::from_global(grid, &a_global);
                     let x = DistMatrix::from_global(grid, &x_global);
-                    let (b, counters) = window(grid, || catrsm::mm3d::mm3d(&a, &x, p1).unwrap());
+                    let (b, counters) =
+                        window(grid, || catrsm::mm3d::mm3d(&a, &x, p1, None).unwrap());
                     let expect =
                         DistMatrix::from_global(grid, &dense::matmul(&a_global, &x_global));
                     let error = b.rel_diff(&expect).unwrap();
@@ -196,7 +197,7 @@ fn inversion_run(q: usize, n: usize, base: usize) -> CostReport {
     measure(q, q, MachineParams::unit(), |grid| {
         let l = DistMatrix::from_global(grid, &gen::well_conditioned_lower(n, 5));
         let (inv, counters) = window(grid, || catrsm::tri_inv::tri_inv(&l, base).unwrap());
-        let prod = catrsm::mm3d::mm3d_auto(&inv, &l).unwrap();
+        let prod = catrsm::mm3d::mm3d_auto(&inv, &l, Some(Triangle::Lower)).unwrap();
         let id = DistMatrix::from_fn(grid, n, n, |i, j| if i == j { 1.0 } else { 0.0 });
         let error = prod.rel_diff(&id).unwrap();
         Measured {

@@ -90,7 +90,7 @@ fn cholesky_inner(a: &DistMatrix, cfg: &FactorConfig) -> Result<DistMatrix> {
     let l21 = transpose(&l21t)?;
 
     // Trailing update A22 ← A22 − L21·L21ᵀ.
-    let update = mm3d_auto(&l21, &l21t)?;
+    let update = mm3d_auto(&l21, &l21t, None)?;
     let mut a22_new = a22;
     a22_new.sub_assign(&update)?;
 

@@ -82,7 +82,7 @@ fn lu_inner(a: &DistMatrix, cfg: &FactorConfig) -> Result<(DistMatrix, DistMatri
     let l21 = transpose(&l21t)?;
 
     // Trailing update A22 ← A22 − L21·U12.
-    let update = mm3d_auto(&l21, &u12)?;
+    let update = mm3d_auto(&l21, &u12, None)?;
     let mut a22_new = a22;
     a22_new.sub_assign(&update)?;
 

@@ -12,7 +12,8 @@
 //!
 //! 1. broadcast the inverted diagonal block piece along `z`,
 //! 2. multiply it with the current right-hand-side block and **allreduce
-//!    along `x`** to obtain `X(S_i)`,
+//!    along `x`** to obtain `X(S_i)` — each piece of an inverted block is
+//!    lower triangular, and only its triangle is multiplied,
 //! 3. broadcast the trailing panel `L(T_{i+1}, S_i)` along `z`,
 //! 4. multiply it with `X(S_i)` and accumulate into a **local** update
 //!    buffer,
@@ -39,9 +40,10 @@
 
 use crate::diag_inv::{block_columns, diagonal_inverter, stacked_layout};
 use crate::error::{config_error, internal_error};
+use crate::mm3d::strided_block_mask;
 use crate::Result;
 use costmodel::{itinv, Cost};
-use dense::{MatRef, Matrix};
+use dense::{MatRef, Matrix, Triangle};
 use pgrid::redist::{redistribute, Axis, Filter, Layout};
 use pgrid::{pooled_zeros, DistMatrix, Grid2D, Grid3D};
 use simnet::{coll, Communicator, CostCounters};
@@ -237,7 +239,7 @@ pub fn it_inv_trsm(
     // Setup: build the 3D grid and move L and B into its layouts.
     // ------------------------------------------------------------------
     let grid3d = Grid3D::new(comm, p1, p1, p2)?;
-    let z = grid3d.my_coords().2;
+    let (x, y, z) = grid3d.my_coords();
     let kw = k / p2; // right-hand-side slab width
     let nloc = n / p1; // rows of B/X owned per face row coordinate
     let nblocks = n / n0;
@@ -349,7 +351,9 @@ pub fn it_inv_trsm(
         let diag_piece = Matrix::from_vec(nb_loc, nb_loc, diag_flat)?;
 
         // (b) multiply with the current right-hand-side block, read in
-        //     place, into this block's rows of X.
+        //     place, into this block's rows of X.  The piece holds row class
+        //     y and column class x of a lower-triangular inverse, so it is a
+        //     lower triangle itself, with zeros stored above it.
         let flops = dense::gemm_views(
             1.0,
             diag_piece.as_view(),
@@ -358,7 +362,7 @@ pub fn it_inv_trsm(
             false,
             0.0,
             &mut x_result.view_mut(i * nb_loc, 0, nb_loc, kw),
-            None,
+            Some(strided_block_mask(Triangle::Lower, y, x)),
         )?;
         comm.charge_flops(flops.get());
         comm.give_buffer(diag_piece.into_vec());

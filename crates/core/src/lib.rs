@@ -23,8 +23,8 @@
 //! | I    | applications: distributed Cholesky and LU solvers | [`apps`] |
 //!
 //! The algorithms are plain functions with plain arguments
-//! (`rec_trsm(l, b, base_size)`, `mm3d(a, x, p1)`, …); the high-level entry
-//! point is the staged API of [`solve`]:
+//! (`rec_trsm(l, b, base_size)`, `mm3d(a, x, p1, a_tri)`, …); the high-level
+//! entry point is the staged API of [`solve`]:
 //! a [`SolveRequest`] (triangle, [`dense::Transpose`], [`dense::Diag`],
 //! pins) lowers to an inspectable [`SolvePlan`] — the resolved [`Algorithm`]
 //! plus the Section VIII cost prediction — which executes into a [`Solution`]

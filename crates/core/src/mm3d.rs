@@ -23,29 +23,45 @@
 //! The measured per-processor costs therefore reproduce the paper's
 //! `T_MM = β·(n²/p1²·1_{p2} + 2nk/(p1p2)) + γ·n²k/p + O(α·log p + β·nk·log p/p)`.
 //!
+//! A triangular `A` is multiplied only on its triangle: every gathered block
+//! `A(i : p1 : n, j : p1 : n)` is then a triangle too (of a lower `A`, the
+//! block's lower triangle, strictly so when `j > i`), while the charged flops
+//! stay the classical `2·(n/p1)²·(k/p2)` of the full block.
+//!
 //! The gathered blocks, the partial product and the reduce buffer are
 //! buffers from the machine's pool and go back to it once used.
 
 use crate::error::config_error;
 use crate::Result;
-use dense::{MatRef, Matrix};
+use dense::{MatRef, Matrix, TriMask, Triangle};
 use pgrid::redist::{redistribute, Axis, Filter, Layout};
 use pgrid::{pooled_zeros, DistMatrix};
 use simnet::coll;
 use std::borrow::Cow;
 
 /// Multiply `A (n×n) · X (n×k)` on the grid both operands are distributed
-/// over, using the automatically chosen (cost-optimal feasible) `p1`.
-pub fn mm3d_auto(a: &DistMatrix, x: &DistMatrix) -> Result<DistMatrix> {
+/// over, using the automatically chosen (cost-optimal feasible) `p1`; `a_tri`
+/// as in [`mm3d`].
+pub fn mm3d_auto(a: &DistMatrix, x: &DistMatrix, a_tri: Option<Triangle>) -> Result<DistMatrix> {
     let q = a.grid().rows();
     let p1 = crate::planner::choose_mm_p1(a.rows(), x.cols(), q);
-    mm3d(a, x, p1)
+    mm3d(a, x, p1, a_tri)
 }
 
 /// Multiply `A (n×n) · X (n×k)` on a logical `p1 × p1 × p2` grid: `p1`, the
 /// square-face dimension, must divide the 2D grid dimension `q`, and
 /// `p2 = (q/p1)²` (`p1 = q` is the 2D case, with no replication of `A`).
-pub fn mm3d(a: &DistMatrix, x: &DistMatrix, p1: usize) -> Result<DistMatrix> {
+///
+/// `a_tri = Some(tri)` declares `A` triangular: only its `tri` triangle is
+/// multiplied, whatever is stored in the other one.  For finite operands the
+/// result is bitwise that of the product on `A` with the other triangle
+/// filled with zeros, and the charged flops are the same.
+pub fn mm3d(
+    a: &DistMatrix,
+    x: &DistMatrix,
+    p1: usize,
+    a_tri: Option<Triangle>,
+) -> Result<DistMatrix> {
     let grid = a.grid();
     let q = grid.rows();
     let n = a.rows();
@@ -85,7 +101,16 @@ pub fn mm3d(a: &DistMatrix, x: &DistMatrix, p1: usize) -> Result<DistMatrix> {
     // Single processor: plain local multiplication.
     if q == 1 {
         let mut c = Matrix::zeros(n, k);
-        let flops = dense::gemm(1.0, a.local(), x.local(), 0.0, &mut c)?;
+        let flops = dense::gemm_views(
+            1.0,
+            a.local().as_view(),
+            false,
+            x.local().as_view(),
+            false,
+            0.0,
+            &mut c.as_view_mut(),
+            a_tri.map(TriMask::a),
+        )?;
         grid.comm().charge_flops(flops.get());
         return DistMatrix::from_local(grid, n, k, c).map_err(Into::into);
     }
@@ -182,7 +207,16 @@ pub fn mm3d(a: &DistMatrix, x: &DistMatrix, p1: usize) -> Result<DistMatrix> {
 
     // ---- Step 4: local multiplication of the gathered blocks. ----
     let mut c_part = pooled_zeros(comm, nb, kw);
-    let flops = dense::gemm(1.0, &a_blk, &x_blk, 0.0, &mut c_part)?;
+    let flops = dense::gemm_views(
+        1.0,
+        a_blk.as_view(),
+        false,
+        x_blk.as_view(),
+        false,
+        0.0,
+        &mut c_part.as_view_mut(),
+        a_tri.map(|tri| strided_block_mask(tri, i, j)),
+    )?;
     comm.charge_flops(flops.get());
     comm.give_buffer(x_blk.into_vec());
     if let Cow::Owned(blk) = a_blk {
@@ -217,6 +251,22 @@ pub fn mm3d(a: &DistMatrix, x: &DistMatrix, p1: usize) -> Result<DistMatrix> {
     Ok(DistMatrix::from_layout(grid, cyclic, b)?)
 }
 
+/// The triangle of the strided block `M(i : p : n, j : p : n)` of an `n×n`
+/// matrix `M` that occupies its `tri` triangle, for any stride `p` with
+/// `i, j < p`.
+///
+/// Block entry `(r, c)` is `M(i + p·r, j + p·c)`, so it lies in the lower
+/// triangle iff `p·(c − r) ≤ i − j`: on or below the block's main diagonal
+/// when `j ≤ i`, strictly below it otherwise (and symmetrically for upper).
+pub(crate) fn strided_block_mask(tri: Triangle, i: usize, j: usize) -> TriMask {
+    let offset = match tri {
+        Triangle::Lower if j > i => -1,
+        Triangle::Upper if i > j => 1,
+        _ => 0,
+    };
+    TriMask::a(tri).with_diagonal(offset)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,7 +294,7 @@ mod tests {
             let x_global = gen::uniform(n, k, 22);
             let a = DistMatrix::from_global(grid, &a_global);
             let x = DistMatrix::from_global(grid, &x_global);
-            let b = mm3d(&a, &x, p1).unwrap();
+            let b = mm3d(&a, &x, p1, None).unwrap();
             let expect = dense::matmul(&a_global, &x_global);
             let got = b.to_global();
             dense::norms::rel_diff(&got, &expect)
@@ -283,6 +333,55 @@ mod tests {
         check_mm(4, 2, 16, 64);
     }
 
+    /// A triangular `A` is multiplied only on its triangle, on every path
+    /// (`q = 1`, `p2 = 1` and the `p2 > 1` gather), on the small-product
+    /// loop and the packed kernel: the result is bitwise the product on the
+    /// zero-filled `A`, and NaN stored in the other triangle never reaches it.
+    #[test]
+    fn a_triangular_a_multiplies_only_its_triangle() {
+        for (q, tri) in [1usize, 2, 4]
+            .into_iter()
+            .flat_map(|q| [(q, Triangle::Lower), (q, Triangle::Upper)])
+        {
+            for (n, k) in [(32, 16), (128, 64)] {
+                for p1 in (0..=q.ilog2()).map(|e| 1 << e) {
+                    let (results, _) = on_grid(q, move |grid| {
+                        let full = gen::uniform(n, n, 5);
+                        let kept = |i: usize, j: usize| match tri {
+                            Triangle::Lower => j <= i,
+                            Triangle::Upper => j >= i,
+                        };
+                        let stored = |other: f64| {
+                            DistMatrix::from_fn(grid, n, n, |i, j| {
+                                if kept(i, j) {
+                                    full[(i, j)]
+                                } else {
+                                    other
+                                }
+                            })
+                        };
+                        let x = DistMatrix::from_global(grid, &gen::uniform(n, k, 6));
+                        let bits = |a: &DistMatrix, a_tri| -> Vec<u64> {
+                            let b = mm3d(a, &x, p1, a_tri).unwrap().to_global();
+                            b.as_slice().iter().map(|v| v.to_bits()).collect()
+                        };
+                        let (zero_filled, poisoned) = (stored(0.0), stored(f64::NAN));
+                        let reference = bits(&zero_filled, None);
+                        (
+                            bits(&zero_filled, Some(tri)) == reference,
+                            bits(&poisoned, Some(tri)) == reference,
+                        )
+                    });
+                    for (masked, poisoned) in results {
+                        let case = format!("{tri:?} q={q} p1={p1} n={n} k={k}");
+                        assert!(masked, "{case}: masked product differs from zero-filled");
+                        assert!(poisoned, "{case}: the other triangle leaked in");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn auto_configuration_works() {
         let (results, _) = on_grid(4, |grid| {
@@ -290,7 +389,7 @@ mod tests {
             let x_global = gen::uniform(64, 16, 4);
             let a = DistMatrix::from_global(grid, &a_global);
             let x = DistMatrix::from_global(grid, &x_global);
-            let b = mm3d_auto(&a, &x).unwrap();
+            let b = mm3d_auto(&a, &x, None).unwrap();
             dense::norms::rel_diff(&b.to_global(), &dense::matmul(&a_global, &x_global))
         });
         assert!(results.into_iter().all(|d| d < 1e-10));
@@ -301,17 +400,17 @@ mod tests {
         let (results, _) = on_grid(2, |grid| {
             let a = DistMatrix::zeros(grid, 16, 16);
             let x = DistMatrix::zeros(grid, 16, 8);
-            let bad_p1 = mm3d(&a, &x, 3).is_err();
+            let bad_p1 = mm3d(&a, &x, 3, None).is_err();
             let rect_a = DistMatrix::zeros(grid, 16, 12);
-            let bad_square = mm3d(&rect_a, &x, 2).is_err();
+            let bad_square = mm3d(&rect_a, &x, 2, None).is_err();
             let mismatched = {
                 let y = DistMatrix::zeros(grid, 12, 8);
-                mm3d(&a, &y, 2).is_err()
+                mm3d(&a, &y, 2, None).is_err()
             };
             let bad_divisibility = {
                 let a2 = DistMatrix::zeros(grid, 18, 18);
                 let x2 = DistMatrix::zeros(grid, 18, 8);
-                mm3d(&a2, &x2, 2).is_err()
+                mm3d(&a2, &x2, 2, None).is_err()
             };
             bad_p1 && bad_square && mismatched && bad_divisibility
         });
@@ -329,7 +428,7 @@ mod tests {
         let (_, report) = on_grid(q, move |grid| {
             let a = DistMatrix::from_fn(grid, n, n, |i, j| ((i * 7 + j) % 13) as f64);
             let x = DistMatrix::from_fn(grid, n, k, |i, j| ((i + j * 3) % 7) as f64);
-            mm3d(&a, &x, p1).unwrap();
+            mm3d(&a, &x, p1, None).unwrap();
         });
         let p2 = (q / p1) * (q / p1);
         let main = (n * n / (p1 * p1) + 2 * n * k / (p1 * p2)) as f64;

@@ -172,7 +172,7 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Di
 
     let x1 = rec_trsm_inner(&l11, &b1, base_size)?;
 
-    let update = mm3d(&l21, &x1, choose_mm_p1(h, k, pr))?;
+    let update = mm3d(&l21, &x1, choose_mm_p1(h, k, pr), None)?;
     let mut b2_new = b2;
     b2_new.sub_assign(&update)?;
 

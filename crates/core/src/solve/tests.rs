@@ -720,6 +720,53 @@ fn distributed_unit_diagonal_ignores_stored_diagonal() {
     }
 }
 
+#[test]
+fn distributed_solves_never_read_above_the_diagonal() {
+    // NaN stored above a cyclic L's diagonal, where the solvers read L in
+    // place: X must keep its bits, and the residual must be the clean one.
+    let (n, k) = (128, 32);
+    let algorithms = [
+        None,
+        Some(Algorithm::Recursive { base_size: 32 }),
+        Some(Algorithm::Wavefront),
+    ];
+    for algorithm in algorithms {
+        let request = SolveRequest::lower().algorithm(algorithm).with_residual();
+        let out = Machine::new(16, MachineParams::unit())
+            .run(move |comm| {
+                let grid = Grid2D::new(comm, 4, 4).unwrap();
+                let (l, b, _) = dist_instance(&grid, n, k, 61);
+                let mut stored = l.to_global();
+                for i in 0..n {
+                    stored.row_mut(i)[i + 1..].fill(f64::NAN);
+                }
+                let poisoned = DistMatrix::from_global(&grid, &stored);
+                let plan = request.plan_distributed(n, k, comm.size()).unwrap();
+                let planned_it_inv = matches!(
+                    plan.backend,
+                    PlanBackend::Distributed {
+                        algorithm: Algorithm::IterativeInversion(_),
+                        ..
+                    }
+                );
+                let bits = |l: &DistMatrix| {
+                    let sol = plan.execute_distributed(l, &b).unwrap();
+                    let x = sol.x.to_global();
+                    let x: Vec<u64> = x.as_slice().iter().map(|v| v.to_bits()).collect();
+                    (x, sol.report.residual.unwrap().to_bits())
+                };
+                (planned_it_inv, bits(&l), bits(&poisoned))
+            })
+            .unwrap();
+        for (planned_it_inv, clean, dirty) in out.results {
+            assert!(algorithm.is_some() || planned_it_inv, "plan is not It-Inv");
+            assert!(f64::from_bits(clean.1) < 1e-10, "{algorithm:?}");
+            assert!(clean.0 == dirty.0, "{algorithm:?}: X moved");
+            assert_eq!(clean.1, dirty.1, "{algorithm:?}: residual moved");
+        }
+    }
+}
+
 /// The integer counters of one rank: messages and words each way, flops.
 fn counts(c: &simnet::CostCounters) -> [u64; 5] {
     [

@@ -143,8 +143,11 @@ fn tri_inv_inner(l: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
     // Off-diagonal block: inv21 = −inv22 · L21 · inv11, as two multiplications
     // on the full grid.
     let p1 = choose_mm_p1(h, h, q);
-    let t = mm3d(&inv22, &l21, p1)?;
-    let mut inv21 = mm3d(&t, &inv11, p1)?;
+    // Only the first product has a triangular `A`.  In the second the
+    // triangle is `X = inv11`, which mm3d gathers with row stride p1 over
+    // contiguous slab columns: its pieces have no unit-slope diagonal to mask.
+    let t = mm3d(&inv22, &l21, p1, Some(Triangle::Lower))?;
+    let mut inv21 = mm3d(&t, &inv11, p1, None)?;
     inv21.local_mut().scale_in_place(-1.0);
 
     // Assemble the inverse.

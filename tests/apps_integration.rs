@@ -68,7 +68,7 @@ fn distributed_multiplication_matches_sequential_for_assorted_shapes() {
                 let x_global = gen::uniform(n, k, seed + 10);
                 let a = DistMatrix::from_global(&grid, &a_global);
                 let x = DistMatrix::from_global(&grid, &x_global);
-                let b = mm3d_auto(&a, &x).unwrap();
+                let b = mm3d_auto(&a, &x, None).unwrap();
                 let expect = DistMatrix::from_global(&grid, &dense::matmul(&a_global, &x_global));
                 worst = worst.max(b.rel_diff(&expect).unwrap());
             }
