@@ -154,12 +154,11 @@ pub fn mm_table() -> Table {
 ///
 /// Measures the "standard" baseline in the three regimes and compares it
 /// with what a plan pinned to it quotes: the walk of the recursion it runs
-/// at its grid and base size (`catrsm::rec_trsm::predicted_cost`), constants
-/// included.  The interesting column is the latency, which grows with
-/// `n / base` and polynomially in `p`, unlike the iterative algorithm's.
-/// Expected: `S_model` equals `S_measured` on every row, and `W_model` is
-/// within 20 % of `W_measured` (the walk's one inexact term is the `mm3d`
-/// update's `mm_cost`).
+/// at its grid and base size (`catrsm::rec_trsm::predicted_cost`), every
+/// message priced on simnet's own schedules.  The interesting column is
+/// the latency, which grows with `n / base` and polynomially in `p`, unlike
+/// the iterative algorithm's.  Expected: `S_model` equals `S_measured` and
+/// `W_model` equals `W_measured` on every row.
 pub fn rec_trsm() -> Table {
     let mut table = Table::new("regime,p,n,k,S_measured,W_measured,F_measured,S_model,W_model");
     let cases = [
@@ -262,11 +261,12 @@ pub fn inversion_scaling() -> Table {
 /// the `r1 × r1 × r2` sub-grid each diagonal block gets, and solve and
 /// update on the `p1 × p1 × p2` solve grid; it does not price the setup
 /// and finalize layout changes (their model cells are empty), and the
-/// `total` row's model is the plan's predicted cost, the sum of the priced
-/// phases.  Expected: solve and update dominate bandwidth and flops with
-/// the Section VII shapes; the inversion phase is never of leading order;
-/// latency per phase is proportional to `n/n0` (solve, update) or
-/// polylogarithmic (inversion).
+/// `total` row's model is the sum of the priced phases.  (A plan quotes the
+/// walk of what it runs instead, `catrsm::it_inv_trsm::predicted_cost`.)
+/// Expected: solve and update dominate bandwidth and flops with the Section
+/// VII shapes; the inversion phase is never of leading order; latency per
+/// phase is proportional to `n/n0` (solve, update) or polylogarithmic
+/// (inversion).
 pub fn itinv_breakdown() -> Table {
     let mut table =
         Table::new("n,k,p,p1,p2,n0,phase,S_measured,W_measured,F_measured,W_model,F_model");
@@ -297,7 +297,8 @@ pub fn itinv_breakdown() -> Table {
         let p = pr * pc;
         let phases = measured.phases.expect("It-Inv-TRSM reports its phases");
         let models = cfg.phase_model(n, k).named().map(|(_, model)| model);
-        let models = models.into_iter().chain([Some(cfg.predicted_cost(n, k))]);
+        let total = models.iter().map(|model| model.unwrap_or_default()).sum();
+        let models = models.into_iter().chain([Some(total)]);
         let rows = phases.into_iter().chain([("total", measured.report)]);
         for ((phase, report), model) in rows.zip(models) {
             let (s, w, f) = swf(&report);

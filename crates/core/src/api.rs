@@ -9,6 +9,12 @@
 
 use crate::it_inv_trsm::ItInvConfig;
 use costmodel::Cost;
+use std::collections::HashMap;
+use std::sync::{LazyLock, Mutex, PoisonError};
+
+/// How many quotes [`Algorithm::predicted_cost`] remembers before it
+/// forgets them all.
+const QUOTES_KEPT: usize = 1024;
 
 /// Which distributed TRSM algorithm to run — the one algorithm enum of the
 /// workspace: a request pins one, a plan records the one it resolved, the
@@ -39,30 +45,64 @@ impl Algorithm {
         }
     }
 
-    /// Predicted critical-path cost of solving `L·X = B` (`n×n`, `k`
-    /// right-hand sides, `p` processors) with this algorithm.
-    ///
-    /// The iterative algorithm quotes the Section VII phase model at its own
-    /// configuration ([`ItInvConfig::predicted_cost`]): `n0` and the grid
-    /// enter with their constants.  Both baselines quote the walk of what
-    /// they run, from operands stored cyclically on the `pr × pc` grid
-    /// (`pr ≤ pc`, `pr | pc`) closest to square, `√p × √p` for a square `p`:
-    /// the recursive one the recursion at its base size
-    /// ([`crate::rec_trsm::predicted_cost`]), the wavefront its layout moves
-    /// and broadcasts ([`crate::wavefront::predicted_cost`]).  No arm reads
-    /// the cost-model revision: it reaches a plan only through the
-    /// configuration the planner chose under it.
-    pub fn predicted_cost(&self, n: usize, k: usize, p: usize) -> Cost {
+    /// The `pr × pc` caller grid a quote assumes for `p` processors: the
+    /// closest to square with `pr ≤ pc` and `pr | pc`.
+    pub(crate) fn caller_grid(p: usize) -> (usize, usize) {
         let pr = (1..=p.isqrt())
             .rev()
             .find(|pr| p.is_multiple_of(pr * pr))
             .unwrap_or(1);
+        (pr, p / pr)
+    }
+
+    /// Predicted critical-path cost of solving `L·X = B` (`n×n`, `k`
+    /// right-hand sides, `p` processors) with this algorithm: the walk of
+    /// what it runs, from operands stored cyclically on the `pr × pc` grid
+    /// (`pr ≤ pc`, `pr | pc`) closest to square, `√p × √p` for a square
+    /// `p`.  The iterative algorithm walks its five phases at its own
+    /// configuration ([`crate::it_inv_trsm::predicted_cost`] prices each),
+    /// the recursive one its recursion at its base size
+    /// ([`crate::rec_trsm::predicted_cost`]), the wavefront its layout moves
+    /// and broadcasts ([`crate::wavefront::predicted_cost`]).  Every walk
+    /// prices each message on simnet's own schedules, so S and W are the
+    /// most any rank sends or receives, exactly.  No arm reads the
+    /// cost-model revision: it reaches a plan only through the
+    /// configuration the planner chose under it.
+    ///
+    /// A walk is a pure function of its arguments, and every rank of a
+    /// solve plans the same one inside its op: each is walked once per
+    /// process and remembered, up to 1 024 of them.  (At 16 ranks a walk
+    /// takes a few hundred microseconds, a remembered quote a lookup.)
+    pub fn predicted_cost(&self, n: usize, k: usize, p: usize) -> Cost {
+        type Quotes = HashMap<(Algorithm, usize, usize, usize), Cost>;
+        static QUOTES: LazyLock<Mutex<Quotes>> = LazyLock::new(Mutex::default);
+        // No walk runs under the lock, and an insert or a clear leaves the
+        // map whole: a poisoned lock still guards valid quotes.
+        let quotes = || QUOTES.lock().unwrap_or_else(PoisonError::into_inner);
+        let key = (*self, n, k, p);
+        if let Some(&quote) = quotes().get(&key) {
+            return quote;
+        }
+        let quote = self.walk(n, k, p);
+        let mut kept = quotes();
+        if kept.len() >= QUOTES_KEPT {
+            kept.clear();
+        }
+        kept.insert(key, quote);
+        quote
+    }
+
+    /// [`Algorithm::predicted_cost`], walked.
+    fn walk(&self, n: usize, k: usize, p: usize) -> Cost {
+        let (pr, pc) = Algorithm::caller_grid(p);
         match self {
             Algorithm::Recursive { base_size } => {
-                crate::rec_trsm::predicted_cost(n, k, pr, p / pr, *base_size)
+                crate::rec_trsm::predicted_cost(n, k, pr, pc, *base_size)
             }
-            Algorithm::IterativeInversion(cfg) => cfg.predicted_cost(n, k),
-            Algorithm::Wavefront => crate::wavefront::predicted_cost(n, k, pr, p / pr),
+            Algorithm::IterativeInversion(cfg) => {
+                crate::it_inv_trsm::predicted_total(n, k, pr, pc, cfg)
+            }
+            Algorithm::Wavefront => crate::wavefront::predicted_cost(n, k, pr, pc),
         }
     }
 }
@@ -166,16 +206,14 @@ mod tests {
     #[test]
     fn dispatch_matches_the_underlying_formulas() {
         let (n, k, p) = (4096, 1024, 64);
-        let (nf, kf) = (n as f64, k as f64);
         let it_inv = ItInvConfig {
             p1: 4,
             p2: 4,
             n0: 512,
             inv_base: 64,
         };
-        let (r1, r2) = it_inv.inversion_grid(n);
-        // Both baselines on the grid closest to square: 8 × 8 for p = 64,
-        // 2 × 4 for p = 8.
+        // Every walk on the grid closest to square: 8 × 8 for p = 64, 2 × 4
+        // for p = 8.
         for (p, pr) in [(64, 8), (8, 2)] {
             assert_eq!(
                 Algorithm::Recursive { base_size: 64 }.predicted_cost(n, k, p),
@@ -186,12 +224,13 @@ mod tests {
                 crate::wavefront::predicted_cost(n, k, pr, p / pr)
             );
         }
-        assert_eq!(
-            Algorithm::IterativeInversion(it_inv).predicted_cost(n, k, p),
-            costmodel::itinv::inversion_phase(nf, 512.0, r1, r2)
-                + costmodel::itinv::solve_phase(nf, kf, 512.0, 4.0, 4.0)
-                + costmodel::itinv::update_phase(nf, kf, 512.0, 4.0, 4.0)
-        );
+        // Asked twice, the second answer is the remembered first.
+        for _ in 0..2 {
+            assert_eq!(
+                Algorithm::IterativeInversion(it_inv).predicted_cost(n, k, p),
+                crate::it_inv_trsm::predicted_total(n, k, 8, 8, &it_inv)
+            );
+        }
     }
 
     #[test]

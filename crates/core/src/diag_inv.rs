@@ -35,10 +35,11 @@
 
 use crate::error::config_error;
 use crate::tri_inv::tri_inv;
-use crate::Result;
+use crate::{walk, Result};
 use dense::{Diag, Matrix, Triangle};
-use pgrid::redist::{redistribute, Axis, Filter, Layout};
+use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
+use simnet::CostCounters;
 
 /// The columns of every row's own diagonal block of size `n0`, cut over `q`
 /// classes: column `j` is entry `(j mod n0) / q` of class `j mod q` — blocks
@@ -49,24 +50,93 @@ pub(crate) fn block_columns(n: usize, n0: usize, q: usize) -> Axis {
     Axis::new(n, n0, 1, q).stacked()
 }
 
-/// The layout [`diagonal_inverter`] returns its output in, on the square
-/// `q × q` `grid`: the rank at `(x, y)` holds the rows `≡ x` and, of each,
+/// The layout [`diagonal_inverter`] returns its output in, on a square
+/// `q × q` grid: the rank at `(x, y)` holds the rows `≡ x` and, of each,
 /// the columns `≡ y (mod q)` of the row's own `n0 × n0` diagonal block —
 /// the cyclic owners of those entries, an `n/q × n0/q` piece.  Local row
 /// `i / q` holds global row `i`, local column `(j mod n0) / q` column `j`.
-pub fn stacked_layout(grid: &Grid2D, n: usize, n0: usize) -> Layout {
-    let q = grid.rows();
+pub fn stacked_layout(q: usize, n: usize, n0: usize) -> Layout {
     Layout::new(
-        grid.size(),
+        q * q,
         Axis::cyclic(n, q),
         block_columns(n, n0, q),
-        |x, y| Some(grid.rank_of(x, y)),
+        |x, y| Some(x * q + y),
     )
+}
+
+/// The round-robin route of `p_face ≤ n/n0` ranks: block `g` on rank
+/// `g mod p_face`, stacked — its `t`-th block occupies rows `t·n0 ..` of an
+/// `n0`-column local matrix.  On one rank this is [`stacked_layout`] itself.
+fn round_robin(p_face: usize, n: usize, n0: usize) -> Layout {
+    let blocks = Axis::new(n, n0, p_face, 1);
+    Layout::new(p_face, blocks, blocks.stacked(), |row_owner, col_owner| {
+        (row_owner == col_owner).then_some(row_owner)
+    })
+}
+
+/// The sub-grid route of `p_face > nblocks` ranks: `(group_size, side)`,
+/// each block's group of `p_face / nblocks` consecutive ranks and the side
+/// of the largest power-of-two square that fits in it, whose first
+/// `side²` ranks invert the block.
+fn sub_grids(p_face: usize, nblocks: usize) -> (usize, usize) {
+    let group_size = p_face / nblocks;
+    let mut side = 1usize;
+    while 4 * side * side <= group_size {
+        side *= 2;
+    }
+    (group_size, side)
+}
+
+/// Block `g` cyclic on the `side × side` sub-grid formed by the first
+/// `side²` ranks of group `g`: its row at offset `o` is entry `o / side` of
+/// class `g·side + o mod side`.
+fn on_sub_grids(p_face: usize, n: usize, n0: usize) -> Layout {
+    let nblocks = n / n0;
+    let (group_size, side) = sub_grids(p_face, nblocks);
+    let block_axis = Axis::new(n, n0, nblocks, side);
+    Layout::new(p_face, block_axis, block_axis, |rc, cc| {
+        let (g, sx) = (rc / side, rc % side);
+        (cc / side == g).then_some(g * group_size + sx * side + cc % side)
+    })
+}
+
+/// What [`diagonal_inverter`] charges each rank `x·q + y` of the `q × q`
+/// grid for the diagonal blocks of size `n0` of an `n × n` triangle stored
+/// cyclically: the move onto the route the executor picks, the inversions
+/// (one [`crate::tri_inv`] walk per sub-grid size, charged to every
+/// sub-grid), and the move into [`stacked_layout`].
+pub(crate) fn walk(n: usize, n0: usize, q: usize, inv_base: usize) -> Vec<CostCounters> {
+    let (p_face, nblocks) = (q * q, n / n0);
+    let (cyclic, stacked) = (Layout::cyclic_over(q, q, n, n), stacked_layout(q, n, n0));
+    let diag_blocks = Filter::DiagBlocksLower(n0);
+    let invert = walk::flops(n0 * n0 * n0 / 6);
+    if nblocks >= p_face {
+        let route = round_robin(p_face, n, n0);
+        let mut ranks = move_counts(&cyclic, &route, diag_blocks);
+        walk::add(&mut ranks, &move_counts(&route, &stacked, diag_blocks));
+        for (r, rank) in ranks.iter_mut().enumerate() {
+            let mine = (nblocks - r).div_ceil(p_face);
+            *rank = rank.merge(&walk::times(invert, mine));
+        }
+        return ranks;
+    }
+    let (group_size, side) = sub_grids(p_face, nblocks);
+    let route = on_sub_grids(p_face, n, n0);
+    let mut ranks = move_counts(&cyclic, &route, diag_blocks);
+    walk::add(&mut ranks, &move_counts(&route, &stacked, diag_blocks));
+    let block = match side {
+        1 => vec![invert],
+        _ => crate::tri_inv::walk(n0, side, inv_base),
+    };
+    for g in 0..nblocks {
+        walk::add_members(&mut ranks, g * group_size.., &block);
+    }
+    ranks
 }
 
 /// Invert the diagonal blocks of a lower-triangular matrix distributed over
 /// a square `q × q` grid, in any layout.  Returns this rank's piece of the
-/// inverses under [`stacked_layout`]`(grid, n, n0)`, zero above each block's
+/// inverses under [`stacked_layout`]`(q, n, n0)`, zero above each block's
 /// diagonal; `L` itself is read, never copied, and the blocks' copies read
 /// its diagonal kind.  `n0` must divide the matrix dimension and be a
 /// multiple of `q`; `inv_base` is the base-case size handed to the
@@ -101,21 +171,13 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<M
     let unit = l.diag() == Diag::Unit;
     let p_face = q * q;
     let nblocks = n / n0;
-    let stacked = stacked_layout(grid, n, n0);
+    let stacked = stacked_layout(q, n, n0);
     let diag_blocks = Filter::DiagBlocksLower(n0);
 
     if nblocks >= p_face {
         // --- At least as many blocks as processors: round-robin local
-        //     inversions.  Collect block g on processor (g mod p_face),
-        //     stacked: its t-th block occupies rows `t·n0 ..` of an
-        //     `n0`-column local matrix.  On one processor this is the stacked
-        //     layout itself, and nothing is sent.
-        let round_robin = Layout::new(
-            p_face,
-            Axis::new(n, n0, p_face, 1),
-            Axis::new(n, n0, p_face, 1).stacked(),
-            |row_owner, col_owner| (row_owner == col_owner).then_some(row_owner),
-        );
+        //     inversions, where the blocks land.
+        let round_robin = round_robin(p_face, n, n0);
         let mut mine = l.redistribute_to(&round_robin, diag_blocks)?;
 
         // Invert the blocks this rank owns, where they lie.
@@ -133,22 +195,9 @@ pub fn diagonal_inverter(l: &DistMatrix, n0: usize, inv_base: usize) -> Result<M
     }
 
     // --- Fewer blocks than processors: one sub-grid per block. -------------
-    let group_size = p_face / nblocks;
-    // Largest power-of-two square that fits in the group.
-    let mut side = 1usize;
-    while 4 * side * side <= group_size {
-        side *= 2;
-    }
+    let (group_size, side) = sub_grids(p_face, nblocks);
     let active = side * side;
-
-    // Block g lives cyclically on the side × side sub-grid formed by the
-    // first `active` ranks of group g: its row at offset o is entry
-    // `o / side` of class `g·side + o mod side`.
-    let block_axis = Axis::new(n, n0, nblocks, side);
-    let on_subgrids = Layout::new(p_face, block_axis, block_axis, |rc, cc| {
-        let (g, sx) = (rc / side, rc % side);
-        (cc / side == g).then_some(g * group_size + sx * side + cc % side)
-    });
+    let on_subgrids = on_sub_grids(p_face, n, n0);
     let received = l.redistribute_to(&on_subgrids, diag_blocks)?;
 
     // Every rank joins exactly one subgroup call so communicator bookkeeping

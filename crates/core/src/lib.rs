@@ -75,6 +75,7 @@ pub mod rec_trsm;
 pub mod solve;
 pub mod tri_inv;
 pub mod verify;
+mod walk;
 pub mod wavefront;
 
 pub use api::Algorithm;

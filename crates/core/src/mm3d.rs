@@ -32,11 +32,11 @@
 //! buffers from the machine's pool and go back to it once used.
 
 use crate::error::config_error;
-use crate::Result;
+use crate::{walk, Result};
 use dense::{MatRef, Matrix, TriMask, Triangle};
-use pgrid::redist::{redistribute, Axis, Filter, Layout};
+use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
 use pgrid::{pooled_zeros, DistMatrix};
-use simnet::coll;
+use simnet::{coll, CostCounters};
 use std::borrow::Cow;
 
 /// Multiply `A (n×n) · X (n×k)` on the grid both operands are distributed
@@ -169,23 +169,7 @@ pub fn mm3d(
     };
 
     // ---- Step 2: transpose X to the pre-allgather layout. ----
-    // Rows are dealt out in classes of gr mod p1², `contrib_rows` rows each,
-    // columns in slabs of kw; `face_of` says which face coordinates (i, j)
-    // get a row class.
-    let strided_layout = |face_of: fn(usize, usize) -> (usize, usize)| {
-        Layout::new(
-            q * q,
-            Axis::cyclic(n, p1 * p1),
-            Axis::slabs(k, p2),
-            |row_class, slab| {
-                let (i_d, j_d) = face_of(row_class % p1, row_class / p1);
-                Some(grid.rank_of(i_d + p1 * (slab / s), j_d + p1 * (slab % s)))
-            },
-        )
-    };
-    // Row gr goes to j = gr mod p1, i = (gr / p1) mod p1.
-    let contrib_layout = strided_layout(|low, high| (high, low));
-    let x_contrib = x.redistribute_to(&contrib_layout, Filter::All)?;
+    let x_contrib = x.redistribute_to(&strided_layout(n, k, q, p1, true), Filter::All)?;
     debug_assert_eq!(x_contrib.dims(), (contrib_rows, kw));
 
     // ---- Step 3: allgather X(j : p1 : n, slab_l) within the p1-group. ----
@@ -242,13 +226,76 @@ pub fn mm3d(
     };
 
     // ---- Step 6: transpose the result back to the cyclic layout of B. ----
-    // My chunk holds B rows a = i + p1·(j + t·p1) for t in 0..contrib_rows
-    // (or all of rows ≡ i when p1 = 1), columns of slab l.
-    let chunks = strided_layout(|low, high| (low, high));
+    let chunks = strided_layout(n, k, q, p1, false);
     let cyclic = Layout::cyclic(grid, n, k);
     let b = redistribute(comm, &chunks, &my_chunk, &cyclic, Filter::All)?;
     comm.give_buffer(my_chunk.into_vec());
     Ok(DistMatrix::from_layout(grid, cyclic, b)?)
+}
+
+/// The layouts [`mm3d`] moves the `n × k` right-hand side and result through
+/// on the `q × q` grid at `p1`: rows dealt in classes of `g mod p1²`, columns
+/// in the `p2` slabs.  Row `g` of the `contributions` (step 2) goes to face
+/// coordinates `j = g mod p1`, `i = (g / p1) mod p1`; a chunk of the result
+/// (step 6) holds rows `a = i + p1·(j + t·p1)`, with `i` and `j` the other
+/// way round.  Slab `l` lies on layer `l` of the `p1 × p1 × p2` grid.
+fn strided_layout(n: usize, k: usize, q: usize, p1: usize, contributions: bool) -> Layout {
+    let s = q / p1;
+    Layout::new(
+        q * q,
+        Axis::cyclic(n, p1 * p1),
+        Axis::slabs(k, s * s),
+        |row_class, slab| {
+            let (low, high) = (row_class % p1, row_class / p1);
+            let (i, j) = if contributions {
+                (high, low)
+            } else {
+                (low, high)
+            };
+            Some((i + p1 * (slab / s)) * q + j + p1 * (slab % s))
+        },
+    )
+}
+
+/// What [`mm3d`] charges each rank `x·q + y` of the `q × q` grid for an
+/// `n×n` by `n×k` product at `p1`, from cyclic operands: the allgather of
+/// `A`'s strided block over `p2` ranks, the two moves of step 2 and 6, and
+/// the allgather and reduce-scatter over `p1` ranks.  The mask of a
+/// triangular `A` changes no message.  A shape [`mm3d`] refuses charges
+/// nothing: it fails before it sends.
+pub(crate) fn walk(n: usize, k: usize, q: usize, p1: usize) -> Vec<CostCounters> {
+    if q == 1 {
+        return vec![walk::flops(n * n * k)];
+    }
+    let s = q / p1;
+    let fits = q.is_multiple_of(p1) && n.is_multiple_of(q) && k.is_multiple_of(q);
+    if !(fits && n.is_multiple_of(p1 * p1) && k.is_multiple_of(s * s)) {
+        return vec![CostCounters::default(); q * q];
+    }
+    let (nb, kw, contrib_rows) = (n / p1, k / (s * s), n / (p1 * p1));
+    let cyclic = Layout::cyclic_over(q, q, n, k);
+    let mut ranks = move_counts(&cyclic, &strided_layout(n, k, q, p1, true), Filter::All);
+    walk::add(
+        &mut ranks,
+        &move_counts(&strided_layout(n, k, q, p1, false), &cyclic, Filter::All),
+    );
+    for (r, rank) in ranks.iter_mut().enumerate() {
+        let (x, y) = (r / q, r % q);
+        let mut c = walk::flops(nb * nb * kw);
+        if s > 1 {
+            c = c.merge(&coll::allgather_counts(
+                s * s,
+                (n / q) * (n / q),
+                x / p1 * s + y / p1,
+            ));
+        }
+        if p1 > 1 {
+            c = c.merge(&coll::allgather_counts(p1, contrib_rows * kw, x % p1));
+            c = c.merge(&coll::reduce_scatter_counts(p1, nb * kw, y % p1));
+        }
+        *rank = rank.merge(&c);
+    }
+    ranks
 }
 
 /// The triangle of the strided block `M(i : p : n, j : p : n)` of an `n×n`
@@ -377,6 +424,26 @@ mod tests {
                         assert!(masked, "{case}: masked product differs from zero-filled");
                         assert!(poisoned, "{case}: the other triangle leaked in");
                     }
+                }
+            }
+        }
+    }
+
+    /// Every rank is charged what the walk says, on every face size.
+    #[test]
+    fn the_walk_is_what_every_rank_is_charged() {
+        let traffic = |c: &CostCounters| (c.msgs_sent, c.msgs_recv, c.words_sent, c.words_recv);
+        for (q, n, k) in [(1usize, 16, 8), (2, 16, 8), (4, 32, 16), (4, 64, 64)] {
+            for p1 in (0..=q.ilog2()).map(|e| 1 << e) {
+                let (_, report) = on_grid(q, move |grid| {
+                    let a = DistMatrix::from_global(grid, &gen::uniform(n, n, 1));
+                    let x = DistMatrix::from_global(grid, &gen::uniform(n, k, 2));
+                    mm3d(&a, &x, p1, Some(Triangle::Lower)).unwrap();
+                });
+                let walked = walk(n, k, q, p1);
+                for (rank, charged) in report.per_rank.iter().enumerate() {
+                    let what = format!("q={q} p1={p1} n={n} k={k} rank {rank}");
+                    assert_eq!(traffic(charged), traffic(&walked[rank]), "{what}");
                 }
             }
         }

@@ -18,16 +18,16 @@
 //! synchronization cost: every level performs at least one full collective,
 //! and there are `n / n0` sequentialised levels on the critical path.
 //! [`predicted_cost`] walks the same recursion, piece by piece, and prices
-//! it with the cost model's collective and multiplication formulas.
+//! every message on the schedules simnet charges.
 
 use crate::error::config_error;
 use crate::mm3d::mm3d;
 use crate::planner::choose_mm_p1;
-use crate::Result;
-use costmodel::{collectives, mm, Cost};
+use crate::{walk, Result};
+use costmodel::Cost;
 use dense::Matrix;
 use pgrid::distmat::cyclic_local_count;
-use pgrid::redist::{redistribute, Axis, Filter, Layout};
+use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
 use simnet::{coll, CostCounters};
 use std::borrow::Cow;
@@ -147,7 +147,7 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Di
     if !halves(n, pr, base_size) {
         let l_full = l.try_to_global()?;
         // Give every rank complete columns: column c goes to rank c mod p.
-        let by_columns = Layout::new(p, Axis::whole(n), Axis::cyclic(k, p), |_, c| Some(c));
+        let by_columns = by_columns(p, n, k);
         let mut b_cols = b.redistribute_to(&by_columns, Filter::All)?;
         let my_cols = b_cols.cols();
         if my_cols > 0 {
@@ -191,55 +191,65 @@ fn halves(n: usize, pr: usize, base_size: usize) -> bool {
     pr > 1 && n.is_multiple_of(2 * pr) && n / 2 >= pr && n > base_size
 }
 
+/// The base case's layout of an `n × k` right-hand side on `p` ranks:
+/// complete columns, column `c` on rank `c mod p`.
+fn by_columns(p: usize, n: usize, k: usize) -> Layout {
+    Layout::new(p, Axis::whole(n), Axis::cyclic(k, p), |_, c| Some(c))
+}
+
 /// The critical-path cost [`rec_trsm`] charges for an `n × n` triangle, `k`
 /// right-hand sides and `base_size` on a `pr × pc` grid (`pr ≤ pc`,
 /// `pr | pc`), from operands already in the grid's cyclic layout: the
-/// recursion the executor runs, walked with its split decisions.
+/// maximum over the ranks of what the recursion charges them, walked beside
+/// the executor with its split decisions.  S and W are exact.
+pub fn predicted_cost(n: usize, k: usize, pr: usize, pc: usize, base_size: usize) -> Cost {
+    walk::critical_path(walk(n, k, pr, pc, base_size))
+}
+
+/// What [`rec_trsm`] charges each rank `x·pc + y` of the `pr × pc` grid:
+/// the recursion the executor runs, walked with its split decisions.
 ///
 /// * column split (`pc > pr`): the allgatherv replicating `L` over the
 ///   `q = pc/pr` ranks of a row and column residue, then the square problem
-///   with `k/q` right-hand sides;
-/// * base case: the allgatherv gathering `L` everywhere, and the two Bruck
-///   moves of `B` to complete columns and back ([`coll::bruck_counts`]);
-/// * halving: both halves, and one `mm3d` update at the `p1` the executor
-///   picks, priced by [`mm::mm_cost`].
-///
-/// S is exact on power-of-two grids.  W is exact but for the updates, where
-/// `mm_cost` reads 0.8–1.35× what `mm3d` moves.  Flops count
-/// multiply-adds, as every `costmodel` formula does.
-pub fn predicted_cost(n: usize, k: usize, pr: usize, pc: usize, base_size: usize) -> Cost {
-    let (nf, kf) = (n as f64, k as f64);
+///   with `k/q` right-hand sides on each of the `q` sub-grids, walked once;
+/// * base case: the allgatherv gathering `L` everywhere, and the moves of
+///   `B` to complete columns and back;
+/// * halving: both halves, walked once and charged twice, and one `mm3d`
+///   update at the `p1` the executor picks ([`crate::mm3d::walk`]).
+fn walk(n: usize, k: usize, pr: usize, pc: usize, base_size: usize) -> Vec<CostCounters> {
     if pc > pr {
         let q = pc / pr;
-        let replicate = collectives::allgatherv(nf * nf / (pr * pc) as f64, q as f64);
-        return replicate + predicted_cost(n, k / q, pr, pr, base_size);
+        let sub = walk(n, k / q, pr, pr, base_size);
+        return (0..pr * pc)
+            .map(|r| {
+                let (x, y) = (r / pc, r % pc);
+                let piece = |m: usize| cyclic_local_count(n, pc, y % pr + m * pr);
+                let longest = cyclic_local_count(n, pr, x) * (0..q).map(piece).max().unwrap_or(0);
+                let replicate = coll::allgatherv_counts(q, longest, y / pr);
+                replicate.merge(&sub[x * pr + y % pr])
+            })
+            .collect();
     }
-    let (p, pf) = (pr * pr, (pr * pr) as f64);
+    let p = pr * pr;
     if !halves(n, pr, base_size) {
-        // B moves to complete columns (column c on rank c mod p) and back;
-        // rank (x, y) holds the cyclic rows x and columns y.
-        let block = |x: usize, d: usize| cyclic_local_count(n, pr, x) * cyclic_local_count(k, p, d);
-        let there = coll::bruck_counts(p, |s| {
-            (s % pr..p).step_by(pr).map(move |d| (d, block(s / pr, d)))
-        });
-        let back = coll::bruck_counts(p, |d| (0..pr).map(move |x| (x * pr + d % pr, block(x, d))));
-        let moves = critical_path(there.iter().zip(&back).map(|(a, b)| a.merge(b)));
-        let solve = Cost::new(0.0, 0.0, nf * nf * kf / (2.0 * pf));
-        return collectives::allgatherv(nf * nf / pf, pf) + moves + solve;
+        let (cyclic, columns) = (Layout::cyclic_over(pr, pr, n, k), by_columns(p, n, k));
+        let mut ranks = move_counts(&cyclic, &columns, Filter::All);
+        walk::add(&mut ranks, &move_counts(&columns, &cyclic, Filter::All));
+        let longest = cyclic_local_count(n, pr, 0).pow(2);
+        for (r, rank) in ranks.iter_mut().enumerate() {
+            let solve = walk::flops(n * n * cyclic_local_count(k, p, r) / 2);
+            *rank = rank
+                .merge(&coll::allgatherv_counts(p, longest, r))
+                .merge(&solve);
+        }
+        return ranks;
     }
     let h = n / 2;
-    let p1 = choose_mm_p1(h, k, pr);
-    let update = mm::mm_cost(h as f64, kf, pf, p1 as f64, ((pr / p1) * (pr / p1)) as f64);
-    predicted_cost(h, k, pr, pr, base_size).scaled(2.0) + update
-}
-
-/// The critical path of per-rank counts: the most messages, words and
-/// flops any one rank is charged.
-pub(crate) fn critical_path(ranks: impl IntoIterator<Item = CostCounters>) -> Cost {
-    ranks.into_iter().fold(Cost::ZERO, |c, r| {
-        let (s, w, f) = (r.latency() as f64, r.bandwidth() as f64, r.flops as f64);
-        Cost::new(c.latency.max(s), c.bandwidth.max(w), c.flops.max(f))
-    })
+    let half = walk(h, k, pr, pr, base_size);
+    let mut ranks = crate::mm3d::walk(h, k, pr, choose_mm_p1(h, k, pr));
+    walk::add(&mut ranks, &half);
+    walk::add(&mut ranks, &half);
+    ranks
 }
 
 #[cfg(test)]
@@ -355,11 +365,10 @@ mod tests {
 
     #[test]
     fn the_walk_prices_the_column_split() {
-        // (pr, pc, n, k, base, W tolerance).  1 × 16 replicates L over all
-        // sixteen ranks and solves on 1 × 1 sub-grids: S 8, W 975, both
-        // exact.  2 × 8 adds two base cases and one update on each 2 × 2
-        // sub-grid: S 26, W 40 240, where the update's mm_cost is inexact.
-        for (pr, pc, n, k, base, tol) in [(1, 16, 32, 2048, 16, 0.0), (2, 8, 256, 64, 128, 0.2)] {
+        // (pr, pc, n, k, base).  1 × 16 replicates L over all sixteen ranks
+        // and solves on 1 × 1 sub-grids: S 8, W 975.  2 × 8 adds two base
+        // cases and one mm3d update on each 2 × 2 sub-grid: S 26.
+        for (pr, pc, n, k, base) in [(1, 16, 32, 2048, 16), (2, 8, 256, 64, 128)] {
             let (_, report) = on_grid(pr, pc, move |grid| {
                 let l = DistMatrix::from_global(grid, &gen::well_conditioned_lower(n, 3));
                 let b = DistMatrix::from_global(grid, &gen::rhs(n, k, 4));
@@ -367,11 +376,18 @@ mod tests {
             });
             let model = predicted_cost(n, k, pr, pc, base);
             assert_eq!(report.max_messages() as f64, model.latency, "{pr}x{pc}: S");
-            let ratio = report.max_words() as f64 / model.bandwidth;
-            assert!(
-                (ratio - 1.0).abs() <= tol,
-                "{pr}x{pc}: W is {ratio}× the walk's"
-            );
+            assert_eq!(report.max_words() as f64, model.bandwidth, "{pr}x{pc}: W");
+        }
+    }
+
+    #[test]
+    fn a_shape_the_executor_refuses_is_still_walked() {
+        // k = 3 on 2 × 2 fails rec_trsm's own check; n = 48, k = 8 on 8 × 8
+        // passes it, and its first update fits no mm3d grid.  Both solves
+        // fail with a typed error, and their quotes are walked regardless.
+        for (n, k, pr, pc) in [(64, 3, 2, 2), (48, 8, 8, 8)] {
+            let quote = predicted_cost(n, k, pr, pc, 8);
+            assert!(quote.latency.is_finite() && quote.bandwidth.is_finite());
         }
     }
 

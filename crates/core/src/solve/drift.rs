@@ -13,12 +13,14 @@ impl SolvePlan {
     /// The rows partition the solve, so the TOTAL line is the solve and its
     /// predicted side is the plan's `predicted_cost`.  An iterative
     /// inversion-based solve contributes one row per phase of
-    /// [`crate::PhaseBreakdown`], with [`crate::ItInvConfig::phase_model`] on
-    /// the predicted side (zero for the two layout changes, which the model
-    /// does not price).  An upper-triangular or transposed request is a
-    /// relabelling of the lower solve that moves no word, so the phases
-    /// cover the whole solve for every triangle and transpose.  Every other
-    /// plan is one row.
+    /// [`crate::PhaseBreakdown`], with the walk's critical path of that
+    /// phase on the predicted side ([`crate::it_inv_trsm::predicted_cost`],
+    /// the layout changes included); the phases' critical paths can add up
+    /// to more than the solve's, whose busiest rank need not be every
+    /// phase's.  An upper-triangular or transposed request is a relabelling
+    /// of the lower solve that moves no word, so the phases cover the whole
+    /// solve for every triangle and transpose.  Every other plan is one
+    /// row.
     ///
     /// Distributed rows measure messages, words and flops from this rank's
     /// communication-counter delta, with the virtual-clock advance attached
@@ -58,16 +60,16 @@ impl SolvePlan {
                 );
                 out.push(DriftRow::new(self.algorithm_name(), predicted, measured));
             }
-            PlanBackend::Distributed { algorithm, .. } => match (algorithm, &report.phases) {
+            PlanBackend::Distributed { algorithm, p } => match (algorithm, &report.phases) {
                 (Algorithm::IterativeInversion(cfg), Some(measured)) => {
-                    let model = cfg.phase_model(self.n, self.k).named();
-                    for ((name, model), (_, measured)) in model.into_iter().zip(measured.named()) {
-                        out.push(counters_row(
-                            format!("itinv: {name}"),
-                            model.unwrap_or_default(),
-                            &measured,
-                        ));
+                    let (pr, pc) = Algorithm::caller_grid(*p);
+                    let walked = crate::it_inv_trsm::predicted_cost(self.n, self.k, pr, pc, cfg);
+                    for ((name, walked), (_, measured)) in
+                        walked.named().into_iter().zip(measured.named())
+                    {
+                        out.push(counters_row(format!("itinv: {name}"), walked, &measured));
                     }
+                    out.predicted_total = Some(predicted);
                 }
                 _ => out.push(counters_row(
                     self.algorithm_name(),

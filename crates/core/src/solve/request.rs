@@ -280,9 +280,12 @@ impl SolveRequest {
     /// after) execution.  A shape no grid fits, or a pinned iterative
     /// configuration that does not fit the shape, is an error here, not at
     /// execution.  The plan's prediction is
-    /// [`Algorithm::predicted_cost`]: for the iterative algorithm, the
-    /// Section VII phase model at the resolved configuration; for the
-    /// recursive one, the walk of its recursion at the pinned base size.
+    /// [`Algorithm::predicted_cost`], the walk of what the resolved
+    /// algorithm runs — for the iterative one its five phases at the
+    /// resolved configuration, for the recursive one its recursion at the
+    /// pinned base size, for the wavefront its moves and broadcasts — so its
+    /// S and W are the most messages and words any rank will send or
+    /// receive.
     pub fn plan_distributed(&self, n: usize, k: usize, p: usize) -> Result<SolvePlan> {
         let _span = obs::span_with("planner", "plan_distributed", "n", n as u64);
         if self.opts.side == Side::Right {

@@ -463,6 +463,22 @@ fn an_it_inv_drift_table_is_its_phase_rows_and_its_total_is_the_plan() {
                 (plan, sol.report, drift)
             })
             .unwrap();
+        // The layout changes are priced: their rows quote the most any rank
+        // sent or received in them.
+        for row in [0, 4] {
+            let most = |of: fn(&costmodel::Cost) -> f64| {
+                let measured = out
+                    .results
+                    .iter()
+                    .map(|(_, _, drift)| of(&drift.rows[row].measured));
+                measured.fold(0.0, f64::max)
+            };
+            for (_, _, drift) in &out.results {
+                let predicted = drift.rows[row].predicted;
+                assert_eq!(predicted.latency, most(|c| c.latency), "row {row}: S");
+                assert_eq!(predicted.bandwidth, most(|c| c.bandwidth), "row {row}: W");
+            }
+        }
         for (plan, report, drift) in out.results {
             let names: Vec<&str> = drift.rows.iter().map(|r| r.phase.as_str()).collect();
             assert_eq!(
@@ -475,9 +491,6 @@ fn an_it_inv_drift_table_is_its_phase_rows_and_its_total_is_the_plan() {
                     "itinv: finalize"
                 ]
             );
-            // The model prices no layout change.
-            assert_eq!(drift.rows[0].predicted, costmodel::Cost::ZERO);
-            assert_eq!(drift.rows[4].predicted, costmodel::Cost::ZERO);
             // TOTAL is the plan's prediction, bit for bit, and the solve's
             // measurement: no row contains another.
             let predicted = plan.predicted_cost.unwrap();

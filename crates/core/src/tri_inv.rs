@@ -24,11 +24,12 @@
 use crate::error::config_error;
 use crate::mm3d::mm3d;
 use crate::planner::choose_mm_p1;
-use crate::Result;
+use crate::{walk, Result};
 use dense::{Matrix, Triangle};
-use pgrid::redist::{redistribute, Axis, Filter, Layout};
+use pgrid::distmat::cyclic_local_count;
+use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
 use pgrid::{DistMatrix, Grid2D};
-use simnet::Communicator;
+use simnet::{coll, Communicator, CostCounters};
 
 /// Invert a lower-triangular matrix distributed cyclically over a square
 /// processor grid.  Returns the inverse in the same distribution.  At or
@@ -60,8 +61,7 @@ fn tri_inv_inner(l: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
     // Base case: gather the whole matrix and invert it redundantly on every
     // processor of this (sub-)grid, as the paper's pseudocode does once the
     // grid is one-dimensional.
-    let splittable = q >= 2 && q.is_multiple_of(2) && n.is_multiple_of(2 * q) && n > base_size;
-    if !splittable {
+    if !splittable(n, q, base_size) {
         // Keep only the lower triangle so the returned inverse has a clean
         // zero upper part regardless of what the storage held there (the
         // recursive path below drops those entries too).
@@ -103,12 +103,7 @@ fn tri_inv_inner(l: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
 
     // Send each child its diagonal block, redistributed to the child grid's
     // cyclic layout (only the lower-triangular part carries information).
-    let child_layout = |base: usize| {
-        Layout::new(q * q, Axis::cyclic(h, qh), Axis::cyclic(h, qh), |cx, cy| {
-            Some(grid.rank_of(base + cx, base + cy))
-        })
-    };
-    let (on_a, on_b) = (child_layout(0), child_layout(qh));
+    let (on_a, on_b) = (child_layout(q, h, 0), child_layout(q, h, qh));
     let recv_a = l11.redistribute_to(&on_a, Filter::Lower)?;
     let recv_b = l22.redistribute_to(&on_b, Filter::Lower)?;
     // The halves are copies: back to the pool before the children recurse.
@@ -156,6 +151,50 @@ fn tri_inv_inner(l: &DistMatrix, base_size: usize) -> Result<DistMatrix> {
     out.set_subview(h, 0, &inv21)?;
     out.set_subview(h, h, &inv22)?;
     Ok(out)
+}
+
+/// Whether the recursion splits an `n × n` triangle on a `q × q` grid
+/// instead of gathering it: the one decision the executor and [`walk`]
+/// share.
+fn splittable(n: usize, q: usize, base_size: usize) -> bool {
+    q >= 2 && q.is_multiple_of(2) && n.is_multiple_of(2 * q) && n > base_size
+}
+
+/// The cyclic layout of an `h × h` half on the diagonal `(q/2) × (q/2)`
+/// quadrant of the `q × q` grid whose first row and column is `base`.
+fn child_layout(q: usize, h: usize, base: usize) -> Layout {
+    let qh = q / 2;
+    Layout::new(q * q, Axis::cyclic(h, qh), Axis::cyclic(h, qh), |cx, cy| {
+        Some((base + cx) * q + base + cy)
+    })
+}
+
+/// What [`tri_inv`] charges each rank `x·q + y` of the `q × q` grid for an
+/// `n × n` triangle stored cyclically, with leaves of `base_size`: at a
+/// leaf the allgatherv gathering it and the local inversion; at a split
+/// the moves of both halves onto their quadrants and back, the quadrants'
+/// inversions (one walk, charged to both), and the two `mm3d` products.
+pub(crate) fn walk(n: usize, q: usize, base_size: usize) -> Vec<CostCounters> {
+    if !splittable(n, q, base_size) {
+        let longest = cyclic_local_count(n, q, 0).pow(2);
+        let invert = walk::flops(n * n * n / 6);
+        return (0..q * q)
+            .map(|r| coll::allgatherv_counts(q * q, longest, r).merge(&invert))
+            .collect();
+    }
+    let (h, qh) = (n / 2, q / 2);
+    let half = Layout::cyclic_over(q, q, h, h);
+    let products = crate::mm3d::walk(h, h, q, choose_mm_p1(h, h, q));
+    let mut ranks: Vec<_> = products.into_iter().map(|c| walk::times(c, 2)).collect();
+    let child = walk(h, qh, base_size);
+    for base in [0, qh] {
+        let on_child = child_layout(q, h, base);
+        walk::add(&mut ranks, &move_counts(&half, &on_child, Filter::Lower));
+        walk::add(&mut ranks, &move_counts(&on_child, &half, Filter::Lower));
+        let members = (0..qh * qh).map(|c| (base + c / qh) * q + base + c % qh);
+        walk::add_members(&mut ranks, members, &child);
+    }
+    ranks
 }
 
 #[cfg(test)]
@@ -222,6 +261,31 @@ mod tests {
         // n = 48 on a 2x2 grid: first split gives h = 24, which on the child
         // 1x1 grids is a plain local inversion.
         check_inverse(2, 48, 8);
+    }
+
+    /// Every rank is charged what the walk says, through leaves, splits
+    /// and splits of splits.
+    #[test]
+    fn the_walk_is_what_every_rank_is_charged() {
+        let traffic = |c: &CostCounters| (c.msgs_sent, c.msgs_recv, c.words_sent, c.words_recv);
+        for (q, n, base) in [
+            (1, 32, 8),
+            (2, 32, 8),
+            (2, 48, 8),
+            (4, 64, 8),
+            (4, 128, 16),
+            (2, 32, 64),
+        ] {
+            let (_, report) = on_grid(q, move |grid| {
+                let l = DistMatrix::from_global(grid, &gen::well_conditioned_lower(n, 3));
+                tri_inv(&l, base).unwrap();
+            });
+            let walked = walk(n, q, base);
+            for (rank, charged) in report.per_rank.iter().enumerate() {
+                let what = format!("q={q} n={n} base={base} rank {rank}");
+                assert_eq!(traffic(charged), traffic(&walked[rank]), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //! broadcasts — and prices every message on the schedule simnet charges.
 
 use crate::error::config_error;
-use crate::rec_trsm::critical_path;
-use crate::Result;
+use crate::{walk, Result};
 use costmodel::Cost;
 use dense::Diag;
 use pgrid::distmat::cyclic_local_count;
-use pgrid::redist::{redistribute, Axis, Filter, Layout};
+use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
 use pgrid::DistMatrix;
 use simnet::{coll, CostCounters};
 
@@ -97,31 +96,21 @@ fn by_rows(n: usize, cols: usize, p: usize) -> Layout {
 /// The critical-path cost [`wavefront_trsm`] charges for an `n × n` triangle
 /// and `k` right-hand sides stored cyclically on a `pr × pc` grid, walked
 /// on the schedules simnet charges: the entry moves of `L`'s lower triangle
-/// and `B` to the 1D layout and the exit move of `X` ([`coll::bruck_counts`];
-/// none when `pc = 1`, where the layouts are one), and a `k`-word broadcast
-/// from rank `i mod p` per row ([`coll::bcast_counts`]).  S and W are
-/// exact; flops count multiply-adds, as every `costmodel` formula does.
-/// Nothing loops over `n`.
+/// and `B` to the 1D layout and the exit move of `X` ([`move_counts`]; none
+/// when `pc = 1`, where the layouts are one), and a `k`-word broadcast from
+/// rank `i mod p` per row ([`coll::bcast_counts`]).  S and W are exact;
+/// flops count multiply-adds, as every `costmodel` formula does.  Nothing
+/// loops over `n`.
 pub fn predicted_cost(n: usize, k: usize, pr: usize, pc: usize) -> Cost {
     let p = pr * pc;
     let rows = |d: usize| cyclic_local_count(n, p, d);
-    let width = |y: usize| cyclic_local_count(k, pc, y);
-    // Rank (x, y) holds the cyclic rows x and columns y, of which row
-    // i = d + t·p has ⌊(d − y)/pc⌋ + 1 + t·p/pc in L's lower triangle and
-    // lives on rank d ≡ x (mod pr) of the 1D layout.
-    let lower =
-        |d, y| rows(d) * ((d + pc - y) / pc) + p / pc * rows(d) * rows(d).saturating_sub(1) / 2;
-    let dests = |s: usize| (s / pc..p).step_by(pr);
-    let moves = match pc {
-        1 => Vec::new(),
-        _ => vec![
-            coll::bruck_counts(p, |s| dests(s).map(move |d| (d, lower(d, s % pc)))),
-            coll::bruck_counts(p, |s| dests(s).map(move |d| (d, rows(d) * width(s % pc)))),
-            coll::bruck_counts(p, |d| {
-                (0..pc).map(move |y| (d % pr * pc + y, rows(d) * width(y)))
-            }),
-        ],
-    };
+    let (l, b) = (
+        Layout::cyclic_over(pr, pc, n, n),
+        Layout::cyclic_over(pr, pc, n, k),
+    );
+    let mut moves = move_counts(&l, &by_rows(n, n, p), Filter::Lower);
+    walk::add(&mut moves, &move_counts(&b, &by_rows(n, k, p), Filter::All));
+    walk::add(&mut moves, &move_counts(&by_rows(n, k, p), &b, Filter::All));
     // Root t charges rank d what root 0 charges member (d − t) mod p: sums
     // over the members, twice round, give each rank its partial cycle.
     let mut prefix = vec![CostCounters::default()];
@@ -130,14 +119,13 @@ pub fn predicted_cost(n: usize, k: usize, pr: usize, pc: usize) -> Cost {
     }
     let ranks = (0..p).map(|d| {
         let partial = prefix[p + d + 1].since(&prefix[p + d + 1 - n % p]);
-        let mut rank = moves.iter().fold(partial, |rank, m| rank.merge(&m[d]));
         // Row g takes g multiply-adds and a division per right-hand side.
-        rank.flops = (k * (rows(d) * (d + 1) + p * rows(d) * rows(d).saturating_sub(1) / 2)) as u64;
-        rank
+        let solve = k * (rows(d) * (d + 1) + p * rows(d) * rows(d).saturating_sub(1) / 2);
+        moves[d].merge(&partial).merge(&walk::flops(solve))
     });
     // A whole cycle receives what it sends on every rank.
     let cycle = Cost::new(prefix[p].msgs_sent as f64, prefix[p].words_sent as f64, 0.0);
-    critical_path(ranks) + cycle.scaled((n / p) as f64)
+    walk::critical_path(ranks) + cycle.scaled((n / p) as f64)
 }
 
 #[cfg(test)]

@@ -16,8 +16,9 @@
 //! noted here instead of transcribed a second time: its 1D latency is
 //! `log² p + log p` (the table drops the lower-order `log p`), and its 3D
 //! flops are `n²k/p` (the table's `2n²k/p` keeps the inversion's share).  What
-//! a *plan* quotes is neither: it is the Section VII phase model at the
-//! configuration the plan resolved ([`crate::itinv`]), constants included.
+//! a *plan* quotes is neither: it is the walk of what the solve runs at the
+//! configuration the plan resolved (`catrsm::Algorithm::predicted_cost`),
+//! every message priced on simnet's own schedules.
 //!
 //! [`CostModelRev::conclusion_row`] evaluates both columns for a concrete `(n, k, p)` and
 //! [`latency_improvement`] returns the headline speedup factor, which reaches

@@ -102,6 +102,10 @@ pub struct DriftReport {
     pub machine: Machine,
     /// One row per phase, in execution order.
     pub rows: Vec<DriftRow>,
+    /// The predicted total, when it is not the sum of the rows: a critical
+    /// path whose phases peak on different ranks costs less than the sum of
+    /// the phases' own critical paths.  `None` totals the rows.
+    pub predicted_total: Option<Cost>,
 }
 
 impl DriftReport {
@@ -110,6 +114,7 @@ impl DriftReport {
         DriftReport {
             machine,
             rows: Vec::new(),
+            predicted_total: None,
         }
     }
 
@@ -118,9 +123,11 @@ impl DriftReport {
         self.rows.push(row);
     }
 
-    /// Sum of the predicted costs over all rows.
+    /// The predicted total: [`DriftReport::predicted_total`] when set, else
+    /// the sum of the predicted costs over all rows.
     pub fn total_predicted(&self) -> Cost {
-        self.rows.iter().map(|r| r.predicted).sum()
+        let sum = || self.rows.iter().map(|r| r.predicted).sum();
+        self.predicted_total.unwrap_or_else(sum)
     }
 
     /// Sum of the measured costs over all rows.
@@ -129,23 +136,27 @@ impl DriftReport {
     }
 
     /// Sums of the rows' predicted and measured times on the report's
-    /// machine.
+    /// machine; the predicted one is the set total's time, if any.
     fn total_times(&self) -> (f64, f64) {
         let m = &self.machine;
-        self.rows
-            .iter()
-            .fold((0.0, 0.0), |(predicted, measured), r| {
-                (
-                    predicted + r.predicted_time(m),
-                    measured + r.measured_time(m),
-                )
-            })
+        let (predicted, measured) =
+            self.rows
+                .iter()
+                .fold((0.0, 0.0), |(predicted, measured), r| {
+                    (
+                        predicted + r.predicted_time(m),
+                        measured + r.measured_time(m),
+                    )
+                });
+        let total = self.predicted_total.map(|total| total.time(m));
+        (total.unwrap_or(predicted), measured)
     }
 
     /// Render the report as an aligned plain-text table: one line per phase
     /// with predicted and measured `S`/`W`/`F`, both times, and the drift
     /// ratio, followed by a totals line.  The rows partition the solve — no
-    /// row contains another — so the totals line is the solve.
+    /// row contains another — so the totals line is the solve: its measured
+    /// side the rows' sum, its predicted side [`DriftReport::total_predicted`].
     pub fn render(&self) -> String {
         let width = self
             .rows
@@ -245,5 +256,9 @@ mod tests {
         assert!(table.contains("TOTAL"));
         assert!(table.lines().count() == 4);
         assert_eq!(rep.to_string(), table);
+        // A set total is the predicted side of the totals line.
+        rep.predicted_total = Some(Cost::new(1.0, 8.0, 0.0));
+        assert_eq!(rep.total_predicted(), Cost::new(1.0, 8.0, 0.0));
+        assert_eq!(rep.total_measured(), Cost::new(1.0, 20.0, 0.0));
     }
 }

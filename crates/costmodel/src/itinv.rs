@@ -1,8 +1,9 @@
 //! Cost of the iterative inversion-based TRSM (Sections VI–VII of the paper).
 //!
 //! The algorithm has three phases whose costs Section VII derives separately
-//! and sums (`catrsm::ItInvConfig::predicted_cost` does the summing, for the
-//! configuration a plan resolved — the one total the repository quotes):
+//! and sums (`catrsm::ItInvConfig::phase_model` evaluates them at a
+//! configuration; experiment E5 prints them beside the measured phases, and
+//! a plan quotes the walk of what it runs instead):
 //!
 //! * **inversion** — invert the `n/n0` diagonal blocks of size `n0` on
 //!   disjoint `r1 × r1 × r2` sub-grids (`r1²·r2 = p·n0/n`),

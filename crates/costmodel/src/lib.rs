@@ -14,16 +14,20 @@
 //! 2. the parameter planner in `catrsm` can pick processor grids and block
 //!    sizes **a priori**, which is one of the paper's stated contributions.
 //!
-//! Which formula prices which algorithm is not this crate's business: the
-//! workspace's one algorithm enum is `catrsm::Algorithm`, whose
-//! `predicted_cost` walks what each baseline runs — the recursion
-//! (`catrsm::rec_trsm::predicted_cost`, a sum of [`collectives`] and
-//! [`mm::mm_cost`] terms) and the wavefront's layout moves and broadcasts
-//! (`catrsm::wavefront::predicted_cost`, priced on simnet's own schedules)
-//! — and for the iterative algorithm sums the [`itinv`] phases at the
-//! configuration (`n0`, `p1 × p1 × p2`, inversion sub-grid) the plan
-//! resolved.  Both communication-avoiding algorithms are also
-//! written down once at leading order, per regime, in the Section IX table
+//! No formula here prices a plan: the workspace's one algorithm enum is
+//! `catrsm::Algorithm`, whose `predicted_cost` walks what each algorithm
+//! runs beside its executor — the iterative algorithm's five phases
+//! (`catrsm::it_inv_trsm::predicted_cost`), the recursion
+//! (`catrsm::rec_trsm::predicted_cost`) and the wavefront's layout moves and
+//! broadcasts (`catrsm::wavefront::predicted_cost`) — and prices every
+//! message on simnet's own schedules, so a plan's S and W are exact.  The
+//! formulas are the paper's claims, which the experiments print beside the
+//! measurements and the tests hold to stated bands: the Section VII phases
+//! ([`itinv`], at a configuration's `n0`, `p1 × p1 × p2` and inversion
+//! sub-grid, `catrsm::ItInvConfig::phase_model`), the Section III product
+//! ([`mm::mm_cost`]) and the collectives ([`collectives`]).  Both
+//! communication-avoiding algorithms are also written down once at leading
+//! order, per regime, in the Section IX table
 //! ([`CostModelRev::standard_cost`], [`CostModelRev::new_cost`]), the one
 //! place the cost-model revision changes a formula.
 //!

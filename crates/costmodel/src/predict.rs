@@ -6,17 +6,16 @@
 //! solve will cost before running it — the "a priori" workflow the paper
 //! advocates, and the plan-inspection pattern the re-examination of this
 //! paper's bandwidth analysis (arXiv:2407.00871) treats as first-class.
-//! `catrsm::Algorithm::predicted_cost` is the dispatch: a recursive plan
-//! quotes the walk of the recursion it runs at its base size
-//! (`catrsm::rec_trsm::predicted_cost`, built from [`crate::collectives`]
-//! and [`crate::mm::mm_cost`]), a wavefront plan the walk of its layout
-//! moves and broadcasts (`catrsm::wavefront::predicted_cost`, priced on
-//! simnet's own schedules), and an iterative plan the sum of the Section
-//! VII phases of [`crate::itinv`] at its own `n0` and `p1 × p1 × p2` — the
-//! same functions the drift report and the experiment harness print per
-//! phase, so a plan's total is the sum of its own rows.  None of them reads
-//! the revision: [`CostModelRev`] reaches a plan only through the It-Inv
-//! configuration the planner chose under it.
+//! `catrsm::Algorithm::predicted_cost` is the dispatch, and every arm
+//! quotes a walk: a function beside the executor that makes its decisions
+//! and prices each message on simnet's own schedules, without running
+//! anything.  An iterative plan walks its five phases at its own `n0` and
+//! `p1 × p1 × p2` (`catrsm::it_inv_trsm::predicted_cost`, which the drift
+//! report prints per phase), a recursive plan the recursion it runs at its
+//! base size (`catrsm::rec_trsm::predicted_cost`), a wavefront plan its
+//! layout moves and broadcasts (`catrsm::wavefront::predicted_cost`).  None
+//! of them reads the revision: [`CostModelRev`] reaches a plan only through
+//! the It-Inv configuration the planner chose under it.
 
 use crate::cost::{log2c, Cost};
 

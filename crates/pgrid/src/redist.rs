@@ -53,7 +53,7 @@ use crate::error::GridError;
 use crate::grid::Grid2D;
 use crate::Result;
 use dense::Matrix;
-use simnet::{coll, Communicator};
+use simnet::{coll, Communicator, CostCounters};
 use std::ops::Range;
 
 /// How one axis (rows or columns) of the global index space is cut up: every
@@ -400,11 +400,19 @@ impl Layout {
 
     /// The cyclic layout of a `rows × cols` [`DistMatrix`] on `grid`.
     pub fn cyclic(grid: &Grid2D, rows: usize, cols: usize) -> Layout {
+        Layout::cyclic_over(grid.rows(), grid.cols(), rows, cols)
+    }
+
+    /// The cyclic layout of a `rows × cols` matrix on a `pr × pc` grid whose
+    /// processor `(x, y)` is rank `x·pc + y`, as [`Grid2D`] numbers them:
+    /// [`Layout::cyclic`] without the grid, for pricing a move before any
+    /// communicator exists.
+    pub fn cyclic_over(pr: usize, pc: usize, rows: usize, cols: usize) -> Layout {
         Layout::new(
-            grid.size(),
-            Axis::cyclic(rows, grid.rows()),
-            Axis::cyclic(cols, grid.cols()),
-            |x, y| Some(grid.rank_of(x, y)),
+            pr * pc,
+            Axis::cyclic(rows, pr),
+            Axis::cyclic(cols, pc),
+            |x, y| Some(x * pc + y),
         )
     }
 
@@ -702,6 +710,24 @@ impl Cuts {
         count
     }
 
+    /// Every piece of `dst` (the other layout, as destination) this piece
+    /// sends entries to: its row runs, its column runs, its holders and how
+    /// many entries each holder receives.
+    fn sends<'a>(
+        &'a self,
+        dst: &'a Layout,
+    ) -> impl Iterator<Item = (&'a [Run], &'a [Run], &'a [usize], usize)> {
+        self.pairs().filter_map(move |(rows, cols)| {
+            let holders = dst.holders(rows[0].other, cols[0].other);
+            let count = if holders.is_empty() {
+                0
+            } else {
+                self.count(rows, cols)
+            };
+            (count > 0).then_some((rows, cols, holders, count))
+        })
+    }
+
     /// `f(local row, column run, its columns in the row)` for every part of
     /// `rows × cols` the filter passes, in global row-major order.
     fn for_each(&self, rows: &[Run], cols: &[Run], mut f: impl FnMut(usize, &Run, Range<usize>)) {
@@ -741,17 +767,8 @@ fn pack(
         return out;
     };
     let cuts = Cuts::new(src, piece, dst, filter);
-    for (rows, cols) in cuts.pairs() {
+    for (rows, cols, holders, count) in cuts.sends(dst) {
         // A rank holds one piece, so each destination is filled here only.
-        let holders = dst.holders(rows[0].other, cols[0].other);
-        let count = if holders.is_empty() {
-            0
-        } else {
-            cuts.count(rows, cols)
-        };
-        if count == 0 {
-            continue;
-        }
         for &d in holders {
             out[d] = comm.take_buffer(count);
         }
@@ -762,6 +779,52 @@ fn pack(
         });
     }
     out
+}
+
+/// The messages and words each rank of the communicator `src` and `dst`
+/// span sends and receives in a [`redistribute`] from `src` to `dst` under
+/// `filter`, as the call charges them: [`coll::bruck_counts`] over the
+/// blocks the call's pack fills, sized from the same cuts.  Nothing moves
+/// between layouts with the [`Layout::same_placement`].
+pub fn move_counts(src: &Layout, dst: &Layout, filter: Filter) -> Vec<CostCounters> {
+    let p = src.ranks;
+    if src.same_placement(dst) {
+        return vec![CostCounters::default(); p];
+    }
+    // Every piece of a row class cuts its rows alike, and every piece of a
+    // column class its columns: each class is cut once.
+    let classes = |mine: &Axis, other: &Axis| -> Vec<Vec<Run>> {
+        let cut_one = |class| {
+            let mut runs = Vec::new();
+            cut(mine, class, other, &mut runs);
+            runs
+        };
+        (0..mine.classes()).map(cut_one).collect()
+    };
+    let (rows, cols) = (classes(&src.rows, &dst.rows), classes(&src.cols, &dst.cols));
+    let mut sent = vec![None; p];
+    for rc in 0..src.rows.classes() {
+        for cc in 0..src.cols.classes() {
+            if let Some(s) = src.sender(rc, cc) {
+                sent[s] = Some((rc, cc));
+            }
+        }
+    }
+    coll::bruck_counts(p, |s| {
+        let Some((rc, cc)) = sent[s] else {
+            return Vec::new();
+        };
+        let cuts = Cuts {
+            runs: [&rows[rc][..], &cols[cc][..]].concat(),
+            cols_at: rows[rc].len(),
+            ncols: src.cols.len(),
+            filter,
+        };
+        let sends = cuts.sends(dst);
+        sends
+            .flat_map(|(_, _, holders, count)| holders.iter().map(move |&d| (d, count)))
+            .collect()
+    })
 }
 
 /// Scatter the value buffers (indexed by source rank) into this rank's

@@ -9,11 +9,11 @@
 //! to a per-index comparison of the same cuts.
 
 use dense::Matrix;
-use pgrid::redist::{redistribute, redistribute_into, Axis, Filter, Layout};
+use pgrid::redist::{move_counts, redistribute, redistribute_into, Axis, Filter, Layout};
 use pgrid::Grid3D;
 use proptest::prelude::*;
 use simnet::coll::BRUCK_BLOCK_HEADER;
-use simnet::{Machine, MachineParams};
+use simnet::{CostCounters, Machine, MachineParams};
 
 /// Entries of `into` no redistribution may write.
 const UNTOUCHED: f64 = -7.0;
@@ -392,7 +392,8 @@ proptest! {
     /// The wire carries the values that change rank and nothing else: each
     /// block once per set bit of its hop distance, plus one count word per
     /// round and one header per forwarded block.  A redistribution onto the
-    /// layout the data is already in costs nothing at all.
+    /// layout the data is already in costs nothing at all.  `move_counts`
+    /// prices every rank's share without running the move.
     #[test]
     fn words_on_the_wire_are_values_plus_headers(
         seed in any::<u64>(),
@@ -421,6 +422,12 @@ proptest! {
             .sum();
 
         let (_, bruck) = case.run();
+        // The walk's price of the move is what every rank was charged.
+        let counts = move_counts(&case.src.layout(p, m, n), &case.dst.layout(p, m, n), filter);
+        for (rank, charged) in bruck.per_rank.iter().enumerate() {
+            let traffic = |c: &CostCounters| (c.msgs_sent, c.msgs_recv, c.words_sent, c.words_recv);
+            prop_assert_eq!(traffic(charged), traffic(&counts[rank]));
+        }
         if same || p == 1 {
             prop_assert_eq!(off_rank, 0);
             for rank in &bruck.per_rank {

@@ -111,7 +111,7 @@ pub fn barrier(comm: &Communicator) -> Result<()> {
 /// contributions in rank order (identical on every rank).  All contributions
 /// must have the same length.
 pub fn allgather(comm: &Communicator, local: &[f64]) -> Result<Vec<f64>> {
-    let phases = [Phase::Allgather { blk: local.len() }];
+    let phases = allgather_phases(local.len());
     let call = Call::meet(comm, &phases, deposit(comm, local, [0, 0]))?;
     let blk = call.same_len("allgather")?;
     call.charge(comm, &phases);
@@ -122,19 +122,28 @@ pub fn allgather(comm: &Communicator, local: &[f64]) -> Result<Vec<f64>> {
     Ok(out)
 }
 
+/// An [`allgather`]'s schedule: one Bruck allgather of `blk`-word blocks.
+fn allgather_phases(blk: usize) -> [Phase; 1] {
+    [Phase::Allgather { blk }]
+}
+
+/// The messages and words member `me` of `p` sends and receives in an
+/// [`allgather`] of `blk`-word blocks, as the call charges them.
+pub fn allgather_counts(p: usize, blk: usize, me: usize) -> CostCounters {
+    counts(&allgather_phases(blk), p, me, &[])
+}
+
 /// Allgather of variable-sized blocks; returns one vector per rank.  Charged
 /// as a fixed-size allgather of the lengths followed by a Bruck allgather of
 /// every contribution padded to the longest.
 pub fn allgatherv(comm: &Communicator, local: &[f64]) -> Result<Vec<Vec<f64>>> {
-    let schedule = |longest| {
-        [
-            Phase::Allgather { blk: 1 },
-            Phase::Allgather { blk: longest },
-        ]
-    };
-    let call = Call::meet(comm, &schedule(local.len()), deposit(comm, local, [0, 0]))?;
+    let call = Call::meet(
+        comm,
+        &allgatherv_phases(local.len()),
+        deposit(comm, local, [0, 0]),
+    )?;
     let longest = call.deposits().iter().map(|d| d.data.len()).max();
-    call.charge(comm, &schedule(longest.unwrap_or(0)));
+    call.charge(comm, &allgatherv_phases(longest.unwrap_or(0)));
     Ok(call
         .deposits()
         .iter()
@@ -144,6 +153,22 @@ pub fn allgatherv(comm: &Communicator, local: &[f64]) -> Result<Vec<Vec<f64>>> {
             piece
         })
         .collect())
+}
+
+/// An [`allgatherv`]'s schedule when the longest block has `longest` words:
+/// an allgather of the lengths, then one of the padded blocks.
+fn allgatherv_phases(longest: usize) -> [Phase; 2] {
+    [
+        Phase::Allgather { blk: 1 },
+        Phase::Allgather { blk: longest },
+    ]
+}
+
+/// The messages and words member `me` of `p` sends and receives in an
+/// [`allgatherv`] whose longest block has `longest` words, as the call
+/// charges them.
+pub fn allgatherv_counts(p: usize, longest: usize, me: usize) -> CostCounters {
+    counts(&allgatherv_phases(longest), p, me, &[])
 }
 
 /// Binomial-tree gather of equal-sized blocks to `root`.
@@ -199,19 +224,7 @@ pub fn scatter(comm: &Communicator, root: usize, data: &[f64], block: usize) -> 
 pub fn reduce_scatter(comm: &Communicator, data: &[f64], op: ReduceOp) -> Result<Vec<f64>> {
     let p = comm.size();
     let blk = data.len() / p;
-    let halving = [Phase::Halving { blk }];
-    let fallback = [
-        Phase::Reduce {
-            root: 0,
-            len: data.len(),
-        },
-        Phase::Scatter { root: 0, blk },
-    ];
-    let phases = if p.is_power_of_two() {
-        &halving[..]
-    } else {
-        &fallback[..]
-    };
+    let phases = &reduce_scatter_phases(p, data.len());
     let call = Call::meet(comm, phases, deposit(comm, data, [0, 0]))?;
     let len = call.same_len("reduce_scatter")?;
     if !len.is_multiple_of(p) {
@@ -230,6 +243,27 @@ pub fn reduce_scatter(comm: &Communicator, data: &[f64], op: ReduceOp) -> Result
         tree.binomial(me * blk..(me + 1) * blk, 0, &mut out);
     }
     Ok(out)
+}
+
+/// A [`reduce_scatter`]'s schedule over `p` members of `len` words each:
+/// recursive halving, or for `p` not a power of two a reduction to member 0
+/// and a scatter of its blocks.
+fn reduce_scatter_phases(p: usize, len: usize) -> Schedule {
+    let blk = len / p;
+    if p.is_power_of_two() {
+        Schedule::of(&[Phase::Halving { blk }])
+    } else {
+        Schedule::of(&[
+            Phase::Reduce { root: 0, len },
+            Phase::Scatter { root: 0, blk },
+        ])
+    }
+}
+
+/// The messages and words member `me` of `p` sends and receives in a
+/// [`reduce_scatter`] of `len` words per member, as the call charges them.
+pub fn reduce_scatter_counts(p: usize, len: usize, me: usize) -> CostCounters {
+    counts(&reduce_scatter_phases(p, len), p, me, &[])
 }
 
 /// Binomial-tree reduction to `root`: returns `Some(reduced vector)` on the
@@ -265,20 +299,7 @@ pub fn allreduce(comm: &Communicator, data: &[f64], op: ReduceOp) -> Result<Vec<
     let p = comm.size();
     let len = data.len();
     let blk = len.div_ceil(p);
-    let halving = [Phase::Halving { blk }, Phase::Allgather { blk }];
-    let fallback = [
-        Phase::Reduce {
-            root: 0,
-            len: blk * p,
-        },
-        Phase::Scatter { root: 0, blk },
-        Phase::Allgather { blk },
-    ];
-    let phases = if p.is_power_of_two() {
-        &halving[..]
-    } else {
-        &fallback[..]
-    };
+    let phases = &allreduce_phases(p, len);
     // The closer folds once for every member.  Every block is the one its
     // owner reduced; the padding of the last block is never looked at.
     // Unequal lengths fold nothing and fail below, on every member.
@@ -303,6 +324,20 @@ pub fn allreduce(comm: &Communicator, data: &[f64], op: ReduceOp) -> Result<Vec<
     let mut out = comm.take_buffer(len);
     out.extend_from_slice(call.shared());
     Ok(out)
+}
+
+/// An [`allreduce`]'s schedule over `p` members of `len` words: the
+/// reduce-scatter of the length padded to a multiple of `p`, then the
+/// allgather of its blocks.
+fn allreduce_phases(p: usize, len: usize) -> Schedule {
+    let blk = len.div_ceil(p);
+    reduce_scatter_phases(p, blk * p).then(Phase::Allgather { blk })
+}
+
+/// The messages and words member `me` of `p` sends and receives in an
+/// [`allreduce`] of `len` words, as the call charges them.
+pub fn allreduce_counts(p: usize, len: usize, me: usize) -> CostCounters {
+    counts(&allreduce_phases(p, len), p, me, &[])
 }
 
 /// Broadcast implemented as scatter followed by allgather
@@ -472,6 +507,39 @@ enum Phase {
     /// word plus a header and the words of every forwarded block; sizes
     /// from the closer's table.
     BruckV,
+}
+
+/// A schedule of up to three phases, held without an allocation: the
+/// composed collectives build theirs from the phase lists of their parts.
+struct Schedule {
+    phases: [Phase; 3],
+    len: usize,
+}
+
+impl Schedule {
+    fn of(list: &[Phase]) -> Schedule {
+        let mut phases = [Phase::Dissemination; 3];
+        phases[..list.len()].copy_from_slice(list);
+        Schedule {
+            phases,
+            len: list.len(),
+        }
+    }
+
+    /// This schedule, then `phase`.
+    fn then(mut self, phase: Phase) -> Schedule {
+        self.phases[self.len] = phase;
+        self.len += 1;
+        self
+    }
+}
+
+impl std::ops::Deref for Schedule {
+    type Target = [Phase];
+
+    fn deref(&self) -> &[Phase] {
+        &self.phases[..self.len]
+    }
 }
 
 /// What one member does in one round: send to `to`, then receive from
@@ -1305,6 +1373,23 @@ mod tests {
                     let rotated = bcast_counts(p, 0, 13, (rank + p - root) % p);
                     assert_eq!(counts, rotated, "{what}");
                 }
+            }
+            // The gathers and reductions, at a length p divides and one it
+            // does not; allgatherv's blocks ragged up to 4 words.
+            let (_, report) = run(p, move |comm| {
+                let me = comm.rank();
+                allgather(comm, &[1.0; 3]).unwrap();
+                allgatherv(comm, &vec![1.0; me % 5]).unwrap();
+                allreduce(comm, &[1.0; 7], ReduceOp::Sum).unwrap();
+                reduce_scatter(comm, &vec![1.0; 2 * p], ReduceOp::Sum).unwrap();
+            });
+            let longest = (0..p).map(|r| r % 5).max().unwrap();
+            for (rank, measured) in report.per_rank.iter().enumerate() {
+                let counts = allgather_counts(p, 3, rank)
+                    .merge(&allgatherv_counts(p, longest, rank))
+                    .merge(&allreduce_counts(p, 7, rank))
+                    .merge(&reduce_scatter_counts(p, 2 * p, rank));
+                assert_eq!(traffic(measured), traffic(&counts), "p={p} rank={rank}");
             }
         }
     }

@@ -86,8 +86,9 @@ fn main() {
     // The staged API: a plan carries its predicted cost, so the "a priori"
     // workflow is one `plan_distributed` away — and a shape no integer grid
     // fits is refused there, before anything runs.  Where the table above is
-    // the regime's leading order, the plan quotes the Section VII phase model
-    // at the integer grid and block size it resolved, constants included.
+    // the regime's leading order, the plan quotes the walk of the solve it
+    // would run at the integer grid and block size it resolved: every
+    // message the executor would send, priced on simnet's schedules.
     println!("\nstaged API: SolveRequest::lower().plan_distributed({n}, {k}, {p})");
     match SolveRequest::lower().plan_distributed(n, k, p) {
         Ok(plan) => {
