@@ -6,14 +6,14 @@
 //! the crate has one entry point for each:
 //!
 //! * general matrix–matrix multiplication: [`gemm_views`] on borrowed
-//!   blocks (either operand transposed, either one triangular), with
-//!   [`gemm`](fn@gemm), [`matmul`] and [`gemm_with_threads`] its whole-matrix
-//!   forms;
+//!   blocks (either operand transposed, either one triangular — a
+//!   triangular product `tri(A)·B` is `gemm_views` with
+//!   `Some(TriMask::a(tri))`), with [`gemm`](fn@gemm), [`matmul`] and
+//!   [`gemm_with_threads`] its whole-matrix forms;
 //! * triangular solve with one or many right-hand sides:
 //!   [`trsm_in_place_opts`], with [`trsm_opts`] its copying form;
 //! * triangular matrix inversion: [`tri_invert_in_place`], with
 //!   [`tri_invert`] its copying form;
-//! * triangular matrix–matrix multiplication ([`trmm`](fn@trmm));
 //! * Cholesky and LU factorization ([`cholesky`], [`lu`], [`lu_partial_pivot`])
 //!   for the example applications;
 //! * norms and residual checks ([`norms`]) and random well-conditioned test
@@ -79,7 +79,8 @@ pub mod pack;
 pub mod reference;
 pub mod threads;
 pub mod trinv;
-pub mod trmm;
+#[cfg(test)]
+mod trmm;
 pub mod trsm;
 
 pub use error::DenseError;
@@ -92,7 +93,6 @@ pub use threads::{
     dense_threads, replace_thread_budget, run_region, thread_budget, with_thread_budget,
 };
 pub use trinv::{tri_invert, tri_invert_in_place};
-pub use trmm::trmm;
 pub use trsm::{
     solve_kernel, trsm_in_place_opts, trsm_opts, Diag, Side, SolveKernel, SolveOpts, Transpose,
     Triangle, PIVOT_TOL, TRSM_BLOCK,

@@ -10,7 +10,9 @@
 //! pin threads that sit idle for most of a simulation.
 //! Both entry points start their threads through one helper, which also
 //! hands the caller's `obs::Recorder` to each worker, so a traced region
-//! lands in the trace of whoever asked for it.
+//! lands in the trace of whoever asked for it.  `join_all` is crate-private:
+//! the packed GEMM's split of `C` is its only caller.  `run_region` is public
+//! for the `sparse` crate's level sweep.
 //!
 //! The worker count comes from [`dense_threads`]: the `DENSE_THREADS`
 //! environment variable when set (clamped to `1..=MAX_THREADS`), otherwise
@@ -126,7 +128,7 @@ where
 /// workers); the rest run on scoped workers.  A single job short-circuits to
 /// a plain inline call.  A panicking job propagates to the caller after the
 /// region is joined.
-pub fn join_all<J>(jobs: Vec<J>)
+pub(crate) fn join_all<J>(jobs: Vec<J>)
 where
     J: FnOnce() + Send,
 {

@@ -1,40 +1,24 @@
-//! Triangular × dense matrix multiplication.
+//! Tests of the triangular × dense product.
 //!
-//! `trmm` computes `C ← A · B` for triangular `A` as one triangle-aware
-//! packed product (a masked [`gemm_views`]): the microkernel skips the tiles
-//! of `A` that lie wholly in the zero half and shortens the inner loop on
-//! the tiles that cross the diagonal, so only the triangle is multiplied —
-//! at microkernel speed throughout — and the other triangle of `a` is never
-//! read into the result.  It backs the residual checks and the TRSM ↔ TRMM
-//! round-trip tests.
+//! `C ← tri(A) · B` has no entry point of its own: it is [`gemm_views`]
+//! with `Some(TriMask::a(tri))`.  The microkernel skips the tiles of `A`
+//! that lie wholly in the zero half and shortens the inner loop on the
+//! tiles that cross the diagonal, so only the triangle is multiplied — at
+//! microkernel speed throughout — and the other triangle of `a` is never
+//! read into the result.  These tests pin that product against the plain
+//! GEMM and the unblocked reference.
 
-use crate::error::DenseError;
-use crate::flops::{trmm_flops, FlopCount};
+use crate::flops::FlopCount;
 use crate::gemm::gemm_views;
 use crate::matrix::Matrix;
 use crate::microkernel::TriMask;
 use crate::trsm::Triangle;
 use crate::Result;
 
-/// Compute `A · B` where `A` is triangular, returning a fresh matrix along
-/// with the number of flops spent.
-pub fn trmm(tri: Triangle, a: &Matrix, b: &Matrix) -> Result<(Matrix, FlopCount)> {
-    if !a.is_square() {
-        return Err(DenseError::NotSquare {
-            op: "trmm",
-            dims: a.dims(),
-        });
-    }
-    if a.cols() != b.rows() {
-        return Err(DenseError::DimensionMismatch {
-            op: "trmm",
-            lhs: a.dims(),
-            rhs: b.dims(),
-        });
-    }
-    let (n, k) = (a.rows(), b.cols());
-    let mut c = Matrix::zeros(n, k);
-    gemm_views(
+/// `tri(A) · B` into a fresh matrix, with the product's flop count.
+fn tri_product(tri: Triangle, a: &Matrix, b: &Matrix) -> Result<(Matrix, FlopCount)> {
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    let flops = gemm_views(
         1.0,
         a.as_view(),
         false,
@@ -44,14 +28,16 @@ pub fn trmm(tri: Triangle, a: &Matrix, b: &Matrix) -> Result<(Matrix, FlopCount)
         &mut c.as_view_mut(),
         Some(TriMask::a(tri)),
     )?;
-    Ok((c, trmm_flops(n, k)))
+    Ok((c, flops))
 }
 
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use super::tri_product;
+    use crate::flops::{gemm_flops, trmm_flops};
     use crate::gemm::matmul;
+    use crate::matrix::Matrix;
     use crate::reference;
+    use crate::trsm::Triangle;
 
     #[test]
     fn lower_trmm_matches_gemm() {
@@ -64,10 +50,11 @@ mod tests {
             }
         });
         let b = Matrix::from_fn(n, 4, |i, j| (i * 4 + j) as f64 / 7.0);
-        let (c, flops) = trmm(Triangle::Lower, &l, &b).unwrap();
+        let (c, flops) = tri_product(Triangle::Lower, &l, &b).unwrap();
         let expect = matmul(&l, &b);
         assert!(c.max_abs_diff(&expect).unwrap() < 1e-12);
-        assert_eq!(flops, trmm_flops(n, 4));
+        // The masked product is accounted as the full one it stands for.
+        assert_eq!(flops, gemm_flops(n, n, 4));
     }
 
     #[test]
@@ -81,7 +68,7 @@ mod tests {
             }
         });
         let b = Matrix::from_fn(n, 3, |i, j| (i as f64 + 1.0) * (j as f64 - 1.0));
-        let (c, _) = trmm(Triangle::Upper, &u, &b).unwrap();
+        let (c, _) = tri_product(Triangle::Upper, &u, &b).unwrap();
         assert!(c.max_abs_diff(&matmul(&u, &b)).unwrap() < 1e-12);
     }
 
@@ -98,13 +85,14 @@ mod tests {
             let u = l.transpose();
             let b = Matrix::from_fn(n, 9, |i, j| ((i * 13 + j) % 17) as f64 / 17.0 - 0.5);
             for (tri, a) in [(Triangle::Lower, &l), (Triangle::Upper, &u)] {
-                let (fast, f1) = trmm(tri, a, &b).unwrap();
+                let (fast, f1) = tri_product(tri, a, &b).unwrap();
                 let (slow, f2) = reference::trmm_unblocked(tri, a, &b);
                 assert!(
                     fast.max_abs_diff(&slow).unwrap() < 1e-10,
                     "mismatch at n={n} {tri:?}"
                 );
-                assert_eq!(f1, f2, "flop accounting must match the reference");
+                assert_eq!(f1, gemm_flops(n, n, 9));
+                assert_eq!(f2, trmm_flops(n, 9));
             }
         }
     }
@@ -127,8 +115,8 @@ mod tests {
                 n,
                 |i, j| if kept(i, j) { full[(i, j)] } else { f64::NAN },
             );
-            let (want, _) = trmm(tri, &zeroed, &b).unwrap();
-            let (got, _) = trmm(tri, &poisoned, &b).unwrap();
+            let (want, _) = tri_product(tri, &zeroed, &b).unwrap();
+            let (got, _) = tri_product(tri, &poisoned, &b).unwrap();
             assert!(got == want, "{tri:?}");
             assert!(got.max_abs_diff(&matmul(&zeroed, &b)).unwrap() < 1e-12);
         }
@@ -136,18 +124,19 @@ mod tests {
 
     #[test]
     fn trmm_validates_inputs() {
-        let rect = Matrix::zeros(3, 4);
-        let b = Matrix::zeros(4, 2);
-        assert!(trmm(Triangle::Lower, &rect, &b).is_err());
+        // `A`'s columns must match `B`'s rows.
         let sq = Matrix::zeros(3, 3);
-        assert!(trmm(Triangle::Lower, &sq, &b).is_err());
+        let b = Matrix::zeros(4, 2);
+        assert!(tri_product(Triangle::Lower, &sq, &b).is_err());
+        let rect = Matrix::zeros(3, 4);
+        assert!(tri_product(Triangle::Lower, &rect, &Matrix::zeros(3, 2)).is_err());
     }
 
     #[test]
     fn trmm_with_identity() {
         let id = Matrix::identity(5);
         let b = Matrix::from_fn(5, 2, |i, j| (i + j) as f64);
-        let (c, _) = trmm(Triangle::Lower, &id, &b).unwrap();
+        let (c, _) = tri_product(Triangle::Lower, &id, &b).unwrap();
         assert_eq!(c, b);
     }
 }

@@ -27,9 +27,9 @@
 //! Code that runs work for a caller elsewhere hands the caller's recorder
 //! ([`current`]) to that work, which runs its body under
 //! [`Recorder::record`]: the one spawn helper in `dense::threads` (under
-//! both `run_region` and `join_all`, so the packed GEMM, the sparse level
-//! sweep and a `serve` flush) for its threads, and `simnet::Machine::run`
-//! for each simulated rank.  The ranks are fibers that share a few worker
+//! the public `run_region`, which runs the sparse level sweep, and the
+//! crate-private `join_all`, which runs the packed GEMM) for its threads,
+//! and `simnet::Machine::run` for each simulated rank.  The ranks are fibers that share a few worker
 //! threads, so a rank worker also keeps each rank's [`Installation`] while
 //! the rank is switched out and swaps it back in ([`swap_installation`])
 //! when the rank resumes: every rank records as if it had a thread of its

@@ -225,16 +225,6 @@ pub fn fingerprint_sparse(a: &SparseTri) -> Fingerprint {
     )
 }
 
-/// The pseudo-fingerprint of a distributed plan's shape.  A distributed
-/// plan depends only on `(n, k, p)` — there is no local operand to hash —
-/// and the tag keeps these keys out of the operand namespaces.
-pub(crate) fn fingerprint_distributed(n: usize, k: usize, p: usize) -> Fingerprint {
-    let mut h = RunHasher::new();
-    // Backend tag: distributed shape.
-    h.words(&[0xD157, n as u64, k as u64, p as u64]);
-    h.finish()
-}
-
 /// The plan-cache key: the operand's content fingerprint (with `n` and
 /// `nnz` as a structural collision guard) and the request, whole — every
 /// field of a [`SolveRequest`] is part of the key by construction, so a knob
@@ -567,15 +557,9 @@ mod tests {
     #[test]
     fn backend_namespaces_are_pairwise_distinct() {
         let a = gen::random_lower(8, 2, 1);
-        let all = [
+        assert_ne!(
             fingerprint_sparse(&a),
-            fingerprint_dense(&a.to_dense(), Triangle::Lower, Diag::NonUnit),
-            fingerprint_distributed(8, 8, 8),
-        ];
-        for (i, x) in all.iter().enumerate() {
-            for y in &all[i + 1..] {
-                assert_ne!(x, y);
-            }
-        }
+            fingerprint_dense(&a.to_dense(), Triangle::Lower, Diag::NonUnit)
+        );
     }
 }

@@ -13,13 +13,13 @@
 //!   combined with the request shape into the plan-cache key
 //!   ([`PlanKey`]);
 //! * [`cache`] — a small LRU with hit/miss/eviction accounting;
-//! * [`service`] — the [`SolveService`] itself: a fingerprint-keyed LRU
-//!   of lowered `Arc<SolvePlan>`s with canonical-operand pinning (repeat
-//!   traffic skips `planner` lowering **and** schedule analysis), a
-//!   submission queue whose flush fuses compatible single-RHS jobs into
-//!   one multi-RHS execute per plan (sparse) or packs independent
-//!   systems side by side on the worker pool (dense), and reusable
-//!   arenas so the warm path allocates nothing per request.
+//! * [`service`] — the [`SolveService`] itself: one lock over a
+//!   fingerprint-keyed LRU of lowered `Arc<SolvePlan>`s with
+//!   canonical-operand pinning (repeat traffic skips `planner` lowering
+//!   **and** schedule analysis), a submission queue whose flush fuses
+//!   compatible single-RHS jobs into one multi-RHS execute per plan
+//!   (sparse) or runs them one after another (dense), and a reusable
+//!   arena so the warm path allocates nothing per request.
 //!
 //! Determinism contract: a cache hit returns bitwise the answer the cold
 //! path would have computed, on the sparse and the dense backend alike.

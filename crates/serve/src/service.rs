@@ -19,34 +19,38 @@
 //! # Batching
 //!
 //! Submitted single-RHS jobs queue until [`SolveService::flush`], which
-//! groups them by plan key and fuses each group (up to the admission
-//! window) into one multi-RHS execute: sparse groups pack their vectors
-//! into a reusable arena matrix and run one `solve_multi` sweep — the
-//! per-row elimination handles each RHS column independently, so the
-//! fused answer is bitwise identical to `w` separate solves — while dense
-//! groups run side by side on the `DENSE_THREADS` worker pool, each system
-//! solved independently: the dense solve picks its kernel from the shape
-//! (`dense::solve_kernel`), so `w` fused columns would not round like `w`
-//! single right-hand sides.  The arenas and the job's own RHS buffer are
-//! reused, so a warm service allocates nothing per request.
+//! groups them by plan key and runs each group in windows of up to the
+//! admission window.  A sparse window packs its vectors into a reusable
+//! arena matrix and runs one `solve_multi` sweep — the per-row elimination
+//! handles each RHS column independently, so the fused answer is bitwise
+//! identical to `w` separate solves.  A dense window runs its jobs one
+//! after another on the flushing thread, each the solo in-place solve: the
+//! dense solve picks its kernel from the shape (`dense::solve_kernel`), so
+//! `w` fused columns would not round like `w` single right-hand sides.  The
+//! arena and the job's own RHS buffer are reused, so a warm service
+//! allocates nothing per request.
+//!
+//! # One lock
+//!
+//! The cache, the queue and the counters sit behind one mutex.  A plan is
+//! built under it, so a thundering herd on one cold key plans once.  No
+//! fingerprint and no execute runs under it, so concurrent clients hash
+//! their operands and solve on cached plans side by side.
 
 use crate::cache::LruCache;
-use crate::fingerprint::{
-    fingerprint_dense, fingerprint_distributed, fingerprint_sparse, Fingerprint, PlanKey,
-};
+use crate::fingerprint::{fingerprint_dense, fingerprint_sparse, PlanKey};
 use catrsm::{Result, Solution, SolvePlan, SolveReport, SolveRequest, TrsmError};
 use dense::{MatMut, Matrix};
 use sparse::SparseTri;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Configuration of a [`SolveService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Plan-cache capacity (entries = fingerprint × request-shape pairs).
     pub plan_cache_capacity: usize,
-    /// Admission window: the most requests fused into one batched execute.
+    /// Admission window: the most same-key jobs `flush` runs as one batch.
     pub admission_window: usize,
 }
 
@@ -70,13 +74,19 @@ pub enum Operand {
 }
 
 impl Operand {
-    /// Content fingerprint of this operand under the request's declared
-    /// triangle/diagonal.
-    fn fingerprint(&self, request: &SolveRequest) -> Fingerprint {
-        match self {
-            Operand::Dense(a) => fingerprint_dense(a, request.opts().triangle, request.opts().diag),
-            Operand::Sparse(a) => fingerprint_sparse(a),
-        }
+    /// The plan-cache key of this operand under `request`: its content
+    /// fingerprint under the request's declared triangle/diagonal, with the
+    /// dimension and the stored entries (dense operands count the full
+    /// square) as a structural guard.
+    fn key(&self, request: &SolveRequest) -> PlanKey {
+        let (fingerprint, nnz) = match self {
+            Operand::Dense(a) => (
+                fingerprint_dense(a, request.opts().triangle, request.opts().diag),
+                a.rows() * a.cols(),
+            ),
+            Operand::Sparse(a) => (fingerprint_sparse(a), a.nnz()),
+        };
+        PlanKey::new(fingerprint, self.n(), nnz, request)
     }
 
     /// Operand dimension.
@@ -84,14 +94,6 @@ impl Operand {
         match self {
             Operand::Dense(a) => a.rows(),
             Operand::Sparse(a) => a.n(),
-        }
-    }
-
-    /// Stored entries (dense operands count the full square).
-    fn nnz(&self) -> usize {
-        match self {
-            Operand::Dense(a) => a.rows() * a.cols(),
-            Operand::Sparse(a) => a.nnz(),
         }
     }
 }
@@ -126,23 +128,26 @@ pub struct Completion {
 /// A point-in-time snapshot of the service's accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Requests accepted (immediate solves + queued submissions).
+    /// Requests accepted (immediate solves + queued submissions); a request
+    /// whose plan is refused is not accepted.
     pub requests: u64,
     /// Requests whose execution returned an error.
     pub errors: u64,
     /// Plan-cache hits.
     pub hits: u64,
-    /// Plan-cache misses (each one lowered a fresh plan).
+    /// Plan-cache misses (each one lowered a fresh plan; a refused plan is
+    /// no miss).
     pub misses: u64,
     /// Plan-cache LRU evictions.
     pub evictions: u64,
     /// Plans lowered by this service (== misses: every miss builds once).
     pub plan_builds: u64,
-    /// Fused batched executes performed by `flush`.
+    /// Windows of two or more same-key jobs run by `flush` (a sparse one
+    /// as one fused execute, a dense one job after job).
     pub batches: u64,
-    /// Requests that rode a fused execute of width ≥ 2.
+    /// Requests that rode a window of width ≥ 2.
     pub fused_requests: u64,
-    /// Widest fused execute so far.
+    /// Widest window so far.
     pub max_batch_width: u64,
     /// Deepest the submission queue has been.
     pub max_queue_depth: u64,
@@ -253,66 +258,6 @@ impl CachedPlan {
     }
 }
 
-/// Upper bound on independent plan-cache shards.  A power of two a notch
-/// above the worker counts this crate targets, so concurrent clients
-/// hashing to different keys almost never contend on the same lock.
-const CACHE_SHARDS: usize = 8;
-
-/// The plan cache, split into up to [`CACHE_SHARDS`] independently locked
-/// LRUs.
-///
-/// A key always hashes to the same shard, so the thundering-herd guarantee
-/// (one cold key analyzes once, under the lock) is preserved per key; what
-/// sharding removes is cross-key convoying — two clients working different
-/// fingerprints no longer serialize on one global mutex.  The configured
-/// capacity is distributed exactly across the shards (never fewer shards
-/// than one slot each: a capacity below [`CACHE_SHARDS`] gets one shard
-/// per slot), and the accounting methods aggregate across shards.
-///
-/// Lock order: a shard lock is a leaf.  Nothing else — not another shard,
-/// not the service's `inner` state — is locked while one is held, so the
-/// admission path (`lookup`, `plan_distributed`) can never deadlock against
-/// `submit`/`flush`/`stats`, which take `inner` and the shards one at a time.
-struct ShardedPlanCache {
-    shards: Vec<Mutex<LruCache<PlanKey, CachedPlan>>>,
-}
-
-impl ShardedPlanCache {
-    fn new(capacity: usize) -> ShardedPlanCache {
-        let capacity = capacity.max(1);
-        let count = CACHE_SHARDS.min(capacity);
-        let (base, rem) = (capacity / count, capacity % count);
-        ShardedPlanCache {
-            shards: (0..count)
-                .map(|i| Mutex::new(LruCache::new(base + usize::from(i < rem))))
-                .collect(),
-        }
-    }
-
-    /// The shard owning `key` (stable: depends only on the key's hash).
-    fn shard(&self, key: &PlanKey) -> &Mutex<LruCache<PlanKey, CachedPlan>> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("plan cache poisoned").len())
-            .sum()
-    }
-
-    /// Aggregate `(hits, misses, evictions)` across every shard.
-    fn totals(&self) -> (u64, u64, u64) {
-        self.shards.iter().fold((0, 0, 0), |acc, s| {
-            let c = s.lock().expect("plan cache poisoned");
-            (acc.0 + c.hits(), acc.1 + c.misses(), acc.2 + c.evictions())
-        })
-    }
-}
-
 /// One queued single-RHS job, resolved against the cache at submit time.
 struct PendingJob {
     ticket: Ticket,
@@ -322,19 +267,61 @@ struct PendingJob {
     result: Option<std::result::Result<SolveReport, TrsmError>>,
 }
 
-#[derive(Default)]
-struct Inner {
+/// Everything the service shares between client threads, behind its one
+/// lock.
+struct State {
+    cache: LruCache<PlanKey, CachedPlan>,
     queue: VecDeque<PendingJob>,
     /// Reusable pack buffer for fused sparse batches (`n × w`,
     /// column-interleaved row-major).  Capacity persists across flushes.
     arena: Vec<f64>,
     next_ticket: u64,
-    requests: u64,
-    errors: u64,
-    batches: u64,
-    fused_requests: u64,
-    max_batch_width: u64,
-    max_queue_depth: u64,
+    /// Every counter but the cache's own hits and evictions.  (The cache
+    /// also counts a miss whose plan is then refused, so misses are counted
+    /// here, once the plan exists.)
+    stats: ServiceStats,
+}
+
+impl State {
+    /// Resolve `key` against the plan cache and count the request.  A hit
+    /// returns the cached plan *and the canonical operand*; a miss lowers a
+    /// fresh plan (for `k` right-hand sides) and pins the submitted operand
+    /// as canonical for this fingerprint.  The request and its miss are
+    /// counted only once the plan exists: a refused request counts nothing
+    /// and caches nothing.
+    fn admit(
+        &mut self,
+        key: PlanKey,
+        request: &SolveRequest,
+        operand: &Operand,
+        k: usize,
+    ) -> Result<CachedPlan> {
+        let entry = match self.cache.get(&key).cloned() {
+            Some(entry) => {
+                obs::counter("serve", "plan_cache_hit", "hits", 1, "", 0);
+                entry
+            }
+            None => {
+                let plan = match operand {
+                    Operand::Dense(a) => request.plan_dense(a.rows(), k)?,
+                    Operand::Sparse(a) => request.plan_sparse(a, k)?,
+                };
+                obs::counter("serve", "plan_cache_miss", "misses", 1, "", 0);
+                self.stats.misses += 1;
+                self.stats.plan_builds += 1;
+                let entry = CachedPlan {
+                    plan: Arc::new(plan),
+                    operand: operand.clone(),
+                };
+                if self.cache.insert(key, entry.clone()).is_some() {
+                    obs::counter("serve", "plan_cache_evict", "evictions", 1, "", 0);
+                }
+                entry
+            }
+        };
+        self.stats.requests += 1;
+        Ok(entry)
+    }
 }
 
 /// A long-lived, thread-safe solve front end; see the module docs.
@@ -344,15 +331,7 @@ struct Inner {
 /// lock, all of them against the same cached plans and warmed operand
 /// analyses.
 pub struct SolveService {
-    cache: ShardedPlanCache,
-    /// Plans lowered so far.  `Relaxed` on both sides: the counter publishes
-    /// no data.  It is bumped while the key's shard lock is held, and
-    /// [`SolveService::stats`] loads it after `totals()` has taken every
-    /// shard lock, so the mutex's unlock → lock (release → acquire) edge puts
-    /// the build of every miss a snapshot counts before the load: a snapshot
-    /// never shows fewer builds than the misses in it that planned.
-    plan_builds: AtomicU64,
-    inner: Mutex<Inner>,
+    state: Mutex<State>,
     config: ServiceConfig,
 }
 
@@ -369,9 +348,13 @@ impl SolveService {
     /// A service with the given cache capacity and admission window.
     pub fn new(config: ServiceConfig) -> SolveService {
         SolveService {
-            cache: ShardedPlanCache::new(config.plan_cache_capacity),
-            plan_builds: AtomicU64::new(0),
-            inner: Mutex::new(Inner::default()),
+            state: Mutex::new(State {
+                cache: LruCache::new(config.plan_cache_capacity),
+                queue: VecDeque::new(),
+                arena: Vec::new(),
+                next_ticket: 0,
+                stats: ServiceStats::default(),
+            }),
             config,
         }
     }
@@ -381,57 +364,24 @@ impl SolveService {
         self.config
     }
 
-    /// Resolve `(request, operand)` against the plan cache: hit returns
-    /// the cached plan *and the canonical operand*; miss lowers a fresh
-    /// plan (for `k` right-hand sides) and pins the submitted operand as
-    /// canonical for this fingerprint.
-    fn lookup(
-        &self,
-        request: &SolveRequest,
-        operand: &Operand,
-        k: usize,
-    ) -> Result<(PlanKey, CachedPlan)> {
-        let fp = operand.fingerprint(request);
-        let key = PlanKey::new(fp, operand.n(), operand.nnz(), request);
-        let mut cache = self.cache.shard(&key).lock().expect("plan cache poisoned");
-        if let Some(entry) = cache.get(&key) {
-            obs::counter("serve", "plan_cache_hit", "hits", 1, "", 0);
-            return Ok((key, entry.clone()));
-        }
-        obs::counter("serve", "plan_cache_miss", "misses", 1, "", 0);
-        // Build under the key's shard lock: a thundering herd on one cold
-        // key should analyze once, not once per thread (equal keys always
-        // land on the same shard), while traffic on other keys keeps
-        // flowing through the other shards.
-        let plan = match operand {
-            Operand::Dense(a) => request.plan_dense(a.rows(), k)?,
-            Operand::Sparse(a) => request.plan_sparse(a, k)?,
-        };
-        self.plan_builds.fetch_add(1, Ordering::Relaxed);
-        let entry = CachedPlan {
-            plan: Arc::new(plan),
-            operand: operand.clone(),
-        };
-        if cache.insert(key, entry.clone()).is_some() {
-            obs::counter("serve", "plan_cache_evict", "evictions", 1, "", 0);
-        }
-        Ok((key, entry))
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("service state poisoned")
     }
 
     /// Solve one multi-RHS system immediately (no queueing) through the
     /// plan cache.  Concurrent callers share cached plans and analyses;
-    /// execution runs outside the service locks.
+    /// execution runs outside the service lock.
     pub fn solve(
         &self,
         request: &SolveRequest,
         operand: &Operand,
         b: &Matrix,
     ) -> Result<Solution<Matrix>> {
-        self.inner.lock().expect("service state poisoned").requests += 1;
-        let (_, entry) = self.lookup(request, operand, b.cols())?;
+        let key = operand.key(request);
+        let entry = self.state().admit(key, request, operand, b.cols())?;
         let out = entry.execute(b);
         if out.is_err() {
-            self.inner.lock().expect("service state poisoned").errors += 1;
+            self.state().stats.errors += 1;
         }
         out
     }
@@ -443,55 +393,16 @@ impl SolveService {
         operand: &Operand,
         b: &[f64],
     ) -> Result<Solution<Vec<f64>>> {
-        self.inner.lock().expect("service state poisoned").requests += 1;
-        let (_, entry) = self.lookup(request, operand, 1)?;
+        let key = operand.key(request);
+        let entry = self.state().admit(key, request, operand, 1)?;
         let mut x = b.to_vec();
         match entry.execute_vec(&mut x) {
             Ok(report) => Ok(Solution { x, report }),
             Err(e) => {
-                self.inner.lock().expect("service state poisoned").errors += 1;
+                self.state().stats.errors += 1;
                 Err(e)
             }
         }
-    }
-
-    /// Lower (or fetch) a distributed plan through the same LRU, keyed by
-    /// `(n, k, p)` and the request shape.  Distributed planning has no
-    /// local operand to fingerprint — the plan depends only on the
-    /// problem shape — so the caller executes the shared plan against its
-    /// own `DistMatrix` inside the simulated machine.
-    pub fn plan_distributed(
-        &self,
-        request: &SolveRequest,
-        n: usize,
-        k: usize,
-        p: usize,
-    ) -> Result<Arc<SolvePlan>> {
-        let key = PlanKey::new(fingerprint_distributed(n, k, p), n, n * n, request);
-        let mut cache = self.cache.shard(&key).lock().expect("plan cache poisoned");
-        if let Some(entry) = cache.get(&key) {
-            obs::counter("serve", "plan_cache_hit", "hits", 1, "", 0);
-            return Ok(Arc::clone(&entry.plan));
-        }
-        obs::counter("serve", "plan_cache_miss", "misses", 1, "", 0);
-        let plan = Arc::new(request.plan_distributed(n, k, p)?);
-        self.plan_builds.fetch_add(1, Ordering::Relaxed);
-        // Distributed entries reuse the cache slot shape with a
-        // zero-sized stand-in operand; they are never batch-executed.
-        let stand_in = Operand::Dense(Arc::new(Matrix::zeros(0, 0)));
-        if cache
-            .insert(
-                key,
-                CachedPlan {
-                    plan: Arc::clone(&plan),
-                    operand: stand_in,
-                },
-            )
-            .is_some()
-        {
-            obs::counter("serve", "plan_cache_evict", "evictions", 1, "", 0);
-        }
-        Ok(plan)
     }
 
     /// Queue one single-RHS job for the next [`SolveService::flush`].
@@ -513,42 +424,38 @@ impl SolveService {
                 ),
             ));
         }
-        let (key, entry) = self.lookup(&request, &operand, 1)?;
-        let mut inner = self.inner.lock().expect("service state poisoned");
-        inner.requests += 1;
-        let ticket = Ticket(inner.next_ticket);
-        inner.next_ticket += 1;
-        inner.queue.push_back(PendingJob {
+        let key = operand.key(&request);
+        let mut state = self.state();
+        let entry = state.admit(key, &request, &operand, 1)?;
+        let ticket = Ticket(state.next_ticket);
+        state.next_ticket += 1;
+        state.queue.push_back(PendingJob {
             ticket,
             key,
             entry,
             rhs,
             result: None,
         });
-        let depth = inner.queue.len() as u64;
-        inner.max_queue_depth = inner.max_queue_depth.max(depth);
+        let depth = state.queue.len() as u64;
+        state.stats.max_queue_depth = state.stats.max_queue_depth.max(depth);
         Ok(ticket)
     }
 
     /// Jobs currently queued (submitted, not yet flushed).
     pub fn queue_depth(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("service state poisoned")
-            .queue
-            .len()
+        self.state().queue.len()
     }
 
-    /// Execute everything queued: group jobs by plan key, fuse each group
-    /// (up to the admission window) into one execute, and return the
-    /// completions in submission order.
+    /// Execute everything queued: group jobs by plan key, run each group in
+    /// windows of up to the admission window (a sparse window as one fused
+    /// execute), and return the completions in submission order.
     pub fn flush(&self) -> Vec<Completion> {
-        // Take the work and the arena; execution runs outside the locks
+        // Take the work and the arena; execution runs outside the lock
         // so concurrent `solve` / `submit` calls keep flowing.
         let (mut jobs, mut arena) = {
-            let mut inner = self.inner.lock().expect("service state poisoned");
-            let jobs: Vec<PendingJob> = inner.queue.drain(..).collect();
-            (jobs, std::mem::take(&mut inner.arena))
+            let mut state = self.state();
+            let jobs: Vec<PendingJob> = state.queue.drain(..).collect();
+            (jobs, std::mem::take(&mut state.arena))
         };
 
         // Group by plan key, preserving submission order within a group.
@@ -574,17 +481,28 @@ impl SolveService {
                 // A group shares one key and so one request; if it asked
                 // for a residual every job needs its B preserved and runs
                 // individually (still on the cached plan).
-                let w = window.len();
-                if w == 1 || jobs[window[0]].entry.wants_residual() {
-                    for &i in window {
-                        run_single(&mut jobs[i]);
-                    }
-                } else {
+                let entry = jobs[window[0]].entry.clone();
+                let w = window.len() as u64;
+                let batched = w > 1 && !entry.wants_residual();
+                if batched {
                     batches += 1;
-                    fused_requests += w as u64;
-                    max_batch_width = max_batch_width.max(w as u64);
-                    obs::counter("serve", "batch_width", "requests", w as u64, "", 0);
-                    run_fused(&mut jobs, window, &mut arena);
+                    fused_requests += w;
+                    max_batch_width = max_batch_width.max(w);
+                    obs::counter("serve", "batch_width", "requests", w, "", 0);
+                }
+                match &entry.operand {
+                    Operand::Sparse(a) if batched => {
+                        entry.execute_fused_sparse(a, &mut jobs, window, &mut arena)
+                    }
+                    // A dense window runs its jobs one after another, each
+                    // the solo solve (dense batch-mates never share
+                    // arithmetic), as does every unbatched job.
+                    _ => {
+                        for &i in window {
+                            let job = &mut jobs[i];
+                            job.result = Some(job.entry.execute_vec(&mut job.rhs));
+                        }
+                    }
                 }
             }
         }
@@ -594,12 +512,13 @@ impl SolveService {
             .filter(|j| matches!(j.result, Some(Err(_))))
             .count() as u64;
         {
-            let mut inner = self.inner.lock().expect("service state poisoned");
-            inner.arena = arena;
-            inner.errors += errors;
-            inner.batches += batches;
-            inner.fused_requests += fused_requests;
-            inner.max_batch_width = inner.max_batch_width.max(max_batch_width);
+            let mut state = self.state();
+            state.arena = arena;
+            let stats = &mut state.stats;
+            stats.errors += errors;
+            stats.batches += batches;
+            stats.fused_requests += fused_requests;
+            stats.max_batch_width = stats.max_batch_width.max(max_batch_width);
         }
 
         jobs.sort_by_key(|j| j.ticket);
@@ -612,111 +531,18 @@ impl SolveService {
             .collect()
     }
 
-    /// Current accounting snapshot (cache totals aggregated over shards).
+    /// Current accounting snapshot.
     pub fn stats(&self) -> ServiceStats {
-        let (hits, misses, evictions) = self.cache.totals();
-        let plan_builds = self.plan_builds.load(Ordering::Relaxed);
-        let inner = self.inner.lock().expect("service state poisoned");
+        let state = self.state();
         ServiceStats {
-            requests: inner.requests,
-            errors: inner.errors,
-            hits,
-            misses,
-            evictions,
-            plan_builds,
-            batches: inner.batches,
-            fused_requests: inner.fused_requests,
-            max_batch_width: inner.max_batch_width,
-            max_queue_depth: inner.max_queue_depth,
+            hits: state.cache.hits(),
+            evictions: state.cache.evictions(),
+            ..state.stats
         }
     }
 
-    /// Entries currently in the plan cache (summed over shards).
+    /// Entries currently in the plan cache.
     pub fn cached_plans(&self) -> usize {
-        self.cache.len()
-    }
-}
-
-/// Execute one job on its own (single RHS, in the job's buffer).
-fn run_single(job: &mut PendingJob) {
-    job.result = Some(job.entry.execute_vec(&mut job.rhs));
-}
-
-/// Execute a fused group: all jobs share one plan and one canonical
-/// operand.  Sparse groups pack into the arena and run one multi-RHS
-/// sweep; dense groups run side by side on the worker pool.
-fn run_fused(jobs: &mut [PendingJob], fused: &[usize], arena: &mut Vec<f64>) {
-    let entry = jobs[fused[0]].entry.clone();
-    match &entry.operand {
-        Operand::Sparse(a) => entry.execute_fused_sparse(a, jobs, fused, arena),
-        Operand::Dense(_) => run_fused_dense(jobs, fused),
-    }
-}
-
-/// Side-by-side dense execution: each job is an independent system, so
-/// the jobs split across the worker pool and every solve stays bitwise
-/// identical to running alone (no cross-job arithmetic).
-fn run_fused_dense(jobs: &mut [PendingJob], fused: &[usize]) {
-    let workers = dense::dense_threads().min(fused.len()).max(1);
-    if workers == 1 {
-        for &i in fused {
-            run_single(&mut jobs[i]);
-        }
-        return;
-    }
-    // Split the fused jobs into disjoint per-worker slices.  Collect
-    // mutable references first so each worker owns its share.
-    let mut picked: Vec<&mut PendingJob> = Vec::with_capacity(fused.len());
-    let mut rest = &mut *jobs;
-    let mut taken = 0usize;
-    for &i in fused {
-        // `fused` is strictly increasing (built by an in-order scan), so
-        // successive split_at_mut calls carve disjoint slices.
-        let (_, tail) = rest.split_at_mut(i - taken);
-        let (job, tail) = tail.split_first_mut().expect("index in range");
-        picked.push(job);
-        rest = tail;
-        taken = i + 1;
-    }
-    let per = picked.len().div_ceil(workers);
-    dense::threads::join_all(
-        picked
-            .chunks_mut(per)
-            .map(|chunk| {
-                move || {
-                    for job in chunk.iter_mut() {
-                        run_single(job);
-                    }
-                }
-            })
-            .collect(),
-    );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn shard_caps(capacity: usize) -> Vec<usize> {
-        ShardedPlanCache::new(capacity)
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap().capacity())
-            .collect()
-    }
-
-    #[test]
-    fn shard_capacities_sum_to_the_configured_total() {
-        for capacity in [1, 2, 7, 8, 9, 10, 16, 64, 100] {
-            let caps = shard_caps(capacity);
-            assert_eq!(caps.iter().sum::<usize>(), capacity, "capacity {capacity}");
-            assert!(caps.len() <= CACHE_SHARDS);
-            assert!(caps.iter().all(|&c| c >= 1));
-            // Balanced within one slot.
-            let (min, max) = (caps.iter().min().unwrap(), caps.iter().max().unwrap());
-            assert!(max - min <= 1);
-        }
-        assert_eq!(shard_caps(3).len(), 3);
-        assert_eq!(shard_caps(64).len(), CACHE_SHARDS);
+        self.state().cache.len()
     }
 }

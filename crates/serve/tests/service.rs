@@ -7,7 +7,9 @@
 use catrsm::SolveRequest;
 use dense::{Diag, Matrix, Triangle};
 use proptest::prelude::*;
-use serve::{fingerprint_sparse, Operand, ServiceConfig, ServiceRequest, SolveService};
+use serve::{
+    fingerprint_sparse, Operand, ServiceConfig, ServiceRequest, ServiceStats, SolveService,
+};
 use sparse::{gen as sgen, SparseTri};
 use std::sync::Arc;
 
@@ -489,6 +491,46 @@ fn eviction_under_pressure_stays_correct() {
     }
 }
 
+/// The cache is one LRU over every key: at capacity, the key touched
+/// longest ago is the one evicted, wherever the keys hash.
+#[test]
+fn eviction_is_global_lru() {
+    const C: usize = 8;
+    let req = sparse_request();
+    let svc = SolveService::new(ServiceConfig {
+        plan_cache_capacity: C,
+        admission_window: 4,
+    });
+    let ops: Vec<Operand> = (0..=C as u64)
+        .map(|s| Operand::Sparse(Arc::new(sgen::random_lower(32, 2, 60 + s))))
+        .collect();
+    let b = sgen::rhs_vec(32, 8);
+    let solve = |i: usize| svc.solve_vec(&req, &ops[i], &b).unwrap();
+
+    for i in 0..C {
+        solve(i);
+    }
+    for i in 1..C {
+        solve(i);
+    }
+    solve(C);
+    let stats = svc.stats();
+    assert_eq!(
+        (stats.misses, stats.hits, stats.evictions),
+        (C as u64 + 1, C as u64 - 1, 1)
+    );
+    assert_eq!(svc.cached_plans(), C);
+
+    // Every key but the first is still cached…
+    for i in 1..=C {
+        solve(i);
+    }
+    assert_eq!(svc.stats().misses, C as u64 + 1);
+    // …and the first plans again.
+    solve(0);
+    assert_eq!(svc.stats().misses, C as u64 + 2);
+}
+
 /// One service, many client threads: concurrent immediate solves share
 /// the cached plans and each canonical operand's single analysis, and all
 /// agree bitwise with the cold path.
@@ -559,9 +601,9 @@ fn concurrent_clients_share_one_cached_plan() {
     assert_eq!(stats.errors, 0);
 }
 
-/// Dense single-RHS jobs with the same key run side by side on the
-/// worker pool and still answer bitwise like solo solves; jobs with
-/// different keys in one window batch separately.
+/// A window of dense single-RHS jobs with the same key is one batch whose
+/// jobs still answer bitwise like solo solves; jobs with different keys in
+/// one flush batch separately.
 #[test]
 fn dense_side_by_side_batching_matches_solo() {
     let n = 64;
@@ -678,6 +720,26 @@ fn shape_mismatch_is_not_cached() {
         .solve_vec(&req, &Operand::Sparse(Arc::clone(&mat)), &b)
         .is_err());
     assert_eq!(svc.cached_plans(), 0);
+}
+
+/// A request whose plan is refused is not accepted: neither the immediate
+/// path nor the queue counts it as a request, a miss or a plan build.
+#[test]
+fn refused_requests_count_nothing() {
+    let svc = service();
+    let mat = Operand::Sparse(Arc::new(sgen::random_lower(32, 2, 3)));
+    let req = SolveRequest::upper();
+    let b = sgen::rhs_vec(32, 4);
+    assert!(svc.solve_vec(&req, &mat, &b).is_err());
+    assert!(svc
+        .submit(ServiceRequest {
+            request: req,
+            operand: mat,
+            rhs: b,
+        })
+        .is_err());
+    assert_eq!(svc.stats(), ServiceStats::default());
+    assert_eq!(svc.queue_depth(), 0);
 }
 
 /// Fusing can change the executor, never the bits: one right-hand side of

@@ -1,8 +1,7 @@
-//! The distributed leg of the solve-service cache tests.  A distributed
-//! plan depends only on the shape `(n, k, p)` and the request options, so
-//! the service can cache it without an operand fingerprint; executing the
-//! cached `Arc<SolvePlan>` inside the simulated machine must be bitwise
-//! the solve a freshly lowered plan performs.
+//! A distributed plan depends only on the shape `(n, k, p)` and the request
+//! options, so a caller may lower it once, outside the machine, and share
+//! one `Arc<SolvePlan>` with every rank. Executing that shared plan must be
+//! bitwise the solve a plan lowered on each rank performs.
 
 use catrsm_suite::prelude::*;
 use std::sync::Arc;
@@ -12,28 +11,15 @@ fn cached_distributed_plan_executes_bitwise_like_fresh() {
     let n = 96;
     let k = 24;
     let p = 4;
-    let svc = SolveService::new(ServiceConfig::default());
     let req = SolveRequest::lower();
 
-    let cold: Arc<SolvePlan> = svc.plan_distributed(&req, n, k, p).unwrap();
-    assert_eq!(svc.stats().plan_builds, 1, "cold path must lower");
+    let cached: Arc<SolvePlan> = Arc::new(req.plan_distributed(n, k, p).unwrap());
+    // Lowering is a pure function of the shape and the request.
+    let again = req.plan_distributed(n, k, p).unwrap();
+    assert_eq!(*cached, again);
 
-    // Same shape again: a cache hit, same plan object, zero new builds.
-    let hit = svc.plan_distributed(&req, n, k, p).unwrap();
-    assert!(Arc::ptr_eq(&cold, &hit), "hit must return the cached plan");
-    let stats = svc.stats();
-    assert_eq!(stats.plan_builds, 1);
-    assert_eq!(stats.hits, 1);
-    assert_eq!(stats.misses, 1);
-
-    // A different shape is a different key.
-    let other = svc.plan_distributed(&req, n, k + 1, p).unwrap();
-    assert!(!Arc::ptr_eq(&cold, &other));
-    assert_eq!(svc.stats().misses, 2);
-
-    // Execute the cached plan and a freshly lowered one inside the
+    // Execute the shared plan and a freshly lowered one inside the
     // machine: bitwise-identical solutions, and correct ones.
-    let cached = Arc::clone(&hit);
     let out = Machine::new(p, MachineParams::unit())
         .run(move |comm| {
             let grid = Grid2D::new(comm, 2, 2).unwrap();
@@ -55,36 +41,7 @@ fn cached_distributed_plan_executes_bitwise_like_fresh() {
         })
         .unwrap();
     for (vs_fresh, vs_true) in out.results {
-        assert_eq!(vs_fresh, 0.0, "cached plan must run the identical solve");
+        assert_eq!(vs_fresh, 0.0, "a shared plan must run the identical solve");
         assert!(vs_true < 1e-8);
     }
-}
-
-#[test]
-fn distributed_plans_share_the_cache_with_local_plans() {
-    // Distributed pseudo-fingerprints must not collide with dense/sparse
-    // keys: fill the cache with a mix and check every entry survives.
-    // Capacity 64 is eight slots in each of the eight shards, so the three
-    // keys fit wherever their hashes happen to place them.
-    let svc = SolveService::new(ServiceConfig {
-        plan_cache_capacity: 64,
-        admission_window: 4,
-    });
-    let req = SolveRequest::lower();
-    svc.plan_distributed(&req, 64, 16, 4).unwrap();
-    svc.plan_distributed(&req, 64, 16, 16).unwrap();
-
-    let m = Arc::new(sparse::gen::random_lower(64, 3, 5));
-    let b = sparse::gen::rhs_vec(64, 6);
-    svc.solve_vec(&req, &Operand::Sparse(Arc::clone(&m)), &b)
-        .unwrap();
-
-    assert_eq!(svc.cached_plans(), 3);
-    // Re-requesting each is a hit, not a collision-miss.
-    svc.plan_distributed(&req, 64, 16, 4).unwrap();
-    svc.plan_distributed(&req, 64, 16, 16).unwrap();
-    svc.solve_vec(&req, &Operand::Sparse(m), &b).unwrap();
-    let stats = svc.stats();
-    assert_eq!(stats.misses, 3);
-    assert_eq!(stats.hits, 3);
 }
