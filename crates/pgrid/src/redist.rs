@@ -378,12 +378,14 @@ impl Layout {
         let pieces = rows.classes() * cols.classes();
         let mut flat = Vec::with_capacity(pieces.min(ranks));
         let mut starts = Vec::with_capacity(pieces + 1);
+        let mut seen = vec![false; ranks];
         starts.push(0);
         for rc in 0..rows.classes() {
             for cc in 0..cols.classes() {
                 for r in holders(rc, cc) {
                     assert!(r < ranks, "piece ({rc}, {cc}) held by rank {r} of {ranks}");
-                    assert!(!flat.contains(&r), "rank {r} holds two pieces");
+                    assert!(!seen[r], "rank {r} holds two pieces");
+                    seen[r] = true;
                     flat.push(r);
                 }
                 starts.push(flat.len());

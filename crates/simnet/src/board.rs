@@ -8,9 +8,11 @@
 //! with whatever the closer computes from them once for everyone, become
 //! one read-only [`Closed`] value — and wakes the others; then every
 //! member *collects* the closed call, and for an all-to-all-v the column of
-//! blocks addressed to it.  What the members compute from it is
-//! `coll`'s business; the board only keeps the call until its last member
-//! has collected.
+//! blocks addressed to it.  The first member to charge the call replays its
+//! schedule for every member and stores the charges on the closed call, for
+//! the others to look up.  What the members compute from it is `coll`'s
+//! business; the board only keeps the call until its last member has
+//! collected.
 //!
 //! **Locking.**  One mutex guards the open and closing calls.  Each
 //! critical section inserts, moves or removes a handful of vectors; the
@@ -18,14 +20,17 @@
 //! it — a member that is not the closer waits for its wake in the
 //! endpoint's receive, like for any message.  The closer stores the closed
 //! call before it sends a single wake, so a woken member always finds it:
-//! the store's unlock happens-before the woken member's lock.  A poisoned
+//! the store's unlock happens-before the woken member's lock.  The charges
+//! are stored once, through the closed call's `OnceLock`: its one
+//! initialisation happens-before every member's read of it.  A poisoned
 //! lock is recovered rather than propagated: every critical section leaves
 //! the map whole.
 
+use crate::cost::CostCounters;
 use crate::fault::SendFaults;
 use crate::pool::BufferPool;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// One member's contribution to a collective call.
 #[derive(Debug, Default)]
@@ -50,27 +55,44 @@ pub(crate) struct Closed {
     /// Every member's deposit, by local rank.
     pub deposits: Vec<Deposit>,
     /// Message sizes the closer tabulated for a schedule whose sizes depend
-    /// on the members' inputs (the all-to-all-v ones); empty otherwise.
+    /// on the members' inputs (the all-to-all-v one); empty otherwise.
     pub words: Vec<usize>,
     /// A result the closer computed once for every member to read (the
     /// allreduce's); empty otherwise.
     pub shared: Vec<f64>,
+    /// The first member whose scalar arguments differ from member 0's.
+    pub odd_args: Option<usize>,
+    /// The first member that brought a different number of words than
+    /// member 0.
+    pub odd_len: Option<usize>,
+    /// Every member's charges for the call, by local rank: replayed once,
+    /// by the first member to charge it.
+    pub charges: OnceLock<Vec<CostCounters>>,
     /// Where the deposited buffers go once the last member is done.
     pool: Arc<BufferPool>,
 }
 
 impl Closed {
     /// The call closed over `deposits`, with the message sizes and the
-    /// shared result of `closing` (its columns stay with the caller).
+    /// shared result of `closing` (its columns stay with the caller).  The
+    /// members' arguments are compared here, once for all of them.
     pub(crate) fn new(
         deposits: Vec<Deposit>,
         closing: &mut Closing,
         pool: Arc<BufferPool>,
     ) -> Closed {
+        let first = &deposits[0];
+        let odd_args = deposits.iter().position(|d| d.args != first.args);
+        let odd_len = deposits
+            .iter()
+            .position(|d| d.data.len() != first.data.len());
         Closed {
-            deposits,
             words: std::mem::take(&mut closing.words),
             shared: std::mem::take(&mut closing.shared),
+            odd_args,
+            odd_len,
+            charges: OnceLock::new(),
+            deposits,
             pool,
         }
     }

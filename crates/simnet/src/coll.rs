@@ -15,8 +15,8 @@
 //!
 //! Each collective is charged the rounds of its schedule — a Bruck
 //! allgather, a recursive-halving reduce-scatter, binomial scatter, gather
-//! and reduce trees, a dissemination barrier, a Bruck or pairwise
-//! all-to-all(-v) — so the *measured* message/word counters reproduce the
+//! and reduce trees, a dissemination barrier, a Bruck all-to-all(-v) — so
+//! the *measured* message/word counters reproduce the
 //! formulas (exactly for power-of-two communicator sizes and divisible
 //! vector lengths, which is what the paper assumes; other sizes fall back to
 //! correct but slightly more expensive schedules).
@@ -33,9 +33,12 @@
 //!    envelope each; a member waits for its wake in the ordinary blocking
 //!    receive, so the hand-off to another rank, the failure cascade and
 //!    deadlock detection apply unchanged.
-//! 3. *Replay.*  Each member replays the schedule's rounds over every
-//!    member's deposited clock and fault draws, charging them with the
-//!    point-to-point charge code, and applies its own outcome: counters,
+//! 3. *Replay.*  The first member to charge the call replays the
+//!    schedule's rounds over every member's deposited clock and fault
+//!    draws, charging them with the point-to-point charge code, and stores
+//!    every member's outcome on the closed call; each member applies its
+//!    own.  A member with a trace recorder installed replays for itself
+//!    instead, so its sim-lane events land on its own lane.  Counters,
 //!    virtual clock and sim-lane events are those the messages would have
 //!    produced, bit for bit.
 //! 4. *Collect.*  Each member builds its own result from the deposits,
@@ -47,7 +50,8 @@
 //! A member parks at most once per call, where the messages parked it up to
 //! once per round; a member alone in its communicator never parks nor
 //! touches the board, and its schedule, with no rounds, charges nothing.
-//! Every argument is checked on the closed board, so a
+//! Every argument is checked on the closed board — the closer finds the
+//! first member unlike member 0 once, for all of them — so a
 //! call that one member gets wrong fails with the same error on every
 //! member instead of leaving the others waiting.  A member that fails
 //! before it deposits — a crash or an exhausted retry budget among its
@@ -318,7 +322,11 @@ pub fn allreduce(comm: &Communicator, data: &[f64], op: ReduceOp) -> Result<Vec<
         }
         out
     };
-    let call = Call::meet_sharing(comm, phases, deposit(comm, data, [0, 0]), fold)?;
+    let close = |inputs: &mut [Deposit]| Closing {
+        shared: fold(inputs),
+        ..Closing::default()
+    };
+    let call = Call::meet_closing(comm, phases, deposit(comm, data, [0, 0]), close)?;
     call.same_len("allreduce")?;
     call.charge(comm, phases);
     let mut out = comm.take_buffer(len);
@@ -381,8 +389,11 @@ pub fn alltoall(comm: &Communicator, data: &[f64], block: usize) -> Result<Vec<f
     let phases = [Phase::Alltoall { blk: block }];
     let call = Call::meet(comm, &phases, deposit(comm, data, [block, 0]))?;
     call.same_args("alltoall")?;
-    if let Some(d) = call.deposits().iter().find(|d| d.data.len() != p * block) {
-        let reason = format!("buffer has {} words, expected {}", d.data.len(), p * block);
+    // Member 0 if it is wrong, else the first member unlike it.
+    let wrong = (call.deposits()[0].data.len() != p * block).then_some(0);
+    if let Some(r) = wrong.or(call.closed.odd_len) {
+        let got = call.deposits()[r].data.len();
+        let reason = format!("buffer has {got} words, expected {}", p * block);
         return Err(bad("alltoall", reason));
     }
     call.charge(comm, &phases);
@@ -392,14 +403,6 @@ pub fn alltoall(comm: &Communicator, data: &[f64], block: usize) -> Result<Vec<f
         out.extend_from_slice(&d.data[mine.clone()]);
     }
     Ok(out)
-}
-
-/// Personalised all-to-all with per-destination payloads of arbitrary length,
-/// charged as `p − 1` direct pairwise exchanges (latency `O(p)`, bandwidth
-/// optimal).  `blocks[j]` goes to rank `j` (moved, not copied); the result
-/// is indexed by source rank.
-pub fn alltoallv_direct(comm: &Communicator, blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> {
-    alltoallv(comm, blocks, Phase::Pairwise, "alltoallv_direct")
 }
 
 /// Header words [`alltoallv_bruck`] puts in front of every block it forwards
@@ -417,8 +420,35 @@ pub const BRUCK_BLOCK_HEADER: usize = 3;
 /// word, plus a [`BRUCK_BLOCK_HEADER`]-word header per forwarded block.  A
 /// block from `s` to `d` is forwarded once per set bit of `(d − s) mod p`;
 /// empty blocks are not forwarded at all.
-pub fn alltoallv_bruck(comm: &Communicator, blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> {
-    alltoallv(comm, blocks, Phase::BruckV, "alltoallv_bruck")
+///
+/// The blocks travel by regrouping on the board, and a member's block to
+/// itself never leaves it.
+pub fn alltoallv_bruck(comm: &Communicator, mut blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> {
+    let (p, me) = (comm.size(), comm.rank());
+    let count = blocks.len();
+    let own = if count == p {
+        std::mem::take(&mut blocks[me])
+    } else {
+        Vec::new()
+    };
+    let contribution = Deposit {
+        blocks,
+        args: [count, 0],
+        ..Deposit::default()
+    };
+    let phases = [Phase::BruckV];
+    let mut call = Call::meet_closing(comm, &phases, contribution, regroup)?;
+    // Member 0 if it is wrong, else the first member unlike it.
+    let wrong = (call.deposits()[0].args[0] != p).then_some(0);
+    if let Some(r) = wrong.or(call.closed.odd_args) {
+        let got = call.deposits()[r].args[0];
+        let reason = format!("expected {p} destination blocks, got {got}");
+        return Err(bad("alltoallv_bruck", reason));
+    }
+    call.charge(comm, &phases);
+    let mut out = std::mem::take(&mut call.column);
+    out[me] = own;
+    Ok(out)
 }
 
 /// The messages and words each of `p` members sends and receives in an
@@ -434,45 +464,14 @@ pub fn bruck_counts<I: IntoIterator<Item = (usize, usize)>>(
         .collect()
 }
 
-/// An all-to-all-v charged as `phase`: the blocks travel by regrouping on
-/// the board, and a member's block to itself never leaves it.
-fn alltoallv(
-    comm: &Communicator,
-    mut blocks: Vec<Vec<f64>>,
-    phase: Phase,
-    op: &'static str,
-) -> Result<Vec<Vec<f64>>> {
-    let (p, me) = (comm.size(), comm.rank());
-    let count = blocks.len();
-    let own = if count == p {
-        std::mem::take(&mut blocks[me])
-    } else {
-        Vec::new()
-    };
-    let contribution = Deposit {
-        blocks,
-        args: [count, 0],
-        ..Deposit::default()
-    };
-    let mut call = Call::meet(comm, &[phase], contribution)?;
-    if let Some(d) = call.deposits().iter().find(|d| d.args[0] != p) {
-        let reason = format!("expected {p} destination blocks, got {}", d.args[0]);
-        return Err(bad(op, reason));
-    }
-    call.charge(comm, &[phase]);
-    let mut out = std::mem::take(&mut call.column);
-    out[me] = own;
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // The modelled schedules
 // ---------------------------------------------------------------------------
 
 /// One stage of a collective's modelled schedule.  A call is a short list
 /// of phases (a broadcast is a scatter then an allgather); each runs
-/// [`Phase::rounds`] rounds, and in each round a member sends at most one
-/// message and then receives at most one ([`Phase::step`]).
+/// `⌈log₂ p⌉` rounds ([`levels`]), and in each round a member sends at most
+/// one message and then receives at most one ([`Phase::step`]).
 #[derive(Debug, Clone, Copy)]
 enum Phase {
     /// Dissemination barrier: in round `t`, send to `r + 2ᵗ`, receive from
@@ -500,9 +499,6 @@ enum Phase {
     /// Bruck all-to-all of `blk`-word blocks: in round `t`, send the blocks
     /// whose slot has bit `2ᵗ` set to `r + 2ᵗ`.
     Alltoall { blk: usize },
-    /// Pairwise all-to-all-v: in round `t`, send to `r + t + 1` and receive
-    /// from `r − t − 1`; sizes from the closer's table.
-    Pairwise,
     /// Bruck all-to-all-v: the all-to-all's rounds, each message a count
     /// word plus a header and the words of every forwarded block; sizes
     /// from the closer's table.
@@ -551,15 +547,7 @@ struct Step {
 }
 
 impl Phase {
-    fn rounds(self, p: usize) -> usize {
-        match self {
-            Phase::Pairwise => p - 1,
-            _ => levels(p),
-        }
-    }
-
-    /// Member `me`'s step in `round`.  Only the logarithmic phases shift by
-    /// `round`: the pairwise one runs `p − 1` rounds.
+    /// Member `me`'s step in `round`.
     fn step(self, p: usize, me: usize, round: usize) -> Step {
         match self {
             Phase::Dissemination | Phase::Alltoall { .. } | Phase::BruckV => Step {
@@ -569,10 +557,6 @@ impl Phase {
             Phase::Allgather { .. } => Step {
                 to: Some((me + p - (1 << round)) % p),
                 from: Some((me + (1 << round)) % p),
-            },
-            Phase::Pairwise => Step {
-                to: Some((me + round + 1) % p),
-                from: Some((me + p - round - 1) % p),
             },
             Phase::Halving { .. } => {
                 let partner = me ^ (p >> (round + 1));
@@ -628,7 +612,7 @@ impl Phase {
     }
 
     /// Words of the message `sender` sends in `round`.  `table` is the
-    /// closer's table for the all-to-all-v phases (a missing entry reads 0).
+    /// closer's table for the all-to-all-v phase (a missing entry reads 0).
     fn words(self, p: usize, sender: usize, round: usize, table: &[usize]) -> usize {
         match self {
             Phase::Dissemination => 0,
@@ -644,10 +628,7 @@ impl Phase {
             Phase::Halving { blk } => (p >> (round + 1)) * blk,
             Phase::Reduce { len, .. } => len,
             Phase::Alltoall { blk } => (0..p).filter(|j| j & (1 << round) != 0).count() * blk,
-            Phase::Pairwise | Phase::BruckV => table
-                .get(sender * self.rounds(p) + round)
-                .copied()
-                .unwrap_or(0),
+            Phase::BruckV => table.get(sender * levels(p) + round).copied().unwrap_or(0),
         }
     }
 
@@ -691,31 +672,25 @@ struct Call {
 
 impl Call {
     /// Meet the other members at a call modelled as `phases`, bringing
-    /// `deposit`.  This member draws faults for the sends `phases` give it;
-    /// if it closes the call, it tabulates what `phases` need.
+    /// `deposit`.  This member draws faults for the sends `phases` give it.
     fn meet(comm: &Communicator, phases: &[Phase], deposit: Deposit) -> Result<Call> {
-        Call::meet_sharing(comm, phases, deposit, |_| Vec::new())
+        Call::meet_closing(comm, phases, deposit, |_| Closing::default())
     }
 
-    /// [`Call::meet`], where the closer also computes `share` of the
-    /// deposits once, for every member to read as [`Call::shared`].
-    fn meet_sharing(
+    /// [`Call::meet`], where the closer also makes `close` of the deposits
+    /// once, for every member to read: a shared result, or an all-to-all-v's
+    /// word table and columns.
+    fn meet_closing(
         comm: &Communicator,
         phases: &[Phase],
         deposit: Deposit,
-        share: impl FnOnce(&[Deposit]) -> Vec<f64>,
+        close: impl FnOnce(&mut [Deposit]) -> Closing,
     ) -> Result<Call> {
         let (p, me) = (comm.size(), comm.rank());
         let sends = phases.iter().flat_map(move |&phase| {
-            (0..phase.rounds(p)).filter_map(move |round| phase.send(p, me, round, &[]))
+            (0..levels(p)).filter_map(move |round| phase.send(p, me, round, &[]))
         });
-        let (closed, column) = comm.meet(sends, deposit, |deposits| {
-            let shared = share(deposits);
-            Closing {
-                shared,
-                ..tabulate(phases, deposits)
-            }
-        })?;
+        let (closed, column) = comm.meet(sends, deposit, close)?;
         Ok(Call { closed, column })
     }
 
@@ -727,27 +702,34 @@ impl Call {
         &self.closed.shared
     }
 
-    /// Charge this member the rounds of `phases`, replayed over every
-    /// member's deposit.  A schedule without rounds (every schedule on one
-    /// member) charges nothing and leaves the clock where it was.
+    /// Charge this member its entry of the rounds of `phases`, replayed
+    /// over every member's deposit by the first member to charge the call
+    /// (every member passes the same `phases`).  A member that is tracing
+    /// replays for itself, its own events on its own lane.  A schedule
+    /// without rounds (every schedule on one member) charges nothing and
+    /// leaves the clock where it was.
     fn charge(&self, comm: &Communicator, phases: &[Phase]) {
-        if phases.iter().all(|phase| phase.rounds(comm.size()) == 0) {
+        let (p, me) = (comm.size(), comm.rank());
+        if levels(p) == 0 {
             return;
         }
-        let charges = replay(
-            phases,
-            &self.closed,
-            &comm.params(),
-            comm.rank(),
-            comm.world_rank(),
-        );
-        comm.apply_charges(&charges);
+        let params = comm.params();
+        if obs::enabled() {
+            let lane = (me, comm.world_rank());
+            comm.apply_charges(&replay(phases, &self.closed, &params, Some(lane))[me]);
+        } else {
+            let charges = self
+                .closed
+                .charges
+                .get_or_init(|| replay(phases, &self.closed, &params, None));
+            comm.apply_charges(&charges[me]);
+        }
     }
 
     /// The scalar arguments, if every member passed the same.
     fn same_args(&self, op: &'static str) -> Result<[usize; 2]> {
         let first = self.deposits()[0].args;
-        match self.deposits().iter().position(|d| d.args != first) {
+        match self.closed.odd_args {
             None => Ok(first),
             Some(r) => {
                 let theirs = self.deposits()[r].args;
@@ -771,7 +753,7 @@ impl Call {
     /// The length of the members' words, if every member brought as many.
     fn same_len(&self, op: &'static str) -> Result<usize> {
         let first = self.deposits()[0].data.len();
-        match self.deposits().iter().position(|d| d.data.len() != first) {
+        match self.closed.odd_len {
             None => Ok(first),
             Some(r) => {
                 let theirs = self.deposits()[r].data.len();
@@ -816,28 +798,14 @@ fn zeros(comm: &Communicator, n: usize) -> Vec<f64> {
 
 /// The closer's work for an all-to-all-v: the words of every modelled
 /// message, `words[sender · rounds + round]`, and the blocks regrouped by
-/// destination.  Nothing for the other calls, or for blocks the board will
-/// reject.
-fn tabulate(phases: &[Phase], deposits: &mut [Deposit]) -> Closing {
+/// destination.  Nothing for blocks the call will reject.
+fn regroup(deposits: &mut [Deposit]) -> Closing {
     let p = deposits.len();
-    let Some(&phase) = phases
-        .iter()
-        .find(|phase| matches!(phase, Phase::Pairwise | Phase::BruckV))
-    else {
-        return Closing::default();
-    };
     if deposits.iter().any(|d| d.blocks.len() != p) {
         return Closing::default();
     }
     let len = |src: usize, dest: usize| deposits[src].blocks[dest].len();
-    let words = if let Phase::Pairwise = phase {
-        // Round t of member src carries its block for src + t + 1.
-        let rounds = phase.rounds(p);
-        let word = |x: usize| len(x / rounds, (x / rounds + x % rounds + 1) % p);
-        (0..p * rounds).map(word).collect()
-    } else {
-        bruck_words(p, |src| (0..p).map(move |dest| (dest, len(src, dest))))
-    };
+    let words = bruck_words(p, |src| (0..p).map(move |dest| (dest, len(src, dest))));
     let columns = (0..p)
         .map(|dest| {
             deposits
@@ -886,7 +854,7 @@ fn bruck_words<I: IntoIterator<Item = (usize, usize)>>(
 fn counts(phases: &[Phase], p: usize, me: usize, table: &[usize]) -> CostCounters {
     let mut c = CostCounters::default();
     for &phase in phases {
-        for round in 0..phase.rounds(p) {
+        for round in 0..levels(p) {
             if let Some((_, words)) = phase.send(p, me, round, table) {
                 (c.msgs_sent, c.words_sent) = (c.msgs_sent + 1, c.words_sent + words as u64);
             }
@@ -899,67 +867,56 @@ fn counts(phases: &[Phase], p: usize, me: usize, table: &[usize]) -> CostCounter
 }
 
 /// Replay `phases` over every member's deposited clock and fault draws, and
-/// return member `me`'s charges: the counts of its modelled sends, receives
-/// and folds, and the clock they leave it at.  Its sim-lane events are
-/// recorded on world rank `lane`'s lane.
+/// return every member's charges, by local rank: the counts of its modelled
+/// sends, receives and folds, and the clock they leave it at.  With `lane`
+/// as `(me, world)`, member `me`'s sim-lane events are recorded on world
+/// rank `world`'s lane; no other member's are recorded.
 fn replay(
     phases: &[Phase],
     closed: &Closed,
     params: &MachineParams,
-    me: usize,
-    lane: usize,
-) -> CostCounters {
-    /// One member's side of the replay.
-    struct Member {
-        meter: CostCounters,
-        drawn: usize,
-        /// When its message of the current round becomes available.
-        avail: f64,
-    }
+    lane: Option<(usize, usize)>,
+) -> Vec<CostCounters> {
     let p = closed.deposits.len();
-    let mut members: Vec<Member> = closed
+    let mut meters: Vec<CostCounters> = closed
         .deposits
         .iter()
-        .map(|d| Member {
-            meter: CostCounters {
-                time: d.clock,
-                ..CostCounters::default()
-            },
-            drawn: 0,
-            avail: 0.0,
+        .map(|d| CostCounters {
+            time: d.clock,
+            ..CostCounters::default()
         })
         .collect();
-    let lane_of = |h: usize| (h == me).then_some(lane);
+    // Each member's draws used so far, and when its message of the current
+    // round becomes available.
+    let mut sent = vec![(0, 0.0); p];
+    let lane_of = |h: usize| lane.and_then(|(me, world)| (h == me).then_some(world));
     for &phase in phases {
-        for round in 0..phase.rounds(p) {
+        for round in 0..levels(p) {
             // A round's sends depend only on earlier rounds, so every one of
             // them leaves before any of its receives completes.
-            for (h, member) in members.iter_mut().enumerate() {
+            for (h, (drawn, avail)) in sent.iter_mut().enumerate() {
                 let Some((_, words)) = phase.send(p, h, round, &closed.words) else {
                     continue;
                 };
-                let faults = closed.deposits[h].faults.get(member.drawn);
-                member.drawn += 1;
+                let faults = closed.deposits[h].faults.get(*drawn);
+                *drawn += 1;
                 let faults = faults.copied().unwrap_or_else(SendFaults::none);
-                member.avail = member
-                    .meter
+                *avail = meters[h]
                     .charge_send(params, words, faults, lane_of(h))
                     .expect("a member whose draws fail never deposits");
             }
-            for h in 0..p {
+            for (h, meter) in meters.iter_mut().enumerate() {
                 let Some((from, words)) = phase.recv(p, h, round, &closed.words) else {
                     continue;
                 };
-                let avail = members[from].avail;
-                let meter = &mut members[h].meter;
-                meter.charge_recv(words, avail, lane_of(h));
+                meter.charge_recv(words, sent[from].1, lane_of(h));
                 if phase.folds() {
                     meter.charge_flops(params, words as u64);
                 }
             }
         }
     }
-    members[me].meter
+    meters
 }
 
 /// The fold trees of the reducing schedules, evaluated over the members'
@@ -1427,7 +1384,7 @@ mod tests {
     }
 
     #[test]
-    fn alltoallv_direct_and_bruck_agree() {
+    fn alltoallv_bruck_transposes_ragged_blocks() {
         for p in [2usize, 3, 4, 8] {
             let (results, _) = run(p, move |comm| {
                 let rank = comm.rank();
@@ -1441,13 +1398,11 @@ mod tests {
                         }
                     })
                     .collect();
-                let a = alltoallv_direct(comm, blocks.clone()).unwrap();
-                let b = alltoallv_bruck(comm, blocks).unwrap();
-                (a, b)
+                alltoallv_bruck(comm, blocks).unwrap()
             });
-            for (rank, (a, b)) in results.into_iter().enumerate() {
-                assert_eq!(a, b, "p={p} rank={rank}");
-                for (src, piece) in a.iter().enumerate().take(p) {
+            for (rank, got) in results.into_iter().enumerate() {
+                assert_eq!(got.len(), p, "p={p} rank={rank}");
+                for (src, piece) in got.iter().enumerate() {
                     if rank == 0 && src == 0 {
                         assert!(piece.is_empty());
                     } else {
@@ -1467,29 +1422,6 @@ mod tests {
             alltoallv_bruck(comm, blocks).unwrap()
         });
         assert_eq!(report.max_messages(), 4);
-
-        let (_, report_direct) = run(p, move |comm| {
-            let blocks: Vec<Vec<f64>> = (0..p).map(|d| vec![d as f64; 4]).collect();
-            alltoallv_direct(comm, blocks).unwrap()
-        });
-        assert_eq!(report_direct.max_messages(), (p - 1) as u64);
-    }
-
-    #[test]
-    fn alltoallv_direct_runs_more_rounds_than_a_word_has_bits() {
-        let p = 70;
-        let (results, report) = run(p, move |comm| {
-            let rank = comm.rank();
-            let blocks = (0..p).map(|dest| vec![(rank * p + dest) as f64]).collect();
-            alltoallv_direct(comm, blocks).unwrap()
-        });
-        for (rank, got) in results.into_iter().enumerate() {
-            let expected: Vec<Vec<f64>> = (0..p).map(|src| vec![(src * p + rank) as f64]).collect();
-            assert_eq!(got, expected, "rank {rank}");
-        }
-        for counters in &report.per_rank {
-            assert_eq!(counters.msgs_sent, (p - 1) as u64);
-        }
     }
 
     #[test]
@@ -1499,7 +1431,7 @@ mod tests {
             let bad_root_scatter = scatter(comm, 9, &[1.0; 4], 1).is_err();
             let bad_rs = reduce_scatter(comm, &[1.0; 5], ReduceOp::Sum).is_err();
             let bad_a2a = alltoall(comm, &[1.0; 5], 1).is_err();
-            let bad_a2av = alltoallv_direct(comm, vec![vec![], vec![]]).is_err();
+            let bad_a2av = alltoallv_bruck(comm, vec![vec![], vec![]]).is_err();
             bad_root_gather && bad_root_scatter && bad_rs && bad_a2a && bad_a2av
         });
         assert!(results.into_iter().all(|v| v));
@@ -1655,6 +1587,41 @@ mod tests {
     }
 
     #[test]
+    fn a_traced_run_charges_alike_and_each_rank_records_only_its_own_rounds() {
+        let plan = crate::FaultPlan::new(0x5EED)
+            .with_drops(0.3, 2)
+            .with_delays(0.2, 3.0)
+            .with_stalls(0.1, 1.0);
+        assert!(plan.is_transient(&MachineParams::unit()));
+        for workers in [1, 4] {
+            let machine = Machine::new(8, MachineParams::unit())
+                .with_rank_workers(workers)
+                .with_fault_plan(plan.clone());
+            let untraced = machine.run(only_collectives).unwrap().report;
+            let recorder = obs::Recorder::new();
+            let traced = recorder.record(|| machine.run(only_collectives).unwrap().report);
+            let bits = |c: &CostCounters| (CostCounters { time: 0.0, ..*c }, c.time.to_bits());
+            assert!(untraced.total_retries() > 0, "the plan dropped no send");
+            let dump = recorder.dump();
+            for (rank, (c, plain)) in traced.per_rank.iter().zip(&untraced.per_rank).enumerate() {
+                let what = format!("w = {workers}, rank {rank}");
+                assert_eq!(bits(c), bits(plain), "{what}");
+                let mine = dump
+                    .threads
+                    .iter()
+                    .filter(|t| t.lane == obs::Lane::Sim { rank });
+                let events: Vec<_> = mine.flat_map(|t| &t.events).collect();
+                let count = |name| events.iter().filter(|e| e.name == name).count() as u64;
+                assert_eq!(
+                    [count("send"), count("recv"), count("retry")],
+                    [c.msgs_sent - c.retries, c.msgs_recv, c.retries],
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn every_collective_on_one_member_returns_its_input_and_charges_nothing() {
         let (results, report) = run(3, |comm| {
             let solo = comm.subgroup(&[comm.rank()]).unwrap();
@@ -1674,9 +1641,6 @@ mod tests {
                 allreduce(&solo, &mine, sum).unwrap(),
                 bcast(&solo, 0, &mine, 3).unwrap(),
                 alltoall(&solo, &mine, 3).unwrap(),
-                alltoallv_direct(&solo, vec![mine.to_vec()])
-                    .unwrap()
-                    .concat(),
                 alltoallv_bruck(&solo, vec![mine.to_vec()])
                     .unwrap()
                     .concat(),

@@ -474,23 +474,41 @@ mod tests {
 
     #[test]
     fn the_papers_processor_counts_run_on_one_worker() {
-        use crate::coll::{allreduce, ReduceOp};
+        use crate::coll::{allreduce, allreduce_counts, barrier, ReduceOp};
         let p = 1024;
         let out = Machine::new(p, MachineParams::unit())
             .with_rank_workers(1)
             .run(|comm| {
                 let me = comm.rank() as f64;
+                let before = comm.counters();
                 let world = allreduce(comm, &[me], ReduceOp::Sum).unwrap()[0];
+                let reduced = comm.counters().since(&before);
+                let before = comm.counters();
+                barrier(comm).unwrap();
+                let waited = comm.counters().since(&before);
                 let first = comm.rank() / 4 * 4;
                 let four = comm.subgroup(&[first, first + 1, first + 2, first + 3]);
                 let group = allreduce(&four.unwrap(), &[me], ReduceOp::Sum).unwrap()[0];
-                (world, group)
+                (world, group, reduced, waited)
             })
             .unwrap();
-        for (rank, &(world, group)) in out.results.iter().enumerate() {
+        // The messages and words charged, without the clock and the folds.
+        let counts = |c: CostCounters| CostCounters {
+            flops: 0,
+            time: 0.0,
+            ..c
+        };
+        let barrier = CostCounters {
+            msgs_sent: 10,
+            msgs_recv: 10,
+            ..CostCounters::default()
+        };
+        for (rank, &(world, group, reduced, waited)) in out.results.iter().enumerate() {
             let first = (rank / 4 * 4) as f64;
             assert_eq!(world, (p * (p - 1) / 2) as f64);
             assert_eq!(group, 4.0 * first + 6.0, "rank {rank}");
+            assert_eq!(counts(reduced), allreduce_counts(p, 1, rank), "rank {rank}");
+            assert_eq!(counts(waited), barrier, "rank {rank}");
         }
     }
 

@@ -25,7 +25,7 @@ const TABLE: &str = include_str!("collective_golden.txt");
 
 const SIZES: [usize; 7] = [1, 2, 3, 4, 5, 8, 16];
 
-const COLLECTIVES: [&str; 12] = [
+const COLLECTIVES: [&str; 11] = [
     "barrier",
     "allgather",
     "allgatherv",
@@ -36,7 +36,6 @@ const COLLECTIVES: [&str; 12] = [
     "allreduce",
     "bcast",
     "alltoall",
-    "alltoallv_direct",
     "alltoallv_bruck",
 ];
 
@@ -138,11 +137,6 @@ fn call(name: &str, comm: &Communicator, call: u64, sum: &mut Checksum) -> Resul
         )?),
         "bcast" => sum.values(&coll::bcast(comm, root, &on_root(3 * p + 1), 3 * p + 1)?),
         "alltoall" => sum.values(&coll::alltoall(comm, &values(comm, call, 2 * p), 2)?),
-        "alltoallv_direct" => {
-            for piece in coll::alltoallv_direct(comm, ragged_blocks())? {
-                sum.values(&piece);
-            }
-        }
         "alltoallv_bruck" => {
             for piece in coll::alltoallv_bruck(comm, ragged_blocks())? {
                 sum.values(&piece);
