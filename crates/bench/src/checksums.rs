@@ -57,7 +57,8 @@ fn sparse_vec(req: SolveRequest, m: &sparse::SparseTri, b: &[f64]) -> Vec<f64> {
 /// The checksum rows with `budget` workers: the GEMM's budget
 /// ([`dense::with_thread_budget`]) and every sparse request's
 /// (`SolveRequest::threads`), so the rule runs the level sweep wherever
-/// it may.  The rows are the same for every budget.
+/// it may (and the wide-levels row runs it forced).  The rows are the same
+/// for every budget.
 pub fn checksums(budget: usize) -> String {
     dense::with_thread_budget(budget, || rows(budget))
 }
@@ -102,12 +103,20 @@ fn rows(budget: usize) -> String {
     let dl = sparse::gen::deep_narrow_lower(40_000, 4, 4, 35);
     let db = sparse::gen::rhs_vec(40_000, 36);
     out += &checksum("sparse_deep_dag_40000w4", &sparse_vec(lower, &dl, &db));
-    // Wide levels (10 of 2 048 rows, ~12 800 stored entries each): the one
-    // shape here the rule runs as a level sweep whenever the budget allows
-    // more than one worker, so budgets 1 and 4 compare the two executors.
+    // Wide levels (10 of 2 048 rows, ~12 800 stored entries each): run as a
+    // level sweep on the whole budget whenever it allows more than one
+    // worker — forced, since the rule keeps levels this light sequential —
+    // so budgets 1 and 4 compare the two executors.
     let wl = sparse::gen::deep_narrow_lower(20_000, 2048, 6, 37);
     let wb = sparse::gen::rhs_vec(20_000, 38);
-    let wx = sparse_vec(lower, &wl, &wb);
+    let wx = if budget > 1 {
+        let mut x = wb;
+        wl.level_sweep_forced(budget, &mut x[..])
+            .expect("level sweep");
+        x
+    } else {
+        sparse_vec(lower, &wl, &wb)
+    };
     out += &checksum("sparse_wide_levels_20000w2048", &wx);
 
     // Distributed solves on 16 ranks: every algorithm (and with it every

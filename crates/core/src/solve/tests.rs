@@ -154,10 +154,10 @@ fn dense_residual_ignores_the_opposite_triangle() {
 
 #[test]
 fn sparse_plan_reports_levels_and_workers() {
-    // 25 levels of 2 048 rows, ~14 000 stored entries each: heavy
+    // 6 levels of 8 192 rows, ~57 000 stored entries each: heavy
     // enough for a budget of 4 to become 4 workers.
-    let n = 51_200;
-    let m = sgen::deep_narrow_lower(n, 2048, 6, 7);
+    let n = 49_152;
+    let m = sgen::deep_narrow_lower(n, 8192, 6, 7);
     let b = sgen::rhs_vec(n, 8);
     let req = SolveRequest::lower().threads(4);
     let plan = req.plan_sparse(&m, 1).unwrap();
@@ -177,7 +177,7 @@ fn sparse_plan_reports_levels_and_workers() {
         workers, 4,
         "heavy levels turn the whole budget into workers"
     );
-    assert_eq!((levels, runs, max_level_width), (25, 25, 2048));
+    assert_eq!((levels, runs, max_level_width), (6, 6, 8192));
     assert_eq!(predicted_barriers, levels, "one barrier per level");
     assert_eq!(nnz, m.nnz());
     assert!(!via_transpose);
@@ -285,7 +285,7 @@ fn one_shot_reuse_plans_sequential_without_analysis() {
     // A declared one-shot solve cannot repay an analysis, whatever the
     // pattern would have said: sequential, never analysed, no analysis
     // bill in the cost — and bitwise the level sweep's answer.
-    let m = sgen::deep_narrow_lower(20_000, 2048, 6, 72);
+    let m = sgen::deep_narrow_lower(40_000, 8192, 6, 72);
     let b = sgen::rhs_vec(m.n(), 73);
     let plan = SolveRequest::lower()
         .threads(4)
@@ -879,7 +879,7 @@ fn plan_display_is_informative() {
     assert!(sp.to_string().contains("nnz"));
     // Why this plan, in one line, on every branch of the rule.
     let band = sgen::banded_lower(20_000, 4, 19);
-    let wide = sgen::deep_narrow_lower(20_000, 2048, 6, 7);
+    let wide = sgen::deep_narrow_lower(40_000, 8192, 6, 7);
     let budget4 = SolveRequest::lower().threads(4);
     for (plan, why) in [
         (
@@ -897,12 +897,12 @@ fn plan_display_is_informative() {
         (
             budget4.plan_sparse(&band, 1),
             "20000 level(s) in 20000 run(s), 0 barrier(s): 4 stored entries per run \
-             against a threshold of 4096: sequential",
+             against a threshold of 32768: sequential",
         ),
         (
             budget4.plan_sparse(&wide, 1),
-            "10 level(s) in 10 run(s), 10 barrier(s): 12771 stored entries per run \
-             against a threshold of 4096: level sweep on 4 workers",
+            "5 level(s) in 5 run(s), 5 barrier(s): 46169 stored entries per run \
+             against a threshold of 32768: level sweep on 4 workers",
         ),
     ] {
         let line = plan.unwrap().to_string();

@@ -285,9 +285,9 @@ proptest! {
 /// invariant of the serving layer.
 #[test]
 fn repeat_traffic_keeps_planning_and_analysis_flat() {
-    // Levels of 2 048 rows clear the go-parallel rule, so the warm-up
+    // Levels of 8 192 rows clear the go-parallel rule, so the warm-up
     // analyzes and every apply is a 4-worker level sweep.
-    let build = || Arc::new(sgen::deep_narrow_lower(20_000, 2048, 6, 11));
+    let build = || Arc::new(sgen::deep_narrow_lower(40_000, 8192, 6, 11));
     let req = sparse_request();
     let svc = service();
     let canonical = build();
@@ -542,7 +542,7 @@ fn concurrent_clients_share_one_cached_plan() {
     // levels clear the go-parallel rule (every hit a 4-worker sweep).
     let build = |wide: bool| {
         Arc::new(if wide {
-            sgen::deep_narrow_lower(20_000, 2048, 6, 77)
+            sgen::deep_narrow_lower(40_000, 8192, 6, 77)
         } else {
             sgen::random_lower(4096, 8, 77)
         })
@@ -749,8 +749,8 @@ fn refused_requests_count_nothing() {
 #[test]
 fn fusion_that_crosses_the_parallel_threshold_stays_bitwise() {
     let req = sparse_request();
-    // 8 levels of 1 024 rows, ~3 700 stored entries each.
-    let mat = Arc::new(sgen::deep_narrow_lower(8192, 1024, 3, 5));
+    // 10 levels of 2 048 rows, ~12 800 stored entries each.
+    let mat = Arc::new(sgen::deep_narrow_lower(20_000, 2048, 6, 5));
     let opts = sparse::SolveOpts::new().threads(4);
     assert_eq!(mat.execution_shape(&opts, 1).workers, 1);
     assert_eq!(mat.execution_shape(&opts, 4).workers, 4);

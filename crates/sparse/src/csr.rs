@@ -708,9 +708,9 @@ mod tests {
         // caches must hand every thread the same analysis (exactly one
         // build even when the first uses race), and the level sweep's
         // answer must be bitwise identical across threads.  Levels of
-        // 2 048 rows clear the go-parallel rule, so each solve really
+        // 8 192 rows clear the go-parallel rule, so each solve really
         // runs two workers.
-        let m = Arc::new(crate::gen::deep_narrow_lower(20_000, 2048, 6, 9));
+        let m = Arc::new(crate::gen::deep_narrow_lower(40_000, 8192, 6, 9));
         let b = crate::gen::rhs_vec(m.n(), 10);
         let mut handles = Vec::new();
         for _ in 0..4 {

@@ -42,8 +42,8 @@
 //!
 //! ```
 //! use sparse::{gen, SolveOpts};
-//! let l = gen::deep_narrow_lower(20_000, 2048, 6, 42); // 10 levels × 2048 rows
-//! let b = gen::rhs_vec(20_000, 7);
+//! let l = gen::deep_narrow_lower(40_000, 8192, 6, 42); // 5 levels × ≤ 8192 rows
+//! let b = gen::rhs_vec(40_000, 7);
 //! let opts = SolveOpts::new().threads(4);        // a budget of 4 workers
 //! assert_eq!(l.execution_shape(&opts, 1).workers, 4); // heavy levels: parallel
 //! let mut x = b.clone();

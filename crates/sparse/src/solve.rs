@@ -24,6 +24,11 @@
 //! default-options forms; `catrsm::SolveRequest` is the cross-backend front
 //! end.
 //!
+//! Both executors run one row kernel: a row's right-hand-side values are
+//! read once into register accumulators, every stored entry's `v·x[j]` is
+//! subtracted from them in CSR order, the diagonal divides, and they are
+//! written back once — `k` walked in column blocks of 4, then 2, then 1.
+//!
 //! Because a row's result depends only on rows in earlier levels — which
 //! are complete before the row runs — and the per-row arithmetic is a
 //! fixed-order sweep over the CSR entries, the two executors are **bitwise
@@ -37,7 +42,7 @@
 use crate::csr::SparseTri;
 use crate::error::SparseError;
 use crate::Result;
-use dense::{dense_threads, run_region, Diag, FlopCount, MatMut, Matrix, Transpose};
+use dense::{dense_threads, run_region, Diag, FlopCount, MatMut, Matrix, Transpose, Triangle};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -150,27 +155,29 @@ impl ExecutionShape {
 ///
 /// Set from `exp_sparse_gate` (`cargo run --release -p bench --bin
 /// exp_sparse_gate`; table, host and commit in `crates/sparse/README.md`)
-/// on a 2-vCPU host at 2 workers.  Where levels are consecutive row ranges
-/// (runs = levels) the level sweep runs at 0.14–0.95× the sequential sweep
-/// up to 450 entries per level, breaks even somewhere between 1 800 and
-/// 3 600, and wins from 7 000 up; where they are scattered (random fills,
+/// on a 2-vCPU host at 2 workers, against the register-resident sequential
+/// sweep.  Where levels are consecutive row ranges (runs = levels) the
+/// level sweep runs at 0.04–0.9× the sequential sweep up to 3 600 entries
+/// per level, breaks even somewhere between 7 000 and 29 000, and wins
+/// from ≈ 54 000 up (n = 200 000); where they are scattered (random fills,
 /// block-diagonal and power-law patterns: 4–40 entries per run) it loses
 /// at every level weight, because walking rows in level order is already
-/// 1.3–2.9× slower than in row order on one worker.  A two-term model —
-/// ≈ 0.6 µs per barrier crossing over ≈ 3.1 ns per stored entry, both read
-/// off a 12 500-level sweep — would put break-even near 400; the
-/// end-to-end crossover is 5–9× later because a level's rows also move
-/// between the workers' caches, so the constant is the measured
-/// crossover's upper edge plus margin, not the model's.
-pub const PAR_MIN_RUN_WEIGHT: usize = 4096;
+/// 1.2–4.0× slower than in row order on one worker.  A two-term model —
+/// ≈ 0.3 µs per barrier crossing over ≈ 2.0 ns per stored entry — would
+/// put break-even near 300; the end-to-end crossover is 25–100× later
+/// because a level's rows also move between the workers' caches and every
+/// solve spawns its region, so the constant is the power of two above the
+/// measured break-even bracket, not the model's.
+pub const PAR_MIN_RUN_WEIGHT: usize = 32_768;
 
 /// Minimum declared reuse for a dependency analysis to be worth running.
 ///
-/// The analysis costs 0.3–1.4 sequential sweeps, median 0.7
+/// The analysis costs 0.4–4.0 sequential sweeps, median 1.4
 /// (`exp_sparse_gate`'s `analyse` column against `seq`), and a winning
-/// level sweep saves a quarter to a half of one per apply, so fewer than
-/// four applies cannot repay it.
-pub const ANALYZE_REUSE_MIN: usize = 4;
+/// level sweep saves at most a quarter of one per apply, so fewer than six
+/// applies cannot repay a median analysis; the constant is the power of
+/// two above.
+pub const ANALYZE_REUSE_MIN: usize = 8;
 
 /// Why [`level_rule`] left a pattern unanalysed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -373,6 +380,85 @@ fn chunk_bounds(len: usize, workers: usize, w: usize) -> (usize, usize) {
     (lo, lo + base + usize::from(w < extra))
 }
 
+/// Eliminates columns `c .. c + B` of row `i`: `x[i] ← (x[i] − Σ_j a_ij ·
+/// x[j]) / d` over the row's off-diagonal entries `(cols, vals)`, dividing
+/// only when `DIVIDE` (an explicit diagonal).
+///
+/// The `B` accumulators are read from `x` once, stay in registers while
+/// the entries stream past in CSR order, and are written back once, so no
+/// entry waits on the store of the one before it.  Each column still sees
+/// exactly `x − v₁·x_{j₁} − v₂·x_{j₂} − …`, then `÷ d`: the same
+/// operations in the same order as an update through memory, and Rust
+/// never contracts `a - v * b` into a fused multiply-add — so the result
+/// bits do not depend on `B`, on where the column block starts, or on
+/// which executor calls this.
+///
+/// # Safety
+/// `x` must be valid for reads of columns `c .. c + B` of the rows in
+/// `cols` and for reads and writes of those columns of row `i`, at row
+/// stride `stride`; the rows read must not be concurrently written, and
+/// row `i` must not be concurrently accessed.
+#[inline(always)]
+unsafe fn eliminate_block<const B: usize, const DIVIDE: bool>(
+    cols: &[usize],
+    vals: &[f64],
+    d: f64,
+    x: *mut f64,
+    stride: usize,
+    i: usize,
+    c: usize,
+) {
+    let xi = x.add(i * stride + c);
+    let mut acc: [f64; B] = std::array::from_fn(|t| *xi.add(t));
+    for (&j, &v) in cols.iter().zip(vals) {
+        let xj = x.add(j * stride + c);
+        for (t, a) in acc.iter_mut().enumerate() {
+            *a -= v * *xj.add(t);
+        }
+    }
+    if DIVIDE {
+        for a in &mut acc {
+            *a /= d;
+        }
+    }
+    for (t, a) in acc.into_iter().enumerate() {
+        *xi.add(t) = a;
+    }
+}
+
+/// Eliminates all `k` columns of row `i`, walking them in fixed column
+/// blocks of 4, then 2, then 1 ([`eliminate_block`]) — the kernel's shape,
+/// like the GEMM's register tile, not a tuning knob.  The entry order —
+/// CSR order, then the diagonal — is fixed and the same for every column,
+/// whichever block it falls in: the root of the bitwise determinism
+/// guarantee.
+///
+/// # Safety
+/// As [`eliminate_block`], for columns `0 .. k`.
+#[inline(always)]
+unsafe fn eliminate_row<const DIVIDE: bool>(
+    cols: &[usize],
+    vals: &[f64],
+    d: f64,
+    x: *mut f64,
+    stride: usize,
+    k: usize,
+    i: usize,
+) {
+    let mut c = 0;
+    while k - c >= 4 {
+        eliminate_block::<4, DIVIDE>(cols, vals, d, x, stride, i, c);
+        c += 4;
+    }
+    if k - c >= 2 {
+        eliminate_block::<2, DIVIDE>(cols, vals, d, x, stride, i, c);
+        c += 2;
+    }
+    if c < k {
+        eliminate_block::<1, DIVIDE>(cols, vals, d, x, stride, i, c);
+    }
+}
+
 impl SparseTri {
     /// Flops of one solve with `k` right-hand sides under the dense crate's
     /// conventions: each stored off-diagonal entry is a multiply + subtract,
@@ -385,35 +471,6 @@ impl SparseTri {
                 0
             };
         FlopCount::new(per_rhs * k as u64)
-    }
-
-    /// Eliminates row `i`: `x[i] ← (x[i] − Σ_j a_ij · x[j]) / d_i`, over `k`
-    /// interleaved right-hand sides at row stride `stride`.
-    ///
-    /// Every executor funnels through this one kernel, and its entry order
-    /// (CSR order, then the diagonal) is fixed — the root of the bitwise
-    /// determinism guarantee.
-    ///
-    /// # Safety
-    /// `x` must be valid for reads and writes of `n` rows of `k` elements at
-    /// row stride `stride`; rows read here (`i`'s dependencies) must not be
-    /// concurrently written, and row `i` must not be concurrently accessed.
-    #[inline]
-    unsafe fn eliminate_row(&self, x: *mut f64, stride: usize, k: usize, i: usize) {
-        let (cols, vals) = self.row_entries(i);
-        let xi = std::slice::from_raw_parts_mut(x.add(i * stride), k);
-        for (&j, &v) in cols.iter().zip(vals) {
-            let xj = std::slice::from_raw_parts(x.add(j * stride), k);
-            for (xic, xjc) in xi.iter_mut().zip(xj) {
-                *xic -= v * xjc;
-            }
-        }
-        if self.diag() == Diag::NonUnit {
-            let d = self.diag_value(i);
-            for xic in xi.iter_mut() {
-                *xic /= d;
-            }
-        }
     }
 
     /// Resolves a worker budget into the shape that will actually run,
@@ -456,29 +513,59 @@ impl SparseTri {
         }
         let shape = self.resolve_shape(budget, k, reuse);
         if shape.workers <= 1 {
-            // Sequential sweep in dependency order; no analysis required.
-            match self.triangle() {
-                dense::Triangle::Lower => {
-                    for i in 0..n {
-                        // SAFETY: single-threaded; dependencies of row `i`
-                        // (columns `< i`) were eliminated earlier in this
-                        // ascending sweep.
-                        unsafe { self.eliminate_row(x, stride, k, i) };
-                    }
-                }
-                dense::Triangle::Upper => {
-                    for i in (0..n).rev() {
-                        // SAFETY: single-threaded; dependencies of row `i`
-                        // (columns `> i`) were eliminated earlier in this
-                        // descending sweep.
-                        unsafe { self.eliminate_row(x, stride, k, i) };
-                    }
-                }
-            }
+            self.run_sequential(x, stride, k);
         } else {
             self.run_level_parallel(x, stride, k, shape.workers);
         }
         shape
+    }
+
+    /// The sequential sweep: rows in dependency order — ascending for
+    /// lower, descending for upper — no analysis needed.
+    fn run_sequential(&self, x: *mut f64, stride: usize, k: usize) {
+        let rows = self.row_ptr().windows(2).enumerate();
+        // SAFETY: single-threaded, and every dependency of a row (columns
+        // below it for lower, above it for upper) was eliminated earlier in
+        // the sweep's direction.
+        unsafe {
+            match (self.triangle(), self.diag()) {
+                (Triangle::Lower, Diag::NonUnit) => self.sweep::<true>(rows, x, stride, k),
+                (Triangle::Lower, Diag::Unit) => self.sweep::<false>(rows, x, stride, k),
+                (Triangle::Upper, Diag::NonUnit) => self.sweep::<true>(rows.rev(), x, stride, k),
+                (Triangle::Upper, Diag::Unit) => self.sweep::<false>(rows.rev(), x, stride, k),
+            }
+        }
+    }
+
+    /// Eliminates `rows` — `(i, [row_ptr[i], row_ptr[i + 1]])` windows — in
+    /// the order given: the loop of both executors (the sequential sweep
+    /// over every row, the level sweep over its chunk of each level), with
+    /// the `Diag` branch hoisted into `DIVIDE` and, at `k = 1`, a
+    /// one-column block — a scalar accumulator — per row.
+    ///
+    /// # Safety
+    /// As [`eliminate_row`] for every row, and each row's dependencies must
+    /// come before it in `rows`.
+    #[inline(always)]
+    unsafe fn sweep<'m, const DIVIDE: bool>(
+        &'m self,
+        rows: impl Iterator<Item = (usize, &'m [usize])>,
+        x: *mut f64,
+        stride: usize,
+        k: usize,
+    ) {
+        let (col_idx, values, diag) = (self.col_idx(), self.values(), self.diag_values());
+        if k == 1 {
+            for (i, w) in rows {
+                let (cols, vals) = (&col_idx[w[0]..w[1]], &values[w[0]..w[1]]);
+                eliminate_block::<1, DIVIDE>(cols, vals, diag[i], x, stride, i, 0);
+            }
+        } else {
+            for (i, w) in rows {
+                let (cols, vals) = (&col_idx[w[0]..w[1]], &values[w[0]..w[1]]);
+                eliminate_row::<DIVIDE>(cols, vals, diag[i], x, stride, k, i);
+            }
+        }
     }
 
     /// The classical level-scheduled executor: one barrier per dependency
@@ -487,6 +574,8 @@ impl SparseTri {
         let sched = self.schedule();
         let shared = SharedPtr(x);
         let barrier = SpinBarrier::new(workers);
+        let row_ptr = self.row_ptr();
+        let divide = self.diag() == Diag::NonUnit;
         let tracing = obs::enabled();
         let level_spans = tracing && sched.num_levels() <= MAX_LEVEL_SPANS;
         let _span = obs::span_with("sparse", "level_exec", "levels", sched.num_levels() as u64);
@@ -504,15 +593,19 @@ impl SparseTri {
                     None
                 };
                 let (lo, hi) = chunk_bounds(rows.len(), workers, w);
-                for &i in &rows[lo..hi] {
-                    // SAFETY: `chunk_bounds` hands each worker a
-                    // disjoint slice of this level's rows, so row `i` is
-                    // written by exactly this worker; every dependency
-                    // of `i` lies in a level `< l` (the defining
-                    // invariant of `Schedule`), whose writes
-                    // happened-before this read via the barrier below
-                    // (and, for level 0, via the region spawn).
-                    unsafe { self.eliminate_row(shared.get(), stride, k, i) };
+                let chunk = rows[lo..hi].iter().map(|&i| (i, &row_ptr[i..i + 2]));
+                // SAFETY: `chunk_bounds` hands each worker a disjoint slice
+                // of this level's rows, so each of its rows is written by
+                // exactly this worker; every dependency of a row lies in a
+                // level `< l` (the defining invariant of `Schedule`), whose
+                // writes happened-before this read via the barrier below
+                // (and, for level 0, via the region spawn).
+                unsafe {
+                    if divide {
+                        self.sweep::<true>(chunk, shared.get(), stride, k);
+                    } else {
+                        self.sweep::<false>(chunk, shared.get(), stride, k);
+                    }
                 }
                 let t0 = if tracing { obs::now_ns() } else { 0 };
                 barrier.wait();
@@ -645,7 +738,198 @@ impl SparseTri {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dense::Triangle;
+    use crate::gen;
+    use proptest::prelude::*;
+
+    /// The update-through-memory row kernel: `x_i` updated in memory once
+    /// per stored entry, the plainest statement of the row's arithmetic.
+    /// The bitwise oracle of [`eliminate_row`].
+    ///
+    /// # Safety
+    /// As [`eliminate_row`].
+    unsafe fn reference_row(m: &SparseTri, x: *mut f64, stride: usize, k: usize, i: usize) {
+        let (cols, vals) = m.row_entries(i);
+        let xi = std::slice::from_raw_parts_mut(x.add(i * stride), k);
+        for (&j, &v) in cols.iter().zip(vals) {
+            let xj = std::slice::from_raw_parts(x.add(j * stride), k);
+            for (xic, xjc) in xi.iter_mut().zip(xj) {
+                *xic -= v * xjc;
+            }
+        }
+        if m.diag() == Diag::NonUnit {
+            let d = m.diag_value(i);
+            for xic in xi.iter_mut() {
+                *xic /= d;
+            }
+        }
+    }
+
+    /// `m · X = B` through [`reference_row`], rows in dependency order.
+    fn reference_solve(m: &SparseTri, b: &Matrix) -> Matrix {
+        let mut x = b.clone();
+        let (n, k) = (m.n(), x.cols());
+        let ptr = x.as_mut_slice().as_mut_ptr();
+        let rows: Vec<usize> = match m.triangle() {
+            Triangle::Lower => (0..n).collect(),
+            Triangle::Upper => (0..n).rev().collect(),
+        };
+        for i in rows {
+            // SAFETY: `x` is `n × k` at row stride `k`, single-threaded, and
+            // each row's dependencies come before it in `rows`.
+            unsafe { reference_row(m, ptr, k, k, i) };
+        }
+        x
+    }
+
+    /// The result bits of a block, for `==` that tells `-0.0` from `0.0`
+    /// and compares NaN payloads.
+    fn bits(x: &Matrix) -> Vec<u64> {
+        x.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The widths the oracle runs: each column block alone (1, 2, 4), every
+    /// mix of them (3, 5, 7, 9) and several full blocks (8, 16).
+    const ORACLE_KS: [usize; 9] = [1, 2, 3, 4, 5, 7, 8, 9, 16];
+
+    /// One of the `gen` shapes — random, banded, block-diagonal, power-law,
+    /// deep-narrow — with `p` dialling its fill, band, block or width; then
+    /// its lower and upper (transposed) forms, each with an explicit and a
+    /// unit diagonal.
+    fn oracle_factors(shape: usize, n: usize, p: usize, seed: u64) -> Vec<SparseTri> {
+        let lower = match shape {
+            0 => gen::random_lower(n, p, seed),
+            1 => gen::banded_lower(n, p, seed),
+            2 => gen::block_diagonal_lower(n, 4 * p, 1 + p % 4, seed),
+            3 => gen::power_law_lower(n, p, seed),
+            _ => gen::deep_narrow_lower(n, 2 * p, 1 + p % 3, seed),
+        };
+        let upper = lower.transpose();
+        let unit = |m: &SparseTri| {
+            SparseTri::from_csr(
+                m.n(),
+                m.triangle(),
+                Diag::Unit,
+                m.row_ptr(),
+                m.col_idx(),
+                m.values(),
+            )
+            .unwrap()
+        };
+        let (unit_lower, unit_upper) = (unit(&lower), unit(&upper));
+        vec![lower, upper, unit_lower, unit_upper]
+    }
+
+    /// Right-hand sides for the oracle: `O(1)` values, signs mixed.
+    fn oracle_rhs(n: usize, k: usize, seed: u64) -> Matrix {
+        let v = gen::rhs_vec(n * k, seed);
+        Matrix::from_vec(n, k, v).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The sequential sweep's register-resident kernel returns the
+        /// reference kernel's bits on every shape, triangle, diagonal,
+        /// transpose flag and column-block mix.
+        #[test]
+        fn sequential_sweep_is_bitwise_the_reference_kernel(
+            shape in 0usize..5,
+            n in 1usize..180,
+            p in 1usize..9,
+            seed in any::<u64>(),
+        ) {
+            for m in oracle_factors(shape, n, p, seed) {
+                for t in [Transpose::No, Transpose::Yes] {
+                    for k in ORACLE_KS {
+                        let b = oracle_rhs(n, k, seed ^ k as u64);
+                        let want = reference_solve(m.executor(t), &b);
+                        let mut x = b.clone();
+                        m.solve_multi_with(&SolveOpts::new().transpose(t).threads(1), &mut x)
+                            .unwrap();
+                        prop_assert!(
+                            bits(&x) == bits(&want),
+                            "{:?} {:?} {t:?} k = {k}",
+                            m.triangle(),
+                            m.diag()
+                        );
+                    }
+                }
+            }
+        }
+
+        /// The level sweep, forced onto 1–3 workers, returns the reference
+        /// kernel's bits on the same corpus.
+        #[test]
+        fn forced_level_sweep_is_bitwise_the_reference_kernel(
+            shape in 0usize..5,
+            n in 1usize..180,
+            p in 1usize..9,
+            seed in any::<u64>(),
+        ) {
+            for m in oracle_factors(shape, n, p, seed) {
+                for t in [Transpose::No, Transpose::Yes] {
+                    let e = m.executor(t);
+                    for k in ORACLE_KS {
+                        let b = oracle_rhs(n, k, seed ^ k as u64);
+                        let want = bits(&reference_solve(e, &b));
+                        for workers in 1..=3 {
+                            let mut x = b.clone();
+                            e.level_sweep_forced(workers, &mut x).unwrap();
+                            prop_assert!(
+                                bits(&x) == want,
+                                "{:?} {:?} {t:?} k = {k}, {workers} workers",
+                                m.triangle(),
+                                m.diag()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_column_block_solves_like_a_compact_copy_and_leaves_its_neighbours() {
+        // The kernel addresses `x` by raw pointer at the parent's row
+        // stride: a block `c0 .. c0 + k` of an `n × (k + 3)` matrix must
+        // come out bit for bit like the same columns solved compactly, and
+        // the columns beside it must keep their sentinel bits.
+        let sentinel = f64::from_bits(0x7ff8_0000_dead_beef);
+        let n = 300;
+        let lower = gen::random_lower(n, 6, 17);
+        let upper = lower.transpose();
+        for m in [&lower, &upper] {
+            for k in [1usize, 3, 4, 6] {
+                let width = k + 3;
+                let b = oracle_rhs(n, k, k as u64);
+                for c0 in 0..=3 {
+                    // `block` in columns `c0 .. c0 + k`, sentinels around it.
+                    let place = |block: &Matrix| {
+                        Matrix::from_fn(n, width, |i, j| match j.checked_sub(c0) {
+                            Some(c) if c < k => block[(i, c)],
+                            _ => sentinel,
+                        })
+                    };
+                    let full = place(&b);
+                    for t in [Transpose::No, Transpose::Yes] {
+                        let opts = SolveOpts::new().transpose(t).threads(1);
+                        let mut compact = b.clone();
+                        m.solve_multi_with(&opts, &mut compact).unwrap();
+                        let mut seq = full.clone();
+                        m.solve_multi_with(&opts, seq.view_mut(0, c0, n, k))
+                            .unwrap();
+                        let mut forced = full.clone();
+                        m.executor(t)
+                            .level_sweep_forced(2, forced.view_mut(0, c0, n, k))
+                            .unwrap();
+                        let want = bits(&place(&compact));
+                        assert!(bits(&seq) == want, "sequential, {t:?} k = {k}, c0 = {c0}");
+                        assert!(bits(&forced) == want, "forced, {t:?} k = {k}, c0 = {c0}");
+                    }
+                }
+            }
+        }
+    }
 
     /// Deterministic lower-triangular test matrix with ~`fill` off-diagonal
     /// entries per row and a dominant diagonal.
@@ -679,10 +963,10 @@ mod tests {
         x
     }
 
-    /// A factor that clears the rule: 10 levels of 2 048 rows, ~12 800
+    /// A factor that clears the rule: 5 levels of up to 8 192 rows, ~46 000
     /// stored entries each.
     fn wide_levels() -> SparseTri {
-        crate::gen::deep_narrow_lower(20_000, 2048, 6, 31)
+        crate::gen::deep_narrow_lower(40_000, 8192, 6, 31)
     }
 
     #[test]
@@ -942,12 +1226,12 @@ mod tests {
         // once the rule goes parallel, one barrier per level.
         let m = wide_levels();
         let sched = m.schedule();
-        assert_eq!((sched.num_levels(), sched.max_level_width()), (10, 2048));
+        assert_eq!((sched.num_levels(), sched.max_level_width()), (5, 8192));
         for budget in [2usize, 4, 7] {
             let shape = m.execution_shape(&SolveOpts::new().threads(budget), 1);
             assert_eq!(shape.workers, budget);
-            assert_eq!((shape.levels, shape.runs, shape.barriers), (10, 10, 10));
-            assert_eq!(shape.max_level_width, 2048);
+            assert_eq!((shape.levels, shape.runs, shape.barriers), (5, 5, 5));
+            assert_eq!(shape.max_level_width, 8192);
         }
         // A heavy enough block of right-hand sides carries narrow levels
         // over the threshold, and the width cap then bounds the workers.
@@ -999,7 +1283,7 @@ mod tests {
             ExecutionShape::not_analysed()
         );
         assert_eq!(tiny.analysis_count(), 0);
-        // Above: ~12 800 stored entries per run (each level one run).
+        // Above: ~46 000 stored entries per run (each level one run).
         for opts in [budget4, budget4.reuse(ANALYZE_REUSE_MIN)] {
             let shape = m.execution_shape(&opts, 1);
             assert!(shape.workers > 1);

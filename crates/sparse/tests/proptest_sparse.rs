@@ -460,15 +460,17 @@ proptest! {
 
 /// The zoo the go-parallel rule was measured on, with the decision it must
 /// reach for one right-hand side under a budget of 4 — pinned per shape, so
-/// moving the constant across a shape is a visible change.  Only the wide
-/// deep-narrow factor has levels that are both heavy and consecutive row
-/// ranges; block-diagonal and power-law levels are heavy but scattered
+/// moving the constant across a shape is a visible change (the 2 048-wide
+/// factor, ~12 800 entries per level, sits just below it).  Only the
+/// widest deep-narrow factor has
+/// levels that are both heavy enough and consecutive row ranges;
+/// block-diagonal and power-law levels are heavy but scattered
 /// (a handful of entries per contiguous run), which the level sweep loses
 /// on at any weight.
 fn corpus() -> Vec<(&'static str, SparseTri, bool)> {
     vec![
         ("random", gen::random_lower(8_000, 8, 1), false),
-        ("banded", gen::banded_lower(6_000, 4, 2), false),
+        ("banded", gen::banded_lower(8_000, 4, 2), false),
         (
             "deep-narrow w16",
             gen::deep_narrow_lower(8_000, 16, 4, 3),
@@ -477,6 +479,11 @@ fn corpus() -> Vec<(&'static str, SparseTri, bool)> {
         (
             "deep-narrow w2048",
             gen::deep_narrow_lower(20_000, 2048, 6, 4),
+            false,
+        ),
+        (
+            "deep-narrow w8192",
+            gen::deep_narrow_lower(40_000, 8192, 6, 4),
             true,
         ),
         (

@@ -136,9 +136,9 @@ fn main() {
     // The go-parallel rule: a barrier per level only pays when the rows
     // between two barriers carry enough work.  A deep narrow DAG (10 000
     // four-row levels) stays sequential under any budget; the same rows in
-    // levels of 2 048 run as a 4-worker level sweep — bitwise identical to
+    // levels of 8 192 run as a 4-worker level sweep — bitwise identical to
     // the sequential answer either way.
-    for (label, width) in [("deep DAG:     ", 4), ("wide levels:  ", 2048)] {
+    for (label, width) in [("deep DAG:     ", 4), ("wide levels:  ", 8192)] {
         let m = gen::deep_narrow_lower(40_000, width, 4, 2026);
         let b = gen::rhs_vec(40_000, 7);
         let plan = request.plan_sparse(&m, 1).expect("plan");
@@ -148,7 +148,7 @@ fn main() {
             .execute_sparse_in_place(&m, x.as_mut_slice())
             .expect("solve");
         let ran = report.levels.unwrap();
-        assert_eq!(ran.workers > 1, width == 2048);
+        assert_eq!(ran.workers > 1, width == 8192);
         assert_eq!(ran.barriers, if ran.workers > 1 { ran.levels } else { 0 });
         let mut x1 = b.clone();
         m.solve_with(&sparse::SolveOpts::new().threads(1), &mut x1)

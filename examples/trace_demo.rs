@@ -92,9 +92,9 @@ fn main() {
 
 /// Sparse backend: one parallel level sweep; returns its drift table.
 fn sparse_solve() -> String {
-    // Levels of 2 048 rows clear the go-parallel rule, so the budget of 4
+    // Levels of 8 192 rows clear the go-parallel rule, so the budget of 4
     // becomes 4 workers and the trace shows the sweep and its barriers.
-    let m = sparse::gen::deep_narrow_lower(20_000, 2048, 6, 3);
+    let m = sparse::gen::deep_narrow_lower(40_000, 8192, 6, 3);
     let rhs = sparse::gen::rhs_vec(m.n(), 5);
     let plan = SolveRequest::lower()
         .threads(4)

@@ -21,10 +21,10 @@ fn traced<T>(f: impl FnOnce() -> T) -> (T, obs::TraceDump) {
     (out, recorder.dump())
 }
 
-/// A factor whose levels (2 048 rows each) clear the go-parallel rule, so
-/// a budget of 4 traces a 4-worker level sweep.
+/// A factor whose levels (up to 8 192 rows each) clear the go-parallel
+/// rule, so a budget of 4 traces a 4-worker level sweep.
 fn sparse_fixture() -> (SparseTri, Matrix) {
-    let m = sparse::gen::deep_narrow_lower(20_000, 2048, 6, 3);
+    let m = sparse::gen::deep_narrow_lower(40_000, 8192, 6, 3);
     let b = Matrix::from_vec(m.n(), 1, sparse::gen::rhs_vec(m.n(), 5)).unwrap();
     (m, b)
 }

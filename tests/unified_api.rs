@@ -22,12 +22,12 @@ proptest! {
 
     /// Sparse: identical requests are bitwise identical across worker
     /// budgets, and the report's flops equal the executor's own count.  The
-    /// factors have levels of a thousand-odd consecutive rows, heavy enough
-    /// to clear the go-parallel rule — the budgets above 1 really run the
-    /// level sweep, as the report confirms.
+    /// factors have levels of six to eight thousand consecutive rows, heavy
+    /// enough to clear the go-parallel rule — the budgets above 1 really run
+    /// the level sweep, as the report confirms.
     #[test]
     fn sparse_request_is_bitwise_deterministic_across_threads(
-        width in 1024usize..2100,
+        width in 6000usize..8400,
         blocks in 3usize..7,
         k in 1usize..6,
         transposed in any::<bool>(),
