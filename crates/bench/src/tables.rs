@@ -140,7 +140,7 @@ pub fn mm_table() -> Table {
                 .report;
                 let (nf, kf, qf) = (n as f64, k as f64, q as f64);
                 let model = costmodel::mm::mm_cost(nf, kf, qf * qf, p1 as f64, p2 as f64);
-                let (sm, wm, fm) = (model.latency, model.bandwidth, 2.0 * model.flops);
+                let (sm, wm, fm) = (model.latency, model.bandwidth, model.flops);
                 let (s, w, f) = swf(&r);
                 table.row(&[&(q * q), &p1, &p2, &n, &k, &s, &w, &f, &sm, &wm, &fm]);
             }
@@ -211,7 +211,7 @@ fn inversion_run(q: usize, n: usize, base: usize) -> CostReport {
 /// E4 — cost of the recursive triangular inversion (Section V).
 ///
 /// Measures the distributed inversion and compares it with `T_RecTriInv`:
-/// bandwidth `ν·(n²/(8p1²) + n²/(2p1p2))`, flops `ν·n³/(8p)` and — the key
+/// bandwidth `ν·(n²/(8p1²) + n²/(2p1p2))`, flops `ν·n³/(4p)` and — the key
 /// property — `O(log² p)` latency, against the `Θ(n)` rounds of the
 /// wavefront substitution or the `Θ(poly p)` of the recursive TRSM.  The
 /// model grid is the square face the recursion uses, `p1 = q`, `p2 = 1`.
@@ -226,7 +226,7 @@ pub fn inversion() -> Table {
     ] {
         let r = inversion_run(q, n, base);
         let model = inv_model::rec_tri_inv_cost(n as f64, q as f64, 1.0);
-        let (sm, wm, fm) = (model.latency, model.bandwidth, 2.0 * model.flops);
+        let (sm, wm, fm) = (model.latency, model.bandwidth, model.flops);
         let (s, w, f) = swf(&r);
         table.row(&[&(q * q), &n, &base, &s, &w, &f, &sm, &wm, &fm]);
     }
@@ -303,7 +303,7 @@ pub fn itinv_breakdown() -> Table {
         for ((phase, report), model) in rows.zip(models) {
             let (s, w, f) = swf(&report);
             let [wm, fm] = match model {
-                Some(m) => [m.bandwidth, 2.0 * m.flops].map(|v| v.to_string()),
+                Some(m) => [m.bandwidth, m.flops].map(|v| v.to_string()),
                 None => [String::new(), String::new()],
             };
             table.row(&[&n, &k, &p, &p1, &p2, &n0, &phase, &s, &w, &f, &wm, &fm]);

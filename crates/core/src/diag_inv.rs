@@ -109,7 +109,7 @@ pub(crate) fn walk(n: usize, n0: usize, q: usize, inv_base: usize) -> Vec<CostCo
     let (p_face, nblocks) = (q * q, n / n0);
     let (cyclic, stacked) = (Layout::cyclic_over(q, q, n, n), stacked_layout(q, n, n0));
     let diag_blocks = Filter::DiagBlocksLower(n0);
-    let invert = walk::flops(n0 * n0 * n0 / 6);
+    let invert = walk::work(dense::flops::tri_inv_flops(n0));
     if nblocks >= p_face {
         let route = round_robin(p_face, n, n0);
         let mut ranks = move_counts(&cyclic, &route, diag_blocks);

@@ -47,7 +47,8 @@ use crate::error::{config_error, internal_error};
 use crate::mm3d::strided_block_mask;
 use crate::{walk, Result};
 use costmodel::{itinv, Cost};
-use dense::{MatRef, Matrix, Triangle};
+use dense::flops::{gemm_flops, masked_gemm_flops};
+use dense::{FlopCount, MatRef, Matrix, Triangle};
 use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
 use pgrid::{pooled_zeros, DistMatrix, Grid2D, Grid3D};
 use simnet::{coll, Communicator, CostCounters};
@@ -532,11 +533,12 @@ pub(crate) fn predicted_total(n: usize, k: usize, pr: usize, pc: usize, cfg: &It
 ///   layout) and of `B` into the slabs;
 /// * inversion: the diagonal inverter on the face ([`crate::diag_inv`]'s
 ///   walk) and the move of its output to the transposed owners;
-/// * solve: per block, the broadcast of an inverted piece along `z` and the
-///   allreduce of `X`'s block along `x` — the same every block;
+/// * solve: per block, the broadcast of an inverted piece along `z`, the
+///   product of its triangle and the allreduce of `X`'s block along `x` —
+///   the same every block;
 /// * update: per block but the last, the broadcast of the trailing panel
-///   along `z`, shorter every block, and the allreduce of the next block
-///   row along `y`;
+///   along `z`, shorter every block, its product, and the allreduce of the
+///   next block row along `y` and its subtraction;
 /// * finalize: the move of `X` into `B`'s layout.
 fn walk(n: usize, k: usize, pr: usize, pc: usize, cfg: &ItInvConfig) -> Vec<PhaseBreakdown> {
     let (p1, p2, n0) = (cfg.p1, cfg.p2, cfg.n0);
@@ -580,17 +582,19 @@ fn walk(n: usize, k: usize, pr: usize, pc: usize, cfg: &ItInvConfig) -> Vec<Phas
     (0..p)
         .map(|r| {
             let (x, y, z) = (r / (p1 * p2), r / p2 % p1, r % p2);
+            let piece = Some(strided_block_mask(Triangle::Lower, y, x));
             let block = coll::bcast_counts(p2, 0, nb * nb, z)
                 .merge(&allreduce(x))
-                .merge(&walk::flops(nb * nb * kw / 2));
-            let reduce = allreduce(y).merge(&walk::flops(nb * kw));
+                .merge(&walk::work(masked_gemm_flops(nb, nb, kw, piece)));
+            let subtract = FlopCount::new((nb * kw) as u64);
+            let reduce = allreduce(y).merge(&walk::work(subtract));
             PhaseBreakdown {
                 setup: setup[r],
                 inversion: inversion[r],
                 solve: walk::times(block, nblocks),
                 update: walk::times(reduce, nblocks.saturating_sub(1))
                     .merge(&panels[z])
-                    .merge(&walk::flops(panel_rows * nb * kw)),
+                    .merge(&walk::work(gemm_flops(panel_rows, nb, kw))),
                 finalize: finalize[r],
             }
         })

@@ -25,14 +25,15 @@
 //!
 //! A triangular `A` is multiplied only on its triangle: every gathered block
 //! `A(i : p1 : n, j : p1 : n)` is then a triangle too (of a lower `A`, the
-//! block's lower triangle, strictly so when `j > i`), while the charged flops
-//! stay the classical `2·(n/p1)²·(k/p2)` of the full block.
+//! block's lower triangle, strictly so when `j > i`), and the charged flops
+//! are the triangle's ([`dense::flops::masked_gemm_flops`]).
 //!
 //! The gathered blocks, the partial product and the reduce buffer are
 //! buffers from the machine's pool and go back to it once used.
 
 use crate::error::config_error;
 use crate::{walk, Result};
+use dense::flops::masked_gemm_flops;
 use dense::{MatRef, Matrix, TriMask, Triangle};
 use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
 use pgrid::{pooled_zeros, DistMatrix};
@@ -55,7 +56,7 @@ pub fn mm3d_auto(a: &DistMatrix, x: &DistMatrix, a_tri: Option<Triangle>) -> Res
 /// `a_tri = Some(tri)` declares `A` triangular: only its `tri` triangle is
 /// multiplied, whatever is stored in the other one.  For finite operands the
 /// result is bitwise that of the product on `A` with the other triangle
-/// filled with zeros, and the charged flops are the same.
+/// filled with zeros, and the charged flops are those of the triangle.
 pub fn mm3d(
     a: &DistMatrix,
     x: &DistMatrix,
@@ -260,12 +261,20 @@ fn strided_layout(n: usize, k: usize, q: usize, p1: usize, contributions: bool) 
 /// What [`mm3d`] charges each rank `x·q + y` of the `q × q` grid for an
 /// `n×n` by `n×k` product at `p1`, from cyclic operands: the allgather of
 /// `A`'s strided block over `p2` ranks, the two moves of step 2 and 6, and
-/// the allgather and reduce-scatter over `p1` ranks.  The mask of a
-/// triangular `A` changes no message.  A shape [`mm3d`] refuses charges
-/// nothing: it fails before it sends.
-pub(crate) fn walk(n: usize, k: usize, q: usize, p1: usize) -> Vec<CostCounters> {
+/// the allgather and reduce-scatter over `p1` ranks, and the product of
+/// the rank's blocks, of `A`'s triangle `a_tri` when it has one.  The mask
+/// changes no message.  A shape [`mm3d`] refuses charges nothing: it fails
+/// before it sends.
+pub(crate) fn walk(
+    n: usize,
+    k: usize,
+    q: usize,
+    p1: usize,
+    a_tri: Option<Triangle>,
+) -> Vec<CostCounters> {
+    let mask = |i, j| a_tri.map(|tri| strided_block_mask(tri, i, j));
     if q == 1 {
-        return vec![walk::flops(n * n * k)];
+        return vec![walk::work(masked_gemm_flops(n, n, k, mask(0, 0)))];
     }
     let s = q / p1;
     let fits = q.is_multiple_of(p1) && n.is_multiple_of(q) && k.is_multiple_of(q);
@@ -281,7 +290,7 @@ pub(crate) fn walk(n: usize, k: usize, q: usize, p1: usize) -> Vec<CostCounters>
     );
     for (r, rank) in ranks.iter_mut().enumerate() {
         let (x, y) = (r / q, r % q);
-        let mut c = walk::flops(nb * nb * kw);
+        let mut c = walk::work(masked_gemm_flops(nb, nb, kw, mask(x % p1, y % p1)));
         if s > 1 {
             c = c.merge(&coll::allgather_counts(
                 s * s,
@@ -429,21 +438,27 @@ mod tests {
         }
     }
 
-    /// Every rank is charged what the walk says, on every face size.
+    /// Every rank is charged what the walk says — messages, words and
+    /// flops — on every face size, for a full and a triangular `A`.
     #[test]
     fn the_walk_is_what_every_rank_is_charged() {
-        let traffic = |c: &CostCounters| (c.msgs_sent, c.msgs_recv, c.words_sent, c.words_recv);
-        for (q, n, k) in [(1usize, 16, 8), (2, 16, 8), (4, 32, 16), (4, 64, 64)] {
+        let charges = |c: &CostCounters| {
+            let (s, w) = ((c.msgs_sent, c.msgs_recv), (c.words_sent, c.words_recv));
+            (s, w, c.flops)
+        };
+        let shapes = [(1usize, 16, 8), (2, 16, 8), (4, 32, 16), (4, 64, 64)];
+        let triangles = [None, Some(Triangle::Lower), Some(Triangle::Upper)];
+        for ((q, n, k), a_tri) in shapes.into_iter().flat_map(|s| triangles.map(|t| (s, t))) {
             for p1 in (0..=q.ilog2()).map(|e| 1 << e) {
                 let (_, report) = on_grid(q, move |grid| {
                     let a = DistMatrix::from_global(grid, &gen::uniform(n, n, 1));
                     let x = DistMatrix::from_global(grid, &gen::uniform(n, k, 2));
-                    mm3d(&a, &x, p1, Some(Triangle::Lower)).unwrap();
+                    mm3d(&a, &x, p1, a_tri).unwrap();
                 });
-                let walked = walk(n, k, q, p1);
+                let walked = walk(n, k, q, p1, a_tri);
                 for (rank, charged) in report.per_rank.iter().enumerate() {
-                    let what = format!("q={q} p1={p1} n={n} k={k} rank {rank}");
-                    assert_eq!(traffic(charged), traffic(&walked[rank]), "{what}");
+                    let what = format!("{a_tri:?} q={q} p1={p1} n={n} k={k} rank {rank}");
+                    assert_eq!(charges(charged), charges(&walked[rank]), "{what}");
                 }
             }
         }

@@ -25,6 +25,7 @@ use crate::mm3d::mm3d;
 use crate::planner::choose_mm_p1;
 use crate::{walk, Result};
 use costmodel::Cost;
+use dense::flops::trsm_flops;
 use dense::Matrix;
 use pgrid::distmat::cyclic_local_count;
 use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
@@ -153,8 +154,7 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Di
         if my_cols > 0 {
             // Solve in place: the gathered columns are overwritten with X.
             dense::trsm_in_place_opts(&dense::SolveOpts::lower(), &l_full, &mut b_cols)?;
-            grid.comm()
-                .charge_flops(dense::flops::trsm_flops(n, my_cols).get());
+            grid.comm().charge_flops(trsm_flops(n, my_cols).get());
         }
         // Scatter the solution back to the cyclic layout.
         let cyclic = Layout::cyclic(grid, n, k);
@@ -237,7 +237,7 @@ fn walk(n: usize, k: usize, pr: usize, pc: usize, base_size: usize) -> Vec<CostC
         walk::add(&mut ranks, &move_counts(&columns, &cyclic, Filter::All));
         let longest = cyclic_local_count(n, pr, 0).pow(2);
         for (r, rank) in ranks.iter_mut().enumerate() {
-            let solve = walk::flops(n * n * cyclic_local_count(k, p, r) / 2);
+            let solve = walk::work(trsm_flops(n, cyclic_local_count(k, p, r)));
             *rank = rank
                 .merge(&coll::allgatherv_counts(p, longest, r))
                 .merge(&solve);
@@ -246,7 +246,7 @@ fn walk(n: usize, k: usize, pr: usize, pc: usize, base_size: usize) -> Vec<CostC
     }
     let h = n / 2;
     let half = walk(h, k, pr, pr, base_size);
-    let mut ranks = crate::mm3d::walk(h, k, pr, choose_mm_p1(h, k, pr));
+    let mut ranks = crate::mm3d::walk(h, k, pr, choose_mm_p1(h, k, pr), None);
     walk::add(&mut ranks, &half);
     walk::add(&mut ranks, &half);
     ranks

@@ -26,39 +26,23 @@ impl SolvePlan {
     /// communication-counter delta, with the virtual-clock advance attached
     /// as the measured time — so predicted and measured times are in the
     /// same model seconds whenever `machine` matches the simulated
-    /// `MachineParams`.  Sparse reports measure the barriers actually
-    /// crossed and each worker's flop share; dense reports measure flops
-    /// only.
+    /// `MachineParams`.  Dense and sparse rows are flops only: the plan's
+    /// flops against the report's.
     pub fn drift_report(
         &self,
         report: &SolveReport,
         machine: costmodel::Machine,
     ) -> costmodel::DriftReport {
         let mut out = costmodel::DriftReport::new(machine);
-        let predicted = self.predicted_cost.unwrap_or(Cost {
-            latency: 0.0,
-            bandwidth: 0.0,
-            flops: self.predicted_flops.get() as f64,
-        });
+        let flops = |f: dense::FlopCount| Cost::new(0.0, 0.0, f.get() as f64);
+        let predicted = self.predicted_cost.unwrap_or(flops(self.predicted_flops));
         match &self.backend {
-            PlanBackend::Dense { .. } => {
+            PlanBackend::Dense { .. } | PlanBackend::Sparse { .. } => {
                 out.push(DriftRow::new(
                     self.algorithm_name(),
                     predicted,
-                    Cost::new(0.0, 0.0, report.flops.get() as f64),
+                    flops(report.flops),
                 ));
-            }
-            PlanBackend::Sparse { workers, .. } => {
-                let (barriers, w) = report.levels.map_or((0.0, *workers as f64), |lr| {
-                    (lr.barriers as f64, lr.workers as f64)
-                });
-                let w = w.max(1.0);
-                let measured = Cost::new(
-                    barriers * costmodel::cost::log2c(w),
-                    barriers * self.k as f64,
-                    report.flops.get() as f64 / w,
-                );
-                out.push(DriftRow::new(self.algorithm_name(), predicted, measured));
             }
             PlanBackend::Distributed { algorithm, p } => match (algorithm, &report.phases) {
                 (Algorithm::IterativeInversion(cfg), Some(measured)) => {

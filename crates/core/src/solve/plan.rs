@@ -75,14 +75,15 @@ pub struct SolvePlan {
     pub request: SolveRequest,
     /// Backend-specific algorithm choice and parameters.
     pub backend: PlanBackend,
-    /// Predicted flop count (the `γ·F` term).
+    /// Predicted flop count (the `γ·F` term), in `dense::flops`' unit: a
+    /// dense plan's `trsm_flops`, a sparse plan's `SparseTri::solve_flops`,
+    /// a distributed plan's most flops any rank is charged — each what its
+    /// solve reports.
     pub predicted_flops: FlopCount,
-    /// Predicted α–β–γ critical-path cost (distributed plans, and sparse
-    /// plans — whose latency term counts the barriers the plan will cross,
-    /// via `costmodel::sparse_solve_cost`; with a declared
-    /// [`SolveRequest::reuse`], via
-    /// `costmodel::sparse_solve_cost_amortized`, which adds the analysis
-    /// bill amortized over that many applies).
+    /// Predicted α–β–γ critical-path cost: distributed plans only, the walk
+    /// of what the resolved algorithm runs.  A dense or sparse plan states
+    /// what it knows exactly instead: its flops, and for sparse its levels,
+    /// barriers and workers.
     pub predicted_cost: Option<Cost>,
     /// The Section VIII regime (distributed plans only).
     pub regime: Option<Regime>,

@@ -228,34 +228,12 @@ impl SolveRequest {
         }
         let sopts = self.sparse_opts();
         let shape = a.execution_shape(&sopts, k);
-        let nnz = a.nnz() as f64;
-        let kf = k as f64;
-        // The synchronization term prices the barriers this plan will
-        // actually cross (one per level under the level sweep, none
-        // sequentially).  A declared reuse additionally amortizes the
-        // analysis bill (~nnz flops when the pattern was analysed) over
-        // that many applies.
-        let (barriers, workers) = (shape.barriers as f64, shape.workers as f64);
-        let predicted_cost = Some(match self.reuse {
-            None => costmodel::sparse_solve_cost(nnz, kf, barriers, workers),
-            Some(r) => {
-                let analysis_flops = if shape.levels == 0 { 0.0 } else { nnz };
-                costmodel::sparse_solve_cost_amortized(
-                    nnz,
-                    kf,
-                    barriers,
-                    workers,
-                    analysis_flops,
-                    r as f64,
-                )
-            }
-        });
         Ok(SolvePlan {
             n: a.n(),
             k,
             request: *self,
             predicted_flops: a.solve_flops(k),
-            predicted_cost,
+            predicted_cost: None,
             regime: None,
             backend: PlanBackend::Sparse {
                 workers: shape.workers,
@@ -284,8 +262,8 @@ impl SolveRequest {
     /// algorithm runs — for the iterative one its five phases at the
     /// resolved configuration, for the recursive one its recursion at the
     /// pinned base size, for the wavefront its moves and broadcasts — so its
-    /// S and W are the most messages and words any rank will send or
-    /// receive.
+    /// S, W and F ([`SolvePlan::predicted_flops`] too) are the most
+    /// messages, words and flops any rank will send, receive or be charged.
     pub fn plan_distributed(&self, n: usize, k: usize, p: usize) -> Result<SolvePlan> {
         let _span = obs::span_with("planner", "plan_distributed", "n", n as u64);
         if self.opts.side == Side::Right {
@@ -306,7 +284,7 @@ impl SolveRequest {
             n,
             k,
             request: *self,
-            predicted_flops: FlopCount::new(predicted.flops.round() as u64),
+            predicted_flops: FlopCount::new(predicted.flops as u64),
             predicted_cost: Some(predicted),
             regime: Some(self.cost_rev.classify(n as f64, k as f64, p as f64)),
             backend: PlanBackend::Distributed { algorithm, p },

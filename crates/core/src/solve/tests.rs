@@ -185,8 +185,10 @@ fn sparse_plan_reports_levels_and_workers() {
         plan.algorithm_name(),
         "sparse level-scheduled parallel sweep"
     );
-    let cost = plan.predicted_cost.expect("sparse plans carry a cost");
-    assert!(cost.latency > 0.0 && cost.flops > 0.0);
+    assert!(
+        plan.predicted_cost.is_none(),
+        "a sparse plan quotes its flops"
+    );
     let (x, report) = sparse_vec(&plan, &m, &b);
     assert_eq!(
         report.levels.unwrap(),
@@ -197,6 +199,7 @@ fn sparse_plan_reports_levels_and_workers() {
         }
     );
     assert_eq!(report.algorithm, plan.algorithm_name());
+    assert_eq!(plan.predicted_flops, report.flops);
     assert_eq!(report.flops, m.solve_flops(1));
     // Identical to the raw executor's slice path, and so is the n×1 view
     // of a matrix through the same in-place executor.
@@ -236,8 +239,8 @@ fn sparse_plans_kept_sequential_report_the_analysed_shape() {
     };
     assert_eq!((workers, predicted_barriers), (1, 0));
     assert_eq!((levels, max_level_width), (20_000, 1));
-    assert_eq!(plan.predicted_cost.unwrap().latency, 0.0);
     let (_, report) = sparse_vec(&plan, &m, &b);
+    assert_eq!(plan.predicted_flops, report.flops);
     assert_eq!(
         report.levels.unwrap(),
         LevelReport {
@@ -283,8 +286,8 @@ fn sparse_request_validates_against_matrix() {
 #[test]
 fn one_shot_reuse_plans_sequential_without_analysis() {
     // A declared one-shot solve cannot repay an analysis, whatever the
-    // pattern would have said: sequential, never analysed, no analysis
-    // bill in the cost — and bitwise the level sweep's answer.
+    // pattern would have said: sequential and never analysed — and bitwise
+    // the level sweep's answer.
     let m = sgen::deep_narrow_lower(40_000, 8192, 6, 72);
     let b = sgen::rhs_vec(m.n(), 73);
     let plan = SolveRequest::lower()
@@ -303,10 +306,8 @@ fn one_shot_reuse_plans_sequential_without_analysis() {
     };
     assert_eq!((workers, levels, predicted_barriers), (1, 0, 0));
     assert_eq!(plan.algorithm_name(), "sparse sequential sweep");
-    let cost = plan.predicted_cost.expect("sparse plans carry a cost");
-    assert_eq!(cost.latency, 0.0, "zero barriers price zero latency");
-    assert_eq!(cost.flops, 2.0 * m.nnz() as f64, "no analysis bill");
     let (x, report) = sparse_vec(&plan, &m, &b);
+    assert_eq!(plan.predicted_flops, report.flops);
     let lr = report.levels.unwrap();
     assert_eq!((lr.workers, lr.levels, lr.barriers), (1, 0, 0));
     assert_eq!(m.analysis_count(), 0, "one-shot plans never analyze");
@@ -328,11 +329,10 @@ fn one_shot_reuse_plans_sequential_without_analysis() {
     };
     assert_eq!(workers, 4);
     assert_eq!(predicted_barriers, levels);
-    let cost = plan.predicted_cost.unwrap();
-    assert!(cost.latency > 0.0, "the level sweep bills its barriers");
-    let nnz = m.nnz() as f64;
-    assert_eq!(cost.flops, 2.0 * nnz / 4.0 + nnz / 100.0);
-    assert_eq!(sparse_vec(&plan, &m, &b).0, x, "bitwise identical");
+    assert!(levels > 0, "the level sweep crosses its barriers");
+    let (y, report) = sparse_vec(&plan, &m, &b);
+    assert_eq!(plan.predicted_flops, report.flops);
+    assert_eq!(y, x, "bitwise identical");
 }
 
 #[test]
@@ -398,6 +398,25 @@ fn distributed_auto_plan_is_inspectable_and_executes() {
         assert!(residual < 1e-10);
         assert_eq!(comm_flops, report_flops);
         assert!(phase_flops > 0 && phase_flops <= report_flops);
+    }
+}
+
+#[test]
+fn a_distributed_plan_quotes_the_busiest_ranks_flops() {
+    // The two ledger shapes, on 16 ranks: the plan's F is the most flops
+    // any rank's report says it did.
+    for (n, k) in [(1024, 16), (384, 384)] {
+        let plan = SolveRequest::lower().plan_distributed(n, k, 16).unwrap();
+        let out = Machine::new(16, MachineParams::cluster())
+            .run(|comm| {
+                let grid = Grid2D::new(comm, 4, 4).unwrap();
+                let l = DistMatrix::from_global(&grid, &gen::well_conditioned_lower(n, 1));
+                let b = DistMatrix::from_global(&grid, &gen::rhs(n, k, 2));
+                plan.execute_distributed(&l, &b).unwrap().report.flops.get()
+            })
+            .unwrap();
+        let busiest = out.results.into_iter().max();
+        assert_eq!(busiest, Some(plan.predicted_flops.get()), "n={n} k={k}");
     }
 }
 

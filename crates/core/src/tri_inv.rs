@@ -25,6 +25,7 @@ use crate::error::config_error;
 use crate::mm3d::mm3d;
 use crate::planner::choose_mm_p1;
 use crate::{walk, Result};
+use dense::flops::tri_inv_flops;
 use dense::{Matrix, Triangle};
 use pgrid::distmat::cyclic_local_count;
 use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
@@ -173,19 +174,21 @@ fn child_layout(q: usize, h: usize, base: usize) -> Layout {
 /// `n × n` triangle stored cyclically, with leaves of `base_size`: at a
 /// leaf the allgatherv gathering it and the local inversion; at a split
 /// the moves of both halves onto their quadrants and back, the quadrants'
-/// inversions (one walk, charged to both), and the two `mm3d` products.
+/// inversions (one walk, charged to both), and the two `mm3d` products,
+/// the first of a lower triangle.
 pub(crate) fn walk(n: usize, q: usize, base_size: usize) -> Vec<CostCounters> {
     if !splittable(n, q, base_size) {
         let longest = cyclic_local_count(n, q, 0).pow(2);
-        let invert = walk::flops(n * n * n / 6);
+        let invert = walk::work(tri_inv_flops(n));
         return (0..q * q)
             .map(|r| coll::allgatherv_counts(q * q, longest, r).merge(&invert))
             .collect();
     }
     let (h, qh) = (n / 2, q / 2);
     let half = Layout::cyclic_over(q, q, h, h);
-    let products = crate::mm3d::walk(h, h, q, choose_mm_p1(h, h, q));
-    let mut ranks: Vec<_> = products.into_iter().map(|c| walk::times(c, 2)).collect();
+    let product = |a_tri| crate::mm3d::walk(h, h, q, choose_mm_p1(h, h, q), a_tri);
+    let mut ranks = product(Some(Triangle::Lower));
+    walk::add(&mut ranks, &product(None));
     let child = walk(h, qh, base_size);
     for base in [0, qh] {
         let on_child = child_layout(q, h, base);

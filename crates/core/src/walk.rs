@@ -7,9 +7,12 @@
 //! [`pgrid::redist::move_counts`].  It returns one [`CostCounters`] per rank,
 //! indexed by communicator rank; a sub-communicator's walk is charged to
 //! the ranks its members are, and a plan quotes the [`critical_path`].
-//! Flops count multiply-adds, as every `costmodel` formula does.
+//! Local work is priced by the `dense::flops` function of the kernel that
+//! runs it ([`work`]), a fold by the collective's count function, so a
+//! walk's flops are the executor's, in the one unit `dense::flops` defines.
 
 use costmodel::Cost;
+use dense::FlopCount;
 use simnet::CostCounters;
 
 /// `ranks[r] += charged[r]` for every rank.
@@ -42,10 +45,10 @@ pub(crate) fn times(c: CostCounters, n: usize) -> CostCounters {
     }
 }
 
-/// A charge of `n` multiply-adds and no message.
-pub(crate) fn flops(n: usize) -> CostCounters {
+/// A charge of `flops` of local work and no message.
+pub(crate) fn work(flops: FlopCount) -> CostCounters {
     CostCounters {
-        flops: n as u64,
+        flops: flops.get(),
         ..CostCounters::default()
     }
 }

@@ -15,7 +15,7 @@
 use crate::error::config_error;
 use crate::{walk, Result};
 use costmodel::Cost;
-use dense::Diag;
+use dense::{Diag, FlopCount};
 use pgrid::distmat::cyclic_local_count;
 use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
 use pgrid::DistMatrix;
@@ -98,12 +98,11 @@ fn by_rows(n: usize, cols: usize, p: usize) -> Layout {
 /// on the schedules simnet charges: the entry moves of `L`'s lower triangle
 /// and `B` to the 1D layout and the exit move of `X` ([`move_counts`]; none
 /// when `pc = 1`, where the layouts are one), and a `k`-word broadcast from
-/// rank `i mod p` per row ([`coll::bcast_counts`]).  S and W are exact;
-/// flops count multiply-adds, as every `costmodel` formula does.  Nothing
-/// loops over `n`.
+/// rank `i mod p` per row ([`coll::bcast_counts`]), and the substitution's
+/// flops, counted as the executor charges them.  S, W and F are exact.
+/// Nothing loops over `n`.
 pub fn predicted_cost(n: usize, k: usize, pr: usize, pc: usize) -> Cost {
     let p = pr * pc;
-    let rows = |d: usize| cyclic_local_count(n, p, d);
     let (l, b) = (
         Layout::cyclic_over(pr, pc, n, n),
         Layout::cyclic_over(pr, pc, n, k),
@@ -119,9 +118,13 @@ pub fn predicted_cost(n: usize, k: usize, pr: usize, pc: usize) -> Cost {
     }
     let ranks = (0..p).map(|d| {
         let partial = prefix[p + d + 1].since(&prefix[p + d + 1 - n % p]);
-        // Row g takes g multiply-adds and a division per right-hand side.
-        let solve = k * (rows(d) * (d + 1) + p * rows(d) * rows(d).saturating_sub(1) / 2);
-        moves[d].merge(&partial).merge(&walk::flops(solve))
+        // Row g takes g multiply-adds and a division per right-hand side:
+        // 2g + 1 flops, summed over the rows g ≡ d (mod p).
+        let r = cyclic_local_count(n, p, d);
+        let solve = k * (r * (2 * d + 1) + p * r * r.saturating_sub(1));
+        moves[d]
+            .merge(&partial)
+            .merge(&walk::work(FlopCount::new(solve as u64)))
     });
     // A whole cycle receives what it sends on every rank.
     let cycle = Cost::new(prefix[p].msgs_sent as f64, prefix[p].words_sent as f64, 0.0);

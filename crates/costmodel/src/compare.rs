@@ -10,6 +10,10 @@
 //! | `4k/p ≤ n ≤ 4k√p` | standard | `(np/k)^{2/3}·log p`        | `(n²k/p)^{2/3}`| `n²k/p`  |
 //! |                   | new      | `log² p + √(n/k)·log p`     | `(n²k/p)^{2/3}`| `2n²k/p` |
 //!
+//! The F column counts multiply–adds, as every closed form here is read;
+//! [`Cost::flops`] states it in flops, two per multiply–add (`2n²k/p`, and
+//! `4n²k/p` for the new method in 3D), the unit of every measured `F`.
+//!
 //! The "new" rows are the repository's one regime-level statement of the
 //! iterative algorithm's cost.  Section VIII prints the same totals
 //! (`T_IT1D`, `T_IT2D`, `T_IT3D`) and differs from this table in two cells,
@@ -65,7 +69,7 @@ impl CostModelRev {
             Regime::OneLargeDim => Cost {
                 latency: log2c(p),
                 bandwidth: n * n,
-                flops: n * n * k / p,
+                flops: 2.0 * n * n * k / p,
             },
             Regime::TwoLargeDims => Cost {
                 latency: p.sqrt() * log2c(p),
@@ -73,7 +77,7 @@ impl CostModelRev {
                     CostModelRev::Ipdps17 => n * k / p.sqrt(),
                     CostModelRev::Tang24 => (n * n + n * k * log2c(p)) / p.sqrt(),
                 },
-                flops: n * n * k / p,
+                flops: 2.0 * n * n * k / p,
             },
             Regime::ThreeLargeDims => Cost {
                 latency: (n * p / k).powf(2.0 / 3.0) * log2c(p),
@@ -83,7 +87,7 @@ impl CostModelRev {
                         (n * n * k / p).powf(2.0 / 3.0) + n * n / p.powf(2.0 / 3.0)
                     }
                 },
-                flops: n * n * k / p,
+                flops: 2.0 * n * n * k / p,
             },
         }
     }
@@ -99,17 +103,17 @@ impl CostModelRev {
             Regime::OneLargeDim => Cost {
                 latency: log2c(p) * log2c(p),
                 bandwidth: n * n,
-                flops: n * n * k / p,
+                flops: 2.0 * n * n * k / p,
             },
             Regime::TwoLargeDims => Cost {
                 latency: log2c(p) * log2c(p) + (n / k).powf(0.75) / p.powf(0.125) * log2c(p),
                 bandwidth: n * k / p.sqrt(),
-                flops: n * n * k / p,
+                flops: 2.0 * n * n * k / p,
             },
             Regime::ThreeLargeDims => Cost {
                 latency: log2c(p) * log2c(p) + (n / k).sqrt().max(1.0) * log2c(p),
                 bandwidth: (n * n * k / p).powf(2.0 / 3.0),
-                flops: 2.0 * n * n * k / p,
+                flops: 4.0 * n * n * k / p,
             },
         }
     }

@@ -4,7 +4,8 @@ use std::fmt;
 use std::ops::Add;
 
 /// A leading-order α–β–γ cost: `latency` messages, `bandwidth` words and
-/// `flops` floating-point operations along the critical path.
+/// `flops` floating-point operations along the critical path — flops as
+/// `dense::flops` counts them, two per multiply–add.
 ///
 /// Values are `f64` because the formulas are leading-order expressions
 /// (`(n²k/p)^{2/3}`, `log² p`, …), not exact integer counts.

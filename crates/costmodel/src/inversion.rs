@@ -21,15 +21,17 @@ pub fn nu() -> f64 {
 ///
 /// ```text
 /// W = ν·( n²/(8p1²) + n²/(2p1p2) )
-/// F = ν·n³/(8·p1²·p2)
+/// F = ν·n³/(4·p1²·p2)
 /// S = O(log² p)
 /// ```
+///
+/// `F` is in flops, two per multiply–add: `ν·n³/(8p)` multiply–adds.
 pub fn rec_tri_inv_cost(n: f64, p1: f64, p2: f64) -> Cost {
     let p = p1 * p1 * p2;
     Cost {
         latency: log2c(p) * log2c(p),
         bandwidth: nu() * (n * n / (8.0 * p1 * p1) + n * n / (2.0 * p1 * p2)),
-        flops: nu() * n * n * n / (8.0 * p1 * p1 * p2),
+        flops: 2.0 * nu() * n * n * n / (8.0 * p1 * p1 * p2),
     }
 }
 

@@ -12,6 +12,9 @@
 //! * **update** — the trailing updates `B(T_{i+1}) −= L(T_{i+1}, S_i)·X(S_i)`,
 //!   with partial sums accumulated locally and only the next block row
 //!   reduced each iteration.
+//!
+//! `F` is in flops, two per multiply–add, like every count in the
+//! workspace (`dense::flops`).
 
 use crate::cost::{indicator, log2c, Cost};
 use crate::inversion;
@@ -42,7 +45,7 @@ pub fn inversion_phase(_n: f64, n0: f64, r1: f64, r2: f64) -> Cost {
 /// ```text
 /// S = (n/n0)·log p
 /// W = (n/n0)·[ n0²/p1²·1_{p2} + 4·n0·k/(p1·p2)·1_{p1} ]
-/// F = (n/n0)·( n0²·k/(p1²·p2) )
+/// F = (n/n0)·( 2·n0²·k/(p1²·p2) )
 /// ```
 pub fn solve_phase(n: f64, k: f64, n0: f64, p1: f64, p2: f64) -> Cost {
     let p = p1 * p1 * p2;
@@ -51,7 +54,7 @@ pub fn solve_phase(n: f64, k: f64, n0: f64, p1: f64, p2: f64) -> Cost {
         latency: blocks * log2c(p),
         bandwidth: blocks
             * (n0 * n0 / (p1 * p1) * indicator(p2) + 4.0 * n0 * k / (p1 * p2) * indicator(p1)),
-        flops: blocks * (n0 * n0 * k / (p1 * p1 * p2)),
+        flops: blocks * (2.0 * n0 * n0 * k / (p1 * p1 * p2)),
     }
 }
 
@@ -61,7 +64,7 @@ pub fn solve_phase(n: f64, k: f64, n0: f64, p1: f64, p2: f64) -> Cost {
 /// ```text
 /// S = (n/n0 − 1)·log p
 /// W = Σ_{i=1}^{n/n0−1} [ 2·(n − i·n0)·n0/p1²·1_{p2} + 4·n0·k/(p1·p2)·1_{p1} ]
-/// F = Σ_{i=1}^{n/n0−1} (n − i·n0)·n0·k/(p1²·p2)
+/// F = Σ_{i=1}^{n/n0−1} 2·(n − i·n0)·n0·k/(p1²·p2)
 /// ```
 pub fn update_phase(n: f64, k: f64, n0: f64, p1: f64, p2: f64) -> Cost {
     let p = p1 * p1 * p2;
@@ -72,7 +75,7 @@ pub fn update_phase(n: f64, k: f64, n0: f64, p1: f64, p2: f64) -> Cost {
         let remaining = n - i as f64 * n0;
         bandwidth += 2.0 * remaining * n0 / (p1 * p1) * indicator(p2)
             + 4.0 * n0 * k / (p1 * p2) * indicator(p1);
-        flops += remaining * n0 * k / (p1 * p1 * p2);
+        flops += 2.0 * remaining * n0 * k / (p1 * p1 * p2);
     }
     Cost {
         latency: (blocks.saturating_sub(1)) as f64 * log2c(p),
@@ -92,7 +95,7 @@ mod tests {
         assert_eq!(c.latency, blocks * 6.0);
         let per_block_w = 256.0 * 256.0 / 16.0 + 4.0 * 256.0 * 1024.0 / 16.0;
         assert!((c.bandwidth - blocks * per_block_w).abs() < 1e-6);
-        assert!((c.flops - blocks * 256.0 * 256.0 * 1024.0 / 64.0).abs() < 1e-6);
+        assert!((c.flops - blocks * 2.0 * 256.0 * 256.0 * 1024.0 / 64.0).abs() < 1e-6);
     }
 
     #[test]
@@ -127,13 +130,13 @@ mod tests {
 
     #[test]
     fn total_flops_close_to_optimal() {
-        // F_total ≈ n²k/p + n·n0²/p (paper Section VII-D).
+        // F_total ≈ 2·(n²k/p + n·n0²/p) (paper Section VII-D, in flops).
         let (n, k, n0, p1, p2) = (4096.0, 1024.0, 512.0, 4.0, 4.0);
         let p = p1 * p1 * p2;
         let c = inversion_phase(n, n0, 4.0, 4.0)
             + solve_phase(n, k, n0, p1, p2)
             + update_phase(n, k, n0, p1, p2);
-        let expect = n * n * k / p;
+        let expect = 2.0 * n * n * k / p;
         assert!(c.flops > 0.5 * expect);
         assert!(c.flops < 2.5 * expect);
     }

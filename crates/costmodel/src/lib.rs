@@ -20,7 +20,8 @@
 //! (`catrsm::it_inv_trsm::predicted_cost`), the recursion
 //! (`catrsm::rec_trsm::predicted_cost`) and the wavefront's layout moves and
 //! broadcasts (`catrsm::wavefront::predicted_cost`) — and prices every
-//! message on simnet's own schedules, so a plan's S and W are exact.  The
+//! message on simnet's own schedules, and local work by the `dense::flops`
+//! count of the kernel that runs it, so a plan's S, W and F are exact.  The
 //! formulas are the paper's claims, which the experiments print beside the
 //! measurements and the tests hold to stated bands: the Section VII phases
 //! ([`itinv`], at a configuration's `n0`, `p1 × p1 × p2` and inversion
@@ -33,7 +34,8 @@
 //!
 //! The crate is dependency-free and purely numeric: costs are returned as
 //! [`Cost`] records with fractional counts (leading-order expressions, not
-//! integer message counts).
+//! integer message counts).  `F` is in flops, two per multiply–add, the unit
+//! `dense::flops` defines and every measured `F` is counted in.
 //!
 //! ```
 //! use costmodel::{CostModelRev, Regime};
@@ -55,5 +57,5 @@ pub mod tuning;
 
 pub use cost::{Cost, Machine};
 pub use drift::{DriftReport, DriftRow};
-pub use predict::{sparse_solve_cost, sparse_solve_cost_amortized, CostModelRev};
+pub use predict::CostModelRev;
 pub use tuning::{Regime, TrsmPlan};

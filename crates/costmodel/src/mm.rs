@@ -14,10 +14,12 @@ use crate::cost::{indicator, log2c, Cost};
 ///
 /// ```text
 /// T_MM = β·( n²/p1² · 1_{p2} + 2nk/(p1 p2) · 1_{p1} )
-///      + γ·( n²k/p )
+///      + γ·( 2n²k/p )
 ///      + 3α·log p + O( β·nk·log p / p )
 /// ```
 ///
+/// `F` is in flops, two per multiply–add: the `n²k/p` multiply–adds of each
+/// processor's share of the product.
 /// The latency is exact for `catrsm::mm3d` on every grid shape: the `A`
 /// allgather over `p2` (`log p2` rounds), the `X` allgather and the
 /// reduce-scatter over `p1` (`log p1` each) and the two transposes (`log p`
@@ -29,7 +31,7 @@ pub fn mm_cost(n: f64, k: f64, p: f64, p1: f64, p2: f64) -> Cost {
     Cost {
         latency: 3.0 * log2c(p),
         bandwidth: main_bw + transpose_bw,
-        flops: n * n * k / p,
+        flops: 2.0 * n * n * k / p,
     }
 }
 
@@ -56,7 +58,7 @@ mod tests {
         let expect_main = 4096.0 * 4096.0 / 16.0 + 2.0 * 4096.0 * 256.0 / 16.0;
         assert!(c.bandwidth >= expect_main);
         assert!(c.bandwidth < expect_main * 1.2);
-        assert_eq!(c.flops, 4096.0 * 4096.0 * 256.0 / 64.0);
+        assert_eq!(c.flops, 2.0 * 4096.0 * 4096.0 * 256.0 / 64.0);
         assert_eq!(c.latency, 3.0 * 6.0);
     }
 
@@ -96,10 +98,10 @@ mod tests {
 
     #[test]
     fn flops_are_load_balanced() {
-        // n²k/p on every grid shape of p = 64.
+        // 2·n²k/p on every grid shape of p = 64.
         for (p1, p2) in [(1.0, 64.0), (2.0, 16.0), (4.0, 4.0), (8.0, 1.0)] {
             let c = mm_cost(1024.0, 128.0, 64.0, p1, p2);
-            assert_eq!(c.flops, 1024.0 * 1024.0 * 128.0 / 64.0);
+            assert_eq!(c.flops, 2.0 * 1024.0 * 1024.0 * 128.0 / 64.0);
         }
     }
 }

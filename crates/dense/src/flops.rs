@@ -1,11 +1,14 @@
-//! Flop-count bookkeeping for local kernels.
-//!
-//! The α–β–γ execution-time model of the paper charges `γ · F` for the `F`
-//! floating-point operations a processor performs along the critical path.
-//! Every kernel in this crate reports the number of flops it performed so that
-//! the distributed algorithms (in the `catrsm` crate) can charge them to the
-//! simulated machine's clock.  The counts follow the usual dense
-//! linear-algebra conventions (a fused multiply–add counts as two flops).
+//! Flop counts, in the one unit every `F` in the workspace is counted in:
+//! a multiply–add is two flops, a division, a lone multiplication or a
+//! subtraction one, and a collective's fold one per word it combines.
+//! Every kernel in this crate returns the count of the arithmetic it runs,
+//! from a function here; `catrsm` charges those counts to the simulated
+//! machine (the `γ·F` of the paper's α–β–γ model), its walks call the same
+//! functions, and the `costmodel` formulas count in the same unit.
+
+use crate::microkernel::TriMask;
+use crate::trinv::RECURSION_CUTOFF;
+use crate::trsm::Triangle;
 
 /// Number of floating-point operations performed by a kernel invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,11 +27,6 @@ impl FlopCount {
     pub fn get(self) -> u64 {
         self.0
     }
-
-    /// Sum of two counts.
-    pub fn plus(self, other: FlopCount) -> FlopCount {
-        FlopCount(self.0 + other.0)
-    }
 }
 
 impl std::ops::Add for FlopCount {
@@ -38,38 +36,49 @@ impl std::ops::Add for FlopCount {
     }
 }
 
-impl std::ops::AddAssign for FlopCount {
-    fn add_assign(&mut self, rhs: FlopCount) {
-        self.0 += rhs.0;
-    }
-}
-
-impl std::iter::Sum for FlopCount {
-    fn sum<I: Iterator<Item = FlopCount>>(iter: I) -> FlopCount {
-        FlopCount(iter.map(|f| f.0).sum())
-    }
-}
-
 /// Flops of a general `m×k · k×n` matrix multiplication (multiply + add).
 pub fn gemm_flops(m: usize, k: usize, n: usize) -> FlopCount {
     FlopCount(2 * m as u64 * k as u64 * n as u64)
 }
 
+/// Flops of the `m×p · p×n` product [`crate::gemm_views`] runs under
+/// `mask`: with no mask the full product, else two per entry of the masked
+/// operand's triangle times the other operand's outer dimension — the
+/// multiply–adds of the triangle it multiplies, not of the zeros it skips.
+pub fn masked_gemm_flops(m: usize, p: usize, n: usize, mask: Option<TriMask>) -> FlopCount {
+    let Some(mask) = mask else {
+        return gemm_flops(m, p, n);
+    };
+    let (outer, other) = if mask.on_b() { (n, m) } else { (m, n) };
+    let kept: usize = (0..outer)
+        .map(|o| {
+            let (lo, hi) = mask.k_range(o, 1, p);
+            hi - lo
+        })
+        .sum();
+    FlopCount(2 * kept as u64 * other as u64)
+}
+
 /// Flops of a triangular solve `L X = B` with `L` of dimension `n` and `k`
-/// right-hand sides: `n²` multiply–adds per column.
+/// right-hand sides by substitution: per column, `n(n−1)/2` multiply–adds
+/// and `n` divisions, `n²` flops.
 pub fn trsm_flops(n: usize, k: usize) -> FlopCount {
     FlopCount(n as u64 * n as u64 * k as u64)
 }
 
-/// Flops of a triangular matrix inversion of dimension `n` (≈ n³/3).
+/// Flops of [`crate::tri_invert_in_place`] at dimension `n` (≈ n³/3): the
+/// direct inversion `Σ_{m ≤ n} m²` at or below [`RECURSION_CUTOFF`], else
+/// the two halves and the two masked products that join them.
 pub fn tri_inv_flops(n: usize) -> FlopCount {
-    FlopCount((n as u64).pow(3) / 3)
-}
-
-/// Flops of a triangular times dense multiplication (`n×n` triangular times
-/// `n×k` dense): about half of the general product.
-pub fn trmm_flops(n: usize, k: usize) -> FlopCount {
-    FlopCount(n as u64 * n as u64 * k as u64)
+    if n <= RECURSION_CUTOFF {
+        let n = n as u64;
+        return FlopCount(n * (n + 1) * (2 * n + 1) / 6);
+    }
+    let (h, rest, lower) = (n / 2, n - n / 2, Triangle::Lower);
+    tri_inv_flops(h)
+        + tri_inv_flops(rest)
+        + masked_gemm_flops(rest, rest, h, Some(TriMask::a(lower)))
+        + masked_gemm_flops(rest, h, h, Some(TriMask::b(lower)))
 }
 
 /// Flops of a Cholesky factorization of dimension `n` (≈ n³/3).
@@ -104,16 +113,37 @@ mod tests {
     }
 
     #[test]
+    fn a_masked_product_counts_its_triangle() {
+        let lower = Triangle::Lower;
+        // A 4×4 lower triangle holds 10 entries, 6 strictly below.
+        assert_eq!(masked_gemm_flops(4, 4, 3, None), gemm_flops(4, 4, 3));
+        assert_eq!(
+            masked_gemm_flops(4, 4, 3, Some(TriMask::a(lower))).get(),
+            2 * 10 * 3
+        );
+        let strict = TriMask::a(lower).with_diagonal(-1);
+        assert_eq!(masked_gemm_flops(4, 4, 3, Some(strict)).get(), 2 * 6 * 3);
+        assert_eq!(
+            masked_gemm_flops(3, 4, 4, Some(TriMask::b(lower))).get(),
+            2 * 10 * 3
+        );
+        let upper = TriMask::a(Triangle::Upper);
+        assert_eq!(masked_gemm_flops(4, 4, 5, Some(upper)).get(), 2 * 10 * 5);
+    }
+
+    #[test]
+    fn the_inversion_count_is_its_recursion() {
+        // 16 is one direct base case; 64 splits twice.
+        assert_eq!(tri_inv_flops(16).get(), 1496);
+        assert_eq!(tri_inv_flops(32).get(), 2 * 1496 + 16 * 16 * 34);
+        assert_eq!(tri_inv_flops(64).get(), 90_976);
+    }
+
+    #[test]
     fn flop_count_arithmetic() {
         let a = FlopCount(3);
         let b = FlopCount(4);
         assert_eq!(a + b, FlopCount(7));
-        assert_eq!(a.plus(b), FlopCount(7));
-        let mut c = a;
-        c += b;
-        assert_eq!(c.get(), 7);
-        let total: FlopCount = vec![a, b, c].into_iter().sum();
-        assert_eq!(total, FlopCount(14));
         assert_eq!(FlopCount::new(5).get(), 5);
         assert_eq!(FlopCount::default(), FlopCount::ZERO);
     }

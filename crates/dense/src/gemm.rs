@@ -16,7 +16,7 @@
 //! determinism tests use it to pin the partitioning).
 
 use crate::error::DenseError;
-use crate::flops::{gemm_flops, FlopCount};
+use crate::flops::{masked_gemm_flops, FlopCount};
 use crate::matrix::{MatMut, MatRef, Matrix};
 use crate::microkernel::{gemm_views_accumulate_opt, TriMask};
 use crate::pack::op_dims;
@@ -104,8 +104,8 @@ pub fn gemm_with_threads(
 ///   the result is bitwise that of the unmasked product on operands with the
 ///   other triangle zero-filled, at every worker count.
 ///
-/// The returned [`FlopCount`] is the classical `2·m·p·n` of the full
-/// product, so cost accounting does not depend on how much a mask skipped.
+/// The returned [`FlopCount`] is that of the arithmetic the call runs,
+/// [`crate::flops::masked_gemm_flops`]: of the triangle, for a masked one.
 /// Products of at least [`PAR_MIN_MADDS`] multiply–adds use the worker
 /// pool; smaller ones stay on the calling thread.
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
@@ -185,7 +185,7 @@ fn gemm_views_on(
         }
     });
     gemm_views_accumulate_opt(alpha, a, a_trans, b, b_trans, c, mask, threads);
-    Ok(gemm_flops(m, p, n))
+    Ok(masked_gemm_flops(m, p, n, mask))
 }
 
 /// Convenience wrapper: returns `A · B` as a fresh matrix.
@@ -201,6 +201,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flops::gemm_flops;
     use crate::reference::gemm_naive_ikj;
 
     /// [`gemm_views`] on whole matrices.

@@ -42,10 +42,12 @@
 //! lets every blocked update — including the right-side TRSM cases — stay
 //! on the safe [`gemm_views`] path.
 //!
-//! Every kernel reports a [`FlopCount`] following the classical formulas, so
-//! the `γ·F` term of the paper's α–β–γ execution-time model is unchanged by
-//! how the arithmetic is scheduled; the distributed algorithms in `catrsm`
-//! charge these counts to the simulated machine.
+//! Every kernel reports a [`FlopCount`] of the arithmetic it runs, in the
+//! one unit [`flops`] defines (a multiply–add is two flops): a solve its
+//! substitution's `n²k`, a masked product the triangle it multiplies, an
+//! inversion its recursion.  The distributed algorithms in `catrsm` charge
+//! these counts to the simulated machine, and the walks that price their
+//! plans call the same functions.
 //!
 //! See `crates/dense/README.md` for the kernel architecture and the
 //! `(MC, KC, NC, MR, NR)` tuning knobs.

@@ -5,8 +5,9 @@
 //! crate's property tests) and as the baselines the `kernels` bench compares
 //! the fast paths to.  They are **not** used on any hot path.
 
-use crate::flops::{gemm_flops, tri_inv_flops, trmm_flops, trsm_flops, FlopCount};
+use crate::flops::{gemm_flops, masked_gemm_flops, tri_inv_flops, trsm_flops, FlopCount};
 use crate::matrix::Matrix;
+use crate::microkernel::TriMask;
 use crate::trsm::{Diag, Side, Triangle};
 
 /// Naive i-k-j triple loop `C ← alpha · A · B + beta · C` with no blocking or
@@ -198,7 +199,7 @@ pub fn trmm_unblocked(tri: Triangle, a: &Matrix, b: &Matrix) -> (Matrix, FlopCou
             }
         }
     }
-    (c, trmm_flops(n, k))
+    (c, masked_gemm_flops(n, n, k, Some(TriMask::a(tri))))
 }
 
 /// Direct column-by-column inversion of a lower-triangular matrix by forward

@@ -22,8 +22,8 @@
 //! thread-local scratch panel for the intermediate product.  [`tri_invert`]
 //! is the allocating wrapper.  The recursion stops at [`RECURSION_CUTOFF`]
 //! and finishes with direct in-place substitution.  The reported
-//! [`FlopCount`] is the classical one of the full products: the γ·F term
-//! describes the algorithm, not the skipping.
+//! [`FlopCount`] is [`tri_inv_flops`], the count of that recursion: the
+//! direct base cases and the triangles the masked products multiply.
 
 use crate::error::DenseError;
 use crate::flops::{tri_inv_flops, FlopCount};
@@ -66,7 +66,7 @@ pub fn tri_invert(tri: Triangle, a: &Matrix) -> Result<(Matrix, FlopCount)> {
 /// invert diagonal blocks where they live (e.g. `catrsm`'s block-diagonal
 /// inverter).  The strictly-opposite triangle of the view is ignored —
 /// whatever it holds, NaN included, reaches no result — and left untouched.
-/// Returns the flop count.
+/// Returns the flop count, [`tri_inv_flops`] of the dimension.
 pub fn tri_invert_in_place(tri: Triangle, a: &mut MatMut<'_>) -> Result<FlopCount> {
     let (rows, cols) = a.dims();
     if rows != cols {
@@ -83,31 +83,29 @@ pub fn tri_invert_in_place(tri: Triangle, a: &mut MatMut<'_>) -> Result<FlopCoun
             });
         }
     }
-    let mut flops = FlopCount::ZERO;
     match tri {
-        Triangle::Lower => invert_lower_in_place(a.reborrow(), &mut flops)?,
-        Triangle::Upper => invert_upper_in_place(a.reborrow(), &mut flops)?,
+        Triangle::Lower => invert_lower_in_place(a.reborrow())?,
+        Triangle::Upper => invert_upper_in_place(a.reborrow())?,
     }
-    Ok(flops)
+    Ok(tri_inv_flops(rows))
 }
 
-fn invert_lower_in_place(l: MatMut<'_>, flops: &mut FlopCount) -> Result<()> {
+fn invert_lower_in_place(l: MatMut<'_>) -> Result<()> {
     let n = l.rows();
     if n <= RECURSION_CUTOFF {
         invert_lower_base(l);
-        *flops += tri_inv_flops(n);
         return Ok(());
     }
     let h = n / 2;
     let (mut top, mut bottom) = l.split_rows_at_mut(h);
-    invert_lower_in_place(top.submat_mut(0, 0, h, h), flops)?;
-    invert_lower_in_place(bottom.submat_mut(0, h, n - h, n - h), flops)?;
+    invert_lower_in_place(top.submat_mut(0, 0, h, h))?;
+    invert_lower_in_place(bottom.submat_mut(0, h, n - h, n - h))?;
 
     // inv21 = -inv22 · L21 · inv11, with one scratch panel for the
     // intermediate product (both factors live in `bottom` / `top`).
     with_scratch((n - h) * h, |tmp| -> Result<()> {
         let mut t = MatMut::from_slice(tmp, n - h, h);
-        *flops += gemm_views(
+        gemm_views(
             1.0,
             bottom.rb().subview(0, h, n - h, n - h),
             false,
@@ -118,7 +116,7 @@ fn invert_lower_in_place(l: MatMut<'_>, flops: &mut FlopCount) -> Result<()> {
             Some(TriMask::a(Triangle::Lower)),
         )?;
         let mut l21 = bottom.submat_mut(0, 0, n - h, h);
-        *flops += gemm_views(
+        gemm_views(
             -1.0,
             t.rb(),
             false,
@@ -132,22 +130,21 @@ fn invert_lower_in_place(l: MatMut<'_>, flops: &mut FlopCount) -> Result<()> {
     })
 }
 
-fn invert_upper_in_place(u: MatMut<'_>, flops: &mut FlopCount) -> Result<()> {
+fn invert_upper_in_place(u: MatMut<'_>) -> Result<()> {
     let n = u.rows();
     if n <= RECURSION_CUTOFF {
         invert_upper_base(u);
-        *flops += tri_inv_flops(n);
         return Ok(());
     }
     let h = n / 2;
     let (mut top, mut bottom) = u.split_rows_at_mut(h);
-    invert_upper_in_place(top.submat_mut(0, 0, h, h), flops)?;
-    invert_upper_in_place(bottom.submat_mut(0, h, n - h, n - h), flops)?;
+    invert_upper_in_place(top.submat_mut(0, 0, h, h))?;
+    invert_upper_in_place(bottom.submat_mut(0, h, n - h, n - h))?;
 
     // inv12 = -inv11 · U12 · inv22.
     with_scratch(h * (n - h), |tmp| -> Result<()> {
         let mut t = MatMut::from_slice(tmp, h, n - h);
-        *flops += gemm_views(
+        gemm_views(
             1.0,
             top.rb().subview(0, 0, h, h),
             false,
@@ -158,7 +155,7 @@ fn invert_upper_in_place(u: MatMut<'_>, flops: &mut FlopCount) -> Result<()> {
             Some(TriMask::a(Triangle::Upper)),
         )?;
         let mut u12 = top.submat_mut(0, h, h, n - h);
-        *flops += gemm_views(
+        gemm_views(
             -1.0,
             t.rb(),
             false,
@@ -285,14 +282,14 @@ mod tests {
 
     #[test]
     fn upper_flops_match_lower_flops() {
-        // The recursion splits identically for both triangles, so the
-        // structural flop accounting must agree.
+        // The recursion splits identically for both triangles.
         for n in [9usize, 24, 37] {
             let l = lower(n, 2);
             let u = l.transpose();
             let (_, fl) = tri_invert(Triangle::Lower, &l).unwrap();
             let (_, fu) = tri_invert(Triangle::Upper, &u).unwrap();
-            assert_eq!(fl, fu, "n={n}");
+            assert_eq!(fl, tri_inv_flops(n), "n={n}");
+            assert_eq!(fu, tri_inv_flops(n), "n={n}");
         }
     }
 

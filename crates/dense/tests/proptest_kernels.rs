@@ -5,7 +5,6 @@
 //! trips, triangular inversion correctness, and factorization reconstruction
 //! — on randomly sized and randomly filled matrices.
 
-use dense::flops::gemm_flops;
 use dense::trinv::RECURSION_CUTOFF;
 use dense::{
     gemm, gemm_views, gen, matmul, norms, reference, tri_invert, tri_invert_in_place,
@@ -262,7 +261,8 @@ proptest! {
     }
 
     /// The masked product agrees with the unblocked TRMM reference on both
-    /// triangles, and is accounted as the full product it stands for.
+    /// triangles, and counts the triangle it multiplies, as the reference
+    /// does.
     #[test]
     fn blocked_trmm_matches_unblocked_reference(
         n in 1usize..150,
@@ -277,9 +277,9 @@ proptest! {
         };
         let b = gen::rhs(n, k, seed ^ 0xbeef);
         let (fast, f_fast) = tri_product(tri, &a, &b);
-        let (slow, _) = reference::trmm_unblocked(tri, &a, &b);
+        let (slow, f_slow) = reference::trmm_unblocked(tri, &a, &b);
         prop_assert!(fast.max_abs_diff(&slow).unwrap() < TOL);
-        prop_assert_eq!(f_fast, gemm_flops(n, n, k));
+        prop_assert_eq!(f_fast, f_slow);
     }
 
     /// The recursive triangular inversion agrees with the direct

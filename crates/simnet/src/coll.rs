@@ -265,7 +265,8 @@ fn reduce_scatter_phases(p: usize, len: usize) -> Schedule {
 }
 
 /// The messages and words member `me` of `p` sends and receives in a
-/// [`reduce_scatter`] of `len` words per member, as the call charges them.
+/// [`reduce_scatter`] of `len` words per member, and the words it folds, as
+/// the call charges them.
 pub fn reduce_scatter_counts(p: usize, len: usize, me: usize) -> CostCounters {
     counts(&reduce_scatter_phases(p, len), p, me, &[])
 }
@@ -343,7 +344,8 @@ fn allreduce_phases(p: usize, len: usize) -> Schedule {
 }
 
 /// The messages and words member `me` of `p` sends and receives in an
-/// [`allreduce`] of `len` words, as the call charges them.
+/// [`allreduce`] of `len` words, and the words it folds, as the call
+/// charges them.
 pub fn allreduce_counts(p: usize, len: usize, me: usize) -> CostCounters {
     counts(&allreduce_phases(p, len), p, me, &[])
 }
@@ -849,8 +851,9 @@ fn bruck_words<I: IntoIterator<Item = (usize, usize)>>(
     words
 }
 
-/// The messages and words member `me` sends and receives under `phases`:
-/// the rounds [`replay`] charges, without their clocks.
+/// The messages and words member `me` sends and receives under `phases`,
+/// and the words it folds: the rounds [`replay`] charges, without their
+/// clocks.
 fn counts(phases: &[Phase], p: usize, me: usize, table: &[usize]) -> CostCounters {
     let mut c = CostCounters::default();
     for &phase in phases {
@@ -860,6 +863,9 @@ fn counts(phases: &[Phase], p: usize, me: usize, table: &[usize]) -> CostCounter
             }
             if let Some((_, words)) = phase.recv(p, me, round, table) {
                 (c.msgs_recv, c.words_recv) = (c.msgs_recv + 1, c.words_recv + words as u64);
+                if phase.folds() {
+                    c.flops += words as u64;
+                }
             }
         }
     }
@@ -1295,9 +1301,16 @@ mod tests {
         assert_eq!(report.max_words() as usize, 2 * n * (p - 1) / p);
     }
 
-    /// The messages and words a rank is charged, sent and received.
-    fn traffic(c: &CostCounters) -> [u64; 4] {
-        [c.msgs_sent, c.msgs_recv, c.words_sent, c.words_recv]
+    /// The messages and words a rank is charged, sent and received, and the
+    /// words it folds.
+    fn traffic(c: &CostCounters) -> [u64; 5] {
+        [
+            c.msgs_sent,
+            c.msgs_recv,
+            c.words_sent,
+            c.words_recv,
+            c.flops,
+        ]
     }
 
     #[test]

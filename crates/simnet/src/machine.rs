@@ -492,12 +492,8 @@ mod tests {
                 (world, group, reduced, waited)
             })
             .unwrap();
-        // The messages and words charged, without the clock and the folds.
-        let counts = |c: CostCounters| CostCounters {
-            flops: 0,
-            time: 0.0,
-            ..c
-        };
+        // The messages, words and folds charged, without the clock.
+        let counts = |c: CostCounters| CostCounters { time: 0.0, ..c };
         let barrier = CostCounters {
             msgs_sent: 10,
             msgs_recv: 10,

@@ -2,11 +2,12 @@
 //! test instead of a table someone eyeballs.
 //!
 //! Every distributed plan quotes the walk of what it runs — a function
-//! beside the executor that makes the executor's decisions and prices each
-//! message on simnet's own schedules (`catrsm::Algorithm::predicted_cost`).
-//! So the quote's S and W are not near the measurement but equal to it:
-//! the most messages and words any rank sends or receives, for the
-//! iterative algorithm phase by phase as well
+//! beside the executor that makes the executor's decisions, prices each
+//! message on simnet's own schedules and each local kernel by the
+//! `dense::flops` count it returns (`catrsm::Algorithm::predicted_cost`).
+//! So the quote's S, W and F are not near the measurement but equal to it:
+//! the most messages, words and flops any rank sends, receives or is
+//! charged, for the iterative algorithm phase by phase as well
 //! (`catrsm::it_inv_trsm::predicted_cost`).  One exactness table holds all
 //! three algorithms to that on named shapes, and a property test on random
 //! shapes and pinned parameters at p ≤ 16.
@@ -131,8 +132,8 @@ fn the_band_holds_across_processor_counts() {
     }
 }
 
-/// The exactness table: every plan's quoted S and W are the measured rank
-/// maxima, and an iterative plan's are per phase as well.  The shapes: the
+/// The exactness table: every plan's quoted S, W and F are the measured
+/// rank maxima, and an iterative plan's are per phase as well.  The shapes: the
 /// two ledger shapes under both revisions, [`BAND_SHAPES`], E3's eight
 /// rows (`exp rec_trsm`), `op_costs`' lower row for each algorithm, and
 /// the wavefront on three more grids and one rank.
@@ -175,13 +176,14 @@ fn every_plan_quotes_the_measured_maxima() {
 }
 
 /// The plan of `request` for an `n × n`, `k`-column solve on the `pr × pc`
-/// caller grid quotes the most messages and words any rank was charged —
-/// an iterative plan phase by phase as well.
+/// caller grid quotes the most messages, words and flops any rank was
+/// charged — an iterative plan phase by phase as well.
 fn assert_the_quote_is_measured(request: SolveRequest, n: usize, k: usize, grid: (usize, usize)) {
     let m = plan_and_measure(request, n, k, grid);
     let what = format!("{:?} n={n} k={k} on {grid:?}", m.algorithm);
     assert_eq!(m.report.max_messages() as f64, m.quote.latency, "{what}: S");
     assert_eq!(m.report.max_words() as f64, m.quote.bandwidth, "{what}: W");
+    assert_eq!(m.report.max_flops() as f64, m.quote.flops, "{what}: F");
     let Algorithm::IterativeInversion(cfg) = m.algorithm else {
         return;
     };
@@ -195,6 +197,7 @@ fn assert_the_quote_is_measured(request: SolveRequest, n: usize, k: usize, grid:
         let at = format!("{what}, {name}");
         assert_eq!(most(CostCounters::latency), quote.latency, "{at}: S");
         assert_eq!(most(CostCounters::bandwidth), quote.bandwidth, "{at}: W");
+        assert_eq!(most(|c| c.flops), quote.flops, "{at}: F");
     }
 }
 
