@@ -65,9 +65,7 @@ impl Algorithm {
     /// ([`crate::rec_trsm::predicted_cost`]), the wavefront its layout moves
     /// and broadcasts ([`crate::wavefront::predicted_cost`]).  Every walk
     /// prices each message on simnet's own schedules, so S and W are the
-    /// most any rank sends or receives, exactly.  No arm reads the
-    /// cost-model revision: it reaches a plan only through the
-    /// configuration the planner chose under it.
+    /// most any rank sends or receives, exactly.
     ///
     /// A walk is a pure function of its arguments, and every rank of a
     /// solve plans the same one inside its op: each is walked once per

@@ -79,7 +79,6 @@ mod walk;
 pub mod wavefront;
 
 pub use api::Algorithm;
-pub use costmodel::CostModelRev;
 pub use error::TrsmError;
 pub use it_inv_trsm::{ItInvConfig, PhaseBreakdown};
 pub use solve::{LevelReport, PlanBackend, Solution, SolvePlan, SolveReport, SolveRequest};

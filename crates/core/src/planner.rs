@@ -4,7 +4,9 @@
 //! *real-valued* parameters.  The planner turns them into concrete choices
 //! that satisfy the divisibility requirements of the implementations:
 //! power-of-two grid faces that divide the communicator, block sizes that
-//! divide the matrix dimension, and so on.  This is what makes the "a priori
+//! divide the matrix dimension, and so on.  Every choice is made by one
+//! rule, `closest`: the feasible candidate nearest the model's target in
+//! log distance, the smaller on a tie.  This is what makes the "a priori
 //! determination of block sizes and processor grids" claim of the paper
 //! actionable in code.
 
@@ -13,46 +15,30 @@ use crate::it_inv_trsm::ItInvConfig;
 use crate::Result;
 use costmodel::CostModelRev;
 
-/// The divisor of `value` that is closest to `target` (ties broken downward)
-/// among divisors that are multiples of `multiple_of`.
-pub fn closest_divisor(value: usize, target: usize, multiple_of: usize) -> usize {
-    let mut best = value;
-    let mut best_dist = f64::INFINITY;
-    for d in 1..=value {
-        if !value.is_multiple_of(d) || d % multiple_of != 0 {
-            continue;
-        }
-        let dist = (d as f64).ln() - (target.max(1) as f64).ln();
-        let dist = dist.abs();
-        if dist < best_dist {
-            best_dist = dist;
-            best = d;
+/// The candidate nearest `target` in log distance, the first of a tie:
+/// candidates come in ascending order, so the smaller wins.  `None` when
+/// no candidate is at a finite distance.
+fn closest(candidates: impl Iterator<Item = usize>, target: f64) -> Option<usize> {
+    let mut best = (None, f64::INFINITY);
+    for c in candidates {
+        let dist = ((c as f64).ln() - target.ln()).abs();
+        if dist < best.1 {
+            best = (Some(c), dist);
         }
     }
-    best
+    best.0
 }
 
-/// The power of two `≤ limit` satisfying `feasible` that is closest to
-/// `target` (log distance, ties to the smaller), if any is feasible.
-fn closest_feasible_pow2(
-    limit: usize,
-    target: f64,
-    feasible: impl Fn(usize) -> bool,
-) -> Option<usize> {
-    let mut best = None;
-    let mut best_dist = f64::INFINITY;
-    let mut cand = 1usize;
-    while cand <= limit {
-        if feasible(cand) {
-            let dist = ((cand as f64).ln() - target.ln()).abs();
-            if dist < best_dist {
-                best_dist = dist;
-                best = Some(cand);
-            }
-        }
-        cand *= 2;
-    }
-    best
+/// The powers of two up to `limit`, ascending.
+fn powers_of_two(limit: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(1usize), |c| c.checked_mul(2)).take_while(move |&c| c <= limit)
+}
+
+/// The divisors of `n` that are multiples of `step`, ascending.
+fn divisors(n: usize, step: usize) -> impl Iterator<Item = usize> {
+    (step..=n)
+        .step_by(step)
+        .filter(move |&d| n.is_multiple_of(d))
 }
 
 /// Choose the square-face dimension `p1` for the 3D matrix multiplication on
@@ -62,25 +48,26 @@ fn closest_feasible_pow2(
 /// the one closest to the cost-optimal `(n·p/k)^{1/3}` is selected.
 pub fn choose_mm_p1(n: usize, k: usize, q: usize) -> usize {
     let (target, _) = costmodel::mm::mm_grid_for(n as f64, k as f64, (q * q) as f64);
-    closest_feasible_pow2(q, target, |p1| {
+    let feasible = powers_of_two(q).filter(|&p1| {
         let s = q / p1;
         q.is_multiple_of(p1)
             && n.is_multiple_of(p1 * p1)
             && k.is_multiple_of(s * s)
             && k.is_multiple_of(q)
-    })
-    .unwrap_or(1)
+    });
+    closest(feasible, target).unwrap_or(1)
 }
 
 /// The feasible `It-Inv-TRSM` configuration for solving `L·X = B` with `L`
 /// of dimension `n`, `k` right-hand sides and `p` processors under the cost
 /// model `model`, or a configuration error when `(n, k, p)` admits none.
 ///
-/// The real-valued targets (`p1`, `n0`) come from [`CostModelRev::plan`], so
-/// a `Tang24` caller gets grids placed by the corrected bandwidth bound's
-/// regime boundaries; the integer feasibility rounding below is
-/// revision-independent.  The caller's grid is assumed to be (close to)
-/// square; the iterative algorithm internally re-grids the processors as
+/// The real-valued targets (`p1`, `n0`) come from [`CostModelRev::plan`];
+/// the rounding to feasible integers is revision-independent.  An unpinned
+/// `SolveRequest` plans under [`CostModelRev::Ipdps17`], the paper's own
+/// bounds; comparing revisions is calling this with each and pinning the
+/// results.  The caller's grid is assumed to be (close to) square; the
+/// iterative algorithm internally re-grids the processors as
 /// `p1 × p1 × p2`.
 pub fn plan(model: CostModelRev, n: usize, k: usize, p: usize) -> Result<ItInvConfig> {
     let target = model.plan(n, k, p);
@@ -88,10 +75,10 @@ pub fn plan(model: CostModelRev, n: usize, k: usize, p: usize) -> Result<ItInvCo
     // p1: among the powers of two whose cuboid p1 × p1 × p/p1² the algorithm
     // accepts — p1² | p, p1 | n, and k splits into p2 = p/p1² slabs — the
     // one closest to the model's target.
-    let p1 = closest_feasible_pow2(p.isqrt(), target.p1.max(1.0), |p1| {
+    let faces = powers_of_two(p.isqrt()).filter(|&p1| {
         p.is_multiple_of(p1 * p1) && n.is_multiple_of(p1) && k.is_multiple_of(p / (p1 * p1))
-    })
-    .ok_or_else(|| {
+    });
+    let p1 = closest(faces, target.p1.max(1.0)).ok_or_else(|| {
         config_error(
             "planner",
             format!(
@@ -101,8 +88,9 @@ pub fn plan(model: CostModelRev, n: usize, k: usize, p: usize) -> Result<ItInvCo
         )
     })?;
 
-    // n0: divisor of n, multiple of p1, close to the model's target.
-    let n0 = closest_divisor(n, target.n0.round().max(1.0) as usize, p1);
+    // n0: a divisor of n and a multiple of p1 (n itself is one), close to the
+    // model's target.
+    let n0 = closest(divisors(n, p1), target.n0.round().max(1.0)).unwrap_or(n);
 
     Ok(ItInvConfig {
         p1,
@@ -117,12 +105,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn closest_divisor_helper() {
-        assert_eq!(closest_divisor(64, 16, 1), 16);
-        assert_eq!(closest_divisor(64, 15, 1), 16);
-        assert_eq!(closest_divisor(60, 16, 1), 15);
-        assert_eq!(closest_divisor(64, 10, 4), 8);
-        assert_eq!(closest_divisor(64, 1000, 1), 64);
+    fn closest_rounds_by_log_distance() {
+        // Divisors, as `plan` offers n0.
+        let divisor = |n, target, step| closest(divisors(n, step), target).unwrap();
+        assert_eq!(divisor(64, 16.0, 1), 16);
+        assert_eq!(divisor(64, 15.0, 1), 16);
+        assert_eq!(divisor(60, 16.0, 1), 15);
+        assert_eq!(divisor(64, 10.0, 4), 8);
+        assert_eq!(divisor(64, 1000.0, 1), 64);
+        // Powers of two, as `plan` offers p1: 5 is nearer 4 than 8.
+        assert_eq!(closest(powers_of_two(16), 5.0), Some(4));
+        assert_eq!(closest(powers_of_two(16).filter(|&c| c > 16), 5.0), None);
     }
 
     #[test]

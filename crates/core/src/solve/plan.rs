@@ -5,7 +5,7 @@ use super::request::SolveRequest;
 use crate::api::Algorithm;
 use crate::error::config_error;
 use crate::Result;
-use costmodel::{Cost, Regime};
+use costmodel::Cost;
 use dense::{FlopCount, Matrix, SolveKernel, Transpose};
 use sparse::SparseTri;
 use std::fmt;
@@ -85,8 +85,6 @@ pub struct SolvePlan {
     /// what it knows exactly instead: its flops, and for sparse its levels,
     /// barriers and workers.
     pub predicted_cost: Option<Cost>,
-    /// The Section VIII regime (distributed plans only).
-    pub regime: Option<Regime>,
 }
 
 /// The three kernels of the dense solve, by name.

@@ -31,7 +31,6 @@ pub struct SolveRequest {
     reuse: Option<usize>,
     algorithm: Option<Algorithm>,
     pub(super) residual: bool,
-    cost_rev: CostModelRev,
 }
 
 impl SolveRequest {
@@ -43,7 +42,6 @@ impl SolveRequest {
             reuse: None,
             algorithm: None,
             residual: false,
-            cost_rev: CostModelRev::default(),
         }
     }
 
@@ -115,20 +113,12 @@ impl SolveRequest {
     }
 
     /// Pin the distributed algorithm.  `None` (or not calling this at all)
-    /// lets the Section VIII planner choose.
+    /// lets the Section VIII planner choose, under the paper's own bounds
+    /// (`costmodel::CostModelRev::Ipdps17`).  To run the configuration
+    /// another revision of the model picks, pin what
+    /// [`planner::plan`] returns under it.
     pub fn algorithm(mut self, algorithm: impl Into<Option<Algorithm>>) -> SolveRequest {
         self.algorithm = algorithm.into();
-        self
-    }
-
-    /// Select the cost-model revision the distributed planner prices and
-    /// classifies with: [`CostModelRev::Ipdps17`] (the default — the
-    /// paper's original leading-order bounds) or [`CostModelRev::Tang24`]
-    /// (the reexamination's corrected recursive bandwidth terms, which
-    /// move the regime boundaries and hence where an unpinned request places
-    /// the processor grid).  Dense and sparse lowering ignore it.
-    pub fn cost_model(mut self, rev: CostModelRev) -> SolveRequest {
-        self.cost_rev = rev;
         self
     }
 
@@ -182,7 +172,6 @@ impl SolveRequest {
             request: *self,
             predicted_flops: trsm_flops(n, k),
             predicted_cost: None,
-            regime: None,
             backend: PlanBackend::Dense {
                 threads: dense::dense_threads(),
                 block: dense::TRSM_BLOCK,
@@ -234,7 +223,6 @@ impl SolveRequest {
             request: *self,
             predicted_flops: a.solve_flops(k),
             predicted_cost: None,
-            regime: None,
             backend: PlanBackend::Sparse {
                 workers: shape.workers,
                 levels: shape.levels,
@@ -250,9 +238,9 @@ impl SolveRequest {
     /// Lower to a distributed-backend plan for an `n×n` operand, `k`
     /// right-hand sides and `p` simulated processors.
     ///
-    /// With no algorithm pin this is where the choice is made: the Section
-    /// VIII cost model classifies `(n, k, p)` into its regime and the
-    /// [`crate::planner`] turns the real-valued optimum into a feasible
+    /// With no algorithm pin this is where the choice is made: the
+    /// [`crate::planner`] rounds Section VIII's real-valued optimum for
+    /// `(n, k, p)`, under the paper's bounds, to a feasible
     /// `p1 × p1 × p2` grid and block size — recorded on the plan as the
     /// resolved [`Algorithm`], so the choice is inspectable before (and
     /// after) execution.  A shape no grid fits, or a pinned iterative
@@ -274,7 +262,7 @@ impl SolveRequest {
         }
         let algorithm = match self.algorithm {
             Some(pinned) => pinned,
-            None => Algorithm::IterativeInversion(planner::plan(self.cost_rev, n, k, p)?),
+            None => Algorithm::IterativeInversion(planner::plan(CostModelRev::Ipdps17, n, k, p)?),
         };
         if let Algorithm::IterativeInversion(cfg) = &algorithm {
             cfg.check(n, k, p)?;
@@ -286,7 +274,6 @@ impl SolveRequest {
             request: *self,
             predicted_flops: FlopCount::new(predicted.flops as u64),
             predicted_cost: Some(predicted),
-            regime: Some(self.cost_rev.classify(n as f64, k as f64, p as f64)),
             backend: PlanBackend::Distributed { algorithm, p },
         })
     }

@@ -379,7 +379,6 @@ fn distributed_auto_plan_is_inspectable_and_executes() {
             };
             assert_eq!(cfg.p1 * cfg.p1 * cfg.p2, 4);
             assert!(plan.predicted_cost.is_some());
-            assert!(plan.regime.is_some());
             let sol = plan.execute_distributed(&l, &b).unwrap();
             let err = dense::norms::rel_diff(&sol.x.to_global(), &x_true);
             let phases = sol.report.phases.expect("it_inv attaches phases");
@@ -522,10 +521,8 @@ fn an_it_inv_drift_table_is_its_phase_rows_and_its_total_is_the_plan() {
 
 #[test]
 fn an_it_inv_prediction_follows_the_configuration() {
-    let predicted = |rev, cfg: Option<ItInvConfig>, n, k, p| {
-        let request = SolveRequest::lower()
-            .cost_model(rev)
-            .algorithm(cfg.map(Algorithm::IterativeInversion));
+    let predicted = |cfg: Option<ItInvConfig>, n, k, p| {
+        let request = SolveRequest::lower().algorithm(cfg.map(Algorithm::IterativeInversion));
         let plan = request.plan_distributed(n, k, p).unwrap();
         let PlanBackend::Distributed {
             algorithm: Algorithm::IterativeInversion(resolved),
@@ -536,6 +533,7 @@ fn an_it_inv_prediction_follows_the_configuration() {
         };
         (resolved, plan.predicted_cost.unwrap())
     };
+    use crate::planner;
     use costmodel::CostModelRev::{Ipdps17, Tang24};
 
     // Pins that differ only in n0, and only in the grid, predict differently.
@@ -545,29 +543,31 @@ fn an_it_inv_prediction_follows_the_configuration() {
         n0: 32,
         inv_base: 16,
     };
-    let (_, at_base) = predicted(Ipdps17, Some(base), 512, 64, 16);
+    let (_, at_base) = predicted(Some(base), 512, 64, 16);
     let coarser = ItInvConfig { n0: 128, ..base };
     let deeper = ItInvConfig {
         p1: 2,
         p2: 4,
         ..base
     };
-    let (_, at_coarser) = predicted(Ipdps17, Some(coarser), 512, 64, 16);
-    let (_, at_deeper) = predicted(Ipdps17, Some(deeper), 512, 64, 16);
+    let (_, at_coarser) = predicted(Some(coarser), 512, 64, 16);
+    let (_, at_deeper) = predicted(Some(deeper), 512, 64, 16);
     assert_ne!(at_base, at_coarser);
     assert_ne!(at_base, at_deeper);
     // Fewer, larger blocks: fewer synchronised iterations.
     assert!(at_coarser.latency < at_base.latency);
 
-    // The revision acts through the configuration the planner chooses under
-    // it, and through nothing else.
-    let (cfg_i17, cost_i17) = predicted(Ipdps17, None, 512, 512, 64);
-    let (cfg_t24, cost_t24) = predicted(Tang24, None, 512, 512, 64);
+    // A model revision acts through the configuration the planner chooses
+    // under it, and through nothing else; an unpinned request takes the
+    // paper's.
+    let cfg_i17 = planner::plan(Ipdps17, 512, 512, 64).unwrap();
+    let cfg_t24 = planner::plan(Tang24, 512, 512, 64).unwrap();
     assert_eq!((cfg_i17.p1, cfg_i17.p2), (2, 16));
     assert_eq!((cfg_t24.p1, cfg_t24.p2), (4, 4));
-    assert_ne!(cost_i17, cost_t24);
-    assert_eq!(predicted(Ipdps17, Some(cfg_t24), 512, 512, 64).1, cost_t24);
-    assert_eq!(predicted(Tang24, Some(cfg_i17), 512, 512, 64).1, cost_i17);
+    let (unpinned, cost_i17) = predicted(None, 512, 512, 64);
+    assert_eq!(unpinned, cfg_i17);
+    assert_eq!(predicted(Some(cfg_i17), 512, 512, 64).1, cost_i17);
+    assert_ne!(predicted(Some(cfg_t24), 512, 512, 64).1, cost_i17);
 }
 
 #[test]

@@ -33,12 +33,8 @@ fn main() {
     } = plan.backend
     {
         println!(
-            "  planner grid:   p1 × p1 × p2 = {} × {} × {}, n0 = {} ({:?})",
-            cfg.p1,
-            cfg.p1,
-            cfg.p2,
-            cfg.n0,
-            plan.regime.expect("distributed plans carry a regime"),
+            "  planner grid:   p1 × p1 × p2 = {} × {} × {}, n0 = {}",
+            cfg.p1, cfg.p1, cfg.p2, cfg.n0,
         );
     }
     if let Some(cost) = &plan.predicted_cost {

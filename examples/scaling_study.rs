@@ -8,8 +8,8 @@
 //! cargo run --release --example scaling_study
 //! ```
 
-use catrsm::CostModelRev;
 use catrsm_suite::prelude::*;
+use costmodel::CostModelRev;
 
 /// `(S, W, T)` of one solve; `None` is the unpinned request — the iterative
 /// algorithm with the Section VIII planner's parameters.

@@ -21,8 +21,8 @@
 //! measured W on the ledger shapes), and over-prices the per-block
 //! right-hand-side reductions of the solve and update phases.
 
-use catrsm::{Algorithm, CostModelRev, ItInvConfig, PhaseBreakdown, PlanBackend, SolveRequest};
-use costmodel::Cost;
+use catrsm::{planner, Algorithm, ItInvConfig, PhaseBreakdown, PlanBackend, SolveRequest};
+use costmodel::{Cost, CostModelRev};
 use dense::gen;
 use pgrid::{DistMatrix, Grid2D};
 use proptest::prelude::*;
@@ -66,13 +66,19 @@ fn plan_and_measure(
     }
 }
 
-/// `(max_words / modelled W, max_messages / modelled S)` of one planned
+/// The configuration the planner picks for `(n, k, p)` under `rev`, pinned.
+fn planned(rev: CostModelRev, n: usize, k: usize, p: usize) -> SolveRequest {
+    let cfg = planner::plan(rev, n, k, p).unwrap();
+    SolveRequest::lower().algorithm(Algorithm::IterativeInversion(cfg))
+}
+
+/// `(max_words / modelled W, max_messages / modelled S)` of one iterative
 /// solve on a `grid × grid` caller grid, against the Section VII phase
 /// model at the configuration the plan resolved.
-fn drift(n: usize, k: usize, grid: usize, rev: CostModelRev) -> (f64, f64) {
-    let m = plan_and_measure(SolveRequest::lower().cost_model(rev), n, k, (grid, grid));
+fn drift(request: SolveRequest, n: usize, k: usize, grid: usize) -> (f64, f64) {
+    let m = plan_and_measure(request, n, k, (grid, grid));
     let Algorithm::IterativeInversion(cfg) = m.algorithm else {
-        panic!("an unpinned plan is iterative");
+        panic!("the plan is iterative");
     };
     let model = cfg.phase_model(n, k).named();
     let model: Cost = model.into_iter().map(|(_, m)| m.unwrap_or_default()).sum();
@@ -90,13 +96,25 @@ fn assert_within(what: &str, ratio: f64, (floor, ceiling): (f64, f64)) {
 }
 
 /// The two ledger shapes (perfbench's `dist_few_rhs` and `dist_cube`, 16
-/// ranks), both revisions — which plan the same configuration here.
-/// Measured against the phase model: W 0.84 / 1.11, S 1.12 / 1.11.
+/// ranks), at what an unpinned request plans — the paper's bounds — and at
+/// the planner's pick under both revisions, which is the same
+/// configuration here.  Measured against the phase model: W 0.84 / 1.11,
+/// S 1.12 / 1.11.
 #[test]
 fn measured_words_and_messages_stay_within_a_stated_factor_of_the_model() {
-    for (n, k) in [(1024, 16), (384, 384)] {
+    for (n, k, (p1, p2, n0)) in [(1024, 16, (4, 1, 64)), (384, 384, (2, 4, 384))] {
+        let plan = SolveRequest::lower().plan_distributed(n, k, 16).unwrap();
+        let cfg = ItInvConfig {
+            p1,
+            p2,
+            n0,
+            inv_base: 64,
+        };
+        let algorithm = Algorithm::IterativeInversion(cfg);
+        assert_eq!(plan.backend, PlanBackend::Distributed { algorithm, p: 16 });
         for rev in CostModelRev::ALL {
-            let (words, msgs) = drift(n, k, 4, rev);
+            assert_eq!(planner::plan(rev, n, k, 16).unwrap(), cfg, "{rev:?}");
+            let (words, msgs) = drift(planned(rev, n, k, 16), n, k, 4);
             assert_within(&format!("n={n} k={k} {rev:?}: W"), words, (0.8, 1.2));
             assert_within(&format!("n={n} k={k} {rev:?}: S"), msgs, (1.0, 1.2));
         }
@@ -126,7 +144,7 @@ const BAND_SHAPES: [(usize, usize, usize); 8] = [
 fn the_band_holds_across_processor_counts() {
     const BAND: (f64, f64) = (0.4, 2.1);
     for (n, k, grid) in BAND_SHAPES {
-        let (words, msgs) = drift(n, k, grid, CostModelRev::Ipdps17);
+        let (words, msgs) = drift(SolveRequest::lower(), n, k, grid);
         assert_within(&format!("n={n} k={k} p={}: W", grid * grid), words, BAND);
         assert_within(&format!("n={n} k={k} p={}: S", grid * grid), msgs, BAND);
     }
@@ -134,20 +152,20 @@ fn the_band_holds_across_processor_counts() {
 
 /// The exactness table: every plan's quoted S, W and F are the measured
 /// rank maxima, and an iterative plan's are per phase as well.  The shapes: the
-/// two ledger shapes under both revisions, [`BAND_SHAPES`], E3's eight
+/// two ledger shapes at the planner's pick under both revisions,
+/// [`BAND_SHAPES`] unpinned, E3's eight
 /// rows (`exp rec_trsm`), `op_costs`' lower row for each algorithm, and
 /// the wavefront on three more grids and one rank.
 #[test]
 fn every_plan_quotes_the_measured_maxima() {
     let recursive = |base_size| Some(Algorithm::Recursive { base_size });
-    let planned = |rev| SolveRequest::lower().cost_model(rev);
     let pinned = |algorithm| SolveRequest::lower().algorithm(algorithm);
     let mut cases = Vec::new();
     for (n, k) in [(1024, 16), (384, 384)] {
-        cases.extend(CostModelRev::ALL.map(|rev| (planned(rev), n, k, 4)));
+        cases.extend(CostModelRev::ALL.map(|rev| (planned(rev, n, k, 16), n, k, 4)));
     }
     for (n, k, grid) in BAND_SHAPES {
-        cases.push((planned(CostModelRev::Ipdps17), n, k, grid));
+        cases.push((SolveRequest::lower(), n, k, grid));
     }
     // (algorithm, n, k, grid side) — measured S, W beside each.
     cases.extend(

@@ -4,9 +4,10 @@
 
 use catrsm::api::Algorithm;
 use catrsm::it_inv_trsm::ItInvConfig;
+use catrsm::planner;
 use catrsm::rec_trsm::rec_trsm;
-use catrsm::{planner, CostModelRev};
 use catrsm_suite::prelude::*;
+use costmodel::CostModelRev;
 use pgrid::redist;
 use simnet::coll;
 
