@@ -25,7 +25,7 @@ use crate::mm3d::mm3d;
 use crate::planner::choose_mm_p1;
 use crate::{walk, Result};
 use costmodel::Cost;
-use dense::flops::trsm_flops;
+use dense::flops::solve_flops;
 use dense::Matrix;
 use pgrid::distmat::cyclic_local_count;
 use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
@@ -153,8 +153,9 @@ fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Di
         let my_cols = b_cols.cols();
         if my_cols > 0 {
             // Solve in place: the gathered columns are overwritten with X.
-            dense::trsm_in_place_opts(&dense::SolveOpts::lower(), &l_full, &mut b_cols)?;
-            grid.comm().charge_flops(trsm_flops(n, my_cols).get());
+            let flops =
+                dense::trsm_in_place_opts(&dense::SolveOpts::lower(), &l_full, &mut b_cols)?;
+            grid.comm().charge_flops(flops.get());
         }
         // Scatter the solution back to the cyclic layout.
         let cyclic = Layout::cyclic(grid, n, k);
@@ -237,7 +238,7 @@ fn walk(n: usize, k: usize, pr: usize, pc: usize, base_size: usize) -> Vec<CostC
         walk::add(&mut ranks, &move_counts(&columns, &cyclic, Filter::All));
         let longest = cyclic_local_count(n, pr, 0).pow(2);
         for (r, rank) in ranks.iter_mut().enumerate() {
-            let solve = walk::work(trsm_flops(n, cyclic_local_count(k, p, r)));
+            let solve = walk::work(solve_flops(n, cyclic_local_count(k, p, r)));
             *rank = rank
                 .merge(&coll::allgatherv_counts(p, longest, r))
                 .merge(&solve);

@@ -31,7 +31,7 @@
 //! let plan = SolveRequest::lower().plan_dense(n, 8).unwrap();
 //! let sol = plan.execute_dense(&l, &b).unwrap();
 //! assert!(dense::norms::rel_diff(&sol.x, &x_true) < 1e-9);
-//! assert_eq!(sol.report.flops, dense::flops::trsm_flops(n, 8));
+//! assert_eq!(sol.report.flops, dense::flops::solve_flops(n, 8));
 //! // Transposed solves need no materialized Lᵀ on any backend:
 //! let bt = dense::gemm::matmul(&l.transpose(), &x_true);
 //! let st = SolveRequest::lower().transposed().solve_dense(&l, &bt).unwrap();

@@ -76,7 +76,7 @@ pub struct SolvePlan {
     /// Backend-specific algorithm choice and parameters.
     pub backend: PlanBackend,
     /// Predicted flop count (the `γ·F` term), in `dense::flops`' unit: a
-    /// dense plan's `trsm_flops`, a sparse plan's `SparseTri::solve_flops`,
+    /// dense plan's `solve_flops` for the kernel it runs, a sparse plan's `SparseTri::solve_flops`,
     /// a distributed plan's most flops any rank is charged — each what its
     /// solve reports.
     pub predicted_flops: FlopCount,

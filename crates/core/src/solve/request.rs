@@ -7,7 +7,7 @@ use crate::error::config_error;
 use crate::planner;
 use crate::Result;
 use costmodel::CostModelRev;
-use dense::flops::trsm_flops;
+use dense::flops::solve_flops;
 use dense::{Diag, FlopCount, Matrix, Side, SolveOpts, Transpose, Triangle};
 use pgrid::DistMatrix;
 use sparse::SparseTri;
@@ -170,7 +170,7 @@ impl SolveRequest {
             n,
             k,
             request: *self,
-            predicted_flops: trsm_flops(n, k),
+            predicted_flops: solve_flops(n, k),
             predicted_cost: None,
             backend: PlanBackend::Dense {
                 threads: dense::dense_threads(),

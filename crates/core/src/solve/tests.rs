@@ -1,7 +1,7 @@
 use super::*;
 use crate::api::Algorithm;
 use crate::it_inv_trsm::ItInvConfig;
-use dense::flops::trsm_flops;
+use dense::flops::{solve_flops, trsm_flops};
 use dense::gen;
 use dense::{Matrix, Side, Transpose, Triangle};
 use pgrid::DistMatrix;
@@ -38,6 +38,23 @@ fn dense_plan_and_execution_round_trip() {
     // The dense kernel's own entry point and the staged API agree bitwise.
     let direct = dense::trsm_opts(&req.opts(), &l, &b).unwrap();
     assert_eq!(direct, sol.x);
+}
+
+#[test]
+fn a_wide_dense_solve_reports_the_flops_of_its_inverted_blocks() {
+    // k ≥ NB inverts the diagonal blocks (two of 64, one of 8) and applies
+    // each inverse as a product: the substitution's n²k plus, per block,
+    // its inversion and the product's nb·k beyond substituting.
+    let (n, k) = (136, 64);
+    let l = gen::well_conditioned_lower(n, 5);
+    let b = gen::rhs(n, k, 6);
+    let plan = SolveRequest::lower().plan_dense(n, k).unwrap();
+    let sol = plan.execute_dense(&l, &b).unwrap();
+    let block = |nb: u64| dense::flops::tri_inv_flops(nb as usize).get() + nb * k as u64;
+    let ran = trsm_flops(n, k).get() + 2 * block(64) + block(8);
+    assert_eq!(sol.report.flops, solve_flops(n, k));
+    assert_eq!(sol.report.flops.get(), ran);
+    assert_eq!(plan.predicted_flops, sol.report.flops);
 }
 
 #[test]

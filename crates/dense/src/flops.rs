@@ -8,7 +8,7 @@
 
 use crate::microkernel::TriMask;
 use crate::trinv::RECURSION_CUTOFF;
-use crate::trsm::Triangle;
+use crate::trsm::{solve_kernel, SolveKernel, Triangle, TRSM_BLOCK};
 
 /// Number of floating-point operations performed by a kernel invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,6 +66,25 @@ pub fn trsm_flops(n: usize, k: usize) -> FlopCount {
     FlopCount(n as u64 * n as u64 * k as u64)
 }
 
+/// Flops of the dense solve [`crate::trsm_in_place_opts`] of dimension `n`
+/// with `k` right-hand sides, as the kernel [`solve_kernel`]`(k)` runs it:
+/// the substitution's [`trsm_flops`] for both substitution kernels, and for
+/// the inverted-block kernel also each diagonal block's inversion and the
+/// `nb·k` its triangle-aware product runs beyond substituting through it
+/// (its triangle is `nb(nb+1)/2` entries, not `nb(nb−1)/2` and `nb`
+/// divisions).
+pub fn solve_flops(n: usize, k: usize) -> FlopCount {
+    let substitution = trsm_flops(n, k);
+    if solve_kernel(k) != SolveKernel::InvertedBlocks {
+        return substitution;
+    }
+    (0..n)
+        .step_by(TRSM_BLOCK)
+        .map(|i0| TRSM_BLOCK.min(n - i0))
+        .map(|nb| tri_inv_flops(nb) + FlopCount(nb as u64 * k as u64))
+        .fold(substitution, |sum, block| sum + block)
+}
+
 /// Flops of [`crate::tri_invert_in_place`] at dimension `n` (≈ n³/3): the
 /// direct inversion `Σ_{m ≤ n} m²` at or below [`RECURSION_CUTOFF`], else
 /// the two halves and the two masked products that join them.
@@ -104,6 +123,20 @@ mod tests {
     #[test]
     fn trsm_flops_formula() {
         assert_eq!(trsm_flops(4, 2), FlopCount(32));
+    }
+
+    #[test]
+    fn a_wide_solve_counts_its_inverted_blocks() {
+        // Narrower than NB: substitution, n²k.
+        assert_eq!(solve_flops(200, 63), trsm_flops(200, 63));
+        // n = 320, k = 320: five 64-blocks inverted.
+        let inverted = 5 * (tri_inv_flops(64).get() + 64 * 320);
+        assert_eq!(solve_flops(320, 320).get(), 32_768_000 + inverted);
+        assert_eq!(solve_flops(320, 320).get(), 33_325_280);
+        // A last block narrower than NB is inverted at its own size.
+        let tail = tri_inv_flops(8).get() + 8 * 64;
+        let full = tri_inv_flops(64).get() + 64 * 64;
+        assert_eq!(solve_flops(136, 64).get(), 136 * 136 * 64 + 2 * full + tail);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! iterative inversion-based TRSM of Section VI of the paper.
 
 use crate::error::DenseError;
-use crate::flops::{trsm_flops, FlopCount};
+use crate::flops::{solve_flops, FlopCount};
 use crate::gemm::gemm_views;
 use crate::matrix::{MatMut, MatRef, Matrix};
 use crate::microkernel::TriMask;
@@ -288,7 +288,7 @@ pub fn trsm_opts(opts: &SolveOpts, a: &Matrix, b: &Matrix) -> Result<Matrix> {
 /// the solve — side, triangle, transposition, diagonal kind — comes from the
 /// [`SolveOpts`].  Overwrites `b` — a `&mut Matrix`, a `&mut [f64]` (one
 /// right-hand side) or any [`MatMut`] view — with the solution and returns
-/// the flop count of the substitution.
+/// the flop count of the kernel that ran, [`solve_flops`].
 ///
 /// The kernel is [`solve_kernel`]'s answer for the width of `b`: row
 /// substitution for one right-hand side, blocked substitution below
@@ -355,7 +355,7 @@ pub fn trsm_in_place_opts<'b>(
         SolveKernel::BlockedSubstitution => solve_blocked(opts, a, b, false)?,
         SolveKernel::InvertedBlocks => solve_blocked(opts, a, b, true)?,
     }
-    Ok(trsm_flops(n, k))
+    Ok(solve_flops(n, k))
 }
 
 // ---------------------------------------------------------------------------
@@ -731,6 +731,7 @@ fn solve_left_upper_t_base(diag: Diag, a: MatRef<'_>, mut b: MatMut<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flops::trsm_flops;
     use crate::gemm::matmul;
     use crate::reference;
 
