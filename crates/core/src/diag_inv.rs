@@ -24,8 +24,12 @@
 //!
 //! * the groups are formed from the processors of the grid that owns `L`
 //!   (the face of the 3D grid in `It-Inv-TRSM`) rather than from all `p`
-//!   processors; the phase remains non-dominant, which experiment E5
-//!   verifies;
+//!   processors.  So the phase can dominate: with few blocks on a small
+//!   face a block's sub-grid can be a single rank.  At T1's 3D row
+//!   (`conclusion_table`: n = 256, k = 64, p1 = 2, p2 = 4, n0 = 128) one
+//!   rank inverts a whole 128-block, 714 432 of its 981 184 flops, while
+//!   14 of the 16 ranks wait.  ROADMAP item 25 tracks spreading the
+//!   inversion over all `p` ranks;
 //! * the paper's `L̃` — `L` with every diagonal block replaced by its
 //!   inverse — is never materialised.  Off the diagonal blocks `L̃` *is*
 //!   `L`, so `It-Inv-TRSM` reads its panels from `L` and its inverted blocks

@@ -70,7 +70,23 @@ pub fn rec_trsm(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Dist
             "L and B must be distributed over the same grid",
         ));
     }
-    if pr > pc || pc % pr != 0 {
+    check(n, k, pr, pc)?;
+    let (l_cyclic, b_cyclic) = (l.cyclic(Filter::Lower)?, b.cyclic(Filter::All)?);
+    let x = rec_trsm_inner(&l_cyclic, &b_cyclic, base_size)?;
+    match b_cyclic {
+        Cow::Borrowed(_) => Ok(x),
+        Cow::Owned(_) => Ok(x.to_layout(b.layout(), Filter::All)?),
+    }
+}
+
+/// Whether [`rec_trsm`] accepts an `n × n` triangle with `k` right-hand
+/// sides on a `pr × pc` grid: `pr ≤ pc`, `pr | pc`, and on more than one
+/// rank `n` divisible by `pr` and `pc`, `k` by `pc`.  The one shape check
+/// the executor runs and `SolveRequest::plan_distributed` runs on the grid
+/// a quote assumes, so a pin the executor would refuse is refused at
+/// planning.
+pub fn check(n: usize, k: usize, pr: usize, pc: usize) -> Result<()> {
+    if pr > pc || !pc.is_multiple_of(pr) {
         return Err(config_error(
             "rec_trsm",
             format!("grid must satisfy pr ≤ pc and pr | pc, got {pr}x{pc}"),
@@ -82,12 +98,7 @@ pub fn rec_trsm(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<Dist
             format!("n = {n} must be divisible by pr = {pr} and pc = {pc}, and k = {k} by pc"),
         ));
     }
-    let (l_cyclic, b_cyclic) = (l.cyclic(Filter::Lower)?, b.cyclic(Filter::All)?);
-    let x = rec_trsm_inner(&l_cyclic, &b_cyclic, base_size)?;
-    match b_cyclic {
-        Cow::Borrowed(_) => Ok(x),
-        Cow::Owned(_) => Ok(x.to_layout(b.layout(), Filter::All)?),
-    }
+    Ok(())
 }
 
 fn rec_trsm_inner(l: &DistMatrix, b: &DistMatrix, base_size: usize) -> Result<DistMatrix> {

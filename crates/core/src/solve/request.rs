@@ -133,12 +133,6 @@ impl SolveRequest {
         self
     }
 
-    /// Set the dense NaN/Inf pre-scan flag explicitly.
-    pub fn check_finite(mut self, on: bool) -> SolveRequest {
-        self.opts.check_finite = on;
-        self
-    }
-
     /// Also compute the relative residual
     /// `‖op(A)·X − B‖_F / (‖A‖_F·‖X‖_F + ‖B‖_F)` after the solve and
     /// attach it to the report (skipped by the `_in_place` executors,
@@ -243,8 +237,9 @@ impl SolveRequest {
     /// `(n, k, p)`, under the paper's bounds, to a feasible
     /// `p1 × p1 × p2` grid and block size — recorded on the plan as the
     /// resolved [`Algorithm`], so the choice is inspectable before (and
-    /// after) execution.  A shape no grid fits, or a pinned iterative
-    /// configuration that does not fit the shape, is an error here, not at
+    /// after) execution.  A shape no grid fits, or a pinned iterative or
+    /// recursive algorithm whose executor would refuse the shape (checked
+    /// on the caller grid the quote assumes), is an error here, not at
     /// execution.  The plan's prediction is
     /// [`Algorithm::predicted_cost`], the walk of what the resolved
     /// algorithm runs — for the iterative one its five phases at the
@@ -264,8 +259,13 @@ impl SolveRequest {
             Some(pinned) => pinned,
             None => Algorithm::IterativeInversion(planner::plan(CostModelRev::Ipdps17, n, k, p)?),
         };
-        if let Algorithm::IterativeInversion(cfg) = &algorithm {
-            cfg.check(n, k, p)?;
+        match &algorithm {
+            Algorithm::IterativeInversion(cfg) => cfg.check(n, k, p)?,
+            Algorithm::Recursive { .. } => {
+                let (pr, pc) = Algorithm::caller_grid(p);
+                crate::rec_trsm::check(n, k, pr, pc)?;
+            }
+            Algorithm::Wavefront => {}
         }
         let predicted = algorithm.predicted_cost(n, k, p);
         Ok(SolvePlan {

@@ -604,6 +604,12 @@ fn a_pinned_configuration_that_does_not_fit_is_refused_at_planning() {
     assert!(pin(2, 1, 5).plan_distributed(32, 8, 4).is_err());
     assert!(pin(2, 2, 8).plan_distributed(32, 8, 4).is_err());
     assert!(pin(1, 4, 8).plan_distributed(32, 6, 4).is_err());
+    // A recursive pin is held to rec_trsm's own check on the 4 × 4 caller
+    // grid: n = 63 does not split over 4 ranks, nor k = 6.
+    let recursive = SolveRequest::lower().algorithm(Algorithm::Recursive { base_size: 8 });
+    assert!(recursive.plan_distributed(64, 8, 16).is_ok());
+    assert!(recursive.plan_distributed(63, 6, 16).is_err());
+    assert!(recursive.plan_distributed(64, 6, 16).is_err());
 }
 
 #[test]

@@ -42,7 +42,8 @@ pub enum DenseError {
         value: f64,
     },
     /// A pre-solve health scan (enabled with
-    /// [`SolveOpts::check_finite`](crate::SolveOpts)) found a NaN or
+    /// [`SolveOpts::validate_finite`](crate::SolveOpts::validate_finite))
+    /// found a NaN or
     /// infinite entry in the triangular operand or the right-hand side.
     NonFiniteEntry {
         /// Which operand held the entry (`"matrix"` or `"rhs"`).

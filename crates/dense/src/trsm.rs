@@ -155,12 +155,6 @@ impl SolveOpts {
         self
     }
 
-    /// Set the NaN/Inf pre-scan flag explicitly.
-    pub fn check_finite(mut self, on: bool) -> SolveOpts {
-        self.check_finite = on;
-        self
-    }
-
     /// The triangle `op(A)` effectively occupies: transposition flips it.
     pub fn op_triangle(&self) -> Triangle {
         match (self.triangle, self.transpose) {
