@@ -393,7 +393,8 @@ pub fn tuning_simulated() -> Table {
 ///
 /// The new method runs the planner's configuration under that revision,
 /// pinned, which `plan_new` names (an unpinned request plans under
-/// `ipdps17`, so those rows are also what it runs).  The paper's claims to check:
+/// `ipdps17`, so those rows are also what it runs).  The paper's claims to
+/// check:
 ///
 /// * both algorithms move the same order of words (W) and do the same order
 ///   of flops (F, at most 2× for the new method in the 3D regime);

@@ -129,10 +129,9 @@ mod tests {
     fn a_wide_solve_counts_its_inverted_blocks() {
         // Narrower than NB: substitution, n²k.
         assert_eq!(solve_flops(200, 63), trsm_flops(200, 63));
-        // n = 320, k = 320: five 64-blocks inverted.
-        let inverted = 5 * (tri_inv_flops(64).get() + 64 * 320);
-        assert_eq!(solve_flops(320, 320).get(), 32_768_000 + inverted);
-        assert_eq!(solve_flops(320, 320).get(), 33_325_280);
+        // n = k = 320: 320³ plus five inverted 64-blocks, each
+        // tri_inv_flops(64) + 64·320.
+        assert_eq!(solve_flops(320, 320).get(), 32_768_000 + 5 * 111_456);
         // A last block narrower than NB is inverted at its own size.
         let tail = tri_inv_flops(8).get() + 8 * 64;
         let full = tri_inv_flops(64).get() + 64 * 64;
