@@ -9,12 +9,6 @@
 
 use crate::it_inv_trsm::ItInvConfig;
 use costmodel::Cost;
-use std::collections::HashMap;
-use std::sync::{LazyLock, Mutex, PoisonError};
-
-/// How many quotes [`Algorithm::predicted_cost`] remembers before it
-/// forgets them all.
-const QUOTES_KEPT: usize = 1024;
 
 /// Which distributed TRSM algorithm to run — the one algorithm enum of the
 /// workspace: a request pins one, a plan records the one it resolved, the
@@ -66,32 +60,7 @@ impl Algorithm {
     /// and broadcasts ([`crate::wavefront::predicted_cost`]).  Every walk
     /// prices each message on simnet's own schedules, so S and W are the
     /// most any rank sends or receives, exactly.
-    ///
-    /// A walk is a pure function of its arguments, and every rank of a
-    /// solve plans the same one inside its op: each is walked once per
-    /// process and remembered, up to 1 024 of them.  (At 16 ranks a walk
-    /// takes a few hundred microseconds, a remembered quote a lookup.)
     pub fn predicted_cost(&self, n: usize, k: usize, p: usize) -> Cost {
-        type Quotes = HashMap<(Algorithm, usize, usize, usize), Cost>;
-        static QUOTES: LazyLock<Mutex<Quotes>> = LazyLock::new(Mutex::default);
-        // No walk runs under the lock, and an insert or a clear leaves the
-        // map whole: a poisoned lock still guards valid quotes.
-        let quotes = || QUOTES.lock().unwrap_or_else(PoisonError::into_inner);
-        let key = (*self, n, k, p);
-        if let Some(&quote) = quotes().get(&key) {
-            return quote;
-        }
-        let quote = self.walk(n, k, p);
-        let mut kept = quotes();
-        if kept.len() >= QUOTES_KEPT {
-            kept.clear();
-        }
-        kept.insert(key, quote);
-        quote
-    }
-
-    /// [`Algorithm::predicted_cost`], walked.
-    fn walk(&self, n: usize, k: usize, p: usize) -> Cost {
         let (pr, pc) = Algorithm::caller_grid(p);
         match self {
             Algorithm::Recursive { base_size } => {
@@ -222,13 +191,10 @@ mod tests {
                 crate::wavefront::predicted_cost(n, k, pr, p / pr)
             );
         }
-        // Asked twice, the second answer is the remembered first.
-        for _ in 0..2 {
-            assert_eq!(
-                Algorithm::IterativeInversion(it_inv).predicted_cost(n, k, p),
-                crate::it_inv_trsm::predicted_total(n, k, 8, 8, &it_inv)
-            );
-        }
+        assert_eq!(
+            Algorithm::IterativeInversion(it_inv).predicted_cost(n, k, p),
+            crate::it_inv_trsm::predicted_total(n, k, 8, 8, &it_inv)
+        );
     }
 
     #[test]

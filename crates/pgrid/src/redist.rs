@@ -29,24 +29,30 @@
 //!
 //! **Arithmetic runs.**  Each end first cuts its piece's rows and its
 //! columns into *runs*: indices that share one class of the other layout
-//! and whose global indices and local positions both step evenly.  One pass
-//! over the piece's own rows and columns finds them, placing each in the
-//! other layout by the axes' arithmetic.  A row class and a column class of
-//! the other layout make one of its pieces, so the entries a rank exchanges
-//! with one peer are one (row runs, column runs) pair, walked rows
-//! ascending.  Every [`Filter`] passes one contiguous column range per row,
-//! so the part of a column run that a row moves is a sub-range found by at
-//! most two divisions, and it is copied once: a slice when the local
-//! positions are consecutive, a strided gather or scatter otherwise.  A walk
-//! costs the values it moves plus a few integer operations per row and run,
-//! with no search and no per-entry bookkeeping.
+//! and whose global indices and local positions both step evenly.  The cut
+//! walks a class a stretch at a time — indices the other layout's blocks
+//! keep in one class — and adds the classes' repeats in one step, so it
+//! costs the runs it returns, not the length of the axis.  A row class and
+//! a column class of the other layout make one of its pieces, so the
+//! entries a rank exchanges with one peer are one (row runs, column runs)
+//! pair, walked rows ascending.  Every [`Filter`] passes one contiguous
+//! column range per row, so the part of a column run that a row moves is a
+//! sub-range found by at most two divisions, and it is copied once: a slice
+//! when the local positions are consecutive, a strided gather or scatter
+//! otherwise.  A walk costs the values it moves plus a few integer
+//! operations per row and run, with no search and no per-entry bookkeeping.
 //!
-//! Every buffer a redistribution makes comes from the machine's pool: a
-//! destination's buffer is sized exactly before a value is copied (under
-//! `Filter::All` the product of the pair's run lengths, under the
-//! triangular filters their clipped lengths summed row by row), the buffers
-//! received go back once unpacked, and [`redistribute`]'s destination
-//! matrix is pooled storage a caller done with it may give back.
+//! **Counts.**  How many entries a pair carries is arithmetic: under
+//! `Filter::All` the product of its run lengths, under the triangular
+//! filters one floor sum per (row run, column run) pair, split at the
+//! diagonal blocks' boundaries.  The count sizes a destination's buffer
+//! before a value is copied, and [`move_counts`] prices a redistribution
+//! from the same counts without moving anything.
+//!
+//! Every buffer a redistribution makes comes from the machine's pool: the
+//! buffers received go back once unpacked, and [`redistribute`]'s
+//! destination matrix is pooled storage a caller done with it may give
+//! back.
 
 use crate::distmat::DistMatrix;
 use crate::error::GridError;
@@ -99,11 +105,11 @@ pub struct Axis {
     reversed: bool,
 }
 
-/// `(a / d, a mod d)`, without dividing when `d` is 1 — the block, class
-/// count or stride of most axes.
+/// `(a / d, a mod d)`, by a shift when `d` is a power of two — the block,
+/// class count, stride or step of most axes and runs.
 fn div_rem(a: usize, d: usize) -> (usize, usize) {
-    if d == 1 {
-        (a, 0)
+    if d.is_power_of_two() {
+        (a >> d.trailing_zeros(), a & (d - 1))
     } else {
         (a / d, a % d)
     }
@@ -256,19 +262,8 @@ impl Axis {
 
     /// The indices of `class` and their local positions, ascending by index.
     fn members(self, class: usize) -> impl Iterator<Item = (usize, usize)> {
-        let (blocks, in_last) = self.blocks_of(class);
-        let per_block = self.per_block();
-        let count = blocks.saturating_sub(1) * per_block + in_last;
-        let (pc, sc) = (class / self.stride, class % self.stride);
-        (0..count).map(move |t| {
-            // Slot t is entry m of the class's u-th block; on a reversed
-            // axis the slots run backwards so the indices still ascend.
-            let t = if self.reversed { count - 1 - t } else { t };
-            let (u, m) = div_rem(t, per_block);
-            let g = (pc + u * self.procs) * self.block + sc + m * self.stride;
-            let local = m + if self.stacked { 0 } else { u * per_block };
-            (if self.reversed { self.len - 1 - g } else { g }, local)
-        })
+        let each = |run: Run| (0..run.count).map(move |t| (run.index(t), run.position(t)));
+        self.segments(class).flat_map(each)
     }
 
     /// True when `self` and `other` place every index identically: the same
@@ -357,11 +352,15 @@ pub struct Layout {
     ranks: usize,
     rows: Axis,
     cols: Axis,
-    /// Every piece's holders, piece after piece: piece `x = rc ·
-    /// cols.classes() + cc` is held by `holders[starts[x]..starts[x + 1]]`.
-    holders: Vec<usize>,
-    starts: Vec<usize>,
+    /// Three tables in one allocation.  First, for each piece `x = rc ·
+    /// cols.classes() + cc` and one past the last, where its holders begin
+    /// in the third; then the piece each rank holds ([`NO_PIECE`] if none);
+    /// then every piece's holders, piece after piece.
+    table: Vec<usize>,
 }
+
+/// A rank that holds no piece, in [`Layout`]'s table of pieces by rank.
+const NO_PIECE: usize = usize::MAX;
 
 impl Layout {
     /// A layout over a communicator of `ranks` ranks; `holders(rc, cc)`
@@ -376,27 +375,26 @@ impl Layout {
         holders: impl Fn(usize, usize) -> I,
     ) -> Layout {
         let pieces = rows.classes() * cols.classes();
-        let mut flat = Vec::with_capacity(pieces.min(ranks));
-        let mut starts = Vec::with_capacity(pieces + 1);
-        let mut seen = vec![false; ranks];
-        starts.push(0);
-        for rc in 0..rows.classes() {
-            for cc in 0..cols.classes() {
-                for r in holders(rc, cc) {
-                    assert!(r < ranks, "piece ({rc}, {cc}) held by rank {r} of {ranks}");
-                    assert!(!seen[r], "rank {r} holds two pieces");
-                    seen[r] = true;
-                    flat.push(r);
-                }
-                starts.push(flat.len());
+        let (owners, listed) = (pieces + 1, pieces + 1 + ranks);
+        // A rank is listed at most once, so the holders fit in `ranks`.
+        let mut table = Vec::with_capacity(listed + ranks);
+        table.resize(listed, NO_PIECE);
+        table[0] = 0;
+        for x in 0..pieces {
+            let (rc, cc) = (x / cols.classes(), x % cols.classes());
+            for r in holders(rc, cc) {
+                assert!(r < ranks, "piece ({rc}, {cc}) held by rank {r} of {ranks}");
+                assert!(table[owners + r] == NO_PIECE, "rank {r} holds two pieces");
+                table[owners + r] = x;
+                table.push(r);
             }
+            table[x + 1] = table.len() - listed;
         }
         Layout {
             ranks,
             rows,
             cols,
-            holders: flat,
-            starts,
+            table,
         }
     }
 
@@ -488,16 +486,22 @@ impl Layout {
         }
     }
 
+    /// Where each piece's holders begin in the table's third part,
+    /// and one past the last.
+    fn starts(&self) -> &[usize] {
+        &self.table[..=self.rows.classes() * self.cols.classes()]
+    }
+
     /// The piece `rank` stores.
     fn piece_of(&self, rank: usize) -> Option<(usize, usize)> {
-        let at = self.holders.iter().position(|&r| r == rank)?;
-        let x = self.starts.partition_point(|&start| start <= at) - 1;
-        Some((x / self.cols.classes(), x % self.cols.classes()))
+        let owners = &self.table[self.starts().len()..][..self.ranks];
+        let x = *owners.get(rank)?;
+        (x != NO_PIECE).then(|| (x / self.cols.classes(), x % self.cols.classes()))
     }
 
     fn holders(&self, rc: usize, cc: usize) -> &[usize] {
-        let x = rc * self.cols.classes() + cc;
-        &self.holders[self.starts[x]..self.starts[x + 1]]
+        let (starts, x) = (self.starts(), rc * self.cols.classes() + cc);
+        &self.table[starts.len() + self.ranks..][starts[x]..starts[x + 1]]
     }
 
     /// The rank that sends piece `(rc, cc)` when this layout is the source.
@@ -523,9 +527,8 @@ impl Layout {
         self.rows.same_placement(&dst.rows)
             && self.cols.same_placement(&dst.cols)
             && self.ranks == dst.ranks
-            && self.starts == dst.starts
-            && self.holders == dst.holders
-            && self.starts.windows(2).all(|w| w[1] - w[0] <= 1)
+            && self.table == dst.table
+            && self.starts().windows(2).all(|w| w[1] - w[0] <= 1)
     }
 }
 
@@ -552,63 +555,98 @@ impl Filter {
         match self {
             Filter::All => 0..ncols,
             Filter::Lower => 0..end,
-            Filter::DiagBlocksLower(n0) => (i / n0 * n0).min(end)..end,
+            Filter::DiagBlocksLower(n0) => (i - div_rem(i, n0).1).min(end)..end,
         }
+    }
+
+    /// The columns some row of `rows` passes (ascending, not interleaved):
+    /// from the first row's range to the last row's, as neither end of a
+    /// range moves left as the row grows.
+    fn span(self, rows: &[Run], ncols: usize) -> Range<usize> {
+        let last = rows[rows.len() - 1].last();
+        self.cols(rows[0].first, ncols).start..self.cols(last, ncols).end
     }
 }
 
-/// Indices of one piece, along one axis, that share class `other` of the
-/// other layout and step evenly: global index `first + step·t` sits at local
-/// position `local + local_step·t`, for `t < count`.
+/// Indices of class `class` of one layout, along one axis, that share class
+/// `other` of the other layout and step evenly: global index `first +
+/// step·t` sits at local position `local + local_step·t`, for `t < count`.
 #[derive(Debug, Clone, Copy)]
 struct Run {
+    class: usize,
     other: usize,
     first: usize,
     step: usize,
     count: usize,
     local: usize,
     local_step: isize,
+    /// The first index of the run's group: the runs of `class` that share
+    /// `other`.  [`cut`] orders groups by it.
+    lead: usize,
+    /// The last index any run of `class` reaches, up to and including this
+    /// one in [`cut`]'s order.
+    furthest: usize,
 }
 
 impl Run {
-    /// Take index `g` at local position `local` as the run's next index, if
-    /// it continues both progressions.
-    fn extend(&mut self, g: usize, local: usize) -> bool {
-        let (dg, dl) = (g - self.first, local as isize - self.local as isize);
-        if self.count == 1 {
-            (self.step, self.local_step) = (dg, dl);
-        } else if dg != self.step * self.count || dl != self.local_step * self.count as isize {
+    /// Take the indices of `next`, which follow this run's, as its next
+    /// ones, if they continue both progressions.
+    fn append(&mut self, next: &Run) -> bool {
+        let (dg, dl) = (
+            next.first - self.first,
+            next.local as isize - self.local as isize,
+        );
+        let (step, local_step) = match self.count {
+            1 => (dg, dl),
+            _ => (self.step, self.local_step),
+        };
+        let continues = dg == step * self.count && dl == local_step * self.count as isize;
+        let same = next.count == 1 || (next.step, next.local_step) == (step, local_step);
+        if !(continues && same) {
             return false;
         }
-        self.count += 1;
+        (self.step, self.local_step) = (step, local_step);
+        self.count += next.count;
         true
     }
 
+    fn index(&self, t: usize) -> usize {
+        self.first + self.step * t
+    }
+
     fn last(&self) -> usize {
-        self.first + self.step * (self.count - 1)
+        self.index(self.count - 1)
+    }
+
+    /// The first `t` whose index is `g` or more (`count` if none is).
+    fn reach(&self, g: usize) -> usize {
+        let (t, rem) = div_rem(g.saturating_sub(self.first), self.step);
+        (t + usize::from(rem > 0)).min(self.count)
     }
 
     /// The `t` of the run's indices inside `range`.
     fn clip(&self, range: &Range<usize>) -> Range<usize> {
-        if range.start > self.last() || range.end <= self.first {
-            return 0..0;
-        }
-        let reach = |g: usize| (g - self.first).div_ceil(self.step);
-        let t0 = if range.start <= self.first {
-            0
-        } else {
-            reach(range.start)
-        };
-        let t1 = if range.end > self.last() {
-            self.count
-        } else {
-            reach(range.end)
-        };
-        t0..t1
+        self.reach(range.start)..self.reach(range.end)
     }
 
     fn position(&self, t: usize) -> usize {
         self.local.wrapping_add_signed(self.local_step * t as isize)
+    }
+
+    /// `Σ` over `t` in `ts` of how many indices of `cols` are at most this
+    /// run's index `t`: a floor sum between the first row that passes
+    /// `cols.first` and the first that passes its last index.
+    fn below(&self, ts: Range<usize>, cols: &Run) -> usize {
+        let clamp = |t: usize| t.clamp(ts.start, ts.end);
+        let (t0, t1) = (
+            clamp(self.reach(cols.first)),
+            clamp(self.reach(cols.last())),
+        );
+        let partial = match t1 - t0 {
+            0 => 0,
+            n => floor_sum(n, cols.step, self.step, self.index(t0) - cols.first) + n,
+        };
+        partial + (ts.end - t1) * cols.count
     }
 
     /// Append the values of columns `ts` of `row` to `out`.
@@ -632,56 +670,206 @@ impl Run {
     }
 }
 
+/// `Σ_{t < n} ⌊(a·t + b) / m⌋`, in `O(log m)` steps: the Euclid-like
+/// reduction that swaps the roles of `a` and `m`.  Its intermediates stay
+/// below `n²`, `n·m + b` and the sum.
+fn floor_sum(n: usize, m: usize, a: usize, b: usize) -> usize {
+    let (mut n, mut m, mut a, mut b) = (n, m, a, b);
+    let mut sum = 0;
+    while n > 0 {
+        let ((qa, ra), (qb, rb)) = (div_rem(a, m), div_rem(b, m));
+        sum += n * (n - 1) / 2 * qa + n * qb;
+        let top = ra * n + rb;
+        if top < m {
+            break;
+        }
+        let (q, r) = div_rem(top, m);
+        (n, b, m, a) = (q, r, ra, m);
+    }
+    sum
+}
+
+impl Axis {
+    /// The class of an index depends on it modulo this only: `B·P`, or the
+    /// stride `S` when one block class leaves the class `g mod S`.
+    fn period(&self) -> usize {
+        match self.procs {
+            1 => self.stride,
+            procs => self.block * procs,
+        }
+    }
+
+    /// How many indices from `g` on, stepping by `step`, are sure to share
+    /// `g`'s class: all of them when the step is a multiple of what the
+    /// class depends on, one when every step may move the stride class,
+    /// else those left in `g`'s block.
+    fn stretch(&self, g: usize, step: usize) -> usize {
+        if div_rem(step, self.period()).1 == 0 {
+            return usize::MAX;
+        }
+        if div_rem(step, self.stride).1 != 0 {
+            return 1;
+        }
+        let (_, o) = div_rem(if self.reversed { self.len - 1 - g } else { g }, self.block);
+        if self.reversed {
+            div_rem(o, step).0 + 1
+        } else {
+            let (q, r) = div_rem(self.block - o, step);
+            q + usize::from(r > 0)
+        }
+    }
+
+    /// The indices of `class`, ascending, as progressions in both the index
+    /// and the local position: one for the whole class when its blocks
+    /// continue each other (a class of one block, of one index per block, or
+    /// the only block class unstacked), else one per block.
+    fn segments(self, class: usize) -> impl Iterator<Item = Run> {
+        let (blocks, in_last) = self.blocks_of(class);
+        let per_block = self.per_block();
+        let first = class / self.stride * self.block + class % self.stride;
+        let stack = if self.stacked { 0 } else { per_block };
+        let jump = self.procs * self.block;
+        let whole = blocks == 1 || per_block == 1 || (self.procs == 1 && !self.stacked);
+        let (step, local_step) = match per_block {
+            1 if blocks > 1 => (jump, stack),
+            _ => (self.stride, 1),
+        };
+        (0..if whole { blocks.min(1) } else { blocks }).filter_map(move |u| {
+            // Forward blocks ascend, reversed ones descend.
+            let u = if self.reversed && !whole {
+                blocks - 1 - u
+            } else {
+                u
+            };
+            let count = match (whole, u + 1 == blocks) {
+                (true, _) => (blocks - 1) * per_block + in_last,
+                (false, true) => in_last,
+                (false, false) => per_block,
+            };
+            let run = Run {
+                class,
+                other: 0,
+                first: first + u * jump,
+                step,
+                count,
+                local: u * stack,
+                local_step: local_step as isize,
+                lead: 0,
+                furthest: 0,
+            };
+            (count > 0).then(|| match self.reversed {
+                true => Run {
+                    first: self.len - 1 - run.last(),
+                    local: run.position(count - 1),
+                    local_step: -run.local_step,
+                    ..run
+                },
+                false => run,
+            })
+        })
+    }
+}
+
 /// Append the indices of class `class` of `mine`, cut into runs by their
 /// class in `other`, to `runs`: grouped by that class, each group's runs
-/// ascending and never interleaved.
+/// ascending and never interleaved, the groups in the order of their first
+/// indices (so [`Run::lead`] and [`Run::furthest`] ascend).
+///
+/// Each segment of the class is cut a stretch at a time — the indices
+/// [`Axis::stretch`] keeps in one class of `other` — and each stretch
+/// continues the latest run of its class or starts one.  The classes along
+/// a segment repeat with the period of `other`; when each index of the
+/// first period starts a run of its own, each run takes every period-th
+/// index from there, in one step.  A cut of the layouts the algorithms
+/// build therefore costs a few steps per run it returns, not one per index.
 fn cut(mine: &Axis, class: usize, other: &Axis, runs: &mut Vec<Run>) {
     let start = runs.len();
-    for (g, local) in mine.members(class) {
-        let oc = other.place(g).0;
-        // Only the latest run of a class may grow; the classes a piece's
-        // indices cycle through are few, so it is a few runs back.
-        let open = runs[start..].iter_mut().rev().find(|run| run.other == oc);
-        if open.is_some_and(|run| run.extend(g, local)) {
-            continue;
+    for segment in mine.segments(class) {
+        let period = other.period() / gcd(segment.step, other.period());
+        let started = runs.len();
+        let mut t = 0;
+        while t < segment.count {
+            let g = segment.index(t);
+            let next = Run {
+                other: other.place(g).0,
+                first: g,
+                count: other.stretch(g, segment.step).min(segment.count - t),
+                local: segment.position(t),
+                lead: g,
+                ..segment
+            };
+            t += next.count;
+            // Only the latest run of a class may grow.
+            match runs[start..]
+                .iter()
+                .rposition(|run| run.other == next.other)
+            {
+                Some(at) if runs[start + at].append(&next) => {}
+                Some(at) => runs.push(Run {
+                    lead: runs[start + at].lead,
+                    ..next
+                }),
+                None => runs.push(next),
+            }
+            if t == period && runs.len() - started == period {
+                for (r, run) in runs[started..].iter_mut().enumerate() {
+                    run.step *= period;
+                    run.local_step *= period as isize;
+                    run.count = (segment.count - r).div_ceil(period);
+                }
+                break;
+            }
         }
-        runs.push(Run {
-            other: oc,
-            first: g,
-            step: 1,
-            count: 1,
-            local,
-            local_step: 1,
-        });
     }
-    runs[start..].sort_unstable_by_key(|run| (run.other, run.first));
+    runs[start..].sort_unstable_by_key(|run| (run.lead, run.first));
+    let mut furthest = 0;
+    for run in &mut runs[start..] {
+        furthest = furthest.max(run.last());
+        run.furthest = furthest;
+    }
 }
 
-/// The runs of one class of the other layout each, in turn.
-fn groups(runs: &[Run]) -> impl Iterator<Item = &[Run]> {
-    runs.chunk_by(|a, b| a.other == b.other)
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
 }
 
-/// A piece cut into runs along both axes by the classes of the other
+/// The runs of one class each, in turn, by `key`.
+fn classes<K: PartialEq>(runs: &[Run], key: impl Fn(&Run) -> K) -> impl Iterator<Item = &[Run]> {
+    runs.chunk_by(move |a, b| key(a) == key(b))
+}
+
+/// One piece cut into runs along both axes by the classes of the other
 /// layout.  One (row group, column group) pair is one piece of the other
-/// layout: the entries this rank exchanges with that piece's holders.
-struct Cuts {
-    /// The row runs, then the column runs from `cols_at`.
-    runs: Vec<Run>,
-    cols_at: usize,
+/// layout: the entries this piece exchanges with that piece's holders.
+#[derive(Clone, Copy)]
+struct Cuts<'a> {
+    rows: &'a [Run],
+    cols: &'a [Run],
     ncols: usize,
     filter: Filter,
 }
 
-impl Cuts {
-    fn new(mine: &Layout, piece: (usize, usize), other: &Layout, filter: Filter) -> Cuts {
-        let mut runs = Vec::new();
-        cut(&mine.rows, piece.0, &other.rows, &mut runs);
+impl<'a> Cuts<'a> {
+    /// Piece `piece` of `mine` cut by the classes of `other`, its runs kept
+    /// in `runs`.
+    fn new(
+        mine: &Layout,
+        piece: (usize, usize),
+        other: &Layout,
+        filter: Filter,
+        runs: &'a mut Vec<Run>,
+    ) -> Cuts<'a> {
+        cut(&mine.rows, piece.0, &other.rows, runs);
         let cols_at = runs.len();
-        cut(&mine.cols, piece.1, &other.cols, &mut runs);
+        cut(&mine.cols, piece.1, &other.cols, runs);
+        let (rows, cols) = runs.split_at(cols_at);
         Cuts {
-            runs,
-            cols_at,
+            rows,
+            cols,
             ncols: mine.cols.len(),
             filter,
         }
@@ -689,45 +877,107 @@ impl Cuts {
 
     /// Every piece of the other layout this piece shares entries with, as
     /// `(row runs, column runs)` of one class each.
-    fn pairs(&self) -> impl Iterator<Item = (&[Run], &[Run])> {
-        let (rows, cols) = self.runs.split_at(self.cols_at);
-        groups(rows).flat_map(move |rows| groups(cols).map(move |cols| (rows, cols)))
+    fn pairs(self) -> impl Iterator<Item = (&'a [Run], &'a [Run])> {
+        let by_other = |run: &Run| run.other;
+        classes(self.rows, by_other)
+            .flat_map(move |rows| classes(self.cols, by_other).map(move |cols| (rows, cols)))
     }
 
     /// True when this piece shares entries with piece `(rc, cc)` of the
     /// other layout.
     fn meets(&self, (rc, cc): (usize, usize)) -> bool {
-        let (rows, cols) = self.runs.split_at(self.cols_at);
-        rows.iter().any(|run| run.other == rc) && cols.iter().any(|run| run.other == cc)
+        self.rows.iter().any(|run| run.other == rc) && self.cols.iter().any(|run| run.other == cc)
     }
 
-    /// How many entries pass the filter in `rows × cols`.
+    /// How many entries pass the filter in `rows × cols`: the product of
+    /// their lengths, or for a triangular filter one [`Run::below`] per
+    /// (row run, column run) pair that meets in a diagonal block, the row
+    /// run split at the blocks' boundaries.
     fn count(&self, rows: &[Run], cols: &[Run]) -> usize {
-        if self.filter == Filter::All {
-            let total = |runs: &[Run]| runs.iter().map(|run| run.count).sum::<usize>();
-            return total(rows) * total(cols);
+        let total = |runs: &[Run]| runs.iter().map(|run| run.count).sum::<usize>();
+        let n0 = match self.filter {
+            Filter::All => return total(rows) * total(cols),
+            Filter::Lower => usize::MAX,
+            Filter::DiagBlocksLower(n0) => n0,
+        };
+        if let ([row], [col]) = (rows, cols) {
+            // One row run inside one block, and a column run that starts in
+            // it: the floor sum alone.
+            let start = row.first - div_rem(row.first, n0).1;
+            if row.last() - start < n0 && col.first >= start {
+                return row.below(0..row.count, col);
+            }
         }
-        let mut count = 0;
-        self.for_each(rows, cols, |_, _, ts| count += ts.len());
+        // Column runs left of `left` end before the current row's block,
+        // which never moves left.
+        let (mut count, mut left) = (0, 0);
+        for row in rows {
+            let mut t = 0;
+            while t < row.count {
+                let start = row.index(t) - div_rem(row.index(t), n0).1;
+                let end = start.saturating_add(n0);
+                while cols.get(left).is_some_and(|col| col.last() < start) {
+                    left += 1;
+                }
+                let Some(next) = cols.get(left) else {
+                    return count;
+                };
+                if next.first >= end {
+                    // No column in this block: on to the next column's.
+                    t = row.reach(next.first - div_rem(next.first, n0).1);
+                    continue;
+                }
+                let end = row.reach(end);
+                let last = row.index(end - 1);
+                for col in cols[left..].iter().take_while(|col| col.first <= last) {
+                    count += row.below(t..end, col) - (end - t) * col.reach(start);
+                }
+                t = end;
+            }
+        }
         count
     }
 
     /// Every piece of `dst` (the other layout, as destination) this piece
     /// sends entries to: its row runs, its column runs, its holders and how
     /// many entries each holder receives.
-    fn sends<'a>(
-        &'a self,
+    ///
+    /// Row groups and column groups are both in the order of their first
+    /// indices, and the columns a row group can pass start no further left
+    /// than the last group's did: one sweep finds the column groups each
+    /// row group meets, past every column run that ends left of them all.
+    fn sends(
+        self,
         dst: &'a Layout,
     ) -> impl Iterator<Item = (&'a [Run], &'a [Run], &'a [usize], usize)> {
-        self.pairs().filter_map(move |(rows, cols)| {
-            let holders = dst.holders(rows[0].other, cols[0].other);
-            let count = if holders.is_empty() {
-                0
-            } else {
-                self.count(rows, cols)
-            };
-            (count > 0).then_some((rows, cols, holders, count))
+        let mut left = 0;
+        classes(self.rows, |run| run.lead).flat_map(move |rows| {
+            let span = self.filter.span(rows, self.ncols);
+            while self
+                .cols
+                .get(left)
+                .is_some_and(|col| col.furthest < span.start)
+            {
+                left += 1;
+            }
+            let groups = classes(&self.cols[left..], |run| run.lead);
+            let met = groups.take_while(move |cols| cols[0].lead < span.end);
+            met.filter_map(move |cols| {
+                let (holders, count) = self.block(dst, rows, cols)?;
+                Some((rows, cols, holders, count))
+            })
         })
+    }
+
+    /// The holders of the piece of `dst` that `rows × cols` make up and how
+    /// many of its entries pass the filter, unless no rank receives any.
+    fn block(&self, dst: &'a Layout, rows: &[Run], cols: &[Run]) -> Option<(&'a [usize], usize)> {
+        let holders = dst.holders(rows[0].other, cols[0].other);
+        if holders.is_empty() {
+            return None;
+        }
+        let count = self.count(rows, cols);
+        (count > 0).then_some((holders, count))
     }
 
     /// `f(local row, column run, its columns in the row)` for every part of
@@ -739,7 +989,7 @@ impl Cuts {
         let mut left = 0;
         for row_run in rows {
             for t in 0..row_run.count {
-                let i = row_run.first + row_run.step * t;
+                let i = row_run.index(t);
                 let range = self.filter.cols(i, self.ncols);
                 while cols.get(left).is_some_and(|run| run.last() < range.start) {
                     left += 1;
@@ -768,7 +1018,8 @@ fn pack(
     let Some(piece) = src.sending_piece(comm.rank()) else {
         return out;
     };
-    let cuts = Cuts::new(src, piece, dst, filter);
+    let mut runs = Vec::new();
+    let cuts = Cuts::new(src, piece, dst, filter, &mut runs);
     for (rows, cols, holders, count) in cuts.sends(dst) {
         // A rank holds one piece, so each destination is filled here only.
         for &d in holders {
@@ -788,44 +1039,53 @@ fn pack(
 /// `filter`, as the call charges them: [`coll::bruck_counts`] over the
 /// blocks the call's pack fills, sized from the same cuts.  Nothing moves
 /// between layouts with the [`Layout::same_placement`].
+///
+/// Each class of either axis is cut once, and each block is counted in
+/// arithmetic per (row run, column run) pair: the cost follows the runs and
+/// the blocks sent, plus the `⌈log₂ p⌉` rounds per block of the Bruck
+/// schedule, and never the length of an axis.  It allocates the runs, the
+/// schedule's table and the counts, whatever `p`.
 pub fn move_counts(src: &Layout, dst: &Layout, filter: Filter) -> Vec<CostCounters> {
-    let p = src.ranks;
     if src.same_placement(dst) {
-        return vec![CostCounters::default(); p];
+        return vec![CostCounters::default(); src.ranks];
     }
     // Every piece of a row class cuts its rows alike, and every piece of a
-    // column class its columns: each class is cut once.
-    let classes = |mine: &Axis, other: &Axis| -> Vec<Vec<Run>> {
-        let cut_one = |class| {
-            let mut runs = Vec::new();
-            cut(mine, class, other, &mut runs);
-            runs
-        };
-        (0..mine.classes()).map(cut_one).collect()
-    };
-    let (rows, cols) = (classes(&src.rows, &dst.rows), classes(&src.cols, &dst.cols));
-    let mut sent = vec![None; p];
-    for rc in 0..src.rows.classes() {
-        for cc in 0..src.cols.classes() {
-            if let Some(s) = src.sender(rc, cc) {
-                sent[s] = Some((rc, cc));
+    // column class its columns.  The classes of an axis are cut alike but
+    // for their ends, so the first class of each sizes the rest.
+    let (rows, cols) = (src.rows.classes(), src.cols.classes());
+    let mut runs = Vec::with_capacity(2 * (dst.rows.classes() + dst.cols.classes()));
+    cut(&src.rows, 0, &dst.rows, &mut runs);
+    let first_rows = runs.len();
+    cut(&src.cols, 0, &dst.cols, &mut runs);
+    let first_cols = runs.len() - first_rows;
+    runs.reserve((first_rows * rows + first_cols * cols).saturating_sub(runs.len()));
+    for class in 1..rows {
+        cut(&src.rows, class, &dst.rows, &mut runs);
+    }
+    // The first column class's runs go after the row classes'.
+    runs[first_rows..].rotate_left(first_cols);
+    let cols_at = runs.len() - first_cols;
+    for class in 1..cols {
+        cut(&src.cols, class, &dst.cols, &mut runs);
+    }
+    let (rows, cols) = runs.split_at(cols_at);
+    coll::bruck_counts(src.ranks, |emit| {
+        for rows in classes(rows, |run| run.class) {
+            for cols in classes(cols, |run| run.class) {
+                let Some(s) = src.sender(rows[0].class, cols[0].class) else {
+                    continue;
+                };
+                let cuts = Cuts {
+                    rows,
+                    cols,
+                    ncols: src.cols.len(),
+                    filter,
+                };
+                for (_, _, holders, count) in cuts.sends(dst) {
+                    holders.iter().for_each(|&d| emit(s, d, count));
+                }
             }
         }
-    }
-    coll::bruck_counts(p, |s| {
-        let Some((rc, cc)) = sent[s] else {
-            return Vec::new();
-        };
-        let cuts = Cuts {
-            runs: [&rows[rc][..], &cols[cc][..]].concat(),
-            cols_at: rows[rc].len(),
-            ncols: src.cols.len(),
-            filter,
-        };
-        let sends = cuts.sends(dst);
-        sends
-            .flat_map(|(_, _, holders, count)| holders.iter().map(move |&d| (d, count)))
-            .collect()
     })
 }
 
@@ -839,10 +1099,11 @@ fn unpack(
     filter: Filter,
     me: usize,
 ) -> Result<()> {
+    let mut runs = Vec::new();
     let cuts = dst
         .piece_of(me)
-        .map(|piece| Cuts::new(dst, piece, src, filter));
-    if let Some(cuts) = &cuts {
+        .map(|piece| Cuts::new(dst, piece, src, filter, &mut runs));
+    if let Some(cuts) = cuts {
         for (rows, cols) in cuts.pairs() {
             // A rank sends one piece, so each source is read here only.
             let Some(s) = src.sender(rows[0].other, cols[0].other) else {
@@ -1138,6 +1399,183 @@ mod tests {
         assert_eq!(run.clip(&(11..20)), 1..2);
         assert!(run.clip(&(0..10)).is_empty());
         assert!(run.clip(&(14..20)).is_empty());
+    }
+
+    impl Cuts<'_> {
+        /// The count [`Cuts::count`] replaced: under a triangular filter,
+        /// each row's filtered columns, summed row by row.  Its oracle.
+        fn count_by_rows(&self, rows: &[Run], cols: &[Run]) -> usize {
+            if self.filter == Filter::All {
+                let total = |runs: &[Run]| runs.iter().map(|run| run.count).sum::<usize>();
+                return total(rows) * total(cols);
+            }
+            let mut count = 0;
+            self.for_each(rows, cols, |_, _, ts| count += ts.len());
+            count
+        }
+    }
+
+    /// Tiny deterministic generator for the property tests below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) as usize) % n
+        }
+
+        /// A random cut of `len` indices: any block, class count and stride
+        /// the constructor accepts, stacked or reversed a third of the time
+        /// each.
+        fn axis(&mut self, len: usize) -> Axis {
+            let (block, procs) = (1 + self.below(9), 1 + self.below(6));
+            let strides: Vec<usize> = (1..=block)
+                .filter(|&s| block.is_multiple_of(s) || len <= procs * block)
+                .collect();
+            let axis = Axis::new(len, block, procs, strides[self.below(strides.len())]);
+            match self.below(3) {
+                0 => axis.stacked(),
+                1 => axis.reversed(),
+                _ => axis,
+            }
+        }
+    }
+
+    /// The runs cover the class exactly — every index once, at its local
+    /// position, under its class of `other` — one group per class of
+    /// `other`, each group ascending and never interleaved, the groups in
+    /// the order of their first indices; `furthest` is the furthest index so far.
+    fn assert_cuts(mine: &Axis, class: usize, other: &Axis, runs: &[Run]) {
+        let mut got: Vec<(usize, usize, usize)> = runs
+            .iter()
+            .flat_map(|run| (0..run.count).map(|t| (run.index(t), run.position(t), run.other)))
+            .collect();
+        got.sort_unstable();
+        let expect: Vec<(usize, usize, usize)> = mine
+            .members(class)
+            .map(|(g, local)| (g, local, other.place(g).0))
+            .collect();
+        assert_eq!(got, expect, "{mine:?} class {class} by {other:?}");
+        let mut seen = Vec::new();
+        let mut reach = 0;
+        for (at, run) in runs.iter().enumerate() {
+            match at.checked_sub(1).map(|before| &runs[before]) {
+                Some(before) if before.other == run.other => {
+                    assert!(before.last() < run.first && before.lead == run.lead);
+                }
+                before => {
+                    assert!(before.is_none_or(|before| before.lead < run.lead));
+                    assert_eq!(run.lead, run.first);
+                    assert!(!seen.contains(&run.other), "{runs:?}");
+                    seen.push(run.other);
+                }
+            }
+            reach = reach.max(run.last());
+            assert_eq!(run.furthest, reach);
+        }
+    }
+
+    #[test]
+    fn floor_sums_are_the_sums_they_name() {
+        for (n, m, a, b) in (0..12)
+            .flat_map(|n| (1..9).map(move |m| (n, m)))
+            .flat_map(|(n, m)| (0..20).flat_map(move |a| (0..25).map(move |b| (n, m, a, b))))
+        {
+            let sum: usize = (0..n).map(|t| (a * t + b) / m).sum();
+            assert_eq!(floor_sum(n, m, a, b), sum, "n={n} m={m} a={a} b={b}");
+        }
+    }
+
+    #[test]
+    fn cuts_cover_their_class_and_arithmetic_counts_match_the_row_by_row_ones() {
+        let mut rng = Lcg(7);
+        for case in 0..400 {
+            let (m, n) = (rng.below(80), 1 + rng.below(80));
+            let (rows, other_rows) = (rng.axis(m), rng.axis(m));
+            let (cols, other_cols) = (rng.axis(n), rng.axis(n));
+            // Every third case a block size that does not divide `n`.
+            let n0 = match case % 3 {
+                0 => (2..=n.max(2))
+                    .find(|d| !n.is_multiple_of(*d))
+                    .unwrap_or(n + 1),
+                _ => 1 + rng.below(9),
+            };
+            for rc in 0..rows.classes() {
+                for cc in 0..cols.classes() {
+                    let mut runs = Vec::new();
+                    cut(&rows, rc, &other_rows, &mut runs);
+                    assert_cuts(&rows, rc, &other_rows, &runs);
+                    let at = runs.len();
+                    cut(&cols, cc, &other_cols, &mut runs);
+                    assert_cuts(&cols, cc, &other_cols, &runs[at..]);
+                    let (row_runs, col_runs) = runs.split_at(at);
+                    for filter in [Filter::All, Filter::Lower, Filter::DiagBlocksLower(n0)] {
+                        let cuts = Cuts {
+                            rows: row_runs,
+                            cols: col_runs,
+                            ncols: n,
+                            filter,
+                        };
+                        for (r, c) in cuts.pairs() {
+                            let what = format!("{filter:?} {r:?} × {c:?}");
+                            assert_eq!(cuts.count(r, c), cuts.count_by_rows(r, c), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`move_counts`] with [`Cuts::count_by_rows`]: the pricing before the
+    /// arithmetic count.
+    fn move_counts_by_rows(src: &Layout, dst: &Layout, filter: Filter) -> Vec<CostCounters> {
+        coll::bruck_counts(src.ranks, |emit| {
+            for s in 0..src.ranks {
+                let mut runs = Vec::new();
+                let Some(piece) = src.sending_piece(s) else {
+                    continue;
+                };
+                let cuts = Cuts::new(src, piece, dst, filter, &mut runs);
+                for (rows, cols) in cuts.pairs() {
+                    let count = cuts.count_by_rows(rows, cols);
+                    for &d in dst.holders(rows[0].other, cols[0].other) {
+                        if count > 0 {
+                            emit(s, d, count);
+                        }
+                    }
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn a_diagonal_block_move_at_1024_ranks_prices_as_the_row_by_row_count_does() {
+        // A 32 × 32 cyclic grid's diagonal blocks of 48 (not dividing
+        // n = 1 008) onto blocks of 48 each cut over a 2 × 2 sub-grid, and
+        // back onto a stacked layout: the inverter's two moves.
+        let (p, q, n, n0) = (1024, 32, 1008, 48);
+        let cyclic = Layout::cyclic_over(q, q, n, n);
+        let (nblocks, side) = (n.div_ceil(n0), 2);
+        let blocks = Axis::new(n, n0, nblocks, side);
+        let sub_grids = Layout::new(p, blocks, blocks, |rc, cc| {
+            let (g, sx) = (rc / side, rc % side);
+            (cc / side == g).then_some(g * 4 + sx * side + cc % side)
+        });
+        let stacked = Layout::new(
+            p,
+            Axis::cyclic(n, q),
+            Axis::new(n, n0, 1, 8).stacked(),
+            |x, y| (y < q).then_some(x * q + y),
+        );
+        let filter = Filter::DiagBlocksLower(n0);
+        for (src, dst) in [(&cyclic, &sub_grids), (&sub_grids, &stacked)] {
+            let counts = move_counts(src, dst, filter);
+            assert!(counts.iter().any(|c| c.words_sent > 0));
+            assert_eq!(counts, move_counts_by_rows(src, dst, filter));
+        }
     }
 
     #[test]

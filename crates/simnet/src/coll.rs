@@ -454,11 +454,12 @@ pub fn alltoallv_bruck(comm: &Communicator, mut blocks: Vec<Vec<f64>>) -> Result
 }
 
 /// The messages and words each of `p` members sends and receives in an
-/// [`alltoallv_bruck`] of the `(dest, words)` blocks `blocks(src)`, as the
-/// call charges them, in `O((p + Σ blocks)·log p)`.
-pub fn bruck_counts<I: IntoIterator<Item = (usize, usize)>>(
+/// [`alltoallv_bruck`] where `blocks(emit)` calls `emit(source, dest,
+/// words)` once per block, as the call charges them, in
+/// `O((p + Σ blocks)·log p)`.
+pub fn bruck_counts(
     p: usize,
-    blocks: impl Fn(usize) -> I,
+    blocks: impl FnOnce(&mut dyn FnMut(usize, usize, usize)),
 ) -> Vec<CostCounters> {
     let table = bruck_words(p, blocks);
     (0..p)
@@ -551,14 +552,17 @@ struct Step {
 impl Phase {
     /// Member `me`'s step in `round`.
     fn step(self, p: usize, me: usize, round: usize) -> Step {
+        // `me ± 2ʳᵒᵘⁿᵈ` around the ring: both stay below `2p`.
+        let ring = |r: usize| if r >= p { r - p } else { r };
+        let (ahead, behind) = (ring(me + (1 << round)), ring(me + p - (1 << round)));
         match self {
             Phase::Dissemination | Phase::Alltoall { .. } | Phase::BruckV => Step {
-                to: Some((me + (1 << round)) % p),
-                from: Some((me + p - (1 << round)) % p),
+                to: Some(ahead),
+                from: Some(behind),
             },
             Phase::Allgather { .. } => Step {
-                to: Some((me + p - (1 << round)) % p),
-                from: Some((me + (1 << round)) % p),
+                to: Some(behind),
+                from: Some(ahead),
             },
             Phase::Halving { .. } => {
                 let partner = me ^ (p >> (round + 1));
@@ -807,7 +811,13 @@ fn regroup(deposits: &mut [Deposit]) -> Closing {
         return Closing::default();
     }
     let len = |src: usize, dest: usize| deposits[src].blocks[dest].len();
-    let words = bruck_words(p, |src| (0..p).map(move |dest| (dest, len(src, dest))));
+    let words = bruck_words(p, |emit| {
+        for src in 0..p {
+            for dest in 0..p {
+                emit(src, dest, len(src, dest));
+            }
+        }
+    });
     let columns = (0..p)
         .map(|dest| {
             deposits
@@ -824,30 +834,25 @@ fn regroup(deposits: &mut [Deposit]) -> Closing {
 }
 
 /// The words of every message of a Bruck all-to-all-v over `p` members,
-/// `words[sender · rounds + round]`, where member `src` sends the
-/// `(dest, words)` blocks `blocks(src)`.  Each round's message has its count
-/// word; a non-empty block rides in it once per set bit of its distance,
-/// from the member it has reached by then.
-fn bruck_words<I: IntoIterator<Item = (usize, usize)>>(
-    p: usize,
-    blocks: impl Fn(usize) -> I,
-) -> Vec<usize> {
+/// `words[sender · rounds + round]`, where `blocks(emit)` calls `emit(src,
+/// dest, words)` for every block member `src` sends `dest`.  Each round's
+/// message has its count word; a non-empty block rides in it once per set
+/// bit of its distance, from the member it has reached by then.
+fn bruck_words(p: usize, blocks: impl FnOnce(&mut dyn FnMut(usize, usize, usize))) -> Vec<usize> {
     let rounds = levels(p);
     let mut words = vec![1; p * rounds];
     // `dist` and every holder's offset from `src` are below `p`.
     let wrap = |r: usize| if r >= p { r - p } else { r };
-    for src in 0..p {
-        for (dest, n) in blocks(src) {
-            let dist = wrap(dest + p - src);
-            let mut hops = if n > 0 { dist } else { 0 };
-            while hops != 0 {
-                let d = hops & hops.wrapping_neg();
-                let holder = wrap(src + (dist & (d - 1)));
-                words[holder * rounds + d.trailing_zeros() as usize] += BRUCK_BLOCK_HEADER + n;
-                hops ^= d;
-            }
+    blocks(&mut |src, dest, n| {
+        let dist = wrap(dest + p - src);
+        let mut hops = if n > 0 { dist } else { 0 };
+        while hops != 0 {
+            let d = hops & hops.wrapping_neg();
+            let holder = wrap(src + (dist & (d - 1)));
+            words[holder * rounds + d.trailing_zeros() as usize] += BRUCK_BLOCK_HEADER + n;
+            hops ^= d;
         }
-    }
+    });
     words
 }
 
@@ -1322,7 +1327,11 @@ mod tests {
                 let blocks = sizes(comm.rank()).map(|(_, n)| vec![1.0; n]).collect();
                 alltoallv_bruck(comm, blocks).unwrap();
             });
-            let counts = bruck_counts(p, sizes);
+            let counts = bruck_counts(p, |emit| {
+                for src in 0..p {
+                    sizes(src).for_each(|(d, n)| emit(src, d, n));
+                }
+            });
             for (rank, measured) in report.per_rank.iter().enumerate() {
                 assert_eq!(
                     traffic(measured),

@@ -77,10 +77,12 @@ fn main() {
         );
     }
 
+    // The boundaries `classify` draws, at the revision's constant.
+    let c = Ipdps17.regime_constant();
     println!(
         "\nregime boundaries at this p: 1D below n = {:.0}, 2D above n = {:.0}",
-        4.0 * k as f64 / p as f64,
-        4.0 * k as f64 * (p as f64).sqrt()
+        c * k as f64 / p as f64,
+        c * k as f64 * (p as f64).sqrt()
     );
 
     // The staged API: a plan carries its predicted cost, so the "a priori"

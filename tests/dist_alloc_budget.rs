@@ -16,6 +16,11 @@
 //! buffers, but no second copy of `L` for the diagonal inverter to write
 //! its inverses into.
 //!
+//! A quote leg closes: every rank of an op walks its own quote, so a cold
+//! `it_inv_trsm::predicted_cost` at each shape above makes at most
+//! [`QUOTE_ALLOCS`] allocations — its layouts and moves allocate per
+//! layout, never per rank.
+//!
 //! This file is its own test binary with a single test because the counting
 //! allocator is process-wide and ranks are threads: any other test running
 //! beside it would be counted too.
@@ -71,6 +76,11 @@ const GRID: usize = 4;
 /// machine run around them.
 const FEW_RHS_ALLOCS: u64 = 4_000;
 
+/// Allocations one cold It-Inv quote may make at a shape above: the
+/// few-RHS op's headroom over the 2 968 it made with one quote per process,
+/// `(4 000 − 2 968) / 16` per rank.
+const QUOTE_ALLOCS: u64 = 64;
+
 /// What one op hands back: every rank's grid coordinates and block of `X`.
 type RankBlocks = simnet::RunOutput<((usize, usize), Matrix)>;
 
@@ -105,8 +115,8 @@ fn assert_solved(out: &RankBlocks, x_true: &Matrix) {
 }
 
 /// The plan of an `n × n`, `k`-column solve on [`RANKS`] ranks, which must
-/// be It-Inv on a `p1 × p1 × p2` grid.
-fn it_inv_grid(n: usize, k: usize) -> (usize, usize) {
+/// be It-Inv.
+fn it_inv_config(n: usize, k: usize) -> ItInvConfig {
     let plan = SolveRequest::lower().plan_distributed(n, k, RANKS).unwrap();
     let PlanBackend::Distributed {
         algorithm: Algorithm::IterativeInversion(cfg),
@@ -115,6 +125,12 @@ fn it_inv_grid(n: usize, k: usize) -> (usize, usize) {
     else {
         panic!("n = {n}, k = {k} on {RANKS} ranks should plan It-Inv, got {plan}");
     };
+    cfg
+}
+
+/// The `p1 × p1 × p2` grid of [`it_inv_config`].
+fn it_inv_grid(n: usize, k: usize) -> (usize, usize) {
+    let cfg = it_inv_config(n, k);
     (cfg.p1, cfg.p2)
 }
 
@@ -143,9 +159,10 @@ fn a_warm_dist_cube_op_allocates_at_most_twice_the_bytes_it_moves() {
         "a warm op allocated {bytes} bytes, more than twice the {moved} bytes it moved"
     );
 
-    // The few-RHS leg runs here, after the budget and never beside it: the
-    // counting allocator sees every thread of the process.
+    // The few-RHS and quote legs run here, after the budget and never beside
+    // it: the counting allocator sees every thread of the process.
     a_warm_few_rhs_op_allocates_little_and_holds_no_second_copy_of_l();
+    a_cold_quote_allocates_per_layout_not_per_rank();
 }
 
 /// A warm `dist_few_rhs` op makes at most [`FEW_RHS_ALLOCS`] allocations and
@@ -174,4 +191,20 @@ fn a_warm_few_rhs_op_allocates_little_and_holds_no_second_copy_of_l() {
         "a warm few-RHS op left {retained} words in the pool, not under 2·n² = {}",
         2 * n * n
     );
+}
+
+/// At each shape above, a cold It-Inv quote on the 4×4 caller grid makes at
+/// most [`QUOTE_ALLOCS`] allocations.
+fn a_cold_quote_allocates_per_layout_not_per_rank() {
+    for (n, k) in [(N, N), (1024, 16)] {
+        let cfg = it_inv_config(n, k);
+        let before = ALLOCS.load(Relaxed);
+        let quote = catrsm::it_inv_trsm::predicted_cost(n, k, GRID, GRID, &cfg);
+        let allocs = ALLOCS.load(Relaxed) - before;
+        println!("cold quote at n = {n}, k = {k}: {allocs} allocations; {quote:?}");
+        assert!(
+            allocs <= QUOTE_ALLOCS,
+            "a cold quote at n = {n}, k = {k} made {allocs} allocations, more than {QUOTE_ALLOCS}"
+        );
+    }
 }
