@@ -963,21 +963,15 @@ impl<'a> Cuts<'a> {
             let groups = classes(&self.cols[left..], |run| run.lead);
             let met = groups.take_while(move |cols| cols[0].lead < span.end);
             met.filter_map(move |cols| {
-                let (holders, count) = self.block(dst, rows, cols)?;
-                Some((rows, cols, holders, count))
+                let holders = dst.holders(rows[0].other, cols[0].other);
+                let count = if holders.is_empty() {
+                    0
+                } else {
+                    self.count(rows, cols)
+                };
+                (count > 0).then_some((rows, cols, holders, count))
             })
         })
-    }
-
-    /// The holders of the piece of `dst` that `rows × cols` make up and how
-    /// many of its entries pass the filter, unless no rank receives any.
-    fn block(&self, dst: &'a Layout, rows: &[Run], cols: &[Run]) -> Option<(&'a [usize], usize)> {
-        let holders = dst.holders(rows[0].other, cols[0].other);
-        if holders.is_empty() {
-            return None;
-        }
-        let count = self.count(rows, cols);
-        (count > 0).then_some((holders, count))
     }
 
     /// `f(local row, column run, its columns in the row)` for every part of
@@ -1447,7 +1441,8 @@ mod tests {
     /// The runs cover the class exactly — every index once, at its local
     /// position, under its class of `other` — one group per class of
     /// `other`, each group ascending and never interleaved, the groups in
-    /// the order of their first indices; `furthest` is the furthest index so far.
+    /// the order of their first indices, each `furthest` the last index so
+    /// far.
     fn assert_cuts(mine: &Axis, class: usize, other: &Axis, runs: &[Run]) {
         let mut got: Vec<(usize, usize, usize)> = runs
             .iter()
@@ -1459,8 +1454,7 @@ mod tests {
             .map(|(g, local)| (g, local, other.place(g).0))
             .collect();
         assert_eq!(got, expect, "{mine:?} class {class} by {other:?}");
-        let mut seen = Vec::new();
-        let mut reach = 0;
+        let (mut seen, mut furthest) = (Vec::new(), 0);
         for (at, run) in runs.iter().enumerate() {
             match at.checked_sub(1).map(|before| &runs[before]) {
                 Some(before) if before.other == run.other => {
@@ -1473,8 +1467,8 @@ mod tests {
                     seen.push(run.other);
                 }
             }
-            reach = reach.max(run.last());
-            assert_eq!(run.furthest, reach);
+            furthest = furthest.max(run.last());
+            assert_eq!(run.furthest, furthest);
         }
     }
 
