@@ -720,31 +720,25 @@ impl Axis {
     }
 
     /// The indices of `class`, ascending, as progressions in both the index
-    /// and the local position: one for the whole class when its blocks
-    /// continue each other (a class of one block, of one index per block, or
-    /// the only block class unstacked), else one per block.
+    /// and the local position: one per block, or one for the whole class
+    /// when each block holds one of its indices.
     fn segments(self, class: usize) -> impl Iterator<Item = Run> {
         let (blocks, in_last) = self.blocks_of(class);
         let per_block = self.per_block();
         let first = class / self.stride * self.block + class % self.stride;
         let stack = if self.stacked { 0 } else { per_block };
         let jump = self.procs * self.block;
-        let whole = blocks == 1 || per_block == 1 || (self.procs == 1 && !self.stacked);
-        let (step, local_step) = match per_block {
-            1 if blocks > 1 => (jump, stack),
-            _ => (self.stride, 1),
+        let (segments, step, local_step) = match per_block {
+            1 => (blocks.min(1), jump, stack),
+            _ => (blocks, self.stride, 1),
         };
-        (0..if whole { blocks.min(1) } else { blocks }).filter_map(move |u| {
+        (0..segments).filter_map(move |u| {
             // Forward blocks ascend, reversed ones descend.
-            let u = if self.reversed && !whole {
-                blocks - 1 - u
-            } else {
-                u
-            };
-            let count = match (whole, u + 1 == blocks) {
-                (true, _) => (blocks - 1) * per_block + in_last,
-                (false, true) => in_last,
-                (false, false) => per_block,
+            let u = if self.reversed { segments - 1 - u } else { u };
+            let count = match (per_block, u + 1 == blocks) {
+                (1, _) => blocks - 1 + in_last,
+                (_, true) => in_last,
+                _ => per_block,
             };
             let run = Run {
                 class,
