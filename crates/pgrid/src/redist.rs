@@ -1029,10 +1029,10 @@ fn pack(
 /// between layouts with the [`Layout::same_placement`].
 ///
 /// Each class of either axis is cut once, and each block is counted in
-/// arithmetic per (row run, column run) pair: the cost follows the runs and
-/// the blocks sent, plus the `⌈log₂ p⌉` rounds per block of the Bruck
-/// schedule, and never the length of an axis.  It allocates the runs, the
-/// schedule's table and the counts, whatever `p`.
+/// arithmetic per (row run, column run) pair: the cost follows the runs,
+/// the diagonal blocks a pair shares and the blocks sent, each routed over
+/// the Bruck schedule's `⌈log₂ p⌉` rounds, not the entries moved.  It
+/// allocates the runs, the schedule's table and the counts, whatever `p`.
 pub fn move_counts(src: &Layout, dst: &Layout, filter: Filter) -> Vec<CostCounters> {
     if src.same_placement(dst) {
         return vec![CostCounters::default(); src.ranks];
