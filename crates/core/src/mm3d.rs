@@ -258,29 +258,23 @@ fn strided_layout(n: usize, k: usize, q: usize, p1: usize, contributions: bool) 
     )
 }
 
-/// What [`mm3d`] charges each rank `x·q + y` of the `q × q` grid for one
-/// `n×n` by `n×k` product at `p1` per entry of `a_tris`, from cyclic
-/// operands: the allgather of `A`'s strided block over `p2` ranks, the two
-/// moves of step 2 and 6, and the allgather and reduce-scatter over `p1`
-/// ranks, and the product of the rank's blocks, of `A`'s triangle `a_tri`
-/// when it has one.  The mask changes no message, so the products' moves
-/// are priced once.  A shape [`mm3d`] refuses charges nothing: it fails
+/// What [`mm3d`] charges each rank `x·q + y` of the `q × q` grid for an
+/// `n×n` by `n×k` product at `p1`, from cyclic operands: the allgather of
+/// `A`'s strided block over `p2` ranks, the two moves of step 2 and 6, and
+/// the allgather and reduce-scatter over `p1` ranks, and the product of
+/// the rank's blocks, of `A`'s triangle `a_tri` when it has one.  The mask
+/// changes no message.  A shape [`mm3d`] refuses charges nothing: it fails
 /// before it sends.
 pub(crate) fn walk(
     n: usize,
     k: usize,
     q: usize,
     p1: usize,
-    a_tris: &[Option<Triangle>],
+    a_tri: Option<Triangle>,
 ) -> Vec<CostCounters> {
-    let work = |rows, cols, i, j| {
-        a_tris.iter().fold(CostCounters::default(), |c, a_tri| {
-            let mask = a_tri.map(|tri| strided_block_mask(tri, i, j));
-            c.merge(&walk::work(masked_gemm_flops(rows, rows, cols, mask)))
-        })
-    };
+    let mask = |i, j| a_tri.map(|tri| strided_block_mask(tri, i, j));
     if q == 1 {
-        return vec![work(n, k, 0, 0)];
+        return vec![walk::work(masked_gemm_flops(n, n, k, mask(0, 0)))];
     }
     let s = q / p1;
     let fits = q.is_multiple_of(p1) && n.is_multiple_of(q) && k.is_multiple_of(q);
@@ -296,7 +290,7 @@ pub(crate) fn walk(
     );
     for (r, rank) in ranks.iter_mut().enumerate() {
         let (x, y) = (r / q, r % q);
-        let mut c = *rank;
+        let mut c = walk::work(masked_gemm_flops(nb, nb, kw, mask(x % p1, y % p1)));
         if s > 1 {
             c = c.merge(&coll::allgather_counts(
                 s * s,
@@ -308,7 +302,7 @@ pub(crate) fn walk(
             c = c.merge(&coll::allgather_counts(p1, contrib_rows * kw, x % p1));
             c = c.merge(&coll::reduce_scatter_counts(p1, nb * kw, y % p1));
         }
-        *rank = walk::times(c, a_tris.len()).merge(&work(nb, kw, x % p1, y % p1));
+        *rank = rank.merge(&c);
     }
     ranks
 }
@@ -445,8 +439,7 @@ mod tests {
     }
 
     /// Every rank is charged what the walk says — messages, words and
-    /// flops — on every face size, for a full and a triangular `A`, and for
-    /// a triangular product followed by a full one.
+    /// flops — on every face size, for a full and a triangular `A`.
     #[test]
     fn the_walk_is_what_every_rank_is_charged() {
         let charges = |c: &CostCounters| {
@@ -455,25 +448,16 @@ mod tests {
         };
         let shapes = [(1usize, 16, 8), (2, 16, 8), (4, 32, 16), (4, 64, 64)];
         let triangles = [None, Some(Triangle::Lower), Some(Triangle::Upper)];
-        let products = triangles
-            .map(|t| vec![t])
-            .into_iter()
-            .chain([vec![Some(Triangle::Lower), None]]);
-        let cases = shapes
-            .into_iter()
-            .flat_map(|s| products.clone().map(move |t| (s, t)));
-        for ((q, n, k), a_tris) in cases {
+        for ((q, n, k), a_tri) in shapes.into_iter().flat_map(|s| triangles.map(|t| (s, t))) {
             for p1 in (0..=q.ilog2()).map(|e| 1 << e) {
-                let (_, report) = on_grid(q, |grid| {
+                let (_, report) = on_grid(q, move |grid| {
                     let a = DistMatrix::from_global(grid, &gen::uniform(n, n, 1));
                     let x = DistMatrix::from_global(grid, &gen::uniform(n, k, 2));
-                    for &a_tri in &a_tris {
-                        mm3d(&a, &x, p1, a_tri).unwrap();
-                    }
+                    mm3d(&a, &x, p1, a_tri).unwrap();
                 });
-                let walked = walk(n, k, q, p1, &a_tris);
+                let walked = walk(n, k, q, p1, a_tri);
                 for (rank, charged) in report.per_rank.iter().enumerate() {
-                    let what = format!("{a_tris:?} q={q} p1={p1} n={n} k={k} rank {rank}");
+                    let what = format!("{a_tri:?} q={q} p1={p1} n={n} k={k} rank {rank}");
                     assert_eq!(charges(charged), charges(&walked[rank]), "{what}");
                 }
             }

@@ -258,7 +258,7 @@ fn walk(n: usize, k: usize, pr: usize, pc: usize, base_size: usize) -> Vec<CostC
     }
     let h = n / 2;
     let half = walk(h, k, pr, pr, base_size);
-    let mut ranks = crate::mm3d::walk(h, k, pr, choose_mm_p1(h, k, pr), &[None]);
+    let mut ranks = crate::mm3d::walk(h, k, pr, choose_mm_p1(h, k, pr), None);
     walk::add(&mut ranks, &half);
     walk::add(&mut ranks, &half);
     ranks

@@ -186,8 +186,9 @@ pub(crate) fn walk(n: usize, q: usize, base_size: usize) -> Vec<CostCounters> {
     }
     let (h, qh) = (n / 2, q / 2);
     let half = Layout::cyclic_over(q, q, h, h);
-    let products = [Some(Triangle::Lower), None];
-    let mut ranks = crate::mm3d::walk(h, h, q, choose_mm_p1(h, h, q), &products);
+    let product = |a_tri| crate::mm3d::walk(h, h, q, choose_mm_p1(h, h, q), a_tri);
+    let mut ranks = product(Some(Triangle::Lower));
+    walk::add(&mut ranks, &product(None));
     let child = walk(h, qh, base_size);
     for base in [0, qh] {
         let on_child = child_layout(q, h, base);

@@ -105,11 +105,11 @@ pub struct Axis {
     reversed: bool,
 }
 
-/// `(a / d, a mod d)`, by a shift when `d` is a power of two — the block,
-/// class count, stride or step of most axes and runs.
+/// `(a / d, a mod d)`, without dividing when `d` is 1 — the block, class
+/// count or stride of most axes.
 fn div_rem(a: usize, d: usize) -> (usize, usize) {
-    if d.is_power_of_two() {
-        (a >> d.trailing_zeros(), a & (d - 1))
+    if d == 1 {
+        (a, 0)
     } else {
         (a / d, a % d)
     }
@@ -894,14 +894,6 @@ impl<'a> Cuts<'a> {
             Filter::Lower => usize::MAX,
             Filter::DiagBlocksLower(n0) => n0,
         };
-        if let ([row], [col]) = (rows, cols) {
-            // One row run inside one block, and a column run that starts in
-            // it: the floor sum alone.
-            let start = row.first - div_rem(row.first, n0).1;
-            if row.last() - start < n0 && col.first >= start {
-                return row.below(0..row.count, col);
-            }
-        }
         // Column runs left of `left` end before the current row's block,
         // which never moves left.
         let (mut count, mut left) = (0, 0);

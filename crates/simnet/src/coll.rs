@@ -552,17 +552,14 @@ struct Step {
 impl Phase {
     /// Member `me`'s step in `round`.
     fn step(self, p: usize, me: usize, round: usize) -> Step {
-        // `me ± 2ʳᵒᵘⁿᵈ` around the ring: both stay below `2p`.
-        let ring = |r: usize| if r >= p { r - p } else { r };
-        let (ahead, behind) = (ring(me + (1 << round)), ring(me + p - (1 << round)));
         match self {
             Phase::Dissemination | Phase::Alltoall { .. } | Phase::BruckV => Step {
-                to: Some(ahead),
-                from: Some(behind),
+                to: Some((me + (1 << round)) % p),
+                from: Some((me + p - (1 << round)) % p),
             },
             Phase::Allgather { .. } => Step {
-                to: Some(behind),
-                from: Some(ahead),
+                to: Some((me + p - (1 << round)) % p),
+                from: Some((me + (1 << round)) % p),
             },
             Phase::Halving { .. } => {
                 let partner = me ^ (p >> (round + 1));
