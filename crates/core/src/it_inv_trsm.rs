@@ -20,6 +20,9 @@
 //! 5. **allreduce along `y`** only the next block row `S_{i+1}` of the update
 //!    buffer (lazy reduction) and subtract it from the right-hand side.
 //!
+//! With `p2 = 1` the `z` axis has one member: steps 1 and 3 send nothing,
+//! so the face's pieces and panels are read where they lie, uncopied.
+//!
 //! The paper iterates over `L̃`, which is `L` with its diagonal blocks
 //! inverted; here `L̃` is never materialised.  The inverter returns only the
 //! inverted blocks, stacked `n/p1 × n0/p1` per face rank
@@ -43,7 +46,7 @@
 //! reuses resident memory instead of allocating it again.
 
 use crate::diag_inv::{block_columns, diagonal_inverter, stacked_layout};
-use crate::error::{config_error, internal_error};
+use crate::error::{config_error, internal_error, TrsmError};
 use crate::mm3d::strided_block_mask;
 use crate::{walk, Result};
 use costmodel::{itinv, Cost};
@@ -290,7 +293,7 @@ pub fn it_inv_trsm(
     // ------------------------------------------------------------------
     // The inverted diagonal blocks, stacked: rows `g·nb_loc ..` hold
     // L(S_g, S_g)⁻¹ restricted to rows ≡ y, cols ≡ x (mod p1).  Held on the
-    // face and broadcast along z during the solve steps.
+    // face and, when p2 > 1, broadcast along z during the solve steps.
     let diag_t_face: Option<Matrix> = match &l_face {
         Some(lf) => {
             let inverses = diagonal_inverter(lf, n0, cfg.inv_base)?;
@@ -324,17 +327,26 @@ pub fn it_inv_trsm(
 
     for i in 0..nblocks {
         // --- Solve step ------------------------------------------------
-        // (a) broadcast the inverted diagonal piece along z.
-        let diag_flat: &[f64] = if z == 0 {
+        // (a) the inverted diagonal piece: on a one-member z axis it is
+        //     read where it lies on the face, else broadcast along z.
+        let piece = nb_loc * nb_loc;
+        let face_diag = || {
             let stacked = diag_t_face
                 .as_ref()
                 .ok_or_else(|| internal_error("it_inv_trsm", "face rank holds no diag blocks"))?;
-            &stacked.as_slice()[i * nb_loc * nb_loc..(i + 1) * nb_loc * nb_loc]
-        } else {
-            &[]
+            Ok::<_, TrsmError>(&stacked.as_slice()[i * piece..(i + 1) * piece])
         };
-        let diag_flat = coll::bcast(&z_comm, 0, diag_flat, nb_loc * nb_loc)?;
-        let diag_piece = Matrix::from_vec(nb_loc, nb_loc, diag_flat)?;
+        let diag_copy = if p2 > 1 {
+            let mine = if z == 0 { face_diag()? } else { &[] };
+            let flat = coll::bcast(&z_comm, 0, mine, piece)?;
+            Some(Matrix::from_vec(nb_loc, nb_loc, flat)?)
+        } else {
+            None
+        };
+        let diag_piece = match &diag_copy {
+            Some(copy) => copy.as_view(),
+            None => MatRef::from_slice(face_diag()?, nb_loc, nb_loc),
+        };
 
         // (b) multiply with the current right-hand-side block, read in
         //     place, into this block's rows of X.  The piece holds row class
@@ -342,7 +354,7 @@ pub fn it_inv_trsm(
         //     lower triangle itself, with zeros stored above it.
         let flops = dense::gemm_views(
             1.0,
-            diag_piece.as_view(),
+            diag_piece,
             false,
             b_rem.view(i * nb_loc, 0, nb_loc, kw),
             false,
@@ -351,7 +363,9 @@ pub fn it_inv_trsm(
             Some(strided_block_mask(Triangle::Lower, y, x)),
         )?;
         comm.charge_flops(flops.get());
-        comm.give_buffer(diag_piece.into_vec());
+        if let Some(copy) = diag_copy {
+            comm.give_buffer(copy.into_vec());
+        }
         if i + 1 == nblocks {
             // B's last block is read: its storage can serve the reduction.
             comm.give_buffer(std::mem::replace(&mut b_rem, Matrix::zeros(0, 0)).into_vec());
@@ -375,28 +389,41 @@ pub fn it_inv_trsm(
 
         // --- Update step -------------------------------------------------
         if i + 1 < nblocks {
-            // (d) broadcast the trailing panel L(T_{i+1}, S_i) along z.
+            // (d) the trailing panel L(T_{i+1}, S_i): on a one-member z
+            //     axis it is read in place on the face, else copied out and
+            //     broadcast along z.
             let panel_rows = nloc - (i + 1) * nb_loc;
-            let mut panel_flat = Vec::new();
-            if z == 0 {
+            let (r0, c0) = ((i + 1) * nb_loc, i * nb_loc);
+            let face_l = || {
                 let lf = l_face
                     .as_ref()
                     .ok_or_else(|| internal_error("it_inv_trsm", "face rank holds no L"))?;
-                let buf = comm.take_buffer(panel_rows * nb_loc);
-                panel_flat = lf
-                    .local()
-                    .block_into((i + 1) * nb_loc, i * nb_loc, panel_rows, nb_loc, buf)
-                    .into_vec();
-            }
-            let panel_bcast = coll::bcast(&z_comm, 0, &panel_flat, panel_rows * nb_loc)?;
-            comm.give_buffer(panel_flat);
-            let panel = Matrix::from_vec(panel_rows, nb_loc, panel_bcast)?;
+                Ok::<_, TrsmError>(lf.local())
+            };
+            let panel_copy = if p2 > 1 {
+                let mut panel_flat = Vec::new();
+                if z == 0 {
+                    let buf = comm.take_buffer(panel_rows * nb_loc);
+                    panel_flat = face_l()?
+                        .block_into(r0, c0, panel_rows, nb_loc, buf)
+                        .into_vec();
+                }
+                let panel_bcast = coll::bcast(&z_comm, 0, &panel_flat, panel_rows * nb_loc)?;
+                comm.give_buffer(panel_flat);
+                Some(Matrix::from_vec(panel_rows, nb_loc, panel_bcast)?)
+            } else {
+                None
+            };
+            let panel = match &panel_copy {
+                Some(copy) => copy.as_view(),
+                None => face_l()?.view(r0, c0, panel_rows, nb_loc),
+            };
 
             // (e) accumulate the trailing update directly into the
             //     accumulator block (β = 1), with no intermediate matrix.
             let flops = dense::gemm_views(
                 1.0,
-                panel.as_view(),
+                panel,
                 false,
                 x_block,
                 false,
@@ -405,7 +432,9 @@ pub fn it_inv_trsm(
                 None,
             )?;
             comm.charge_flops(flops.get());
-            comm.give_buffer(panel.into_vec());
+            if let Some(copy) = panel_copy {
+                comm.give_buffer(copy.into_vec());
+            }
 
             // (f) lazily reduce only the next block row over the y axis and
             //     subtract it from the remaining right-hand side.  The

@@ -17,7 +17,9 @@
 //! * Cholesky and LU factorization ([`cholesky`], [`lu`], [`lu_partial_pivot`])
 //!   for the example applications;
 //! * norms and residual checks ([`norms`]) and random well-conditioned test
-//!   matrices ([`gen`]).
+//!   matrices ([`gen`]);
+//! * the content hash that keys operands by their exact bits
+//!   ([`fingerprint`]).
 //!
 //! All kernels operate on the row-major [`Matrix`] type.  The O(n³) hot
 //! paths all funnel through one packed-panel GEMM: [`pack`] copies `(MC, KC)`
@@ -71,6 +73,7 @@
 
 pub mod error;
 pub mod factor;
+pub mod fingerprint;
 pub mod flops;
 pub mod gemm;
 pub mod gen;

@@ -712,6 +712,11 @@ fn accumulate_tile<const FMA: bool>(kc: usize, apanel: &[f64], bpanel: &[f64]) -
 }
 
 /// Register-blocked i-k-j loop for products too small to be worth packing.
+/// Where `op(B)` is unmasked with contiguous rows, each row of `C` is cut
+/// into strips of `NR`, 4, 2 and 1 entries, and a strip stays in registers
+/// across the `k` loop; otherwise `C` is updated through memory.  Both add
+/// the same `aik·b` terms to an entry in the same order, so they round
+/// alike.
 ///
 /// # Safety
 /// Same contract as [`gemm_accumulate`].
@@ -736,6 +741,31 @@ unsafe fn gemm_small(
         let arow = a.add(i * ai);
         let crow = c.add(i * c_rs);
         let (k0, k1) = a_mask.map_or((0, kdim), |mk| mk.k_range(i, 1, kdim));
+        if bj == 1 && b_mask.is_none() {
+            // A `w`-strip at `j` has `j + w ≤ n`, so it lies inside row `i`
+            // of `C` and row `k` of `op(B)`, which the contract makes valid
+            // and disjoint.
+            let mut j = 0;
+            macro_rules! strips {
+                ($($w:expr),*) => {$(
+                    while n - j >= $w {
+                        let cs = &mut *crow.add(j).cast::<[f64; $w]>();
+                        let mut acc = *cs;
+                        for k in k0..k1 {
+                            let aik = alpha * *arow.add(k * ak);
+                            let bs = &*b.add(k * bk + j).cast::<[f64; $w]>();
+                            if aik != 0.0 {
+                                acc.iter_mut().zip(bs).for_each(|(v, bkj)| *v += aik * bkj);
+                            }
+                        }
+                        *cs = acc;
+                        j += $w;
+                    }
+                )*};
+            }
+            strips!(NR, 4, 2, 1);
+            continue;
+        }
         for k in k0..k1 {
             let aik = alpha * *arow.add(k * ak);
             if aik == 0.0 {
@@ -756,6 +786,110 @@ unsafe fn gemm_small(
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
+
+    /// [`gemm_small`] as it was before the register strips: every update
+    /// through memory.  The oracle the strips must match bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn gemm_small_through_memory(
+        m: usize,
+        n: usize,
+        kdim: usize,
+        alpha: f64,
+        a: *const f64,
+        ai: usize,
+        ak: usize,
+        b: *const f64,
+        bk: usize,
+        bj: usize,
+        c: *mut f64,
+        c_rs: usize,
+        mask: Option<TriMask>,
+    ) {
+        let (a_mask, b_mask) = split_mask(mask);
+        for i in 0..m {
+            let arow = a.add(i * ai);
+            let crow = c.add(i * c_rs);
+            let (k0, k1) = a_mask.map_or((0, kdim), |mk| mk.k_range(i, 1, kdim));
+            for k in k0..k1 {
+                let aik = alpha * *arow.add(k * ak);
+                if aik == 0.0 {
+                    continue;
+                }
+                let brow = b.add(k * bk);
+                let (j0, j1) = b_mask.map_or((0, n), |mk| mk.kept_outer(k, n));
+                for j in j0..j1 {
+                    *crow.add(j) += aik * *brow.add(j * bj);
+                }
+            }
+        }
+    }
+
+    /// The register strips round exactly like the memory loop: ragged
+    /// widths, zeros in `A` (skipped updates), `-0.0` in `C` (kept unless
+    /// something is added), a lower mask on `A`, and the paths that stay in
+    /// memory (a mask on `B`, a transposed `B`).
+    #[test]
+    fn small_products_are_bitwise_the_memory_loop() {
+        let lower_a = Some(TriMask::a(Triangle::Lower));
+        let lower_b = Some(TriMask::b(Triangle::Lower));
+        for &(m, kdim, n) in &[
+            (1, 1, 1),
+            (3, 5, 7),
+            (5, 8, 8),
+            (16, 16, 16),
+            (7, 9, 17),
+            (4, 24, 31),
+        ] {
+            // Every third entry of A is zero; values of both signs.
+            let a = Matrix::from_fn(m, kdim, |i, k| {
+                if (i * 7 + k * 5) % 3 == 0 {
+                    0.0
+                } else {
+                    ((i * 13 + k * 3) % 11) as f64 / 7.0 - 0.5
+                }
+            });
+            // Square, so it reads as `op(B)` stored or transposed.
+            let side = n.max(kdim);
+            let b = Matrix::from_fn(side, side, |k, j| {
+                ((k * 17 + j * 29) % 23) as f64 / 9.0 - 1.2
+            });
+            let c0 = Matrix::from_fn(m, n, |i, j| {
+                if (i + j) % 2 == 0 {
+                    -0.0
+                } else {
+                    0.25 * j as f64
+                }
+            });
+            for (mask, b_trans) in [
+                (None, false),
+                (lower_a, false),
+                (lower_b, false),
+                (None, true),
+            ] {
+                let (bk, bj) = if b_trans { (1, side) } else { (side, 1) };
+                let run = |through_memory: bool| {
+                    let mut c = c0.clone();
+                    let (ap, bp) = (a.as_slice().as_ptr(), b.as_slice().as_ptr());
+                    let cp = c.as_mut_slice().as_mut_ptr();
+                    unsafe {
+                        if through_memory {
+                            gemm_small_through_memory(
+                                m, n, kdim, 1.5, ap, kdim, 1, bp, bk, bj, cp, n, mask,
+                            )
+                        } else {
+                            gemm_small(m, n, kdim, 1.5, ap, kdim, 1, bp, bk, bj, cp, n, mask)
+                        }
+                    }
+                    c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    run(false),
+                    run(true),
+                    "({m},{kdim},{n}) mask {mask:?} bᵀ {b_trans}"
+                );
+            }
+        }
+    }
 
     /// The plain (no-transpose) accumulate the pre-`_opt` tests were
     /// written against.

@@ -9,9 +9,9 @@
 //! the amortization the staged API only *prices*:
 //!
 //! * [`fingerprint`] — 64-bit content hashes of dense triangles and
-//!   `SparseTri` operands (dims, triangle/diagonal, pattern, value bits),
-//!   combined with the request shape into the plan-cache key
-//!   ([`PlanKey`]);
+//!   `SparseTri` operands (dims, triangle/diagonal, pattern, value bits;
+//!   a sparse operand hashes itself once and keeps the value), combined
+//!   with the request shape into the plan-cache key ([`PlanKey`]);
 //! * [`cache`] — a small LRU with hit/miss/eviction accounting;
 //! * [`service`] — the [`SolveService`] itself: one lock over a
 //!   fingerprint-keyed LRU of lowered `Arc<SolvePlan>`s with

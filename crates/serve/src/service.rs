@@ -35,7 +35,9 @@
 //! The cache, the queue and the counters sit behind one mutex.  A plan is
 //! built under it, so a thundering herd on one cold key plans once.  No
 //! fingerprint and no execute runs under it, so concurrent clients hash
-//! their operands and solve on cached plans side by side.
+//! their operands — a sparse one on its first submit, when its memo
+//! fills; a dense one on every submit — and solve on cached plans side by
+//! side.
 
 use crate::cache::LruCache;
 use crate::fingerprint::{fingerprint_dense, fingerprint_sparse, PlanKey};

@@ -8,7 +8,7 @@ use catrsm::SolveRequest;
 use dense::{Diag, Matrix, Triangle};
 use proptest::prelude::*;
 use serve::{
-    fingerprint_sparse, Operand, ServiceConfig, ServiceRequest, ServiceStats, SolveService,
+    fingerprint_sparse, Operand, PlanKey, ServiceConfig, ServiceRequest, ServiceStats, SolveService,
 };
 use sparse::{gen as sgen, SparseTri};
 use std::sync::Arc;
@@ -347,6 +347,40 @@ fn repeat_traffic_keeps_planning_and_analysis_flat() {
     assert_eq!(stats.hits, 50);
     assert_eq!(stats.plan_builds, 1);
     assert_eq!(stats.errors, 0);
+}
+
+/// One operand object submitted `N` times plans once and hits `N − 1`
+/// times, hashing its content on the first submit only; a content-equal
+/// twin built from scratch has the same key, so it hits too.
+#[test]
+fn one_object_plans_once_and_its_rebuilt_twin_shares_its_key() {
+    const N: u64 = 12;
+    let req = sparse_request();
+    let svc = service();
+    let a = Arc::new(sgen::random_lower(300, 4, 21));
+    let b = sgen::rhs_vec(a.n(), 3);
+    let want = cold_sparse(&req, &a, &b);
+    for _ in 0..N {
+        svc.submit(ServiceRequest {
+            request: req,
+            operand: Operand::Sparse(Arc::clone(&a)),
+            rhs: b.clone(),
+        })
+        .unwrap();
+    }
+    for done in svc.flush() {
+        assert_eq!(done.x, want);
+    }
+    let stats = svc.stats();
+    assert_eq!((stats.plan_builds, stats.misses, stats.hits), (1, 1, N - 1));
+
+    let twin = Arc::new(sgen::random_lower(300, 4, 21));
+    let key = |m: &SparseTri| PlanKey::new(fingerprint_sparse(m), m.n(), m.nnz(), &req);
+    assert_eq!(key(&twin), key(&a));
+    let x = svc.solve_vec(&req, &Operand::Sparse(twin), &b).unwrap().x;
+    assert_eq!(x, want);
+    let stats = svc.stats();
+    assert_eq!((stats.plan_builds, stats.hits), (1, N));
 }
 
 /// A closed hot set of eight factors (n = 256) under a stream of

@@ -9,10 +9,11 @@
 //! [`Diag::NonUnit`]) an invertible diagonal — so the executors never
 //! re-validate on the hot path.
 //!
-//! The matrix owns its (lazily computed) level-set [`Schedule`]: the
-//! sparsity pattern is immutable after construction, so the analysis is run
-//! at most once per matrix and reused across every subsequent solve, which
-//! is the access pattern of preconditioner applies inside iterative solvers.
+//! The matrix owns its (lazily computed) level-set [`Schedule`] and content
+//! hash: the matrix has no mutator, so the analysis and the hash each run
+//! at most once per matrix and are reused by every later solve or lookup,
+//! which is the access pattern of preconditioner applies inside iterative
+//! solvers.
 
 use crate::error::SparseError;
 use crate::schedule::Schedule;
@@ -53,6 +54,11 @@ pub struct SparseTri {
     /// per matrix so repeated `Aᵀ·x = b` solves reuse both the transposed
     /// CSR arrays and the schedule cached on them.
     transpose_cache: OnceLock<Box<SparseTri>>,
+    /// Lazily computed content hash (see [`SparseTri::content_hash`]), and
+    /// in tests how many times it ran.
+    content_hash: OnceLock<u64>,
+    #[cfg(test)]
+    hashes: AtomicUsize,
 }
 
 impl SparseTri {
@@ -242,6 +248,9 @@ impl SparseTri {
             schedule: OnceLock::new(),
             analyses: AtomicUsize::new(0),
             transpose_cache: OnceLock::new(),
+            content_hash: OnceLock::new(),
+            #[cfg(test)]
+            hashes: AtomicUsize::new(0),
         })
     }
 
@@ -341,6 +350,25 @@ impl SparseTri {
         self.analyses.load(Ordering::Relaxed)
     }
 
+    /// The matrix's [`dense::fingerprint::csr_content_hash`], computed on
+    /// first use and kept: the matrix has no mutator.  Equal content hashes
+    /// equal however it was built.
+    pub fn content_hash(&self) -> u64 {
+        *self.content_hash.get_or_init(|| {
+            #[cfg(test)]
+            self.hashes.fetch_add(1, Ordering::Relaxed);
+            dense::fingerprint::csr_content_hash(
+                self.n,
+                self.tri,
+                self.diag,
+                &self.row_ptr,
+                &self.col_idx,
+                &self.values,
+                &self.diag_vals,
+            )
+        })
+    }
+
     /// Densify into a [`dense::Matrix`] (diagonal ones made explicit for
     /// [`Diag::Unit`]).  This is the bridge the dense-fallback solve path
     /// and the differential tests use.
@@ -395,6 +423,9 @@ impl SparseTri {
             schedule: OnceLock::new(),
             analyses: AtomicUsize::new(0),
             transpose_cache: OnceLock::new(),
+            content_hash: OnceLock::new(),
+            #[cfg(test)]
+            hashes: AtomicUsize::new(0),
         }
     }
 
@@ -413,8 +444,8 @@ impl SparseTri {
 }
 
 impl Clone for SparseTri {
-    /// Clones the matrix *and* its cached schedule (re-analyzing an
-    /// identical pattern would be wasted work); the clone's analysis count
+    /// Clones the matrix *and* its caches (re-analyzing or re-hashing
+    /// identical content would be wasted work); the clone's analysis count
     /// starts fresh.
     fn clone(&self) -> SparseTri {
         SparseTri {
@@ -428,6 +459,9 @@ impl Clone for SparseTri {
             schedule: self.schedule.clone(),
             analyses: AtomicUsize::new(0),
             transpose_cache: self.transpose_cache.clone(),
+            content_hash: self.content_hash.clone(),
+            #[cfg(test)]
+            hashes: AtomicUsize::new(0),
         }
     }
 }
@@ -445,9 +479,10 @@ impl std::fmt::Debug for SparseTri {
 
 // Shared-analysis audit: a cached matrix serves concurrent solves — the
 // serve crate's plan cache hands one `Arc<SparseTri>` to every request
-// that hits, and the first solve's `OnceLock::get_or_init` may race with
-// others.  That is only sound if the matrix *and every cache it embeds*
-// (level schedule, transpose mirror) are `Send + Sync`; asserted at compile time so a future cache field built on
+// that hits, and the first solve's or lookup's `OnceLock::get_or_init` may
+// race with others.  That is only sound if the matrix *and every cache it
+// embeds* (level schedule, transpose mirror, content hash) are
+// `Send + Sync`; asserted at compile time so a future cache field built on
 // `Cell`/`Rc` fails this build rather than a downstream crate's.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -691,6 +726,71 @@ mod tests {
         assert_eq!(c.analysis_count(), 0);
         let _ = c.schedule(); // already cached: no new analysis
         assert_eq!(c.analysis_count(), 0);
+    }
+
+    /// The hash [`SparseTri::content_hash`] memoises, recomputed cold.
+    fn cold_hash(m: &SparseTri) -> u64 {
+        dense::fingerprint::csr_content_hash(
+            m.n(),
+            m.triangle(),
+            m.diag(),
+            m.row_ptr(),
+            m.col_idx(),
+            m.values(),
+            m.diag_values(),
+        )
+    }
+
+    #[test]
+    fn content_hash_is_the_cold_hash_however_the_matrix_was_built() {
+        let m = small_lower();
+        assert_eq!(m.content_hash(), cold_hash(&m));
+        // The same content as CSR arrays with the diagonal inline.
+        let csr = SparseTri::from_csr(
+            3,
+            Triangle::Lower,
+            Diag::NonUnit,
+            &[0, 1, 3, 5],
+            &[0, 0, 1, 1, 2],
+            &[2.0, 1.0, 3.0, 4.0, 5.0],
+        )
+        .unwrap();
+        assert_eq!(csr.content_hash(), cold_hash(&csr));
+        assert_eq!(csr.content_hash(), m.content_hash());
+        // A clone carries a filled memo, and fills an empty one alike.
+        let (warm, cold) = (m.clone(), small_lower().clone());
+        assert_eq!(warm.hashes.load(Ordering::Relaxed), 0);
+        assert_eq!(warm.content_hash(), cold_hash(&m));
+        assert_eq!(warm.hashes.load(Ordering::Relaxed), 0, "carried, not rerun");
+        assert_eq!(cold.content_hash(), cold_hash(&m));
+        assert_eq!(cold.hashes.load(Ordering::Relaxed), 1);
+        // The transpose is other content, with its own value.
+        let t = m.transposed();
+        assert_eq!(t.content_hash(), cold_hash(t));
+        assert_ne!(t.content_hash(), m.content_hash());
+    }
+
+    #[test]
+    fn racing_first_content_hash_calls_hash_once() {
+        use std::sync::{Arc, Barrier};
+        let m = Arc::new(crate::gen::random_lower(4096, 8, 3));
+        let start = Arc::new(Barrier::new(4));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let (m, start) = (Arc::clone(&m), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    m.content_hash()
+                })
+            })
+            .collect();
+        let seen: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(seen.iter().all(|&h| h == cold_hash(&m)), "{seen:x?}");
+        assert_eq!(
+            m.hashes.load(Ordering::Relaxed),
+            1,
+            "one hash for four racers"
+        );
     }
 
     #[test]
