@@ -52,6 +52,8 @@
 //!         let l = DistMatrix::from_global(&grid, &l_global);
 //!         let b = DistMatrix::from_global(&grid, &b_global);
 //!         // Plan first (inspectable: chosen algorithm + predicted cost)…
+//!         // Every rank lowers its own plan here, each walking all p ranks;
+//!         // `solve_distributed` would plan once for the whole run.
 //!         let plan = SolveRequest::lower()
 //!             .plan_distributed(n, k, comm.size())
 //!             .unwrap();

@@ -296,13 +296,21 @@ impl SolveRequest {
 
     /// Plan and execute a distributed solve of `op(A)·X = B` on the
     /// simulated machine `l` and `b` live on.
+    ///
+    /// The plan is the same on every rank, so the run makes it once: the
+    /// first rank of `l`'s communicator to arrive lowers it with
+    /// [`SolveRequest::plan_distributed`] and the others read it
+    /// ([`simnet::Communicator::agree`]).  Planning on every rank instead
+    /// pays one lowering, a walk of all `p` ranks, per rank.
     pub fn solve_distributed(
         &self,
         l: &DistMatrix,
         b: &DistMatrix,
     ) -> Result<Solution<DistMatrix>> {
-        self.plan_distributed(l.rows(), b.cols(), l.grid().comm().size())?
-            .execute_distributed(l, b)
+        let comm = l.grid().comm();
+        let key = (*self, l.rows(), b.cols(), comm.size());
+        let plan = comm.agree(key, |&(r, n, k, p)| r.plan_distributed(n, k, p))??;
+        plan.execute_distributed(l, b)
     }
 
     /// The sparse execution options this request lowers to.

@@ -25,10 +25,16 @@
 //! initialisation happens-before every member's read of it.  A poisoned
 //! lock is recovered rather than propagated: every critical section leaves
 //! the map whole.
+//!
+//! **Agreements** (`Communicator::agree`) are the second kind of entry, under
+//! a second mutex: the first arrival makes one, every arrival takes a handle
+//! to it, the last takes it off, and its value is computed outside the lock
+//! into a `OnceLock`, whose one initialisation happens-before every read.
 
 use crate::cost::CostCounters;
 use crate::fault::SendFaults;
 use crate::pool::BufferPool;
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -137,16 +143,45 @@ struct Slot {
     collected: usize,
 }
 
+/// An agreement: the first arrival's key, and the value computed from it.
+pub(crate) struct Agreed<K, T> {
+    pub key: K,
+    pub value: OnceLock<T>,
+}
+
+pub(crate) type AnyAgreed = Arc<dyn Any + Send + Sync>;
+
 /// The calls of one run that some member has entered and some member has
 /// not yet collected, keyed by `(context, op tag)`.
 #[derive(Default)]
 pub(crate) struct Board {
     slots: Mutex<HashMap<(u64, u64), Slot>>,
+    /// The agreements not every member has taken, each an [`Agreed`] and how
+    /// many members took it, keyed alike.
+    agreed: Mutex<HashMap<(u64, u64), (AnyAgreed, usize)>>,
 }
 
 impl Board {
     fn slots(&self) -> MutexGuard<'_, HashMap<(u64, u64), Slot>> {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Agreement `key` of a `p`-member communicator, made by `first` if this
+    /// member arrives first.  The `p`-th arrival takes it off the board.
+    pub(crate) fn agreement(
+        &self,
+        key: (u64, u64),
+        p: usize,
+        first: impl FnOnce() -> AnyAgreed,
+    ) -> AnyAgreed {
+        let mut agreements = self.agreed.lock().unwrap_or_else(PoisonError::into_inner);
+        let (agreed, arrived) = agreements.entry(key).or_insert_with(|| (first(), 0));
+        *arrived += 1;
+        let agreed = Arc::clone(agreed);
+        if *arrived == p {
+            agreements.remove(&key);
+        }
+        agreed
     }
 
     /// Deposit member `me`'s contribution to call `key` of a `p`-member
@@ -221,6 +256,13 @@ impl Board {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Board {
+        /// Whether the board holds no call and no agreement.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.slots().is_empty() && self.agreed.lock().unwrap().is_empty()
+        }
+    }
 
     fn deposit(clock: f64) -> Deposit {
         Deposit {

@@ -20,7 +20,7 @@
 //! (`coll`).  The inboxes carry the user's point-to-point messages and the
 //! closer's wake-ups; failure notifications are posted beside them.
 
-use crate::board::{Board, Closed, Closing, Deposit};
+use crate::board::{Agreed, Board, Closed, Closing, Deposit};
 use crate::cost::{CostCounters, SendFailure};
 use crate::error::SimError;
 use crate::fault::{FaultInjector, SendFaults};
@@ -31,7 +31,7 @@ use crate::sched::{Interrupt, Sched};
 use crate::Result;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Context id of the world communicator.
 const WORLD_CONTEXT: u64 = 1;
@@ -217,9 +217,9 @@ impl Endpoint {
 /// A handle to a group of simulated processors sharing a communication
 /// context.
 ///
-/// Cloning a communicator is cheap (it shares the rank endpoint); clones keep
-/// independent collective-operation counters, so use the *same* communicator
-/// value across ranks for matching collective calls.
+/// Cloning a communicator is cheap: a clone shares the rank endpoint and the
+/// operation sequence, so a call on a clone is the communicator's next call.
+/// Every member must issue its communicator's calls in the same order.
 #[derive(Clone)]
 pub struct Communicator {
     endpoint: Rc<RefCell<Endpoint>>,
@@ -229,7 +229,7 @@ pub struct Communicator {
     my_index: usize,
     /// Context id distinguishing this communicator's traffic.
     context: u64,
-    /// Number of collective/split operations issued so far on this handle.
+    /// Collective, split and agree operations issued so far, on any clone.
     op_counter: Rc<RefCell<u64>>,
 }
 
@@ -459,6 +459,46 @@ impl Communicator {
         Ok(board.collect(key, p, me))
     }
 
+    /// Agree on `f(&key)`, a value every member computes alike: the first
+    /// member to arrive computes it, the others read it.  Like a collective
+    /// it takes the next operation tag, but it sends and charges nothing.  A
+    /// failed rank gets its sticky error, and a member whose key differs
+    /// from the first arrival's gets [`SimError::BadCollectiveArgs`].
+    ///
+    /// `f` is a plain function, so equal keys give equal values.  It must not
+    /// communicate: a member that finds `f` running on another rank worker
+    /// blocks that worker's thread until `f` returns, which never waits for a
+    /// rank; on `f`'s own worker no other rank runs until then.
+    pub fn agree<K, T>(&self, key: K, f: fn(&K) -> T) -> Result<T>
+    where
+        K: PartialEq + Send + Sync + 'static,
+        T: Clone + Send + Sync + 'static,
+    {
+        let tag = self.next_op_tag();
+        if let Some(err) = &self.endpoint.borrow().failure {
+            return Err(err.clone());
+        }
+        let board = Arc::clone(&self.endpoint.borrow().board);
+        if self.size() == 1 {
+            return Ok(f(&key));
+        }
+        let mut mine = Some(key);
+        let agreed = board.agreement((self.context, tag), self.size(), || {
+            let key = mine.take().expect("the first arrival keeps its key");
+            Arc::new(Agreed::<K, T> {
+                key,
+                value: OnceLock::new(),
+            })
+        });
+        let agreed = (agreed.downcast::<Agreed<K, T>>().ok())
+            .filter(|agreed| mine.is_none_or(|key| key == agreed.key))
+            .ok_or_else(|| SimError::BadCollectiveArgs {
+                op: "agree",
+                reason: format!("rank {}'s key differs from the first's", self.rank()),
+            })?;
+        Ok(agreed.value.get_or_init(|| f(&agreed.key)).clone())
+    }
+
     /// Add a collective call's charges to this rank's counters: `charges`
     /// holds the counts of the call and the clock it ends at.
     pub(crate) fn apply_charges(&self, charges: &CostCounters) {
@@ -543,6 +583,9 @@ fn derive_context(parent: u64, op: u64, world_members: &[usize]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coll::{allreduce, ReduceOp};
+    use crate::{FaultPlan, Machine};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn derive_context_is_deterministic_and_distinguishes_groups() {
@@ -560,5 +603,119 @@ mod tests {
     fn user_tags_do_not_collide_with_collective_tags() {
         assert!(user_tag(0) > 100 * COLLECTIVE_TAG_STRIDE);
         assert_eq!(user_tag(5) & !USER_TAG_BASE, 5);
+    }
+
+    #[test]
+    fn a_clone_issues_the_next_call_of_its_communicator() {
+        let out = Machine::new(2, MachineParams::unit())
+            .run(|comm| {
+                let x = [comm.rank() as f64 + 1.0];
+                let first = allreduce(comm, &x, ReduceOp::Sum).unwrap();
+                // Rank 1 issues the second call on a clone, rank 0 on `comm`.
+                let clone = comm.clone();
+                let on = [comm, &clone][comm.rank()];
+                let second = allreduce(on, &[10.0 * x[0]], ReduceOp::Sum).unwrap();
+                (first, second)
+            })
+            .unwrap();
+        assert!(out.results.iter().all(|r| *r == (vec![3.0], vec![30.0])));
+    }
+
+    /// Every rank's result of `f`, run on `p` ranks and `workers` workers.
+    fn agree_on<T: Send>(
+        p: usize,
+        workers: usize,
+        f: impl Fn(&Communicator) -> T + Send + Sync,
+    ) -> Vec<T> {
+        Machine::new(p, MachineParams::unit())
+            .with_rank_workers(workers)
+            .run(f)
+            .unwrap()
+            .results
+    }
+
+    #[test]
+    fn agree_computes_once_under_two_rank_workers() {
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        static STARTED: AtomicUsize = AtomicUsize::new(0);
+        // Holds `f` until a rank of the other worker has started, which then
+        // reaches `agree` while `f` runs or just after.  Waiting for a rank
+        // is what `f` must not do; it ends here only because the awaited
+        // rank counts itself before it reaches `agree`, on its own worker.
+        fn square(x: &u64) -> u64 {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            while STARTED.load(Ordering::Relaxed) < 2 {
+                std::thread::yield_now();
+            }
+            x * x
+        }
+        for round in 0..32 {
+            STARTED.store(0, Ordering::Relaxed);
+            let got = agree_on(8, 2, |comm| {
+                STARTED.fetch_add(1, Ordering::Relaxed);
+                let a = comm.agree(round, square).unwrap();
+                (a, comm.agree(round + 1, square).unwrap())
+            });
+            assert!(got
+                .iter()
+                .all(|&v| v == (round * round, (round + 1) * (round + 1))));
+        }
+        assert_eq!(CALLS.load(Ordering::Relaxed), 64, "one call per agreement");
+    }
+
+    #[test]
+    fn agree_fails_a_member_whose_key_differs() {
+        let got = agree_on(3, 1, |comm| {
+            let key = if comm.rank() == 2 { 5 } else { 4 };
+            let typed = comm.agree(0_u8, |_| 0.5_f64).map_err(|_| ());
+            (comm.agree(key, |k| k + 1), typed)
+        });
+        assert_eq!((&got[0].0, &got[1].0), (&Ok(5), &Ok(5)));
+        assert!(matches!(
+            got[2].0,
+            Err(SimError::BadCollectiveArgs { op: "agree", .. })
+        ));
+        assert!(got.iter().all(|(_, typed)| *typed == Ok(0.5)));
+        let mistyped = agree_on(2, 1, |comm| match comm.rank() {
+            0 => comm.agree(1_u32, |_| 1.0_f64).is_ok(),
+            _ => comm.agree(1_u64, |_| 1.0_f64).is_ok(),
+        });
+        assert_eq!(mistyped, [true, false], "a key of another type differs");
+    }
+
+    #[test]
+    fn agree_on_one_member_computes_in_place_and_leaves_no_entry() {
+        let got = agree_on(1, 1, |comm| {
+            let v = comm.agree(3_u64, |k| k * 7);
+            (v, Arc::clone(&comm.endpoint.borrow().board))
+        });
+        assert_eq!(got[0].0, Ok(21));
+        assert!(got[0].1.is_empty());
+    }
+
+    #[test]
+    fn agree_leaves_no_entry_on_the_board_after_the_run() {
+        for workers in [1, 2] {
+            let boards = agree_on(5, workers, |comm| {
+                comm.agree(9_u64, |k| k + 1).unwrap();
+                Arc::clone(&comm.endpoint.borrow().board)
+            });
+            assert!(boards[0].is_empty(), "the fifth reader takes the entry off");
+        }
+    }
+
+    #[test]
+    fn agree_returns_the_sticky_failure_of_a_failed_rank() {
+        let out = Machine::new(2, MachineParams::unit())
+            .with_fault_plan(FaultPlan::new(1).with_crash(1, 0))
+            .run(|comm| {
+                if comm.rank() == 1 {
+                    assert!(comm.send(0, 0, &[1.0]).is_err(), "rank 1 crashes here");
+                }
+                comm.agree(2_u64, |k| k * 2)
+            })
+            .unwrap();
+        assert_eq!(out.results[0], Ok(4));
+        assert_eq!(out.results[1], Err(SimError::RankFailure { rank: 1 }));
     }
 }

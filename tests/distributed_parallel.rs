@@ -396,3 +396,31 @@ fn a_transient_plan_run_twice_on_one_machine_stays_bit_transparent() {
     assert_eq!(clean.results, first.results, "first faulty run");
     assert_same_run("second faulty run", &first, &second);
 }
+
+/// A planned solve at p = 1 024 (n = 4 096, k = 64) on operands built once
+/// and shared by every rank, on 2 rank workers, solves its system.  The run
+/// plans once, so its host time stays near linear in p; CI runs it in
+/// release under a `timeout`, untraced, because a traced member replays
+/// each collective for itself.
+#[test]
+#[ignore = "release-only, about a second: CI runs it under a timeout"]
+fn a_planned_solve_on_1024_ranks_solves_its_system() {
+    let (n, k) = (4096, 64);
+    let l_global = gen::well_conditioned_lower(n, 41);
+    let x_global = gen::rhs(n, k, 42);
+    let b_global = dense::matmul(&l_global, &x_global);
+    let out = Machine::new(1024, MachineParams::cluster())
+        .with_rank_workers(2)
+        .run(|comm| {
+            let grid = Grid2D::new(comm, 32, 32).unwrap();
+            let l = DistMatrix::from_global(&grid, &l_global);
+            let b = DistMatrix::from_global(&grid, &b_global);
+            let sol = SolveRequest::lower().solve_distributed(&l, &b).unwrap();
+            let x = DistMatrix::from_global(&grid, &x_global);
+            sol.x.rel_diff(&x).unwrap()
+        })
+        .unwrap();
+    // `rel_diff` is one allreduce: every rank holds the same value.
+    let err = out.results[0];
+    assert!(err < 1e-8, "relative error {err:e}");
+}

@@ -279,6 +279,35 @@ fn drift_report_covers_itinv_phases() {
     }
 }
 
+/// A distributed solve is planned once per run: one rank lowers the plan
+/// and the other 63 read it, while all 64 execute it.
+#[test]
+fn a_distributed_solve_plans_once_per_run() {
+    const RUNS: usize = 2;
+    let (n, k) = (256, 16);
+    let l_global = gen::well_conditioned_lower(n, 21);
+    let b_global = gen::rhs(n, k, 22);
+    let machine = Machine::new(64, MachineParams::cluster()).with_rank_workers(2);
+    let ((), dump) = traced(|| {
+        for _ in 0..RUNS {
+            machine
+                .run(|comm| {
+                    let grid = Grid2D::new(comm, 8, 8).expect("grid");
+                    let l = DistMatrix::from_global(&grid, &l_global);
+                    let b = DistMatrix::from_global(&grid, &b_global);
+                    SolveRequest::lower()
+                        .solve_distributed(&l, &b)
+                        .expect("solve");
+                })
+                .expect("machine run");
+        }
+    });
+    let trace = obs::TraceReport::from_dump(&dump);
+    let count = |cat, name| trace.span(cat, name).map_or(0, |s| s.count);
+    assert_eq!(count("planner", "plan_distributed"), RUNS as u64);
+    assert_eq!(executed_sizes(&dump), [n as u64; 64 * RUNS]);
+}
+
 /// Release-only wall-clock envelope: a traced sparse solve must finish
 /// within a small multiple of the untraced baseline.  Debug builds skip
 /// this — unoptimised span bookkeeping isn't what ships, and debug timings
