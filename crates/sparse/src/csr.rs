@@ -9,6 +9,24 @@
 //! [`Diag::NonUnit`]) an invertible diagonal — so the executors never
 //! re-validate on the hot path.
 //!
+//! A build reads its input once.  [`SparseTri::from_csr`] checks each row
+//! with one branch-free scan — columns strictly increasing, the last one on
+//! or below the diagonal (lower) or the first on or above it and the last
+//! below `n` (upper) — and copies the row's off-diagonal run with one slice
+//! copy into the columns and one into the values; a stored diagonal can
+//! then only be the row's end next to the diagonal.  Only a row that fails
+//! the scan is re-read entry by entry, to name its first bad entry.  Every
+//! output array is allocated once at its final size, so after the scans a
+//! build costs first touch of about 16 bytes per stored entry, as a copy of
+//! the input would.
+//!
+//! Errors come in a fixed order: for `from_csr`, the first structural error
+//! in row-major order (a `row_ptr` that decreases counts at its row); for
+//! either constructor, then the first non-finite off-diagonal value in
+//! row-major order, then the first row whose diagonal is non-finite or
+//! below the pivot tolerance.  The stored diagonal of a [`Diag::Unit`]
+//! matrix is ignored, not checked.
+//!
 //! The matrix owns its (lazily computed) level-set [`Schedule`] and content
 //! hash: the matrix has no mutator, so the analysis and the hash each run
 //! at most once per matrix and are reused by every later solve or lookup,
@@ -128,7 +146,8 @@ impl SparseTri {
     ///
     /// `row_ptr` must have `n + 1` monotone entries ending at
     /// `col_idx.len() == values.len()`, and each row's column indices must
-    /// be strictly increasing.
+    /// be strictly increasing.  Of several defects, the one first in the
+    /// module docs' error order is reported.
     pub fn from_csr(
         n: usize,
         tri: Triangle,
@@ -157,9 +176,10 @@ impl SparseTri {
             });
         }
         let mut diag_vals = vec![if diag == Diag::Unit { 1.0 } else { 0.0 }; n];
-        let mut out_ptr = vec![0usize; n + 1];
+        let mut out_ptr = Vec::with_capacity(n + 1);
         let mut out_idx = Vec::with_capacity(col_idx.len());
         let mut out_val = Vec::with_capacity(values.len());
+        out_ptr.push(0);
         for i in 0..n {
             let (start, end) = (row_ptr[i], row_ptr[i + 1]);
             if start > end || end > col_idx.len() {
@@ -167,35 +187,35 @@ impl SparseTri {
                     reason: format!("row_ptr not monotone at row {i}"),
                 });
             }
-            let mut prev: Option<usize> = None;
-            for (&j, &v) in col_idx[start..end].iter().zip(&values[start..end]) {
-                if j >= n {
-                    return Err(SparseError::EntryOutOfBounds { index: (i, j), n });
-                }
-                if prev == Some(j) {
-                    return Err(SparseError::DuplicateEntry { index: (i, j) });
-                }
-                if prev.is_some_and(|p| j < p) {
-                    return Err(SparseError::UnsortedRow { row: i });
-                }
-                prev = Some(j);
-                if j == i {
-                    if diag == Diag::NonUnit {
-                        diag_vals[i] = v;
-                    }
-                    continue;
-                }
-                let on_declared_side = match tri {
-                    Triangle::Lower => j < i,
-                    Triangle::Upper => j > i,
+            let (cols, vals) = (&col_idx[start..end], &values[start..end]);
+            if let (Some(&first), Some(&last)) = (cols.first(), cols.last()) {
+                // One branch-free scan: strictly increasing columns with both
+                // ends on the declared side (the diagonal allowed) and in
+                // bounds make a valid row.  Only a row that fails it is
+                // re-read entry by entry, for the error its first bad entry
+                // names.
+                let increasing = cols.windows(2).fold(true, |ok, w| ok & (w[0] < w[1]));
+                let in_triangle = match tri {
+                    Triangle::Lower => last <= i,
+                    Triangle::Upper => (first >= i) & (last < n),
                 };
-                if !on_declared_side {
-                    return Err(SparseError::WrongTriangle { index: (i, j) });
+                if !(increasing & in_triangle) {
+                    check_row(n, tri, i, cols)?;
                 }
-                out_idx.push(j);
-                out_val.push(v);
+                // A valid row can store its diagonal only at its end next
+                // to it: last for lower, first for upper.
+                let (stored_diag, off) = match tri {
+                    Triangle::Lower if last == i => (Some(cols.len() - 1), 0..cols.len() - 1),
+                    Triangle::Upper if first == i => (Some(0), 1..cols.len()),
+                    _ => (None, 0..cols.len()),
+                };
+                if let (Some(k), Diag::NonUnit) = (stored_diag, diag) {
+                    diag_vals[i] = vals[k];
+                }
+                out_idx.extend_from_slice(&cols[off.clone()]);
+                out_val.extend_from_slice(&vals[off]);
             }
-            out_ptr[i + 1] = out_idx.len();
+            out_ptr.push(out_idx.len());
         }
         Self::finish(n, tri, diag, out_ptr, out_idx, out_val, diag_vals)
     }
@@ -211,18 +231,17 @@ impl SparseTri {
         values: Vec<f64>,
         diag_vals: Vec<f64>,
     ) -> Result<SparseTri> {
-        for i in 0..n {
-            for (&j, &v) in col_idx[row_ptr[i]..row_ptr[i + 1]]
-                .iter()
-                .zip(&values[row_ptr[i]..row_ptr[i + 1]])
-            {
-                if !v.is_finite() {
-                    return Err(SparseError::NonFiniteEntry {
-                        index: (i, j),
-                        value: v,
-                    });
-                }
-            }
+        // One branch-free pass over every value; only when it fails is the
+        // first bad entry looked for, and its row: the last one starting at
+        // or before it.
+        let all_finite = values.iter().fold(true, |ok, v| ok & v.is_finite());
+        let first_bad = || values.iter().position(|v| !v.is_finite());
+        if let Some(k) = (!all_finite).then(first_bad).flatten() {
+            let i = row_ptr.partition_point(|&p| p <= k) - 1;
+            return Err(SparseError::NonFiniteEntry {
+                index: (i, col_idx[k]),
+                value: values[k],
+            });
         }
         if diag == Diag::NonUnit {
             for (i, &d) in diag_vals.iter().enumerate() {
@@ -443,6 +462,33 @@ impl SparseTri {
     }
 }
 
+/// Reads row `i`'s columns entry by entry and names the first bad one: out
+/// of bounds, a repeat of the previous column, below the previous column,
+/// or on the wrong side of the diagonal, checked in that order per entry.
+fn check_row(n: usize, tri: Triangle, i: usize, cols: &[usize]) -> Result<()> {
+    let mut prev: Option<usize> = None;
+    for &j in cols {
+        if j >= n {
+            return Err(SparseError::EntryOutOfBounds { index: (i, j), n });
+        }
+        if prev == Some(j) {
+            return Err(SparseError::DuplicateEntry { index: (i, j) });
+        }
+        if prev.is_some_and(|p| j < p) {
+            return Err(SparseError::UnsortedRow { row: i });
+        }
+        prev = Some(j);
+        let on_declared_side = match tri {
+            Triangle::Lower => j <= i,
+            Triangle::Upper => j >= i,
+        };
+        if !on_declared_side {
+            return Err(SparseError::WrongTriangle { index: (i, j) });
+        }
+    }
+    Ok(())
+}
+
 impl Clone for SparseTri {
     /// Clones the matrix *and* its caches (re-analyzing or re-hashing
     /// identical content would be wasted work); the clone's analysis count
@@ -629,6 +675,377 @@ mod tests {
     }
 
     #[test]
+    fn from_csr_reads_an_upper_factor_with_its_diagonal_first() {
+        // [ 2 1 . ]
+        // [ . 3 4 ]
+        // [ . . 5 ]
+        let m = SparseTri::from_csr(
+            3,
+            Triangle::Upper,
+            Diag::NonUnit,
+            &[0, 2, 4, 5],
+            &[0, 1, 1, 2, 2],
+            &[2.0, 1.0, 3.0, 4.0, 5.0],
+        )
+        .unwrap();
+        assert_eq!(m.row_ptr(), &[0, 1, 2, 2]);
+        assert_eq!(m.col_idx(), &[1, 2]);
+        assert_eq!(m.values(), &[1.0, 4.0]);
+        assert_eq!(m.diag_values(), &[2.0, 3.0, 5.0]);
+        assert_eq!(m.to_dense(), small_lower().to_dense().transpose());
+    }
+
+    #[test]
+    fn from_csr_rejects_an_upper_row_reaching_below_the_diagonal() {
+        // Row 1 stores column 0, then its diagonal.
+        let wrong = SparseTri::from_csr(
+            2,
+            Triangle::Upper,
+            Diag::NonUnit,
+            &[0, 1, 3],
+            &[0, 0, 1],
+            &[1.0, 2.0, 1.0],
+        );
+        assert_eq!(
+            wrong.unwrap_err(),
+            SparseError::WrongTriangle { index: (1, 0) }
+        );
+    }
+
+    #[test]
+    fn from_csr_rejects_an_upper_row_ending_out_of_bounds() {
+        // Row 0's last column is n; every column before it is valid.
+        let oob = SparseTri::from_csr(
+            3,
+            Triangle::Upper,
+            Diag::Unit,
+            &[0, 3, 3, 3],
+            &[0, 2, 3],
+            &[1.0, 2.0, 3.0],
+        );
+        assert_eq!(
+            oob.unwrap_err(),
+            SparseError::EntryOutOfBounds {
+                index: (0, 3),
+                n: 3
+            }
+        );
+    }
+
+    /// `from_csr` as it read its input before the one-scan rewrite: one
+    /// entry at a time, then the per-row non-finite loop `finish` ran then,
+    /// inline ahead of the shared tail.  The oracle of every result and
+    /// every error [`SparseTri::from_csr`] gives.
+    fn reference_from_csr(
+        n: usize,
+        tri: Triangle,
+        diag: Diag,
+        row_ptr: &[usize],
+        col_idx: &[usize],
+        values: &[f64],
+    ) -> Result<SparseTri> {
+        if row_ptr.len() != n + 1 {
+            return Err(SparseError::MalformedCsr {
+                reason: format!("row_ptr has {} entries, expected {}", row_ptr.len(), n + 1),
+            });
+        }
+        if col_idx.len() != values.len() {
+            return Err(SparseError::MalformedCsr {
+                reason: format!(
+                    "col_idx has {} entries but values has {}",
+                    col_idx.len(),
+                    values.len()
+                ),
+            });
+        }
+        if row_ptr[0] != 0 || *row_ptr.last().unwrap() != col_idx.len() {
+            return Err(SparseError::MalformedCsr {
+                reason: "row_ptr must start at 0 and end at the entry count".to_string(),
+            });
+        }
+        let mut diag_vals = vec![if diag == Diag::Unit { 1.0 } else { 0.0 }; n];
+        let mut out_ptr = vec![0usize; n + 1];
+        let mut out_idx = Vec::with_capacity(col_idx.len());
+        let mut out_val = Vec::with_capacity(values.len());
+        for i in 0..n {
+            let (start, end) = (row_ptr[i], row_ptr[i + 1]);
+            if start > end || end > col_idx.len() {
+                return Err(SparseError::MalformedCsr {
+                    reason: format!("row_ptr not monotone at row {i}"),
+                });
+            }
+            let mut prev: Option<usize> = None;
+            for (&j, &v) in col_idx[start..end].iter().zip(&values[start..end]) {
+                if j >= n {
+                    return Err(SparseError::EntryOutOfBounds { index: (i, j), n });
+                }
+                if prev == Some(j) {
+                    return Err(SparseError::DuplicateEntry { index: (i, j) });
+                }
+                if prev.is_some_and(|p| j < p) {
+                    return Err(SparseError::UnsortedRow { row: i });
+                }
+                prev = Some(j);
+                if j == i {
+                    if diag == Diag::NonUnit {
+                        diag_vals[i] = v;
+                    }
+                    continue;
+                }
+                let on_declared_side = match tri {
+                    Triangle::Lower => j < i,
+                    Triangle::Upper => j > i,
+                };
+                if !on_declared_side {
+                    return Err(SparseError::WrongTriangle { index: (i, j) });
+                }
+                out_idx.push(j);
+                out_val.push(v);
+            }
+            out_ptr[i + 1] = out_idx.len();
+        }
+        for i in 0..n {
+            for (&j, &v) in out_idx[out_ptr[i]..out_ptr[i + 1]]
+                .iter()
+                .zip(&out_val[out_ptr[i]..out_ptr[i + 1]])
+            {
+                if !v.is_finite() {
+                    return Err(SparseError::NonFiniteEntry {
+                        index: (i, j),
+                        value: v,
+                    });
+                }
+            }
+        }
+        SparseTri::finish(n, tri, diag, out_ptr, out_idx, out_val, diag_vals)
+    }
+
+    /// One row of raw CSR input: `(column, value)` in stored order.
+    type RawRow = Vec<(usize, f64)>;
+
+    /// A valid factor's rows: up to four distinct off-diagonal columns on
+    /// `tri`'s side, one row in ten empty of them, increasing, with the
+    /// diagonal at its end of the row (last for lower, first for upper) in
+    /// every row when `all_diag`, else in about half of them.
+    fn random_rows(
+        n: usize,
+        tri: Triangle,
+        all_diag: bool,
+        rng: &mut dense::gen::SplitMix64,
+    ) -> Vec<RawRow> {
+        (0..n)
+            .map(|i| {
+                let mut side: Vec<usize> = match tri {
+                    Triangle::Lower => (0..i).collect(),
+                    Triangle::Upper => (i + 1..n).collect(),
+                };
+                let fill = if rng.below(10) == 0 { 0 } else { rng.below(5) };
+                let fill = (fill as usize).min(side.len());
+                for k in 0..fill {
+                    let pick = k + rng.below((side.len() - k) as u64) as usize;
+                    side.swap(k, pick);
+                }
+                side.truncate(fill);
+                side.sort_unstable();
+                let mut row: RawRow = side.iter().map(|&j| (j, rng.uniform(-1.0, 1.0))).collect();
+                if all_diag || rng.below(2) == 0 {
+                    let d = (
+                        i,
+                        rng.uniform(1.0, 2.0) * if rng.below(2) == 0 { 1.0 } else { -1.0 },
+                    );
+                    match tri {
+                        Triangle::Lower => row.push(d),
+                        Triangle::Upper => row.insert(0, d),
+                    }
+                }
+                row
+            })
+            .collect()
+    }
+
+    /// The defects a row of [`random_rows`] can be given, by number.
+    const ROW_DEFECTS: [&str; 7] = [
+        "out of bounds",
+        "duplicate",
+        "unsorted",
+        "wrong triangle",
+        "non-finite off the diagonal",
+        "non-finite diagonal",
+        "zero diagonal",
+    ];
+
+    /// Gives row `i` defect `kind` (an index into [`ROW_DEFECTS`]) if it
+    /// can take it, and says whether it did.
+    fn spoil_row(
+        row: &mut RawRow,
+        i: usize,
+        n: usize,
+        tri: Triangle,
+        kind: usize,
+        rng: &mut dense::gen::SplitMix64,
+    ) -> bool {
+        // A random entry of the row, on the diagonal or off it.
+        let mut entry = |row: &RawRow, on_diag: bool| {
+            let hits: Vec<usize> = (0..row.len())
+                .filter(|&k| (row[k].0 == i) == on_diag)
+                .collect();
+            (!hits.is_empty()).then(|| hits[rng.below(hits.len() as u64) as usize])
+        };
+        let (off_diag, on_diag) = (entry(row, false), entry(row, true));
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(3) as usize];
+        match kind {
+            0 => row.push((n + rng.below(3) as usize, 1.0)),
+            1 => match off_diag.or(on_diag) {
+                Some(k) => row.insert(k + 1, (row[k].0, 0.5)),
+                None => return false,
+            },
+            2 if row.len() >= 2 => {
+                let k = rng.below(row.len() as u64 - 1) as usize;
+                row.swap(k, k + 1);
+            }
+            3 => match tri {
+                Triangle::Lower if i + 1 < n => {
+                    row.push((i + 1 + rng.below((n - i - 1) as u64) as usize, 1.0))
+                }
+                Triangle::Upper if i > 0 => row.insert(0, (rng.below(i as u64) as usize, 1.0)),
+                _ => return false,
+            },
+            4 => match off_diag {
+                Some(k) => row[k].1 = bad,
+                None => return false,
+            },
+            5 => match on_diag {
+                Some(k) => row[k].1 = bad,
+                None => return false,
+            },
+            6 => match (on_diag, rng.below(2)) {
+                (Some(k), 0) => row[k].1 = 0.0,
+                (Some(k), _) => {
+                    row.remove(k);
+                }
+                (None, _) => return false,
+            },
+            _ => return false,
+        }
+        true
+    }
+
+    /// Gives the first row at or after a random one, other than `skip`,
+    /// that can take it defect `kind`; returns that row.
+    fn spoil_some_row(
+        rows: &mut [RawRow],
+        tri: Triangle,
+        kind: usize,
+        skip: Option<usize>,
+        rng: &mut dense::gen::SplitMix64,
+    ) -> Option<usize> {
+        let n = rows.len();
+        let start = if n == 0 {
+            0
+        } else {
+            rng.below(n as u64) as usize
+        };
+        (0..n)
+            .map(|d| (start + d) % n)
+            .filter(|&i| Some(i) != skip)
+            .find(|&i| spoil_row(&mut rows[i], i, n, tri, kind, rng))
+    }
+
+    /// Everything a `from_csr` result shows: on success the bits of every
+    /// stored array and the content hash, on failure the error (as text, so
+    /// a NaN payload compares equal to itself).
+    type Outcome = std::result::Result<(Vec<usize>, Vec<usize>, Vec<u64>, Vec<u64>, u64), String>;
+
+    fn outcome(r: Result<SparseTri>) -> Outcome {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        r.map(|m| {
+            (
+                m.row_ptr().to_vec(),
+                m.col_idx().to_vec(),
+                bits(m.values()),
+                bits(m.diag_values()),
+                m.content_hash(),
+            )
+        })
+        .map_err(|e| format!("{e:?}"))
+    }
+
+    #[test]
+    fn from_csr_gives_what_the_per_entry_reference_gives() {
+        use std::collections::BTreeMap;
+        // Defect plans: none, a malformed `row_ptr` (or array length), each
+        // row defect alone, and two row defects in two different rows.
+        const PLANS: usize = 2 + ROW_DEFECTS.len() + 1;
+        let mut seen: BTreeMap<String, usize> = BTreeMap::new();
+        for n in [0, 1, 2, 17, 200] {
+            for tri in [Triangle::Lower, Triangle::Upper] {
+                for diag in [Diag::Unit, Diag::NonUnit] {
+                    for plan in 0..PLANS {
+                        for seed in 0..6u64 {
+                            let mut rng = dense::gen::SplitMix64::new(
+                                (n as u64) << 32 ^ (plan as u64) << 8 ^ seed,
+                            );
+                            let all_diag = diag == Diag::NonUnit || seed % 2 == 0;
+                            let mut rows = random_rows(n, tri, all_diag, &mut rng);
+                            if (2..PLANS - 1).contains(&plan) {
+                                spoil_some_row(&mut rows, tri, plan - 2, None, &mut rng);
+                            } else if plan == PLANS - 1 {
+                                let k = ROW_DEFECTS.len() as u64;
+                                let (a, b) = (rng.below(k) as usize, rng.below(k) as usize);
+                                let skip = spoil_some_row(&mut rows, tri, a, None, &mut rng);
+                                spoil_some_row(&mut rows, tri, b, skip, &mut rng);
+                            }
+                            let mut row_ptr = vec![0];
+                            let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+                            for row in &rows {
+                                col_idx.extend(row.iter().map(|e| e.0));
+                                values.extend(row.iter().map(|e| e.1));
+                                row_ptr.push(col_idx.len());
+                            }
+                            if plan == 1 {
+                                match rng.below(4) {
+                                    0 if n >= 2 => {
+                                        let i = 1 + rng.below(n as u64 - 1) as usize;
+                                        row_ptr[i] = row_ptr[i + 1] + 1 + rng.below(3) as usize;
+                                    }
+                                    0 | 1 => row_ptr.push(col_idx.len()),
+                                    2 => row_ptr[0] = 1,
+                                    _ => values.push(1.0),
+                                }
+                            }
+                            let args = (n, tri, diag, &row_ptr, &col_idx, &values);
+                            let got = outcome(SparseTri::from_csr(
+                                n, tri, diag, &row_ptr, &col_idx, &values,
+                            ));
+                            let want = outcome(reference_from_csr(
+                                n, tri, diag, &row_ptr, &col_idx, &values,
+                            ));
+                            assert_eq!(got, want, "plan {plan}, seed {seed}: {args:?}");
+                            let kind = match &got {
+                                Ok(_) => "Ok".to_string(),
+                                Err(e) => e.split([' ', '{']).next().unwrap().to_string(),
+                            };
+                            *seen.entry(kind).or_default() += 1;
+                        }
+                    }
+                }
+            }
+        }
+        for kind in [
+            "Ok",
+            "MalformedCsr",
+            "EntryOutOfBounds",
+            "DuplicateEntry",
+            "UnsortedRow",
+            "WrongTriangle",
+            "NonFiniteEntry",
+            "SingularDiagonal",
+        ] {
+            assert!(seen.get(kind).is_some_and(|&c| c >= 10), "{kind}: {seen:?}");
+        }
+    }
+
+    #[test]
     fn constructors_reject_non_finite_entries() {
         // NaN off-diagonal via triplets.
         let nan_off = SparseTri::from_triplets(
@@ -655,7 +1072,18 @@ mod tests {
         ));
 
         // Unit diagonal: a stored non-finite diagonal entry is dropped into
-        // the implicit-ones overlay... but off-diagonal NaN still rejects.
+        // the implicit-ones overlay, not checked...
+        let unit_diag = SparseTri::from_csr(
+            2,
+            Triangle::Lower,
+            Diag::Unit,
+            &[0, 1, 2],
+            &[0, 1],
+            &[f64::NAN, f64::INFINITY],
+        )
+        .unwrap();
+        assert_eq!(unit_diag.diag_values(), &[1.0, 1.0]);
+        // ... but an off-diagonal one still rejects.
         let unit_off = SparseTri::from_csr(
             2,
             Triangle::Lower,
