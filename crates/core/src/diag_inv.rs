@@ -41,7 +41,7 @@ use crate::error::config_error;
 use crate::tri_inv::tri_inv;
 use crate::{walk, Result};
 use dense::{Diag, Matrix, Triangle};
-use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
+use pgrid::redist::{move_counts, redistribute, Axis, Filter, Holders, Layout};
 use pgrid::{DistMatrix, Grid2D};
 use simnet::CostCounters;
 
@@ -55,27 +55,25 @@ pub(crate) fn block_columns(n: usize, n0: usize, q: usize) -> Axis {
 }
 
 /// The layout [`diagonal_inverter`] returns its output in, on a square
-/// `q × q` grid: the rank at `(x, y)` holds the rows `≡ x` and, of each,
-/// the columns `≡ y (mod q)` of the row's own `n0 × n0` diagonal block —
-/// the cyclic owners of those entries, an `n/q × n0/q` piece.  Local row
-/// `i / q` holds global row `i`, local column `(j mod n0) / q` column `j`.
+/// `q × q` grid: piece `(x, y)` — the rows `≡ x` and, of each, the columns
+/// `≡ y (mod q)` of the row's own `n0 × n0` diagonal block — on rank
+/// `x·q + y`, the cyclic owner of those entries, an `n/q × n0/q` piece.
+/// Local row `i / q` holds global row `i`, local column `(j mod n0) / q`
+/// column `j`.
 pub fn stacked_layout(q: usize, n: usize, n0: usize) -> Layout {
-    Layout::new(
-        q * q,
-        Axis::cyclic(n, q),
-        block_columns(n, n0, q),
-        |x, y| Some(x * q + y),
-    )
+    let (rows, cols) = (Axis::cyclic(n, q), block_columns(n, n0, q));
+    Layout::new(q * q, rows, cols, Holders::strides(q, 1))
 }
 
 /// The round-robin route of `p_face ≤ n/n0` ranks: block `g` on rank
 /// `g mod p_face`, stacked — its `t`-th block occupies rows `t·n0 ..` of an
-/// `n0`-column local matrix.  On one rank this is [`stacked_layout`] itself.
+/// `n0`-column local matrix.  Piece `(rc, cc)` is held when `rc = cc`, on
+/// rank `rc`: the block-diagonal map at modulus 1.  On one rank this is
+/// [`stacked_layout`] itself.
 fn round_robin(p_face: usize, n: usize, n0: usize) -> Layout {
     let blocks = Axis::new(n, n0, p_face, 1);
-    Layout::new(p_face, blocks, blocks.stacked(), |row_owner, col_owner| {
-        (row_owner == col_owner).then_some(row_owner)
-    })
+    let diagonal = Holders::block_diagonal(1, (0, 1), 0);
+    Layout::new(p_face, blocks, blocks.stacked(), diagonal)
 }
 
 /// The sub-grid route of `p_face > nblocks` ranks: `(group_size, side)`,
@@ -93,15 +91,16 @@ fn sub_grids(p_face: usize, nblocks: usize) -> (usize, usize) {
 
 /// Block `g` cyclic on the `side × side` sub-grid formed by the first
 /// `side²` ranks of group `g`: its row at offset `o` is entry `o / side` of
-/// class `g·side + o mod side`.
+/// class `g·side + o mod side`.  Piece `(rc, cc)` is held when
+/// `rc div side = cc div side = g`, on rank
+/// `g·group_size + (rc mod side)·side + cc mod side`: the block-diagonal
+/// map at modulus `side`.
 fn on_sub_grids(p_face: usize, n: usize, n0: usize) -> Layout {
     let nblocks = n / n0;
     let (group_size, side) = sub_grids(p_face, nblocks);
     let block_axis = Axis::new(n, n0, nblocks, side);
-    Layout::new(p_face, block_axis, block_axis, |rc, cc| {
-        let (g, sx) = (rc / side, rc % side);
-        (cc / side == g).then_some(g * group_size + sx * side + cc % side)
-    })
+    let sub_grid = Holders::block_diagonal(side, (side, group_size), 1);
+    Layout::new(p_face, block_axis, block_axis, sub_grid)
 }
 
 /// What [`diagonal_inverter`] charges each rank `x·q + y` of the `q × q`

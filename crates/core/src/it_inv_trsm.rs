@@ -52,7 +52,7 @@ use crate::{walk, Result};
 use costmodel::{itinv, Cost};
 use dense::flops::{gemm_flops, masked_gemm_flops};
 use dense::{FlopCount, MatRef, Matrix, Triangle};
-use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
+use pgrid::redist::{move_counts, redistribute, Axis, Filter, Holders, Layout};
 use pgrid::{pooled_zeros, DistMatrix, Grid2D, Grid3D};
 use simnet::{coll, Communicator, CostCounters};
 use std::borrow::Cow;
@@ -250,8 +250,8 @@ pub fn it_inv_trsm(
     let nblocks = n / n0;
     let nb_loc = n0 / p1; // rows of one diagonal block per face coordinate
 
-    // Face communicator (z = 0) and the face grid holding L.
-    let face_members: Vec<usize> = (0..p).filter(|&r| grid3d.coords_of(r).2 == 0).collect();
+    // Face communicator (z = 0: every p2-th rank) and the face grid holding L.
+    let face_members: Vec<usize> = (0..p).step_by(p2).collect();
     let face_comm = comm.subgroup(&face_members);
     let face_grid = match &face_comm {
         Ok(c) => Some(Grid2D::new(c, p1, p1)?),
@@ -466,60 +466,44 @@ pub fn it_inv_trsm(
     // ------------------------------------------------------------------
     let x_layout = x_layout(n, k, p1, p2);
     let x_local = redistribute(comm, &x_layout, &x_result, b.layout(), Filter::All)?;
-    let x_out = DistMatrix::from_layout(caller_grid, b.layout().clone(), x_local)?;
+    let x_out = DistMatrix::from_layout(caller_grid, *b.layout(), x_local)?;
     comm.give_buffer(x_result.into_vec());
     mark(comm, &mut breakdown.finalize);
 
     Ok((x_out, breakdown))
 }
 
-/// The rank of `(x, y, z)` on the `p1 × p1 × p2` grid, as [`Grid3D`]
-/// numbers it.
-fn rank_of(p1: usize, p2: usize, x: usize, y: usize, z: usize) -> usize {
-    (x * p1 + y) * p2 + z
-}
+// Rank `(x, y, z)` of the `p1 × p1 × p2` grid is `x·p1·p2 + y·p2 + z`, as
+// `Grid3D` numbers it: each layout below is that sum over its classes.
 
-/// `L` on the face `z = 0`, cyclic over `p1 × p1`.
+/// `L` on the face `z = 0`, cyclic over `p1 × p1`: piece `(x, y)` on rank
+/// `x·p1·p2 + y·p2`.
 fn face_layout(n: usize, p1: usize, p2: usize) -> Layout {
-    Layout::new(
-        p1 * p1 * p2,
-        Axis::cyclic(n, p1),
-        Axis::cyclic(n, p1),
-        |x, y| Some(rank_of(p1, p2, x, y, 0)),
-    )
+    let cyclic = Axis::cyclic(n, p1);
+    Layout::new(p1 * p1 * p2, cyclic, cyclic, Holders::strides(p1 * p2, p2))
 }
 
 /// `B` replicated for the solve: rows `≡ x (mod p1)` and slab `z` on every
-/// `(x, y, z)`.
+/// `(x, y, z)` — piece `(x, z)` on rank `x·p1·p2 + z`, replicated over `y`
+/// at stride `p2`, so that `y = 0` sends it.
 fn slab_layout(n: usize, k: usize, p1: usize, p2: usize) -> Layout {
-    Layout::new(
-        p1 * p1 * p2,
-        Axis::cyclic(n, p1),
-        Axis::slabs(k, p2),
-        |x, z| (0..p1).map(move |y| rank_of(p1, p2, x, y, z)),
-    )
+    let slabs = Holders::strides(p1 * p2, 1).replicated(p1, p2);
+    Layout::new(p1 * p1 * p2, Axis::cyclic(n, p1), Axis::slabs(k, p2), slabs)
 }
 
 /// The inverted blocks where the solve step reads them: the face rank at
-/// `(x, y)` holds their rows `≡ y` and columns `≡ x`.
+/// `(x, y)` holds their rows `≡ y` and columns `≡ x` — piece `(rc, cc)` on
+/// rank `cc·p1 + rc`.
 fn swapped_layout(n: usize, n0: usize, p1: usize) -> Layout {
-    Layout::new(
-        p1 * p1,
-        Axis::cyclic(n, p1),
-        block_columns(n, n0, p1),
-        |rc, cc| Some(cc * p1 + rc),
-    )
+    let (rows, cols) = (Axis::cyclic(n, p1), block_columns(n, n0, p1));
+    Layout::new(p1 * p1, rows, cols, Holders::strides(1, p1))
 }
 
 /// `X` as the solve leaves it, contributed by the ranks with `x = 0`: rows
-/// `≡ y (mod p1)` and slab `z` on `(0, y, z)`.
+/// `≡ y (mod p1)` and slab `z` on `(0, y, z)`, rank `y·p2 + z`.
 fn x_layout(n: usize, k: usize, p1: usize, p2: usize) -> Layout {
-    Layout::new(
-        p1 * p1 * p2,
-        Axis::cyclic(n, p1),
-        Axis::slabs(k, p2),
-        |y, z| Some(rank_of(p1, p2, 0, y, z)),
-    )
+    let (rows, cols) = (Axis::cyclic(n, p1), Axis::slabs(k, p2));
+    Layout::new(p1 * p1 * p2, rows, cols, Holders::strides(p2, 1))
 }
 
 /// The critical-path cost of each phase of [`it_inv_trsm`] for an `n × n`

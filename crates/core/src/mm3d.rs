@@ -35,7 +35,7 @@ use crate::error::config_error;
 use crate::{walk, Result};
 use dense::flops::masked_gemm_flops;
 use dense::{MatRef, Matrix, TriMask, Triangle};
-use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
+use pgrid::redist::{move_counts, redistribute, Axis, Filter, Holders, Layout};
 use pgrid::{pooled_zeros, DistMatrix};
 use simnet::{coll, CostCounters};
 use std::borrow::Cow;
@@ -239,23 +239,16 @@ pub fn mm3d(
 /// in the `p2` slabs.  Row `g` of the `contributions` (step 2) goes to face
 /// coordinates `j = g mod p1`, `i = (g / p1) mod p1`; a chunk of the result
 /// (step 6) holds rows `a = i + p1·(j + t·p1)`, with `i` and `j` the other
-/// way round.  Slab `l` lies on layer `l` of the `p1 × p1 × p2` grid.
+/// way round.  Slab `l` lies on layer `l` of the `p1 × p1 × p2` grid.  As a
+/// formula, piece `(rc, l)` is on rank `q·(rc mod p1) + rc div p1 +
+/// p1·(l mod s) + q·p1·(l div s)`, the two row digits swapped for the
+/// contributions.
 fn strided_layout(n: usize, k: usize, q: usize, p1: usize, contributions: bool) -> Layout {
     let s = q / p1;
-    Layout::new(
-        q * q,
-        Axis::cyclic(n, p1 * p1),
-        Axis::slabs(k, s * s),
-        |row_class, slab| {
-            let (low, high) = (row_class % p1, row_class / p1);
-            let (i, j) = if contributions {
-                (high, low)
-            } else {
-                (low, high)
-            };
-            Some((i + p1 * (slab / s)) * q + j + p1 * (slab % s))
-        },
-    )
+    let (low, high) = if contributions { (1, q) } else { (q, 1) };
+    let holders = Holders::split((p1, low, high), (s, p1, p1 * q));
+    let (rows, cols) = (Axis::cyclic(n, p1 * p1), Axis::slabs(k, s * s));
+    Layout::new(q * q, rows, cols, holders)
 }
 
 /// What [`mm3d`] charges each rank `x·q + y` of the `q × q` grid for an

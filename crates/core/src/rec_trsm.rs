@@ -28,7 +28,7 @@ use costmodel::Cost;
 use dense::flops::solve_flops;
 use dense::Matrix;
 use pgrid::distmat::cyclic_local_count;
-use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
+use pgrid::redist::{move_counts, redistribute, Axis, Filter, Holders, Layout};
 use pgrid::{DistMatrix, Grid2D};
 use simnet::{coll, CostCounters};
 use std::borrow::Cow;
@@ -206,7 +206,8 @@ fn halves(n: usize, pr: usize, base_size: usize) -> bool {
 /// The base case's layout of an `n × k` right-hand side on `p` ranks:
 /// complete columns, column `c` on rank `c mod p`.
 fn by_columns(p: usize, n: usize, k: usize) -> Layout {
-    Layout::new(p, Axis::whole(n), Axis::cyclic(k, p), |_, c| Some(c))
+    let columns = Holders::strides(0, 1);
+    Layout::new(p, Axis::whole(n), Axis::cyclic(k, p), columns)
 }
 
 /// The critical-path cost [`rec_trsm`] charges for an `n × n` triangle, `k`

@@ -28,7 +28,7 @@ use crate::{walk, Result};
 use dense::flops::tri_inv_flops;
 use dense::{Matrix, Triangle};
 use pgrid::distmat::cyclic_local_count;
-use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
+use pgrid::redist::{move_counts, redistribute, Axis, Filter, Holders, Layout};
 use pgrid::{DistMatrix, Grid2D};
 use simnet::{coll, Communicator, CostCounters};
 
@@ -162,12 +162,13 @@ fn splittable(n: usize, q: usize, base_size: usize) -> bool {
 }
 
 /// The cyclic layout of an `h × h` half on the diagonal `(q/2) × (q/2)`
-/// quadrant of the `q × q` grid whose first row and column is `base`.
+/// quadrant of the `q × q` grid whose first row and column is `base`: piece
+/// `(cx, cy)` on rank `(base + cx)·q + base + cy`, the grid's cyclic map
+/// offset by `base·(q + 1)`.
 fn child_layout(q: usize, h: usize, base: usize) -> Layout {
-    let qh = q / 2;
-    Layout::new(q * q, Axis::cyclic(h, qh), Axis::cyclic(h, qh), |cx, cy| {
-        Some((base + cx) * q + base + cy)
-    })
+    let quadrant = Axis::cyclic(h, q / 2);
+    let holders = Holders::strides(q, 1).offset(base * (q + 1));
+    Layout::new(q * q, quadrant, quadrant, holders)
 }
 
 /// What [`tri_inv`] charges each rank `x·q + y` of the `q × q` grid for an

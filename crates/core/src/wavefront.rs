@@ -17,7 +17,7 @@ use crate::{walk, Result};
 use costmodel::Cost;
 use dense::{Diag, FlopCount};
 use pgrid::distmat::cyclic_local_count;
-use pgrid::redist::{move_counts, redistribute, Axis, Filter, Layout};
+use pgrid::redist::{move_counts, redistribute, Axis, Filter, Holders, Layout};
 use pgrid::DistMatrix;
 use simnet::{coll, CostCounters};
 
@@ -84,13 +84,14 @@ pub fn wavefront_trsm(l: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
 
     // Return X in B's layout.
     let x = redistribute(comm, &by_rows(n, k, p), &b_local, b.layout(), Filter::All)?;
-    Ok(DistMatrix::from_layout(grid, b.layout().clone(), x)?)
+    Ok(DistMatrix::from_layout(grid, *b.layout(), x)?)
 }
 
 /// The 1D layout the substitution runs in: row `i` of an `n × cols`
 /// operand, whole, on rank `i mod p`.
 fn by_rows(n: usize, cols: usize, p: usize) -> Layout {
-    Layout::new(p, Axis::cyclic(n, p), Axis::whole(cols), |r, _| Some(r))
+    let rows = Holders::strides(1, 0);
+    Layout::new(p, Axis::cyclic(n, p), Axis::whole(cols), rows)
 }
 
 /// The critical-path cost [`wavefront_trsm`] charges for an `n × n` triangle

@@ -233,7 +233,7 @@ impl DistMatrix {
     /// zero, and the diagonal kind comes along.
     pub fn to_layout(&self, dst: &Layout, filter: Filter) -> Result<DistMatrix> {
         let local = self.redistribute_to(dst, filter)?;
-        Ok(DistMatrix::from_layout(&self.grid, dst.clone(), local)?.with_diag(self.diag))
+        Ok(DistMatrix::from_layout(&self.grid, *dst, local)?.with_diag(self.diag))
     }
 
     /// This matrix in the cyclic layout of its grid: itself when it is

@@ -9,16 +9,18 @@
 //! **all-to-all of the values**: `O(α·log p + β·(volume/p)·log p)` per
 //! processor.
 //!
-//! [`redistribute`] is that primitive.  Every layout here is computable from
-//! rank arithmetic, so a [`Layout`] describes it completely on every rank:
-//! each axis of the global index space is cut into *classes* ([`Axis`], a
-//! closed form), a *piece* is a (row class, column class) pair, and each
-//! piece is stored by zero or more ranks.  Sender and receiver of a (source,
-//! destination) pair therefore agree, without exchanging a word, on which
-//! entries travel between them and in which order — global row-major — so
-//! only the values are sent: the sender gathers runs straight out of its
-//! local matrix into one buffer per destination, the receiver scatters each
-//! buffer straight into its local matrix, and no index ever crosses the wire.
+//! [`redistribute`] is that primitive.  Every layout here is rank
+//! arithmetic, so a [`Layout`] is a formula, not a table: each axis of the
+//! global index space is cut into *classes* ([`Axis`], a closed form), a
+//! *piece* is a (row class, column class) pair, and the ranks storing a
+//! piece are a mixed-radix formula in its classes ([`Holders`]).  A layout
+//! is a few words whatever the number of ranks, and every rank holds all of
+//! it.  Sender and receiver of a (source, destination) pair therefore
+//! agree, without exchanging a word, on which entries travel between them
+//! and in which order — global row-major — so only the values are sent: the
+//! sender gathers runs straight out of its local matrix into one buffer per
+//! destination, the receiver scatters each buffer straight into its local
+//! matrix, and no index ever crosses the wire.
 //!
 //! The buffers are routed by the same Bruck all-to-all-v of `simnet::coll`
 //! the algorithms have always used (`⌈log₂ p⌉` messages per rank, a
@@ -338,64 +340,113 @@ impl Axis {
     }
 }
 
+/// Which ranks hold each piece `(rc, cc)` of a [`Layout`]: rank `base +
+/// Σ digit·stride` over the digits `rc mod m_r`, `rc div m_r`, `cc mod m_c`
+/// and `cc div m_c`, plus a replica digit `y < count` whose replica 0 sends
+/// the piece.  A *block-diagonal* map (`m_r = m_c = m`) holds only the
+/// pieces with `rc div m = cc div m`, and its tied digit `cc div m` adds
+/// nothing: `m = 1` is the diagonal inverter's round robin, `m` = the side
+/// its sub-grids.  Every other map in the algorithms is a grid of strides,
+/// offset, replicated or split.
+#[derive(Debug, Clone, Copy)]
+pub struct Holders {
+    base: usize,
+    /// `(m, stride of class mod m, stride of class div m)` of rows, columns.
+    axes: [(usize, usize, usize); 2],
+    /// `(count, stride)` of the replica digit.
+    replicas: (usize, usize),
+    tied: bool,
+}
+
+impl Holders {
+    /// Piece `(rc, cc)` on rank `rc·row + cc·col` alone.
+    pub fn strides(row: usize, col: usize) -> Holders {
+        Holders::split((1, 0, row), (1, 0, col))
+    }
+
+    /// Piece `(rc, cc)` on rank `(rc mod m_r)·a + (rc div m_r)·b +
+    /// (cc mod m_c)·c + (cc div m_c)·d` for `rows = (m_r, a, b)` and
+    /// `cols = (m_c, c, d)`.  A layout with a modulus of 0 panics.
+    pub fn split(rows: (usize, usize, usize), cols: (usize, usize, usize)) -> Holders {
+        let (axes, replicas) = ([rows, cols], (1, 0));
+        Holders {
+            base: 0,
+            axes,
+            replicas,
+            tied: false,
+        }
+    }
+
+    /// Only the pieces with `rc div m = cc div m`, on rank
+    /// `(rc mod m)·a + (rc div m)·b + (cc mod m)·c`.
+    pub fn block_diagonal(m: usize, (a, b): (usize, usize), c: usize) -> Holders {
+        let mut holders = Holders::split((m, a, b), (m, c, 0));
+        holders.tied = true;
+        holders
+    }
+
+    /// This map `base` ranks further up.
+    pub fn offset(mut self, base: usize) -> Holders {
+        self.base += base;
+        self
+    }
+
+    /// Each piece also on the `count − 1` ranks `stride`, `2·stride`, …
+    /// above its sender.  Panics on a count of 0.
+    pub fn replicated(mut self, count: usize, stride: usize) -> Holders {
+        assert!(count > 0, "a piece has at least its sender");
+        self.replicas = (count, stride);
+        self
+    }
+}
+
 /// Where every entry of a global `rows × cols` index space is stored: piece
 /// `(rc, cc)` — the entries whose row is in row class `rc` and whose column
-/// is in column class `cc` — sits on each of its holders as a local matrix
-/// indexed by the axes' local positions.
+/// is in column class `cc` — sits on each of its [`Holders`] as a local
+/// matrix indexed by the axes' local positions.
 ///
 /// A rank holds at most one piece.  As a *destination*, every holder of a
-/// piece receives it (replication); as a *source*, the first holder listed
-/// sends it, so a replicated source names only the replica that should send.
-#[derive(Debug, Clone)]
+/// piece receives it (replication); as a *source*, replica 0 sends it.  A
+/// layout is a few words whatever the number of ranks, and is built,
+/// inverted and compared in a few integer operations.
+#[derive(Debug, Clone, Copy)]
 pub struct Layout {
     /// Ranks of the communicator the layout spans.
     ranks: usize,
     rows: Axis,
     cols: Axis,
-    /// Three tables in one allocation.  First, for each piece `x = rc ·
-    /// cols.classes() + cc` and one past the last, where its holders begin
-    /// in the third; then the piece each rank holds ([`NO_PIECE`] if none);
-    /// then every piece's holders, piece after piece.
-    table: Vec<usize>,
+    holders: Holders,
 }
 
-/// A rank that holds no piece, in [`Layout`]'s table of pieces by rank.
-const NO_PIECE: usize = usize::MAX;
+// A `Copy` type owns no heap table: a layout is a few words whatever `p`.
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<Layout>()
+};
 
 impl Layout {
-    /// A layout over a communicator of `ranks` ranks; `holders(rc, cc)`
-    /// lists the ranks storing piece `(rc, cc)` and must be the same pure
-    /// function on every rank.
+    /// A layout over a communicator of `ranks` ranks, its pieces on
+    /// `holders`.
     ///
-    /// Panics if a rank is out of range or is given two pieces.
-    pub fn new<I: IntoIterator<Item = usize>>(
-        ranks: usize,
-        rows: Axis,
-        cols: Axis,
-        holders: impl Fn(usize, usize) -> I,
-    ) -> Layout {
-        let pieces = rows.classes() * cols.classes();
-        let (owners, listed) = (pieces + 1, pieces + 1 + ranks);
-        // A rank is listed at most once, so the holders fit in `ranks`.
-        let mut table = Vec::with_capacity(listed + ranks);
-        table.resize(listed, NO_PIECE);
-        table[0] = 0;
-        for x in 0..pieces {
-            let (rc, cc) = (x / cols.classes(), x % cols.classes());
-            for r in holders(rc, cc) {
-                assert!(r < ranks, "piece ({rc}, {cc}) held by rank {r} of {ranks}");
-                assert!(table[owners + r] == NO_PIECE, "rank {r} holds two pieces");
-                table[owners + r] = x;
-                table.push(r);
-            }
-            table[x + 1] = table.len() - listed;
-        }
-        Layout {
+    /// Panics unless the formula's strides form a mixed radix — in
+    /// ascending order, each digit taking two values or more has a stride of
+    /// at least the span of those below it, so no rank holds two pieces —
+    /// and its top rank, every digit at its largest, is below `ranks`.
+    pub fn new(ranks: usize, rows: Axis, cols: Axis, holders: Holders) -> Layout {
+        let layout = Layout {
             ranks,
             rows,
             cols,
-            table,
+            holders,
+        };
+        let (mut span, mut top) = (1, holders.base);
+        for (_, radix, stride) in layout.digits() {
+            let what = "are not a mixed radix: a rank holds two pieces";
+            assert!(stride >= span, "the holder strides of {holders:?} {what}");
+            (span, top) = (stride.saturating_mul(radix), top + (radix - 1) * stride);
         }
+        assert!(top < ranks, "a piece is held by rank {top} of {ranks}");
+        layout
     }
 
     /// The cyclic layout of a `rows × cols` [`DistMatrix`] on `grid`.
@@ -408,12 +459,8 @@ impl Layout {
     /// [`Layout::cyclic`] without the grid, for pricing a move before any
     /// communicator exists.
     pub fn cyclic_over(pr: usize, pc: usize, rows: usize, cols: usize) -> Layout {
-        Layout::new(
-            pr * pc,
-            Axis::cyclic(rows, pr),
-            Axis::cyclic(cols, pc),
-            |x, y| Some(x * pc + y),
-        )
+        let (rows, cols) = (Axis::cyclic(rows, pr), Axis::cyclic(cols, pc));
+        Layout::new(pr * pc, rows, cols, Holders::strides(pc, 1))
     }
 
     /// The global `(rows, cols)` the layout indexes.
@@ -426,7 +473,7 @@ impl Layout {
     pub fn reversed_rows(&self) -> Layout {
         Layout {
             rows: self.rows.reversed(),
-            ..self.clone()
+            ..*self
         }
     }
 
@@ -436,16 +483,21 @@ impl Layout {
         Layout {
             rows: self.rows.reversed(),
             cols: self.cols.reversed(),
-            ..self.clone()
+            ..*self
         }
     }
 
     /// The transposed index space: `(j, i)` is stored by the holders of
-    /// `(i, j)` under `self`, at the transposed local position.
+    /// `(i, j)` under `self`, at the transposed local position.  A tie is
+    /// symmetric, so its digit keeps the rows' stride.
     pub fn transposed(&self) -> Layout {
-        Layout::new(self.ranks, self.cols, self.rows, |rc, cc| {
-            self.holders(cc, rc).iter().copied()
-        })
+        let mut holders = self.holders;
+        let [(mr, a, b), (mc, c, d)] = holders.axes;
+        holders.axes = match holders.tied {
+            true => [(mc, c, b), (mr, a, 0)],
+            false => [(mc, c, d), (mr, a, b)],
+        };
+        Layout::new(self.ranks, self.cols, self.rows, holders)
     }
 
     /// Write `piece`, the row-major local matrix `rank` stores, into the
@@ -486,27 +538,51 @@ impl Layout {
         }
     }
 
-    /// Where each piece's holders begin in the table's third part,
-    /// and one past the last.
-    fn starts(&self) -> &[usize] {
-        &self.table[..=self.rows.classes() * self.cols.classes()]
+    /// `(digit, radix, stride)` of each digit of the holder formula that
+    /// takes two values or more, by ascending stride: digits 0 to 4 are
+    /// `rc mod m_r`, `rc div m_r`, `cc mod m_c`, `cc div m_c` (never when
+    /// tied) and the replica.
+    fn digits(&self) -> impl DoubleEndedIterator<Item = (usize, usize, usize)> {
+        let (h, [(mr, a, b), (mc, c, d)]) = (&self.holders, self.holders.axes);
+        let (r, cs) = (self.rows.classes(), self.cols.classes());
+        let tied = if h.tied { 1 } else { cs.div_ceil(mc) };
+        let radix = [mr.min(r), r.div_ceil(mr), mc.min(cs), tied, h.replicas.0];
+        let stride = [a, b, c, d, h.replicas.1];
+        let mut order = [0, 1, 2, 3, 4];
+        order.sort_by_key(|&i| stride[i]);
+        let live = order.into_iter().filter(move |&i| radix[i] > 1);
+        live.map(move |i| (i, radix[i], stride[i]))
     }
 
-    /// The piece `rank` stores.
-    fn piece_of(&self, rank: usize) -> Option<(usize, usize)> {
-        let owners = &self.table[self.starts().len()..][..self.ranks];
-        let x = *owners.get(rank)?;
-        (x != NO_PIECE).then(|| (x / self.cols.classes(), x % self.cols.classes()))
+    /// The piece `rank` stores: its digits peeled off from the largest
+    /// stride down, `None` when one leaves its radix, a remainder is left
+    /// over, or the classes they make do not exist.
+    pub fn piece_of(&self, rank: usize) -> Option<(usize, usize)> {
+        let (h, [(mr, ..), (mc, ..)]) = (&self.holders, self.holders.axes);
+        let mut rest = rank.checked_sub(h.base).filter(|_| rank < self.ranks)?;
+        let mut value = [0; 5];
+        for (d, radix, stride) in self.digits().rev() {
+            value[d] = rest / stride;
+            rest -= value[d] * stride;
+            (value[d] < radix).then_some(())?;
+        }
+        let group = value[if h.tied { 1 } else { 3 }];
+        let (rc, cc) = (value[0] + mr * value[1], value[2] + mc * group);
+        (rest == 0 && rc < self.rows.classes() && cc < self.cols.classes()).then_some((rc, cc))
     }
 
-    fn holders(&self, rc: usize, cc: usize) -> &[usize] {
-        let (starts, x) = (self.starts(), rc * self.cols.classes() + cc);
-        &self.table[starts.len() + self.ranks..][starts[x]..starts[x + 1]]
-    }
-
-    /// The rank that sends piece `(rc, cc)` when this layout is the source.
+    /// The rank that sends piece `(rc, cc)` when this layout is the source:
+    /// replica 0, unless a tie leaves the piece unheld.
     fn sender(&self, rc: usize, cc: usize) -> Option<usize> {
-        self.holders(rc, cc).first().copied()
+        let (h, [(mr, a, b), (mc, c, d)]) = (&self.holders, self.holders.axes);
+        let ((rq, rr), (cq, cr)) = (div_rem(rc, mr), div_rem(cc, mc));
+        (!h.tied || rq == cq).then_some(h.base + rr * a + rq * b + cr * c + cq * d)
+    }
+
+    /// Every rank that holds the piece replica 0 `first` holds.
+    fn replicas(&self, first: usize) -> impl Iterator<Item = usize> + Clone {
+        let (count, stride) = self.holders.replicas;
+        (0..count).map(move |y| first + y * stride)
     }
 
     /// The piece `rank` sends when this layout is the source.
@@ -518,17 +594,41 @@ impl Layout {
     /// True when `self` and `dst` place every entry identically — same cuts,
     /// same local positions, same single holder per piece — so that a local
     /// matrix under `self` already *is* the local matrix under `dst` and a
-    /// redistribution between them moves nothing off-rank.  The axes are
-    /// compared as placements, not as the constructors that built them
-    /// (`Axis::cyclic(n, 1)`, `Axis::whole(n)` and `Axis::slabs(n, 1)` are
-    /// one placement).  Pure layout arithmetic: every rank reaches the same
-    /// verdict.
+    /// redistribution between them moves nothing off-rank.  The axes and
+    /// holders are compared as placements, not as the constructors that
+    /// built them (`Axis::cyclic(n, 1)`, `Axis::whole(n)` and
+    /// `Axis::slabs(n, 1)` are one placement).  Pure layout arithmetic:
+    /// every rank reaches the same verdict.
     pub fn same_placement(&self, dst: &Layout) -> bool {
         self.rows.same_placement(&dst.rows)
             && self.cols.same_placement(&dst.cols)
             && self.ranks == dst.ranks
-            && self.table == dst.table
-            && self.starts().windows(2).all(|w| w[1] - w[0] <= 1)
+            && (self.holders.replicas.0, dst.holders.replicas.0) == (1, 1)
+            && self.canonical() == dst.canonical()
+    }
+
+    /// The holder formula in canonical form, equal for two layouts of the
+    /// same classes exactly when they hold every piece alike: a digit that
+    /// only reads 0 gets stride 0 (a live one has 1 or more), an axis whose
+    /// digits recombine (`b = m·a`, or one dead) becomes `class·stride`, and
+    /// a tie every piece meets is dropped.  What is left shows its strides
+    /// at classes 1 and `m`, and a tie its modulus at the first unheld piece.
+    fn canonical(&self) -> [usize; 8] {
+        let (h, [(m, a, b), (mc, c, d)]) = (&self.holders, self.holders.axes);
+        let (r, cs) = (self.rows.classes(), self.cols.classes());
+        let live = |radix: usize, stride| if radix > 1 { stride } else { 0 };
+        if h.tied && m < r.max(cs) {
+            let group = live(r.div_ceil(m).min(cs.div_ceil(m)), b);
+            let (x, y) = (live(m.min(r), a), live(m.min(cs), c));
+            return [m, h.base, x, group, y, 0, 0, 0];
+        }
+        let one = |m: usize, a, b, n: usize| match (live(m.min(n), a), live(n.div_ceil(m), b)) {
+            (0, b) => (1, 0, b),
+            (a, b) if b == 0 || b == m * a => (1, 0, a),
+            (a, b) => (m, a, b),
+        };
+        let ((mr, a, b), (mc, c, d)) = (one(m, a, b, r), one(mc, c, d, cs));
+        [0, h.base, mr, a, b, mc, c, d]
     }
 }
 
@@ -925,17 +1025,15 @@ impl<'a> Cuts<'a> {
     }
 
     /// Every piece of `dst` (the other layout, as destination) this piece
-    /// sends entries to: its row runs, its column runs, its holders and how
-    /// many entries each holder receives.
+    /// sends entries to: its row runs, its column runs, its replica 0 (see
+    /// [`Layout::replicas`] for the rest) and how many entries each holder
+    /// receives.
     ///
     /// Row groups and column groups are both in the order of their first
     /// indices, and the columns a row group can pass start no further left
     /// than the last group's did: one sweep finds the column groups each
     /// row group meets, past every column run that ends left of them all.
-    fn sends(
-        self,
-        dst: &'a Layout,
-    ) -> impl Iterator<Item = (&'a [Run], &'a [Run], &'a [usize], usize)> {
+    fn sends(self, dst: &'a Layout) -> impl Iterator<Item = (&'a [Run], &'a [Run], usize, usize)> {
         let mut left = 0;
         classes(self.rows, |run| run.lead).flat_map(move |rows| {
             let span = self.filter.span(rows, self.ncols);
@@ -949,13 +1047,10 @@ impl<'a> Cuts<'a> {
             let groups = classes(&self.cols[left..], |run| run.lead);
             let met = groups.take_while(move |cols| cols[0].lead < span.end);
             met.filter_map(move |cols| {
-                let holders = dst.holders(rows[0].other, cols[0].other);
-                let count = if holders.is_empty() {
-                    0
-                } else {
-                    self.count(rows, cols)
-                };
-                (count > 0).then_some((rows, cols, holders, count))
+                let (rc, cc) = (rows[0].other, cols[0].other);
+                let first = dst.sender(rc, cc)?;
+                let count = self.count(rows, cols);
+                (count > 0).then_some((rows, cols, first, count))
             })
         })
     }
@@ -1000,13 +1095,14 @@ fn pack(
     };
     let mut runs = Vec::new();
     let cuts = Cuts::new(src, piece, dst, filter, &mut runs);
-    for (rows, cols, holders, count) in cuts.sends(dst) {
+    for (rows, cols, first, count) in cuts.sends(dst) {
         // A rank holds one piece, so each destination is filled here only.
-        for &d in holders {
+        let holders = dst.replicas(first);
+        for d in holders.clone() {
             out[d] = comm.take_buffer(count);
         }
         cuts.for_each(rows, cols, |li, run, ts| {
-            for &d in holders {
+            for d in holders.clone() {
                 run.gather(from.row(li), ts.clone(), &mut out[d]);
             }
         });
@@ -1061,8 +1157,8 @@ pub fn move_counts(src: &Layout, dst: &Layout, filter: Filter) -> Vec<CostCounte
                     ncols: src.cols.len(),
                     filter,
                 };
-                for (_, _, holders, count) in cuts.sends(dst) {
-                    holders.iter().for_each(|&d| emit(s, d, count));
+                for (_, _, first, count) in cuts.sends(dst) {
+                    dst.replicas(first).for_each(|d| emit(s, d, count));
                 }
             }
         }
@@ -1381,6 +1477,14 @@ mod tests {
         assert!(run.clip(&(14..20)).is_empty());
     }
 
+    impl Layout {
+        /// Every rank that holds piece `(rc, cc)`, replica 0 first.
+        fn holders(&self, rc: usize, cc: usize) -> impl Iterator<Item = usize> + '_ {
+            let sender = self.sender(rc, cc).into_iter();
+            sender.flat_map(|s| self.replicas(s))
+        }
+    }
+
     impl Cuts<'_> {
         /// The count [`Cuts::count`] replaced: under a triangular filter,
         /// each row's filtered columns, summed row by row.  Its oracle.
@@ -1521,7 +1625,7 @@ mod tests {
                 let cuts = Cuts::new(src, piece, dst, filter, &mut runs);
                 for (rows, cols) in cuts.pairs() {
                     let count = cuts.count_by_rows(rows, cols);
-                    for &d in dst.holders(rows[0].other, cols[0].other) {
+                    for d in dst.holders(rows[0].other, cols[0].other) {
                         if count > 0 {
                             emit(s, d, count);
                         }
@@ -1540,15 +1644,17 @@ mod tests {
         let cyclic = Layout::cyclic_over(q, q, n, n);
         let (nblocks, side) = (n.div_ceil(n0), 2);
         let blocks = Axis::new(n, n0, nblocks, side);
-        let sub_grids = Layout::new(p, blocks, blocks, |rc, cc| {
-            let (g, sx) = (rc / side, rc % side);
-            (cc / side == g).then_some(g * 4 + sx * side + cc % side)
-        });
+        let sub_grids = Layout::new(
+            p,
+            blocks,
+            blocks,
+            Holders::block_diagonal(side, (side, 4), 1),
+        );
         let stacked = Layout::new(
             p,
             Axis::cyclic(n, q),
             Axis::new(n, n0, 1, 8).stacked(),
-            |x, y| (y < q).then_some(x * q + y),
+            Holders::strides(q, 1),
         );
         let filter = Filter::DiagBlocksLower(n0);
         for (src, dst) in [(&cyclic, &sub_grids), (&sub_grids, &stacked)] {
@@ -1602,9 +1708,8 @@ mod tests {
 
     #[test]
     fn every_diagonal_entry_has_one_slot_under_every_relabelling() {
-        let cyclic = Layout::new(6, Axis::cyclic(7, 2), Axis::cyclic(5, 3), |x, y| {
-            Some(x * 3 + y)
-        });
+        let grid = Holders::strides(3, 1);
+        let cyclic = Layout::new(6, Axis::cyclic(7, 2), Axis::cyclic(5, 3), grid);
         let relabelled = [
             cyclic.reversed_rows(),
             cyclic.reversed(),
@@ -1630,7 +1735,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "holds two pieces")]
     fn a_rank_cannot_hold_two_pieces() {
-        Layout::new(2, Axis::cyclic(4, 2), Axis::whole(4), |_, _| Some(0));
+        Layout::new(
+            2,
+            Axis::cyclic(4, 2),
+            Axis::whole(4),
+            Holders::strides(0, 0),
+        );
     }
 
     #[test]
@@ -1642,11 +1752,11 @@ mod tests {
                 let from = Matrix::zeros(4, 4);
                 let wrong_space = Layout::cyclic(&grid, 8, 6);
                 let wrong_local = Matrix::zeros(3, 4);
-                let wrong_ranks =
-                    Layout::new(2, Axis::cyclic(8, 2), Axis::whole(8), |r, _| Some(r));
+                let by_rows = Holders::strides(1, 0);
+                let wrong_ranks = Layout::new(2, Axis::cyclic(8, 2), Axis::whole(8), by_rows);
                 let all = Filter::All;
                 let no_blocks = Filter::DiagBlocksLower(0);
-                let dst = Layout::new(4, Axis::cyclic(8, 4), Axis::whole(8), |r, _| Some(r));
+                let dst = Layout::new(4, Axis::cyclic(8, 4), Axis::whole(8), by_rows);
                 [
                     redistribute(comm, &src, &from, &wrong_space, all).is_err(),
                     redistribute(comm, &src, &wrong_local, &wrong_space, all).is_err(),
@@ -1669,9 +1779,8 @@ mod tests {
                 let grid = Grid2D::new(comm, 2, 2).unwrap();
                 let a = DistMatrix::from_fn(&grid, 6, 6, |i, j| (i * 6 + j + 1) as f64);
                 // The same placement, spelled without the grid.
-                let same = Layout::new(4, Axis::cyclic(6, 2), Axis::cyclic(6, 2), |x, y| {
-                    Some(x * 2 + y)
-                });
+                let cyclic = Holders::strides(2, 1);
+                let same = Layout::new(4, Axis::cyclic(6, 2), Axis::cyclic(6, 2), cyclic);
                 assert!(a.layout().same_placement(&same));
                 let got = a.redistribute_to(&same, Filter::Lower).unwrap();
                 let lower = DistMatrix::from_fn(&grid, 6, 6, |i, j| {
@@ -1691,18 +1800,88 @@ mod tests {
 
     #[test]
     fn replicated_or_differently_cut_layouts_are_not_the_same_placement() {
-        let cyclic = |holders: fn(usize, usize) -> Vec<usize>| {
-            Layout::new(4, Axis::cyclic(6, 2), Axis::whole(6), holders)
-        };
-        let single = cyclic(|x, _| vec![x]);
-        assert!(single.same_placement(&single.clone()));
+        let by_rows = Holders::strides(1, 0);
+        let cyclic = |holders| Layout::new(4, Axis::cyclic(6, 2), Axis::whole(6), holders);
+        let single = cyclic(by_rows);
+        assert!(single.same_placement(&single));
         // Replicas other than the sender still have to be sent their copy.
-        let replicated = cyclic(|x, _| vec![x, x + 2]);
-        assert!(!replicated.same_placement(&replicated.clone()));
-        let slabs = Layout::new(4, Axis::slabs(6, 2), Axis::whole(6), |x, _| vec![x]);
+        let replicated = cyclic(by_rows.replicated(2, 2));
+        assert!(!replicated.same_placement(&replicated));
+        let slabs = Layout::new(4, Axis::slabs(6, 2), Axis::whole(6), by_rows);
         assert!(!single.same_placement(&slabs));
         // The same pieces, held by other ranks.
-        let moved = cyclic(|x, _| vec![x + 1]);
+        let moved = cyclic(by_rows.offset(1));
         assert!(!single.same_placement(&moved));
+    }
+
+    #[test]
+    fn formulas_compare_as_maps_not_as_spellings() {
+        let (rows, cols) = (Axis::cyclic(12, 6), Axis::cyclic(12, 4));
+        let layout = |holders| Layout::new(48, rows, cols, holders);
+        let grid = layout(Holders::strides(4, 1));
+        let same = [
+            // Split rows whose digits recombine, at any modulus.
+            Holders::split((2, 4, 8), (1, 0, 1)),
+            Holders::split((3, 4, 12), (4, 1, 99)),
+            Holders::split((6, 4, 7), (1, 5, 1)),
+            // A tie every piece meets.
+            Holders::block_diagonal(6, (4, 3), 1),
+            Holders::strides(4, 1).replicated(1, 5),
+        ];
+        for holders in same {
+            assert!(grid.same_placement(&layout(holders)), "{holders:?}");
+        }
+        let other = [
+            Holders::split((2, 4, 12), (1, 0, 1)),
+            Holders::split((1, 0, 4), (2, 1, 24)),
+            Holders::block_diagonal(4, (4, 16), 1),
+            Holders::strides(4, 1).offset(1),
+        ];
+        for holders in other {
+            assert!(!grid.same_placement(&layout(holders)), "{holders:?}");
+        }
+        // Two ties of one modulus but for the digits' spelling.
+        let tied = |holders| Layout::new(16, Axis::cyclic(8, 4), Axis::cyclic(8, 4), holders);
+        let sub_grids = tied(Holders::block_diagonal(2, (2, 4), 1));
+        assert!(sub_grids.same_placement(&tied(Holders::block_diagonal(2, (2, 4), 1))));
+        assert!(!sub_grids.same_placement(&tied(Holders::block_diagonal(2, (2, 8), 1))));
+        assert!(sub_grids.same_placement(&sub_grids.transposed().transposed()));
+    }
+
+    #[test]
+    fn every_holder_of_a_tied_or_transposed_map_reads_its_piece_back() {
+        let (rows, cols) = (Axis::cyclic(9, 6), Axis::cyclic(9, 4));
+        let maps = [
+            Layout::new(
+                30,
+                rows,
+                cols,
+                Holders::block_diagonal(2, (3, 9), 1).offset(2),
+            ),
+            Layout::new(96, rows, cols, Holders::split((3, 16, 1), (2, 4, 48))),
+            Layout::new(48, rows, cols, Holders::strides(1, 12).replicated(2, 6)),
+        ];
+        for layout in maps.into_iter().flat_map(|l| [l, l.transposed()]) {
+            let (r, c) = (layout.rows.classes(), layout.cols.classes());
+            let mut held = vec![None; layout.ranks];
+            for (rc, cc) in (0..r).flat_map(|rc| (0..c).map(move |cc| (rc, cc))) {
+                for h in layout.holders(rc, cc) {
+                    assert_eq!(held[h].replace((rc, cc)), None, "{layout:?}: rank {h}");
+                }
+            }
+            let got: Vec<_> = (0..layout.ranks).map(|h| layout.piece_of(h)).collect();
+            assert_eq!(got, held, "{layout:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "held by rank 8 of 8")]
+    fn a_formula_stays_below_the_ranks() {
+        Layout::new(
+            8,
+            Axis::cyclic(4, 2),
+            Axis::cyclic(4, 2),
+            Holders::strides(2, 1).offset(5),
+        );
     }
 }

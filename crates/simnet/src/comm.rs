@@ -520,9 +520,12 @@ impl Communicator {
     /// be derivable from rank arithmetic (true for all grids in the paper).
     pub fn subgroup(&self, members: &[usize]) -> Result<Communicator> {
         let op = self.next_op_tag();
-        for (i, &m) in members.iter().enumerate() {
+        // One pass, linear in the members: the first member out of range or
+        // seen before names the error, as a scan of the list would.
+        let mut seen = vec![false; self.size()];
+        for &m in members {
             self.check_rank(m)?;
-            if members[..i].contains(&m) {
+            if std::mem::replace(&mut seen[m], true) {
                 return Err(SimError::BadCollectiveArgs {
                     op: "subgroup",
                     reason: format!("rank {m} is listed twice"),
