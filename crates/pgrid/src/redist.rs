@@ -107,11 +107,13 @@ pub struct Axis {
     reversed: bool,
 }
 
-/// `(a / d, a mod d)`, without dividing when `d` is 1 — the block, class
-/// count or stride of most axes.
+/// `(a / d, a mod d)`, by a shift and a mask when `d` is a power of two —
+/// the block, class count, stride or step of most axes, whose divisions
+/// would otherwise be most of a walk's time.
+#[inline]
 fn div_rem(a: usize, d: usize) -> (usize, usize) {
-    if d == 1 {
-        (a, 0)
+    if d.is_power_of_two() {
+        (a >> d.trailing_zeros(), a & (d - 1))
     } else {
         (a / d, a % d)
     }
@@ -724,9 +726,18 @@ impl Run {
         (t + usize::from(rem > 0)).min(self.count)
     }
 
-    /// The `t` of the run's indices inside `range`.
+    /// The `t` of the run's indices inside `range`: a comparison at an end
+    /// the run lies inside, a [`Run::reach`] only where `range` cuts it.
     fn clip(&self, range: &Range<usize>) -> Range<usize> {
-        self.reach(range.start)..self.reach(range.end)
+        let lo = match self.first >= range.start {
+            true => 0,
+            false => self.reach(range.start),
+        };
+        let hi = match self.last() < range.end {
+            true => self.count,
+            false => self.reach(range.end),
+        };
+        lo..hi
     }
 
     fn position(&self, t: usize) -> usize {
@@ -749,23 +760,41 @@ impl Run {
         partial + (ts.end - t1) * cols.count
     }
 
-    /// Append the values of columns `ts` of `row` to `out`.
-    fn gather(&self, row: &[f64], ts: Range<usize>, out: &mut Vec<f64>) {
-        if self.local_step == 1 {
-            out.extend_from_slice(&row[self.position(ts.start)..self.position(ts.end)]);
-        } else {
-            out.extend(ts.map(|t| row[self.position(t)]));
-        }
+    /// Where columns `ts` of local row `li` sit in a row-major local matrix
+    /// `width` wide: one contiguous range when the run's positions step by
+    /// one, else `None`.
+    fn span(&self, li: usize, width: usize, ts: &Range<usize>) -> Option<Range<usize>> {
+        let at = li * width;
+        (self.local_step == 1).then(|| at + self.position(ts.start)..at + self.position(ts.end))
     }
 
-    /// Write `values` to columns `ts` of `row`.
-    fn scatter(&self, row: &mut [f64], ts: Range<usize>, values: &[f64]) {
-        if self.local_step == 1 {
-            row[self.position(ts.start)..self.position(ts.end)].copy_from_slice(values);
+    /// Where columns `ts` of local row `li` start in a row-major local
+    /// matrix `width` wide, and the step between them there.
+    fn stride(&self, li: usize, width: usize, ts: &Range<usize>) -> (usize, isize) {
+        (li * width + self.position(ts.start), self.local_step)
+    }
+}
+
+/// The part of a walk's storage range that is reached but not yet copied:
+/// consecutive column runs whose storage continues one another's grow it,
+/// and it is copied as one slice when the next one does not.
+#[derive(Default)]
+struct Pending {
+    /// Storage offsets in the local matrix.
+    at: Range<usize>,
+    /// Where the range starts in the value buffer.
+    read: usize,
+}
+
+impl Pending {
+    /// Extend by `next` if it continues the range; else hand the range to
+    /// `flush` and start again at `next`, `read` into the buffer.
+    fn push(&mut self, next: Range<usize>, read: usize, flush: impl FnOnce(&Pending)) {
+        if next.start == self.at.end && self.read + self.at.len() == read {
+            self.at.end = next.end;
         } else {
-            for (t, &v) in ts.zip(values) {
-                row[self.position(t)] = v;
-            }
+            flush(self);
+            *self = Pending { at: next, read };
         }
     }
 }
@@ -1058,6 +1087,15 @@ impl<'a> Cuts<'a> {
     /// `f(local row, column run, its columns in the row)` for every part of
     /// `rows × cols` the filter passes, in global row-major order.
     fn for_each(&self, rows: &[Run], cols: &[Run], mut f: impl FnMut(usize, &Run, Range<usize>)) {
+        if self.filter == Filter::All {
+            for row_run in rows {
+                for t in 0..row_run.count {
+                    let li = row_run.position(t);
+                    cols.iter().for_each(|run| f(li, run, 0..run.count));
+                }
+            }
+            return;
+        }
         // The rows ascend, and a filter's range never moves left as the row
         // grows: a column run left of one row's range is left of every later
         // row's, and the walk starts past it.
@@ -1081,7 +1119,10 @@ impl<'a> Cuts<'a> {
 }
 
 /// Gather this rank's share of `from` into one value buffer per destination,
-/// each in global row-major order of the entries it carries.
+/// each in global row-major order of the entries it carries.  Runs that
+/// continue one another in `from`'s storage are copied as one slice, and a
+/// replicated destination's buffer is gathered once, then copied to each
+/// other holder.
 fn pack(
     comm: &Communicator,
     src: &Layout,
@@ -1095,17 +1136,44 @@ fn pack(
     };
     let mut runs = Vec::new();
     let cuts = Cuts::new(src, piece, dst, filter, &mut runs);
+    let (width, values) = (from.cols(), from.as_slice());
     for (rows, cols, first, count) in cuts.sends(dst) {
-        // A rank holds one piece, so each destination is filled here only.
-        let holders = dst.replicas(first);
-        for d in holders.clone() {
-            out[d] = comm.take_buffer(count);
-        }
+        let mut buf = comm.take_buffer(count);
+        let (mut gathered, mut pending) = (0, Pending::default());
         cuts.for_each(rows, cols, |li, run, ts| {
-            for d in holders.clone() {
-                run.gather(from.row(li), ts.clone(), &mut out[d]);
+            let at = gathered;
+            gathered += ts.len();
+            match run.span(li, width, &ts) {
+                Some(next) => pending.push(next, at, |p| {
+                    buf.extend_from_slice(&values[p.at.clone()]);
+                }),
+                None => {
+                    buf.extend_from_slice(&values[std::mem::take(&mut pending).at]);
+                    match run.stride(li, width, &ts) {
+                        (from, step @ 1..) => {
+                            let slots = values[from..].iter().step_by(step as usize);
+                            buf.extend(slots.take(ts.len()));
+                        }
+                        (mut from, step) => {
+                            for _ in ts {
+                                buf.push(values[from]);
+                                from = from.wrapping_add_signed(step);
+                            }
+                        }
+                    }
+                }
             }
         });
+        buf.extend_from_slice(&values[pending.at]);
+        // A rank holds one piece, so each destination is filled here only.
+        let mut holders = dst.replicas(first);
+        let sender = holders.next().expect("replica 0 holds the piece");
+        for d in holders {
+            let mut copy = comm.take_buffer(count);
+            copy.extend_from_slice(&buf);
+            out[d] = copy;
+        }
+        out[sender] = buf;
     }
     out
 }
@@ -1166,7 +1234,8 @@ pub fn move_counts(src: &Layout, dst: &Layout, filter: Filter) -> Vec<CostCounte
 }
 
 /// Scatter the value buffers (indexed by source rank) into this rank's
-/// `into`, walking the same global row-major order [`pack`] wrote them in.
+/// `into`, walking the same global row-major order [`pack`] wrote them in,
+/// runs that continue one another in `into`'s storage as one slice.
 fn unpack(
     src: &Layout,
     dst: &Layout,
@@ -1179,6 +1248,8 @@ fn unpack(
     let cuts = dst
         .piece_of(me)
         .map(|piece| Cuts::new(dst, piece, src, filter, &mut runs));
+    let width = into.cols();
+    let storage = into.as_mut_slice();
     if let Some(cuts) = cuts {
         for (rows, cols) in cuts.pairs() {
             // A rank sends one piece, so each source is read here only.
@@ -1186,14 +1257,40 @@ fn unpack(
                 continue;
             };
             let values = &incoming[s];
-            let mut read = 0;
+            // A buffer shorter than the walk writes what it holds and is
+            // reported below.
+            let flush = |storage: &mut [f64], p: &Pending| {
+                let v = values.get(p.read..p.read + p.at.len());
+                if let Some(v) = v.filter(|v| !v.is_empty()) {
+                    storage[p.at.clone()].copy_from_slice(v);
+                }
+            };
+            let (mut read, mut pending) = (0, Pending::default());
             cuts.for_each(rows, cols, |li, run, ts| {
-                let at = read..read + ts.len();
-                read = at.end;
-                if let Some(values) = values.get(at) {
-                    run.scatter(into.row_mut(li), ts, values);
+                let at = read;
+                read += ts.len();
+                match run.span(li, width, &ts) {
+                    Some(next) => pending.push(next, at, |p| flush(storage, p)),
+                    None => {
+                        flush(storage, &std::mem::take(&mut pending));
+                        if let Some(v) = values.get(at..read) {
+                            match run.stride(li, width, &ts) {
+                                (to, step @ 1..) => {
+                                    let slots = storage[to..].iter_mut().step_by(step as usize);
+                                    slots.zip(v).for_each(|(slot, &v)| *slot = v);
+                                }
+                                (mut to, step) => {
+                                    for &v in v {
+                                        storage[to] = v;
+                                        to = to.wrapping_add_signed(step);
+                                    }
+                                }
+                            }
+                        }
+                    }
                 }
             });
+            flush(storage, &pending);
             if read != values.len() {
                 return Err(layouts_disagree(s, values.len(), read));
             }
@@ -1496,6 +1593,170 @@ mod tests {
             let mut count = 0;
             self.for_each(rows, cols, |_, _, ts| count += ts.len());
             count
+        }
+    }
+
+    /// The walk [`Cuts::for_each`] replaced: each row's filter range, and a
+    /// clip by [`Run::reach`] at both ends of every column run it meets.
+    fn for_each_by_rows(
+        cuts: &Cuts,
+        rows: &[Run],
+        cols: &[Run],
+        mut f: impl FnMut(usize, &Run, Range<usize>),
+    ) {
+        let mut left = 0;
+        for row_run in rows {
+            for t in 0..row_run.count {
+                let i = row_run.index(t);
+                let range = cuts.filter.cols(i, cuts.ncols);
+                while cols.get(left).is_some_and(|run| run.last() < range.start) {
+                    left += 1;
+                }
+                for run in cols[left..].iter().take_while(|run| run.first < range.end) {
+                    let ts = run.reach(range.start)..run.reach(range.end);
+                    if !ts.is_empty() {
+                        f(row_run.position(t), run, ts);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`pack`] as it was: every row's columns gathered run by run, and a
+    /// replicated destination walked again for each of its holders.  The
+    /// oracle the spans and the single gather must match.
+    fn pack_by_rows(
+        comm: &Communicator,
+        src: &Layout,
+        dst: &Layout,
+        from: &Matrix,
+        filter: Filter,
+    ) -> Vec<Vec<f64>> {
+        let mut out = vec![Vec::new(); dst.ranks];
+        let Some(piece) = src.sending_piece(comm.rank()) else {
+            return out;
+        };
+        let mut runs = Vec::new();
+        let cuts = Cuts::new(src, piece, dst, filter, &mut runs);
+        for (rows, cols, first, count) in cuts.sends(dst) {
+            let holders = dst.replicas(first);
+            for d in holders.clone() {
+                out[d] = Vec::with_capacity(count);
+            }
+            for_each_by_rows(&cuts, rows, cols, |li, run, ts| {
+                let row = from.row(li);
+                for d in holders.clone() {
+                    out[d].extend(ts.clone().map(|t| row[run.position(t)]));
+                }
+            });
+        }
+        out
+    }
+
+    /// [`unpack`] as it was: every row's columns scattered run by run.
+    fn unpack_by_rows(
+        src: &Layout,
+        dst: &Layout,
+        incoming: &[Vec<f64>],
+        into: &mut Matrix,
+        filter: Filter,
+        me: usize,
+    ) -> Result<()> {
+        let mut runs = Vec::new();
+        let cuts = dst
+            .piece_of(me)
+            .map(|piece| Cuts::new(dst, piece, src, filter, &mut runs));
+        if let Some(cuts) = cuts {
+            for (rows, cols) in cuts.pairs() {
+                let Some(s) = src.sender(rows[0].other, cols[0].other) else {
+                    continue;
+                };
+                let values = &incoming[s];
+                let mut read = 0;
+                for_each_by_rows(&cuts, rows, cols, |li, run, ts| {
+                    let at = read..read + ts.len();
+                    read = at.end;
+                    if let Some(values) = values.get(at) {
+                        let row = into.row_mut(li);
+                        for (t, &v) in ts.zip(values) {
+                            row[run.position(t)] = v;
+                        }
+                    }
+                });
+                if read != values.len() {
+                    return Err(layouts_disagree(s, values.len(), read));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The walks give what the row-by-row walks gave: the same wire buffer
+    /// for every (source, destination) pair, bit for bit, and the same
+    /// destination matrix, over random cuts (stacked and reversed axes
+    /// among them) × every filter × destinations replicated up to three
+    /// times, and the diagonal inverter's round robin.
+    #[test]
+    fn the_walks_move_what_the_row_by_row_walks_moved() {
+        let mut rng = Lcg(0xface);
+        let mut cases = Vec::new();
+        while cases.len() < 60 {
+            let (n, m) = (1 + rng.below(30), 1 + rng.below(30));
+            let axes = [rng.axis(n), rng.axis(m), rng.axis(n), rng.axis(m)];
+            if axes.iter().any(|a| a.classes() > 4) {
+                continue;
+            }
+            let [rows, cols, drows, dcols] = axes;
+            let replicas = 1 + rng.below(3);
+            let (pieces, dpieces) = (
+                rows.classes() * cols.classes(),
+                drows.classes() * dcols.classes(),
+            );
+            let p = pieces.max(dpieces * replicas);
+            let src = Layout::new(p, rows, cols, Holders::strides(cols.classes(), 1));
+            let spread = Holders::strides(dcols.classes(), 1).replicated(replicas, dpieces);
+            let dst = Layout::new(p, drows, dcols, spread);
+            let filter = match rng.below(3) {
+                0 => Filter::All,
+                1 => Filter::Lower,
+                _ => Filter::DiagBlocksLower(1 + rng.below(n)),
+            };
+            cases.push((src, dst, filter));
+        }
+        // Cyclic onto the round robin and back, as the inverter moves.
+        let (q, n, n0) = (2, 24, 6);
+        let blocks = Axis::new(n, n0, q * q, 1);
+        let robin = Holders::block_diagonal(1, (0, 1), 0);
+        let robin = Layout::new(q * q, blocks, blocks.stacked(), robin);
+        let cyclic = Layout::cyclic_over(q, q, n, n);
+        cases.push((cyclic, robin, Filter::DiagBlocksLower(n0)));
+        cases.push((robin, cyclic, Filter::DiagBlocksLower(n0)));
+        for (case, &(src, dst, filter)) in cases.iter().enumerate() {
+            let machine = simnet::Machine::new(src.ranks, simnet::MachineParams::unit());
+            let out = machine.run(|comm| {
+                let me = comm.rank();
+                let value = |i: usize, j: usize| (me * 1000 + i * 37 + j) as f64;
+                let (r, c) = src.local_dims(me);
+                let from = Matrix::from_fn(r, c, value);
+                let sent = pack(comm, &src, &dst, &from, filter);
+                assert_eq!(
+                    sent,
+                    pack_by_rows(comm, &src, &dst, &from, filter),
+                    "{case}"
+                );
+                let incoming = coll::alltoallv_bruck(comm, sent).unwrap();
+                let (r, c) = dst.local_dims(me);
+                let mut into = Matrix::from_fn(r, c, |i, j| -value(i, j));
+                let mut by_rows = into.clone();
+                let got = unpack(&src, &dst, &incoming, &mut into, filter, me);
+                let want = unpack_by_rows(&src, &dst, &incoming, &mut by_rows, filter, me);
+                assert_eq!(got.is_ok(), want.is_ok(), "{case}");
+                assert!(
+                    into == by_rows,
+                    "case {case}: {src:?} → {dst:?} under {filter:?}"
+                );
+            });
+            out.unwrap();
         }
     }
 

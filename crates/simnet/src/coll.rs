@@ -461,9 +461,24 @@ pub fn bruck_counts(
     p: usize,
     blocks: impl FnOnce(&mut dyn FnMut(usize, usize, usize)),
 ) -> Vec<CostCounters> {
+    // Every member sends one message in each round, to `me + 2ᵗ`, and
+    // receives one, from `me − 2ᵗ` ([`Phase::step`]): the counts are the
+    // table's row of `me` and its diagonal below, summed.
     let table = bruck_words(p, blocks);
+    let rounds = levels(p);
     (0..p)
-        .map(|me| counts(&[Phase::BruckV], p, me, &table))
+        .map(|me| {
+            let sent = &table[me * rounds..][..rounds];
+            let from = |t: usize| (me + p - (1 << t)) % p;
+            let recv = (0..rounds).map(|t| table[from(t) * rounds + t]);
+            CostCounters {
+                msgs_sent: rounds as u64,
+                msgs_recv: rounds as u64,
+                words_sent: sent.iter().sum::<usize>() as u64,
+                words_recv: recv.sum::<usize>() as u64,
+                ..CostCounters::default()
+            }
+        })
         .collect()
 }
 

@@ -520,18 +520,7 @@ impl Communicator {
     /// be derivable from rank arithmetic (true for all grids in the paper).
     pub fn subgroup(&self, members: &[usize]) -> Result<Communicator> {
         let op = self.next_op_tag();
-        // One pass, linear in the members: the first member out of range or
-        // seen before names the error, as a scan of the list would.
-        let mut seen = vec![false; self.size()];
-        for &m in members {
-            self.check_rank(m)?;
-            if std::mem::replace(&mut seen[m], true) {
-                return Err(SimError::BadCollectiveArgs {
-                    op: "subgroup",
-                    reason: format!("rank {m} is listed twice"),
-                });
-            }
-        }
+        self.check_members(members)?;
         let my_index = match members.iter().position(|&m| m == self.my_index) {
             Some(i) => i,
             None => return Err(SimError::NotInGroup),
@@ -545,6 +534,43 @@ impl Communicator {
             context,
             op_counter: Rc::new(RefCell::new(0)),
         })
+    }
+}
+
+impl Communicator {
+    /// The first entry of a member list that is out of range or repeats an
+    /// earlier one, as [`Communicator::subgroup`]'s error, in O(members)
+    /// words whatever the communicator's size: one pass while the list
+    /// ascends (its entries are then distinct), and only for a list that
+    /// stops ascending a sorted copy, in which a repeat sits beside the entry
+    /// it repeats.
+    fn check_members(&self, members: &[usize]) -> Result<()> {
+        let twice = |m: usize| SimError::BadCollectiveArgs {
+            op: "subgroup",
+            reason: format!("rank {m} is listed twice"),
+        };
+        let mut prev = None;
+        for (at, &m) in members.iter().enumerate() {
+            if prev.is_some_and(|p| p >= m) {
+                // Every entry before `at` is in range and new; the offender
+                // is the earlier of the first repeat and the first entry out
+                // of range from `at` on.
+                let mut sorted: Vec<(usize, usize)> =
+                    members.iter().enumerate().map(|(i, &m)| (m, i)).collect();
+                sorted.sort_unstable();
+                let repeats = sorted.windows(2).filter(|w| w[0].0 == w[1].0);
+                let repeat = repeats.map(|w| w[1].1).min();
+                let out = members[at..].iter().position(|&m| m >= self.size());
+                return match (out.map(|i| at + i), repeat) {
+                    (Some(out), r) if r.is_none_or(|r| out <= r) => self.check_rank(members[out]),
+                    (_, Some(r)) => Err(twice(members[r])),
+                    (_, None) => Ok(()),
+                };
+            }
+            self.check_rank(m)?;
+            prev = Some(m);
+        }
+        Ok(())
     }
 }
 
@@ -622,6 +648,72 @@ mod tests {
             })
             .unwrap();
         assert!(out.results.iter().all(|r| *r == (vec![3.0], vec![30.0])));
+    }
+
+    /// What `subgroup` reported before its check was O(members): a scan of
+    /// the list against a `seen` flag per rank of the communicator.
+    fn members_by_scan(size: usize, members: &[usize]) -> std::result::Result<(), String> {
+        let mut seen = vec![false; size];
+        for &m in members {
+            if m >= size {
+                return Err(format!("{:?}", SimError::InvalidRank { rank: m, size }));
+            }
+            if std::mem::replace(&mut seen[m], true) {
+                let reason = format!("rank {m} is listed twice");
+                let op = "subgroup";
+                return Err(format!("{:?}", SimError::BadCollectiveArgs { op, reason }));
+            }
+        }
+        Ok(())
+    }
+
+    /// Unsorted, repeated and out-of-range member lists, and their mixes, name
+    /// the same first offender with the same error as the scan did; a valid
+    /// list gives a group, or `NotInGroup` on a rank it leaves out.
+    #[test]
+    fn subgroup_names_the_first_bad_member_as_a_scan_would() {
+        let size = 6;
+        let mut lists: Vec<Vec<usize>> = vec![
+            vec![],
+            vec![0, 2, 4],
+            vec![4, 2, 0],
+            vec![1, 1],
+            vec![3, 9, 3],
+            vec![3, 1, 3, 9],
+            vec![9, 9],
+            vec![0, 5, 6],
+            vec![2, 0, 7, 2],
+            vec![5, 4, 3, 2, 1, 0],
+            vec![0, 1, 2, 3, 4, 5, 0],
+        ];
+        let mut x = 12345u64;
+        for _ in 0..300 {
+            let len = (x >> 60) as usize;
+            lists.push(
+                (0..len)
+                    .map(|_| {
+                        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        (x >> 33) as usize % (size + 2)
+                    })
+                    .collect(),
+            );
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(7);
+        }
+        let got = agree_on(size, 1, |comm| {
+            let each = lists.iter().map(|list| match comm.subgroup(list) {
+                Ok(group) => Ok(Some(group.size())),
+                Err(SimError::NotInGroup) => Ok(None),
+                Err(e) => Err(format!("{e:?}")),
+            });
+            each.collect::<Vec<_>>()
+        });
+        for (rank, results) in got.into_iter().enumerate() {
+            for (list, result) in lists.iter().zip(results) {
+                let want = members_by_scan(size, list)
+                    .map(|()| list.contains(&rank).then_some(list.len()));
+                assert_eq!(result, want, "rank {rank}, members {list:?}");
+            }
+        }
     }
 
     /// Every rank's result of `f`, run on `p` ranks and `workers` workers.

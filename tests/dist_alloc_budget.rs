@@ -74,9 +74,10 @@ const RANKS: usize = 16;
 const GRID: usize = 4;
 
 /// Allocations a warm `dist_few_rhs` op may make, over all 16 ranks and the
-/// machine run around them: the 1 912 it makes once layouts allocate
-/// nothing, and about 5 % of headroom.
-const FEW_RHS_ALLOCS: u64 = 2_000;
+/// machine run around them: the 1 816 it makes once layouts allocate
+/// nothing and a replicated destination's copies come from the pool, and
+/// about 5 % of headroom.
+const FEW_RHS_ALLOCS: u64 = 1_900;
 
 /// Allocations one cold It-Inv quote may make at a shape above: the 44 the
 /// n = k = 192 quote makes once layouts allocate nothing (the n = 1 024
