@@ -760,14 +760,6 @@ impl Run {
         partial + (ts.end - t1) * cols.count
     }
 
-    /// Where columns `ts` of local row `li` sit in a row-major local matrix
-    /// `width` wide: one contiguous range when the run's positions step by
-    /// one, else `None`.
-    fn span(&self, li: usize, width: usize, ts: &Range<usize>) -> Option<Range<usize>> {
-        let at = li * width;
-        (self.local_step == 1).then(|| at + self.position(ts.start)..at + self.position(ts.end))
-    }
-
     /// Where columns `ts` of local row `li` start in a row-major local
     /// matrix `width` wide, and the step between them there.
     fn stride(&self, li: usize, width: usize, ts: &Range<usize>) -> (usize, isize) {
@@ -1143,23 +1135,20 @@ fn pack(
         cuts.for_each(rows, cols, |li, run, ts| {
             let at = gathered;
             gathered += ts.len();
-            match run.span(li, width, &ts) {
-                Some(next) => pending.push(next, at, |p| {
-                    buf.extend_from_slice(&values[p.at.clone()]);
-                }),
-                None => {
-                    buf.extend_from_slice(&values[std::mem::take(&mut pending).at]);
-                    match run.stride(li, width, &ts) {
-                        (from, step @ 1..) => {
-                            let slots = values[from..].iter().step_by(step as usize);
-                            buf.extend(slots.take(ts.len()));
-                        }
-                        (mut from, step) => {
-                            for _ in ts {
-                                buf.push(values[from]);
-                                from = from.wrapping_add_signed(step);
-                            }
-                        }
+            let flush =
+                |buf: &mut Vec<f64>, p: &Pending| buf.extend_from_slice(&values[p.at.clone()]);
+            match run.stride(li, width, &ts) {
+                (from, 1) => pending.push(from..from + ts.len(), at, |p| flush(&mut buf, p)),
+                (from, step @ 2..) => {
+                    flush(&mut buf, &std::mem::take(&mut pending));
+                    let slots = values[from..].iter().step_by(step as usize);
+                    buf.extend(slots.take(ts.len()));
+                }
+                (mut from, step) => {
+                    flush(&mut buf, &std::mem::take(&mut pending));
+                    for _ in ts {
+                        buf.push(values[from]);
+                        from = from.wrapping_add_signed(step);
                     }
                 }
             }
@@ -1269,23 +1258,25 @@ fn unpack(
             cuts.for_each(rows, cols, |li, run, ts| {
                 let at = read;
                 read += ts.len();
-                match run.span(li, width, &ts) {
-                    Some(next) => pending.push(next, at, |p| flush(storage, p)),
-                    None => {
-                        flush(storage, &std::mem::take(&mut pending));
-                        if let Some(v) = values.get(at..read) {
-                            match run.stride(li, width, &ts) {
-                                (to, step @ 1..) => {
-                                    let slots = storage[to..].iter_mut().step_by(step as usize);
-                                    slots.zip(v).for_each(|(slot, &v)| *slot = v);
-                                }
-                                (mut to, step) => {
-                                    for &v in v {
-                                        storage[to] = v;
-                                        to = to.wrapping_add_signed(step);
-                                    }
-                                }
-                            }
+                let (to, step) = run.stride(li, width, &ts);
+                if step == 1 {
+                    pending.push(to..to + ts.len(), at, |p| flush(storage, p));
+                    return;
+                }
+                flush(storage, &std::mem::take(&mut pending));
+                let Some(v) = values.get(at..read) else {
+                    return;
+                };
+                match step {
+                    2.. => {
+                        let slots = storage[to..].iter_mut().step_by(step as usize);
+                        slots.zip(v).for_each(|(slot, &v)| *slot = v);
+                    }
+                    _ => {
+                        let mut to = to;
+                        for &v in v {
+                            storage[to] = v;
+                            to = to.wrapping_add_signed(step);
                         }
                     }
                 }
