@@ -65,18 +65,10 @@ pub const NC: usize = 1024;
 
 const _: () = assert!(MC.is_multiple_of(MR), "MC must be a multiple of MR");
 const _: () = assert!(NC.is_multiple_of(NR), "NC must be a multiple of NR");
-const _: () = assert!(
-    NR == 8,
-    "the AVX2 tile step holds a row of NR in two 4-lane vectors"
-);
 
 /// Below this many multiply–adds the panel-packing overhead outweighs its
 /// cache benefits and [`gemm_accumulate`] falls back to a simple loop.
 const PACK_THRESHOLD: usize = 32 * 32 * 32;
-
-/// The widest `op(B)` a product at or above [`PACK_THRESHOLD`] multiplies
-/// without packing (see [`pack_free`]).
-const PACK_FREE_COLS: usize = 2 * NR;
 
 /// Declares one operand of a product triangular, so the packed kernel
 /// multiplies only the triangle: `TriMask::a(Triangle::Lower)` says `op(A)`
@@ -399,9 +391,9 @@ fn pc_block_live(
     a_mask.is_none_or(|mk| mk.live(0, m, pc, kc)) && b_mask.is_none_or(|mk| mk.live(jc, nc, pc, kc))
 }
 
-/// `C[m×n] += alpha · A[m×k] · B[k×n]` on raw strided storage: register
-/// tiles for small products, the packed kernel's tiles in place for
-/// [`pack_free`] ones, the packed path for the rest.  Elements are addressed as `A[i, k] = a + i·ai + k·ak` and
+/// `C[m×n] += alpha · A[m×k] · B[k×n]` on raw strided storage, choosing the
+/// packed path for large products and a register-tiled loop for small
+/// ones.  Elements are addressed as `A[i, k] = a + i·ai + k·ak` and
 /// `B[k, j] = b + k·bk + j·bj`, so `(stride, 1)` reads an operand as
 /// stored and `(1, stride)` reads its transpose in place.
 ///
@@ -434,22 +426,10 @@ pub(crate) unsafe fn gemm_accumulate(
     }
     let kernel = if m * n * kdim < PACK_THRESHOLD {
         kernels().small
-    } else if pack_free(n, bj) {
-        kernels().in_place
     } else {
         gemm_packed
     };
     kernel(m, n, kdim, alpha, a, ai, ak, b, bk, bj, c, c_rs, mask);
-}
-
-/// Whether a product at or above [`PACK_THRESHOLD`] runs the packed kernel's
-/// tiles on its operands in place ([`gemm_in_place_impl`]): `op(B)` has
-/// contiguous rows and at most [`PACK_FREE_COLS`] columns, so each entry of
-/// `op(A)` is read by at most `PACK_FREE_COLS / NR` tiles.  Packing would
-/// copy every operand once to read it that few times.
-#[inline]
-fn pack_free(n: usize, bj: usize) -> bool {
-    bj == 1 && n <= PACK_FREE_COLS
 }
 
 /// The packed-panel driver (see the module docs for the loop structure).
@@ -534,12 +514,11 @@ unsafe fn gemm_packed(
 type MacroKernelFn =
     unsafe fn(usize, usize, usize, &[f64], &[f64], *mut f64, usize, Option<TriMask>);
 
-/// The kernels of one [`kernel_class`]: the packed product's macro kernel,
-/// the small product and the pack-free product.
+/// The kernels of one [`kernel_class`]: the packed product's macro kernel
+/// and the small product.
 struct Kernels {
     macro_kernel: MacroKernelFn,
     small: GemmFn,
-    in_place: GemmFn,
 }
 
 /// The kernels of this process's [`kernel_class`], picked once per process.
@@ -552,14 +531,12 @@ fn kernels() -> &'static Kernels {
     static PORTABLE: Kernels = Kernels {
         macro_kernel: macro_kernel_portable,
         small: gemm_small_portable,
-        in_place: gemm_in_place_portable,
     };
     #[cfg(target_arch = "x86_64")]
     {
         static AVX2: Kernels = Kernels {
             macro_kernel: macro_kernel_avx2,
             small: gemm_small_avx2,
-            in_place: gemm_in_place_avx2,
         };
         static KERNELS: OnceLock<&Kernels> = OnceLock::new();
         KERNELS.get_or_init(|| match kernel_class() {
@@ -735,342 +712,20 @@ unsafe fn macro_kernel_impl<const FMA: bool, const MASKED: bool>(
 fn accumulate_tile<const FMA: bool>(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR] {
     let mut acc = [[0.0f64; NR]; MR];
     for k in 0..kc {
-        let a = apanel[k * MR..k * MR + MR]
-            .try_into()
-            .expect("an MR-entry step");
-        let b = bpanel[k * NR..k * NR + NR]
-            .try_into()
-            .expect("an NR-entry step");
-        tile_step::<FMA>(&mut acc, a, b);
-    }
-    acc
-}
-
-/// One `k`-step of the `MR×NR` register tile: `acc += a·bᵀ`, fused when
-/// `FMA`.
-#[inline(always)]
-fn tile_step<const FMA: bool>(acc: &mut [[f64; NR]; MR], a: &[f64; MR], b: &[f64; NR]) {
-    for i in 0..MR {
-        let ai = a[i];
-        for j in 0..NR {
-            if FMA {
-                acc[i][j] = ai.mul_add(b[j], acc[i][j]);
-            } else {
-                acc[i][j] += ai * b[j];
-            }
-        }
-    }
-}
-
-/// The packed product without the packing, for products [`pack_free`]
-/// admits: [`gemm_packed`]'s blocks, skips and tiles, each tile reading its
-/// `MR` rows of `op(A)` (scaled by `alpha`) and `NR` columns of `op(B)`
-/// where they lie instead of from packed panels.  A tile multiplies the
-/// values the packed panels would hold: a masked-out entry inside its
-/// `k`-range reads as zero, and a ragged edge repeats its last row or pads
-/// its columns with zeros, sums that are not written back.  Each tile's
-/// chain starts from zero per `pc` block and is added into `C` once, so the
-/// result is bitwise the packed product's.
-///
-/// # Safety
-/// Same contract as [`gemm_accumulate`]; `op(B)`'s rows must be contiguous
-/// (`bj == 1`).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // BLAS-style kernel signature
-unsafe fn gemm_in_place_impl<const FMA: bool>(
-    m: usize,
-    n: usize,
-    kdim: usize,
-    alpha: f64,
-    a: *const f64,
-    ai: usize,
-    ak: usize,
-    b: *const f64,
-    bk: usize,
-    bj: usize,
-    c: *mut f64,
-    c_rs: usize,
-    mask: Option<TriMask>,
-) {
-    debug_assert_eq!(bj, 1);
-    let (a_mask, b_mask) = split_mask(mask);
-    let mut jc = 0;
-    while jc < n {
-        let nc = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < kdim {
-            let kc = KC.min(kdim - pc);
-            if !pc_block_live(a_mask, b_mask, m, jc, nc, pc, kc) {
-                pc += KC;
-                continue;
-            }
-            let b_local = b_mask.map(|mk| mk.rebased(jc, pc));
-            let mut ic = 0;
-            while ic < m {
-                let mc = MC.min(m - ic);
-                if a_mask.is_some_and(|mk| !mk.live(ic, mc, pc, kc)) {
-                    ic += MC;
-                    continue;
-                }
-                let a_local = a_mask.map(|mk| mk.rebased(ic, pc));
-                let blk = Block {
-                    a: a.add(ic * ai + pc * ak),
-                    ai,
-                    ak,
-                    b: b.add(pc * bk + jc),
-                    bk,
-                    mc,
-                    nc,
-                    kc,
-                };
-                let c_blk = c.add(ic * c_rs + jc);
-                match a_local.or(b_local) {
-                    None => in_place_block::<FMA, false>(alpha, &blk, c_blk, c_rs, None),
-                    mk => in_place_block::<FMA, true>(alpha, &blk, c_blk, c_rs, mk),
-                }
-                ic += MC;
-            }
-            pc += KC;
-        }
-        jc += NC;
-    }
-}
-
-/// One `mc×kc` block of `op(A)` and `kc×nc` block of `op(B)`, read in
-/// place: `A[i, k]` at `a + i·ai + k·ak`, `B[k, j]` at `b + k·bk + j`.
-struct Block {
-    a: *const f64,
-    ai: usize,
-    ak: usize,
-    b: *const f64,
-    bk: usize,
-    mc: usize,
-    nc: usize,
-    kc: usize,
-}
-
-/// [`macro_kernel_impl`] on a [`Block`] read in place; `mask` is rebased to
-/// the block, and `MASKED` says whether it is set.
-///
-/// # Safety
-/// The block's pointers must be valid for its reads, and `c` for reads and
-/// writes of the `mc×nc` block at row stride `c_rs`.
-#[inline(always)]
-unsafe fn in_place_block<const FMA: bool, const MASKED: bool>(
-    alpha: f64,
-    blk: &Block,
-    c: *mut f64,
-    c_rs: usize,
-    mask: Option<TriMask>,
-) {
-    let (mc, nc, kc) = (blk.mc, blk.nc, blk.kc);
-    let mut jr = 0;
-    while jr < nc {
-        let nr = NR.min(nc - jr);
-        let mut ir = 0;
-        while ir < mc {
-            let mr = MR.min(mc - ir);
-            let ahead = ir + PREFETCH_AHEAD * MR;
-            prefetch_rows(blk.a, (blk.ai, blk.ak), ahead..ahead + MR, mc, kc);
-            // The kept `k`-range of the tile and of each of its rows of
-            // `op(A)` (or columns of `op(B)`), as `zero_masked` reads them.
-            let (k0, k1, keep) = match mask {
-                Some(mk) if MASKED => {
-                    let (o0, w) = if mk.on_b() { (jr, NR) } else { (ir, MR) };
-                    let (k0, k1) = mk.k_range(o0, w, kc);
-                    (k0, k1, std::array::from_fn(|i| mk.k_range(o0 + i, 1, kc)))
-                }
-                _ => (0, kc, [(0, kc); NR]),
-            };
-            if k0 < k1 {
-                let rows: [*const f64; MR] =
-                    std::array::from_fn(|i| blk.a.add((ir + i).min(mc - 1) * blk.ai));
-                let b = blk.b.add(jr);
-                let acc = if nr == NR {
-                    in_place_tile::<FMA, MASKED, true>(alpha, rows, blk, b, nr, k0..k1, &keep, mask)
+        let a = &apanel[k * MR..k * MR + MR];
+        let b = &bpanel[k * NR..k * NR + NR];
+        for i in 0..MR {
+            let ai = a[i];
+            for j in 0..NR {
+                if FMA {
+                    acc[i][j] = ai.mul_add(b[j], acc[i][j]);
                 } else {
-                    in_place_tile::<FMA, MASKED, false>(
-                        alpha,
-                        rows,
-                        blk,
-                        b,
-                        nr,
-                        k0..k1,
-                        &keep,
-                        mask,
-                    )
-                };
-                for (i, row) in acc.iter().enumerate().take(mr) {
-                    let crow = c.add((ir + i) * c_rs + jr);
-                    for (j, v) in row.iter().enumerate().take(nr) {
-                        *crow.add(j) += v;
-                    }
+                    acc[i][j] += ai * b[j];
                 }
             }
-            ir += MR;
-        }
-        jr += NR;
-    }
-}
-
-/// How many tiles ahead the kernels that read `op(A)` in place
-/// ([`in_place_block`], [`gemm_small_impl`]) ask for its rows: the operand is
-/// often a cold matrix whose rows are a stride apart that the hardware does
-/// not run ahead of.
-const PREFETCH_AHEAD: usize = 2;
-
-/// Hints the cache to fetch rows `rows` (clipped to `m`) of the `op(A)` at
-/// `a`, over its first `kdim` columns: a hint, with no effect on any value.
-#[inline(always)]
-fn prefetch_rows(
-    a: *const f64,
-    (ai, ak): (usize, usize),
-    rows: Range<usize>,
-    m: usize,
-    kdim: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    for i in rows.start..rows.end.min(m) {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let row = a.wrapping_add(i * ai);
-        for k in (0..kdim).step_by(8) {
-            // SAFETY: a prefetch never faults and reads nothing.
-            unsafe { _mm_prefetch(row.wrapping_add(k * ak).cast(), _MM_HINT_T0) };
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (a, ai, ak, rows, m, kdim);
-}
-
-/// The `MR×NR` register tile of [`accumulate_tile`] over `ks`, from
-/// operands in place: row `i` of `op(A)` at `rows[i]`, `B[k, j]` at
-/// `b + k·bk + j` for `j < nr` (`FULL` when `nr == NR`), zeros past it.
-/// Under a mask, the entries outside `keep[i]` read as zeros.
-///
-/// # Safety
-/// Every row pointer must be valid for reads at `k·ak` and `b` for the
-/// `nr` entries of each row `k`, for every `k` in `ks`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // one tile's operands
-unsafe fn in_place_tile<const FMA: bool, const MASKED: bool, const FULL: bool>(
-    alpha: f64,
-    rows: [*const f64; MR],
-    blk: &Block,
-    b: *const f64,
-    nr: usize,
-    ks: Range<usize>,
-    keep: &[(usize, usize); NR],
-    mask: Option<TriMask>,
-) -> [[f64; NR]; MR] {
-    let on_b = MASKED && mask.is_some_and(|mk| mk.on_b());
-    let kept = |w: usize, k: usize| (keep[w].0..keep[w].1).contains(&k);
-    let mut acc = [[0.0f64; NR]; MR];
-    #[cfg(target_arch = "x86_64")]
-    let mut lanes = [std::arch::x86_64::_mm256_setzero_pd(); 2 * MR];
-    for k in ks {
-        let brow = b.add(k * blk.bk);
-        let mut b_k = [0.0f64; NR];
-        if FULL {
-            b_k = *brow.cast();
-        } else {
-            b_k[..nr].copy_from_slice(std::slice::from_raw_parts(brow, nr));
-        }
-        let mut a_k: [f64; MR] = std::array::from_fn(|i| alpha * *rows[i].add(k * blk.ak));
-        if MASKED && on_b {
-            (0..NR).for_each(|j| b_k[j] = if kept(j, k) { b_k[j] } else { 0.0 });
-        } else if MASKED {
-            (0..MR).for_each(|i| a_k[i] = if kept(i, k) { a_k[i] } else { 0.0 });
-        }
-        #[cfg(target_arch = "x86_64")]
-        if FMA {
-            fma_step_avx2(&mut lanes, &a_k, &b_k);
-            continue;
-        }
-        tile_step::<FMA>(&mut acc, &a_k, &b_k);
-    }
-    #[cfg(target_arch = "x86_64")]
-    if FMA {
-        use std::arch::x86_64::_mm256_storeu_pd;
-        for (row, pair) in acc.iter_mut().zip(lanes.chunks_exact(2)) {
-            _mm256_storeu_pd(row.as_mut_ptr(), pair[0]);
-            _mm256_storeu_pd(row.as_mut_ptr().add(4), pair[1]);
         }
     }
     acc
-}
-
-/// [`tile_step`] fused, on the tile held as `MR` pairs of 4-lane vectors:
-/// the same `mul_add` per entry, spelled so that the accumulators stay in
-/// registers where the compiler would not keep the array there.
-///
-/// # Safety
-/// Only inside an AVX2+FMA context (the `FMA` kernels).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn fma_step_avx2(
-    lanes: &mut [std::arch::x86_64::__m256d; 2 * MR],
-    a: &[f64; MR],
-    b: &[f64; NR],
-) {
-    use std::arch::x86_64::{_mm256_fmadd_pd, _mm256_loadu_pd, _mm256_set1_pd};
-    let (b0, b1) = (
-        _mm256_loadu_pd(b.as_ptr()),
-        _mm256_loadu_pd(b.as_ptr().add(4)),
-    );
-    for (i, pair) in lanes.chunks_exact_mut(2).enumerate() {
-        let ai = _mm256_set1_pd(a[i]);
-        pair[0] = _mm256_fmadd_pd(ai, b0, pair[0]);
-        pair[1] = _mm256_fmadd_pd(ai, b1, pair[1]);
-    }
-}
-
-/// AVX2+FMA instantiation of the pack-free product.
-///
-/// # Safety
-/// Same contract as [`gemm_in_place_impl`]; additionally the CPU must
-/// support AVX2 and FMA (guaranteed by [`kernels`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)] // BLAS-style kernel signature
-unsafe fn gemm_in_place_avx2(
-    m: usize,
-    n: usize,
-    kdim: usize,
-    alpha: f64,
-    a: *const f64,
-    ai: usize,
-    ak: usize,
-    b: *const f64,
-    bk: usize,
-    bj: usize,
-    c: *mut f64,
-    c_rs: usize,
-    mask: Option<TriMask>,
-) {
-    gemm_in_place_impl::<true>(m, n, kdim, alpha, a, ai, ak, b, bk, bj, c, c_rs, mask)
-}
-
-/// Portable instantiation of the pack-free product.
-///
-/// # Safety
-/// Same contract as [`gemm_in_place_impl`].
-#[allow(clippy::too_many_arguments)] // BLAS-style kernel signature
-unsafe fn gemm_in_place_portable(
-    m: usize,
-    n: usize,
-    kdim: usize,
-    alpha: f64,
-    a: *const f64,
-    ai: usize,
-    ak: usize,
-    b: *const f64,
-    bk: usize,
-    bj: usize,
-    c: *mut f64,
-    c_rs: usize,
-    mask: Option<TriMask>,
-) {
-    gemm_in_place_impl::<false>(m, n, kdim, alpha, a, ai, ak, b, bk, bj, c, c_rs, mask)
 }
 
 /// Register-tiled i-k-j loop for products too small to be worth packing.
@@ -1136,8 +791,6 @@ unsafe fn gemm_small_impl(
     let mut i = 0;
     while i < m {
         let (arow, crow) = (a.add(i * ai), c.add(i * c_rs));
-        let ahead = i + PREFETCH_AHEAD * MR;
-        prefetch_rows(a, (ai, ak), ahead..ahead + MR, m, kdim);
         if m - i >= MR {
             let ranges = std::array::from_fn(|r| range(i + r));
             match a_mask {
@@ -1406,98 +1059,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// A small deterministic generator for the randomized oracles.
-    struct Lcg(u64);
-
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            self.0 >> 33
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-
-        fn value(&mut self) -> f64 {
-            match self.below(9) {
-                0 => 0.0,
-                1 => -0.0,
-                _ => (self.next() % 2001) as f64 / 1000.0 - 1.0,
-            }
-        }
-    }
-
-    /// The pack-free product is bitwise the packed one, forced on the same
-    /// operands: random shapes (rows past `MC`, depths past `KC`, up to
-    /// `PACK_FREE_COLS` columns, ragged tiles), operands read at strides
-    /// from inside larger matrices, `op(A)` stored or transposed, random
-    /// `alpha`, `C` holding `-0.0`, and masks of either triangle on either
-    /// operand with the diagonal moved, including masks that skip whole
-    /// blocks.
-    #[test]
-    fn pack_free_products_are_bitwise_the_packed_product() {
-        let mut rng = Lcg(0x5eed);
-        for case in 0..300 {
-            let m = 1 + rng.below(2 * MC);
-            let kdim = 1 + rng.below(KC + 40);
-            let n = 1 + rng.below(PACK_FREE_COLS);
-            let a_trans = rng.below(2) == 1;
-            let alpha = [1.0, -1.0, 1.5, -0.75][rng.below(4)];
-            let mask = match rng.below(5) {
-                0 | 1 => None,
-                pick => {
-                    let tri = [Triangle::Lower, Triangle::Upper][rng.below(2)];
-                    let offset = rng.below(2 * KC) as isize - KC as isize;
-                    let mk = if pick == 2 {
-                        TriMask::b(tri)
-                    } else {
-                        TriMask::a(tri)
-                    };
-                    Some(mk.with_diagonal(offset))
-                }
-            };
-            // Stored operands inside larger ones, so every stride differs
-            // from the block's width.
-            let (ar, ac) = if a_trans { (kdim, m) } else { (m, kdim) };
-            let a_big = Matrix::from_fn(ar + 3, ac + 5, |_, _| rng.value());
-            let b_big = Matrix::from_fn(kdim + 2, n + 7, |_, _| rng.value());
-            let c0 = Matrix::from_fn(m + 1, n + 3, |_, _| rng.value());
-            let a = a_big.view(2, 1, ar, ac);
-            let b = b_big.view(1, 4, kdim, n);
-            let (ai, ak) = op_strides(a, a_trans);
-            let run = |kernel: GemmFn| {
-                let mut c = c0.clone();
-                let mut cv = c.view_mut(1, 2, m, n);
-                unsafe {
-                    kernel(
-                        m,
-                        n,
-                        kdim,
-                        alpha,
-                        a.as_ptr(),
-                        ai,
-                        ak,
-                        b.as_ptr(),
-                        b.stride(),
-                        1,
-                        cv.as_mut_ptr(),
-                        cv.stride(),
-                        mask,
-                    )
-                };
-                c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            };
-            assert!(
-                run(kernels().in_place) == run(gemm_packed),
-                "case {case}: ({m},{kdim},{n}) aᵀ {a_trans} alpha {alpha} mask {mask:?}"
-            );
         }
     }
 
