@@ -39,7 +39,7 @@ fn distributed(q: usize, n: usize, k: usize, req: SolveRequest) -> Matrix {
         };
         let a = DistMatrix::from_global(grid, &a_global);
         let b = DistMatrix::from_global(grid, &gen::rhs(n, k, 42));
-        let sol = req.solve_distributed(&a, &b).expect("distributed solve");
+        let sol = req.solve(&a, &b).expect("distributed solve");
         sol.x.to_global()
     });
     ranks.swap_remove(0)
@@ -48,8 +48,8 @@ fn distributed(q: usize, n: usize, k: usize, req: SolveRequest) -> Matrix {
 /// `op(A)·x = b` for one right-hand-side vector through the staged API.
 fn sparse_vec(req: SolveRequest, m: &sparse::SparseTri, b: &[f64]) -> Vec<f64> {
     let mut x = b.to_vec();
-    let plan = req.plan_sparse(m, 1).expect("plan_sparse");
-    plan.execute_sparse_in_place(m, x.as_mut_slice())
+    let plan = req.plan(m, 1).expect("plan_sparse");
+    plan.execute_in_place(m, x.as_mut_slice())
         .expect("sparse solve");
     x
 }
@@ -77,9 +77,9 @@ fn rows(budget: usize) -> String {
 
     let l = gen::well_conditioned_lower(384, 21);
     let rhs = gen::rhs(384, 96, 22);
-    let x = lower.solve_dense(&l, &rhs).unwrap().x;
+    let x = lower.solve(&l, &rhs).unwrap().x;
     out += &checksum("trsm_left_lower_384x96", x.as_slice());
-    let xt = lower.transposed().solve_dense(&l, &rhs).unwrap().x;
+    let xt = lower.transposed().solve(&l, &rhs).unwrap().x;
     out += &checksum("trsm_left_lower_t_384x96", xt.as_slice());
     let mut xr = gen::rhs(96, 384, 23);
     let right_upper = SolveOpts::upper().side(Side::Right);
@@ -96,7 +96,7 @@ fn rows(budget: usize) -> String {
     let sbm = Matrix::from_fn(8_000, 8, |i, j| ((i * 7 + j * 3) % 17) as f64 - 8.0);
     let su = sparse::gen::random_upper(8_000, 10, 33);
     let upper = SolveRequest::upper().threads(budget);
-    let sxm = upper.solve_sparse(&su, &sbm).unwrap().x;
+    let sxm = upper.solve(&su, &sbm).unwrap().x;
     out += &checksum("sparse_solve_multi_upper_8000x8", sxm.as_slice());
     // Deep narrow DAG: 10 000 four-row levels, which the rule keeps
     // sequential under any budget.

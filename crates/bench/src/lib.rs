@@ -102,7 +102,7 @@ pub fn on_grid<T: Send>(
 
 /// Run `call` on this rank and return its result with the counters it
 /// charged: the measured window, opened and closed around the call alone,
-/// as `execute_distributed` measures a solve.
+/// as a distributed `SolvePlan::execute` measures a solve.
 pub fn window<T>(grid: &Grid2D, call: impl FnOnce() -> T) -> (T, CostCounters) {
     let comm = grid.comm();
     let before = comm.counters();
@@ -196,11 +196,11 @@ impl TrsmInstance {
 /// Solve `inst` as `request` describes — pinned to one of the paper's
 /// algorithms, or left to the Section VIII planner — on a machine with the
 /// given parameters.  The report is the solve's own window, which is what
-/// `execute_distributed` reports as `sol.report.comm`; the result check
+/// a distributed `execute` reports as `sol.report.comm`; the result check
 /// stays outside it.
 pub fn run(inst: &TrsmInstance, request: SolveRequest, params: MachineParams) -> Run {
     inst.solve_with(params, |l, b| {
-        let sol = request.solve_distributed(l, b).expect("distributed solve");
+        let sol = request.solve(l, b).expect("distributed solve");
         (sol.x, sol.report.phases)
     })
 }
@@ -424,7 +424,7 @@ mod tests {
             let l = gen::well_conditioned_lower(inst.n, inst.seed);
             let l = DistMatrix::from_global(grid, &l);
             let b = DistMatrix::from_global(grid, &gen::rhs(inst.n, inst.k, 5));
-            let (sol, window) = window(grid, || SolveRequest::lower().solve_distributed(&l, &b));
+            let (sol, window) = window(grid, || SolveRequest::lower().solve(&l, &b));
             (sol.unwrap().report.comm, window)
         });
         for (solve, window) in windows {

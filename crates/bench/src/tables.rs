@@ -669,7 +669,7 @@ pub fn op_costs() -> Table {
                     DistMatrix::from_global(grid, &a),
                     DistMatrix::from_global(grid, &b),
                 );
-                let (sol, counters) = window(grid, || request.solve_distributed(&a, &b).unwrap());
+                let (sol, counters) = window(grid, || request.solve(&a, &b).unwrap());
                 let x_ref = DistMatrix::from_global(grid, &x_true);
                 Measured {
                     counters,

@@ -101,7 +101,7 @@ mod tests {
                 let b = DistMatrix::from_global(&grid, &b_global);
                 let sol = SolveRequest::lower()
                     .algorithm(algorithm)
-                    .solve_distributed(&l, &b)
+                    .solve(&l, &b)
                     .unwrap();
                 dense::norms::rel_diff(&sol.x.to_global(), &x_true)
             })
@@ -132,7 +132,7 @@ mod tests {
                 let b = DistMatrix::from_global(&grid, &b_global);
                 let sol = SolveRequest::upper()
                     .algorithm(Algorithm::Recursive { base_size: 8 })
-                    .solve_distributed(&u, &b)
+                    .solve(&u, &b)
                     .unwrap();
                 dense::norms::rel_diff(&sol.x.to_global(), &x_true)
             })

@@ -83,10 +83,8 @@ fn cholesky_inner(a: &DistMatrix, cfg: &FactorConfig) -> Result<DistMatrix> {
 
     // L21 = A21·L11⁻ᵀ, computed as L21ᵀ = L11⁻¹·A21ᵀ (a TRSM).
     let a21t = transpose(&a21)?;
-    let l21t = SolveRequest::lower()
-        .algorithm(cfg.trsm)
-        .solve_distributed(&l11, &a21t)?
-        .x;
+    let req = SolveRequest::lower().algorithm(cfg.trsm);
+    let l21t = req.solve(&l11, &a21t)?.x;
     let l21 = transpose(&l21t)?;
 
     // Trailing update A22 ← A22 − L21·L21ᵀ.
@@ -109,11 +107,11 @@ fn cholesky_inner(a: &DistMatrix, cfg: &FactorConfig) -> Result<DistMatrix> {
 pub fn cholesky_solve(a: &DistMatrix, b: &DistMatrix, cfg: &FactorConfig) -> Result<DistMatrix> {
     let l = cholesky_factor(a, cfg)?;
     let req = SolveRequest::lower().algorithm(cfg.trsm);
-    let y = req.solve_distributed(&l, b)?.x;
+    let y = req.solve(&l, b)?.x;
     // Backward solve Lᵀ·X = Y straight off the stored factor: the staged
     // API's transposed request relabels L (its local pieces transposed, no
     // word moved), and the algorithm pays only its entry layout change.
-    Ok(req.transposed().solve_distributed(&l, &y)?.x)
+    Ok(req.transposed().solve(&l, &y)?.x)
 }
 
 #[cfg(test)]

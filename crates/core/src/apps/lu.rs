@@ -68,17 +68,14 @@ fn lu_inner(a: &DistMatrix, cfg: &FactorConfig) -> Result<(DistMatrix, DistMatri
 
     // U12 = L11⁻¹·A12.
     let req = SolveRequest::lower().algorithm(cfg.trsm);
-    let u12 = req.solve_distributed(&l11, &a12)?.x;
+    let u12 = req.solve(&l11, &a12)?.x;
 
     // L21 = A21·U11⁻¹, computed as L21ᵀ = U11⁻ᵀ·A21ᵀ (U11ᵀ is lower).
     let a21t = transpose(&a21)?;
     // U11ᵀ is lower triangular: solve it via the transposed request on the
     // stored U11 (no second materialized transpose).
-    let l21t = SolveRequest::upper()
-        .transposed()
-        .algorithm(cfg.trsm)
-        .solve_distributed(&u11, &a21t)?
-        .x;
+    let req = SolveRequest::upper().transposed().algorithm(cfg.trsm);
+    let l21t = req.solve(&u11, &a21t)?.x;
     let l21 = transpose(&l21t)?;
 
     // Trailing update A22 ← A22 − L21·U12.
@@ -103,14 +100,8 @@ fn lu_inner(a: &DistMatrix, cfg: &FactorConfig) -> Result<(DistMatrix, DistMatri
 /// triangular solves.
 pub fn lu_solve(a: &DistMatrix, b: &DistMatrix, cfg: &FactorConfig) -> Result<DistMatrix> {
     let (l, u) = lu_factor(a, cfg)?;
-    let y = SolveRequest::lower()
-        .algorithm(cfg.trsm)
-        .solve_distributed(&l, b)?
-        .x;
-    Ok(SolveRequest::upper()
-        .algorithm(cfg.trsm)
-        .solve_distributed(&u, &y)?
-        .x)
+    let y = SolveRequest::lower().algorithm(cfg.trsm).solve(&l, b)?.x;
+    Ok(SolveRequest::upper().algorithm(cfg.trsm).solve(&u, &y)?.x)
 }
 
 #[cfg(test)]

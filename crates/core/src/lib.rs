@@ -24,15 +24,12 @@
 //!
 //! The algorithms are plain functions with plain arguments
 //! (`rec_trsm(l, b, base_size)`, `mm3d(a, x, p1, a_tri)`, …); the high-level
-//! entry point is the staged API of [`solve`]:
-//! a [`SolveRequest`] (triangle, [`dense::Transpose`], [`dense::Diag`],
-//! pins) lowers to an inspectable [`SolvePlan`] — the resolved [`Algorithm`]
-//! plus the Section VIII cost prediction — which executes into a [`Solution`]
-//! whose [`SolveReport`] uniformly carries the measured flops, this rank's
-//! communication counters and (for the iterative algorithm) the per-phase
-//! breakdown.  The same request type drives the local dense kernels and the
-//! sparse level-scheduled executors, so one call convention covers every
-//! backend.
+//! entry point is the staged API of [`solve`]: a [`SolveRequest`] lowers to
+//! an inspectable [`SolvePlan`] — the resolved [`Algorithm`] plus the
+//! Section VIII cost prediction — which executes into a [`Solution`] and its
+//! measured [`SolveReport`].  The operand picks the backend
+//! ([`SolveOperand`]: a dense `Matrix`, a `SparseTri` or a `DistMatrix`), so
+//! one call covers all three.
 //!
 //! ## Example
 //!
@@ -51,14 +48,10 @@
 //!         let b_global = dense::matmul(&l_global, &x_true);
 //!         let l = DistMatrix::from_global(&grid, &l_global);
 //!         let b = DistMatrix::from_global(&grid, &b_global);
-//!         // Plan first (inspectable: chosen algorithm + predicted cost)…
-//!         // Every rank lowers its own plan here, each walking all p ranks;
-//!         // `solve_distributed` would plan once for the whole run.
-//!         let plan = SolveRequest::lower()
-//!             .plan_distributed(n, k, comm.size())
-//!             .unwrap();
-//!         // …then execute; the report carries the measured counters.
-//!         let sol = plan.execute_distributed(&l, &b).unwrap();
+//!         // One call: the first rank to arrive plans for the run (the
+//!         // plan names the chosen algorithm and its predicted cost), then
+//!         // every rank executes it; the report carries the measured counters.
+//!         let sol = SolveRequest::lower().solve(&l, &b).unwrap();
 //!         let x_ref = DistMatrix::from_global(&grid, &x_true);
 //!         (sol.x.rel_diff(&x_ref).unwrap(), sol.report.flops.get())
 //!     })
@@ -83,7 +76,9 @@ pub mod wavefront;
 pub use api::Algorithm;
 pub use error::TrsmError;
 pub use it_inv_trsm::{ItInvConfig, PhaseBreakdown};
-pub use solve::{LevelReport, PlanBackend, Solution, SolvePlan, SolveReport, SolveRequest};
+pub use solve::{
+    LevelReport, PlanBackend, Solution, SolveOperand, SolvePlan, SolveReport, SolveRequest,
+};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, TrsmError>;

@@ -1,51 +1,92 @@
-//! Executing a plan on the sparse backend.
+//! The sparse operand: a [`SparseTri`].
 
+use super::operand::sealed::{LocalOperand, Operand};
+use super::operand::{execute_local, SolveOperand};
 use super::plan::{sparse_algorithm_name, PlanBackend, SolvePlan};
 use super::report::{LevelReport, Solution, SolveReport};
+use super::request::SolveRequest;
 use crate::error::config_error;
 use crate::Result;
-use dense::{MatMut, Matrix};
+use dense::{MatMut, Matrix, Side, Transpose};
 use sparse::SparseTri;
 
-impl SolvePlan {
-    /// Execute this sparse plan for a block of right-hand sides.
-    pub fn execute_sparse(&self, a: &SparseTri, b: &Matrix) -> Result<Solution<Matrix>> {
-        let mut x = b.clone();
-        let mut report = self.execute_sparse_in_place(a, &mut x)?;
-        if self.request.residual {
-            let e = a.executor(self.request.opts.transpose);
-            report.residual = Some(sparse_residual(e, &x, b));
+/// The sparse storage carries its triangle and diagonal kind, so a request
+/// (and the plan lowered from it) must describe the matrix it runs on.
+fn check(a: &SparseTri, opts: &dense::SolveOpts, n: usize, stage: &'static str) -> Result<()> {
+    if a.n() != n || a.triangle() != opts.triangle || a.diag() != opts.diag {
+        let reason = format!(
+            "a request for an n = {n} {:?} {:?} matrix, got n = {} {:?} {:?}",
+            opts.triangle,
+            opts.diag,
+            a.n(),
+            a.triangle(),
+            a.diag()
+        );
+        return Err(config_error(stage, reason));
+    }
+    Ok(())
+}
+
+impl SolveOperand for SparseTri {
+    type Rhs = Matrix;
+}
+
+impl Operand for SparseTri {
+    /// The plan records the worker count the executor will use and —
+    /// whenever the rule consulted it — the shape of the level schedule.
+    fn plan(&self, request: &SolveRequest, k: usize) -> Result<SolvePlan> {
+        let _span = obs::span_with("planner", "plan_sparse", "n", self.n() as u64);
+        if request.opts.side == Side::Right {
+            let reason = "sparse solves are left-sided (op(A)·X = B)";
+            return Err(config_error("plan_sparse", reason));
         }
-        Ok(Solution { x, report })
+        check(self, &request.opts, self.n(), "plan_sparse")?;
+        let sopts = request.sparse_opts();
+        let shape = self.execution_shape(&sopts, k);
+        Ok(SolvePlan {
+            n: self.n(),
+            k,
+            request: *request,
+            predicted_flops: self.solve_flops(k),
+            predicted_cost: None,
+            backend: PlanBackend::Sparse {
+                workers: shape.workers,
+                levels: shape.levels,
+                runs: shape.runs,
+                predicted_barriers: shape.barriers,
+                max_level_width: shape.max_level_width,
+                nnz: self.nnz(),
+                via_transpose: sopts.transpose == Transpose::Yes,
+            },
+        })
     }
 
-    /// Execute this sparse plan in place: `x` — a `&mut Matrix`, a
-    /// `&mut [f64]` (its `n×1` view) or any [`MatMut`] block — holds `B` on
-    /// entry and `X` on exit, allocating nothing beyond the (cached)
-    /// analysis.  (The residual option is skipped: `B` is consumed.)
-    ///
-    /// This is the shared-plan steady-state path: the plan and the operand
-    /// are only ever *borrowed* (callers typically hold them behind
-    /// `Arc<SolvePlan>` / `Arc<SparseTri>`, both `Send + Sync`).
-    pub fn execute_sparse_in_place<'x>(
-        &self,
-        a: &SparseTri,
-        x: impl Into<MatMut<'x>>,
-    ) -> Result<SolveReport> {
-        let PlanBackend::Sparse { .. } = self.backend else {
+    fn rhs_dims(b: &Matrix) -> (usize, usize) {
+        (b.rows(), b.cols())
+    }
+
+    fn execute(&self, plan: &SolvePlan, b: &Matrix) -> Result<Solution<Matrix>> {
+        execute_local(self, plan, b)
+    }
+}
+
+impl LocalOperand for SparseTri {
+    /// The shared-plan steady-state path: the plan and the operand are
+    /// only borrowed (callers hold them behind `Arc`s).
+    fn solve_in_place(&self, plan: &SolvePlan, x: MatMut<'_>) -> Result<SolveReport> {
+        let PlanBackend::Sparse { .. } = plan.backend else {
             return Err(config_error("plan", "not a sparse plan"));
         };
-        self.check_sparse_operand(a)?;
-        let x = x.into();
+        check(self, &plan.request.opts, plan.n, "plan")?;
         let k = x.cols();
         let shape = {
-            let _span = obs::span_with("core", "execute", "n", self.n as u64);
-            a.solve_multi_shaped(&self.request.sparse_opts(), x)?
+            let _span = obs::span_with("core", "execute", "n", plan.n as u64);
+            self.solve_multi_shaped(&plan.request.sparse_opts(), x)?
         };
         // Named and reported from the shape the executor returned, so the
         // report says what ran even if the caller's `B` is not as wide as
         // the plan's `k`.
-        let mut report = self.report(sparse_algorithm_name(shape.workers), a.solve_flops(k));
+        let mut report = plan.report(sparse_algorithm_name(shape.workers), self.solve_flops(k));
         report.levels = Some(LevelReport {
             workers: shape.workers,
             levels: shape.levels,
@@ -54,41 +95,22 @@ impl SolvePlan {
         Ok(report)
     }
 
-    /// [`SolvePlan::execute_sparse_in_place`] for one right-hand-side slice (the
-    /// name the frozen `perfbench/` package calls).
-    pub fn execute_sparse_vec_in_place(&self, a: &SparseTri, x: &mut [f64]) -> Result<SolveReport> {
-        self.execute_sparse_in_place(a, x)
-    }
-}
-
-/// Relative residual for a sparse solve, computed against the executor
-/// matrix `e` (already op-applied): `‖E·X − B‖_F / (‖E‖_F·‖X‖_F + ‖B‖_F)`.
-fn sparse_residual(e: &SparseTri, x: &Matrix, b: &Matrix) -> f64 {
-    let n = e.n();
-    let k = x.cols();
-    let mut diff_sq = 0.0;
-    for i in 0..n {
-        let (cols, vals) = e.row_entries(i);
-        for c in 0..k {
-            let mut acc = e.diag_value(i) * x[(i, c)];
-            for (&j, &v) in cols.iter().zip(vals) {
-                acc += v * x[(j, c)];
+    /// Through the executor matrix `E` (already op-applied), row by row.
+    fn product(&self, plan: &SolvePlan, x: &Matrix) -> Result<(Matrix, f64)> {
+        let e = self.executor(plan.request.opts.transpose);
+        let mut p = Matrix::zeros(x.rows(), x.cols());
+        let mut e_sq: f64 = (0..e.n()).map(|i| e.diag_value(i) * e.diag_value(i)).sum();
+        for i in 0..e.n() {
+            let (cols, vals) = e.row_entries(i);
+            e_sq += vals.iter().map(|v| v * v).sum::<f64>();
+            for c in 0..x.cols() {
+                let mut acc = e.diag_value(i) * x[(i, c)];
+                for (&j, &v) in cols.iter().zip(vals) {
+                    acc += v * x[(j, c)];
+                }
+                p[(i, c)] = acc;
             }
-            let d = acc - b[(i, c)];
-            diff_sq += d * d;
         }
-    }
-    let mut e_sq: f64 = (0..n).map(|i| e.diag_value(i) * e.diag_value(i)).sum();
-    for i in 0..n {
-        let (_, vals) = e.row_entries(i);
-        e_sq += vals.iter().map(|v| v * v).sum::<f64>();
-    }
-    let x_sq: f64 = x.as_slice().iter().map(|v| v * v).sum();
-    let b_sq: f64 = b.as_slice().iter().map(|v| v * v).sum();
-    let denom = e_sq.sqrt() * x_sq.sqrt() + b_sq.sqrt();
-    if denom == 0.0 {
-        diff_sq.sqrt()
-    } else {
-        diff_sq.sqrt() / denom
+        Ok((p, e_sq))
     }
 }

@@ -3,11 +3,8 @@
 use super::report::SolveReport;
 use super::request::SolveRequest;
 use crate::api::Algorithm;
-use crate::error::config_error;
-use crate::Result;
 use costmodel::Cost;
-use dense::{FlopCount, Matrix, SolveKernel, Transpose};
-use sparse::SparseTri;
+use dense::{FlopCount, SolveKernel, Transpose};
 use std::fmt;
 
 /// Backend-specific part of a [`SolvePlan`]: the chosen algorithm and its
@@ -113,46 +110,6 @@ impl SolvePlan {
             PlanBackend::Sparse { workers, .. } => sparse_algorithm_name(*workers),
             PlanBackend::Distributed { algorithm, .. } => algorithm.name(),
         }
-    }
-
-    /// A plan is only valid for operands shaped like the one it was
-    /// lowered against; executing it on a different matrix would silently
-    /// invalidate everything the plan recorded.
-    pub(super) fn check_dense_operand(&self, a: &Matrix) -> Result<()> {
-        if a.rows() != self.n || a.cols() != self.n {
-            return Err(config_error(
-                "plan",
-                format!(
-                    "planned for an {0}×{0} operand, got {1}×{2}",
-                    self.n,
-                    a.rows(),
-                    a.cols()
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    /// See [`SolvePlan::check_dense_operand`]: the sparse plan additionally
-    /// recorded the matrix's triangle and diagonal kind, which the request
-    /// was validated against at planning time.
-    pub(super) fn check_sparse_operand(&self, a: &SparseTri) -> Result<()> {
-        let opts = self.request.opts;
-        if a.n() != self.n || a.triangle() != opts.triangle || a.diag() != opts.diag {
-            return Err(config_error(
-                "plan",
-                format!(
-                    "planned for an n = {} {:?} {:?} matrix, got n = {} {:?} {:?}",
-                    self.n,
-                    opts.triangle,
-                    opts.diag,
-                    a.n(),
-                    a.triangle(),
-                    a.diag()
-                ),
-            ));
-        }
-        Ok(())
     }
 
     pub(super) fn report(&self, algorithm: &'static str, flops: FlopCount) -> SolveReport {

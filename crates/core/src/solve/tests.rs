@@ -13,7 +13,7 @@ use sparse::SparseTri;
 /// One right-hand-side vector through a sparse plan's in-place executor.
 fn sparse_vec(plan: &SolvePlan, m: &SparseTri, b: &[f64]) -> (Vec<f64>, SolveReport) {
     let mut x = b.to_vec();
-    let report = plan.execute_sparse_in_place(m, x.as_mut_slice()).unwrap();
+    let report = plan.execute_in_place(m, x.as_mut_slice()).unwrap();
     (x, report)
 }
 
@@ -29,10 +29,10 @@ fn dense_plan_and_execution_round_trip() {
         let x_true = gen::rhs(n, k, 2);
         let b = dense::matmul(&l, &x_true);
         let req = SolveRequest::lower().with_residual();
-        let plan = req.plan_dense(n, k).unwrap();
+        let plan = req.plan(&l, k).unwrap();
         assert!(matches!(plan.backend, PlanBackend::Dense { .. }));
         assert_eq!(plan.predicted_flops, solve_flops(n, k));
-        let sol = plan.execute_dense(&l, &b).unwrap();
+        let sol = plan.execute(&l, &b).unwrap();
         assert!(dense::norms::rel_diff(&sol.x, &x_true) < 1e-9);
         assert_eq!(sol.report.flops, solve_flops(n, k));
         assert!(sol.report.residual.unwrap() < 1e-12);
@@ -56,7 +56,7 @@ fn dense_transposed_request_solves_lt() {
     let sol = SolveRequest::lower()
         .transposed()
         .with_residual()
-        .solve_dense(&l, &b)
+        .solve(&l, &b)
         .unwrap();
     assert!(dense::norms::rel_diff(&sol.x, &x_true) < 1e-8);
     assert!(sol.report.residual.unwrap() < 1e-12);
@@ -77,7 +77,7 @@ fn dense_vec_and_unit_diagonal() {
     let xt = Matrix::from_vec(n, 1, x_true.clone()).unwrap();
     let b = dense::matmul(&l_unit, &xt);
     let req = SolveRequest::lower().unit_diagonal().with_residual();
-    let sol = req.solve_dense(&l, &b).unwrap();
+    let sol = req.solve(&l, &b).unwrap();
     for (got, want) in sol.x.as_slice().iter().zip(&x_true) {
         assert!((got - want).abs() < 1e-10);
     }
@@ -85,26 +85,26 @@ fn dense_vec_and_unit_diagonal() {
     // One right-hand side is one kernel, however it is handed in: a slice
     // and an n×1 view through the in-place executor return the bits the
     // allocating form (residual and all) returned above.
-    let plan = req.plan_dense(n, 1).unwrap();
+    let plan = req.plan(&l, 1).unwrap();
     let mut of_slice = b.as_slice().to_vec();
-    plan.execute_dense_in_place(&l, of_slice.as_mut_slice())
-        .unwrap();
+    plan.execute_in_place(&l, of_slice.as_mut_slice()).unwrap();
     let mut of_matrix = b.clone();
-    plan.execute_dense_in_place(&l, of_matrix.as_view_mut())
-        .unwrap();
+    plan.execute_in_place(&l, of_matrix.as_view_mut()).unwrap();
     assert_eq!(of_slice, sol.x.as_slice());
     assert_eq!(of_matrix, sol.x);
 }
 
 #[test]
 fn plan_backend_mismatch_is_rejected() {
-    let plan = SolveRequest::lower().plan_dense(8, 1).unwrap();
+    let plan = SolveRequest::lower()
+        .plan(&gen::well_conditioned_lower(8, 4), 1)
+        .unwrap();
     let m = sgen::random_lower(8, 2, 1);
     let mut x = [1.0; 8];
-    assert!(plan.execute_sparse_in_place(&m, &mut x[..]).is_err());
+    assert!(plan.execute_in_place(&m, &mut x[..]).is_err());
     let l = gen::well_conditioned_lower(8, 1);
-    let sparse_plan = SolveRequest::lower().plan_sparse(&m, 1).unwrap();
-    assert!(sparse_plan.execute_dense_in_place(&l, &mut x[..]).is_err());
+    let sparse_plan = SolveRequest::lower().plan(&m, 1).unwrap();
+    assert!(sparse_plan.execute_in_place(&l, &mut x[..]).is_err());
 }
 
 #[test]
@@ -113,20 +113,16 @@ fn plan_rejects_operands_it_was_not_lowered_for() {
     // execute against an upper (or differently sized) one.
     let lower = sgen::random_lower(16, 2, 1);
     let upper = sgen::random_upper(16, 2, 2);
-    let plan = SolveRequest::lower().plan_sparse(&lower, 1).unwrap();
-    assert!(plan
-        .execute_sparse_in_place(&upper, &mut [1.0; 16][..])
-        .is_err());
+    let plan = SolveRequest::lower().plan(&lower, 1).unwrap();
+    assert!(plan.execute_in_place(&upper, &mut [1.0; 16][..]).is_err());
     let small = sgen::random_lower(8, 2, 3);
-    assert!(plan
-        .execute_sparse_in_place(&small, &mut [1.0; 8][..])
-        .is_err());
+    assert!(plan.execute_in_place(&small, &mut [1.0; 8][..]).is_err());
     // Same for dense plans.
-    let dplan = SolveRequest::lower().plan_dense(16, 1).unwrap();
+    let dplan = SolveRequest::lower()
+        .plan(&gen::well_conditioned_lower(16, 4), 1)
+        .unwrap();
     let wrong = gen::well_conditioned_lower(8, 4);
-    assert!(dplan
-        .execute_dense_in_place(&wrong, &mut [1.0; 8][..])
-        .is_err());
+    assert!(dplan.execute_in_place(&wrong, &mut [1.0; 8][..]).is_err());
 }
 
 #[test]
@@ -146,7 +142,7 @@ fn dense_residual_ignores_the_opposite_triangle() {
     }
     let sol = SolveRequest::lower()
         .with_residual()
-        .solve_dense(&workspace, &b)
+        .solve(&workspace, &b)
         .unwrap();
     assert!(dense::norms::rel_diff(&sol.x, &x_true) < 1e-9);
     assert!(
@@ -166,7 +162,7 @@ fn sparse_plan_reports_levels_and_workers() {
     let m = sgen::deep_narrow_lower(n, 8192, 6, 7);
     let b = sgen::rhs_vec(n, 8);
     let req = SolveRequest::lower().threads(4);
-    let plan = req.plan_sparse(&m, 1).unwrap();
+    let plan = req.plan(&m, 1).unwrap();
     let PlanBackend::Sparse {
         workers,
         levels,
@@ -214,13 +210,11 @@ fn sparse_plan_reports_levels_and_workers() {
         .unwrap();
     assert_eq!(x, direct);
     let mut via_view = Matrix::from_vec(n, 1, b.clone()).unwrap();
-    let view_report = plan
-        .execute_sparse_in_place(&m, via_view.as_view_mut())
-        .unwrap();
+    let view_report = plan.execute_in_place(&m, via_view.as_view_mut()).unwrap();
     assert_eq!(via_view.as_slice(), direct);
     assert_eq!(view_report.levels, report.levels);
     // And bitwise what a budget of 1 computes.
-    let seq_plan = SolveRequest::lower().threads(1).plan_sparse(&m, 1).unwrap();
+    let seq_plan = SolveRequest::lower().threads(1).plan(&m, 1).unwrap();
     assert_eq!(sparse_vec(&seq_plan, &m, &b).0, x);
 }
 
@@ -232,7 +226,7 @@ fn sparse_plans_kept_sequential_report_the_analysed_shape() {
     // resolution.
     let m = sgen::banded_lower(20_000, 4, 19);
     let b = sgen::rhs_vec(m.n(), 8);
-    let plan = SolveRequest::lower().threads(4).plan_sparse(&m, 1).unwrap();
+    let plan = SolveRequest::lower().threads(4).plan(&m, 1).unwrap();
     let PlanBackend::Sparse {
         workers,
         levels,
@@ -267,7 +261,7 @@ fn sparse_transposed_and_residual() {
     let sol = SolveRequest::lower()
         .transposed()
         .with_residual()
-        .solve_sparse(&m, &Matrix::from_vec(n, 1, b.clone()).unwrap())
+        .solve(&m, &Matrix::from_vec(n, 1, b.clone()).unwrap())
         .unwrap();
     assert!(sol.report.residual.unwrap() < 1e-12);
     // Reference: solve the materialized transpose.
@@ -278,15 +272,9 @@ fn sparse_transposed_and_residual() {
 #[test]
 fn sparse_request_validates_against_matrix() {
     let m = sgen::random_lower(32, 3, 1);
-    assert!(SolveRequest::upper().plan_sparse(&m, 1).is_err());
-    assert!(SolveRequest::lower()
-        .unit_diagonal()
-        .plan_sparse(&m, 1)
-        .is_err());
-    assert!(SolveRequest::lower()
-        .side(Side::Right)
-        .plan_sparse(&m, 1)
-        .is_err());
+    assert!(SolveRequest::upper().plan(&m, 1).is_err());
+    assert!(SolveRequest::lower().unit_diagonal().plan(&m, 1).is_err());
+    assert!(SolveRequest::lower().side(Side::Right).plan(&m, 1).is_err());
 }
 
 #[test]
@@ -299,7 +287,7 @@ fn one_shot_reuse_plans_sequential_without_analysis() {
     let plan = SolveRequest::lower()
         .threads(4)
         .reuse(1)
-        .plan_sparse(&m, 1)
+        .plan(&m, 1)
         .unwrap();
     let PlanBackend::Sparse {
         workers,
@@ -322,7 +310,7 @@ fn one_shot_reuse_plans_sequential_without_analysis() {
     let plan = SolveRequest::lower()
         .threads(4)
         .reuse(100)
-        .plan_sparse(&m, 1)
+        .plan(&m, 1)
         .unwrap();
     let PlanBackend::Sparse {
         workers,
@@ -344,7 +332,7 @@ fn one_shot_reuse_plans_sequential_without_analysis() {
 #[test]
 fn sparse_sequential_plan_never_analyzes() {
     let m = sgen::random_lower(300, 3, 5);
-    let plan = SolveRequest::lower().threads(1).plan_sparse(&m, 1).unwrap();
+    let plan = SolveRequest::lower().threads(1).plan(&m, 1).unwrap();
     let b = sgen::rhs_vec(300, 6);
     let (_, report) = sparse_vec(&plan, &m, &b);
     assert_eq!(report.levels.unwrap().workers, 1);
@@ -385,7 +373,7 @@ fn distributed_auto_plan_is_inspectable_and_executes() {
             };
             assert_eq!(cfg.p1 * cfg.p1 * cfg.p2, 4);
             assert!(plan.predicted_cost.is_some());
-            let sol = plan.execute_distributed(&l, &b).unwrap();
+            let sol = plan.execute(&l, &b).unwrap();
             let err = dense::norms::rel_diff(&sol.x.to_global(), &x_true);
             let phases = sol.report.phases.expect("it_inv attaches phases");
             let comm_delta = sol.report.comm.expect("distributed attaches counters");
@@ -417,7 +405,7 @@ fn a_distributed_plan_quotes_the_busiest_ranks_flops() {
                 let grid = Grid2D::new(comm, 4, 4).unwrap();
                 let l = DistMatrix::from_global(&grid, &gen::well_conditioned_lower(n, 1));
                 let b = DistMatrix::from_global(&grid, &gen::rhs(n, k, 2));
-                plan.execute_distributed(&l, &b).unwrap().report.flops.get()
+                plan.execute(&l, &b).unwrap().report.flops.get()
             })
             .unwrap();
         let busiest = out.results.into_iter().max();
@@ -443,10 +431,7 @@ fn every_distributed_algorithm_feeds_the_same_report() {
             .run(move |comm| {
                 let grid = Grid2D::new(comm, 2, 2).unwrap();
                 let (l, b, x_true) = dist_instance(&grid, n, k, 31);
-                let sol = SolveRequest::lower()
-                    .algorithm(alg)
-                    .solve_distributed(&l, &b)
-                    .unwrap();
+                let sol = SolveRequest::lower().algorithm(alg).solve(&l, &b).unwrap();
                 let err = dense::norms::rel_diff(&sol.x.to_global(), &x_true);
                 (
                     err,
@@ -482,7 +467,7 @@ fn an_it_inv_drift_table_is_its_phase_rows_and_its_total_is_the_plan() {
                 let (l, b, _) = dist_instance(&grid, n, k, 41);
                 let request = SolveRequest::lower().algorithm(algorithm);
                 let plan = request.plan_distributed(n, k, comm.size()).unwrap();
-                let sol = plan.execute_distributed(&l, &b).unwrap();
+                let sol = plan.execute(&l, &b).unwrap();
                 let drift = plan.drift_report(&sol.report, costmodel::Machine::cluster());
                 (plan, sol.report, drift)
             })
@@ -643,7 +628,7 @@ fn distributed_transposed_and_upper_requests() {
                 .transposed()
                 .algorithm(Algorithm::Recursive { base_size: 8 })
                 .with_residual()
-                .solve_distributed(&l, &bt)
+                .solve(&l, &bt)
                 .unwrap();
             let err_t = dense::norms::rel_diff(&sol_t.x.to_global(), &x_true);
 
@@ -655,7 +640,7 @@ fn distributed_transposed_and_upper_requests() {
             let bu = DistMatrix::from_global(&grid, &bu_global);
             let sol_u = SolveRequest::upper()
                 .algorithm(Algorithm::Recursive { base_size: 8 })
-                .solve_distributed(&u, &bu)
+                .solve(&u, &bu)
                 .unwrap();
             let err_u = dense::norms::rel_diff(&sol_u.x.to_global(), &xu_true);
             (err_t, sol_t.report.residual.unwrap(), err_u)
@@ -685,8 +670,8 @@ fn repeated_transposed_solves_cost_alike() {
             let req = SolveRequest::lower()
                 .transposed()
                 .algorithm(Algorithm::Recursive { base_size: 8 });
-            let s1 = req.solve_distributed(&l, &bt).unwrap();
-            let s2 = req.solve_distributed(&l, &bt).unwrap();
+            let s1 = req.solve(&l, &bt).unwrap();
+            let s2 = req.solve(&l, &bt).unwrap();
             let err = dense::norms::rel_diff(&s2.x.to_global(), &x_true);
             let sw = |c: simnet::CostCounters| (c.latency(), c.bandwidth());
             (
@@ -751,7 +736,7 @@ fn distributed_unit_diagonal_ignores_stored_diagonal() {
                     }
                     let a = DistMatrix::from_global(&grid, &a);
                     let b = DistMatrix::from_global(&grid, &b_global);
-                    let sol = request.solve_distributed(&a, &b).unwrap();
+                    let sol = request.solve(&a, &b).unwrap();
                     let err = dense::norms::rel_diff(&sol.x.to_global(), &x_true);
                     (err, sol.report.residual.unwrap())
                 })
@@ -794,7 +779,7 @@ fn distributed_solves_never_read_above_the_diagonal() {
                     }
                 );
                 let bits = |l: &DistMatrix| {
-                    let sol = plan.execute_distributed(l, &b).unwrap();
+                    let sol = plan.execute(l, &b).unwrap();
                     let x = sol.x.to_global();
                     let x: Vec<u64> = x.as_slice().iter().map(|v| v.to_bits()).collect();
                     (x, sol.report.residual.unwrap().to_bits())
@@ -844,7 +829,7 @@ fn it_inv_phases_cover_every_op_and_only_its_layout_changes_move() {
                 };
                 let a = DistMatrix::from_global(&grid, &a);
                 let b = DistMatrix::from_global(&grid, &gen::rhs(n, k, 72));
-                let sol = request.solve_distributed(&a, &b).unwrap();
+                let sol = request.solve(&a, &b).unwrap();
                 (sol.report.phases.unwrap(), sol.report.comm.unwrap())
             })
         })
@@ -872,7 +857,7 @@ fn a_distributed_plan_runs_only_on_what_it_was_planned_for() {
             let grid = Grid2D::new(comm, 2, 2).unwrap();
             let (l, b, _) = dist_instance(&grid, n, k, 81);
             let wavefront = SolveRequest::lower().algorithm(Algorithm::Wavefront);
-            let refused = |plan: SolvePlan| match plan.execute_distributed(&l, &b) {
+            let refused = |plan: SolvePlan| match plan.execute(&l, &b) {
                 Err(e) => e.to_string().contains("planned for"),
                 Ok(_) => false,
             };
@@ -883,7 +868,7 @@ fn a_distributed_plan_runs_only_on_what_it_was_planned_for() {
                 wavefront
                     .plan_distributed(n, k, 4)
                     .unwrap()
-                    .execute_distributed(&l, &b)
+                    .execute(&l, &b)
                     .is_ok(),
             ]
         })
@@ -899,14 +884,82 @@ fn right_side_requests_are_rejected_off_the_dense_backend() {
         .is_err());
 }
 
+/// The finite scan reaches the dense kernel through every entry point: a
+/// NaN in the operand's triangle or an infinity in `B` is refused before
+/// any arithmetic, with `B` left as it was, and the triangle the solve does
+/// not read is not scanned.
+#[test]
+fn validate_finite_refuses_a_non_finite_operand_or_rhs() {
+    let (n, k) = (24, 3);
+    let req = SolveRequest::lower().validate_finite();
+    let l = gen::well_conditioned_lower(n, 5);
+    let b = gen::rhs(n, k, 6);
+    let mut bad_l = l.clone();
+    bad_l[(9, 4)] = f64::NAN;
+    let mut bad_b = b.clone();
+    bad_b[(7, 2)] = f64::INFINITY;
+    let refused = |r: crate::Result<SolveReport>, which: &str| match r {
+        Err(crate::TrsmError::Dense(dense::DenseError::NonFiniteEntry { operand, .. })) => {
+            operand == which
+        }
+        _ => false,
+    };
+    for (a, rhs, which) in [(&bad_l, &b, "matrix"), (&l, &bad_b, "rhs")] {
+        assert!(
+            refused(req.solve(a, rhs).map(|s| s.report), which),
+            "{which}"
+        );
+        let mut x = rhs.clone();
+        let plan = req.plan(a, k).unwrap();
+        assert!(refused(plan.execute_in_place(a, &mut x), which), "{which}");
+        assert!(x.as_slice() == rhs.as_slice(), "{which}: B was written");
+    }
+    let mut above = l.clone();
+    above[(2, 9)] = f64::NAN;
+    assert!(req.solve(&above, &b).is_ok());
+    // Without the flag nothing is scanned, and the NaN reaches X.
+    let unscanned = SolveRequest::lower().solve(&bad_l, &b).unwrap();
+    assert!(unscanned.x.as_slice().iter().any(|v| v.is_nan()));
+}
+
+/// No rank of a distributed solve scans its pieces, so a distributed
+/// request with the finite scan is refused where it is planned — by the
+/// shape-only lowering and so on every rank of a run — instead of solving
+/// unscanned.
+#[test]
+fn validate_finite_is_refused_on_the_distributed_backend() {
+    fn refused<T>(r: crate::Result<T>) -> bool {
+        matches!(
+            r,
+            Err(crate::TrsmError::InvalidConfig {
+                algorithm: "plan_distributed",
+                ..
+            })
+        )
+    }
+    let req = SolveRequest::lower().validate_finite();
+    assert!(refused(req.plan_distributed(32, 8, 4)));
+    let (n, k) = (32, 8);
+    let out = Machine::new(4, MachineParams::unit())
+        .run(move |comm| {
+            let grid = Grid2D::new(comm, 2, 2).unwrap();
+            let (l, b, _) = dist_instance(&grid, n, k, 91);
+            (refused(req.plan(&l, k)), refused(req.solve(&l, &b)))
+        })
+        .unwrap();
+    assert!(out.results.into_iter().all(|r| r == (true, true)));
+}
+
 #[test]
 fn plan_display_is_informative() {
-    let plan = SolveRequest::lower().plan_dense(128, 8).unwrap();
+    let plan = SolveRequest::lower()
+        .plan(&Matrix::identity(128), 8)
+        .unwrap();
     let s = plan.to_string();
     assert!(s.contains("dense"));
     assert!(s.contains("128"));
     let m = sgen::random_lower(64, 2, 3);
-    let sp = SolveRequest::lower().plan_sparse(&m, 1).unwrap();
+    let sp = SolveRequest::lower().plan(&m, 1).unwrap();
     assert!(sp.to_string().contains("nnz"));
     // Why this plan, in one line, on every branch of the rule.
     let band = sgen::banded_lower(20_000, 4, 19);
@@ -914,24 +967,18 @@ fn plan_display_is_informative() {
     let budget4 = SolveRequest::lower().threads(4);
     for (plan, why) in [
         (
-            SolveRequest::lower().threads(1).plan_sparse(&wide, 1),
+            SolveRequest::lower().threads(1).plan(&wide, 1),
             "not analysed (budget 1)",
         ),
+        (budget4.plan(&m, 1), "not analysed (nnz·k below threshold)"),
+        (budget4.reuse(1).plan(&wide, 1), "not analysed (reuse 1)"),
         (
-            budget4.plan_sparse(&m, 1),
-            "not analysed (nnz·k below threshold)",
-        ),
-        (
-            budget4.reuse(1).plan_sparse(&wide, 1),
-            "not analysed (reuse 1)",
-        ),
-        (
-            budget4.plan_sparse(&band, 1),
+            budget4.plan(&band, 1),
             "20000 level(s) in 20000 run(s), 0 barrier(s): 4 stored entries per run \
              against a threshold of 32768: sequential",
         ),
         (
-            budget4.plan_sparse(&wide, 1),
+            budget4.plan(&wide, 1),
             "5 level(s) in 5 run(s), 5 barrier(s): 46169 stored entries per run \
              against a threshold of 32768: level sweep on 4 workers",
         ),

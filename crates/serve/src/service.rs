@@ -174,14 +174,15 @@ struct CachedPlan {
     operand: Operand,
 }
 
-/// The one place the service calls plan executors.
+/// Executing a cached plan: each `match` makes the same entry-point call
+/// on whichever operand kind the cache holds.
 impl CachedPlan {
     /// Solve for `b` into a fresh `X`, with the residual if the plan's
     /// request asked for one.
     fn execute(&self, b: &Matrix) -> Result<Solution<Matrix>> {
         match &self.operand {
-            Operand::Dense(a) => self.plan.execute_dense(a, b),
-            Operand::Sparse(a) => self.plan.execute_sparse(a, b),
+            Operand::Dense(a) => self.plan.execute(&**a, b),
+            Operand::Sparse(a) => self.plan.execute(&**a, b),
         }
     }
 
@@ -191,11 +192,11 @@ impl CachedPlan {
     /// executors consume `B`, so such a solve takes the copying path on its
     /// `n×1` column — the same kernel, so the same bits.
     fn execute_vec(&self, rhs: &mut Vec<f64>) -> Result<SolveReport> {
-        if !self.wants_residual() {
+        if !self.plan.request.wants_residual() {
             let x = rhs.as_mut_slice();
             return match &self.operand {
-                Operand::Dense(a) => self.plan.execute_dense_in_place(a, x),
-                Operand::Sparse(a) => self.plan.execute_sparse_in_place(a, x),
+                Operand::Dense(a) => self.plan.execute_in_place(&**a, x),
+                Operand::Sparse(a) => self.plan.execute_in_place(&**a, x),
             };
         }
         let b = Matrix::from_vec(rhs.len(), 1, std::mem::take(rhs))
@@ -234,7 +235,7 @@ impl CachedPlan {
             }
         }
         let packed = MatMut::from_slice(arena, n, w);
-        match self.plan.execute_sparse_in_place(a, packed) {
+        match self.plan.execute_in_place(a, packed) {
             Ok(report) => {
                 for (c, &i) in fused.iter().enumerate() {
                     for (r, v) in jobs[i].rhs.iter_mut().enumerate() {
@@ -251,12 +252,6 @@ impl CachedPlan {
                 }
             }
         }
-    }
-
-    /// Whether the request this plan was lowered from asked for a residual
-    /// (such jobs need their `B` preserved).
-    fn wants_residual(&self) -> bool {
-        self.plan.request.wants_residual()
     }
 }
 
@@ -305,8 +300,8 @@ impl State {
             }
             None => {
                 let plan = match operand {
-                    Operand::Dense(a) => request.plan_dense(a.rows(), k)?,
-                    Operand::Sparse(a) => request.plan_sparse(a, k)?,
+                    Operand::Dense(a) => request.plan(&**a, k)?,
+                    Operand::Sparse(a) => request.plan(&**a, k)?,
                 };
                 obs::counter("serve", "plan_cache_miss", "misses", 1, "", 0);
                 self.stats.misses += 1;
@@ -485,7 +480,7 @@ impl SolveService {
                 // individually (still on the cached plan).
                 let entry = jobs[window[0]].entry.clone();
                 let w = window.len() as u64;
-                let batched = w > 1 && !entry.wants_residual();
+                let batched = w > 1 && !entry.plan.request.wants_residual();
                 if batched {
                     batches += 1;
                     fused_requests += w;

@@ -27,8 +27,8 @@ fn service() -> SolveService {
 /// One vector through the staged API directly (no service, no cache).
 fn cold_sparse(req: &SolveRequest, m: &SparseTri, b: &[f64]) -> Vec<f64> {
     let mut x = b.to_vec();
-    let plan = req.plan_sparse(m, 1).unwrap();
-    plan.execute_sparse_in_place(m, x.as_mut_slice()).unwrap();
+    let plan = req.plan(m, 1).unwrap();
+    plan.execute_in_place(m, x.as_mut_slice()).unwrap();
     x
 }
 
@@ -225,7 +225,7 @@ proptest! {
         let req = SolveRequest::lower();
         let l = dense::gen::well_conditioned_lower(n, seed);
         let b = dense::gen::rhs(n, k, seed ^ 0x7e);
-        let cold = req.solve_dense(&l, &b).unwrap().x;
+        let cold = req.solve(&l, &b).unwrap().x;
 
         let svc = service();
         let op = Operand::Dense(Arc::new(l.clone()));
@@ -653,9 +653,9 @@ fn dense_side_by_side_batching_matches_solo() {
         let (r, m): (&SolveRequest, &Arc<Matrix>) =
             if j % 2 == 0 { (&req, &l) } else { (&u_req, &u) };
         let mut solo = rhs.clone();
-        r.plan_dense(n, 1)
+        r.plan(&**m, 1)
             .unwrap()
-            .execute_dense_in_place(m, solo.as_mut_slice())
+            .execute_in_place(&**m, solo.as_mut_slice())
             .unwrap();
         want.push(solo);
         svc.submit(ServiceRequest {

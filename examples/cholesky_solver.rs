@@ -41,7 +41,7 @@ fn main() {
             let fwd = SolveRequest::lower()
                 .algorithm(cfg.trsm)
                 .with_residual()
-                .solve_distributed(&l, &b)
+                .solve(&l, &b)
                 .expect("forward solve");
             let fwd_residual = fwd.report.residual.expect("requested residual");
 

@@ -37,12 +37,12 @@ fn main() {
             // forward L·Y = B, then backward U·X = Y.
             let fwd = SolveRequest::lower()
                 .algorithm(cfg.trsm)
-                .solve_distributed(&l, &b)
+                .solve(&l, &b)
                 .expect("forward solve");
             let bwd = SolveRequest::upper()
                 .algorithm(cfg.trsm)
                 .with_residual()
-                .solve_distributed(&u, &fwd.x)
+                .solve(&u, &fwd.x)
                 .expect("backward solve");
             let bwd_residual = bwd.report.residual.expect("requested residual");
 

@@ -58,7 +58,7 @@ fn main() {
             let l = DistMatrix::from_global(&grid, &l_global);
             let b = DistMatrix::from_global(&grid, &b_global);
 
-            let sol = request.solve_distributed(&l, &b).expect("solve");
+            let sol = request.solve(&l, &b).expect("solve");
 
             // Verify against the known solution without gathering matrices.
             let x_ref = DistMatrix::from_global(&grid, &x_true);
@@ -96,7 +96,7 @@ fn main() {
             let b = DistMatrix::from_global(&grid, &b_global);
             let sol = SolveRequest::lower()
                 .algorithm(Algorithm::Recursive { base_size: 32 })
-                .solve_distributed(&l, &b)
+                .solve(&l, &b)
                 .expect("solve");
             let x_ref = DistMatrix::from_global(&grid, &x_true);
             assert!(sol.x.rel_diff(&x_ref).expect("conformal") < 1e-8);
@@ -118,7 +118,7 @@ fn main() {
     let x_local = gen::rhs(n, 4, 6);
     let b_local = dense::matmul(&l_local, &x_local);
     let dense_sol = SolveRequest::lower()
-        .solve_dense(&l_local, &b_local)
+        .solve(&l_local, &b_local)
         .expect("dense solve");
     println!(
         "\nsame request on the dense backend: {} flops, error {:.1e}",

@@ -23,7 +23,7 @@ fn measure(n: usize, k: usize, grid_dim: usize, algorithm: Option<Algorithm>) ->
             let b_global = dense::matmul(&l_global, &x_true);
             let l = DistMatrix::from_global(&grid, &l_global);
             let b = DistMatrix::from_global(&grid, &b_global);
-            let sol = request.solve_distributed(&l, &b).expect("solve");
+            let sol = request.solve(&l, &b).expect("solve");
             let x_ref = DistMatrix::from_global(&grid, &x_true);
             assert!(sol.x.rel_diff(&x_ref).expect("conformal") < 1e-8);
             assert!(sol.report.comm.is_some(), "report carries the counters");

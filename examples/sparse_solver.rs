@@ -30,7 +30,7 @@ fn main() {
     // so the level sweep would not stream memory and the plan stays
     // sequential.
     let request = SolveRequest::lower().threads(4);
-    let plan = request.plan_sparse(&l, 1).expect("plan");
+    let plan = request.plan(&l, 1).expect("plan");
     println!("  plan:          {plan}");
     let PlanBackend::Sparse {
         workers,
@@ -53,9 +53,7 @@ fn main() {
     for apply in 0..applies {
         let b = gen::rhs_vec(n, apply as u64);
         x.copy_from_slice(&b);
-        let report = plan
-            .execute_sparse_in_place(&l, x.as_mut_slice())
-            .expect("solve");
+        let report = plan.execute_in_place(&l, x.as_mut_slice()).expect("solve");
         total_flops += report.flops.get();
     }
     println!(
@@ -76,9 +74,9 @@ fn main() {
     let b = col(&gen::rhs_vec(n, 99));
     let seq = SolveRequest::lower()
         .threads(1)
-        .solve_sparse(&l, &b)
+        .solve(&l, &b)
         .expect("sequential solve");
-    let par = request.solve_sparse(&l, &b).expect("budget-4 solve");
+    let par = request.solve(&l, &b).expect("budget-4 solve");
     assert_eq!(seq.x, par.x, "budget-4 solve must be bitwise identical");
     println!("  determinism:   budget-4 solve bitwise identical to budget 1");
 
@@ -88,11 +86,11 @@ fn main() {
     let xt = SolveRequest::lower()
         .transposed()
         .threads(4)
-        .solve_sparse(&l, &bt)
+        .solve(&l, &bt)
         .expect("transposed solve");
     let xt2 = SolveRequest::lower()
         .transposed()
-        .solve_sparse(&l, &bt)
+        .solve(&l, &bt)
         .expect("transposed solve");
     assert_eq!(xt.x, xt2.x);
     println!(
@@ -108,7 +106,7 @@ fn main() {
     let bs = gen::rhs_vec(800, 5);
     let sol = SolveRequest::lower()
         .with_residual()
-        .solve_sparse(&small, &col(&bs))
+        .solve(&small, &col(&bs))
         .expect("sparse solve");
     let small_dense = small.to_dense();
     let dense_opts = dense::SolveOpts::new(small.triangle()).diag(small.diag());
@@ -126,7 +124,7 @@ fn main() {
     let k = 16;
     let bm = Matrix::from_fn(800, k, |i, j| ((i * 13 + j * 7) % 23) as f64 / 11.5 - 1.0);
     let xm = SolveRequest::lower()
-        .solve_sparse(&small, &bm)
+        .solve(&small, &bm)
         .expect("multi-RHS solve");
     let xm_dense = dense::trsm_opts(&dense_opts, &small_dense, &bm).expect("dense trsm");
     let err_m = xm.x.max_abs_diff(&xm_dense).unwrap();
@@ -141,12 +139,10 @@ fn main() {
     for (label, width) in [("deep DAG:     ", 4), ("wide levels:  ", 8192)] {
         let m = gen::deep_narrow_lower(40_000, width, 4, 2026);
         let b = gen::rhs_vec(40_000, 7);
-        let plan = request.plan_sparse(&m, 1).expect("plan");
+        let plan = request.plan(&m, 1).expect("plan");
         println!("  {label} {plan}");
         let mut x = b.clone();
-        let report = plan
-            .execute_sparse_in_place(&m, x.as_mut_slice())
-            .expect("solve");
+        let report = plan.execute_in_place(&m, x.as_mut_slice()).expect("solve");
         let ran = report.levels.unwrap();
         assert_eq!(ran.workers > 1, width == 8192);
         assert_eq!(ran.barriers, if ran.workers > 1 { ran.levels } else { 0 });

@@ -31,11 +31,11 @@ fn main() {
     let l = gen::well_conditioned_lower(n, 7);
     let x_true = gen::rhs(n, k, 8);
     let b = dense::matmul(&l, &x_true);
-    let plan = SolveRequest::lower().plan_dense(n, k).expect("dense plan");
+    let plan = SolveRequest::lower().plan(&l, k).expect("dense plan");
 
     let recorder = obs::Recorder::new();
     let (sparse_drift, (rec_drift, it_drift)) = recorder.record(|| {
-        let sol = plan.execute_dense(&l, &b).expect("dense solve");
+        let sol = plan.execute(&l, &b).expect("dense solve");
         assert!(dense::norms::rel_diff(&sol.x, &x_true) < 1e-8);
         println!("dense: {}", plan);
         println!("{}", recorder.report().summary());
@@ -98,11 +98,11 @@ fn sparse_solve() -> String {
     let rhs = sparse::gen::rhs_vec(m.n(), 5);
     let plan = SolveRequest::lower()
         .threads(4)
-        .plan_sparse(&m, 1)
+        .plan(&m, 1)
         .expect("sparse plan");
     let mut x = rhs.clone();
     let report = plan
-        .execute_sparse_in_place(&m, x.as_mut_slice())
+        .execute_in_place(&m, x.as_mut_slice())
         .expect("sparse solve");
     println!("sparse: {plan}");
     assert_eq!(report.levels.expect("level report").workers, 4);
@@ -127,7 +127,7 @@ fn distributed_solves() -> (String, String) {
                 .algorithm(Algorithm::Recursive { base_size: 16 })
                 .plan_distributed(dn, dk, comm.size())
                 .expect("recursive plan");
-            let rec = rec_plan.execute_distributed(&l, &b).expect("recursive");
+            let rec = rec_plan.execute(&l, &b).expect("recursive");
             assert!(dense::norms::rel_diff(&rec.x.to_global(), &x_true) < 1e-8);
             let rec_drift = rec_plan
                 .drift_report(&rec.report, costmodel::Machine::cluster())
@@ -136,7 +136,7 @@ fn distributed_solves() -> (String, String) {
             let it_plan = SolveRequest::lower()
                 .plan_distributed(dn, dk, comm.size())
                 .expect("it-inv plan");
-            let it = it_plan.execute_distributed(&l, &b).expect("it-inv");
+            let it = it_plan.execute(&l, &b).expect("it-inv");
             assert!(dense::norms::rel_diff(&it.x.to_global(), &x_true) < 1e-8);
             let it_drift = it_plan
                 .drift_report(&it.report, costmodel::Machine::cluster())

@@ -63,7 +63,7 @@ fn solve_on(
             let b = DistMatrix::from_global(&grid, &b_g);
             SolveRequest::lower()
                 .algorithm(alg)
-                .solve_distributed(&l, &b)
+                .solve(&l, &b)
                 .map(|sol| (sol.x.to_global(), sol.report.comm.expect("counters")))
                 .map_err(|e| e.to_string())
         })
@@ -156,7 +156,7 @@ fn crashed_rank_fails_every_algorithm_cleanly() {
                 let b = DistMatrix::from_global(&grid, &b_g);
                 SolveRequest::lower()
                     .algorithm(alg)
-                    .solve_distributed(&l, &b)
+                    .solve(&l, &b)
                     .map(|_| ())
             })
             .expect("clean run");
@@ -174,10 +174,7 @@ fn crashed_rank_fails_every_algorithm_cleanly() {
                     let b_g = dense::matmul(&l_g, &x_g);
                     let l = DistMatrix::from_global(&grid, &l_g);
                     let b = DistMatrix::from_global(&grid, &b_g);
-                    SolveRequest::lower()
-                        .algorithm(alg)
-                        .solve_distributed(&l, &b)
-                        .err()
+                    SolveRequest::lower().algorithm(alg).solve(&l, &b).err()
                 })
                 .expect("crash must surface as rank-level errors, not a run failure");
             let mut failures = 0;

@@ -55,7 +55,7 @@ fn plan_and_measure(
             let grid = Grid2D::new(comm, pr, pc).unwrap();
             let l = DistMatrix::from_global(&grid, &gen::well_conditioned_lower(n, 1));
             let b = DistMatrix::from_global(&grid, &gen::rhs(n, k, 2));
-            request.solve_distributed(&l, &b).unwrap().report.phases
+            request.solve(&l, &b).unwrap().report.phases
         })
         .unwrap();
     Measured {

@@ -100,7 +100,7 @@ fn op(machine: &Machine, l: &Matrix, b: &Matrix) -> (RankBlocks, u64, u64) {
             let plan = SolveRequest::lower()
                 .plan_distributed(dl.rows(), db.cols(), comm.size())
                 .unwrap();
-            let sol = plan.execute_distributed(&dl, &db).unwrap();
+            let sol = plan.execute(&dl, &db).unwrap();
             (grid.my_coords(), sol.x.local().clone())
         })
         .unwrap();

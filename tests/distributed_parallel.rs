@@ -64,7 +64,7 @@ fn solve_on(machine: &Machine, alg: Algorithm, seed: u64) -> Vec<Result<Matrix, 
             let b = DistMatrix::from_global(&grid, &b_g);
             SolveRequest::lower()
                 .algorithm(alg)
-                .solve_distributed(&l, &b)
+                .solve(&l, &b)
                 .map(|sol| sol.x.to_global())
                 .map_err(|e| e.to_string())
         })
@@ -109,7 +109,7 @@ fn solve_bits(
         let b = DistMatrix::from_global(&grid, &b_g);
         let sol = SolveRequest::lower()
             .algorithm(alg)
-            .solve_distributed(&l, &b)
+            .solve(&l, &b)
             .expect("clean solve");
         sol.x
             .to_global()
@@ -206,10 +206,7 @@ fn chaos_permanent_plans_fail_typed_under_parallel_ranks() {
                 let b_g = dense::matmul(&l_g, &x_g);
                 let l = DistMatrix::from_global(&grid, &l_g);
                 let b = DistMatrix::from_global(&grid, &b_g);
-                SolveRequest::lower()
-                    .algorithm(alg)
-                    .solve_distributed(&l, &b)
-                    .err()
+                SolveRequest::lower().algorithm(alg).solve(&l, &b).err()
             })
             .expect("crash must surface as rank-level errors, not a run failure");
         let failures = out
@@ -415,7 +412,7 @@ fn a_planned_solve_on_1024_ranks_solves_its_system() {
             let grid = Grid2D::new(comm, 32, 32).unwrap();
             let l = DistMatrix::from_global(&grid, &l_global);
             let b = DistMatrix::from_global(&grid, &b_global);
-            let sol = SolveRequest::lower().solve_distributed(&l, &b).unwrap();
+            let sol = SolveRequest::lower().solve(&l, &b).unwrap();
             let x = DistMatrix::from_global(&grid, &x_global);
             sol.x.rel_diff(&x).unwrap()
         })

@@ -45,7 +45,7 @@ fn all_trsm_algorithms_agree_with_the_sequential_solution() {
             ] {
                 let sol = SolveRequest::lower()
                     .algorithm(algorithm)
-                    .solve_distributed(&l, &b)
+                    .solve(&l, &b)
                     .unwrap();
                 assert!(sol.report.comm.is_some(), "{algorithm:?} must report");
                 errors.push(sol.x.rel_diff(&reference).unwrap());
@@ -78,10 +78,7 @@ fn iterative_algorithm_beats_recursive_latency_as_p_grows() {
                     let (l_g, b_g, _) = instance(n, k, 3);
                     let l = DistMatrix::from_global(&grid, &l_g);
                     let b = DistMatrix::from_global(&grid, &b_g);
-                    SolveRequest::lower()
-                        .algorithm(alg)
-                        .solve_distributed(&l, &b)
-                        .unwrap();
+                    SolveRequest::lower().algorithm(alg).solve(&l, &b).unwrap();
                 })
                 .unwrap()
                 .report
@@ -138,10 +135,7 @@ fn both_algorithms_move_the_same_order_of_words() {
                 let (l_g, b_g, _) = instance(n, k, 5);
                 let l = DistMatrix::from_global(&grid, &l_g);
                 let b = DistMatrix::from_global(&grid, &b_g);
-                SolveRequest::lower()
-                    .algorithm(alg)
-                    .solve_distributed(&l, &b)
-                    .unwrap();
+                SolveRequest::lower().algorithm(alg).solve(&l, &b).unwrap();
             })
             .unwrap()
             .report
@@ -205,7 +199,7 @@ fn planner_configurations_are_always_runnable() {
                 let (l_g, b_g, x_g) = instance(n, k, 11);
                 let l = DistMatrix::from_global(&grid, &l_g);
                 let b = DistMatrix::from_global(&grid, &b_g);
-                let sol = plan.execute_distributed(&l, &b).unwrap();
+                let sol = plan.execute(&l, &b).unwrap();
                 let x_ref = DistMatrix::from_global(&grid, &x_g);
                 sol.x.rel_diff(&x_ref).unwrap()
             })
@@ -249,7 +243,7 @@ fn upper_triangular_systems_solve_via_reversal() {
             let b_g = dense::matmul(&u_g, &x_g);
             let u = DistMatrix::from_global(&grid, &u_g);
             let b = DistMatrix::from_global(&grid, &b_g);
-            let sol = SolveRequest::upper().solve_distributed(&u, &b).unwrap();
+            let sol = SolveRequest::upper().solve(&u, &b).unwrap();
             let x_ref = DistMatrix::from_global(&grid, &x_g);
             sol.x.rel_diff(&x_ref).unwrap()
         })
@@ -318,7 +312,7 @@ fn virtual_time_is_consistent_with_counters() {
             let (l_g, b_g, _) = instance(64, 16, 23);
             let l = DistMatrix::from_global(&grid, &l_g);
             let b = DistMatrix::from_global(&grid, &b_g);
-            SolveRequest::lower().solve_distributed(&l, &b).unwrap();
+            SolveRequest::lower().solve(&l, &b).unwrap();
         })
         .unwrap();
     let report = out.report;

@@ -32,7 +32,7 @@ fn sparse_fixture() -> (SparseTri, Matrix) {
 fn dense_solve(n: usize, seed: u64) {
     let l = gen::well_conditioned_lower(n, seed);
     let b = gen::rhs(n, 8, seed + 1);
-    SolveRequest::lower().solve_dense(&l, &b).unwrap();
+    SolveRequest::lower().solve(&l, &b).unwrap();
 }
 
 /// The `n` argument of every `core/execute` span in `dump`.
@@ -62,9 +62,9 @@ fn traced_dense_solve_records_the_execute_span() {
     let b = gen::rhs(n, k, 8);
     let ((), dump) = traced(|| {
         SolveRequest::lower()
-            .plan_dense(n, k)
+            .plan(&l, k)
             .unwrap()
-            .execute_dense(&l, &b)
+            .execute(&l, &b)
             .unwrap();
     });
     let trace = obs::TraceReport::from_dump(&dump);
@@ -114,19 +114,14 @@ fn two_recorders_on_two_threads_each_see_only_their_own_spans() {
                         let l =
                             DistMatrix::from_global(&grid, &gen::well_conditioned_lower(64, 21));
                         let b = DistMatrix::from_global(&grid, &gen::rhs(64, 16, 22));
-                        SolveRequest::lower()
-                            .solve_distributed(&l, &b)
-                            .expect("solve");
+                        SolveRequest::lower().solve(&l, &b).expect("solve");
                     })
                     .expect("machine run");
             })
         });
         sweep.record(|| {
             start.wait();
-            SolveRequest::lower()
-                .threads(4)
-                .solve_sparse(&m, &b)
-                .unwrap();
+            SolveRequest::lower().threads(4).solve(&m, &b).unwrap();
         });
     });
 
@@ -183,12 +178,7 @@ fn pool_workers_record_on_their_own_lanes() {
     // The sparse level sweep (`run_region`): one barrier-wait counter per
     // worker, each on that worker's lane.
     let (m, b) = sparse_fixture();
-    let (sol, dump) = traced(|| {
-        SolveRequest::lower()
-            .threads(4)
-            .solve_sparse(&m, &b)
-            .unwrap()
-    });
+    let (sol, dump) = traced(|| SolveRequest::lower().threads(4).solve(&m, &b).unwrap());
     assert_eq!(sol.report.levels.expect("shape").workers, 4);
     assert_eq!(wall_lanes_with(&dump, "sparse", "barrier_wait_ns"), 4);
 
@@ -212,9 +202,9 @@ fn traced_sparse_solve_records_the_level_sweep() {
     let (sol, dump) = traced(|| {
         SolveRequest::lower()
             .threads(4)
-            .plan_sparse(&m, 1)
+            .plan(&m, 1)
             .unwrap()
-            .execute_sparse(&m, &b)
+            .execute(&m, &b)
             .unwrap()
     });
     let ran = sol.report.levels.expect("sparse solves report their shape");
@@ -238,10 +228,7 @@ fn traced_sparse_solve_records_the_level_sweep() {
 fn chrome_export_of_traced_run_validates() {
     let (m, b) = sparse_fixture();
     let ((), dump) = traced(|| {
-        SolveRequest::lower()
-            .threads(4)
-            .solve_sparse(&m, &b)
-            .unwrap();
+        SolveRequest::lower().threads(4).solve(&m, &b).unwrap();
     });
     assert!(!dump.is_empty());
     let json = obs::chrome::to_chrome_json(&dump);
@@ -265,7 +252,7 @@ fn drift_report_covers_itinv_phases() {
             let plan = SolveRequest::lower()
                 .plan_distributed(n, k, comm.size())
                 .expect("plan");
-            let sol = plan.execute_distributed(&l, &b).expect("solve");
+            let sol = plan.execute(&l, &b).expect("solve");
             plan.drift_report(&sol.report, costmodel::Machine::cluster())
                 .render()
         })
@@ -295,9 +282,7 @@ fn a_distributed_solve_plans_once_per_run() {
                     let grid = Grid2D::new(comm, 8, 8).expect("grid");
                     let l = DistMatrix::from_global(&grid, &l_global);
                     let b = DistMatrix::from_global(&grid, &b_global);
-                    SolveRequest::lower()
-                        .solve_distributed(&l, &b)
-                        .expect("solve");
+                    SolveRequest::lower().solve(&l, &b).expect("solve");
                 })
                 .expect("machine run");
         }
@@ -317,10 +302,7 @@ fn a_distributed_solve_plans_once_per_run() {
 fn tracing_enabled_stays_in_wall_clock_envelope() {
     let (m, b) = sparse_fixture();
     let solve = || {
-        SolveRequest::lower()
-            .threads(4)
-            .solve_sparse(&m, &b)
-            .unwrap();
+        SolveRequest::lower().threads(4).solve(&m, &b).unwrap();
     };
     let best_of = |runs: usize, f: &dyn Fn()| -> std::time::Duration {
         (0..runs)

@@ -32,8 +32,8 @@ fn cached_distributed_plan_executes_bitwise_like_fresh() {
             let fresh_plan = SolveRequest::lower()
                 .plan_distributed(n, k, comm.size())
                 .unwrap();
-            let fresh = fresh_plan.execute_distributed(&l, &b).unwrap();
-            let served = cached.execute_distributed(&l, &b).unwrap();
+            let fresh = fresh_plan.execute(&l, &b).unwrap();
+            let served = cached.execute(&l, &b).unwrap();
             (
                 served.x.rel_diff(&fresh.x).unwrap(),
                 dense::norms::rel_diff(&served.x.to_global(), &x_true),

@@ -17,6 +17,31 @@ use proptest::prelude::*;
 use sparse::gen as sgen;
 use std::sync::Arc;
 
+/// One way to solve returns one answer: `solve`, `plan` + `execute` and
+/// `execute_in_place` give the same bits and the same report for a local
+/// operand — with the residual on the allocating pair, without it in
+/// place, where `B` is consumed.  (A macro, because the in-place bound is
+/// sealed.)
+macro_rules! one_way_to_solve {
+    ($req:expr, $a:expr, $b:expr) => {{
+        let (req, a, b): (&SolveRequest, _, &Matrix) = ($req, $a, $b);
+        let report = |r: &SolveReport| format!("{r:?}");
+        let k = b.cols();
+        let with = req.with_residual();
+        let solved = with.solve(a, b).unwrap();
+        let executed = with.plan(a, k).unwrap().execute(a, b).unwrap();
+        let plain = req.solve(a, b).unwrap();
+        let mut x = b.clone();
+        let in_place = req.plan(a, k).unwrap().execute_in_place(a, &mut x).unwrap();
+        solved.report.residual.is_some()
+            && solved.x == executed.x
+            && report(&solved.report) == report(&executed.report)
+            && plain.x == solved.x
+            && x == plain.x
+            && report(&in_place) == report(&plain.report)
+    }};
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -43,10 +68,11 @@ proptest! {
         } else {
             Transpose::No
         });
-        let reference = base.threads(1).solve_sparse(&m, &b).unwrap();
+        let reference = base.threads(1).solve(&m, &b).unwrap();
         prop_assert_eq!(reference.report.flops, m.solve_flops(k));
+        prop_assert!(one_way_to_solve!(&base.threads(4), &m, &b), "sparse entry points diverged");
         for threads in [2usize, 4, 6] {
-            let sol = base.threads(threads).solve_sparse(&m, &b).unwrap();
+            let sol = base.threads(threads).solve(&m, &b).unwrap();
             prop_assert_eq!(sol.report.levels.unwrap().workers, threads);
             prop_assert!(
                 sol.x == reference.x,
@@ -76,13 +102,18 @@ proptest! {
         let diag = if unit { Diag::Unit } else { Diag::NonUnit };
         let b = Matrix::from_fn(n, k, |i, j| ((i * 11 + j * 5 + 1) % 17) as f64 - 8.0);
         let req = SolveRequest::new(tri).diag(diag);
-        let sol = req.solve_dense(&a, &b).unwrap();
+        let sol = req.solve(&a, &b).unwrap();
+        prop_assert!(one_way_to_solve!(&req, &a, &b), "dense entry points diverged");
+        prop_assert!(
+            one_way_to_solve!(&req.transposed(), &a, &b),
+            "transposed entry points diverged"
+        );
         let direct = dense::trsm_opts(&req.opts(), &a, &b).unwrap();
         prop_assert!(sol.x == direct, "the request path diverged from trsm_opts bitwise");
         prop_assert_eq!(sol.report.flops, dense::flops::trsm_flops(n, k));
 
         // Transposed request vs reference solve on the materialized Aᵀ.
-        let solt = req.transposed().solve_dense(&a, &b).unwrap();
+        let solt = req.transposed().solve(&a, &b).unwrap();
         let op_tri = if upper { Triangle::Lower } else { Triangle::Upper };
         let reference = dense::trsm_opts(
             &dense::SolveOpts::new(op_tri).diag(diag),
@@ -100,10 +131,10 @@ proptest! {
         // same bits as an n×1 matrix.
         let bv: Vec<f64> = (0..n).map(|i| ((i * 3 + 2) % 13) as f64 - 6.0).collect();
         let mut sv = bv.clone();
-        let plan = req.plan_dense(n, 1).unwrap();
-        plan.execute_dense_in_place(&a, sv.as_mut_slice()).unwrap();
+        let plan = req.plan(&a, 1).unwrap();
+        plan.execute_in_place(&a, sv.as_mut_slice()).unwrap();
         let bm = Matrix::from_vec(n, 1, bv).unwrap();
-        let sm = req.solve_dense(&a, &bm).unwrap();
+        let sm = req.solve(&a, &bm).unwrap();
         prop_assert!(sv == sm.x.as_slice(), "slice and n×1 matrix diverged");
     }
 }
@@ -116,6 +147,7 @@ proptest! {
 fn dense_plan_says_whether_diagonal_blocks_are_inverted() {
     let nb = dense::TRSM_BLOCK;
     let n = 2 * nb + 3;
+    let a = Matrix::identity(n);
     for (k, kernel, why) in [
         (1, SolveKernel::RowSubstitution, "k = 1: rows substituted"),
         (
@@ -132,7 +164,7 @@ fn dense_plan_says_whether_diagonal_blocks_are_inverted() {
         assert_eq!(dense::solve_kernel(k), kernel);
         // The right side counts rows of B.
         for side in [Side::Left, Side::Right] {
-            let plan = SolveRequest::lower().side(side).plan_dense(n, k).unwrap();
+            let plan = SolveRequest::lower().side(side).plan(&a, k).unwrap();
             assert!(
                 matches!(
                     plan.backend,
@@ -166,24 +198,21 @@ fn plan_and_report_name_the_same_dense_kernel() {
                 Side::Left => gen::rhs(n, k, 82),
                 Side::Right => gen::rhs(k, n, 82),
             };
-            let plan = req.plan_dense(n, k).unwrap();
+            let plan = req.plan(&*l, k).unwrap();
             let name = plan.algorithm_name();
             let what = format!("k = {k}, {side:?}");
             let mut reports = vec![
-                plan.execute_dense(&l, &b).unwrap().report,
-                plan.execute_dense_in_place(&l, &mut b.clone()).unwrap(),
-                req.solve_dense(&l, &b).unwrap().report,
-                req.with_residual().solve_dense(&l, &b).unwrap().report,
+                plan.execute(&*l, &b).unwrap().report,
+                plan.execute_in_place(&*l, &mut b.clone()).unwrap(),
+                req.solve(&*l, &b).unwrap().report,
+                req.with_residual().solve(&*l, &b).unwrap().report,
                 svc.solve(&req, &Operand::Dense(Arc::clone(&l)), &b)
                     .unwrap()
                     .report,
             ];
             if (k, side) == (1, Side::Left) {
                 let v = b.as_slice();
-                reports.push(
-                    plan.execute_dense_in_place(&l, &mut v.to_vec()[..])
-                        .unwrap(),
-                );
+                reports.push(plan.execute_in_place(&*l, &mut v.to_vec()[..]).unwrap());
                 for r in [req, req.with_residual()] {
                     let operand = Operand::Dense(Arc::clone(&l));
                     reports.push(svc.solve_vec(&r, &operand, v).unwrap().report);
@@ -227,23 +256,23 @@ fn one_right_hand_side_gets_one_answer() {
                 for diag in [Diag::NonUnit, Diag::Unit] {
                     let req = SolveRequest::new(tri).transpose(transpose).diag(diag);
                     let what = format!("n = {n}, {:?}", req.opts());
-                    let x = req.solve_dense(&a, &column).unwrap().x.into_vec();
+                    let x = req.solve(&a, &column).unwrap().x.into_vec();
                     let mut in_place = b.clone();
-                    req.plan_dense(n, 1)
+                    req.plan(&a, 1)
                         .unwrap()
-                        .execute_dense_in_place(&a, in_place.as_mut_slice())
+                        .execute_in_place(&a, in_place.as_mut_slice())
                         .unwrap();
                     let served = svc.solve(&req, &operand, &column).unwrap().x.into_vec();
                     let vec = svc.solve_vec(&req, &operand, &b).unwrap().x;
                     let vec_residual = svc.solve_vec(&req.with_residual(), &operand, &b).unwrap();
                     assert!(vec_residual.report.residual.unwrap() < 1e-12, "{what}");
                     for (path, got) in [
-                        ("execute_dense_in_place", &in_place),
+                        ("execute_in_place", &in_place),
                         ("SolveService::solve", &served),
                         ("SolveService::solve_vec", &vec),
                         ("solve_vec with residual", &vec_residual.x),
                     ] {
-                        assert!(*got == x, "{what}: {path} diverged from solve_dense");
+                        assert!(*got == x, "{what}: {path} diverged from solve");
                     }
                 }
             }
@@ -272,13 +301,13 @@ fn distributed_transposed_request_matches_materialized_transpose() {
             let sol = SolveRequest::lower()
                 .transposed()
                 .algorithm(alg)
-                .solve_distributed(&l, &bt)
+                .solve(&l, &bt)
                 .unwrap();
             // …vs an upper request on the materialized transpose.
             let lt = pgrid::redist::transpose(&l).unwrap();
             let reference = SolveRequest::upper()
                 .algorithm(alg)
-                .solve_distributed(&lt, &bt)
+                .solve(&lt, &bt)
                 .unwrap();
             (
                 sol.x.rel_diff(&reference.x).unwrap(),
@@ -313,10 +342,10 @@ fn auto_plan_is_the_configuration_that_executes() {
             };
             // Pinning the request to the algorithm the planner chose must
             // execute the identical solve.
-            let auto = plan.execute_distributed(&l, &b).unwrap();
+            let auto = plan.execute(&l, &b).unwrap();
             let pinned = SolveRequest::lower()
                 .algorithm(*algorithm)
-                .solve_distributed(&l, &b)
+                .solve(&l, &b)
                 .unwrap();
             (
                 auto.x.rel_diff(&pinned.x).unwrap(),
@@ -336,4 +365,61 @@ fn auto_plan_is_the_configuration_that_executes() {
             "no pin resolves to it_inv, which reports phases"
         );
     }
+}
+
+/// The five hidden forwarders the frozen benchmark package calls are their
+/// entry points: each returns the same plan, bits and report.  They are
+/// called by path, so the CI lint that keeps the old method calls out of
+/// the tree stays a plain grep.
+#[test]
+fn the_hidden_forwarders_return_their_entry_points_answers() {
+    let report = |r: &SolveReport| format!("{r:?}");
+    let (n, k) = (90, 5);
+    let l = gen::well_conditioned_lower(n, 11);
+    let b = gen::rhs(n, k, 12);
+    let req = SolveRequest::lower().with_residual();
+    let plan = SolveRequest::plan_dense(&req, n, k).unwrap();
+    assert_eq!(plan, req.plan(&l, k).unwrap());
+    let forwarded = SolvePlan::execute_dense(&plan, &l, &b).unwrap();
+    let entry = plan.execute(&l, &b).unwrap();
+    assert!(forwarded.x == entry.x);
+    assert_eq!(report(&forwarded.report), report(&entry.report));
+
+    let m = sparse::gen::random_lower(400, 6, 13);
+    let plan = SolveRequest::plan_sparse(&req, &m, 1).unwrap();
+    assert_eq!(plan, req.plan(&m, 1).unwrap());
+    let rhs = sparse::gen::rhs_vec(m.n(), 16);
+    let (mut xf, mut xe) = (rhs.clone(), rhs);
+    let forwarded = SolvePlan::execute_sparse_vec_in_place(&plan, &m, &mut xf).unwrap();
+    let entry = plan.execute_in_place(&m, xe.as_mut_slice()).unwrap();
+    assert!(xf == xe);
+    assert_eq!(report(&forwarded), report(&entry));
+
+    let (n, k) = (64, 8);
+    let out = Machine::new(4, MachineParams::cluster())
+        .run(move |comm| {
+            let grid = Grid2D::new(comm, 2, 2).unwrap();
+            let l_global = gen::well_conditioned_lower(n, 14);
+            let l = DistMatrix::from_global(&grid, &l_global);
+            let b = DistMatrix::from_global(&grid, &gen::rhs(n, k, 15));
+            let plan = req.plan_distributed(n, k, comm.size()).unwrap();
+            let forwarded = SolvePlan::execute_distributed(&plan, &l, &b).unwrap();
+            let entry = plan.execute(&l, &b).unwrap();
+            let sw = |s: &Solution<DistMatrix>| {
+                let c = s.report.comm.unwrap();
+                (
+                    s.report.algorithm,
+                    s.report.flops,
+                    c.latency(),
+                    c.bandwidth(),
+                )
+            };
+            (
+                forwarded.x.to_global() == entry.x.to_global(),
+                sw(&forwarded) == sw(&entry),
+                forwarded.report.residual == entry.report.residual,
+            )
+        })
+        .unwrap();
+    assert!(out.results.into_iter().all(|r| r == (true, true, true)));
 }
